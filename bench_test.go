@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/fusion"
@@ -35,8 +34,7 @@ import (
 // extract/match/map chains dominate the run, so wall-clock should shrink
 // with workers up to the machine's core count (the sequential
 // select/integrate/fuse tail bounds the Amdahl ceiling). Output is
-// byte-identical at every worker count; only the speed changes. `make
-// bench` writes this table to BENCH_PR2.json to seed the perf trajectory.
+// byte-identical at every worker count; only the speed changes.
 func BenchmarkEngineParallelSources(b *testing.B) {
 	// One universe shared across worker counts: Run never mutates the
 	// provider, and reusing it keeps generation cost out of the loop.
@@ -69,8 +67,7 @@ func BenchmarkEngineParallelSources(b *testing.B) {
 // refreshes sources (committing a new copy-on-write version per
 // reaction). Reads are one atomic pointer load plus accessor calls — they
 // never take the session lock — so throughput should hold (and scale
-// with cores) regardless of the write churn. `make bench` records this
-// table to BENCH_PR3.json, the PR-3 entry of the perf trajectory.
+// with cores) regardless of the write churn.
 func BenchmarkServeReads(b *testing.B) {
 	for _, readers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
@@ -252,17 +249,15 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// BenchmarkShardedIntegration measures the sharded integration tail in
-// isolation: one wide synthetic union (24 sources) is wrangled once,
-// then the select → resolve → fuse → merge tail re-runs per iteration
-// (an empty refresh batch recomputes exactly the tail plus one delta
-// publication) at 1/2/4/8 blocking shards. Output is byte-identical at
-// every shard count — the determinism harness pins that — so the only
-// thing this table may show moving is wall clock. On the 1-CPU bench
-// container the fan-out cannot beat one shard (expect flat-to-slightly-
-// worse from merge bookkeeping); on multi-core the resolve/fuse tasks
-// overlap up to the component structure's limit. `make bench` records
-// this table and BenchmarkDeltaPublish to BENCH_PR4.json.
+// BenchmarkShardedIntegration measures the floor of a sharded reaction:
+// one wide synthetic union (24 sources) is wrangled once, then an empty
+// refresh batch re-runs the tail per iteration at 1/2/4/8 blocking
+// shards. Nothing is dirty, so every shard's clusters and page are
+// reused — what remains is the fixed cost every reaction pays: union
+// rebuild + FD repair, the dirty-row diff, the re-plan's pair pass, the
+// trust short-circuit, merge and one delta publication. Output is
+// byte-identical at every shard count — the determinism harness pins
+// that — so the only thing this table may show moving is wall clock.
 func BenchmarkShardedIntegration(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -336,78 +331,61 @@ func BenchmarkDeltaPublish(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamingRefresh is the PR-5 headline: one source of a
-// 24-source union churns and is refreshed, with the full sharded tail
-// ("full": re-plan, re-score and re-fuse everything) versus the
-// streaming partial tail ("streaming": dirty-row diff, incremental
-// re-plan, cached pair scores, warm trust, per-dirty-shard fuse, page
-// reuse). Output is byte-identical — the determinism harness and fuzz
-// targets pin that — so the table may only show cost moving: full-tail
-// cost scales with the corpus, streaming cost with the dirty shard.
-// `make bench` records this and BenchmarkConcurrentAcquire to
-// BENCH_PR5.json.
+// BenchmarkStreamingRefresh is the Velocity path at seed scale: one
+// source of a 24-source union churns and is refreshed through the
+// sharded partial tail (dirty-row diff, incremental re-plan, cached pair
+// scores, warm trust, per-dirty-shard fuse, page reuse) at 1/4/8 shards.
+// Output is byte-identical to the sequential tail — the determinism
+// harness and fuzz targets pin that — so the table may only show cost
+// moving with the dirty shard.
 func BenchmarkStreamingRefresh(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
-		for _, mode := range []string{"full", "streaming"} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
-				var w *core.Wrangler
-				if mode == "streaming" {
-					w = wrangletest.NewStreamingWrangler(3, 24, shards)
-				} else {
-					w = wrangletest.NewWrangler(3, 24, shards)
-				}
-				if _, err := w.Run(); err != nil {
-					b.Fatal(err)
-				}
-				ids := w.SelectedSources()
-				reused := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.EvolveWorld(0.1)
-					stats, err := w.RefreshSource(ids[i%len(ids)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					reused += stats.ShardsReused
-				}
-				b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFullTail is the PR-9 headline: the cost of one full
-// integration tail — union build, blocking, pair scoring, clustering,
-// trust fixpoint, fusion, merge and delta publication — over the
-// 24-source bench universe, with nothing dirty (an empty refresh batch
-// recomputes exactly the tail). This is the allocation-squeeze target:
-// interned row keys, per-row normalized feature state and preallocated
-// stage buffers attack the ~4k allocs/row the PR-4/PR-5 baselines
-// carried. Allocations per op are the headline number; `make bench`
-// records this table and BenchmarkStreamingRefresh to BENCH_PR9.json,
-// and `make bench-gate` fails the build if either regresses.
-func BenchmarkFullTail(b *testing.B) {
-	for _, shards := range []int{0, 1, 4, 8} {
-		name := fmt.Sprintf("shards=%d", shards)
-		if shards == 0 {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			w := wrangletest.NewWrangler(3, 24, shards)
 			if _, err := w.Run(); err != nil {
 				b.Fatal(err)
 			}
-			rows := w.Union().Len()
-			b.ReportAllocs()
+			ids := w.SelectedSources()
+			reused := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.RefreshSourcesContext(context.Background(), nil); err != nil {
+				w.EvolveWorld(0.1)
+				stats, err := w.RefreshSource(ids[i%len(ids)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				reused += stats.ShardsReused
 			}
-			b.ReportMetric(float64(rows), "union_rows")
+			b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
 		})
 	}
+}
+
+// BenchmarkFullTail is the cost of one full integration tail — union
+// build, blocking, pair scoring, clustering, trust fixpoint, fusion and
+// publication — over the 24-source bench universe on the sequential
+// oracle tail, with nothing dirty (an empty refresh batch recomputes
+// exactly the tail). This is the allocation-squeeze target: interned row
+// keys, per-row normalized feature state and preallocated stage buffers
+// attack the ~4k allocs/row the early baselines carried, so allocations
+// per op are the headline number. Sharded sessions have no full-tail
+// reaction to time — an empty batch reuses every shard
+// (BenchmarkShardedIntegration) — and their cold tail is the
+// benchmark/ harness's cold.10k workload and layer probes.
+func BenchmarkFullTail(b *testing.B) {
+	w := wrangletest.NewWrangler(3, 24, 0)
+	if _, err := w.Run(); err != nil {
+		b.Fatal(err)
+	}
+	rows := w.Union().Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.RefreshSourcesContext(context.Background(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows), "union_rows")
 }
 
 // slowProvider adds a fixed acquisition latency to every Refresh —
@@ -490,8 +468,7 @@ func BenchmarkConcurrentAcquire(b *testing.B) {
 //
 // Publish itself never blocks on subscribers by construction; the pacing
 // barrier below is the benchmark keeping drain goroutines inside the
-// bounded buffer so every delivery is measured, not evicted. `make
-// bench` records this table to BENCH_PR6.json.
+// bounded buffer so every delivery is measured, not evicted.
 func BenchmarkWatchFanout(b *testing.B) {
 	const rows, pages = 1024, 8
 	schema := dataset.MustSchema(
@@ -644,7 +621,7 @@ func quantile(xs []float64, q float64) float64 {
 // disabled (the default — every instrumentation site is one nil check)
 // and enabled. The disabled variant must stay within noise of
 // BenchmarkServeReads/readers=1; the enabled variant bounds the cost of
-// always-on scraping. `make bench` writes this table to BENCH_PR8.json.
+// always-on scraping.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -760,9 +737,8 @@ func trustBenchClaims(components, sourcesPer, groupsPer, claimsPer int) []fusion
 // versus the pre-partition fixpoint. Warm runs churn one source's claims
 // against a memo, so only that source's component re-iterates
 // (recomputed/op < components/op) — the per-component short-circuit the
-// streaming tail leans on. Results are byte-identical across all
-// variants; only the speed differs. `make bench` records this to
-// BENCH_PR10.json and `make bench-gate` compares against it.
+// sharded tail leans on. Results are byte-identical across all
+// variants; only the speed differs.
 func BenchmarkTrustFixpoint(b *testing.B) {
 	claims := trustBenchClaims(8, 12, 40, 6)
 	workerCounts := []int{1, 2, 4, 8}

@@ -13,12 +13,11 @@ import (
 // (full pipeline run — every source extracted, matched, mapped, selected,
 // resolved and fused — then the reaction) versus warm (open the durable
 // log, replay it into the snapshot store and working state, then the same
-// reaction as a partial tail over the restored streaming memo). Restore
+// reaction as a partial tail over the restored tail memo). Restore
 // cost scales with the log — per-source states, the retained versions and
 // their deduplicated pages — not with the pipeline, so the warm path
 // skips the entire extraction fan-out and integration; shards_reused/op
-// confirms the first post-restart reaction really ran warm. `make bench`
-// records this table to BENCH_PR7.json.
+// confirms the first post-restart reaction really ran warm.
 func BenchmarkColdVsWarmStart(b *testing.B) {
 	const (
 		seed     = int64(3)
@@ -37,7 +36,7 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			w := wrangletest.NewStreamingWrangler(seed, nSources, shards)
+			w := wrangletest.NewWrangler(seed, nSources, shards)
 			if _, err := w.Run(); err != nil {
 				b.Fatal(err)
 			}
@@ -48,7 +47,7 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 		// One cold run seeds the log; every iteration then opens it the
 		// way a restarted process would.
 		dir := b.TempDir()
-		seedW := wrangletest.NewStreamingWrangler(seed, nSources, shards)
+		seedW := wrangletest.NewWrangler(seed, nSources, shards)
 		d, err := core.OpenDurableLog(dir, core.FsyncOnCheckpoint)
 		if err != nil {
 			b.Fatal(err)
@@ -65,7 +64,7 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 		reused := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w := wrangletest.NewStreamingWrangler(seed, nSources, shards)
+			w := wrangletest.NewWrangler(seed, nSources, shards)
 			d, err := core.OpenDurableLog(dir, core.FsyncOnCheckpoint)
 			if err != nil {
 				b.Fatal(err)

@@ -93,7 +93,6 @@ func run(subscribers int, duration time.Duration, seed int64, nSources, shards, 
 	opts := []wrangle.Option{
 		wrangle.WithProvider(u),
 		wrangle.WithIntegrationShards(shards),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithRetainVersions(retain),
 		wrangle.WithWatchBuffer(buffer),
 	}
@@ -392,7 +391,6 @@ func verify(dir string, seed int64, nSources, shards, buffer, retain int) error 
 	s, err := wrangle.New(
 		wrangle.WithProvider(u),
 		wrangle.WithIntegrationShards(shards),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithRetainVersions(retain),
 		wrangle.WithWatchBuffer(buffer),
 		wrangle.WithDurableLog(dir),

@@ -13,7 +13,7 @@
 //
 //	wrangle [-seed N] [-sources N] [-domain products|locations]
 //	        [-context balanced|routine|investigation] [-max-sources N]
-//	        [-parallelism N] [-shards N] [-streaming] [-retain N]
+//	        [-parallelism N] [-shards N] [-retain N]
 //	        [-csv out.csv]
 //	        [-serve [-listen addr] [-refresh-every d] [-churn f] [-pprof]]
 package main
@@ -38,7 +38,7 @@ func main() {
 	maxSources := flag.Int("max-sources", 0, "source budget (0 = unlimited)")
 	parallelism := flag.Int("parallelism", 0, "per-source worker bound (0 = one per CPU, 1 = sequential)")
 	shards := flag.Int("shards", 0, "integration-tail shards (0 = sequential tail; output is identical at any count)")
-	streaming := flag.Bool("streaming", false, "streaming refresh: reactions recompute only dirty shards (requires -shards; output is identical)")
+	flag.Bool("streaming", false, "deprecated no-op: sharded sessions (-shards) always recompute only dirty shards")
 	csvOut := flag.String("csv", "", "write wrangled table as CSV to this file")
 	serveMode := flag.Bool("serve", false, "after the run, serve snapshot versions over HTTP while refreshing in the background")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address for -serve")
@@ -62,10 +62,6 @@ func main() {
 	}
 	if *retain < 0 {
 		fmt.Fprintf(os.Stderr, "wrangle: retain must be >= 1, or 0 for the default window (got %d)\n", *retain)
-		os.Exit(2)
-	}
-	if *streaming && *shards < 1 {
-		fmt.Fprintln(os.Stderr, "wrangle: -streaming requires -shards >= 1 (the dirty set is tracked per shard)")
 		os.Exit(2)
 	}
 	if *fsyncAlways && *stateDir == "" {
@@ -116,14 +112,11 @@ func main() {
 	}
 	if *shards >= 1 {
 		// Likewise byte-identical at any shard count: sharding fans the
-		// select → integrate → fuse tail out and turns publications into
-		// per-shard deltas.
+		// select → integrate → fuse tail out, reactions recompute only the
+		// shards their delta touched (-serve refresh ticks report the split
+		// on each published version) and publications become per-shard
+		// deltas.
 		opts = append(opts, wrangle.WithIntegrationShards(*shards))
-	}
-	if *streaming {
-		// Reactions recompute only the shards their delta touched; -serve
-		// refresh ticks report the split on each published version.
-		opts = append(opts, wrangle.WithStreamingRefresh())
 	}
 	var u *synth.Universe
 	switch *domain {

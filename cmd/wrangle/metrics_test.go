@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/wrangle"
 )
@@ -146,6 +147,11 @@ func TestWatchFrameTelemetry(t *testing.T) {
 	ev := readSSE(t, br)
 	for ev.comment != "" {
 		ev = readSSE(t, br)
+	}
+	// The tier counts a frame after flushing it, so the client can hold
+	// the frame a moment before the counters move: wait for them.
+	for deadline := time.Now().Add(5 * time.Second); st.watchLatency.Count() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if got := st.watchFrames.Value(); got < 2 {
 		t.Errorf("watch frames counter = %d, want >= 2", got)

@@ -29,9 +29,8 @@
 // over HTTP). Sharded sessions publish versions as deltas: a reaction
 // that leaves a shard's fused rows unchanged shares that shard's
 // records with the predecessor version, making publication O(changed
-// shard). On top of the shards, WithStreamingRefresh turns reactions
-// into partial tails: the session memoizes its last integrated tail
-// and the reaction planner (internal/core) diffs the rebuilt union
+// shard). Their reactions are partial tails: the session memoizes its
+// last integrated tail and the reaction planner (internal/core) diffs the rebuilt union
 // against it — provenance-scoped — re-resolving only dirty components
 // (cached pair scores cover the rest), warm-starting the trust
 // fixpoint and reusing untouched shards' clusters and fused pages by
@@ -49,10 +48,10 @@
 // histograms, shard reuse, publish deltas, serve reads, watch fan-out,
 // WAL activity — rendered as a deterministic Prometheus scrape
 // (cmd/wrangle -serve exposes /metrics and, with -pprof, the standard
-// profile endpoints; cmd/benchgate gates CI on the committed
-// BENCH_*.json perf trajectory). README.md holds the quickstart,
+// profile endpoints; benchmark/ declares the end-to-end workloads
+// BENCHMARK.json runs). README.md holds the quickstart,
 // CLI usage, and the architecture, shard/merge, delta-version and
-// streaming dirty-set diagrams, ROADMAP.md the north star and open
+// dirty-set diagrams, ROADMAP.md the north star and open
 // items, and repro/wrangle/experiments the paper-claim experiment
 // index that cmd/experiments prints.
 //

@@ -126,7 +126,7 @@ type RunStats struct {
 	// TrustComponents / TrustRecomputed report the component shape of the
 	// tail's TruthFinder fixpoint: how many trust-coupled connected
 	// components the claim set split into, and how many of them actually
-	// re-iterated (cold tails recompute all; warm streaming tails adopt
+	// re-iterated (cold tails recompute all; warm sharded tails adopt
 	// unchanged components from the memo). Zero for non-TruthFinder
 	// policies and empty tails.
 	TrustComponents int
@@ -158,18 +158,17 @@ type Wrangler struct {
 	// fusion) into this many disjoint blocking shards that resolve and
 	// fuse as parallel engine tasks and merge deterministically: the
 	// output is byte-identical to the sequential tail at every shard
-	// count. 0 (the default) keeps the tail sequential. Sharded tails
-	// additionally publish snapshot deltas — versions share the table
-	// records of every shard whose fused rows did not change.
-	IntegrationShards int
-	// StreamingRefresh (sharded sessions only) makes reactions recompute
-	// a partial integration tail: the reaction planner diffs the new
-	// union against the memoized previous one, re-plans incrementally
+	// count. 0 (the default) keeps the tail sequential. Sharded reactions
+	// recompute a partial tail: the reaction planner diffs the new union
+	// against the memoized previous one, re-plans incrementally
 	// (er.RePlan), re-resolves only dirty shards, warm-starts the trust
 	// fixpoint and re-fuses only shards whose claims or trust moved —
 	// reusing every untouched shard's clusters and fused page by
-	// reference. Output stays byte-identical to the full-tail recompute;
-	// only the cost scales with the change instead of the corpus.
+	// reference, so cost scales with the change instead of the corpus and
+	// published versions share the table records of every shard whose
+	// fused rows did not change.
+	IntegrationShards int
+	// Deprecated: sharded sessions always stream; nothing reads this field.
 	StreamingRefresh bool
 
 	states       map[string]*sourceState
@@ -189,7 +188,7 @@ type Wrangler struct {
 	rowEntities  []string       // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
 	repairedRows []int          // union rows FD repair touched in the last buildUnion
-	memo         *tailMemo      // streaming sessions: the last integrated tail, diffable
+	memo         *tailMemo      // sharded tail only: the last integrated tail, diffable
 	dirtySources map[string]bool // sources whose state changed since the memoized tail
 	lastSeq      int
 	lastTrust    fusion.TrustStats // component shape of the last tail's trust estimation
@@ -268,8 +267,8 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	}, deps...); err != nil {
 		return nil, err
 	}
-	// A run always recomputes the full tail; streaming sessions record a
-	// fresh tail memo at the merge so the next reaction can stream.
+	// Sharded sessions record a tail memo at the merge, so the first
+	// reaction after the run is already a partial tail.
 	if err := w.addIntegrationTasks(g, &shardRun{}, "select"); err != nil {
 		return nil, err
 	}
@@ -293,7 +292,7 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 // sharded integration tail's tasks are split by DAG stage — "replan"
 // (union build + shard planning or incremental re-plan), "resolve",
 // "trust" (cluster barrier + trust estimation), "fuse" and "merge" — so
-// published versions attribute exactly where a streaming reaction saved
+// published versions attribute exactly where a partial reaction saved
 // its time. Every tail task additionally accrues to the aggregate
 // "integrate" key (which the sequential tail's single task reports
 // directly), so stage totals stay comparable across tail modes.
@@ -512,13 +511,11 @@ func (w *Wrangler) installOutcome(o *sourceOutcome) error {
 	}
 	w.states[o.id] = o.st
 	// The source's working data diverged from the last integrated tail;
-	// the streaming planner scopes its dirty-row diff to these sources
+	// the sharded planner scopes its dirty-row diff to these sources
 	// (cleared when a full tail commits a fresh memo). Accumulating here —
 	// not per reaction — keeps the scope sound even when a reaction
-	// installs some sources and then aborts before its tail. Only
-	// streaming sessions read the set; enabling streaming mid-session is
-	// still safe because it starts with no memo and therefore a full tail.
-	if w.StreamingRefresh {
+	// installs some sources and then aborts before its tail.
+	if w.IntegrationShards > 0 {
 		if w.dirtySources == nil {
 			w.dirtySources = map[string]bool{}
 		}
@@ -680,7 +677,13 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		}
 	}
 	if w.union.Len() == 0 {
+		// Everything derived from the previous union goes with it — a
+		// later fuse-only reaction must not find clusters, entity ids or
+		// trust describing rows that no longer exist.
 		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
+		w.clusters = nil
+		w.entityIDs = nil
+		w.trust = map[string]float64{}
 		w.results = nil
 		w.supporters = nil
 		w.pages = nil
@@ -689,7 +692,7 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		// An emptied result cannot bound its delta against the
 		// predecessor; watchers treat it as a full change.
 		w.lastChange = serve.ChangeSet{Full: true}
-		w.memo = nil // nothing integrated: nothing for a streaming tail to diff against
+		w.memo = nil // nothing integrated: nothing for the next tail to diff against
 		return true, nil
 	}
 	// Profile the integrated data for near-exact functional dependencies
@@ -697,7 +700,7 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 	// by individual sources are outvoted by their own key group before
 	// entity resolution sees them (cost-based repair, quality package).
 	// The repaired row indices are kept: FD repair is the one stage that
-	// can rewrite a row whose source did not change, so the streaming
+	// can rewrite a row whose source did not change, so the planner's
 	// diff must compare exactly these rows (and the previous round's) on
 	// top of the provenance-scoped ones.
 	_, _, repaired, err := quality.ProfileAndRepairRows(w.union, 0.9)

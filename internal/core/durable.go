@@ -151,7 +151,7 @@ type loggedVersion struct {
 // encodeConfigPayload fingerprints the session shape the log was written
 // under. Attach refuses a log whose config differs: the byte format of
 // pages and versions (schema width) and the restore semantics (shards,
-// streaming, retention) all hang off it.
+// retention) all hang off it.
 func encodeConfigPayload(w *Wrangler, retain int) []byte {
 	var e wal.Encoder
 	e.Schema(w.Config.Target)
@@ -161,7 +161,9 @@ func encodeConfigPayload(w *Wrangler, retain int) []byte {
 	e.String(w.Config.NumericColumn)
 	e.String(w.Config.TimeColumn)
 	e.Varint(int64(w.IntegrationShards))
-	e.Bool(w.StreamingRefresh)
+	// Was the StreamingRefresh knob; sharded sessions now always stream,
+	// and every log a sharded session wrote carried true here.
+	e.Bool(w.IntegrationShards > 0)
 	e.Varint(int64(retain))
 	return e.Bytes()
 }
@@ -903,7 +905,7 @@ func (d *DurableLog) Close() error { return d.log.Close() }
 
 // AttachDurableLog wires the log into the wrangler: a fresh log records the
 // session config; an existing one restores the serve store, the working
-// data and the streaming memo inputs, so the wrangler resumes exactly as of
+// data and the tail memo inputs, so the wrangler resumes exactly as of
 // its last publish. It must be called on a freshly constructed wrangler
 // (before any run). restored reports whether the log held committed
 // versions — when true, the caller can serve immediately without a run.
@@ -932,7 +934,7 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 		d.configPayload = cfg
 		d.schema = w.Config.Target
 	} else if !bytes.Equal(d.configPayload, cfg) {
-		return false, fmt.Errorf("core: attach: durable log %s was written under a different session configuration (schema/shards/streaming/retention)", d.dir)
+		return false, fmt.Errorf("core: attach: durable log %s was written under a different session configuration (schema/shards/retention)", d.dir)
 	}
 	d.schema = w.Config.Target
 	rep := d.rep
@@ -1024,40 +1026,14 @@ func (d *DurableLog) rebuildPublished(lv *loggedVersion) (Published, error) {
 	return pub, nil
 }
 
-// mergePages assembles a wrangled table from shard pages exactly as the
-// live merge does: entities are disjoint across pages, so sorting the
-// concatenation by entity reproduces the canonical row order, and the
-// table rows alias the page records (publication's pointer-sharing).
-func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
-	type entityRow struct {
-		entity string
-		row    dataset.Record
-	}
-	var all []entityRow
-	for _, p := range pages {
-		for j, e := range p.entities {
-			all = append(all, entityRow{entity: e, row: p.rows[j]})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
-	out := dataset.NewTable(schema.Clone())
-	entities := make([]string, len(all))
-	for i, e := range all {
-		out.Append(e.row)
-		entities[i] = e.entity
-	}
-	return out, entities
-}
-
 // restoreWorkingState rebuilds the wrangler's in-memory tail from the
 // newest retained version: the union and resolver are recomputed
 // deterministically from the restored states and feedback (the same code
 // path a live tail runs), the fused output is adopted from the version's
 // pages (or inline payload), and — when the version committed a coherent
-// streaming memo — the memo's inputs are reconstructed so the first
+// tail memo — the memo's inputs are reconstructed so the first
 // reaction after restart is a partial tail.
 func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
-	w.clusters = lv.clusters
 	empty, err := w.buildUnion()
 	if err != nil {
 		return err
@@ -1072,12 +1048,12 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 		}
 	}
 	// buildUnion's empty path resets the outputs and stamps a Full change;
-	// restore the committed change set either way (clusters were already
-	// reinstated above — buildUnion never touches them).
+	// restore the committed change set either way.
 	w.lastChange = lv.changes
 	if empty {
 		return nil
 	}
+	w.clusters = lv.clusters
 
 	if lv.pages == nil {
 		if lv.table == nil {
@@ -1121,14 +1097,14 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 	w.entityIDs = w.entityNames()
 	w.LastStats.RowsWrangled = lv.stats.RowsWrangled
 
-	// Rebuild the streaming memo only when the persisted tail is coherent:
-	// the memo was valid at publish, the session still shards + streams,
-	// and no source state diverged from the memoized union afterwards
+	// Rebuild the tail memo only when the persisted tail is coherent:
+	// the memo was valid at publish, the session still shards, and no
+	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
 	// publishes — the rebuilt union would not be the memo's union). A
 	// failed rebuild degrades to a full first tail, never an error: outputs
 	// stay byte-identical either way.
-	if lv.memoValid && w.StreamingRefresh && w.IntegrationShards > 0 && len(w.pages) > 0 && len(lv.dirty) == 0 {
+	if lv.memoValid && w.IntegrationShards > 0 && len(w.pages) > 0 && len(lv.dirty) == 0 {
 		w.rebuildMemo(lv)
 	}
 	return nil
@@ -1138,11 +1114,12 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 // and clusters. Shard plans, cluster representatives and claim partitions
 // are all deterministic functions of what was restored; the trust memo
 // warm-start state — including the per-component converged results — is
-// not persisted (nil is always a valid cold start for EstimateTrustWarm
-// and is float-exact; the first warm reaction rebuilds the component
-// memo by recomputing every component once), and the fusion signature
-// comes from the persisted record — not the live clock — so page reuse
-// remains exactly as conservative as it was before the restart.
+// not persisted (nil is always a valid cold start for the trust
+// estimation and is float-exact; the first warm reaction rebuilds the
+// component memo by recomputing every component once), and the fusion
+// signature comes from the persisted record — not the live clock — so
+// page reuse remains exactly as conservative as it was before the
+// restart.
 func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
@@ -1169,35 +1146,11 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	if err != nil {
 		return
 	}
-	claims := w.buildClaims()
-	parts := make([][]fusion.Claim, len(w.pages))
-	for _, c := range claims {
-		s, ok := w.entityShard[c.Entity]
-		if !ok || s < 0 || s >= len(parts) {
-			return
-		}
-		parts[s] = append(parts[s], c)
+	parts := partitionClaims(w.buildClaims(), w.entityShard, len(w.pages))
+	if parts == nil {
+		return
 	}
-	rowIdx := make(map[string]int, len(rowKeys))
-	for i, k := range rowKeys {
-		rowIdx[k] = i
-	}
-	repaired := make(map[string]bool, len(w.repairedRows))
-	for _, row := range w.repairedRows {
-		repaired[rowKeys[row]] = true
-	}
-	w.memo = &tailMemo{
-		union:    w.union,
-		rowKeys:  rowKeys,
-		rowIdx:   rowIdx,
-		repaired: repaired,
-		plan:     ps,
-		claims:   parts,
-		pages:    w.pages,
-		trust:    nil,
-		trustMap: maps.Clone(lv.trust),
-		fuse:     lv.fuse,
-	}
+	w.memo = w.newTailMemo(rowKeys, ps, parts, w.pages, nil, lv.trust, lv.fuse)
 }
 
 // --- append ---------------------------------------------------------------
@@ -1289,7 +1242,7 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 // feedback and provenance, every current source state, the pages still
 // referenced by retained versions, the retained version records and a
 // checkpoint marker — then prunes the in-memory page index to the live
-// set. A page that was pruned but is still held by the streaming memo
+// set. A page that was pruned but is still held by the tail memo
 // simply gets a fresh id if a later tail reuses it.
 func (d *DurableLog) compact(w *Wrangler) {
 	if len(d.retained) == 0 {

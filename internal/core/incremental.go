@@ -31,16 +31,15 @@ type ReactStats struct {
 	Refused            bool
 	// ShardsResolved and ShardsReused report the dirty-shard split of a
 	// sharded integration tail: how many shards re-resolved their
-	// clusters versus reused them by reference. A streaming refresh that
-	// touched one source typically resolves one shard and reuses the
-	// rest; non-streaming sharded tails resolve all of them; sequential
-	// sessions report zeros.
+	// clusters versus reused them by reference. A refresh that touched
+	// one source typically resolves one shard and reuses the rest;
+	// sequential sessions report zeros.
 	ShardsResolved int
 	ShardsReused   int
 	// TrustComponents and TrustRecomputed report the component shape of
 	// the reaction's trust estimation: how many trust-coupled connected
 	// components the claim set split into and how many actually
-	// re-iterated. On streaming sessions the warm fixpoint adopts
+	// re-iterated. On sharded sessions the warm fixpoint adopts
 	// unchanged components from the memo, so a 1-source churn typically
 	// recomputes fewer components than the total. Zero when no trust
 	// fixpoint ran (non-TruthFinder policy, empty tail).
@@ -53,7 +52,7 @@ type ReactStats struct {
 	// Sharded tails additionally split the tail by DAG stage — "replan"
 	// (union build + shard planning or incremental re-plan), "resolve",
 	// "trust" (cluster barrier + trust estimation), "fuse", "merge" — so
-	// published versions attribute exactly where a streaming reaction
+	// published versions attribute exactly where a partial reaction
 	// saved its time. Absent stages did not run.
 	Stages map[string]time.Duration
 }
@@ -293,7 +292,7 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 func (w *Wrangler) FullRerun() (ReactStats, error) {
 	start := time.Now()
 	w.states = map[string]*sourceState{}
-	w.memo = nil // discarded working data: nothing left to stream against
+	w.memo = nil // discarded working data: nothing left to diff against
 	// The derivations are discarded but the logical clock is not rewound:
 	// versions the serve store already committed keep steps strictly below
 	// everything the rerun publishes.

@@ -101,7 +101,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mTaskPanics, "Engine tasks that ended in a recovered panic.")
 	reg.Help(mSourceFailures, "Per-source wrangling failures (source skipped, run continued).")
 	reg.Help(mShardsResolved, "Integration shards recomputed by reactions.")
-	reg.Help(mShardsReused, "Integration shards reused by-reference by streaming reactions.")
+	reg.Help(mShardsReused, "Integration shards reused by-reference by reactions.")
 	reg.Help(mReuseRatio, "Reused/(resolved+reused) shards of the last reaction tail.")
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
 	reg.Help(mTrustReused, "Trust components adopted from the warm memo without re-iterating.")

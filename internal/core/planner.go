@@ -16,14 +16,10 @@ import (
 // This file is the reaction planner: the one place that decides, for any
 // incremental reaction (feedback assimilation or source churn), how much
 // of the integration tail must recompute — and executes exactly that.
-// It replaces the three ad-hoc reaction tails the feedback and refresh
-// paths used to carry (inline re-integrate, inline re-fuse, and the
-// sharded twins of both) with a single executor, and adds the streaming
-// mode: on sharded sessions with StreamingRefresh, a full-scope tail
-// diffs the rebuilt union against the memoized previous one (scoped by
-// provenance.Graph.AffectedIDs plus the FD-repair row sets), re-plans
-// incrementally and recomputes only the dirty shards. The contract is
-// strict and inherited from the sharded tail: every mode is
+// On sharded sessions a full-scope tail diffs the rebuilt union against
+// the memoized previous one (scoped by provenance.Graph.AffectedIDs plus
+// the FD-repair row sets), re-plans incrementally and recomputes only the
+// dirty shards. The contract is strict: the sharded tail is
 // byte-identical to the sequential full recompute, pinned by the
 // internal/wrangletest harness.
 
@@ -39,10 +35,10 @@ const (
 	tailFuseOnly
 )
 
-// tailMemo is the memoized state of the last integrated tail — what the
-// streaming planner diffs a reaction against. All fields describe one
+// tailMemo is the memoized state of the last integrated sharded tail —
+// what the planner diffs a reaction against. All fields describe one
 // coherent integration; any tail that fails mid-flight drops the memo
-// (the next reaction falls back to a full tail and re-records it).
+// (the next reaction plans from scratch and re-records it).
 type tailMemo struct {
 	union    *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
 	rowKeys  []string
@@ -114,12 +110,11 @@ func planReaction(items []feedback.Item) (reextract map[string]bool, reselect bo
 
 // runTail executes the integration tail at the given scope and fills the
 // reaction stats: per-DAG-stage timings and, on sharded sessions, the
-// dirty-shard counts. Sequential sessions run the inline tails
-// unchanged. Sharded sessions run an engine graph; with streaming
-// enabled and a valid memo, the full-scope graph is the partial tail
-// (diff → re-plan → resolve[dirty] → trust barrier → fuse[dirty] →
-// merge) and the fuse-only graph warm-starts trust and reuses every page
-// whose inputs held still.
+// dirty-shard counts. Sequential sessions run the inline oracle tails.
+// Sharded sessions run one engine graph whose scope picks the front
+// half: the full scope diffs, re-plans and resolves the dirty shards;
+// the fuse-only scope re-partitions claims over the stored clustering.
+// Both share the trust barrier → fuse[dirty] → merge back half.
 func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) error {
 	start := time.Now()
 	if stats.Stages == nil {
@@ -135,37 +130,32 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 		stats.TrustComponents = w.lastTrust.Components
 		stats.TrustRecomputed = w.lastTrust.Recomputed
 	}()
+	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {
+		// Nothing is integrated, so there are no claims whose trust could
+		// move: the reaction assimilates the feedback and publishes the
+		// (empty) result unchanged.
+		return nil
+	}
 	if w.IntegrationShards <= 0 {
+		stage, tail := "integrate", w.integrate
 		if scope == tailFuseOnly {
-			if err := w.fuse(); err != nil {
-				return err
-			}
-			stats.Stages["fuse"] = time.Since(start)
-			return nil
+			stage, tail = "fuse", w.fuse
 		}
-		if err := w.integrate(); err != nil {
+		if err := tail(); err != nil {
 			return err
 		}
-		stats.Stages["integrate"] = time.Since(start)
+		stats.Stages[stage] = time.Since(start)
 		return nil
 	}
 
 	g := engine.NewGraph()
 	sr := &shardRun{}
 	var err error
-	switch {
-	case scope == tailFuseOnly && len(w.entityShard) > 0 && len(w.pages) > 0:
+	if scope == tailFuseOnly && len(w.pages) > 0 {
 		err = w.addFuseOnlyTasks(g, sr)
-	case scope == tailFuseOnly:
-		// No sharded integration to reuse (e.g. the last union was
-		// empty): fall back to the sequential fuse, exactly as before.
-		if err := w.fuse(); err != nil {
-			return err
-		}
-		stats.Stages["fuse"] = time.Since(start)
-		return nil
-	default:
-		sr.stream = w.StreamingRefresh && w.memo != nil
+	} else {
+		// Also the fuse-only scope when no sharded integration completed
+		// yet (a first run cancelled mid-tail): the full tail builds one.
 		err = w.addIntegrationTasks(g, sr)
 	}
 	if err != nil {
@@ -190,9 +180,8 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // clustering — the value-feedback reaction. The union and clusters are
 // untouched; entity names are recomputed (a pure function of both), the
 // claims re-partition along the stored entity→shard routing, trust is
-// re-estimated (warm on streaming sessions) and every shard re-fuses —
-// or, with streaming, adopts its previous page when its claims and trust
-// held still.
+// re-estimated warm and every shard adopts its previous page when its
+// claims and trust held still.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := len(w.pages)
 	sr.fuseOnly = true
@@ -201,15 +190,8 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 		// (clusters are unchanged, so this recomputes the same names),
 		// then claims, then the global trust stage.
 		w.entityIDs = w.entityNames()
-		claims := w.buildClaims()
-		sr.claims = make([][]fusion.Claim, n)
 		sr.pages = make([]*shardPage, n)
-		sr.estimateTrust(w, claims)
-		for _, c := range claims {
-			s := w.entityShard[c.Entity]
-			sr.claims[s] = append(sr.claims[s], c)
-		}
-		return nil
+		return sr.trustAndPartition(w, n)
 	}); err != nil {
 		return err
 	}
@@ -283,12 +265,12 @@ func (w *Wrangler) unionDelta(memo *tailMemo, rowKeys []string) map[string]bool 
 }
 
 // shardFuseReusable reports whether shard i's memoized page is provably
-// what FuseResolved would produce again: streaming session, compatible
-// fusion options, byte-identical claims, and unchanged effective trust
-// for every source claiming in the shard.
+// what FuseResolved would produce again: compatible fusion options,
+// byte-identical claims, and unchanged effective trust for every source
+// claiming in the shard.
 func (w *Wrangler) shardFuseReusable(sr *shardRun, i int) bool {
 	m := w.memo
-	if !w.StreamingRefresh || m == nil || i >= len(m.pages) || m.pages[i] == nil || i >= len(m.claims) {
+	if m == nil || i >= len(m.pages) || m.pages[i] == nil || i >= len(m.claims) {
 		return false
 	}
 	if !m.fuse.compatible(sr.opts) {
@@ -317,10 +299,6 @@ func (w *Wrangler) shardFuseReusable(sr *shardRun, i int) bool {
 // fuse-only tail updates just the fusion half, since union, plan and
 // clusters did not move.
 func (w *Wrangler) recordTailMemo(sr *shardRun) {
-	if sr.empty {
-		w.memo = nil
-		return
-	}
 	if sr.fuseOnly {
 		if w.memo == nil {
 			return
@@ -332,40 +310,42 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		w.memo.fuse = newFuseSig(sr.opts)
 		return
 	}
-	var ps *er.PlanState
-	var err error
-	if sr.rp != nil {
-		// Streaming round: Commit folds the carried-over and freshly
-		// computed pair scores into the next round's cache.
-		ps, err = sr.rp.Commit(w.resolver, sr.rowKeys, sr.roots, sr.must, sr.cannot)
-	} else {
-		ps, err = er.BuildPlanState(w.resolver, sr.plan, sr.rowKeys, sr.roots, sr.must, sr.cannot)
-	}
+	// Commit folds the carried-over and freshly computed pair scores into
+	// the next round's cache.
+	ps, err := sr.rp.Commit(w.resolver, sr.rowKeys, sr.roots, sr.must, sr.cannot)
 	if err != nil {
 		// Defensive: an unrecordable plan just means the next reaction
-		// runs a full tail.
+		// plans from scratch.
 		w.memo = nil
 		return
 	}
-	rowIdx := make(map[string]int, len(sr.rowKeys))
-	for i, k := range sr.rowKeys {
+	w.memo = w.newTailMemo(sr.rowKeys, ps, sr.claims, sr.pages, sr.trustMemo, sr.opts.Trust, newFuseSig(sr.opts))
+	w.dirtySources = nil
+}
+
+// newTailMemo assembles the diff baseline over the current union: the
+// row-key index and the FD-repaired key set are derived here, so the live
+// merge and the durable restore cannot record differently shaped memos.
+func (w *Wrangler) newTailMemo(rowKeys []string, plan *er.PlanState, claims [][]fusion.Claim, pages []*shardPage,
+	trust *fusion.TrustMemo, trustMap map[string]float64, fuse fuseSig) *tailMemo {
+	rowIdx := make(map[string]int, len(rowKeys))
+	for i, k := range rowKeys {
 		rowIdx[k] = i
 	}
 	repaired := make(map[string]bool, len(w.repairedRows))
 	for _, row := range w.repairedRows {
-		repaired[sr.rowKeys[row]] = true
+		repaired[rowKeys[row]] = true
 	}
-	w.memo = &tailMemo{
+	return &tailMemo{
 		union:    w.union,
-		rowKeys:  sr.rowKeys,
+		rowKeys:  rowKeys,
 		rowIdx:   rowIdx,
 		repaired: repaired,
-		plan:     ps,
-		claims:   sr.claims,
-		pages:    sr.pages,
-		trust:    sr.trustMemo,
-		trustMap: maps.Clone(sr.opts.Trust),
-		fuse:     newFuseSig(sr.opts),
+		plan:     plan,
+		claims:   claims,
+		pages:    pages,
+		trust:    trust,
+		trustMap: maps.Clone(trustMap),
+		fuse:     fuse,
 	}
-	w.dirtySources = nil
 }

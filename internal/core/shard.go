@@ -57,24 +57,16 @@ func (p *shardPage) rowsEqual(q *shardPage) bool {
 // its engine tasks. Each field is written by exactly one stage and only
 // read after the barrier that stage feeds.
 type shardRun struct {
-	plan         *er.ShardPlan
+	rp           *er.RePlanned // plan stage: the plan, per-shard reuse and dirty residue
 	must, cannot []er.Pair
-	rowKeys      []string         // plan stage: stable key per union row
-	roots        []map[int]int    // resolve fan-out: shard -> row -> cluster representative
-	claims       [][]fusion.Claim // cluster barrier: shard -> its entities' claims
-	opts         fusion.Options   // cluster barrier: trust already estimated
-	pages        []*shardPage     // fuse fan-out
-	empty        bool             // nothing to integrate; all stages no-op
-
-	// Streaming bookkeeping. stream selects the incremental re-plan in
-	// the plan stage; fuseOnly marks a trust+fusion tail reusing the
-	// stored clustering. reused records which shards skipped resolution;
-	// trustMemo carries the warm trust state into the recorded memo.
-	stream    bool
-	fuseOnly  bool
-	rp        *er.RePlanned // streaming plan stage: per-shard reuse and dirty residue
-	reused    []bool
-	trustMemo *fusion.TrustMemo
+	rowKeys      []string          // plan stage: stable key per union row
+	roots        []map[int]int     // resolve fan-out: shard -> row -> cluster representative
+	claims       [][]fusion.Claim  // cluster barrier: shard -> its entities' claims
+	opts         fusion.Options    // cluster barrier: trust already estimated
+	trustMemo    *fusion.TrustMemo // cluster barrier: warm trust state for the recorded memo
+	pages        []*shardPage      // fuse fan-out
+	empty        bool              // nothing to integrate; all stages no-op
+	fuseOnly     bool              // trust+fusion tail reusing the stored clustering
 }
 
 // resolvedShards counts the shards whose clusters were computed (not
@@ -85,7 +77,7 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 		return 0, len(sr.pages)
 	}
 	for i := range sr.pages {
-		if i < len(sr.reused) && sr.reused[i] {
+		if sr.rp.Reused[i] {
 			reused++
 		} else {
 			resolved++
@@ -96,12 +88,12 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 
 // addIntegrationTasks wires the integration tail into g after deps. With
 // IntegrationShards <= 0 that is the single sequential "integrate" task;
-// otherwise the sharded pipeline: plan (union + blocking partition, or
-// the incremental re-plan when sr.stream is set) → resolve[shard]
-// fan-out (skipping shards whose clusters carried over) → cluster
-// barrier (merge clusters, name entities, estimate trust globally —
-// warm-started on streaming sessions) → fuse[shard] fan-out (reusing
-// pages whose claims and trust are unchanged) → merge.
+// otherwise the sharded pipeline: plan (union + incremental re-plan
+// against the memoized tail) → resolve[shard] fan-out (skipping shards
+// whose clusters carried over) → cluster barrier (merge clusters, name
+// entities, estimate trust globally, warm-started from the memo) →
+// fuse[shard] fan-out (reusing pages whose claims and trust are
+// unchanged) → merge.
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.IntegrationShards
 	if n <= 0 {
@@ -148,13 +140,14 @@ func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps 
 // FD repair, resolver refinement from feedback) and partitions it into
 // blocking shards. Cross-shard blocks cannot exist by construction: the
 // plan routes whole block-connected components, keyed by their smallest
-// stable row key, to a deterministic owner shard. On a streaming tail
-// (sr.stream) the partition is computed incrementally instead: the
-// dirty-row diff against the memoized union drives er.RePlan, which
-// re-blocks only changed rows and hands back the previous clusters of
-// every shard the delta provably did not touch.
+// stable row key, to a deterministic owner shard. The partition is
+// computed incrementally: the dirty-row diff against the memoized union
+// drives er.RePlan, which re-blocks only changed rows and hands back the
+// previous clusters of every shard the delta provably did not touch.
+// Without a memo (a run, or after a failed tail invalidated it) RePlan
+// degrades to a fresh plan whose resolve still seeds the cross-round
+// score cache, so the very next reaction starts warm.
 func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
-	memo := w.memo
 	empty, err := w.buildUnion()
 	if err != nil {
 		return err
@@ -165,74 +158,42 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	}
 	sr.must, sr.cannot = w.pairConstraints()
 	sr.rowKeys = w.rowKeys()
-	sr.roots = make([]map[int]int, n)
-	sr.claims = make([][]fusion.Claim, n)
 	sr.pages = make([]*shardPage, n)
-	sr.reused = make([]bool, n)
-	if w.StreamingRefresh {
-		// Streaming sessions always plan through RePlan: with a memoized
-		// previous tail the diff drives incremental re-planning; without
-		// one (a full run, or after an invalidated memo) RePlan degrades
-		// to a fresh plan whose resolve still seeds the cross-round score
-		// cache, so the very next reaction starts warm.
-		var dirty map[string]bool
-		var prevPlan *er.PlanState
-		if sr.stream && memo != nil {
-			dirty = w.unionDelta(memo, sr.rowKeys)
-			prevPlan = memo.plan
-		}
-		rp, err := w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
-		if err != nil {
-			// Same wrapping as the sequential tail's ResolveConstrained
-			// failure: a misconfigured resolver fails identically either way.
-			return fmt.Errorf("core: resolve: %w", err)
-		}
-		sr.plan = rp.Plan
-		sr.rp = rp
-		sr.reused = rp.Reused
-		for i := range rp.Roots {
-			if rp.Reused[i] {
-				// Clusters carried over whole; the resolve task will no-op.
-				sr.roots[i] = rp.Roots[i]
-			}
-		}
-		return nil
+	var dirty map[string]bool
+	var prevPlan *er.PlanState
+	if w.memo != nil {
+		dirty = w.unionDelta(w.memo, sr.rowKeys)
+		prevPlan = w.memo.plan
 	}
-	plan, err := w.resolver.PlanShards(w.union, n, sr.must, sr.rowKeys)
+	sr.rp, err = w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
 	if err != nil {
+		// Same wrapping as the sequential tail's ResolveConstrained
+		// failure: a misconfigured resolver fails identically either way.
 		return fmt.Errorf("core: resolve: %w", err)
 	}
-	sr.plan = plan
+	// Reused shards' clusters carried over whole; the others' slots hold
+	// their clean components, to be completed by the resolve fan-out.
+	sr.roots = sr.rp.Roots
 	return nil
 }
 
 // shardResolveStage clusters one shard. It reads only immutable run state
 // (union rows, the plan, the refined resolver) and writes only its own
-// slot, so the fan-out needs no locks. On a streaming tail, shards whose
-// clusters the re-plan carried over whole skip scoring entirely, and
-// mixed shards score only their dirty components' rows — the clean
-// components' clusters are already translated into the roots slot.
+// slot, so the fan-out needs no locks. Shards whose clusters the re-plan
+// carried over whole skip scoring entirely, and mixed shards score only
+// their dirty components' rows — the clean components' clusters are
+// already translated into the roots slot.
 func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
-	if sr.empty || (i < len(sr.reused) && sr.reused[i]) {
+	if sr.empty || sr.rp.Reused[i] {
 		return nil
 	}
-	if sr.rp != nil {
-		roots, _, err := sr.rp.ResolveDirty(w.resolver, w.union, i, sr.must, sr.cannot)
-		if err != nil {
-			return fmt.Errorf("core: resolve shard %d: %w", i, err)
-		}
-		merged := sr.rp.Roots[i] // this task owns shard i's slot
-		for row, root := range roots {
-			merged[row] = root
-		}
-		sr.roots[i] = merged
-		return nil
-	}
-	roots, _, err := w.resolver.ResolveShard(w.union, sr.plan, i, sr.must, sr.cannot)
+	roots, _, err := sr.rp.ResolveDirty(w.resolver, w.union, i, sr.must, sr.cannot)
 	if err != nil {
 		return fmt.Errorf("core: resolve shard %d: %w", i, err)
 	}
-	sr.roots[i] = roots
+	for row, root := range roots {
+		sr.roots[i][row] = root // this task owns shard i's slot
+	}
 	return nil
 }
 
@@ -245,7 +206,8 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	clusters, err := sr.plan.MergeRoots(sr.roots)
+	plan := sr.rp.Plan
+	clusters, err := plan.MergeRoots(sr.roots)
 	if err != nil {
 		return err
 	}
@@ -261,62 +223,66 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	entityShard := make(map[string]int, clusters.Num)
 	for i, e := range w.entityIDs {
 		if _, ok := entityShard[e]; !ok {
-			entityShard[e] = sr.plan.RowShard[i]
+			entityShard[e] = plan.RowShard[i]
 		}
 	}
 	// Kept on the wrangler: a later fuse-only reaction reuses this
 	// routing, since trust changes never move an entity's shard.
 	w.entityShard = entityShard
-	claims := w.buildClaims()
-	sr.estimateTrust(w, claims)
-	// Partition claims by owning shard into one backing slab: counts are
-	// known after one pass, so each shard's slice is carved out of a
-	// single allocation, claim order preserved within each shard.
-	counts := make([]int, len(sr.claims))
-	for _, c := range claims {
-		counts[entityShard[c.Entity]]++
-	}
-	slab := make([]fusion.Claim, len(claims))
-	next := make([]int, len(sr.claims))
-	off := 0
-	for s, n := range counts {
-		next[s] = off
-		off += n
-	}
-	for _, c := range claims {
-		s := entityShard[c.Entity]
-		slab[next[s]] = c
-		next[s]++
-	}
-	off = 0
-	for s, n := range counts {
-		sr.claims[s] = slab[off : off+n : off+n]
-		off += n
-	}
-	return nil
+	return sr.trustAndPartition(w, plan.NumShards)
 }
 
-// estimateTrust runs the one cross-shard stage of fusion, fanning the
-// fixpoint's trust-coupled components out over the session's workers
-// (byte-identical to sequential at any count). On streaming sessions the
-// TruthFinder fixpoint warm-starts from the memoized group state —
-// unchanged (entity, attribute) groups keep their prepared buckets, and
-// the short-circuit is per component: a reaction that dirties one
-// component's claims re-iterates that component only, adopting the
-// others' memoized trust (and when nothing relevant changed at all, no
-// component iterates). Either way the result is float-exact with the
-// cold EstimateTrust the non-streaming tails run. Runs inside the single
-// cluster-barrier task, so writing w.lastTrust is race-free.
-func (sr *shardRun) estimateTrust(w *Wrangler, claims []fusion.Claim) {
-	if !w.StreamingRefresh {
-		sr.opts, w.lastTrust = fusion.EstimateTrustParallel(claims, w.fusionOptions(), w.workers())
-		return
-	}
+// trustAndPartition is the back half of the cluster barrier, shared by
+// the full and the fuse-only tail: build the claims, run the one
+// cross-shard stage of fusion, and route every claim to its entity's
+// owning shard. The TruthFinder fixpoint fans its trust-coupled
+// components out over the session's workers (byte-identical to
+// sequential at any count) and warm-starts from the memoized group state
+// — unchanged (entity, attribute) groups keep their prepared buckets,
+// and a reaction that dirties one component's claims re-iterates that
+// component only, adopting the others' memoized trust. The result is
+// float-exact with the cold estimation the sequential tail runs. Runs
+// inside the single cluster-barrier task, so writing w.lastTrust is
+// race-free.
+func (sr *shardRun) trustAndPartition(w *Wrangler, n int) error {
+	claims := w.buildClaims()
 	var prev *fusion.TrustMemo
 	if w.memo != nil {
 		prev = w.memo.trust
 	}
 	sr.opts, sr.trustMemo, _, w.lastTrust = fusion.EstimateTrustWarmParallel(claims, w.fusionOptions(), prev, w.workers())
+	if sr.claims = partitionClaims(claims, w.entityShard, n); sr.claims == nil {
+		return fmt.Errorf("core: a claim's entity has no owning shard")
+	}
+	return nil
+}
+
+// partitionClaims splits claims by their entity's owning shard, claim
+// order preserved within each shard. Counts are known after one pass, so
+// every shard's slice is carved out of a single backing slab. It returns
+// nil when a claim's entity is not routed to one of the n shards (only a
+// restored log can be that incoherent).
+func partitionClaims(claims []fusion.Claim, entityShard map[string]int, n int) [][]fusion.Claim {
+	counts := make([]int, n)
+	for _, c := range claims {
+		s, ok := entityShard[c.Entity]
+		if !ok || s < 0 || s >= n {
+			return nil
+		}
+		counts[s]++
+	}
+	slab := make([]fusion.Claim, len(claims))
+	parts := make([][]fusion.Claim, n)
+	off := 0
+	for s, cnt := range counts {
+		parts[s] = slab[off : off : off+cnt]
+		off += cnt
+	}
+	for _, c := range claims {
+		s := entityShard[c.Entity]
+		parts[s] = append(parts[s], c)
+	}
+	return parts
 }
 
 // shardFuseStage fuses one shard's claims under the globally estimated
@@ -380,32 +346,37 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	// Stable merge: entities are disjoint across shards, so sorting the
 	// concatenation by entity reproduces the sequential table's row order
 	// regardless of shard count or finish order.
+	w.wrangled, w.rowEntities = mergePages(sr.pages, w.Config.Target)
+	w.LastStats.RowsWrangled = w.wrangled.Len()
+	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
+		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
+	w.recordTailMemo(sr)
+	return nil
+}
+
+// mergePages assembles the wrangled table from shard pages — the one
+// merge the live tail and the durable restore share. The table rows alias
+// the page records (publication's pointer-sharing); entities holds each
+// row's entity id.
+func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
 	type entityRow struct {
 		entity string
 		row    dataset.Record
 	}
 	var all []entityRow
-	for _, p := range sr.pages {
+	for _, p := range pages {
 		for j, e := range p.entities {
 			all = append(all, entityRow{entity: e, row: p.rows[j]})
 		}
 	}
 	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
-	out := dataset.NewTable(w.Config.Target.Clone())
+	out := dataset.NewTable(schema.Clone())
 	entities := make([]string, len(all))
 	for i, e := range all {
 		out.Append(e.row)
 		entities[i] = e.entity
 	}
-	w.wrangled = out
-	w.rowEntities = entities
-	w.LastStats.RowsWrangled = out.Len()
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
-		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
-	if w.StreamingRefresh {
-		w.recordTailMemo(sr)
-	}
-	return nil
+	return out, entities
 }
 
 // changeSet summarises what the freshly merged pages changed against the

@@ -234,3 +234,21 @@ func TestShardedRunMatchesSequentialAcrossReactions(t *testing.T) {
 		t.Fatalf("post-refresh diverged:\nsequential:\n%s\nsharded:\n%s", a, b)
 	}
 }
+
+// TestRowKeysMatchRowKeyFormat pins the agreement rowKey's doc promises:
+// the interned per-row keys shard routing and feedback addressing use are
+// exactly rowKey's "source#idxInSource".
+func TestRowKeysMatchRowKeyFormat(t *testing.T) {
+	w, _ := newDeltaWrangler(2)
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Union().Len() == 0 {
+		t.Fatal("empty union")
+	}
+	for i := 0; i < w.Union().Len(); i++ {
+		if got, want := w.RowKey(i), rowKey(w.UnionSourceOf(i), w.UnionRowInSource(i)); got != want {
+			t.Errorf("row %d: interned key %q, rowKey says %q", i, got, want)
+		}
+	}
+}

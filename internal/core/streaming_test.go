@@ -10,30 +10,29 @@ import (
 	"repro/internal/sources"
 )
 
-// newStreamingWrangler builds a sharded streaming wrangler over a
-// moderate synthetic universe.
-func newStreamingWrangler(seed int64, nSources, shards int) *Wrangler {
+// newShardedWrangler builds a sharded wrangler over a moderate synthetic
+// universe.
+func newShardedWrangler(seed int64, nSources, shards int) *Wrangler {
 	u := buildUniverse(seed, nSources, false)
 	dataCtx := context.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy())
 	w := New(u, ProductConfig(), nil, dataCtx)
 	w.IntegrationShards = shards
-	w.StreamingRefresh = true
 	return w
 }
 
-// TestStreamingRefreshScalesWithDirtyShards pins the streaming refresh's
+// TestStreamingRefreshScalesWithDirtyShards pins the sharded refresh's
 // observable behaviour: a one-source refresh re-resolves only the shards
 // its delta touched, reports the split in ReactStats, attributes the
 // tail per DAG stage, and still shares every untouched shard's records
 // with the predecessor version by pointer.
 func TestStreamingRefreshScalesWithDirtyShards(t *testing.T) {
 	const shards = 8
-	w := newStreamingWrangler(7, 12, shards)
+	w := newShardedWrangler(7, 12, shards)
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if w.memo == nil {
-		t.Fatal("a streaming session's run must record a tail memo")
+		t.Fatal("a sharded session's run must record a tail memo")
 	}
 	id := w.SelectedSources()[0]
 	reused := 0
@@ -64,13 +63,13 @@ func TestStreamingRefreshScalesWithDirtyShards(t *testing.T) {
 	}
 }
 
-// TestStreamingValueFeedbackReusesClusters pins the fuse-only streaming
+// TestStreamingValueFeedbackReusesClusters pins the fuse-only sharded
 // reaction: value feedback re-estimates trust and re-fuses, but every
 // shard's clusters carry over — ShardsReused reports all of them and the
 // reaction is not a recluster.
 func TestStreamingValueFeedbackReusesClusters(t *testing.T) {
 	const shards = 4
-	w := newStreamingWrangler(11, 8, shards)
+	w := newShardedWrangler(11, 8, shards)
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +99,10 @@ func TestStreamingValueFeedbackReusesClusters(t *testing.T) {
 
 // TestStreamingFallsBackWithoutMemo pins the degradation path: with the
 // memo invalidated (as after a failed tail), the next reaction runs a
-// full tail, still succeeds, and re-records the memo so streaming
-// resumes.
+// full tail, still succeeds, and re-records the memo so partial tails
+// resume.
 func TestStreamingFallsBackWithoutMemo(t *testing.T) {
-	w := newStreamingWrangler(13, 8, 4)
+	w := newShardedWrangler(13, 8, 4)
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +114,53 @@ func TestStreamingFallsBackWithoutMemo(t *testing.T) {
 	if w.memo == nil {
 		t.Fatal("full-tail fallback must re-record the memo")
 	}
-	// The re-recorded memo must be a valid streaming baseline.
+	// The re-recorded memo must be a valid diff baseline.
 	w.EvolveWorld(0.1)
 	stats, err := w.RefreshSource(w.SelectedSources()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.ShardsResolved+stats.ShardsReused != 4 {
-		t.Errorf("streaming did not resume: %+v", stats)
+		t.Errorf("partial tails did not resume: %+v", stats)
+	}
+}
+
+// TestFuseOnlyWithoutPagesRunsFullTail pins the other degradation path: a
+// value-feedback (fuse-only) reaction on a sharded session whose last
+// tail never merged — as after a first run cancelled mid-tail — has no
+// pages to re-fuse, so it runs the full sharded tail, which builds them,
+// instead of falling through to the sequential fuse.
+func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
+	drive := func(shards int) *Wrangler {
+		t.Helper()
+		w := newShardedWrangler(11, 8, shards)
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if shards > 0 {
+			w.pages, w.entityShard, w.memo = nil, nil, nil
+		}
+		res := w.Results()
+		w.AddFeedback(feedback.Item{
+			Kind: feedback.ValueIncorrect, SourceID: w.SelectedSources()[0],
+			Entity: res[0].Entity, Attribute: res[0].Attribute, Worker: "expert", Cost: 1,
+		})
+		if _, err := w.ReactToFeedback(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return w
+	}
+	seq, sharded := drive(0), drive(4)
+	if len(sharded.pages) != 4 || sharded.memo == nil {
+		t.Fatalf("the reaction did not rebuild the sharded integration: %d pages, memo %v", len(sharded.pages), sharded.memo != nil)
+	}
+	if seq.Wrangled().String() != sharded.Wrangled().String() {
+		t.Error("sharded reaction diverged from the sequential fuse-only reaction")
+	}
+	for src, want := range seq.Trust() {
+		if got := sharded.Trust()[src]; got != want {
+			t.Errorf("trust[%s] = %v, sequential says %v", src, got, want)
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options,
 	groups, keys := groupClaims(claims)
 	var st TrustStats
 	if opts.Policy == TruthFinder {
-		st = estimateTrust(groups, keys, &opts, workers)
+		_, _, st = estimateTrust(groups, keys, &opts, nil, workers)
 	}
 	out := make([]Result, 0, len(keys))
 	for _, k := range keys {
@@ -193,30 +193,18 @@ func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options,
 	return out, opts, st
 }
 
-// EstimateTrust runs the global half of fusion — the TruthFinder trust
-// fixpoint over the full claim set — and returns options with the
-// estimated per-source trust filled in (for other policies it only fills
-// defaults). The returned options are ready for FuseResolved over any
+// EstimateTrustParallel runs the global half of fusion — the TruthFinder
+// trust fixpoint over the full claim set, its trust-coupled components
+// fanned out over workers goroutines (byte-identical at any count) — and
+// returns options with the estimated per-source trust filled in (for
+// other policies it only fills defaults) plus the component shape of the
+// estimation. The returned options are ready for FuseResolved over any
 // partition of the same claims: trust estimation is the only stage of
 // fusion that couples (entity, attribute) groups to each other, so once
-// it has run, disjoint claim subsets fuse independently.
-func EstimateTrust(claims []Claim, opts Options) Options {
-	opts, _ = EstimateTrustParallel(claims, opts, 1)
-	return opts
-}
-
-// EstimateTrustParallel is EstimateTrust with the per-component fixpoints
-// fanned out over workers goroutines. The component partition makes the
-// fan-out exact rather than approximate — see runTrustFixpoint — so the
-// result is byte-identical to EstimateTrust at any worker count. The
-// returned TrustStats reports the component shape of the estimation.
+// it has run, disjoint claim subsets fuse independently. It is the
+// prev == nil case of EstimateTrustWarmParallel.
 func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, TrustStats) {
-	opts = opts.normalized()
-	var st TrustStats
-	if opts.Policy == TruthFinder {
-		groups, keys := groupClaims(claims)
-		st = estimateTrust(groups, keys, &opts, workers)
-	}
+	opts, _, _, st := EstimateTrustWarmParallel(claims, opts, nil, workers)
 	return opts, st
 }
 
@@ -415,27 +403,6 @@ func TrustOf(trust map[string]float64, defaultTrust float64, sourceID string) fl
 		return t
 	}
 	return defaultTrust
-}
-
-// estimateTrust runs the TruthFinder-style fixpoint: value confidence is
-// the trust-weighted vote share; source trust is the mean confidence of
-// the values the source claims. Trust is written back into opts.Trust.
-// Groups are visited in sorted key order — float accumulation is not
-// associative, so iterating the map directly would make trust (and with
-// it confidences and tie-broken winners) vary run to run.
-// Bucket formation is iteration-invariant (membership depends only on
-// values, not weights), so each group is prepared once and the fixpoint
-// runs over the prepared state, partitioned by trust-coupled component
-// with a per-component convergence break — the reference the
-// float-exactness property tests in trust_test are pinned against.
-// Preparation is per-group pure (each group's buckets depend only on its
-// own claims), so with workers it fans out through the engine alongside
-// the component fixpoints — profiles put prepare ahead of the iteration
-// loop on cold estimations, so parallelising only the fixpoint would
-// leave the larger half of the stage sequential.
-func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, workers int) TrustStats {
-	tg := prepareTrustGroups(groups, keys, opts.NumericTolerance, workers)
-	return runTrustFixpoint(keys, tg, opts, workers)
 }
 
 // Accuracy scores fused results against a truth lookup: the fraction of

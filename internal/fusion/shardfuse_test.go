@@ -65,7 +65,7 @@ func resultsEqual(t *testing.T, label string, want, got []Result) {
 }
 
 // TestFuseResolvedPartitionMatchesFuse is the fusion half of the sharding
-// contract: one global EstimateTrust followed by FuseResolved over any
+// contract: one global trust estimation followed by FuseResolved over any
 // entity partition, merged with MergeResults, must equal a single Fuse
 // call bit for bit — for every policy, over randomized claim sets.
 func TestFuseResolvedPartitionMatchesFuse(t *testing.T) {
@@ -82,7 +82,7 @@ func TestFuseResolvedPartitionMatchesFuse(t *testing.T) {
 			}
 			want := Fuse(claims, mk())
 			for _, k := range []int{1, 2, 4, 8} {
-				opts := EstimateTrust(claims, mk())
+				opts := coldTrust(claims, mk())
 				var parts [][]Result
 				for _, p := range partitionByEntity(claims, k) {
 					parts = append(parts, FuseResolved(p, opts))
@@ -101,9 +101,9 @@ func TestFuseResolvedPartitionMatchesFuse(t *testing.T) {
 func TestEstimateTrustDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	claims := randomClaims(rng, 200)
-	first := EstimateTrust(claims, DefaultOptions(TruthFinder)).Trust
+	first := coldTrust(claims, DefaultOptions(TruthFinder)).Trust
 	for i := 0; i < 5; i++ {
-		again := EstimateTrust(claims, DefaultOptions(TruthFinder)).Trust
+		again := coldTrust(claims, DefaultOptions(TruthFinder)).Trust
 		if len(again) != len(first) {
 			t.Fatalf("run %d: %d sources, want %d", i, len(again), len(first))
 		}
@@ -120,7 +120,7 @@ func TestEstimateTrustDeterministic(t *testing.T) {
 func TestMergeResultsOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	claims := randomClaims(rng, 80)
-	opts := EstimateTrust(claims, DefaultOptions(TruthFinder))
+	opts := coldTrust(claims, DefaultOptions(TruthFinder))
 	parts := partitionByEntity(claims, 4)
 	var a, b []Result
 	for _, p := range parts {

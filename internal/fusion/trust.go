@@ -26,7 +26,7 @@ import (
 // separate equivalence proof beyond the per-component one.
 //
 // The warm path compounds with this: a TrustMemo caches prepared group
-// structure plus each component's converged trust, and EstimateTrustWarm
+// structure plus each component's converged trust, and estimateTrust
 // short-circuits per component — a reaction that dirties one component's
 // claims re-iterates that component only, adopting the others' memoized
 // results (which are exact, not approximate: their inputs are unchanged).
@@ -113,13 +113,13 @@ func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
 	return g
 }
 
-// prepareTrustGroups prepares every group for the fixpoint, fanning out
-// over engine workers when more than one of each is available. Each
+// prepareTrustGroups prepares the named groups into tg, fanning out over
+// engine workers when more than one of each is available — profiles put
+// preparation ahead of the iteration loop on cold estimations. Each
 // group's prepared state is a pure function of its own claims, and the
 // MapSlice merge is position-deterministic, so the parallel build is
 // identical to the sequential loop.
-func prepareTrustGroups(groups map[string][]Claim, keys []string, tol float64, workers int) map[string]*trustGroup {
-	tg := make(map[string]*trustGroup, len(keys))
+func prepareTrustGroups(tg map[string]*trustGroup, groups map[string][]Claim, keys []string, tol float64, workers int) {
 	if workers != 1 && len(keys) > 1 {
 		prepared, err := engine.MapSlice(context.Background(), workers, keys,
 			func(_ context.Context, k string) (*trustGroup, error) {
@@ -129,14 +129,13 @@ func prepareTrustGroups(groups map[string][]Claim, keys []string, tol float64, w
 			for i, k := range keys {
 				tg[k] = prepared[i]
 			}
-			return tg
+			return
 		}
 		// A recovered panic: fall through so it resurfaces sequentially.
 	}
 	for _, k := range keys {
 		tg[k] = prepareTrustGroup(groups[k], tol)
 	}
-	return tg
 }
 
 // TrustStats reports the component shape of one trust estimation.
@@ -378,39 +377,6 @@ func runComponents(comps []*trustComponent, opts *Options, workers int) []compon
 	return out
 }
 
-// seedTrustDefaults gives every source that appears in any claim (nulls
-// included) a trust entry before the fixpoint starts, exactly as the old
-// global loop did.
-func seedTrustDefaults(keys []string, groups map[string]*trustGroup, opts *Options) {
-	for _, k := range keys {
-		for _, src := range groups[k].initSources {
-			if _, ok := opts.Trust[src]; !ok {
-				opts.Trust[src] = opts.DefaultTrust
-			}
-		}
-	}
-}
-
-// runTrustFixpoint is estimateTrust over prepared groups, partitioned by
-// trust-coupled component: defaults are seeded, components built, each
-// component iterated to its own convergence (on workers goroutines when
-// workers > 1 — byte-identical by construction), and the per-component
-// trust written back in sorted component order.
-func runTrustFixpoint(keys []string, groups map[string]*trustGroup, opts *Options, workers int) TrustStats {
-	seedTrustDefaults(keys, groups, opts)
-	comps := buildTrustComponents(keys, groups, opts)
-	results := runComponents(comps, opts, workers)
-	st := TrustStats{Components: len(comps), Recomputed: len(comps)}
-	st.Iterations = make([]int, len(comps))
-	for ci, c := range comps {
-		for i, src := range c.sources {
-			opts.Trust[src] = results[ci].trust[i]
-		}
-		st.Iterations[ci] = results[ci].iters
-	}
-	return st
-}
-
 // memoComponent caches one component's identity (member group keys and
 // sorted sources) and its converged trust, so a later estimation can
 // adopt the result without iterating when the component's inputs are
@@ -438,32 +404,44 @@ type TrustMemo struct {
 	result       map[string]float64
 }
 
-// EstimateTrustWarm is EstimateTrust with a cross-reaction memo. It
-// returns options ready for FuseResolved, the memo for the next call,
-// and whether the fixpoint was skipped outright (no trust-coupled group
-// saw a dirty claim and the seeds were unchanged, so the memoized trust
-// is byte-identical to what iterating would produce). prev may be nil —
-// the estimation then runs from scratch but still returns a memo.
-func EstimateTrustWarm(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo, bool) {
-	out, memo, skipped, _ := EstimateTrustWarmParallel(claims, opts, prev, 1)
-	return out, memo, skipped
-}
-
-// EstimateTrustWarmParallel is EstimateTrustWarm with the component
-// fixpoints fanned out over workers goroutines, plus the component-level
-// short-circuit: a component whose member groups, sources, seeds and
-// claims all match the memo adopts its memoized trust without iterating;
-// only dirty components recompute. The returned TrustStats reports how
-// many components the claim set has and how many actually re-iterated.
-// Byte-identical to the sequential cold path at any worker count.
+// EstimateTrustWarmParallel is EstimateTrustParallel with a
+// cross-reaction memo. It returns options ready for FuseResolved, the
+// memo for the next call, whether the fixpoint was skipped outright (no
+// claim, seed or knob moved, so the memoized trust is byte-identical to
+// what iterating would produce), and the component stats: how many
+// components the claim set has and how many actually re-iterated. prev
+// may be nil — the estimation then runs cold but still returns a memo.
+// Byte-identical to the cold estimation at any worker count.
 func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, bool, TrustStats) {
 	opts = opts.normalized()
 	if opts.Policy != TruthFinder {
-		// No fixpoint exists for this policy; EstimateTrust is a no-op
+		// No fixpoint exists for this policy; estimation is a no-op
 		// beyond normalization, so there is nothing to warm.
 		return opts, &TrustMemo{policy: opts.Policy}, true, TrustStats{}
 	}
 	groups, keys := groupClaims(claims)
+	memo, skipped, st := estimateTrust(groups, keys, &opts, prev, workers)
+	return opts, memo, skipped, st
+}
+
+// estimateTrust is the one TruthFinder trust estimation, over
+// already-grouped claims: value confidence is the trust-weighted vote
+// share; source trust is the mean confidence of the values the source
+// claims. Trust is written back into opts.Trust. Groups are visited in
+// sorted key order — float accumulation is not associative, so iterating
+// the map directly would make trust (and with it confidences and
+// tie-broken winners) vary run to run. Bucket formation is
+// iteration-invariant (membership depends only on values, not weights),
+// so each group is prepared once; the fixpoint runs per trust-coupled
+// component with a per-component convergence break, on workers
+// goroutines when workers > 1 — byte-identical by construction.
+//
+// prev == nil is the cold estimation: every group is prepared and every
+// component iterates. With a memo, groups whose claims held keep their
+// prepared state, and a component whose member groups, sources, seeds
+// and claims all match the memo adopts its memoized trust without
+// iterating; only dirty components recompute.
+func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, prev *TrustMemo, workers int) (*TrustMemo, bool, TrustStats) {
 	seeds := maps.Clone(opts.Trust)
 	pinned := maps.Clone(opts.Pinned)
 	reusable := prev != nil && prev.policy == TruthFinder &&
@@ -481,7 +459,7 @@ func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, wo
 		}
 		if unchanged {
 			opts.Trust = maps.Clone(prev.result)
-			return opts, prev, true, TrustStats{Components: len(prev.components)}
+			return prev, true, TrustStats{Components: len(prev.components)}
 		}
 	}
 	tg := make(map[string]*trustGroup, len(keys))
@@ -496,11 +474,17 @@ func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, wo
 			fresh = append(fresh, k)
 		}
 	}
-	for k, g := range prepareTrustGroups(groups, fresh, opts.NumericTolerance, workers) {
-		tg[k] = g
+	prepareTrustGroups(tg, groups, fresh, opts.NumericTolerance, workers)
+	// Every source that appears in any claim (nulls included) gets a trust
+	// entry before components snapshot their seeds.
+	for _, k := range keys {
+		for _, src := range tg[k].initSources {
+			if _, ok := opts.Trust[src]; !ok {
+				opts.Trust[src] = opts.DefaultTrust
+			}
+		}
 	}
-	seedTrustDefaults(keys, tg, &opts)
-	comps := buildTrustComponents(keys, tg, &opts)
+	comps := buildTrustComponents(keys, tg, opts)
 	memoComps := make(map[string]*memoComponent, len(comps))
 	var dirty []*trustComponent
 	for _, c := range comps {
@@ -513,7 +497,7 @@ func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, wo
 		}
 		dirty = append(dirty, c)
 	}
-	results := runComponents(dirty, &opts, workers)
+	results := runComponents(dirty, opts, workers)
 	st := TrustStats{Components: len(comps), Recomputed: len(dirty)}
 	st.Iterations = make([]int, len(dirty))
 	for di, c := range dirty {
@@ -536,7 +520,7 @@ func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, wo
 		components:   memoComps,
 		result:       maps.Clone(opts.Trust),
 	}
-	return opts, memo, false, st
+	return memo, false, st
 }
 
 // memoizedComponent decides whether a freshly built component may adopt

@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -47,8 +48,8 @@ func TestTrustComponentPartition(t *testing.T) {
 	// other component is present in the claim set — they provably exchange
 	// no information, and the per-component convergence break makes that
 	// independence exact.
-	alone := EstimateTrust(a, DefaultOptions(TruthFinder))
-	joint := EstimateTrust(both, DefaultOptions(TruthFinder))
+	alone := coldTrust(a, DefaultOptions(TruthFinder))
+	joint := coldTrust(both, DefaultOptions(TruthFinder))
 	for src, want := range alone.Trust {
 		if got := joint.Trust[src]; got != want {
 			t.Fatalf("trust[%s] = %v with b present, %v alone — disjoint components coupled", src, got, want)
@@ -82,7 +83,7 @@ func TestParallelTrustMatchesSequential(t *testing.T) {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("p%d", seed%3), 3, 2)...)
 		claims = append(claims, componentTestClaims("q", 2, 2)...)
 
-		ref := EstimateTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))))
+		ref := coldTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))))
 		for _, wk := range workerCounts {
 			got, st := EstimateTrustParallel(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), wk)
 			requireSameTrust(t, ref.Trust, got.Trust, fmt.Sprintf("seed %d cold workers=%d", seed, wk))
@@ -98,8 +99,10 @@ func TestParallelTrustMatchesSequential(t *testing.T) {
 				t.Fatalf("seed %d: fresh warm estimation reported a short-circuit", seed)
 			}
 			requireSameTrust(t, ref.Trust, warm.Trust, fmt.Sprintf("seed %d warm workers=%d", seed, wk))
-			if wst.Components != st.Components {
-				t.Fatalf("seed %d: warm saw %d components, cold saw %d", seed, wst.Components, st.Components)
+			// Cold is the prev == nil case of warm: same stats, not just
+			// the same trust.
+			if !reflect.DeepEqual(wst, st) {
+				t.Fatalf("seed %d workers=%d: warm(prev=nil) stats %+v, cold stats %+v", seed, wk, wst, st)
 			}
 		}
 	}
@@ -127,7 +130,7 @@ func TestStreamingTrustWarmComponentShortCircuit(t *testing.T) {
 			churned[i].Value = dataset.Float(999)
 		}
 	}
-	cold := EstimateTrust(churned, DefaultOptions(TruthFinder))
+	cold := coldTrust(churned, DefaultOptions(TruthFinder))
 	warm, memo2, skipped, st2 := EstimateTrustWarmParallel(churned, DefaultOptions(TruthFinder), memo, 2)
 	if skipped {
 		t.Fatal("churned claims must not short-circuit outright")
@@ -161,7 +164,7 @@ func TestTrustComponentSeedChangeScopesRerun(t *testing.T) {
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["k1-s0"] = 0.37
 	seeded.Pinned = map[string]bool{}
-	cold := EstimateTrust(claims, cloneOpts(seeded))
+	cold := coldTrust(claims, cloneOpts(seeded))
 	warm, _, skipped, st := EstimateTrustWarmParallel(claims, cloneOpts(seeded), memo, 1)
 	if skipped {
 		t.Fatal("changed seed must defeat the global short-circuit")

@@ -55,6 +55,18 @@ func randomTrustOpts(rng *rand.Rand) Options {
 	return opts
 }
 
+// coldTrust and warmTrust are the sequential (workers = 1) forms the
+// float-exactness tests pin against.
+func coldTrust(claims []Claim, opts Options) Options {
+	opts, _ = EstimateTrustParallel(claims, opts, 1)
+	return opts
+}
+
+func warmTrust(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo, bool) {
+	opts, memo, skipped, _ := EstimateTrustWarmParallel(claims, opts, prev, 1)
+	return opts, memo, skipped
+}
+
 func requireSameTrust(t *testing.T, want, got map[string]float64, label string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -69,15 +81,15 @@ func requireSameTrust(t *testing.T, want, got map[string]float64, label string) 
 
 // TestStreamingTrustWarmMatchesEstimate pins the float-exactness contract
 // of the warm path: from scratch, after a delta (groups partially
-// reused), and on the full short-circuit, EstimateTrustWarm must
-// reproduce EstimateTrust's trust map bit for bit.
+// reused), and on the full short-circuit, the warm estimation must
+// reproduce the cold estimation's trust map bit for bit.
 func TestStreamingTrustWarmMatchesEstimate(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		claims := randomTrustClaims(rng, 10+rng.Intn(120))
 
-		cold := EstimateTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))))
-		warm, memo, skipped := EstimateTrustWarm(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil)
+		cold := coldTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))))
+		warm, memo, skipped := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil)
 		if skipped {
 			t.Fatalf("seed %d: fresh estimation reported a short-circuit", seed)
 		}
@@ -85,7 +97,7 @@ func TestStreamingTrustWarmMatchesEstimate(t *testing.T) {
 
 		// Short-circuit: identical claims and seeds must skip the fixpoint
 		// yet return the identical map.
-		again, memo2, skipped := EstimateTrustWarm(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), memo)
+		again, memo2, skipped := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), memo)
 		if !skipped {
 			t.Fatalf("seed %d: unchanged inputs did not short-circuit", seed)
 		}
@@ -98,8 +110,8 @@ func TestStreamingTrustWarmMatchesEstimate(t *testing.T) {
 			i := rng.Intn(len(mutated))
 			mutated[i].Value = dataset.Float(500 + float64(rng.Intn(50)))
 		}
-		coldM := EstimateTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))))
-		warmM, _, _ := EstimateTrustWarm(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))), memo2)
+		coldM := coldTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))))
+		warmM, _, _ := warmTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))), memo2)
 		requireSameTrust(t, coldM.Trust, warmM.Trust, fmt.Sprintf("seed %d delta", seed))
 	}
 }
@@ -111,13 +123,13 @@ func TestStreamingTrustWarmSeedChangeReruns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	claims := randomTrustClaims(rng, 80)
 	base := DefaultOptions(TruthFinder)
-	_, memo, _ := EstimateTrustWarm(claims, base, nil)
+	_, memo, _ := warmTrust(claims, base, nil)
 
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["s1"] = 0.31
 	seeded.Pinned = map[string]bool{"s1": true}
-	cold := EstimateTrust(claims, cloneOpts(seeded))
-	warm, _, skipped := EstimateTrustWarm(claims, cloneOpts(seeded), memo)
+	cold := coldTrust(claims, cloneOpts(seeded))
+	warm, _, skipped := warmTrust(claims, cloneOpts(seeded), memo)
 	if skipped {
 		t.Fatal("changed trust seeds must defeat the short-circuit")
 	}
@@ -132,14 +144,14 @@ func cloneOpts(o Options) Options {
 
 // TestStreamingTrustWarmNonTruthFinder pins that non-TruthFinder policies
 // never iterate: the warm path reports a skip and leaves trust exactly as
-// EstimateTrust would (seeds only).
+// the cold estimation would (seeds only).
 func TestStreamingTrustWarmNonTruthFinder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	claims := randomTrustClaims(rng, 40)
 	opts := DefaultOptions(FreshnessWeighted)
 	opts.Trust["s2"] = 0.5
-	cold := EstimateTrust(claims, cloneOpts(opts))
-	warm, _, skipped := EstimateTrustWarm(claims, cloneOpts(opts), nil)
+	cold := coldTrust(claims, cloneOpts(opts))
+	warm, _, skipped := warmTrust(claims, cloneOpts(opts), nil)
 	if !skipped {
 		t.Fatal("freshness policy has no fixpoint to run")
 	}

@@ -130,14 +130,9 @@ func compareStores(t *testing.T, stage string, live, restored *core.VersionStore
 // reopen closes w's durable log and rehydrates a fresh same-universe
 // wrangler from it, replaying the script's world churn so the synthetic
 // provider is in the same state the live session left it.
-func reopen(t *testing.T, dir string, seed int64, nSources, shards int, streaming bool, script []Step) *core.Wrangler {
+func reopen(t *testing.T, dir string, seed int64, nSources, shards int, script []Step) *core.Wrangler {
 	t.Helper()
-	var w *core.Wrangler
-	if streaming {
-		w = NewStreamingWrangler(seed, nSources, shards)
-	} else {
-		w = NewWrangler(seed, nSources, shards)
-	}
+	w := NewWrangler(seed, nSources, shards)
 	// The log restores the session, not the world: replay the churn calls
 	// so the provider's synthetic universe matches the live one.
 	for _, step := range script {
@@ -152,7 +147,7 @@ func reopen(t *testing.T, dir string, seed int64, nSources, shards int, streamin
 }
 
 // TestDurableWarmRestartFingerprint is the acceptance property: run a
-// streaming sharded session under a durable log, drive it through a
+// sharded session under a durable log, drive it through a
 // seeded feedback/refresh script, close it, reopen from the directory —
 // and the reopened session must fingerprint byte-identically to the live
 // one, at the working data and at every retained version. Then both
@@ -168,7 +163,7 @@ func TestDurableWarmRestartFingerprint(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	live := NewStreamingWrangler(seed, nSources, shards)
+	live := NewWrangler(seed, nSources, shards)
 	if openDurable(t, live, dir) {
 		t.Fatal("fresh directory claimed to restore a session")
 	}
@@ -186,7 +181,7 @@ func TestDurableWarmRestartFingerprint(t *testing.T) {
 		t.Fatalf("close durable log: %v", err)
 	}
 
-	restored := reopen(t, dir, seed, nSources, shards, true, script)
+	restored := reopen(t, dir, seed, nSources, shards, script)
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
 		t.Fatalf("restored session diverged from live:\n%s", firstDiff(want, got))
 	}
@@ -239,7 +234,7 @@ func TestDurableSequentialRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	restored := reopen(t, dir, seed, nSources, 0, false, script)
+	restored := reopen(t, dir, seed, nSources, 0, script)
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
 		t.Fatalf("restored sequential session diverged:\n%s", firstDiff(want, got))
 	}
@@ -272,7 +267,7 @@ func TestDurableErrCompactedConsistency(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	live := NewStreamingWrangler(seed, nSources, shards)
+	live := NewWrangler(seed, nSources, shards)
 	openDurable(t, live, dir)
 	if _, err := live.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -297,7 +292,7 @@ func TestDurableErrCompactedConsistency(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	restored := reopen(t, dir, seed, nSources, shards, true, script)
+	restored := reopen(t, dir, seed, nSources, shards, script)
 	if _, err := restored.Serve.At(1); !errors.Is(err, serve.ErrCompacted) {
 		t.Fatalf("restored At(1) = %v, want ErrCompacted", err)
 	}
@@ -320,7 +315,7 @@ func TestDurableCheckpointAndStats(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 
-	live := NewStreamingWrangler(seed, nSources, shards)
+	live := NewWrangler(seed, nSources, shards)
 	openDurable(t, live, dir)
 	if _, err := live.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -350,7 +345,7 @@ func TestDurableCheckpointAndStats(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	restored := reopen(t, dir, seed, nSources, shards, true, script)
+	restored := reopen(t, dir, seed, nSources, shards, script)
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
 		t.Fatalf("post-checkpoint reopen diverged:\n%s", firstDiff(want, got))
 	}
@@ -362,7 +357,7 @@ func TestDurableCheckpointAndStats(t *testing.T) {
 // different shard count instead of restoring garbage.
 func TestDurableConfigMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
-	live := NewStreamingWrangler(3, 4, 2)
+	live := NewWrangler(3, 4, 2)
 	openDurable(t, live, dir)
 	if _, err := live.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -371,7 +366,7 @@ func TestDurableConfigMismatchRefused(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	other := NewStreamingWrangler(3, 4, 3) // different shard count
+	other := NewWrangler(3, 4, 3) // different shard count
 	d, err := core.OpenDurableLog(dir, core.FsyncOnCheckpoint)
 	if err != nil {
 		t.Fatalf("open: %v", err)

@@ -5,11 +5,12 @@
 // generator, a randomized feedback/refresh script driver, and an
 // invariant checker that fingerprints every read-side artefact (table,
 // report, fused results, trust, clustering, provenance) and asserts the
-// sharded tail reproduces the sequential tail bit for bit at every shard
-// count, after every reaction. The experience with coverage-guided DBMS
-// fuzzing (Wang et al.) applies directly: randomized, invariant-checked
-// workloads, not examples, are what keep a concurrent data system
-// honest — the same generators back the package's fuzz target.
+// sharded tail reproduces the sequential tail bit for bit at every
+// worker and shard count, after every reaction. The experience with
+// coverage-guided DBMS fuzzing (Wang et al.) applies directly:
+// randomized, invariant-checked workloads, not examples, are what keep a
+// concurrent data system honest — the same generators back the
+// package's fuzz target.
 package wrangletest
 
 import (
@@ -42,15 +43,6 @@ func NewWrangler(seed int64, nSources, shards int) *core.Wrangler {
 	dataCtx := wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy())
 	w := core.New(u, core.ProductConfig(), nil, dataCtx)
 	w.IntegrationShards = shards
-	return w
-}
-
-// NewStreamingWrangler is NewWrangler with streaming refresh enabled:
-// reactions recompute only dirty shards, byte-identically to the full
-// tail — the property CheckStreamingDeterminism pins.
-func NewStreamingWrangler(seed int64, nSources, shards int) *core.Wrangler {
-	w := NewWrangler(seed, nSources, shards)
-	w.StreamingRefresh = true
 	return w
 }
 
@@ -227,138 +219,19 @@ func Script(rng *rand.Rand, ref *core.Wrangler, steps int) []Step {
 	return out
 }
 
-// CheckDeterminism is the invariant checker: it runs a sequential
-// baseline and one sharded variant per shard count over byte-identical
-// universes, drives all of them through the same seeded-random
-// feedback/refresh script, and asserts every variant fingerprints
-// byte-identically to the baseline after the initial run and after every
-// step.
-func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, shardCounts []int) {
-	t.Helper()
-	ctx := context.Background()
-	base := NewWrangler(seed, nSources, 0)
-	if _, err := base.Run(); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	type variant struct {
-		shards int
-		w      *core.Wrangler
-	}
-	var variants []variant
-	for _, n := range shardCounts {
-		w := NewWrangler(seed, nSources, n)
-		if _, err := w.Run(); err != nil {
-			t.Fatalf("sharded(%d) run: %v", n, err)
-		}
-		variants = append(variants, variant{shards: n, w: w})
-	}
-	compare := func(stage string) {
-		t.Helper()
-		want := Fingerprint(base)
-		for _, v := range variants {
-			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("shards=%d diverged from sequential at %s:\n%s",
-					v.shards, stage, firstDiff(want, got))
-			}
-		}
-	}
-	compare("initial run")
-
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	for _, step := range Script(rng, base, steps) {
-		_, refErr, err := step.Apply(ctx, base)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", step.Name, err)
-		}
-		for _, v := range variants {
-			_, vErr, err := step.Apply(ctx, v.w)
-			if err != nil {
-				t.Fatalf("%s: shards=%d: %v", step.Name, v.shards, err)
-			}
-			if vErr != refErr {
-				t.Fatalf("%s: shards=%d error diverged:\nsequential: %q\nsharded:    %q",
-					step.Name, v.shards, refErr, vErr)
-			}
-		}
-		compare(step.Name)
-	}
-}
-
-// CheckStreamingDeterminism is the streaming acceptance property: a
-// sequential full-tail baseline and one streaming variant per shard
-// count run byte-identical universes through the same seeded-random
-// feedback/refresh script, and every variant must fingerprint
-// identically to the baseline after every step — while recomputing only
-// its dirty shards. It returns the total shards reused across all
-// variants and steps, so callers can additionally assert the partial
-// tail actually engaged (a streaming path that silently fell back to
-// full recompute would pass the identity check vacuously).
-func CheckStreamingDeterminism(t testing.TB, seed int64, nSources, steps int, shardCounts []int) int {
-	t.Helper()
-	ctx := context.Background()
-	base := NewWrangler(seed, nSources, 0)
-	if _, err := base.Run(); err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-	type variant struct {
-		shards int
-		w      *core.Wrangler
-	}
-	var variants []variant
-	for _, n := range shardCounts {
-		w := NewStreamingWrangler(seed, nSources, n)
-		if _, err := w.Run(); err != nil {
-			t.Fatalf("streaming(%d) run: %v", n, err)
-		}
-		variants = append(variants, variant{shards: n, w: w})
-	}
-	compare := func(stage string) {
-		t.Helper()
-		want := Fingerprint(base)
-		for _, v := range variants {
-			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("streaming shards=%d diverged from full tail at %s:\n%s",
-					v.shards, stage, firstDiff(want, got))
-			}
-		}
-	}
-	compare("initial run")
-
-	reused := 0
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	for _, step := range Script(rng, base, steps) {
-		_, refErr, err := step.Apply(ctx, base)
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", step.Name, err)
-		}
-		for _, v := range variants {
-			stats, vErr, err := step.Apply(ctx, v.w)
-			if err != nil {
-				t.Fatalf("%s: streaming shards=%d: %v", step.Name, v.shards, err)
-			}
-			if vErr != refErr {
-				t.Fatalf("%s: streaming shards=%d error diverged:\nfull:      %q\nstreaming: %q",
-					step.Name, v.shards, refErr, vErr)
-			}
-			reused += stats.ShardsReused
-		}
-		compare(step.Name)
-	}
-	return reused
-}
-
-// CheckParallelTrustDeterminism extends the streaming acceptance property
-// across the trust fixpoint's worker fan-out: a strictly sequential
-// full-tail baseline (workers=1, so the trust stage runs the sequential
-// per-component reference) against one streaming variant per
-// (workers × shards) pair, all pushed through the same seeded script.
-// Every variant must fingerprint identically to the baseline after every
-// step — pinning that the component fan-out is byte-identical at every
-// worker count while the warm path adopts unchanged components. It
-// returns the total trust components adopted from the memo across all
-// variants and steps, so callers can assert the per-component
-// short-circuit actually engaged.
-func CheckParallelTrustDeterminism(t testing.TB, seed int64, nSources, steps int, workerCounts, shardCounts []int) int {
+// CheckDeterminism is the invariant checker: a strictly sequential
+// baseline (sequential tail, one worker — so the trust stage runs the
+// sequential per-component reference) and one sharded variant per
+// (workers × shards) pair run byte-identical universes through the same
+// seeded-random feedback/refresh script, and every variant must
+// fingerprint identically to the baseline after the initial run and
+// after every step — while recomputing only its dirty shards and trust
+// components. It returns the shards reused and the trust components
+// adopted from the memo, summed over all variants and steps, so callers
+// can additionally assert the partial tail actually engaged (a sharded
+// path that silently fell back to full recompute would pass the identity
+// check vacuously).
+func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCounts, shardCounts []int) (reused, adopted int) {
 	t.Helper()
 	ctx := context.Background()
 	base := NewWrangler(seed, nSources, 0)
@@ -367,18 +240,18 @@ func CheckParallelTrustDeterminism(t testing.TB, seed int64, nSources, steps int
 		t.Fatalf("baseline run: %v", err)
 	}
 	type variant struct {
-		workers, shards int
-		w               *core.Wrangler
+		name string
+		w    *core.Wrangler
 	}
 	var variants []variant
 	for _, wk := range workerCounts {
 		for _, n := range shardCounts {
-			w := NewStreamingWrangler(seed, nSources, n)
-			w.Parallelism = wk
-			if _, err := w.Run(); err != nil {
-				t.Fatalf("workers=%d shards=%d run: %v", wk, n, err)
+			v := variant{name: fmt.Sprintf("workers=%d shards=%d", wk, n), w: NewWrangler(seed, nSources, n)}
+			v.w.Parallelism = wk
+			if _, err := v.w.Run(); err != nil {
+				t.Fatalf("%s run: %v", v.name, err)
 			}
-			variants = append(variants, variant{workers: wk, shards: n, w: w})
+			variants = append(variants, v)
 		}
 	}
 	compare := func(stage string) {
@@ -386,14 +259,12 @@ func CheckParallelTrustDeterminism(t testing.TB, seed int64, nSources, steps int
 		want := Fingerprint(base)
 		for _, v := range variants {
 			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("workers=%d shards=%d diverged from sequential full tail at %s:\n%s",
-					v.workers, v.shards, stage, firstDiff(want, got))
+				t.Fatalf("%s diverged from sequential at %s:\n%s", v.name, stage, firstDiff(want, got))
 			}
 		}
 	}
 	compare("initial run")
 
-	trustAdopted := 0
 	rng := rand.New(rand.NewSource(seed*7919 + 13))
 	for _, step := range Script(rng, base, steps) {
 		_, refErr, err := step.Apply(ctx, base)
@@ -403,21 +274,21 @@ func CheckParallelTrustDeterminism(t testing.TB, seed int64, nSources, steps int
 		for _, v := range variants {
 			stats, vErr, err := step.Apply(ctx, v.w)
 			if err != nil {
-				t.Fatalf("%s: workers=%d shards=%d: %v", step.Name, v.workers, v.shards, err)
+				t.Fatalf("%s: %s: %v", step.Name, v.name, err)
 			}
 			if vErr != refErr {
-				t.Fatalf("%s: workers=%d shards=%d error diverged:\nfull:     %q\nvariant:  %q",
-					step.Name, v.workers, v.shards, refErr, vErr)
+				t.Fatalf("%s: %s error diverged:\nsequential: %q\nsharded:    %q", step.Name, v.name, refErr, vErr)
 			}
 			if stats.TrustRecomputed > stats.TrustComponents {
-				t.Fatalf("%s: workers=%d shards=%d recomputed %d of %d trust components",
-					step.Name, v.workers, v.shards, stats.TrustRecomputed, stats.TrustComponents)
+				t.Fatalf("%s: %s recomputed %d of %d trust components",
+					step.Name, v.name, stats.TrustRecomputed, stats.TrustComponents)
 			}
-			trustAdopted += stats.TrustComponents - stats.TrustRecomputed
+			reused += stats.ShardsReused
+			adopted += stats.TrustComponents - stats.TrustRecomputed
 		}
 		compare(step.Name)
 	}
-	return trustAdopted
+	return reused, adopted
 }
 
 // firstDiff renders the first differing line of two fingerprints with a

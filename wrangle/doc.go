@@ -61,7 +61,7 @@
 // (identical tables, trust state and compaction boundaries — View.At
 // below the window answers ErrCompacted exactly as before the
 // restart), watchers catch up from the restored window, and the first
-// Refresh runs as a partial tail over the rehydrated streaming memo
+// Refresh runs as a partial tail over the rehydrated tail memo
 // rather than a cold full run. Session.Checkpoint rewrites the log
 // down to the retention window; WithDurableFsync selects FsyncAlways
 // (fsync every commit) over the default FsyncOnCheckpoint;

@@ -10,7 +10,7 @@ import (
 // publication to a compact binary log under the state directory, and a new
 // session opened over the same directory restores the snapshot store (with
 // its original sequence numbers, retention window and change sets), the
-// working data and the streaming memo inputs — so the process can die and
+// working data and the tail memo inputs — so the process can die and
 // come back warm: readers resume at the exact retained versions, and the
 // first reaction after restart recomputes a partial tail, not a cold run.
 
@@ -33,8 +33,8 @@ type DurableStats = core.DurableStats
 
 // WithDurableLog makes the session durable: committed versions append to a
 // log in dir (created if missing), and if the directory already holds a
-// log written by a compatible session (same domain schema, shard count,
-// streaming mode and retention), the new session restores it — Run may be
+// log written by a compatible session (same domain schema, shard count
+// and retention), the new session restores it — Run may be
 // skipped (see Session.Restored) and reactions continue from the restored
 // state. A log written under a different configuration is refused.
 func WithDurableLog(dir string) Option {

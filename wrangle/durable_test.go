@@ -11,13 +11,12 @@ import (
 )
 
 // durableOpts is the shared session shape of the facade durability tests:
-// small sharded streaming universe, tight retention, durable log in dir.
+// small sharded universe, tight retention, durable log in dir.
 func durableOpts(dir string) []wrangle.Option {
 	return []wrangle.Option{
 		wrangle.WithSeed(9),
 		wrangle.WithSyntheticSources(5),
 		wrangle.WithIntegrationShards(2),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithRetainVersions(3),
 		wrangle.WithDurableLog(dir),
 	}
@@ -156,6 +155,57 @@ func TestSessionWarmRestart(t *testing.T) {
 	rv2, _ := r.View()
 	if rv2.Version() != wantVersions[len(wantVersions)-1]+1 {
 		t.Fatalf("post-restore publish seq %d, want %d", rv2.Version(), wantVersions[len(wantVersions)-1]+1)
+	}
+}
+
+// TestDurableLogIgnoresStreamingOption pins the config record's fold: the
+// bool that used to carry the streaming knob is derived from the shard
+// count, so a log written by a sharded session reopens — and restores
+// warm — whether or not the deprecated option is passed, while a
+// different shard count is still refused.
+func TestDurableLogIgnoresStreamingOption(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := func(shards int, extra ...wrangle.Option) []wrangle.Option {
+		return append([]wrangle.Option{
+			wrangle.WithSeed(9), wrangle.WithSyntheticSources(5),
+			wrangle.WithIntegrationShards(shards), wrangle.WithDurableLog(dir),
+		}, extra...)
+	}
+	s, err := wrangle.New(opts(4, wrangle.WithStreamingRefresh())...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, extra := range map[string][]wrangle.Option{
+		"without the option": nil,
+		"with the option":    {wrangle.WithStreamingRefresh()},
+	} {
+		r, err := wrangle.New(opts(4, extra...)...)
+		if err != nil {
+			t.Fatalf("reopen %s: %v", name, err)
+		}
+		if !r.Restored() {
+			t.Fatalf("reopen %s did not restore the session", name)
+		}
+		stats, err := r.Refresh(ctx, r.SelectedSources()[0])
+		if err != nil {
+			t.Fatalf("reopen %s: refresh: %v", name, err)
+		}
+		if stats.ShardsReused == 0 {
+			t.Errorf("reopen %s: first reaction was a cold tail: %+v", name, stats)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wrangle.New(opts(3)...); err == nil {
+		t.Error("a log written under 4 shards attached to a 3-shard session")
 	}
 }
 

@@ -124,7 +124,7 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 	}
 }
 
-// TestMetricsStageTimingsSharded drives the sharded streaming tail and
+// TestMetricsStageTimingsSharded drives the sharded tail and
 // asserts the shard-reuse telemetry: resolved/reused counters move, the
 // reuse-ratio gauge stays in [0,1], and sharded sessions publish deltas.
 func TestMetricsStageTimingsSharded(t *testing.T) {
@@ -132,7 +132,6 @@ func TestMetricsStageTimingsSharded(t *testing.T) {
 		wrangle.WithSeed(21),
 		wrangle.WithSyntheticSources(6),
 		wrangle.WithIntegrationShards(4),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithMetrics(),
 	)
 	if err != nil {
@@ -176,7 +175,6 @@ func TestMetricsRestoredSession(t *testing.T) {
 		wrangle.WithSeed(9),
 		wrangle.WithSyntheticSources(6),
 		wrangle.WithIntegrationShards(2),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithDurableLog(dir),
 	}
 	s1, err := wrangle.New(opts...)
@@ -234,7 +232,6 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		wrangle.WithSeed(21),
 		wrangle.WithSyntheticSources(6),
 		wrangle.WithIntegrationShards(2),
-		wrangle.WithStreamingRefresh(),
 		wrangle.WithMetrics(),
 	)
 	if err != nil {

@@ -41,8 +41,6 @@ type settings struct {
 
 	integrationShards int
 
-	streamingRefresh bool
-
 	retainVersions int
 
 	watchBuffer int
@@ -210,10 +208,15 @@ func WithParallelism(n int) Option {
 // and fusion over the union of all selected sources — into n disjoint
 // blocking shards that run as parallel engine tasks and merge
 // deterministically. Results are byte-identical to the sequential tail
-// at every shard count; only the speed and the publication cost change:
-// sharded sessions publish snapshot deltas, so a reaction that leaves a
-// shard's fused rows untouched shares that shard's table records with
-// the predecessor version instead of deep-copying them. n must be at
+// at every shard count; only the speed and the publication cost change.
+// The session memoizes its last integrated tail, and every ApplyFeedback
+// / Refresh diffs the rebuilt union against it, re-plans incrementally
+// and re-resolves / re-fuses only the shards the delta touched (see
+// ReactStats.ShardsResolved / ShardsReused and the ReactStats.Stages
+// split) — untouched shards keep their clusters and fused pages by
+// reference, all the way into the published snapshot version, which
+// shares their table records with its predecessor instead of
+// deep-copying them. n must be at
 // least 1 (1 exercises the sharded machinery and delta publication with
 // a single shard); by default the tail is sequential. Useful shard
 // counts track the worker bound (WithParallelism) — more shards than
@@ -228,23 +231,12 @@ func WithIntegrationShards(n int) Option {
 	}
 }
 
-// WithStreamingRefresh makes reactions recompute only what changed: the
-// session memoizes its last integrated tail, and every ApplyFeedback /
-// Refresh diffs the rebuilt union against it, re-plans incrementally and
-// re-resolves / re-fuses only the shards the delta touched — untouched
-// shards keep their clusters and fused pages by reference, all the way
-// into the published snapshot version (which already shares untouched
-// records by pointer). Results are byte-identical to the full-tail
-// recompute; only the reaction cost scales with the change instead of
-// the corpus, observable via ReactStats.ShardsResolved /
-// ReactStats.ShardsReused and the per-stage ReactStats.Stages split.
-// Requires WithIntegrationShards: the dirty set is tracked at shard
-// granularity, so a sequential tail has nothing to skip.
+// WithStreamingRefresh is accepted and does nothing.
+//
+// Deprecated: sharded sessions always stream (see WithIntegrationShards),
+// and a sequential tail has nothing to skip.
 func WithStreamingRefresh() Option {
-	return func(s *settings) error {
-		s.streamingRefresh = true
-		return nil
-	}
+	return func(*settings) error { return nil }
 }
 
 // WithRetainVersions bounds how many committed snapshot versions the

@@ -7,35 +7,14 @@ import (
 	"repro/wrangle"
 )
 
-func TestWithStreamingRefreshValidation(t *testing.T) {
-	if _, err := wrangle.New(wrangle.WithStreamingRefresh()); err == nil {
-		t.Error("WithStreamingRefresh without WithIntegrationShards should be rejected")
-	}
-	if _, err := wrangle.New(wrangle.WithStreamingRefresh(), wrangle.WithIntegrationShards(4)); err != nil {
-		t.Errorf("WithStreamingRefresh + shards rejected: %v", err)
-	}
-	// Option order must not matter.
-	if _, err := wrangle.New(wrangle.WithIntegrationShards(2), wrangle.WithStreamingRefresh()); err != nil {
-		t.Errorf("option order sensitivity: %v", err)
-	}
-}
-
-// TestStreamingSessionByteIdentical is the facade-level identity check:
-// the same universe wrangled with a full-tail session and a streaming
-// session serves byte-identical tables, reports and trust after the run
-// and after feedback + refresh round-trips — while the streaming session
-// reports shard reuse.
-func TestStreamingSessionByteIdentical(t *testing.T) {
-	drive := func(t *testing.T, streaming bool) (string, wrangle.ReactStats) {
+// TestWithStreamingRefreshIsNoOp pins the deprecated option: it is
+// accepted with or without shards, in any order, and changes neither the
+// served bytes nor the partial tail — a sequential session stays
+// sequential, a sharded session reuses shards either way.
+func TestWithStreamingRefreshIsNoOp(t *testing.T) {
+	drive := func(t *testing.T, opts ...wrangle.Option) (string, wrangle.ReactStats) {
 		t.Helper()
-		opts := []wrangle.Option{
-			wrangle.WithSeed(21), wrangle.WithSyntheticSources(6),
-			wrangle.WithIntegrationShards(4),
-		}
-		if streaming {
-			opts = append(opts, wrangle.WithStreamingRefresh())
-		}
-		s, err := wrangle.New(opts...)
+		s, err := wrangle.New(append([]wrangle.Option{wrangle.WithSeed(21), wrangle.WithSyntheticSources(6)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,15 +34,28 @@ func TestStreamingSessionByteIdentical(t *testing.T) {
 		}
 		return sessionFingerprint(t, s), stats
 	}
-	full, fullStats := drive(t, false)
-	stream, streamStats := drive(t, true)
-	if full != stream {
-		t.Error("streaming session diverged from the full-tail session")
+	want, seqStats := drive(t)
+	if seqStats.ShardsResolved+seqStats.ShardsReused != 0 {
+		t.Errorf("default session reports a shard split: %+v", seqStats)
 	}
-	if fullStats.ShardsResolved != 4 {
-		t.Errorf("full-tail refresh should resolve all 4 shards, got %+v", fullStats)
+	got, stats := drive(t, wrangle.WithStreamingRefresh())
+	if got != want {
+		t.Error("WithStreamingRefresh without shards diverged from the default session")
 	}
-	if streamStats.ShardsResolved+streamStats.ShardsReused != 4 {
-		t.Errorf("streaming refresh shard split inconsistent: %+v", streamStats)
+	if stats.ShardsResolved+stats.ShardsReused != 0 {
+		t.Errorf("WithStreamingRefresh alone sharded the tail: %+v", stats)
+	}
+	for name, opts := range map[string][]wrangle.Option{
+		"shards only":      {wrangle.WithIntegrationShards(4)},
+		"streaming first":  {wrangle.WithStreamingRefresh(), wrangle.WithIntegrationShards(4)},
+		"streaming second": {wrangle.WithIntegrationShards(4), wrangle.WithStreamingRefresh()},
+	} {
+		got, stats := drive(t, opts...)
+		if got != want {
+			t.Errorf("%s: sharded session diverged from the default session", name)
+		}
+		if stats.ShardsResolved+stats.ShardsReused != 4 || stats.ShardsReused == 0 {
+			t.Errorf("%s: refresh was not a partial tail over 4 shards: %+v", name, stats)
+		}
 	}
 }
