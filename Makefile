@@ -37,16 +37,21 @@ loadtest:
 
 # fuzz runs the equivalence fuzzers briefly — the same smokes CI runs:
 # the sharded-resolve identity, the end-to-end sharded-tail identity
-# (workers × shards vs the sequential oracle), the change-feed resume property (no duplicate, out-of-order
+# (workers × shards vs the sequential oracle), the integer FD kernel vs
+# its string oracle, the carried Prepare + RePlan vs a fresh plan, the
+# change-feed resume property (no duplicate, out-of-order
 # or torn deliveries across arbitrary publish/subscribe/drain/cancel
 # interleavings), and the WAL replay property (arbitrary bytes never
 # panic the reader, corruption is detected, the healed log stays
 # appendable). Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
-# -fuzz=FuzzWatchResume ./internal/serve, -fuzz=FuzzWALReplay
-# ./internal/wal).
+# -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
+# ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
+# -fuzz=FuzzWALReplay ./internal/wal).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
+	$(GO) test -fuzz=FuzzRepairProfile -fuzztime=10s -run=^$$ ./internal/quality
+	$(GO) test -fuzz=FuzzPrepareCarry -fuzztime=10s -run=^$$ ./internal/er
 	$(GO) test -fuzz=FuzzWatchResume -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/wal

@@ -30,12 +30,22 @@
 // that leaves a shard's fused rows unchanged shares that shard's
 // records with the predecessor version, making publication O(changed
 // shard). Their reactions are partial tails: the session memoizes its
-// last integrated tail and the reaction planner (internal/core) diffs the rebuilt union
-// against it — provenance-scoped — re-resolving only dirty components
+// last integrated tail and the reaction planner (internal/core) diffs
+// the rebuilt union against it, re-resolving only dirty components
 // (cached pair scores cover the rest), warm-starting the trust
 // fixpoint and reusing untouched shards' clusters and fused pages by
 // reference, byte-identically to the full recompute; reaction cost
-// scales with the change, not the corpus. The trust fixpoint itself is
+// scales with the change, not the corpus. The tail's front half is
+// O(changed source) on both tails: whatever is a function of one
+// record — the FD profile's cell strings (internal/quality), the
+// resolver's row features (internal/er) — is derived once per source
+// generation, next to the source's mapped table, and dies with it; the
+// union is copy-on-write (unchanged sources contribute their records by
+// reference, FD repair clones before it writes), so record identity is
+// the cache key for "content unchanged"; and what remains global per
+// reaction is integer work — an FD kernel counting dictionary ids, a
+// block index of dense block ids, one sorted packed pair list the
+// re-plan merges deltas into. The trust fixpoint itself is
 // partitioned by trust-coupled connected components
 // (internal/fusion): sources sharing no chain of claim groups iterate
 // independently, so each component converges on its own, fans out

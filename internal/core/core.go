@@ -92,7 +92,13 @@ type sourceState struct {
 	wrapper   *extract.Wrapper // HTML sources only
 	extracted *dataset.Table   // raw extraction
 	mapping   *mapping.Mapping
-	mapped    *dataset.Table // in target schema
+	mapped    *dataset.Table // in target schema; records immutable once installed (the union shares them)
+	// What the integration tail derives from a mapped record alone, computed
+	// once per source generation (derive) instead of once per reaction: the
+	// FD profile's cell strings and the resolver's row features. A refresh
+	// installs a fresh sourceState, so they die with the generation.
+	cells     *quality.Cells
+	feats     *er.Derived
 	quality   mapping.Quality
 	scorecard quality.Scorecard
 	selected  bool
@@ -120,7 +126,11 @@ type RunStats struct {
 	// Duration when chains overlap), "select" covers the merge barrier plus
 	// selection, "integrate" the resolve/fuse tail. Sharded tails
 	// additionally split "integrate" by DAG stage — "replan", "resolve",
-	// "trust", "fuse", "merge". Published snapshot versions carry these,
+	// "trust", "fuse", "merge". Every full tail, sequential or sharded,
+	// also names the steps of its front half (replanSplit): "replan.union",
+	// "replan.fd_repair", "replan.prepare" and "replan.plan" — on sharded
+	// tails they add up to "replan", and none of them is accrued into
+	// "integrate" a second time. Published snapshot versions carry these,
 	// so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
 	// TrustComponents / TrustRecomputed report the component shape of the
@@ -174,26 +184,30 @@ type Wrangler struct {
 	states       map[string]*sourceState
 	resolver     *er.Resolver
 	union        *dataset.Table
-	unionSources []string // per-row source id
-	unionKeys    []string // per-row stable "source#idx" key, interned; rebuilt by buildUnion
-	interner     *intern.Table // run-lifetime interner behind unionKeys and entity ids
+	unionSources []string            // per-row source id
+	unionKeys    []string            // per-row stable "source#idx" key, interned; rebuilt by buildUnion
+	unionIndex   map[string]int      // row key -> union row, cached beside unionKeys
+	unionIDs     []string            // the selected source ids the union was built from, sorted
+	unionStarts  []int               // per unionIDs entry: its first union row
+	fdDict       *quality.Dictionary // ids behind the FD profile; outlives unions so unchanged sources stay translated
+	split        replanSplit         // the last full tail's front half, by step
+	interner     *intern.Table       // run-lifetime interner behind unionKeys and entity ids
 	clusters     *er.Clustering
 	entityIDs    []string // per union row: fused entity id
 	results      []fusion.Result
 	supporters   map[string][]string // lazy (entity,attr) → supporting sources
 	wrangled     *dataset.Table
 	trust        map[string]float64
-	pages        []*shardPage   // sharded tail only: per-shard fused output, immutable once built
-	entityShard  map[string]int // sharded tail only: entity -> owning shard of the last integration
-	rowEntities  []string       // per wrangled-table row: its entity id (rows are entity-sorted)
+	pages        []*shardPage    // sharded tail only: per-shard fused output, immutable once built
+	entityShard  map[string]int  // sharded tail only: entity -> owning shard of the last integration
+	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
-	repairedRows []int          // union rows FD repair touched in the last buildUnion
-	memo         *tailMemo      // sharded tail only: the last integrated tail, diffable
-	dirtySources map[string]bool // sources whose state changed since the memoized tail
+	memo         *tailMemo       // sharded tail only: the last integrated tail, diffable
+	dirtySources map[string]bool // sources installed since the memoized tail; persisted, gates the restore's memo rebuild
 	lastSeq      int
 	lastTrust    fusion.TrustStats // component shape of the last tail's trust estimation
-	log          *DurableLog // durable sessions: every publication appends here
-	met          *pipelineMetrics // nil unless SetMetrics enabled telemetry
+	log          *DurableLog       // durable sessions: every publication appends here
+	met          *pipelineMetrics  // nil unless SetMetrics enabled telemetry
 	LastStats    RunStats
 }
 
@@ -280,6 +294,7 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 		return nil, err
 	}
 	w.LastStats.Stages = stageTimings(g.Timings())
+	w.split.record(w.LastStats.Stages)
 	w.LastStats.Duration = time.Since(start)
 	w.LastStats.TrustComponents = w.lastTrust.Components
 	w.LastStats.TrustRecomputed = w.lastTrust.Recomputed
@@ -470,6 +485,7 @@ func (w *Wrangler) computeSource(s *sources.Source, prev *sourceState, reinduce 
 	// Backfill the freshness column for sources that don't publish one.
 	w.backfillTime(mapped, s)
 	st.mapped = mapped
+	w.derive(st)
 
 	sc, err := quality.Assess(mapped, w.DataCtx.MasterData, w.Config.KeyColumn,
 		w.Config.TimeColumn, sources.AsOf(w.Provider.Clock()), 24*time.Hour, nil)
@@ -510,11 +526,12 @@ func (w *Wrangler) installOutcome(o *sourceOutcome) error {
 		return o.err
 	}
 	w.states[o.id] = o.st
-	// The source's working data diverged from the last integrated tail;
-	// the sharded planner scopes its dirty-row diff to these sources
-	// (cleared when a full tail commits a fresh memo). Accumulating here —
-	// not per reaction — keeps the scope sound even when a reaction
-	// installs some sources and then aborts before its tail.
+	// The source's working data diverged from the last integrated tail
+	// (cleared when a full tail commits a fresh memo). The durable log
+	// persists the set: a restore may only rebuild the memo over a union
+	// no installed-but-never-integrated source has moved away from.
+	// Accumulating here — not per reaction — keeps it sound even when a
+	// reaction installs some sources and then aborts before its tail.
 	if w.IntegrationShards > 0 {
 		if w.dirtySources == nil {
 			w.dirtySources = map[string]bool{}
@@ -639,6 +656,36 @@ func relevanceScore(votes, coverage float64) float64 {
 
 func isNaN(f float64) bool { return f != f }
 
+// derive computes what the integration tail reads off st's mapped records
+// alone. It runs inside computeSource — on the per-source engine fan-out,
+// not the serial tail — and again only for states that arrived without
+// (a restored log's).
+func (w *Wrangler) derive(st *sourceState) {
+	st.cells = quality.EncodeCells(st.mapped)
+	st.feats = w.newResolver().Derive(st.mapped)
+}
+
+func (w *Wrangler) newResolver() *er.Resolver {
+	return er.NewResolver(w.Config.KeyColumn, w.Config.NameColumn, w.Config.SecondaryColumn, w.Config.NumericColumn)
+}
+
+// replanSplit is the wall clock of a full tail's front half, by step:
+// assembling the union, FD profile + repair, resolver hand-over + feedback
+// refinement + Prepare, and constraints + delta + blocking/shard planning.
+type replanSplit struct{ union, fdRepair, prepare, plan time.Duration }
+
+// record names the steps in a stage map; a tail that never built a union
+// (fuse-only) records nothing.
+func (s replanSplit) record(stages map[string]time.Duration) {
+	if s == (replanSplit{}) {
+		return
+	}
+	stages["replan.union"] = s.union
+	stages["replan.fd_repair"] = s.fdRepair
+	stages["replan.prepare"] = s.prepare
+	stages["replan.plan"] = s.plan
+}
+
 // integrate unions selected mapped tables, resolves entities and fuses
 // values into the wrangled table — the sequential integration tail.
 // Sessions configured with IntegrationShards > 0 run the sharded twin
@@ -649,13 +696,16 @@ func (w *Wrangler) integrate() error {
 	if err != nil || empty {
 		return err
 	}
+	start := time.Now()
 	must, cannot := w.pairConstraints()
-	clusters, _, err := w.resolver.ResolveConstrained(w.union, must, cannot)
+	pairs := w.resolver.CandidatePairs(w.union)
+	w.split.plan = time.Since(start)
+	clusters, _, err := w.resolver.ResolvePairs(w.union, pairs, must, cannot)
 	if err != nil {
 		return fmt.Errorf("core: resolve: %w", err)
 	}
 	w.clusters = clusters
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.selectedIDs()), "")
+	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	return w.fuse()
 }
 
@@ -664,18 +714,38 @@ func (w *Wrangler) integrate() error {
 // Corleone-style refinement from pair feedback). It is the shared head of
 // both integration tails. empty reports that there was nothing to
 // integrate — the working data has already been reset to an empty result.
+//
+// The union is copy-on-write: it holds the sources' mapped records by
+// reference, and FD repair replaces a record by a clone before the first
+// cell it rewrites. Union records are therefore immutable once shared,
+// and record identity (&row[0]) means "content unchanged" to everything
+// downstream — the planner's delta, the resolver's seeded derivations —
+// with no memo needed to establish it. Every per-record derivation comes
+// from the source's generation (derive); what stays global here is integer
+// work: assembling the FD profile and interning new records' features.
 func (w *Wrangler) buildUnion() (empty bool, err error) {
+	start := time.Now()
+	w.split = replanSplit{}
 	w.union = dataset.NewTable(w.Config.Target.Clone())
 	w.unionSources = w.unionSources[:0]
-	w.unionKeys = nil // derived from unionSources; rebuilt lazily by rowKeys
-	ids := w.selectedIDs()
-	for _, id := range ids {
+	w.unionKeys, w.unionIndex = nil, nil // derived from unionSources; rebuilt lazily
+	w.unionIDs = w.selectedIDs()
+	w.unionStarts = make([]int, len(w.unionIDs))
+	cells := make([]*quality.Cells, len(w.unionIDs))
+	feats := make([]*er.Derived, len(w.unionIDs))
+	for k, id := range w.unionIDs {
 		st := w.states[id]
+		if st.cells == nil {
+			w.derive(st)
+		}
+		cells[k], feats[k] = st.cells, st.feats
+		w.unionStarts[k] = w.union.Len()
 		for _, r := range st.mapped.Rows() {
-			w.union.Append(r.Clone())
+			w.union.Append(r)
 			w.unionSources = append(w.unionSources, id)
 		}
 	}
+	w.split.union = time.Since(start)
 	if w.union.Len() == 0 {
 		// Everything derived from the previous union goes with it — a
 		// later fuse-only reaction must not find clusters, entity ids or
@@ -699,17 +769,28 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 	// (e.g. sku -> brand) and repair their violations — typos introduced
 	// by individual sources are outvoted by their own key group before
 	// entity resolution sees them (cost-based repair, quality package).
-	// The repaired row indices are kept: FD repair is the one stage that
-	// can rewrite a row whose source did not change, so the planner's
-	// diff must compare exactly these rows (and the previous round's) on
-	// top of the provenance-scoped ones.
-	_, _, repaired, err := quality.ProfileAndRepairRows(w.union, 0.9)
-	if err != nil {
+	// FD repair is the one stage that can rewrite a row whose source did
+	// not change; it does so on a clone, so such a row shows up downstream
+	// as a new record.
+	start = time.Now()
+	if w.fdDict == nil {
+		w.fdDict = quality.NewDictionary(len(w.Config.Target))
+	}
+	if _, _, _, err := quality.RepairProfile(w.union, w.fdDict.Profile(cells...), 0.9); err != nil {
 		return false, fmt.Errorf("core: profile repair: %w", err)
 	}
-	w.repairedRows = repaired
-	w.resolver = er.NewResolver(w.Config.KeyColumn, w.Config.NameColumn, w.Config.SecondaryColumn, w.Config.NumericColumn)
+	w.split.fdRepair = time.Since(start)
+	// The new resolver takes over its predecessor's registries and is
+	// seeded with the sources' derivations: preparing re-derives only the
+	// records FD repair cloned and interns only records it has not seen.
+	start = time.Now()
+	prev := w.resolver
+	w.resolver = w.newResolver()
+	w.resolver.Carry(prev)
+	w.resolver.Seed(feats...)
 	w.applyPairFeedback()
+	w.resolver.Prepare(w.union)
+	w.split.prepare = time.Since(start)
 	return false, nil
 }
 
@@ -784,14 +865,17 @@ func (w *Wrangler) pairConstraints() (must, cannot []er.Pair) {
 // rowKeyIndex maps "sourceID#rowIdxInSource" to union row index; this is
 // the stable row addressing feedback uses. Derived from rowKeys
 // (shard.go) so the one key format serves feedback addressing and shard
-// routing alike.
+// routing alike, and cached beside them: a tail consults it for pair
+// feedback and again for pair constraints. Read-only.
 func (w *Wrangler) rowKeyIndex() map[string]int {
 	keys := w.rowKeys()
-	out := make(map[string]int, len(keys))
-	for i, k := range keys {
-		out[k] = i
+	if w.unionIndex == nil || len(w.unionIndex) != len(keys) {
+		w.unionIndex = make(map[string]int, len(keys))
+		for i, k := range keys {
+			w.unionIndex[k] = i
+		}
 	}
-	return out
+	return w.unionIndex
 }
 
 // RowKey returns the feedback addressing key for union row i.

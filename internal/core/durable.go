@@ -117,17 +117,17 @@ type replayedLog struct {
 
 // loggedVersion is one decoded version record.
 type loggedVersion struct {
-	seq     uint64
-	step    uint64
-	origin  serve.Origin
-	at      time.Time
-	changes serve.ChangeSet
-	trust   map[string]float64
-	sources map[string]SourceReport
+	seq      uint64
+	step     uint64
+	origin   serve.Origin
+	at       time.Time
+	changes  serve.ChangeSet
+	trust    map[string]float64
+	sources  map[string]SourceReport
 	selected []string
-	rep     *report.Report
-	stats   RunStats
-	react   ReactStats
+	rep      *report.Report
+	stats    RunStats
+	react    ReactStats
 
 	// Output payload: mode 1 references shard pages in shard order; mode 0
 	// (sequential or empty tails) carries table, results and entities inline.
@@ -1123,12 +1123,14 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
-	plan, err := w.resolver.PlanShards(w.union, w.IntegrationShards, must, rowKeys)
-	if err != nil || plan.NumShards != len(w.pages) {
+	// No previous plan state: a fresh plan over the union buildUnion just
+	// prepared.
+	rp, err := w.resolver.RePlan(w.union, w.IntegrationShards, must, cannot, rowKeys, nil, nil)
+	if err != nil || rp.Plan.NumShards != len(w.pages) {
 		return
 	}
-	roots := make([]map[int]int, plan.NumShards)
-	for s, rows := range plan.Rows {
+	roots := make([]map[int]int, rp.Plan.NumShards)
+	for s, rows := range rp.Plan.Rows {
 		m := make(map[int]int, len(rows))
 		repOf := map[int]int{}
 		for _, row := range rows {
@@ -1142,7 +1144,7 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 		}
 		roots[s] = m
 	}
-	ps, err := er.BuildPlanState(w.resolver, plan, rowKeys, roots, must, cannot)
+	ps, err := er.BuildPlanState(w.resolver, rp.Plan, rowKeys, roots, must, cannot)
 	if err != nil {
 		return
 	}
@@ -1150,7 +1152,7 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	if parts == nil {
 		return
 	}
-	w.memo = w.newTailMemo(rowKeys, ps, parts, w.pages, nil, lv.trust, lv.fuse)
+	w.memo = w.newTailMemo(ps, parts, w.pages, nil, lv.trust, lv.fuse)
 }
 
 // --- append ---------------------------------------------------------------

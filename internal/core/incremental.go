@@ -53,7 +53,9 @@ type ReactStats struct {
 	// (union build + shard planning or incremental re-plan), "resolve",
 	// "trust" (cluster barrier + trust estimation), "fuse", "merge" — so
 	// published versions attribute exactly where a partial reaction
-	// saved its time. Absent stages did not run.
+	// saved its time. A full tail of either kind also names the steps of
+	// its front half, "replan.union", "replan.fd_repair", "replan.prepare"
+	// and "replan.plan" (see RunStats.Stages). Absent stages did not run.
 	Stages map[string]time.Duration
 }
 

@@ -35,6 +35,7 @@ const (
 	mTrustComps     = "wrangle_trust_components"
 	mTrustReused    = "wrangle_trust_components_reused_total"
 	mTrustIters     = "wrangle_trust_component_iterations"
+	mDerivedRows    = "wrangle_derived_rows"
 )
 
 // trustIterBuckets bounds the per-component fixpoint iteration histogram:
@@ -64,6 +65,7 @@ type pipelineMetrics struct {
 	version        *obs.Gauge
 	trustComps     *obs.Gauge
 	trustReused    *obs.Counter
+	derivedRows    *obs.Gauge
 }
 
 // SetMetrics enables telemetry on the wrangler: pipeline counters and
@@ -95,6 +97,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 		version:        reg.Gauge(mVersion),
 		trustComps:     reg.Gauge(mTrustComps),
 		trustReused:    reg.Counter(mTrustReused),
+		derivedRows:    reg.Gauge(mDerivedRows),
 	}
 	reg.Histogram(mTrustIters, trustIterBuckets())
 	reg.Help(mTasks, "Engine DAG tasks completed (all graphs).")
@@ -106,6 +109,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
 	reg.Help(mTrustReused, "Trust components adopted from the warm memo without re-iterating.")
 	reg.Help(mTrustIters, "Fixpoint iterations per recomputed trust component.")
+	reg.Help(mDerivedRows, "Source rows whose per-record derivations (FD cells, resolver features) are held; they die with their source generation.")
 	w.met = m
 	if w.Serve != nil {
 		w.Serve.Instrument(reg)
@@ -195,4 +199,18 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 	}
 	m.rows.Set(float64(w.wrangled.Len()))
 	m.version.Set(float64(v.Seq()))
+	m.derivedRows.Set(float64(w.derivedRows()))
+}
+
+// derivedRows counts the source rows whose derivations the working data
+// currently holds — one generation per source, so it tracks the universe's
+// size, not the number of refreshes.
+func (w *Wrangler) derivedRows() int {
+	n := 0
+	for _, st := range w.states {
+		if st.feats != nil {
+			n += st.feats.Len()
+		}
+	}
+	return n
 }

@@ -10,16 +10,15 @@ import (
 	"repro/internal/er"
 	"repro/internal/feedback"
 	"repro/internal/fusion"
-	"repro/internal/provenance"
 )
 
 // This file is the reaction planner: the one place that decides, for any
 // incremental reaction (feedback assimilation or source churn), how much
 // of the integration tail must recompute — and executes exactly that.
 // On sharded sessions a full-scope tail diffs the rebuilt union against
-// the memoized previous one (scoped by provenance.Graph.AffectedIDs plus
-// the FD-repair row sets), re-plans incrementally and recomputes only the
-// dirty shards. The contract is strict: the sharded tail is
+// the memoized previous one (record identity first, content where
+// records differ), re-plans incrementally and recomputes only the dirty
+// shards. The contract is strict: the sharded tail is
 // byte-identical to the sequential full recompute, pinned by the
 // internal/wrangletest harness.
 
@@ -41,9 +40,8 @@ const (
 // (the next reaction plans from scratch and re-records it).
 type tailMemo struct {
 	union    *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
-	rowKeys  []string
-	rowIdx   map[string]int  // row key -> previous union row
-	repaired map[string]bool // row keys FD repair touched building that union
+	ids      []string       // the selected sources it was built from, sorted
+	starts   []int          // per ids entry: its first union row
 	plan     *er.PlanState
 	claims   [][]fusion.Claim // per shard, as fused
 	pages    []*shardPage
@@ -126,9 +124,11 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	// non-TruthFinder policy — reports zero components, then snapshot
 	// whatever the tail recorded on the way out.
 	w.lastTrust = fusion.TrustStats{}
+	w.split = replanSplit{}
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
 		stats.TrustRecomputed = w.lastTrust.Recomputed
+		w.split.record(stats.Stages)
 	}()
 	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {
 		// Nothing is integrated, so there are no claims whose trust could
@@ -198,70 +198,42 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	return w.addFuseMergeTasks(g, sr, n, "integrate:cluster")
 }
 
-// unionDelta computes the dirty row-key set of the freshly built union
-// against the memoized one: rows that appeared or disappeared
-// (selection moves, source growth), plus content changes on exactly the
-// rows something could have rewritten — rows of sources whose extraction
-// artefacts provenance marks as affected by the accumulated source
-// changes, and rows FD repair touched in either round. Rows outside
-// that scope kept their mapped values and were repaired in neither
-// round, so their post-repair content is provably unchanged.
-func (w *Wrangler) unionDelta(memo *tailMemo, rowKeys []string) map[string]bool {
-	dirty := map[string]bool{}
-	newIdx := make(map[string]int, len(rowKeys))
-	for i, k := range rowKeys {
-		newIdx[k] = i
-	}
-	for k := range memo.rowIdx {
-		if _, ok := newIdx[k]; !ok {
-			dirty[k] = true
+// unionDelta lists the rows of the freshly built union whose content
+// differs from the same source row's in the memoized union. Both unions
+// are their selected sources' rows in source order, so rows align source
+// by source, position by position; rows beyond the shorter side and rows
+// of sources only one union has appeared or disappeared, which er.RePlan
+// reads off the row keys itself. Record identity short-circuits the
+// compare: an unchanged source contributes the very same records unless
+// FD repair cloned one — in this round or the memoized one — and only
+// those, and the refreshed sources' rows, are compared by value.
+func (w *Wrangler) unionDelta(memo *tailMemo) []int {
+	var dirty []int
+	k := 0
+	for nk, id := range w.unionIDs {
+		for k < len(memo.ids) && memo.ids[k] < id {
+			k++
 		}
-	}
-	for k := range newIdx {
-		if _, ok := memo.rowIdx[k]; !ok {
-			dirty[k] = true
+		if k == len(memo.ids) || memo.ids[k] != id {
+			continue
 		}
-	}
-
-	// Content scope: provenance names the extractions downstream of the
-	// changed sources; FD repair names the rows it rewrote.
-	affected := map[string]bool{}
-	if len(w.dirtySources) > 0 {
-		refs := make([]provenance.Ref, 0, len(w.dirtySources))
-		for id := range w.dirtySources {
-			affected[id] = true
-			refs = append(refs, provenance.Ref{Kind: provenance.KindSource, ID: id})
-		}
-		for _, id := range w.Prov.AffectedIDs(provenance.KindExtraction, refs...) {
-			affected[id] = true
-		}
-	}
-	candidate := map[string]bool{}
-	for i, src := range w.unionSources {
-		if affected[src] {
-			candidate[rowKeys[i]] = true
-		}
-	}
-	for _, row := range w.repairedRows {
-		candidate[rowKeys[row]] = true
-	}
-	for k := range memo.repaired {
-		candidate[k] = true
-	}
-	for k := range candidate {
-		oldRow, ok := memo.rowIdx[k]
-		if !ok {
-			continue // appeared: already dirty
-		}
-		newRow, ok := newIdx[k]
-		if !ok {
-			continue // disappeared: already dirty
-		}
-		if !memo.union.Row(oldRow).Equal(w.union.Row(newRow)) {
-			dirty[k] = true
+		cur := w.union.Rows()[w.unionStarts[nk]:segmentEnd(w.unionStarts, nk, w.union.Len())]
+		old := memo.union.Rows()[memo.starts[k]:segmentEnd(memo.starts, k, memo.union.Len())]
+		for i := 0; i < len(cur) && i < len(old); i++ {
+			if &cur[i][0] != &old[i][0] && !cur[i].Equal(old[i]) {
+				dirty = append(dirty, w.unionStarts[nk]+i)
+			}
 		}
 	}
 	return dirty
+}
+
+// segmentEnd returns where segment k of a union of n rows ends.
+func segmentEnd(starts []int, k, n int) int {
+	if k+1 < len(starts) {
+		return starts[k+1]
+	}
+	return n
 }
 
 // shardFuseReusable reports whether shard i's memoized page is provably
@@ -319,28 +291,19 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		w.memo = nil
 		return
 	}
-	w.memo = w.newTailMemo(sr.rowKeys, ps, sr.claims, sr.pages, sr.trustMemo, sr.opts.Trust, newFuseSig(sr.opts))
+	w.memo = w.newTailMemo(ps, sr.claims, sr.pages, sr.trustMemo, sr.opts.Trust, newFuseSig(sr.opts))
 	w.dirtySources = nil
 }
 
-// newTailMemo assembles the diff baseline over the current union: the
-// row-key index and the FD-repaired key set are derived here, so the live
-// merge and the durable restore cannot record differently shaped memos.
-func (w *Wrangler) newTailMemo(rowKeys []string, plan *er.PlanState, claims [][]fusion.Claim, pages []*shardPage,
+// newTailMemo assembles the diff baseline over the current union, so the
+// live merge and the durable restore cannot record differently shaped
+// memos.
+func (w *Wrangler) newTailMemo(plan *er.PlanState, claims [][]fusion.Claim, pages []*shardPage,
 	trust *fusion.TrustMemo, trustMap map[string]float64, fuse fuseSig) *tailMemo {
-	rowIdx := make(map[string]int, len(rowKeys))
-	for i, k := range rowKeys {
-		rowIdx[k] = i
-	}
-	repaired := make(map[string]bool, len(w.repairedRows))
-	for _, row := range w.repairedRows {
-		repaired[rowKeys[row]] = true
-	}
 	return &tailMemo{
 		union:    w.union,
-		rowKeys:  rowKeys,
-		rowIdx:   rowIdx,
-		repaired: repaired,
+		ids:      w.unionIDs,
+		starts:   w.unionStarts,
 		plan:     plan,
 		claims:   claims,
 		pages:    pages,

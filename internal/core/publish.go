@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -82,7 +83,7 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 		React:    react.Clone(),
 		Trust:    maps.Clone(w.trust),
 		Sources:  w.Snapshot(),
-		Selected: w.selectedIDs(),
+		Selected: slices.Clone(w.unionIDs), // what the tail integrated; collected once, by buildUnion
 		Entities: append([]string(nil), w.rowEntities...),
 	}
 	v := w.Serve.Publish(pub, w.Prov.Step(), origin, time.Now(), w.lastChange)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -137,11 +138,11 @@ func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps 
 }
 
 // shardPlanStage builds the union (shared head with the sequential tail:
-// FD repair, resolver refinement from feedback) and partitions it into
-// blocking shards. Cross-shard blocks cannot exist by construction: the
-// plan routes whole block-connected components, keyed by their smallest
-// stable row key, to a deterministic owner shard. The partition is
-// computed incrementally: the dirty-row diff against the memoized union
+// FD repair, resolver refinement from feedback, Prepare) and partitions it
+// into blocking shards. Cross-shard blocks cannot exist by construction:
+// the plan routes whole block-connected components, keyed by their
+// smallest stable row key, to a deterministic owner shard. The partition
+// is computed incrementally: the dirty-row diff against the memoized union
 // drives er.RePlan, which re-blocks only changed rows and hands back the
 // previous clusters of every shard the delta provably did not touch.
 // Without a memo (a run, or after a failed tail invalidated it) RePlan
@@ -156,19 +157,21 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 		sr.empty = true
 		return nil
 	}
+	start := time.Now()
 	sr.must, sr.cannot = w.pairConstraints()
 	sr.rowKeys = w.rowKeys()
 	sr.pages = make([]*shardPage, n)
-	var dirty map[string]bool
+	var dirty []int
 	var prevPlan *er.PlanState
 	if w.memo != nil {
-		dirty = w.unionDelta(w.memo, sr.rowKeys)
+		dirty = w.unionDelta(w.memo)
 		prevPlan = w.memo.plan
 	}
 	sr.rp, err = w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
+	w.split.plan = time.Since(start)
 	if err != nil {
-		// Same wrapping as the sequential tail's ResolveConstrained
-		// failure: a misconfigured resolver fails identically either way.
+		// Same wrapping as the sequential tail's resolve failure: a
+		// misconfigured resolver fails identically either way.
 		return fmt.Errorf("core: resolve: %w", err)
 	}
 	// Reused shards' clusters carried over whole; the others' slots hold
@@ -212,7 +215,7 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 		return err
 	}
 	w.clusters = clusters
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.selectedIDs()), "")
+	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	w.entityIDs = w.entityNames()
 	// An entity's claims fuse in its owning shard: the shard of its first
 	// union row. Clusters never span shards, but two clusters in

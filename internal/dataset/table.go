@@ -198,6 +198,12 @@ func (t *Table) Set(i int, name string, v Value) bool {
 	return true
 }
 
+// ReplaceRow swaps row i's record for r, which must have the schema's
+// arity, without writing through the old one — the copy-on-write step for
+// tables whose records are shared with other tables: clone, replace, then
+// mutate the clone.
+func (t *Table) ReplaceRow(i int, r Record) { t.rows[i] = r }
+
 // Project returns a new table containing only the named columns, in the
 // given order. Unknown column names yield an error.
 func (t *Table) Project(names ...string) (*Table, error) {

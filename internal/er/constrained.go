@@ -19,18 +19,25 @@ import (
 // byte-identical to sequential" from being two implementations agreeing
 // by luck.
 func (r *Resolver) ResolveConstrained(t *dataset.Table, must, cannot []Pair) (*Clustering, int, error) {
+	r.Prepare(t)
+	return r.ResolvePairs(t, r.CandidatePairs(t), must, cannot)
+}
+
+// ResolvePairs is ResolveConstrained's clustering over candidate pairs
+// the caller enumerated (CandidatePairs) — for callers that prepare and
+// block as steps of their own, to time or reuse them.
+func (r *Resolver) ResolvePairs(t *dataset.Table, pairs, must, cannot []Pair) (*Clustering, int, error) {
 	if t.Len() == 0 {
 		return &Clustering{}, 0, nil
 	}
 	if r.NameColumn == "" && r.KeyColumn == "" {
 		return nil, 0, fmt.Errorf("er: resolver needs at least a key or name column")
 	}
-	r.Prepare(t)
 	rows := make([]int, t.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	roots, conflicts := r.resolveRows(t, rows, r.CandidatePairs(t), must, cannot)
+	roots, conflicts := r.resolveRows(t, rows, pairs, must, cannot)
 	// Dense cluster ids by first appearance in row order.
 	ids := map[int]int{}
 	assign := make([]int, t.Len())

@@ -8,7 +8,6 @@ package er
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/text"
@@ -40,11 +39,15 @@ type Resolver struct {
 	BlockGramSize int // q for blocking grams (default 3)
 	MaxBlockSize  int // blocks larger than this are skipped (default 60)
 
-	// prep is the per-row precomputed feature state (prep.go): built once
-	// per table by Prepare (the resolve entry points call it), read-only
-	// during the shard fan-out, ignored whenever the table or the
-	// configuration above no longer matches it.
-	prep *tableFeatures
+	// prep is the prepared feature state (prep.go): built once per table by
+	// Prepare (the resolve entry points call it), read-only during the
+	// shard fan-out, ignored whenever the table or the configuration above
+	// no longer matches it. carry and seeds are what the next Prepare
+	// starts from: a predecessor's registries (Carry) and per-record
+	// derivations computed where the records were produced (Seed).
+	prep  *tableFeatures
+	carry *registry
+	seeds []*Derived
 }
 
 // NewResolver returns a resolver with sensible default weights for product
@@ -86,22 +89,24 @@ func (r *Resolver) Features(t *dataset.Table, i, j int) []float64 {
 func (r *Resolver) featuresInto(t *dataset.Table, i, j int, f []float64, sc *text.Scratch) {
 	f[0], f[1], f[2], f[3] = Missing, Missing, Missing, Missing
 	if p := r.prep; p.valid(r, t) {
-		a, b := &p.rows[i], &p.rows[j]
+		// Equal ids are equal normalised strings: both sides were interned
+		// by the one registry.
+		a, b := p.rows[i], p.rows[j]
 		if a.keyOK && b.keyOK {
-			if a.key == b.key {
+			if a.keyBlock == b.keyBlock {
 				f[0] = 1
 			} else {
 				f[0] = 0
 			}
 		}
 		if a.nameOK && b.nameOK {
-			f[1] = p.nameSim(a.nameID, b.nameID, sc)
+			f[1] = p.reg.nameSim(a.nameID, b.nameID, sc)
 		}
 		if a.secOK && b.secOK {
-			if a.sec == b.sec {
+			if a.secID == b.secID {
 				f[2] = 1
 			} else {
-				f[2] = p.secSim(a.secID, b.secID, sc)
+				f[2] = p.reg.secSim(a.secID, b.secID, sc)
 			}
 		}
 		if a.numOK && b.numOK {
@@ -193,104 +198,37 @@ func (r *Resolver) Score(features []float64) float64 {
 	return s / wsum
 }
 
-// blockKeysOf returns the block keys row i contributes to: its
-// normalised key value plus each distinct q-gram of each name token —
-// exactly the keys CandidatePairs blocks on, factored out so the
-// incremental re-plan (replan.go) re-blocks a changed row identically.
-func (r *Resolver) blockKeysOf(t *dataset.Table, i int) []string {
-	if p := r.prep; p.valid(r, t) {
-		// Precomputed once per union build; callers treat the slice as
-		// read-only.
-		return p.rows[i].blockKeys
-	}
-	var keys []string
-	if r.KeyColumn != "" {
-		if v := t.Get(i, r.KeyColumn); !v.IsNull() {
-			keys = append(keys, "k:"+text.Normalize(v.String()))
-		}
-	}
-	if r.NameColumn != "" {
-		if v := t.Get(i, r.NameColumn); !v.IsNull() {
-			seen := map[string]bool{}
-			for _, tok := range text.Tokenize(v.String()) {
-				for _, g := range text.QGrams(tok, r.BlockGramSize) {
-					key := "g:" + g
-					if !seen[key] {
-						seen[key] = true
-						keys = append(keys, key)
-					}
-				}
-			}
-		}
-	}
-	return keys
-}
-
 // CandidatePairs blocks the table on name q-grams (plus exact keys) and
-// returns the deduplicated candidate pairs. Blocking keeps the candidate
-// set near-linear instead of quadratic; oversized blocks (stop-gram
-// effects) are skipped.
+// returns the deduplicated candidate pairs, sorted by (I, J). Blocking
+// keeps the candidate set near-linear instead of quadratic; oversized
+// blocks (stop-gram effects) are skipped. It is the block index's
+// enumeration (replan.go) — the same one shard planning runs.
 func (r *Resolver) CandidatePairs(t *dataset.Table) []Pair {
-	blocks := map[string][]int{}
-	for i := 0; i < t.Len(); i++ {
-		for _, k := range r.blockKeysOf(t, i) {
-			blocks[k] = append(blocks[k], i)
-		}
-	}
-	keys := make([]string, 0, len(blocks))
-	total := 0
-	for k, rows := range blocks {
-		keys = append(keys, k)
-		if n := len(rows); n >= 2 && n <= r.MaxBlockSize {
-			total += n * (n - 1) / 2
-		}
-	}
-	sort.Strings(keys)
-	// One slab for every block's pairs, then sort + compact in place —
-	// identical output to the map-based dedup without its per-insert
-	// allocations.
-	out := make([]Pair, 0, total)
-	for _, k := range keys {
-		rows := blocks[k]
-		if len(rows) < 2 || len(rows) > r.MaxBlockSize {
-			continue
-		}
-		for a := 0; a < len(rows); a++ {
-			for b := a + 1; b < len(rows); b++ {
-				p := Pair{I: rows[a], J: rows[b]}
-				if p.I > p.J {
-					p.I, p.J = p.J, p.I
-				}
-				out = append(out, p)
-			}
-		}
-	}
-	return sortDedupPairs(out)
+	return unpackPairs(buildBlockIndex(r.prepared(t)).pairs(r.MaxBlockSize))
 }
 
-// sortDedupPairs sorts pairs by (I, J) and removes duplicates in place —
-// the shared tail of the two blocking enumerations (CandidatePairs and
-// blockIndex.pairs), whose output order is part of the determinism
-// contract.
-func sortDedupPairs(out []Pair) []Pair {
-	// Row indices are non-negative and well under 2³¹, so (I, J) packs
-	// into one int64 whose integer order is exactly the (I, J) lexical
-	// order — and the specialized integer sort avoids the per-comparison
-	// function calls that made the generic sort ~15% of the tail's CPU.
-	packed := make([]int64, len(out))
-	for i, p := range out {
-		packed[i] = int64(p.I)<<32 | int64(p.J)
-	}
-	slices.Sort(packed)
-	j := 0
+// A candidate pair (I < J) packs into one int64 whose integer order is
+// exactly the (I, J) lexical order: row indices are non-negative and well
+// under 2³¹. Pair lists are kept packed wherever they are sorted, merged
+// or searched — the specialized integer sort avoids the per-comparison
+// function calls that made the generic sort ~15% of the tail's CPU.
+func packPair(i, j int32) int64 { return int64(i)<<32 | int64(j) }
+
+func unpackPair(v int64) Pair { return Pair{I: int(v >> 32), J: int(v & 0xffffffff)} }
+
+func unpackPairs(packed []int64) []Pair {
+	out := make([]Pair, len(packed))
 	for i, v := range packed {
-		if i > 0 && v == packed[i-1] {
-			continue
-		}
-		out[j] = Pair{I: int(v >> 32), J: int(v & 0xffffffff)}
-		j++
+		out[i] = unpackPair(v)
 	}
-	return out[:j]
+	return out
+}
+
+// sortDedup sorts packed pairs and removes duplicates in place; the
+// resulting order is part of the determinism contract.
+func sortDedup(packed []int64) []int64 {
+	slices.Sort(packed)
+	return slices.Compact(packed)
 }
 
 // Clustering is a partition of table rows into entities.

@@ -2,104 +2,128 @@ package er
 
 import (
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/text"
 )
 
-// This file is the incremental half of shard planning: a completed
-// plan+resolve round is memoized as a PlanState (block index, per-shard
-// inputs and clusters, all keyed by stable row keys), and RePlan folds a
-// delta into it — only the dirty rows re-block and re-route, and every
-// shard whose resolve inputs are provably unchanged skips ResolveShard
-// entirely, its previous clusters translated to the new row numbering by
-// reference. The contract is the same strict one the sharded tail
-// carries: a re-planned round is byte-identical to a fresh PlanShards +
-// full resolve over the new table. The reuse argument: a shard's resolve
-// output is a function of its rows' values, its candidate pairs, the
-// constraints that touch it and the scoring rule; pairs only change
-// inside blocks whose membership changed, and block membership only
-// changes for re-blocked (dirty) rows — so a shard with no dirty row, no
-// touched block, no changed constraint and an unchanged rule must
-// resolve to exactly the clusters it had.
+// This file is the block index and the incremental half of shard
+// planning. Everything in it is integers: block keys are the registry's
+// dense block ids (prep.go), rows are their index in the round's table,
+// a block is the ascending []int32 of its member rows, and the candidate
+// pair list is one sorted []int64 of packed (I, J). One enumerator —
+// blockIndex.pairs, per block blockPairs — serves CandidatePairs, a fresh
+// PlanShards and the re-plan alike.
+//
+// A completed plan+resolve round is memoized as a PlanState (block
+// members, the sorted pair list with the score of every pair scored, each
+// row's cluster representative and shard), and RePlan folds a delta into
+// it. The two rounds' rows are aligned by their stable row keys into a
+// remap old row -> new row; the pipeline's union keeps surviving rows in
+// order, so the remap is monotone and a remapped sorted pair list is
+// still sorted. Only rows whose blocking evidence changed edit their
+// blocks' member lists, only touched blocks re-emit pairs, and those
+// merge into the remapped previous list. Every shard whose resolve inputs
+// are provably unchanged skips ResolveShard entirely, its previous
+// clusters translated to the new numbering. The contract is the same
+// strict one the sharded tail carries: a re-planned round is
+// byte-identical to a fresh PlanShards + full resolve over the new table
+// (FuzzPrepareCarry, wrangletest.CheckStreamingRePlan). The reuse
+// argument: a shard's resolve output is a function of its rows' values,
+// its candidate pairs, the constraints that touch it and the scoring
+// rule; pairs only change inside blocks whose membership changed, and
+// block membership only changes for re-blocked (dirty) rows — so a shard
+// with no dirty row, no touched block, no changed constraint and an
+// unchanged rule must resolve to exactly the clusters it had.
 
-// blockIndex is the blocking state keyed by stable row key, so it
-// survives row-index shifts between reactions.
+// blockIndex is the blocking state of one prepared table: per block id
+// the ascending rows that carry the key. Block ids belong to reg.
 type blockIndex struct {
-	blocks    map[string]map[string]bool // block key -> member row keys
-	rowBlocks map[string][]string        // row key -> block keys it is in
+	reg     *registry
+	members [][]int32 // indexed by block id; ids the registry issued later are absent
 }
 
-// buildBlockIndex blocks every row of the table, keyed by key(i).
-func (r *Resolver) buildBlockIndex(t *dataset.Table, key func(int) string) *blockIndex {
-	idx := &blockIndex{
-		blocks:    map[string]map[string]bool{},
-		rowBlocks: map[string][]string{},
+// of returns block b's members (nil for a block the index predates).
+func (idx *blockIndex) of(b int32) []int32 {
+	if int(b) < len(idx.members) {
+		return idx.members[b]
 	}
-	for i := 0; i < t.Len(); i++ {
-		rk := key(i)
-		bks := r.blockKeysOf(t, i)
-		idx.rowBlocks[rk] = bks
-		for _, bk := range bks {
-			if idx.blocks[bk] == nil {
-				idx.blocks[bk] = map[string]bool{}
-			}
-			idx.blocks[bk][rk] = true
+	return nil
+}
+
+// buildBlockIndex blocks every row of the prepared table. Member lists
+// are carved out of one slab.
+func buildBlockIndex(p *tableFeatures) *blockIndex {
+	n := int(p.reg.nBlocks)
+	sizes := make([]int32, n)
+	total := 0
+	for i := range p.rows {
+		key, grams := p.blocks(i)
+		if key >= 0 {
+			sizes[key]++
+			total++
+		}
+		for _, b := range grams {
+			sizes[b]++
+		}
+		total += len(grams)
+	}
+	slab := make([]int32, total)
+	members := make([][]int32, n)
+	off := 0
+	for b, sz := range sizes {
+		members[b] = slab[off : off : off+int(sz)]
+		off += int(sz)
+	}
+	for i := range p.rows {
+		key, grams := p.blocks(i)
+		if key >= 0 {
+			members[key] = append(members[key], int32(i))
+		}
+		for _, b := range grams {
+			members[b] = append(members[b], int32(i))
 		}
 	}
-	return idx
+	return &blockIndex{reg: p.reg, members: members}
 }
 
-// pairs enumerates the candidate pairs of the index — byte-identical to
-// CandidatePairs over the same rows: blocks visited in sorted key order,
-// oversized blocks skipped, pairs deduplicated and sorted by (I, J).
-func (idx *blockIndex) pairs(rowIdx map[string]int, maxBlock int) ([]Pair, error) {
-	keys := make([]string, 0, len(idx.blocks))
+// usableBlock reports whether a block of sz members emits pairs: a lone
+// row has no partner, and an oversized block (a stop-gram) is skipped.
+func usableBlock(sz, maxBlock int) bool { return sz >= 2 && sz <= maxBlock }
+
+// blockPairs appends every pair of one block's (ascending) members.
+func blockPairs(out []int64, members []int32) []int64 {
+	for a, i := range members {
+		for _, j := range members[a+1:] {
+			out = append(out, packPair(i, j))
+		}
+	}
+	return out
+}
+
+// pairs enumerates the candidate pairs of the index: every pair of every
+// usable block, deduplicated, sorted by (I, J).
+func (idx *blockIndex) pairs(maxBlock int) []int64 {
 	total := 0
-	for k, set := range idx.blocks {
-		keys = append(keys, k)
-		if n := len(set); n >= 2 && n <= maxBlock {
+	for _, m := range idx.members {
+		if n := len(m); usableBlock(n, maxBlock) {
 			total += n * (n - 1) / 2
 		}
 	}
-	sort.Strings(keys)
-	// One slab for every block's pairs, then the shared sort + in-place
-	// compact (sortDedupPairs) — the same output the map-based dedup
-	// produced, without its per-insert allocations.
-	out := make([]Pair, 0, total)
-	var member []int
-	for _, k := range keys {
-		set := idx.blocks[k]
-		if len(set) < 2 || len(set) > maxBlock {
-			continue
-		}
-		member = member[:0]
-		for rk := range set {
-			i, ok := rowIdx[rk]
-			if !ok {
-				return nil, fmt.Errorf("er: block index references unknown row key %q", rk)
-			}
-			member = append(member, i)
-		}
-		for a := 0; a < len(member); a++ {
-			for b := a + 1; b < len(member); b++ {
-				p := Pair{I: member[a], J: member[b]}
-				if p.I > p.J {
-					p.I, p.J = p.J, p.I
-				}
-				out = append(out, p)
-			}
+	// One slab for every block's pairs, then sort + compact in place.
+	out := make([]int64, 0, total)
+	for _, m := range idx.members {
+		if usableBlock(len(m), maxBlock) {
+			out = blockPairs(out, m)
 		}
 	}
-	return sortDedupPairs(out), nil
+	return sortDedup(out)
 }
 
 // PlanState memoizes one completed plan+resolve round for incremental
-// re-planning. Everything is keyed by stable row keys, so the state stays
-// valid when other sources' row counts shift the global numbering.
+// re-planning, in that round's row numbering; rowKeys carries the stable
+// keys the next round aligns its rows by.
 type PlanState struct {
 	shards int
 
@@ -112,36 +136,44 @@ type PlanState struct {
 	keyCol, nameCol string
 	gram, maxBlock  int
 
-	idx        *blockIndex
-	shardRoots []map[string]string // per shard: row key -> representative row key
-	must       [][2]string         // canonical constraint pairs, sorted
-	cannot     [][2]string
-	// scores caches the rule score of every pair scored under this state's
-	// rule, keyed by canonical row-key pair. A pair's score depends only on
-	// its two rows' values, so entries stay bit-valid until an endpoint's
-	// content changes — the next round's resolve recomputes only
-	// dirty-incident pairs. nil after a full (non-streaming) round; the
-	// first streaming reaction then scores once and seeds it.
-	scores map[pairKey]float64
+	rowKeys  []string
+	feat     []*rowFeatures // per row; its block ids are reg's
+	idx      *blockIndex
+	rowShard []int   // per row: owner shard
+	roots    []int32 // per row: its cluster's representative (smallest member row)
+	must     []int64 // canonical constraint pairs, packed, sorted
+	cannot   []int64
+	pairs    []int64 // the round's candidate pairs
+	// scores[k] is pairs[k]'s score under the snapshot rule, unscored when
+	// negative (a restored or never-resolved round). A pair's score depends
+	// only on its two rows' values, so entries stay bit-valid until an
+	// endpoint's content changes — the next round's resolve recomputes only
+	// dirty-incident pairs.
+	scores []float64
 }
 
-// pairKey is a candidate pair as canonical (smaller, larger) row keys —
-// stable across row-index shifts.
-type pairKey [2]string
-
-func pairKeyOf(rowKeys []string, p Pair) pairKey {
-	a, b := rowKeys[p.I], rowKeys[p.J]
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
+// unscored marks a pair no resolve has scored under the current rule;
+// real scores lie in [0, 1].
+const unscored = -1
 
 // BuildPlanState captures a completed round: the plan (with its block
-// index), the per-shard resolve roots, and the constraints, all
-// translated to row keys. rowKeys must be the stable keys the plan was
-// built with.
+// index and pair list) and the per-shard resolve roots. rowKeys must be
+// the stable keys the plan was built with. No pair counts as scored; a
+// round resolved through RePlanned commits its scores with Commit.
 func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[int]int, must, cannot []Pair) (*PlanState, error) {
+	return buildPlanState(r, plan, rowKeys, roots, must, cannot, noScores(len(plan.pairs)))
+}
+
+// noScores returns n unscored entries.
+func noScores(n int) []float64 {
+	out := make([]float64, n)
+	for k := range out {
+		out[k] = unscored
+	}
+	return out
+}
+
+func buildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[int]int, must, cannot []Pair, scores []float64) (*PlanState, error) {
 	if plan.idx == nil {
 		return nil, fmt.Errorf("er: plan carries no block index")
 	}
@@ -149,52 +181,46 @@ func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[
 		return nil, fmt.Errorf("er: %d row keys for a %d-row plan", len(rowKeys), len(plan.RowShard))
 	}
 	st := &PlanState{
-		shards:     plan.NumShards,
-		weights:    slices.Clone(r.Weights),
-		threshold:  r.Threshold,
-		keyCol:     r.KeyColumn,
-		nameCol:    r.NameColumn,
-		gram:       r.BlockGramSize,
-		maxBlock:   r.MaxBlockSize,
-		idx:        plan.idx,
-		shardRoots: make([]map[string]string, plan.NumShards),
-		must:       canonPairs(must, rowKeys),
-		cannot:     canonPairs(cannot, rowKeys),
+		shards:    plan.NumShards,
+		weights:   slices.Clone(r.Weights),
+		threshold: r.Threshold,
+		keyCol:    r.KeyColumn,
+		nameCol:   r.NameColumn,
+		gram:      r.BlockGramSize,
+		maxBlock:  r.MaxBlockSize,
+		rowKeys:   rowKeys,
+		feat:      plan.feat,
+		idx:       plan.idx,
+		rowShard:  plan.RowShard,
+		roots:     make([]int32, len(plan.RowShard)),
+		must:      canonPairs(must, len(rowKeys)),
+		cannot:    canonPairs(cannot, len(rowKeys)),
+		pairs:     plan.pairs,
+		scores:    scores,
 	}
 	for s, rows := range plan.Rows {
-		rt := make(map[string]string, len(rows))
 		for _, row := range rows {
 			root, ok := roots[s][row]
 			if !ok {
 				return nil, fmt.Errorf("er: shard %d roots miss row %d", s, row)
 			}
-			rt[rowKeys[row]] = rowKeys[root]
+			st.roots[row] = int32(root)
 		}
-		st.shardRoots[s] = rt
 	}
 	return st, nil
 }
 
-// canonPairs renders constraint pairs as ordered row-key pairs, sorted —
-// the representation two rounds' constraints are diffed in.
-func canonPairs(ps []Pair, rowKeys []string) [][2]string {
-	out := make([][2]string, 0, len(ps))
+// canonPairs renders constraint pairs packed (smaller row first), sorted,
+// invalid ones dropped — the representation two rounds' constraints are
+// diffed in.
+func canonPairs(ps []Pair, rows int) []int64 {
+	out := make([]int64, 0, len(ps))
 	for _, p := range ps {
-		if !validPair(p, len(rowKeys)) || p.I == p.J {
-			continue
+		if validPair(p, rows) {
+			out = append(out, packPair(int32(min(p.I, p.J)), int32(max(p.I, p.J))))
 		}
-		a, b := rowKeys[p.I], rowKeys[p.J]
-		if a > b {
-			a, b = b, a
-		}
-		out = append(out, [2]string{a, b})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	slices.Sort(out)
 	return out
 }
 
@@ -203,8 +229,8 @@ func canonPairs(ps []Pair, rowKeys []string) [][2]string {
 // (Roots, complete for every clean component) and the residue that still
 // needs scoring (DirtyRows / DirtyPairs). A shard with no dirty
 // components is marked Reused and skips resolution entirely; a mixed
-// shard resolves only its dirty components' rows via ResolveShardRows
-// and merges them with the pre-filled Roots.
+// shard resolves only its dirty components' rows via ResolveDirty and
+// merges them with the pre-filled Roots.
 type RePlanned struct {
 	Plan *ShardPlan
 	// Reused marks shards with no dirty component: Roots is complete and
@@ -217,122 +243,231 @@ type RePlanned struct {
 	// (ascending); DirtyPairs their candidate pairs, in plan order.
 	DirtyRows  [][]int
 	DirtyPairs [][]Pair
-	// AffectedRows counts the rows the delta touched (dirty rows plus
-	// rows sharing a changed block or constraint) — the dirty frontier.
-	// ReusedComponents / DirtyComponents split the plan's components.
-	AffectedRows     int
-	ReusedComponents int
-	DirtyComponents  int
 
-	rowKeys []string
-	// prevScores is the still-valid slice of the previous round's score
-	// cache: entries whose endpoints' content did not change. Read-only
-	// during the resolve fan-out.
-	prevScores map[pairKey]float64
-	// shardScores collects the scores each shard's resolve computed fresh
-	// this round — one map per shard, single-writer, folded into the next
-	// PlanState by Commit.
-	shardScores []map[pairKey]float64
+	// dirtyPairIdx[s][k] is DirtyPairs[s][k]'s position in Plan.pairs, and
+	// so in scores: the carried-over score of every pair whose endpoints'
+	// content did not change, unscored elsewhere. Each shard's resolve
+	// fills in the positions of its own dirty pairs — disjoint writes, so
+	// the fan-out needs no lock — and Commit memoizes the lot.
+	dirtyPairIdx [][]int32
+	scores       []float64
 }
 
-// ReusedShards counts the shards whose clusters were reused whole.
-func (rp *RePlanned) ReusedShards() int {
-	n := 0
-	for _, r := range rp.Reused {
-		if r {
-			n++
+// alignRows maps the previous round's rows onto the new round's by stable
+// row key: old2new[j] is old row j's new index, new2old[i] the reverse,
+// -1 for rows that disappeared or appeared. ok is false when the keys
+// cannot carry a sorted pair list across — a key repeats, or surviving
+// rows changed their relative order.
+func alignRows(oldKeys, newKeys []string) (old2new, new2old []int32, ok bool) {
+	old2new, new2old = make([]int32, len(oldKeys)), make([]int32, len(newKeys))
+	same := len(oldKeys) == len(newKeys)
+	for i := 0; same && i < len(newKeys); i++ {
+		// Interned keys compare by pointer first: unshifted rounds — a
+		// refresh that kept every source's row count — pay one pass.
+		same = oldKeys[i] == newKeys[i]
+	}
+	if same {
+		for i := range new2old {
+			old2new[i], new2old[i] = int32(i), int32(i)
+		}
+		return old2new, new2old, true
+	}
+	byKey := make(map[string]int32, len(oldKeys))
+	for j, k := range oldKeys {
+		byKey[k] = int32(j)
+	}
+	if len(byKey) != len(oldKeys) {
+		return nil, nil, false
+	}
+	for j := range old2new {
+		old2new[j] = -1
+	}
+	last := int32(-1)
+	for i, k := range newKeys {
+		j, found := byKey[k]
+		if !found {
+			new2old[i] = -1
+			continue
+		}
+		if j <= last {
+			return nil, nil, false // reordered, or the key repeats in newKeys
+		}
+		last = j
+		old2new[j], new2old[i] = int32(i), j
+	}
+	return old2new, new2old, true
+}
+
+// sameBlocks reports whether two interned rows are members of the same
+// block set. Equal key and name ids are the fast path; distinct names can
+// still share their gram set (reordered tokens), so the slow path
+// compares sets.
+func sameBlocks(reg *registry, a, b *rowFeatures) bool {
+	if a.keyBlock != b.keyBlock {
+		return false
+	}
+	if a.nameID == b.nameID {
+		return true
+	}
+	var ga, gb []int32
+	if a.nameID >= 0 {
+		ga = reg.nameBlocks[a.nameID]
+	}
+	if b.nameID >= 0 {
+		gb = reg.nameBlocks[b.nameID]
+	}
+	if len(ga) != len(gb) {
+		return false
+	}
+	for _, x := range ga {
+		if !containsBlock(gb, x) {
+			return false
 		}
 	}
-	return n
+	return true
 }
 
-// RePlan incrementally re-plans after a delta. dirty holds the row keys
-// whose content changed — including keys that appeared or disappeared —
-// relative to the round prev memoizes; rowKeys are the new table's stable
-// keys (required, one per row). Only dirty rows are re-blocked; pairs,
-// components and shard routing are reassembled from the updated index
-// exactly as PlanShards would build them from scratch. A block-connected
-// component untouched by the delta — no dirty row, no changed block, no
-// changed constraint, unchanged scoring rule — keeps its owner shard and
-// its previous clusters, translated to the new numbering without scoring
-// a single pair; only dirty components' rows remain to be resolved.
+// RePlan incrementally re-plans after a delta. rowKeys are the new
+// table's stable keys (required, one per row); dirty lists the new rows
+// whose content changed relative to the round prev memoizes — rows whose
+// key prev does not know are dirty by themselves, and rows prev knows
+// that rowKeys no longer names have disappeared. Only rows whose blocking
+// evidence changed are re-blocked; pairs, components and shard routing
+// come out exactly as PlanShards would build them from scratch. A
+// block-connected component untouched by the delta — no dirty row, no
+// changed block, no changed constraint, unchanged scoring rule — keeps
+// its owner shard and its previous clusters, translated to the new
+// numbering without scoring a single pair; only dirty components' rows
+// remain to be resolved.
 //
-// When prev is nil or was built under different blocking parameters or a
-// different shard count, RePlan degrades to a fresh PlanShards with no
+// RePlan uses the state Prepare installed for t (preparing itself when
+// there is none). When prev is nil, was built under different blocking
+// parameters, another shard count or another registry, or its row keys
+// cannot be aligned with rowKeys, RePlan degrades to a fresh plan with no
 // reuse — never an error, so callers need no fallback path of their own.
-func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys []string, dirty map[string]bool, prev *PlanState) (*RePlanned, error) {
+func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys []string, dirty []int, prev *PlanState) (*RePlanned, error) {
 	if len(rowKeys) != t.Len() {
 		return nil, fmt.Errorf("er: %d row keys for a %d-row table", len(rowKeys), t.Len())
+	}
+	if r.NameColumn == "" && r.KeyColumn == "" {
+		return nil, fmt.Errorf("er: resolver needs at least a key or name column")
 	}
 	if n < 1 {
 		n = 1
 	}
-	if prev == nil || prev.shards != n || !prev.blockCompatible(r) {
-		plan, err := r.PlanShards(t, n, must, rowKeys)
-		if err != nil {
-			return nil, err
+	if !r.prep.valid(r, t) {
+		r.Prepare(t)
+	}
+	p := r.prep
+	fresh := func() (*RePlanned, error) {
+		return freshRePlanned(planPrepared(p, r.MaxBlockSize, n, must, rowKeyFn(rowKeys))), nil
+	}
+	if prev == nil || prev.shards != n || !prev.blockCompatible(r) || prev.idx.reg != p.reg {
+		return fresh()
+	}
+	old2new, new2old, ok := alignRows(prev.rowKeys, rowKeys)
+	if !ok {
+		return fresh()
+	}
+	rows := t.Len()
+	isDirty := make([]bool, rows) // content changed, or the row is new
+	for _, i := range dirty {
+		if i < 0 || i >= rows {
+			return nil, fmt.Errorf("er: dirty row %d outside a %d-row table", i, rows)
 		}
-		return freshRePlanned(plan, n, rowKeys), nil
+		isDirty[i] = true
+	}
+	for i, j := range new2old {
+		if j < 0 {
+			isDirty[i] = true
+		}
 	}
 
-	// The incremental path re-blocks dirty rows and scores dirty pairs
-	// during the resolve fan-out; prepare the per-row feature state now,
-	// while still single-threaded (PlanShards does the same on the fresh
-	// path).
-	r.Prepare(t)
-	key := rowKeyFn(rowKeys)
-	rowIdx := rowIndexOf(t.Len(), key)
-
-	// Copy-on-write update of the block index: untouched blocks are
-	// shared with the previous state, so a failed tail cannot corrupt it.
-	blocks := maps.Clone(prev.idx.blocks)
-	rowBlocks := maps.Clone(prev.idx.rowBlocks)
-	cloned := map[string]bool{}
-	touched := map[string]bool{}
-	edit := func(bk string) map[string]bool {
-		if !cloned[bk] {
-			blocks[bk] = maps.Clone(blocks[bk])
-			cloned[bk] = true
+	// Block edits: the rows leaving and joining each block. A dirty row
+	// whose blocking evidence held (a price or timestamp edit) edits
+	// nothing: every block's membership — and therefore every pair — is
+	// untouched. The row's own component still goes dirty via the affected
+	// set below; nothing spreads.
+	nBlocks := int(p.reg.nBlocks)
+	leave, join := map[int32][]int32{}, map[int32][]int32{} // block -> old rows leaving / new rows joining
+	edit := func(m map[int32][]int32, rf *rowFeatures, row int32) {
+		if rf.keyBlock >= 0 {
+			m[rf.keyBlock] = append(m[rf.keyBlock], row)
 		}
-		if blocks[bk] == nil {
-			// First touch of a brand-new block key, or a block emptied and
-			// then re-populated within this delta.
-			blocks[bk] = map[string]bool{}
-		}
-		touched[bk] = true
-		return blocks[bk]
-	}
-	for rk := range dirty {
-		if i, ok := rowIdx[rk]; ok {
-			bks := r.blockKeysOf(t, i)
-			if sameBlockKeys(prev.idx.rowBlocks[rk], bks) {
-				// The row changed but not its blocking evidence (a price or
-				// timestamp edit): every block's membership — and therefore
-				// every pair — is untouched. The row's own component still
-				// goes dirty via the affected set below; nothing spreads.
-				continue
+		if rf.nameID >= 0 {
+			for _, b := range p.reg.nameBlocks[rf.nameID] {
+				m[b] = append(m[b], row)
 			}
-			for _, bk := range prev.idx.rowBlocks[rk] {
-				m := edit(bk)
-				delete(m, rk)
-				if len(m) == 0 {
-					delete(blocks, bk)
+		}
+	}
+	for j, i := range old2new {
+		switch {
+		case i < 0:
+			edit(leave, prev.feat[j], int32(j))
+		case isDirty[i] && !sameBlocks(p.reg, prev.feat[j], p.rows[i]):
+			edit(leave, prev.feat[j], int32(j))
+			edit(join, p.rows[i], i)
+		}
+	}
+	for i, j := range new2old {
+		if j < 0 {
+			edit(join, p.rows[i], int32(i))
+		}
+	}
+
+	// The new index: untouched blocks keep their member lists (remapped
+	// when rows shifted), touched ones are rebuilt from old members minus
+	// leavers plus joiners.
+	shifted := len(old2new) != rows
+	for j := 0; !shifted && j < rows; j++ {
+		shifted = old2new[j] != int32(j)
+	}
+	idx := &blockIndex{reg: p.reg, members: make([][]int32, nBlocks)}
+	if shifted {
+		total := 0
+		for _, m := range prev.idx.members {
+			total += len(m)
+		}
+		slab := make([]int32, 0, total)
+		for b, m := range prev.idx.members {
+			at := len(slab)
+			for _, j := range m {
+				if i := old2new[j]; i >= 0 {
+					slab = append(slab, i)
 				}
 			}
-			rowBlocks[rk] = bks
-			for _, bk := range bks {
-				edit(bk)[rk] = true
-			}
-			continue
+			idx.members[b] = slab[at:len(slab):len(slab)]
 		}
-		for _, bk := range prev.idx.rowBlocks[rk] {
-			m := edit(bk)
-			delete(m, rk)
-			if len(m) == 0 {
-				delete(blocks, bk)
-			}
+	} else {
+		copy(idx.members, prev.idx.members)
+	}
+	touched := make([]int32, 0, len(leave)+len(join))
+	for b := range leave {
+		touched = append(touched, b)
+	}
+	for b := range join {
+		if _, both := leave[b]; !both {
+			touched = append(touched, b)
 		}
-		delete(rowBlocks, rk)
+	}
+	slices.Sort(touched)
+	for _, b := range touched {
+		// Stayers (ascending: the remap is monotone) merged with joiners. A
+		// re-blocked row that stays in b left and joined, so no row repeats.
+		gone, joiners := leave[b], join[b]
+		slices.Sort(joiners)
+		next := make([]int32, 0, len(prev.idx.of(b))+len(joiners))
+		for _, j := range prev.idx.of(b) {
+			i := old2new[j]
+			if i < 0 || slices.Contains(gone, j) {
+				continue
+			}
+			for len(joiners) > 0 && joiners[0] < i {
+				next, joiners = append(next, joiners[0]), joiners[1:]
+			}
+			next = append(next, i)
+		}
+		idx.members[b] = append(next, joiners...)
 	}
 
 	// The dirty frontier: dirty rows, every old or new member of a touched
@@ -341,42 +476,99 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 	// through the rounds in which it was usable (2..MaxBlockSize members):
 	// an oversized block emits no pairs on either side of the delta, so
 	// membership churn inside it is inert — without this distinction a
-	// renamed row's stop-gram blocks would dirty most of the corpus.
-	affected := map[string]bool{}
-	for rk := range dirty {
-		affected[rk] = true
+	// renamed row's stop-gram blocks would dirty most of the corpus. The
+	// same two membership lists are where pairs may have vanished (the old
+	// one) or appeared (the new one).
+	affected := slices.Clone(isDirty)
+	var vanished, appeared []int64
+	for _, b := range touched {
+		if old := prev.idx.of(b); usableBlock(len(old), r.MaxBlockSize) {
+			var survivors []int32
+			for _, j := range old {
+				if i := old2new[j]; i >= 0 {
+					affected[i] = true
+					survivors = append(survivors, i)
+				}
+			}
+			vanished = blockPairs(vanished, survivors)
+		}
+		if cur := idx.members[b]; usableBlock(len(cur), r.MaxBlockSize) {
+			for _, i := range cur {
+				affected[i] = true
+			}
+			appeared = blockPairs(appeared, cur)
+		}
 	}
-	usable := func(sz int) bool { return sz >= 2 && sz <= r.MaxBlockSize }
-	for bk := range touched {
-		if usable(len(prev.idx.blocks[bk])) {
-			for rk := range prev.idx.blocks[bk] {
-				affected[rk] = true
+	newMust, newCannot := canonPairs(must, rows), canonPairs(cannot, rows)
+	markChanged := func(old, cur []int64) {
+		remapped := make([]int64, 0, len(old))
+		for _, v := range old {
+			pr := unpackPair(v)
+			i, j := old2new[pr.I], old2new[pr.J]
+			if i >= 0 && j >= 0 {
+				remapped = append(remapped, packPair(i, j))
+				continue
+			}
+			// The constraint lost an endpoint; what is left of it changed.
+			for _, e := range []int32{i, j} {
+				if e >= 0 {
+					affected[e] = true
+				}
 			}
 		}
-		if usable(len(blocks[bk])) {
-			for rk := range blocks[bk] {
-				affected[rk] = true
-			}
+		slices.Sort(remapped)
+		for _, v := range symDiff(remapped, cur) {
+			pr := unpackPair(v)
+			affected[pr.I], affected[pr.J] = true, true
 		}
 	}
-	newMust := canonPairs(must, rowKeys)
-	newCannot := canonPairs(cannot, rowKeys)
-	for _, pk := range symDiffPairs(prev.must, newMust) {
-		affected[pk[0]] = true
-		affected[pk[1]] = true
-	}
-	for _, pk := range symDiffPairs(prev.cannot, newCannot) {
-		affected[pk[0]] = true
-		affected[pk[1]] = true
-	}
+	markChanged(prev.must, newMust)
+	markChanged(prev.cannot, newCannot)
 
-	idx := &blockIndex{blocks: blocks, rowBlocks: rowBlocks}
-	pairs, err := idx.pairs(rowIdx, r.MaxBlockSize)
-	if err != nil {
-		return nil, err
+	// The new pair list: the previous one remapped (monotone, so still
+	// sorted), minus the pairs that only vanished blocks supported, plus
+	// the pairs of the blocks that appeared. A vanished-block pair some
+	// other usable block still supports stays: check its rows' blocks.
+	// Scores travel with their pairs while both endpoints' content held:
+	// the rule is checked below and Features reads only the two rows'
+	// values, so those floats are bit-identical to recomputing.
+	vanished, appeared = sortDedup(vanished), sortDedup(appeared)
+	ruleHeld := prev.threshold == r.Threshold && slices.Equal(prev.weights, r.Weights)
+	pairs := make([]int64, 0, len(prev.pairs)+len(appeared))
+	scores := make([]float64, 0, len(prev.pairs)+len(appeared))
+	vi, ai := 0, 0
+	emitAppeared := func(upTo int64) { // appeared pairs below upTo, not in the old list
+		for ai < len(appeared) && appeared[ai] < upTo {
+			pairs, scores = append(pairs, appeared[ai]), append(scores, unscored)
+			ai++
+		}
 	}
-	plan, comp := assemblePlan(t.Len(), n, pairs, must, key)
-	plan.idx = idx
+	for k, v := range prev.pairs {
+		pr := unpackPair(v)
+		i, j := old2new[pr.I], old2new[pr.J]
+		if i < 0 || j < 0 {
+			continue
+		}
+		nv := packPair(i, j)
+		emitAppeared(nv)
+		for vi < len(vanished) && vanished[vi] < nv {
+			vi++
+		}
+		if ai < len(appeared) && appeared[ai] == nv {
+			ai++ // still supported, by a touched block
+		} else if vi < len(vanished) && vanished[vi] == nv && !idx.shareUsableBlock(p, int(i), int(j), r.MaxBlockSize) {
+			continue
+		}
+		s := float64(unscored)
+		if ruleHeld && !isDirty[i] && !isDirty[j] {
+			s = prev.scores[k]
+		}
+		pairs, scores = append(pairs, nv), append(scores, s)
+	}
+	emitAppeared(int64(rows) << 32)
+
+	plan, comp := assemblePlan(rows, n, pairs, must, rowKeyFn(rowKeys))
+	plan.idx, plan.feat = idx, p.rows
 
 	rp := &RePlanned{
 		Plan:         plan,
@@ -384,65 +576,37 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		Roots:        make([]map[int]int, n),
 		DirtyRows:    make([][]int, n),
 		DirtyPairs:   make([][]Pair, n),
-		AffectedRows: len(affected),
-		rowKeys:      rowKeys,
-		prevScores:   map[pairKey]float64{},
-		shardScores:  make([]map[pairKey]float64, n),
+		dirtyPairIdx: make([][]int32, n),
+		scores:       scores,
 	}
-	for s := 0; s < n; s++ {
-		rp.shardScores[s] = map[pairKey]float64{}
-	}
-	if prev.threshold != r.Threshold || !slices.Equal(prev.weights, r.Weights) {
+	if !ruleHeld {
 		// The scoring rule moved (feedback re-learned the matcher): every
 		// cluster is up for grabs, nothing is reusable.
 		for s := 0; s < n; s++ {
 			rp.Roots[s] = map[int]int{}
 			rp.DirtyRows[s] = plan.Rows[s]
 			rp.DirtyPairs[s] = plan.Pairs[s]
+			rp.dirtyPairIdx[s] = plan.pairIdx[s]
 		}
-		rp.DirtyComponents = plan.Components
 		return rp, nil
 	}
 
-	// Carry forward every cached pair score whose endpoints' content held:
-	// the rule is unchanged and Features reads only the two rows' values,
-	// so those floats are bit-identical to recomputing. Entries incident
-	// to a dirty row are dropped — their pairs re-score fresh.
-	for k, s := range prev.scores {
-		if !dirty[k[0]] && !dirty[k[1]] {
-			rp.prevScores[k] = s
-		}
-	}
-
 	// A component is dirty when the delta touched any of its rows — or
-	// when a row cannot be accounted for in the memoized shard (a
-	// defensive guard; routing is stable for clean components). Every
-	// other component translates its previous clusters by reference.
-	compDirty := map[int]bool{}
+	// when a row was not in the same shard before (a defensive guard;
+	// routing is stable for clean components). Every other component
+	// translates its previous clusters by reference.
+	compDirty := make([]bool, rows) // indexed by component root
 	for i, root := range comp {
-		rk := rowKeys[i]
-		if affected[rk] {
-			compDirty[root] = true
-			continue
-		}
-		if _, ok := prev.shardRoots[plan.RowShard[i]][rk]; !ok {
+		if affected[i] || prev.rowShard[new2old[i]] != plan.RowShard[i] {
 			compDirty[root] = true
 		}
 	}
-	seenComp := map[int]bool{}
-	for _, root := range comp {
-		if !seenComp[root] {
-			seenComp[root] = true
-			if compDirty[root] {
-				rp.DirtyComponents++
-			} else {
-				rp.ReusedComponents++
-			}
-		}
+	rep := make([]int32, len(prev.rowKeys)) // old representative -> its group's smallest new row
+	for j := range rep {
+		rep[j] = -1
 	}
 	for s := 0; s < n; s++ {
 		roots := make(map[int]int, len(plan.Rows[s]))
-		rep := map[string]int{}
 		// Rows[s] is ascending, so the first row seen per representative
 		// group is the group's smallest new index — exactly the
 		// representative a fresh resolve would pick.
@@ -451,13 +615,11 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 				rp.DirtyRows[s] = append(rp.DirtyRows[s], row)
 				continue
 			}
-			pr := prev.shardRoots[s][rowKeys[row]]
-			min, ok := rep[pr]
-			if !ok {
-				min = row
-				rep[pr] = row
+			pr := prev.roots[new2old[row]]
+			if rep[pr] < 0 {
+				rep[pr] = int32(row)
 			}
-			roots[row] = min
+			roots[row] = int(rep[pr])
 		}
 		rp.Roots[s] = roots
 		rp.Reused[s] = len(rp.DirtyRows[s]) == 0
@@ -467,35 +629,48 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		// Candidate pairs never cross components, so the dirty subset's
 		// pairs are exactly the shard pairs whose endpoints lie in dirty
 		// components — plan order preserved.
-		for _, p := range plan.Pairs[s] {
-			if compDirty[comp[p.I]] {
-				rp.DirtyPairs[s] = append(rp.DirtyPairs[s], p)
+		for k, pr := range plan.Pairs[s] {
+			if compDirty[comp[pr.I]] {
+				rp.DirtyPairs[s] = append(rp.DirtyPairs[s], pr)
+				rp.dirtyPairIdx[s] = append(rp.dirtyPairIdx[s], plan.pairIdx[s][k])
 			}
 		}
 	}
 	return rp, nil
 }
 
+// shareUsableBlock reports whether rows i and j are both members of some
+// usable block of the index — whether (i, j) is a candidate pair.
+func (idx *blockIndex) shareUsableBlock(p *tableFeatures, i, j, maxBlock int) bool {
+	ki, gi := p.blocks(i)
+	kj, gj := p.blocks(j)
+	if ki >= 0 && ki == kj && usableBlock(len(idx.of(ki)), maxBlock) {
+		return true
+	}
+	for _, b := range gi {
+		if usableBlock(len(idx.of(b)), maxBlock) && containsBlock(gj, b) {
+			return true
+		}
+	}
+	return false
+}
+
 // freshRePlanned wraps a from-scratch plan as a RePlanned with no reuse:
 // every shard resolves all of its rows (and seeds the score cache as it
 // goes).
-func freshRePlanned(plan *ShardPlan, n int, rowKeys []string) *RePlanned {
+func freshRePlanned(plan *ShardPlan) *RePlanned {
+	n := plan.NumShards
 	rp := &RePlanned{
-		Plan:            plan,
-		Reused:          make([]bool, n),
-		Roots:           make([]map[int]int, n),
-		DirtyRows:       make([][]int, n),
-		DirtyPairs:      make([][]Pair, n),
-		DirtyComponents: plan.Components,
-		rowKeys:         rowKeys,
-		prevScores:      map[pairKey]float64{},
-		shardScores:     make([]map[pairKey]float64, n),
+		Plan:         plan,
+		Reused:       make([]bool, n),
+		Roots:        make([]map[int]int, n),
+		DirtyRows:    plan.Rows,
+		DirtyPairs:   plan.Pairs,
+		dirtyPairIdx: plan.pairIdx,
+		scores:       noScores(len(plan.pairs)),
 	}
-	for s := 0; s < n; s++ {
+	for s := range rp.Roots {
 		rp.Roots[s] = map[int]int{}
-		rp.DirtyRows[s] = plan.Rows[s]
-		rp.DirtyPairs[s] = plan.Pairs[s]
-		rp.shardScores[s] = map[pairKey]float64{}
 	}
 	return rp
 }
@@ -516,17 +691,16 @@ func (rp *RePlanned) ResolveDirty(r *Resolver, t *dataset.Table, shard int, must
 	if shard < 0 || shard >= rp.Plan.NumShards {
 		return nil, 0, fmt.Errorf("er: shard %d out of range [0,%d)", shard, rp.Plan.NumShards)
 	}
-	fresh := rp.shardScores[shard]
+	at := rp.dirtyPairIdx[shard]
 	var sc text.Scratch
 	f := make([]float64, len(FeatureNames))
-	score := func(p Pair) float64 {
-		k := pairKeyOf(rp.rowKeys, p)
-		if s, ok := rp.prevScores[k]; ok {
+	score := func(k int, p Pair) float64 {
+		if s := rp.scores[at[k]]; s != unscored {
 			return s
 		}
 		r.featuresInto(t, p.I, p.J, f, &sc)
 		s := r.Score(f)
-		fresh[k] = s
+		rp.scores[at[k]] = s
 		return s
 	}
 	roots, conflicts := r.resolveRowsScored(t, rp.DirtyRows[shard], rp.DirtyPairs[shard],
@@ -534,20 +708,11 @@ func (rp *RePlanned) ResolveDirty(r *Resolver, t *dataset.Table, shard int, must
 	return roots, conflicts, nil
 }
 
-// Commit memoizes the completed streaming round: the plan state plus the
-// merged score cache (valid carried-over entries and everything the
-// resolve fan-out computed fresh).
+// Commit memoizes the completed round: the plan state plus the score
+// cache (valid carried-over entries and everything the resolve fan-out
+// computed fresh).
 func (rp *RePlanned) Commit(r *Resolver, rowKeys []string, roots []map[int]int, must, cannot []Pair) (*PlanState, error) {
-	st, err := BuildPlanState(r, rp.Plan, rowKeys, roots, must, cannot)
-	if err != nil {
-		return nil, err
-	}
-	scores := rp.prevScores // owned by this round; safe to fold into
-	for _, m := range rp.shardScores {
-		maps.Copy(scores, m)
-	}
-	st.scores = scores
-	return st, nil
+	return buildPlanState(r, rp.Plan, rowKeys, roots, must, cannot, rp.scores)
 }
 
 // blockCompatible reports whether the memoized block index was built
@@ -557,46 +722,17 @@ func (st *PlanState) blockCompatible(r *Resolver) bool {
 		st.gram == r.BlockGramSize && st.maxBlock == r.MaxBlockSize
 }
 
-// sameBlockKeys reports whether two block-key lists name the same set.
-// blockKeysOf is deterministic, so unchanged blocking evidence yields the
-// identical slice — the fast path; the set compare covers reordered
-// duplicates conservatively.
-func sameBlockKeys(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if slices.Equal(a, b) {
-		return true
-	}
-	set := make(map[string]bool, len(a))
-	for _, k := range a {
-		set[k] = true
-	}
-	for _, k := range b {
-		if !set[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// symDiffPairs returns the symmetric difference of two sorted canonical
-// pair lists — the constraints that appeared or disappeared.
-func symDiffPairs(a, b [][2]string) [][2]string {
-	var out [][2]string
+// symDiff returns the symmetric difference of two sorted packed pair
+// lists — the constraints that appeared or disappeared.
+func symDiff(a, b []int64) []int64 {
+	var out []int64
 	i, j := 0, 0
-	less := func(x, y [2]string) bool {
-		if x[0] != y[0] {
-			return x[0] < y[0]
-		}
-		return x[1] < y[1]
-	}
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] == b[j]:
 			i++
 			j++
-		case less(a[i], b[j]):
+		case a[i] < b[j]:
 			out = append(out, a[i])
 			i++
 		default:
@@ -605,6 +741,5 @@ func symDiffPairs(a, b [][2]string) [][2]string {
 		}
 	}
 	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(out, b[j:]...)
 }

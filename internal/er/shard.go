@@ -43,10 +43,14 @@ type ShardPlan struct {
 	// formed — the upper bound on useful parallelism.
 	Components int
 
-	// idx is the block index the plan's pairs were derived from, keyed by
-	// stable row key. BuildPlanState hands it to the next incremental
-	// re-plan (replan.go), which updates only the dirty rows' blocks.
-	idx *blockIndex
+	// What BuildPlanState memoizes for the next incremental re-plan
+	// (replan.go): the block index the pairs were enumerated from, the
+	// prepared rows it blocked, the candidate pairs as one sorted packed
+	// list, and each shard pair's position in that list.
+	idx     *blockIndex
+	feat    []*rowFeatures
+	pairs   []int64
+	pairIdx [][]int32
 }
 
 // PlanShards builds the shard plan for n shards. Candidate pairs are the
@@ -68,15 +72,15 @@ func (r *Resolver) PlanShards(t *dataset.Table, n int, must []Pair, rowKeys []st
 		n = 1
 	}
 	r.Prepare(t)
-	key := rowKeyFn(rowKeys)
-	idx := r.buildBlockIndex(t, key)
-	pairs, err := idx.pairs(rowIndexOf(t.Len(), key), r.MaxBlockSize)
-	if err != nil {
-		return nil, err
-	}
-	plan, _ := assemblePlan(t.Len(), n, pairs, must, key)
-	plan.idx = idx
-	return plan, nil
+	return planPrepared(r.prep, r.MaxBlockSize, n, must, rowKeyFn(rowKeys)), nil
+}
+
+// planPrepared is PlanShards over an already prepared table.
+func planPrepared(p *tableFeatures, maxBlock, n int, must []Pair, key func(int) string) *ShardPlan {
+	idx := buildBlockIndex(p)
+	plan, _ := assemblePlan(len(p.rows), n, idx.pairs(maxBlock), must, key)
+	plan.idx, plan.feat = idx, p.rows
+	return plan
 }
 
 // rowKeyFn returns the stable-key accessor PlanShards documents: the
@@ -90,22 +94,14 @@ func rowKeyFn(rowKeys []string) func(int) string {
 	}
 }
 
-// rowIndexOf inverts a key accessor over [0, rows).
-func rowIndexOf(rows int, key func(int) string) map[string]int {
-	out := make(map[string]int, rows)
-	for i := 0; i < rows; i++ {
-		out[key(i)] = i
-	}
-	return out
-}
-
-// assemblePlan routes rows to shards given the candidate pairs: pairs and
-// must-links glue rows into block-connected components, each component is
-// keyed by its smallest row key and hashed whole to an owner shard. It is
-// the shared back half of PlanShards and RePlan — the two paths cannot
-// drift in routing. The second return maps each row to its component's
-// union-find root, which RePlan uses to reuse clusters per component.
-func assemblePlan(rows, n int, pairs, must []Pair, key func(int) string) (*ShardPlan, []int) {
+// assemblePlan routes rows to shards given the sorted packed candidate
+// pairs: pairs and must-links glue rows into block-connected components,
+// each component is keyed by its smallest row key and hashed whole to an
+// owner shard. It is the shared back half of PlanShards and RePlan — the
+// two paths cannot drift in routing. The second return maps each row to
+// its component's union-find root, which RePlan uses to reuse clusters
+// per component.
+func assemblePlan(rows, n int, pairs []int64, must []Pair, key func(int) string) (*ShardPlan, []int) {
 	parent := make([]int, rows)
 	for i := range parent {
 		parent[i] = i
@@ -124,7 +120,8 @@ func assemblePlan(rows, n int, pairs, must []Pair, key func(int) string) (*Shard
 			parent[ra] = rb
 		}
 	}
-	for _, p := range pairs {
+	for _, v := range pairs {
+		p := unpackPair(v)
 		union(p.I, p.J)
 	}
 	for _, p := range must {
@@ -133,11 +130,17 @@ func assemblePlan(rows, n int, pairs, must []Pair, key func(int) string) (*Shard
 		}
 	}
 	// Component owner key: the smallest row key in the component.
-	owner := map[int]string{}
+	comp := make([]int, rows)
+	owner := make([]string, rows) // by component root; "" until seen
+	components := 0
 	for i := 0; i < rows; i++ {
 		root := find(i)
+		comp[i] = root
 		k := key(i)
-		if cur, ok := owner[root]; !ok || k < cur {
+		if owner[root] == "" {
+			components++
+		}
+		if owner[root] == "" || k < owner[root] {
 			owner[root] = k
 		}
 	}
@@ -146,26 +149,28 @@ func assemblePlan(rows, n int, pairs, must []Pair, key func(int) string) (*Shard
 		RowShard:   make([]int, rows),
 		Rows:       make([][]int, n),
 		Pairs:      make([][]Pair, n),
-		Components: len(owner),
+		Components: components,
+		pairs:      pairs,
+		pairIdx:    make([][]int32, n),
 	}
-	shardOf := map[int]int{}
+	shardOf := make([]int, rows) // by component root
 	for root, k := range owner {
-		h := fnv.New32a()
-		h.Write([]byte(k))
-		shardOf[root] = int(h.Sum32() % uint32(n))
+		if k != "" {
+			h := fnv.New32a()
+			h.Write([]byte(k))
+			shardOf[root] = int(h.Sum32() % uint32(n))
+		}
 	}
-	for i := 0; i < rows; i++ {
-		s := shardOf[find(i)]
+	for i, root := range comp {
+		s := shardOf[root]
 		plan.RowShard[i] = s
 		plan.Rows[s] = append(plan.Rows[s], i)
 	}
-	for _, p := range pairs {
+	for k, v := range pairs {
+		p := unpackPair(v)
 		s := plan.RowShard[p.I] // == RowShard[p.J]: pairs never cross components
 		plan.Pairs[s] = append(plan.Pairs[s], p)
-	}
-	comp := make([]int, rows)
-	for i := 0; i < rows; i++ {
-		comp[i] = find(i)
+		plan.pairIdx[s] = append(plan.pairIdx[s], int32(k))
 	}
 	return plan, comp
 }
@@ -245,12 +250,12 @@ func (r *Resolver) resolveRows(t *dataset.Table, rows []int, pairs, must, cannot
 	return r.resolveRowsScored(t, rows, pairs, must, cannot, nil)
 }
 
-// resolveRowsScored is resolveRows with a pluggable pair scorer: the
-// streaming path injects its cross-round score cache (a pair's score
-// depends only on its two rows' values, so content-unchanged endpoints
-// make the cached float bit-identical to recomputing). A nil score falls
-// back to the rule.
-func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, cannot []Pair, score func(Pair) float64) (map[int]int, int) {
+// resolveRowsScored is resolveRows with a pluggable pair scorer, called
+// with each pair and its position in pairs: the streaming path injects
+// its cross-round score cache (a pair's score depends only on its two
+// rows' values, so content-unchanged endpoints make the cached float
+// bit-identical to recomputing). A nil score falls back to the rule.
+func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, cannot []Pair, score func(int, Pair) float64) (map[int]int, int) {
 	local := make(map[int]int, len(rows))
 	for li, g := range rows {
 		local[g] = li
@@ -345,13 +350,13 @@ func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, 
 	scored := make([]scoredPair, 0, len(pairs))
 	var sc text.Scratch
 	f := make([]float64, len(FeatureNames))
-	for _, p := range pairs {
+	for k, p := range pairs {
 		if _, _, ok := localPair(p); !ok {
 			continue
 		}
 		var s float64
 		if score != nil {
-			s = score(p)
+			s = score(k, p)
 		} else {
 			r.featuresInto(t, p.I, p.J, f, &sc)
 			s = r.Score(f)

@@ -10,7 +10,6 @@ package quality
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/dataset"
@@ -204,80 +203,91 @@ type Violation struct {
 
 // Violations finds all CFD violations: for each LHS group, the majority
 // non-null RHS value is taken as expected and dissenting rows are
-// reported. Groups with no majority (all values distinct) report all rows
-// whose value differs from the first-most-frequent.
+// reported, group by group, rows ascending within a group. Only a strict majority of at least two rows
+// is evidence; groups without one report nothing.
 func Violations(t *dataset.Table, cfd CFD) ([]Violation, error) {
-	lhsIdx := make([]int, len(cfd.LHS))
-	for i, col := range cfd.LHS {
-		lhsIdx[i] = t.Schema().Index(col)
-		if lhsIdx[i] < 0 {
-			return nil, fmt.Errorf("quality: cfd lhs column %q missing", col)
+	cols, err := cfd.resolve(t.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return profileOf(t).violations(t, cfd, cols), nil
+}
+
+// cfdColumns is a CFD's columns resolved against a schema.
+type cfdColumns struct {
+	lhs       []int
+	rhs, cond int // cond is -1 for an unconditional dependency
+}
+
+func (d CFD) resolve(schema dataset.Schema) (cfdColumns, error) {
+	cols := cfdColumns{lhs: make([]int, len(d.LHS)), cond: -1}
+	for i, col := range d.LHS {
+		cols.lhs[i] = schema.Index(col)
+		if cols.lhs[i] < 0 {
+			return cols, fmt.Errorf("quality: cfd lhs column %q missing", col)
 		}
 	}
-	rhsIdx := t.Schema().Index(cfd.RHS)
-	if rhsIdx < 0 {
-		return nil, fmt.Errorf("quality: cfd rhs column %q missing", cfd.RHS)
+	cols.rhs = schema.Index(d.RHS)
+	if cols.rhs < 0 {
+		return cols, fmt.Errorf("quality: cfd rhs column %q missing", d.RHS)
 	}
-	condIdx := -1
-	if cfd.ConditionCol != "" {
-		condIdx = t.Schema().Index(cfd.ConditionCol)
-		if condIdx < 0 {
-			return nil, fmt.Errorf("quality: cfd condition column %q missing", cfd.ConditionCol)
+	if d.ConditionCol != "" {
+		cols.cond = schema.Index(d.ConditionCol)
+		if cols.cond < 0 {
+			return cols, fmt.Errorf("quality: cfd condition column %q missing", d.ConditionCol)
 		}
 	}
-	type group struct {
-		counts map[string]int
-		rep    map[string]dataset.Value
-		rows   []int
-	}
-	groups := map[string]*group{}
-	for i, r := range t.Rows() {
-		if condIdx >= 0 && text.Normalize(r[condIdx].String()) != text.Normalize(cfd.ConditionVal) {
+	return cols, nil
+}
+
+// cfdGroups renders a general CFD as the kernel's grouping: rows outside
+// the condition get group -1, the others a dense id per distinct LHS key
+// tuple (a null is a key value like any other).
+func (p *Profile) cfdGroups(cfd CFD, cols cfdColumns) (group []int32, nGroups int) {
+	group, nGroups = make([]int32, p.rows), 1
+	for k, ci := range cols.lhs {
+		keys, n := p.keyGroups(ci)
+		if k == 0 {
+			group, nGroups = keys, n // one column's key ids are dense already
 			continue
 		}
-		if r[rhsIdx].IsNull() {
-			continue
+		tuples := map[int64]int32{}
+		for i, g := range group {
+			group[i] = intern64(tuples, int64(g)*int64(n)+int64(keys[i]))
 		}
-		key := r.Key(lhsIdx...)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{counts: map[string]int{}, rep: map[string]dataset.Value{}}
-			groups[key] = g
-		}
-		norm := text.Normalize(r[rhsIdx].String())
-		g.counts[norm]++
-		if _, ok := g.rep[norm]; !ok {
-			g.rep[norm] = r[rhsIdx]
-		}
-		g.rows = append(g.rows, i)
+		nGroups = len(tuples)
 	}
+	if cols.cond >= 0 {
+		// A null condition cell compares as the empty string, like the
+		// string form of the check did.
+		want := text.Normalize(cfd.ConditionVal)
+		wantID, known := p.dict.cols[cols.cond].norm[want]
+		for i, id := range p.cols[cols.cond].normID {
+			if !(id < 0 && want == "") && !(known && id == wantID) {
+				group[i] = -1
+			}
+		}
+	}
+	return group, nGroups
+}
+
+func intern64(m map[int64]int32, k int64) int32 {
+	id, ok := m[k]
+	if !ok {
+		id = int32(len(m))
+		m[k] = id
+	}
+	return id
+}
+
+func (p *Profile) violations(t *dataset.Table, cfd CFD, cols cfdColumns) []Violation {
+	group, nGroups := p.cfdGroups(cfd, cols)
 	var out []Violation
-	for _, g := range groups {
-		if len(g.counts) <= 1 {
-			continue
-		}
-		best, bestN := "", -1
-		total := 0
-		for v, n := range g.counts {
-			total += n
-			if n > bestN || (n == bestN && v < best) {
-				best, bestN = v, n
-			}
-		}
-		// Only a strict majority is evidence: a 1-1 tie (or any split
-		// without a dominant value) gives no basis to call either row the
-		// violator, and acting on it would corrupt data arbitrarily.
-		if bestN < 2 || bestN*2 <= total {
-			continue
-		}
-		for _, row := range g.rows {
-			actual := t.Row(row)[rhsIdx]
-			if text.Normalize(actual.String()) != best {
-				out = append(out, Violation{Row: row, CFD: cfd, Expected: g.rep[best], Actual: actual})
-			}
-		}
+	for _, v := range p.violators(group, nGroups, cols.rhs) {
+		out = append(out, Violation{Row: int(v.row), CFD: cfd,
+			Expected: t.Row(int(v.rep))[cols.rhs], Actual: t.Row(int(v.row))[cols.rhs]})
 	}
-	return out, nil
+	return out
 }
 
 // Consistency returns the fraction of rows not involved in any violation
@@ -286,14 +296,16 @@ func Consistency(t *dataset.Table, cfds []CFD) (float64, error) {
 	if t.Len() == 0 {
 		return 1, nil
 	}
+	p := profileOf(t)
 	bad := map[int]bool{}
 	for _, cfd := range cfds {
-		vs, err := Violations(t, cfd)
+		cols, err := cfd.resolve(t.Schema())
 		if err != nil {
 			return 0, err
 		}
-		for _, v := range vs {
-			bad[v.Row] = true
+		group, nGroups := p.cfdGroups(cfd, cols)
+		for _, v := range p.violators(group, nGroups, cols.rhs) {
+			bad[int(v.row)] = true
 		}
 	}
 	return 1 - float64(len(bad))/float64(t.Len()), nil
@@ -301,9 +313,11 @@ func Consistency(t *dataset.Table, cfds []CFD) (float64, error) {
 
 // Repair applies the cost-based value-modification heuristic of [7]: each
 // violating row's RHS is overwritten with the group majority value (the
-// minimal-cost repair under unit update cost), mutating the table in
-// place. It returns the number of cells changed. Repairs are applied per
-// dependency in order; later dependencies see earlier repairs.
+// minimal-cost repair under unit update cost). It returns the number of
+// cells changed. Repairs are applied per dependency in order; later
+// dependencies see earlier repairs. A repaired row's record is replaced
+// by a repaired clone, never written through, so t may share records
+// with other tables.
 func Repair(t *dataset.Table, cfds []CFD) (int, error) {
 	changed, _, err := RepairRows(t, cfds)
 	return changed, err
@@ -314,30 +328,30 @@ func Repair(t *dataset.Table, cfds []CFD) (int, error) {
 // row list to scope change detection: a row outside it kept its
 // pre-repair values.
 func RepairRows(t *dataset.Table, cfds []CFD) (int, []int, error) {
+	p := profileOf(t)
 	changed := 0
-	touched := map[int]bool{}
+	owned := make([]bool, t.Len())
 	for _, cfd := range cfds {
-		vs, err := Violations(t, cfd)
+		n, err := p.repairCFD(t, cfd, owned)
 		if err != nil {
-			return changed, sortedRows(touched), err
+			return changed, ownedRows(owned), err
 		}
-		rhsIdx := t.Schema().Index(cfd.RHS)
-		for _, v := range vs {
-			t.Row(v.Row)[rhsIdx] = v.Expected
-			touched[v.Row] = true
-			changed++
-		}
+		changed += n
 	}
-	return changed, sortedRows(touched), nil
+	return changed, ownedRows(owned), nil
 }
 
-func sortedRows(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+// repairCFD repairs one dependency's violations in t (see Profile.repair)
+// and returns the number of cells changed.
+func (p *Profile) repairCFD(t *dataset.Table, cfd CFD, owned []bool) (int, error) {
+	cols, err := cfd.resolve(t.Schema())
+	if err != nil {
+		return 0, err
 	}
-	sort.Ints(out)
-	return out
+	group, nGroups := p.cfdGroups(cfd, cols)
+	vs := p.violators(group, nGroups, cols.rhs)
+	p.repair(t, vs, cols.rhs, owned)
+	return len(vs), nil
 }
 
 // Assess produces a full scorecard in one pass. reference, timeCol and

@@ -245,13 +245,15 @@ func (s *Store[T]) unwatch(w *watcher[T], stop chan struct{}) {
 			m.watchers.Set(float64(len(s.watchers)))
 		}
 	}
-	s.mu.Unlock()
-	// Release the ctx goroutine. Guarded: CancelFunc is idempotent.
+	// Release the ctx goroutine. Guarded, and under the lock: CancelFunc is
+	// idempotent and may race itself — the caller's cancel against the ctx
+	// goroutine's when a session closes under a live subscription.
 	select {
 	case <-stop:
 	default:
 		close(stop)
 	}
+	s.mu.Unlock()
 }
 
 // removeWatcher drops the watcher with the given id from the registry.

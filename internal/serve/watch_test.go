@@ -225,6 +225,38 @@ func TestWatchContextCancel(t *testing.T) {
 	}
 }
 
+// TestWatchCancelRacesContextCancel pins CancelFunc's idempotence against
+// itself: when a subscription's context is cancelled while its owner also
+// calls cancel (a session closing under a live watcher), the ctx goroutine
+// and the caller both run unwatch. Its stop channel used to be closed
+// outside the lock, so the two could both find it open — "close of closed
+// channel", about once in fifty benchmark runs of restart.10k.
+func TestWatchCancelRacesContextCancel(t *testing.T) {
+	s := NewStore[payload](8)
+	for i := 0; i < 2000; i++ {
+		ctx, stop := context.WithCancel(context.Background())
+		_, cancel, err := s.Watch(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			stop()
+			close(done)
+		}()
+		cancel()
+		<-done
+	}
+	// Every ctx goroutine was released; none is left to close anything.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Watchers() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d watchers left", s.Watchers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWatchBufferDefaultsAndFloor(t *testing.T) {
 	s := NewStore[payload](4)
 	if got := s.WatchBuffer(); got != DefaultWatchBuffer {

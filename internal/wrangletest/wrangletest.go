@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -416,21 +417,24 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 	}
 
 	// Mutate: edit a few rows in place, drop a few, append a few new ones.
+	// Untouched rows keep their record (the pipeline's union shares the
+	// records of unchanged sources), edited ones get a fresh one.
 	tabB := dataset.NewTable(tabA.Schema().Clone())
 	var keysB []string
-	dirty := map[string]bool{}
+	var dirty []int
 	for i := 0; i < tabA.Len(); i++ {
 		if rng.Intn(10) == 0 {
-			dirty[keysA[i]] = true // dropped
-			continue
+			continue // dropped
 		}
-		row := tabA.Row(i).Clone()
+		row := tabA.Row(i)
 		if rng.Intn(6) == 0 {
+			row = row.Clone()
 			row[1] = dataset.String(fmt.Sprintf("Edited Widget %d", rng.Intn(50)))
-			dirty[keysA[i]] = true
+			dirty = append(dirty, tabB.Len())
 		} else if rng.Intn(8) == 0 {
+			row = row.Clone()
 			row[3] = dataset.Float(200 + float64(rng.Intn(40)))
-			dirty[keysA[i]] = true
+			dirty = append(dirty, tabB.Len())
 		}
 		tabB.Append(row)
 		keysB = append(keysB, keysA[i])
@@ -438,26 +442,34 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 	extra := RandomTable(rng, rng.Intn(6))
 	for i := 0; i < extra.Len(); i++ {
 		tabB.Append(extra.Row(i).Clone())
-		k := fmt.Sprintf("new-%04d", i)
-		keysB = append(keysB, k)
-		dirty[k] = true
+		keysB = append(keysB, fmt.Sprintf("new-%04d", i))
 	}
 	if tabB.Len() == 0 {
 		return nil
 	}
 	mustB, cannotB := RandomConstraints(rng, tabB.Len())
 
+	// The next round's resolver takes over the registries the memo's block
+	// ids belong to, as the pipeline's does.
+	prevR := r
+	r = er.NewResolver("sku", "name", "brand", "price")
+	r.Carry(prevR)
 	rp, err := r.RePlan(tabB, shards, mustB, cannotB, keysB, dirty, memo)
 	if err != nil {
 		return fmt.Errorf("replan: %w", err)
 	}
-	fresh, err := r.PlanShards(tabB, shards, mustB, keysB)
+	fresh, err := er.NewResolver("sku", "name", "brand", "price").PlanShards(tabB, shards, mustB, keysB)
 	if err != nil {
 		return fmt.Errorf("plan B: %w", err)
 	}
 	for i, s := range fresh.RowShard {
 		if rp.Plan.RowShard[i] != s {
 			return fmt.Errorf("row %d routed to shard %d, fresh plan says %d", i, rp.Plan.RowShard[i], s)
+		}
+	}
+	for s := range fresh.Pairs {
+		if !slices.Equal(rp.Plan.Pairs[s], fresh.Pairs[s]) {
+			return fmt.Errorf("shard %d: re-planned pairs %v, fresh plan says %v", s, rp.Plan.Pairs[s], fresh.Pairs[s])
 		}
 	}
 	rootsB := rp.Roots

@@ -261,6 +261,7 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_shard_reuse_ratio",
 		"wrangle_rows",
 		"wrangle_version",
+		"wrangle_derived_rows",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
