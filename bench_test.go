@@ -252,10 +252,11 @@ func maxInt(a, b int) int {
 // BenchmarkShardedIntegration measures the floor of a sharded reaction:
 // one wide synthetic union (24 sources) is wrangled once, then an empty
 // refresh batch re-runs the tail per iteration at 1/2/4/8 blocking
-// shards. Nothing is dirty, so every shard's clusters and page are
-// reused — what remains is the fixed cost every reaction pays: union
-// rebuild + FD repair, the dirty-row diff, the re-plan's pair pass, the
-// trust short-circuit, merge and one delta publication. Output is
+// shards. Nothing is dirty, so every shard's clusters are reused — what
+// remains is the fixed cost every reaction pays: union rebuild + FD
+// repair, the dirty-row diff, the re-plan's pair pass, the trust
+// fixpoint over prepared groups, the re-fuse of every shard, a merge that
+// shares every page's records, and one delta publication. Output is
 // byte-identical at every shard count — the determinism harness pins
 // that — so the only thing this table may show moving is wall clock.
 func BenchmarkShardedIntegration(b *testing.B) {
@@ -369,7 +370,7 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 // keys, per-row normalized feature state and preallocated stage buffers
 // attack the ~4k allocs/row the early baselines carried, so allocations
 // per op are the headline number. Sharded sessions have no full-tail
-// reaction to time — an empty batch reuses every shard
+// reaction to time — an empty batch reuses every shard's clusters
 // (BenchmarkShardedIntegration) — and their cold tail is the
 // benchmark/ harness's cold.10k workload and layer probes.
 func BenchmarkFullTail(b *testing.B) {
@@ -733,11 +734,10 @@ func trustBenchClaims(components, sourcesPer, groupsPer, claimsPer int) []fusion
 // BenchmarkTrustFixpoint measures the component-partitioned TruthFinder
 // fixpoint over a universe with 8 natural components, cold and warm, at
 // workers 1/2/4/8. Cold runs estimate from scratch — the worker sweep
-// shows the fan-out's scaling, and workers=1 its sequential overhead
-// versus the pre-partition fixpoint. Warm runs churn one source's claims
-// against a memo, so only that source's component re-iterates
-// (recomputed/op < components/op) — the per-component short-circuit the
-// sharded tail leans on. Results are byte-identical across all
+// shows how the group-preparation fan-out scales. Warm runs churn one
+// source's claims against a memo: every component still iterates, and
+// what they save is prepared-group reuse — only the groups that source
+// claims in are prepared again. Results are byte-identical across all
 // variants; only the speed differs.
 func BenchmarkTrustFixpoint(b *testing.B) {
 	claims := trustBenchClaims(8, 12, 40, 6)
@@ -754,7 +754,7 @@ func BenchmarkTrustFixpoint(b *testing.B) {
 	}
 	for _, wk := range workerCounts {
 		b.Run(fmt.Sprintf("warm/workers=%d", wk), func(b *testing.B) {
-			_, memo, _, _ := fusion.EstimateTrustWarmParallel(claims, fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
+			_, memo, _ := fusion.EstimateTrustWarmParallel(claims, fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
 			churned := append([]fusion.Claim(nil), claims...)
 			for i := range churned {
 				if churned[i].SourceID == "c00-s00" {
@@ -765,10 +765,9 @@ func BenchmarkTrustFixpoint(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _, _, st = fusion.EstimateTrustWarmParallel(churned, fusion.DefaultOptions(fusion.TruthFinder), memo, wk)
+				_, _, st = fusion.EstimateTrustWarmParallel(churned, fusion.DefaultOptions(fusion.TruthFinder), memo, wk)
 			}
 			b.ReportMetric(float64(st.Components), "components/op")
-			b.ReportMetric(float64(st.Recomputed), "recomputed/op")
 		})
 	}
 }

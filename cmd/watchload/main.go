@@ -455,9 +455,8 @@ func verify(dir string, seed int64, nSources, shards, buffer, retain int) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("post-restore refresh published version %d (shards resolved %d, reused %d; trust components %d, recomputed %d)\n",
-		v2.Version(), stats.ShardsResolved, stats.ShardsReused,
-		stats.TrustComponents, stats.TrustRecomputed)
+	fmt.Printf("post-restore refresh published version %d (shards resolved %d, reused %d; trust components %d)\n",
+		v2.Version(), stats.ShardsResolved, stats.ShardsReused, stats.TrustComponents)
 	return nil
 }
 

@@ -38,7 +38,6 @@ func main() {
 	maxSources := flag.Int("max-sources", 0, "source budget (0 = unlimited)")
 	parallelism := flag.Int("parallelism", 0, "per-source worker bound (0 = one per CPU, 1 = sequential)")
 	shards := flag.Int("shards", 0, "integration-tail shards (0 = sequential tail; output is identical at any count)")
-	flag.Bool("streaming", false, "deprecated no-op: sharded sessions (-shards) always recompute only dirty shards")
 	csvOut := flag.String("csv", "", "write wrangled table as CSV to this file")
 	serveMode := flag.Bool("serve", false, "after the run, serve snapshot versions over HTTP while refreshing in the background")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address for -serve")

@@ -46,6 +46,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`wrangle_reactions_total{origin="run"} 1`,
 		`wrangle_reactions_total{origin="refresh"} 1`,
 		"# TYPE wrangle_stage_seconds histogram",
+		"# TYPE wrangle_trust_components gauge",
+		"# TYPE wrangle_trust_component_iterations histogram",
 		"wrangle_serve_publishes_total 2",
 	} {
 		if !strings.Contains(text, want) {

@@ -270,9 +270,8 @@ func (st *serveState) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if reg := st.s.Metrics(); reg != nil {
 		// The counter/gauge summary: reactions by origin, source
 		// failures and task panics, serve read and watch traffic, and
-		// the trust-fixpoint component shape (wrangle_trust_components,
-		// wrangle_trust_components_reused_total) — the at-a-glance
-		// numbers; histograms stay on /metrics.
+		// the trust-fixpoint component count (wrangle_trust_components)
+		// — the at-a-glance numbers; histograms stay on /metrics.
 		body["telemetry"] = reg.Summary()
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -32,10 +32,12 @@
 // shard). Their reactions are partial tails: the session memoizes its
 // last integrated tail and the reaction planner (internal/core) diffs
 // the rebuilt union against it, re-resolving only dirty components
-// (cached pair scores cover the rest), warm-starting the trust
-// fixpoint and reusing untouched shards' clusters and fused pages by
-// reference, byte-identically to the full recompute; reaction cost
-// scales with the change, not the corpus. The tail's front half is
+// (cached pair scores cover the rest) and reusing untouched shards'
+// clusters by reference, byte-identically to the full recompute. The
+// back half runs whole — trust is the exact global fixpoint, every
+// shard re-fuses under it — and reuses at one grain: prepared claim
+// groups inside the trust estimation, fused records at the merge. The
+// tail's front half is
 // O(changed source) on both tails: whatever is a function of one
 // record — the FD profile's cell strings (internal/quality), the
 // resolver's row features (internal/er) — is derived once per source
@@ -48,10 +50,10 @@
 // re-plan merges deltas into. The trust fixpoint itself is
 // partitioned by trust-coupled connected components
 // (internal/fusion): sources sharing no chain of claim groups iterate
-// independently, so each component converges on its own, fans out
-// across the same worker pool, and the warm path adopts untouched
-// components' converged trust outright — float-identical at any
-// worker count. Source re-acquisition
+// independently, each component converging on its own break; claim
+// groups are prepared on the same worker pool, and a warm estimation
+// prepares only the groups whose claims moved — float-identical at
+// any worker count. Source re-acquisition
 // overlaps on the same worker pool for providers that opt into the
 // sources.ConcurrentProvider contract. WithMetrics threads the
 // internal/obs telemetry registry through all of it — stage and task

@@ -133,14 +133,10 @@ type RunStats struct {
 	// "integrate" a second time. Published snapshot versions carry these,
 	// so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
-	// TrustComponents / TrustRecomputed report the component shape of the
-	// tail's TruthFinder fixpoint: how many trust-coupled connected
-	// components the claim set split into, and how many of them actually
-	// re-iterated (cold tails recompute all; warm sharded tails adopt
-	// unchanged components from the memo). Zero for non-TruthFinder
-	// policies and empty tails.
+	// TrustComponents is how many trust-coupled connected components the
+	// tail's TruthFinder fixpoint split the claim set into; every one of
+	// them iterates. Zero for non-TruthFinder policies and empty tails.
 	TrustComponents int
-	TrustRecomputed int
 }
 
 // Wrangler is the Figure-1 architecture instance. Sources arrive through
@@ -171,12 +167,11 @@ type Wrangler struct {
 	// count. 0 (the default) keeps the tail sequential. Sharded reactions
 	// recompute a partial tail: the reaction planner diffs the new union
 	// against the memoized previous one, re-plans incrementally
-	// (er.RePlan), re-resolves only dirty shards, warm-starts the trust
-	// fixpoint and re-fuses only shards whose claims or trust moved —
-	// reusing every untouched shard's clusters and fused page by
-	// reference, so cost scales with the change instead of the corpus and
-	// published versions share the table records of every shard whose
-	// fused rows did not change.
+	// (er.RePlan) and re-resolves only dirty shards, reusing every
+	// untouched shard's clusters by reference. Trust is re-estimated over
+	// all claims (keeping the prepared state of claim groups that held)
+	// and every shard re-fuses under it; published versions share the
+	// table records of every shard whose fused rows did not change.
 	IntegrationShards int
 	// Deprecated: sharded sessions always stream; nothing reads this field.
 	StreamingRefresh bool
@@ -297,7 +292,6 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	w.split.record(w.LastStats.Stages)
 	w.LastStats.Duration = time.Since(start)
 	w.LastStats.TrustComponents = w.lastTrust.Components
-	w.LastStats.TrustRecomputed = w.lastTrust.Recomputed
 	w.publish(serve.OriginRun, ReactStats{})
 	return w.wrangled, nil
 }
@@ -705,6 +699,7 @@ func (w *Wrangler) integrate() error {
 		return fmt.Errorf("core: resolve: %w", err)
 	}
 	w.clusters = clusters
+	w.entityIDs = w.entityNames()
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	return w.fuse()
 }
@@ -884,11 +879,10 @@ func (w *Wrangler) RowKey(i int) string {
 }
 
 // fuse builds claims from the union rows grouped by cluster and fuses them
-// under the context-appropriate policy. The TruthFinder fixpoint inside
-// fans its trust-coupled components out over the session's workers —
-// byte-identical to a sequential fuse at any parallelism.
+// under the context-appropriate policy. The TruthFinder estimation inside
+// prepares its claim groups on the session's workers — byte-identical to
+// a sequential fuse at any parallelism.
 func (w *Wrangler) fuse() error {
-	w.entityIDs = w.entityNames()
 	claims := w.buildClaims()
 	var opts fusion.Options
 	w.results, opts, w.lastTrust = fusion.FuseParallel(claims, w.fusionOptions(), w.workers())

@@ -141,7 +141,6 @@ type loggedVersion struct {
 	lastSeq   int
 	dirty     []string
 	memoValid bool
-	fuse      fuseSig
 
 	payload []byte // the encoded record, for the compaction ring
 }
@@ -520,7 +519,7 @@ func decodeChangeSet(d *wal.Decoder) serve.ChangeSet {
 // the full Published payload (pages by reference when the sharded tail
 // built them, inline otherwise), and the working tail a restart needs to
 // resume incrementally — clusters, feedback watermark, dirty-source scope
-// and the fusion signature of the memoized tail.
+// and whether a tail memo stood behind the version.
 func encodeVersionPayload(w *Wrangler, v *PublishedVersion, pids []uint64) []byte {
 	pub := v.Data()
 	var e wal.Encoder
@@ -621,15 +620,16 @@ func encodeVersionPayload(w *Wrangler, v *PublishedVersion, pids []uint64) []byt
 	}
 	sort.Strings(dirty)
 	e.Strings(dirty)
+	e.Bool(w.memo != nil)
 	if w.memo != nil {
-		e.Bool(true)
-		e.Varint(int64(w.memo.fuse.policy))
-		e.F64(w.memo.fuse.defaultTrust)
-		e.F64(w.memo.fuse.tolerance)
-		e.Time(w.memo.fuse.now)
-		e.Duration(w.memo.fuse.halfLife)
-	} else {
-		e.Bool(false)
+		// Reserved: five fields (varint, two floats, time, duration) that
+		// held a fuse signature nothing reads any more. Written so the
+		// record layout stays the one older logs carry.
+		e.Varint(0)
+		e.F64(0)
+		e.F64(0)
+		e.Time(time.Time{})
+		e.Duration(0)
 	}
 	return e.Bytes()
 }
@@ -732,18 +732,13 @@ func decodeVersionPayload(payload []byte) (*loggedVersion, error) {
 	}
 	lv.lastSeq = d.Int()
 	lv.dirty = d.Strings()
-	if d.Bool() {
-		lv.memoValid = true
-		lv.fuse = fuseSig{
-			policy:       fusion.Policy(d.Int()),
-			defaultTrust: d.F64(),
-			tolerance:    d.F64(),
-			now:          d.Time(),
-			halfLife:     d.Duration(),
-		}
-		if lv.fuse.policy < 0 || lv.fuse.policy > fusion.FreshnessWeighted {
-			d.Failf("invalid fusion policy %d", lv.fuse.policy)
-		}
+	if lv.memoValid = d.Bool(); lv.memoValid {
+		// The reserved fuse-signature fields: read past, whatever they hold.
+		d.Varint()
+		d.F64()
+		d.F64()
+		d.Time()
+		d.Duration()
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -1105,22 +1100,17 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 	// failed rebuild degrades to a full first tail, never an error: outputs
 	// stay byte-identical either way.
 	if lv.memoValid && w.IntegrationShards > 0 && len(w.pages) > 0 && len(lv.dirty) == 0 {
-		w.rebuildMemo(lv)
+		w.rebuildMemo()
 	}
 	return nil
 }
 
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
-// and clusters. Shard plans, cluster representatives and claim partitions
-// are all deterministic functions of what was restored; the trust memo
-// warm-start state — including the per-component converged results — is
-// not persisted (nil is always a valid cold start for the trust
-// estimation and is float-exact; the first warm reaction rebuilds the
-// component memo by recomputing every component once), and the fusion
-// signature comes from the persisted record — not the live clock — so
-// page reuse remains exactly as conservative as it was before the
-// restart.
-func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
+// and clusters. The shard plan and the cluster representatives are
+// deterministic functions of what was restored; the trust memo is not
+// persisted — nil only means the first estimation prepares every claim
+// group, and its result is float-exact either way.
+func (w *Wrangler) rebuildMemo() {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
 	// No previous plan state: a fresh plan over the union buildUnion just
@@ -1148,11 +1138,7 @@ func (w *Wrangler) rebuildMemo(lv *loggedVersion) {
 	if err != nil {
 		return
 	}
-	parts := partitionClaims(w.buildClaims(), w.entityShard, len(w.pages))
-	if parts == nil {
-		return
-	}
-	w.memo = w.newTailMemo(ps, parts, w.pages, nil, lv.trust, lv.fuse)
+	w.memo = w.newTailMemo(ps, nil)
 }
 
 // --- append ---------------------------------------------------------------

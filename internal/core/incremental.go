@@ -36,15 +36,11 @@ type ReactStats struct {
 	// sequential sessions report zeros.
 	ShardsResolved int
 	ShardsReused   int
-	// TrustComponents and TrustRecomputed report the component shape of
-	// the reaction's trust estimation: how many trust-coupled connected
-	// components the claim set split into and how many actually
-	// re-iterated. On sharded sessions the warm fixpoint adopts
-	// unchanged components from the memo, so a 1-source churn typically
-	// recomputes fewer components than the total. Zero when no trust
-	// fixpoint ran (non-TruthFinder policy, empty tail).
+	// TrustComponents is how many trust-coupled connected components the
+	// reaction's trust estimation split the claim set into; every one of
+	// them iterates. Zero when no trust fixpoint ran (non-TruthFinder
+	// policy, empty tail).
 	TrustComponents int
-	TrustRecomputed int
 	Duration        time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole

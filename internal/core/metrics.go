@@ -33,7 +33,6 @@ const (
 	mVersion        = "wrangle_version"
 	mReplayTrunc    = "wrangle_wal_replay_truncations_total"
 	mTrustComps     = "wrangle_trust_components"
-	mTrustReused    = "wrangle_trust_components_reused_total"
 	mTrustIters     = "wrangle_trust_component_iterations"
 	mDerivedRows    = "wrangle_derived_rows"
 )
@@ -64,7 +63,6 @@ type pipelineMetrics struct {
 	rows           *obs.Gauge
 	version        *obs.Gauge
 	trustComps     *obs.Gauge
-	trustReused    *obs.Counter
 	derivedRows    *obs.Gauge
 }
 
@@ -96,7 +94,6 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 		rows:           reg.Gauge(mRows),
 		version:        reg.Gauge(mVersion),
 		trustComps:     reg.Gauge(mTrustComps),
-		trustReused:    reg.Counter(mTrustReused),
 		derivedRows:    reg.Gauge(mDerivedRows),
 	}
 	reg.Histogram(mTrustIters, trustIterBuckets())
@@ -107,8 +104,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mShardsReused, "Integration shards reused by-reference by reactions.")
 	reg.Help(mReuseRatio, "Reused/(resolved+reused) shards of the last reaction tail.")
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
-	reg.Help(mTrustReused, "Trust components adopted from the warm memo without re-iterating.")
-	reg.Help(mTrustIters, "Fixpoint iterations per recomputed trust component.")
+	reg.Help(mTrustIters, "Fixpoint iterations per trust component.")
 	reg.Help(mDerivedRows, "Source rows whose per-record derivations (FD cells, resolver features) are held; they die with their source generation.")
 	w.met = m
 	if w.Serve != nil {
@@ -181,7 +177,6 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 	// truth for both run and reaction origins.
 	if ts := w.lastTrust; ts.Components > 0 {
 		m.trustComps.Set(float64(ts.Components))
-		m.trustReused.Add(int64(ts.Components - ts.Recomputed))
 		h := m.reg.Histogram(mTrustIters, trustIterBuckets())
 		for _, it := range ts.Iterations {
 			h.Observe(float64(it))

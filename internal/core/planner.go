@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 	"time"
 
 	"repro/internal/dataset"
@@ -17,10 +16,13 @@ import (
 // of the integration tail must recompute — and executes exactly that.
 // On sharded sessions a full-scope tail diffs the rebuilt union against
 // the memoized previous one (record identity first, content where
-// records differ), re-plans incrementally and recomputes only the dirty
-// shards. The contract is strict: the sharded tail is
-// byte-identical to the sequential full recompute, pinned by the
-// internal/wrangletest harness.
+// records differ), re-plans incrementally and re-resolves only the dirty
+// shards. The back half — trust, fuse, merge — runs whole on every
+// reaction and reuses at one grain: the trust estimation keeps the
+// prepared state of every (entity, attribute) group whose claims held,
+// and the merge shares the records of every page that fused to the same
+// rows. The contract is strict: the sharded tail is byte-identical to the
+// sequential full recompute, pinned by the internal/wrangletest harness.
 
 // tailScope is how much of the integration tail a reaction needs.
 type tailScope int
@@ -39,49 +41,12 @@ const (
 // coherent integration; any tail that fails mid-flight drops the memo
 // (the next reaction plans from scratch and re-records it).
 type tailMemo struct {
-	union    *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
-	ids      []string       // the selected sources it was built from, sorted
-	starts   []int          // per ids entry: its first union row
-	plan     *er.PlanState
-	claims   [][]fusion.Claim // per shard, as fused
-	pages    []*shardPage
-	trust    *fusion.TrustMemo
-	trustMap map[string]float64 // the trust the pages were fused under
-	fuse     fuseSig
-}
-
-// fuseSig is the slice of fusion.Options a fused page depends on beyond
-// claims and trust.
-type fuseSig struct {
-	policy       fusion.Policy
-	defaultTrust float64
-	tolerance    float64
-	now          time.Time
-	halfLife     time.Duration
-}
-
-func newFuseSig(opts fusion.Options) fuseSig {
-	return fuseSig{
-		policy:       opts.Policy,
-		defaultTrust: opts.DefaultTrust,
-		tolerance:    opts.NumericTolerance,
-		now:          opts.Now,
-		halfLife:     opts.HalfLife,
-	}
-}
-
-// compatible reports whether pages fused under the signature could be
-// reused under opts. Now and HalfLife only matter when votes decay:
-// every other policy ignores claim age, so a ticking clock alone must
-// not defeat reuse.
-func (s fuseSig) compatible(opts fusion.Options) bool {
-	if s.policy != opts.Policy || s.defaultTrust != opts.DefaultTrust || s.tolerance != opts.NumericTolerance {
-		return false
-	}
-	if s.policy == fusion.FreshnessWeighted {
-		return s.now.Equal(opts.Now) && s.halfLife == opts.HalfLife
-	}
-	return true
+	union  *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
+	ids    []string       // the selected sources it was built from, sorted
+	starts []int          // per ids entry: its first union row
+	plan   *er.PlanState
+	pages  []*shardPage
+	trust  *fusion.TrustMemo // prepared claim groups of the last trust estimation
 }
 
 // planReaction classifies a batch of feedback into the reaction plan:
@@ -112,7 +77,7 @@ func planReaction(items []feedback.Item) (reextract map[string]bool, reselect bo
 // Sharded sessions run one engine graph whose scope picks the front
 // half: the full scope diffs, re-plans and resolves the dirty shards;
 // the fuse-only scope re-partitions claims over the stored clustering.
-// Both share the trust barrier → fuse[dirty] → merge back half.
+// Both share the trust barrier → fuse[shard] → merge back half.
 func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) error {
 	start := time.Now()
 	if stats.Stages == nil {
@@ -127,7 +92,6 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	w.split = replanSplit{}
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
-		stats.TrustRecomputed = w.lastTrust.Recomputed
 		w.split.record(stats.Stages)
 	}()
 	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {
@@ -151,11 +115,13 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	g := engine.NewGraph()
 	sr := &shardRun{}
 	var err error
-	if scope == tailFuseOnly && len(w.pages) > 0 {
+	if scope == tailFuseOnly && w.memo != nil {
 		err = w.addFuseOnlyTasks(g, sr)
 	} else {
-		// Also the fuse-only scope when no sharded integration completed
-		// yet (a first run cancelled mid-tail): the full tail builds one.
+		// Also the fuse-only scope without a memo: the last sharded
+		// integration did not complete (cancelled mid-tail, or a restore
+		// that could not rebuild it), so the union may be ahead of the
+		// clustering and only a full tail makes them coherent again.
 		err = w.addIntegrationTasks(g, sr)
 	}
 	if err != nil {
@@ -177,19 +143,14 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 }
 
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
-// clustering — the value-feedback reaction. The union and clusters are
-// untouched; entity names are recomputed (a pure function of both), the
-// claims re-partition along the stored entity→shard routing, trust is
-// re-estimated warm and every shard adopts its previous page when its
-// claims and trust held still.
+// clustering — the value-feedback reaction. The memo vouches that the
+// union, clusters, entity ids and entity→shard routing describe one
+// completed integration; the claims re-partition along that routing and
+// trust is re-estimated warm.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
-	n := len(w.pages)
+	n := len(w.memo.pages)
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
-		// Mirror the sequential fuse exactly: entity names first
-		// (clusters are unchanged, so this recomputes the same names),
-		// then claims, then the global trust stage.
-		w.entityIDs = w.entityNames()
 		sr.pages = make([]*shardPage, n)
 		return sr.trustAndPartition(w, n)
 	}); err != nil {
@@ -236,35 +197,6 @@ func segmentEnd(starts []int, k, n int) int {
 	return n
 }
 
-// shardFuseReusable reports whether shard i's memoized page is provably
-// what FuseResolved would produce again: compatible fusion options,
-// byte-identical claims, and unchanged effective trust for every source
-// claiming in the shard.
-func (w *Wrangler) shardFuseReusable(sr *shardRun, i int) bool {
-	m := w.memo
-	if m == nil || i >= len(m.pages) || m.pages[i] == nil || i >= len(m.claims) {
-		return false
-	}
-	if !m.fuse.compatible(sr.opts) {
-		return false
-	}
-	if !fusion.ClaimsEqual(m.claims[i], sr.claims[i]) {
-		return false
-	}
-	seen := map[string]bool{}
-	for _, c := range sr.claims[i] {
-		if seen[c.SourceID] {
-			continue
-		}
-		seen[c.SourceID] = true
-		if fusion.TrustOf(m.trustMap, m.fuse.defaultTrust, c.SourceID) !=
-			fusion.TrustOf(sr.opts.Trust, sr.opts.DefaultTrust, c.SourceID) {
-			return false
-		}
-	}
-	return true
-}
-
 // recordTailMemo captures the just-merged tail as the next reaction's
 // diff baseline. A full tail rebuilds the whole memo (and clears the
 // accumulated dirty-source scope — everything is integrated now); a
@@ -272,14 +204,8 @@ func (w *Wrangler) shardFuseReusable(sr *shardRun, i int) bool {
 // clusters did not move.
 func (w *Wrangler) recordTailMemo(sr *shardRun) {
 	if sr.fuseOnly {
-		if w.memo == nil {
-			return
-		}
-		w.memo.claims = sr.claims
 		w.memo.pages = sr.pages
 		w.memo.trust = sr.trustMemo
-		w.memo.trustMap = maps.Clone(sr.opts.Trust)
-		w.memo.fuse = newFuseSig(sr.opts)
 		return
 	}
 	// Commit folds the carried-over and freshly computed pair scores into
@@ -291,24 +217,20 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		w.memo = nil
 		return
 	}
-	w.memo = w.newTailMemo(ps, sr.claims, sr.pages, sr.trustMemo, sr.opts.Trust, newFuseSig(sr.opts))
+	w.memo = w.newTailMemo(ps, sr.trustMemo)
 	w.dirtySources = nil
 }
 
-// newTailMemo assembles the diff baseline over the current union, so the
-// live merge and the durable restore cannot record differently shaped
-// memos.
-func (w *Wrangler) newTailMemo(plan *er.PlanState, claims [][]fusion.Claim, pages []*shardPage,
-	trust *fusion.TrustMemo, trustMap map[string]float64, fuse fuseSig) *tailMemo {
+// newTailMemo assembles the diff baseline over the current union and
+// pages, so the live merge and the durable restore cannot record
+// differently shaped memos.
+func (w *Wrangler) newTailMemo(plan *er.PlanState, trust *fusion.TrustMemo) *tailMemo {
 	return &tailMemo{
-		union:    w.union,
-		ids:      w.unionIDs,
-		starts:   w.unionStarts,
-		plan:     plan,
-		claims:   claims,
-		pages:    pages,
-		trust:    trust,
-		trustMap: maps.Clone(trustMap),
-		fuse:     fuse,
+		union:  w.union,
+		ids:    w.unionIDs,
+		starts: w.unionStarts,
+		plan:   plan,
+		pages:  w.pages,
+		trust:  trust,
 	}
 }

@@ -64,7 +64,7 @@ type shardRun struct {
 	roots        []map[int]int     // resolve fan-out: shard -> row -> cluster representative
 	claims       [][]fusion.Claim  // cluster barrier: shard -> its entities' claims
 	opts         fusion.Options    // cluster barrier: trust already estimated
-	trustMemo    *fusion.TrustMemo // cluster barrier: warm trust state for the recorded memo
+	trustMemo    *fusion.TrustMemo // cluster barrier: prepared groups for the recorded memo
 	pages        []*shardPage      // fuse fan-out
 	empty        bool              // nothing to integrate; all stages no-op
 	fuseOnly     bool              // trust+fusion tail reusing the stored clustering
@@ -92,9 +92,9 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 // otherwise the sharded pipeline: plan (union + incremental re-plan
 // against the memoized tail) → resolve[shard] fan-out (skipping shards
 // whose clusters carried over) → cluster barrier (merge clusters, name
-// entities, estimate trust globally, warm-started from the memo) →
-// fuse[shard] fan-out (reusing pages whose claims and trust are
-// unchanged) → merge.
+// entities, estimate trust globally, keeping the memo's prepared groups
+// whose claims held) → fuse[shard] fan-out → merge (sharing the records
+// of pages that fused to the same rows).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.IntegrationShards
 	if n <= 0 {
@@ -238,22 +238,18 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // trustAndPartition is the back half of the cluster barrier, shared by
 // the full and the fuse-only tail: build the claims, run the one
 // cross-shard stage of fusion, and route every claim to its entity's
-// owning shard. The TruthFinder fixpoint fans its trust-coupled
-// components out over the session's workers (byte-identical to
-// sequential at any count) and warm-starts from the memoized group state
-// — unchanged (entity, attribute) groups keep their prepared buckets,
-// and a reaction that dirties one component's claims re-iterates that
-// component only, adopting the others' memoized trust. The result is
-// float-exact with the cold estimation the sequential tail runs. Runs
-// inside the single cluster-barrier task, so writing w.lastTrust is
-// race-free.
+// owning shard. The estimation is the exact global TruthFinder fixpoint,
+// float-exact with the one the sequential tail runs; what it carries over
+// from the memo is the prepared state of every (entity, attribute) group
+// whose claims held. Runs inside the single cluster-barrier task, so
+// writing w.lastTrust is race-free.
 func (sr *shardRun) trustAndPartition(w *Wrangler, n int) error {
 	claims := w.buildClaims()
 	var prev *fusion.TrustMemo
 	if w.memo != nil {
 		prev = w.memo.trust
 	}
-	sr.opts, sr.trustMemo, _, w.lastTrust = fusion.EstimateTrustWarmParallel(claims, w.fusionOptions(), prev, w.workers())
+	sr.opts, sr.trustMemo, w.lastTrust = fusion.EstimateTrustWarmParallel(claims, w.fusionOptions(), prev, w.workers())
 	if sr.claims = partitionClaims(claims, w.entityShard, n); sr.claims == nil {
 		return fmt.Errorf("core: a claim's entity has no owning shard")
 	}
@@ -292,17 +288,9 @@ func partitionClaims(claims []fusion.Claim, entityShard map[string]int, n int) [
 // trust and materialises the shard's page. Claim partitioning preserved
 // row order, so every (entity, attribute) group sees its claims in the
 // exact order the sequential fuse would — bucket representatives and
-// vote accumulation match bit for bit. When the shard's claims and the
-// effective trust of every source claiming in it are unchanged from the
-// memoized tail, the previous page — entities, records and results — is
-// adopted by reference instead: fusion provably could not produce
-// anything else.
+// vote accumulation match bit for bit.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) {
 	if sr.empty {
-		return
-	}
-	if w.shardFuseReusable(sr, i) {
-		sr.pages[i] = w.memo.pages[i]
 		return
 	}
 	results := fusion.FuseResolved(sr.claims[i], sr.opts)
@@ -384,7 +372,7 @@ func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []st
 
 // changeSet summarises what the freshly merged pages changed against the
 // previous integration — the per-version delta the change feed pushes to
-// watchers. Shards whose pages were adopted by reference contribute
+// watchers. Shards whose pages share their predecessor's records contribute
 // nothing; rebuilt shards are diffed record by record (pages keep their
 // entities sorted, so each diff is one linear merge walk over the two
 // pages — O(changed pages), never O(table)). Without a previous

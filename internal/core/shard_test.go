@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/feedback"
 	"repro/internal/sources"
 )
@@ -179,6 +181,91 @@ func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 	v3 := w.Serve.Latest()
 	if shared := SharedRecords(v2.Data().Table, v3.Data().Table); shared != v3.Data().Table.Len() {
 		t.Errorf("post-reaction refresh shared %d/%d records, want all", shared, v3.Data().Table.Len())
+	}
+}
+
+// cancelAfterPlan is a context that reports cancellation once the
+// wrangler's union has been replaced. The engine asks Err() on its
+// scheduler goroutine before it dispatches each task, and integrate:plan
+// runs alone when it replaces the union, so the first ask after the plan
+// stage — for the resolve fan-out — stops the tail exactly there.
+type cancelAfterPlan struct {
+	context.Context
+	w      *Wrangler
+	before *dataset.Table
+}
+
+func (c cancelAfterPlan) Err() error {
+	if c.w.union != c.before {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestFuseOnlyAfterTailLostAfterPlan: a sharded full tail cancelled right
+// after integrate:plan has replaced the union but not the clustering, the
+// entity ids or the entity→shard routing. A value-feedback reaction that
+// follows must not re-fuse the new union through the old clustering: it
+// runs the full tail and lands where the sequential session does,
+// whether the refreshed source shrank or grew.
+func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
+	payloads := map[string]string{
+		"shrinks": "sku,name,brand,price\nAX-2,palma mallap,acme,20\n",
+		"grows":   "sku,name,brand,price\nAX-1,palma lampal,acme,10\nAX-2,palma mallap,acme,20\nAX-3,palma plampa,acme,25\n",
+	}
+	for name, payload := range payloads {
+		t.Run(name, func(t *testing.T) {
+			drive := func(shards int) *Wrangler {
+				t.Helper()
+				w, p := newDeltaWrangler(shards)
+				if _, err := w.Run(); err != nil {
+					t.Fatal(err)
+				}
+				p.srcs["srcA"] = csvSource("srcA", payload)
+				ctx := context.Background()
+				if shards > 0 {
+					ctx = cancelAfterPlan{Context: ctx, w: w, before: w.union}
+				}
+				_, err := w.RefreshSourcesContext(ctx, []string{"srcA"})
+				if shards == 0 {
+					if err != nil {
+						t.Fatal(err)
+					}
+				} else if !errors.Is(err, context.Canceled) || w.memo != nil || w.Serve.Latest().Seq() != 1 {
+					t.Fatalf("the tail was meant to be lost after its plan stage: err=%v memo=%v seq=%d",
+						err, w.memo != nil, w.Serve.Latest().Seq())
+				}
+				w.AddFeedback(feedback.Item{
+					Kind: feedback.ValueIncorrect, SourceID: "srcB",
+					Entity: "BR-1", Attribute: "price", Worker: "expert", Cost: 0.5,
+				})
+				stats, err := w.ReactToFeedback()
+				if err != nil {
+					t.Fatalf("shards=%d: value feedback after the lost tail: %v", shards, err)
+				}
+				if shards > 0 && (stats.ShardsResolved == 0 || w.memo == nil) {
+					t.Fatalf("the reaction did not run the full tail: %+v, memo %v", stats, w.memo != nil)
+				}
+				if w.FeedbackSeq() == 0 {
+					t.Fatal("the feedback item is still pending")
+				}
+				return w
+			}
+			seq, sharded := drive(0), drive(4)
+			if want, got := seq.Wrangled().String(), sharded.Wrangled().String(); want != got {
+				t.Errorf("sharded session diverged from the sequential one:\n%s\nwant:\n%s", got, want)
+			}
+			for i := 0; i < seq.Union().Len(); i++ {
+				if want, got := seq.EntityOf(i), sharded.EntityOf(i); want != got {
+					t.Errorf("union row %d is entity %q, sequential says %q", i, got, want)
+				}
+			}
+			for src, want := range seq.Trust() {
+				if got := sharded.Trust()[src]; got != want {
+					t.Errorf("trust[%s] = %v, sequential says %v", src, got, want)
+				}
+			}
+		})
 	}
 }
 

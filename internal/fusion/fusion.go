@@ -66,7 +66,7 @@ type Options struct {
 	Policy Policy
 	// Trust maps source id -> prior trust in (0,1]. Missing sources get
 	// DefaultTrust. Updated in place by TruthFinder iterations.
-	Trust        map[string]float64
+	Trust map[string]float64
 	// Pinned marks sources whose trust is externally established (e.g.
 	// derived from user feedback) and must not be overwritten by
 	// TruthFinder's iterative estimation.
@@ -174,17 +174,17 @@ func Fuse(claims []Claim, opts Options) []Result {
 	return out
 }
 
-// FuseParallel is Fuse with the TruthFinder fixpoint fanned out over
-// workers goroutines (per trust-coupled component — byte-identical to
-// Fuse at any worker count), returning the resolved options and the
-// component stats alongside the results. Claims are grouped once and
-// shared between trust estimation and per-group fusion.
+// FuseParallel is Fuse with the TruthFinder estimation's group
+// preparation fanned out over workers goroutines (byte-identical to Fuse
+// at any worker count), returning the resolved options and the component
+// stats alongside the results. Claims are grouped once and shared between
+// trust estimation and per-group fusion.
 func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options, TrustStats) {
 	opts = opts.normalized()
 	groups, keys := groupClaims(claims)
 	var st TrustStats
 	if opts.Policy == TruthFinder {
-		_, _, st = estimateTrust(groups, keys, &opts, nil, workers)
+		_, st = estimateTrust(groups, keys, &opts, nil, workers)
 	}
 	out := make([]Result, 0, len(keys))
 	for _, k := range keys {
@@ -194,8 +194,8 @@ func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options,
 }
 
 // EstimateTrustParallel runs the global half of fusion — the TruthFinder
-// trust fixpoint over the full claim set, its trust-coupled components
-// fanned out over workers goroutines (byte-identical at any count) — and
+// trust fixpoint over the full claim set, its group preparation fanned
+// out over workers goroutines (byte-identical at any count) — and
 // returns options with the estimated per-source trust filled in (for
 // other policies it only fills defaults) plus the component shape of the
 // estimation. The returned options are ready for FuseResolved over any
@@ -204,7 +204,7 @@ func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options,
 // it has run, disjoint claim subsets fuse independently. It is the
 // prev == nil case of EstimateTrustWarmParallel.
 func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, TrustStats) {
-	opts, _, _, st := EstimateTrustWarmParallel(claims, opts, nil, workers)
+	opts, _, st := EstimateTrustWarmParallel(claims, opts, nil, workers)
 	return opts, st
 }
 
@@ -390,19 +390,13 @@ func voteWeight(c Claim, opts Options) float64 {
 	}
 }
 
-func trustOf(sourceID string, opts Options) float64 {
-	return TrustOf(opts.Trust, opts.DefaultTrust, sourceID)
-}
-
-// TrustOf is the one trust lookup rule every fusion stage applies: a
+// trustOf is the one trust lookup rule every fusion stage applies: a
 // positive entry wins, anything else falls back to the default.
-// Exported because the streaming planner's page-reuse proof must apply
-// the exact same rule when comparing effective trust across rounds.
-func TrustOf(trust map[string]float64, defaultTrust float64, sourceID string) float64 {
-	if t, ok := trust[sourceID]; ok && t > 0 {
+func trustOf(sourceID string, opts Options) float64 {
+	if t, ok := opts.Trust[sourceID]; ok && t > 0 {
 		return t
 	}
-	return defaultTrust
+	return opts.DefaultTrust
 }
 
 // Accuracy scores fused results against a truth lookup: the fraction of

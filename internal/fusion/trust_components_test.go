@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,8 +41,8 @@ func TestTrustComponentPartition(t *testing.T) {
 	both := append(append([]Claim(nil), a...), b...)
 
 	_, st := EstimateTrustParallel(both, DefaultOptions(TruthFinder), 2)
-	if st.Components != 2 || st.Recomputed != 2 {
-		t.Fatalf("disjoint source sets: components=%d recomputed=%d, want 2/2", st.Components, st.Recomputed)
+	if st.Components != 2 || len(st.Iterations) != 2 {
+		t.Fatalf("disjoint source sets: components=%d iterations=%v, want 2 of each", st.Components, st.Iterations)
 	}
 
 	// Isolation: a component's trust must be identical whether or not the
@@ -69,17 +70,16 @@ func TestTrustComponentPartition(t *testing.T) {
 	}
 }
 
-// TestParallelTrustMatchesSequential pins tentpole layer (b): the
-// component fan-out must be byte-identical to the sequential
-// per-component reference at every worker count, cold and warm, over
-// randomized claim sets.
+// TestParallelTrustMatchesSequential pins that the estimation is
+// byte-identical to the workers = 1 reference at every worker count, cold
+// and through the warm entry point, over randomized claim sets.
 func TestParallelTrustMatchesSequential(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		claims := randomTrustClaims(rng, 10+rng.Intn(120))
-		// Append disjoint component blocks so the fan-out has real
-		// partitions to distribute, not just one big component.
+		// Append disjoint component blocks so the partition has more than
+		// one big component to order.
 		claims = append(claims, componentTestClaims(fmt.Sprintf("p%d", seed%3), 3, 2)...)
 		claims = append(claims, componentTestClaims("q", 2, 2)...)
 
@@ -90,14 +90,11 @@ func TestParallelTrustMatchesSequential(t *testing.T) {
 			if st.Components < 3 {
 				t.Fatalf("seed %d: components=%d, want >= 3 (claim set was built with disjoint blocks)", seed, st.Components)
 			}
-			if st.Recomputed != st.Components || len(st.Iterations) != st.Components {
+			if len(st.Iterations) != st.Components {
 				t.Fatalf("seed %d: cold stats %+v inconsistent", seed, st)
 			}
 
-			warm, _, skipped, wst := EstimateTrustWarmParallel(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil, wk)
-			if skipped {
-				t.Fatalf("seed %d: fresh warm estimation reported a short-circuit", seed)
-			}
+			warm, _, wst := EstimateTrustWarmParallel(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil, wk)
 			requireSameTrust(t, ref.Trust, warm.Trust, fmt.Sprintf("seed %d warm workers=%d", seed, wk))
 			// Cold is the prev == nil case of warm: same stats, not just
 			// the same trust.
@@ -108,69 +105,75 @@ func TestParallelTrustMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamingTrustWarmComponentShortCircuit pins the per-component warm
-// path: churning one component's claims re-iterates that component only —
-// the others adopt their memoized trust — and the result stays float-exact
-// with a cold estimation over the churned claim set.
-func TestStreamingTrustWarmComponentShortCircuit(t *testing.T) {
+// TestStreamingTrustWarmKeepsPreparedGroups pins the one grain of reuse:
+// a warm estimation over churned claims keeps the previous prepared group
+// for every (entity, attribute) whose claims held and prepares the others
+// afresh, every component iterates, and the result stays float-exact with
+// a cold estimation over the churned claim set.
+func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 	var claims []Claim
 	for c := 0; c < 5; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("c%d", c), 3, 4)...)
 	}
-	_, memo, _, st := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 2)
-	if st.Components != 5 || st.Recomputed != 5 {
-		t.Fatalf("cold: components=%d recomputed=%d, want 5/5", st.Components, st.Recomputed)
+	_, memo, st := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 2)
+	if st.Components != 5 {
+		t.Fatalf("cold: components=%d, want 5", st.Components)
 	}
 
-	// Churn every claim of one source in component c2: values move, the
-	// component's group membership stays the same.
+	// Churn one source's claim on two of component c2's four entities: the
+	// values move, every group keeps its members.
 	churned := append([]Claim(nil), claims...)
+	moved := map[string]bool{}
 	for i := range churned {
-		if churned[i].SourceID == "c2-s1" {
-			churned[i].Value = dataset.Float(999)
+		if c := &churned[i]; c.SourceID == "c2-s1" && (c.Entity == "c2-e0" || c.Entity == "c2-e3") {
+			c.Value = dataset.Float(999)
+			moved[c.Entity+"\x1f"+c.Attribute] = true
 		}
 	}
 	cold := coldTrust(churned, DefaultOptions(TruthFinder))
-	warm, memo2, skipped, st2 := EstimateTrustWarmParallel(churned, DefaultOptions(TruthFinder), memo, 2)
-	if skipped {
-		t.Fatal("churned claims must not short-circuit outright")
+	warm, memo2, st2 := EstimateTrustWarmParallel(churned, DefaultOptions(TruthFinder), memo, 2)
+	if st2.Components != 5 || len(st2.Iterations) != 5 {
+		t.Fatalf("1-source churn: stats %+v, want 5 components, all iterated", st2)
 	}
-	if st2.Components != 5 || st2.Recomputed != 1 {
-		t.Fatalf("1-source churn: components=%d recomputed=%d, want 5/1", st2.Components, st2.Recomputed)
+	requireSameTrust(t, cold.Trust, warm.Trust, "warm over churned claims")
+	if len(moved) != 2 || len(memo2.groups) != len(memo.groups) {
+		t.Fatalf("churn moved %d groups (want 2); memo holds %d groups, had %d", len(moved), len(memo2.groups), len(memo.groups))
 	}
-	requireSameTrust(t, cold.Trust, warm.Trust, "component short-circuit")
-
-	// The full short-circuit still works on top of the component memo and
-	// reports zero recomputed components.
-	again, _, skipped, st3 := EstimateTrustWarmParallel(churned, DefaultOptions(TruthFinder), memo2, 2)
-	if !skipped {
-		t.Fatal("unchanged inputs did not short-circuit")
+	for k, g := range memo2.groups {
+		if kept := g == memo.groups[k]; kept == moved[k] {
+			t.Fatalf("group %q: prepared state kept=%v, claims moved=%v", k, kept, moved[k])
+		}
 	}
-	if st3.Components != 5 || st3.Recomputed != 0 {
-		t.Fatalf("short-circuit: components=%d recomputed=%d, want 5/0", st3.Components, st3.Recomputed)
-	}
-	requireSameTrust(t, cold.Trust, again.Trust, "full short-circuit")
 }
 
-// TestTrustComponentSeedChangeScopesRerun pins that a changed pinned seed
-// dirties only the components the seeded source belongs to.
-func TestTrustComponentSeedChangeScopesRerun(t *testing.T) {
+// TestTrustComponentSeedChangeStaysInComponent pins that a changed seed
+// moves the trust of its own component only, warm exactly as cold: the
+// other components provably read nothing it wrote.
+func TestTrustComponentSeedChangeStaysInComponent(t *testing.T) {
 	var claims []Claim
 	for c := 0; c < 4; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("k%d", c), 3, 3)...)
 	}
-	_, memo, _, _ := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 1)
+	base, memo, _ := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 1)
 
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["k1-s0"] = 0.37
 	seeded.Pinned = map[string]bool{}
 	cold := coldTrust(claims, cloneOpts(seeded))
-	warm, _, skipped, st := EstimateTrustWarmParallel(claims, cloneOpts(seeded), memo, 1)
-	if skipped {
-		t.Fatal("changed seed must defeat the global short-circuit")
+	warm, _, st := EstimateTrustWarmParallel(claims, cloneOpts(seeded), memo, 1)
+	if st.Components != 4 {
+		t.Fatalf("seed change: components=%d, want 4", st.Components)
 	}
-	if st.Components != 4 || st.Recomputed != 1 {
-		t.Fatalf("seed change: components=%d recomputed=%d, want 4/1", st.Components, st.Recomputed)
+	requireSameTrust(t, cold.Trust, warm.Trust, "seed change")
+	movedInK1 := false
+	for src, got := range warm.Trust {
+		if strings.HasPrefix(src, "k1-") {
+			movedInK1 = movedInK1 || got != base.Trust[src]
+		} else if got != base.Trust[src] {
+			t.Fatalf("trust[%s] = %v after seeding k1-s0, %v before — the seed crossed components", src, got, base.Trust[src])
+		}
 	}
-	requireSameTrust(t, cold.Trust, warm.Trust, "scoped seed change")
+	if !movedInK1 {
+		t.Fatal("the seeded component's trust did not move")
+	}
 }

@@ -62,9 +62,9 @@ func coldTrust(claims []Claim, opts Options) Options {
 	return opts
 }
 
-func warmTrust(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo, bool) {
-	opts, memo, skipped, _ := EstimateTrustWarmParallel(claims, opts, prev, 1)
-	return opts, memo, skipped
+func warmTrust(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo) {
+	opts, memo, _ := EstimateTrustWarmParallel(claims, opts, prev, 1)
+	return opts, memo
 }
 
 func requireSameTrust(t *testing.T, want, got map[string]float64, label string) {
@@ -80,28 +80,20 @@ func requireSameTrust(t *testing.T, want, got map[string]float64, label string) 
 }
 
 // TestStreamingTrustWarmMatchesEstimate pins the float-exactness contract
-// of the warm path: from scratch, after a delta (groups partially
-// reused), and on the full short-circuit, the warm estimation must
-// reproduce the cold estimation's trust map bit for bit.
+// of the warm path: from scratch, over unchanged claims (every group
+// reused) and after a delta (groups partially reused), the warm
+// estimation must reproduce the cold estimation's trust map bit for bit.
 func TestStreamingTrustWarmMatchesEstimate(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		claims := randomTrustClaims(rng, 10+rng.Intn(120))
 
 		cold := coldTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))))
-		warm, memo, skipped := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil)
-		if skipped {
-			t.Fatalf("seed %d: fresh estimation reported a short-circuit", seed)
-		}
+		warm, memo := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil)
 		requireSameTrust(t, cold.Trust, warm.Trust, fmt.Sprintf("seed %d cold-vs-warm", seed))
 
-		// Short-circuit: identical claims and seeds must skip the fixpoint
-		// yet return the identical map.
-		again, memo2, skipped := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), memo)
-		if !skipped {
-			t.Fatalf("seed %d: unchanged inputs did not short-circuit", seed)
-		}
-		requireSameTrust(t, cold.Trust, again.Trust, fmt.Sprintf("seed %d short-circuit", seed))
+		again, memo2 := warmTrust(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), memo)
+		requireSameTrust(t, cold.Trust, again.Trust, fmt.Sprintf("seed %d unchanged claims", seed))
 
 		// Delta: mutate a subset of claims, keep the rest — the warm path
 		// reuses the untouched groups' prepared state.
@@ -111,28 +103,25 @@ func TestStreamingTrustWarmMatchesEstimate(t *testing.T) {
 			mutated[i].Value = dataset.Float(500 + float64(rng.Intn(50)))
 		}
 		coldM := coldTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))))
-		warmM, _, _ := warmTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))), memo2)
+		warmM, _ := warmTrust(mutated, randomTrustOpts(rand.New(rand.NewSource(seed))), memo2)
 		requireSameTrust(t, coldM.Trust, warmM.Trust, fmt.Sprintf("seed %d delta", seed))
 	}
 }
 
 // TestStreamingTrustWarmSeedChangeReruns pins that a changed feedback
-// seed (new pinned trust) defeats the short-circuit: the fixpoint reruns
-// and matches the cold estimate under the new seeds.
+// seed (new pinned trust) reaches the warm estimation: it matches the
+// cold estimate under the new seeds although every claim group held.
 func TestStreamingTrustWarmSeedChangeReruns(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	claims := randomTrustClaims(rng, 80)
 	base := DefaultOptions(TruthFinder)
-	_, memo, _ := warmTrust(claims, base, nil)
+	_, memo := warmTrust(claims, base, nil)
 
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["s1"] = 0.31
 	seeded.Pinned = map[string]bool{"s1": true}
 	cold := coldTrust(claims, cloneOpts(seeded))
-	warm, _, skipped := warmTrust(claims, cloneOpts(seeded), memo)
-	if skipped {
-		t.Fatal("changed trust seeds must defeat the short-circuit")
-	}
+	warm, _ := warmTrust(claims, cloneOpts(seeded), memo)
 	requireSameTrust(t, cold.Trust, warm.Trust, "seed change")
 }
 
@@ -143,17 +132,17 @@ func cloneOpts(o Options) Options {
 }
 
 // TestStreamingTrustWarmNonTruthFinder pins that non-TruthFinder policies
-// never iterate: the warm path reports a skip and leaves trust exactly as
-// the cold estimation would (seeds only).
+// never iterate: the warm path reports no components and leaves trust
+// exactly as the cold estimation would (seeds only).
 func TestStreamingTrustWarmNonTruthFinder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	claims := randomTrustClaims(rng, 40)
 	opts := DefaultOptions(FreshnessWeighted)
 	opts.Trust["s2"] = 0.5
 	cold := coldTrust(claims, cloneOpts(opts))
-	warm, _, skipped := warmTrust(claims, cloneOpts(opts), nil)
-	if !skipped {
-		t.Fatal("freshness policy has no fixpoint to run")
+	warm, _, st := EstimateTrustWarmParallel(claims, cloneOpts(opts), nil, 1)
+	if st.Components != 0 || len(st.Iterations) != 0 {
+		t.Fatalf("freshness policy has no fixpoint to run, got %+v", st)
 	}
 	requireSameTrust(t, cold.Trust, warm.Trust, "freshness")
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/feedback"
 	"repro/internal/sources"
 
@@ -23,7 +24,8 @@ import (
 // union index shifts), a refresh that moves a dependency across the 0.9
 // confidence line (rows of unchanged sources gain or lose a repair), a
 // source deselected and reselected, a failed tail followed by a clean
-// one, and a restore from a durable log followed by a refresh. Every
+// one or by a fuse-only reaction, and a restore from a durable log
+// followed by a refresh. Every
 // scenario runs on a strictly sequential baseline and on workers × shards
 // variants, fingerprinted after every step, and beside a session that
 // answers every step with a FullRerun, whose outputs must agree too.
@@ -101,6 +103,33 @@ func (h *clockHook) Clock() int {
 	return h.Provider.Clock()
 }
 
+// planCancel is a context that reports cancellation once the wrangler's
+// union has been replaced: the engine asks Err() on its scheduler
+// goroutine before it dispatches each task, and integrate:plan runs alone
+// when it replaces the union, so the first ask after the plan stage — for
+// the resolve fan-out — fails a sharded tail exactly there.
+type planCancel struct {
+	context.Context
+	w      *core.Wrangler
+	before *dataset.Table
+}
+
+func (c planCancel) Err() error {
+	if c.w.Union() != c.before {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// tailLoss is where a step cancels the sharded variants' tail.
+type tailLoss int
+
+const (
+	noLoss           tailLoss = iota
+	lostAfterPlan             // union replaced; clusters, entity ids and routing not
+	lostAfterCluster          // clusters and claims rebuilt; nothing fused or merged
+)
+
 type scenarioVariant struct {
 	name string
 	w    *core.Wrangler
@@ -114,12 +143,11 @@ type scenarioStep struct {
 	mutate   func()
 	refresh  []string
 	feedback []feedback.Item
-	// failTail cancels the sharded variants' tail between its cluster stage
-	// and its fuse fan-out: the step's sources are installed, nothing is
-	// published and the memo is dropped. The sessions are compared again
-	// after the next step, on outputs only — their provenance logs have
-	// legitimately parted.
-	failTail bool
+	// lose cancels the sharded variants' tail mid-flight: the step's
+	// sources are installed, nothing is published and the memo is dropped.
+	// The sessions are compared again after the next step, on outputs only
+	// — their provenance logs have legitimately parted.
+	lose tailLoss
 	// check inspects the sequential baseline after the step, so a scenario
 	// that stopped doing what its name says fails instead of passing idly.
 	check func(t *testing.T, w *core.Wrangler)
@@ -127,8 +155,11 @@ type scenarioStep struct {
 
 func (step scenarioStep) apply(v *scenarioVariant) error {
 	ctx := context.Background()
-	fail := step.failTail && v.w.IntegrationShards > 0
-	if fail {
+	fail := step.lose != noLoss && v.w.IntegrationShards > 0
+	switch {
+	case fail && step.lose == lostAfterPlan:
+		ctx = planCancel{Context: ctx, w: v.w, before: v.w.Union()}
+	case fail:
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
@@ -217,7 +248,7 @@ func runScenario(t *testing.T, f *fixture, configure func(*core.Wrangler), steps
 		if step.check != nil {
 			step.check(t, base.w)
 		}
-		if step.failTail {
+		if step.lose != noLoss {
 			view = outputs
 			continue // the sharded variants are a tail behind until the next step
 		}
@@ -336,12 +367,47 @@ func TestSourceDeselectedThenReselected(t *testing.T) {
 func TestFailedTailThenCleanOne(t *testing.T) {
 	f := newFixture()
 	runScenario(t, f, nil, []scenarioStep{
-		{name: "srcA shrinks, tail lost", refresh: []string{"srcA"}, failTail: true,
+		{name: "srcA shrinks, tail lost", refresh: []string{"srcA"}, lose: lostAfterCluster,
 			mutate: func() { f.a.Raw = csvRows(0, allRows[1:]) }},
 		{name: "srcC refreshes cleanly", refresh: []string{"srcC"},
 			mutate: func() { f.c.Raw = csvRows(4, allRows, 6) }},
 		{name: "srcA grows back", refresh: []string{"srcA"},
 			mutate: func() { f.a.Raw = csvRows(0, allRows, 0) }},
+	})
+}
+
+// TestTailLostAfterPlanThenValueFeedback: a sharded tail cancelled right
+// after its plan stage has replaced the union but not the clustering, the
+// entity ids or the entity→shard routing. Value feedback — the fuse-only
+// reaction — comes next and must not re-fuse the new union through the
+// old clustering, whether the union shrank or grew in between: with the
+// memo gone it runs the full tail and lands where the sequential session
+// did.
+func TestTailLostAfterPlanThenValueFeedback(t *testing.T) {
+	f := newFixture()
+	distrust := func(src, sku string) []feedback.Item {
+		return []feedback.Item{{Kind: feedback.ValueIncorrect, SourceID: src, Entity: sku,
+			Attribute: "price", Worker: "expert", Cost: 0.5}}
+	}
+	after := func(rows int, distrusted string) func(*testing.T, *core.Wrangler) {
+		return func(t *testing.T, w *core.Wrangler) {
+			if got := w.Union().Len(); got != rows {
+				t.Fatalf("union has %d rows, want %d", got, rows)
+			}
+			if distrusted != "" && w.Trust()[distrusted] >= w.Trust()["srcC"] {
+				t.Fatalf("trust %v: the feedback did not lower %s", w.Trust(), distrusted)
+			}
+		}
+	}
+	runScenario(t, f, nil, []scenarioStep{
+		{name: "srcA shrinks, tail lost after plan", refresh: []string{"srcA"}, lose: lostAfterPlan, check: after(22, ""),
+			mutate: func() { f.a.Raw = csvRows(0, allRows[2:]) }},
+		{name: "a srcB price is wrong", feedback: distrust("srcB", "BR-1"), check: after(22, "srcB")},
+		{name: "srcA grows, tail lost after plan", refresh: []string{"srcA"}, lose: lostAfterPlan, check: after(24, "srcB"),
+			mutate: func() { f.a.Raw = csvRows(0, allRows, 0) }},
+		{name: "a srcA price is wrong", feedback: distrust("srcA", "CX-2"), check: after(24, "srcA")},
+		{name: "srcC refreshes cleanly", refresh: []string{"srcC"}, check: after(24, "srcA"),
+			mutate: func() { f.c.Raw = csvRows(4, allRows, 6) }},
 	})
 }
 

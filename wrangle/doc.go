@@ -54,10 +54,10 @@
 //
 // By default everything above is in-memory and dies with the process.
 // WithDurableLog(dir) attaches a checksummed append-only log: every
-// committed version is appended O(delta) — fused pages are written
-// once and referenced by id thereafter — and reopening the same
-// directory restores the session warm (Session.Restored reports
-// true). A restored session serves its retained versions immediately
+// committed version appends what it rebuilt — a fused page is written
+// once and referenced by id by every version that carries it — and
+// reopening the same directory restores the session warm
+// (Session.Restored reports true). A restored session serves its retained versions immediately
 // (identical tables, trust state and compaction boundaries — View.At
 // below the window answers ErrCompacted exactly as before the
 // restart), watchers catch up from the restored window, and the first

@@ -209,14 +209,15 @@ func WithParallelism(n int) Option {
 // blocking shards that run as parallel engine tasks and merge
 // deterministically. Results are byte-identical to the sequential tail
 // at every shard count; only the speed and the publication cost change.
-// The session memoizes its last integrated tail, and every ApplyFeedback
-// / Refresh diffs the rebuilt union against it, re-plans incrementally
-// and re-resolves / re-fuses only the shards the delta touched (see
+// The session memoizes its last integrated tail, and every Refresh (and
+// duplicate feedback) diffs the rebuilt union against it, re-plans
+// incrementally and re-resolves only the shards the delta touched (see
 // ReactStats.ShardsResolved / ShardsReused and the ReactStats.Stages
-// split) — untouched shards keep their clusters and fused pages by
-// reference, all the way into the published snapshot version, which
-// shares their table records with its predecessor instead of
-// deep-copying them. n must be at
+// split) — untouched shards keep their clusters by reference. Trust is
+// re-estimated over all claims and every shard re-fuses under it; a
+// shard that fuses to the same rows keeps its predecessor's table
+// records all the way into the published snapshot version, which shares
+// them instead of deep-copying. n must be at
 // least 1 (1 exercises the sharded machinery and delta publication with
 // a single shard); by default the tail is sequential. Useful shard
 // counts track the worker bound (WithParallelism) — more shards than
