@@ -41,13 +41,16 @@ loadtest:
 # its string oracle, the carried Prepare + RePlan vs a fresh plan, the
 # change-feed resume property (no duplicate, out-of-order
 # or torn deliveries across arbitrary publish/subscribe/drain/cancel
-# interleavings), and the WAL replay property (arbitrary bytes never
+# interleavings), the WAL replay property (arbitrary bytes never
 # panic the reader, corruption is detected, the healed log stays
-# appendable). Longer local sessions: go test -fuzz=FuzzSharded
+# appendable) and the record codec property (no payload panics the
+# decoder; an accepted one re-encodes to bytes that decode to the same
+# record). Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
-# -fuzz=FuzzWALReplay ./internal/wal).
+# -fuzz=FuzzWALReplay ./internal/wal, -fuzz=FuzzDurableRecord
+# ./internal/core).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
@@ -55,3 +58,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzPrepareCarry -fuzztime=10s -run=^$$ ./internal/er
 	$(GO) test -fuzz=FuzzWatchResume -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/wal
+	$(GO) test -fuzz=FuzzDurableRecord -fuzztime=10s -run=^$$ ./internal/core

@@ -6,7 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -37,6 +37,10 @@ import (
 // versions accumulate since the last checkpoint, the log is rewritten to
 // config + full feedback/provenance/source state + the pages still referenced
 // by retained versions + the retained version records + a checkpoint marker.
+//
+// Each record kind's payload layout is one code function over wal.Codec
+// (see "record layouts" below); TestParentWrittenLogs pins it against logs
+// the earlier hand-paired encoders wrote.
 
 // FsyncPolicy says when the durable log calls fsync; see wal.SyncPolicy.
 type FsyncPolicy = wal.SyncPolicy
@@ -115,7 +119,8 @@ type replayedLog struct {
 	versions []*loggedVersion
 }
 
-// loggedVersion is one decoded version record.
+// loggedVersion is one version record: built from a publish by
+// versionRecord, or decoded on replay.
 type loggedVersion struct {
 	seq      uint64
 	step     uint64
@@ -145,605 +150,344 @@ type loggedVersion struct {
 	payload []byte // the encoded record, for the compaction ring
 }
 
-// --- payload codecs -------------------------------------------------------
+// --- record layouts -------------------------------------------------------
+//
+// Each record kind's byte layout is stated once, by one code function over
+// wal.Codec that both encodes (append, compaction) and decodes (replay).
+// The layout is frozen: every log written since the durable layer landed
+// must still attach. Decoded values keep the nil-versus-empty shape the
+// restore path has always seen — an empty slice or map decodes nil unless
+// its code function starts it from an empty one.
 
-// encodeConfigPayload fingerprints the session shape the log was written
-// under. Attach refuses a log whose config differs: the byte format of
-// pages and versions (schema width) and the restore semantics (shards,
-// retention) all hang off it.
-func encodeConfigPayload(w *Wrangler, retain int) []byte {
-	var e wal.Encoder
-	e.Schema(w.Config.Target)
-	e.String(w.Config.KeyColumn)
-	e.String(w.Config.NameColumn)
-	e.String(w.Config.SecondaryColumn)
-	e.String(w.Config.NumericColumn)
-	e.String(w.Config.TimeColumn)
-	e.Varint(int64(w.IntegrationShards))
+// configRecord fingerprints the session shape the log was written under.
+// Attach refuses a log whose config differs: the byte format of pages and
+// versions (schema width) and the restore semantics (shards, retention)
+// all hang off it.
+type configRecord struct {
+	target          dataset.Schema
+	keyColumn       string
+	nameColumn      string
+	secondaryColumn string
+	numericColumn   string
+	timeColumn      string
+	shards          int
+	retain          int
+}
+
+func newConfigRecord(w *Wrangler, retain int) *configRecord {
+	return &configRecord{
+		target:          w.Config.Target,
+		keyColumn:       w.Config.KeyColumn,
+		nameColumn:      w.Config.NameColumn,
+		secondaryColumn: w.Config.SecondaryColumn,
+		numericColumn:   w.Config.NumericColumn,
+		timeColumn:      w.Config.TimeColumn,
+		shards:          w.IntegrationShards,
+		retain:          retain,
+	}
+}
+
+func codeConfig(c *wal.Codec, r *configRecord) {
+	c.Schema(&r.target)
+	c.String(&r.keyColumn)
+	c.String(&r.nameColumn)
+	c.String(&r.secondaryColumn)
+	c.String(&r.numericColumn)
+	c.String(&r.timeColumn)
+	c.Int(&r.shards)
 	// Was the StreamingRefresh knob; sharded sessions now always stream,
-	// and every log a sharded session wrote carried true here.
-	e.Bool(w.IntegrationShards > 0)
-	e.Varint(int64(retain))
-	return e.Bytes()
+	// and every log a sharded session wrote carried true here. Read and
+	// dropped.
+	streaming := r.shards > 0
+	c.Bool(&streaming)
+	c.Int(&r.retain)
 }
 
-// decodeConfigSchema extracts the target schema from a config payload,
-// validating the full record.
-func decodeConfigSchema(payload []byte) (dataset.Schema, error) {
-	d := wal.NewDecoder(payload)
-	schema := d.Schema()
-	for i := 0; i < 5; i++ {
-		_ = d.String()
-	}
-	d.Int()
-	d.Bool()
-	d.Int()
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return schema, nil
+// sourceRecord is one source's committed working state; a nil state is a
+// tombstone (the source vanished from the session). The raw extraction
+// and the mapping object are not persisted: nothing reads them after
+// install — reactions re-derive both when they re-process the source.
+type sourceRecord struct {
+	id string
+	st *sourceState
 }
 
-// encodeSourcePayload writes one source's committed working state; a nil
-// state is a tombstone (the source vanished from the session).
-func encodeSourcePayload(id string, st *sourceState) []byte {
-	var e wal.Encoder
-	e.String(id)
-	if st == nil {
-		e.Bool(true)
-		return e.Bytes()
+func codeSource(c *wal.Codec, r *sourceRecord) {
+	c.String(&r.id)
+	deleted := r.st == nil
+	c.Bool(&deleted)
+	if deleted {
+		return
 	}
-	e.Bool(false)
-	if st.wrapper != nil {
-		e.Bool(true)
-		e.String(st.wrapper.SourceID)
-		e.String(st.wrapper.RecordSelector)
-		e.Uvarint(uint64(len(st.wrapper.Fields)))
-		for _, f := range st.wrapper.Fields {
-			e.String(f.Selector)
-			e.String(f.Property)
-			e.String(f.Header)
-			e.Varint(int64(f.Index))
+	if c.Decoding() {
+		r.st = &sourceState{}
+	}
+	st := r.st
+	wal.Opt(c, &st.wrapper, codeWrapper)
+	mapped := st.mapped != nil
+	c.Bool(&mapped)
+	if mapped {
+		c.Table(&st.mapped)
+	}
+	c.F64(&st.quality.Accuracy)
+	c.F64(&st.quality.Completeness)
+	c.F64(&st.quality.Coverage)
+	c.Int(&st.quality.Rows)
+	c.F64(&st.scorecard.Completeness)
+	c.F64(&st.scorecard.Accuracy)
+	c.F64(&st.scorecard.Timeliness)
+	c.F64(&st.scorecard.Consistency)
+	c.Int(&st.scorecard.Rows)
+	c.Bool(&st.selected)
+	c.F64(&st.utility)
+}
+
+func codeWrapper(c *wal.Codec, wr *extract.Wrapper) {
+	c.String(&wr.SourceID)
+	c.String(&wr.RecordSelector)
+	wal.Slice(c, &wr.Fields, 4, func(c *wal.Codec, f *extract.FieldRule) {
+		c.String(&f.Selector)
+		c.String(&f.Property)
+		c.String(&f.Header)
+		c.Int(&f.Index)
+	})
+	c.F64(&wr.Confidence)
+}
+
+func codeFeedback(c *wal.Codec, it *feedback.Item) {
+	c.Int(&it.Seq)
+	c.String((*string)(&it.Kind))
+	c.String(&it.SourceID)
+	c.String(&it.Entity)
+	c.String(&it.Attribute)
+	c.String(&it.PairKey)
+	c.String(&it.Worker)
+	c.F64(&it.Cost)
+	c.F64(&it.Weight)
+}
+
+// codeProv codes a batch of provenance derivations (non-nil when decoded,
+// even empty).
+func codeProv(c *wal.Codec, recs *[]provenance.Record) {
+	if c.Decoding() {
+		*recs = []provenance.Record{}
+	}
+	wal.Slice(c, recs, 6, func(c *wal.Codec, r *provenance.Record) {
+		codeRef(c, &r.Artefact)
+		c.String(&r.Component)
+		wal.Slice(c, &r.Inputs, 2, codeRef)
+		c.Uvarint(&r.Step)
+		c.String(&r.Note)
+	})
+}
+
+func codeRef(c *wal.Codec, r *provenance.Ref) {
+	c.String((*string)(&r.Kind))
+	c.String(&r.ID)
+}
+
+func codeResults(c *wal.Codec, rs *[]fusion.Result) {
+	wal.Slice(c, rs, 6, func(c *wal.Codec, r *fusion.Result) {
+		c.String(&r.Entity)
+		c.String(&r.Attribute)
+		c.Value(&r.Value)
+		c.F64(&r.Confidence)
+		c.Int(&r.Support)
+		c.Bool(&r.Conflict)
+	})
+}
+
+// pageRecord is one fused shard page. Pages are written exactly once:
+// later versions reference the page id, which is what keeps the log
+// O(delta) per publish.
+type pageRecord struct {
+	id   uint64
+	page *shardPage
+}
+
+// codePage returns the page layout for a session whose target schema is
+// width columns wide (rows carry no width of their own).
+func codePage(width int) func(*wal.Codec, *pageRecord) {
+	return func(c *wal.Codec, r *pageRecord) {
+		c.Uvarint(&r.id)
+		if c.Decoding() {
+			r.page = &shardPage{}
 		}
-		e.F64(st.wrapper.Confidence)
-	} else {
-		e.Bool(false)
-	}
-	if st.mapped != nil {
-		e.Bool(true)
-		e.Table(st.mapped)
-	} else {
-		e.Bool(false)
-	}
-	e.F64(st.quality.Accuracy)
-	e.F64(st.quality.Completeness)
-	e.F64(st.quality.Coverage)
-	e.Varint(int64(st.quality.Rows))
-	e.F64(st.scorecard.Completeness)
-	e.F64(st.scorecard.Accuracy)
-	e.F64(st.scorecard.Timeliness)
-	e.F64(st.scorecard.Consistency)
-	e.Varint(int64(st.scorecard.Rows))
-	e.Bool(st.selected)
-	e.F64(st.utility)
-	return e.Bytes()
-}
-
-// decodeSourcePayload reads a source record. The raw extraction and the
-// mapping object are not persisted: nothing reads them after install —
-// reactions re-derive both when they re-process the source.
-func decodeSourcePayload(payload []byte) (id string, st *sourceState, deleted bool, err error) {
-	d := wal.NewDecoder(payload)
-	id = d.String()
-	if d.Bool() {
-		return id, nil, true, d.Done()
-	}
-	st = &sourceState{}
-	if d.Bool() {
-		wr := &extract.Wrapper{SourceID: d.String(), RecordSelector: d.String()}
-		n := d.Len(4)
-		for i := 0; i < n; i++ {
-			wr.Fields = append(wr.Fields, extract.FieldRule{
-				Selector: d.String(), Property: d.String(), Header: d.String(), Index: d.Int(),
-			})
-			if d.Err() != nil {
-				return id, nil, false, d.Err()
-			}
+		p := r.page
+		n := len(p.entities)
+		c.Len(&n, 1+width)
+		if c.Decoding() && n > 0 {
+			p.entities, p.rows = make([]string, n), make([]dataset.Record, n)
 		}
-		wr.Confidence = d.F64()
-		st.wrapper = wr
-	}
-	if d.Bool() {
-		st.mapped = d.Table()
-	}
-	st.quality.Accuracy = d.F64()
-	st.quality.Completeness = d.F64()
-	st.quality.Coverage = d.F64()
-	st.quality.Rows = d.Int()
-	st.scorecard.Completeness = d.F64()
-	st.scorecard.Accuracy = d.F64()
-	st.scorecard.Timeliness = d.F64()
-	st.scorecard.Consistency = d.F64()
-	st.scorecard.Rows = d.Int()
-	st.selected = d.Bool()
-	st.utility = d.F64()
-	return id, st, false, d.Done()
-}
-
-func encodeFeedbackPayload(it feedback.Item) []byte {
-	var e wal.Encoder
-	e.Varint(int64(it.Seq))
-	e.String(string(it.Kind))
-	e.String(it.SourceID)
-	e.String(it.Entity)
-	e.String(it.Attribute)
-	e.String(it.PairKey)
-	e.String(it.Worker)
-	e.F64(it.Cost)
-	e.F64(it.Weight)
-	return e.Bytes()
-}
-
-func decodeFeedbackPayload(payload []byte) (feedback.Item, error) {
-	d := wal.NewDecoder(payload)
-	it := feedback.Item{
-		Seq:       d.Int(),
-		Kind:      feedback.Kind(d.String()),
-		SourceID:  d.String(),
-		Entity:    d.String(),
-		Attribute: d.String(),
-		PairKey:   d.String(),
-		Worker:    d.String(),
-		Cost:      d.F64(),
-		Weight:    d.F64(),
-	}
-	return it, d.Done()
-}
-
-func encodeProvPayload(recs []provenance.Record) []byte {
-	var e wal.Encoder
-	e.Uvarint(uint64(len(recs)))
-	for _, r := range recs {
-		e.String(string(r.Artefact.Kind))
-		e.String(r.Artefact.ID)
-		e.String(r.Component)
-		e.Uvarint(uint64(len(r.Inputs)))
-		for _, in := range r.Inputs {
-			e.String(string(in.Kind))
-			e.String(in.ID)
+		for i := 0; i < n && c.Err() == nil; i++ {
+			c.String(&p.entities[i])
+			c.Record(&p.rows[i], width)
 		}
-		e.Uvarint(r.Step)
-		e.String(r.Note)
-	}
-	return e.Bytes()
-}
-
-func decodeProvPayload(payload []byte) ([]provenance.Record, error) {
-	d := wal.NewDecoder(payload)
-	n := d.Len(6)
-	out := make([]provenance.Record, 0, n)
-	for i := 0; i < n; i++ {
-		r := provenance.Record{
-			Artefact:  provenance.Ref{Kind: provenance.Kind(d.String()), ID: d.String()},
-			Component: d.String(),
-		}
-		m := d.Len(2)
-		for j := 0; j < m; j++ {
-			r.Inputs = append(r.Inputs, provenance.Ref{Kind: provenance.Kind(d.String()), ID: d.String()})
-		}
-		r.Step = d.Uvarint()
-		r.Note = d.String()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		out = append(out, r)
-	}
-	return out, d.Done()
-}
-
-func encodeResults(e *wal.Encoder, rs []fusion.Result) {
-	e.Uvarint(uint64(len(rs)))
-	for _, r := range rs {
-		e.String(r.Entity)
-		e.String(r.Attribute)
-		e.Value(r.Value)
-		e.F64(r.Confidence)
-		e.Varint(int64(r.Support))
-		e.Bool(r.Conflict)
+		codeResults(c, &p.results)
 	}
 }
 
-func decodeResults(d *wal.Decoder) []fusion.Result {
-	n := d.Len(6)
-	if n == 0 {
-		return nil
-	}
-	out := make([]fusion.Result, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, fusion.Result{
-			Entity:     d.String(),
-			Attribute:  d.String(),
-			Value:      d.Value(),
-			Confidence: d.F64(),
-			Support:    d.Int(),
-			Conflict:   d.Bool(),
-		})
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return out
+// checkpointRecord marks the log consistent through seq.
+type checkpointRecord struct {
+	seq uint64
+	at  time.Time
 }
 
-// encodePagePayload serializes one fused shard page. Pages are written
-// exactly once: later versions reference the page id, which is what keeps
-// the log O(delta) per publish.
-func encodePagePayload(id uint64, p *shardPage) []byte {
-	var e wal.Encoder
-	e.Uvarint(id)
-	e.Uvarint(uint64(len(p.entities)))
-	for i, ent := range p.entities {
-		e.String(ent)
-		e.Record(p.rows[i])
-	}
-	encodeResults(&e, p.results)
-	return e.Bytes()
+func codeCheckpoint(c *wal.Codec, r *checkpointRecord) {
+	c.U64(&r.seq)
+	c.Time(&r.at)
 }
 
-func decodePagePayload(payload []byte, schema dataset.Schema) (uint64, *shardPage, error) {
-	d := wal.NewDecoder(payload)
-	id := d.Uvarint()
-	n := d.Len(1 + len(schema))
-	p := &shardPage{}
-	for i := 0; i < n; i++ {
-		p.entities = append(p.entities, d.String())
-		p.rows = append(p.rows, d.Record(len(schema)))
-		if d.Err() != nil {
-			return 0, nil, d.Err()
-		}
-	}
-	p.results = decodeResults(d)
-	return id, p, d.Done()
-}
-
-func encodeStringF64Map(e *wal.Encoder, m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.F64(m[k])
-	}
-}
-
-func decodeStringF64Map(d *wal.Decoder) map[string]float64 {
-	n := d.Len(9)
-	m := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		m[k] = d.F64()
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return m
-}
-
-func encodeStringMap(e *wal.Encoder, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.String(m[k])
-	}
-}
-
-func decodeStringMap(d *wal.Decoder) map[string]string {
-	n := d.Len(2)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		m[k] = d.String()
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return m
-}
-
-func encodeStageMap(e *wal.Encoder, m map[string]time.Duration) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.Duration(m[k])
-	}
-}
-
-func decodeStageMap(d *wal.Decoder) map[string]time.Duration {
-	n := d.Len(2)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]time.Duration, n)
-	for i := 0; i < n; i++ {
-		k := d.String()
-		m[k] = d.Duration()
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return m
-}
-
-func encodeChangeSet(e *wal.Encoder, cs serve.ChangeSet) {
-	e.Bool(cs.Full)
-	e.Uvarint(uint64(len(cs.ChangedShards)))
-	for _, s := range cs.ChangedShards {
-		e.Varint(int64(s))
-	}
-	e.Varint(int64(cs.ChangedPages))
-	e.Varint(int64(cs.SharedPages))
-	e.Strings(cs.ChangedRecords)
-	e.Strings(cs.RemovedRecords)
-}
-
-func decodeChangeSet(d *wal.Decoder) serve.ChangeSet {
-	cs := serve.ChangeSet{Full: d.Bool()}
-	n := d.Len(1)
-	for i := 0; i < n; i++ {
-		cs.ChangedShards = append(cs.ChangedShards, d.Int())
-	}
-	cs.ChangedPages = d.Int()
-	cs.SharedPages = d.Int()
-	cs.ChangedRecords = d.Strings()
-	cs.RemovedRecords = d.Strings()
-	return cs
-}
-
-// encodeVersionPayload writes one published version: its store metadata,
-// the full Published payload (pages by reference when the sharded tail
-// built them, inline otherwise), and the working tail a restart needs to
-// resume incrementally — clusters, feedback watermark, dirty-source scope
-// and whether a tail memo stood behind the version.
-func encodeVersionPayload(w *Wrangler, v *PublishedVersion, pids []uint64) []byte {
+// versionRecord gathers one published version for the log: its store
+// metadata, the full Published payload (pages by reference when the
+// sharded tail built them, inline otherwise), and the working tail a
+// restart needs to resume incrementally — clusters, feedback watermark,
+// dirty-source scope and whether a tail memo stood behind the version.
+func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersion {
 	pub := v.Data()
-	var e wal.Encoder
-	e.U64(v.Seq())
-	e.U64(v.Step())
-	e.String(string(v.Origin()))
-	e.Time(v.At())
-	encodeChangeSet(&e, v.Changes())
-	encodeStringF64Map(&e, pub.Trust)
+	lv := &loggedVersion{
+		seq:       v.Seq(),
+		step:      v.Step(),
+		origin:    v.Origin(),
+		at:        v.At(),
+		changes:   v.Changes(),
+		trust:     pub.Trust,
+		sources:   pub.Sources,
+		selected:  pub.Selected,
+		rep:       pub.Report,
+		stats:     pub.Stats,
+		react:     pub.React,
+		pages:     pids,
+		clusters:  w.clusters,
+		lastSeq:   w.lastSeq,
+		dirty:     slices.Sorted(maps.Keys(w.dirtySources)),
+		memoValid: w.memo != nil,
+	}
+	if pids == nil {
+		lv.table, lv.results, lv.entities = pub.Table, w.results, pub.Entities
+	}
+	return lv
+}
 
-	srcIDs := make([]string, 0, len(pub.Sources))
-	for id := range pub.Sources {
-		srcIDs = append(srcIDs, id)
+func codeVersion(c *wal.Codec, lv *loggedVersion) {
+	c.U64(&lv.seq)
+	c.U64(&lv.step)
+	c.String((*string)(&lv.origin))
+	c.Time(&lv.at)
+	codeChangeSet(c, &lv.changes)
+	if c.Decoding() {
+		lv.trust, lv.sources = map[string]float64{}, map[string]SourceReport{}
 	}
-	sort.Strings(srcIDs)
-	e.Uvarint(uint64(len(srcIDs)))
-	for _, id := range srcIDs {
-		sr := pub.Sources[id]
-		e.String(id)
-		e.Bool(sr.Selected)
-		e.F64(sr.Utility)
-		e.Varint(int64(sr.Rows))
-		e.F64(sr.Completeness)
-		e.F64(sr.Accuracy)
-		e.F64(sr.Timeliness)
-		e.F64(sr.Coverage)
-	}
-	e.Strings(pub.Selected)
+	wal.Map(c, &lv.trust, 9, (*wal.Codec).String, (*wal.Codec).F64)
+	wal.Map(c, &lv.sources, 2, (*wal.Codec).String, func(c *wal.Codec, sr *SourceReport) {
+		c.Bool(&sr.Selected)
+		c.F64(&sr.Utility)
+		c.Int(&sr.Rows)
+		c.F64(&sr.Completeness)
+		c.F64(&sr.Accuracy)
+		c.F64(&sr.Timeliness)
+		c.F64(&sr.Coverage)
+	})
+	c.Strings(&lv.selected)
 
 	// The report is persisted inline: its supporter lists derive from this
 	// version's union-time fusion bookkeeping, which is not reconstructible
 	// for older retained versions. Pages still dedup the heavy table data.
-	if pub.Report != nil {
-		e.Bool(true)
-		e.String(pub.Report.Title)
-		e.Uvarint(uint64(len(pub.Report.Lines)))
-		for _, ln := range pub.Report.Lines {
-			e.String(ln.Entity)
-			e.String(ln.Attribute)
-			e.String(ln.Value)
-			e.F64(ln.Confidence)
-			e.Bool(ln.Conflict)
-			e.Strings(ln.Supporters)
+	wal.Opt(c, &lv.rep, func(c *wal.Codec, rep *report.Report) {
+		c.String(&rep.Title)
+		wal.Slice(c, &rep.Lines, 12, func(c *wal.Codec, ln *report.Line) {
+			c.String(&ln.Entity)
+			c.String(&ln.Attribute)
+			c.String(&ln.Value)
+			c.F64(&ln.Confidence)
+			c.Bool(&ln.Conflict)
+			c.Strings(&ln.Supporters)
+		})
+	})
+
+	st := &lv.stats
+	c.Int(&st.SourcesProcessed)
+	c.Int(&st.SourcesSelected)
+	c.Int(&st.RowsExtracted)
+	c.Int(&st.RowsWrangled)
+	c.Strings(&st.Reextracted)
+	c.Int(&st.WrapperRepairs)
+	wal.Map(c, &st.Failures, 2, (*wal.Codec).String, (*wal.Codec).String)
+	c.Duration(&st.Duration)
+	codeStages(c, &st.Stages)
+
+	rs := &lv.react
+	c.Int(&rs.FeedbackItems)
+	c.Int(&rs.SourcesReextracted)
+	c.Int(&rs.Remapped)
+	c.Bool(&rs.Reclustered)
+	c.Bool(&rs.Refused)
+	c.Int(&rs.ShardsResolved)
+	c.Int(&rs.ShardsReused)
+	c.Duration(&rs.Duration)
+	codeStages(c, &rs.Stages)
+
+	// Output payload: mode 1 references shard pages in shard order; mode 0
+	// (sequential or empty tails) carries table, results and entities
+	// inline. The mode, not nil-ness, says which: a mode-1 version with no
+	// pages still decodes a non-nil page list.
+	var mode uint8
+	if lv.pages != nil {
+		mode = 1
+	}
+	c.U8(&mode)
+	switch mode {
+	case 1:
+		if c.Decoding() {
+			lv.pages = []uint64{}
 		}
-	} else {
-		e.Bool(false)
+		wal.Slice(c, &lv.pages, 1, (*wal.Codec).Uvarint)
+	case 0:
+		c.Table(&lv.table)
+		codeResults(c, &lv.results)
+		c.Strings(&lv.entities)
+	default:
+		c.Failf("invalid version payload mode 0x%x", mode)
 	}
 
-	st := pub.Stats
-	e.Varint(int64(st.SourcesProcessed))
-	e.Varint(int64(st.SourcesSelected))
-	e.Varint(int64(st.RowsExtracted))
-	e.Varint(int64(st.RowsWrangled))
-	e.Strings(st.Reextracted)
-	e.Varint(int64(st.WrapperRepairs))
-	encodeStringMap(&e, st.Failures)
-	e.Duration(st.Duration)
-	encodeStageMap(&e, st.Stages)
-
-	rs := pub.React
-	e.Varint(int64(rs.FeedbackItems))
-	e.Varint(int64(rs.SourcesReextracted))
-	e.Varint(int64(rs.Remapped))
-	e.Bool(rs.Reclustered)
-	e.Bool(rs.Refused)
-	e.Varint(int64(rs.ShardsResolved))
-	e.Varint(int64(rs.ShardsReused))
-	e.Duration(rs.Duration)
-	encodeStageMap(&e, rs.Stages)
-
-	if pids != nil {
-		e.U8(1)
-		e.Uvarint(uint64(len(pids)))
-		for _, pid := range pids {
-			e.Uvarint(pid)
+	wal.Opt(c, &lv.clusters, func(c *wal.Codec, cl *er.Clustering) {
+		c.Int(&cl.Num)
+		if c.Decoding() {
+			cl.Assign = []int{}
 		}
-	} else {
-		e.U8(0)
-		e.Table(pub.Table)
-		encodeResults(&e, w.results)
-		e.Strings(pub.Entities)
+		wal.Slice(c, &cl.Assign, 1, (*wal.Codec).Int)
+	})
+	c.Int(&lv.lastSeq)
+	c.Strings(&lv.dirty)
+	c.Bool(&lv.memoValid)
+	if lv.memoValid {
+		// Reserved: five fields (policy, default trust, tolerance, clock,
+		// half-life) that held a fuse signature nothing reads any more.
+		// Written as zeros so the layout stays the one older logs carry;
+		// read past whatever they hold.
+		var policy int64
+		var defaultTrust, tolerance float64
+		var now time.Time
+		var halfLife time.Duration
+		c.Varint(&policy)
+		c.F64(&defaultTrust)
+		c.F64(&tolerance)
+		c.Time(&now)
+		c.Duration(&halfLife)
 	}
-
-	if w.clusters != nil {
-		e.Bool(true)
-		e.Varint(int64(w.clusters.Num))
-		e.Uvarint(uint64(len(w.clusters.Assign)))
-		for _, a := range w.clusters.Assign {
-			e.Varint(int64(a))
-		}
-	} else {
-		e.Bool(false)
-	}
-	e.Varint(int64(w.lastSeq))
-	dirty := make([]string, 0, len(w.dirtySources))
-	for id := range w.dirtySources {
-		dirty = append(dirty, id)
-	}
-	sort.Strings(dirty)
-	e.Strings(dirty)
-	e.Bool(w.memo != nil)
-	if w.memo != nil {
-		// Reserved: five fields (varint, two floats, time, duration) that
-		// held a fuse signature nothing reads any more. Written so the
-		// record layout stays the one older logs carry.
-		e.Varint(0)
-		e.F64(0)
-		e.F64(0)
-		e.Time(time.Time{})
-		e.Duration(0)
-	}
-	return e.Bytes()
 }
 
-func decodeVersionPayload(payload []byte) (*loggedVersion, error) {
-	d := wal.NewDecoder(payload)
-	lv := &loggedVersion{
-		seq:    d.U64(),
-		step:   d.U64(),
-		origin: serve.Origin(d.String()),
-		at:     d.Time(),
-	}
-	lv.changes = decodeChangeSet(d)
-	lv.trust = decodeStringF64Map(d)
+func codeChangeSet(c *wal.Codec, cs *serve.ChangeSet) {
+	c.Bool(&cs.Full)
+	wal.Slice(c, &cs.ChangedShards, 1, (*wal.Codec).Int)
+	c.Int(&cs.ChangedPages)
+	c.Int(&cs.SharedPages)
+	c.Strings(&cs.ChangedRecords)
+	c.Strings(&cs.RemovedRecords)
+}
 
-	n := d.Len(2)
-	lv.sources = make(map[string]SourceReport, n)
-	for i := 0; i < n; i++ {
-		id := d.String()
-		lv.sources[id] = SourceReport{
-			Selected:     d.Bool(),
-			Utility:      d.F64(),
-			Rows:         d.Int(),
-			Completeness: d.F64(),
-			Accuracy:     d.F64(),
-			Timeliness:   d.F64(),
-			Coverage:     d.F64(),
-		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-	}
-	lv.selected = d.Strings()
-
-	if d.Bool() {
-		rep := &report.Report{Title: d.String()}
-		m := d.Len(12)
-		for i := 0; i < m; i++ {
-			rep.Lines = append(rep.Lines, report.Line{
-				Entity:     d.String(),
-				Attribute:  d.String(),
-				Value:      d.String(),
-				Confidence: d.F64(),
-				Conflict:   d.Bool(),
-				Supporters: d.Strings(),
-			})
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-		}
-		lv.rep = rep
-	}
-
-	lv.stats = RunStats{
-		SourcesProcessed: d.Int(),
-		SourcesSelected:  d.Int(),
-		RowsExtracted:    d.Int(),
-		RowsWrangled:     d.Int(),
-		Reextracted:      d.Strings(),
-		WrapperRepairs:   d.Int(),
-		Failures:         decodeStringMap(d),
-		Duration:         d.Duration(),
-		Stages:           decodeStageMap(d),
-	}
-	lv.react = ReactStats{
-		FeedbackItems:      d.Int(),
-		SourcesReextracted: d.Int(),
-		Remapped:           d.Int(),
-		Reclustered:        d.Bool(),
-		Refused:            d.Bool(),
-		ShardsResolved:     d.Int(),
-		ShardsReused:       d.Int(),
-		Duration:           d.Duration(),
-		Stages:             decodeStageMap(d),
-	}
-
-	switch mode := d.U8(); mode {
-	case 1:
-		np := d.Len(1)
-		lv.pages = make([]uint64, 0, np)
-		for i := 0; i < np; i++ {
-			lv.pages = append(lv.pages, d.Uvarint())
-		}
-	case 0:
-		lv.table = d.Table()
-		lv.results = decodeResults(d)
-		lv.entities = d.Strings()
-	default:
-		d.Failf("invalid version payload mode 0x%x", mode)
-	}
-
-	if d.Bool() {
-		c := &er.Clustering{Num: d.Int()}
-		na := d.Len(1)
-		c.Assign = make([]int, 0, na)
-		for i := 0; i < na; i++ {
-			c.Assign = append(c.Assign, d.Int())
-		}
-		lv.clusters = c
-	}
-	lv.lastSeq = d.Int()
-	lv.dirty = d.Strings()
-	if lv.memoValid = d.Bool(); lv.memoValid {
-		// The reserved fuse-signature fields: read past, whatever they hold.
-		d.Varint()
-		d.F64()
-		d.F64()
-		d.Time()
-		d.Duration()
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return lv, nil
+func codeStages(c *wal.Codec, m *map[string]time.Duration) {
+	wal.Map(c, m, 2, (*wal.Codec).String, (*wal.Codec).Duration)
 }
 
 // --- open / replay --------------------------------------------------------
@@ -777,7 +521,6 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 		log.Close()
 		return nil, fmt.Errorf("core: durable log: record kind 0x%x at offset 0x%x: %w", uint8(rec.Kind), rec.Offset, err)
 	}
-	var schema dataset.Schema
 	haveConfig := false
 	for _, rec := range rr.Records {
 		if !haveConfig && rec.Kind != wal.KindConfig {
@@ -788,26 +531,26 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			if haveConfig {
 				return fail(rec, fmt.Errorf("duplicate config record"))
 			}
-			schema, err = decodeConfigSchema(rec.Payload)
-			if err != nil {
+			var cfg configRecord
+			if err := wal.Decode(rec.Payload, &cfg, codeConfig); err != nil {
 				return fail(rec, err)
 			}
 			d.configPayload = append([]byte(nil), rec.Payload...)
-			d.schema = schema
+			d.schema = cfg.target
 			haveConfig = true
 		case wal.KindSource:
-			id, st, deleted, err := decodeSourcePayload(rec.Payload)
-			if err != nil {
+			var sr sourceRecord
+			if err := wal.Decode(rec.Payload, &sr, codeSource); err != nil {
 				return fail(rec, err)
 			}
-			if deleted {
-				delete(d.rep.states, id)
+			if sr.st == nil {
+				delete(d.rep.states, sr.id)
 			} else {
-				d.rep.states[id] = st
+				d.rep.states[sr.id] = sr.st
 			}
 		case wal.KindFeedback:
-			it, err := decodeFeedbackPayload(rec.Payload)
-			if err != nil {
+			var it feedback.Item
+			if err := wal.Decode(rec.Payload, &it, codeFeedback); err != nil {
 				return fail(rec, err)
 			}
 			if it.Seq != len(d.rep.feedback)+1 {
@@ -816,8 +559,8 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			d.rep.feedback = append(d.rep.feedback, it)
 			d.lastFeedbackSeq = it.Seq
 		case wal.KindProv:
-			recs, err := decodeProvPayload(rec.Payload)
-			if err != nil {
+			var recs []provenance.Record
+			if err := wal.Decode(rec.Payload, &recs, codeProv); err != nil {
 				return fail(rec, err)
 			}
 			d.rep.prov = append(d.rep.prov, recs...)
@@ -827,21 +570,21 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 				}
 			}
 		case wal.KindPage:
-			id, p, err := decodePagePayload(rec.Payload, schema)
-			if err != nil {
+			var pr pageRecord
+			if err := wal.Decode(rec.Payload, &pr, codePage(len(d.schema))); err != nil {
 				return fail(rec, err)
 			}
-			if _, dup := d.pagesByID[id]; dup {
-				return fail(rec, fmt.Errorf("duplicate page id %d", id))
+			if _, dup := d.pagesByID[pr.id]; dup {
+				return fail(rec, fmt.Errorf("duplicate page id %d", pr.id))
 			}
-			d.pagesByID[id] = p
-			d.pageIDs[p] = id
-			if id >= d.nextPageID {
-				d.nextPageID = id + 1
+			d.pagesByID[pr.id] = pr.page
+			d.pageIDs[pr.page] = pr.id
+			if pr.id >= d.nextPageID {
+				d.nextPageID = pr.id + 1
 			}
 		case wal.KindVersion:
-			lv, err := decodeVersionPayload(rec.Payload)
-			if err != nil {
+			lv := &loggedVersion{}
+			if err := wal.Decode(rec.Payload, lv, codeVersion); err != nil {
 				return fail(rec, err)
 			}
 			lv.payload = append([]byte(nil), rec.Payload...)
@@ -851,13 +594,11 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			d.rep.versions = append(d.rep.versions, lv)
 			d.sinceCompact++
 		case wal.KindCheckpoint:
-			cd := wal.NewDecoder(rec.Payload)
-			seq := cd.U64()
-			cd.Time()
-			if err := cd.Done(); err != nil {
+			var ck checkpointRecord
+			if err := wal.Decode(rec.Payload, &ck, codeCheckpoint); err != nil {
 				return fail(rec, err)
 			}
-			d.lastCheckpoint = seq
+			d.lastCheckpoint = ck.seq
 			d.sinceCompact = 0
 		default:
 			return fail(rec, fmt.Errorf("unknown record kind"))
@@ -865,9 +606,6 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	}
 	return d, nil
 }
-
-// Dir returns the state directory the log lives in.
-func (d *DurableLog) Dir() string { return d.dir }
 
 // instrument wires the underlying WAL's activity counters onto reg and
 // records whether this log's open had to heal a torn tail.
@@ -918,7 +656,7 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 		return false, fmt.Errorf("core: attach requires a fresh serve store")
 	}
 	d.retain = w.Serve.Retain()
-	cfg := encodeConfigPayload(w, d.retain)
+	cfg := wal.Encode(newConfigRecord(w, d.retain), codeConfig)
 	if d.configPayload == nil {
 		if err := d.log.Append(wal.KindConfig, cfg); err != nil {
 			return false, err
@@ -927,7 +665,6 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 			return false, err
 		}
 		d.configPayload = cfg
-		d.schema = w.Config.Target
 	} else if !bytes.Equal(d.configPayload, cfg) {
 		return false, fmt.Errorf("core: attach: durable log %s was written under a different session configuration (schema/shards/retention)", d.dir)
 	}
@@ -946,8 +683,6 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	}
 	for id, st := range rep.states {
 		w.states[id] = st
-	}
-	for id, st := range rep.states {
 		d.srcSig[id] = sourceSig{st: st, selected: st.selected, utility: st.utility}
 	}
 	var floor uint64
@@ -995,30 +730,36 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 // restoring the delta-retention property on the way in.
 func (d *DurableLog) rebuildPublished(lv *loggedVersion) (Published, error) {
 	pub := Published{
+		Table:    lv.table,
 		Report:   lv.rep,
 		Stats:    lv.stats,
 		React:    lv.react,
 		Trust:    lv.trust,
 		Sources:  lv.sources,
 		Selected: lv.selected,
+		Entities: lv.entities,
 	}
-	if lv.pages == nil {
-		pub.Table = lv.table
-		pub.Entities = lv.entities
-		return pub, nil
+	if lv.pages != nil {
+		pages, err := d.pagesOf(lv)
+		if err != nil {
+			return Published{}, err
+		}
+		pub.Table, pub.Entities = mergePages(pages, d.schema)
 	}
+	return pub, nil
+}
+
+// pagesOf resolves a mode-1 version's page ids against the replayed pages.
+func (d *DurableLog) pagesOf(lv *loggedVersion) ([]*shardPage, error) {
 	pages := make([]*shardPage, len(lv.pages))
 	for i, pid := range lv.pages {
 		p, ok := d.pagesByID[pid]
 		if !ok {
-			return Published{}, fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
+			return nil, fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
 		}
 		pages[i] = p
 	}
-	table, entities := mergePages(pages, d.schema)
-	pub.Table = table
-	pub.Entities = entities
-	return pub, nil
+	return pages, nil
 }
 
 // restoreWorkingState rebuilds the wrangler's in-memory tail from the
@@ -1060,13 +801,9 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 		w.pages = nil
 		w.entityShard = nil
 	} else {
-		pages := make([]*shardPage, len(lv.pages))
-		for i, pid := range lv.pages {
-			p, ok := d.pagesByID[pid]
-			if !ok {
-				return fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
-			}
-			pages[i] = p
+		pages, err := d.pagesOf(lv)
+		if err != nil {
+			return err
 		}
 		w.pages = pages
 		entityShard := map[string]int{}
@@ -1090,7 +827,6 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
 	}
 	w.entityIDs = w.entityNames()
-	w.LastStats.RowsWrangled = lv.stats.RowsWrangled
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, the session still shards, and no
@@ -1150,7 +886,7 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 	if it.Seq <= d.lastFeedbackSeq {
 		return
 	}
-	_ = d.log.Append(wal.KindFeedback, encodeFeedbackPayload(it))
+	_ = d.log.Append(wal.KindFeedback, wal.Encode(&it, codeFeedback))
 	_ = d.log.Commit()
 	d.lastFeedbackSeq = it.Seq
 }
@@ -1162,38 +898,28 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 // batch; compaction triggers once 2×retain versions accumulate.
 func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 	for _, it := range w.Feedback.Since(d.lastFeedbackSeq) {
-		_ = d.log.Append(wal.KindFeedback, encodeFeedbackPayload(it))
+		_ = d.log.Append(wal.KindFeedback, wal.Encode(&it, codeFeedback))
 		d.lastFeedbackSeq = it.Seq
 	}
 
-	ids := make([]string, 0, len(w.states))
-	for id := range w.states {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(w.states)) {
 		st := w.states[id]
 		sig, ok := d.srcSig[id]
 		if ok && sig.st == st && sig.selected == st.selected && sig.utility == st.utility {
 			continue
 		}
-		_ = d.log.Append(wal.KindSource, encodeSourcePayload(id, st))
+		_ = d.log.Append(wal.KindSource, wal.Encode(&sourceRecord{id: id, st: st}, codeSource))
 		d.srcSig[id] = sourceSig{st: st, selected: st.selected, utility: st.utility}
 	}
-	var gone []string
-	for id := range d.srcSig {
+	for _, id := range slices.Sorted(maps.Keys(d.srcSig)) {
 		if _, ok := w.states[id]; !ok {
-			gone = append(gone, id)
+			_ = d.log.Append(wal.KindSource, wal.Encode(&sourceRecord{id: id}, codeSource))
+			delete(d.srcSig, id)
 		}
-	}
-	sort.Strings(gone)
-	for _, id := range gone {
-		_ = d.log.Append(wal.KindSource, encodeSourcePayload(id, nil))
-		delete(d.srcSig, id)
 	}
 
 	if recs := w.Prov.RecordsSince(d.lastProvStep); len(recs) > 0 {
-		_ = d.log.Append(wal.KindProv, encodeProvPayload(recs))
+		_ = d.log.Append(wal.KindProv, wal.Encode(&recs, codeProv))
 	}
 	d.lastProvStep = w.Prov.Step()
 
@@ -1207,12 +933,12 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 				d.nextPageID++
 				d.pageIDs[p] = id
 				d.pagesByID[id] = p
-				_ = d.log.Append(wal.KindPage, encodePagePayload(id, p))
+				_ = d.log.Append(wal.KindPage, wal.Encode(&pageRecord{id: id, page: p}, codePage(len(d.schema))))
 			}
 			pids[i] = id
 		}
 	}
-	payload := encodeVersionPayload(w, v, pids)
+	payload := wal.Encode(versionRecord(w, v, pids), codeVersion)
 	_ = d.log.Append(wal.KindVersion, payload)
 	_ = d.log.Commit()
 
@@ -1222,7 +948,9 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 	}
 	d.sinceCompact++
 	if d.sinceCompact >= 2*d.retain {
-		d.compact(w)
+		// A failed compaction leaves the log as it was; sinceCompact stays
+		// put, so the next publish retries.
+		_ = d.compact(w)
 	}
 }
 
@@ -1232,25 +960,20 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 // checkpoint marker — then prunes the in-memory page index to the live
 // set. A page that was pruned but is still held by the tail memo
 // simply gets a fresh id if a later tail reuses it.
-func (d *DurableLog) compact(w *Wrangler) {
+func (d *DurableLog) compact(w *Wrangler) error {
 	if len(d.retained) == 0 {
-		return
+		return nil
 	}
 	var recs []wal.Data
 	recs = append(recs, wal.Data{Kind: wal.KindConfig, Payload: d.configPayload})
 	for _, it := range w.Feedback.Items("") {
-		recs = append(recs, wal.Data{Kind: wal.KindFeedback, Payload: encodeFeedbackPayload(it)})
+		recs = append(recs, wal.Data{Kind: wal.KindFeedback, Payload: wal.Encode(&it, codeFeedback)})
 	}
 	if prov := w.Prov.RecordsSince(0); len(prov) > 0 {
-		recs = append(recs, wal.Data{Kind: wal.KindProv, Payload: encodeProvPayload(prov)})
+		recs = append(recs, wal.Data{Kind: wal.KindProv, Payload: wal.Encode(&prov, codeProv)})
 	}
-	ids := make([]string, 0, len(w.states))
-	for id := range w.states {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		recs = append(recs, wal.Data{Kind: wal.KindSource, Payload: encodeSourcePayload(id, w.states[id])})
+	for _, id := range slices.Sorted(maps.Keys(w.states)) {
+		recs = append(recs, wal.Data{Kind: wal.KindSource, Payload: wal.Encode(&sourceRecord{id: id, st: w.states[id]}, codeSource)})
 	}
 	live := map[uint64]bool{}
 	for _, rv := range d.retained {
@@ -1258,25 +981,19 @@ func (d *DurableLog) compact(w *Wrangler) {
 			live[pid] = true
 		}
 	}
-	livePids := make([]uint64, 0, len(live))
-	for pid := range live {
-		livePids = append(livePids, pid)
-	}
-	sort.Slice(livePids, func(i, j int) bool { return livePids[i] < livePids[j] })
-	for _, pid := range livePids {
-		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: encodePagePayload(pid, d.pagesByID[pid])})
+	codePg := codePage(len(d.schema))
+	for _, pid := range slices.Sorted(maps.Keys(live)) {
+		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: wal.Encode(&pageRecord{id: pid, page: d.pagesByID[pid]}, codePg)})
 	}
 	for _, rv := range d.retained {
 		recs = append(recs, wal.Data{Kind: wal.KindVersion, Payload: rv.payload})
 	}
 	lastSeq := d.retained[len(d.retained)-1].seq
-	var ck wal.Encoder
-	ck.U64(lastSeq)
-	ck.Time(time.Now())
-	recs = append(recs, wal.Data{Kind: wal.KindCheckpoint, Payload: ck.Bytes()})
+	ck := checkpointRecord{seq: lastSeq, at: time.Now()}
+	recs = append(recs, wal.Data{Kind: wal.KindCheckpoint, Payload: wal.Encode(&ck, codeCheckpoint)})
 
 	if err := d.log.Compact(recs); err != nil {
-		return // sticky on the handle; surfaced via Err/Checkpoint/Close
+		return err
 	}
 	d.sinceCompact = 0
 	d.lastCheckpoint = lastSeq
@@ -1293,6 +1010,7 @@ func (d *DurableLog) compact(w *Wrangler) {
 	}
 	d.pagesByID = pagesByID
 	d.pageIDs = pageIDs
+	return nil
 }
 
 // Durable returns the attached durable log, or nil for in-memory sessions.
@@ -1300,13 +1018,14 @@ func (w *Wrangler) Durable() *DurableLog { return w.log }
 
 // Checkpoint forces a compaction cycle (when any version has been
 // published) and fsyncs the log: on return, everything committed so far is
-// durable against power loss, and the log is at its minimal size.
+// durable against power loss, and the log is at its minimal size. A
+// failed compaction is returned and leaves the log as it was.
 func (w *Wrangler) Checkpoint() error {
 	if w.log == nil {
 		return fmt.Errorf("core: no durable log attached")
 	}
-	if len(w.log.retained) > 0 {
-		w.log.compact(w)
+	if err := w.log.compact(w); err != nil {
+		return err
 	}
 	if err := w.log.Err(); err != nil {
 		return err

@@ -24,21 +24,22 @@ func TestVersionRecordSkipsFuseSignature(t *testing.T) {
 	if w.memo == nil {
 		t.Fatal("a sharded run records a tail memo")
 	}
-	payload := encodeVersionPayload(w, w.Serve.Latest(), []uint64{0, 1, 2, 3})
-	want, err := decodeVersionPayload(payload)
-	if err != nil || !want.memoValid {
-		t.Fatalf("decode of a fresh record: memoValid=%v err=%v", want != nil && want.memoValid, err)
+	payload := wal.Encode(versionRecord(w, w.Serve.Latest(), []uint64{0, 1, 2, 3}), codeVersion)
+	want := &loggedVersion{}
+	if err := wal.Decode(payload, want, codeVersion); err != nil || !want.memoValid {
+		t.Fatalf("decode of a fresh record: memoValid=%v err=%v", want.memoValid, err)
 	}
 
 	signature := func(policy int64, defaultTrust, tolerance float64, now time.Time, halfLife time.Duration) []byte {
-		var e wal.Encoder
-		e.Bool(true)
-		e.Varint(policy)
-		e.F64(defaultTrust)
-		e.F64(tolerance)
-		e.Time(now)
-		e.Duration(halfLife)
-		return e.Bytes()
+		var c wal.Codec
+		memo := true
+		c.Bool(&memo)
+		c.Varint(&policy)
+		c.F64(&defaultTrust)
+		c.F64(&tolerance)
+		c.Time(&now)
+		c.Duration(&halfLife)
+		return c.Bytes()
 	}
 	reserved := signature(0, 0, 0, time.Time{}, 0)
 	if !bytes.HasSuffix(payload, reserved) {
@@ -46,8 +47,8 @@ func TestVersionRecordSkipsFuseSignature(t *testing.T) {
 	}
 	old := append(bytes.TrimSuffix(payload, reserved),
 		signature(3, 0.8, 0.01, time.Unix(1_700_000_000, 5), 24*time.Hour)...)
-	got, err := decodeVersionPayload(old)
-	if err != nil {
+	got := &loggedVersion{}
+	if err := wal.Decode(old, got, codeVersion); err != nil {
 		t.Fatalf("a record carrying a fuse signature no longer decodes: %v", err)
 	}
 	if len(got.sources) != len(want.sources) {

@@ -25,14 +25,14 @@ func FuzzWALReplay(f *testing.F) {
 	var seedLog bytes.Buffer
 	seedLog.Write(header())
 	write := func(kind Kind, payload []byte) {
-		var e Encoder
-		e.U8(uint8(kind))
-		e.U32(uint32(len(payload)))
+		var e Codec
+		k, n := uint8(kind), uint32(len(payload))
+		e.U8(&k)
+		e.U32(&n)
 		frame := append(e.Bytes(), payload...)
 		seedLog.Write(frame)
-		var c Encoder
-		c.U32(crcOf(frame))
-		seedLog.Write(c.Bytes())
+		crc := crcOf(frame)
+		seedLog.Write(Encode(&crc, (*Codec).U32))
 	}
 	write(KindConfig, []byte("schema|shards=4|streaming"))
 	write(KindSource, []byte("src-1 state"))

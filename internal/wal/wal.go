@@ -2,8 +2,9 @@
 // checksummed records — the persistence layer under the durable session.
 // It is deliberately generic: the framing knows record kinds, lengths and
 // CRCs, while the domain payloads (versions, pages, feedback, provenance)
-// are encoded by the owner (internal/core) with this package's
-// Encoder/Decoder.
+// are encoded by the owner (internal/core) with this package's Codec:
+// one code function per record kind states its layout for both
+// directions.
 //
 // On-disk layout:
 //
@@ -433,10 +434,17 @@ func (l *Log) Compact(recs []Data) error {
 		os.Remove(tmpPath)
 		return fmt.Errorf("wal: compact %s: rename: %w", l.path, err)
 	}
-	// Durability of the rename itself: fsync the directory entry.
-	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
-		dir.Sync()
+	// Durability of the rename itself: fsync the directory entry. The
+	// rename already happened, so a failure here poisons the handle like
+	// any other failed sync.
+	dir, err := os.Open(filepath.Dir(l.path))
+	if err == nil {
+		err = dir.Sync()
 		dir.Close()
+	}
+	if err != nil {
+		l.err = fmt.Errorf("wal: compact %s: sync directory: %w", l.path, err)
+		return l.err
 	}
 	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
 	if err != nil {

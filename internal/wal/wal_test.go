@@ -322,80 +322,101 @@ func TestStickyError(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip pins the primitive encoders against their decoders,
-// including the edge values a varint or float codec gets wrong first.
+// TestCodecRoundTrip pins the primitive codec in both directions,
+// including the edge values a varint or float codec gets wrong first: one
+// code function encodes the values and decodes them back into zeroed
+// targets.
 func TestCodecRoundTrip(t *testing.T) {
-	var e Encoder
-	e.U8(0xAB)
-	e.U32(0xDEADBEEF)
-	e.U64(1<<63 + 12345)
-	e.Uvarint(0)
-	e.Uvarint(1 << 60)
-	e.Varint(-1)
-	e.Varint(1 << 40)
-	e.Bool(true)
-	e.Bool(false)
-	e.F64(3.14159)
-	e.F64(0)
-	e.String("hello, wal")
-	e.String("")
+	type prims struct {
+		u8        uint8
+		u32       uint32
+		u64       uint64
+		uv0, uv60 uint64
+		vNeg, v40 int64
+		yes, no   bool
+		pi, zero  float64
+		s, empty  string
+		ts        time.Time
+		d         time.Duration
+		ss, nilSS []string
+	}
+	code := func(c *Codec, p *prims) {
+		c.U8(&p.u8)
+		c.U32(&p.u32)
+		c.U64(&p.u64)
+		c.Uvarint(&p.uv0)
+		c.Uvarint(&p.uv60)
+		c.Varint(&p.vNeg)
+		c.Varint(&p.v40)
+		c.Bool(&p.yes)
+		c.Bool(&p.no)
+		c.F64(&p.pi)
+		c.F64(&p.zero)
+		c.String(&p.s)
+		c.String(&p.empty)
+		c.Time(&p.ts)
+		c.Duration(&p.d)
+		c.Strings(&p.ss)
+		c.Strings(&p.nilSS)
+	}
 	ts := time.Unix(1722500000, 987654321)
-	e.Time(ts)
-	e.Duration(42 * time.Millisecond)
-	e.Strings([]string{"a", "b", "c"})
-	e.Strings(nil)
-
-	d := NewDecoder(e.Bytes())
-	if v := d.U8(); v != 0xAB {
+	in := prims{
+		u8: 0xAB, u32: 0xDEADBEEF, u64: 1<<63 + 12345, uv0: 0, uv60: 1 << 60,
+		vNeg: -1, v40: 1 << 40, yes: true, no: false, pi: 3.14159, zero: 0,
+		s: "hello, wal", empty: "", ts: ts, d: 42 * time.Millisecond,
+		ss: []string{"a", "b", "c"}, nilSS: nil,
+	}
+	var out prims
+	if err := Decode(Encode(&in, code), &out, code); err != nil {
+		t.Fatalf("done: %v", err)
+	}
+	if v := out.u8; v != 0xAB {
 		t.Fatalf("u8 = %#x", v)
 	}
-	if v := d.U32(); v != 0xDEADBEEF {
+	if v := out.u32; v != 0xDEADBEEF {
 		t.Fatalf("u32 = %#x", v)
 	}
-	if v := d.U64(); v != 1<<63+12345 {
+	if v := out.u64; v != 1<<63+12345 {
 		t.Fatalf("u64 = %d", v)
 	}
-	if v := d.Uvarint(); v != 0 {
+	if v := out.uv0; v != 0 {
 		t.Fatalf("uvarint = %d", v)
 	}
-	if v := d.Uvarint(); v != 1<<60 {
+	if v := out.uv60; v != 1<<60 {
 		t.Fatalf("uvarint = %d", v)
 	}
-	if v := d.Varint(); v != -1 {
+	if v := out.vNeg; v != -1 {
 		t.Fatalf("varint = %d", v)
 	}
-	if v := d.Varint(); v != 1<<40 {
+	if v := out.v40; v != 1<<40 {
 		t.Fatalf("varint = %d", v)
 	}
-	if !d.Bool() || d.Bool() {
+	if !out.yes || out.no {
 		t.Fatal("bools")
 	}
-	if v := d.F64(); v != 3.14159 {
+	if v := out.pi; v != 3.14159 {
 		t.Fatalf("f64 = %v", v)
 	}
-	if v := d.F64(); v != 0 {
+	if v := out.zero; v != 0 {
 		t.Fatalf("f64 zero = %v", v)
 	}
-	if v := d.String(); v != "hello, wal" {
+	if v := out.s; v != "hello, wal" {
 		t.Fatalf("string = %q", v)
 	}
-	if v := d.String(); v != "" {
+	if v := out.empty; v != "" {
 		t.Fatalf("empty string = %q", v)
 	}
-	if v := d.Time(); !v.Equal(ts) {
+	if v := out.ts; !v.Equal(ts) {
 		t.Fatalf("time = %v", v)
 	}
-	if v := d.Duration(); v != 42*time.Millisecond {
+	if v := out.d; v != 42*time.Millisecond {
 		t.Fatalf("duration = %v", v)
 	}
-	if v := d.Strings(); len(v) != 3 || v[2] != "c" {
+	if v := out.ss; len(v) != 3 || v[2] != "c" {
 		t.Fatalf("strings = %v", v)
 	}
-	if v := d.Strings(); v != nil {
+	if v := out.nilSS; v != nil {
 		t.Fatalf("nil strings = %v", v)
-	}
-	if err := d.Done(); err != nil {
-		t.Fatalf("done: %v", err)
 	}
 }
 
@@ -403,35 +424,36 @@ func TestCodecRoundTrip(t *testing.T) {
 // oversized length fields produce sticky errors with offsets, never
 // panics or giant allocations.
 func TestDecoderBounds(t *testing.T) {
-	var e Encoder
-	e.String("abc")
-	buf := e.Bytes()
+	abc := "abc"
+	buf := Encode(&abc, (*Codec).String)
 
 	for cut := 0; cut < len(buf); cut++ {
-		d := NewDecoder(buf[:cut])
-		_ = d.String()
-		if d.Err() == nil {
-			t.Fatalf("cut=%d: truncated string decoded without error", cut)
-		}
-		// Sticky: further reads keep the first error.
-		_ = d.U64()
-		if d.Err() == nil {
-			t.Fatalf("cut=%d: error did not stick", cut)
+		err := Decode(buf[:cut], new(string), func(c *Codec, s *string) {
+			c.String(s)
+			if c.Err() == nil {
+				t.Fatalf("cut=%d: truncated string decoded without error", cut)
+			}
+			// Sticky: further reads keep the first error.
+			var u uint64
+			c.U64(&u)
+			if c.Err() == nil {
+				t.Fatalf("cut=%d: error did not stick", cut)
+			}
+		})
+		if err == nil {
+			t.Fatalf("cut=%d: Decode reported no error", cut)
 		}
 	}
 
 	// A length field claiming more bytes than exist must fail bounded.
-	var big Encoder
-	big.Uvarint(1 << 40)
-	d := NewDecoder(big.Bytes())
-	_ = d.Strings()
-	if d.Err() == nil {
+	huge := uint64(1 << 40)
+	var ss []string
+	if err := Decode(Encode(&huge, (*Codec).Uvarint), &ss, (*Codec).Strings); err == nil {
 		t.Fatal("absurd element count accepted")
 	}
 
 	// Done must reject trailing garbage.
-	d = NewDecoder([]byte{1, 2, 3})
-	if err := d.Done(); err == nil {
+	if err := Decode([]byte{1, 2, 3}, new(struct{}), func(*Codec, *struct{}) {}); err == nil {
 		t.Fatal("Done accepted unconsumed bytes")
 	}
 }
@@ -439,10 +461,9 @@ func TestDecoderBounds(t *testing.T) {
 // TestDecoderNaN pins bit-exact float round-tripping (trust maps can in
 // principle hold any float the estimator produced).
 func TestDecoderNaN(t *testing.T) {
-	var e Encoder
-	e.F64(0.1 + 0.2) // not representable exactly; must round-trip bit-exact
-	d := NewDecoder(e.Bytes())
-	if v := d.F64(); v != 0.1+0.2 {
-		t.Fatalf("f64 = %v", v)
+	in := 0.1 + 0.2 // not representable exactly; must round-trip bit-exact
+	var out float64
+	if err := Decode(Encode(&in, (*Codec).F64), &out, (*Codec).F64); err != nil || out != 0.1+0.2 {
+		t.Fatalf("f64 = %v (%v)", out, err)
 	}
 }
