@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench fuzz loadtest
+.PHONY: check fmt build vet test race bench fuzz loadtest
 
-check: build vet test
+check: fmt build vet test
+
+# fmt fails when gofmt would rewrite any file (CI's Format step).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "gofmt: the files above need gofmt -w"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -36,8 +40,8 @@ loadtest:
 	$(GO) run ./cmd/watchload -smoke
 
 # fuzz runs the equivalence fuzzers briefly — the same smokes CI runs:
-# the sharded-resolve identity, the end-to-end sharded-tail identity
-# (workers × shards vs the sequential oracle), the integer FD kernel vs
+# the sharded-resolve identity, the end-to-end tail identity (workers ×
+# shards vs the one-shard, one-worker baseline), the integer FD kernel vs
 # its string oracle, the carried Prepare + RePlan vs a fresh plan, the
 # change-feed resume property (no duplicate, out-of-order
 # or torn deliveries across arbitrary publish/subscribe/drain/cancel

@@ -280,9 +280,9 @@ func BenchmarkShardedIntegration(b *testing.B) {
 
 // BenchmarkDeltaPublish contrasts the two publication strategies over a
 // wide wrangled table: "full-copy" deep-copies every record into the
-// next version (the sequential tail's publish), "delta" re-clones only
-// one of eight shard pages and pointer-shares the other seven with the
-// predecessor (the sharded tail's publish after a one-shard reaction).
+// next version (publication without immutable pages), "delta" re-clones
+// only one of eight shard pages and pointer-shares the other seven with
+// the predecessor (publication after a reaction that dirtied one shard).
 // Time and allocations per published version are the headline numbers —
 // delta publication is O(changed shard), not O(table).
 func BenchmarkDeltaPublish(b *testing.B) {
@@ -336,7 +336,7 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // source of a 24-source union churns and is refreshed through the
 // sharded partial tail (dirty-row diff, incremental re-plan, cached pair
 // scores, warm trust, per-dirty-shard fuse, page reuse) at 1/4/8 shards.
-// Output is byte-identical to the sequential tail — the determinism
+// Output is byte-identical at every shard count — the determinism
 // harness and fuzz targets pin that — so the table may only show cost
 // moving with the dirty shard.
 func BenchmarkStreamingRefresh(b *testing.B) {
@@ -362,16 +362,16 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkFullTail is the cost of one full integration tail — union
-// build, blocking, pair scoring, clustering, trust fixpoint, fusion and
-// publication — over the 24-source bench universe on the sequential
-// oracle tail, with nothing dirty (an empty refresh batch recomputes
-// exactly the tail). This is the allocation-squeeze target: interned row
-// keys, per-row normalized feature state and preallocated stage buffers
-// attack the ~4k allocs/row the early baselines carried, so allocations
-// per op are the headline number. Sharded sessions have no full-tail
-// reaction to time — an empty batch reuses every shard's clusters
-// (BenchmarkShardedIntegration) — and their cold tail is the
+// BenchmarkFullTail is the cost of one full-scope integration tail —
+// union build, FD repair, prepare, re-plan, trust fixpoint, fusion,
+// merge and publication — over the 24-source bench universe of a default
+// (one-shard) session, with nothing dirty: an empty refresh batch runs
+// exactly the tail, and its one shard reuses its clusters, as every
+// reaction that leaves the clustering inputs alone does. This is the
+// allocation-squeeze target: interned row keys, per-row normalized
+// feature state and preallocated stage buffers attack the ~4k allocs/row
+// the early baselines carried, so allocations per op are the headline
+// number. A tail that scores every pair is what a cold run pays: the
 // benchmark/ harness's cold.10k workload and layer probes.
 func BenchmarkFullTail(b *testing.B) {
 	w := wrangletest.NewWrangler(3, 24, 0)
@@ -754,7 +754,7 @@ func BenchmarkTrustFixpoint(b *testing.B) {
 	}
 	for _, wk := range workerCounts {
 		b.Run(fmt.Sprintf("warm/workers=%d", wk), func(b *testing.B) {
-			_, memo, _ := fusion.EstimateTrustWarmParallel(claims, fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
+			_, memo, _ := fusion.EstimateTrustWarmParallel(fusion.GroupClaims(claims), fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
 			churned := append([]fusion.Claim(nil), claims...)
 			for i := range churned {
 				if churned[i].SourceID == "c00-s00" {
@@ -765,7 +765,7 @@ func BenchmarkTrustFixpoint(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _, st = fusion.EstimateTrustWarmParallel(churned, fusion.DefaultOptions(fusion.TruthFinder), memo, wk)
+				_, _, st = fusion.EstimateTrustWarmParallel(fusion.GroupClaims(churned), fusion.DefaultOptions(fusion.TruthFinder), memo, wk)
 			}
 			b.ReportMetric(float64(st.Components), "components/op")
 		})

@@ -37,7 +37,7 @@ func main() {
 	ctxName := flag.String("context", "balanced", "user context: balanced, routine or investigation")
 	maxSources := flag.Int("max-sources", 0, "source budget (0 = unlimited)")
 	parallelism := flag.Int("parallelism", 0, "per-source worker bound (0 = one per CPU, 1 = sequential)")
-	shards := flag.Int("shards", 0, "integration-tail shards (0 = sequential tail; output is identical at any count)")
+	shards := flag.Int("shards", 0, "integration-tail shards (0 = one shard, with full-table watch frames; output is identical at any count)")
 	csvOut := flag.String("csv", "", "write wrangled table as CSV to this file")
 	serveMode := flag.Bool("serve", false, "after the run, serve snapshot versions over HTTP while refreshing in the background")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address for -serve")
@@ -56,7 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "wrangle: shards must be >= 1, or 0 for a sequential integration tail (got %d)\n", *shards)
+		fmt.Fprintf(os.Stderr, "wrangle: shards must be >= 1, or 0 for one shard with full-table watch frames (got %d)\n", *shards)
 		os.Exit(2)
 	}
 	if *retain < 0 {
@@ -111,10 +111,10 @@ func main() {
 	}
 	if *shards >= 1 {
 		// Likewise byte-identical at any shard count: sharding fans the
-		// select → integrate → fuse tail out, reactions recompute only the
-		// shards their delta touched (-serve refresh ticks report the split
-		// on each published version) and publications become per-shard
-		// deltas.
+		// integration tail out, reactions recompute only the shards their
+		// delta touched (-serve refresh ticks report the split on each
+		// published version), and watch frames carry per-shard deltas
+		// instead of every row.
 		opts = append(opts, wrangle.WithIntegrationShards(*shards))
 	}
 	var u *synth.Universe

@@ -297,7 +297,7 @@ func (st *serveState) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // header plus the delta — only the changed records' rows are inlined
 // (shared pages are elided entirely), so frame size scales with what the
 // reaction touched, not with the table. A full frame (first publication,
-// sequential sessions) carries every row.
+// every publication of a session without -shards) carries every row.
 type watchFrame struct {
 	Version       uint64         `json:"version"`
 	Step          uint64         `json:"step"`

@@ -15,30 +15,32 @@
 // worker pool: per-source extraction chains fan out in parallel
 // (WithParallelism / WithSequential) and merge deterministically, so a
 // parallel run is byte-identical to a sequential one. The integration
-// tail — entity resolution and fusion over the global union — shards by
-// blocking key too (WithIntegrationShards): block-connected components
-// route whole to deterministic owner shards, resolve and fuse as engine
-// tasks, and merge back byte-identically to the sequential tail at any
-// shard count, a property pinned by the internal/wrangletest
-// determinism harness and its fuzz target. Each successful run and
-// reaction then commits an immutable copy-on-write snapshot version
-// into internal/serve; Session.View pins the latest version with one
-// atomic load, so heavy read traffic is served lock-free and untorn
-// while feedback and refresh reactions churn in the background
-// (WithRetainVersions bounds the history, cmd/wrangle -serve exposes it
-// over HTTP). Sharded sessions publish versions as deltas: a reaction
-// that leaves a shard's fused rows unchanged shares that shard's
+// tail — entity resolution and fusion over the global union — is one
+// engine DAG every session runs, sharded by blocking key
+// (WithIntegrationShards; one shard without it): block-connected
+// components route whole to deterministic owner shards, resolve and fuse
+// as engine tasks, and merge back byte-identically at any shard count, a
+// property pinned by the internal/wrangletest determinism harness, its
+// fuzz target and a reference check against one global resolve and fuse.
+// Each successful run and reaction then commits an immutable
+// copy-on-write snapshot version into internal/serve; Session.View pins
+// the latest version with one atomic load, so heavy read traffic is
+// served lock-free and untorn while feedback and refresh reactions churn
+// in the background (WithRetainVersions bounds the history, cmd/wrangle
+// -serve exposes it over HTTP). Versions share records by page: a
+// reaction that leaves a shard's fused rows unchanged shares that shard's
 // records with the predecessor version, making publication O(changed
-// shard). Their reactions are partial tails: the session memoizes its
-// last integrated tail and the reaction planner (internal/core) diffs
-// the rebuilt union against it, re-resolving only dirty components
-// (cached pair scores cover the rest) and reusing untouched shards'
-// clusters by reference, byte-identically to the full recompute. The
-// back half runs whole — trust is the exact global fixpoint, every
-// shard re-fuses under it — and reuses at one grain: prepared claim
-// groups inside the trust estimation, fused records at the merge. The
-// tail's front half is
-// O(changed source) on both tails: whatever is a function of one
+// shard), and a session with a shard count announces each version to
+// watchers as a record delta. Reactions are partial tails: the session
+// memoizes its last integrated tail and the reaction planner
+// (internal/core) diffs the rebuilt union against it, re-resolving only
+// dirty components (cached pair scores cover the rest) and reusing
+// untouched shards' clusters by reference, byte-identically to the full
+// recompute. The back half runs whole — claims are grouped once, trust is
+// the exact global fixpoint, every shard re-fuses its entities' groups
+// under it — and reuses at one grain: prepared claim groups inside the
+// trust estimation, fused records at the merge. The tail's front half is
+// O(changed source): whatever is a function of one
 // record — the FD profile's cell strings (internal/quality), the
 // resolver's row features (internal/er) — is derived once per source
 // generation, next to the source's mapped table, and dies with it; the

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -124,12 +125,11 @@ type RunStats struct {
 	// engine's per-task timings: "sources" sums every per-source
 	// extract/match/map chain (parallel work — the stage total can exceed
 	// Duration when chains overlap), "select" covers the merge barrier plus
-	// selection, "integrate" the resolve/fuse tail. Sharded tails
-	// additionally split "integrate" by DAG stage — "replan", "resolve",
-	// "trust", "fuse", "merge". Every full tail, sequential or sharded,
-	// also names the steps of its front half (replanSplit): "replan.union",
-	// "replan.fd_repair", "replan.prepare" and "replan.plan" — on sharded
-	// tails they add up to "replan", and none of them is accrued into
+	// selection, "integrate" the resolve/fuse tail, which is further split
+	// by DAG stage — "replan", "resolve", "trust", "fuse", "merge" (shard
+	// fan-outs summed). A full tail also names the steps of its front half
+	// (replanSplit): "replan.union", "replan.fd_repair", "replan.prepare"
+	// and "replan.plan", which add up to "replan" and are not accrued into
 	// "integrate" a second time. Published snapshot versions carry these,
 	// so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
@@ -163,17 +163,20 @@ type Wrangler struct {
 	// IntegrationShards splits the integration tail (entity resolution +
 	// fusion) into this many disjoint blocking shards that resolve and
 	// fuse as parallel engine tasks and merge deterministically: the
-	// output is byte-identical to the sequential tail at every shard
-	// count. 0 (the default) keeps the tail sequential. Sharded reactions
-	// recompute a partial tail: the reaction planner diffs the new union
-	// against the memoized previous one, re-plans incrementally
-	// (er.RePlan) and re-resolves only dirty shards, reusing every
-	// untouched shard's clusters by reference. Trust is re-estimated over
-	// all claims (keeping the prepared state of claim groups that held)
-	// and every shard re-fuses under it; published versions share the
-	// table records of every shard whose fused rows did not change.
+	// output is byte-identical at every shard count. 0 (the default) runs
+	// the same tail at one shard. Every reaction recomputes a partial
+	// tail: the reaction planner diffs the new union against the memoized
+	// previous one, re-plans incrementally (er.RePlan) and re-resolves
+	// only dirty shards, reusing every untouched shard's clusters by
+	// reference. Trust is re-estimated over all claims (keeping the
+	// prepared state of claim groups that held) and every shard re-fuses
+	// under it; published versions share the table records of every
+	// shard whose fused rows did not change. The one thing 0 changes
+	// against 1 is the change feed: a session left at 0 publishes every
+	// version as a full change (serve.ChangeSet.Full), one set to n >= 1
+	// publishes record deltas.
 	IntegrationShards int
-	// Deprecated: sharded sessions always stream; nothing reads this field.
+	// Deprecated: every tail streams; nothing reads this field.
 	StreamingRefresh bool
 
 	states       map[string]*sourceState
@@ -193,11 +196,11 @@ type Wrangler struct {
 	supporters   map[string][]string // lazy (entity,attr) → supporting sources
 	wrangled     *dataset.Table
 	trust        map[string]float64
-	pages        []*shardPage    // sharded tail only: per-shard fused output, immutable once built
-	entityShard  map[string]int  // sharded tail only: entity -> owning shard of the last integration
+	pages        []*shardPage    // per-shard fused output, immutable once built
+	entityShard  map[string]int  // entity -> owning shard of the last integration
 	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
-	memo         *tailMemo       // sharded tail only: the last integrated tail, diffable
+	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
 	dirtySources map[string]bool // sources installed since the memoized tail; persisted, gates the restore's memo rebuild
 	lastSeq      int
 	lastTrust    fusion.TrustStats // component shape of the last tail's trust estimation
@@ -276,8 +279,8 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	}, deps...); err != nil {
 		return nil, err
 	}
-	// Sharded sessions record a tail memo at the merge, so the first
-	// reaction after the run is already a partial tail.
+	// The tail records its memo at the merge, so the first reaction after
+	// the run is already a partial tail.
 	if err := w.addIntegrationTasks(g, &shardRun{}, "select"); err != nil {
 		return nil, err
 	}
@@ -298,13 +301,11 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 
 // stageTimings folds the engine's per-task wall clock into per-stage
 // attribution: every "source[...]" task accrues to "sources", and the
-// sharded integration tail's tasks are split by DAG stage — "replan"
-// (union build + shard planning or incremental re-plan), "resolve",
-// "trust" (cluster barrier + trust estimation), "fuse" and "merge" — so
-// published versions attribute exactly where a partial reaction saved
-// its time. Every tail task additionally accrues to the aggregate
-// "integrate" key (which the sequential tail's single task reports
-// directly), so stage totals stay comparable across tail modes.
+// integration tail's tasks are split by DAG stage — "replan" (union
+// build + shard planning or incremental re-plan), "resolve", "trust"
+// (cluster barrier + trust estimation), "fuse" and "merge" — so published
+// versions attribute exactly where a partial reaction saved its time.
+// Every tail task additionally accrues to the aggregate "integrate" key.
 func stageTimings(tasks map[string]time.Duration) map[string]time.Duration {
 	stages := make(map[string]time.Duration, 8)
 	for id, d := range tasks {
@@ -318,16 +319,13 @@ func stageTimings(tasks map[string]time.Duration) map[string]time.Duration {
 }
 
 // stageOf maps an engine task ID to its pipeline stage name, and reports
-// whether the task belongs to the sharded integration tail (and so also
-// accrues to the aggregate "integrate" key). It is the single source of
-// stage attribution, shared by stageTimings and the per-task telemetry
-// spans.
+// whether the task belongs to the integration tail (and so also accrues
+// to the aggregate "integrate" key). It is the single source of stage
+// attribution, shared by stageTimings and the per-task telemetry spans.
 func stageOf(id string) (stage string, tail bool) {
 	switch {
 	case strings.HasPrefix(id, "source["):
 		return "sources", false
-	case id == "integrate":
-		return "integrate", false
 	case id == "integrate:plan":
 		return "replan", true
 	case id == "integrate:cluster":
@@ -345,6 +343,10 @@ func stageOf(id string) (stage string, tail bool) {
 
 // workers resolves the wrangler's configured parallelism degree.
 func (w *Wrangler) workers() int { return engine.Workers(w.Parallelism) }
+
+// shards is the integration tail's shard count: IntegrationShards, and
+// one for a session that left it at 0.
+func (w *Wrangler) shards() int { return max(1, w.IntegrationShards) }
 
 // provPut is a deferred provenance registration. Outcomes carry their puts
 // instead of writing to the graph directly, so the merge step can replay
@@ -526,12 +528,10 @@ func (w *Wrangler) installOutcome(o *sourceOutcome) error {
 	// no installed-but-never-integrated source has moved away from.
 	// Accumulating here — not per reaction — keeps it sound even when a
 	// reaction installs some sources and then aborts before its tail.
-	if w.IntegrationShards > 0 {
-		if w.dirtySources == nil {
-			w.dirtySources = map[string]bool{}
-		}
-		w.dirtySources[o.id] = true
+	if w.dirtySources == nil {
+		w.dirtySources = map[string]bool{}
 	}
+	w.dirtySources[o.id] = true
 	return nil
 }
 
@@ -680,35 +680,12 @@ func (s replanSplit) record(stages map[string]time.Duration) {
 	stages["replan.plan"] = s.plan
 }
 
-// integrate unions selected mapped tables, resolves entities and fuses
-// values into the wrangled table — the sequential integration tail.
-// Sessions configured with IntegrationShards > 0 run the sharded twin
-// (shard.go) instead; the two are byte-identical by construction and by
-// the wrangletest determinism harness.
-func (w *Wrangler) integrate() error {
-	empty, err := w.buildUnion()
-	if err != nil || empty {
-		return err
-	}
-	start := time.Now()
-	must, cannot := w.pairConstraints()
-	pairs := w.resolver.CandidatePairs(w.union)
-	w.split.plan = time.Since(start)
-	clusters, _, err := w.resolver.ResolvePairs(w.union, pairs, must, cannot)
-	if err != nil {
-		return fmt.Errorf("core: resolve: %w", err)
-	}
-	w.clusters = clusters
-	w.entityIDs = w.entityNames()
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
-	return w.fuse()
-}
-
 // buildUnion assembles the union table from the selected mapped tables,
 // repairs profiled FD violations, and prepares the resolver (including
-// Corleone-style refinement from pair feedback). It is the shared head of
-// both integration tails. empty reports that there was nothing to
-// integrate — the working data has already been reset to an empty result.
+// Corleone-style refinement from pair feedback). It is the head of the
+// integration tail's plan stage and of a durable restore. empty reports
+// that there was nothing to integrate — the working data has already been
+// reset to an empty result.
 //
 // The union is copy-on-write: it holds the sources' mapped records by
 // reference, and FD repair replaces a record by a clone before the first
@@ -878,36 +855,6 @@ func (w *Wrangler) RowKey(i int) string {
 	return w.rowKeys()[i]
 }
 
-// fuse builds claims from the union rows grouped by cluster and fuses them
-// under the context-appropriate policy. The TruthFinder estimation inside
-// prepares its claim groups on the session's workers — byte-identical to
-// a sequential fuse at any parallelism.
-func (w *Wrangler) fuse() error {
-	claims := w.buildClaims()
-	var opts fusion.Options
-	w.results, opts, w.lastTrust = fusion.FuseParallel(claims, w.fusionOptions(), w.workers())
-	w.supporters = nil // new results: the supporters index is stale
-	w.trust = opts.Trust
-	w.pages = nil // sequential tail: no shard pages to share
-	w.entityShard = nil
-
-	// Materialise the wrangled table: one row per entity.
-	entities, rows := materialize(w.results, w.Config.Target)
-	out := dataset.NewTable(w.Config.Target.Clone())
-	for _, r := range rows {
-		out.Append(r)
-	}
-	w.wrangled = out
-	w.rowEntities = entities
-	// The sequential tail has no page bookkeeping to bound its delta:
-	// every publication is "everything changed" to a watcher.
-	w.lastChange = serve.ChangeSet{Full: true}
-	w.LastStats.RowsWrangled = out.Len()
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
-		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, opts.Policy.String())
-	return nil
-}
-
 // buildClaims flattens the union into one claim per (row, attribute),
 // in row order — the order fusion's bucket representatives and float
 // accumulation depend on. The freshness column feeds each claim's AsOf
@@ -946,10 +893,8 @@ func (w *Wrangler) buildClaims() []fusion.Claim {
 }
 
 // materialize turns fused results into one record per entity, entities
-// sorted ascending — the row order of the wrangled table. It is shared
-// by the sequential tail (over all results) and the sharded tail (per
-// shard page), which is what makes the merged sharded table equal the
-// sequential one row for row.
+// sorted ascending — the row order of a shard page, and after the merge
+// of the wrangled table.
 func materialize(results []fusion.Result, target dataset.Schema) (entities []string, rows []dataset.Record) {
 	byEntity := map[string]map[string]dataset.Value{}
 	var order []string
@@ -1071,14 +1016,11 @@ func (w *Wrangler) Union() *dataset.Table { return w.union }
 func (w *Wrangler) UnionSourceOf(i int) string { return w.unionSources[i] }
 
 // UnionRowInSource returns row i's index within its source's mapped table.
+// A source's rows are contiguous in the union (buildUnion appends them in
+// unionIDs order), so that is i's offset from its source's first row.
 func (w *Wrangler) UnionRowInSource(i int) int {
-	count := 0
-	for j := 0; j < i; j++ {
-		if w.unionSources[j] == w.unionSources[i] {
-			count++
-		}
-	}
-	return count
+	k, _ := slices.BinarySearch(w.unionIDs, w.unionSources[i])
+	return i - w.unionStarts[k]
 }
 
 // Resolver returns the current entity-resolution rule (nil before
@@ -1111,7 +1053,7 @@ func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 // buildSupporters walks the union once, grouping rows by entity, and
 // resolves each fused result's supporting sources in a single pass —
 // O(union rows × attributes + results) instead of a full union scan per
-// report line. fuse invalidates the index (w.supporters = nil).
+// report line. A tail's merge invalidates the index (w.supporters = nil).
 func (w *Wrangler) buildSupporters() {
 	w.supporters = map[string][]string{}
 	if w.union == nil {

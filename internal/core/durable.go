@@ -135,7 +135,9 @@ type loggedVersion struct {
 	react    ReactStats
 
 	// Output payload: mode 1 references shard pages in shard order; mode 0
-	// (sequential or empty tails) carries table, results and entities inline.
+	// (empty tails, and every version of logs written when unsharded
+	// sessions ran a separate sequential tail) carries table, results and
+	// entities inline.
 	pages    []uint64
 	table    *dataset.Table
 	results  []fusion.Result
@@ -339,8 +341,8 @@ func codeCheckpoint(c *wal.Codec, r *checkpointRecord) {
 }
 
 // versionRecord gathers one published version for the log: its store
-// metadata, the full Published payload (pages by reference when the
-// sharded tail built them, inline otherwise), and the working tail a
+// metadata, the full Published payload (pages by reference when a tail
+// built them, inline otherwise), and the working tail a
 // restart needs to resume incrementally — clusters, feedback watermark,
 // dirty-source scope and whether a tail memo stood behind the version.
 func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersion {
@@ -428,9 +430,9 @@ func codeVersion(c *wal.Codec, lv *loggedVersion) {
 	codeStages(c, &rs.Stages)
 
 	// Output payload: mode 1 references shard pages in shard order; mode 0
-	// (sequential or empty tails) carries table, results and entities
-	// inline. The mode, not nil-ness, says which: a mode-1 version with no
-	// pages still decodes a non-nil page list.
+	// (empty tails, and older logs' unsharded sessions) carries table,
+	// results and entities inline. The mode, not nil-ness, says which: a
+	// mode-1 version with no pages still decodes a non-nil page list.
 	var mode uint8
 	if lv.pages != nil {
 		mode = 1
@@ -829,13 +831,13 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 	w.entityIDs = w.entityNames()
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
-	// the memo was valid at publish, the session still shards, and no
+	// the memo was valid at publish, the version carries its pages, and no
 	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
 	// publishes — the rebuilt union would not be the memo's union). A
 	// failed rebuild degrades to a full first tail, never an error: outputs
 	// stay byte-identical either way.
-	if lv.memoValid && w.IntegrationShards > 0 && len(w.pages) > 0 && len(lv.dirty) == 0 {
+	if lv.memoValid && len(w.pages) > 0 && len(lv.dirty) == 0 {
 		w.rebuildMemo()
 	}
 	return nil
@@ -851,7 +853,7 @@ func (w *Wrangler) rebuildMemo() {
 	rowKeys := w.rowKeys()
 	// No previous plan state: a fresh plan over the union buildUnion just
 	// prepared.
-	rp, err := w.resolver.RePlan(w.union, w.IntegrationShards, must, cannot, rowKeys, nil, nil)
+	rp, err := w.resolver.RePlan(w.union, w.shards(), must, cannot, rowKeys, nil, nil)
 	if err != nil || rp.Plan.NumShards != len(w.pages) {
 		return
 	}

@@ -3,8 +3,20 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/er"
+	"repro/internal/fusion"
 	"repro/internal/wal"
 )
+
+// PairConstraints, BuildClaims and FusionOptions hand the reference test
+// the tail's inputs as the session derives them: the hard pair
+// constraints over the current union, its claims in row order, and the
+// fusion policy with its feedback-pinned trust.
+func (w *Wrangler) PairConstraints() (must, cannot []er.Pair) { return w.pairConstraints() }
+
+func (w *Wrangler) BuildClaims() []fusion.Claim { return w.buildClaims() }
+
+func (w *Wrangler) FusionOptions() fusion.Options { return w.fusionOptions() }
 
 // DecodeRecords decodes a replayed log's records in order, each with its
 // kind's code function; pages are read at the width the log's config

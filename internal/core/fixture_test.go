@@ -47,7 +47,9 @@ var fixtureChurn = []float64{0.25, 0.2}
 // decodes to exactly what the parent decoded (dumped field by field,
 // nil apart from empty, floats by bit pattern), and attaching the log
 // restores the session the parent restored — on the sharded log with a
-// tail memo, so the first refresh reuses shards.
+// tail memo, so the first refresh reuses shards; on the shards=0 log,
+// whose versions the then-separate sequential tail wrote inline and
+// without a memo, so the first refresh is a full tail at one shard.
 func TestParentWrittenLogs(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "restored.fingerprint"))
 	if err != nil {
@@ -97,14 +99,19 @@ func TestParentWrittenLogs(t *testing.T) {
 			if got := wrangletest.Fingerprint(w); got != string(want) {
 				t.Fatalf("restored session differs from the parent's:\n%s", lineDiff(string(want), got))
 			}
+			stats, err := w.RefreshSourcesContext(context.Background(), w.SelectedSources()[:1])
+			if err != nil {
+				t.Fatalf("refresh: %v", err)
+			}
 			if shards > 0 {
-				stats, err := w.RefreshSourcesContext(context.Background(), w.SelectedSources()[:1])
-				if err != nil {
-					t.Fatalf("refresh: %v", err)
-				}
 				if stats.ShardsReused == 0 {
 					t.Fatalf("first refresh after restore reused no shards (resolved %d): the tail memo was not rebuilt", stats.ShardsResolved)
 				}
+			} else if stats.ShardsResolved != 1 || stats.ShardsReused != 0 {
+				// The sequential tail's inline versions carry no memo: the
+				// first tail is a full one at one shard.
+				t.Fatalf("first refresh after restoring inline versions resolved %d and reused %d shards, want a full one-shard tail",
+					stats.ShardsResolved, stats.ShardsReused)
 			}
 		})
 	}

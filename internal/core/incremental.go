@@ -29,11 +29,12 @@ type ReactStats struct {
 	Remapped           int
 	Reclustered        bool
 	Refused            bool
-	// ShardsResolved and ShardsReused report the dirty-shard split of a
-	// sharded integration tail: how many shards re-resolved their
-	// clusters versus reused them by reference. A refresh that touched
-	// one source typically resolves one shard and reuses the rest;
-	// sequential sessions report zeros.
+	// ShardsResolved and ShardsReused report the dirty-shard split of the
+	// integration tail: how many shards re-resolved their clusters versus
+	// reused them by reference. A refresh that touched one source
+	// typically resolves one shard and reuses the rest; a default session
+	// (one shard) reports 1 and 0, or 0 and 1 when nothing it clusters
+	// moved. Both are zero when no tail ran.
 	ShardsResolved int
 	ShardsReused   int
 	// TrustComponents is how many trust-coupled connected components the
@@ -44,14 +45,15 @@ type ReactStats struct {
 	Duration        time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole
-	// integration tail ("fuse" when only a sequential fusion reran).
-	// Sharded tails additionally split the tail by DAG stage — "replan"
+	// integration tail, which is further split by DAG stage — "replan"
 	// (union build + shard planning or incremental re-plan), "resolve",
 	// "trust" (cluster barrier + trust estimation), "fuse", "merge" — so
 	// published versions attribute exactly where a partial reaction
-	// saved its time. A full tail of either kind also names the steps of
-	// its front half, "replan.union", "replan.fd_repair", "replan.prepare"
-	// and "replan.plan" (see RunStats.Stages). Absent stages did not run.
+	// saved its time. A fuse-only reaction (value feedback) reports only
+	// "trust", "fuse" and "merge" under "integrate". A full tail also
+	// names the steps of its front half, "replan.union",
+	// "replan.fd_repair", "replan.prepare" and "replan.plan" (see
+	// RunStats.Stages). Absent stages did not run.
 	Stages map[string]time.Duration
 }
 

@@ -14,15 +14,15 @@ import (
 // This file is the reaction planner: the one place that decides, for any
 // incremental reaction (feedback assimilation or source churn), how much
 // of the integration tail must recompute — and executes exactly that.
-// On sharded sessions a full-scope tail diffs the rebuilt union against
-// the memoized previous one (record identity first, content where
-// records differ), re-plans incrementally and re-resolves only the dirty
-// shards. The back half — trust, fuse, merge — runs whole on every
-// reaction and reuses at one grain: the trust estimation keeps the
-// prepared state of every (entity, attribute) group whose claims held,
-// and the merge shares the records of every page that fused to the same
-// rows. The contract is strict: the sharded tail is byte-identical to the
-// sequential full recompute, pinned by the internal/wrangletest harness.
+// A full-scope tail diffs the rebuilt union against the memoized previous
+// one (record identity first, content where records differ), re-plans
+// incrementally and re-resolves only the dirty shards. The back half —
+// trust, fuse, merge — runs whole on every reaction and reuses at one
+// grain: the trust estimation keeps the prepared state of every (entity,
+// attribute) group whose claims held, and the merge shares the records
+// of every page that fused to the same rows. The contract is strict: a
+// partial tail is byte-identical to a full recompute (FullRerun), pinned
+// by the internal/wrangletest harness.
 
 // tailScope is how much of the integration tail a reaction needs.
 type tailScope int
@@ -36,7 +36,7 @@ const (
 	tailFuseOnly
 )
 
-// tailMemo is the memoized state of the last integrated sharded tail —
+// tailMemo is the memoized state of the last integrated tail —
 // what the planner diffs a reaction against. All fields describe one
 // coherent integration; any tail that fails mid-flight drops the memo
 // (the next reaction plans from scratch and re-records it).
@@ -72,22 +72,20 @@ func planReaction(items []feedback.Item) (reextract map[string]bool, reselect bo
 }
 
 // runTail executes the integration tail at the given scope and fills the
-// reaction stats: per-DAG-stage timings and, on sharded sessions, the
-// dirty-shard counts. Sequential sessions run the inline oracle tails.
-// Sharded sessions run one engine graph whose scope picks the front
-// half: the full scope diffs, re-plans and resolves the dirty shards;
-// the fuse-only scope re-partitions claims over the stored clustering.
-// Both share the trust barrier → fuse[shard] → merge back half.
+// reaction stats: per-DAG-stage timings and the dirty-shard counts. It
+// runs one engine graph whose scope picks the front half: the full scope
+// diffs, re-plans and resolves the dirty shards; the fuse-only scope
+// re-estimates trust over the stored clustering. Both share the trust
+// barrier → fuse[shard] → merge back half.
 func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) error {
 	start := time.Now()
 	if stats.Stages == nil {
 		stats.Stages = map[string]time.Duration{}
 	}
-	// Every tail path below funnels its trust estimation through
-	// w.lastTrust (the fuse barrier / sequential fuse both write it);
-	// reset first so a tail that never estimates trust — empty union,
-	// non-TruthFinder policy — reports zero components, then snapshot
-	// whatever the tail recorded on the way out.
+	// The tail's trust barrier writes w.lastTrust; reset first so a tail
+	// that never estimates trust — empty union, non-TruthFinder policy —
+	// reports zero components, then snapshot whatever the tail recorded on
+	// the way out.
 	w.lastTrust = fusion.TrustStats{}
 	w.split = replanSplit{}
 	defer func() {
@@ -100,17 +98,6 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 		// (empty) result unchanged.
 		return nil
 	}
-	if w.IntegrationShards <= 0 {
-		stage, tail := "integrate", w.integrate
-		if scope == tailFuseOnly {
-			stage, tail = "fuse", w.fuse
-		}
-		if err := tail(); err != nil {
-			return err
-		}
-		stats.Stages[stage] = time.Since(start)
-		return nil
-	}
 
 	g := engine.NewGraph()
 	sr := &shardRun{}
@@ -118,10 +105,10 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	if scope == tailFuseOnly && w.memo != nil {
 		err = w.addFuseOnlyTasks(g, sr)
 	} else {
-		// Also the fuse-only scope without a memo: the last sharded
-		// integration did not complete (cancelled mid-tail, or a restore
-		// that could not rebuild it), so the union may be ahead of the
-		// clustering and only a full tail makes them coherent again.
+		// Also the fuse-only scope without a memo: the last integration did
+		// not complete (cancelled mid-tail, or a restore that could not
+		// rebuild it), so the union may be ahead of the clustering and only
+		// a full tail makes them coherent again.
 		err = w.addIntegrationTasks(g, sr)
 	}
 	if err != nil {
@@ -145,14 +132,15 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
 // clustering — the value-feedback reaction. The memo vouches that the
 // union, clusters, entity ids and entity→shard routing describe one
-// completed integration; the claims re-partition along that routing and
-// trust is re-estimated warm.
+// completed integration; trust is re-estimated warm and every shard
+// re-fuses its entities along that routing.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := len(w.memo.pages)
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
 		sr.pages = make([]*shardPage, n)
-		return sr.trustAndPartition(w, n)
+		sr.estimateTrust(w)
+		return nil
 	}); err != nil {
 		return err
 	}

@@ -16,18 +16,18 @@ import (
 // copy-on-write snapshot of its read-side artefacts into a versioned
 // serve.Store. Publication reuses the pipeline's compute/install split —
 // the reaction has already computed the new working data, so publishing
-// is a deep copy plus one atomic swap. Readers (Session.View) hold the
-// committed version without any lock and are never torn by the next
-// reaction.
+// is copying its small read-side maps, a fresh table header over the
+// immutable page records, and one atomic swap. Readers (Session.View)
+// hold the committed version without any lock and are never torn by the
+// next reaction.
 
 // Published is the payload of one committed serve version: every
 // read-side artefact of a wrangle, frozen at publication so no later
-// reaction (or other reader) can mutate what a reader holds. Sequential
-// sessions freeze by deep copy; sharded sessions freeze by construction
-// — table rows are immutable per-shard page records, shared by pointer
-// with neighbouring versions whose shard did not change (the delta
-// publication path). Either way all fields are frozen once published;
-// treat them as read-only.
+// reaction (or other reader) can mutate what a reader holds. The table
+// is frozen by construction — its rows are immutable per-shard page
+// records, shared by pointer with neighbouring versions whose shard did
+// not change (the delta publication path); the other fields are copies.
+// All fields are frozen once published; treat them as read-only.
 type Published struct {
 	// Table is the wrangled table, one row per entity.
 	Table *dataset.Table
@@ -69,7 +69,7 @@ func NewVersionStore(retain int) *VersionStore {
 // publish commits the current working data as a new serve version,
 // stamped with the provenance step that produced it. The compute half
 // already happened (the run or reaction that just finished); this is the
-// install half: deep-copy the read-side artefacts, then one atomic swap
+// install half: freeze the read-side artefacts, then one atomic swap
 // makes them the latest version. Before the first successful run there is
 // nothing to publish.
 func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
@@ -115,21 +115,17 @@ func publishTitle(origin serve.Origin) string {
 	return fmt.Sprintf("wrangled (%s)", origin)
 }
 
-// publishTable hands the next version its table. The sequential tail
-// publishes a deep copy (it has no immutability discipline over its
-// records). The sharded tail's rows are immutable per-shard page records
-// — never written after their fuse task built them, and de-duplicated
-// against the previous integration by the merge — so it publishes a
-// fresh table header whose rows point at those shared records: a version
-// after a one-shard reaction shares every untouched shard's records with
-// its predecessor, making publication allocation and retention O(changed
+// publishTable hands the next version its table. The wrangled table's
+// rows are immutable per-shard page records — never written after their
+// fuse task built them, and de-duplicated against the previous
+// integration by the merge — so it publishes a fresh table header whose
+// rows point at those shared records: a version after a reaction that
+// left some shard's rows unchanged shares that shard's records with its
+// predecessor, making publication allocation and retention O(changed
 // shard) instead of O(table). The header copy keeps the published object
 // distinct from the live w.wrangled, so even an in-place reorder of the
 // live table could not disturb committed versions.
 func (w *Wrangler) publishTable() *dataset.Table {
-	if w.pages == nil {
-		return w.wrangled.Clone()
-	}
 	out := dataset.NewTable(w.wrangled.Schema().Clone())
 	for _, r := range w.wrangled.Rows() {
 		out.Append(r) // pointer-shared immutable page records

@@ -15,19 +15,20 @@ import (
 	"repro/internal/serve"
 )
 
-// This file is the sharded integration tail: the select → integrate →
-// fuse chain that used to walk one global union table now partitions the
-// union by blocking key (er.ShardPlan), resolves and fuses every shard as
-// an independent engine task, and merges shard outputs with a stable,
+// This file is the integration tail, the one engine DAG every session
+// runs: it partitions the union by blocking key (er.ShardPlan) into
+// max(1, IntegrationShards) shards, resolves and fuses every shard as an
+// independent engine task, and merges shard outputs with a stable,
 // provider-order-independent merge. The contract is strict: at every
-// shard count the merged table, report, results, trust and provenance
-// are byte-identical to the sequential tail's (pinned by the
-// internal/wrangletest determinism harness). Sharding buys two things —
-// the tail fans out instead of being the run's Amdahl ceiling, and
-// publication becomes incremental: each shard's fused rows form an
-// immutable page, and a reaction that leaves a shard's rows unchanged
-// publishes a version sharing that page's records with its predecessor
-// (O(changed shard) publication instead of a full deep copy).
+// shard and worker count the merged table, report, results, trust and
+// provenance are byte-identical to the same DAG at one shard and one
+// worker (the internal/wrangletest determinism harness), and to the
+// global er.ResolveConstrained + fusion.Fuse reference (the core
+// reference test). Sharding buys two things — the tail fans out instead
+// of being the run's Amdahl ceiling, and publication is incremental: each
+// shard's fused rows form an immutable page, and a reaction that leaves a
+// shard's rows unchanged publishes a version sharing that page's records
+// with its predecessor.
 
 // shardPage is one shard's slice of the wrangled output: its fused
 // entities (sorted), one record per entity, and the shard's fused
@@ -60,14 +61,14 @@ func (p *shardPage) rowsEqual(q *shardPage) bool {
 type shardRun struct {
 	rp           *er.RePlanned // plan stage: the plan, per-shard reuse and dirty residue
 	must, cannot []er.Pair
-	rowKeys      []string          // plan stage: stable key per union row
-	roots        []map[int]int     // resolve fan-out: shard -> row -> cluster representative
-	claims       [][]fusion.Claim  // cluster barrier: shard -> its entities' claims
-	opts         fusion.Options    // cluster barrier: trust already estimated
-	trustMemo    *fusion.TrustMemo // cluster barrier: prepared groups for the recorded memo
-	pages        []*shardPage      // fuse fan-out
-	empty        bool              // nothing to integrate; all stages no-op
-	fuseOnly     bool              // trust+fusion tail reusing the stored clustering
+	rowKeys      []string            // plan stage: stable key per union row
+	roots        []map[int]int       // resolve fan-out: shard -> row -> cluster representative
+	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once
+	opts         fusion.Options      // cluster barrier: trust already estimated
+	trustMemo    *fusion.TrustMemo   // cluster barrier: prepared groups for the recorded memo
+	pages        []*shardPage        // fuse fan-out
+	empty        bool                // nothing to integrate; all stages no-op
+	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
 }
 
 // resolvedShards counts the shards whose clusters were computed (not
@@ -87,19 +88,15 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 	return resolved, reused
 }
 
-// addIntegrationTasks wires the integration tail into g after deps. With
-// IntegrationShards <= 0 that is the single sequential "integrate" task;
-// otherwise the sharded pipeline: plan (union + incremental re-plan
-// against the memoized tail) → resolve[shard] fan-out (skipping shards
-// whose clusters carried over) → cluster barrier (merge clusters, name
-// entities, estimate trust globally, keeping the memo's prepared groups
-// whose claims held) → fuse[shard] fan-out → merge (sharing the records
-// of pages that fused to the same rows).
+// addIntegrationTasks wires the full-scope integration tail into g after
+// deps: plan (union + incremental re-plan against the memoized tail) →
+// resolve[shard] fan-out (skipping shards whose clusters carried over) →
+// cluster barrier (merge clusters, name entities, group claims once and
+// estimate trust globally, keeping the memo's prepared groups whose
+// claims held) → fuse[shard] fan-out → merge (sharing the records of
+// pages that fused to the same rows).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
-	n := w.IntegrationShards
-	if n <= 0 {
-		return g.Add("integrate", func(context.Context) error { return w.integrate() }, deps...)
-	}
+	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
 		return w.shardPlanStage(sr, n)
 	}, deps...); err != nil {
@@ -119,15 +116,14 @@ func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...st
 	return w.addFuseMergeTasks(g, sr, n, "integrate:cluster")
 }
 
-// addFuseMergeTasks wires the back half of the sharded tail — the
-// fuse[shard] fan-out and the merge barrier — shared by the full
-// integration pipeline and the planner's fuse-only tail
-// (addFuseOnlyTasks), so the two paths cannot drift apart in task ids
-// (which stage attribution matches on) or dependency shape.
+// addFuseMergeTasks wires the back half of the tail — the fuse[shard]
+// fan-out and the merge barrier — shared by the full-scope tail and the
+// planner's fuse-only scope (addFuseOnlyTasks), so the two scopes cannot
+// drift apart in task ids (which stage attribution matches on) or
+// dependency shape.
 func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps ...string) error {
 	fuseIDs, err := g.AddFanOut("fuse", n, func(_ context.Context, i int) error {
-		w.shardFuseStage(sr, i)
-		return nil
+		return w.shardFuseStage(sr, i)
 	}, deps...)
 	if err != nil {
 		return err
@@ -137,14 +133,14 @@ func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps 
 	}, fuseIDs...)
 }
 
-// shardPlanStage builds the union (shared head with the sequential tail:
-// FD repair, resolver refinement from feedback, Prepare) and partitions it
-// into blocking shards. Cross-shard blocks cannot exist by construction:
-// the plan routes whole block-connected components, keyed by their
-// smallest stable row key, to a deterministic owner shard. The partition
-// is computed incrementally: the dirty-row diff against the memoized union
-// drives er.RePlan, which re-blocks only changed rows and hands back the
-// previous clusters of every shard the delta provably did not touch.
+// shardPlanStage builds the union (FD repair, resolver refinement from
+// feedback, Prepare) and partitions it into blocking shards. Cross-shard
+// blocks cannot exist by construction: the plan routes whole
+// block-connected components, keyed by their smallest stable row key, to
+// a deterministic owner shard. The partition is computed incrementally:
+// the dirty-row diff against the memoized union drives er.RePlan, which
+// re-blocks only changed rows and hands back the previous clusters of
+// every shard the delta provably did not touch.
 // Without a memo (a run, or after a failed tail invalidated it) RePlan
 // degrades to a fresh plan whose resolve still seeds the cross-round
 // score cache, so the very next reaction starts warm.
@@ -170,8 +166,6 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	sr.rp, err = w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
 	w.split.plan = time.Since(start)
 	if err != nil {
-		// Same wrapping as the sequential tail's resolve failure: a
-		// misconfigured resolver fails identically either way.
 		return fmt.Errorf("core: resolve: %w", err)
 	}
 	// Reused shards' clusters carried over whole; the others' slots hold
@@ -202,8 +196,8 @@ func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 
 // shardClusterStage is the barrier between the two fan-outs: it merges
 // the per-shard clusterings into the global dense clustering (identical
-// numbering to a sequential resolve), names entities, partitions claims
-// by owning shard, and runs the one stage of fusion that is inherently
+// numbering to one global resolve), names entities, routes each entity to
+// its owning shard, and runs the one stage of fusion that is inherently
 // global — TruthFinder's trust fixpoint over the full claim set.
 func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
@@ -220,7 +214,7 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	// An entity's claims fuse in its owning shard: the shard of its first
 	// union row. Clusters never span shards, but two clusters in
 	// different shards can share a most-frequent key and hence an entity
-	// name — the sequential tail fuses their claims together, so the
+	// name — one global fuse fuses their claims together, so the
 	// first-row owner takes all of them (rows are only read, so a shard
 	// may read rows it does not own).
 	entityShard := make(map[string]int, clusters.Num)
@@ -232,70 +226,53 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	// Kept on the wrangler: a later fuse-only reaction reuses this
 	// routing, since trust changes never move an entity's shard.
 	w.entityShard = entityShard
-	return sr.trustAndPartition(w, plan.NumShards)
+	sr.estimateTrust(w)
+	return nil
 }
 
-// trustAndPartition is the back half of the cluster barrier, shared by
-// the full and the fuse-only tail: build the claims, run the one
-// cross-shard stage of fusion, and route every claim to its entity's
-// owning shard. The estimation is the exact global TruthFinder fixpoint,
-// float-exact with the one the sequential tail runs; what it carries over
-// from the memo is the prepared state of every (entity, attribute) group
-// whose claims held. Runs inside the single cluster-barrier task, so
-// writing w.lastTrust is race-free.
-func (sr *shardRun) trustAndPartition(w *Wrangler, n int) error {
-	claims := w.buildClaims()
+// estimateTrust is the back half of the cluster barrier, shared by both
+// tail scopes: build the claims, group them once for trust and every
+// shard's fuse, and run the one cross-shard stage of fusion. The
+// estimation is the exact global TruthFinder fixpoint; what it carries
+// over from the memo is the prepared state of every (entity, attribute)
+// group whose claims held. Runs inside the single cluster-barrier task,
+// so writing w.lastTrust is race-free.
+func (sr *shardRun) estimateTrust(w *Wrangler) {
+	sr.groups = fusion.GroupClaims(w.buildClaims())
 	var prev *fusion.TrustMemo
 	if w.memo != nil {
 		prev = w.memo.trust
 	}
-	sr.opts, sr.trustMemo, w.lastTrust = fusion.EstimateTrustWarmParallel(claims, w.fusionOptions(), prev, w.workers())
-	if sr.claims = partitionClaims(claims, w.entityShard, n); sr.claims == nil {
-		return fmt.Errorf("core: a claim's entity has no owning shard")
-	}
-	return nil
+	sr.opts, sr.trustMemo, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
 }
 
-// partitionClaims splits claims by their entity's owning shard, claim
-// order preserved within each shard. Counts are known after one pass, so
-// every shard's slice is carved out of a single backing slab. It returns
-// nil when a claim's entity is not routed to one of the n shards (only a
-// restored log can be that incoherent).
-func partitionClaims(claims []fusion.Claim, entityShard map[string]int, n int) [][]fusion.Claim {
-	counts := make([]int, n)
-	for _, c := range claims {
-		s, ok := entityShard[c.Entity]
-		if !ok || s < 0 || s >= n {
-			return nil
-		}
-		counts[s]++
-	}
-	slab := make([]fusion.Claim, len(claims))
-	parts := make([][]fusion.Claim, n)
-	off := 0
-	for s, cnt := range counts {
-		parts[s] = slab[off : off : off+cnt]
-		off += cnt
-	}
-	for _, c := range claims {
-		s := entityShard[c.Entity]
-		parts[s] = append(parts[s], c)
-	}
-	return parts
-}
-
-// shardFuseStage fuses one shard's claims under the globally estimated
-// trust and materialises the shard's page. Claim partitioning preserved
-// row order, so every (entity, attribute) group sees its claims in the
-// exact order the sequential fuse would — bucket representatives and
-// vote accumulation match bit for bit.
-func (w *Wrangler) shardFuseStage(sr *shardRun, i int) {
+// shardFuseStage fuses, under the globally estimated trust, the claim
+// groups of the entities shard i owns, and materialises the shard's page.
+// Groups were formed once over every claim in row order, so each group
+// holds its claims in the order one global fuse sees them — bucket
+// representatives and vote accumulation match bit for bit. An entity
+// routed to no shard fails the tail (only a restored log can be that
+// incoherent).
+func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
-		return
+		return nil
 	}
-	results := fusion.FuseResolved(sr.claims[i], sr.opts)
+	n := len(sr.pages)
+	unrouted := ""
+	results := sr.groups.Fuse(sr.opts, func(e string) bool {
+		s, ok := w.entityShard[e]
+		if !ok || s < 0 || s >= n {
+			unrouted = e
+			return false
+		}
+		return s == i
+	})
+	if unrouted != "" {
+		return fmt.Errorf("core: entity %q has no owning shard", unrouted)
+	}
 	entities, rows := materialize(results, w.Config.Target)
 	sr.pages[i] = &shardPage{entities: entities, rows: rows, results: results}
+	return nil
 }
 
 // shardMergeStage merges the shard outputs: results in global sorted
@@ -318,11 +295,14 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	// Delta reconciliation: adopt the previous page's records wherever
 	// the shard fused to identical rows. Results stay fresh (confidences
 	// and trust may drift even when every winning value held), so only
-	// the record storage — what publication would otherwise deep-copy —
-	// is shared. The same pass computes the version's ChangeSet: which
-	// shards rebuilt, and which records within them actually moved —
-	// the summary watchers receive so their per-version payload is
-	// O(delta), not O(table).
+	// the record storage — what publication would otherwise allocate and
+	// retain again — is shared. The same pass computes the version's
+	// ChangeSet: which shards rebuilt, and which records within them
+	// actually moved — the summary watchers receive so their per-version
+	// payload is O(delta), not O(table). A session that left
+	// IntegrationShards at 0 publishes every version as a full change
+	// instead: its watchers (cmd/wrangle -serve's default frames) expect
+	// every row.
 	shared := make([]bool, len(sr.pages))
 	for i := range sr.pages {
 		if i < len(w.pages) && sr.pages[i].rowsEqual(w.pages[i]) {
@@ -331,11 +311,15 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 			shared[i] = true
 		}
 	}
-	w.lastChange = changeSet(w.pages, sr.pages, shared)
+	if w.IntegrationShards > 0 {
+		w.lastChange = changeSet(w.pages, sr.pages, shared)
+	} else {
+		w.lastChange = serve.ChangeSet{Full: true}
+	}
 	w.pages = sr.pages
 
 	// Stable merge: entities are disjoint across shards, so sorting the
-	// concatenation by entity reproduces the sequential table's row order
+	// concatenation by entity reproduces one global fuse's row order
 	// regardless of shard count or finish order.
 	w.wrangled, w.rowEntities = mergePages(sr.pages, w.Config.Target)
 	w.LastStats.RowsWrangled = w.wrangled.Len()
@@ -372,7 +356,7 @@ func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []st
 
 // changeSet summarises what the freshly merged pages changed against the
 // previous integration — the per-version delta the change feed pushes to
-// watchers. Shards whose pages share their predecessor's records contribute
+// watchers of sessions with IntegrationShards set. Shards whose pages share their predecessor's records contribute
 // nothing; rebuilt shards are diffed record by record (pages keep their
 // entities sorted, so each diff is one linear merge walk over the two
 // pages — O(changed pages), never O(table)). Without a previous

@@ -137,8 +137,8 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 
 // TestFuseOnlyReactionKeepsDelta pins the fuse-tail reaction path: a
 // value-feedback reaction (trust moved, union and clustering did not)
-// re-fuses per shard instead of falling back to the sequential fuse, so
-// the published version still shares every unchanged record with its
+// re-fuses per shard instead of re-running the whole tail, so the
+// published version still shares every unchanged record with its
 // predecessor and the delta chain survives the most common reaction.
 func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 	ctx := context.Background()
@@ -206,7 +206,7 @@ func (c cancelAfterPlan) Err() error {
 // after integrate:plan has replaced the union but not the clustering, the
 // entity ids or the entity→shard routing. A value-feedback reaction that
 // follows must not re-fuse the new union through the old clustering: it
-// runs the full tail and lands where the sequential session does,
+// runs the full tail and lands where an uncancelled default session does,
 // whether the refreshed source shrank or grew.
 func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 	payloads := map[string]string{
@@ -251,47 +251,28 @@ func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 				}
 				return w
 			}
-			seq, sharded := drive(0), drive(4)
-			if want, got := seq.Wrangled().String(), sharded.Wrangled().String(); want != got {
-				t.Errorf("sharded session diverged from the sequential one:\n%s\nwant:\n%s", got, want)
+			base, sharded := drive(0), drive(4)
+			if want, got := base.Wrangled().String(), sharded.Wrangled().String(); want != got {
+				t.Errorf("sharded session diverged from the default one:\n%s\nwant:\n%s", got, want)
 			}
-			for i := 0; i < seq.Union().Len(); i++ {
-				if want, got := seq.EntityOf(i), sharded.EntityOf(i); want != got {
-					t.Errorf("union row %d is entity %q, sequential says %q", i, got, want)
+			for i := 0; i < base.Union().Len(); i++ {
+				if want, got := base.EntityOf(i), sharded.EntityOf(i); want != got {
+					t.Errorf("union row %d is entity %q, the default session says %q", i, got, want)
 				}
 			}
-			for src, want := range seq.Trust() {
+			for src, want := range base.Trust() {
 				if got := sharded.Trust()[src]; got != want {
-					t.Errorf("trust[%s] = %v, sequential says %v", src, got, want)
+					t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
 				}
 			}
 		})
 	}
 }
 
-// TestSequentialPublishStillCopies pins the contrast: without sharding
-// there are no immutable pages, so every publication deep-copies and no
-// records are shared between versions.
-func TestSequentialPublishStillCopies(t *testing.T) {
-	ctx := context.Background()
-	w, _ := newDeltaWrangler(0)
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v1 := w.Serve.Latest()
-	if _, err := w.RefreshSourcesContext(ctx, []string{"srcB"}); err != nil {
-		t.Fatal(err)
-	}
-	v2 := w.Serve.Latest()
-	if shared := SharedRecords(v1.Data().Table, v2.Data().Table); shared != 0 {
-		t.Errorf("sequential publish shared %d records; deep copies share none", shared)
-	}
-}
-
 // TestShardedRunMatchesSequentialAcrossReactions is the core-level twin
 // of the facade identity tests: the same controlled source mutations
 // produce byte-identical fingerprints (runFingerprint from the parallel
-// tests) sequential vs sharded.
+// tests) on a default session (one shard) and a three-shard one.
 func TestShardedRunMatchesSequentialAcrossReactions(t *testing.T) {
 	ctx := context.Background()
 	seqW, seqP := newDeltaWrangler(0)

@@ -128,8 +128,8 @@ func TestStreamingFallsBackWithoutMemo(t *testing.T) {
 // TestFuseOnlyWithoutPagesRunsFullTail pins the other degradation path: a
 // value-feedback (fuse-only) reaction on a sharded session whose last
 // tail never merged — as after a first run cancelled mid-tail — has no
-// pages to re-fuse, so it runs the full sharded tail, which builds them,
-// instead of falling through to the sequential fuse.
+// pages to re-fuse, so it runs the full tail, which builds them, and
+// lands where an intact default session's fuse-only reaction does.
 func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
 	drive := func(shards int) *Wrangler {
 		t.Helper()
@@ -150,16 +150,16 @@ func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
 		}
 		return w
 	}
-	seq, sharded := drive(0), drive(4)
+	base, sharded := drive(0), drive(4)
 	if len(sharded.pages) != 4 || sharded.memo == nil {
 		t.Fatalf("the reaction did not rebuild the sharded integration: %d pages, memo %v", len(sharded.pages), sharded.memo != nil)
 	}
-	if seq.Wrangled().String() != sharded.Wrangled().String() {
-		t.Error("sharded reaction diverged from the sequential fuse-only reaction")
+	if base.Wrangled().String() != sharded.Wrangled().String() {
+		t.Error("sharded reaction diverged from the default session's fuse-only reaction")
 	}
-	for src, want := range seq.Trust() {
+	for src, want := range base.Trust() {
 		if got := sharded.Trust()[src]; got != want {
-			t.Errorf("trust[%s] = %v, sequential says %v", src, got, want)
+			t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
 		}
 	}
 }

@@ -13,31 +13,26 @@ import (
 // through transitivity). Must-links are applied first; a must-link that
 // directly contradicts a cannot-link wins and the contradiction is
 // reported in conflicts.
-// The clustering core (constraint ordering, scored-pair descent, the
-// union-find itself) lives in resolveRows (shard.go), shared verbatim
-// with the sharded path — one implementation is what keeps "sharded is
-// byte-identical to sequential" from being two implementations agreeing
-// by luck.
+// It is the one-shot reference for the sharded path the pipeline runs
+// (PlanShards / RePlan, ResolveShard, MergeRoots), which the property
+// tests hold to it. The clustering core (constraint ordering,
+// scored-pair descent, the union-find itself) lives in resolveRows
+// (shard.go), shared verbatim by both — one implementation is what keeps
+// "sharded is byte-identical to one global resolve" from being two
+// implementations agreeing by luck.
 func (r *Resolver) ResolveConstrained(t *dataset.Table, must, cannot []Pair) (*Clustering, int, error) {
-	r.Prepare(t)
-	return r.ResolvePairs(t, r.CandidatePairs(t), must, cannot)
-}
-
-// ResolvePairs is ResolveConstrained's clustering over candidate pairs
-// the caller enumerated (CandidatePairs) — for callers that prepare and
-// block as steps of their own, to time or reuse them.
-func (r *Resolver) ResolvePairs(t *dataset.Table, pairs, must, cannot []Pair) (*Clustering, int, error) {
 	if t.Len() == 0 {
 		return &Clustering{}, 0, nil
 	}
 	if r.NameColumn == "" && r.KeyColumn == "" {
 		return nil, 0, fmt.Errorf("er: resolver needs at least a key or name column")
 	}
+	r.Prepare(t)
 	rows := make([]int, t.Len())
 	for i := range rows {
 		rows[i] = i
 	}
-	roots, conflicts := r.resolveRows(t, rows, pairs, must, cannot)
+	roots, conflicts := r.resolveRows(t, rows, r.CandidatePairs(t), must, cannot)
 	// Dense cluster ids by first appearance in row order.
 	ids := map[int]int{}
 	assign := make([]int, t.Len())

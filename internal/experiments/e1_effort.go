@@ -16,7 +16,7 @@ import (
 // E1 cost model: minutes a data scientist spends per action. ETL-side
 // constants live in the etl package; the wrangler charges only feedback.
 const (
-	e1FeedbackMinutes = 0.5  // one annotation: glance + click
+	e1FeedbackMinutes = 0.5   // one annotation: glance + click
 	e1AnalysisMinutes = 960.0 // the value-added analysis both teams do
 )
 
@@ -93,9 +93,9 @@ func E1ManualVsAutomated(seed int64, nSources int) (Table, []E1Result) {
 	}
 
 	t := Table{
-		ID:    "E1",
-		Title: fmt.Sprintf("Wrangling effort share, %d sources, 4 churn rounds", nSources),
-		Claim: `"data scientists spend from 50 percent to 80 percent of their time collecting and preparing unruly digital data" (§1)`,
+		ID:      "E1",
+		Title:   fmt.Sprintf("Wrangling effort share, %d sources, 4 churn rounds", nSources),
+		Claim:   `"data scientists spend from 50 percent to 80 percent of their time collecting and preparing unruly digital data" (§1)`,
 		Columns: []string{"pipeline", "wrangling (min)", "analysis (min)", "wrangling share"},
 		Notes: fmt.Sprintf("ETL charged %d wrapper specs, %d repairs, %d runs; wrangler charged %d feedback items only",
 			wf.Effort.WrapperSpecs, wf.Effort.RepairActions, wf.Effort.FullRuns, fb),

@@ -83,9 +83,9 @@ func E2UserContexts(seed int64, nSources int) (Table, []E2Row) {
 		})
 	}
 	t := Table{
-		ID:    "E2",
-		Title: "User contexts drive different compromises (Example 2)",
-		Claim: `"routine price comparison may ... prefer accuracy and timeliness to completeness ... issue investigation may require a more complete picture" (§2.1)`,
+		ID:      "E2",
+		Title:   "User contexts drive different compromises (Example 2)",
+		Claim:   `"routine price comparison may ... prefer accuracy and timeliness to completeness ... issue investigation may require a more complete picture" (§2.1)`,
 		Columns: []string{"context", "sources", "entities", "recall", "price acc", "name acc"},
 	}
 	for _, r := range rows {

@@ -95,9 +95,9 @@ func E4EvidenceTypes(seed int64, nSources int) (Table, []E4Row) {
 		}
 	}
 	t := Table{
-		ID:    "E4",
-		Title: "Evidence types in schema matching (Example 4)",
-		Claim: `"automated techniques must be able to bring together all the available information" (§2.3)`,
+		ID:      "E4",
+		Title:   "Evidence types in schema matching (Example 4)",
+		Claim:   `"automated techniques must be able to bring together all the available information" (§2.3)`,
 		Columns: []string{"evidence", "precision", "recall", "F1"},
 	}
 	for _, r := range rows {

@@ -71,9 +71,9 @@ func E6BoundedEvaluation(sizes []int) (Table, []E6Row) {
 		})
 	}
 	t := Table{
-		ID:    "E6",
-		Title: "Bounded (scale-independent) evaluation vs full scan",
-		Claim: `"understanding the requirement for query scalability that can be provided in terms of access and indexing information" (§4.3, [2,17])`,
+		ID:      "E6",
+		Title:   "Bounded (scale-independent) evaluation vs full scan",
+		Claim:   `"understanding the requirement for query scalability that can be provided in terms of access and indexing information" (§4.3, [2,17])`,
 		Columns: []string{"rows", "bounded work", "scan work", "bounded µs", "scan µs", "answers equal"},
 	}
 	for _, r := range rows {
@@ -87,12 +87,12 @@ func E6BoundedEvaluation(sizes []int) (Table, []E6Row) {
 
 // E7Row is one query's exact-vs-approximate comparison.
 type E7Row struct {
-	Query       string
-	ExactWork   int
-	ApproxWork  int
-	ExactRows   int
-	ApproxRows  int
-	Contained   bool
+	Query      string
+	ExactWork  int
+	ApproxWork int
+	ExactRows  int
+	ApproxRows int
+	Contained  bool
 }
 
 // E7CQApproximation reproduces the §4.3 static-approximation proposal
@@ -139,9 +139,9 @@ func E7CQApproximation(seed int64, nodes, edges int) (Table, []E7Row) {
 		})
 	}
 	t := Table{
-		ID:    "E7",
-		Title: "Static under-approximation of conjunctive queries",
-		Claim: `"developing static techniques for query approximation (i.e., without looking at the data) as was initiated in [4]" (§4.3)`,
+		ID:      "E7",
+		Title:   "Static under-approximation of conjunctive queries",
+		Claim:   `"developing static techniques for query approximation (i.e., without looking at the data) as was initiated in [4]" (§4.3)`,
 		Columns: []string{"query", "exact work", "approx work", "exact rows", "approx rows", "contained"},
 	}
 	for _, r := range rows {

@@ -17,9 +17,9 @@ import (
 
 // E8Row compares fusion strategies on one attribute class.
 type E8Row struct {
-	Strategy     string
-	PriceAcc     float64 // transient attribute
-	BrandAcc     float64 // stable attribute
+	Strategy string
+	PriceAcc float64 // transient attribute
+	BrandAcc float64 // stable attribute
 }
 
 // E8KBCvsWrangler reproduces §3.1: redundancy-based KBC fusion works for
@@ -114,9 +114,9 @@ func E8KBCvsWrangler(seed int64, nSources int) (Table, []E8Row) {
 	rows = append(rows, E8Row{Strategy: "freshness-aware (wrangler)", PriceAcc: pa, BrandAcc: ba})
 
 	t := Table{
-		ID:    "E8",
-		Title: "KBC redundancy vs context-aware fusion on transient data",
-		Claim: `"KBC ... leans heavily on the assumption that correct facts occur frequently ... the need to support highly transient information (e.g., pricing) means ..." (§3.1)`,
+		ID:      "E8",
+		Title:   "KBC redundancy vs context-aware fusion on transient data",
+		Claim:   `"KBC ... leans heavily on the assumption that correct facts occur frequently ... the need to support highly transient information (e.g., pricing) means ..." (§3.1)`,
 		Columns: []string{"strategy", "price accuracy", "brand accuracy"},
 	}
 	for _, r := range rows {
@@ -196,9 +196,9 @@ func E9Uncertainty(seed int64, hypotheses, sourcesN int) (Table, []E9Row) {
 		score("Bayesian (reliabilities)", bayes),
 	}
 	t := Table{
-		ID:    "E9",
-		Title: "Systematic uncertainty combination vs ad-hoc counting",
-		Claim: `"uncertainty is represented explicitly and reasoned with systematically, so that well informed decisions can build on a sound understanding of the available evidence" (§4.2)`,
+		ID:      "E9",
+		Title:   "Systematic uncertainty combination vs ad-hoc counting",
+		Claim:   `"uncertainty is represented explicitly and reasoned with systematically, so that well informed decisions can build on a sound understanding of the available evidence" (§4.2)`,
 		Columns: []string{"method", "decision accuracy", "Brier score (lower better)"},
 	}
 	for _, r := range rows {
@@ -255,9 +255,9 @@ func E10Incremental(seed int64, nSources, events int) (Table, []E10Row) {
 		})
 	}
 	t := Table{
-		ID:    "E10",
-		Title: "Incremental (provenance-scoped) vs full recomputation",
-		Claim: `"reactions do not trigger a re-processing of all datasets ... but rather limit the processing to the strictly necessary data" (§2.4)`,
+		ID:      "E10",
+		Title:   "Incremental (provenance-scoped) vs full recomputation",
+		Claim:   `"reactions do not trigger a re-processing of all datasets ... but rather limit the processing to the strictly necessary data" (§2.4)`,
 		Columns: []string{"event", "inc sources", "full sources", "inc ms", "full ms"},
 	}
 	for _, r := range rows {

@@ -67,7 +67,7 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
+func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func d(v int) string       { return fmt.Sprintf("%d", v) }

@@ -35,7 +35,7 @@ const (
 // pay-as-you-go model, whether from a domain expert or a paid crowd
 // worker.
 type Item struct {
-	Seq       int     // assigned by the store
+	Seq       int // assigned by the store
 	Kind      Kind
 	SourceID  string  // source concerned (value/source/wrapper kinds)
 	Entity    string  // entity id (value kinds)

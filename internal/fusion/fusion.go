@@ -125,18 +125,25 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// groupClaims partitions claims by (entity, attribute), preserving claim
-// order within each group, and returns the sorted group keys. Group order
-// and in-group claim order are both part of fusion's determinism
-// contract: bucket representatives and float accumulation follow them.
-func groupClaims(claims []Claim) (map[string][]Claim, []string) {
+// ClaimGroups is a claim set grouped by (entity, attribute): the sorted
+// group keys and, parallel to them, each group's claims in input order.
+// Group order and in-group claim order are both part of fusion's
+// determinism contract — bucket representatives and float accumulation
+// follow them. Trust estimation and fusion both read one ClaimGroups, so
+// a tail that estimates trust and then fuses, whole or entity by entity,
+// groups its claims once. Immutable once built; safe to share between
+// goroutines.
+type ClaimGroups struct {
+	keys   []string  // "entity\x1fattribute", sorted
+	claims [][]Claim // parallel to keys
+}
+
+// GroupClaims groups claims by (entity, attribute).
+func GroupClaims(claims []Claim) *ClaimGroups {
 	// Key each claim once, sort claim indices by (key, input position),
-	// and carve the groups out of one slab: appending claims to
-	// map-valued slices re-copied every growing group and was the
-	// largest allocator in the refresh tail. The index sort is stable by
+	// and carve the groups out of one slab. The index sort is stable by
 	// construction (ties break on position), so each group holds its
-	// claims in input order, and the distinct keys fall out sorted —
-	// exactly what the append-and-sort version produced.
+	// claims in input order, and the distinct keys fall out sorted.
 	ckeys := make([]string, len(claims))
 	for i, c := range claims {
 		ckeys[i] = c.Entity + "\x1f" + c.Attribute
@@ -152,45 +159,54 @@ func groupClaims(claims []Claim) (map[string][]Claim, []string) {
 		return a - b
 	})
 	slab := make([]Claim, len(claims))
-	groups := make(map[string][]Claim, len(claims)/4+1)
-	var keys []string
+	g := &ClaimGroups{}
 	start := 0
 	for i, id := range idx {
 		slab[i] = claims[id]
 		if i+1 == len(idx) || ckeys[idx[i+1]] != ckeys[id] {
-			k := ckeys[id]
-			groups[k] = slab[start : i+1 : i+1]
-			keys = append(keys, k)
+			g.keys = append(g.keys, ckeys[id])
+			g.claims = append(g.claims, slab[start:i+1:i+1])
 			start = i + 1
 		}
 	}
-	return groups, keys
+	return g
 }
 
-// Fuse resolves all claims into one result per (entity, attribute).
-// Results are sorted by entity then attribute for determinism.
-func Fuse(claims []Claim, opts Options) []Result {
-	out, _, _ := FuseParallel(claims, opts, 1)
+// Fuse fuses, in sorted key order, every group whose entity keep accepts
+// (every group when keep is nil), taking source trust as given: no
+// fixpoint runs, each group is fused independently under opts.Trust. keep
+// is asked once per run of one entity's groups, not once per group.
+// Because no group spans entities, fusing an entity partition part by part
+// and merging (MergeResults) is byte-identical to fusing everything at
+// once under the same trust — the property the sharded integration tail
+// is built on. Fuse never mutates opts.Trust, so concurrent calls may
+// share one options value.
+func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result {
+	opts = opts.normalized()
+	out := make([]Result, 0, len(g.keys))
+	entity, kept := "", false
+	for i, cs := range g.claims {
+		if keep != nil {
+			if e := cs[0].Entity; i == 0 || e != entity {
+				entity, kept = e, keep(e)
+			}
+			if !kept {
+				continue
+			}
+		}
+		out = append(out, fuseGroup(cs, opts))
+	}
 	return out
 }
 
-// FuseParallel is Fuse with the TruthFinder estimation's group
-// preparation fanned out over workers goroutines (byte-identical to Fuse
-// at any worker count), returning the resolved options and the component
-// stats alongside the results. Claims are grouped once and shared between
-// trust estimation and per-group fusion.
-func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options, TrustStats) {
-	opts = opts.normalized()
-	groups, keys := groupClaims(claims)
-	var st TrustStats
-	if opts.Policy == TruthFinder {
-		_, st = estimateTrust(groups, keys, &opts, nil, workers)
-	}
-	out := make([]Result, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fuseGroup(groups[k], opts))
-	}
-	return out, opts, st
+// Fuse resolves all claims into one result per (entity, attribute).
+// Results are sorted by entity then attribute for determinism. It is the
+// reference composition of the two halves the sharded tail runs apart:
+// trust estimation, then per-group fusion.
+func Fuse(claims []Claim, opts Options) []Result {
+	g := GroupClaims(claims)
+	opts, _, _ = EstimateTrustWarmParallel(g, opts, nil, 1)
+	return g.Fuse(opts, nil)
 }
 
 // EstimateTrustParallel runs the global half of fusion — the TruthFinder
@@ -204,32 +220,25 @@ func FuseParallel(claims []Claim, opts Options, workers int) ([]Result, Options,
 // it has run, disjoint claim subsets fuse independently. It is the
 // prev == nil case of EstimateTrustWarmParallel.
 func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, TrustStats) {
-	opts, _, st := EstimateTrustWarmParallel(claims, opts, nil, workers)
+	opts, _, st := EstimateTrustWarmParallel(GroupClaims(claims), opts, nil, workers)
 	return opts, st
 }
 
-// FuseResolved fuses claims taking source trust as given: no fixpoint
-// runs, every (entity, attribute) group is fused independently under
-// opts.Trust. Fusing a partition of a claim set shard by shard and
-// merging (MergeResults) yields byte-identical results to one Fuse call
-// over the whole set with the same trust — the property the sharded
-// integration tail is built on. FuseResolved never mutates opts.Trust,
-// so concurrent calls may share one options value.
+// FuseResolved groups claims and fuses them all under the trust opts
+// already carries (ClaimGroups.Fuse with no filter).
 func FuseResolved(claims []Claim, opts Options) []Result {
-	opts = opts.normalized()
-	groups, keys := groupClaims(claims)
-	out := make([]Result, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fuseGroup(groups[k], opts))
-	}
-	return out
+	return GroupClaims(claims).Fuse(opts, nil)
 }
 
 // MergeResults merges per-shard result slices (each sorted, with disjoint
 // (entity, attribute) sets) into the single sorted order Fuse produces.
 // The merge is stable under any permutation of parts — shard or provider
-// order cannot leak into the output.
+// order cannot leak into the output. A single part is already in that
+// order and is returned as is.
 func MergeResults(parts ...[]Result) []Result {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	n := 0
 	for _, p := range parts {
 		n += len(p)

@@ -94,6 +94,62 @@ func TestFuseResolvedPartitionMatchesFuse(t *testing.T) {
 	}
 }
 
+// TestClaimGroupsFuseByOwnerMatchesPartition pins the grouped half of
+// the sharding contract: claims grouped once, trust estimated over the
+// groups, and each part fusing only the groups whose entity it owns,
+// merges to exactly what partitioning the claims and fusing every part
+// on its own yields — and to one Fuse over everything. The filter is
+// asked once per entity.
+func TestClaimGroupsFuseByOwnerMatchesPartition(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		claims := randomClaims(rng, 30+rng.Intn(120))
+		for _, policy := range []Policy{MajorityVote, TruthFinder, FreshnessWeighted} {
+			mk := func() Options {
+				o := DefaultOptions(policy)
+				o.Now = time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)
+				return o
+			}
+			want := Fuse(claims, mk())
+			g := GroupClaims(claims)
+			opts, _, _ := EstimateTrustWarmParallel(g, mk(), nil, 2)
+			for _, k := range []int{1, 3} {
+				owner := map[string]int{}
+				for _, c := range claims {
+					if _, ok := owner[c.Entity]; !ok {
+						owner[c.Entity] = len(owner) % k
+					}
+				}
+				var grouped, split [][]Result
+				for s := 0; s < k; s++ {
+					asked := map[string]int{}
+					grouped = append(grouped, g.Fuse(opts, func(e string) bool {
+						asked[e]++
+						return owner[e] == s
+					}))
+					for e, n := range asked {
+						if n != 1 {
+							t.Fatalf("seed=%d k=%d: entity %q asked %d times", seed, k, e, n)
+						}
+					}
+					var part []Claim
+					for _, c := range claims {
+						if owner[c.Entity] == s {
+							part = append(part, c)
+						}
+					}
+					split = append(split, FuseResolved(part, opts))
+				}
+				label := fmt.Sprintf("seed=%d policy=%s k=%d", seed, policy, k)
+				for s := range grouped {
+					resultsEqual(t, label+" part", split[s], grouped[s])
+				}
+				resultsEqual(t, label, want, MergeResults(grouped...))
+			}
+		}
+	}
+}
+
 // TestEstimateTrustDeterministic pins the map-iteration fix: trust
 // estimation over the same claims must land on identical floats every
 // run (the fixpoint sums are order-sensitive, so sorted traversal is

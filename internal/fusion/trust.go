@@ -111,28 +111,28 @@ func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
 	return g
 }
 
-// prepareTrustGroups prepares the named groups into tg, fanning out over
-// engine workers when more than one of each is available — profiles put
-// preparation ahead of the iteration loop on cold estimations. Each
-// group's prepared state is a pure function of its own claims, and the
-// MapSlice merge is position-deterministic, so the parallel build is
-// identical to the sequential loop.
-func prepareTrustGroups(tg map[string]*trustGroup, groups map[string][]Claim, keys []string, tol float64, workers int) {
-	if workers != 1 && len(keys) > 1 {
-		prepared, err := engine.MapSlice(context.Background(), workers, keys,
-			func(_ context.Context, k string) (*trustGroup, error) {
-				return prepareTrustGroup(groups[k], tol), nil
+// prepareTrustGroups prepares the groups at the given indices into tg,
+// fanning out over engine workers when more than one of each is available
+// — profiles put preparation ahead of the iteration loop on cold
+// estimations. Each group's prepared state is a pure function of its own
+// claims, and the MapSlice merge is position-deterministic, so the
+// parallel build is identical to the sequential loop.
+func prepareTrustGroups(tg []*trustGroup, claims [][]Claim, idx []int, tol float64, workers int) {
+	if workers != 1 && len(idx) > 1 {
+		prepared, err := engine.MapSlice(context.Background(), workers, idx,
+			func(_ context.Context, i int) (*trustGroup, error) {
+				return prepareTrustGroup(claims[i], tol), nil
 			})
 		if err == nil {
-			for i, k := range keys {
-				tg[k] = prepared[i]
+			for k, i := range idx {
+				tg[i] = prepared[k]
 			}
 			return
 		}
 		// A recovered panic: fall through so it resurfaces sequentially.
 	}
-	for _, k := range keys {
-		tg[k] = prepareTrustGroup(groups[k], tol)
+	for _, i := range idx {
+		tg[i] = prepareTrustGroup(claims[i], tol)
 	}
 }
 
@@ -155,8 +155,7 @@ type TrustStats struct {
 // per-source seed trust and pinned flags snapshotted at build time.
 type trustComponent struct {
 	key     string        // identity: lexicographically smallest member source
-	keys    []string      // member group keys, in global sorted order
-	groups  []*trustGroup // parallel to keys
+	groups  []*trustGroup // member groups, in global sorted key order
 	srcIdx  [][]int32     // parallel to groups: per non-null claim, local source index
 	sources []string      // distinct member sources, sorted
 	seed    []float64     // per local source: trust at fixpoint start
@@ -164,14 +163,14 @@ type trustComponent struct {
 }
 
 // buildTrustComponents unions every group's non-null claim sources and
-// materialises one trustComponent per union-find root. Group keys are
-// visited in their global sorted order, so each component's keys slice is
-// a subsequence of that order and the within-component float accumulation
+// materialises one trustComponent per union-find root. Groups are visited
+// in their global sorted key order, so each component's groups are a
+// subsequence of that order and the within-component float accumulation
 // sequence matches the old single-loop fixpoint exactly. Groups with only
 // null claims join no component: they contributed total==0 and were
 // skipped by the old loop too. Components are returned sorted by key.
 // Must run after default-trust seeding so seed snapshots are complete.
-func buildTrustComponents(keys []string, groups map[string]*trustGroup, opts *Options) []*trustComponent {
+func buildTrustComponents(groups []*trustGroup, opts *Options) []*trustComponent {
 	srcID := make(map[string]int)
 	var srcs []string
 	var parent []int
@@ -182,9 +181,9 @@ func buildTrustComponents(keys []string, groups map[string]*trustGroup, opts *Op
 		}
 		return x
 	}
-	for _, k := range keys {
+	for _, g := range groups {
 		first := -1
-		for _, s := range groups[k].sources {
+		for _, s := range g.sources {
 			i, ok := srcID[s]
 			if !ok {
 				i = len(parent)
@@ -201,8 +200,7 @@ func buildTrustComponents(keys []string, groups map[string]*trustGroup, opts *Op
 	}
 	comps := make(map[int]*trustComponent)
 	var order []*trustComponent
-	for _, k := range keys {
-		g := groups[k]
+	for _, g := range groups {
 		if len(g.sources) == 0 {
 			continue
 		}
@@ -213,7 +211,6 @@ func buildTrustComponents(keys []string, groups map[string]*trustGroup, opts *Op
 			comps[root] = c
 			order = append(order, c)
 		}
-		c.keys = append(c.keys, k)
 		c.groups = append(c.groups, g)
 	}
 	for i, s := range srcs {
@@ -342,60 +339,66 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 // function of.
 type TrustMemo struct {
 	tolerance float64
-	claims    map[string][]Claim
-	groups    map[string]*trustGroup
+	claims    *ClaimGroups
+	groups    []*trustGroup // parallel to claims' keys
 }
 
-// EstimateTrustWarmParallel is EstimateTrustParallel with a
-// cross-reaction memo. It returns options ready for FuseResolved, the
-// memo for the next call and the component stats. prev may be nil — the
-// estimation then prepares every group but still returns a memo.
-// Byte-identical to the cold estimation at any worker count.
-func EstimateTrustWarmParallel(claims []Claim, opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, TrustStats) {
+// EstimateTrustWarmParallel is EstimateTrustParallel over grouped claims
+// with a cross-reaction memo. It returns options ready for
+// ClaimGroups.Fuse, the memo for the next call and the component stats.
+// prev may be nil — the estimation then prepares every group but still
+// returns a memo. Byte-identical to the cold estimation at any worker
+// count.
+func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, TrustStats) {
 	opts = opts.normalized()
 	if opts.Policy != TruthFinder {
 		// No fixpoint exists for this policy; estimation is a no-op
 		// beyond normalization, so there is nothing to warm.
 		return opts, nil, TrustStats{}
 	}
-	groups, keys := groupClaims(claims)
-	memo, st := estimateTrust(groups, keys, &opts, prev, workers)
+	memo, st := estimateTrust(g, &opts, prev, workers)
 	return opts, memo, st
 }
 
-// estimateTrust is the one TruthFinder trust estimation, over
-// already-grouped claims: value confidence is the trust-weighted vote
-// share; source trust is the mean confidence of the values the source
-// claims. Trust is written back into opts.Trust. Groups are visited in
-// sorted key order — float accumulation is not associative, so iterating
-// the map directly would make trust (and with it confidences and
-// tie-broken winners) vary run to run. Bucket formation is
-// iteration-invariant (membership depends only on values, not weights),
-// so each group is prepared once, on workers goroutines when workers > 1;
-// the fixpoint then runs per trust-coupled component with a
-// per-component convergence break.
+// estimateTrust is the one TruthFinder trust estimation, over grouped
+// claims: value confidence is the trust-weighted vote share; source trust
+// is the mean confidence of the values the source claims. Trust is
+// written back into opts.Trust. Groups are visited in sorted key order —
+// float accumulation is not associative, so any other order would make
+// trust (and with it confidences and tie-broken winners) vary with how
+// the claims arrived. Bucket formation is iteration-invariant (membership
+// depends only on values, not weights), so each group is prepared once,
+// on workers goroutines when workers > 1; the fixpoint then runs per
+// trust-coupled component with a per-component convergence break.
 //
 // Reuse has one grain: a group whose claims held since prev keeps its
 // prepared state; every component iterates on every call, so the result
 // is the exact global fixpoint whatever prev holds.
-func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, prev *TrustMemo, workers int) (*TrustMemo, TrustStats) {
-	tg := make(map[string]*trustGroup, len(keys))
-	fresh := keys
+func estimateTrust(g *ClaimGroups, opts *Options, prev *TrustMemo, workers int) (*TrustMemo, TrustStats) {
+	tg := make([]*trustGroup, len(g.keys))
+	var fresh []int
+	var pk []string
 	if prev != nil && prev.tolerance == opts.NumericTolerance {
-		fresh = nil
-		for _, k := range keys {
-			if pg, ok := prev.groups[k]; ok && trustClaimsHeld(prev.claims[k], groups[k]) {
-				tg[k] = pg
-				continue
-			}
-			fresh = append(fresh, k)
-		}
+		pk = prev.claims.keys
 	}
-	prepareTrustGroups(tg, groups, fresh, opts.NumericTolerance, workers)
+	// Both key lists are sorted: one merge walk finds every group prev
+	// prepared.
+	j := 0
+	for i, k := range g.keys {
+		for j < len(pk) && pk[j] < k {
+			j++
+		}
+		if j < len(pk) && pk[j] == k && trustClaimsHeld(prev.claims.claims[j], g.claims[i]) {
+			tg[i] = prev.groups[j]
+			continue
+		}
+		fresh = append(fresh, i)
+	}
+	prepareTrustGroups(tg, g.claims, fresh, opts.NumericTolerance, workers)
 	// Every source that appears in any claim (nulls included) gets a trust
 	// entry before components snapshot their seeds.
-	for _, k := range keys {
-		for _, src := range tg[k].initSources {
+	for _, pg := range tg {
+		for _, src := range pg.initSources {
 			if _, ok := opts.Trust[src]; !ok {
 				opts.Trust[src] = opts.DefaultTrust
 			}
@@ -403,7 +406,7 @@ func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, prev
 	}
 	// Components share no source, and each snapshotted its seeds when it
 	// was built, so writing one's result back cannot reach another's run.
-	comps := buildTrustComponents(keys, tg, opts)
+	comps := buildTrustComponents(tg, opts)
 	st := TrustStats{Components: len(comps), Iterations: make([]int, len(comps))}
 	for i, c := range comps {
 		trust, iters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
@@ -412,7 +415,7 @@ func estimateTrust(groups map[string][]Claim, keys []string, opts *Options, prev
 		}
 		st.Iterations[i] = iters
 	}
-	return &TrustMemo{tolerance: opts.NumericTolerance, claims: groups, groups: tg}, st
+	return &TrustMemo{tolerance: opts.NumericTolerance, claims: g, groups: tg}, st
 }
 
 // trustClaimsHeld compares two claim lists on everything the trust

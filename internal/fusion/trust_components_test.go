@@ -94,7 +94,7 @@ func TestParallelTrustMatchesSequential(t *testing.T) {
 				t.Fatalf("seed %d: cold stats %+v inconsistent", seed, st)
 			}
 
-			warm, _, wst := EstimateTrustWarmParallel(claims, randomTrustOpts(rand.New(rand.NewSource(seed))), nil, wk)
+			warm, _, wst := EstimateTrustWarmParallel(GroupClaims(claims), randomTrustOpts(rand.New(rand.NewSource(seed))), nil, wk)
 			requireSameTrust(t, ref.Trust, warm.Trust, fmt.Sprintf("seed %d warm workers=%d", seed, wk))
 			// Cold is the prev == nil case of warm: same stats, not just
 			// the same trust.
@@ -115,7 +115,7 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("c%d", c), 3, 4)...)
 	}
-	_, memo, st := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 2)
+	_, memo, st := EstimateTrustWarmParallel(GroupClaims(claims), DefaultOptions(TruthFinder), nil, 2)
 	if st.Components != 5 {
 		t.Fatalf("cold: components=%d, want 5", st.Components)
 	}
@@ -131,7 +131,7 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 		}
 	}
 	cold := coldTrust(churned, DefaultOptions(TruthFinder))
-	warm, memo2, st2 := EstimateTrustWarmParallel(churned, DefaultOptions(TruthFinder), memo, 2)
+	warm, memo2, st2 := EstimateTrustWarmParallel(GroupClaims(churned), DefaultOptions(TruthFinder), memo, 2)
 	if st2.Components != 5 || len(st2.Iterations) != 5 {
 		t.Fatalf("1-source churn: stats %+v, want 5 components, all iterated", st2)
 	}
@@ -139,8 +139,12 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 	if len(moved) != 2 || len(memo2.groups) != len(memo.groups) {
 		t.Fatalf("churn moved %d groups (want 2); memo holds %d groups, had %d", len(moved), len(memo2.groups), len(memo.groups))
 	}
-	for k, g := range memo2.groups {
-		if kept := g == memo.groups[k]; kept == moved[k] {
+	for i, g := range memo2.groups {
+		k := memo2.claims.keys[i]
+		if k != memo.claims.keys[i] {
+			t.Fatalf("group %d: key %q, was %q", i, k, memo.claims.keys[i])
+		}
+		if kept := g == memo.groups[i]; kept == moved[k] {
 			t.Fatalf("group %q: prepared state kept=%v, claims moved=%v", k, kept, moved[k])
 		}
 	}
@@ -154,13 +158,13 @@ func TestTrustComponentSeedChangeStaysInComponent(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("k%d", c), 3, 3)...)
 	}
-	base, memo, _ := EstimateTrustWarmParallel(claims, DefaultOptions(TruthFinder), nil, 1)
+	base, memo, _ := EstimateTrustWarmParallel(GroupClaims(claims), DefaultOptions(TruthFinder), nil, 1)
 
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["k1-s0"] = 0.37
 	seeded.Pinned = map[string]bool{}
 	cold := coldTrust(claims, cloneOpts(seeded))
-	warm, _, st := EstimateTrustWarmParallel(claims, cloneOpts(seeded), memo, 1)
+	warm, _, st := EstimateTrustWarmParallel(GroupClaims(claims), cloneOpts(seeded), memo, 1)
 	if st.Components != 4 {
 		t.Fatalf("seed change: components=%d, want 4", st.Components)
 	}

@@ -63,7 +63,7 @@ func coldTrust(claims []Claim, opts Options) Options {
 }
 
 func warmTrust(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo) {
-	opts, memo, _ := EstimateTrustWarmParallel(claims, opts, prev, 1)
+	opts, memo, _ := EstimateTrustWarmParallel(GroupClaims(claims), opts, prev, 1)
 	return opts, memo
 }
 
@@ -140,7 +140,7 @@ func TestStreamingTrustWarmNonTruthFinder(t *testing.T) {
 	opts := DefaultOptions(FreshnessWeighted)
 	opts.Trust["s2"] = 0.5
 	cold := coldTrust(claims, cloneOpts(opts))
-	warm, _, st := EstimateTrustWarmParallel(claims, cloneOpts(opts), nil, 1)
+	warm, _, st := EstimateTrustWarmParallel(GroupClaims(claims), cloneOpts(opts), nil, 1)
 	if st.Components != 0 || len(st.Iterations) != 0 {
 		t.Fatalf("freshness policy has no fixpoint to run, got %+v", st)
 	}

@@ -27,7 +27,7 @@ type selStep struct {
 	attrKey   string
 	attrVal   string
 	hasAttr   bool
-	nthOfType int // 1-based; 0 means unset
+	nthOfType int  // 1-based; 0 means unset
 	child     bool // true: direct child of previous step's match
 }
 

@@ -108,7 +108,7 @@ func reference() *dataset.Table {
 	r := dataset.NewTable(target())
 	r.AppendValues(dataset.String("A"), dataset.String("USB Cable"), dataset.Float(4.99))
 	r.AppendValues(dataset.String("B"), dataset.String("HDMI Cable"), dataset.Float(9.99)) // disagrees on price
-	r.AppendValues(dataset.String("Z"), dataset.String("Keyboard"), dataset.Float(59.00)) // not covered
+	r.AppendValues(dataset.String("Z"), dataset.String("Keyboard"), dataset.Float(59.00))  // not covered
 	return r
 }
 

@@ -7,8 +7,8 @@
 package match
 
 import (
-	"math"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dataset"
@@ -19,12 +19,12 @@ import (
 // Correspondence is one proposed attribute match with per-evidence scores
 // and the combined confidence in [0,1].
 type Correspondence struct {
-	SourceColumn string
-	TargetColumn string
-	NameScore    float64 // syntactic name similarity
+	SourceColumn  string
+	TargetColumn  string
+	NameScore     float64 // syntactic name similarity
 	InstanceScore float64 // value-overlap similarity
 	OntologyScore float64 // both names map to the same canonical property
-	Confidence   float64
+	Confidence    float64
 }
 
 // Evidence toggles which evidence types the matcher uses (E4 ablation).

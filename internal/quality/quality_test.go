@@ -73,7 +73,7 @@ func TestTimeliness(t *testing.T) {
 	tab := dataset.NewTable(dataset.MustSchema(
 		dataset.Field{Name: "updated", Kind: dataset.KindTime},
 	))
-	tab.AppendValues(dataset.Time(now))                       // fresh: 1.0
+	tab.AppendValues(dataset.Time(now))                      // fresh: 1.0
 	tab.AppendValues(dataset.Time(now.Add(-24 * time.Hour))) // one half-life: 0.5
 	got := Timeliness(tab, "updated", now, 24*time.Hour)
 	if math.Abs(got-0.75) > 1e-9 {

@@ -55,10 +55,10 @@ type World struct {
 	Businesses []Business
 	Clock      int // logical time, advanced by Evolve
 
-	rng        *rand.Rand
-	priceHist  map[string][]pricePoint // SKU -> history (ascending clock)
-	skuIndex   map[string]int
-	bizIndex   map[string]int
+	rng       *rand.Rand
+	priceHist map[string][]pricePoint // SKU -> history (ascending clock)
+	skuIndex  map[string]int
+	bizIndex  map[string]int
 }
 
 type pricePoint struct {

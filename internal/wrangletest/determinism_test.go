@@ -12,8 +12,8 @@ var shardCounts = []int{1, 2, 4, 8}
 
 // TestShardedPipelineMatchesSequential is the acceptance property: for
 // randomized universes and randomized feedback/refresh interleavings,
-// the sharded integration tail — which re-resolves only the shards each
-// reaction dirtied — is byte-identical to the strictly sequential tail
+// the integration tail — which re-resolves only the shards each reaction
+// dirtied — is byte-identical to its run at one shard and one worker
 // (table, fused results, report, trust, clustering and provenance) at
 // workers 1/2/4/8 × shards 1/4, after the initial run and after every
 // reaction. The reuse total must be positive for every seed: a partial

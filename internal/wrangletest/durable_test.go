@@ -206,9 +206,13 @@ func TestDurableWarmRestartFingerprint(t *testing.T) {
 	}
 }
 
-// TestDurableSequentialRoundTrip pins the mode-0 record path: a session
-// with a sequential integration tail (no shards, no pages) round-trips
-// through the log just as exactly.
+// TestDurableSequentialRoundTrip pins the default session — shard count
+// left at 0, so the tail runs at one shard and every version is a full
+// change — through the log: it round-trips as exactly as a sharded one,
+// and restores with its tail memo. The script's last step refreshes the
+// target source after churn, so refreshing it again after the reopen
+// finds every row unchanged and the restored one-shard tail is reused
+// whole.
 func TestDurableSequentialRoundTrip(t *testing.T) {
 	const (
 		seed     = int64(5)
@@ -225,10 +229,15 @@ func TestDurableSequentialRoundTrip(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(seed*7919 + 13))
 	script := Script(rng, live, steps)
+	target := live.SelectedSources()[0]
+	script = append(script, Step{Name: "last:refresh", Churn: 0.2, Refresh: []string{target}})
 	for _, step := range script {
 		if _, _, err := step.Apply(ctx, live); err != nil {
 			t.Fatalf("%s: %v", step.Name, err)
 		}
+	}
+	if !live.Serve.Latest().Changes().Full {
+		t.Fatal("a default session published a delta change set")
 	}
 	if err := live.Durable().Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -236,21 +245,23 @@ func TestDurableSequentialRoundTrip(t *testing.T) {
 
 	restored := reopen(t, dir, seed, nSources, 0, script)
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
-		t.Fatalf("restored sequential session diverged:\n%s", firstDiff(want, got))
+		t.Fatalf("restored default session diverged:\n%s", firstDiff(want, got))
 	}
-	compareStores(t, "sequential reopen", live.Serve, restored.Serve)
+	compareStores(t, "default reopen", live.Serve, restored.Serve)
 
-	// Sequential sessions react too — feedback replay must leave both
-	// sides identical.
-	target := live.SelectedSources()[0]
 	if _, err := live.RefreshSourcesContext(ctx, []string{target}); err != nil {
 		t.Fatalf("live refresh: %v", err)
 	}
-	if _, err := restored.RefreshSourcesContext(ctx, []string{target}); err != nil {
+	stats, err := restored.RefreshSourcesContext(ctx, []string{target})
+	if err != nil {
 		t.Fatalf("restored refresh: %v", err)
 	}
+	if stats.ShardsResolved != 0 || stats.ShardsReused != 1 {
+		t.Fatalf("first post-restart refresh resolved %d and reused %d shards, want the restored one-shard memo reused",
+			stats.ShardsResolved, stats.ShardsReused)
+	}
 	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
-		t.Fatalf("sequential post-restart reaction diverged:\n%s", firstDiff(want, got))
+		t.Fatalf("default post-restart reaction diverged:\n%s", firstDiff(want, got))
 	}
 }
 

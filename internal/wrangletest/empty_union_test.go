@@ -13,8 +13,8 @@ import (
 // every selected source refreshed to zero rows, the empty union kept the
 // previous clusters, entity ids and trust, and the next value-feedback
 // (fuse-only) reaction indexed the empty union through them. The reaction
-// must be a no-op that still publishes, identically on the sequential and
-// the sharded tail.
+// must be a no-op that still publishes, identically on a default
+// (one-shard) and a four-shard session.
 func TestValueFeedbackAfterUnionGoesEmpty(t *testing.T) {
 	ctx := context.Background()
 	drive := func(shards int) (string, uint64) {
@@ -53,13 +53,13 @@ func TestValueFeedbackAfterUnionGoesEmpty(t *testing.T) {
 	}
 	want, published := drive(0)
 	if published != 1 {
-		t.Errorf("sequential: the no-op reaction published %d versions, want 1", published)
+		t.Errorf("default: the no-op reaction published %d versions, want 1", published)
 	}
 	got, published := drive(4)
 	if published != 1 {
 		t.Errorf("shards=4: the no-op reaction published %d versions, want 1", published)
 	}
 	if got != want {
-		t.Fatalf("shards=4 diverged from sequential over the empty union:\n%s", firstDiff(want, got))
+		t.Fatalf("shards=4 diverged from the default session over the empty union:\n%s", firstDiff(want, got))
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzStreamingRefreshMatchesFullTail fuzzes the end-to-end sharded-tail
+// FuzzStreamingRefreshMatchesFullTail fuzzes the end-to-end tail
 // contract: every input derives a small universe, a shard count, a
-// worker count and a randomized feedback/refresh script, and the sharded
+// worker count and a randomized feedback/refresh script, and the
 // session's artefact fingerprints must stay byte-identical to the
-// strictly sequential full-tail baseline after every step (so the fuzzer
+// one-shard, one-worker baseline after every step (so the fuzzer
 // exercises the warm short-circuit, the recompute path and the trust
 // fan-out at workers 1/2/4/8). Runs as a short CI smoke
 // (-fuzz=FuzzStreamingRefresh -fuzztime=10s); the corpus executes as

@@ -26,7 +26,7 @@ import (
 // source deselected and reselected, a failed tail followed by a clean
 // one or by a fuse-only reaction, and a restore from a durable log
 // followed by a refresh. Every
-// scenario runs on a strictly sequential baseline and on workers × shards
+// scenario runs on a one-shard, one-worker baseline and on workers × shards
 // variants, fingerprinted after every step, and beside a session that
 // answers every step with a FullRerun, whose outputs must agree too.
 
@@ -148,7 +148,7 @@ type scenarioStep struct {
 	// The sessions are compared again after the next step, on outputs only
 	// — their provenance logs have legitimately parted.
 	lose tailLoss
-	// check inspects the sequential baseline after the step, so a scenario
+	// check inspects the baseline after the step, so a scenario
 	// that stopped doing what its name says fails instead of passing idly.
 	check func(t *testing.T, w *core.Wrangler)
 }
@@ -190,7 +190,7 @@ func outputs(w *core.Wrangler) string {
 	return fp[:strings.Index(fp, "== provenance")]
 }
 
-// runScenario drives steps over the fixture on the sequential baseline,
+// runScenario drives steps over the fixture on the baseline,
 // on every workers × shards variant and on a session that answers every
 // step with a FullRerun. configure customises each session before its
 // run.
@@ -208,7 +208,7 @@ func runScenario(t *testing.T, f *fixture, configure func(*core.Wrangler), steps
 		}
 		return v
 	}
-	base := build("sequential", 1, 0)
+	base := build("baseline", 1, 0)
 	rerun := build("full rerun", 1, 0)
 	var variants []*scenarioVariant
 	for _, workers := range []int{1, 4} {
@@ -222,7 +222,7 @@ func runScenario(t *testing.T, f *fixture, configure func(*core.Wrangler), steps
 		want := view(base.w)
 		for _, v := range variants {
 			if got := view(v.w); got != want {
-				t.Fatalf("%s diverged from sequential at %s:\n%s", v.name, stage, firstDiff(want, got))
+				t.Fatalf("%s diverged from the baseline at %s:\n%s", v.name, stage, firstDiff(want, got))
 			}
 		}
 		if want, got := outputs(base.w), outputs(rerun.w); got != want {
@@ -363,7 +363,7 @@ func TestSourceDeselectedThenReselected(t *testing.T) {
 // cluster stage and its fuse fan-out has already replaced the union, the
 // resolver and the FD dictionary's view of the refreshed source, and
 // drops the memo. The next reaction plans from scratch over that
-// half-advanced state and must land where the sequential session did.
+// half-advanced state and must land where the baseline session did.
 func TestFailedTailThenCleanOne(t *testing.T) {
 	f := newFixture()
 	runScenario(t, f, nil, []scenarioStep{
@@ -381,7 +381,7 @@ func TestFailedTailThenCleanOne(t *testing.T) {
 // entity ids or the entity→shard routing. Value feedback — the fuse-only
 // reaction — comes next and must not re-fuse the new union through the
 // old clustering, whether the union shrank or grew in between: with the
-// memo gone it runs the full tail and lands where the sequential session
+// memo gone it runs the full tail and lands where the baseline session
 // did.
 func TestTailLostAfterPlanThenValueFeedback(t *testing.T) {
 	f := newFixture()

@@ -8,8 +8,9 @@ import (
 // TestInternedKeysFingerprintStable pins the PR-9 allocation squeeze's
 // identity contract directly: interned row keys, per-row normalized
 // feature state and the memoized similarity path must not change a
-// single byte of any published artefact. The sequential fingerprint is
-// the baseline; every sharded tail must reproduce it exactly, both after
+// single byte of any published artefact. The default (one-shard)
+// session's fingerprint is the baseline; every shard count must
+// reproduce it exactly, both after
 // the initial run and after a refresh that rebuilds the union through
 // the interner's reuse path.
 func TestInternedKeysFingerprintStable(t *testing.T) {
@@ -30,13 +31,13 @@ func TestInternedKeysFingerprintStable(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got := Fingerprint(w); got != wantRun {
-			t.Errorf("shards=%d: fingerprint after run diverges from sequential", shards)
+			t.Errorf("shards=%d: fingerprint after run diverges from the default session", shards)
 		}
 		if _, err := w.RefreshSourcesContext(context.Background(), nil); err != nil {
 			t.Fatalf("shards=%d refresh: %v", shards, err)
 		}
 		if got := Fingerprint(w); got != wantRefresh {
-			t.Errorf("shards=%d: fingerprint after refresh diverges from sequential", shards)
+			t.Errorf("shards=%d: fingerprint after refresh diverges from the default session", shards)
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // generator, a randomized feedback/refresh script driver, and an
 // invariant checker that fingerprints every read-side artefact (table,
 // report, fused results, trust, clustering, provenance) and asserts the
-// sharded tail reproduces the sequential tail bit for bit at every
+// tail reproduces its one-shard, one-worker run bit for bit at every
 // worker and shard count, after every reaction. The experience with
 // coverage-guided DBMS fuzzing (Wang et al.) applies directly:
 // randomized, invariant-checked workloads, not examples, are what keep a
@@ -35,9 +35,9 @@ import (
 
 // NewWrangler builds a product-domain wrangler over a fresh synthetic
 // universe derived from seed, with the given integration shard count
-// (0 = sequential tail). Two calls with equal arguments build wranglers
-// over byte-identical worlds — the baseline/variant pairs the
-// determinism checks compare.
+// (0 = one shard, full change sets). Two calls with equal arguments
+// build wranglers over byte-identical worlds — the baseline/variant
+// pairs the determinism checks compare.
 func NewWrangler(seed int64, nSources, shards int) *core.Wrangler {
 	world := sources.NewWorld(seed, 120, 0)
 	u := sources.Generate(world, sources.DefaultConfig(seed, nSources))
@@ -220,13 +220,13 @@ func Script(rng *rand.Rand, ref *core.Wrangler, steps int) []Step {
 	return out
 }
 
-// CheckDeterminism is the invariant checker: a strictly sequential
-// baseline (sequential tail, one worker — so the trust stage runs the
-// sequential per-component reference) and one sharded variant per
-// (workers × shards) pair run byte-identical universes through the same
-// seeded-random feedback/refresh script, and every variant must
-// fingerprint identically to the baseline after the initial run and
-// after every step — while re-resolving only its dirty shards. It returns
+// CheckDeterminism is the invariant checker: a baseline at one shard and
+// one worker (the default shard count, and trust groups prepared
+// without a fan-out) and one variant per (workers × shards) pair run
+// byte-identical universes through the same seeded-random
+// feedback/refresh script, and every variant must fingerprint
+// identically to the baseline after the initial run and after every
+// step — while re-resolving only its dirty shards. It returns
 // the shards reused, summed over all variants and steps, so callers can
 // additionally assert the partial tail actually engaged (a sharded path
 // that silently fell back to full recompute would pass the identity check
@@ -259,7 +259,7 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 		want := Fingerprint(base)
 		for _, v := range variants {
 			if got := Fingerprint(v.w); got != want {
-				t.Fatalf("%s diverged from sequential at %s:\n%s", v.name, stage, firstDiff(want, got))
+				t.Fatalf("%s diverged from the baseline at %s:\n%s", v.name, stage, firstDiff(want, got))
 			}
 		}
 	}
@@ -277,7 +277,7 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 				t.Fatalf("%s: %s: %v", step.Name, v.name, err)
 			}
 			if vErr != refErr {
-				t.Fatalf("%s: %s error diverged:\nsequential: %q\nsharded:    %q", step.Name, v.name, refErr, vErr)
+				t.Fatalf("%s: %s error diverged:\nbaseline: %q\nvariant:  %q", step.Name, v.name, refErr, vErr)
 			}
 			reused += stats.ShardsReused
 		}
@@ -302,11 +302,11 @@ func firstDiff(want, got string) string {
 			if lo < 0 {
 				lo = 0
 			}
-			return fmt.Sprintf("line %d:\n  context:    %s\n  sequential: %s\n  sharded:    %s",
+			return fmt.Sprintf("line %d:\n  context:  %s\n  baseline: %s\n  variant:  %s",
 				i, strings.Join(w[lo:i], " / "), w[i], g[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: sequential %d lines, sharded %d lines", len(w), len(g))
+	return fmt.Sprintf("lengths differ: baseline %d lines, variant %d lines", len(w), len(g))
 }
 
 // RandomTable generates a product-shaped table directly from rng: ~nRows

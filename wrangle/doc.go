@@ -44,8 +44,9 @@
 // Consumers that follow the output subscribe instead of polling:
 // Session.Watch pushes every committed version as a Change — a View
 // pinned to the version plus a ChangeSet saying exactly which shards
-// and records moved, so per-version cost is O(delta) on sharded
-// sessions. Streams are gapless and monotonic, catch up from any
+// and records moved, so per-version cost is O(delta) on sessions with a
+// shard count (WithIntegrationShards; without one every ChangeSet is
+// Full). Streams are gapless and monotonic, catch up from any
 // retained version (ErrCompacted below the window), and never block
 // the pipeline: a subscriber that stops draining its bounded buffer
 // (WithWatchBuffer) is evicted with one final Change{Evicted: true}.

@@ -45,9 +45,10 @@ func TestMetricsNilWithoutOption(t *testing.T) {
 }
 
 // TestMetricsStageTimingsSequential drives every reaction origin through
-// a sequential-tail session and asserts each stamps its stage timings:
-// the initial run, a full-tail feedback reaction (source relevance), a
-// fuse-only feedback reaction (value confirmation), and a refresh.
+// a default session (no shard count set: the tail runs at one shard) and
+// asserts each stamps its stage timings: the initial run, a full-tail
+// feedback reaction (source relevance), a fuse-only feedback reaction
+// (value confirmation), and a refresh.
 func TestMetricsStageTimingsSequential(t *testing.T) {
 	s, err := wrangle.New(
 		wrangle.WithSeed(7),
@@ -64,9 +65,9 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 	if got := reactions(s, "run"); got != 1 {
 		t.Fatalf("reactions{run} = %d, want 1", got)
 	}
-	// Sequential run graphs have two stages: the per-source fan-out and
-	// the integrate task (fusion runs inside it).
-	for _, stage := range []string{"sources", "integrate"} {
+	// A run graph is the per-source fan-out, then the integration tail,
+	// timed as a whole and by DAG stage.
+	for _, stage := range []string{"sources", "integrate", "replan", "resolve", "trust", "fuse", "merge"} {
 		if stageCount(s, "run", stage) == 0 {
 			t.Errorf("run reaction left no %s stage timing", stage)
 		}
@@ -88,15 +89,16 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 		t.Error("full-tail feedback reaction left no integrate stage timing")
 	}
 
-	// A value confirmation re-fuses without re-integrating: only the fuse
-	// stage may gain an observation.
+	// A value confirmation re-fuses without re-planning or re-resolving:
+	// the fuse stage gains an observation, replan and resolve do not.
 	v, err := s.View()
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := v.Report().Lines[0]
 	preFuse := stageCount(s, "feedback", "fuse")
-	preIntegrate := stageCount(s, "feedback", "integrate")
+	preReplan := stageCount(s, "feedback", "replan")
+	preResolve := stageCount(s, "feedback", "resolve")
 	if _, err := s.ApplyFeedback(ctx, wrangle.Feedback{
 		Kind: wrangle.ValueCorrect, Entity: line.Entity, Attribute: line.Attribute,
 		Worker: "expert", Cost: 0.1,
@@ -106,8 +108,11 @@ func TestMetricsStageTimingsSequential(t *testing.T) {
 	if got := stageCount(s, "feedback", "fuse"); got <= preFuse {
 		t.Errorf("fuse-only feedback reaction left no fuse stage timing (count %d)", got)
 	}
-	if got := stageCount(s, "feedback", "integrate"); got != preIntegrate {
-		t.Errorf("fuse-only feedback reaction re-integrated: count %d -> %d", preIntegrate, got)
+	if got := stageCount(s, "feedback", "replan"); got != preReplan {
+		t.Errorf("fuse-only feedback reaction re-planned: count %d -> %d", preReplan, got)
+	}
+	if got := stageCount(s, "feedback", "resolve"); got != preResolve {
+		t.Errorf("fuse-only feedback reaction re-resolved: count %d -> %d", preResolve, got)
 	}
 
 	if _, err := s.Refresh(ctx, ids[0]); err != nil {

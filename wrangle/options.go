@@ -207,21 +207,21 @@ func WithParallelism(n int) Option {
 // WithIntegrationShards splits the integration tail — entity resolution
 // and fusion over the union of all selected sources — into n disjoint
 // blocking shards that run as parallel engine tasks and merge
-// deterministically. Results are byte-identical to the sequential tail
-// at every shard count; only the speed and the publication cost change.
-// The session memoizes its last integrated tail, and every Refresh (and
-// duplicate feedback) diffs the rebuilt union against it, re-plans
-// incrementally and re-resolves only the shards the delta touched (see
-// ReactStats.ShardsResolved / ShardsReused and the ReactStats.Stages
-// split) — untouched shards keep their clusters by reference. Trust is
-// re-estimated over all claims and every shard re-fuses under it; a
-// shard that fuses to the same rows keeps its predecessor's table
-// records all the way into the published snapshot version, which shares
-// them instead of deep-copying. n must be at
-// least 1 (1 exercises the sharded machinery and delta publication with
-// a single shard); by default the tail is sequential. Useful shard
-// counts track the worker bound (WithParallelism) — more shards than
-// workers only adds merge bookkeeping.
+// deterministically. Results are byte-identical at every shard count;
+// only the speed changes. Every session memoizes its last integrated
+// tail, and every Refresh (and duplicate feedback) diffs the rebuilt
+// union against it, re-plans incrementally and re-resolves only the
+// shards the delta touched (see ReactStats.ShardsResolved / ShardsReused
+// and the ReactStats.Stages split) — untouched shards keep their
+// clusters by reference. Trust is re-estimated over all claims and every
+// shard re-fuses under it; a shard that fuses to the same rows keeps its
+// predecessor's table records all the way into the published snapshot
+// version, which shares them. n must be at least 1. Without this option
+// the tail runs at one shard and every version is published to watchers
+// as a full change; with it, versions carry record deltas
+// (ChangeSet). Useful shard counts track the worker bound
+// (WithParallelism) — more shards than workers only adds merge
+// bookkeeping.
 func WithIntegrationShards(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {
@@ -234,8 +234,7 @@ func WithIntegrationShards(n int) Option {
 
 // WithStreamingRefresh is accepted and does nothing.
 //
-// Deprecated: sharded sessions always stream (see WithIntegrationShards),
-// and a sequential tail has nothing to skip.
+// Deprecated: every session's tail streams (see WithIntegrationShards).
 func WithStreamingRefresh() Option {
 	return func(*settings) error { return nil }
 }

@@ -51,9 +51,9 @@ func sessionFingerprint(t *testing.T, s *wrangle.Session) string {
 }
 
 // TestShardedSessionByteIdentical is the facade-level identity check: the
-// same universe wrangled sequentially and at shard counts 1/2/4/8 serves
-// byte-identical tables, reports and trust, after the run and after a
-// feedback + refresh round-trip.
+// same universe wrangled by a default session and at shard counts
+// 1/2/4/8 serves byte-identical tables, reports and trust, after the run
+// and after a feedback + refresh round-trip.
 func TestShardedSessionByteIdentical(t *testing.T) {
 	drive := func(t *testing.T, shards int) string {
 		t.Helper()
@@ -85,7 +85,58 @@ func TestShardedSessionByteIdentical(t *testing.T) {
 	want := drive(t, 0)
 	for _, shards := range []int{1, 2, 4, 8} {
 		if got := drive(t, shards); got != want {
-			t.Errorf("shards=%d served different bytes than sequential", shards)
+			t.Errorf("shards=%d served different bytes than the default session", shards)
+		}
+	}
+}
+
+// TestChangeFeedFullUnlessSharded pins the one behaviour that tells a
+// default session from WithIntegrationShards(1), although both run the
+// same one-shard tail and serve the same bytes: the default session
+// publishes every version — run, refresh and value feedback — as a full
+// change, while the explicit shard count publishes record deltas over its
+// one page once there is a predecessor to diff against.
+func TestChangeFeedFullUnlessSharded(t *testing.T) {
+	drive := func(t *testing.T, opts ...wrangle.Option) []wrangle.ChangeSet {
+		t.Helper()
+		s := mustRun(t, append([]wrangle.Option{wrangle.WithSeed(21), wrangle.WithSyntheticSources(6)}, opts...)...)
+		changes := func() wrangle.ChangeSet {
+			t.Helper()
+			v, err := s.View()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v.Changes()
+		}
+		out := []wrangle.ChangeSet{changes()}
+		if _, err := s.Refresh(context.Background(), s.SelectedSources()[0]); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, changes())
+		l := s.Report("prices", "price").Lines[0]
+		if _, err := s.ApplyFeedback(context.Background(), wrangle.Feedback{
+			Kind: wrangle.ValueIncorrect, SourceID: s.SelectedSources()[0],
+			Entity: l.Entity, Attribute: l.Attribute, Cost: 0.5,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return append(out, changes())
+	}
+	stages := []string{"run", "refresh", "value feedback"}
+	for i, cs := range drive(t) {
+		if !cs.Full {
+			t.Errorf("default session, %s: published a delta %+v, want a full change", stages[i], cs)
+		}
+	}
+	for i, cs := range drive(t, wrangle.WithIntegrationShards(1)) {
+		if i == 0 {
+			if !cs.Full {
+				t.Errorf("one shard, run: %+v has no predecessor and must be a full change", cs)
+			}
+			continue
+		}
+		if cs.Full || cs.ChangedPages+cs.SharedPages != 1 {
+			t.Errorf("one shard, %s: published %+v, want a record delta over one page", stages[i], cs)
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestWithStreamingRefreshIsNoOp pins the deprecated option: it is
 // accepted with or without shards, in any order, and changes neither the
-// served bytes nor the partial tail — a sequential session stays
-// sequential, a sharded session reuses shards either way.
+// served bytes nor the partial tail — a default session runs its tail at
+// one shard, a sharded session reuses shards either way.
 func TestWithStreamingRefreshIsNoOp(t *testing.T) {
 	drive := func(t *testing.T, opts ...wrangle.Option) (string, wrangle.ReactStats) {
 		t.Helper()
@@ -34,16 +34,16 @@ func TestWithStreamingRefreshIsNoOp(t *testing.T) {
 		}
 		return sessionFingerprint(t, s), stats
 	}
-	want, seqStats := drive(t)
-	if seqStats.ShardsResolved+seqStats.ShardsReused != 0 {
-		t.Errorf("default session reports a shard split: %+v", seqStats)
+	want, defStats := drive(t)
+	if defStats.ShardsResolved+defStats.ShardsReused != 1 {
+		t.Errorf("default session does not report a one-shard split: %+v", defStats)
 	}
 	got, stats := drive(t, wrangle.WithStreamingRefresh())
 	if got != want {
 		t.Error("WithStreamingRefresh without shards diverged from the default session")
 	}
-	if stats.ShardsResolved+stats.ShardsReused != 0 {
-		t.Errorf("WithStreamingRefresh alone sharded the tail: %+v", stats)
+	if stats.ShardsResolved+stats.ShardsReused != 1 {
+		t.Errorf("WithStreamingRefresh alone changed the shard count: %+v", stats)
 	}
 	for name, opts := range map[string][]wrangle.Option{
 		"shards only":      {wrangle.WithIntegrationShards(4)},

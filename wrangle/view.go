@@ -66,10 +66,9 @@ func (v *View) PublishedAt() time.Time { return v.v.At() }
 
 // Table returns the pinned version's wrangled table (one row per
 // entity). The table was frozen at publication and is never mutated
-// afterwards; it is shared by every reader of this version, and on
-// sharded sessions (WithIntegrationShards) its rows may additionally be
-// shared by pointer with neighbouring versions whose shard did not
-// change — treat it as strictly read-only.
+// afterwards; it is shared by every reader of this version, and its rows
+// may additionally be shared by pointer with neighbouring versions whose
+// shard did not change — treat it as strictly read-only.
 func (v *View) Table() *Table { return v.v.Data().Table }
 
 // Report returns the pinned version's prebuilt report over all

@@ -198,10 +198,10 @@ func TestWrangledImmutableAcrossReactions(t *testing.T) {
 // internally consistent (table, stats, report and source snapshot all
 // from the same commit) and that versions and provenance steps never run
 // backwards. Readers never touch the session lock, so they keep
-// completing reads while reactions are in flight. The sharded subtest
-// runs the same workload against the sharded integration tail, whose
-// per-shard delta publishes alias record storage across versions — the
-// race detector proving no reaction ever writes through a shared page.
+// completing reads while reactions are in flight. The subtests run the
+// default session (one shard) and a four-shard one; both publish pages
+// that alias record storage across versions — the race detector proving
+// no reaction ever writes through a shared page.
 func TestConcurrentViewReaders(t *testing.T) {
 	t.Run("sequential", func(t *testing.T) { runConcurrentViewReaders(t) })
 	t.Run("sharded", func(t *testing.T) {

@@ -72,7 +72,7 @@ func New(opts ...Option) (*Session, error) {
 
 	w := core.New(provider, cfg, userCtx, dataCtx)
 	w.Parallelism = s.parallelism             // 0 = auto: one worker per CPU
-	w.IntegrationShards = s.integrationShards // 0 = sequential integration tail
+	w.IntegrationShards = s.integrationShards // 0 = one shard, full change sets
 	if s.retainVersions > 0 {
 		// Replaced before the first run, so no reader can hold the default
 		// store yet.
