@@ -49,7 +49,8 @@ loadtest:
 # panic the reader, corruption is detected, the healed log stays
 # appendable) and the record codec property (no payload panics the
 # decoder; an accepted one re-encodes to bytes that decode to the same
-# record). Longer local sessions: go test -fuzz=FuzzSharded
+# record; a version decoded header-first then body agrees with the
+# one-shot decode). Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,

@@ -12,8 +12,9 @@ import (
 // over a 24-source universe and reacting to one churned source, cold
 // (full pipeline run — every source extracted, matched, mapped, selected,
 // resolved and fused — then the reaction) versus warm (open the durable
-// log, replay it into the snapshot store and working state, then the same
-// reaction as a partial tail over the restored tail memo). Restore
+// log and restore its newest version into the snapshot store, then the
+// same reaction, which first rebuilds the working state and then runs as
+// a partial tail over the restored tail memo). Restore
 // cost scales with the log — per-source states, the retained versions and
 // their deduplicated pages — not with the pipeline, so the warm path
 // skips the entire extraction fan-out and integration; shards_reused/op

@@ -130,8 +130,9 @@ type RunStats struct {
 	// fan-outs summed). A full tail also names the steps of its front half
 	// (replanSplit): "replan.union", "replan.fd_repair", "replan.prepare"
 	// and "replan.plan", which add up to "replan" and are not accrued into
-	// "integrate" a second time. Published snapshot versions carry these,
-	// so a bench regression attributes to a stage.
+	// "integrate" a second time. A run that first rebuilt the working state
+	// of a durable restore names that rebuild "restore". Published snapshot
+	// versions carry these, so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
 	// TrustComponents is how many trust-coupled connected components the
 	// tail's TruthFinder fixpoint split the claim set into; every one of
@@ -205,6 +206,8 @@ type Wrangler struct {
 	lastSeq      int
 	lastTrust    fusion.TrustStats // component shape of the last tail's trust estimation
 	log          *DurableLog       // durable sessions: every publication appends here
+	restore      *pendingRestore   // a restore whose working state resume has yet to rebuild
+	restoreErr   error             // that rebuild's failure, returned by every later reaction
 	met          *pipelineMetrics  // nil unless SetMetrics enabled telemetry
 	LastStats    RunStats
 }
@@ -250,6 +253,10 @@ func (w *Wrangler) Run() (*dataset.Table, error) {
 // the working data.
 func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	start := time.Now()
+	restored, err := w.resume()
+	if err != nil {
+		return nil, err
+	}
 	w.LastStats = RunStats{}
 	w.lastTrust = fusion.TrustStats{} // an empty tail reports no components
 	srcs := w.Provider.List()
@@ -293,6 +300,7 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	}
 	w.LastStats.Stages = stageTimings(g.Timings())
 	w.split.record(w.LastStats.Stages)
+	recordRestore(w.LastStats.Stages, restored)
 	w.LastStats.Duration = time.Since(start)
 	w.LastStats.TrustComponents = w.lastTrust.Components
 	w.publish(serve.OriginRun, ReactStats{})
@@ -852,6 +860,7 @@ func (w *Wrangler) rowKeyIndex() map[string]int {
 
 // RowKey returns the feedback addressing key for union row i.
 func (w *Wrangler) RowKey(i int) string {
+	w.resume()
 	return w.rowKeys()[i]
 }
 
@@ -995,14 +1004,27 @@ func (w *Wrangler) mappingRefs(ids []string) []provenance.Ref {
 	return refs
 }
 
+// The accessors below read the working data. A durable restore defers
+// rebuilding it, so each first completes that rebuild (resume); a failed
+// one leaves them reading whatever it installed.
+
 // Wrangled returns the current wrangled table (nil before Run).
-func (w *Wrangler) Wrangled() *dataset.Table { return w.wrangled }
+func (w *Wrangler) Wrangled() *dataset.Table {
+	w.resume()
+	return w.wrangled
+}
 
 // Results returns the fused results (per entity and attribute).
-func (w *Wrangler) Results() []fusion.Result { return w.results }
+func (w *Wrangler) Results() []fusion.Result {
+	w.resume()
+	return w.results
+}
 
 // Trust returns the current per-source trust map.
-func (w *Wrangler) Trust() map[string]float64 { return w.trust }
+func (w *Wrangler) Trust() map[string]float64 {
+	w.resume()
+	return w.trust
+}
 
 // SelectedSources returns the ids of sources used in the last integration.
 func (w *Wrangler) SelectedSources() []string { return w.selectedIDs() }
@@ -1010,28 +1032,44 @@ func (w *Wrangler) SelectedSources() []string { return w.selectedIDs() }
 // Union returns the integrated pre-fusion table (one row per selected
 // source record, target schema). Experiments use it to address rows; it is
 // nil before integration.
-func (w *Wrangler) Union() *dataset.Table { return w.union }
+func (w *Wrangler) Union() *dataset.Table {
+	w.resume()
+	return w.union
+}
 
 // UnionSourceOf returns the source id contributing union row i.
-func (w *Wrangler) UnionSourceOf(i int) string { return w.unionSources[i] }
+func (w *Wrangler) UnionSourceOf(i int) string {
+	w.resume()
+	return w.unionSources[i]
+}
 
 // UnionRowInSource returns row i's index within its source's mapped table.
 // A source's rows are contiguous in the union (buildUnion appends them in
 // unionIDs order), so that is i's offset from its source's first row.
 func (w *Wrangler) UnionRowInSource(i int) int {
+	w.resume()
 	k, _ := slices.BinarySearch(w.unionIDs, w.unionSources[i])
 	return i - w.unionStarts[k]
 }
 
 // Resolver returns the current entity-resolution rule (nil before
 // integration).
-func (w *Wrangler) Resolver() *er.Resolver { return w.resolver }
+func (w *Wrangler) Resolver() *er.Resolver {
+	w.resume()
+	return w.resolver
+}
 
 // Clusters returns the current entity clustering (nil before integration).
-func (w *Wrangler) Clusters() *er.Clustering { return w.clusters }
+func (w *Wrangler) Clusters() *er.Clustering {
+	w.resume()
+	return w.clusters
+}
 
 // EntityOf returns the fused entity id of union row i.
-func (w *Wrangler) EntityOf(i int) string { return w.entityIDs[i] }
+func (w *Wrangler) EntityOf(i int) string {
+	w.resume()
+	return w.entityIDs[i]
+}
 
 // ClaimSupporters returns the sources whose claims agree with the fused
 // value of (entity, attribute) — the sources a "this value is wrong"
@@ -1044,6 +1082,7 @@ func (w *Wrangler) EntityOf(i int) string { return w.entityIDs[i] }
 // lookup is O(1) after the first. The returned slice is shared with that
 // index and with any report lines built from it — read-only.
 func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
+	w.resume()
 	if w.supporters == nil {
 		w.buildSupporters()
 	}

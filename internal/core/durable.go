@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -75,16 +77,47 @@ type sourceSig struct {
 }
 
 // retainedVersion is one version inside the compaction ring: its encoded
-// record (reused verbatim by Compact) and the page ids it references.
+// record (reused verbatim by Compact) and the page ids it references —
+// for a version read back from the log, those of its body, which decodes
+// when compaction first asks.
 type retainedVersion struct {
-	seq     uint64
+	seq      uint64
+	payload  []byte
+	pageIDs  []uint64
+	replayed *replayedVersion
+}
+
+// loggedPage is one page record. A page read back from the log keeps its
+// payload — aliasing the replay buffer, and written back verbatim by
+// compaction — and decodes on first use (loadPage), once, on whichever
+// goroutine asks first: the restore, or a reader loading an older
+// retained version. A page this session built carries its page instead.
+type loggedPage struct {
 	payload []byte
-	pageIDs []uint64
+	offset  int64 // the replayed record's file offset, for decode errors
+	once    sync.Once
+	page    *shardPage
+	err     error
+}
+
+// replayedVersion is one version record read back from the log. Open
+// decodes only its header (codeVersionHeader); the body decodes on first
+// use (body), once: at attach for the newest version, from a reader's
+// Load for an older retained one, at compaction for its page ids.
+type replayedVersion struct {
+	lv     *loggedVersion // the header from open; whole once the body decoded
+	bodyAt int            // where the body starts in lv.payload
+	offset int64          // the record's file offset, for decode errors
+	once   sync.Once
+	err    error
 }
 
 // DurableLog is an open durable session log. It is driven entirely by the
 // owning wrangler (under the session lock); it is not safe for concurrent
-// use on its own.
+// use on its own. The one exception is the lazy decode of replayed
+// records, which readers of older restored versions run on their own
+// goroutines: it touches only the records it decodes, each behind its
+// own sync.Once, and the decode counters.
 type DurableLog struct {
 	dir string
 	log *wal.Log
@@ -93,9 +126,12 @@ type DurableLog struct {
 	configPayload []byte
 	schema        dataset.Schema
 
-	pageIDs    map[*shardPage]uint64 // live page → id (dedup by pointer identity)
-	pagesByID  map[uint64]*shardPage
+	pageIDs    map[*shardPage]uint64 // page this session built → id (dedup by pointer identity)
+	pagesByID  map[uint64]*loggedPage
 	nextPageID uint64
+
+	// decoded counts the page and version bodies decoded since open.
+	decoded struct{ pages, versions atomic.Int64 }
 
 	lastProvStep    uint64
 	lastFeedbackSeq int
@@ -116,7 +152,7 @@ type replayedLog struct {
 	feedback []feedback.Item
 	prov     []provenance.Record
 	states   map[string]*sourceState
-	versions []*loggedVersion
+	versions []*replayedVersion
 }
 
 // loggedVersion is one version record: built from a publish by
@@ -311,7 +347,7 @@ type pageRecord struct {
 // width columns wide (rows carry no width of their own).
 func codePage(width int) func(*wal.Codec, *pageRecord) {
 	return func(c *wal.Codec, r *pageRecord) {
-		c.Uvarint(&r.id)
+		codePageID(c, &r.id)
 		if c.Decoding() {
 			r.page = &shardPage{}
 		}
@@ -328,6 +364,10 @@ func codePage(width int) func(*wal.Codec, *pageRecord) {
 		codeResults(c, &p.results)
 	}
 }
+
+// codePageID is a page record's head, its id: all that replay reads of a
+// page at open.
+func codePageID(c *wal.Codec, id *uint64) { c.Uvarint(id) }
 
 // checkpointRecord marks the log consistent through seq.
 type checkpointRecord struct {
@@ -371,12 +411,25 @@ func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersi
 	return lv
 }
 
+// codeVersion is a version record's layout: its header, then its body.
 func codeVersion(c *wal.Codec, lv *loggedVersion) {
+	codeVersionHeader(c, lv)
+	codeVersionBody(c, lv)
+}
+
+// codeVersionHeader is what the store needs of a version before its
+// payload: seq, step, origin, commit time and change set. Replay decodes
+// only this at open.
+func codeVersionHeader(c *wal.Codec, lv *loggedVersion) {
 	c.U64(&lv.seq)
 	c.U64(&lv.step)
 	c.String((*string)(&lv.origin))
 	c.Time(&lv.at)
 	codeChangeSet(c, &lv.changes)
+}
+
+// codeVersionBody is the rest: the published payload and the working tail.
+func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 	if c.Decoding() {
 		lv.trust, lv.sources = map[string]float64{}, map[string]SourceReport{}
 	}
@@ -496,8 +549,12 @@ func codeStages(c *wal.Codec, m *map[string]time.Duration) {
 
 // OpenDurableLog opens (or creates) the durable log in dir and replays it.
 // The result carries the replayed state until a wrangler attaches it; a
-// torn tail is healed by the wal layer, and any record that fails domain
-// decoding fails the open with the record's file offset.
+// torn tail is healed by the wal layer. Config, source, feedback,
+// provenance and checkpoint records decode in full; of a page only its id
+// and of a version only its header decode here — their bodies keep their
+// bytes and decode on first use. Any record that fails decoding fails the
+// call that decodes it (the open, for everything open reads) with the
+// record's file offset.
 func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: durable log needs a directory")
@@ -513,7 +570,7 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 		dir:             dir,
 		log:             log,
 		pageIDs:         map[*shardPage]uint64{},
-		pagesByID:       map[uint64]*shardPage{},
+		pagesByID:       map[uint64]*loggedPage{},
 		nextPageID:      1,
 		srcSig:          map[string]sourceSig{},
 		rep:             &replayedLog{states: map[string]*sourceState{}},
@@ -521,7 +578,7 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	}
 	fail := func(rec wal.Record, err error) (*DurableLog, error) {
 		log.Close()
-		return nil, fmt.Errorf("core: durable log: record kind 0x%x at offset 0x%x: %w", uint8(rec.Kind), rec.Offset, err)
+		return nil, recordError(rec.Kind, rec.Offset, err)
 	}
 	haveConfig := false
 	for _, rec := range rr.Records {
@@ -572,28 +629,28 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 				}
 			}
 		case wal.KindPage:
-			var pr pageRecord
-			if err := wal.Decode(rec.Payload, &pr, codePage(len(d.schema))); err != nil {
+			var id uint64
+			if _, err := wal.DecodePrefix(rec.Payload, &id, codePageID); err != nil {
 				return fail(rec, err)
 			}
-			if _, dup := d.pagesByID[pr.id]; dup {
-				return fail(rec, fmt.Errorf("duplicate page id %d", pr.id))
+			if _, dup := d.pagesByID[id]; dup {
+				return fail(rec, fmt.Errorf("duplicate page id %d", id))
 			}
-			d.pagesByID[pr.id] = pr.page
-			d.pageIDs[pr.page] = pr.id
-			if pr.id >= d.nextPageID {
-				d.nextPageID = pr.id + 1
+			d.pagesByID[id] = &loggedPage{payload: rec.Payload, offset: rec.Offset}
+			if id >= d.nextPageID {
+				d.nextPageID = id + 1
 			}
 		case wal.KindVersion:
-			lv := &loggedVersion{}
-			if err := wal.Decode(rec.Payload, lv, codeVersion); err != nil {
+			rv := &replayedVersion{lv: &loggedVersion{payload: rec.Payload}, offset: rec.Offset}
+			n, err := wal.DecodePrefix(rec.Payload, rv.lv, codeVersionHeader)
+			if err != nil {
 				return fail(rec, err)
 			}
-			lv.payload = append([]byte(nil), rec.Payload...)
-			if n := len(d.rep.versions); n > 0 && lv.seq <= d.rep.versions[n-1].seq {
-				return fail(rec, fmt.Errorf("version seq %d out of order after %d", lv.seq, d.rep.versions[n-1].seq))
+			rv.bodyAt = n
+			if n := len(d.rep.versions); n > 0 && rv.lv.seq <= d.rep.versions[n-1].lv.seq {
+				return fail(rec, fmt.Errorf("version seq %d out of order after %d", rv.lv.seq, d.rep.versions[n-1].lv.seq))
 			}
-			d.rep.versions = append(d.rep.versions, lv)
+			d.rep.versions = append(d.rep.versions, rv)
 			d.sinceCompact++
 		case wal.KindCheckpoint:
 			var ck checkpointRecord
@@ -607,6 +664,36 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 		}
 	}
 	return d, nil
+}
+
+func recordError(kind wal.Kind, offset int64, err error) error {
+	return fmt.Errorf("core: durable log: record kind 0x%x at offset 0x%x: %w", uint8(kind), offset, err)
+}
+
+// body returns a replayed version whole, decoding its body on first use.
+func (d *DurableLog) body(rv *replayedVersion) (*loggedVersion, error) {
+	rv.once.Do(func() {
+		if err := wal.DecodeAt(rv.lv.payload, rv.bodyAt, rv.lv, codeVersionBody); err != nil {
+			rv.err = recordError(wal.KindVersion, rv.offset, err)
+			return
+		}
+		d.decoded.versions.Add(1)
+	})
+	return rv.lv, rv.err
+}
+
+// loadPage returns a replayed page, decoding it on first use.
+func (d *DurableLog) loadPage(lp *loggedPage) (*shardPage, error) {
+	lp.once.Do(func() {
+		var pr pageRecord
+		if err := wal.Decode(lp.payload, &pr, codePage(len(d.schema))); err != nil {
+			lp.err = recordError(wal.KindPage, lp.offset, err)
+			return
+		}
+		lp.page = pr.page
+		d.decoded.pages.Add(1)
+	})
+	return lp.page, lp.err
 }
 
 // instrument wires the underlying WAL's activity counters onto reg and
@@ -639,11 +726,19 @@ func (d *DurableLog) Close() error { return d.log.Close() }
 // --- attach / restore -----------------------------------------------------
 
 // AttachDurableLog wires the log into the wrangler: a fresh log records the
-// session config; an existing one restores the serve store, the working
-// data and the tail memo inputs, so the wrangler resumes exactly as of
-// its last publish. It must be called on a freshly constructed wrangler
-// (before any run). restored reports whether the log held committed
-// versions — when true, the caller can serve immediately without a run.
+// session config; an existing one restores the session as of its last
+// publish. It must be called on a freshly constructed wrangler (before
+// any run). restored reports whether the log held committed versions —
+// when true, the caller can serve immediately without a run.
+//
+// A restore does up front only what the first read needs. Feedback, source
+// states and provenance install, and the newest retained version decodes
+// — body and pages — and becomes the store's latest. Every older retained
+// version enters the store unloaded and decodes on its first At or Watch
+// catch-up. The working data and the tail memo are rebuilt by resume
+// (restoreWorkingState) when the first reaction or accessor needs them;
+// a rebuild that fails there fails that call and every later one, while
+// the restored versions keep serving.
 func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	if d == nil || d.log == nil {
 		return false, fmt.Errorf("core: attach: nil durable log")
@@ -689,7 +784,7 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	}
 	var floor uint64
 	if n := len(rep.versions); n > 0 {
-		floor = rep.versions[n-1].step
+		floor = rep.versions[n-1].lv.step
 	}
 	w.Prov.Apply(rep.prov, floor)
 
@@ -702,35 +797,83 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	if len(versions) > d.retain {
 		versions = versions[len(versions)-d.retain:]
 	}
-	restoredVersions := make([]serve.RestoredVersion[Published], 0, len(versions))
-	for _, lv := range versions {
-		pub, err := d.rebuildPublished(lv)
-		if err != nil {
-			return false, err
+	// Older versions load through the replayed page table on readers'
+	// goroutines, so the session stops writing to it and keeps a copy.
+	replayed := d.pagesByID
+	d.pagesByID = maps.Clone(replayed)
+	newest := versions[len(versions)-1]
+	pub, pages, err := d.published(newest, replayed)
+	if err != nil {
+		return false, err
+	}
+	restoredVersions := make([]serve.RestoredVersion[Published], len(versions))
+	for i, rv := range versions {
+		lv := rv.lv
+		restoredVersions[i] = serve.RestoredVersion[Published]{Seq: lv.seq, Step: lv.step, Origin: lv.origin, At: lv.at, Changes: lv.changes}
+		if rv == newest {
+			restoredVersions[i].Data = pub
+		} else {
+			restoredVersions[i].Load = func() (Published, error) {
+				pub, _, err := d.published(rv, replayed)
+				return pub, err
+			}
 		}
-		restoredVersions = append(restoredVersions, serve.RestoredVersion[Published]{
-			Seq: lv.seq, Step: lv.step, Origin: lv.origin, At: lv.at, Data: pub, Changes: lv.changes,
-		})
 	}
 	if err := w.Serve.Restore(restoredVersions); err != nil {
 		return false, err
 	}
-	for _, lv := range versions {
-		d.retained = append(d.retained, retainedVersion{seq: lv.seq, payload: lv.payload, pageIDs: lv.pages})
+	for _, rv := range versions {
+		d.retained = append(d.retained, retainedVersion{seq: rv.lv.seq, payload: rv.lv.payload, replayed: rv})
 	}
-
-	if err := w.restoreWorkingState(d, versions[len(versions)-1]); err != nil {
-		return false, err
-	}
+	w.LastStats = newest.lv.stats
+	w.restore = &pendingRestore{lv: newest.lv, pages: pages}
 	w.log = d
 	return true, nil
 }
 
-// rebuildPublished reconstructs one version's Published payload. Mode-1
-// versions rebuild table, results and entities from their shard pages —
-// versions sharing a page id share the reconstructed records by pointer,
-// restoring the delta-retention property on the way in.
-func (d *DurableLog) rebuildPublished(lv *loggedVersion) (Published, error) {
+// pendingRestore is the restored version whose working state resume has
+// yet to rebuild, with its decoded pages.
+type pendingRestore struct {
+	lv    *loggedVersion
+	pages []*shardPage
+}
+
+// resume rebuilds the working state a restore deferred, the first time
+// anything needs it: every reaction and every exported accessor of working
+// state calls it first. It reports how long the rebuild it ran took (zero
+// when there was none to run). A failed rebuild is sticky — this call and
+// every later one return its error — and leaves the store serving the
+// restored versions.
+func (w *Wrangler) resume() (time.Duration, error) {
+	r := w.restore
+	if r == nil {
+		return 0, w.restoreErr
+	}
+	w.restore = nil
+	start := time.Now()
+	w.restoreErr = w.restoreWorkingState(r.lv, r.pages)
+	return time.Since(start), w.restoreErr
+}
+
+// recordRestore names the rebuild a run or reaction paid for in resume as
+// its "restore" stage: inside its Duration, outside the "integrate"
+// roll-up.
+func recordRestore(stages map[string]time.Duration, took time.Duration) {
+	if took > 0 {
+		stages["restore"] = took
+	}
+}
+
+// published rebuilds a replayed version's Published payload, decoding its
+// body and pages on first use, and returns the pages with it. A mode-1
+// version rebuilds table and entities from its shard pages — versions
+// sharing a page id share the decoded records by pointer, restoring the
+// delta-retention property on the way in.
+func (d *DurableLog) published(rv *replayedVersion, table map[uint64]*loggedPage) (Published, []*shardPage, error) {
+	lv, err := d.body(rv)
+	if err != nil {
+		return Published{}, nil, err
+	}
 	pub := Published{
 		Table:    lv.table,
 		Report:   lv.rep,
@@ -741,43 +884,37 @@ func (d *DurableLog) rebuildPublished(lv *loggedVersion) (Published, error) {
 		Selected: lv.selected,
 		Entities: lv.entities,
 	}
-	if lv.pages != nil {
-		pages, err := d.pagesOf(lv)
-		if err != nil {
-			return Published{}, err
-		}
-		pub.Table, pub.Entities = mergePages(pages, d.schema)
+	if lv.pages == nil {
+		return pub, nil, nil
 	}
-	return pub, nil
-}
-
-// pagesOf resolves a mode-1 version's page ids against the replayed pages.
-func (d *DurableLog) pagesOf(lv *loggedVersion) ([]*shardPage, error) {
 	pages := make([]*shardPage, len(lv.pages))
 	for i, pid := range lv.pages {
-		p, ok := d.pagesByID[pid]
+		lp, ok := table[pid]
 		if !ok {
-			return nil, fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
+			return Published{}, nil, fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
 		}
-		pages[i] = p
+		if pages[i], err = d.loadPage(lp); err != nil {
+			return Published{}, nil, err
+		}
 	}
-	return pages, nil
+	pub.Table, pub.Entities = mergePages(pages, d.schema)
+	return pub, pages, nil
 }
 
 // restoreWorkingState rebuilds the wrangler's in-memory tail from the
-// newest retained version: the union and resolver are recomputed
-// deterministically from the restored states and feedback (the same code
-// path a live tail runs), the fused output is adopted from the version's
-// pages (or inline payload), and — when the version committed a coherent
-// tail memo — the memo's inputs are reconstructed so the first
-// reaction after restart is a partial tail.
-func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
+// newest retained version and its decoded pages; resume runs it before
+// the first reaction or accessor that needs it, never at attach. The
+// union and resolver are recomputed deterministically from the restored
+// states and feedback (the same code path a live tail runs), the fused
+// output is adopted from the version's pages (or inline payload), and —
+// when the version committed a coherent tail memo — the memo's inputs are
+// reconstructed so the first reaction after restart is a partial tail.
+func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) error {
 	empty, err := w.buildUnion()
 	if err != nil {
 		return err
 	}
 	w.trust = maps.Clone(lv.trust)
-	w.LastStats = lv.stats
 	w.lastSeq = lv.lastSeq
 	if len(lv.dirty) > 0 {
 		w.dirtySources = map[string]bool{}
@@ -803,10 +940,6 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 		w.pages = nil
 		w.entityShard = nil
 	} else {
-		pages, err := d.pagesOf(lv)
-		if err != nil {
-			return err
-		}
 		w.pages = pages
 		entityShard := map[string]int{}
 		for i, p := range pages {
@@ -822,7 +955,7 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 			parts[i] = p.results
 		}
 		w.results = fusion.MergeResults(parts...)
-		w.wrangled, w.rowEntities = mergePages(pages, d.schema)
+		w.wrangled, w.rowEntities = mergePages(pages, w.Config.Target)
 	}
 	w.supporters = nil
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
@@ -834,10 +967,17 @@ func (w *Wrangler) restoreWorkingState(d *DurableLog, lv *loggedVersion) error {
 	// the memo was valid at publish, the version carries its pages, and no
 	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
-	// publishes — the rebuilt union would not be the memo's union). A
+	// publishes — the rebuilt union would not be the memo's union), and no
+	// pair label arrived after the version's reaction consumed its
+	// feedback: rebuildMemo takes its constraints from every label in the
+	// store, so its plan would already hold the ones the next reaction is
+	// to apply, and that reaction would find nothing to re-resolve. A
 	// failed rebuild degrades to a full first tail, never an error: outputs
 	// stay byte-identical either way.
-	if lv.memoValid && len(w.pages) > 0 && len(lv.dirty) == 0 {
+	pendingPairs := slices.ContainsFunc(w.Feedback.Since(lv.lastSeq), func(it feedback.Item) bool {
+		return it.Kind == feedback.DuplicatePair || it.Kind == feedback.NotDuplicatePair
+	})
+	if lv.memoValid && len(w.pages) > 0 && len(lv.dirty) == 0 && !pendingPairs {
 		w.rebuildMemo()
 	}
 	return nil
@@ -934,7 +1074,7 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 				id = d.nextPageID
 				d.nextPageID++
 				d.pageIDs[p] = id
-				d.pagesByID[id] = p
+				d.pagesByID[id] = &loggedPage{page: p}
 				_ = d.log.Append(wal.KindPage, wal.Encode(&pageRecord{id: id, page: p}, codePage(len(d.schema))))
 			}
 			pids[i] = id
@@ -961,7 +1101,9 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 // referenced by retained versions, the retained version records and a
 // checkpoint marker — then prunes the in-memory page index to the live
 // set. A page that was pruned but is still held by the tail memo
-// simply gets a fresh id if a later tail reuses it.
+// simply gets a fresh id if a later tail reuses it. Replayed records are
+// written back as they were read, so only a retained version whose body
+// is still undecoded decodes here, for its page ids.
 func (d *DurableLog) compact(w *Wrangler) error {
 	if len(d.retained) == 0 {
 		return nil
@@ -979,13 +1121,29 @@ func (d *DurableLog) compact(w *Wrangler) error {
 	}
 	live := map[uint64]bool{}
 	for _, rv := range d.retained {
-		for _, pid := range rv.pageIDs {
+		ids := rv.pageIDs
+		if rv.replayed != nil {
+			lv, err := d.body(rv.replayed)
+			if err != nil {
+				return err
+			}
+			ids = lv.pages
+		}
+		for _, pid := range ids {
 			live[pid] = true
 		}
 	}
 	codePg := codePage(len(d.schema))
 	for _, pid := range slices.Sorted(maps.Keys(live)) {
-		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: wal.Encode(&pageRecord{id: pid, page: d.pagesByID[pid]}, codePg)})
+		lp, ok := d.pagesByID[pid]
+		if !ok {
+			return fmt.Errorf("core: compact: a retained version references missing page %d", pid)
+		}
+		payload := lp.payload
+		if payload == nil {
+			payload = wal.Encode(&pageRecord{id: pid, page: lp.page}, codePg)
+		}
+		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: payload})
 	}
 	for _, rv := range d.retained {
 		recs = append(recs, wal.Data{Kind: wal.KindVersion, Payload: rv.payload})
@@ -1003,12 +1161,15 @@ func (d *DurableLog) compact(w *Wrangler) error {
 	if n := w.Feedback.Len(); n > d.lastFeedbackSeq {
 		d.lastFeedbackSeq = n
 	}
-	pagesByID := make(map[uint64]*shardPage, len(live))
-	pageIDs := make(map[*shardPage]uint64, len(live))
+	pagesByID := make(map[uint64]*loggedPage, len(live))
 	for pid := range live {
-		p := d.pagesByID[pid]
-		pagesByID[pid] = p
-		pageIDs[p] = pid
+		pagesByID[pid] = d.pagesByID[pid]
+	}
+	pageIDs := make(map[*shardPage]uint64, len(live))
+	for p, pid := range d.pageIDs {
+		if live[pid] {
+			pageIDs[p] = pid
+		}
 	}
 	d.pagesByID = pagesByID
 	d.pageIDs = pageIDs

@@ -45,6 +45,7 @@ func (w *Wrangler) world() *sources.World {
 // the current clock. Providers without ground truth yield a zero
 // Evaluation (no oracle to compare against).
 func (w *Wrangler) EvaluateProducts() Evaluation {
+	w.resume()
 	var ev Evaluation
 	t := w.wrangled
 	world := w.world()
@@ -104,6 +105,7 @@ func (w *Wrangler) EvaluateProducts() Evaluation {
 // entity recall over businesses and street accuracy for matched ones
 // (matching by normalised business name).
 func (w *Wrangler) EvaluateLocations() Evaluation {
+	w.resume()
 	var ev Evaluation
 	t := w.wrangled
 	world := w.world()

@@ -89,3 +89,32 @@ func encodeAs[T any](v any, code func(*wal.Codec, *T)) []byte {
 	x := v.(T)
 	return wal.Encode(&x, code)
 }
+
+// DecodeVersionInParts decodes a version payload the way replay does:
+// the header first, then the body from where the header ended.
+func DecodeVersionInParts(payload []byte) (any, error) {
+	var lv loggedVersion
+	n, err := wal.DecodePrefix(payload, &lv, codeVersionHeader)
+	if err == nil {
+		err = wal.DecodeAt(payload, n, &lv, codeVersionBody)
+	}
+	return lv, err
+}
+
+// Decoded reports how many page and version bodies the log has decoded
+// since it was opened.
+func (d *DurableLog) Decoded() (pages, versions int64) {
+	return d.decoded.pages.Load(), d.decoded.versions.Load()
+}
+
+// TruncateNewestClusters drops the last row of the newest replayed
+// version's cluster assignment, before attach: the log then restores and
+// serves, but its working state cannot be rebuilt.
+func (d *DurableLog) TruncateNewestClusters() error {
+	lv, err := d.body(d.rep.versions[len(d.rep.versions)-1])
+	if err != nil {
+		return err
+	}
+	lv.clusters.Assign = lv.clusters.Assign[:len(lv.clusters.Assign)-1]
+	return nil
+}

@@ -121,7 +121,10 @@ func TestParentWrittenLogs(t *testing.T) {
 // of both fixture logs, to the record codec: decoding never panics, and an
 // accepted payload re-encodes to bytes that decode to the same value and
 // re-encode to the same bytes again. (The first re-encode need not equal
-// the input: uvarints accept non-minimal forms and maps unsorted keys.)
+// the input: uvarints accept non-minimal forms and maps unsorted keys.) A
+// version payload is also decoded the way replay reads it — header first,
+// body later from where the header ended — which must agree with the
+// one-shot decode: the same value, or the same error.
 func FuzzDurableRecord(f *testing.F) {
 	for _, name := range []string{"shards0.wal", "shards4.wal"} {
 		buf, err := os.ReadFile(filepath.Join("testdata", name))
@@ -140,6 +143,17 @@ func FuzzDurableRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
 		k := wal.Kind(kind)
 		v, err := core.DecodeRecord(k, payload, width)
+		if k == wal.KindVersion {
+			parts, perr := core.DecodeVersionInParts(payload)
+			if fmt.Sprint(err) != fmt.Sprint(perr) {
+				t.Fatalf("decoding in parts reports %v, the one-shot decode %v", perr, err)
+			}
+			if err == nil {
+				if a, b := dumpOne(v), dumpOne(parts); a != b {
+					t.Fatalf("decoding in parts gave another record:\n%s", lineDiff(a, b))
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

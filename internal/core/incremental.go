@@ -53,7 +53,10 @@ type ReactStats struct {
 	// "trust", "fuse" and "merge" under "integrate". A full tail also
 	// names the steps of its front half, "replan.union",
 	// "replan.fd_repair", "replan.prepare" and "replan.plan" (see
-	// RunStats.Stages). Absent stages did not run.
+	// RunStats.Stages). The first reaction after a durable restore also
+	// names "restore": the working-state rebuild the restore deferred to
+	// it, counted in Duration and not in "integrate". Absent stages did not
+	// run.
 	Stages map[string]time.Duration
 }
 
@@ -75,6 +78,10 @@ func (w *Wrangler) ReactToFeedback() (ReactStats, error) {
 // between per-source re-extractions.
 func (w *Wrangler) ReactToFeedbackContext(ctx context.Context) (ReactStats, error) {
 	start := time.Now()
+	restored, err := w.resume()
+	if err != nil {
+		return ReactStats{}, err
+	}
 	items := w.Feedback.Since(w.lastSeq)
 	stats := ReactStats{FeedbackItems: len(items)}
 	if len(items) == 0 {
@@ -108,6 +115,7 @@ func (w *Wrangler) ReactToFeedbackContext(ctx context.Context) (ReactStats, erro
 		}
 	}
 	stats.Stages = map[string]time.Duration{}
+	recordRestore(stats.Stages, restored)
 	exStart := time.Now()
 	outcomes, err := w.computeSources(ctx, ids, w.Provider.Lookup, true)
 	if err != nil {
@@ -247,6 +255,12 @@ func (w *Wrangler) computeSources(ctx context.Context, ids []string, acquire fun
 func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (ReactStats, error) {
 	start := time.Now()
 	stats := ReactStats{Stages: map[string]time.Duration{}}
+	restored, err := w.resume()
+	if err != nil {
+		return stats, err
+	}
+	recordRestore(stats.Stages, restored)
+	exStart := time.Now()
 	var errs []error
 	outcomes, err := w.computeSources(ctx, ids, w.Provider.Refresh, false)
 	if err != nil {
@@ -264,7 +278,7 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 		stats.SourcesReextracted++
 		stats.Remapped++
 	}
-	stats.Stages["reextract"] = time.Since(start)
+	stats.Stages["reextract"] = time.Since(exStart)
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
@@ -291,6 +305,12 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 // scratch — the classical-ETL behaviour E10 compares against.
 func (w *Wrangler) FullRerun() (ReactStats, error) {
 	start := time.Now()
+	// A deferred restore rebuilds first: what the rerun keeps — the
+	// feedback watermark, the resolver's carried registries — is state the
+	// restore installs.
+	if _, err := w.resume(); err != nil {
+		return ReactStats{}, err
+	}
 	w.states = map[string]*sourceState{}
 	w.memo = nil // discarded working data: nothing left to diff against
 	// The derivations are discarded but the logical clock is not rewound:
@@ -408,7 +428,10 @@ func (w *Wrangler) BudgetRemaining() float64 {
 }
 
 // FeedbackSeq returns the last assimilated feedback sequence number.
-func (w *Wrangler) FeedbackSeq() int { return w.lastSeq }
+func (w *Wrangler) FeedbackSeq() int {
+	w.resume()
+	return w.lastSeq
+}
 
 // AsOfNow returns the provider's current wall-clock anchor.
 func (w *Wrangler) AsOfNow() time.Time { return sources.AsOf(w.Provider.Clock()) }

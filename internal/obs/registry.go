@@ -192,25 +192,30 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Snapshot family structure under the lock; the atomic values are
-	// read lock-free while rendering.
+	// Snapshot family structure — help text and series, in order — under
+	// the lock: a write that registers a new series inserts into the
+	// family's map. The atomic values are read lock-free while rendering.
 	fams := make([]*family, len(names))
-	orders := make([][]string, len(names))
+	helps := make([]string, len(names))
+	sers := make([][]*series, len(names))
 	for i, name := range names {
 		f := r.families[name]
-		fams[i] = f
-		orders[i] = append([]string(nil), f.order...)
+		fams[i], helps[i] = f, f.help
+		sers[i] = make([]*series, len(f.order))
+		for j, sig := range f.order {
+			sers[i][j] = f.series[sig]
+		}
 	}
 	r.mu.Unlock()
 
 	var b strings.Builder
 	for i, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
+		if helps[i] != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, helps[i])
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, sig := range orders[i] {
-			s := f.series[sig]
+		for _, s := range sers[i] {
+			sig := s.sig
 			switch f.kind {
 			case kindCounter:
 				writeSample(&b, f.name, "", sig, "", strconv.FormatInt(s.c.Value(), 10))

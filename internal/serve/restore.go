@@ -12,12 +12,20 @@ import (
 // store is indistinguishable from the live one it was saved from: At,
 // Versions and Watch catch-up serve the exact versions that were
 // retained, with their original stamps.
+//
+// A version may arrive without its payload: Load, when set, produces Data
+// on first use — the first At, Watch catch-up or Data call that reaches
+// the version runs it, once. Its error is returned by At and Watch every
+// time they reach the version, never taken for a payload. The newest
+// version must carry Data (Load nil): Latest is one atomic load and never
+// loads anything.
 type RestoredVersion[T any] struct {
 	Seq     uint64
 	Step    uint64
 	Origin  Origin
 	At      time.Time
 	Data    T
+	Load    func() (T, error)
 	Changes ChangeSet
 }
 
@@ -45,12 +53,15 @@ func (s *Store[T]) Restore(versions []RestoredVersion[T]) error {
 		}
 		prev = versions[i].Seq
 	}
+	if last := versions[len(versions)-1]; last.Load != nil {
+		return fmt.Errorf("serve: restore: the newest version %d must carry its Data, not a Load", last.Seq)
+	}
 	if len(versions) > s.retain {
 		versions = versions[len(versions)-s.retain:]
 	}
 	for _, rv := range versions {
 		rv.Changes.normalize()
-		v := &Version[T]{seq: rv.Seq, step: rv.Step, origin: rv.Origin, at: rv.At, data: rv.Data, changes: rv.Changes}
+		v := &Version[T]{seq: rv.Seq, step: rv.Step, origin: rv.Origin, at: rv.At, data: rv.Data, load: rv.Load, changes: rv.Changes}
 		s.history = append(s.history, v)
 	}
 	last := s.history[len(s.history)-1]

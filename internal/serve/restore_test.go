@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -131,5 +134,150 @@ func TestRestoreWatchCatchUp(t *testing.T) {
 	// as a live store.
 	if _, _, err := s.Watch(ctx, 2); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("Watch(2) = %v, want ErrCompacted", err)
+	}
+}
+
+// lazyVersions restores seqs 1..3 into a fresh store: 1 and 2 without
+// their payload, loaded by load(seq); 3, the newest, with it.
+func lazyVersions(t *testing.T, load func(seq uint64) (payload, error)) *Store[payload] {
+	t.Helper()
+	s := NewStore[payload](3)
+	var vs []RestoredVersion[payload]
+	for seq := uint64(1); seq <= 3; seq++ {
+		rv := RestoredVersion[payload]{Seq: seq, Step: 10 * seq, Origin: OriginRefresh, At: time.Unix(int64(seq), 0)}
+		if seq < 3 {
+			rv.Load = func() (payload, error) { return load(seq) }
+		} else {
+			rv.Data = payload{n: 3}
+		}
+		vs = append(vs, rv)
+	}
+	if err := s.Restore(vs); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return s
+}
+
+// TestLazyVersionLoadsOnce: a restored version without its payload loads
+// it exactly once, however many goroutines reach it at the same time
+// through At, Watch catch-up and Data — and each of them sees the loaded
+// payload. Run under -race.
+func TestLazyVersionLoadsOnce(t *testing.T) {
+	var loads [3]atomic.Int32
+	s := lazyVersions(t, func(seq uint64) (payload, error) {
+		loads[seq].Add(1)
+		time.Sleep(time.Millisecond) // widen the window for a second loader
+		return payload{n: int(seq), label: "loaded"}, nil
+	})
+	var wg sync.WaitGroup
+	errs := make(chan error, 16*3)
+	check := func(v *Version[payload]) {
+		if d := v.Data(); d.n != int(v.Seq()) || (v.Seq() < 3 && d.label != "loaded") {
+			errs <- fmt.Errorf("version %d served %+v", v.Seq(), d)
+		}
+	}
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			switch g % 3 {
+			case 0:
+				for seq := uint64(1); seq <= 3; seq++ {
+					v, err := s.At(seq)
+					if err != nil {
+						errs <- err
+						return
+					}
+					check(v)
+				}
+			case 1:
+				ch, cancel, err := s.Watch(context.Background(), 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer cancel()
+				for i := 0; i < 3; i++ {
+					check((<-ch).Version)
+				}
+			default:
+				// Data on a version handed out before its payload loaded
+				// (a catch-up pinned by another goroutine's subscription).
+				s.mu.RLock()
+				v := s.history[g%2]
+				s.mu.RUnlock()
+				check(v)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for seq := 1; seq <= 2; seq++ {
+		if n := loads[seq].Load(); n != 1 {
+			t.Errorf("version %d loaded %d times, want once", seq, n)
+		}
+	}
+}
+
+// TestLazyVersionLoadError: a failed load is the error of every At that
+// reaches the version and of every Watch whose catch-up would replay it —
+// on each call, never turned into a loaded payload — while the versions
+// above it and Latest keep serving.
+func TestLazyVersionLoadError(t *testing.T) {
+	broken := errors.New("undecodable")
+	var loads atomic.Int32
+	s := lazyVersions(t, func(seq uint64) (payload, error) {
+		if seq == 2 {
+			loads.Add(1)
+			return payload{}, broken
+		}
+		return payload{n: int(seq)}, nil
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := s.At(2); !errors.Is(err, broken) {
+			t.Fatalf("At(2) call %d = %v, want the load error", i, err)
+		}
+	}
+	for _, from := range []uint64{0, 1} {
+		if _, _, err := s.Watch(context.Background(), from); !errors.Is(err, broken) {
+			t.Fatalf("Watch(%d) = %v, want the load error", from, err)
+		}
+	}
+	if n := loads.Load(); n != 1 {
+		t.Errorf("the failing load ran %d times, want once", n)
+	}
+	if v, err := s.At(1); err != nil || v.Data().n != 1 {
+		t.Fatalf("At(1) = %v, %v", v, err)
+	}
+	ch, cancel, err := s.Watch(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("Watch(2), above the broken version: %v", err)
+	}
+	defer cancel()
+	if c := <-ch; c.Seq() != 3 {
+		t.Fatalf("Watch(2) replayed seq %d, want 3", c.Seq())
+	}
+	if got := s.Latest().Data(); got.n != 3 {
+		t.Fatalf("Latest = %+v", got)
+	}
+}
+
+// TestRestoreRefusesLazyNewest: the newest restored version must carry
+// its payload, because Latest never loads.
+func TestRestoreRefusesLazyNewest(t *testing.T) {
+	s := NewStore[payload](3)
+	load := func() (payload, error) { return payload{n: 2}, nil }
+	err := s.Restore([]RestoredVersion[payload]{
+		{Seq: 1, Data: payload{n: 1}},
+		{Seq: 2, Load: load},
+	})
+	if err == nil {
+		t.Fatal("restore accepted a newest version with a Load and no Data")
+	}
+	if s.Latest() != nil || len(s.Versions()) != 0 {
+		t.Fatal("the refused restore left versions behind")
 	}
 }

@@ -54,6 +54,12 @@ type Version[T any] struct {
 	at      time.Time
 	data    T
 	changes ChangeSet
+
+	// load materialises data on first use for a version restored without
+	// it (RestoredVersion.Load), once, whoever asks first; nil otherwise.
+	load func() (T, error)
+	once sync.Once
+	err  error
 }
 
 // Seq returns the version's monotonically increasing sequence number
@@ -72,8 +78,27 @@ func (v *Version[T]) Origin() Origin { return v.origin }
 func (v *Version[T]) At() time.Time { return v.at }
 
 // Data returns the published payload. The payload and everything
-// reachable from it is frozen at publish time; treat it as read-only.
-func (v *Version[T]) Data() T { return v.data }
+// reachable from it is frozen at publish time; treat it as read-only. A
+// restored version that arrived without its payload loads it here on
+// first use; if that load failed, Data is the zero T — At and Watch
+// report the error instead of handing such a version out.
+func (v *Version[T]) Data() T {
+	if v.load != nil {
+		v.materialize()
+	}
+	return v.data
+}
+
+// materialize runs a restored version's Load once and returns its error
+// to every caller, then and later: a failed load is never taken for a
+// loaded payload.
+func (v *Version[T]) materialize() error {
+	if v.load == nil {
+		return nil
+	}
+	v.once.Do(func() { v.data, v.err = v.load() })
+	return v.err
+}
 
 // Changes returns the publisher's summary of what this version changed
 // relative to its predecessor — retained so change-feed catch-up replays
@@ -163,8 +188,23 @@ func (s *Store[T]) Latest() *Version[T] {
 // reports a plain error for sequence numbers never published, and the
 // typed ErrCompacted for versions already pruned from the retention
 // window — the same error Watch reports when catch-up would need a
-// pruned version, so callers handle both staleness paths uniformly.
+// pruned version, so callers handle both staleness paths uniformly. A
+// restored version loads its payload on the first At that reaches it —
+// outside the store's lock, so publishers never wait on a load — and a
+// failed load is At's error, on that call and every later one.
 func (s *Store[T]) At(seq uint64) (*Version[T], error) {
+	v, err := s.at(seq)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.materialize(); err != nil {
+		return nil, fmt.Errorf("serve: version %d: %w", seq, err)
+	}
+	return v, nil
+}
+
+// at finds the retained version with the given sequence number.
+func (s *Store[T]) at(seq uint64) (*Version[T], error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, v := range s.history {

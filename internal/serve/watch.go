@@ -154,8 +154,10 @@ func (s *Store[T]) WatchBuffer() int {
 // seen — 0 subscribes from the beginning, Latest().Seq() from "now".
 //
 // Errors: ErrCompacted if a needed version has already been pruned
-// (fromSeq below the retention window — re-bootstrap from Latest), or a
-// plain error if fromSeq exceeds the latest published seq.
+// (fromSeq below the retention window — re-bootstrap from Latest), a
+// plain error if fromSeq exceeds the latest published seq, or the load
+// error of a restored catch-up version whose payload could not be loaded
+// (RestoredVersion.Load).
 //
 // Delivery is push with a bounded per-subscriber buffer (SetWatchBuffer):
 // a subscriber whose buffer is full at publish time receives one final
@@ -164,13 +166,16 @@ func (s *Store[T]) WatchBuffer() int {
 // the channel without an eviction notice. The channel is closed in every
 // termination path, so consumers may simply range over it.
 func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T], CancelFunc, error) {
+	if err := s.materializeAfter(fromSeq); err != nil {
+		return nil, nil, err
+	}
 	s.mu.Lock()
-	if fromSeq > s.seq {
+	if latest := s.seq; fromSeq > latest {
 		s.mu.Unlock()
 		if m := s.met; m != nil {
 			m.errNotFound.Inc()
 		}
-		return nil, nil, fmt.Errorf("serve: watch from %d: version not yet published (latest is %d)", fromSeq, s.seq)
+		return nil, nil, fmt.Errorf("serve: watch from %d: version not yet published (latest is %d)", fromSeq, latest)
 	}
 	var replay []*Version[T]
 	for _, v := range s.history {
@@ -224,6 +229,28 @@ func (s *Store[T]) Watch(ctx context.Context, fromSeq uint64) (<-chan Change[T],
 		}()
 	}
 	return w.ch, cancel, nil
+}
+
+// materializeAfter loads the payload of every restored version a catch-up
+// from fromSeq would replay, outside the writer lock (a load may decode,
+// and publishers must not wait on it). Only Restore makes such versions,
+// before anything publishes, so each one Watch's locked replay can find
+// is already in this snapshot. A failed load fails the subscription.
+func (s *Store[T]) materializeAfter(fromSeq uint64) error {
+	s.mu.RLock()
+	var lazy []*Version[T]
+	for _, v := range s.history {
+		if v.seq > fromSeq && v.load != nil {
+			lazy = append(lazy, v)
+		}
+	}
+	s.mu.RUnlock()
+	for _, v := range lazy {
+		if err := v.materialize(); err != nil {
+			return fmt.Errorf("serve: watch from %d: version %d: %w", fromSeq, v.seq, err)
+		}
+	}
+	return nil
 }
 
 // Watchers reports the number of live subscriptions.

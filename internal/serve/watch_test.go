@@ -296,6 +296,10 @@ func TestWatchConcurrentWatchers(t *testing.T) {
 	const versions = 300
 	s := NewStore[payload](versions) // full retention: any fromSeq is serveable
 	s.SetWatchBuffer(versions + 1)   // focus on ordering, not eviction
+	// Every start point exists before the watchers go: a watcher that
+	// subscribed from a seq not yet published would be refused, not raced.
+	const head = 6
+	publishN(s, 1, head)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 16; i++ {
@@ -331,7 +335,7 @@ func TestWatchConcurrentWatchers(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	publishN(s, 1, versions)
+	publishN(s, head+1, versions)
 	wg.Wait()
 }
 

@@ -63,7 +63,26 @@ func Encode[T any](v *T, code func(*Codec, *T)) []byte {
 // payload exactly. Fields the code function does not state keep their
 // value.
 func Decode[T any](payload []byte, v *T, code func(*Codec, *T)) error {
+	return DecodeAt(payload, 0, v, code)
+}
+
+// DecodePrefix runs code over the front of payload in decode mode and
+// returns the offset where it stopped; unlike Decode, bytes after that
+// are not an error. A record read in parts decodes its header this way
+// and its body later with DecodeAt from the returned offset.
+func DecodePrefix[T any](payload []byte, v *T, code func(*Codec, *T)) (int, error) {
 	c := Codec{buf: payload, dec: true}
+	code(&c, v)
+	return c.off, c.err
+}
+
+// DecodeAt is Decode starting at offset off of payload: code reads from
+// there to the exact end, and error offsets stay absolute.
+func DecodeAt[T any](payload []byte, off int, v *T, code func(*Codec, *T)) error {
+	if off < 0 || off > len(payload) {
+		return fmt.Errorf("wal: offset 0x%x outside the %d-byte payload", off, len(payload))
+	}
+	c := Codec{buf: payload, off: off, dec: true}
 	code(&c, v)
 	return c.Done()
 }

@@ -64,8 +64,9 @@ const (
 	KindCheckpoint Kind = 0x4b // 'K' — durability marker: state consistent through seq
 )
 
-// Record is one replayed log record. Payload aliases the replay buffer;
-// decode it before the next Open/Compact of the same log.
+// Record is one replayed log record. Payload aliases the replay buffer,
+// which Open reads fresh and never reuses: a caller may keep a payload
+// undecoded for as long as it likes, and it keeps that buffer alive.
 type Record struct {
 	Kind    Kind
 	Payload []byte

@@ -58,12 +58,15 @@
 // committed version appends what it rebuilt — a fused page is written
 // once and referenced by id by every version that carries it — and
 // reopening the same directory restores the session warm
-// (Session.Restored reports true). A restored session serves its retained versions immediately
-// (identical tables, trust state and compaction boundaries — View.At
-// below the window answers ErrCompacted exactly as before the
-// restart), watchers catch up from the restored window, and the first
-// Refresh runs as a partial tail over the rehydrated tail memo
-// rather than a cold full run. Session.Checkpoint rewrites the log
+// (Session.Restored reports true). A restored session serves its retained
+// versions immediately (identical tables, trust state and compaction
+// boundaries — View.At below the window answers ErrCompacted exactly as
+// before the restart), and watchers catch up from the restored window.
+// The restore decodes only the newest version; an older one decodes on
+// its first View.At or Watch catch-up, and the working data is rebuilt by
+// the first reaction, which pays for it (its "restore" stage) and then
+// runs as a partial tail over the rehydrated tail memo rather than a cold
+// full run. Session.Checkpoint rewrites the log
 // down to the retention window; WithDurableFsync selects FsyncAlways
 // (fsync every commit) over the default FsyncOnCheckpoint;
 // Session.Durability reports log size and checkpoint position; Close

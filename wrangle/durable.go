@@ -13,6 +13,10 @@ import (
 // working data and the tail memo inputs — so the process can die and
 // come back warm: readers resume at the exact retained versions, and the
 // first reaction after restart recomputes a partial tail, not a cold run.
+// The restore serves before it rebuilds: opening decodes only the newest
+// version, older retained versions decode on their first View.At or
+// Watch catch-up, and the working data and tail memo are rebuilt by the
+// first reaction, which reports that work as its "restore" stage.
 
 // FsyncPolicy says when the durable log calls fsync (see the constants).
 type FsyncPolicy = core.FsyncPolicy
@@ -37,6 +41,14 @@ type DurableStats = core.DurableStats
 // and retention), the new session restores it — Run may be
 // skipped (see Session.Restored) and reactions continue from the restored
 // state. A log written under a different configuration is refused.
+//
+// New returns as soon as the newest version is decoded, so a restored
+// session serves at once; its first reaction pays for rebuilding the
+// working data (ReactStats.Stages["restore"]). A log whose newest version
+// serves but whose working data cannot be rebuilt fails that reaction and
+// every later one, while reads keep serving the restored versions; an
+// older retained version that cannot be decoded fails the View.At or
+// Watch that reaches it, not New.
 func WithDurableLog(dir string) Option {
 	return func(s *settings) error {
 		if dir == "" {
@@ -62,6 +74,8 @@ func WithDurableFsync(p FsyncPolicy) Option {
 // Restored reports whether this session was rehydrated from a durable log
 // holding committed versions. A restored session can serve (View, Watch,
 // Wrangled) and react (ApplyFeedback, Refresh) immediately, without a Run.
+// It serves at once; the first reaction rebuilds the working data the
+// restore deferred, and reports that rebuild as its "restore" stage.
 func (s *Session) Restored() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

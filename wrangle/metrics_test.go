@@ -211,8 +211,12 @@ func TestMetricsRestoredSession(t *testing.T) {
 	}
 
 	// First reaction on the warm session: stage timings stamped, the new
-	// version appended (and fsynced) to the log.
-	if _, err := s2.Refresh(context.Background(), s2.SelectedSources()[0]); err != nil {
+	// version appended (and fsynced) to the log, and the working-state
+	// rebuild the restore deferred to it named as its "restore" stage —
+	// inside its duration, outside the integrate roll-up, and logged with
+	// the version.
+	first, err := s2.Refresh(context.Background(), s2.SelectedSources()[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reactions(s2, "refresh"); got != 1 {
@@ -221,11 +225,29 @@ func TestMetricsRestoredSession(t *testing.T) {
 	if stageCount(s2, "refresh", "reextract") == 0 {
 		t.Error("restored session's first reaction left no reextract stage timing")
 	}
+	restore := first.Stages["restore"]
+	if restore <= 0 || stageCount(s2, "refresh", "restore") != 1 {
+		t.Errorf("restored session's first reaction reports restore stage %v (%d observations), want one", restore, stageCount(s2, "refresh", "restore"))
+	}
+	if restore > first.Duration {
+		t.Errorf("restore stage %v exceeds the reaction's duration %v", restore, first.Duration)
+	}
+	if v, err := s2.View(); err != nil || v.React().Stages["restore"] != restore {
+		t.Errorf("the published version does not carry the restore stage (%v)", err)
+	}
 	if counter(s2, "wrangle_wal_appends_total") == 0 {
 		t.Error("reaction on a durable session recorded no WAL appends")
 	}
 	if counter(s2, "wrangle_wal_appended_bytes_total") == 0 {
 		t.Error("reaction on a durable session recorded no WAL bytes")
+	}
+
+	second, err := s2.Refresh(context.Background(), s2.SelectedSources()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := second.Stages["restore"]; ok || stageCount(s2, "refresh", "restore") != 1 {
+		t.Error("the second reaction after a restore reports a restore stage")
 	}
 }
 
