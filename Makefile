@@ -50,12 +50,15 @@ loadtest:
 # appendable) and the record codec property (no payload panics the
 # decoder; an accepted one re-encodes to bytes that decode to the same
 # record; a version decoded header-first then body agrees with the
-# one-shot decode). Longer local sessions: go test -fuzz=FuzzSharded
+# one-shot decode), and the prepared fuse and the sort-free trust
+# fixpoint vs their string-keyed, sort.Slice oracles. Longer local
+# sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
 # -fuzz=FuzzWALReplay ./internal/wal, -fuzz=FuzzDurableRecord
-# ./internal/core).
+# ./internal/core, -fuzz=FuzzFusePrepared or -fuzz=FuzzTrustKernel
+# ./internal/fusion).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
@@ -64,3 +67,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzWatchResume -fuzztime=10s -run=^$$ ./internal/serve
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=10s -run=^$$ ./internal/wal
 	$(GO) test -fuzz=FuzzDurableRecord -fuzztime=10s -run=^$$ ./internal/core
+	$(GO) test -fuzz=FuzzFusePrepared -fuzztime=10s -run=^$$ ./internal/fusion
+	$(GO) test -fuzz=FuzzTrustKernel -fuzztime=10s -run=^$$ ./internal/fusion

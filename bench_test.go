@@ -754,7 +754,8 @@ func BenchmarkTrustFixpoint(b *testing.B) {
 	}
 	for _, wk := range workerCounts {
 		b.Run(fmt.Sprintf("warm/workers=%d", wk), func(b *testing.B) {
-			_, memo, _ := fusion.EstimateTrustWarmParallel(fusion.GroupClaims(claims), fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
+			memo := fusion.GroupClaims(claims)
+			fusion.EstimateTrustWarmParallel(memo, fusion.DefaultOptions(fusion.TruthFinder), nil, wk)
 			churned := append([]fusion.Claim(nil), claims...)
 			for i := range churned {
 				if churned[i].SourceID == "c00-s00" {

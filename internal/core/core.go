@@ -130,7 +130,10 @@ type RunStats struct {
 	// fan-outs summed). A full tail also names the steps of its front half
 	// (replanSplit): "replan.union", "replan.fd_repair", "replan.prepare"
 	// and "replan.plan", which add up to "replan" and are not accrued into
-	// "integrate" a second time. A run that first rebuilt the working state
+	// "integrate" a second time. Every tail likewise names the steps inside
+	// "trust" (trustSplit): "trust.claims", "trust.prepare" and
+	// "trust.fixpoint", which sum to at most "trust" (its task also merges
+	// clusters and names entities). A run that first rebuilt the working state
 	// of a durable restore names that rebuild "restore". Published snapshot
 	// versions carry these, so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
@@ -288,7 +291,8 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	}
 	// The tail records its memo at the merge, so the first reaction after
 	// the run is already a partial tail.
-	if err := w.addIntegrationTasks(g, &shardRun{}, "select"); err != nil {
+	sr := &shardRun{}
+	if err := w.addIntegrationTasks(g, sr, "select"); err != nil {
 		return nil, err
 	}
 	w.instrumentGraph(g)
@@ -300,6 +304,7 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	}
 	w.LastStats.Stages = stageTimings(g.Timings())
 	w.split.record(w.LastStats.Stages)
+	sr.split.record(w.LastStats.Stages)
 	recordRestore(w.LastStats.Stages, restored)
 	w.LastStats.Duration = time.Since(start)
 	w.LastStats.TrustComponents = w.lastTrust.Components
@@ -686,6 +691,26 @@ func (s replanSplit) record(stages map[string]time.Duration) {
 	stages["replan.fd_repair"] = s.fdRepair
 	stages["replan.prepare"] = s.prepare
 	stages["replan.plan"] = s.plan
+}
+
+// trustSplit is the wall clock of a tail's trust stage, by step: building
+// and grouping the claims (zero when a fuse-only tail took the memo's
+// groups), then fusion's own split — adopting and preparing groups, and
+// the fixpoint.
+type trustSplit struct {
+	claims time.Duration
+	fusion.TrustSplit
+}
+
+// record names the steps in a stage map; a tail that never reached the
+// trust barrier (nothing to integrate) records nothing.
+func (s trustSplit) record(stages map[string]time.Duration) {
+	if s == (trustSplit{}) {
+		return
+	}
+	stages["trust.claims"] = s.claims
+	stages["trust.prepare"] = s.Prepare
+	stages["trust.fixpoint"] = s.Fixpoint
 }
 
 // buildUnion assembles the union table from the selected mapped tables,

@@ -8,17 +8,38 @@ import (
 	"repro/internal/feedback"
 )
 
-var replanSteps = []string{"replan.union", "replan.fd_repair", "replan.prepare", "replan.plan"}
+var (
+	replanSteps = []string{"replan.union", "replan.fd_repair", "replan.prepare", "replan.plan"}
+	trustSteps  = []string{"trust.claims", "trust.prepare", "trust.fixpoint"}
+)
 
-// TestReplanSplitSumsToReplan pins the named costs of the tail's front
-// half: a sharded run and a sharded refresh report the four steps, the
-// steps add up to the replan stage (its task also pays only the engine's
-// bookkeeping), they are not accrued into "integrate" a second time, a
-// default (one-shard) session names the same steps, and a fuse-only
-// reaction — which never builds a union — names none.
+// TestReplanSplitSumsToReplan pins the named costs inside the tail's
+// stages. A sharded run and a sharded refresh report the four replan
+// steps, which add up to the replan stage (its task also pays only the
+// engine's bookkeeping); they are not accrued into "integrate" a second
+// time; a default (one-shard) session names the same steps; and a
+// fuse-only reaction — which never builds a union — names none. Every
+// tail names the three trust steps, which sum to at most the trust stage
+// (its task also merges clusters and names entities), and a fuse-only
+// reaction's claim step is zero: it regroups nothing.
 func TestReplanSplitSumsToReplan(t *testing.T) {
+	checkTrust := func(label string, stages map[string]time.Duration) {
+		t.Helper()
+		var sum time.Duration
+		for _, k := range trustSteps {
+			d, ok := stages[k]
+			if !ok {
+				t.Fatalf("%s: step %q missing from %v", label, k, stages)
+			}
+			sum += d
+		}
+		if trust := stages["trust"]; sum > trust {
+			t.Errorf("%s: trust steps sum to %v, more than the trust stage %v", label, sum, trust)
+		}
+	}
 	check := func(label string, stages map[string]time.Duration) {
 		t.Helper()
+		checkTrust(label, stages)
 		var sum time.Duration
 		for _, k := range replanSteps {
 			d, ok := stages[k]
@@ -59,6 +80,10 @@ func TestReplanSplitSumsToReplan(t *testing.T) {
 		if _, ok := stats.Stages[k]; ok {
 			t.Errorf("fuse-only reaction reports %q: %v", k, stats.Stages)
 		}
+	}
+	checkTrust("fuse-only", stats.Stages)
+	if d := stats.Stages["trust.claims"]; d != 0 {
+		t.Errorf("fuse-only reaction built claims for %v", d)
 	}
 
 	one := newShardedWrangler(7, 12, 0)

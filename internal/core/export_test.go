@@ -18,6 +18,28 @@ func (w *Wrangler) BuildClaims() []fusion.Claim { return w.buildClaims() }
 
 func (w *Wrangler) FusionOptions() fusion.Options { return w.fusionOptions() }
 
+// MemoGroups returns the claim groups the tail memo carries to the next
+// reaction (nil without a memo).
+func (w *Wrangler) MemoGroups() *fusion.ClaimGroups {
+	if w.memo == nil {
+		return nil
+	}
+	return w.memo.groups
+}
+
+// DetachMemoUnion points the tail memo at a copy of the union, so the memo
+// no longer vouches for the union the session holds.
+func (w *Wrangler) DetachMemoUnion() { w.memo.union = w.union.Clone() }
+
+// PageResults returns each shard page's fused results, in shard order.
+func (w *Wrangler) PageResults() [][]fusion.Result {
+	parts := make([][]fusion.Result, len(w.pages))
+	for i, p := range w.pages {
+		parts[i] = p.results
+	}
+	return parts
+}
+
 // DecodeRecords decodes a replayed log's records in order, each with its
 // kind's code function; pages are read at the width the log's config
 // record declares. The fixture test and FuzzDurableRecord use it.

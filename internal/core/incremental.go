@@ -42,7 +42,12 @@ type ReactStats struct {
 	// them iterates. Zero when no trust fixpoint ran (non-TruthFinder
 	// policy, empty tail).
 	TrustComponents int
-	Duration        time.Duration
+	// TrustGroupsKept and TrustGroupsPrepared split the reaction's
+	// (entity, attribute) claim groups into those whose prepared state
+	// carried over from the previous tail — every group of a fuse-only
+	// reaction — and those prepared afresh (fusion.TrustStats).
+	TrustGroupsKept, TrustGroupsPrepared int
+	Duration                             time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole
 	// integration tail, which is further split by DAG stage — "replan"
@@ -52,11 +57,13 @@ type ReactStats struct {
 	// saved its time. A fuse-only reaction (value feedback) reports only
 	// "trust", "fuse" and "merge" under "integrate". A full tail also
 	// names the steps of its front half, "replan.union",
-	// "replan.fd_repair", "replan.prepare" and "replan.plan" (see
-	// RunStats.Stages). The first reaction after a durable restore also
-	// names "restore": the working-state rebuild the restore deferred to
-	// it, counted in Duration and not in "integrate". Absent stages did not
-	// run.
+	// "replan.fd_repair", "replan.prepare" and "replan.plan", and every
+	// tail those of its trust stage, "trust.claims" (zero on a fuse-only
+	// reaction, which regroups nothing), "trust.prepare" and
+	// "trust.fixpoint" (see RunStats.Stages). The first reaction after a
+	// durable restore also names "restore": the working-state rebuild the
+	// restore deferred to it, counted in Duration and not in "integrate".
+	// Absent stages did not run.
 	Stages map[string]time.Duration
 }
 

@@ -18,11 +18,13 @@ import (
 // one (record identity first, content where records differ), re-plans
 // incrementally and re-resolves only the dirty shards. The back half —
 // trust, fuse, merge — runs whole on every reaction and reuses at one
-// grain: the trust estimation keeps the prepared state of every (entity,
-// attribute) group whose claims held, and the merge shares the records
-// of every page that fused to the same rows. The contract is strict: a
-// partial tail is byte-identical to a full recompute (FullRerun), pinned
-// by the internal/wrangletest harness.
+// grain: the prepared (entity, attribute) group, whose state serves both
+// the trust fixpoint and the fuse and is kept for every group whose
+// claims held; a fuse-only tail regroups nothing and takes the memo's
+// groups as they are. The merge shares the records of every page that
+// fused to the same rows. The contract is strict: a partial tail is
+// byte-identical to a full recompute (FullRerun), pinned by the
+// internal/wrangletest harness.
 
 // tailScope is how much of the integration tail a reaction needs.
 type tailScope int
@@ -46,7 +48,7 @@ type tailMemo struct {
 	starts []int          // per ids entry: its first union row
 	plan   *er.PlanState
 	pages  []*shardPage
-	trust  *fusion.TrustMemo // prepared claim groups of the last trust estimation
+	groups *fusion.ClaimGroups // the last tail's claim groups and their prepared state; nil after a restore
 }
 
 // planReaction classifies a batch of feedback into the reaction plan:
@@ -90,6 +92,7 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	w.split = replanSplit{}
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
+		stats.TrustGroupsKept, stats.TrustGroupsPrepared = w.lastTrust.GroupsKept, w.lastTrust.GroupsPrepared
 		w.split.record(stats.Stages)
 	}()
 	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {
@@ -124,6 +127,7 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	for k, d := range stageTimings(g.Timings()) {
 		stats.Stages[k] += d
 	}
+	sr.split.record(stats.Stages)
 	stats.Stages["integrate"] = time.Since(start)
 	stats.ShardsResolved, stats.ShardsReused = sr.resolvedShards()
 	return nil
@@ -132,8 +136,8 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
 // clustering — the value-feedback reaction. The memo vouches that the
 // union, clusters, entity ids and entity→shard routing describe one
-// completed integration; trust is re-estimated warm and every shard
-// re-fuses its entities along that routing.
+// completed integration; trust is re-estimated warm over the memo's claim
+// groups and every shard re-fuses its entities along that routing.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := len(w.memo.pages)
 	sr.fuseOnly = true
@@ -193,7 +197,7 @@ func segmentEnd(starts []int, k, n int) int {
 func (w *Wrangler) recordTailMemo(sr *shardRun) {
 	if sr.fuseOnly {
 		w.memo.pages = sr.pages
-		w.memo.trust = sr.trustMemo
+		w.memo.groups = sr.groups
 		return
 	}
 	// Commit folds the carried-over and freshly computed pair scores into
@@ -205,20 +209,20 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		w.memo = nil
 		return
 	}
-	w.memo = w.newTailMemo(ps, sr.trustMemo)
+	w.memo = w.newTailMemo(ps, sr.groups)
 	w.dirtySources = nil
 }
 
 // newTailMemo assembles the diff baseline over the current union and
 // pages, so the live merge and the durable restore cannot record
 // differently shaped memos.
-func (w *Wrangler) newTailMemo(plan *er.PlanState, trust *fusion.TrustMemo) *tailMemo {
+func (w *Wrangler) newTailMemo(plan *er.PlanState, groups *fusion.ClaimGroups) *tailMemo {
 	return &tailMemo{
 		union:  w.union,
 		ids:    w.unionIDs,
 		starts: w.unionStarts,
 		plan:   plan,
 		pages:  w.pages,
-		trust:  trust,
+		groups: groups,
 	}
 }

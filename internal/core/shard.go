@@ -63,9 +63,10 @@ type shardRun struct {
 	must, cannot []er.Pair
 	rowKeys      []string            // plan stage: stable key per union row
 	roots        []map[int]int       // resolve fan-out: shard -> row -> cluster representative
-	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once
+	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once, carrying its prepared state
 	opts         fusion.Options      // cluster barrier: trust already estimated
-	trustMemo    *fusion.TrustMemo   // cluster barrier: prepared groups for the recorded memo
+	split        trustSplit          // cluster barrier: the trust stage, by step
+	results      []fusion.Result     // fuse fan-out: every group's result at its group index
 	pages        []*shardPage        // fuse fan-out
 	empty        bool                // nothing to integrate; all stages no-op
 	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
@@ -231,35 +232,47 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 }
 
 // estimateTrust is the back half of the cluster barrier, shared by both
-// tail scopes: build the claims, group them once for trust and every
-// shard's fuse, and run the one cross-shard stage of fusion. The
+// tail scopes: build the claims and group them once for trust and every
+// shard's fuse, then run the one cross-shard stage of fusion. A fuse-only
+// tail builds nothing: claims are a function of the union, its entity ids
+// and its row sources, none of which it moves, so it takes the memo's
+// groups as they are — prepared state included — unless the memo does
+// not describe this union or carries no groups (after a restore). The
 // estimation is the exact global TruthFinder fixpoint; what it carries
 // over from the memo is the prepared state of every (entity, attribute)
 // group whose claims held. Runs inside the single cluster-barrier task,
 // so writing w.lastTrust is race-free.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
-	sr.groups = fusion.GroupClaims(w.buildClaims())
-	var prev *fusion.TrustMemo
+	var prev *fusion.ClaimGroups
 	if w.memo != nil {
-		prev = w.memo.trust
+		prev = w.memo.groups
 	}
-	sr.opts, sr.trustMemo, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
+	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
+		sr.groups = prev
+	} else {
+		start := time.Now()
+		sr.groups = fusion.GroupClaims(w.buildClaims())
+		sr.split.claims = time.Since(start)
+	}
+	sr.results = make([]fusion.Result, sr.groups.Len())
+	sr.opts, sr.split.TrustSplit, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
 }
 
 // shardFuseStage fuses, under the globally estimated trust, the claim
 // groups of the entities shard i owns, and materialises the shard's page.
 // Groups were formed once over every claim in row order, so each group
 // holds its claims in the order one global fuse sees them — bucket
-// representatives and vote accumulation match bit for bit. An entity
-// routed to no shard fails the tail (only a restored log can be that
-// incoherent).
+// representatives and vote accumulation match bit for bit. Each result
+// also lands in sr.results at its group index: every group is fused by
+// exactly one shard, so the slab needs no merge. An entity routed to no
+// shard fails the tail (only a restored log can be that incoherent).
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
 	n := len(sr.pages)
 	unrouted := ""
-	results := sr.groups.Fuse(sr.opts, func(e string) bool {
+	results := sr.groups.FuseInto(sr.results, sr.opts, func(e string) bool {
 		s, ok := w.entityShard[e]
 		if !ok || s < 0 || s >= n {
 			unrouted = e
@@ -276,19 +289,16 @@ func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 }
 
 // shardMergeStage merges the shard outputs: results in global sorted
-// order, pages reconciled against the previous integration (a shard
-// whose fused rows are unchanged keeps its predecessor's records — the
-// delta the publisher shares between versions), and the wrangled table
-// assembled from page records without copying.
+// order (the group-indexed slab the fuse fan-out filled), pages
+// reconciled against the previous integration (a shard whose fused rows
+// are unchanged keeps its predecessor's records — the delta the
+// publisher shares between versions), and the wrangled table assembled
+// from page records without copying.
 func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	parts := make([][]fusion.Result, len(sr.pages))
-	for i, p := range sr.pages {
-		parts[i] = p.results
-	}
-	w.results = fusion.MergeResults(parts...)
+	w.results = sr.results
 	w.supporters = nil
 	w.trust = sr.opts.Trust
 

@@ -131,12 +131,27 @@ func (o Options) normalized() Options {
 // determinism contract — bucket representatives and float accumulation
 // follow them. Trust estimation and fusion both read one ClaimGroups, so
 // a tail that estimates trust and then fuses, whole or entity by entity,
-// groups its claims once. Immutable once built; safe to share between
-// goroutines.
+// groups its claims once.
+//
+// Each group also carries its prepared state — the fixpoint's half
+// (trustGroup) and the fuse's half (fusePrep) — a function of its claim
+// values alone, never of trust. A ClaimGroups is the memo the next
+// estimation adopts from (EstimateTrustWarmParallel's prev), and a
+// fuse-only reaction, whose claims cannot have moved, hands the same
+// ClaimGroups on and regroups nothing. Keys and claims never change; a
+// prepared slot is written by the estimation (trust half) or by the Fuse
+// call that owns the group (fuse half), so concurrent Fuse calls must
+// fuse disjoint entity sets.
 type ClaimGroups struct {
-	keys   []string  // "entity\x1fattribute", sorted
-	claims [][]Claim // parallel to keys
+	keys   []string      // "entity\x1fattribute", sorted
+	claims [][]Claim     // parallel to keys
+	trust  []*trustGroup // parallel to keys: the fixpoint's half, nil until prepared
+	fuse   []*fusePrep   // parallel to keys: the fuse's half, nil until prepared
 }
+
+// Len reports the number of (entity, attribute) groups — the length of
+// the slab FuseInto writes results into.
+func (g *ClaimGroups) Len() int { return len(g.keys) }
 
 // GroupClaims groups claims by (entity, attribute).
 func GroupClaims(claims []Claim) *ClaimGroups {
@@ -169,6 +184,8 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 			start = i + 1
 		}
 	}
+	g.trust = make([]*trustGroup, len(g.keys))
+	g.fuse = make([]*fusePrep, len(g.keys))
 	return g
 }
 
@@ -180,10 +197,20 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 // and merging (MergeResults) is byte-identical to fusing everything at
 // once under the same trust — the property the sharded integration tail
 // is built on. Fuse never mutates opts.Trust, so concurrent calls may
-// share one options value.
+// share one options value; it prepares the groups it fuses that have no
+// fuse state yet.
 func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result {
+	return g.FuseInto(nil, opts, keep)
+}
+
+// FuseInto is Fuse that also writes each result into slab at its group
+// index, when slab is non-nil (len(slab) == g.Len()). Group order is the
+// order MergeResults sorts into, so parts that between them fuse every
+// group once leave slab holding the merged results with nothing to sort.
+func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity string) bool) []Result {
 	opts = opts.normalized()
 	out := make([]Result, 0, len(g.keys))
+	var sc fuseScratch
 	entity, kept := "", false
 	for i, cs := range g.claims {
 		if keep != nil {
@@ -194,7 +221,16 @@ func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result
 				continue
 			}
 		}
-		out = append(out, fuseGroup(cs, opts))
+		p := g.fuse[i]
+		if p == nil || p.tol != opts.NumericTolerance {
+			p = prepareFuse(cs, opts.NumericTolerance)
+			g.fuse[i] = p
+		}
+		r := p.result(cs, opts, &sc)
+		if slab != nil {
+			slab[i] = r
+		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -272,34 +308,132 @@ func (k *keyedResults) Swap(i, j int) {
 	k.results[i], k.results[j] = k.results[j], k.results[i]
 }
 
-// bucket groups equivalent claimed values.
-type bucket struct {
-	rep    dataset.Value
-	norm   string
-	weight float64
-	count  int
+// fusePrep is one group's fuse half: the value buckets a fuse votes
+// into, formed after reconcileUnits. Bucket membership reads claim values
+// only — never trust, freshness or the policy — so a fuse adds each
+// claim's vote weight into its bucket and orders the buckets, with no
+// value comparison left to make.
+type fusePrep struct {
+	tol    float64         // the NumericTolerance the buckets were formed under
+	bucket []int32         // per claim: its bucket in creation order, -1 for a null claim
+	reps   []dataset.Value // per bucket: its first member's reconciled value
+	norms  []string        // per bucket: the representative, normalised
+	counts []int           // per bucket: member claims
 }
 
-func fuseGroup(claims []Claim, opts Options) Result {
-	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
+// prepareFuse forms a group's buckets: each non-null claim, in claim
+// order, joins the first bucket (in creation order) whose representative
+// it sameValues, or opens a new one.
+func prepareFuse(claims []Claim, tol float64) *fusePrep {
 	claims = reconcileUnits(claims)
-	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(c, opts) })
-	if len(buckets) == 0 {
+	p := &fusePrep{tol: tol, bucket: make([]int32, len(claims))}
+	var reps []normVal
+	for ci, c := range claims {
+		if c.Value.IsNull() {
+			p.bucket[ci] = -1
+			continue
+		}
+		v := newNormVal(c.Value)
+		bi := slices.IndexFunc(reps, func(r normVal) bool { return r.same(v, tol) })
+		if bi < 0 {
+			bi = len(reps)
+			reps = append(reps, v)
+			p.reps = append(p.reps, c.Value)
+			p.norms = append(p.norms, v.norm)
+			p.counts = append(p.counts, 0)
+		}
+		p.bucket[ci] = int32(bi)
+		p.counts[bi]++
+	}
+	return p
+}
+
+// fuseScratch is the per-bucket scratch one FuseInto call reuses across
+// its groups.
+type fuseScratch struct {
+	w     []float64
+	order []int
+}
+
+// result fuses the group under opts: per-bucket vote weights summed in
+// claim order, buckets ordered heaviest first (ties by normalised
+// representative), and the winner's share of the total summed in that
+// order.
+func (p *fusePrep) result(claims []Claim, opts Options, sc *fuseScratch) Result {
+	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
+	nb := len(p.reps)
+	if nb == 0 {
 		res.Value = dataset.Null()
 		return res
 	}
-	total := 0.0
-	for _, b := range buckets {
-		total += b.weight
+	if cap(sc.w) < nb {
+		sc.w, sc.order = make([]float64, nb), make([]int, nb)
 	}
-	best := buckets[0]
-	res.Value = best.rep
-	res.Support = best.count
-	res.Conflict = len(buckets) > 1
+	w, order := sc.w[:nb], sc.order[:nb]
+	for i := range w {
+		w[i], order[i] = 0, i
+	}
+	for ci, bi := range p.bucket {
+		if bi >= 0 {
+			w[bi] += voteWeight(claims[ci], opts)
+		}
+	}
+	if nb > 1 {
+		// sort.Slice over the buckets in creation order, not a stable
+		// sort: of two buckets tied on weight and norm, the winner is the
+		// one sort.Slice puts first, and fused results are pinned to it.
+		sort.Slice(order, func(i, j int) bool { return bucketBefore(w, p.norms, order[i], order[j]) })
+	}
+	total := 0.0
+	for _, bi := range order {
+		total += w[bi]
+	}
+	best := order[0]
+	res.Value = p.reps[best]
+	res.Support = p.counts[best]
+	res.Conflict = nb > 1
 	if total > 0 {
-		res.Confidence = best.weight / total
+		res.Confidence = w[best] / total
 	}
 	return res
+}
+
+// bucketBefore is the one bucket order: heavier first, ties by normalised
+// representative.
+func bucketBefore(w []float64, norms []string, a, b int) bool {
+	if w[a] != w[b] {
+		return w[a] > w[b]
+	}
+	return norms[a] < norms[b]
+}
+
+// normVal is a claim value in the form sameValue compares: numeric values
+// by relative tolerance, everything else by normalised string. Caching it
+// normalises each value once instead of on both sides of every compare.
+type normVal struct {
+	num  bool
+	f    float64
+	norm string
+}
+
+func newNormVal(v dataset.Value) normVal {
+	n := normVal{num: v.IsNumeric(), norm: text.Normalize(v.String())}
+	if n.num {
+		n.f = v.FloatVal()
+	}
+	return n
+}
+
+// same is sameValue over cached forms.
+func (a normVal) same(b normVal, tol float64) bool {
+	if a.num && b.num {
+		if a.f == b.f {
+			return true
+		}
+		den := math.Max(math.Abs(a.f), math.Abs(b.f))
+		return den > 0 && math.Abs(a.f-b.f)/den <= tol
+	}
+	return a.norm == b.norm
 }
 
 // reconcileUnits normalises numeric claims that sit ~100× above the
@@ -333,38 +467,6 @@ func reconcileUnits(claims []Claim) []Claim {
 		}
 	}
 	return out
-}
-
-// bucketize groups claims into equivalent-value buckets, weighting each
-// claim by weightFn, and returns buckets sorted by descending weight (ties
-// by normalised value for determinism). Null values are ignored.
-func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []bucket {
-	var buckets []bucket
-	for _, c := range claims {
-		if c.Value.IsNull() {
-			continue
-		}
-		w := weightFn(c)
-		placed := false
-		for i := range buckets {
-			if sameValue(buckets[i].rep, c.Value, opts.NumericTolerance) {
-				buckets[i].weight += w
-				buckets[i].count++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			buckets = append(buckets, bucket{rep: c.Value, norm: text.Normalize(c.Value.String()), weight: w, count: 1})
-		}
-	}
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].weight != buckets[j].weight {
-			return buckets[i].weight > buckets[j].weight
-		}
-		return buckets[i].norm < buckets[j].norm
-	})
-	return buckets
 }
 
 func sameValue(a, b dataset.Value, tol float64) bool {

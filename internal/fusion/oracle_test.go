@@ -1,0 +1,320 @@
+package fusion
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/text"
+)
+
+// This file holds the oracles the prepared paths are pinned to: fuseGroup
+// re-buckets a group from its claims with text.Normalize on both sides of
+// every compare and sorts its buckets, and oracleFixpoint sorts every
+// group's buckets with sort.Slice on every iteration. The fuzzers below
+// compare the prepared paths against them.
+
+// bucket groups equivalent claimed values.
+type bucket struct {
+	rep    dataset.Value
+	norm   string
+	weight float64
+	count  int
+}
+
+func fuseGroup(claims []Claim, opts Options) Result {
+	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
+	claims = reconcileUnits(claims)
+	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(c, opts) })
+	if len(buckets) == 0 {
+		res.Value = dataset.Null()
+		return res
+	}
+	total := 0.0
+	for _, b := range buckets {
+		total += b.weight
+	}
+	best := buckets[0]
+	res.Value = best.rep
+	res.Support = best.count
+	res.Conflict = len(buckets) > 1
+	if total > 0 {
+		res.Confidence = best.weight / total
+	}
+	return res
+}
+
+// bucketize groups claims into equivalent-value buckets, weighting each
+// claim by weightFn, and returns buckets sorted by descending weight (ties
+// by normalised value for determinism). Null values are ignored.
+func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []bucket {
+	var buckets []bucket
+	for _, c := range claims {
+		if c.Value.IsNull() {
+			continue
+		}
+		w := weightFn(c)
+		placed := false
+		for i := range buckets {
+			if sameValue(buckets[i].rep, c.Value, opts.NumericTolerance) {
+				buckets[i].weight += w
+				buckets[i].count++
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			buckets = append(buckets, bucket{rep: c.Value, norm: text.Normalize(c.Value.String()), weight: w, count: 1})
+		}
+	}
+	sort.Slice(buckets, func(i, j int) bool {
+		if buckets[i].weight != buckets[j].weight {
+			return buckets[i].weight > buckets[j].weight
+		}
+		return buckets[i].norm < buckets[j].norm
+	})
+	return buckets
+}
+
+// oracleFixpoint is runComponentFixpoint with a sort.Slice over every
+// group's buckets on every iteration.
+func oracleFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur []float64, iters int) {
+	cur = slices.Clone(c.seed)
+	maxBuckets := 0
+	for _, g := range c.groups {
+		if n := len(g.norms); n > maxBuckets {
+			maxBuckets = n
+		}
+	}
+	wbuf := make([]float64, maxBuckets)
+	obuf := make([]int, maxBuckets)
+	sums := make([]float64, len(c.sources))
+	counts := make([]int, len(c.sources))
+	for iters < maxIters {
+		iters++
+		clear(sums)
+		clear(counts)
+		for gi, g := range c.groups {
+			w := wbuf[:len(g.norms)]
+			for i := range w {
+				w[i] = 0
+			}
+			idx := c.srcIdx[gi]
+			for ci, si := range idx {
+				if t := cur[si]; t > 0 {
+					w[g.claimBucket[ci]] += t
+				} else {
+					w[g.claimBucket[ci]] += defaultTrust
+				}
+			}
+			order := obuf[:len(w)]
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(i, j int) bool {
+				if w[order[i]] != w[order[j]] {
+					return w[order[i]] > w[order[j]]
+				}
+				return g.norms[order[i]] < g.norms[order[j]]
+			})
+			total := 0.0
+			for _, bi := range order {
+				total += w[bi]
+			}
+			if total == 0 {
+				continue
+			}
+			for ci, si := range idx {
+				for _, bi := range order {
+					if g.match[ci][bi] {
+						sums[si] += w[bi] / total
+						counts[si]++
+						break
+					}
+				}
+			}
+		}
+		delta := 0.0
+		for i := range cur {
+			if counts[i] == 0 || c.pinned[i] {
+				continue
+			}
+			next := 0.5*cur[i] + 0.5*(sums[i]/float64(counts[i]))
+			delta += math.Abs(next - cur[i])
+			cur[i] = next
+		}
+		if delta < 1e-6 {
+			break
+		}
+	}
+	return cur, iters
+}
+
+// fuseValues is the fuzzers' value alphabet for voting: numerics at the
+// tolerance edge (100 and 101 share a bucket, 100 and 102 do not), the
+// same amounts ×100 that reconcileUnits rewrites, ints beside equal
+// floats, strings that differ only by case or punctuation, signed zeros
+// and nulls.
+var fuseValues = []dataset.Value{
+	dataset.Null(),
+	dataset.Float(100), dataset.Float(101), dataset.Float(101.0101), dataset.Float(99), dataset.Float(102), dataset.Float(100.5),
+	dataset.Float(10000), dataset.Float(10100), dataset.Float(9900), dataset.Float(10050),
+	dataset.Int(100), dataset.Int(101), dataset.Int(10000),
+	dataset.String("Acme"), dataset.String("acme"), dataset.String("ACME!"), dataset.String("a.c.m.e"),
+	dataset.String("Acme Inc"), dataset.String("acme-inc"), dataset.String("Globex"),
+	dataset.Float(0), dataset.Float(math.Copysign(0, -1)), dataset.String("100"),
+}
+
+// tieValues is the alphabet for the trust kernel, heavy with buckets that
+// tie on norm: x and -x normalise alike yet never share a bucket, "1 5"
+// matches both 1.5 and -1.5, and 1e21 and 1e-21 normalise alike. There
+// are more than twelve distinct buckets, so the oracle's sort.Slice
+// leaves its insertion-sort range.
+var tieValues = []dataset.Value{
+	dataset.Null(),
+	dataset.Float(1.5), dataset.Float(-1.5), dataset.Float(2.5), dataset.Float(-2.5),
+	dataset.Float(100), dataset.Float(-100), dataset.Float(102), dataset.Float(-102),
+	dataset.Float(7), dataset.Float(-7), dataset.Float(50), dataset.Float(-50),
+	dataset.Float(1e21), dataset.Float(1e-21), dataset.Int(7), dataset.Int(-7),
+	dataset.String("1 5"), dataset.String("2.5"), dataset.String("acme"), dataset.String("ACME"),
+}
+
+// fuzzClaims decodes three bytes per claim: the entity, attribute and
+// source from the first, the value from the second, AsOf from the third.
+func fuzzClaims(data []byte, values []dataset.Value, entities int) []Claim {
+	base := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	var claims []Claim
+	for i := 0; i+2 < len(data) && len(claims) < 300; i += 3 {
+		b := data[i]
+		claims = append(claims, Claim{
+			Entity:    string(rune('a' + int(b)%entities)),
+			Attribute: []string{"price", "brand"}[int(b>>2)%2],
+			SourceID:  string(rune('p' + int(b>>3)%5)),
+			Value:     values[int(data[i+1])%len(values)],
+			AsOf:      base.Add(-time.Duration(data[i+2]) * time.Hour),
+		})
+	}
+	return claims
+}
+
+// fuzzOptions draws a policy and a trust map from a seed: sources with
+// no entry, with a non-positive one (the default applies), with shared
+// values (so weights tie), some pinned.
+func fuzzOptions(policy Policy, seed int64) Options {
+	rng := rand.New(rand.NewSource(seed))
+	opts := DefaultOptions(policy)
+	opts.Now = time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)
+	opts.Pinned = map[string]bool{}
+	for s := 0; s < 5; s++ {
+		id := string(rune('p' + s))
+		switch rng.Intn(4) {
+		case 0:
+		case 1:
+			opts.Trust[id] = 0
+		case 2:
+			opts.Trust[id] = []float64{0.5, 0.8}[rng.Intn(2)]
+		default:
+			opts.Trust[id] = 0.1 + 0.9*rng.Float64()
+		}
+		opts.Pinned[id] = rng.Intn(3) == 0
+	}
+	return opts
+}
+
+func fuzzSeeds(f *testing.F) {
+	f.Add([]byte{}, uint8(0), int64(0))
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*(5+rng.Intn(60)))
+		rng.Read(data)
+		f.Add(data, uint8(seed), seed)
+	}
+}
+
+// FuzzFusePrepared pins the prepared fuse to the oracle: under every
+// policy and a random trust map, a fuse from freshly prepared groups, and
+// one over regrouped claims whose AsOf all moved and one value changed —
+// adopting every held group's state from the first, fused part by part
+// into a group-indexed slab — both equal fuseGroup over each group's
+// claims, field for field.
+func FuzzFusePrepared(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, policy uint8, seed int64) {
+		claims := fuzzClaims(data, fuseValues, 3)
+		if len(claims) == 0 {
+			return
+		}
+		base := fuzzOptions(Policy(policy%4), seed)
+		check := func(label string, g *ClaimGroups, opts Options, got []Result) {
+			t.Helper()
+			for i, cs := range g.claims {
+				if want := fuseGroup(cs, opts); got[i] != want {
+					t.Fatalf("%s: group %q = %+v, the oracle %+v", label, g.keys[i], got[i], want)
+				}
+			}
+		}
+		g := GroupClaims(claims)
+		opts, _, _ := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
+		check("fresh", g, opts, g.Fuse(opts, nil))
+
+		moved := slices.Clone(claims)
+		for i := range moved {
+			moved[i].AsOf = moved[i].AsOf.Add(time.Duration(i%7) * time.Hour)
+		}
+		moved[int(data[0])%len(moved)].Value = fuseValues[int(data[len(data)-1])%len(fuseValues)]
+		g2 := GroupClaims(moved)
+		opts2, _, st := EstimateTrustWarmParallel(g2, cloneOpts(base), g, 1)
+		if st.GroupsKept+st.GroupsPrepared != g2.Len() || st.GroupsKept < g2.Len()-1 {
+			t.Fatalf("adoption: %+v over %d groups, one value moved", st, g2.Len())
+		}
+		slab := make([]Result, g2.Len())
+		var parts []Result
+		for _, even := range []bool{true, false} {
+			parts = append(parts, g2.FuseInto(slab, opts2, func(e string) bool { return (e[0]%2 == 0) == even })...)
+		}
+		check("adopted", g2, opts2, slab)
+		if len(parts) != len(slab) {
+			t.Fatalf("parts fused %d results, want %d", len(parts), len(slab))
+		}
+	})
+}
+
+// FuzzTrustKernel pins the fixpoint's insertion sort to the oracle's
+// sort.Slice over claim groups heavy with buckets that tie on both weight
+// and norm: every component reaches the same per-source floats, bit for
+// bit, in the same number of iterations.
+func FuzzTrustKernel(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, _ uint8, seed int64) {
+		claims := fuzzClaims(data, tieValues, 2)
+		if len(claims) == 0 {
+			return
+		}
+		opts := fuzzOptions(TruthFinder, seed).normalized()
+		g := GroupClaims(claims)
+		for i, cs := range g.claims {
+			g.trust[i] = prepareTrustGroup(cs, opts.NumericTolerance)
+			for _, c := range cs {
+				if _, ok := opts.Trust[c.SourceID]; !ok {
+					opts.Trust[c.SourceID] = opts.DefaultTrust
+				}
+			}
+		}
+		for _, c := range buildTrustComponents(g.trust, &opts) {
+			got, gotIters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
+			want, wantIters := oracleFixpoint(c, opts.DefaultTrust, opts.Iterations)
+			if gotIters != wantIters {
+				t.Fatalf("component %s: %d iterations, the oracle %d", c.key, gotIters, wantIters)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("component %s: trust[%s] = %v, the oracle %v", c.key, c.sources[i], got[i], want[i])
+				}
+			}
+		}
+	})
+}

@@ -6,9 +6,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/text"
 )
 
 // This file is the warm-started, component-partitioned half of trust
@@ -24,15 +25,20 @@ import (
 // stays because its per-component break is the float sequence the oracle
 // is pinned to, and TrustStats.Components is how an operator sees it.
 //
-// Reuse across estimations happens at one grain: a TrustMemo keeps each
-// group's prepared state, and a group whose claims held is not prepared
-// again. Every component iterates on every estimation — trust is always
-// the exact global fixpoint of the claims it was given.
+// Reuse across estimations happens at one grain, the prepared (entity,
+// attribute) group, which serves the fixpoint (trustGroup) and the fuse
+// (fusePrep) alike: a group whose claims held since the previous
+// ClaimGroups adopts its state, and a fuse-only reaction, whose claims
+// cannot have moved, hands the estimation the previous ClaimGroups itself
+// and regroups and prepares nothing. Every component iterates on every
+// estimation — trust is always the exact global fixpoint of the claims
+// it was given.
 
 // trustGroup is one (entity, attribute) group prepared for the fixpoint:
-// everything bucketize would recompute per iteration that does not
-// depend on trust.
+// everything voting would recompute per iteration that does not depend
+// on trust.
 type trustGroup struct {
+	tol         float64  // the NumericTolerance the buckets were formed under
 	initSources []string // every claim's source, claim order (nulls included)
 	sources     []string // non-null claims' sources, claim order
 	claimBucket []int    // per non-null claim: bucket it accumulates into
@@ -40,24 +46,14 @@ type trustGroup struct {
 	norms       []string // per bucket: normalised representative
 }
 
-// prepareTrustGroup mirrors bucketize's bucket formation exactly: claims
-// join the first bucket (in creation order) whose representative matches,
-// or open a new one. The match matrix is computed against the final
-// bucket set — in the fixpoint a claim credits the first *sorted* bucket
-// it matches, which can be a bucket created after it.
+// prepareTrustGroup forms buckets the way voting does, over the raw claim
+// values: claims join the first bucket (in creation order) whose
+// representative matches, or open a new one. The match matrix is computed
+// against the final bucket set — in the fixpoint a claim credits the
+// first *sorted* bucket it matches, which can be a bucket created after
+// it.
 func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
-	g := &trustGroup{initSources: make([]string, 0, len(claims))}
-	// Normalize each claim value once up front: sameValue's string leg
-	// normalizes both sides on every comparison, which multiplied out to
-	// claims × buckets × 2 normalizations per group. The cached form
-	// compares by the identical rules (relative numeric tolerance when
-	// both sides are numeric, normalized-string equality otherwise), so
-	// bucket formation is unchanged.
-	type normVal struct {
-		num  bool
-		f    float64
-		norm string
-	}
+	g := &trustGroup{tol: tol, initSources: make([]string, 0, len(claims))}
 	nv := make([]normVal, 0, len(claims))
 	for _, c := range claims {
 		g.initSources = append(g.initSources, c.SourceID)
@@ -65,32 +61,12 @@ func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
 			continue
 		}
 		g.sources = append(g.sources, c.SourceID)
-		v := normVal{num: c.Value.IsNumeric(), norm: text.Normalize(c.Value.String())}
-		if v.num {
-			v.f = c.Value.FloatVal()
-		}
-		nv = append(nv, v)
-	}
-	same := func(a, b normVal) bool {
-		if a.num && b.num {
-			if a.f == b.f {
-				return true
-			}
-			den := math.Max(math.Abs(a.f), math.Abs(b.f))
-			return den > 0 && math.Abs(a.f-b.f)/den <= tol
-		}
-		return a.norm == b.norm
+		nv = append(nv, newNormVal(c.Value))
 	}
 	var reps []int // bucket representatives, as indices into nv
 	g.claimBucket = make([]int, len(nv))
 	for ci, v := range nv {
-		bi := -1
-		for i, ri := range reps {
-			if same(nv[ri], v) {
-				bi = i
-				break
-			}
-		}
+		bi := slices.IndexFunc(reps, func(ri int) bool { return nv[ri].same(v, tol) })
 		if bi < 0 {
 			bi = len(reps)
 			reps = append(reps, ci)
@@ -104,7 +80,7 @@ func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
 	for ci, v := range nv {
 		row := slab[ci*len(reps) : (ci+1)*len(reps)]
 		for i, ri := range reps {
-			row[i] = same(nv[ri], v)
+			row[i] = nv[ri].same(v, tol)
 		}
 		g.match[ci] = row
 	}
@@ -136,7 +112,8 @@ func prepareTrustGroups(tg []*trustGroup, claims [][]Claim, idx []int, tol float
 	}
 }
 
-// TrustStats reports the component shape of one trust estimation.
+// TrustStats reports the shape of one trust estimation: its component
+// partition and how much prepared state it started from.
 type TrustStats struct {
 	// Components is the number of trust-coupled connected components in
 	// the claim set (sources linked by shared claim groups, directly or
@@ -146,6 +123,19 @@ type TrustStats struct {
 	// its delta<1e-6 break (or the Iterations bound), in sorted component
 	// order.
 	Iterations []int
+	// GroupsKept counts the groups that entered the estimation prepared —
+	// adopted from prev because their claims held, or already carried by
+	// the ClaimGroups itself. GroupsPrepared counts the rest, which the
+	// estimation (trust half) and their first fuse (fuse half) prepare.
+	GroupsKept, GroupsPrepared int
+}
+
+// TrustSplit is the wall clock of one trust estimation, by step: adopting
+// and preparing groups, then building the components and iterating them.
+// It is kept apart from TrustStats, which is a deterministic function of
+// the inputs.
+type TrustSplit struct {
+	Prepare, Fixpoint time.Duration
 }
 
 // trustComponent is one trust-coupled connected component prepared for an
@@ -273,8 +263,9 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 		clear(counts)
 		for gi, g := range c.groups {
 			w := wbuf[:len(g.norms)]
+			order := obuf[:len(w)]
 			for i := range w {
-				w[i] = 0
+				w[i], order[i] = 0, i
 			}
 			idx := c.srcIdx[gi]
 			for ci, si := range idx {
@@ -286,20 +277,16 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 					w[g.claimBucket[ci]] += defaultTrust
 				}
 			}
-			// Same comparator as bucketize's final sort, applied to bucket
-			// indices: identical comparison outcomes give the identical
-			// permutation, so the weight-sorted traversal below credits the
-			// same bucket per claim.
-			order := obuf[:len(w)]
-			for i := range order {
-				order[i] = i
-			}
-			sort.Slice(order, func(i, j int) bool {
-				if w[order[i]] != w[order[j]] {
-					return w[order[i]] > w[order[j]]
+			// An in-place insertion sort by the bucket order. It may order
+			// buckets that tie on weight and norm differently from an
+			// unstable sort, but such buckets carry equal weights, so the
+			// total and every claim's credit w[bi]/total are the same
+			// floats either way.
+			for i := 1; i < len(order); i++ {
+				for j := i; j > 0 && bucketBefore(w, g.norms, order[j], order[j-1]); j-- {
+					order[j], order[j-1] = order[j-1], order[j]
 				}
-				return g.norms[order[i]] < g.norms[order[j]]
-			})
+			}
 			total := 0.0
 			for _, bi := range order {
 				total += w[bi]
@@ -333,81 +320,88 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 	return cur, iters
 }
 
-// TrustMemo carries one estimation's prepared (entity, attribute) groups
-// to the next: the grouped claims they were prepared from and the
-// tolerance they were bucketed under — everything a prepared group is a
-// function of.
-type TrustMemo struct {
-	tolerance float64
-	claims    *ClaimGroups
-	groups    []*trustGroup // parallel to claims' keys
+// EstimateTrustWarmParallel is EstimateTrustParallel over grouped claims
+// that carry prepared state across estimations. First, and for every
+// policy, g adopts the prepared state of each group prev prepared whose
+// claims held (prev may be nil, or g itself). It returns options ready
+// for g.Fuse, the wall clock of its steps and the estimation's stats.
+// Byte-identical to the cold estimation at any worker count.
+func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, workers int) (Options, TrustSplit, TrustStats) {
+	start := time.Now()
+	opts = opts.normalized()
+	kept := g.adopt(prev)
+	st := TrustStats{GroupsKept: kept, GroupsPrepared: len(g.keys) - kept}
+	if opts.Policy != TruthFinder {
+		// No fixpoint exists for this policy; estimation is a no-op beyond
+		// normalization and adoption.
+		return opts, TrustSplit{Prepare: time.Since(start)}, st
+	}
+	fixpoint := estimateTrust(g, &opts, workers, &st)
+	return opts, TrustSplit{Prepare: time.Since(start) - fixpoint, Fixpoint: fixpoint}, st
 }
 
-// EstimateTrustWarmParallel is EstimateTrustParallel over grouped claims
-// with a cross-reaction memo. It returns options ready for
-// ClaimGroups.Fuse, the memo for the next call and the component stats.
-// prev may be nil — the estimation then prepares every group but still
-// returns a memo. Byte-identical to the cold estimation at any worker
-// count.
-func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *TrustMemo, workers int) (Options, *TrustMemo, TrustStats) {
-	opts = opts.normalized()
-	if opts.Policy != TruthFinder {
-		// No fixpoint exists for this policy; estimation is a no-op
-		// beyond normalization, so there is nothing to warm.
-		return opts, nil, TrustStats{}
+// adopt hands each of g's groups that prev prepared and whose claims held
+// prev's prepared state — one merge walk over the two sorted key lists —
+// and reports how many of g's groups carry prepared state afterwards.
+func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int) {
+	if prev != nil && prev != g {
+		j := 0
+		for i, k := range g.keys {
+			for j < len(prev.keys) && prev.keys[j] < k {
+				j++
+			}
+			if j < len(prev.keys) && prev.keys[j] == k && claimsHeld(prev.claims[j], g.claims[i]) {
+				if g.trust[i] == nil {
+					g.trust[i] = prev.trust[j]
+				}
+				if g.fuse[i] == nil {
+					g.fuse[i] = prev.fuse[j]
+				}
+			}
+		}
 	}
-	memo, st := estimateTrust(g, &opts, prev, workers)
-	return opts, memo, st
+	for i := range g.keys {
+		if g.trust[i] != nil || g.fuse[i] != nil {
+			kept++
+		}
+	}
+	return kept
 }
 
 // estimateTrust is the one TruthFinder trust estimation, over grouped
 // claims: value confidence is the trust-weighted vote share; source trust
 // is the mean confidence of the values the source claims. Trust is
-// written back into opts.Trust. Groups are visited in sorted key order —
-// float accumulation is not associative, so any other order would make
-// trust (and with it confidences and tie-broken winners) vary with how
-// the claims arrived. Bucket formation is iteration-invariant (membership
-// depends only on values, not weights), so each group is prepared once,
-// on workers goroutines when workers > 1; the fixpoint then runs per
-// trust-coupled component with a per-component convergence break.
-//
-// Reuse has one grain: a group whose claims held since prev keeps its
-// prepared state; every component iterates on every call, so the result
-// is the exact global fixpoint whatever prev holds.
-func estimateTrust(g *ClaimGroups, opts *Options, prev *TrustMemo, workers int) (*TrustMemo, TrustStats) {
-	tg := make([]*trustGroup, len(g.keys))
+// written back into opts.Trust, the component shape into st. Groups are
+// visited in sorted key order — float accumulation is not associative, so
+// any other order would make trust (and with it confidences and
+// tie-broken winners) vary with how the claims arrived. Bucket formation
+// is iteration-invariant (membership depends only on values, not
+// weights), so each group is prepared once, on workers goroutines when
+// workers > 1, and only when it carries no trust half yet; the fixpoint
+// then runs per trust-coupled component with a per-component convergence
+// break. It returns the wall clock of the fixpoint step.
+func estimateTrust(g *ClaimGroups, opts *Options, workers int, st *TrustStats) time.Duration {
 	var fresh []int
-	var pk []string
-	if prev != nil && prev.tolerance == opts.NumericTolerance {
-		pk = prev.claims.keys
-	}
-	// Both key lists are sorted: one merge walk finds every group prev
-	// prepared.
-	j := 0
-	for i, k := range g.keys {
-		for j < len(pk) && pk[j] < k {
-			j++
+	for i, tg := range g.trust {
+		if tg == nil || tg.tol != opts.NumericTolerance {
+			fresh = append(fresh, i)
 		}
-		if j < len(pk) && pk[j] == k && trustClaimsHeld(prev.claims.claims[j], g.claims[i]) {
-			tg[i] = prev.groups[j]
-			continue
-		}
-		fresh = append(fresh, i)
 	}
-	prepareTrustGroups(tg, g.claims, fresh, opts.NumericTolerance, workers)
+	prepareTrustGroups(g.trust, g.claims, fresh, opts.NumericTolerance, workers)
 	// Every source that appears in any claim (nulls included) gets a trust
 	// entry before components snapshot their seeds.
-	for _, pg := range tg {
+	for _, pg := range g.trust {
 		for _, src := range pg.initSources {
 			if _, ok := opts.Trust[src]; !ok {
 				opts.Trust[src] = opts.DefaultTrust
 			}
 		}
 	}
+	start := time.Now()
 	// Components share no source, and each snapshotted its seeds when it
 	// was built, so writing one's result back cannot reach another's run.
-	comps := buildTrustComponents(tg, opts)
-	st := TrustStats{Components: len(comps), Iterations: make([]int, len(comps))}
+	comps := buildTrustComponents(g.trust, opts)
+	st.Components, st.Iterations = len(comps), make([]int, len(comps))
 	for i, c := range comps {
 		trust, iters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
 		for j, src := range c.sources {
@@ -415,19 +409,23 @@ func estimateTrust(g *ClaimGroups, opts *Options, prev *TrustMemo, workers int) 
 		}
 		st.Iterations[i] = iters
 	}
-	return &TrustMemo{tolerance: opts.NumericTolerance, claims: g, groups: tg}, st
+	return time.Since(start)
 }
 
-// trustClaimsHeld compares two claim lists on everything the trust
-// fixpoint reads: source and value, in order. AsOf is deliberately
-// ignored — freshness never enters trust estimation, so a re-snapshot
-// that kept every value does not dirty the group.
-func trustClaimsHeld(a, b []Claim) bool {
+// claimsHeld compares two claim lists on everything prepared state reads:
+// source and value, in order. AsOf is deliberately ignored — freshness
+// never enters bucket formation, so a re-snapshot that kept every value
+// does not dirty the group. Values must be Equal and, for floats, agree
+// in sign: 0 and -0 are Equal but print — and so normalise and fuse —
+// differently.
+func claimsHeld(a, b []Claim) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].SourceID != b[i].SourceID || !a[i].Value.Equal(b[i].Value) {
+		va, vb := a[i].Value, b[i].Value
+		if a[i].SourceID != b[i].SourceID || !va.Equal(vb) ||
+			va.Kind() == dataset.KindFloat && math.Signbit(va.FloatVal()) != math.Signbit(vb.FloatVal()) {
 			return false
 		}
 	}

@@ -115,10 +115,12 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 	for c := 0; c < 5; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("c%d", c), 3, 4)...)
 	}
-	_, memo, st := EstimateTrustWarmParallel(GroupClaims(claims), DefaultOptions(TruthFinder), nil, 2)
+	memo := GroupClaims(claims)
+	opts, _, st := EstimateTrustWarmParallel(memo, DefaultOptions(TruthFinder), nil, 2)
 	if st.Components != 5 {
 		t.Fatalf("cold: components=%d, want 5", st.Components)
 	}
+	memo.Fuse(opts, nil) // prepares every group's fuse half
 
 	// Churn one source's claim on two of component c2's four entities: the
 	// values move, every group keeps its members.
@@ -131,21 +133,28 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 		}
 	}
 	cold := coldTrust(churned, DefaultOptions(TruthFinder))
-	warm, memo2, st2 := EstimateTrustWarmParallel(GroupClaims(churned), DefaultOptions(TruthFinder), memo, 2)
+	memo2 := GroupClaims(churned)
+	warm, _, st2 := EstimateTrustWarmParallel(memo2, DefaultOptions(TruthFinder), memo, 2)
 	if st2.Components != 5 || len(st2.Iterations) != 5 {
 		t.Fatalf("1-source churn: stats %+v, want 5 components, all iterated", st2)
 	}
 	requireSameTrust(t, cold.Trust, warm.Trust, "warm over churned claims")
-	if len(moved) != 2 || len(memo2.groups) != len(memo.groups) {
-		t.Fatalf("churn moved %d groups (want 2); memo holds %d groups, had %d", len(moved), len(memo2.groups), len(memo.groups))
+	if len(moved) != 2 || memo2.Len() != memo.Len() {
+		t.Fatalf("churn moved %d groups (want 2); memo holds %d groups, had %d", len(moved), memo2.Len(), memo.Len())
 	}
-	for i, g := range memo2.groups {
-		k := memo2.claims.keys[i]
-		if k != memo.claims.keys[i] {
-			t.Fatalf("group %d: key %q, was %q", i, k, memo.claims.keys[i])
+	if st2.GroupsKept != memo.Len()-2 || st2.GroupsPrepared != 2 {
+		t.Fatalf("stats %+v: want %d groups kept, 2 prepared", st2, memo.Len()-2)
+	}
+	for i, g := range memo2.trust {
+		k := memo2.keys[i]
+		if k != memo.keys[i] {
+			t.Fatalf("group %d: key %q, was %q", i, k, memo.keys[i])
 		}
-		if kept := g == memo.groups[i]; kept == moved[k] {
+		if kept := g == memo.trust[i]; kept == moved[k] {
 			t.Fatalf("group %q: prepared state kept=%v, claims moved=%v", k, kept, moved[k])
+		}
+		if kept := memo2.fuse[i] != nil && memo2.fuse[i] == memo.fuse[i]; kept == moved[k] {
+			t.Fatalf("group %q: fuse state kept=%v, claims moved=%v", k, kept, moved[k])
 		}
 	}
 }
@@ -158,7 +167,8 @@ func TestTrustComponentSeedChangeStaysInComponent(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("k%d", c), 3, 3)...)
 	}
-	base, memo, _ := EstimateTrustWarmParallel(GroupClaims(claims), DefaultOptions(TruthFinder), nil, 1)
+	memo := GroupClaims(claims)
+	base, _, _ := EstimateTrustWarmParallel(memo, DefaultOptions(TruthFinder), nil, 1)
 
 	seeded := DefaultOptions(TruthFinder)
 	seeded.Trust["k1-s0"] = 0.37

@@ -62,9 +62,10 @@ func coldTrust(claims []Claim, opts Options) Options {
 	return opts
 }
 
-func warmTrust(claims []Claim, opts Options, prev *TrustMemo) (Options, *TrustMemo) {
-	opts, memo, _ := EstimateTrustWarmParallel(GroupClaims(claims), opts, prev, 1)
-	return opts, memo
+func warmTrust(claims []Claim, opts Options, prev *ClaimGroups) (Options, *ClaimGroups) {
+	g := GroupClaims(claims)
+	opts, _, _ = EstimateTrustWarmParallel(g, opts, prev, 1)
+	return opts, g
 }
 
 func requireSameTrust(t *testing.T, want, got map[string]float64, label string) {
