@@ -50,9 +50,9 @@ loadtest:
 # appendable) and the record codec property (no payload panics the
 # decoder; an accepted one re-encodes to bytes that decode to the same
 # record; a version decoded header-first then body agrees with the
-# one-shot decode), and the prepared fuse and the sort-free trust
-# fixpoint vs their string-keyed, sort.Slice oracles. Longer local
-# sessions: go test -fuzz=FuzzSharded
+# one-shot decode), and the fuse and the sort-free trust fixpoint over
+# the one prepared group vs their string-keyed, sort.Slice oracles.
+# Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,

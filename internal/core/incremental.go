@@ -45,7 +45,8 @@ type ReactStats struct {
 	// TrustGroupsKept and TrustGroupsPrepared split the reaction's
 	// (entity, attribute) claim groups into those whose prepared state
 	// carried over from the previous tail — every group of a fuse-only
-	// reaction — and those prepared afresh (fusion.TrustStats).
+	// reaction — and those the trust stage prepared afresh, under every
+	// policy, for the fixpoint and the fuse alike (fusion.TrustStats).
 	TrustGroupsKept, TrustGroupsPrepared int
 	Duration                             time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the

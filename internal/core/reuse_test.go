@@ -85,8 +85,7 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 					}
 				}
 				fresh := fusion.GroupClaims(w.BuildClaims())
-				opts, _, _ := fusion.EstimateTrustWarmParallel(fresh, w.FusionOptions(), nil, 1)
-				fresh.Fuse(opts, nil)
+				fusion.EstimateTrustWarmParallel(fresh, w.FusionOptions(), nil, 1)
 				if !reflect.DeepEqual(after, fresh) {
 					t.Fatalf("%s: the memo's groups differ from a fresh grouping of the session's claims", step.name)
 				}

@@ -240,8 +240,10 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // not describe this union or carries no groups (after a restore). The
 // estimation is the exact global TruthFinder fixpoint; what it carries
 // over from the memo is the prepared state of every (entity, attribute)
-// group whose claims held. Runs inside the single cluster-barrier task,
-// so writing w.lastTrust is race-free.
+// group whose claims held, and it prepares every other group, under every
+// policy, on the worker fan-out, so the shards' fuses only read the
+// groups. Runs inside the single cluster-barrier task, so writing
+// w.lastTrust is race-free.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
 	var prev *fusion.ClaimGroups
 	if w.memo != nil {
@@ -262,10 +264,11 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 // groups of the entities shard i owns, and materialises the shard's page.
 // Groups were formed once over every claim in row order, so each group
 // holds its claims in the order one global fuse sees them — bucket
-// representatives and vote accumulation match bit for bit. Each result
-// also lands in sr.results at its group index: every group is fused by
-// exactly one shard, so the slab needs no merge. An entity routed to no
-// shard fails the tail (only a restored log can be that incoherent).
+// representatives and vote accumulation match bit for bit. The groups
+// arrive prepared, so the fuse reads them and writes only its results.
+// Each result also lands in sr.results at its group index: every group is
+// fused by exactly one shard, so the slab needs no merge. An entity routed
+// to no shard fails the tail (only a restored log can be that incoherent).
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil

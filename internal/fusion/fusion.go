@@ -78,21 +78,21 @@ type Options struct {
 	HalfLife time.Duration
 	// Iterations bounds TruthFinder fixpoint iterations (default 10).
 	Iterations int
-	// NumericTolerance groups numeric claims whose relative difference is
-	// below this into one value bucket (default 0.01).
-	NumericTolerance float64
 }
+
+// numericTolerance groups numeric claims whose relative difference is at
+// most this into one value bucket.
+const numericTolerance = 0.01
 
 // DefaultOptions returns options for the given policy with moderate
 // settings.
 func DefaultOptions(p Policy) Options {
 	return Options{
-		Policy:           p,
-		Trust:            map[string]float64{},
-		DefaultTrust:     0.8,
-		HalfLife:         24 * time.Hour,
-		Iterations:       10,
-		NumericTolerance: 0.01,
+		Policy:       p,
+		Trust:        map[string]float64{},
+		DefaultTrust: 0.8,
+		HalfLife:     24 * time.Hour,
+		Iterations:   10,
 	}
 }
 
@@ -116,9 +116,6 @@ func (o Options) normalized() Options {
 	if o.Iterations <= 0 {
 		o.Iterations = 10
 	}
-	if o.NumericTolerance <= 0 {
-		o.NumericTolerance = 0.01
-	}
 	if o.Trust == nil {
 		o.Trust = map[string]float64{}
 	}
@@ -133,20 +130,18 @@ func (o Options) normalized() Options {
 // a tail that estimates trust and then fuses, whole or entity by entity,
 // groups its claims once.
 //
-// Each group also carries its prepared state — the fixpoint's half
-// (trustGroup) and the fuse's half (fusePrep) — a function of its claim
-// values alone, never of trust. A ClaimGroups is the memo the next
-// estimation adopts from (EstimateTrustWarmParallel's prev), and a
-// fuse-only reaction, whose claims cannot have moved, hands the same
-// ClaimGroups on and regroups nothing. Keys and claims never change; a
-// prepared slot is written by the estimation (trust half) or by the Fuse
-// call that owns the group (fuse half), so concurrent Fuse calls must
-// fuse disjoint entity sets.
+// Each group also carries its prepared state (groupPrep): its value
+// buckets, formed once for the trust fixpoint and the fuse alike, a
+// function of its claim values alone, never of trust. A ClaimGroups is the
+// memo the next estimation adopts from (EstimateTrustWarmParallel's prev),
+// and a fuse-only reaction, whose claims cannot have moved, hands the same
+// ClaimGroups on and regroups nothing. Keys and claims never change, and
+// only the estimation writes a prepared slot: once it has run, fusing
+// only reads, so any number of Fuse calls may run at once.
 type ClaimGroups struct {
-	keys   []string      // "entity\x1fattribute", sorted
-	claims [][]Claim     // parallel to keys
-	trust  []*trustGroup // parallel to keys: the fixpoint's half, nil until prepared
-	fuse   []*fusePrep   // parallel to keys: the fuse's half, nil until prepared
+	keys   []string     // "entity\x1fattribute", sorted
+	claims [][]Claim    // parallel to keys
+	prep   []*groupPrep // parallel to keys: nil until prepared
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
@@ -184,8 +179,7 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 			start = i + 1
 		}
 	}
-	g.trust = make([]*trustGroup, len(g.keys))
-	g.fuse = make([]*fusePrep, len(g.keys))
+	g.prep = make([]*groupPrep, len(g.keys))
 	return g
 }
 
@@ -196,9 +190,10 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 // Because no group spans entities, fusing an entity partition part by part
 // and merging (MergeResults) is byte-identical to fusing everything at
 // once under the same trust — the property the sharded integration tail
-// is built on. Fuse never mutates opts.Trust, so concurrent calls may
-// share one options value; it prepares the groups it fuses that have no
-// fuse state yet.
+// is built on. The groups must be prepared: g has been through
+// EstimateTrustWarmParallel, under any policy. Fuse then writes nothing
+// but its result and never mutates opts.Trust, so concurrent calls may
+// share one options value and fuse the same entities.
 func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result {
 	return g.FuseInto(nil, opts, keep)
 }
@@ -207,6 +202,7 @@ func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result
 // index, when slab is non-nil (len(slab) == g.Len()). Group order is the
 // order MergeResults sorts into, so parts that between them fuse every
 // group once leave slab holding the merged results with nothing to sort.
+// It reads the prepared groups and writes nothing but its results.
 func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity string) bool) []Result {
 	opts = opts.normalized()
 	out := make([]Result, 0, len(g.keys))
@@ -221,12 +217,7 @@ func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity str
 				continue
 			}
 		}
-		p := g.fuse[i]
-		if p == nil || p.tol != opts.NumericTolerance {
-			p = prepareFuse(cs, opts.NumericTolerance)
-			g.fuse[i] = p
-		}
-		r := p.result(cs, opts, &sc)
+		r := g.prep[i].result(cs, opts, &sc)
 		if slab != nil {
 			slab[i] = r
 		}
@@ -260,10 +251,12 @@ func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, 
 	return opts, st
 }
 
-// FuseResolved groups claims and fuses them all under the trust opts
-// already carries (ClaimGroups.Fuse with no filter).
+// FuseResolved groups and prepares claims, and fuses them all under the
+// trust opts already carries (ClaimGroups.Fuse with no filter).
 func FuseResolved(claims []Claim, opts Options) []Result {
-	return GroupClaims(claims).Fuse(opts, nil)
+	g := GroupClaims(claims)
+	g.prepare(1)
+	return g.Fuse(opts, nil)
 }
 
 // MergeResults merges per-shard result slices (each sorted, with disjoint
@@ -308,44 +301,90 @@ func (k *keyedResults) Swap(i, j int) {
 	k.results[i], k.results[j] = k.results[j], k.results[i]
 }
 
-// fusePrep is one group's fuse half: the value buckets a fuse votes
-// into, formed after reconcileUnits. Bucket membership reads claim values
-// only — never trust, freshness or the policy — so a fuse adds each
-// claim's vote weight into its bucket and orders the buckets, with no
-// value comparison left to make.
-type fusePrep struct {
-	tol    float64         // the NumericTolerance the buckets were formed under
-	bucket []int32         // per claim: its bucket in creation order, -1 for a null claim
-	reps   []dataset.Value // per bucket: its first member's reconciled value
-	norms  []string        // per bucket: the representative, normalised
-	counts []int           // per bucket: member claims
+// groupPrep is one (entity, attribute) group prepared for voting:
+// everything the trust fixpoint and the fuse would recompute that reads
+// claim values and sources only — never trust, freshness or the policy —
+// so both add vote weights into buckets and order them, with no value
+// comparison left to make. Its layout is indexed by non-null claim, in
+// claim order.
+type groupPrep struct {
+	valueBuckets               // over the claimed values
+	sources      []string      // non-null claims' sources, claim order
+	match        [][]bool      // per non-null claim: which buckets it sames
+	reconciled   *valueBuckets // over the values after reconcileUnits; nil unless it rewrote one
 }
 
-// prepareFuse forms a group's buckets: each non-null claim, in claim
-// order, joins the first bucket (in creation order) whose representative
-// it sameValues, or opens a new one.
-func prepareFuse(claims []Claim, tol float64) *fusePrep {
-	claims = reconcileUnits(claims)
-	p := &fusePrep{tol: tol, bucket: make([]int32, len(claims))}
-	var reps []normVal
-	for ci, c := range claims {
-		if c.Value.IsNull() {
-			p.bucket[ci] = -1
-			continue
+// valueBuckets is one formation of a group's value buckets.
+type valueBuckets struct {
+	claimBucket []int32         // per non-null claim: its bucket, in creation order
+	reps        []dataset.Value // per bucket: its first member's value
+	norms       []string        // per bucket: the representative, normalised
+	counts      []int           // per bucket: member claims
+}
+
+// prepareGroup forms a group's buckets over its claimed values, and its
+// match matrix against the final bucket set — in the fixpoint a claim
+// credits the first *sorted* bucket it matches, which can be a bucket
+// created after it. Only where reconcileUnits rewrote a value does it form
+// the buckets a second time, over the reconciled values, for the fuse.
+func prepareGroup(claims []Claim) *groupPrep {
+	p := &groupPrep{}
+	for _, c := range claims {
+		if !c.Value.IsNull() {
+			p.sources = append(p.sources, c.SourceID)
 		}
-		v := newNormVal(c.Value)
-		bi := slices.IndexFunc(reps, func(r normVal) bool { return r.same(v, tol) })
-		if bi < 0 {
-			bi = len(reps)
-			reps = append(reps, v)
-			p.reps = append(p.reps, c.Value)
-			p.norms = append(p.norms, v.norm)
-			p.counts = append(p.counts, 0)
+	}
+	nv := normVals(claims)
+	var reps []int
+	p.valueBuckets, reps = formBuckets(nv)
+	// One flat slab for the match matrix instead of a row per claim.
+	slab := make([]bool, len(nv)*len(reps))
+	p.match = make([][]bool, len(nv))
+	for ci, v := range nv {
+		row := slab[ci*len(reps) : (ci+1)*len(reps)]
+		for i, ri := range reps {
+			row[i] = nv[ri].same(v)
 		}
-		p.bucket[ci] = int32(bi)
-		p.counts[bi]++
+		p.match[ci] = row
+	}
+	if rc, rewrote := reconcileUnits(claims); rewrote {
+		b, _ := formBuckets(normVals(rc))
+		p.reconciled = &b
 	}
 	return p
+}
+
+// normVals caches the compare form of every non-null claim value, in
+// claim order.
+func normVals(claims []Claim) []normVal {
+	nv := make([]normVal, 0, len(claims))
+	for _, c := range claims {
+		if !c.Value.IsNull() {
+			nv = append(nv, newNormVal(c.Value))
+		}
+	}
+	return nv
+}
+
+// formBuckets is the one bucket formation: each value, in order, joins the
+// first bucket (in creation order) whose representative it sames, or
+// opens a new one. It also returns each bucket's representative as an
+// index into nv.
+func formBuckets(nv []normVal) (b valueBuckets, reps []int) {
+	b.claimBucket = make([]int32, len(nv))
+	for ci, v := range nv {
+		bi := slices.IndexFunc(reps, func(ri int) bool { return nv[ri].same(v) })
+		if bi < 0 {
+			bi = len(reps)
+			reps = append(reps, ci)
+			b.reps = append(b.reps, v.v)
+			b.norms = append(b.norms, v.norm)
+			b.counts = append(b.counts, 0)
+		}
+		b.claimBucket[ci] = int32(bi)
+		b.counts[bi]++
+	}
+	return b, reps
 }
 
 // fuseScratch is the per-bucket scratch one FuseInto call reuses across
@@ -355,13 +394,18 @@ type fuseScratch struct {
 	order []int
 }
 
-// result fuses the group under opts: per-bucket vote weights summed in
-// claim order, buckets ordered heaviest first (ties by normalised
-// representative), and the winner's share of the total summed in that
-// order.
-func (p *fusePrep) result(claims []Claim, opts Options, sc *fuseScratch) Result {
+// result fuses the group under opts, voting into the reconciled buckets
+// where there are any and the claimed-value buckets otherwise: per-bucket
+// vote weights summed in claim order, buckets ordered heaviest first (ties
+// by normalised representative), and the winner's share of the total
+// summed in that order.
+func (p *groupPrep) result(claims []Claim, opts Options, sc *fuseScratch) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
-	nb := len(p.reps)
+	b := &p.valueBuckets
+	if p.reconciled != nil {
+		b = p.reconciled
+	}
+	nb := len(b.reps)
 	if nb == 0 {
 		res.Value = dataset.Null()
 		return res
@@ -373,24 +417,26 @@ func (p *fusePrep) result(claims []Claim, opts Options, sc *fuseScratch) Result 
 	for i := range w {
 		w[i], order[i] = 0, i
 	}
-	for ci, bi := range p.bucket {
-		if bi >= 0 {
-			w[bi] += voteWeight(claims[ci], opts)
+	k := 0 // non-null claims so far: the index into b.claimBucket
+	for _, c := range claims {
+		if !c.Value.IsNull() {
+			w[b.claimBucket[k]] += voteWeight(c, opts)
+			k++
 		}
 	}
 	if nb > 1 {
 		// sort.Slice over the buckets in creation order, not a stable
 		// sort: of two buckets tied on weight and norm, the winner is the
 		// one sort.Slice puts first, and fused results are pinned to it.
-		sort.Slice(order, func(i, j int) bool { return bucketBefore(w, p.norms, order[i], order[j]) })
+		sort.Slice(order, func(i, j int) bool { return bucketBefore(w, b.norms, order[i], order[j]) })
 	}
 	total := 0.0
 	for _, bi := range order {
 		total += w[bi]
 	}
 	best := order[0]
-	res.Value = p.reps[best]
-	res.Support = p.counts[best]
+	res.Value = b.reps[best]
+	res.Support = b.counts[best]
 	res.Conflict = nb > 1
 	if total > 0 {
 		res.Confidence = w[best] / total
@@ -407,17 +453,19 @@ func bucketBefore(w []float64, norms []string, a, b int) bool {
 	return norms[a] < norms[b]
 }
 
-// normVal is a claim value in the form sameValue compares: numeric values
-// by relative tolerance, everything else by normalised string. Caching it
-// normalises each value once instead of on both sides of every compare.
+// normVal is a claim value beside the form sameValue compares: numeric
+// values by relative tolerance, everything else by normalised string.
+// Caching it normalises each value once instead of on both sides of every
+// compare.
 type normVal struct {
+	v    dataset.Value
 	num  bool
 	f    float64
 	norm string
 }
 
 func newNormVal(v dataset.Value) normVal {
-	n := normVal{num: v.IsNumeric(), norm: text.Normalize(v.String())}
+	n := normVal{v: v, num: v.IsNumeric(), norm: text.Normalize(v.String())}
 	if n.num {
 		n.f = v.FloatVal()
 	}
@@ -425,13 +473,13 @@ func newNormVal(v dataset.Value) normVal {
 }
 
 // same is sameValue over cached forms.
-func (a normVal) same(b normVal, tol float64) bool {
+func (a normVal) same(b normVal) bool {
 	if a.num && b.num {
 		if a.f == b.f {
 			return true
 		}
 		den := math.Max(math.Abs(a.f), math.Abs(b.f))
-		return den > 0 && math.Abs(a.f-b.f)/den <= tol
+		return den > 0 && math.Abs(a.f-b.f)/den <= numericTolerance
 	}
 	return a.norm == b.norm
 }
@@ -439,8 +487,9 @@ func (a normVal) same(b normVal, tol float64) bool {
 // reconcileUnits normalises numeric claims that sit ~100× above the
 // group's median — sources reporting cents instead of dollars. The unit
 // error is syntactic, not a genuine conflict, so it is repaired before
-// voting rather than outvoted.
-func reconcileUnits(claims []Claim) []Claim {
+// voting rather than outvoted. It returns claims itself, and rewrote
+// false, when no value needed repairing.
+func reconcileUnits(claims []Claim) (out []Claim, rewrote bool) {
 	var nums []float64
 	for _, c := range claims {
 		if c.Value.IsNumeric() {
@@ -448,35 +497,36 @@ func reconcileUnits(claims []Claim) []Claim {
 		}
 	}
 	if len(nums) < 2 {
-		return claims
+		return claims, false
 	}
 	sort.Float64s(nums)
 	median := nums[len(nums)/2]
 	if median <= 0 {
-		return claims
+		return claims, false
 	}
-	out := make([]Claim, len(claims))
-	copy(out, claims)
-	for i, c := range out {
+	out = claims
+	for i, c := range claims {
 		if !c.Value.IsNumeric() {
 			continue
 		}
-		ratio := c.Value.FloatVal() / median
-		if ratio > 95 && ratio < 105 {
+		if ratio := c.Value.FloatVal() / median; ratio > 95 && ratio < 105 {
+			if !rewrote {
+				out, rewrote = slices.Clone(claims), true
+			}
 			out[i].Value = dataset.Float(c.Value.FloatVal() / 100)
 		}
 	}
-	return out
+	return out, rewrote
 }
 
-func sameValue(a, b dataset.Value, tol float64) bool {
+func sameValue(a, b dataset.Value) bool {
 	if a.IsNumeric() && b.IsNumeric() {
 		x, y := a.FloatVal(), b.FloatVal()
 		if x == y {
 			return true
 		}
 		den := math.Max(math.Abs(x), math.Abs(y))
-		return den > 0 && math.Abs(x-y)/den <= tol
+		return den > 0 && math.Abs(x-y)/den <= numericTolerance
 	}
 	return text.Normalize(a.String()) == text.Normalize(b.String())
 }
@@ -522,7 +572,7 @@ func Accuracy(results []Result, truth func(entity, attribute string) (dataset.Va
 			continue
 		}
 		total++
-		if sameValue(r.Value, want, 0.01) {
+		if sameValue(r.Value, want) {
 			agree++
 		}
 	}

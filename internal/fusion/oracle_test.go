@@ -28,7 +28,7 @@ type bucket struct {
 
 func fuseGroup(claims []Claim, opts Options) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
-	claims = reconcileUnits(claims)
+	claims, _ = reconcileUnits(claims)
 	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(c, opts) })
 	if len(buckets) == 0 {
 		res.Value = dataset.Null()
@@ -60,7 +60,7 @@ func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []buc
 		w := weightFn(c)
 		placed := false
 		for i := range buckets {
-			if sameValue(buckets[i].rep, c.Value, opts.NumericTolerance) {
+			if sameValue(buckets[i].rep, c.Value) {
 				buckets[i].weight += w
 				buckets[i].count++
 				placed = true
@@ -297,14 +297,14 @@ func FuzzTrustKernel(f *testing.F) {
 		opts := fuzzOptions(TruthFinder, seed).normalized()
 		g := GroupClaims(claims)
 		for i, cs := range g.claims {
-			g.trust[i] = prepareTrustGroup(cs, opts.NumericTolerance)
+			g.prep[i] = prepareGroup(cs)
 			for _, c := range cs {
 				if _, ok := opts.Trust[c.SourceID]; !ok {
 					opts.Trust[c.SourceID] = opts.DefaultTrust
 				}
 			}
 		}
-		for _, c := range buildTrustComponents(g.trust, &opts) {
+		for _, c := range buildTrustComponents(g.prep, &opts) {
 			got, gotIters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
 			want, wantIters := oracleFixpoint(c, opts.DefaultTrust, opts.Iterations)
 			if gotIters != wantIters {

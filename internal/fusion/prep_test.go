@@ -1,0 +1,127 @@
+package fusion
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/dataset"
+)
+
+// TestPrepareGroupReconciledBuckets pins where the second bucket formation
+// runs: only in a group where reconcileUnits rewrote a value. There the
+// cents claim joins the dollar bucket the fuse votes into, while the
+// fixpoint's buckets over the claimed values keep it apart. Whichever
+// buckets a group carries, its fuse equals fuseGroup under every policy
+// and its fixpoint equals oracleFixpoint.
+func TestPrepareGroupReconciledBuckets(t *testing.T) {
+	c := func(src string, v dataset.Value) Claim {
+		return Claim{Entity: "e", Attribute: "price", SourceID: src, Value: v}
+	}
+	cases := []struct {
+		name            string
+		claims          []Claim
+		raw, reconciled []int32 // per non-null claim: its bucket; reconciled nil when not formed
+	}{
+		{
+			name:       "cents claim",
+			claims:     []Claim{c("s0", dataset.Null()), c("s1", dataset.Float(1000)), c("s2", dataset.Float(10)), c("s3", dataset.Float(10.05))},
+			raw:        []int32{0, 1, 1},
+			reconciled: []int32{0, 0, 0},
+		},
+		{
+			name:   "all null",
+			claims: []Claim{c("s0", dataset.Null()), c("s1", dataset.Null())},
+			raw:    []int32{},
+		},
+		{
+			name:   "single claim",
+			claims: []Claim{c("s0", dataset.Float(1000))},
+			raw:    []int32{0},
+		},
+		{
+			name:   "strings only",
+			claims: []Claim{c("s0", dataset.String("Acme")), c("s1", dataset.String("acme")), c("s2", dataset.String("Globex"))},
+			raw:    []int32{0, 0, 1},
+		},
+		{
+			name:   "median not positive",
+			claims: []Claim{c("s0", dataset.Float(-100)), c("s1", dataset.Float(-1)), c("s2", dataset.Float(-1))},
+			raw:    []int32{0, 1, 1},
+		},
+	}
+	for _, tc := range cases {
+		p := prepareGroup(tc.claims)
+		if !slices.Equal(p.claimBucket, tc.raw) {
+			t.Errorf("%s: raw buckets %v, want %v", tc.name, p.claimBucket, tc.raw)
+		}
+		switch {
+		case tc.reconciled == nil && p.reconciled != nil:
+			t.Errorf("%s: reconciled buckets %v formed, want none", tc.name, p.reconciled.claimBucket)
+		case tc.reconciled != nil && (p.reconciled == nil || !slices.Equal(p.reconciled.claimBucket, tc.reconciled)):
+			t.Errorf("%s: reconciled buckets %+v, want %v", tc.name, p.reconciled, tc.reconciled)
+		}
+		for _, policy := range []Policy{MajorityVote, WeightedVote, TruthFinder, FreshnessWeighted} {
+			opts := DefaultOptions(policy).normalized()
+			opts.Trust = map[string]float64{"s0": 0.9, "s1": 0.3, "s2": 0.6, "s3": 0.6}
+			var sc fuseScratch
+			if got, want := p.result(tc.claims, opts, &sc), fuseGroup(tc.claims, opts); got != want {
+				t.Errorf("%s %s: fused %+v, the oracle %+v", tc.name, policy, got, want)
+			}
+		}
+		opts := DefaultOptions(TruthFinder).normalized()
+		for _, comp := range buildTrustComponents([]*groupPrep{p}, &opts) {
+			got, gotIters := runComponentFixpoint(comp, opts.DefaultTrust, opts.Iterations)
+			want, wantIters := oracleFixpoint(comp, opts.DefaultTrust, opts.Iterations)
+			if gotIters != wantIters || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: fixpoint %v in %d iterations, the oracle %v in %d", tc.name, got, gotIters, want, wantIters)
+			}
+		}
+	}
+}
+
+// TestTrustPreparedGroupsFuseConcurrently pins that fusing only reads:
+// once an estimation has run, under any policy, two goroutines fusing the
+// same entities into slabs of their own both equal one sequential fuse.
+// Run under the race detector it also shows that no fuse writes prepared
+// state.
+func TestTrustPreparedGroupsFuseConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	claims := randomClaims(rng, 200)
+	// A few cents claims, so some groups vote into reconciled buckets.
+	for i := 0; i < 4; i++ {
+		claims = append(claims, Claim{Entity: fmt.Sprintf("entity-%02d", i), Attribute: "price",
+			Value: dataset.Float(1100), SourceID: "src9"})
+	}
+	for _, policy := range []Policy{MajorityVote, WeightedVote, TruthFinder, FreshnessWeighted} {
+		mk := func() Options {
+			o := DefaultOptions(policy)
+			o.Now = time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)
+			return o
+		}
+		want := Fuse(claims, mk())
+		g := GroupClaims(claims)
+		opts, _, _ := EstimateTrustWarmParallel(g, mk(), nil, 2)
+		if !slices.ContainsFunc(g.prep, func(p *groupPrep) bool { return p.reconciled != nil }) {
+			t.Fatal("no group votes into reconciled buckets")
+		}
+		slabs := [2][]Result{make([]Result, g.Len()), make([]Result, g.Len())}
+		var wg sync.WaitGroup
+		for _, slab := range slabs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.FuseInto(slab, opts, func(e string) bool { return e[len(e)-1]%2 == 0 })
+				g.FuseInto(slab, opts, func(e string) bool { return e[len(e)-1]%2 == 1 })
+			}()
+		}
+		wg.Wait()
+		for k, slab := range slabs {
+			resultsEqual(t, fmt.Sprintf("%s slab %d", policy, k), want, slab)
+		}
+	}
+}

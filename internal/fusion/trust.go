@@ -26,91 +26,13 @@ import (
 // is pinned to, and TrustStats.Components is how an operator sees it.
 //
 // Reuse across estimations happens at one grain, the prepared (entity,
-// attribute) group, which serves the fixpoint (trustGroup) and the fuse
-// (fusePrep) alike: a group whose claims held since the previous
-// ClaimGroups adopts its state, and a fuse-only reaction, whose claims
-// cannot have moved, hands the estimation the previous ClaimGroups itself
-// and regroups and prepares nothing. Every component iterates on every
-// estimation — trust is always the exact global fixpoint of the claims
-// it was given.
-
-// trustGroup is one (entity, attribute) group prepared for the fixpoint:
-// everything voting would recompute per iteration that does not depend
-// on trust.
-type trustGroup struct {
-	tol         float64  // the NumericTolerance the buckets were formed under
-	initSources []string // every claim's source, claim order (nulls included)
-	sources     []string // non-null claims' sources, claim order
-	claimBucket []int    // per non-null claim: bucket it accumulates into
-	match       [][]bool // per non-null claim: which buckets it sameValues
-	norms       []string // per bucket: normalised representative
-}
-
-// prepareTrustGroup forms buckets the way voting does, over the raw claim
-// values: claims join the first bucket (in creation order) whose
-// representative matches, or open a new one. The match matrix is computed
-// against the final bucket set — in the fixpoint a claim credits the
-// first *sorted* bucket it matches, which can be a bucket created after
-// it.
-func prepareTrustGroup(claims []Claim, tol float64) *trustGroup {
-	g := &trustGroup{tol: tol, initSources: make([]string, 0, len(claims))}
-	nv := make([]normVal, 0, len(claims))
-	for _, c := range claims {
-		g.initSources = append(g.initSources, c.SourceID)
-		if c.Value.IsNull() {
-			continue
-		}
-		g.sources = append(g.sources, c.SourceID)
-		nv = append(nv, newNormVal(c.Value))
-	}
-	var reps []int // bucket representatives, as indices into nv
-	g.claimBucket = make([]int, len(nv))
-	for ci, v := range nv {
-		bi := slices.IndexFunc(reps, func(ri int) bool { return nv[ri].same(v, tol) })
-		if bi < 0 {
-			bi = len(reps)
-			reps = append(reps, ci)
-			g.norms = append(g.norms, v.norm)
-		}
-		g.claimBucket[ci] = bi
-	}
-	// One flat slab for the match matrix instead of a row per claim.
-	slab := make([]bool, len(nv)*len(reps))
-	g.match = make([][]bool, len(nv))
-	for ci, v := range nv {
-		row := slab[ci*len(reps) : (ci+1)*len(reps)]
-		for i, ri := range reps {
-			row[i] = nv[ri].same(v, tol)
-		}
-		g.match[ci] = row
-	}
-	return g
-}
-
-// prepareTrustGroups prepares the groups at the given indices into tg,
-// fanning out over engine workers when more than one of each is available
-// — profiles put preparation ahead of the iteration loop on cold
-// estimations. Each group's prepared state is a pure function of its own
-// claims, and the MapSlice merge is position-deterministic, so the
-// parallel build is identical to the sequential loop.
-func prepareTrustGroups(tg []*trustGroup, claims [][]Claim, idx []int, tol float64, workers int) {
-	if workers != 1 && len(idx) > 1 {
-		prepared, err := engine.MapSlice(context.Background(), workers, idx,
-			func(_ context.Context, i int) (*trustGroup, error) {
-				return prepareTrustGroup(claims[i], tol), nil
-			})
-		if err == nil {
-			for k, i := range idx {
-				tg[i] = prepared[k]
-			}
-			return
-		}
-		// A recovered panic: fall through so it resurfaces sequentially.
-	}
-	for _, i := range idx {
-		tg[i] = prepareTrustGroup(claims[i], tol)
-	}
-}
+// attribute) group (groupPrep), whose value buckets are formed once and
+// serve the fixpoint and the fuse alike: a group whose claims held since
+// the previous ClaimGroups adopts its state, and a fuse-only reaction,
+// whose claims cannot have moved, hands the estimation the previous
+// ClaimGroups itself and regroups and prepares nothing. Every component
+// iterates on every estimation — trust is always the exact global
+// fixpoint of the claims it was given.
 
 // TrustStats reports the shape of one trust estimation: its component
 // partition and how much prepared state it started from.
@@ -126,7 +48,7 @@ type TrustStats struct {
 	// GroupsKept counts the groups that entered the estimation prepared —
 	// adopted from prev because their claims held, or already carried by
 	// the ClaimGroups itself. GroupsPrepared counts the rest, which the
-	// estimation (trust half) and their first fuse (fuse half) prepare.
+	// estimation prepares, under every policy, before any fuse reads them.
 	GroupsKept, GroupsPrepared int
 }
 
@@ -144,12 +66,12 @@ type TrustSplit struct {
 // non-null claim sources dictionary-encoded to local indices, and the
 // per-source seed trust and pinned flags snapshotted at build time.
 type trustComponent struct {
-	key     string        // identity: lexicographically smallest member source
-	groups  []*trustGroup // member groups, in global sorted key order
-	srcIdx  [][]int32     // parallel to groups: per non-null claim, local source index
-	sources []string      // distinct member sources, sorted
-	seed    []float64     // per local source: trust at fixpoint start
-	pinned  []bool        // per local source: trust is externally fixed
+	key     string       // identity: lexicographically smallest member source
+	groups  []*groupPrep // member groups, in global sorted key order
+	srcIdx  [][]int32    // parallel to groups: per non-null claim, local source index
+	sources []string     // distinct member sources, sorted
+	seed    []float64    // per local source: trust at fixpoint start
+	pinned  []bool       // per local source: trust is externally fixed
 }
 
 // buildTrustComponents unions every group's non-null claim sources and
@@ -160,7 +82,7 @@ type trustComponent struct {
 // null claims join no component: they contributed total==0 and were
 // skipped by the old loop too. Components are returned sorted by key.
 // Must run after default-trust seeding so seed snapshots are complete.
-func buildTrustComponents(groups []*trustGroup, opts *Options) []*trustComponent {
+func buildTrustComponents(groups []*groupPrep, opts *Options) []*trustComponent {
 	srcID := make(map[string]int)
 	var srcs []string
 	var parent []int
@@ -323,20 +245,22 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 // EstimateTrustWarmParallel is EstimateTrustParallel over grouped claims
 // that carry prepared state across estimations. First, and for every
 // policy, g adopts the prepared state of each group prev prepared whose
-// claims held (prev may be nil, or g itself). It returns options ready
-// for g.Fuse, the wall clock of its steps and the estimation's stats.
-// Byte-identical to the cold estimation at any worker count.
+// claims held (prev may be nil, or g itself) and prepares every other
+// group, so that fusing g afterwards only reads it. It returns options
+// ready for g.Fuse, the wall clock of its steps and the estimation's
+// stats. Byte-identical to the cold estimation at any worker count.
 func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, workers int) (Options, TrustSplit, TrustStats) {
 	start := time.Now()
 	opts = opts.normalized()
 	kept := g.adopt(prev)
+	g.prepare(workers)
 	st := TrustStats{GroupsKept: kept, GroupsPrepared: len(g.keys) - kept}
 	if opts.Policy != TruthFinder {
 		// No fixpoint exists for this policy; estimation is a no-op beyond
-		// normalization and adoption.
+		// normalization and preparation.
 		return opts, TrustSplit{Prepare: time.Since(start)}, st
 	}
-	fixpoint := estimateTrust(g, &opts, workers, &st)
+	fixpoint := estimateTrust(g, &opts, &st)
 	return opts, TrustSplit{Prepare: time.Since(start) - fixpoint, Fixpoint: fixpoint}, st
 }
 
@@ -350,57 +274,75 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int) {
 			for j < len(prev.keys) && prev.keys[j] < k {
 				j++
 			}
-			if j < len(prev.keys) && prev.keys[j] == k && claimsHeld(prev.claims[j], g.claims[i]) {
-				if g.trust[i] == nil {
-					g.trust[i] = prev.trust[j]
-				}
-				if g.fuse[i] == nil {
-					g.fuse[i] = prev.fuse[j]
-				}
+			if g.prep[i] == nil && j < len(prev.keys) && prev.keys[j] == k && claimsHeld(prev.claims[j], g.claims[i]) {
+				g.prep[i] = prev.prep[j]
 			}
 		}
 	}
-	for i := range g.keys {
-		if g.trust[i] != nil || g.fuse[i] != nil {
+	for _, p := range g.prep {
+		if p != nil {
 			kept++
 		}
 	}
 	return kept
 }
 
-// estimateTrust is the one TruthFinder trust estimation, over grouped
-// claims: value confidence is the trust-weighted vote share; source trust
+// prepare prepares every group that carries no prepared state yet,
+// fanning out over engine workers when more than one of each is available
+// — profiles put preparation ahead of the iteration loop on cold
+// estimations. Each group's prepared state is a pure function of its own
+// claims, and the MapSlice merge is position-deterministic, so the
+// parallel build is identical to the sequential loop.
+func (g *ClaimGroups) prepare(workers int) {
+	var idx []int
+	for i, p := range g.prep {
+		if p == nil {
+			idx = append(idx, i)
+		}
+	}
+	if workers != 1 && len(idx) > 1 {
+		prepared, err := engine.MapSlice(context.Background(), workers, idx,
+			func(_ context.Context, i int) (*groupPrep, error) {
+				return prepareGroup(g.claims[i]), nil
+			})
+		if err == nil {
+			for k, i := range idx {
+				g.prep[i] = prepared[k]
+			}
+			return
+		}
+		// A recovered panic: fall through so it resurfaces sequentially.
+	}
+	for _, i := range idx {
+		g.prep[i] = prepareGroup(g.claims[i])
+	}
+}
+
+// estimateTrust is the one TruthFinder trust estimation, over prepared
+// groups: value confidence is the trust-weighted vote share; source trust
 // is the mean confidence of the values the source claims. Trust is
 // written back into opts.Trust, the component shape into st. Groups are
 // visited in sorted key order — float accumulation is not associative, so
 // any other order would make trust (and with it confidences and
 // tie-broken winners) vary with how the claims arrived. Bucket formation
 // is iteration-invariant (membership depends only on values, not
-// weights), so each group is prepared once, on workers goroutines when
-// workers > 1, and only when it carries no trust half yet; the fixpoint
-// then runs per trust-coupled component with a per-component convergence
+// weights), so the fixpoint reads each group's buckets as prepared and
+// runs per trust-coupled component with a per-component convergence
 // break. It returns the wall clock of the fixpoint step.
-func estimateTrust(g *ClaimGroups, opts *Options, workers int, st *TrustStats) time.Duration {
-	var fresh []int
-	for i, tg := range g.trust {
-		if tg == nil || tg.tol != opts.NumericTolerance {
-			fresh = append(fresh, i)
-		}
-	}
-	prepareTrustGroups(g.trust, g.claims, fresh, opts.NumericTolerance, workers)
+func estimateTrust(g *ClaimGroups, opts *Options, st *TrustStats) time.Duration {
 	// Every source that appears in any claim (nulls included) gets a trust
 	// entry before components snapshot their seeds.
-	for _, pg := range g.trust {
-		for _, src := range pg.initSources {
-			if _, ok := opts.Trust[src]; !ok {
-				opts.Trust[src] = opts.DefaultTrust
+	for _, cs := range g.claims {
+		for _, c := range cs {
+			if _, ok := opts.Trust[c.SourceID]; !ok {
+				opts.Trust[c.SourceID] = opts.DefaultTrust
 			}
 		}
 	}
 	start := time.Now()
 	// Components share no source, and each snapshotted its seeds when it
 	// was built, so writing one's result back cannot reach another's run.
-	comps := buildTrustComponents(g.trust, opts)
+	comps := buildTrustComponents(g.prep, opts)
 	st.Components, st.Iterations = len(comps), make([]int, len(comps))
 	for i, c := range comps {
 		trust, iters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)

@@ -116,11 +116,10 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 		claims = append(claims, componentTestClaims(fmt.Sprintf("c%d", c), 3, 4)...)
 	}
 	memo := GroupClaims(claims)
-	opts, _, st := EstimateTrustWarmParallel(memo, DefaultOptions(TruthFinder), nil, 2)
+	_, _, st := EstimateTrustWarmParallel(memo, DefaultOptions(TruthFinder), nil, 2)
 	if st.Components != 5 {
 		t.Fatalf("cold: components=%d, want 5", st.Components)
 	}
-	memo.Fuse(opts, nil) // prepares every group's fuse half
 
 	// Churn one source's claim on two of component c2's four entities: the
 	// values move, every group keeps its members.
@@ -145,16 +144,13 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 	if st2.GroupsKept != memo.Len()-2 || st2.GroupsPrepared != 2 {
 		t.Fatalf("stats %+v: want %d groups kept, 2 prepared", st2, memo.Len()-2)
 	}
-	for i, g := range memo2.trust {
+	for i, p := range memo2.prep {
 		k := memo2.keys[i]
 		if k != memo.keys[i] {
 			t.Fatalf("group %d: key %q, was %q", i, k, memo.keys[i])
 		}
-		if kept := g == memo.trust[i]; kept == moved[k] {
+		if kept := p == memo.prep[i]; kept == moved[k] {
 			t.Fatalf("group %q: prepared state kept=%v, claims moved=%v", k, kept, moved[k])
-		}
-		if kept := memo2.fuse[i] != nil && memo2.fuse[i] == memo.fuse[i]; kept == moved[k] {
-			t.Fatalf("group %q: fuse state kept=%v, claims moved=%v", k, kept, moved[k])
 		}
 	}
 }

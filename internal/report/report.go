@@ -187,35 +187,3 @@ func (r *Report) Summarise() Summary {
 	}
 	return s
 }
-
-// FromResults builds a report directly from fusion results (without a
-// wrangler), for tests and offline rendering. Supporters are left empty.
-func FromResults(title string, results []fusion.Result, attributes []string) *Report {
-	want := map[string]bool{}
-	for _, a := range attributes {
-		want[a] = true
-	}
-	r := &Report{Title: title}
-	for _, res := range results {
-		if len(want) > 0 && !want[res.Attribute] {
-			continue
-		}
-		if res.Value.IsNull() {
-			continue
-		}
-		r.Lines = append(r.Lines, Line{
-			Entity:     res.Entity,
-			Attribute:  res.Attribute,
-			Value:      res.Value.String(),
-			Confidence: res.Confidence,
-			Conflict:   res.Conflict,
-		})
-	}
-	sort.Slice(r.Lines, func(i, j int) bool {
-		if r.Lines[i].Entity != r.Lines[j].Entity {
-			return r.Lines[i].Entity < r.Lines[j].Entity
-		}
-		return r.Lines[i].Attribute < r.Lines[j].Attribute
-	})
-	return r
-}

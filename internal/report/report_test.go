@@ -8,8 +8,14 @@ import (
 	"repro/internal/fusion"
 )
 
-func results() []fusion.Result {
-	return []fusion.Result{
+// results is a ResultSource with no supporter bookkeeping.
+type results []fusion.Result
+
+func (r results) Results() []fusion.Result                   { return r }
+func (results) ClaimSupporters(entity, attr string) []string { return nil }
+
+func sample() results {
+	return results{
 		{Entity: "e2", Attribute: "price", Value: dataset.Float(4.99), Confidence: 0.9, Conflict: false},
 		{Entity: "e1", Attribute: "price", Value: dataset.Float(7.50), Confidence: 0.55, Conflict: true},
 		{Entity: "e1", Attribute: "name", Value: dataset.String("USB Cable"), Confidence: 1.0},
@@ -18,22 +24,22 @@ func results() []fusion.Result {
 	}
 }
 
-func TestFromResultsSortedAndFiltered(t *testing.T) {
-	r := FromResults("prices", results(), []string{"price"})
+func TestBuildSortedAndFiltered(t *testing.T) {
+	r := Build(sample(), "prices", []string{"price"})
 	if len(r.Lines) != 2 {
 		t.Fatalf("lines = %d", len(r.Lines))
 	}
 	if r.Lines[0].Entity != "e1" || r.Lines[1].Entity != "e2" {
 		t.Errorf("not sorted: %+v", r.Lines)
 	}
-	all := FromResults("all", results(), nil)
+	all := Build(sample(), "all", nil)
 	if len(all.Lines) != 4 { // null dropped
 		t.Errorf("all lines = %d, want 4", len(all.Lines))
 	}
 }
 
 func TestConflictedAndLowConfidence(t *testing.T) {
-	r := FromResults("all", results(), nil)
+	r := Build(sample(), "all", nil)
 	conf := r.Conflicted()
 	if len(conf) != 1 || conf[0].Entity != "e1" || conf[0].Attribute != "price" {
 		t.Errorf("conflicted = %+v", conf)
@@ -48,7 +54,7 @@ func TestConflictedAndLowConfidence(t *testing.T) {
 }
 
 func TestFormat(t *testing.T) {
-	r := FromResults("demo", results(), nil)
+	r := Build(sample(), "demo", nil)
 	s := r.Format(2)
 	if !strings.Contains(s, "demo") || !strings.Contains(s, "more lines") {
 		t.Errorf("format = %s", s)
@@ -63,7 +69,7 @@ func TestFormat(t *testing.T) {
 }
 
 func TestSummarise(t *testing.T) {
-	r := FromResults("all", results(), nil)
+	r := Build(sample(), "all", nil)
 	s := r.Summarise()
 	if s.Lines != 4 || s.Conflicts != 1 {
 		t.Errorf("summary = %+v", s)
