@@ -131,10 +131,11 @@ type RunStats struct {
 	// (replanSplit): "replan.union", "replan.fd_repair", "replan.prepare"
 	// and "replan.plan", which add up to "replan" and are not accrued into
 	// "integrate" a second time. Every tail likewise names the steps inside
-	// "trust" (trustSplit): "trust.claims", "trust.prepare" and
-	// "trust.fixpoint", which sum to at most "trust" (its task also merges
-	// clusters and names entities). A run that first rebuilt the working state
-	// of a durable restore names that rebuild "restore". Published snapshot
+	// "trust" (trustSplit): "trust.claims" (laying the claims out in
+	// groups), "trust.prepare" and "trust.fixpoint", which sum to at most
+	// "trust" (its task also merges clusters and names entities). A run
+	// that first rebuilt the working state of a durable restore names that
+	// rebuild "restore". Published snapshot
 	// versions carry these, so a bench regression attributes to a stage.
 	Stages map[string]time.Duration
 	// TrustComponents is how many trust-coupled connected components the
@@ -195,13 +196,14 @@ type Wrangler struct {
 	split        replanSplit         // the last full tail's front half, by step
 	interner     *intern.Table       // run-lifetime interner behind unionKeys and entity ids
 	clusters     *er.Clustering
-	entityIDs    []string // per union row: fused entity id
+	entityIDs    []string    // per union row: fused entity id
+	entities     entityIndex // the clustering read entity by entity
 	results      []fusion.Result
-	supporters   map[string][]string // lazy (entity,attr) → supporting sources
+	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
 	wrangled     *dataset.Table
 	trust        map[string]float64
 	pages        []*shardPage    // per-shard fused output, immutable once built
-	entityShard  map[string]int  // entity -> owning shard of the last integration
+	entityShard  []int32         // per entities.ids entry: its owning shard in the last integration
 	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
 	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
@@ -758,9 +760,10 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
 		w.clusters = nil
 		w.entityIDs = nil
+		w.entities = entityIndex{}
 		w.trust = map[string]float64{}
 		w.results = nil
-		w.supporters = nil
+		w.groups = nil
 		w.pages = nil
 		w.entityShard = nil
 		w.rowEntities = nil
@@ -889,70 +892,62 @@ func (w *Wrangler) RowKey(i int) string {
 	return w.rowKeys()[i]
 }
 
-// buildClaims flattens the union into one claim per (row, attribute),
-// in row order — the order fusion's bucket representatives and float
-// accumulation depend on. The freshness column feeds each claim's AsOf
-// and is not itself claimed.
-func (w *Wrangler) buildClaims() []fusion.Claim {
+// claimGroups lays the union's claims out in fusion's group order, entity
+// by entity off the clustering: for each entity, each claimed attribute in
+// name order, one claim per entity row in row order. That is exactly how
+// fusion.GroupClaims would group the union's claims in row order, with no
+// key per claim and no sort over them. The freshness column feeds each
+// claim's AsOf and is not itself claimed.
+func (w *Wrangler) claimGroups() *fusion.ClaimGroups {
+	schema := w.union.Schema()
 	tc := -1
 	if w.Config.TimeColumn != "" {
-		tc = w.union.Schema().Index(w.Config.TimeColumn)
+		tc = schema.Index(w.Config.TimeColumn)
 	}
-	perRow := len(w.union.Schema())
-	if tc >= 0 {
-		perRow--
-	}
-	// One slab for the whole tail's claims: the exact count is known up
-	// front, so the append loop never regrows.
-	claims := make([]fusion.Claim, 0, w.union.Len()*perRow)
-	for i, r := range w.union.Rows() {
-		asOf := time.Time{}
-		if tc >= 0 && r[tc].Kind() == dataset.KindTime {
-			asOf = r[tc].TimeVal()
+	var cols []int
+	for ci := range schema {
+		if ci != tc {
+			cols = append(cols, ci)
 		}
-		for ci, f := range w.union.Schema() {
-			if ci == tc {
-				continue
+	}
+	slices.SortFunc(cols, func(a, b int) int { return strings.Compare(schema[a].Name, schema[b].Name) })
+	// One slab for the whole tail's claims: every row claims every column.
+	slab := make([]fusion.Claim, w.union.Len()*len(cols))
+	groups := make([][]fusion.Claim, 0, len(w.entities.ids)*len(cols))
+	k := 0
+	for e, rows := range w.entities.rows {
+		for _, ci := range cols {
+			start := k
+			for _, r := range rows {
+				row := w.union.Row(r)
+				c := &slab[k]
+				c.Entity, c.Attribute, c.Value, c.SourceID = w.entities.ids[e], schema[ci].Name, row[ci], w.unionSources[r]
+				if tc >= 0 && row[tc].Kind() == dataset.KindTime {
+					c.AsOf = row[tc].TimeVal()
+				}
+				k++
 			}
-			claims = append(claims, fusion.Claim{
-				Entity:    w.entityIDs[i],
-				Attribute: f.Name,
-				Value:     r[ci],
-				SourceID:  w.unionSources[i],
-				AsOf:      asOf,
-			})
+			groups = append(groups, slab[start:k:k])
 		}
 	}
-	return claims
+	return fusion.GroupedClaims(groups)
 }
 
-// materialize turns fused results into one record per entity, entities
-// sorted ascending — the row order of a shard page, and after the merge
-// of the wrangled table.
+// materialize turns fused results, in group order, into one record per
+// entity: entities ascending, the row order of a shard page and, after the
+// merge, of the wrangled table. An entity's results are adjacent, so each
+// record fills in one run.
 func materialize(results []fusion.Result, target dataset.Schema) (entities []string, rows []dataset.Record) {
-	byEntity := map[string]map[string]dataset.Value{}
-	var order []string
-	for _, res := range results {
-		if byEntity[res.Entity] == nil {
-			byEntity[res.Entity] = map[string]dataset.Value{}
-			order = append(order, res.Entity)
+	for i, res := range results {
+		if i == 0 || res.Entity != results[i-1].Entity {
+			entities = append(entities, res.Entity)
+			rows = append(rows, make(dataset.Record, len(target))) // all null
 		}
-		byEntity[res.Entity][res.Attribute] = res.Value
-	}
-	sort.Strings(order)
-	out := make([]dataset.Record, 0, len(order))
-	for _, e := range order {
-		row := make(dataset.Record, len(target))
-		for i, f := range target {
-			v, ok := byEntity[e][f.Name]
-			if !ok {
-				v = dataset.Null()
-			}
-			row[i] = v
+		if c := target.Index(res.Attribute); c >= 0 {
+			rows[len(rows)-1][c] = res.Value
 		}
-		out = append(out, row)
 	}
-	return order, out
+	return entities, rows
 }
 
 // fusionOptions self-configures the fusion policy from the user context:
@@ -974,23 +969,39 @@ func (w *Wrangler) fusionOptions() fusion.Options {
 	return opts
 }
 
-// entityNames assigns a stable entity id per cluster: the most frequent
-// non-null key value in the cluster, else "entity-<cluster>".
-func (w *Wrangler) entityNames() []string {
+// entityIndex is the clustering read entity by entity: every distinct
+// entity id, sorted, with the entity's union rows in row order.
+type entityIndex struct {
+	ids  []string
+	rows [][]int
+}
+
+// nameEntities assigns every union row its entity id (w.entityIDs) and
+// reads the clustering entity by entity (w.entities). A cluster's id is
+// its most frequent non-null key value, else "entity-<cluster>". Two
+// clusters can land on one id; they are then one entity, whose rows are
+// both clusters' rows in row order.
+func (w *Wrangler) nameEntities() {
 	kc := w.union.Schema().Index(w.Config.KeyColumn)
 	names := make([]string, w.union.Len())
 	byCluster := w.clusters.Clusters()
+	clusterName := make([]string, len(byCluster))
+	var keys []string // one cluster's key values, sorted: the runs are the counts
 	for cid, rows := range byCluster {
-		counts := map[string]int{}
+		keys = keys[:0]
 		for _, row := range rows {
 			if kc >= 0 && !w.union.Row(row)[kc].IsNull() {
-				counts[w.union.Row(row)[kc].String()]++
+				keys = append(keys, w.union.Row(row)[kc].String())
 			}
 		}
+		slices.Sort(keys)
+		// The longest run wins; of equally long runs, the first (smallest).
 		best, bestN := "", 0
-		for v, n := range counts {
-			if n > bestN || (n == bestN && v < best) {
-				best, bestN = v, n
+		for i, j := 0, 0; i < len(keys); i = j {
+			for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
+			}
+			if j-i > bestN {
+				best, bestN = keys[i], j-i
 			}
 		}
 		if best == "" {
@@ -998,16 +1009,39 @@ func (w *Wrangler) entityNames() []string {
 		}
 		if w.interner != nil {
 			// One canonical id instance per entity across reactions; the
-			// fusion group keys and page bookkeeping built from these ids
-			// then compare against the previous round's by cheap
-			// pointer-equal strings.
+			// fusion groups and page bookkeeping built from these ids then
+			// compare against the previous round's by cheap pointer-equal
+			// strings.
 			best = w.interner.Str(best)
 		}
+		clusterName[cid] = best
 		for _, row := range rows {
 			names[row] = best
 		}
 	}
-	return names
+	w.entityIDs = names
+
+	// Clusters sorted by id, so clusters sharing an id sit side by side.
+	order := make([]int, 0, len(byCluster))
+	for cid, rows := range byCluster {
+		if len(rows) > 0 {
+			order = append(order, cid)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(clusterName[a], clusterName[b]) })
+	ix := entityIndex{ids: make([]string, 0, len(order)), rows: make([][]int, 0, len(order))}
+	for k := 0; k < len(order); {
+		name, rows, merged := clusterName[order[k]], byCluster[order[k]], false
+		for k++; k < len(order) && clusterName[order[k]] == name; k++ {
+			rows, merged = append(rows, byCluster[order[k]]...), true // byCluster is ours to extend
+		}
+		if merged {
+			slices.Sort(rows)
+		}
+		ix.ids = append(ix.ids, name)
+		ix.rows = append(ix.rows, rows)
+	}
+	w.entities = ix
 }
 
 func (w *Wrangler) selectedIDs() []string {
@@ -1100,68 +1134,40 @@ func (w *Wrangler) EntityOf(i int) string {
 // value of (entity, attribute) — the sources a "this value is wrong"
 // annotation should blame, per the system's own fusion bookkeeping. This
 // is how one feedback item informs many components: the annotation names
-// a value, the working data knows who asserted it.
-//
-// Supporters for every fused value are indexed once per fusion (a report
-// asks about every line, and every publication builds a report), so a
-// lookup is O(1) after the first. The returned slice is shared with that
-// index and with any report lines built from it — read-only.
+// a value, the working data knows who asserted it. It finds the result by
+// binary search and answers as Supporters does.
 func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 	w.resume()
-	if w.supporters == nil {
-		w.buildSupporters()
+	i, ok := slices.BinarySearchFunc(w.results, fusion.Result{Entity: entity, Attribute: attribute}, fusion.CompareResults)
+	if !ok {
+		return nil
 	}
-	return w.supporters[entity+"\x00"+attribute]
+	return w.Supporters(i)
 }
 
-// buildSupporters walks the union once, grouping rows by entity, and
-// resolves each fused result's supporting sources in a single pass —
-// O(union rows × attributes + results) instead of a full union scan per
-// report line. A tail's merge invalidates the index (w.supporters = nil).
-func (w *Wrangler) buildSupporters() {
-	w.supporters = map[string][]string{}
-	if w.union == nil {
-		return
+// Supporters returns the sources backing Results()[i]: those whose claim
+// in the result's claim group agrees with the fused value (within 1 % for
+// numbers), sorted. It reads the group the result was fused from, so it
+// costs one pass over that group's claims and keeps no index.
+func (w *Wrangler) Supporters(i int) []string {
+	w.resume()
+	g := w.fusedGroups()
+	if g == nil {
+		return nil
 	}
-	rowsByEntity := map[string][]int{}
-	for i, e := range w.entityIDs {
-		rowsByEntity[e] = append(rowsByEntity[e], i)
-	}
-	for _, r := range w.results {
-		if r.Value.IsNull() {
-			continue
-		}
-		c := w.union.Schema().Index(r.Attribute)
-		if c < 0 {
-			continue
-		}
-		seen := map[string]bool{}
-		var out []string
-		for _, i := range rowsByEntity[r.Entity] {
-			v := w.union.Row(i)[c]
-			if v.IsNull() || !v.ApproxEqual(r.Value, 0.01*absFloat(r.Value)) {
-				continue
-			}
-			src := w.unionSources[i]
-			if !seen[src] {
-				seen[src] = true
-				out = append(out, src)
-			}
-		}
-		sort.Strings(out)
-		w.supporters[r.Entity+"\x00"+r.Attribute] = out
-	}
+	return g.Supporters(i, w.results[i].Value)
 }
 
-func absFloat(v dataset.Value) float64 {
-	if !v.IsNumeric() {
-		return 0
+// fusedGroups returns the claim groups w.results was fused from. A restore
+// adopts the results without their groups; the first use regroups the
+// restored clustering, which yields one group per restored result.
+func (w *Wrangler) fusedGroups() *fusion.ClaimGroups {
+	if w.groups == nil && len(w.results) > 0 && len(w.entities.ids) > 0 {
+		if g := w.claimGroups(); g.Len() == len(w.results) {
+			w.groups = g
+		}
 	}
-	f := v.FloatVal()
-	if f < 0 {
-		return -f
-	}
-	return f
+	return w.groups
 }
 
 // SourceUtility returns the context utility assigned to a source in the

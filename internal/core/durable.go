@@ -938,18 +938,8 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 		w.results = lv.results
 		w.rowEntities = append([]string(nil), lv.entities...)
 		w.pages = nil
-		w.entityShard = nil
 	} else {
 		w.pages = pages
-		entityShard := map[string]int{}
-		for i, p := range pages {
-			for _, e := range p.entities {
-				if _, ok := entityShard[e]; !ok {
-					entityShard[e] = i
-				}
-			}
-		}
-		w.entityShard = entityShard
 		parts := make([][]fusion.Result, len(pages))
 		for i, p := range pages {
 			parts[i] = p.results
@@ -957,11 +947,14 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 		w.results = fusion.MergeResults(parts...)
 		w.wrangled, w.rowEntities = mergePages(pages, w.Config.Target)
 	}
-	w.supporters = nil
+	// The results' claim groups are regrouped from the restored clustering
+	// on first use (fusedGroups).
+	w.groups = nil
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
 	}
-	w.entityIDs = w.entityNames()
+	w.nameEntities()
+	w.entityShard = pageRoutes(w.entities.ids, w.pages)
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, the version carries its pages, and no
@@ -983,11 +976,34 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 	return nil
 }
 
+// pageRoutes routes each entity (ids, sorted) to the first page that
+// holds it, -1 where none does: the restored form of the live routing,
+// which put every entity in exactly one page. Pages keep their entities
+// sorted, so each page is one merge walk against ids.
+func pageRoutes(ids []string, pages []*shardPage) []int32 {
+	route := make([]int32, len(ids))
+	for e := range route {
+		route[e] = -1
+	}
+	for s, p := range pages {
+		e := 0
+		for _, id := range p.entities {
+			for e < len(ids) && ids[e] < id {
+				e++
+			}
+			if e < len(ids) && ids[e] == id && route[e] < 0 {
+				route[e] = int32(s)
+			}
+		}
+	}
+	return route
+}
+
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
 // and clusters. The shard plan and the cluster representatives are
-// deterministic functions of what was restored; the trust memo is not
-// persisted — nil only means the first estimation prepares every claim
-// group, and its result is float-exact either way.
+// deterministic functions of what was restored; the prepared claim groups
+// are not persisted — their absence only means the first estimation
+// prepares every group, and its result is float-exact either way.
 func (w *Wrangler) rebuildMemo() {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
@@ -1016,7 +1032,7 @@ func (w *Wrangler) rebuildMemo() {
 	if err != nil {
 		return
 	}
-	w.memo = w.newTailMemo(ps, nil)
+	w.memo = w.newTailMemo(ps)
 }
 
 // --- append ---------------------------------------------------------------

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/er"
 	"repro/internal/fusion"
 	"repro/internal/wal"
@@ -14,17 +16,40 @@ import (
 // fusion policy with its feedback-pinned trust.
 func (w *Wrangler) PairConstraints() (must, cannot []er.Pair) { return w.pairConstraints() }
 
-func (w *Wrangler) BuildClaims() []fusion.Claim { return w.buildClaims() }
+// BuildClaims flattens the union into one claim per (row, attribute), in
+// row order: the flat claim list fusion.GroupClaims groups into what the
+// tail lays out entity by entity (claimGroups). The freshness column feeds
+// each claim's AsOf and is not itself claimed.
+func (w *Wrangler) BuildClaims() []fusion.Claim {
+	tc := -1
+	if w.Config.TimeColumn != "" {
+		tc = w.union.Schema().Index(w.Config.TimeColumn)
+	}
+	var claims []fusion.Claim
+	for i, r := range w.union.Rows() {
+		asOf := time.Time{}
+		if tc >= 0 && r[tc].Kind() == dataset.KindTime {
+			asOf = r[tc].TimeVal()
+		}
+		for ci, f := range w.union.Schema() {
+			if ci != tc {
+				claims = append(claims, fusion.Claim{Entity: w.entityIDs[i], Attribute: f.Name,
+					Value: r[ci], SourceID: w.unionSources[i], AsOf: asOf})
+			}
+		}
+	}
+	return claims
+}
 
 func (w *Wrangler) FusionOptions() fusion.Options { return w.fusionOptions() }
 
-// MemoGroups returns the claim groups the tail memo carries to the next
+// MemoGroups returns the claim groups the last tail carries to the next
 // reaction (nil without a memo).
 func (w *Wrangler) MemoGroups() *fusion.ClaimGroups {
 	if w.memo == nil {
 		return nil
 	}
-	return w.memo.groups
+	return w.groups
 }
 
 // DetachMemoUnion points the tail memo at a copy of the union, so the memo

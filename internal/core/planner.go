@@ -20,9 +20,9 @@ import (
 // trust, fuse, merge — runs whole on every reaction and reuses at one
 // grain: the prepared (entity, attribute) group, whose state serves both
 // the trust fixpoint and the fuse and is kept for every group whose
-// claims held; a fuse-only tail regroups nothing and takes the memo's
-// groups as they are. The merge shares the records of every page that
-// fused to the same rows. The contract is strict: a partial tail is
+// claims held; a fuse-only tail regroups nothing and takes the last
+// tail's groups as they are. The merge shares the records of every page
+// that fused to the same rows. The contract is strict: a partial tail is
 // byte-identical to a full recompute (FullRerun), pinned by the
 // internal/wrangletest harness.
 
@@ -48,7 +48,6 @@ type tailMemo struct {
 	starts []int          // per ids entry: its first union row
 	plan   *er.PlanState
 	pages  []*shardPage
-	groups *fusion.ClaimGroups // the last tail's claim groups and their prepared state; nil after a restore
 }
 
 // planReaction classifies a batch of feedback into the reaction plan:
@@ -136,8 +135,8 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
 // clustering — the value-feedback reaction. The memo vouches that the
 // union, clusters, entity ids and entity→shard routing describe one
-// completed integration; trust is re-estimated warm over the memo's claim
-// groups and every shard re-fuses its entities along that routing.
+// completed integration; trust is re-estimated warm over the last tail's
+// claim groups and every shard re-fuses its entities along that routing.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := len(w.memo.pages)
 	sr.fuseOnly = true
@@ -197,7 +196,6 @@ func segmentEnd(starts []int, k, n int) int {
 func (w *Wrangler) recordTailMemo(sr *shardRun) {
 	if sr.fuseOnly {
 		w.memo.pages = sr.pages
-		w.memo.groups = sr.groups
 		return
 	}
 	// Commit folds the carried-over and freshly computed pair scores into
@@ -209,20 +207,19 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 		w.memo = nil
 		return
 	}
-	w.memo = w.newTailMemo(ps, sr.groups)
+	w.memo = w.newTailMemo(ps)
 	w.dirtySources = nil
 }
 
 // newTailMemo assembles the diff baseline over the current union and
 // pages, so the live merge and the durable restore cannot record
 // differently shaped memos.
-func (w *Wrangler) newTailMemo(plan *er.PlanState, groups *fusion.ClaimGroups) *tailMemo {
+func (w *Wrangler) newTailMemo(plan *er.PlanState) *tailMemo {
 	return &tailMemo{
 		union:  w.union,
 		ids:    w.unionIDs,
 		starts: w.unionStarts,
 		plan:   plan,
 		pages:  w.pages,
-		groups: groups,
 	}
 }

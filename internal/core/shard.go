@@ -211,49 +211,43 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	}
 	w.clusters = clusters
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
-	w.entityIDs = w.entityNames()
+	w.nameEntities()
 	// An entity's claims fuse in its owning shard: the shard of its first
 	// union row. Clusters never span shards, but two clusters in
 	// different shards can share a most-frequent key and hence an entity
 	// name — one global fuse fuses their claims together, so the
 	// first-row owner takes all of them (rows are only read, so a shard
-	// may read rows it does not own).
-	entityShard := make(map[string]int, clusters.Num)
-	for i, e := range w.entityIDs {
-		if _, ok := entityShard[e]; !ok {
-			entityShard[e] = plan.RowShard[i]
-		}
+	// may read rows it does not own). Kept on the wrangler: a later
+	// fuse-only reaction reuses this routing, since trust changes never
+	// move an entity's shard.
+	w.entityShard = make([]int32, len(w.entities.rows))
+	for e, rows := range w.entities.rows {
+		w.entityShard[e] = int32(plan.RowShard[rows[0]])
 	}
-	// Kept on the wrangler: a later fuse-only reaction reuses this
-	// routing, since trust changes never move an entity's shard.
-	w.entityShard = entityShard
 	sr.estimateTrust(w)
 	return nil
 }
 
 // estimateTrust is the back half of the cluster barrier, shared by both
-// tail scopes: build the claims and group them once for trust and every
-// shard's fuse, then run the one cross-shard stage of fusion. A fuse-only
-// tail builds nothing: claims are a function of the union, its entity ids
-// and its row sources, none of which it moves, so it takes the memo's
-// groups as they are — prepared state included — unless the memo does
-// not describe this union or carries no groups (after a restore). The
-// estimation is the exact global TruthFinder fixpoint; what it carries
-// over from the memo is the prepared state of every (entity, attribute)
-// group whose claims held, and it prepares every other group, under every
-// policy, on the worker fan-out, so the shards' fuses only read the
-// groups. Runs inside the single cluster-barrier task, so writing
-// w.lastTrust is race-free.
+// tail scopes: lay the claims out in groups once for trust and every
+// shard's fuse, entity by entity off the clustering, then run the one
+// cross-shard stage of fusion. A fuse-only tail builds nothing: claims are
+// a function of the union, its entity ids and its row sources, none of
+// which it moves, so it takes the last tail's groups as they are —
+// prepared state included — unless the memo does not describe this union
+// or a restore left no groups. The estimation is the exact global
+// TruthFinder fixpoint; what it carries over from the last tail is the
+// prepared state of every (entity, attribute) group whose claims held,
+// and it prepares every other group, under every policy, on the worker
+// fan-out, so the shards' fuses only read the groups. Runs inside the
+// single cluster-barrier task, so writing w.lastTrust is race-free.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
-	var prev *fusion.ClaimGroups
-	if w.memo != nil {
-		prev = w.memo.groups
-	}
+	prev := w.groups
 	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
 		sr.groups = prev
 	} else {
 		start := time.Now()
-		sr.groups = fusion.GroupClaims(w.buildClaims())
+		sr.groups = w.claimGroups()
 		sr.split.claims = time.Since(start)
 	}
 	sr.results = make([]fusion.Result, sr.groups.Len())
@@ -262,29 +256,32 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 
 // shardFuseStage fuses, under the globally estimated trust, the claim
 // groups of the entities shard i owns, and materialises the shard's page.
-// Groups were formed once over every claim in row order, so each group
-// holds its claims in the order one global fuse sees them — bucket
+// Groups were laid out once over every claim, each group's claims in row
+// order, so each group holds its claims in the order one global fuse sees
+// them — bucket
 // representatives and vote accumulation match bit for bit. The groups
 // arrive prepared, so the fuse reads them and writes only its results.
 // Each result also lands in sr.results at its group index: every group is
-// fused by exactly one shard, so the slab needs no merge. An entity routed
-// to no shard fails the tail (only a restored log can be that incoherent).
+// fused by exactly one shard, so the slab needs no merge. The groups'
+// entities are w.entities in order, so an entity's ordinal indexes its
+// route. An entity routed to no shard fails the tail (only a restored log
+// can be that incoherent).
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
-	n := len(sr.pages)
-	unrouted := ""
-	results := sr.groups.FuseInto(sr.results, sr.opts, func(e string) bool {
-		s, ok := w.entityShard[e]
-		if !ok || s < 0 || s >= n {
+	n := int32(len(sr.pages))
+	unrouted := -1
+	results := sr.groups.FuseInto(sr.results, sr.opts, func(e int) bool {
+		s := w.entityShard[e]
+		if s < 0 || s >= n {
 			unrouted = e
 			return false
 		}
-		return s == i
+		return s == int32(i)
 	})
-	if unrouted != "" {
-		return fmt.Errorf("core: entity %q has no owning shard", unrouted)
+	if unrouted >= 0 {
+		return fmt.Errorf("core: entity %q has no owning shard", w.entities.ids[unrouted])
 	}
 	entities, rows := materialize(results, w.Config.Target)
 	sr.pages[i] = &shardPage{entities: entities, rows: rows, results: results}
@@ -301,8 +298,7 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	w.results = sr.results
-	w.supporters = nil
+	w.results, w.groups = sr.results, sr.groups
 	w.trust = sr.opts.Trust
 
 	// Delta reconciliation: adopt the previous page's records wherever

@@ -122,71 +122,109 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// ClaimGroups is a claim set grouped by (entity, attribute): the sorted
-// group keys and, parallel to them, each group's claims in input order.
-// Group order and in-group claim order are both part of fusion's
-// determinism contract — bucket representatives and float accumulation
-// follow them. Trust estimation and fusion both read one ClaimGroups, so
-// a tail that estimates trust and then fuses, whole or entity by entity,
-// groups its claims once.
+// ClaimGroups is a claim set grouped by (entity, attribute): one claim
+// list per group, groups ordered by entity and then attribute (plain
+// string order on each), each group's claims in input order. Group order
+// and in-group claim order are both part of fusion's determinism contract
+// — bucket representatives and float accumulation follow them. Trust
+// estimation and fusion both read one ClaimGroups, so a tail that
+// estimates trust and then fuses, whole or entity by entity, groups its
+// claims once.
 //
 // Each group also carries its prepared state (groupPrep): its value
 // buckets, formed once for the trust fixpoint and the fuse alike, a
 // function of its claim values alone, never of trust. A ClaimGroups is the
 // memo the next estimation adopts from (EstimateTrustWarmParallel's prev),
 // and a fuse-only reaction, whose claims cannot have moved, hands the same
-// ClaimGroups on and regroups nothing. Keys and claims never change, and
-// only the estimation writes a prepared slot: once it has run, fusing
-// only reads, so any number of Fuse calls may run at once.
+// ClaimGroups on and regroups nothing. Claims never change, and only the
+// estimation writes a prepared slot: once it has run, fusing only reads,
+// so any number of Fuse calls may run at once.
 type ClaimGroups struct {
-	keys   []string     // "entity\x1fattribute", sorted
-	claims [][]Claim    // parallel to keys
-	prep   []*groupPrep // parallel to keys: nil until prepared
+	claims [][]Claim    // per group, in group order
+	prep   []*groupPrep // parallel to claims: nil until prepared
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
 // the slab FuseInto writes results into.
-func (g *ClaimGroups) Len() int { return len(g.keys) }
+func (g *ClaimGroups) Len() int { return len(g.claims) }
 
-// GroupClaims groups claims by (entity, attribute).
+// GroupClaims groups claims by (entity, attribute), sorting claim
+// positions by group and then position, so each group holds its claims in
+// input order.
 func GroupClaims(claims []Claim) *ClaimGroups {
-	// Key each claim once, sort claim indices by (key, input position),
-	// and carve the groups out of one slab. The index sort is stable by
-	// construction (ties break on position), so each group holds its
-	// claims in input order, and the distinct keys fall out sorted.
-	ckeys := make([]string, len(claims))
-	for i, c := range claims {
-		ckeys[i] = c.Entity + "\x1f" + c.Attribute
-	}
 	idx := make([]int, len(claims))
 	for i := range idx {
 		idx[i] = i
 	}
 	slices.SortFunc(idx, func(a, b int) int {
-		if c := strings.Compare(ckeys[a], ckeys[b]); c != 0 {
+		if c := compareKey(claims[a].Entity, claims[a].Attribute, claims[b].Entity, claims[b].Attribute); c != 0 {
 			return c
 		}
 		return a - b
 	})
 	slab := make([]Claim, len(claims))
-	g := &ClaimGroups{}
+	var groups [][]Claim
 	start := 0
 	for i, id := range idx {
 		slab[i] = claims[id]
-		if i+1 == len(idx) || ckeys[idx[i+1]] != ckeys[id] {
-			g.keys = append(g.keys, ckeys[id])
-			g.claims = append(g.claims, slab[start:i+1:i+1])
+		if i+1 == len(idx) || claims[idx[i+1]].Entity != claims[id].Entity || claims[idx[i+1]].Attribute != claims[id].Attribute {
+			groups = append(groups, slab[start:i+1:i+1])
 			start = i + 1
 		}
 	}
-	g.prep = make([]*groupPrep, len(g.keys))
-	return g
+	return GroupedClaims(groups)
 }
 
-// Fuse fuses, in sorted key order, every group whose entity keep accepts
+// GroupedClaims takes claims that arrive grouped: groups[i] is one
+// (entity, attribute) group's claims in input order, every group is
+// non-empty, and groups are in group order — by entity, then attribute. A
+// caller that knows its entities (the integration tail reads them off the
+// clustering) lays the groups out itself and sorts nothing per claim.
+func GroupedClaims(groups [][]Claim) *ClaimGroups {
+	return &ClaimGroups{claims: groups, prep: make([]*groupPrep, len(groups))}
+}
+
+// compareKey is the one group order: by entity, then by attribute.
+func compareKey(entityA, attrA, entityB, attrB string) int {
+	if c := strings.Compare(entityA, entityB); c != 0 {
+		return c
+	}
+	return strings.Compare(attrA, attrB)
+}
+
+// Supporters returns the sources whose claims in group i agree with v —
+// within 1 % of v when both are numeric, equal otherwise — sorted and
+// without repeats: the sources a "this value is wrong" annotation on v
+// should blame. A null v has none.
+func (g *ClaimGroups) Supporters(i int, v dataset.Value) []string {
+	if v.IsNull() {
+		return nil
+	}
+	eps := 0.0
+	if v.IsNumeric() {
+		eps = 0.01 * math.Abs(v.FloatVal())
+	}
+	var out []string
+	cs := g.claims[i]
+	for k := range cs {
+		c := &cs[k]
+		if c.Value.IsNull() || !c.Value.ApproxEqual(v, eps) || slices.Contains(out, c.SourceID) {
+			continue
+		}
+		if out == nil {
+			out = make([]string, 0, len(cs)-k)
+		}
+		out = append(out, c.SourceID)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Fuse fuses, in group order, every group whose entity keep accepts
 // (every group when keep is nil), taking source trust as given: no
 // fixpoint runs, each group is fused independently under opts.Trust. keep
-// is asked once per run of one entity's groups, not once per group.
+// is asked once per entity, with the entity's ordinal among the groups'
+// distinct entities (0 for the first group's entity, and so on).
 // Because no group spans entities, fusing an entity partition part by part
 // and merging (MergeResults) is byte-identical to fusing everything at
 // once under the same trust — the property the sharded integration tail
@@ -194,7 +232,7 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 // EstimateTrustWarmParallel, under any policy. Fuse then writes nothing
 // but its result and never mutates opts.Trust, so concurrent calls may
 // share one options value and fuse the same entities.
-func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result {
+func (g *ClaimGroups) Fuse(opts Options, keep func(entity int) bool) []Result {
 	return g.FuseInto(nil, opts, keep)
 }
 
@@ -203,15 +241,16 @@ func (g *ClaimGroups) Fuse(opts Options, keep func(entity string) bool) []Result
 // order MergeResults sorts into, so parts that between them fuse every
 // group once leave slab holding the merged results with nothing to sort.
 // It reads the prepared groups and writes nothing but its results.
-func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity string) bool) []Result {
+func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity int) bool) []Result {
 	opts = opts.normalized()
-	out := make([]Result, 0, len(g.keys))
+	out := make([]Result, 0, len(g.claims))
 	var sc fuseScratch
-	entity, kept := "", false
+	entity, kept := -1, false
 	for i, cs := range g.claims {
 		if keep != nil {
-			if e := cs[0].Entity; i == 0 || e != entity {
-				entity, kept = e, keep(e)
+			if i == 0 || cs[0].Entity != g.claims[i-1][0].Entity {
+				entity++
+				kept = keep(entity)
 			}
 			if !kept {
 				continue
@@ -276,29 +315,15 @@ func MergeResults(parts ...[]Result) []Result {
 	for _, p := range parts {
 		out = append(out, p...)
 	}
-	// Sorting by the same "\x1f"-joined key Fuse sorts group keys by keeps
-	// the merged order byte-identical to an unsharded fuse (a plain
-	// entity-then-attribute tuple compare is not equivalent in general).
-	// Keys are built once per result, not per comparison.
-	keys := make([]string, len(out))
-	for i, r := range out {
-		keys[i] = r.Entity + "\x1f" + r.Attribute
-	}
-	sort.Sort(&keyedResults{keys: keys, results: out})
+	// The group order, so the merge equals an unsharded fuse byte for byte.
+	slices.SortFunc(out, CompareResults)
 	return out
 }
 
-// keyedResults sorts results and their precomputed keys together.
-type keyedResults struct {
-	keys    []string
-	results []Result
-}
-
-func (k *keyedResults) Len() int           { return len(k.keys) }
-func (k *keyedResults) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k *keyedResults) Swap(i, j int) {
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-	k.results[i], k.results[j] = k.results[j], k.results[i]
+// CompareResults orders two results by entity, then attribute — the group
+// order Fuse returns its results in.
+func CompareResults(a, b Result) int {
+	return compareKey(a.Entity, a.Attribute, b.Entity, b.Attribute)
 }
 
 // groupPrep is one (entity, attribute) group prepared for voting:

@@ -253,7 +253,7 @@ func FuzzFusePrepared(f *testing.F) {
 			t.Helper()
 			for i, cs := range g.claims {
 				if want := fuseGroup(cs, opts); got[i] != want {
-					t.Fatalf("%s: group %q = %+v, the oracle %+v", label, g.keys[i], got[i], want)
+					t.Fatalf("%s: group %q = %+v, the oracle %+v", label, groupKey(g, i), got[i], want)
 				}
 			}
 		}
@@ -274,7 +274,7 @@ func FuzzFusePrepared(f *testing.F) {
 		slab := make([]Result, g2.Len())
 		var parts []Result
 		for _, even := range []bool{true, false} {
-			parts = append(parts, g2.FuseInto(slab, opts2, func(e string) bool { return (e[0]%2 == 0) == even })...)
+			parts = append(parts, g2.FuseInto(slab, opts2, byEntity(g2, func(e string) bool { return (e[0]%2 == 0) == even }))...)
 		}
 		check("adopted", g2, opts2, slab)
 		if len(parts) != len(slab) {

@@ -115,8 +115,8 @@ func TestTrustPreparedGroupsFuseConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g.FuseInto(slab, opts, func(e string) bool { return e[len(e)-1]%2 == 0 })
-				g.FuseInto(slab, opts, func(e string) bool { return e[len(e)-1]%2 == 1 })
+				g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return e[len(e)-1]%2 == 0 }))
+				g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return e[len(e)-1]%2 == 1 }))
 			}()
 		}
 		wg.Wait()

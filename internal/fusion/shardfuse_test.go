@@ -52,6 +52,23 @@ func partitionByEntity(claims []Claim, k int) [][]Claim {
 	return parts
 }
 
+// byEntity adapts a filter on entity names to Fuse's keep, which is asked
+// with entity ordinals in group order.
+func byEntity(g *ClaimGroups, keep func(entity string) bool) func(int) bool {
+	var names []string
+	for i, cs := range g.claims {
+		if i == 0 || cs[0].Entity != g.claims[i-1][0].Entity {
+			names = append(names, cs[0].Entity)
+		}
+	}
+	return func(e int) bool { return keep(names[e]) }
+}
+
+// groupKey names group i for test maps and messages.
+func groupKey(g *ClaimGroups, i int) string {
+	return g.claims[i][0].Entity + "\x1f" + g.claims[i][0].Attribute
+}
+
 func resultsEqual(t *testing.T, label string, want, got []Result) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -123,10 +140,13 @@ func TestClaimGroupsFuseByOwnerMatchesPartition(t *testing.T) {
 				var grouped, split [][]Result
 				for s := 0; s < k; s++ {
 					asked := map[string]int{}
-					grouped = append(grouped, g.Fuse(opts, func(e string) bool {
+					grouped = append(grouped, g.Fuse(opts, byEntity(g, func(e string) bool {
 						asked[e]++
 						return owner[e] == s
-					}))
+					})))
+					if len(asked) != len(owner) {
+						t.Fatalf("seed=%d k=%d: %d entities asked, %d exist", seed, k, len(asked), len(owner))
+					}
 					for e, n := range asked {
 						if n != 1 {
 							t.Fatalf("seed=%d k=%d: entity %q asked %d times", seed, k, e, n)
@@ -192,7 +212,7 @@ func TestMergeResultsOrderIndependent(t *testing.T) {
 	}
 	b = append(b, merged...)
 	for i := 1; i < len(b); i++ {
-		if b[i-1].Entity+"\x1f"+b[i-1].Attribute >= b[i].Entity+"\x1f"+b[i].Attribute {
+		if CompareResults(b[i-1], b[i]) >= 0 {
 			t.Fatalf("merged results not strictly sorted at %d", i)
 		}
 	}

@@ -61,13 +61,13 @@ type TrustSplit struct {
 }
 
 // trustComponent is one trust-coupled connected component prepared for an
-// independent fixpoint: its member groups in global sorted key order, its
+// independent fixpoint: its member groups in global group order, its
 // distinct sources sorted (the component-local dictionary), each group's
 // non-null claim sources dictionary-encoded to local indices, and the
 // per-source seed trust and pinned flags snapshotted at build time.
 type trustComponent struct {
 	key     string       // identity: lexicographically smallest member source
-	groups  []*groupPrep // member groups, in global sorted key order
+	groups  []*groupPrep // member groups, in global group order
 	srcIdx  [][]int32    // parallel to groups: per non-null claim, local source index
 	sources []string     // distinct member sources, sorted
 	seed    []float64    // per local source: trust at fixpoint start
@@ -76,7 +76,7 @@ type trustComponent struct {
 
 // buildTrustComponents unions every group's non-null claim sources and
 // materialises one trustComponent per union-find root. Groups are visited
-// in their global sorted key order, so each component's groups are a
+// in their global group order, so each component's groups are a
 // subsequence of that order and the within-component float accumulation
 // sequence matches the old single-loop fixpoint exactly. Groups with only
 // null claims join no component: they contributed total==0 and were
@@ -160,7 +160,7 @@ func buildTrustComponents(groups []*groupPrep, opts *Options) []*trustComponent 
 // runComponentFixpoint iterates one component to convergence and returns
 // its trust, parallel to the component's sorted sources, with the number
 // of iterations it took. Within the component the float sequence is
-// identical to the old global loop: groups in sorted key order, claims in
+// identical to the old global loop: groups in group order, claims in
 // input order, and the damped update over sources in sorted order — which
 // is exactly local dictionary index order, so the per-iteration path is
 // entirely slice-indexed with no map lookups and no string comparisons.
@@ -254,7 +254,7 @@ func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, 
 	opts = opts.normalized()
 	kept := g.adopt(prev)
 	g.prepare(workers)
-	st := TrustStats{GroupsKept: kept, GroupsPrepared: len(g.keys) - kept}
+	st := TrustStats{GroupsKept: kept, GroupsPrepared: g.Len() - kept}
 	if opts.Policy != TruthFinder {
 		// No fixpoint exists for this policy; estimation is a no-op beyond
 		// normalization and preparation.
@@ -265,16 +265,19 @@ func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, 
 }
 
 // adopt hands each of g's groups that prev prepared and whose claims held
-// prev's prepared state — one merge walk over the two sorted key lists —
-// and reports how many of g's groups carry prepared state afterwards.
+// prev's prepared state — one merge walk over the two group orders — and
+// reports how many of g's groups carry prepared state afterwards.
 func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int) {
 	if prev != nil && prev != g {
-		j := 0
-		for i, k := range g.keys {
-			for j < len(prev.keys) && prev.keys[j] < k {
-				j++
+		j, c := 0, 1
+		for i, cs := range g.claims {
+			for ; j < len(prev.claims); j++ {
+				p := prev.claims[j][0]
+				if c = compareKey(p.Entity, p.Attribute, cs[0].Entity, cs[0].Attribute); c >= 0 {
+					break
+				}
 			}
-			if g.prep[i] == nil && j < len(prev.keys) && prev.keys[j] == k && claimsHeld(prev.claims[j], g.claims[i]) {
+			if g.prep[i] == nil && j < len(prev.claims) && c == 0 && claimsHeld(prev.claims[j], cs) {
 				g.prep[i] = prev.prep[j]
 			}
 		}
@@ -322,7 +325,7 @@ func (g *ClaimGroups) prepare(workers int) {
 // groups: value confidence is the trust-weighted vote share; source trust
 // is the mean confidence of the values the source claims. Trust is
 // written back into opts.Trust, the component shape into st. Groups are
-// visited in sorted key order — float accumulation is not associative, so
+// visited in group order — float accumulation is not associative, so
 // any other order would make trust (and with it confidences and
 // tie-broken winners) vary with how the claims arrived. Bucket formation
 // is iteration-invariant (membership depends only on values, not

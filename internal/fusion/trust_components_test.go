@@ -145,9 +145,9 @@ func TestStreamingTrustWarmKeepsPreparedGroups(t *testing.T) {
 		t.Fatalf("stats %+v: want %d groups kept, 2 prepared", st2, memo.Len()-2)
 	}
 	for i, p := range memo2.prep {
-		k := memo2.keys[i]
-		if k != memo.keys[i] {
-			t.Fatalf("group %d: key %q, was %q", i, k, memo.keys[i])
+		k := groupKey(memo2, i)
+		if was := groupKey(memo, i); k != was {
+			t.Fatalf("group %d: key %q, was %q", i, k, was)
 		}
 		if kept := p == memo.prep[i]; kept == moved[k] {
 			t.Fatalf("group %q: prepared state kept=%v, claims moved=%v", k, kept, moved[k])

@@ -37,12 +37,12 @@ type Report struct {
 
 // ResultSource is the slice of a wrangler a report is built from: the
 // fused results plus the fusion bookkeeping that says which sources back
-// each fused value. *core.Wrangler satisfies it; keeping it an interface
-// lets the serving layer publish prebuilt reports without the report
-// package depending on the orchestrator.
+// each fused value, asked by result index. *core.Wrangler satisfies it;
+// keeping it an interface lets the serving layer publish prebuilt reports
+// without the report package depending on the orchestrator.
 type ResultSource interface {
 	Results() []fusion.Result
-	ClaimSupporters(entity, attribute string) []string
+	Supporters(i int) []string // the sources backing Results()[i]
 }
 
 // Build assembles a report from a wrangler's current results, restricted
@@ -54,7 +54,7 @@ func Build(w ResultSource, title string, attributes []string) *Report {
 		want[a] = true
 	}
 	r := &Report{Title: title}
-	for _, res := range w.Results() {
+	for i, res := range w.Results() {
 		if len(want) > 0 && !want[res.Attribute] {
 			continue
 		}
@@ -67,7 +67,7 @@ func Build(w ResultSource, title string, attributes []string) *Report {
 			Value:      res.Value.String(),
 			Confidence: res.Confidence,
 			Conflict:   res.Conflict,
-			Supporters: w.ClaimSupporters(res.Entity, res.Attribute),
+			Supporters: w.Supporters(i),
 		})
 	}
 	sort.Slice(r.Lines, func(i, j int) bool {

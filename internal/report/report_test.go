@@ -11,8 +11,8 @@ import (
 // results is a ResultSource with no supporter bookkeeping.
 type results []fusion.Result
 
-func (r results) Results() []fusion.Result                   { return r }
-func (results) ClaimSupporters(entity, attr string) []string { return nil }
+func (r results) Results() []fusion.Result { return r }
+func (results) Supporters(int) []string    { return nil }
 
 func sample() results {
 	return results{
