@@ -1147,8 +1147,10 @@ func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 
 // Supporters returns the sources backing Results()[i]: those whose claim
 // in the result's claim group agrees with the fused value (within 1 % for
-// numbers), sorted. It reads the group the result was fused from, so it
-// costs one pass over that group's claims and keeps no index.
+// numbers), sorted. It returns the winning bucket's list, prepared with
+// the group the result was fused from; only a group no estimation has
+// prepared yet (after a restore) is scanned. The slice is shared with the
+// prepared group and published reports: treat it as read-only.
 func (w *Wrangler) Supporters(i int) []string {
 	w.resume()
 	g := w.fusedGroups()

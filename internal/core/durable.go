@@ -137,6 +137,10 @@ type DurableLog struct {
 	lastFeedbackSeq int
 	srcSig          map[string]sourceSig
 
+	// pageSize and versionSize are the lengths of the last page and
+	// version record encoded, which presize the next one's buffer.
+	pageSize, versionSize int
+
 	retained       []retainedVersion
 	retain         int
 	sinceCompact   int
@@ -1055,6 +1059,7 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 // shard pages, and the version record itself. One Commit flushes the
 // batch; compaction triggers once 2×retain versions accumulate.
 func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
+	start := time.Now()
 	for _, it := range w.Feedback.Since(d.lastFeedbackSeq) {
 		_ = d.log.Append(wal.KindFeedback, wal.Encode(&it, codeFeedback))
 		d.lastFeedbackSeq = it.Seq
@@ -1091,12 +1096,13 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 				d.nextPageID++
 				d.pageIDs[p] = id
 				d.pagesByID[id] = &loggedPage{page: p}
-				_ = d.log.Append(wal.KindPage, wal.Encode(&pageRecord{id: id, page: p}, codePage(len(d.schema))))
+				_ = d.log.Append(wal.KindPage, d.encodePage(id, p))
 			}
 			pids[i] = id
 		}
 	}
-	payload := wal.Encode(versionRecord(w, v, pids), codeVersion)
+	payload := wal.EncodeSized(presize(d.versionSize), versionRecord(w, v, pids), codeVersion)
+	d.versionSize = len(payload)
 	_ = d.log.Append(wal.KindVersion, payload)
 	_ = d.log.Commit()
 
@@ -1105,12 +1111,26 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 		d.retained = d.retained[len(d.retained)-d.retain:]
 	}
 	d.sinceCompact++
+	w.observePublishPhase(phaseLog, time.Since(start))
 	if d.sinceCompact >= 2*d.retain {
 		// A failed compaction leaves the log as it was; sinceCompact stays
 		// put, so the next publish retries.
+		start = time.Now()
 		_ = d.compact(w)
+		w.observePublishPhase(phaseCompact, time.Since(start))
 	}
 }
+
+// encodePage encodes one page record, its buffer presized from the last.
+func (d *DurableLog) encodePage(id uint64, p *shardPage) []byte {
+	payload := wal.EncodeSized(presize(d.pageSize), &pageRecord{id: id, page: p}, codePage(len(d.schema)))
+	d.pageSize = len(payload)
+	return payload
+}
+
+// presize is the buffer for a record whose predecessor of its kind took
+// last bytes: that, with room to grow by a sixteenth.
+func presize(last int) int { return last + last/16 }
 
 // compact rewrites the log to its minimal coherent form — config, full
 // feedback and provenance, every current source state, the pages still
@@ -1149,7 +1169,6 @@ func (d *DurableLog) compact(w *Wrangler) error {
 			live[pid] = true
 		}
 	}
-	codePg := codePage(len(d.schema))
 	for _, pid := range slices.Sorted(maps.Keys(live)) {
 		lp, ok := d.pagesByID[pid]
 		if !ok {
@@ -1157,7 +1176,7 @@ func (d *DurableLog) compact(w *Wrangler) error {
 		}
 		payload := lp.payload
 		if payload == nil {
-			payload = wal.Encode(&pageRecord{id: pid, page: lp.page}, codePg)
+			payload = d.encodePage(pid, lp.page)
 		}
 		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: payload})
 	}

@@ -29,6 +29,7 @@ const (
 	mSharedPages    = "wrangle_publish_shared_pages_total"
 	mChangedRecords = "wrangle_publish_changed_records_total"
 	mRemovedRecords = "wrangle_publish_removed_records_total"
+	mPublishSeconds = "wrangle_publish_seconds"
 	mRows           = "wrangle_rows"
 	mVersion        = "wrangle_version"
 	mReplayTrunc    = "wrangle_wal_replay_truncations_total"
@@ -105,6 +106,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mReuseRatio, "Reused/(resolved+reused) shards of the last reaction tail.")
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
 	reg.Help(mTrustIters, "Fixpoint iterations per trust component.")
+	reg.Help(mPublishSeconds, "Publication wall time after a reaction's stats stop, by phase: report build, log append and commit, compaction.")
 	reg.Help(mDerivedRows, "Source rows whose per-record derivations (FD cells, resolver features) are held; they die with their source generation.")
 	w.met = m
 	if w.Serve != nil {
@@ -195,6 +197,22 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 	m.rows.Set(float64(w.wrangled.Len()))
 	m.version.Set(float64(v.Seq()))
 	m.derivedRows.Set(float64(w.derivedRows()))
+}
+
+// Publication phases, the values of wrangle_publish_seconds' phase label.
+const (
+	phaseReport  = "report"
+	phaseLog     = "log"
+	phaseCompact = "compact"
+)
+
+// observePublishPhase records the wall time one publication spent in one
+// phase — time no ReactStats stage reports, because the stats are frozen
+// into the version before it is built and logged.
+func (w *Wrangler) observePublishPhase(phase string, d time.Duration) {
+	if m := w.met; m != nil {
+		m.reg.Histogram(mPublishSeconds, obs.DurationBuckets(), "phase", phase).Observe(d.Seconds())
+	}
 }
 
 // derivedRows counts the source rows whose derivations the working data

@@ -19,7 +19,10 @@ import (
 // is copying its small read-side maps, a fresh table header over the
 // immutable page records, and one atomic swap. Readers (Session.View)
 // hold the committed version without any lock and are never torn by the
-// next reaction.
+// next reaction. The report is built fresh per publication, but each
+// line's supporter list is the one its claim group prepared: shared with
+// the working data and with every other version whose group held, so it is
+// read-only for everyone.
 
 // Published is the payload of one committed serve version: every
 // read-side artefact of a wrangle, frozen at publication so no later
@@ -32,7 +35,9 @@ type Published struct {
 	// Table is the wrangled table, one row per entity.
 	Table *dataset.Table
 	// Report is the prebuilt Example-5 report over all attributes, with
-	// supporters resolved against this version's fusion bookkeeping.
+	// supporters resolved against this version's fusion bookkeeping. Its
+	// lines are this version's own; their Supporters slices are shared
+	// with the prepared claim groups and with other versions.
 	Report *report.Report
 	// Stats reports what the last full run touched, including the
 	// per-stage wall-clock attribution (RunStats.Stages).
@@ -76,9 +81,12 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 	if w.Serve == nil || w.wrangled == nil {
 		return
 	}
+	start := time.Now()
+	rep := report.Build(w, publishTitle(origin), nil)
+	w.observePublishPhase(phaseReport, time.Since(start))
 	pub := Published{
 		Table:    w.publishTable(),
-		Report:   report.Build(w, publishTitle(origin), nil),
+		Report:   rep,
 		Stats:    w.LastStats.Clone(),
 		React:    react.Clone(),
 		Trust:    maps.Clone(w.trust),

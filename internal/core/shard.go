@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dataset"
@@ -339,26 +338,35 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 }
 
 // mergePages assembles the wrangled table from shard pages — the one
-// merge the live tail and the durable restore share. The table rows alias
+// merge the live tail and the durable restore share. Every page holds its
+// entities sorted and no entity sits on two pages, so a k-way merge of
+// the page heads yields the global entity order with nothing to sort.
+// Each output row scans the k heads, O(n·k): that assumes the small shard
+// counts WithIntegrationShards advises (about the worker bound). It beats
+// an O(n log n) sort of all entities while k stays well under log₂ n and
+// loses beyond: at 3 200 entities on a 2-vCPU x86 box, 4× faster at
+// k = 4, 1.7× at k = 16, 1.6× slower at k = 64. The table rows alias
 // the page records (publication's pointer-sharing); entities holds each
 // row's entity id.
 func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
-	type entityRow struct {
-		entity string
-		row    dataset.Record
-	}
-	var all []entityRow
+	n := 0
 	for _, p := range pages {
-		for j, e := range p.entities {
-			all = append(all, entityRow{entity: e, row: p.rows[j]})
-		}
+		n += len(p.entities)
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
 	out := dataset.NewTable(schema.Clone())
-	entities := make([]string, len(all))
-	for i, e := range all {
-		out.Append(e.row)
-		entities[i] = e.entity
+	entities := make([]string, 0, n)
+	next := make([]int, len(pages)) // per page: its first entity not merged yet
+	for len(entities) < n {
+		lo := -1
+		for i, p := range pages {
+			if next[i] < len(p.entities) && (lo < 0 || p.entities[next[i]] < pages[lo].entities[next[lo]]) {
+				lo = i
+			}
+		}
+		j := next[lo]
+		out.Append(pages[lo].rows[j])
+		entities = append(entities, pages[lo].entities[j])
+		next[lo]++
 	}
 	return out, entities
 }

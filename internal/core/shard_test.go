@@ -3,6 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -318,5 +322,78 @@ func TestRowKeysMatchRowKeyFormat(t *testing.T) {
 		if got, want := w.RowKey(i), rowKey(w.UnionSourceOf(i), w.UnionRowInSource(i)); got != want {
 			t.Errorf("row %d: interned key %q, rowKey says %q", i, got, want)
 		}
+	}
+}
+
+// sortMergePages is mergePages' oracle: concatenate every page's rows and
+// sort them by entity.
+func sortMergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
+	type entityRow struct {
+		entity string
+		row    dataset.Record
+	}
+	var all []entityRow
+	for _, p := range pages {
+		for j, e := range p.entities {
+			all = append(all, entityRow{entity: e, row: p.rows[j]})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
+	out := dataset.NewTable(schema.Clone())
+	entities := make([]string, len(all))
+	for i, e := range all {
+		out.Append(e.row)
+		entities[i] = e.entity
+	}
+	return out, entities
+}
+
+// TestMergePagesMatchesSort pins the k-way page merge to a sort of the
+// concatenated pages: random disjoint entity-sorted pages, some of them
+// empty, and then the same entities with one moved to another shard.
+func TestMergePagesMatchesSort(t *testing.T) {
+	schema := dataset.MustSchema(dataset.Field{Name: "sku", Kind: dataset.KindString})
+	rng := rand.New(rand.NewSource(1))
+	route := func(n, shards int, owner func(e int) int) []*shardPage {
+		pages := make([]*shardPage, shards)
+		for i := range pages {
+			pages[i] = &shardPage{}
+		}
+		for e := 0; e < n; e++ {
+			p := pages[owner(e)]
+			id := fmt.Sprintf("entity-%04d", e)
+			p.entities = append(p.entities, id)
+			p.rows = append(p.rows, dataset.Record{dataset.String(id)})
+		}
+		return pages
+	}
+	check := func(label string, pages []*shardPage) {
+		t.Helper()
+		got, gotIDs := mergePages(pages, schema)
+		want, wantIDs := sortMergePages(pages, schema)
+		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(got.Rows(), want.Rows()) {
+			t.Fatalf("%s: merged %v, the sort %v", label, gotIDs, wantIDs)
+		}
+	}
+	check("no pages", nil)
+	check("empty pages", route(0, 3, nil))
+	for trial := 0; trial < 20; trial++ {
+		n, shards := rng.Intn(60), 1+rng.Intn(6)
+		owners := make([]int, n)
+		for e := range owners {
+			// Shard 0 stays empty whenever there are others.
+			owners[e] = rng.Intn(shards)
+			if shards > 1 && owners[e] == 0 {
+				owners[e] = 1
+			}
+		}
+		pages := route(n, shards, func(e int) int { return owners[e] })
+		check(fmt.Sprintf("trial %d", trial), pages)
+		if n == 0 {
+			continue
+		}
+		moved := rng.Intn(n)
+		owners[moved] = (owners[moved] + 1) % shards
+		check(fmt.Sprintf("trial %d, entity %d moved", trial, moved), route(n, shards, func(e int) int { return owners[e] }))
 	}
 }

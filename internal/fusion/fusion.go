@@ -132,11 +132,13 @@ func (o Options) normalized() Options {
 // claims once.
 //
 // Each group also carries its prepared state (groupPrep): its value
-// buckets, formed once for the trust fixpoint and the fuse alike, a
-// function of its claim values alone, never of trust. A ClaimGroups is the
-// memo the next estimation adopts from (EstimateTrustWarmParallel's prev),
-// and a fuse-only reaction, whose claims cannot have moved, hands the same
-// ClaimGroups on and regroups nothing. Claims never change, and only the
+// buckets, formed once for the trust fixpoint and the fuse alike, and the
+// supporters of each bucket the fuse can pick, for the report — a
+// function of its claim values and sources alone, never of trust. A
+// ClaimGroups is the memo the next estimation adopts from
+// (EstimateTrustWarmParallel's prev), and a fuse-only reaction, whose
+// claims cannot have moved, hands the same ClaimGroups on and regroups
+// nothing. Claims never change, and only the
 // estimation writes a prepared slot: once it has run, fusing only reads,
 // so any number of Fuse calls may run at once.
 type ClaimGroups struct {
@@ -195,29 +197,46 @@ func compareKey(entityA, attrA, entityB, attrB string) int {
 // Supporters returns the sources whose claims in group i agree with v —
 // within 1 % of v when both are numeric, equal otherwise — sorted and
 // without repeats: the sources a "this value is wrong" annotation on v
-// should blame. A null v has none.
+// should blame. A null v has none. A prepared group answers from the
+// supporter list it keeps for each fuse bucket, when v is a bucket's
+// representative (a fused value always is); an unprepared group — results
+// a restore adopted before any estimation ran — scans its claims. Lists
+// from a prepared group are shared with every caller and every later
+// reaction that keeps the group: treat them as read-only.
 func (g *ClaimGroups) Supporters(i int, v dataset.Value) []string {
+	if p := g.prep[i]; p != nil {
+		for bi, rep := range p.fuseBuckets().reps {
+			// Equal values pick out the same supporters: same kind, and
+			// numbers at the same magnitude.
+			if rep.Equal(v) {
+				return p.supporters[bi]
+			}
+		}
+	}
+	return appendSupporters(nil, g.claims[i], v)
+}
+
+// appendSupporters is the claim scan behind Supporters: it appends to dst
+// the sources of claims that agree with v, sorted and without repeats,
+// and returns dst unchanged (nil stays nil) when none does.
+func appendSupporters(dst []string, claims []Claim, v dataset.Value) []string {
 	if v.IsNull() {
-		return nil
+		return dst
 	}
 	eps := 0.0
 	if v.IsNumeric() {
 		eps = 0.01 * math.Abs(v.FloatVal())
 	}
-	var out []string
-	cs := g.claims[i]
-	for k := range cs {
-		c := &cs[k]
-		if c.Value.IsNull() || !c.Value.ApproxEqual(v, eps) || slices.Contains(out, c.SourceID) {
+	start := len(dst)
+	for k := range claims {
+		c := &claims[k]
+		if c.Value.IsNull() || !c.Value.ApproxEqual(v, eps) || slices.Contains(dst[start:], c.SourceID) {
 			continue
 		}
-		if out == nil {
-			out = make([]string, 0, len(cs)-k)
-		}
-		out = append(out, c.SourceID)
+		dst = append(dst, c.SourceID)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Fuse fuses, in group order, every group whose entity keep accepts
@@ -331,12 +350,17 @@ func CompareResults(a, b Result) int {
 // claim values and sources only — never trust, freshness or the policy —
 // so both add vote weights into buckets and order them, with no value
 // comparison left to make. Its layout is indexed by non-null claim, in
-// claim order.
+// claim order. It also keeps, per fuse bucket, the sources backing the
+// bucket's representative (Supporters' rule), so a published report reads
+// the winner's supporters instead of scanning the group: the lists are
+// built once, with the group, and every reaction that keeps the group —
+// and every report line that names them — shares them read-only.
 type groupPrep struct {
 	valueBuckets               // over the claimed values
 	sources      []string      // non-null claims' sources, claim order
 	match        [][]bool      // per non-null claim: which buckets it sames
 	reconciled   *valueBuckets // over the values after reconcileUnits; nil unless it rewrote one
+	supporters   [][]string    // per fuse bucket: its representative's supporters, nil when none
 }
 
 // valueBuckets is one formation of a group's value buckets.
@@ -352,6 +376,7 @@ type valueBuckets struct {
 // credits the first *sorted* bucket it matches, which can be a bucket
 // created after it. Only where reconcileUnits rewrote a value does it form
 // the buckets a second time, over the reconciled values, for the fuse.
+// Last, it lists each fuse bucket's supporters over the claimed values.
 func prepareGroup(claims []Claim) *groupPrep {
 	p := &groupPrep{}
 	for _, c := range claims {
@@ -376,7 +401,38 @@ func prepareGroup(claims []Claim) *groupPrep {
 		b, _ := formBuckets(normVals(rc))
 		p.reconciled = &b
 	}
+	p.supporters = bucketSupporters(claims, p.fuseBuckets().reps, len(p.sources))
 	return p
+}
+
+// bucketSupporters lists the supporters of each representative, out of
+// one slab presized to the group's non-null claim count, which the lists
+// rarely exceed between them (a claim mostly backs its own bucket alone).
+// Each list is capped at its own length, and the slab is only appended to
+// past the lists already taken from it, so no append reaches a list.
+func bucketSupporters(claims []Claim, reps []dataset.Value, nonNull int) [][]string {
+	if len(reps) == 0 {
+		return nil
+	}
+	out := make([][]string, len(reps))
+	slab := make([]string, 0, nonNull)
+	for bi, rep := range reps {
+		start := len(slab)
+		slab = appendSupporters(slab, claims, rep)
+		if end := len(slab); end > start {
+			out[bi] = slab[start:end:end]
+		}
+	}
+	return out
+}
+
+// fuseBuckets is the bucket set the fuse votes into: the reconciled
+// buckets where there are any, the claimed-value buckets otherwise.
+func (p *groupPrep) fuseBuckets() *valueBuckets {
+	if p.reconciled != nil {
+		return p.reconciled
+	}
+	return &p.valueBuckets
 }
 
 // normVals caches the compare form of every non-null claim value, in
@@ -426,10 +482,7 @@ type fuseScratch struct {
 // summed in that order.
 func (p *groupPrep) result(claims []Claim, opts Options, sc *fuseScratch) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
-	b := &p.valueBuckets
-	if p.reconciled != nil {
-		b = p.reconciled
-	}
+	b := p.fuseBuckets()
 	nb := len(b.reps)
 	if nb == 0 {
 		res.Value = dataset.Null()

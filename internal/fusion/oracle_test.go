@@ -3,6 +3,7 @@ package fusion
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -254,6 +255,9 @@ func FuzzFusePrepared(f *testing.F) {
 			for i, cs := range g.claims {
 				if want := fuseGroup(cs, opts); got[i] != want {
 					t.Fatalf("%s: group %q = %+v, the oracle %+v", label, groupKey(g, i), got[i], want)
+				}
+				if sup, want := g.Supporters(i, got[i].Value), appendSupporters(nil, cs, got[i].Value); !reflect.DeepEqual(sup, want) {
+					t.Fatalf("%s: group %q supporters %#v, the scan %#v", label, groupKey(g, i), sup, want)
 				}
 			}
 		}

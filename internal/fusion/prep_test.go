@@ -125,3 +125,71 @@ func TestTrustPreparedGroupsFuseConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedSupportersMatchScan pins the supporter lists a prepared
+// group keeps, one per fuse bucket, to the claim scan: each equals
+// Supporters over the unprepared group at the bucket's representative,
+// nil included, and the prepared group answers Supporters at its fused
+// value with its winner's list.
+func TestPreparedSupportersMatchScan(t *testing.T) {
+	c := func(src string, v dataset.Value) Claim {
+		return Claim{Entity: "e", Attribute: "price", SourceID: src, Value: v}
+	}
+	cases := []struct {
+		name   string
+		claims []Claim
+		want   [][]string // per fuse bucket
+	}{
+		{
+			name:   "single bucket",
+			claims: []Claim{c("s2", dataset.Float(10)), c("s1", dataset.Float(10.05)), c("s2", dataset.Int(10)), c("s0", dataset.Null())},
+			want:   [][]string{{"s1", "s2"}},
+		},
+		{
+			name:   "conflicted",
+			claims: []Claim{c("s0", dataset.Float(10)), c("s1", dataset.Float(20)), c("s2", dataset.Float(10.09)), c("s3", dataset.Float(20))},
+			want:   [][]string{{"s0", "s2"}, {"s1", "s3"}},
+		},
+		{
+			// The cents claim joins the dollar bucket, but its claimed value
+			// is 100× the representative, so it backs nothing.
+			name:   "reconciled",
+			claims: []Claim{c("s0", dataset.Null()), c("s1", dataset.Float(1000)), c("s2", dataset.Float(10)), c("s3", dataset.Float(10.05))},
+			want:   [][]string{{"s2", "s3"}},
+		},
+		{
+			name:   "all null",
+			claims: []Claim{c("s0", dataset.Null()), c("s1", dataset.Null())},
+			want:   nil,
+		},
+		{
+			// Buckets compare normalised strings, supporters exact ones.
+			name:   "strings",
+			claims: []Claim{c("s0", dataset.String("Acme")), c("s1", dataset.String("acme")), c("s2", dataset.String("Globex")), c("s3", dataset.String("Acme"))},
+			want:   [][]string{{"s0", "s3"}, {"s2"}},
+		},
+	}
+	for _, tc := range cases {
+		prepared, scanned := GroupClaims(tc.claims), GroupClaims(tc.claims)
+		opts, _, _ := EstimateTrustWarmParallel(prepared, DefaultOptions(TruthFinder), nil, 1)
+		p := prepared.prep[0]
+		reps := p.fuseBuckets().reps
+		if len(p.supporters) != len(reps) {
+			t.Fatalf("%s: %d supporter lists for %d fuse buckets", tc.name, len(p.supporters), len(reps))
+		}
+		var got [][]string
+		for bi, rep := range reps {
+			if want := scanned.Supporters(0, rep); !reflect.DeepEqual(p.supporters[bi], want) {
+				t.Errorf("%s: bucket %d (%v) supporters %#v, the scan %#v", tc.name, bi, rep, p.supporters[bi], want)
+			}
+			got = append(got, p.supporters[bi])
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: supporter lists %v, want %v", tc.name, got, tc.want)
+		}
+		v := prepared.Fuse(opts, nil)[0].Value
+		if got, want := prepared.Supporters(0, v), scanned.Supporters(0, v); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: supporters of the fused %v: %#v, the scan %#v", tc.name, v, got, want)
+		}
+	}
+}

@@ -48,17 +48,29 @@ type ResultSource interface {
 // Build assembles a report from a wrangler's current results, restricted
 // to the given attributes (nil = all). Lines are sorted by entity then
 // attribute; low-confidence lines sort identically but are marked.
+// Line.Supporters is what the source returned, not a copy.
 func Build(w ResultSource, title string, attributes []string) *Report {
 	want := map[string]bool{}
 	for _, a := range attributes {
 		want[a] = true
 	}
-	r := &Report{Title: title}
-	for i, res := range w.Results() {
-		if len(want) > 0 && !want[res.Attribute] {
-			continue
+	results := w.Results()
+	keep := func(res *fusion.Result) bool {
+		return !res.Value.IsNull() && (len(want) == 0 || want[res.Attribute])
+	}
+	n := 0
+	for i := range results {
+		if keep(&results[i]) {
+			n++
 		}
-		if res.Value.IsNull() {
+	}
+	r := &Report{Title: title}
+	if n > 0 {
+		r.Lines = make([]Line, 0, n)
+	}
+	for i := range results {
+		res := &results[i]
+		if !keep(res) {
 			continue
 		}
 		r.Lines = append(r.Lines, Line{

@@ -53,8 +53,17 @@ type Codec struct {
 }
 
 // Encode runs code over v in encode mode and returns the payload.
-func Encode[T any](v *T, code func(*Codec, *T)) []byte {
+func Encode[T any](v *T, code func(*Codec, *T)) []byte { return EncodeSized(0, v, code) }
+
+// EncodeSized is Encode into a payload buffer presized to size bytes (0:
+// none). A caller whose records of one kind keep a steady size passes a
+// little more than the last one's length, so the buffer is allocated once
+// instead of growing by doubling.
+func EncodeSized[T any](size int, v *T, code func(*Codec, *T)) []byte {
 	var c Codec
+	if size > 0 {
+		c.buf = make([]byte, 0, size)
+	}
 	code(&c, v)
 	return c.buf
 }

@@ -54,6 +54,26 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte("WRGL"))
 	f.Add([]byte("not a log at all"))
+	// One record of largePayload bytes, written between two small ones by
+	// a real Log, which buffers it by reference.
+	large := filepath.Join(f.TempDir(), "large.wal")
+	l, _, err := Open(large, SyncOnCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range []Data{{KindConfig, []byte("cfg")}, {KindPage, bytes.Repeat([]byte{0x5a}, largePayload)}, {KindVersion, []byte("v1")}} {
+		if err := l.Append(d.Kind, d.Payload); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	largeLog, err := os.ReadFile(large)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(largeLog)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -153,23 +153,66 @@ func (l *Log) Instrument(reg *obs.Registry) {
 	}
 }
 
+// largePayload is the size from which bufWriter keeps a write by
+// reference instead of copying it.
+const largePayload = 64 << 10
+
 // bufWriter is a minimal buffered writer (avoids bufio's Reset dance
-// across Compact's handle swap).
+// across Compact's handle swap). Small writes — frame headers, CRCs,
+// small payloads — are copied into buf. A write of largePayload bytes or
+// more is kept by reference, with the buf offset it follows, and flush
+// writes it in its place: a large payload reaches the file with no copy
+// in between, so its bytes must hold still until the flush returns.
 type bufWriter struct {
-	f   *os.File
-	buf []byte
+	f    *os.File
+	buf  []byte
+	refs []bufRef // large writes, in order
+}
+
+// bufRef is one large write kept by reference: p goes to the file right
+// after buf[:at].
+type bufRef struct {
+	at int
+	p  []byte
 }
 
 func (b *bufWriter) write(p []byte) {
+	if len(p) >= largePayload {
+		b.refs = append(b.refs, bufRef{at: len(b.buf), p: p})
+		return
+	}
 	b.buf = append(b.buf, p...)
 }
 
+// flush writes everything buffered, in write order, and drops its
+// references to large writes either way.
 func (b *bufWriter) flush() error {
-	if len(b.buf) == 0 {
+	err := b.writeOut()
+	b.buf = b.buf[:0]
+	clear(b.refs)
+	b.refs = b.refs[:0]
+	return err
+}
+
+func (b *bufWriter) writeOut() error {
+	off := 0
+	for _, r := range b.refs {
+		if err := b.writeFile(b.buf[off:r.at]); err != nil {
+			return err
+		}
+		if err := b.writeFile(r.p); err != nil {
+			return err
+		}
+		off = r.at
+	}
+	return b.writeFile(b.buf[off:])
+}
+
+func (b *bufWriter) writeFile(p []byte) error {
+	if len(p) == 0 {
 		return nil
 	}
-	_, err := b.f.Write(b.buf)
-	b.buf = b.buf[:0]
+	_, err := b.f.Write(p)
 	return err
 }
 
@@ -291,6 +334,9 @@ func scan(buf []byte) ([]Record, int64, error) {
 
 // Append buffers one record. Nothing is guaranteed on disk until
 // Commit; batch the records of one logical commit, then Commit once.
+// A large payload is buffered by reference, not copied: the caller must
+// not modify a payload until the next Commit, Sync, Compact or Close
+// returns.
 func (l *Log) Append(kind Kind, payload []byte) error {
 	if l.err != nil {
 		return l.err
@@ -394,7 +440,8 @@ func (l *Log) Close() error {
 // and renamed over the log, after which the handle continues appending
 // to the new file. Readers of the old file are unaffected (rename
 // semantics); a crash at any point leaves either the old or the new log
-// fully intact.
+// fully intact. Compact keeps no payload once it returns, but large ones
+// are written from where they lie, so they must hold still until then.
 func (l *Log) Compact(recs []Data) error {
 	if l.err != nil {
 		return l.err

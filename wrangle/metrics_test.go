@@ -289,6 +289,7 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_rows",
 		"wrangle_version",
 		"wrangle_derived_rows",
+		"wrangle_publish_seconds",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
@@ -302,5 +303,61 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 	}
 	if text != b2.String() {
 		t.Error("consecutive scrapes of an idle registry differ")
+	}
+}
+
+// publishPhases scrapes the phase label values of wrangle_publish_seconds,
+// sorted.
+func publishPhases(t *testing.T, s *wrangle.Session) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := s.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var phases []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `wrangle_publish_seconds_count{phase="`)
+		if !ok {
+			continue
+		}
+		phase, _, _ := strings.Cut(rest, `"`)
+		phases = append(phases, phase)
+	}
+	return phases
+}
+
+// TestMetricsPublishPhases pins the label set of wrangle_publish_seconds:
+// an in-memory session observes only the report build; a durable one also
+// the log append and, once enough versions accumulate, the compaction.
+func TestMetricsPublishPhases(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		opts []wrangle.Option
+		want string
+	}{
+		{"in-memory", nil, "report"},
+		{"durable", []wrangle.Option{wrangle.WithDurableLog(t.TempDir()), wrangle.WithRetainVersions(1)}, "compact log report"},
+	} {
+		s, err := wrangle.New(append([]wrangle.Option{
+			wrangle.WithSeed(5), wrangle.WithSyntheticSources(4), wrangle.WithMetrics(),
+		}, tc.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := s.Refresh(ctx, s.SelectedSources()[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := strings.Join(publishPhases(t, s), " "); got != tc.want {
+			t.Errorf("%s: wrangle_publish_seconds phases %q, want %q", tc.name, got, tc.want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

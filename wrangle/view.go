@@ -73,6 +73,8 @@ func (v *View) Table() *Table { return v.v.Data().Table }
 
 // Report returns the pinned version's prebuilt report over all
 // attributes, with supporters resolved against this version's fusion.
+// Treat it as read-only: a line's supporter list may be shared with
+// other versions whose (entity, attribute) claims held.
 func (v *View) Report() *Report { return v.v.Data().Report }
 
 // Stats returns the run statistics stamped onto the pinned version,
