@@ -50,8 +50,11 @@ loadtest:
 # appendable) and the record codec property (no payload panics the
 # decoder; an accepted one re-encodes to bytes that decode to the same
 # record; a version decoded header-first then body agrees with the
-# one-shot decode), and the fuse and the sort-free trust fixpoint over
-# the one prepared group vs their string-keyed, sort.Slice oracles.
+# one-shot decode), the fuse over the one prepared group vs its
+# string-keyed oracle, and the trust fixpoint over its flat layout —
+# carried with the claim groups, credits hoisted at 1.0 for groups with
+# one bucket, only groups with a choice re-voted — bit-equal to the
+# per-group, sort.Slice oracle, also over a carried layout.
 # Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry

@@ -35,6 +35,8 @@ const (
 	mReplayTrunc    = "wrangle_wal_replay_truncations_total"
 	mTrustComps     = "wrangle_trust_components"
 	mTrustIters     = "wrangle_trust_component_iterations"
+	mTrustContested = "wrangle_trust_contested_groups"
+	mTrustLayouts   = "wrangle_trust_layout_builds_total"
 	mDerivedRows    = "wrangle_derived_rows"
 )
 
@@ -64,6 +66,8 @@ type pipelineMetrics struct {
 	rows           *obs.Gauge
 	version        *obs.Gauge
 	trustComps     *obs.Gauge
+	trustContested *obs.Gauge
+	trustLayouts   *obs.Counter
 	derivedRows    *obs.Gauge
 }
 
@@ -95,6 +99,8 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 		rows:           reg.Gauge(mRows),
 		version:        reg.Gauge(mVersion),
 		trustComps:     reg.Gauge(mTrustComps),
+		trustContested: reg.Gauge(mTrustContested),
+		trustLayouts:   reg.Counter(mTrustLayouts),
 		derivedRows:    reg.Gauge(mDerivedRows),
 	}
 	reg.Histogram(mTrustIters, trustIterBuckets())
@@ -106,6 +112,8 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mReuseRatio, "Reused/(resolved+reused) shards of the last reaction tail.")
 	reg.Help(mTrustComps, "Trust-coupled components in the last tail's trust estimation.")
 	reg.Help(mTrustIters, "Fixpoint iterations per trust component.")
+	reg.Help(mTrustContested, "Claim groups the last tail's trust fixpoint re-voted on every iteration (more than one value bucket).")
+	reg.Help(mTrustLayouts, "Trust fixpoint layouts built; a fuse-only reaction reuses its claim groups' layout and builds none.")
 	reg.Help(mPublishSeconds, "Publication wall time after a reaction's stats stop, by phase: report build, log append and commit, compaction.")
 	reg.Help(mDerivedRows, "Source rows whose per-record derivations (FD cells, resolver features) are held; they die with their source generation.")
 	w.met = m
@@ -177,8 +185,13 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 	// w.lastTrust describes exactly the tail this publication came from
 	// (runTail/RunContext reset it per tail), so it is the one source of
 	// truth for both run and reaction origins.
-	if ts := w.lastTrust; ts.Components > 0 {
+	ts := w.lastTrust
+	if ts.LayoutBuilt {
+		m.trustLayouts.Inc()
+	}
+	if ts.Components > 0 {
 		m.trustComps.Set(float64(ts.Components))
+		m.trustContested.Set(float64(ts.Contested))
 		h := m.reg.Histogram(mTrustIters, trustIterBuckets())
 		for _, it := range ts.Iterations {
 			h.Observe(float64(it))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/fusion"
+	"repro/internal/obs"
 	"repro/internal/wrangletest"
 )
 
@@ -112,4 +113,77 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 func outputs(w *core.Wrangler) string {
 	fp := wrangletest.Fingerprint(w)
 	return fp[:strings.Index(fp, "== provenance")]
+}
+
+// TestTrustLayoutCarried pins the trust fixpoint's layout to its claim
+// groups, at shards 0, 1 and 4, over Run → value feedback ×2 → refresh →
+// value feedback: the run and the refresh, which build new groups, lay
+// out the fixpoint once each; a value-feedback reaction, which hands on
+// the same groups, lays out nothing and re-votes the same contested
+// groups. Every version's outputs equal a FullRerun's.
+func TestTrustLayoutCarried(t *testing.T) {
+	const seed, nSources = 29, 5
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			w := wrangletest.NewWrangler(seed, nSources, shards)
+			rerun := wrangletest.NewWrangler(seed, nSources, shards)
+			reg := obs.NewRegistry()
+			w.SetMetrics(reg)
+			builds := reg.Counter("wrangle_trust_layout_builds_total")
+			contested := reg.Gauge("wrangle_trust_contested_groups")
+			for _, s := range []*core.Wrangler{w, rerun} {
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := builds.Value(); n != 1 {
+				t.Fatalf("run: %d layouts built, want 1", n)
+			}
+			lastContested := contested.Value()
+			if lastContested <= 0 || lastContested >= float64(w.MemoGroups().Len()) {
+				t.Fatalf("run: %v of %d groups contested, want some but not all", lastContested, w.MemoGroups().Len())
+			}
+			for n, refresh := range []bool{false, false, true, false} {
+				apply := func(s *core.Wrangler) error {
+					s.EvolveWorld(0.2)
+					_, err := s.RefreshSource(w.SelectedSources()[0])
+					return err
+				}
+				if !refresh {
+					res := w.Results()[(41*n)%len(w.Results())]
+					it := feedback.Item{Kind: feedback.ValueIncorrect, SourceID: w.SelectedSources()[n%len(w.SelectedSources())],
+						Entity: res.Entity, Attribute: res.Attribute, Worker: "expert", Cost: 1}
+					apply = func(s *core.Wrangler) error {
+						s.AddFeedback(it)
+						_, err := s.ReactToFeedback()
+						return err
+					}
+				}
+				before := builds.Value()
+				if err := apply(w); err != nil {
+					t.Fatalf("step %d: %v", n, err)
+				}
+				built := builds.Value() - before
+				switch {
+				case refresh && built != 1:
+					t.Fatalf("step %d (refresh): %d layouts built, want 1", n, built)
+				case !refresh && built != 0:
+					t.Fatalf("step %d (value feedback): %d layouts built, want 0", n, built)
+				case !refresh && contested.Value() != lastContested:
+					t.Fatalf("step %d (value feedback): %v groups contested over the same groups, was %v", n, contested.Value(), lastContested)
+				}
+				lastContested = contested.Value()
+
+				if err := apply(rerun); err != nil {
+					t.Fatalf("step %d: rerun session: %v", n, err)
+				}
+				if _, err := rerun.FullRerun(); err != nil {
+					t.Fatalf("step %d: full rerun: %v", n, err)
+				}
+				if got, want := outputs(w), outputs(rerun); got != want {
+					t.Fatalf("step %d: outputs differ from a full rerun", n)
+				}
+			}
+		})
+	}
 }

@@ -134,16 +134,19 @@ func (o Options) normalized() Options {
 // Each group also carries its prepared state (groupPrep): its value
 // buckets, formed once for the trust fixpoint and the fuse alike, and the
 // supporters of each bucket the fuse can pick, for the report — a
-// function of its claim values and sources alone, never of trust. A
+// function of its claim values and sources alone, never of trust. Over
+// all of them the first TruthFinder estimation lays out the fixpoint's
+// flat source and claim arrays (trustLayout), once per ClaimGroups. A
 // ClaimGroups is the memo the next estimation adopts from
 // (EstimateTrustWarmParallel's prev), and a fuse-only reaction, whose
-// claims cannot have moved, hands the same ClaimGroups on and regroups
-// nothing. Claims never change, and only the
-// estimation writes a prepared slot: once it has run, fusing only reads,
-// so any number of Fuse calls may run at once.
+// claims cannot have moved, hands the same ClaimGroups on and regroups,
+// prepares and lays out nothing. Claims never change, and only the
+// estimation writes a prepared slot or the layout: once it has run,
+// fusing only reads, so any number of Fuse calls may run at once.
 type ClaimGroups struct {
 	claims [][]Claim    // per group, in group order
 	prep   []*groupPrep // parallel to claims: nil until prepared
+	layout *trustLayout // nil until a TruthFinder estimation ran; immutable once built
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
@@ -350,15 +353,19 @@ func CompareResults(a, b Result) int {
 // claim values and sources only — never trust, freshness or the policy —
 // so both add vote weights into buckets and order them, with no value
 // comparison left to make. Its layout is indexed by non-null claim, in
-// claim order. It also keeps, per fuse bucket, the sources backing the
-// bucket's representative (Supporters' rule), so a published report reads
-// the winner's supporters instead of scanning the group: the lists are
-// built once, with the group, and every reaction that keeps the group —
-// and every report line that names them — shares them read-only.
+// claim order. Every claim sames its own bucket, so each credits exactly
+// once per fixpoint iteration: the one bucket it sames when there is one
+// (credit), else the first bucket in vote order its match row marks. It
+// also keeps, per fuse bucket, the sources backing the bucket's
+// representative (Supporters' rule), so a published report reads the
+// winner's supporters instead of scanning the group: the lists are built
+// once, with the group, and every reaction that keeps the group — and
+// every report line that names them — shares them read-only.
 type groupPrep struct {
 	valueBuckets               // over the claimed values
 	sources      []string      // non-null claims' sources, claim order
 	match        [][]bool      // per non-null claim: which buckets it sames
+	credit       []int32       // per non-null claim: the one bucket it sames, -1 when it sames several
 	reconciled   *valueBuckets // over the values after reconcileUnits; nil unless it rewrote one
 	supporters   [][]string    // per fuse bucket: its representative's supporters, nil when none
 }
@@ -374,9 +381,11 @@ type valueBuckets struct {
 // prepareGroup forms a group's buckets over its claimed values, and its
 // match matrix against the final bucket set — in the fixpoint a claim
 // credits the first *sorted* bucket it matches, which can be a bucket
-// created after it. Only where reconcileUnits rewrote a value does it form
-// the buckets a second time, over the reconciled values, for the fuse.
-// Last, it lists each fuse bucket's supporters over the claimed values.
+// created after it — with each claim's crediting bucket where the choice
+// is no choice: it sames one bucket only, its own. Only where
+// reconcileUnits rewrote a value does it form the buckets a second time,
+// over the reconciled values, for the fuse. Last, it lists each fuse
+// bucket's supporters over the claimed values.
 func prepareGroup(claims []Claim) *groupPrep {
 	p := &groupPrep{}
 	for _, c := range claims {
@@ -390,12 +399,20 @@ func prepareGroup(claims []Claim) *groupPrep {
 	// One flat slab for the match matrix instead of a row per claim.
 	slab := make([]bool, len(nv)*len(reps))
 	p.match = make([][]bool, len(nv))
+	p.credit = make([]int32, len(nv))
 	for ci, v := range nv {
 		row := slab[ci*len(reps) : (ci+1)*len(reps)]
+		matched := 0
 		for i, ri := range reps {
-			row[i] = nv[ri].same(v)
+			if row[i] = nv[ri].same(v); row[i] {
+				matched++
+			}
 		}
 		p.match[ci] = row
+		p.credit[ci] = p.claimBucket[ci]
+		if matched > 1 {
+			p.credit[ci] = -1
+		}
 	}
 	if rc, rewrote := reconcileUnits(claims); rewrote {
 		b, _ := formBuckets(normVals(rc))
@@ -553,7 +570,7 @@ func newNormVal(v dataset.Value) normVal {
 // same is sameValue over cached forms.
 func (a normVal) same(b normVal) bool {
 	if a.num && b.num {
-		if a.f == b.f {
+		if a.f == b.f || math.IsNaN(a.f) && math.IsNaN(b.f) {
 			return true
 		}
 		den := math.Max(math.Abs(a.f), math.Abs(b.f))
@@ -597,10 +614,13 @@ func reconcileUnits(claims []Claim) (out []Claim, rewrote bool) {
 	return out, rewrote
 }
 
+// sameValue is the one value agreement rule of voting: numbers within
+// numericTolerance of each other, NaN with NaN (as Value.Equal has it),
+// everything else by normalised string. Every value sames itself.
 func sameValue(a, b dataset.Value) bool {
 	if a.IsNumeric() && b.IsNumeric() {
 		x, y := a.FloatVal(), b.FloatVal()
-		if x == y {
+		if x == y || math.IsNaN(x) && math.IsNaN(y) {
 			return true
 		}
 		den := math.Max(math.Abs(x), math.Abs(y))

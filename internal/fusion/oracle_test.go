@@ -15,9 +15,9 @@ import (
 
 // This file holds the oracles the prepared paths are pinned to: fuseGroup
 // re-buckets a group from its claims with text.Normalize on both sides of
-// every compare and sorts its buckets, and oracleFixpoint sorts every
-// group's buckets with sort.Slice on every iteration. The fuzzers below
-// compare the prepared paths against them.
+// every compare and sorts its buckets, and oracleFixpoint re-votes every
+// group, sorting its buckets with sort.Slice, on every iteration. The
+// fuzzers below compare the prepared paths against them.
 
 // bucket groups equivalent claimed values.
 type bucket struct {
@@ -81,15 +81,25 @@ func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []buc
 	return buckets
 }
 
-// oracleFixpoint is runComponentFixpoint with a sort.Slice over every
-// group's buckets on every iteration.
-func oracleFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur []float64, iters int) {
-	cur = slices.Clone(c.seed)
+// oracleFixpoint is the per-group fixpoint runComponentFixpoint
+// replaces: every group of the component re-votes on every iteration,
+// sorts its buckets with sort.Slice, and adds each claim's credit to its
+// source's sum and count on the spot. It reads the component's member
+// groups and sorted sources, and derives each claim's local source index
+// from the group's own sources — nothing of the flat layout.
+func oracleFixpoint(c *trustComponent, seed []float64, pinned []bool, defaultTrust float64, maxIters int) (cur []float64, iters int) {
+	cur = slices.Clone(seed)
+	local := make(map[string]int32, len(c.sources))
+	for i, s := range c.sources {
+		local[s] = int32(i)
+	}
+	srcIdx := make([][]int32, len(c.groups))
 	maxBuckets := 0
-	for _, g := range c.groups {
-		if n := len(g.norms); n > maxBuckets {
-			maxBuckets = n
+	for gi, g := range c.groups {
+		for _, s := range g.sources {
+			srcIdx[gi] = append(srcIdx[gi], local[s])
 		}
+		maxBuckets = max(maxBuckets, len(g.norms))
 	}
 	wbuf := make([]float64, maxBuckets)
 	obuf := make([]int, maxBuckets)
@@ -104,7 +114,7 @@ func oracleFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur 
 			for i := range w {
 				w[i] = 0
 			}
-			idx := c.srcIdx[gi]
+			idx := srcIdx[gi]
 			for ci, si := range idx {
 				if t := cur[si]; t > 0 {
 					w[g.claimBucket[ci]] += t
@@ -141,7 +151,7 @@ func oracleFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur 
 		}
 		delta := 0.0
 		for i := range cur {
-			if counts[i] == 0 || c.pinned[i] {
+			if counts[i] == 0 || pinned[i] {
 				continue
 			}
 			next := 0.5*cur[i] + 0.5*(sums[i]/float64(counts[i]))
@@ -155,11 +165,66 @@ func oracleFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur 
 	return cur, iters
 }
 
+// checkOracleTrust pins one estimation over g to the oracle: from base,
+// with every claim source seeded to the default (read off the claims, not
+// the layout), each of g's components iterated by oracleFixpoint must
+// take the iterations st reports and reach the trust got holds, bit for
+// bit, for every source.
+func checkOracleTrust(t *testing.T, label string, g *ClaimGroups, base Options, got Options, st TrustStats) {
+	t.Helper()
+	opts := cloneOpts(base).normalized()
+	for _, cs := range g.claims {
+		for _, c := range cs {
+			if _, ok := opts.Trust[c.SourceID]; !ok {
+				opts.Trust[c.SourceID] = opts.DefaultTrust
+			}
+		}
+	}
+	if len(st.Iterations) != len(g.layout.comps) {
+		t.Fatalf("%s: %d iteration counts for %d components", label, len(st.Iterations), len(g.layout.comps))
+	}
+	for i, c := range g.layout.comps {
+		seed, pinned := c.seeds(&opts)
+		want, iters := oracleFixpoint(c, seed, pinned, opts.DefaultTrust, opts.Iterations)
+		if st.Iterations[i] != iters {
+			t.Fatalf("%s: component %s: %d iterations, the oracle %d", label, c.key, st.Iterations[i], iters)
+		}
+		for j, s := range c.sources {
+			opts.Trust[s] = want[j]
+		}
+	}
+	requireBitEqualTrust(t, label, opts.Trust, got.Trust)
+}
+
+// requireBitEqualTrust requires two trust maps to hold the same sources
+// at the same floats, bit for bit (NaN included).
+func requireBitEqualTrust(t *testing.T, label string, want, got map[string]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d trust entries, want %d", label, len(got), len(want))
+	}
+	for s, w := range want {
+		if g, ok := got[s]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: trust[%s] = %v, the oracle %v", label, s, g, w)
+		}
+	}
+}
+
+// sameResult is Result equality with a NaN value equal to itself: the
+// value compares by Equal and by its printed form (which tells -0 from
+// 0), the confidence bit for bit.
+func sameResult(a, b Result) bool {
+	return a.Entity == b.Entity && a.Attribute == b.Attribute &&
+		a.Value.Equal(b.Value) && a.Value.String() == b.Value.String() &&
+		math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) &&
+		a.Support == b.Support && a.Conflict == b.Conflict
+}
+
 // fuseValues is the fuzzers' value alphabet for voting: numerics at the
 // tolerance edge (100 and 101 share a bucket, 100 and 102 do not), the
 // same amounts ×100 that reconcileUnits rewrites, ints beside equal
-// floats, strings that differ only by case or punctuation, signed zeros
-// and nulls.
+// floats, strings that differ only by case or punctuation, signed zeros,
+// NaN (which sames only NaN), the infinities and nulls.
 var fuseValues = []dataset.Value{
 	dataset.Null(),
 	dataset.Float(100), dataset.Float(101), dataset.Float(101.0101), dataset.Float(99), dataset.Float(102), dataset.Float(100.5),
@@ -168,13 +233,15 @@ var fuseValues = []dataset.Value{
 	dataset.String("Acme"), dataset.String("acme"), dataset.String("ACME!"), dataset.String("a.c.m.e"),
 	dataset.String("Acme Inc"), dataset.String("acme-inc"), dataset.String("Globex"),
 	dataset.Float(0), dataset.Float(math.Copysign(0, -1)), dataset.String("100"),
+	dataset.Float(math.NaN()), dataset.Float(math.Inf(1)), dataset.Float(math.Inf(-1)),
 }
 
 // tieValues is the alphabet for the trust kernel, heavy with buckets that
 // tie on norm: x and -x normalise alike yet never share a bucket, "1 5"
 // matches both 1.5 and -1.5, and 1e21 and 1e-21 normalise alike. There
 // are more than twelve distinct buckets, so the oracle's sort.Slice
-// leaves its insertion-sort range.
+// leaves its insertion-sort range. NaN, the infinities (which normalise
+// alike) and the signed zeros (which share a bucket) ride along.
 var tieValues = []dataset.Value{
 	dataset.Null(),
 	dataset.Float(1.5), dataset.Float(-1.5), dataset.Float(2.5), dataset.Float(-2.5),
@@ -182,6 +249,8 @@ var tieValues = []dataset.Value{
 	dataset.Float(7), dataset.Float(-7), dataset.Float(50), dataset.Float(-50),
 	dataset.Float(1e21), dataset.Float(1e-21), dataset.Int(7), dataset.Int(-7),
 	dataset.String("1 5"), dataset.String("2.5"), dataset.String("acme"), dataset.String("ACME"),
+	dataset.Float(math.NaN()), dataset.Float(math.Inf(1)), dataset.Float(math.Inf(-1)),
+	dataset.Float(0), dataset.Float(math.Copysign(0, -1)),
 }
 
 // fuzzClaims decodes three bytes per claim: the entity, attribute and
@@ -253,7 +322,7 @@ func FuzzFusePrepared(f *testing.F) {
 		check := func(label string, g *ClaimGroups, opts Options, got []Result) {
 			t.Helper()
 			for i, cs := range g.claims {
-				if want := fuseGroup(cs, opts); got[i] != want {
+				if want := fuseGroup(cs, opts); !sameResult(got[i], want) {
 					t.Fatalf("%s: group %q = %+v, the oracle %+v", label, groupKey(g, i), got[i], want)
 				}
 				if sup, want := g.Supporters(i, got[i].Value), appendSupporters(nil, cs, got[i].Value); !reflect.DeepEqual(sup, want) {
@@ -287,38 +356,72 @@ func FuzzFusePrepared(f *testing.F) {
 	})
 }
 
-// FuzzTrustKernel pins the fixpoint's insertion sort to the oracle's
-// sort.Slice over claim groups heavy with buckets that tie on both weight
-// and norm: every component reaches the same per-source floats, bit for
-// bit, in the same number of iterations.
+// hugeTrust gives one of the fuzzers' sources, picked by mode, a seed at
+// or near math.MaxFloat64 — or none, when mode%5 is 0. Where a group's
+// vote total could overflow, the fixpoint must re-vote every group, as the
+// oracle does; MaxFloat64/3 is the edge where three claims of one source
+// in one bucket sum, by rounding, to +Inf.
+func hugeTrust(opts Options, mode uint8) {
+	if v := []float64{0, math.MaxFloat64, math.MaxFloat64 / 3, math.MaxFloat64 / 64, math.Inf(1)}[mode%5]; v != 0 {
+		opts.Trust[string(rune('p'+int(mode/5)%5))] = v
+	}
+}
+
+// FuzzTrustKernel pins the fixpoint to the per-group oracle over claim
+// groups heavy with buckets that tie on both weight and norm, and over
+// groups that mostly hold one bucket, whose credits the fixpoint never
+// recomputes: every component reaches the same per-source floats, bit for
+// bit, in the same number of iterations, also where a seed near
+// math.MaxFloat64 could overflow a vote total. A second estimation over
+// the same ClaimGroups, under other seeds and pinned flags, reuses the
+// carried layout and equals an estimation over a fresh grouping bit for
+// bit.
 func FuzzTrustKernel(f *testing.F) {
 	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte, _ uint8, seed int64) {
+	// Mostly uncontested: entity b's groups all say 1.5, and a few of
+	// entity a's claims say something else.
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		data := make([]byte, 3*(20+rng.Intn(60)))
+		rng.Read(data)
+		for i := 0; i+2 < len(data); i += 3 {
+			if data[i]%2 == 1 || rng.Intn(6) != 0 {
+				data[i+1] = 1
+			}
+		}
+		f.Add(data, uint8(5*seed), seed)
+	}
+	// Every group uncontested, and three of source p's claims in one of
+	// them: at MaxFloat64/3 they sum to +Inf, at MaxFloat64 already two do.
+	threeOfP := []byte{0, 1, 0, 2, 1, 0, 40, 1, 0, 1, 1, 0, 5, 1, 0}
+	f.Add(threeOfP, uint8(2), int64(3))
+	f.Add(threeOfP, uint8(1), int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, seed int64) {
 		claims := fuzzClaims(data, tieValues, 2)
 		if len(claims) == 0 {
 			return
 		}
-		opts := fuzzOptions(TruthFinder, seed).normalized()
+		base := fuzzOptions(TruthFinder, seed)
+		hugeTrust(base, mode)
 		g := GroupClaims(claims)
-		for i, cs := range g.claims {
-			g.prep[i] = prepareGroup(cs)
-			for _, c := range cs {
-				if _, ok := opts.Trust[c.SourceID]; !ok {
-					opts.Trust[c.SourceID] = opts.DefaultTrust
-				}
-			}
+		got, _, st := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
+		if !st.LayoutBuilt {
+			t.Fatal("a fresh grouping's estimation built no layout")
 		}
-		for _, c := range buildTrustComponents(g.prep, &opts) {
-			got, gotIters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
-			want, wantIters := oracleFixpoint(c, opts.DefaultTrust, opts.Iterations)
-			if gotIters != wantIters {
-				t.Fatalf("component %s: %d iterations, the oracle %d", c.key, gotIters, wantIters)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("component %s: trust[%s] = %v, the oracle %v", c.key, c.sources[i], got[i], want[i])
-				}
-			}
+		checkOracleTrust(t, "fresh", g, base, got, st)
+
+		next := fuzzOptions(TruthFinder, ^seed)
+		hugeTrust(next, mode/3)
+		again, _, st2 := EstimateTrustWarmParallel(g, cloneOpts(next), g, 1)
+		fresh := GroupClaims(claims)
+		want, _, fst := EstimateTrustWarmParallel(fresh, cloneOpts(next), nil, 1)
+		if st2.LayoutBuilt || !fst.LayoutBuilt {
+			t.Fatalf("layout built: carried %v, fresh %v; want false, true", st2.LayoutBuilt, fst.LayoutBuilt)
 		}
+		if !slices.Equal(st2.Iterations, fst.Iterations) || st2.Contested != fst.Contested {
+			t.Fatalf("carried layout: %+v, a fresh one %+v", st2, fst)
+		}
+		requireBitEqualTrust(t, "carried layout", want.Trust, again.Trust)
+		checkOracleTrust(t, "carried", g, next, again, st2)
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -25,14 +24,19 @@ import (
 // stays because its per-component break is the float sequence the oracle
 // is pinned to, and TrustStats.Components is how an operator sees it.
 //
-// Reuse across estimations happens at one grain, the prepared (entity,
+// Reuse across estimations happens at two grains. The prepared (entity,
 // attribute) group (groupPrep), whose value buckets are formed once and
 // serve the fixpoint and the fuse alike: a group whose claims held since
-// the previous ClaimGroups adopts its state, and a fuse-only reaction,
-// whose claims cannot have moved, hands the estimation the previous
-// ClaimGroups itself and regroups and prepares nothing. Every component
-// iterates on every estimation — trust is always the exact global
-// fixpoint of the claims it was given.
+// the previous ClaimGroups adopts its state. And the flat fixpoint layout
+// (trustLayout), built once per ClaimGroups and carried on it: a
+// fuse-only reaction, whose claims cannot have moved, hands the
+// estimation the previous ClaimGroups itself, so it regroups, prepares
+// and lays out nothing. Only the seeds and pinned flags are read afresh
+// from the options on every estimation. Every component iterates on
+// every estimation — trust is always the exact global fixpoint of the
+// claims it was given — but an iteration re-votes only the contested
+// groups, those with more than one bucket: a single-bucket group credits
+// each of its claims w/w, exactly 1.0, whatever the trust.
 
 // TrustStats reports the shape of one trust estimation: its component
 // partition and how much prepared state it started from.
@@ -50,146 +54,225 @@ type TrustStats struct {
 	// the ClaimGroups itself. GroupsPrepared counts the rest, which the
 	// estimation prepares, under every policy, before any fuse reads them.
 	GroupsKept, GroupsPrepared int
+	// Contested counts the groups the fixpoint re-voted on every
+	// iteration: those with more than one value bucket, or every group of
+	// a component whose seeds could overflow a group's vote total.
+	Contested int
+	// LayoutBuilt reports that the estimation laid out the fixpoint's
+	// flat arrays; false when the ClaimGroups carried them already (a
+	// fuse-only reaction) or no fixpoint ran.
+	LayoutBuilt bool
 }
 
 // TrustSplit is the wall clock of one trust estimation, by step: adopting
-// and preparing groups, then building the components and iterating them.
-// It is kept apart from TrustStats, which is a deterministic function of
-// the inputs.
+// and preparing groups, then laying out the components and iterating
+// them. It is kept apart from TrustStats, which is a deterministic
+// function of the inputs.
 type TrustSplit struct {
 	Prepare, Fixpoint time.Duration
 }
 
-// trustComponent is one trust-coupled connected component prepared for an
-// independent fixpoint: its member groups in global group order, its
-// distinct sources sorted (the component-local dictionary), each group's
-// non-null claim sources dictionary-encoded to local indices, and the
-// per-source seed trust and pinned flags snapshotted at build time.
-type trustComponent struct {
-	key     string       // identity: lexicographically smallest member source
-	groups  []*groupPrep // member groups, in global group order
-	srcIdx  [][]int32    // parallel to groups: per non-null claim, local source index
-	sources []string     // distinct member sources, sorted
-	seed    []float64    // per local source: trust at fixpoint start
-	pinned  []bool       // per local source: trust is externally fixed
+// trustLayout is the fixpoint's view of one ClaimGroups: its components,
+// laid out flat, and every distinct claim source — null-only sources
+// included — which an estimation seeds with the default trust. It is a
+// function of the prepared groups alone, built by the first TruthFinder
+// estimation over the ClaimGroups and read-only after.
+type trustLayout struct {
+	sources []string          // every claim source, in first-claim order
+	comps   []*trustComponent // sorted by key
 }
 
-// buildTrustComponents unions every group's non-null claim sources and
-// materialises one trustComponent per union-find root. Groups are visited
-// in their global group order, so each component's groups are a
-// subsequence of that order and the within-component float accumulation
-// sequence matches the old single-loop fixpoint exactly. Groups with only
-// null claims join no component: they contributed total==0 and were
-// skipped by the old loop too. Components are returned sorted by key.
-// Must run after default-trust seeding so seed snapshots are complete.
-func buildTrustComponents(groups []*groupPrep, opts *Options) []*trustComponent {
-	srcID := make(map[string]int)
-	var srcs []string
-	var parent []int
-	find := func(x int) int {
+// trustComponent is one trust-coupled connected component laid out for an
+// independent fixpoint: its member groups in global group order, its
+// distinct sources sorted (the component-local dictionary), and one flat
+// array of every member group's non-null claims, dictionary-encoded to
+// local source indices. Nothing in it depends on trust: seeds and pinned
+// flags are read per estimation.
+type trustComponent struct {
+	key       string       // identity: lexicographically smallest member source
+	groups    []*groupPrep // member groups, in global group order
+	sources   []string     // distinct member sources, sorted
+	src       []int32      // per non-null claim, group order then claim order: local source index
+	off       []int32      // per member group, its first claim in src; a last entry closes the final group
+	contested []int32      // member groups with more than one bucket, as indices into groups
+	counts    []int        // per local source: its non-null claims, each credited once per iteration
+	maxClaims int          // the largest member group's non-null claim count
+}
+
+// buildTrustLayout lays out the fixpoint over prepared groups, with one
+// source lookup per claim: it numbers every source on first sight, unions
+// the sources of each group's non-null claims, and materialises one
+// trustComponent per union-find root, remapping global source numbers to
+// component-local indices through one array. Groups are visited in their
+// global group order, so each component's groups are a subsequence of
+// that order and the within-component float accumulation sequence matches
+// the per-group loop exactly. Groups with only null claims join no
+// component: they vote no weight and credit nothing. Components are
+// sorted by key.
+func buildTrustLayout(claims [][]Claim, groups []*groupPrep) *trustLayout {
+	l := &trustLayout{}
+	srcID := make(map[string]int32)
+	var parent []int32
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, g := range groups {
-		first := -1
-		for _, s := range g.sources {
-			i, ok := srcID[s]
+	// ids holds every non-null claim's global source number, in group and
+	// claim order; goff[gi] is group gi's first claim in it.
+	var ids []int32
+	goff := make([]int32, len(claims)+1)
+	for gi, cs := range claims {
+		first := int32(-1)
+		for k := range cs {
+			c := &cs[k]
+			id, ok := srcID[c.SourceID]
 			if !ok {
-				i = len(parent)
-				srcID[s] = i
-				srcs = append(srcs, s)
-				parent = append(parent, i)
+				id = int32(len(l.sources))
+				srcID[c.SourceID] = id
+				l.sources = append(l.sources, c.SourceID)
+				parent = append(parent, id)
 			}
+			if c.Value.IsNull() {
+				continue
+			}
+			ids = append(ids, id)
 			if first < 0 {
-				first = find(i)
-			} else if r := find(i); r != first {
+				first = find(id)
+			} else if r := find(id); r != first {
 				parent[r] = first
 			}
 		}
+		goff[gi+1] = int32(len(ids))
 	}
-	comps := make(map[int]*trustComponent)
-	var order []*trustComponent
-	for _, g := range groups {
-		if len(g.sources) == 0 {
+	// Number the components by first member group, then hand each its
+	// sources and the local index of each.
+	compOf := make([]int32, len(l.sources)) // per root: component number + 1
+	for gi := range claims {
+		if goff[gi] == goff[gi+1] {
 			continue
 		}
-		root := find(srcID[g.sources[0]])
-		c := comps[root]
-		if c == nil {
-			c = &trustComponent{}
-			comps[root] = c
-			order = append(order, c)
+		if r := find(ids[goff[gi]]); compOf[r] == 0 {
+			l.comps = append(l.comps, &trustComponent{})
+			compOf[r] = int32(len(l.comps))
 		}
-		c.groups = append(c.groups, g)
 	}
-	for i, s := range srcs {
-		c := comps[find(i)]
-		c.sources = append(c.sources, s)
+	for id, s := range l.sources {
+		if k := compOf[find(int32(id))]; k > 0 {
+			c := l.comps[k-1]
+			c.sources = append(c.sources, s)
+		}
 	}
-	for _, c := range order {
-		sort.Strings(c.sources)
+	local := make([]int32, len(l.sources))
+	for _, c := range l.comps {
+		slices.Sort(c.sources)
 		c.key = c.sources[0]
-		local := make(map[string]int32, len(c.sources))
 		for i, s := range c.sources {
-			local[s] = int32(i)
+			local[srcID[s]] = int32(i)
 		}
-		c.srcIdx = make([][]int32, len(c.groups))
-		for gi, g := range c.groups {
-			idx := make([]int32, len(g.sources))
-			for ci, s := range g.sources {
-				idx[ci] = local[s]
-			}
-			c.srcIdx[gi] = idx
-		}
-		c.seed = make([]float64, len(c.sources))
-		c.pinned = make([]bool, len(c.sources))
-		for i, s := range c.sources {
-			c.seed[i] = opts.Trust[s]
-			c.pinned[i] = opts.Pinned[s]
-		}
+		c.counts = make([]int, len(c.sources))
 	}
-	slices.SortFunc(order, func(a, b *trustComponent) int {
+	for gi, p := range groups {
+		lo, hi := goff[gi], goff[gi+1]
+		if lo == hi {
+			continue
+		}
+		c := l.comps[compOf[find(ids[lo])]-1]
+		if len(p.norms) > 1 {
+			c.contested = append(c.contested, int32(len(c.groups)))
+		}
+		c.groups = append(c.groups, p)
+		c.off = append(c.off, int32(len(c.src)))
+		for _, id := range ids[lo:hi] {
+			c.src = append(c.src, local[id])
+			c.counts[local[id]]++
+		}
+		c.maxClaims = max(c.maxClaims, int(hi-lo))
+	}
+	for _, c := range l.comps {
+		c.off = append(c.off, int32(len(c.src)))
+	}
+	slices.SortFunc(l.comps, func(a, b *trustComponent) int {
 		return strings.Compare(a.key, b.key)
 	})
-	return order
+	return l
 }
 
-// runComponentFixpoint iterates one component to convergence and returns
-// its trust, parallel to the component's sorted sources, with the number
-// of iterations it took. Within the component the float sequence is
-// identical to the old global loop: groups in group order, claims in
-// input order, and the damped update over sources in sorted order — which
-// is exactly local dictionary index order, so the per-iteration path is
-// entirely slice-indexed with no map lookups and no string comparisons.
-// The delta<1e-6 break is per-component: a converged component stops
-// iterating even while a larger one elsewhere keeps going, which the old
-// global-delta loop could not do.
-func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int) (cur []float64, iters int) {
-	cur = slices.Clone(c.seed)
+// revoted returns the member groups whose credits an iteration must
+// recompute under these seeds. An uncontested group's one bucket weighs
+// w, the sum of its claims' weights, and its total is 0 + w, so each
+// claim's credit w/total is exactly 1.0 — when w is finite and positive.
+// Positive it is: every weight is a positive trust or the default, which
+// normalized() keeps positive. Finite it is when no weight exceeds
+// MaxFloat64 / (2 · the largest group's claim count): n such weights sum
+// below MaxFloat64/2 · (1+2⁻⁵³)ⁿ⁺¹, which the rounding of n additions
+// cannot carry to +Inf (without the 2 it can: three claims at
+// MaxFloat64/3, rounded up, sum to exactly the halfway point to 2¹⁰²⁴,
+// which rounds to +Inf). The bound holds on every iteration if it holds
+// on the seeds, since trust only moves halfway toward a mean of credits
+// in [0, 1]. A component whose seeds or default break it re-votes every
+// group: the same loop over a longer list.
+func (c *trustComponent) revoted(seed []float64, defaultTrust float64) []int32 {
+	limit := math.MaxFloat64 / float64(2*c.maxClaims)
+	ok := defaultTrust <= limit // false for NaN
+	for _, t := range seed {
+		// A NaN or non-positive seed weighs the default.
+		ok = ok && !(t > limit)
+	}
+	if ok {
+		return c.contested
+	}
+	all := make([]int32, len(c.groups))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+// runComponentFixpoint iterates one component to convergence from seed
+// (per local source; pinned sources keep theirs) and returns its trust,
+// parallel to the component's sorted sources, with the number of
+// iterations it took and the number of groups it re-voted. An iteration
+// has two steps. First each re-voted group weighs its buckets, orders
+// them (an in-place insertion sort by bucketBefore), sums its total in
+// that order and writes each claim's credit w[b]/total into a per-claim
+// slab, where every other claim's credit stays 1.0. Then one flat pass
+// adds the slab into the per-source sums in group and claim order — the
+// order the per-group loop (oracleFixpoint) adds in, so the float
+// sequence is that loop's bit for bit. Every claim credits exactly once
+// (it sames its own bucket, and a total is never 0), so the per-source
+// claim counts are the layout's, none of them 0: a source joins a
+// component through a non-null claim. The damped update runs over
+// sources in sorted order — exactly local index order. The delta<1e-6
+// break is per-component: a converged component stops iterating even
+// while a larger one elsewhere keeps going.
+func runComponentFixpoint(c *trustComponent, seed []float64, pinned []bool, defaultTrust float64, maxIters int) (cur []float64, iters, contested int) {
+	cur = slices.Clone(seed)
+	revote := c.revoted(seed, defaultTrust)
 	maxBuckets := 0
-	for _, g := range c.groups {
-		if n := len(g.norms); n > maxBuckets {
-			maxBuckets = n
-		}
+	for _, gi := range revote {
+		maxBuckets = max(maxBuckets, len(c.groups[gi].norms))
 	}
 	wbuf := make([]float64, maxBuckets)
 	obuf := make([]int, maxBuckets)
+	credit := make([]float64, len(c.src))
+	for k := range credit {
+		credit[k] = 1
+	}
 	sums := make([]float64, len(c.sources))
-	counts := make([]int, len(c.sources))
 	for iters < maxIters {
 		iters++
-		clear(sums)
-		clear(counts)
-		for gi, g := range c.groups {
+		for _, gi := range revote {
+			g := c.groups[gi]
+			lo, hi := c.off[gi], c.off[gi+1]
+			idx, cr := c.src[lo:hi], credit[lo:hi]
 			w := wbuf[:len(g.norms)]
 			order := obuf[:len(w)]
 			for i := range w {
 				w[i], order[i] = 0, i
 			}
-			idx := c.srcIdx[gi]
 			for ci, si := range idx {
 				// trustOf's rule over the dictionary: a positive current
 				// value wins, anything else falls back to the default.
@@ -213,25 +296,29 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 			for _, bi := range order {
 				total += w[bi]
 			}
-			if total == 0 {
-				continue
-			}
-			for ci, si := range idx {
-				for _, bi := range order {
-					if g.match[ci][bi] {
-						sums[si] += w[bi] / total
-						counts[si]++
-						break
+			for ci, bi := range g.credit {
+				if bi < 0 {
+					row := g.match[ci]
+					for _, b := range order {
+						if row[b] {
+							bi = int32(b)
+							break
+						}
 					}
 				}
+				cr[ci] = w[bi] / total
 			}
+		}
+		clear(sums)
+		for k, si := range c.src {
+			sums[si] += credit[k]
 		}
 		delta := 0.0
 		for i := range cur {
-			if counts[i] == 0 || c.pinned[i] {
+			if pinned[i] {
 				continue
 			}
-			next := 0.5*cur[i] + 0.5*(sums[i]/float64(counts[i]))
+			next := 0.5*cur[i] + 0.5*(sums[i]/float64(c.counts[i]))
 			delta += math.Abs(next - cur[i])
 			cur[i] = next
 		}
@@ -239,7 +326,7 @@ func runComponentFixpoint(c *trustComponent, defaultTrust float64, maxIters int)
 			break
 		}
 	}
-	return cur, iters
+	return cur, iters, len(revote)
 }
 
 // EstimateTrustWarmParallel is EstimateTrustParallel over grouped claims
@@ -329,32 +416,46 @@ func (g *ClaimGroups) prepare(workers int) {
 // any other order would make trust (and with it confidences and
 // tie-broken winners) vary with how the claims arrived. Bucket formation
 // is iteration-invariant (membership depends only on values, not
-// weights), so the fixpoint reads each group's buckets as prepared and
-// runs per trust-coupled component with a per-component convergence
-// break. It returns the wall clock of the fixpoint step.
+// weights), so the fixpoint reads each group's buckets as prepared, over
+// the layout g carries — laid out here if g has none yet — and runs per
+// trust-coupled component with a per-component convergence break. It
+// returns the wall clock of the layout and fixpoint steps.
 func estimateTrust(g *ClaimGroups, opts *Options, st *TrustStats) time.Duration {
+	start := time.Now()
+	if g.layout == nil {
+		g.layout, st.LayoutBuilt = buildTrustLayout(g.claims, g.prep), true
+	}
 	// Every source that appears in any claim (nulls included) gets a trust
-	// entry before components snapshot their seeds.
-	for _, cs := range g.claims {
-		for _, c := range cs {
-			if _, ok := opts.Trust[c.SourceID]; !ok {
-				opts.Trust[c.SourceID] = opts.DefaultTrust
-			}
+	// entry before the components read their seeds.
+	for _, s := range g.layout.sources {
+		if _, ok := opts.Trust[s]; !ok {
+			opts.Trust[s] = opts.DefaultTrust
 		}
 	}
-	start := time.Now()
-	// Components share no source, and each snapshotted its seeds when it
-	// was built, so writing one's result back cannot reach another's run.
-	comps := buildTrustComponents(g.prep, opts)
+	// Components share no source, and each reads its seeds before it runs,
+	// so writing one's result back cannot reach another's run.
+	comps := g.layout.comps
 	st.Components, st.Iterations = len(comps), make([]int, len(comps))
 	for i, c := range comps {
-		trust, iters := runComponentFixpoint(c, opts.DefaultTrust, opts.Iterations)
+		seed, pinned := c.seeds(opts)
+		trust, iters, contested := runComponentFixpoint(c, seed, pinned, opts.DefaultTrust, opts.Iterations)
 		for j, src := range c.sources {
 			opts.Trust[src] = trust[j]
 		}
 		st.Iterations[i] = iters
+		st.Contested += contested
 	}
 	return time.Since(start)
+}
+
+// seeds reads the component's seed trust and pinned flags from opts, per
+// local source, into fresh slices.
+func (c *trustComponent) seeds(opts *Options) (seed []float64, pinned []bool) {
+	seed, pinned = make([]float64, len(c.sources)), make([]bool, len(c.sources))
+	for i, s := range c.sources {
+		seed[i], pinned[i] = opts.Trust[s], opts.Pinned[s]
+	}
+	return seed, pinned
 }
 
 // claimsHeld compares two claim lists on everything prepared state reads:

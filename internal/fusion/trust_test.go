@@ -3,7 +3,9 @@ package fusion
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -146,4 +148,73 @@ func TestStreamingTrustWarmNonTruthFinder(t *testing.T) {
 		t.Fatalf("freshness policy has no fixpoint to run, got %+v", st)
 	}
 	requireSameTrust(t, cold.Trust, warm.Trust, "freshness")
+}
+
+// TestNaNClaimsAgree pins NaN to Value.Equal's rule in voting: three
+// sources saying NaN against one saying 5 form one NaN bucket that wins
+// with all three claims behind it, and their trust moves like any
+// agreeing sources'. No claim supports a NaN value (ApproxEqual has no
+// NaN rule).
+func TestNaNClaimsAgree(t *testing.T) {
+	var claims []Claim
+	for _, s := range []string{"s1", "s2", "s3"} {
+		claims = append(claims, Claim{Entity: "e", Attribute: "price", Value: dataset.Parse("NaN"), SourceID: s})
+	}
+	claims = append(claims, Claim{Entity: "e", Attribute: "price", Value: dataset.Float(5), SourceID: "s4"})
+	if !sameValue(claims[0].Value, claims[1].Value) {
+		t.Fatal("sameValue(NaN, NaN) = false")
+	}
+	g := GroupClaims(claims)
+	opts, _, st := EstimateTrustWarmParallel(g, DefaultOptions(TruthFinder), nil, 1)
+	checkOracleTrust(t, "NaN", g, DefaultOptions(TruthFinder), opts, st)
+	r := g.Fuse(opts, nil)[0]
+	if f := r.Value; f.Kind() != dataset.KindFloat || !math.IsNaN(f.FloatVal()) || r.Support != 3 || !r.Conflict || r.Confidence <= 0.75 {
+		t.Fatalf("fused %+v, want NaN with support 3 and confidence above 0.75", r)
+	}
+	if opts.Trust["s1"] <= opts.Trust["s4"] || opts.Trust["s1"] == opts.DefaultTrust {
+		t.Fatalf("trust %v: the NaN sources' trust did not rise above s4's", opts.Trust)
+	}
+	if sup := g.Supporters(0, r.Value); len(sup) != 0 {
+		t.Fatalf("supporters of NaN %v, want none", sup)
+	}
+}
+
+// TestTrustRevotesContestedGroupsOnly pins which groups an iteration
+// re-votes: those with more than one bucket — every group of the
+// component once a seed could overflow a vote total — and that a second
+// estimation over the same groups lays out nothing, with the oracle's
+// trust either way.
+func TestTrustRevotesContestedGroupsOnly(t *testing.T) {
+	c := func(e, src string, v dataset.Value) Claim {
+		return Claim{Entity: e, Attribute: "price", Value: v, SourceID: src}
+	}
+	claims := []Claim{
+		c("a", "s1", dataset.Float(10)), c("a", "s2", dataset.Float(10)), // one bucket
+		c("b", "s1", dataset.Float(20)), c("b", "s3", dataset.Float(25)), // two
+		c("c", "s2", dataset.Float(30)), c("c", "s3", dataset.Null()), // one
+		c("d", "s1", dataset.Float(100)), c("d", "s2", dataset.Float(101.5)), c("d", "s3", dataset.Float(100.8)), // two; s3 sames both
+		c("e", "s4", dataset.Null()), // no bucket, no component
+	}
+	g := GroupClaims(claims)
+	g.prepare(1)
+	if got := g.prep[3].credit; !slices.Equal(got, []int32{0, 1, -1}) {
+		t.Fatalf("group d credits %v, want [0 1 -1]", got)
+	}
+	base := DefaultOptions(TruthFinder)
+	opts, _, st := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
+	if st.Components != 1 || st.Contested != 2 || !st.LayoutBuilt {
+		t.Fatalf("stats %+v: want 1 component, 2 contested groups, a layout built", st)
+	}
+	if _, ok := opts.Trust["s4"]; !ok {
+		t.Fatal("the null-only source got no default trust")
+	}
+	checkOracleTrust(t, "hoisted", g, base, opts, st)
+
+	huge := cloneOpts(base)
+	huge.Trust["s2"] = math.MaxFloat64 / 3
+	opts, _, st = EstimateTrustWarmParallel(g, cloneOpts(huge), g, 1)
+	if st.Contested != 4 || st.LayoutBuilt {
+		t.Fatalf("stats %+v: want all 4 voting groups re-voted over the carried layout", st)
+	}
+	checkOracleTrust(t, "overflow guard", g, huge, opts, st)
 }

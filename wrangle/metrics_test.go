@@ -271,6 +271,11 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 	if _, err := s.Refresh(ctx, s.SelectedSources()[0]); err != nil {
 		t.Fatal(err)
 	}
+	// The run and the refresh each group their claims afresh, so each lays
+	// out the trust fixpoint once.
+	if n := counter(s, "wrangle_trust_layout_builds_total"); n != 2 {
+		t.Errorf("wrangle_trust_layout_builds_total = %d after a run and a refresh, want 2", n)
+	}
 	var b strings.Builder
 	if err := s.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -290,6 +295,8 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_version",
 		"wrangle_derived_rows",
 		"wrangle_publish_seconds",
+		"wrangle_trust_contested_groups",
+		"wrangle_trust_layout_builds_total",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
