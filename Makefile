@@ -43,6 +43,8 @@ loadtest:
 # the sharded-resolve identity, the end-to-end tail identity (workers ×
 # shards vs the one-shard, one-worker baseline), the integer FD kernel vs
 # its string oracle, the carried Prepare + RePlan vs a fresh plan, the
+# re-plan harness's roots slab (translated clean rows, dirty rows
+# resolved in place) vs cold per-shard resolves and the sequential one, the
 # change-feed resume property (no duplicate, out-of-order
 # or torn deliveries across arbitrary publish/subscribe/drain/cancel
 # interleavings), the WAL replay property (arbitrary bytes never
@@ -57,6 +59,7 @@ loadtest:
 # per-group, sort.Slice oracle, also over a carried layout.
 # Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
+# -fuzz=FuzzStreamingRePlan,
 # -fuzz=FuzzRepairProfile ./internal/quality, -fuzz=FuzzPrepareCarry
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
 # -fuzz=FuzzWALReplay ./internal/wal, -fuzz=FuzzDurableRecord
@@ -65,6 +68,7 @@ loadtest:
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
+	$(GO) test -fuzz=FuzzStreamingRePlan -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzRepairProfile -fuzztime=10s -run=^$$ ./internal/quality
 	$(GO) test -fuzz=FuzzPrepareCarry -fuzztime=10s -run=^$$ ./internal/er
 	$(GO) test -fuzz=FuzzWatchResume -fuzztime=10s -run=^$$ ./internal/serve

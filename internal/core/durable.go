@@ -957,8 +957,15 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
 	}
+	for row, id := range w.clusters.Assign {
+		if id < 0 || id >= w.clusters.Num {
+			return fmt.Errorf("core: version %d assigns row %d to cluster %d outside [0,%d)", lv.seq, row, id, w.clusters.Num)
+		}
+	}
 	w.nameEntities()
-	w.entityShard = pageRoutes(w.entities.ids, w.pages)
+	// Entities are routed only with a rebuilt memo, off its plan: without
+	// one the next tail is a full one, and it routes the entities itself.
+	w.entityShard = nil
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, the version carries its pages, and no
@@ -980,34 +987,14 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 	return nil
 }
 
-// pageRoutes routes each entity (ids, sorted) to the first page that
-// holds it, -1 where none does: the restored form of the live routing,
-// which put every entity in exactly one page. Pages keep their entities
-// sorted, so each page is one merge walk against ids.
-func pageRoutes(ids []string, pages []*shardPage) []int32 {
-	route := make([]int32, len(ids))
-	for e := range route {
-		route[e] = -1
-	}
-	for s, p := range pages {
-		e := 0
-		for _, id := range p.entities {
-			for e < len(ids) && ids[e] < id {
-				e++
-			}
-			if e < len(ids) && ids[e] == id && route[e] < 0 {
-				route[e] = int32(s)
-			}
-		}
-	}
-	return route
-}
-
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
-// and clusters. The shard plan and the cluster representatives are
-// deterministic functions of what was restored; the prepared claim groups
-// are not persisted — their absence only means the first estimation
-// prepares every group, and its result is float-exact either way.
+// and clusters, and routes the entities off the rebuilt plan as the live
+// cluster barrier routed them. The shard plan and the roots slab are
+// deterministic functions of what was restored: a row's representative is
+// its cluster's first row, read off the cluster ids restoreWorkingState
+// validated. The prepared claim groups are not persisted — their absence
+// only means the first estimation prepares every group, and its result
+// is float-exact either way.
 func (w *Wrangler) rebuildMemo() {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()
@@ -1017,26 +1004,23 @@ func (w *Wrangler) rebuildMemo() {
 	if err != nil || rp.Plan.NumShards != len(w.pages) {
 		return
 	}
-	roots := make([]map[int]int, rp.Plan.NumShards)
-	for s, rows := range rp.Plan.Rows {
-		m := make(map[int]int, len(rows))
-		repOf := map[int]int{}
-		for _, row := range rows {
-			cid := w.clusters.Assign[row]
-			rep, ok := repOf[cid]
-			if !ok {
-				rep = row
-				repOf[cid] = row
-			}
-			m[row] = rep
+	first := make([]int32, w.clusters.Num) // by cluster id: its first row, -1 until seen
+	for i := range first {
+		first[i] = -1
+	}
+	roots := make([]int32, len(w.clusters.Assign))
+	for row, id := range w.clusters.Assign {
+		if first[id] < 0 {
+			first[id] = int32(row)
 		}
-		roots[s] = m
+		roots[row] = first[id]
 	}
 	ps, err := er.BuildPlanState(w.resolver, rp.Plan, rowKeys, roots, must, cannot)
 	if err != nil {
 		return
 	}
 	w.memo = w.newTailMemo(ps)
+	w.routeEntities(rp.Plan)
 }
 
 // --- append ---------------------------------------------------------------

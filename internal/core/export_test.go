@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -163,5 +164,20 @@ func (d *DurableLog) TruncateNewestClusters() error {
 		return err
 	}
 	lv.clusters.Assign = lv.clusters.Assign[:len(lv.clusters.Assign)-1]
+	return nil
+}
+
+// OutOfRangeNewestCluster moves the last row of the newest replayed
+// version's cluster assignment to cluster id Num, one past the last,
+// before attach: the assignment still covers the union, but names a
+// cluster that does not exist.
+func (d *DurableLog) OutOfRangeNewestCluster() error {
+	lv, err := d.body(d.rep.versions[len(d.rep.versions)-1])
+	if err != nil {
+		return err
+	}
+	assign := slices.Clone(lv.clusters.Assign)
+	assign[len(assign)-1] = lv.clusters.Num
+	lv.clusters = &er.Clustering{Assign: assign, Num: lv.clusters.Num}
 	return nil
 }

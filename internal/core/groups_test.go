@@ -154,15 +154,3 @@ func scanSupporters(w *Wrangler) [][]string {
 	}
 	return out
 }
-
-// TestPageRoutes pins the restored routing: each entity goes to the first
-// page that holds it, and an entity no page holds to -1.
-func TestPageRoutes(t *testing.T) {
-	pages := []*shardPage{
-		{entities: []string{"a", "c"}, rows: make([]dataset.Record, 2)},
-		{entities: []string{"b", "c", "z"}, rows: make([]dataset.Record, 3)},
-	}
-	if got, want := pageRoutes([]string{"a", "b", "c", "d"}, pages), []int32{0, 1, 0, -1}; !slices.Equal(got, want) {
-		t.Fatalf("routes %v, want %v", got, want)
-	}
-}

@@ -106,31 +106,44 @@ func TestLazyRestoreDecodeCounts(t *testing.T) {
 // TestLazyRestoreStickyError pins what a restore whose working state
 // cannot be rebuilt does now that the rebuild is deferred: attach succeeds
 // and the restored versions serve, but every reaction returns the rebuild
-// error — the first, which ran it, and every one after.
+// error — the first, which ran it, and every one after — and none panics.
+// Two corruptions of the newest version's clusters: an assignment that
+// misses a union row, and one that names a cluster id past the last.
 func TestLazyRestoreStickyError(t *testing.T) {
-	dir, live := seedLazyLog(t)
-	w, d := openLazyLog(t, dir)
-	if err := d.TruncateNewestClusters(); err != nil {
-		t.Fatal(err)
-	}
-	if restored, err := w.AttachDurableLog(d); err != nil || !restored {
-		t.Fatalf("attach: restored=%v err=%v", restored, err)
-	}
-	if got, want := w.Serve.Latest().Seq(), live.Serve.Latest().Seq(); got != want {
-		t.Fatalf("serving version %d, want %d", got, want)
-	}
-	ids := live.SelectedSources()
-	for i := 0; i < 2; i++ {
-		_, err := w.RefreshSourcesContext(context.Background(), ids[:1])
-		if err == nil || !strings.Contains(err.Error(), "clusters do not cover") {
-			t.Fatalf("reaction %d after a failed rebuild returned %v, want the rebuild error", i+1, err)
-		}
-	}
-	if _, err := w.ReactToFeedbackContext(context.Background()); err == nil {
-		t.Fatal("a feedback reaction after a failed rebuild succeeded")
-	}
-	if _, err := w.Serve.At(w.Serve.Versions()[0]); err != nil {
-		t.Fatalf("the restored versions stopped serving: %v", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*core.DurableLog) error
+		want    string
+	}{
+		{"truncated", (*core.DurableLog).TruncateNewestClusters, "clusters do not cover"},
+		{"out-of-range id", (*core.DurableLog).OutOfRangeNewestCluster, "outside [0,"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, live := seedLazyLog(t)
+			w, d := openLazyLog(t, dir)
+			if err := tc.corrupt(d); err != nil {
+				t.Fatal(err)
+			}
+			if restored, err := w.AttachDurableLog(d); err != nil || !restored {
+				t.Fatalf("attach: restored=%v err=%v", restored, err)
+			}
+			if got, want := w.Serve.Latest().Seq(), live.Serve.Latest().Seq(); got != want {
+				t.Fatalf("serving version %d, want %d", got, want)
+			}
+			ids := live.SelectedSources()
+			for i := 0; i < 2; i++ {
+				_, err := w.RefreshSourcesContext(context.Background(), ids[:1])
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("reaction %d after a failed rebuild returned %v, want the rebuild error", i+1, err)
+				}
+			}
+			if _, err := w.ReactToFeedbackContext(context.Background()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("a feedback reaction after a failed rebuild returned %v, want the rebuild error", err)
+			}
+			if _, err := w.Serve.At(w.Serve.Versions()[0]); err != nil {
+				t.Fatalf("the restored versions stopped serving: %v", err)
+			}
+		})
 	}
 }
 

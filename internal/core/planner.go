@@ -40,14 +40,14 @@ const (
 
 // tailMemo is the memoized state of the last integrated tail —
 // what the planner diffs a reaction against. All fields describe one
-// coherent integration; any tail that fails mid-flight drops the memo
-// (the next reaction plans from scratch and re-records it).
+// coherent integration, together with the wrangler's pages and entity
+// routing; any tail that fails mid-flight drops the memo (the next
+// reaction plans from scratch and re-records it).
 type tailMemo struct {
 	union  *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
 	ids    []string       // the selected sources it was built from, sorted
 	starts []int          // per ids entry: its first union row
 	plan   *er.PlanState
-	pages  []*shardPage
 }
 
 // planReaction classifies a batch of feedback into the reaction plan:
@@ -138,7 +138,7 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 // completed integration; trust is re-estimated warm over the last tail's
 // claim groups and every shard re-fuses its entities along that routing.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
-	n := len(w.memo.pages)
+	n := len(w.pages)
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
 		sr.pages = make([]*shardPage, n)
@@ -191,16 +191,14 @@ func segmentEnd(starts []int, k, n int) int {
 // recordTailMemo captures the just-merged tail as the next reaction's
 // diff baseline. A full tail rebuilds the whole memo (and clears the
 // accumulated dirty-source scope — everything is integrated now); a
-// fuse-only tail updates just the fusion half, since union, plan and
-// clusters did not move.
+// fuse-only tail keeps it, since union, plan and clusters did not move.
 func (w *Wrangler) recordTailMemo(sr *shardRun) {
 	if sr.fuseOnly {
-		w.memo.pages = sr.pages
 		return
 	}
 	// Commit folds the carried-over and freshly computed pair scores into
-	// the next round's cache.
-	ps, err := sr.rp.Commit(w.resolver, sr.rowKeys, sr.roots, sr.must, sr.cannot)
+	// the next round's cache, and keeps the roots slab.
+	ps, err := sr.rp.Commit(w.resolver, sr.rowKeys, sr.must, sr.cannot)
 	if err != nil {
 		// Defensive: an unrecordable plan just means the next reaction
 		// plans from scratch.
@@ -211,15 +209,14 @@ func (w *Wrangler) recordTailMemo(sr *shardRun) {
 	w.dirtySources = nil
 }
 
-// newTailMemo assembles the diff baseline over the current union and
-// pages, so the live merge and the durable restore cannot record
-// differently shaped memos.
+// newTailMemo assembles the diff baseline over the current union, so the
+// live merge and the durable restore cannot record differently shaped
+// memos.
 func (w *Wrangler) newTailMemo(plan *er.PlanState) *tailMemo {
 	return &tailMemo{
 		union:  w.union,
 		ids:    w.unionIDs,
 		starts: w.unionStarts,
 		plan:   plan,
-		pages:  w.pages,
 	}
 }

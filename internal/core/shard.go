@@ -58,10 +58,9 @@ func (p *shardPage) rowsEqual(q *shardPage) bool {
 // its engine tasks. Each field is written by exactly one stage and only
 // read after the barrier that stage feeds.
 type shardRun struct {
-	rp           *er.RePlanned // plan stage: the plan, per-shard reuse and dirty residue
+	rp           *er.RePlanned // plan stage: the plan, per-shard reuse, dirty residue and the roots slab the resolve fan-out completes
 	must, cannot []er.Pair
 	rowKeys      []string            // plan stage: stable key per union row
-	roots        []map[int]int       // resolve fan-out: shard -> row -> cluster representative
 	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once, carrying its prepared state
 	opts         fusion.Options      // cluster barrier: trust already estimated
 	split        trustSplit          // cluster barrier: the trust stage, by step
@@ -168,34 +167,27 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	if err != nil {
 		return fmt.Errorf("core: resolve: %w", err)
 	}
-	// Reused shards' clusters carried over whole; the others' slots hold
-	// their clean components, to be completed by the resolve fan-out.
-	sr.roots = sr.rp.Roots
 	return nil
 }
 
 // shardResolveStage clusters one shard. It reads only immutable run state
 // (union rows, the plan, the refined resolver) and writes only its own
-// slot, so the fan-out needs no locks. Shards whose clusters the re-plan
-// carried over whole skip scoring entirely, and mixed shards score only
-// their dirty components' rows — the clean components' clusters are
-// already translated into the roots slot.
+// rows of the roots slab, so the fan-out needs no locks. Shards whose
+// clusters the re-plan carried over whole skip scoring entirely, and
+// mixed shards score only their dirty components' rows — the clean
+// components' clusters are already translated into the slab.
 func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 	if sr.empty || sr.rp.Reused[i] {
 		return nil
 	}
-	roots, _, err := sr.rp.ResolveDirty(w.resolver, w.union, i, sr.must, sr.cannot)
-	if err != nil {
+	if _, err := sr.rp.ResolveDirty(w.resolver, w.union, i, sr.must, sr.cannot); err != nil {
 		return fmt.Errorf("core: resolve shard %d: %w", i, err)
-	}
-	for row, root := range roots {
-		sr.roots[i][row] = root // this task owns shard i's slot
 	}
 	return nil
 }
 
-// shardClusterStage is the barrier between the two fan-outs: it merges
-// the per-shard clusterings into the global dense clustering (identical
+// shardClusterStage is the barrier between the two fan-outs: it numbers
+// the completed roots slab into the global dense clustering (identical
 // numbering to one global resolve), names entities, routes each entity to
 // its owning shard, and runs the one stage of fusion that is inherently
 // global — TruthFinder's trust fixpoint over the full claim set.
@@ -203,28 +195,31 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	plan := sr.rp.Plan
-	clusters, err := plan.MergeRoots(sr.roots)
+	clusters, err := sr.rp.Clustering()
 	if err != nil {
 		return err
 	}
 	w.clusters = clusters
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	w.nameEntities()
-	// An entity's claims fuse in its owning shard: the shard of its first
-	// union row. Clusters never span shards, but two clusters in
-	// different shards can share a most-frequent key and hence an entity
-	// name — one global fuse fuses their claims together, so the
-	// first-row owner takes all of them (rows are only read, so a shard
-	// may read rows it does not own). Kept on the wrangler: a later
-	// fuse-only reaction reuses this routing, since trust changes never
-	// move an entity's shard.
+	w.routeEntities(sr.rp.Plan)
+	sr.estimateTrust(w)
+	return nil
+}
+
+// routeEntities routes every named entity to its owning shard: the shard
+// of its first union row. Clusters never span shards, but two clusters in
+// different shards can share a most-frequent key and hence an entity
+// name — one global fuse fuses their claims together, so the first-row
+// owner takes all of them (rows are only read, so a shard may read rows
+// it does not own). Kept on the wrangler: a later fuse-only reaction
+// reuses this routing, since trust changes never move an entity's shard.
+// The cluster barrier and the restore's memo rebuild both route here.
+func (w *Wrangler) routeEntities(plan *er.ShardPlan) {
 	w.entityShard = make([]int32, len(w.entities.rows))
 	for e, rows := range w.entities.rows {
 		w.entityShard[e] = int32(plan.RowShard[rows[0]])
 	}
-	sr.estimateTrust(w)
-	return nil
 }
 
 // estimateTrust is the back half of the cluster barrier, shared by both

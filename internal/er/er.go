@@ -6,7 +6,6 @@
 package er
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/dataset"
@@ -247,53 +246,11 @@ func (c *Clustering) Clusters() [][]int {
 }
 
 // Resolve blocks, scores and transitively clusters the table. Rows with a
-// pair score >= Threshold are merged (union-find).
+// pair score >= Threshold are merged: ResolveConstrained with no
+// constraints.
 func (r *Resolver) Resolve(t *dataset.Table) (*Clustering, error) {
-	if t.Len() == 0 {
-		return &Clustering{Assign: nil, Num: 0}, nil
-	}
-	if r.NameColumn == "" && r.KeyColumn == "" {
-		return nil, fmt.Errorf("er: resolver needs at least a key or name column")
-	}
-	r.Prepare(t)
-	parent := make([]int, t.Len())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	var sc text.Scratch
-	f := make([]float64, len(FeatureNames))
-	for _, p := range r.CandidatePairs(t) {
-		r.featuresInto(t, p.I, p.J, f, &sc)
-		if r.Score(f) >= r.Threshold {
-			union(p.I, p.J)
-		}
-	}
-	ids := map[int]int{}
-	assign := make([]int, t.Len())
-	for i := range assign {
-		root := find(i)
-		id, ok := ids[root]
-		if !ok {
-			id = len(ids)
-			ids[root] = id
-		}
-		assign[i] = id
-	}
-	return &Clustering{Assign: assign, Num: len(ids)}, nil
+	c, _, err := r.ResolveConstrained(t, nil, nil)
+	return c, err
 }
 
 // LabeledPair is duplicate/non-duplicate feedback on a record pair — the

@@ -143,22 +143,16 @@ func blockKeysOf(plan *ShardPlan) map[string][]int32 {
 }
 
 // resolveAll completes a re-planned round and returns its clustering.
-func resolveAll(r *Resolver, t *dataset.Table, rp *RePlanned, must, cannot []Pair) ([]map[int]int, *Clustering, error) {
-	roots := rp.Roots
-	for s := range roots {
-		if rp.Reused[s] {
+func resolveAll(r *Resolver, t *dataset.Table, rp *RePlanned, must, cannot []Pair) (*Clustering, error) {
+	for s, reused := range rp.Reused {
+		if reused {
 			continue
 		}
-		fresh, _, err := rp.ResolveDirty(r, t, s, must, cannot)
-		if err != nil {
-			return nil, nil, err
-		}
-		for row, root := range fresh {
-			roots[s][row] = root
+		if _, err := rp.ResolveDirty(r, t, s, must, cannot); err != nil {
+			return nil, err
 		}
 	}
-	c, err := rp.Plan.MergeRoots(roots)
-	return roots, c, err
+	return rp.Clustering()
 }
 
 // carryCoverage reports which carried paths an input drove: previous
@@ -244,15 +238,19 @@ func checkPrepareCarry(data []byte) (cov carryCoverage, err error) {
 		}
 		if state != nil {
 			clean, resolved := 0, 0
-			for s, m := range rp.Roots {
-				clean += len(m)
-				resolved += len(rp.DirtyRows[s])
+			for _, root := range rp.Roots {
+				if root >= 0 {
+					clean++
+				}
+			}
+			for _, rows := range rp.DirtyRows {
+				resolved += len(rows)
 			}
 			cov.mixed = cov.mixed || clean > 0 && resolved > 0
 			cov.shifted = cov.shifted || clean > 0 && len(keys) != len(prevKeys)
 			cov.reblocked = cov.reblocked || clean > 0 && !slices.Equal(rp.Plan.pairs, state.pairs)
 		}
-		roots, got, err := resolveAll(next, tab, rp, must, cannot)
+		got, err := resolveAll(next, tab, rp, must, cannot)
 		if err != nil {
 			return cov, fmt.Errorf("round %d: resolve: %w", round, err)
 		}
@@ -305,7 +303,7 @@ func checkPrepareCarry(data []byte) (cov carryCoverage, err error) {
 				return cov, fmt.Errorf("round %d: pair %v cached score %v, fresh score %v", round, p, rp.scores[k], s)
 			}
 		}
-		if state, err = rp.Commit(next, keys, roots, must, cannot); err != nil {
+		if state, err = rp.Commit(next, keys, must, cannot); err != nil {
 			return cov, fmt.Errorf("round %d: commit: %w", round, err)
 		}
 		r, prevTab, prevKeys = next, tab, keys

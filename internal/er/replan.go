@@ -16,17 +16,27 @@ import (
 // blockIndex.pairs, per block blockPairs — serves CandidatePairs, a fresh
 // PlanShards and the re-plan alike.
 //
+// Cluster representatives are one roots slab, a []int32 indexed by union
+// row: each entry is the smallest row of the row's cluster, or -1 while
+// no resolve has reached the row. The slab travels the whole round —
+// RePlan fills the clean components' rows, each shard's ResolveDirty
+// fills its own dirty rows in place (shards own disjoint rows, so the
+// fan-out needs no lock), RePlanned.Clustering numbers it, and Commit
+// keeps it as the next round's memo. ResolveShard and MergeRoots keep a
+// map-shaped form of the same core only for the benchmark probes and the
+// tests' cold reference.
+//
 // A completed plan+resolve round is memoized as a PlanState (block
-// members, the sorted pair list with the score of every pair scored, each
-// row's cluster representative and shard), and RePlan folds a delta into
-// it. The two rounds' rows are aligned by their stable row keys into a
-// remap old row -> new row; the pipeline's union keeps surviving rows in
-// order, so the remap is monotone and a remapped sorted pair list is
-// still sorted. Only rows whose blocking evidence changed edit their
-// blocks' member lists, only touched blocks re-emit pairs, and those
-// merge into the remapped previous list. Every shard whose resolve inputs
-// are provably unchanged skips ResolveShard entirely, its previous
-// clusters translated to the new numbering. The contract is the same
+// members, the sorted pair list with the score of every pair scored, the
+// roots slab and each row's shard), and RePlan folds a delta into it.
+// The two rounds' rows are aligned by their stable row keys into a remap
+// old row -> new row; the pipeline's union keeps surviving rows in order,
+// so the remap is monotone and a remapped sorted pair list is still
+// sorted. Only rows whose blocking evidence changed edit their blocks'
+// member lists, only touched blocks re-emit pairs, and those merge into
+// the remapped previous list. Every shard whose resolve inputs are
+// provably unchanged skips its resolve entirely, its previous clusters
+// translated to the new numbering. The contract is the same
 // strict one the sharded tail carries: a re-planned round is
 // byte-identical to a fresh PlanShards + full resolve over the new table
 // (FuzzPrepareCarry, wrangletest.CheckStreamingRePlan). The reuse
@@ -157,10 +167,12 @@ type PlanState struct {
 const unscored = -1
 
 // BuildPlanState captures a completed round: the plan (with its block
-// index and pair list) and the per-shard resolve roots. rowKeys must be
-// the stable keys the plan was built with. No pair counts as scored; a
-// round resolved through RePlanned commits its scores with Commit.
-func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[int]int, must, cannot []Pair) (*PlanState, error) {
+// index and pair list) and its roots slab, which must hold every row's
+// representative; the state keeps the slab, so the caller must not write
+// it afterwards. rowKeys must be the stable keys the plan was built with.
+// No pair counts as scored; a round resolved through RePlanned commits
+// its scores with Commit.
+func BuildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []int32, must, cannot []Pair) (*PlanState, error) {
 	return buildPlanState(r, plan, rowKeys, roots, must, cannot, noScores(len(plan.pairs)))
 }
 
@@ -173,12 +185,20 @@ func noScores(n int) []float64 {
 	return out
 }
 
-func buildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[int]int, must, cannot []Pair, scores []float64) (*PlanState, error) {
+func buildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []int32, must, cannot []Pair, scores []float64) (*PlanState, error) {
 	if plan.idx == nil {
 		return nil, fmt.Errorf("er: plan carries no block index")
 	}
 	if len(rowKeys) != len(plan.RowShard) {
 		return nil, fmt.Errorf("er: %d row keys for a %d-row plan", len(rowKeys), len(plan.RowShard))
+	}
+	if len(roots) != len(plan.RowShard) {
+		return nil, fmt.Errorf("er: %d roots for a %d-row plan", len(roots), len(plan.RowShard))
+	}
+	for row, root := range roots {
+		if root < 0 || int(root) >= len(roots) {
+			return nil, fmt.Errorf("er: shard %d roots miss row %d", plan.RowShard[row], row)
+		}
 	}
 	st := &PlanState{
 		shards:    plan.NumShards,
@@ -192,20 +212,11 @@ func buildPlanState(r *Resolver, plan *ShardPlan, rowKeys []string, roots []map[
 		feat:      plan.feat,
 		idx:       plan.idx,
 		rowShard:  plan.RowShard,
-		roots:     make([]int32, len(plan.RowShard)),
+		roots:     roots,
 		must:      canonPairs(must, len(rowKeys)),
 		cannot:    canonPairs(cannot, len(rowKeys)),
 		pairs:     plan.pairs,
 		scores:    scores,
-	}
-	for s, rows := range plan.Rows {
-		for _, row := range rows {
-			root, ok := roots[s][row]
-			if !ok {
-				return nil, fmt.Errorf("er: shard %d roots miss row %d", s, row)
-			}
-			st.roots[row] = int32(root)
-		}
 	}
 	return st, nil
 }
@@ -224,21 +235,24 @@ func canonPairs(ps []Pair, rows int) []int64 {
 	return out
 }
 
-// RePlanned is the output of an incremental re-plan: the new plan, plus
-// — per shard — the clusters that carried over from the previous round
-// (Roots, complete for every clean component) and the residue that still
-// needs scoring (DirtyRows / DirtyPairs). A shard with no dirty
+// RePlanned is the output of an incremental re-plan: the new plan, the
+// roots slab with the clusters that carried over from the previous round
+// (every clean component's rows), and — per shard — the residue that
+// still needs scoring (DirtyRows / DirtyPairs). A shard with no dirty
 // components is marked Reused and skips resolution entirely; a mixed
-// shard resolves only its dirty components' rows via ResolveDirty and
-// merges them with the pre-filled Roots.
+// shard resolves only its dirty components' rows via ResolveDirty, which
+// completes its rows of the slab. Clustering numbers the completed slab;
+// Commit memoizes it.
 type RePlanned struct {
 	Plan *ShardPlan
-	// Reused marks shards with no dirty component: Roots is complete and
-	// no resolve call is needed.
+	// Reused marks shards with no dirty component: their rows of Roots are
+	// complete and no resolve call is needed.
 	Reused []bool
-	// Roots holds, per shard, the translated representatives of every
-	// clean component's rows (complete when Reused, partial otherwise).
-	Roots []map[int]int
+	// Roots is the roots slab, indexed by row: each row's cluster
+	// representative (the smallest row of its cluster), translated from the
+	// previous round for clean components and -1 for dirty rows until their
+	// shard's ResolveDirty writes them.
+	Roots []int32
 	// DirtyRows lists, per shard, the rows of dirty components
 	// (ascending); DirtyPairs their candidate pairs, in plan order.
 	DirtyRows  [][]int
@@ -573,7 +587,7 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 	rp := &RePlanned{
 		Plan:         plan,
 		Reused:       make([]bool, n),
-		Roots:        make([]map[int]int, n),
+		Roots:        make([]int32, rows),
 		DirtyRows:    make([][]int, n),
 		DirtyPairs:   make([][]Pair, n),
 		dirtyPairIdx: make([][]int32, n),
@@ -582,8 +596,8 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 	if !ruleHeld {
 		// The scoring rule moved (feedback re-learned the matcher): every
 		// cluster is up for grabs, nothing is reusable.
+		unresolve(rp.Roots)
 		for s := 0; s < n; s++ {
-			rp.Roots[s] = map[int]int{}
 			rp.DirtyRows[s] = plan.Rows[s]
 			rp.DirtyPairs[s] = plan.Pairs[s]
 			rp.dirtyPairIdx[s] = plan.pairIdx[s]
@@ -606,22 +620,22 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		rep[j] = -1
 	}
 	for s := 0; s < n; s++ {
-		roots := make(map[int]int, len(plan.Rows[s]))
 		// Rows[s] is ascending, so the first row seen per representative
 		// group is the group's smallest new index — exactly the
-		// representative a fresh resolve would pick.
+		// representative a fresh resolve would pick. The shards' rows cover
+		// the table, so this loop writes every entry of the slab.
 		for _, row := range plan.Rows[s] {
 			if compDirty[comp[row]] {
 				rp.DirtyRows[s] = append(rp.DirtyRows[s], row)
+				rp.Roots[row] = -1
 				continue
 			}
 			pr := prev.roots[new2old[row]]
 			if rep[pr] < 0 {
 				rep[pr] = int32(row)
 			}
-			roots[row] = int(rep[pr])
+			rp.Roots[row] = rep[pr]
 		}
-		rp.Roots[s] = roots
 		rp.Reused[s] = len(rp.DirtyRows[s]) == 0
 		if rp.Reused[s] {
 			continue
@@ -663,16 +677,21 @@ func freshRePlanned(plan *ShardPlan) *RePlanned {
 	rp := &RePlanned{
 		Plan:         plan,
 		Reused:       make([]bool, n),
-		Roots:        make([]map[int]int, n),
+		Roots:        make([]int32, len(plan.RowShard)),
 		DirtyRows:    plan.Rows,
 		DirtyPairs:   plan.Pairs,
 		dirtyPairIdx: plan.pairIdx,
 		scores:       noScores(len(plan.pairs)),
 	}
-	for s := range rp.Roots {
-		rp.Roots[s] = map[int]int{}
-	}
+	unresolve(rp.Roots)
 	return rp
+}
+
+// unresolve marks every row of a roots slab as not yet resolved.
+func unresolve(roots []int32) {
+	for i := range roots {
+		roots[i] = -1
+	}
 }
 
 // ResolveDirty scores and clusters shard i's dirty residue (DirtyRows /
@@ -681,15 +700,18 @@ func freshRePlanned(plan *ShardPlan) *RePlanned {
 // clustering (no scored pair or must-link crosses them, and
 // cross-component cannot-links are inert), so resolving the dirty
 // subset and adopting the clean components' translated clusters
-// reproduces the full resolve bit for bit. The cross-round score cache
+// reproduces the full resolve bit for bit. The shard's dirty rows are
+// written into Roots in place; shards own disjoint rows, so the resolve
+// fan-out shares the slab without a lock. The cross-round score cache
 // supplies every pair whose endpoints did not change — only
 // dirty-incident and brand-new pairs pay for feature extraction — and
 // what is computed fresh is recorded for the next round. Constraints
 // are passed whole; endpoints outside the dirty rows are ignored,
-// mirroring the full resolve's local filter.
-func (rp *RePlanned) ResolveDirty(r *Resolver, t *dataset.Table, shard int, must, cannot []Pair) (map[int]int, int, error) {
+// mirroring the full resolve's local filter. It returns the shard's
+// constraint-conflict count.
+func (rp *RePlanned) ResolveDirty(r *Resolver, t *dataset.Table, shard int, must, cannot []Pair) (int, error) {
 	if shard < 0 || shard >= rp.Plan.NumShards {
-		return nil, 0, fmt.Errorf("er: shard %d out of range [0,%d)", shard, rp.Plan.NumShards)
+		return 0, fmt.Errorf("er: shard %d out of range [0,%d)", shard, rp.Plan.NumShards)
 	}
 	at := rp.dirtyPairIdx[shard]
 	var sc text.Scratch
@@ -703,16 +725,24 @@ func (rp *RePlanned) ResolveDirty(r *Resolver, t *dataset.Table, shard int, must
 		rp.scores[at[k]] = s
 		return s
 	}
-	roots, conflicts := r.resolveRowsScored(t, rp.DirtyRows[shard], rp.DirtyPairs[shard],
-		rp.Plan.FilterPairs(shard, must), rp.Plan.FilterPairs(shard, cannot), score)
-	return roots, conflicts, nil
+	conflicts := r.resolveRowsScored(t, rp.DirtyRows[shard], rp.DirtyPairs[shard],
+		rp.Plan.FilterPairs(shard, must), rp.Plan.FilterPairs(shard, cannot), score, rp.Roots)
+	return conflicts, nil
 }
 
-// Commit memoizes the completed round: the plan state plus the score
-// cache (valid carried-over entries and everything the resolve fan-out
-// computed fresh).
-func (rp *RePlanned) Commit(r *Resolver, rowKeys []string, roots []map[int]int, must, cannot []Pair) (*PlanState, error) {
-	return buildPlanState(r, rp.Plan, rowKeys, roots, must, cannot, rp.scores)
+// Clustering numbers the completed roots slab into the round's dense
+// clustering — the numbering one sequential ResolveConstrained produces.
+// It fails on any row no resolve has reached: every non-reused shard must
+// have run ResolveDirty first.
+func (rp *RePlanned) Clustering() (*Clustering, error) {
+	return numberClusters(rp.Roots)
+}
+
+// Commit memoizes the completed round: the plan state, its roots slab
+// (kept, not copied) and the score cache (valid carried-over entries and
+// everything the resolve fan-out computed fresh).
+func (rp *RePlanned) Commit(r *Resolver, rowKeys []string, must, cannot []Pair) (*PlanState, error) {
+	return buildPlanState(r, rp.Plan, rowKeys, rp.Roots, must, cannot, rp.scores)
 }
 
 // blockCompatible reports whether the memoized block index was built

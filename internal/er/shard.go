@@ -198,31 +198,33 @@ func (p *ShardPlan) FilterPairs(shard int, ps []Pair) []Pair {
 // under the shard-local must/cannot constraints, exactly as
 // ResolveConstrained would have merged them inside one global resolve.
 // It returns, for every row of the shard, the smallest row index of the
-// row's cluster — the representative MergeRoots uses to rebuild the
-// global dense numbering — plus the constraint-conflict count.
+// row's cluster, plus the constraint-conflict count. The pipeline resolves
+// into a roots slab instead (RePlanned.ResolveDirty); this map-shaped
+// adapter over the same core stays as the cold reference the benchmark
+// probes and the equivalence tests resolve with.
 func (r *Resolver) ResolveShard(t *dataset.Table, plan *ShardPlan, shard int, must, cannot []Pair) (map[int]int, int, error) {
 	if shard < 0 || shard >= plan.NumShards {
 		return nil, 0, fmt.Errorf("er: shard %d out of range [0,%d)", shard, plan.NumShards)
 	}
-	roots, conflicts := r.resolveRows(t, plan.Rows[shard], plan.Pairs[shard],
-		plan.FilterPairs(shard, must), plan.FilterPairs(shard, cannot))
-	return roots, conflicts, nil
+	rows := plan.Rows[shard]
+	roots := make([]int32, len(plan.RowShard))
+	conflicts := r.resolveRows(t, rows, plan.Pairs[shard],
+		plan.FilterPairs(shard, must), plan.FilterPairs(shard, cannot), roots)
+	out := make(map[int]int, len(rows))
+	for _, row := range rows {
+		out[row] = int(roots[row])
+	}
+	return out, conflicts, nil
 }
 
 // MergeRoots combines the per-shard root maps (shard index -> ResolveShard
-// result) into one dense clustering. Cluster ids are assigned by first
-// appearance in ascending row order — the same numbering one sequential
-// ResolveConstrained produces — so the merge is independent of shard
-// count and of the order shards finished in.
+// result) into one dense clustering, numbered as numberClusters numbers
+// every resolve. Like ResolveShard it is a map-shaped adapter kept for
+// the benchmark probes and the tests' cold reference; the pipeline
+// numbers its roots slab with RePlanned.Clustering.
 func (p *ShardPlan) MergeRoots(roots []map[int]int) (*Clustering, error) {
-	n := len(p.RowShard)
-	if n == 0 {
-		return &Clustering{}, nil
-	}
-	assign := make([]int, n)
-	ids := make(map[int]int)
-	for i := 0; i < n; i++ {
-		s := p.RowShard[i]
+	slab := make([]int32, len(p.RowShard))
+	for i, s := range p.RowShard {
 		if s >= len(roots) || roots[s] == nil {
 			return nil, fmt.Errorf("er: merge: missing roots for shard %d (row %d)", s, i)
 		}
@@ -230,32 +232,55 @@ func (p *ShardPlan) MergeRoots(roots []map[int]int) (*Clustering, error) {
 		if !ok {
 			return nil, fmt.Errorf("er: merge: shard %d has no root for row %d", s, i)
 		}
-		id, seen := ids[root]
-		if !seen {
-			id = len(ids)
-			ids[root] = id
-		}
-		assign[i] = id
+		slab[i] = int32(root)
 	}
-	return &Clustering{Assign: assign, Num: len(ids)}, nil
+	return numberClusters(slab)
+}
+
+// numberClusters is the one dense numbering of a roots slab — roots[i]
+// is row i's cluster representative, a row index, or -1 while no resolve
+// has reached the row. Cluster ids are assigned by first appearance in
+// ascending row order, so the numbering depends only on the partition:
+// not on the shard count, nor on the order shards finished in.
+func numberClusters(roots []int32) (*Clustering, error) {
+	if len(roots) == 0 {
+		return &Clustering{}, nil
+	}
+	assign := make([]int, len(roots))
+	ids := make([]int32, len(roots)) // by representative row: its cluster id + 1, 0 until seen
+	num := int32(0)
+	for i, root := range roots {
+		if root < 0 || int(root) >= len(roots) {
+			return nil, fmt.Errorf("er: roots miss row %d", i)
+		}
+		if ids[root] == 0 {
+			num++
+			ids[root] = num
+		}
+		assign[i] = int(ids[root] - 1)
+	}
+	return &Clustering{Assign: assign, Num: int(num)}, nil
 }
 
 // resolveRows is the constrained clustering core shared by the sequential
 // and sharded paths: it clusters exactly the given rows using the
 // supplied candidate pairs (all endpoints must lie in rows), honouring
 // must-links first, then cannot-links, then scored pairs best-first — the
-// order ResolveConstrained documents. The returned map gives, for each
-// row, the smallest row index of its cluster.
-func (r *Resolver) resolveRows(t *dataset.Table, rows []int, pairs, must, cannot []Pair) (map[int]int, int) {
-	return r.resolveRowsScored(t, rows, pairs, must, cannot, nil)
+// order ResolveConstrained documents. It writes, for each row, the
+// smallest row index of its cluster into roots (indexed by row) and
+// returns the constraint-conflict count.
+func (r *Resolver) resolveRows(t *dataset.Table, rows []int, pairs, must, cannot []Pair, roots []int32) int {
+	return r.resolveRowsScored(t, rows, pairs, must, cannot, nil, roots)
 }
 
 // resolveRowsScored is resolveRows with a pluggable pair scorer, called
 // with each pair and its position in pairs: the streaming path injects
 // its cross-round score cache (a pair's score depends only on its two
 // rows' values, so content-unchanged endpoints make the cached float
-// bit-identical to recomputing). A nil score falls back to the rule.
-func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, cannot []Pair, score func(int, Pair) float64) (map[int]int, int) {
+// bit-identical to recomputing). A nil score falls back to the rule. Only
+// the given rows' entries of roots are written, so callers resolving
+// disjoint row sets may share one slab without a lock.
+func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, cannot []Pair, score func(int, Pair) float64, roots []int32) int {
 	local := make(map[int]int, len(rows))
 	for li, g := range rows {
 		local[g] = li
@@ -381,16 +406,17 @@ func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, 
 		}
 	}
 	// Representative per cluster: the smallest global row index.
-	rep := map[int]int{}
+	rep := make([]int32, len(rows)) // by local root
+	for i := range rep {
+		rep[i] = -1
+	}
 	for li, g := range rows {
-		root := find(li)
-		if cur, ok := rep[root]; !ok || g < cur {
-			rep[root] = g
+		if root := find(li); rep[root] < 0 || int32(g) < rep[root] {
+			rep[root] = int32(g)
 		}
 	}
-	out := make(map[int]int, len(rows))
 	for li, g := range rows {
-		out[g] = rep[find(li)]
+		roots[g] = rep[find(li)]
 	}
-	return out, conflicts
+	return conflicts
 }

@@ -1,9 +1,8 @@
 // Package obs is the pipeline's dependency-free telemetry layer:
-// atomic counters and gauges, fixed-bucket histograms, lightweight span
-// tracing, and a named registry that renders Prometheus text exposition
-// format. It exists so stage timings, watch fan-out, serve reads and WAL
-// activity accumulate into an operable surface instead of evaporating
-// after each call.
+// atomic counters and gauges, fixed-bucket histograms and a named
+// registry that renders Prometheus text exposition format. It exists so
+// stage timings, watch fan-out, serve reads and WAL activity accumulate
+// into an operable surface instead of evaporating after each call.
 //
 // Every metric type is safe to use through a nil pointer: a nil
 // *Counter/*Gauge/*Histogram no-ops on write and returns zero on read,
@@ -17,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -113,11 +111,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records d in seconds. No-op on a nil receiver.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	h.Observe(d.Seconds())
-}
-
 // Count returns the number of observations, zero on a nil receiver.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -176,29 +169,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// Span measures one timed region into a histogram. The zero Span (and
-// any Span started from a nil histogram) is inert.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan begins a span recording into h; if h is nil the span is
-// inert and End is free.
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
-// End records the elapsed time. Safe to call on the zero Span.
-func (s Span) End() {
-	if s.h != nil {
-		s.h.Observe(time.Since(s.start).Seconds())
-	}
 }
 
 // DurationBuckets is the default bound set for stage/task/latency

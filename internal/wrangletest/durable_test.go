@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/feedback"
+	"repro/internal/report"
 	"repro/internal/serve"
 )
 
@@ -43,9 +45,7 @@ func openDurable(t *testing.T, w *core.Wrangler, dir string) bool {
 func fingerprintVersion(v *core.PublishedVersion) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq=%d step=%d origin=%s at=%d\n", v.Seq(), v.Step(), v.Origin(), v.At().UnixNano())
-	c := v.Changes()
-	fmt.Fprintf(&b, "changes full=%v shards=%v pages=%d shared=%d recs=%v removed=%v\n",
-		c.Full, c.ChangedShards, c.ChangedPages, c.SharedPages, c.ChangedRecords, c.RemovedRecords)
+	b.WriteString(changeKey(v.Changes()))
 	d := v.Data()
 	if t := d.Table; t != nil {
 		fmt.Fprintf(&b, "schema %s\n", t.Schema().String())
@@ -103,6 +103,12 @@ func stagesKey(m map[string]time.Duration) string {
 	return strings.Join(parts, ",")
 }
 
+// changeKey renders a version's change set.
+func changeKey(c serve.ChangeSet) string {
+	return fmt.Sprintf("changes full=%v shards=%v pages=%d shared=%d recs=%v removed=%v\n",
+		c.Full, c.ChangedShards, c.ChangedPages, c.SharedPages, c.ChangedRecords, c.RemovedRecords)
+}
+
 // compareStores fails the test unless both serve stores retain the same
 // version sequence and every retained version fingerprints identically.
 func compareStores(t *testing.T, stage string, live, restored *core.VersionStore) {
@@ -151,8 +157,11 @@ func reopen(t *testing.T, dir string, seed int64, nSources, shards int, script [
 // seeded feedback/refresh script, close it, reopen from the directory —
 // and the reopened session must fingerprint byte-identically to the live
 // one, at the working data and at every retained version. Then both
-// sessions refresh the same single source; the restored one must reuse
-// shards (warm partial tail) and stay byte-identical.
+// sessions assimilate the same value verdict: the restored one must run
+// the fuse-only tail along the entity routing it rebuilt from its plan,
+// and publish the same version — change set, changed shards and records
+// included. Then both refresh the same single source; the restored one
+// must reuse shards (warm partial tail) and stay byte-identical.
 func TestDurableWarmRestartFingerprint(t *testing.T) {
 	const (
 		seed     = int64(11)
@@ -187,9 +196,46 @@ func TestDurableWarmRestartFingerprint(t *testing.T) {
 	}
 	compareStores(t, "after reopen", live.Serve, restored.Serve)
 
-	// First post-restart reaction: refresh one source on both sessions.
-	// The restored memo must engage — shards reused, not a cold tail —
-	// and the outputs must stay identical.
+	// First post-restart reaction: one value verdict on both sessions. It
+	// re-fuses along the restored entity routing — a fuse-only tail, no
+	// re-plan that would route the entities afresh.
+	var verdict Step
+	for _, l := range report.Build(live, "restart", nil).Lines {
+		if len(l.Supporters) > 0 {
+			verdict = Step{Name: "restart:value", Feedback: []feedback.Item{{
+				Kind: feedback.ValueIncorrect, SourceID: l.Supporters[0], Entity: l.Entity,
+				Attribute: l.Attribute, Worker: "expert", Cost: 0.5,
+			}}}
+			break
+		}
+	}
+	if verdict.Feedback == nil {
+		t.Fatal("the live report has no supported line to give a verdict on")
+	}
+	if _, _, err := verdict.Apply(ctx, live); err != nil {
+		t.Fatalf("live verdict: %v", err)
+	}
+	vstats, _, err := verdict.Apply(ctx, restored)
+	if err != nil {
+		t.Fatalf("restored verdict: %v", err)
+	}
+	if vstats.Reclustered {
+		t.Fatal("the post-restart value verdict reclustered: the restored memo did not engage")
+	}
+	if want, got := Fingerprint(live), Fingerprint(restored); want != got {
+		t.Fatalf("post-restart verdict diverged from live:\n%s", firstDiff(want, got))
+	}
+	// The new version's timings are the two sessions' own; everything
+	// else it published must agree.
+	lv, rv := live.Serve.Latest(), restored.Serve.Latest()
+	if lv.Seq() != rv.Seq() || changeKey(lv.Changes()) != changeKey(rv.Changes()) {
+		t.Fatalf("post-restart verdict published version %d %s, live published %d %s",
+			rv.Seq(), changeKey(rv.Changes()), lv.Seq(), changeKey(lv.Changes()))
+	}
+
+	// Second: refresh one source on both sessions. The restored memo must
+	// engage — shards reused, not a cold tail — and the outputs must stay
+	// identical.
 	target := live.SelectedSources()[0]
 	if _, err := live.RefreshSourcesContext(ctx, []string{target}); err != nil {
 		t.Fatalf("live refresh: %v", err)

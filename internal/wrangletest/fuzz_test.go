@@ -51,3 +51,27 @@ func FuzzShardedResolveMatchesSequential(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamingRePlan fuzzes the er-layer streaming equivalence: every
+// input derives a random table, a shard count and a random delta (edits,
+// deletions, insertions, new constraints), and the incremental RePlan —
+// clean components' roots translated into the slab, dirty rows resolved
+// in place by ResolveDirty, Commit and BuildPlanState memoizing the
+// rounds — must equal a fresh plan and ResolveShard for every row of
+// every shard, MergeRoots over those cold roots, and the sequential
+// ResolveConstrained (CheckStreamingRePlan). CI runs it as a short smoke
+// (-fuzz=FuzzStreamingRePlan -fuzztime=10s); the corpus also executes as
+// ordinary seed cases under plain `go test`.
+func FuzzStreamingRePlan(f *testing.F) {
+	f.Add(int64(0), uint8(2), uint8(1))
+	f.Add(int64(31), uint8(60), uint8(2))
+	f.Add(int64(-7), uint8(120), uint8(4))
+	f.Add(int64(93), uint8(9), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, rows, shards uint8) {
+		n := int(shards)%8 + 1
+		nRows := 2 + int(rows)%160
+		if err := CheckStreamingRePlan(rand.New(rand.NewSource(seed)), nRows, n); err != nil {
+			t.Fatalf("seed=%d rows=%d shards=%d: %v", seed, nRows, n, err)
+		}
+	})
+}

@@ -399,10 +399,14 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 	if err != nil {
 		return fmt.Errorf("plan A: %w", err)
 	}
-	rootsA := make([]map[int]int, shards)
+	rootsA := make([]int32, tabA.Len())
 	for i := 0; i < shards; i++ {
-		if rootsA[i], _, err = r.ResolveShard(tabA, planA, i, mustA, cannotA); err != nil {
+		roots, _, err := r.ResolveShard(tabA, planA, i, mustA, cannotA)
+		if err != nil {
 			return fmt.Errorf("resolve A shard %d: %w", i, err)
+		}
+		for row, root := range roots {
+			rootsA[row] = int32(root)
 		}
 	}
 	memo, err := er.BuildPlanState(r, planA, keysA, rootsA, mustA, cannotA)
@@ -466,17 +470,13 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 			return fmt.Errorf("shard %d: re-planned pairs %v, fresh plan says %v", s, rp.Plan.Pairs[s], fresh.Pairs[s])
 		}
 	}
-	rootsB := rp.Roots
+	wantRoots := make([]map[int]int, shards)
 	for i := 0; i < shards; i++ {
 		if !rp.Reused[i] {
-			// Mixed shard: score only the dirty components' rows and merge
-			// with the translated clean clusters — the streaming resolve.
-			fresh, _, err := rp.ResolveDirty(r, tabB, i, mustB, cannotB)
-			if err != nil {
+			// Mixed shard: score only the dirty components' rows, next to
+			// the translated clean clusters — the streaming resolve.
+			if _, err := rp.ResolveDirty(r, tabB, i, mustB, cannotB); err != nil {
 				return fmt.Errorf("resolve B shard %d: %w", i, err)
-			}
-			for row, root := range fresh {
-				rootsB[i][row] = root
 			}
 		}
 		// Reused or merged, the shard's roots must equal a full scoring run.
@@ -484,18 +484,26 @@ func CheckStreamingRePlan(rng *rand.Rand, nRows, shards int) error {
 		if err != nil {
 			return fmt.Errorf("verify shard %d: %w", i, err)
 		}
-		if len(want) != len(rootsB[i]) {
-			return fmt.Errorf("shard %d (reused=%v): %d roots, fresh resolve has %d", i, rp.Reused[i], len(rootsB[i]), len(want))
+		if len(want) != len(rp.Plan.Rows[i]) {
+			return fmt.Errorf("shard %d: fresh resolve has %d roots for %d rows", i, len(want), len(rp.Plan.Rows[i]))
 		}
-		for row, root := range want {
-			if rootsB[i][row] != root {
-				return fmt.Errorf("shard %d (reused=%v): row %d root %d, fresh resolve says %d", i, rp.Reused[i], row, rootsB[i][row], root)
+		for _, row := range rp.Plan.Rows[i] {
+			if got := int(rp.Roots[row]); got != want[row] {
+				return fmt.Errorf("shard %d (reused=%v): row %d root %d, fresh resolve says %d", i, rp.Reused[i], row, got, want[row])
 			}
 		}
+		wantRoots[i] = want
 	}
-	merged, err := rp.Plan.MergeRoots(rootsB)
+	merged, err := rp.Clustering()
+	if err != nil {
+		return fmt.Errorf("number B: %w", err)
+	}
+	cold, err := rp.Plan.MergeRoots(wantRoots)
 	if err != nil {
 		return fmt.Errorf("merge B: %w", err)
+	}
+	if !slices.Equal(merged.Assign, cold.Assign) || merged.Num != cold.Num {
+		return fmt.Errorf("replan: clusters %v, merged fresh resolves say %v", merged.Assign, cold.Assign)
 	}
 	seq, _, err := r.ResolveConstrained(tabB, mustB, cannotB)
 	if err != nil {
