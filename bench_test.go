@@ -284,7 +284,7 @@ func BenchmarkShardedIntegration(b *testing.B) {
 // only one of eight shard pages and pointer-shares the other seven with
 // the predecessor (publication after a reaction that dirtied one shard).
 // Time and allocations per published version are the headline numbers —
-// delta publication is O(changed shard), not O(table).
+// delta publication is O(what changed), not O(table).
 func BenchmarkDeltaPublish(b *testing.B) {
 	const rows, pages = 4096, 8
 	schema := dataset.MustSchema(

@@ -16,7 +16,7 @@ import (
 // same reaction, which first rebuilds the working state and then runs as
 // a partial tail over the restored tail memo). Restore
 // cost scales with the log — per-source states, the retained versions and
-// their deduplicated pages — not with the pipeline, so the warm path
+// their pages — not with the pipeline, so the warm path
 // skips the entire extraction fan-out and integration; shards_reused/op
 // confirms the first post-restart reaction really ran warm.
 func BenchmarkColdVsWarmStart(b *testing.B) {

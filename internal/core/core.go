@@ -175,8 +175,9 @@ type Wrangler struct {
 	// only dirty shards, reusing every untouched shard's clusters by
 	// reference. Trust is re-estimated over all claims (keeping the
 	// prepared state of claim groups that held) and every shard re-fuses
-	// under it; published versions share the table records of every
-	// shard whose fused rows did not change. The one thing 0 changes
+	// under it; the merge diffs each shard's page against its previous
+	// one, and published versions share the table record of every entity
+	// whose record is Same as before. The one thing 0 changes
 	// against 1 is the change feed: a session left at 0 publishes every
 	// version as a full change (serve.ChangeSet.Full), one set to n >= 1
 	// publishes record deltas.
@@ -805,30 +806,15 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 // applyPairFeedback feeds accumulated duplicate labels into the resolver
 // (Corleone-style refinement) before clustering.
 func (w *Wrangler) applyPairFeedback() {
-	labels := w.Feedback.PairLabels()
-	if len(labels) == 0 {
+	labels := w.labeledPairs()
+	if len(labels) < 4 {
 		return
 	}
-	rowByKey := w.rowKeyIndex()
-	var training []er.LabeledPair
-	for pairKey, dup := range labels {
-		parts := strings.SplitN(pairKey, "|", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		i, iok := rowByKey[parts[0]]
-		j, jok := rowByKey[parts[1]]
-		if iok && jok && i != j {
-			p := er.Pair{I: i, J: j}
-			if p.I > p.J {
-				p.I, p.J = p.J, p.I
-			}
-			training = append(training, er.LabeledPair{Pair: p, Duplicate: dup})
-		}
+	training := make([]er.LabeledPair, len(labels))
+	for k, l := range labels {
+		training[k] = l.LabeledPair
 	}
-	if len(training) >= 4 {
-		w.resolver.Learn(w.union, training)
-	}
+	w.resolver.Learn(w.union, training)
 }
 
 // pairConstraints turns confident pair feedback into hard clustering
@@ -838,36 +824,50 @@ func (w *Wrangler) applyPairFeedback() {
 // >= 0.75); weak majorities stay training signal only, since feedback
 // "may be unreliable" (§4.2).
 func (w *Wrangler) pairConstraints() (must, cannot []er.Pair) {
-	labels := w.Feedback.PairLabels()
-	if len(labels) == 0 {
-		return nil, nil
-	}
-	rowByKey := w.rowKeyIndex()
-	for pairKey, dup := range labels {
-		score := w.Feedback.PairScore(pairKey)
-		if score < 0.75 && score > -0.75 {
-			continue
-		}
-		parts := strings.SplitN(pairKey, "|", 2)
-		if len(parts) != 2 {
-			continue
-		}
-		i, iok := rowByKey[parts[0]]
-		j, jok := rowByKey[parts[1]]
-		if !iok || !jok || i == j {
-			continue
-		}
-		p := er.Pair{I: i, J: j}
-		if p.I > p.J {
-			p.I, p.J = p.J, p.I
-		}
-		if dup {
-			must = append(must, p)
-		} else {
-			cannot = append(cannot, p)
+	for _, l := range w.labeledPairs() {
+		switch {
+		case l.score >= 0.75:
+			must = append(must, l.Pair)
+		case l.score <= -0.75:
+			cannot = append(cannot, l.Pair)
 		}
 	}
 	return must, cannot
+}
+
+// labeledPair is one decided pair label resolved to union rows, I < J,
+// with the net score behind it (feedback.PairVerdict).
+type labeledPair struct {
+	er.LabeledPair
+	score float64
+}
+
+// labeledPairs resolves every decided pair label against the current
+// union, in pair-key order, parsing each key once. Labels naming a row
+// the union does not hold, or one row twice, are skipped. The order is
+// what makes the resolver's Learn, which sums features in label order,
+// adopt the same weight bits on every run.
+func (w *Wrangler) labeledPairs() []labeledPair {
+	verdicts := w.Feedback.PairLabels()
+	if len(verdicts) == 0 {
+		return nil
+	}
+	rowByKey := w.rowKeyIndex()
+	var out []labeledPair
+	for _, v := range verdicts {
+		a, b, ok := strings.Cut(v.Key, "|")
+		if !ok {
+			continue
+		}
+		i, iok := rowByKey[a]
+		j, jok := rowByKey[b]
+		if !iok || !jok || i == j {
+			continue
+		}
+		p := er.Pair{I: min(i, j), J: max(i, j)}
+		out = append(out, labeledPair{LabeledPair: er.LabeledPair{Pair: p, Duplicate: v.Duplicate}, score: v.Score})
+	}
+	return out
 }
 
 // rowKeyIndex maps "sourceID#rowIdxInSource" to union row index; this is

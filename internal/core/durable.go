@@ -25,11 +25,12 @@ import (
 
 // This file is the durable session layer: the bridge between the wrangler's
 // working data and the generic append log in internal/wal. Every committed
-// publication appends O(delta) to the log — feedback items and source states
-// that changed since the last publish, the provenance derivations since the
-// last recorded step, any freshly fused shard pages (each page is serialized
-// exactly once and referenced by id thereafter, the persistent form of the
-// PR-4 pointer-sharing delta), and one version record referencing them.
+// publication appends the feedback items and source states that changed
+// since the last publish, the provenance derivations since the last
+// recorded step, the version's shard pages and one version record
+// referencing them. Every publish follows a tail, and every tail fuses
+// fresh pages, so each page is written once, under a fresh id, whole: a
+// record the merge adopted from the predecessor is written again.
 // Because the wrangler only publishes after a fully successful run or
 // reaction, the log tail is always a coherent committed snapshot: reopening
 // it restores the session exactly as of its last publish (uncommitted
@@ -126,7 +127,6 @@ type DurableLog struct {
 	configPayload []byte
 	schema        dataset.Schema
 
-	pageIDs    map[*shardPage]uint64 // page this session built → id (dedup by pointer identity)
 	pagesByID  map[uint64]*loggedPage
 	nextPageID uint64
 
@@ -339,9 +339,9 @@ func codeResults(c *wal.Codec, rs *[]fusion.Result) {
 	})
 }
 
-// pageRecord is one fused shard page. Pages are written exactly once:
-// later versions reference the page id, which is what keeps the log
-// O(delta) per publish.
+// pageRecord is one fused shard page, written whole when the version
+// whose tail fused it is appended, and written back by compaction while a
+// retained version references it.
 type pageRecord struct {
 	id   uint64
 	page *shardPage
@@ -451,7 +451,7 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 
 	// The report is persisted inline: its supporter lists derive from this
 	// version's union-time fusion bookkeeping, which is not reconstructible
-	// for older retained versions. Pages still dedup the heavy table data.
+	// for older retained versions. The table goes by page reference.
 	wal.Opt(c, &lv.rep, func(c *wal.Codec, rep *report.Report) {
 		c.String(&rep.Title)
 		wal.Slice(c, &rep.Lines, 12, func(c *wal.Codec, ln *report.Line) {
@@ -573,7 +573,6 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	d := &DurableLog{
 		dir:             dir,
 		log:             log,
-		pageIDs:         map[*shardPage]uint64{},
 		pagesByID:       map[uint64]*loggedPage{},
 		nextPageID:      1,
 		srcSig:          map[string]sourceSig{},
@@ -870,9 +869,9 @@ func recordRestore(stages map[string]time.Duration, took time.Duration) {
 
 // published rebuilds a replayed version's Published payload, decoding its
 // body and pages on first use, and returns the pages with it. A mode-1
-// version rebuilds table and entities from its shard pages — versions
-// sharing a page id share the decoded records by pointer, restoring the
-// delta-retention property on the way in.
+// version rebuilds table and entities from its shard pages. A page decodes
+// once, so versions that reference one page id (logs written while a tail
+// could reuse a whole page) share its decoded records by pointer.
 func (d *DurableLog) published(rv *replayedVersion, table map[uint64]*loggedPage) (Published, []*shardPage, error) {
 	lv, err := d.body(rv)
 	if err != nil {
@@ -1074,14 +1073,10 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 	if w.pages != nil {
 		pids = make([]uint64, len(w.pages))
 		for i, p := range w.pages {
-			id, ok := d.pageIDs[p]
-			if !ok {
-				id = d.nextPageID
-				d.nextPageID++
-				d.pageIDs[p] = id
-				d.pagesByID[id] = &loggedPage{page: p}
-				_ = d.log.Append(wal.KindPage, d.encodePage(id, p))
-			}
+			id := d.nextPageID
+			d.nextPageID++
+			d.pagesByID[id] = &loggedPage{page: p}
+			_ = d.log.Append(wal.KindPage, d.encodePage(id, p))
 			pids[i] = id
 		}
 	}
@@ -1120,8 +1115,7 @@ func presize(last int) int { return last + last/16 }
 // feedback and provenance, every current source state, the pages still
 // referenced by retained versions, the retained version records and a
 // checkpoint marker — then prunes the in-memory page index to the live
-// set. A page that was pruned but is still held by the tail memo
-// simply gets a fresh id if a later tail reuses it. Replayed records are
+// set. Replayed records are
 // written back as they were read, so only a retained version whose body
 // is still undecoded decodes here, for its page ids.
 func (d *DurableLog) compact(w *Wrangler) error {
@@ -1184,14 +1178,7 @@ func (d *DurableLog) compact(w *Wrangler) error {
 	for pid := range live {
 		pagesByID[pid] = d.pagesByID[pid]
 	}
-	pageIDs := make(map[*shardPage]uint64, len(live))
-	for p, pid := range d.pageIDs {
-		if live[pid] {
-			pageIDs[p] = pid
-		}
-	}
 	d.pagesByID = pagesByID
-	d.pageIDs = pageIDs
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/context"
@@ -127,6 +129,46 @@ func TestSelfConflictingPairFeedback(t *testing.T) {
 		if wr.RowKey(p.I) == wr.RowKey(0) && wr.RowKey(p.J) == wr.RowKey(1) {
 			t.Error("tied pair must not become a constraint")
 		}
+	}
+}
+
+// TestLabeledPairsInKeyOrder: labels added in any order reach Learn and
+// the constraints in pair-key order, each resolved to its union rows with
+// the smaller row first, and only decided labels over two rows the union
+// holds survive.
+func TestLabeledPairsInKeyOrder(t *testing.T) {
+	u := buildUniverse(79, 5, true)
+	wr := New(u, ProductConfig(), nil, fullDataCtx(u))
+	if _, err := wr.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(79))
+	n := wr.Union().Len()
+	for k := 0; k < 40; k++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		kind := feedback.DuplicatePair
+		if rng.Intn(2) == 0 {
+			kind = feedback.NotDuplicatePair
+		}
+		wr.Feedback.Add(feedback.Item{Kind: kind, PairKey: feedback.PairKey(wr.RowKey(a), wr.RowKey(b)), Weight: rng.Float64()})
+	}
+	wr.Feedback.Add(feedback.Item{Kind: feedback.DuplicatePair, PairKey: feedback.PairKey("ghost#0", wr.RowKey(0))})
+	labels := wr.labeledPairs()
+	if len(labels) < 20 {
+		t.Fatalf("only %d labels resolved", len(labels))
+	}
+	var keys []string
+	for _, l := range labels {
+		if l.Pair.I >= l.Pair.J {
+			t.Fatalf("pair %v is not ordered I < J", l.Pair)
+		}
+		keys = append(keys, feedback.PairKey(wr.RowKey(l.Pair.I), wr.RowKey(l.Pair.J)))
+	}
+	if !slices.IsSorted(keys) {
+		t.Errorf("labels out of key order: %v", keys)
+	}
+	if len(slices.Compact(slices.Clone(keys))) != len(keys) {
+		t.Errorf("a pair key resolved twice: %v", keys)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // grain: the prepared (entity, attribute) group, whose state serves both
 // the trust fixpoint and the fuse and is kept for every group whose
 // claims held; a fuse-only tail regroups nothing and takes the last
-// tail's groups as they are. The merge shares the records of every page
-// that fused to the same rows. The contract is strict: a partial tail is
+// tail's groups as they are. The merge adopts the previous record of
+// every entity that fused to the Same record. The contract is strict: a partial tail is
 // byte-identical to a full recompute (FullRerun), pinned by the
 // internal/wrangletest harness.
 

@@ -28,8 +28,9 @@ import (
 // read-side artefact of a wrangle, frozen at publication so no later
 // reaction (or other reader) can mutate what a reader holds. The table
 // is frozen by construction — its rows are immutable per-shard page
-// records, shared by pointer with neighbouring versions whose shard did
-// not change (the delta publication path); the other fields are copies.
+// records, each shared by pointer with neighbouring versions whose record
+// for that entity is Same (the delta publication path); the other fields
+// are copies.
 // All fields are frozen once published; treat them as read-only.
 type Published struct {
 	// Table is the wrangled table, one row per entity.
@@ -124,13 +125,12 @@ func publishTitle(origin serve.Origin) string {
 }
 
 // publishTable hands the next version its table. The wrangled table's
-// rows are immutable per-shard page records — never written after their
-// fuse task built them, and de-duplicated against the previous
-// integration by the merge — so it publishes a fresh table header whose
-// rows point at those shared records: a version after a reaction that
-// left some shard's rows unchanged shares that shard's records with its
-// predecessor, making publication allocation and retention O(changed
-// shard) instead of O(table). The header copy keeps the published object
+// rows are immutable per-shard page records — never written once the
+// merge has adopted, record by record, every predecessor whose entity
+// fused to the Same record — so it publishes a fresh table header whose
+// rows point at those shared records: a version shares every unchanged
+// record with its predecessor, making retention O(changed record)
+// instead of O(table). The header copy keeps the published object
 // distinct from the live w.wrangled, so even an in-place reorder of the
 // live table could not disturb committed versions.
 func (w *Wrangler) publishTable() *dataset.Table {

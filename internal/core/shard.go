@@ -25,9 +25,10 @@ import (
 // global er.ResolveConstrained + fusion.Fuse reference (the core
 // reference test). Sharding buys two things — the tail fans out instead
 // of being the run's Amdahl ceiling, and publication is incremental: each
-// shard's fused rows form an immutable page, and a reaction that leaves a
-// shard's rows unchanged publishes a version sharing that page's records
-// with its predecessor.
+// shard's fused rows form an immutable page, and the merge walks it
+// against the same shard's previous page once, adopting the predecessor's
+// record for every entity whose record is Same and listing the rest as
+// the version's change set.
 
 // shardPage is one shard's slice of the wrangled output: its fused
 // entities (sorted), one record per entity, and the shard's fused
@@ -37,21 +38,6 @@ type shardPage struct {
 	entities []string
 	rows     []dataset.Record
 	results  []fusion.Result
-}
-
-// rowsEqual reports whether two pages fuse the same entities to the same
-// values — the condition under which the new page may share the old
-// page's records instead of carrying fresh allocations.
-func (p *shardPage) rowsEqual(q *shardPage) bool {
-	if p == nil || q == nil || len(p.entities) != len(q.entities) {
-		return false
-	}
-	for i := range p.entities {
-		if p.entities[i] != q.entities[i] || !p.rows[i].Equal(q.rows[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // shardRun is the scratch state one sharded integration passes between
@@ -92,8 +78,8 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 // resolve[shard] fan-out (skipping shards whose clusters carried over) →
 // cluster barrier (merge clusters, name entities, group claims once and
 // estimate trust globally, keeping the memo's prepared groups whose
-// claims held) → fuse[shard] fan-out → merge (sharing the records of
-// pages that fused to the same rows).
+// claims held) → fuse[shard] fan-out → merge (adopting the previous
+// record of every entity that fused to the Same record).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
@@ -283,11 +269,10 @@ func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 }
 
 // shardMergeStage merges the shard outputs: results in global sorted
-// order (the group-indexed slab the fuse fan-out filled), pages
-// reconciled against the previous integration (a shard whose fused rows
-// are unchanged keeps its predecessor's records — the delta the
-// publisher shares between versions), and the wrangled table assembled
-// from page records without copying.
+// order (the group-indexed slab the fuse fan-out filled), pages diffed
+// against the previous integration (changeSet, which also adopts every
+// unchanged record — the delta the publisher shares between versions),
+// and the wrangled table assembled from page records without copying.
 func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
@@ -295,28 +280,11 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	w.results, w.groups = sr.results, sr.groups
 	w.trust = sr.opts.Trust
 
-	// Delta reconciliation: adopt the previous page's records wherever
-	// the shard fused to identical rows. Results stay fresh (confidences
-	// and trust may drift even when every winning value held), so only
-	// the record storage — what publication would otherwise allocate and
-	// retain again — is shared. The same pass computes the version's
-	// ChangeSet: which shards rebuilt, and which records within them
-	// actually moved — the summary watchers receive so their per-version
-	// payload is O(delta), not O(table). A session that left
-	// IntegrationShards at 0 publishes every version as a full change
-	// instead: its watchers (cmd/wrangle -serve's default frames) expect
-	// every row.
-	shared := make([]bool, len(sr.pages))
-	for i := range sr.pages {
-		if i < len(w.pages) && sr.pages[i].rowsEqual(w.pages[i]) {
-			sr.pages[i].entities = w.pages[i].entities
-			sr.pages[i].rows = w.pages[i].rows
-			shared[i] = true
-		}
-	}
-	if w.IntegrationShards > 0 {
-		w.lastChange = changeSet(w.pages, sr.pages, shared)
-	} else {
+	// A session that left IntegrationShards at 0 publishes every version
+	// as a full change: its watchers (cmd/wrangle -serve's default frames)
+	// expect every row. Its records are shared all the same.
+	w.lastChange = changeSet(w.pages, sr.pages)
+	if w.IntegrationShards == 0 {
 		w.lastChange = serve.ChangeSet{Full: true}
 	}
 	w.pages = sr.pages
@@ -366,28 +334,33 @@ func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []st
 	return out, entities
 }
 
-// changeSet summarises what the freshly merged pages changed against the
-// previous integration — the per-version delta the change feed pushes to
-// watchers of sessions with IntegrationShards set. Shards whose pages share their predecessor's records contribute
-// nothing; rebuilt shards are diffed record by record (pages keep their
-// entities sorted, so each diff is one linear merge walk over the two
-// pages — O(changed pages), never O(table)). Without a previous
-// integration to diff against the whole version is a full change.
-func changeSet(prev, cur []*shardPage, shared []bool) serve.ChangeSet {
-	if len(prev) == 0 || len(prev) != len(cur) {
-		return serve.ChangeSet{Full: true}
-	}
+// changeSet diffs every freshly fused page against the same shard's
+// previous page, adopting the predecessor's record for each entity whose
+// record is Same (diffPage), and summarises what moved — the per-version
+// delta the change feed pushes to watchers of sessions with
+// IntegrationShards set. Results stay fresh (confidences and trust may
+// drift even when every winning value held), so only the record storage,
+// which publication would otherwise allocate and retain again, is shared.
+// A page that lists nothing counts as shared. Without a previous
+// integration of the same shard count the version is a full change.
+func changeSet(prev, cur []*shardPage) serve.ChangeSet {
 	cs := serve.ChangeSet{}
 	changed := map[string]bool{}
 	removed := map[string]bool{}
-	for i := range cur {
-		if shared[i] {
-			cs.SharedPages++
-			continue
+	for i, p := range cur {
+		var q *shardPage
+		if i < len(prev) {
+			q = prev[i]
 		}
-		cs.ChangedPages++
-		cs.ChangedShards = append(cs.ChangedShards, i)
-		diffPage(prev[i], cur[i], changed, removed)
+		if diffPage(q, p, changed, removed) {
+			cs.ChangedPages++
+			cs.ChangedShards = append(cs.ChangedShards, i)
+		} else {
+			cs.SharedPages++
+		}
+	}
+	if len(prev) == 0 || len(prev) != len(cur) {
+		return serve.ChangeSet{Full: true}
 	}
 	for e := range changed {
 		// An entity routed to a new owner shard is removed from one page
@@ -402,39 +375,37 @@ func changeSet(prev, cur []*shardPage, shared []bool) serve.ChangeSet {
 	return cs
 }
 
-// diffPage walks two entity-sorted pages in one merge pass, recording the
-// entities the new page added or rewrote and the ones it dropped.
-func diffPage(prev, cur *shardPage, changed, removed map[string]bool) {
+// diffPage walks two entity-sorted pages in one merge pass. It points cur
+// at prev's record for every entity whose record is Same — cur is fresh
+// from its fuse task and not yet published, so this is its last write —
+// and records the entities cur added or rewrote and the ones it dropped.
+// It reports whether it recorded any.
+func diffPage(prev, cur *shardPage, changed, removed map[string]bool) (listed bool) {
 	i, j := 0, 0
-	var np, nc int
+	var np int
 	if prev != nil {
 		np = len(prev.entities)
 	}
-	if cur != nil {
-		nc = len(cur.entities)
-	}
+	nc := len(cur.entities)
 	for i < np || j < nc {
 		switch {
-		case i >= np:
-			changed[cur.entities[j]] = true
-			j++
-		case j >= nc:
-			removed[prev.entities[i]] = true
-			i++
-		case prev.entities[i] == cur.entities[j]:
-			if !prev.rows[i].Equal(cur.rows[j]) {
-				changed[cur.entities[j]] = true
+		case i < np && j < nc && prev.entities[i] == cur.entities[j]:
+			if prev.rows[i].Same(cur.rows[j]) {
+				cur.rows[j] = prev.rows[i]
+			} else {
+				changed[cur.entities[j]], listed = true, true
 			}
 			i++
 			j++
-		case prev.entities[i] < cur.entities[j]:
-			removed[prev.entities[i]] = true
+		case j >= nc || i < np && prev.entities[i] < cur.entities[j]:
+			removed[prev.entities[i]], listed = true, true
 			i++
 		default:
-			changed[cur.entities[j]] = true
+			changed[cur.entities[j]], listed = true, true
 			j++
 		}
 	}
+	return listed
 }
 
 // rowKey is THE "source#idxInSource" row identifier format — feedback
@@ -472,8 +443,8 @@ func (w *Wrangler) rowKeys() []string {
 
 // SharedRecords reports how many of cur's records are shared with prev
 // by pointer identity — observability for the delta publication path: a
-// version published after a one-shard reaction shares every untouched
-// shard's records with its predecessor.
+// version shares every record its shard fused Same as before with its
+// predecessor.
 func SharedRecords(prev, cur *dataset.Table) int {
 	if prev == nil || cur == nil {
 		return 0

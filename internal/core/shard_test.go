@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -136,6 +138,53 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	j := prev["BR-1"]
 	if got := tab2.Row(j)[tab2.Schema().Index("price")].FloatVal(); got != 30 {
 		t.Errorf("previous version mutated: BR-1 price = %v, want 30", got)
+	}
+}
+
+// TestSignFlipRepublishes pins Same as the merge's rule for "unchanged":
+// a fused value that flips between 0 and -0 is Equal to its predecessor
+// but prints differently, so the reacted session must serve the new sign,
+// as a fresh run over the new data does, and list the entity as changed.
+func TestSignFlipRepublishes(t *testing.T) {
+	payload := func(price string) string {
+		return "sku,name,brand,price\nBR-1,brond dronib,umbra,30\nBR-2,brond bindor,umbra," + price + "\n"
+	}
+	cells := func(tab *dataset.Table) []string {
+		var out []string
+		for _, r := range tab.Rows() {
+			for _, v := range r {
+				out = append(out, v.Key())
+			}
+		}
+		return out
+	}
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			w, p := newDeltaWrangler(shards)
+			p.srcs["srcB"] = csvSource("srcB", payload("0.0"))
+			if _, err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			p.srcs["srcB"] = csvSource("srcB", payload("-0.0"))
+			if _, err := w.RefreshSourcesContext(context.Background(), []string{"srcB"}); err != nil {
+				t.Fatal(err)
+			}
+			fresh, fp := newDeltaWrangler(shards)
+			fp.srcs["srcB"] = csvSource("srcB", payload("-0.0"))
+			if _, err := fresh.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got, want := cells(w.Serve.Latest().Data().Table), cells(fresh.Serve.Latest().Data().Table)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reacted table %v, a fresh run %v", got, want)
+			}
+			if !slices.Contains(want, dataset.Float(math.Copysign(0, -1)).Key()) {
+				t.Fatalf("a fresh run serves no -0 (%v): the test exercises nothing", want)
+			}
+			if cs := w.Serve.Latest().Changes(); shards >= 1 && !slices.Contains(cs.ChangedRecords, "BR-2") {
+				t.Errorf("change set %+v does not list BR-2", cs)
+			}
+		})
 	}
 }
 

@@ -125,6 +125,19 @@ func (r Record) Equal(s Record) bool {
 	return true
 }
 
+// Same reports whether two records hold the Same value in every column.
+func (r Record) Same(s Record) bool {
+	if len(r) != len(s) {
+		return false
+	}
+	for i := range r {
+		if !r[i].Same(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Table is an ordered multiset of records over a schema. The zero Table is
 // empty with a nil schema. Tables are mutable; operations that transform a
 // table return a new one and never alias record storage with the input.

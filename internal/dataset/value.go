@@ -154,6 +154,13 @@ func (v Value) Equal(w Value) bool {
 	return false
 }
 
+// Same reports whether two values are one value: Equal, and for floats
+// the same sign bit too. 0 and -0 are Equal but print, and so normalise
+// and fuse, differently. Same is the rule that decides a value unchanged.
+func (v Value) Same(w Value) bool {
+	return v.Equal(w) && (v.kind != KindFloat || math.Signbit(v.f) == math.Signbit(w.f))
+}
+
 // ApproxEqual reports equality with numeric tolerance eps; non-numeric
 // values fall back to Equal. Int and float values compare cross-kind.
 func (v Value) ApproxEqual(w Value, eps float64) bool {

@@ -71,6 +71,35 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
+func TestValueSame(t *testing.T) {
+	zero, negZero := Float(0), Float(math.Copysign(0, -1))
+	if !zero.Equal(negZero) || zero.Same(negZero) {
+		t.Error("0 and -0 are Equal but not Same")
+	}
+	if zero.Key() == negZero.Key() {
+		t.Error("0 and -0 must print differently, or Same buys nothing")
+	}
+	nan, negNaN := Float(math.NaN()), Float(math.Copysign(math.NaN(), -1))
+	if !nan.Same(nan) || nan.Same(negNaN) {
+		t.Error("NaN is Same as a NaN of its own sign only")
+	}
+	for _, v := range []Value{Null(), Int(1), Float(2.5), String("x"), Bool(true), Time(time.Unix(0, 0))} {
+		if !v.Same(v) {
+			t.Errorf("%v not Same as itself", v)
+		}
+	}
+	if Int(0).Same(Float(0)) || String("a").Same(String("b")) {
+		t.Error("values that are not Equal are not Same")
+	}
+	r := Record{String("a"), zero}
+	if !r.Equal(Record{String("a"), negZero}) || r.Same(Record{String("a"), negZero}) || !r.Same(r.Clone()) {
+		t.Error("Record.Same is Same in every column")
+	}
+	if r.Same(r[:1]) {
+		t.Error("records of different widths are not Same")
+	}
+}
+
 func TestValueApproxEqual(t *testing.T) {
 	if !Int(10).ApproxEqual(Float(10.0001), 0.01) {
 		t.Error("cross-kind numeric approx should hold")

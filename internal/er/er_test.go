@@ -2,7 +2,9 @@ package er
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +190,46 @@ func TestLearnImprovesThreshold(t *testing.T) {
 	if f1After <= f1Before {
 		t.Errorf("learning should improve F1: before %f after %f", f1Before, f1After)
 	}
+}
+
+// TestLearnIsLabelOrderSensitive shows why callers must hand Learn its
+// labels in one fixed order: Learn sums feature values in label order,
+// and float addition does not associate, so the same labels shuffled
+// adopt weights that differ in the last bits.
+func TestLearnIsLabelOrderSensitive(t *testing.T) {
+	tab, truth := dupTable(4, 80)
+	var labels []LabeledPair
+	for _, p := range NewResolver("sku", "name", "brand", "price").CandidatePairs(tab) {
+		labels = append(labels, LabeledPair{Pair: p, Duplicate: truth[p.I] == truth[p.J]})
+	}
+	learn := func(labels []LabeledPair) []float64 {
+		r := NewResolver("sku", "name", "brand", "price")
+		r.Threshold = 0.55 // mis-set, as in TestLearnImprovesThreshold, so the fit is adopted
+		if r.Learn(tab, labels); slices.Equal(r.Weights, NewResolver("sku", "name", "brand", "price").Weights) {
+			t.Fatal("Learn adopted nothing")
+		}
+		return r.Weights
+	}
+	bits := func(w []float64) []uint64 {
+		out := make([]uint64, len(w))
+		for i, x := range w {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	want := bits(learn(labels))
+	if !slices.Equal(bits(learn(slices.Clone(labels))), want) {
+		t.Fatal("Learn is not deterministic over one label order")
+	}
+	rng := rand.New(rand.NewSource(4))
+	for k := 0; k < 10; k++ {
+		shuffled := slices.Clone(labels)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		if !slices.Equal(bits(learn(shuffled)), want) {
+			return
+		}
+	}
+	t.Error("ten shuffles of the labels all adopted the same weight bits; order no longer matters")
 }
 
 func TestLearnNoLabelsNoop(t *testing.T) {

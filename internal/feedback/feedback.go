@@ -9,7 +9,9 @@ package feedback
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -177,46 +179,35 @@ func (s *Store) PairLabel(pairKey string) (dup bool, ok bool) {
 	return score > 0, true
 }
 
-// PairScore returns the net weighted duplicate score of a pair: positive
-// means duplicate votes dominate, magnitude reflects confidence. An
-// expert label (weight 1) scores ±1; a 3-of-5 crowd majority scores ±0.6.
-func (s *Store) PairScore(pairKey string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	score := 0.0
-	for _, it := range s.items {
-		if it.PairKey != pairKey {
-			continue
-		}
-		switch it.Kind {
-		case DuplicatePair:
-			score += it.Weight
-		case NotDuplicatePair:
-			score -= it.Weight
-		}
-	}
-	return score
+// PairVerdict is one pair's decided label: its weighted majority, and the
+// net weighted duplicate score behind it — positive when duplicate votes
+// dominate, its magnitude the confidence. An expert label (weight 1)
+// scores ±1; a 3-of-5 crowd majority scores ±0.6.
+type PairVerdict struct {
+	Key       string
+	Duplicate bool
+	Score     float64
 }
 
-// PairLabels returns every pair with a decided label, sorted by pair key.
-func (s *Store) PairLabels() map[string]bool {
+// PairLabels returns every pair with a decided label (PairLabel's rule),
+// sorted by pair key: consumers that fold labels into sums, like the
+// resolver's Learn, get one order on every run.
+func (s *Store) PairLabels() []PairVerdict {
 	s.mu.RLock()
-	keys := map[string]bool{}
+	scores := map[string]float64{}
 	for _, it := range s.items {
-		if it.Kind == DuplicatePair || it.Kind == NotDuplicatePair {
-			keys[it.PairKey] = true
+		switch it.Kind {
+		case DuplicatePair:
+			scores[it.PairKey] += it.Weight
+		case NotDuplicatePair:
+			scores[it.PairKey] -= it.Weight
 		}
 	}
 	s.mu.RUnlock()
-	out := map[string]bool{}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		if dup, ok := s.PairLabel(k); ok {
-			out[k] = dup
+	var out []PairVerdict
+	for _, k := range slices.Sorted(maps.Keys(scores)) {
+		if score := scores[k]; score != 0 {
+			out = append(out, PairVerdict{Key: k, Duplicate: score > 0, Score: score})
 		}
 	}
 	return out

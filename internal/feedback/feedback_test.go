@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -108,9 +109,16 @@ func TestPairLabels(t *testing.T) {
 	s := NewStore()
 	s.Add(Item{Kind: DuplicatePair, PairKey: PairKey("a", "b")})
 	s.Add(Item{Kind: NotDuplicatePair, PairKey: PairKey("c", "d")})
-	labels := s.PairLabels()
-	if len(labels) != 2 || !labels[PairKey("a", "b")] || labels[PairKey("c", "d")] {
-		t.Errorf("PairLabels = %v", labels)
+	s.Add(Item{Kind: DuplicatePair, PairKey: PairKey("e", "f")})
+	s.Add(Item{Kind: NotDuplicatePair, PairKey: PairKey("e", "f")})
+	s.Add(Item{Kind: DuplicatePair, PairKey: PairKey("0", "1"), Weight: 0.6})
+	want := []PairVerdict{
+		{Key: PairKey("0", "1"), Duplicate: true, Score: 0.6},
+		{Key: PairKey("a", "b"), Duplicate: true, Score: 1},
+		{Key: PairKey("c", "d"), Duplicate: false, Score: -1},
+	}
+	if labels := s.PairLabels(); !reflect.DeepEqual(labels, want) {
+		t.Errorf("PairLabels = %v, want %v (sorted by key, ties undecided)", labels, want)
 	}
 }
 
@@ -224,8 +232,8 @@ func TestLabelPairsRecordsFeedback(t *testing.T) {
 		t.Fatalf("labels = %v", labels)
 	}
 	correct := 0
-	for k, want := range truths {
-		if labels[k] == want {
+	for _, l := range labels {
+		if l.Duplicate == truths[l.Key] {
 			correct++
 		}
 	}

@@ -363,7 +363,6 @@ func CompareResults(a, b Result) int {
 // every report line that names them — shares them read-only.
 type groupPrep struct {
 	valueBuckets               // over the claimed values
-	sources      []string      // non-null claims' sources, claim order
 	match        [][]bool      // per non-null claim: which buckets it sames
 	credit       []int32       // per non-null claim: the one bucket it sames, -1 when it sames several
 	reconciled   *valueBuckets // over the values after reconcileUnits; nil unless it rewrote one
@@ -388,11 +387,6 @@ type valueBuckets struct {
 // bucket's supporters over the claimed values.
 func prepareGroup(claims []Claim) *groupPrep {
 	p := &groupPrep{}
-	for _, c := range claims {
-		if !c.Value.IsNull() {
-			p.sources = append(p.sources, c.SourceID)
-		}
-	}
 	nv := normVals(claims)
 	var reps []int
 	p.valueBuckets, reps = formBuckets(nv)
@@ -418,7 +412,7 @@ func prepareGroup(claims []Claim) *groupPrep {
 		b, _ := formBuckets(normVals(rc))
 		p.reconciled = &b
 	}
-	p.supporters = bucketSupporters(claims, p.fuseBuckets().reps, len(p.sources))
+	p.supporters = bucketSupporters(claims, p.fuseBuckets().reps, len(nv))
 	return p
 }
 
@@ -548,8 +542,7 @@ func bucketBefore(w []float64, norms []string, a, b int) bool {
 	return norms[a] < norms[b]
 }
 
-// normVal is a claim value beside the form sameValue compares: numeric
-// values by relative tolerance, everything else by normalised string.
+// normVal is a claim value beside the form voting compares it in.
 // Caching it normalises each value once instead of on both sides of every
 // compare.
 type normVal struct {
@@ -567,7 +560,9 @@ func newNormVal(v dataset.Value) normVal {
 	return n
 }
 
-// same is sameValue over cached forms.
+// same is the one value agreement rule of voting: numbers within
+// numericTolerance of each other, NaN with NaN (as Value.Equal has it),
+// everything else by normalised string. Every value sames itself.
 func (a normVal) same(b normVal) bool {
 	if a.num && b.num {
 		if a.f == b.f || math.IsNaN(a.f) && math.IsNaN(b.f) {
@@ -614,21 +609,6 @@ func reconcileUnits(claims []Claim) (out []Claim, rewrote bool) {
 	return out, rewrote
 }
 
-// sameValue is the one value agreement rule of voting: numbers within
-// numericTolerance of each other, NaN with NaN (as Value.Equal has it),
-// everything else by normalised string. Every value sames itself.
-func sameValue(a, b dataset.Value) bool {
-	if a.IsNumeric() && b.IsNumeric() {
-		x, y := a.FloatVal(), b.FloatVal()
-		if x == y || math.IsNaN(x) && math.IsNaN(y) {
-			return true
-		}
-		den := math.Max(math.Abs(x), math.Abs(y))
-		return den > 0 && math.Abs(x-y)/den <= numericTolerance
-	}
-	return text.Normalize(a.String()) == text.Normalize(b.String())
-}
-
 func voteWeight(c Claim, opts Options) float64 {
 	switch opts.Policy {
 	case MajorityVote:
@@ -670,7 +650,7 @@ func Accuracy(results []Result, truth func(entity, attribute string) (dataset.Va
 			continue
 		}
 		total++
-		if sameValue(r.Value, want) {
+		if newNormVal(r.Value).same(newNormVal(want)) {
 			agree++
 		}
 	}

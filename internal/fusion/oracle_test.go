@@ -81,13 +81,29 @@ func bucketize(claims []Claim, opts Options, weightFn func(Claim) float64) []buc
 	return buckets
 }
 
+// sameValue is the oracle's own value agreement rule, over raw values:
+// numbers within numericTolerance of each other, NaN with NaN, everything
+// else by normalised string — normVal.same without the cached forms.
+func sameValue(a, b dataset.Value) bool {
+	if a.IsNumeric() && b.IsNumeric() {
+		x, y := a.FloatVal(), b.FloatVal()
+		if x == y || math.IsNaN(x) && math.IsNaN(y) {
+			return true
+		}
+		den := math.Max(math.Abs(x), math.Abs(y))
+		return den > 0 && math.Abs(x-y)/den <= numericTolerance
+	}
+	return text.Normalize(a.String()) == text.Normalize(b.String())
+}
+
 // oracleFixpoint is the per-group fixpoint runComponentFixpoint
 // replaces: every group of the component re-votes on every iteration,
 // sorts its buckets with sort.Slice, and adds each claim's credit to its
 // source's sum and count on the spot. It reads the component's member
 // groups and sorted sources, and derives each claim's local source index
-// from the group's own sources — nothing of the flat layout.
-func oracleFixpoint(c *trustComponent, seed []float64, pinned []bool, defaultTrust float64, maxIters int) (cur []float64, iters int) {
+// from the group's own non-null claims (claimsOf) — nothing of the flat
+// layout.
+func oracleFixpoint(c *trustComponent, claimsOf map[*groupPrep][]Claim, seed []float64, pinned []bool, defaultTrust float64, maxIters int) (cur []float64, iters int) {
 	cur = slices.Clone(seed)
 	local := make(map[string]int32, len(c.sources))
 	for i, s := range c.sources {
@@ -96,8 +112,10 @@ func oracleFixpoint(c *trustComponent, seed []float64, pinned []bool, defaultTru
 	srcIdx := make([][]int32, len(c.groups))
 	maxBuckets := 0
 	for gi, g := range c.groups {
-		for _, s := range g.sources {
-			srcIdx[gi] = append(srcIdx[gi], local[s])
+		for _, cl := range claimsOf[g] {
+			if !cl.Value.IsNull() {
+				srcIdx[gi] = append(srcIdx[gi], local[cl.SourceID])
+			}
 		}
 		maxBuckets = max(maxBuckets, len(g.norms))
 	}
@@ -183,9 +201,13 @@ func checkOracleTrust(t *testing.T, label string, g *ClaimGroups, base Options, 
 	if len(st.Iterations) != len(g.layout.comps) {
 		t.Fatalf("%s: %d iteration counts for %d components", label, len(st.Iterations), len(g.layout.comps))
 	}
+	claimsOf := make(map[*groupPrep][]Claim, len(g.prep))
+	for i, p := range g.prep {
+		claimsOf[p] = g.claims[i]
+	}
 	for i, c := range g.layout.comps {
 		seed, pinned := c.seeds(&opts)
-		want, iters := oracleFixpoint(c, seed, pinned, opts.DefaultTrust, opts.Iterations)
+		want, iters := oracleFixpoint(c, claimsOf, seed, pinned, opts.DefaultTrust, opts.Iterations)
 		if st.Iterations[i] != iters {
 			t.Fatalf("%s: component %s: %d iterations, the oracle %d", label, c.key, st.Iterations[i], iters)
 		}

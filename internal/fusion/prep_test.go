@@ -77,7 +77,7 @@ func TestPrepareGroupReconciledBuckets(t *testing.T) {
 		for _, comp := range buildTrustLayout([][]Claim{tc.claims}, []*groupPrep{p}).comps {
 			seed, pinned := comp.seeds(&opts)
 			got, gotIters, _ := runComponentFixpoint(comp, seed, pinned, opts.DefaultTrust, opts.Iterations)
-			want, wantIters := oracleFixpoint(comp, seed, pinned, opts.DefaultTrust, opts.Iterations)
+			want, wantIters := oracleFixpoint(comp, map[*groupPrep][]Claim{p: tc.claims}, seed, pinned, opts.DefaultTrust, opts.Iterations)
 			if gotIters != wantIters || !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: fixpoint %v in %d iterations, the oracle %v in %d", tc.name, got, gotIters, want, wantIters)
 			}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/engine"
 )
 
@@ -461,17 +460,14 @@ func (c *trustComponent) seeds(opts *Options) (seed []float64, pinned []bool) {
 // claimsHeld compares two claim lists on everything prepared state reads:
 // source and value, in order. AsOf is deliberately ignored — freshness
 // never enters bucket formation, so a re-snapshot that kept every value
-// does not dirty the group. Values must be Equal and, for floats, agree
-// in sign: 0 and -0 are Equal but print — and so normalise and fuse —
-// differently.
+// does not dirty the group. Values must be Same: 0 and -0 are Equal but
+// print — and so normalise and fuse — differently.
 func claimsHeld(a, b []Claim) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		va, vb := a[i].Value, b[i].Value
-		if a[i].SourceID != b[i].SourceID || !va.Equal(vb) ||
-			va.Kind() == dataset.KindFloat && math.Signbit(va.FloatVal()) != math.Signbit(vb.FloatVal()) {
+		if a[i].SourceID != b[i].SourceID || !a[i].Value.Same(b[i].Value) {
 			return false
 		}
 	}

@@ -34,6 +34,17 @@ func TestShardedPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestStreamingSharesEveryUnchangedRecord pins the merge's record
+// adoption at every step of randomized scripts (CheckDeterminism's
+// checkSharing): at one page, exactly the entities whose record is Same
+// as before share it with the predecessor version; at any shard count,
+// shared and changed records together make up the table.
+func TestStreamingSharesEveryUnchangedRecord(t *testing.T) {
+	for _, seed := range []int64{5, 29} {
+		CheckDeterminism(t, seed, 4, 6, []int{2}, []int{1, 4})
+	}
+}
+
 // TestStreamingRePlanMatchesFresh drives the er-layer streaming property
 // over many seeded random tables and mutation scripts: memoize a
 // resolved plan, mutate the table, and the incremental re-plan (dirty

@@ -226,7 +226,9 @@ func Script(rng *rand.Rand, ref *core.Wrangler, steps int) []Step {
 // byte-identical universes through the same seeded-random
 // feedback/refresh script, and every variant must fingerprint
 // identically to the baseline after the initial run and after every
-// step — while re-resolving only its dirty shards. It returns
+// step — while re-resolving only its dirty shards, and sharing with its
+// previous version exactly the records it did not change (checkSharing).
+// It returns
 // the shards reused, summed over all variants and steps, so callers can
 // additionally assert the partial tail actually engaged (a sharded path
 // that silently fell back to full recompute would pass the identity check
@@ -240,13 +242,14 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 		t.Fatalf("baseline run: %v", err)
 	}
 	type variant struct {
-		name string
-		w    *core.Wrangler
+		name   string
+		w      *core.Wrangler
+		shards int
 	}
 	var variants []variant
 	for _, wk := range workerCounts {
 		for _, n := range shardCounts {
-			v := variant{name: fmt.Sprintf("workers=%d shards=%d", wk, n), w: NewWrangler(seed, nSources, n)}
+			v := variant{name: fmt.Sprintf("workers=%d shards=%d", wk, n), w: NewWrangler(seed, nSources, n), shards: n}
 			v.w.Parallelism = wk
 			if _, err := v.w.Run(); err != nil {
 				t.Fatalf("%s run: %v", v.name, err)
@@ -267,11 +270,16 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 
 	rng := rand.New(rand.NewSource(seed*7919 + 13))
 	for _, step := range Script(rng, base, steps) {
+		before := base.Serve.Latest()
 		_, refErr, err := step.Apply(ctx, base)
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", step.Name, err)
 		}
+		if err := checkSharing(before, base.Serve.Latest(), 0); err != nil {
+			t.Fatalf("%s: baseline: %v", step.Name, err)
+		}
 		for _, v := range variants {
+			before := v.w.Serve.Latest()
 			stats, vErr, err := step.Apply(ctx, v.w)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", step.Name, v.name, err)
@@ -279,11 +287,51 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 			if vErr != refErr {
 				t.Fatalf("%s: %s error diverged:\nbaseline: %q\nvariant:  %q", step.Name, v.name, refErr, vErr)
 			}
+			if err := checkSharing(before, v.w.Serve.Latest(), v.shards); err != nil {
+				t.Fatalf("%s: %s: %v", step.Name, v.name, err)
+			}
 			reused += stats.ShardsReused
 		}
 		compare(step.Name)
 	}
 	return reused
+}
+
+// checkSharing checks the record-sharing invariant of one step that
+// published cur after prev, for a session at the given shard count. With
+// shards set, the records cur shares with prev by pointer and the ones
+// its change set lists add up to its table. At one
+// page (shards 0 or 1) the merge's walk sees every entity beside its
+// predecessor, so exactly the entities whose record is Same as before
+// share it; at more pages an entity that moved shard republishes.
+func checkSharing(prev, cur *core.PublishedVersion, shards int) error {
+	if prev == nil || cur == nil || cur.Seq() == prev.Seq() {
+		return nil // nothing published
+	}
+	pt, ct := prev.Data().Table, cur.Data().Table
+	shared := core.SharedRecords(pt, ct)
+	if cs := cur.Changes(); shards >= 1 && !cs.Full {
+		if shared+len(cs.ChangedRecords) != ct.Len() {
+			return fmt.Errorf("v%d shares %d records and lists %d changed, of %d", cur.Seq(), shared, len(cs.ChangedRecords), ct.Len())
+		}
+	}
+	if shards > 1 {
+		return nil
+	}
+	row := make(map[string]int, pt.Len())
+	for i, e := range prev.Data().Entities {
+		row[e] = i
+	}
+	same := 0
+	for i, e := range cur.Data().Entities {
+		if j, ok := row[e]; ok && pt.Row(j).Same(ct.Row(i)) {
+			same++
+		}
+	}
+	if shared != same {
+		return fmt.Errorf("v%d shares %d records, but %d entities kept a Same record", cur.Seq(), shared, same)
+	}
+	return nil
 }
 
 // firstDiff renders the first differing line of two fingerprints with a

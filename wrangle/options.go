@@ -214,9 +214,9 @@ func WithParallelism(n int) Option {
 // shards the delta touched (see ReactStats.ShardsResolved / ShardsReused
 // and the ReactStats.Stages split) — untouched shards keep their
 // clusters by reference. Trust is re-estimated over all claims and every
-// shard re-fuses under it; a shard that fuses to the same rows keeps its
-// predecessor's table records all the way into the published snapshot
-// version, which shares them. n must be at least 1. Without this option
+// shard re-fuses under it; every entity that fuses to the same record
+// keeps its predecessor's table record all the way into the published
+// snapshot version, which shares it. n must be at least 1. Without this option
 // the tail runs at one shard and every version is published to watchers
 // as a full change; with it, versions carry record deltas
 // (ChangeSet). Useful shard counts track the worker bound

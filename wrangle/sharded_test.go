@@ -143,8 +143,8 @@ func TestChangeFeedFullUnlessSharded(t *testing.T) {
 
 // TestShardedViewSharesDeltaPages drives the delta path end to end
 // through the facade: consecutive View versions after reactions share
-// the untouched shards' records by pointer, which is what keeps
-// publication and retention O(changed shard) for sharded sessions.
+// the unchanged records by pointer, which is what keeps retention
+// O(changed record) for sharded sessions.
 func TestShardedViewSharesDeltaPages(t *testing.T) {
 	s := mustRun(t,
 		wrangle.WithSeed(21),
