@@ -38,9 +38,13 @@
 // dirty components (cached pair scores cover the rest) and reusing
 // untouched shards' clusters by reference, byte-identically to the full
 // recompute. The back half runs whole — claims are grouped once, trust is
-// the exact global fixpoint, every shard re-fuses its entities' groups
-// under it — and reuses at one grain: prepared claim groups inside the
-// trust estimation, fused records at the merge. The tail's front half is
+// the exact global fixpoint, every shard re-fuses the groups of the
+// entities it owns, and visits no other — and reuses at one grain:
+// prepared claim groups inside the trust estimation, fused records at the
+// merge. Only its contested groups vote: a group with one value bucket
+// fuses to the same result under any trust, so the fixpoint credits it
+// and the fuse takes its result without a vote (FreshnessWeighted, whose
+// decay can zero a weight, votes every group). The tail's front half is
 // O(changed source): whatever is a function of one
 // record — the FD profile's cell strings (internal/quality), the
 // resolver's row features (internal/er) — is derived once per source

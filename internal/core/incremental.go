@@ -48,7 +48,12 @@ type ReactStats struct {
 	// reaction — and those the trust stage prepared afresh, under every
 	// policy, for the fixpoint and the fuse alike (fusion.TrustStats).
 	TrustGroupsKept, TrustGroupsPrepared int
-	Duration                             time.Duration
+	// FuseRevoted counts the claim groups the reaction's fuse voted under
+	// trust: those with more than one value bucket, or every group with a
+	// non-null claim under FreshnessWeighted (or a trust near MaxFloat64).
+	// Every other group fused without a vote (fusion.TrustStats).
+	FuseRevoted int
+	Duration    time.Duration
 	// Stages attributes the reaction's wall clock: "reextract" covers the
 	// per-source re-extraction fan-out and "integrate" the whole
 	// integration tail, which is further split by DAG stage — "replan"

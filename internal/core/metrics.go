@@ -37,6 +37,7 @@ const (
 	mTrustIters     = "wrangle_trust_component_iterations"
 	mTrustContested = "wrangle_trust_contested_groups"
 	mTrustLayouts   = "wrangle_trust_layout_builds_total"
+	mFuseGroups     = "wrangle_fuse_groups"
 	mDerivedRows    = "wrangle_derived_rows"
 )
 
@@ -68,6 +69,8 @@ type pipelineMetrics struct {
 	trustComps     *obs.Gauge
 	trustContested *obs.Gauge
 	trustLayouts   *obs.Counter
+	fuseRevoted    *obs.Gauge
+	fuseTrustFree  *obs.Gauge
 	derivedRows    *obs.Gauge
 }
 
@@ -101,6 +104,8 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 		trustComps:     reg.Gauge(mTrustComps),
 		trustContested: reg.Gauge(mTrustContested),
 		trustLayouts:   reg.Counter(mTrustLayouts),
+		fuseRevoted:    reg.Gauge(mFuseGroups, "kind", "revoted"),
+		fuseTrustFree:  reg.Gauge(mFuseGroups, "kind", "trust_free"),
 		derivedRows:    reg.Gauge(mDerivedRows),
 	}
 	reg.Histogram(mTrustIters, trustIterBuckets())
@@ -114,6 +119,7 @@ func (w *Wrangler) SetMetrics(reg *obs.Registry) {
 	reg.Help(mTrustIters, "Fixpoint iterations per trust component.")
 	reg.Help(mTrustContested, "Claim groups the last tail's trust fixpoint re-voted on every iteration (more than one value bucket).")
 	reg.Help(mTrustLayouts, "Trust fixpoint layouts built; a fuse-only reaction reuses its claim groups' layout and builds none.")
+	reg.Help(mFuseGroups, "Claim groups of the last tail's fuse, by kind: revoted (voted under trust) or trust_free (one bucket, or no claim, fused without a vote).")
 	reg.Help(mPublishSeconds, "Publication wall time after a reaction's stats stop, by phase: report build, log append and commit, compaction.")
 	reg.Help(mDerivedRows, "Source rows whose per-record derivations (FD cells, resolver features) are held; they die with their source generation.")
 	w.met = m
@@ -189,9 +195,14 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 	if ts.LayoutBuilt {
 		m.trustLayouts.Inc()
 	}
+	// The gauges are set on every publication, 0 included: a tail that ran
+	// no fixpoint (an emptied union, another policy) must not leave the
+	// last fixpoint's shape standing.
+	m.trustComps.Set(float64(ts.Components))
+	m.trustContested.Set(float64(ts.Contested))
+	m.fuseRevoted.Set(float64(ts.FuseRevoted))
+	m.fuseTrustFree.Set(float64(ts.GroupsKept + ts.GroupsPrepared - ts.FuseRevoted))
 	if ts.Components > 0 {
-		m.trustComps.Set(float64(ts.Components))
-		m.trustContested.Set(float64(ts.Contested))
 		h := m.reg.Histogram(mTrustIters, trustIterBuckets())
 		for _, it := range ts.Iterations {
 			h.Observe(float64(it))

@@ -92,6 +92,7 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	defer func() {
 		stats.TrustComponents = w.lastTrust.Components
 		stats.TrustGroupsKept, stats.TrustGroupsPrepared = w.lastTrust.GroupsKept, w.lastTrust.GroupsPrepared
+		stats.FuseRevoted = w.lastTrust.FuseRevoted
 		w.split.record(stats.Stages)
 	}()
 	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {

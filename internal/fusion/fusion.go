@@ -10,6 +10,8 @@ package fusion
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -131,7 +133,11 @@ func (o Options) normalized() Options {
 // estimates trust and then fuses, whole or entity by entity, groups its
 // claims once.
 //
-// Each group also carries its prepared state (groupPrep): its value
+// Laying the groups out records, once, the first group of each entity —
+// so a fuse asks its entity filter once per entity and visits only the
+// groups of the entities it keeps — and the largest group's claim count,
+// which bounds the trust under which a one-bucket group fuses without a
+// vote. Each group also carries its prepared state (groupPrep): its value
 // buckets, formed once for the trust fixpoint and the fuse alike, and the
 // supporters of each bucket the fuse can pick, for the report — a
 // function of its claim values and sources alone, never of trust. Over
@@ -144,9 +150,11 @@ func (o Options) normalized() Options {
 // estimation writes a prepared slot or the layout: once it has run,
 // fusing only reads, so any number of Fuse calls may run at once.
 type ClaimGroups struct {
-	claims [][]Claim    // per group, in group order
-	prep   []*groupPrep // parallel to claims: nil until prepared
-	layout *trustLayout // nil until a TruthFinder estimation ran; immutable once built
+	claims      [][]Claim    // per group, in group order
+	prep        []*groupPrep // parallel to claims: nil until prepared
+	layout      *trustLayout // nil until a TruthFinder estimation ran; immutable once built
+	entityStart []int32      // per entity, in ordinal order: its first group; a last entry closes the final entity
+	maxClaims   int          // the largest group's claim count, nulls included
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
@@ -184,9 +192,19 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 // (entity, attribute) group's claims in input order, every group is
 // non-empty, and groups are in group order — by entity, then attribute. A
 // caller that knows its entities (the integration tail reads them off the
-// clustering) lays the groups out itself and sorts nothing per claim.
+// clustering) lays the groups out itself and sorts nothing per claim. It
+// walks the groups once, for each entity's first group and the largest
+// group's claim count.
 func GroupedClaims(groups [][]Claim) *ClaimGroups {
-	return &ClaimGroups{claims: groups, prep: make([]*groupPrep, len(groups))}
+	g := &ClaimGroups{claims: groups, prep: make([]*groupPrep, len(groups))}
+	for i, cs := range groups {
+		if i == 0 || cs[0].Entity != groups[i-1][0].Entity {
+			g.entityStart = append(g.entityStart, int32(i))
+		}
+		g.maxClaims = max(g.maxClaims, len(cs))
+	}
+	g.entityStart = append(g.entityStart, int32(len(groups)))
+	return g
 }
 
 // compareKey is the one group order: by entity, then by attribute.
@@ -262,29 +280,80 @@ func (g *ClaimGroups) Fuse(opts Options, keep func(entity int) bool) []Result {
 // index, when slab is non-nil (len(slab) == g.Len()). Group order is the
 // order MergeResults sorts into, so parts that between them fuse every
 // group once leave slab holding the merged results with nothing to sort.
-// It reads the prepared groups and writes nothing but its results.
+// It asks keep once per entity, off the first group of each entity that
+// GroupedClaims recorded, then sizes its result to the groups of the kept
+// entities and visits those alone. Where g.trustFree(opts) holds, a group
+// with one fuse bucket takes its result without a vote. It reads the
+// prepared groups and writes nothing but its results.
 func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity int) bool) []Result {
 	opts = opts.normalized()
-	out := make([]Result, 0, len(g.claims))
-	var sc fuseScratch
-	entity, kept := -1, false
-	for i, cs := range g.claims {
-		if keep != nil {
-			if i == 0 || cs[0].Entity != g.claims[i-1][0].Entity {
-				entity++
-				kept = keep(entity)
-			}
-			if !kept {
+	// The kept groups as [lo, hi) spans, the groups of adjacent kept
+	// entities joined.
+	spans, n := []int32{0, int32(len(g.claims))}, len(g.claims)
+	if keep != nil {
+		spans, n = spans[:0], 0
+		for e, lo := range g.entityStart[:len(g.entityStart)-1] {
+			if !keep(e) {
 				continue
 			}
+			hi := g.entityStart[e+1]
+			if k := len(spans); k > 0 && spans[k-1] == lo {
+				spans[k-1] = hi
+			} else {
+				spans = append(spans, lo, hi)
+			}
+			n += int(hi - lo)
 		}
-		r := g.prep[i].result(cs, opts, &sc)
-		if slab != nil {
-			slab[i] = r
+	}
+	out := make([]Result, 0, n)
+	free := g.trustFree(opts)
+	var sc fuseScratch
+	for k := 0; k < len(spans); k += 2 {
+		for i := spans[k]; i < spans[k+1]; i++ {
+			r := g.prep[i].result(g.claims[i], opts, free, &sc)
+			if slab != nil {
+				slab[i] = r
+			}
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	return out
+}
+
+// trustFree reports whether, under opts, a group with one fuse bucket
+// fuses to the same result whatever the trust: its representative, its
+// member count, no conflict and Confidence w/(0+w), exactly 1.0 when its
+// weight sum w is finite and positive. Under MajorityVote w counts claims.
+// Under WeightedVote and TruthFinder every weight is a positive trust or
+// the default, and w is finite while weightsBounded holds over the
+// largest group. Under FreshnessWeighted decay can underflow a weight to
+// 0, and the confidence with it, so every group votes.
+func (g *ClaimGroups) trustFree(opts Options) bool {
+	switch opts.Policy {
+	case MajorityVote:
+		return true
+	case WeightedVote, TruthFinder:
+		return weightsBounded(maps.Values(opts.Trust), opts.DefaultTrust, g.maxClaims)
+	default:
+		return false
+	}
+}
+
+// revoted counts the groups FuseInto votes under opts: those with more
+// than one fuse bucket, and, where trustFree does not hold, every group
+// with a non-null claim. Every group must be prepared.
+func (g *ClaimGroups) revoted(opts Options) int {
+	least := 2
+	if !g.trustFree(opts) {
+		least = 1
+	}
+	n := 0
+	for _, p := range g.prep {
+		if len(p.fuseBuckets().reps) >= least {
+			n++
+		}
+	}
+	return n
 }
 
 // Fuse resolves all claims into one result per (entity, attribute).
@@ -490,13 +559,19 @@ type fuseScratch struct {
 // where there are any and the claimed-value buckets otherwise: per-bucket
 // vote weights summed in claim order, buckets ordered heaviest first (ties
 // by normalised representative), and the winner's share of the total
-// summed in that order.
-func (p *groupPrep) result(claims []Claim, opts Options, sc *fuseScratch) Result {
+// summed in that order. A group with one bucket takes, when free (see
+// ClaimGroups.trustFree), the result that vote would give — Confidence
+// w/w, exactly 1.0 — without summing a weight.
+func (p *groupPrep) result(claims []Claim, opts Options, free bool, sc *fuseScratch) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
 	b := p.fuseBuckets()
 	nb := len(b.reps)
 	if nb == 0 {
 		res.Value = dataset.Null()
+		return res
+	}
+	if nb == 1 && free {
+		res.Value, res.Support, res.Confidence = b.reps[0], b.counts[0], 1
 		return res
 	}
 	if cap(sc.w) < nb {
@@ -627,6 +702,27 @@ func voteWeight(c Claim, opts Options) float64 {
 	default:
 		return 1
 	}
+}
+
+// weightsBounded reports whether no vote weight drawn from trust and
+// defaultTrust exceeds MaxFloat64 / (2 · maxClaims) — a NaN default does
+// not pass, a NaN or non-positive trust weighs the default. Then any
+// group of at most maxClaims claims sums its weights to a finite total: n
+// such weights sum below MaxFloat64/2 · (1+2⁻⁵³)ⁿ⁺¹, which the rounding
+// of n additions cannot carry to +Inf (without the 2 it can: three claims
+// at MaxFloat64/3, rounded up, sum to exactly the halfway point to 2¹⁰²⁴,
+// which rounds to +Inf).
+func weightsBounded(trust iter.Seq[float64], defaultTrust float64, maxClaims int) bool {
+	limit := math.MaxFloat64 / float64(2*max(maxClaims, 1))
+	if !(defaultTrust <= limit) {
+		return false
+	}
+	for t := range trust {
+		if t > limit {
+			return false
+		}
+	}
+	return true
 }
 
 // trustOf is the one trust lookup rule every fusion stage applies: a

@@ -328,19 +328,42 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // FuzzFusePrepared pins the prepared fuse to the oracle: under every
-// policy and a random trust map, a fuse from freshly prepared groups, and
-// one over regrouped claims whose AsOf all moved and one value changed —
+// policy and a random trust map, a fuse from freshly prepared groups; one
+// over regrouped claims whose AsOf all moved and one value changed —
 // adopting every held group's state from the first, fused part by part
-// into a group-indexed slab — both equal fuseGroup over each group's
-// claims, field for field.
+// into a group-indexed slab; and a second fuse over the first groups
+// estimated again under other trust, the fuse-only reaction's shape — all
+// equal fuseGroup over each group's claims, field for field. A group with
+// one bucket fuses without a vote only where that cannot move its result,
+// so the options (fuseOptions) reach for the guard's edges: seeds at or
+// near MaxFloat64 on a pinned source, whose one-bucket groups sum to +Inf,
+// and a 1 ns half-life, under which every freshness weight underflows to
+// 0. The corpus is seeded with mostly uncontested groups, where those
+// edges show.
 func FuzzFusePrepared(f *testing.F) {
 	fuzzSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte, policy uint8, seed int64) {
+	// Mostly uncontested: most claims say 100, under a huge trust on source
+	// p (TruthFinder and WeightedVote) or the 1 ns half-life.
+	for i, mode := range []uint8{2 + 5*1, 2 + 5*2, 1 + 5*3, 2 + 5*4, 4, 4 + 5*2} {
+		rng := rand.New(rand.NewSource(200 + int64(i)))
+		data := make([]byte, 3*(20+rng.Intn(60)))
+		rng.Read(data)
+		for k := 0; k+2 < len(data); k += 3 {
+			if rng.Intn(5) != 0 {
+				data[k+1] = 1
+			}
+		}
+		f.Add(data, mode, int64(i))
+	}
+	// One group of three claims by source p, all 100: at MaxFloat64/3 on p
+	// they sum to +Inf.
+	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 2, 0}, uint8(2+5*2), int64(9))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, seed int64) {
 		claims := fuzzClaims(data, fuseValues, 3)
 		if len(claims) == 0 {
 			return
 		}
-		base := fuzzOptions(Policy(policy%4), seed)
+		base := fuseOptions(mode, seed)
 		check := func(label string, g *ClaimGroups, opts Options, got []Result) {
 			t.Helper()
 			for i, cs := range g.claims {
@@ -351,6 +374,19 @@ func FuzzFusePrepared(f *testing.F) {
 					t.Fatalf("%s: group %q supporters %#v, the scan %#v", label, groupKey(g, i), sup, want)
 				}
 			}
+		}
+		// fuseParts fuses g part by part, even and odd entities, into a
+		// group-indexed slab.
+		fuseParts := func(g *ClaimGroups, opts Options) []Result {
+			slab := make([]Result, g.Len())
+			var parts []Result
+			for _, even := range []bool{true, false} {
+				parts = append(parts, g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return (e[0]%2 == 0) == even }))...)
+			}
+			if len(parts) != len(slab) {
+				t.Fatalf("parts fused %d results, want %d", len(parts), len(slab))
+			}
+			return slab
 		}
 		g := GroupClaims(claims)
 		opts, _, _ := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
@@ -366,27 +402,44 @@ func FuzzFusePrepared(f *testing.F) {
 		if st.GroupsKept+st.GroupsPrepared != g2.Len() || st.GroupsKept < g2.Len()-1 {
 			t.Fatalf("adoption: %+v over %d groups, one value moved", st, g2.Len())
 		}
-		slab := make([]Result, g2.Len())
-		var parts []Result
-		for _, even := range []bool{true, false} {
-			parts = append(parts, g2.FuseInto(slab, opts2, byEntity(g2, func(e string) bool { return (e[0]%2 == 0) == even }))...)
-		}
-		check("adopted", g2, opts2, slab)
-		if len(parts) != len(slab) {
-			t.Fatalf("parts fused %d results, want %d", len(parts), len(slab))
-		}
+		check("adopted", g2, opts2, fuseParts(g2, opts2))
+
+		// The same policy under another draw of trust and huge seeds.
+		next := fuseOptions(mode%5+5*(mode/25), ^seed)
+		opts3, _, _ := EstimateTrustWarmParallel(g, cloneOpts(next), g, 1)
+		check("again", g, opts3, fuseParts(g, opts3))
 	})
 }
 
-// hugeTrust gives one of the fuzzers' sources, picked by mode, a seed at
-// or near math.MaxFloat64 — or none, when mode%5 is 0. Where a group's
-// vote total could overflow, the fixpoint must re-vote every group, as the
-// oracle does; MaxFloat64/3 is the edge where three claims of one source
-// in one bucket sum, by rounding, to +Inf.
-func hugeTrust(opts Options, mode uint8) {
-	if v := []float64{0, math.MaxFloat64, math.MaxFloat64 / 3, math.MaxFloat64 / 64, math.Inf(1)}[mode%5]; v != 0 {
-		opts.Trust[string(rune('p'+int(mode/5)%5))] = v
+// fuseOptions draws FuzzFusePrepared's options from its mode byte:
+// mode%5 picks the policy, where 4 is FreshnessWeighted with a 1 ns
+// half-life, and mode/5 a huge trust (hugeTrust), pinned so that
+// TruthFinder keeps it.
+func fuseOptions(mode uint8, seed int64) Options {
+	opts := fuzzOptions(Policy(min(mode%5, 3)), seed)
+	if mode%5 == 4 {
+		opts.HalfLife = time.Nanosecond
 	}
+	if src := hugeTrust(opts, mode/5); src != "" {
+		opts.Pinned[src] = true
+	}
+	return opts
+}
+
+// hugeTrust gives one of the fuzzers' sources, picked by mode, a seed at
+// or near math.MaxFloat64 — or none, when mode%5 is 0 — and returns the
+// source it gave one, "" for none. Where a group's vote total could
+// overflow, the fixpoint must re-vote every group and the fuse must vote
+// every group, as the oracles do; MaxFloat64/3 is the edge where three
+// claims of one source in one bucket sum, by rounding, to +Inf.
+func hugeTrust(opts Options, mode uint8) string {
+	v := []float64{0, math.MaxFloat64, math.MaxFloat64 / 3, math.MaxFloat64 / 64, math.Inf(1)}[mode%5]
+	if v == 0 {
+		return ""
+	}
+	src := string(rune('p' + int(mode/5)%5))
+	opts.Trust[src] = v
+	return src
 }
 
 // FuzzTrustKernel pins the fixpoint to the per-group oracle over claim

@@ -69,8 +69,11 @@ func TestPrepareGroupReconciledBuckets(t *testing.T) {
 			opts := DefaultOptions(policy).normalized()
 			opts.Trust = map[string]float64{"s0": 0.9, "s1": 0.3, "s2": 0.6, "s3": 0.6}
 			var sc fuseScratch
-			if got, want := p.result(tc.claims, opts, &sc), fuseGroup(tc.claims, opts); got != want {
-				t.Errorf("%s %s: fused %+v, the oracle %+v", tc.name, policy, got, want)
+			// Voted, and without a vote where one bucket allows it.
+			for _, free := range []bool{false, GroupedClaims([][]Claim{tc.claims}).trustFree(opts)} {
+				if got, want := p.result(tc.claims, opts, free, &sc), fuseGroup(tc.claims, opts); got != want {
+					t.Errorf("%s %s (free %v): fused %+v, the oracle %+v", tc.name, policy, free, got, want)
+				}
 			}
 		}
 		opts := DefaultOptions(TruthFinder).normalized()

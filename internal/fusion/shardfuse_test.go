@@ -217,3 +217,80 @@ func TestMergeResultsOrderIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestFuseIntoVisitsOwnedGroupsOnly pins FuseInto's walk: keep is asked
+// once per entity, in ordinal order, and each part returns exactly the
+// groups of the entities it owns, in a slice sized to them (len == cap),
+// equal to those groups' results in a fuse of everything. It covers a
+// single-entity claim set and all-null groups, which fuse to Null with
+// Confidence 0 under every policy.
+func TestFuseIntoVisitsOwnedGroupsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	mixed := randomClaims(rng, 120)
+	// Entity entity-99 claims nothing but nulls, on two attributes.
+	for _, attr := range []string{"brand", "price"} {
+		for _, src := range []string{"src0", "src3"} {
+			mixed = append(mixed, Claim{Entity: "entity-99", Attribute: attr, Value: dataset.Null(), SourceID: src})
+		}
+	}
+	var single []Claim
+	for _, c := range randomClaims(rng, 30) {
+		c.Entity = "solo"
+		single = append(single, c)
+	}
+	for _, tc := range []struct {
+		name   string
+		claims []Claim
+	}{{"mixed", mixed}, {"single entity", single}} {
+		for _, policy := range []Policy{MajorityVote, WeightedVote, TruthFinder, FreshnessWeighted} {
+			o := DefaultOptions(policy)
+			o.Now = time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)
+			g := GroupClaims(tc.claims)
+			opts, _, _ := EstimateTrustWarmParallel(g, o, nil, 1)
+			all := g.Fuse(opts, nil)
+			entities := len(g.entityStart) - 1
+			for _, k := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s %s k=%d", tc.name, policy, k)
+				for s := 0; s < k; s++ {
+					var asked []int
+					got := g.Fuse(opts, func(e int) bool {
+						asked = append(asked, e)
+						return e%k == s
+					})
+					if len(asked) != entities {
+						t.Fatalf("%s part %d: keep asked %v, want each of %d entities once", label, s, asked, entities)
+					}
+					var want []Result
+					for e, ord := range asked {
+						if ord != e {
+							t.Fatalf("%s part %d: keep asked %v, not in ordinal order", label, s, asked)
+						}
+						if e%k == s {
+							want = append(want, all[g.entityStart[e]:g.entityStart[e+1]]...)
+						}
+					}
+					if len(got) != cap(got) {
+						t.Fatalf("%s part %d: len %d, cap %d", label, s, len(got), cap(got))
+					}
+					resultsEqual(t, label, want, got)
+				}
+			}
+			if tc.name == "single entity" && entities != 1 {
+				t.Fatalf("%s: %d entities", tc.name, entities)
+			}
+			nulls := 0
+			for i, r := range all {
+				if g.claims[i][0].Entity != "entity-99" {
+					continue
+				}
+				nulls++
+				if !r.Value.IsNull() || r.Confidence != 0 || r.Support != 0 || r.Conflict {
+					t.Fatalf("%s %s: all-null group %q fused to %+v", tc.name, policy, groupKey(g, i), r)
+				}
+			}
+			if want := map[string]int{"mixed": 2}[tc.name]; nulls != want {
+				t.Fatalf("%s: %d all-null groups fused, want %d", tc.name, nulls, want)
+			}
+		}
+	}
+}

@@ -61,6 +61,12 @@ type TrustStats struct {
 	// flat arrays; false when the ClaimGroups carried them already (a
 	// fuse-only reaction) or no fixpoint ran.
 	LayoutBuilt bool
+	// FuseRevoted counts the groups a fuse under the returned options
+	// votes: those with more than one fuse bucket, or every group with a
+	// non-null claim where a one-bucket group's result could depend on
+	// trust (FreshnessWeighted, or a weight near MaxFloat64). The other
+	// groups fuse without a vote.
+	FuseRevoted int
 }
 
 // TrustSplit is the wall clock of one trust estimation, by step: adopting
@@ -204,23 +210,13 @@ func buildTrustLayout(claims [][]Claim, groups []*groupPrep) *trustLayout {
 // w, the sum of its claims' weights, and its total is 0 + w, so each
 // claim's credit w/total is exactly 1.0 — when w is finite and positive.
 // Positive it is: every weight is a positive trust or the default, which
-// normalized() keeps positive. Finite it is when no weight exceeds
-// MaxFloat64 / (2 · the largest group's claim count): n such weights sum
-// below MaxFloat64/2 · (1+2⁻⁵³)ⁿ⁺¹, which the rounding of n additions
-// cannot carry to +Inf (without the 2 it can: three claims at
-// MaxFloat64/3, rounded up, sum to exactly the halfway point to 2¹⁰²⁴,
-// which rounds to +Inf). The bound holds on every iteration if it holds
-// on the seeds, since trust only moves halfway toward a mean of credits
-// in [0, 1]. A component whose seeds or default break it re-votes every
-// group: the same loop over a longer list.
+// normalized() keeps positive. Finite it is while weightsBounded holds
+// over the component's largest group. The bound holds on every iteration
+// if it holds on the seeds, since trust only moves halfway toward a mean
+// of credits in [0, 1]. A component whose seeds or default break it
+// re-votes every group: the same loop over a longer list.
 func (c *trustComponent) revoted(seed []float64, defaultTrust float64) []int32 {
-	limit := math.MaxFloat64 / float64(2*c.maxClaims)
-	ok := defaultTrust <= limit // false for NaN
-	for _, t := range seed {
-		// A NaN or non-positive seed weighs the default.
-		ok = ok && !(t > limit)
-	}
-	if ok {
+	if weightsBounded(slices.Values(seed), defaultTrust, c.maxClaims) {
 		return c.contested
 	}
 	all := make([]int32, len(c.groups))
@@ -341,12 +337,13 @@ func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, 
 	kept := g.adopt(prev)
 	g.prepare(workers)
 	st := TrustStats{GroupsKept: kept, GroupsPrepared: g.Len() - kept}
-	if opts.Policy != TruthFinder {
-		// No fixpoint exists for this policy; estimation is a no-op beyond
-		// normalization and preparation.
-		return opts, TrustSplit{Prepare: time.Since(start)}, st
+	// Only TruthFinder has a fixpoint; for every other policy estimation
+	// is a no-op beyond normalization and preparation.
+	var fixpoint time.Duration
+	if opts.Policy == TruthFinder {
+		fixpoint = estimateTrust(g, &opts, &st)
 	}
-	fixpoint := estimateTrust(g, &opts, &st)
+	st.FuseRevoted = g.revoted(opts)
 	return opts, TrustSplit{Prepare: time.Since(start) - fixpoint, Fixpoint: fixpoint}, st
 }
 

@@ -297,6 +297,7 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_publish_seconds",
 		"wrangle_trust_contested_groups",
 		"wrangle_trust_layout_builds_total",
+		"wrangle_fuse_groups",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
