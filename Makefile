@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test race bench fuzz loadtest
+.PHONY: check fmt build vet test race bench fuzz loadtest loc
 
 check: fmt build vet test
 
@@ -30,6 +30,11 @@ race:
 bench:
 	$(GO) test -bench='^Benchmark(E[0-9]|F1)' -benchmem -run=^$$ .
 	@echo "end-to-end workloads: bash benchmark/run.sh --workload refresh.10k --seed 1 --seconds 10 --trace 0"
+
+# loc prints the line count of non-test Go outside benchmark/ (and the
+# benchmark's build directory): the size a simplification is judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 # loadtest drives the change-feed load harness in its CI smoke shape:
 # 100 concurrent subscribers against 5 seconds of continuous

@@ -295,8 +295,9 @@ func (st *serveState) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // watchFrame is the JSON payload of one /watch SSE event: the version
 // header plus the delta — only the changed records' rows are inlined
-// (shared pages are elided entirely), so frame size scales with what the
-// reaction touched, not with the table. A full frame (first publication,
+// (unchanged records, and so every shared page — a fuse part's entity
+// range that changed no record — are elided), so frame size scales with
+// what the reaction touched, not with the table. A full frame (first publication,
 // every publication of a session without -shards) carries every row.
 type watchFrame struct {
 	Version       uint64         `json:"version"`

@@ -18,8 +18,9 @@
 // tail — entity resolution and fusion over the global union — is one
 // engine DAG every session runs, sharded by blocking key
 // (WithIntegrationShards; one shard without it): block-connected
-// components route whole to deterministic owner shards, resolve and fuse
-// as engine tasks, and merge back byte-identically at any shard count, a
+// components route whole to deterministic owner shards and resolve as
+// engine tasks, the fuse fans out over as many contiguous entity ranges,
+// and both merge back byte-identically at any shard count, a
 // property pinned by the internal/wrangletest determinism harness, its
 // fuzz target and a reference check against one global resolve and fuse.
 // Each successful run and reaction then commits an immutable
@@ -28,8 +29,9 @@
 // served lock-free and untorn while feedback and refresh reactions churn
 // in the background (WithRetainVersions bounds the history, cmd/wrangle
 // -serve exposes it over HTTP). Versions share records one by one: the
-// merge walks each shard's new page against its previous one, and every
-// entity whose fused record is Same as before keeps its predecessor's
+// merge walks the new pages, in entity order, against the previous
+// integration's rows, and every entity whose fused record is Same as
+// before keeps its predecessor's
 // record, so a version retains fresh storage only for the records that
 // moved; a session with a shard count announces each version to watchers
 // as that record delta. Reactions are partial tails: the session
@@ -38,8 +40,8 @@
 // dirty components (cached pair scores cover the rest) and reusing
 // untouched shards' clusters by reference, byte-identically to the full
 // recompute. The back half runs whole — claims are grouped once, trust is
-// the exact global fixpoint, every shard re-fuses the groups of the
-// entities it owns, and visits no other — and reuses at one grain:
+// the exact global fixpoint, every fuse part re-fuses the groups of one
+// contiguous entity range, and visits no other — and reuses at one grain:
 // prepared claim groups inside the trust estimation, fused records at the
 // merge. Only its contested groups vote: a group with one value bucket
 // fuses to the same result under any trust, so the fixpoint credits it

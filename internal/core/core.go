@@ -165,19 +165,21 @@ type Wrangler struct {
 	// and refresh. Readers hold committed versions lock-free; replace the
 	// store (before the first run) to change its retention bound.
 	Serve *VersionStore
-	// IntegrationShards splits the integration tail (entity resolution +
-	// fusion) into this many disjoint blocking shards that resolve and
-	// fuse as parallel engine tasks and merge deterministically: the
-	// output is byte-identical at every shard count. 0 (the default) runs
+	// IntegrationShards splits the integration tail into this many
+	// disjoint blocking shards that resolve as parallel engine tasks and
+	// as many contiguous entity ranges that fuse as parallel engine
+	// tasks, merging deterministically: the output is byte-identical at
+	// every shard count. 0 (the default) runs
 	// the same tail at one shard. Every reaction recomputes a partial
 	// tail: the reaction planner diffs the new union against the memoized
 	// previous one, re-plans incrementally (er.RePlan) and re-resolves
 	// only dirty shards, reusing every untouched shard's clusters by
 	// reference. Trust is re-estimated over all claims (keeping the
-	// prepared state of claim groups that held) and every shard re-fuses
-	// under it; the merge diffs each shard's page against its previous
-	// one, and published versions share the table record of every entity
-	// whose record is Same as before. The one thing 0 changes
+	// prepared state of claim groups that held) and every fuse part
+	// re-fuses its entity range under it; the merge walks the pages
+	// against the previous integration's rows, and published versions
+	// share the table record of every entity whose record is Same as
+	// before. The one thing 0 changes
 	// against 1 is the change feed: a session left at 0 publishes every
 	// version as a full change (serve.ChangeSet.Full), one set to n >= 1
 	// publishes record deltas.
@@ -203,8 +205,7 @@ type Wrangler struct {
 	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
 	wrangled     *dataset.Table
 	trust        map[string]float64
-	pages        []*shardPage    // per-shard fused output, immutable once built
-	entityShard  []int32         // per entities.ids entry: its owning shard in the last integration
+	pages        []*shardPage    // per-part fused output, immutable once built
 	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
 	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
@@ -766,7 +767,6 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.results = nil
 		w.groups = nil
 		w.pages = nil
-		w.entityShard = nil
 		w.rowEntities = nil
 		// An emptied result cannot bound its delta against the
 		// predecessor; watchers treat it as a full change.

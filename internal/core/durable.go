@@ -962,9 +962,6 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 		}
 	}
 	w.nameEntities()
-	// Entities are routed only with a rebuilt memo, off its plan: without
-	// one the next tail is a full one, and it routes the entities itself.
-	w.entityShard = nil
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, the version carries its pages, and no
@@ -987,10 +984,9 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 }
 
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
-// and clusters, and routes the entities off the rebuilt plan as the live
-// cluster barrier routed them. The shard plan and the roots slab are
-// deterministic functions of what was restored: a row's representative is
-// its cluster's first row, read off the cluster ids restoreWorkingState
+// and clusters. The shard plan and the roots slab are deterministic
+// functions of what was restored: a row's representative is its
+// cluster's first row, read off the cluster ids restoreWorkingState
 // validated. The prepared claim groups are not persisted — their absence
 // only means the first estimation prepares every group, and its result
 // is float-exact either way.
@@ -1000,7 +996,7 @@ func (w *Wrangler) rebuildMemo() {
 	// No previous plan state: a fresh plan over the union buildUnion just
 	// prepared.
 	rp, err := w.resolver.RePlan(w.union, w.shards(), must, cannot, rowKeys, nil, nil)
-	if err != nil || rp.Plan.NumShards != len(w.pages) {
+	if err != nil {
 		return
 	}
 	first := make([]int32, w.clusters.Num) // by cluster id: its first row, -1 until seen
@@ -1019,7 +1015,6 @@ func (w *Wrangler) rebuildMemo() {
 		return
 	}
 	w.memo = w.newTailMemo(ps)
-	w.routeEntities(rp.Plan)
 }
 
 // --- append ---------------------------------------------------------------

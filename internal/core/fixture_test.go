@@ -49,7 +49,11 @@ var fixtureChurn = []float64{0.25, 0.2}
 // restores the session the parent restored — on the sharded log with a
 // tail memo, so the first refresh reuses shards; on the shards=0 log,
 // whose versions the then-separate sequential tail wrote inline and
-// without a memo, so the first refresh is a full tail at one shard.
+// without a memo, so the first refresh is a full tail at one shard. The
+// sharded log's pages hold the entities its tail routed to each shard;
+// the first refresh fuses entity ranges against them and still shares
+// exactly the records that stayed Same, publishing an exact delta over
+// all four pages.
 func TestParentWrittenLogs(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "restored.fingerprint"))
 	if err != nil {
@@ -99,9 +103,18 @@ func TestParentWrittenLogs(t *testing.T) {
 			if got := wrangletest.Fingerprint(w); got != string(want) {
 				t.Fatalf("restored session differs from the parent's:\n%s", lineDiff(string(want), got))
 			}
+			before := w.Serve.Latest()
 			stats, err := w.RefreshSourcesContext(context.Background(), w.SelectedSources()[:1])
 			if err != nil {
 				t.Fatalf("refresh: %v", err)
+			}
+			if shards > 0 {
+				if err := wrangletest.CheckSharing(before, w.Serve.Latest(), shards); err != nil {
+					t.Fatalf("first refresh after restore: %v", err)
+				}
+				if cs := w.Serve.Latest().Changes(); cs.Full || cs.ChangedPages+cs.SharedPages != shards || len(cs.ChangedShards) != cs.ChangedPages {
+					t.Fatalf("first refresh after restore published %+v, want a delta over %d pages", cs, shards)
+				}
 			}
 			if shards > 0 {
 				if stats.ShardsReused == 0 {

@@ -78,10 +78,11 @@ func TestFuseOnlyRevotesContestedGroups(t *testing.T) {
 }
 
 // TestTrustGaugesResetWhenNoFixpointRuns is the regression for stale trust
-// gauges: after a run that estimated trust over one component, every
-// source refreshes to empty. That refresh's tail runs no fixpoint and
-// fuses nothing, so its publication must read 0 on the trust and fuse
-// gauges rather than keep the run's shape.
+// and shard-reuse gauges: after a run that estimated trust over one
+// component and a refresh that reused some shards, every source refreshes
+// to empty. That refresh's tail runs no fixpoint, resolves and reuses no
+// shard and fuses nothing, so its publication must read 0 on the trust,
+// fuse and reuse gauges rather than keep the last tail's shape.
 func TestTrustGaugesResetWhenNoFixpointRuns(t *testing.T) {
 	a := &sources.Source{ID: "srcA", Kind: sources.KindCSV,
 		Raw: "sku,name,brand,price\nAX-1,palma lampal,acme,10\nAX-2,palma mallap,acme,20\n"}
@@ -96,12 +97,21 @@ func TestTrustGaugesResetWhenNoFixpointRuns(t *testing.T) {
 		"contested":       reg.Gauge("wrangle_trust_contested_groups"),
 		"fuse revoted":    reg.Gauge("wrangle_fuse_groups", "kind", "revoted"),
 		"fuse trust-free": reg.Gauge("wrangle_fuse_groups", "kind", "trust_free"),
+		"shard reuse":     reg.Gauge("wrangle_shard_reuse_ratio"),
 	}
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if c, k := gauges["components"].Value(), gauges["contested"].Value(); c != 1 || k != 1 {
 		t.Fatalf("run: %v components, %v contested groups; want 1 and 1", c, k)
+	}
+	a.Raw = "sku,name,brand,price\nAX-1,palma lampal,acme,10\nAX-2,palma mallap,acme,21\n"
+	stats, err := w.RefreshSourcesContext(context.Background(), []string{"srcA"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := gauges["shard reuse"].Value(); stats.ShardsReused == 0 || r != float64(stats.ShardsReused)/float64(stats.ShardsResolved+stats.ShardsReused) {
+		t.Fatalf("refresh: reuse ratio gauge %v after %d resolved and %d reused shards", r, stats.ShardsResolved, stats.ShardsReused)
 	}
 	a.Raw, b.Raw = "sku,name,brand,price\n", "sku,name,brand,price\n"
 	before := w.Serve.Latest().Seq()

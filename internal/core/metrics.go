@@ -183,10 +183,17 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 		m.reg.Histogram(mStageSeconds, obs.DurationBuckets(), "origin", o, "stage", stage).Observe(d.Seconds())
 	}
 	m.reg.Histogram(mReactSeconds, obs.DurationBuckets(), "origin", o).Observe(dur.Seconds())
-	if resolved, reused := react.ShardsResolved, react.ShardsReused; resolved+reused > 0 {
+	if origin != serve.OriginRun {
+		// Set on every reaction, 0 when no shard ran (an emptied union):
+		// the last tail's ratio must not stand for a tail that ran none.
+		resolved, reused := react.ShardsResolved, react.ShardsReused
 		m.shardsResolved.Add(int64(resolved))
 		m.shardsReused.Add(int64(reused))
-		m.reuseRatio.Set(float64(reused) / float64(resolved+reused))
+		ratio := 0.0
+		if resolved+reused > 0 {
+			ratio = float64(reused) / float64(resolved+reused)
+		}
+		m.reuseRatio.Set(ratio)
 	}
 	// w.lastTrust describes exactly the tail this publication came from
 	// (runTail/RunContext reset it per tail), so it is the one source of

@@ -40,9 +40,9 @@ const (
 
 // tailMemo is the memoized state of the last integrated tail —
 // what the planner diffs a reaction against. All fields describe one
-// coherent integration, together with the wrangler's pages and entity
-// routing; any tail that fails mid-flight drops the memo (the next
-// reaction plans from scratch and re-records it).
+// coherent integration, together with the wrangler's pages; any tail
+// that fails mid-flight drops the memo (the next reaction plans from
+// scratch and re-records it).
 type tailMemo struct {
 	union  *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
 	ids    []string       // the selected sources it was built from, sorted
@@ -135,11 +135,11 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 
 // addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
 // clustering — the value-feedback reaction. The memo vouches that the
-// union, clusters, entity ids and entity→shard routing describe one
-// completed integration; trust is re-estimated warm over the last tail's
-// claim groups and every shard re-fuses its entities along that routing.
+// union, clusters and entity ids describe one completed integration;
+// trust is re-estimated warm over the last tail's claim groups and every
+// fuse part re-fuses its entity range.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
-	n := len(w.pages)
+	n := w.shards()
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
 		sr.pages = make([]*shardPage, n)

@@ -27,10 +27,10 @@ import (
 // Published is the payload of one committed serve version: every
 // read-side artefact of a wrangle, frozen at publication so no later
 // reaction (or other reader) can mutate what a reader holds. The table
-// is frozen by construction — its rows are immutable per-shard page
-// records, each shared by pointer with neighbouring versions whose record
-// for that entity is Same (the delta publication path); the other fields
-// are copies.
+// is frozen by construction — its rows are immutable page records, each
+// shared by pointer with neighbouring versions whose record for that
+// entity is Same (the delta publication path); the other fields are
+// copies.
 // All fields are frozen once published; treat them as read-only.
 type Published struct {
 	// Table is the wrangled table, one row per entity.
@@ -125,7 +125,7 @@ func publishTitle(origin serve.Origin) string {
 }
 
 // publishTable hands the next version its table. The wrangled table's
-// rows are immutable per-shard page records — never written once the
+// rows are immutable page records — never written once the
 // merge has adopted, record by record, every predecessor whose entity
 // fused to the Same record — so it publishes a fresh table header whose
 // rows point at those shared records: a version shares every unchanged

@@ -16,24 +16,27 @@ import (
 
 // This file is the integration tail, the one engine DAG every session
 // runs: it partitions the union by blocking key (er.ShardPlan) into
-// max(1, IntegrationShards) shards, resolves and fuses every shard as an
-// independent engine task, and merges shard outputs with a stable,
-// provider-order-independent merge. The contract is strict: at every
+// max(1, IntegrationShards) shards, resolves every shard and fuses as
+// many entity ranges as independent engine tasks, and merges their
+// outputs with a stable, provider-order-independent merge. The contract is strict: at every
 // shard and worker count the merged table, report, results, trust and
 // provenance are byte-identical to the same DAG at one shard and one
 // worker (the internal/wrangletest determinism harness), and to the
 // global er.ResolveConstrained + fusion.Fuse reference (the core
 // reference test). Sharding buys two things — the tail fans out instead
-// of being the run's Amdahl ceiling, and publication is incremental: each
-// shard's fused rows form an immutable page, and the merge walks it
-// against the same shard's previous page once, adopting the predecessor's
-// record for every entity whose record is Same and listing the rest as
-// the version's change set.
+// of being the run's Amdahl ceiling, and publication is incremental: the
+// fuse fan-out splits the entities into contiguous ranges, one immutable
+// page each, and the merge walks the pages in entity order against the
+// previous integration's rows once, adopting the predecessor's record for
+// every entity whose record is Same and listing the rest as the version's
+// change set.
 
-// shardPage is one shard's slice of the wrangled output: its fused
-// entities (sorted), one record per entity, and the shard's fused
-// results. Records are immutable once built — published versions alias
-// them, so nothing may ever write through a page.
+// shardPage is one fuse part's slice of the wrangled output: its fused
+// entities (sorted), one record per entity, and the part's fused results,
+// which alias the run's group-indexed result slab. Records and results
+// are immutable once built — published versions alias them, so nothing
+// may ever write through a page. A live tail's pages are contiguous
+// entity ranges; a page restored from a log may hold any set of entities.
 type shardPage struct {
 	entities []string
 	rows     []dataset.Record
@@ -78,8 +81,8 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 // resolve[shard] fan-out (skipping shards whose clusters carried over) →
 // cluster barrier (merge clusters, name entities, group claims once and
 // estimate trust globally, keeping the memo's prepared groups whose
-// claims held) → fuse[shard] fan-out → merge (adopting the previous
-// record of every entity that fused to the Same record).
+// claims held) → fuse[part] fan-out over entity ranges → merge (adopting
+// the previous record of every entity that fused to the Same record).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
@@ -174,9 +177,9 @@ func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 
 // shardClusterStage is the barrier between the two fan-outs: it numbers
 // the completed roots slab into the global dense clustering (identical
-// numbering to one global resolve), names entities, routes each entity to
-// its owning shard, and runs the one stage of fusion that is inherently
-// global — TruthFinder's trust fixpoint over the full claim set.
+// numbering to one global resolve), names entities, and runs the one
+// stage of fusion that is inherently global — TruthFinder's trust
+// fixpoint over the full claim set.
 func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
@@ -188,29 +191,13 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	w.clusters = clusters
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	w.nameEntities()
-	w.routeEntities(sr.rp.Plan)
 	sr.estimateTrust(w)
 	return nil
 }
 
-// routeEntities routes every named entity to its owning shard: the shard
-// of its first union row. Clusters never span shards, but two clusters in
-// different shards can share a most-frequent key and hence an entity
-// name — one global fuse fuses their claims together, so the first-row
-// owner takes all of them (rows are only read, so a shard may read rows
-// it does not own). Kept on the wrangler: a later fuse-only reaction
-// reuses this routing, since trust changes never move an entity's shard.
-// The cluster barrier and the restore's memo rebuild both route here.
-func (w *Wrangler) routeEntities(plan *er.ShardPlan) {
-	w.entityShard = make([]int32, len(w.entities.rows))
-	for e, rows := range w.entities.rows {
-		w.entityShard[e] = int32(plan.RowShard[rows[0]])
-	}
-}
-
 // estimateTrust is the back half of the cluster barrier, shared by both
 // tail scopes: lay the claims out in groups once for trust and every
-// shard's fuse, entity by entity off the clustering, then run the one
+// fuse part, entity by entity off the clustering, then run the one
 // cross-shard stage of fusion. A fuse-only tail builds nothing: claims are
 // a function of the union, its entity ids and its row sources, none of
 // which it moves, so it takes the last tail's groups as they are —
@@ -219,7 +206,7 @@ func (w *Wrangler) routeEntities(plan *er.ShardPlan) {
 // TruthFinder fixpoint; what it carries over from the last tail is the
 // prepared state of every (entity, attribute) group whose claims held,
 // and it prepares every other group, under every policy, on the worker
-// fan-out, so the shards' fuses only read the groups. Runs inside the
+// fan-out, so the fuse parts only read the groups. Runs inside the
 // single cluster-barrier task, so writing w.lastTrust is race-free.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
 	prev := w.groups
@@ -234,45 +221,30 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 	sr.opts, sr.split.TrustSplit, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
 }
 
-// shardFuseStage fuses, under the globally estimated trust, the claim
-// groups of the entities shard i owns, and materialises the shard's page.
-// Groups were laid out once over every claim, each group's claims in row
-// order, so each group holds its claims in the order one global fuse sees
-// them — bucket
-// representatives and vote accumulation match bit for bit. The groups
-// arrive prepared, so the fuse reads them and writes only its results.
-// Each result also lands in sr.results at its group index: every group is
-// fused by exactly one shard, so the slab needs no merge. The groups'
-// entities are w.entities in order, so an entity's ordinal indexes its
-// route. An entity routed to no shard fails the tail (only a restored log
-// can be that incoherent).
+// shardFuseStage fuses, under the globally estimated trust, part i of
+// the entities — a contiguous range of them (fusion.FuseInto) — and
+// materialises its page. Groups were laid out once over every claim, each
+// group's claims in row order, so each group holds its claims in the
+// order one global fuse sees them — bucket representatives and vote
+// accumulation match bit for bit. The groups arrive prepared, so the fuse
+// reads them and writes only its span of sr.results, the group-indexed
+// slab the parts fill between them with nothing to merge; the page's
+// results are that span.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
-	n := int32(len(sr.pages))
-	unrouted := -1
-	results := sr.groups.FuseInto(sr.results, sr.opts, func(e int) bool {
-		s := w.entityShard[e]
-		if s < 0 || s >= n {
-			unrouted = e
-			return false
-		}
-		return s == int32(i)
-	})
-	if unrouted >= 0 {
-		return fmt.Errorf("core: entity %q has no owning shard", w.entities.ids[unrouted])
-	}
+	results := sr.groups.FuseInto(sr.results, sr.opts, i, len(sr.pages))
 	entities, rows := materialize(results, w.Config.Target)
 	sr.pages[i] = &shardPage{entities: entities, rows: rows, results: results}
 	return nil
 }
 
-// shardMergeStage merges the shard outputs: results in global sorted
-// order (the group-indexed slab the fuse fan-out filled), pages diffed
-// against the previous integration (changeSet, which also adopts every
-// unchanged record — the delta the publisher shares between versions),
-// and the wrangled table assembled from page records without copying.
+// shardMergeStage merges the fuse outputs: results in global sorted order
+// (the group-indexed slab the fuse fan-out filled), pages diffed against
+// the previous integration (changeSet, which also adopts every unchanged
+// record — the delta the publisher shares between versions), and the
+// wrangled table assembled from page records without copying.
 func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
@@ -282,16 +254,13 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 
 	// A session that left IntegrationShards at 0 publishes every version
 	// as a full change: its watchers (cmd/wrangle -serve's default frames)
-	// expect every row. Its records are shared all the same.
-	w.lastChange = changeSet(w.pages, sr.pages)
-	if w.IntegrationShards == 0 {
+	// expect every row. Its records are shared all the same. Without a
+	// previous integration there is no delta to bound.
+	w.lastChange = changeSet(w.rowEntities, w.wrangled, sr.pages)
+	if w.IntegrationShards == 0 || len(w.pages) == 0 {
 		w.lastChange = serve.ChangeSet{Full: true}
 	}
 	w.pages = sr.pages
-
-	// Stable merge: entities are disjoint across shards, so sorting the
-	// concatenation by entity reproduces one global fuse's row order
-	// regardless of shard count or finish order.
 	w.wrangled, w.rowEntities = mergePages(sr.pages, w.Config.Target)
 	w.LastStats.RowsWrangled = w.wrangled.Len()
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
@@ -303,7 +272,9 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 // mergePages assembles the wrangled table from shard pages — the one
 // merge the live tail and the durable restore share. Every page holds its
 // entities sorted and no entity sits on two pages, so a k-way merge of
-// the page heads yields the global entity order with nothing to sort.
+// the page heads yields the global entity order with nothing to sort: a
+// live tail's range pages merge in page order, and pages restored from
+// logs whose tails routed entities to their shard interleave.
 // Each output row scans the k heads, O(n·k): that assumes the small shard
 // counts WithIntegrationShards advises (about the worker bound). It beats
 // an O(n log n) sort of all entities while k stays well under log₂ n and
@@ -334,78 +305,51 @@ func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []st
 	return out, entities
 }
 
-// changeSet diffs every freshly fused page against the same shard's
-// previous page, adopting the predecessor's record for each entity whose
-// record is Same (diffPage), and summarises what moved — the per-version
-// delta the change feed pushes to watchers of sessions with
-// IntegrationShards set. Results stay fresh (confidences and trust may
-// drift even when every winning value held), so only the record storage,
-// which publication would otherwise allocate and retain again, is shared.
-// A page that lists nothing counts as shared. Without a previous
-// integration of the same shard count the version is a full change.
-func changeSet(prev, cur []*shardPage) serve.ChangeSet {
+// changeSet walks the freshly fused pages, in entity order, against the
+// previous integration's rows — prevEntities[k] names prev's row k, both
+// entity-sorted — in one merge pass, and summarises what moved: the
+// per-version delta the change feed pushes to watchers of sessions with
+// IntegrationShards set. It points a page at the predecessor's record for
+// every entity whose record is Same — the pages are fresh from their fuse
+// tasks and not yet published, so this is their last write — and lists,
+// ascending, the entities the pages added or rewrote and the ones they
+// dropped. Results stay fresh (confidences and trust may drift even when
+// every winning value held), so only the record storage, which
+// publication would otherwise allocate and retain again, is shared. A
+// page counts as changed when its part of the walk listed anything; the
+// last page's part runs to the end of prev.
+func changeSet(prevEntities []string, prev *dataset.Table, cur []*shardPage) serve.ChangeSet {
 	cs := serve.ChangeSet{}
-	changed := map[string]bool{}
-	removed := map[string]bool{}
-	for i, p := range cur {
-		var q *shardPage
-		if i < len(prev) {
-			q = prev[i]
+	i, np := 0, len(prevEntities)
+	for k, p := range cur {
+		listed := len(cs.ChangedRecords) + len(cs.RemovedRecords)
+		last := k == len(cur)-1
+		for j, nc := 0, len(p.entities); j < nc || last && i < np; {
+			switch {
+			case i < np && j < nc && prevEntities[i] == p.entities[j]:
+				if r := prev.Row(i); r.Same(p.rows[j]) {
+					p.rows[j] = r
+				} else {
+					cs.ChangedRecords = append(cs.ChangedRecords, p.entities[j])
+				}
+				i++
+				j++
+			case j >= nc || i < np && prevEntities[i] < p.entities[j]:
+				cs.RemovedRecords = append(cs.RemovedRecords, prevEntities[i])
+				i++
+			default:
+				cs.ChangedRecords = append(cs.ChangedRecords, p.entities[j])
+				j++
+			}
 		}
-		if diffPage(q, p, changed, removed) {
+		if len(cs.ChangedRecords)+len(cs.RemovedRecords) > listed {
 			cs.ChangedPages++
-			cs.ChangedShards = append(cs.ChangedShards, i)
+			cs.ChangedShards = append(cs.ChangedShards, k)
 		} else {
 			cs.SharedPages++
 		}
 	}
-	if len(prev) == 0 || len(prev) != len(cur) {
-		return serve.ChangeSet{Full: true}
-	}
-	for e := range changed {
-		// An entity routed to a new owner shard is removed from one page
-		// and (re)appears in another: that is a change, not a removal.
-		delete(removed, e)
-		cs.ChangedRecords = append(cs.ChangedRecords, e)
-	}
-	for e := range removed {
-		cs.RemovedRecords = append(cs.RemovedRecords, e)
-	}
-	// Publish sorts the slices (ChangeSet normalization); no need here.
 	return cs
-}
-
-// diffPage walks two entity-sorted pages in one merge pass. It points cur
-// at prev's record for every entity whose record is Same — cur is fresh
-// from its fuse task and not yet published, so this is its last write —
-// and records the entities cur added or rewrote and the ones it dropped.
-// It reports whether it recorded any.
-func diffPage(prev, cur *shardPage, changed, removed map[string]bool) (listed bool) {
-	i, j := 0, 0
-	var np int
-	if prev != nil {
-		np = len(prev.entities)
-	}
-	nc := len(cur.entities)
-	for i < np || j < nc {
-		switch {
-		case i < np && j < nc && prev.entities[i] == cur.entities[j]:
-			if prev.rows[i].Same(cur.rows[j]) {
-				cur.rows[j] = prev.rows[i]
-			} else {
-				changed[cur.entities[j]], listed = true, true
-			}
-			i++
-			j++
-		case j >= nc || i < np && prev.entities[i] < cur.entities[j]:
-			removed[prev.entities[i]], listed = true, true
-			i++
-		default:
-			changed[cur.entities[j]], listed = true, true
-			j++
-		}
-	}
-	return listed
 }
 
 // rowKey is THE "source#idxInSource" row identifier format — feedback

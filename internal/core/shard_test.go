@@ -60,11 +60,13 @@ func newDeltaWrangler(shards int) (*Wrangler, *deltaProvider) {
 }
 
 // TestDeltaPublishSharesUntouchedPages is the delta-publication
-// acceptance test: a refresh that leaves every shard's fused rows
-// unchanged publishes a version sharing ALL its table records with the
-// predecessor (pointer identity), and a refresh that changes one
-// component's values publishes fresh records for that entity while still
-// sharing the untouched shards' records.
+// acceptance test: a refresh that leaves every fused row unchanged
+// publishes a version sharing ALL its table records with the predecessor
+// (pointer identity) and every page, and a refresh that changes one
+// component's values publishes fresh records for that entity — listing
+// it, and its page alone, as changed — while still sharing the untouched
+// records. Four entities over four fuse parts put one entity on each
+// page, in entity order.
 func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	ctx := context.Background()
 	w, p := newDeltaWrangler(4)
@@ -88,6 +90,9 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	if shared := SharedRecords(v1.Data().Table, v2.Data().Table); shared != v2.Data().Table.Len() {
 		t.Fatalf("no-op refresh shared %d/%d records, want all", shared, v2.Data().Table.Len())
 	}
+	if cs := v2.Changes(); cs.Full || cs.ChangedPages != 0 || cs.SharedPages != 4 || len(cs.ChangedRecords)+len(cs.RemovedRecords) != 0 {
+		t.Fatalf("no-op refresh published %+v, want all four pages shared", cs)
+	}
 
 	// 2. A refresh that changes srcB's values: srcB's shard republishes
 	// fresh records, srcA's untouched shard keeps sharing.
@@ -97,6 +102,9 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	v3 := w.Serve.Latest()
+	if cs := v3.Changes(); !slices.Equal(cs.ChangedShards, []int{2}) || cs.SharedPages != 3 || !slices.Equal(cs.ChangedRecords, []string{"BR-1"}) {
+		t.Fatalf("changed-source refresh published %+v, want BR-1 changed on page 2 alone", cs)
+	}
 	tab2, tab3 := v2.Data().Table, v3.Data().Table
 	shared := SharedRecords(tab2, tab3)
 	if shared == 0 {

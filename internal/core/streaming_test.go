@@ -138,7 +138,7 @@ func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		if shards > 0 {
-			w.pages, w.entityShard, w.memo = nil, nil, nil
+			w.pages, w.memo = nil, nil
 		}
 		res := w.Results()
 		w.AddFeedback(feedback.Item{

@@ -130,25 +130,25 @@ func (o Options) normalized() Options {
 // and in-group claim order are both part of fusion's determinism contract
 // — bucket representatives and float accumulation follow them. Trust
 // estimation and fusion both read one ClaimGroups, so a tail that
-// estimates trust and then fuses, whole or entity by entity, groups its
+// estimates trust and then fuses, whole or in entity ranges, groups its
 // claims once.
 //
 // Laying the groups out records, once, the first group of each entity —
-// so a fuse asks its entity filter once per entity and visits only the
-// groups of the entities it keeps — and the largest group's claim count,
-// which bounds the trust under which a one-bucket group fuses without a
-// vote. Each group also carries its prepared state (groupPrep): its value
-// buckets, formed once for the trust fixpoint and the fuse alike, and the
-// supporters of each bucket the fuse can pick, for the report — a
-// function of its claim values and sources alone, never of trust. Over
-// all of them the first TruthFinder estimation lays out the fixpoint's
-// flat source and claim arrays (trustLayout), once per ClaimGroups. A
-// ClaimGroups is the memo the next estimation adopts from
-// (EstimateTrustWarmParallel's prev), and a fuse-only reaction, whose
-// claims cannot have moved, hands the same ClaimGroups on and regroups,
-// prepares and lays out nothing. Claims never change, and only the
-// estimation writes a prepared slot or the layout: once it has run,
-// fusing only reads, so any number of Fuse calls may run at once.
+// so a fuse part finds the groups of its entity range with no walk — and
+// the largest group's claim count, which bounds the trust under which a
+// one-bucket group fuses without a vote. Each group also carries its
+// prepared state (groupPrep): its value buckets, formed once for the
+// trust fixpoint and the fuse alike, and the supporters of each bucket
+// the fuse can pick, for the report — a function of its claim values and
+// sources alone, never of trust. Over all of them the first TruthFinder
+// estimation lays out the fixpoint's flat source and claim arrays
+// (trustLayout), once per ClaimGroups. A ClaimGroups is the memo the
+// next estimation adopts from (EstimateTrustWarmParallel's prev), and a
+// fuse-only reaction, whose claims cannot have moved, hands the same
+// ClaimGroups on and regroups, prepares and lays out nothing. Claims
+// never change, and only the estimation writes a prepared slot or the
+// layout: once it has run, fusing only reads, so any number of Fuse calls
+// may run at once.
 type ClaimGroups struct {
 	claims      [][]Claim    // per group, in group order
 	prep        []*groupPrep // parallel to claims: nil until prepared
@@ -260,64 +260,38 @@ func appendSupporters(dst []string, claims []Claim, v dataset.Value) []string {
 	return dst
 }
 
-// Fuse fuses, in group order, every group whose entity keep accepts
-// (every group when keep is nil), taking source trust as given: no
-// fixpoint runs, each group is fused independently under opts.Trust. keep
-// is asked once per entity, with the entity's ordinal among the groups'
-// distinct entities (0 for the first group's entity, and so on).
-// Because no group spans entities, fusing an entity partition part by part
-// and merging (MergeResults) is byte-identical to fusing everything at
-// once under the same trust — the property the sharded integration tail
-// is built on. The groups must be prepared: g has been through
-// EstimateTrustWarmParallel, under any policy. Fuse then writes nothing
-// but its result and never mutates opts.Trust, so concurrent calls may
-// share one options value and fuse the same entities.
-func (g *ClaimGroups) Fuse(opts Options, keep func(entity int) bool) []Result {
-	return g.FuseInto(nil, opts, keep)
+// Fuse fuses every group, in group order, taking source trust as given:
+// no fixpoint runs, each group is fused independently under opts.Trust.
+// It is FuseInto in one part over a fresh slab. The groups must be
+// prepared: g has been through EstimateTrustWarmParallel, under any
+// policy. Fuse then writes nothing but its result and never mutates
+// opts.Trust, so concurrent calls may share one options value.
+func (g *ClaimGroups) Fuse(opts Options) []Result {
+	return g.FuseInto(make([]Result, g.Len()), opts, 0, 1)
 }
 
-// FuseInto is Fuse that also writes each result into slab at its group
-// index, when slab is non-nil (len(slab) == g.Len()). Group order is the
-// order MergeResults sorts into, so parts that between them fuse every
-// group once leave slab holding the merged results with nothing to sort.
-// It asks keep once per entity, off the first group of each entity that
-// GroupedClaims recorded, then sizes its result to the groups of the kept
-// entities and visits those alone. Where g.trustFree(opts) holds, a group
-// with one fuse bucket takes its result without a vote. It reads the
-// prepared groups and writes nothing but its results.
-func (g *ClaimGroups) FuseInto(slab []Result, opts Options, keep func(entity int) bool) []Result {
+// FuseInto fuses part `part` of `parts`: the groups of the entities
+// whose ordinals, among the groups' E distinct entities, lie in
+// [part·E/parts, (part+1)·E/parts), found off the first group of each
+// entity that GroupedClaims recorded. It writes each result into slab
+// (len(slab) == g.Len()) at its group index and returns the part's span
+// of slab, capped at its length, so a caller may keep it as the part's
+// results. Parts 0..parts-1 tile slab: between them they fill it with
+// Fuse's output, bit for bit under the same trust, since no group spans
+// entities — the property the sharded integration tail is built on.
+// Where g.trustFree(opts) holds, a group with one fuse bucket takes its
+// result without a vote. It reads the prepared groups and writes only its
+// span of slab, so parts may run at once over one slab.
+func (g *ClaimGroups) FuseInto(slab []Result, opts Options, part, parts int) []Result {
 	opts = opts.normalized()
-	// The kept groups as [lo, hi) spans, the groups of adjacent kept
-	// entities joined.
-	spans, n := []int32{0, int32(len(g.claims))}, len(g.claims)
-	if keep != nil {
-		spans, n = spans[:0], 0
-		for e, lo := range g.entityStart[:len(g.entityStart)-1] {
-			if !keep(e) {
-				continue
-			}
-			hi := g.entityStart[e+1]
-			if k := len(spans); k > 0 && spans[k-1] == lo {
-				spans[k-1] = hi
-			} else {
-				spans = append(spans, lo, hi)
-			}
-			n += int(hi - lo)
-		}
-	}
-	out := make([]Result, 0, n)
+	entities := len(g.entityStart) - 1
+	lo, hi := g.entityStart[part*entities/parts], g.entityStart[(part+1)*entities/parts]
 	free := g.trustFree(opts)
 	var sc fuseScratch
-	for k := 0; k < len(spans); k += 2 {
-		for i := spans[k]; i < spans[k+1]; i++ {
-			r := g.prep[i].result(g.claims[i], opts, free, &sc)
-			if slab != nil {
-				slab[i] = r
-			}
-			out = append(out, r)
-		}
+	for i := lo; i < hi; i++ {
+		slab[i] = g.prep[i].result(g.claims[i], opts, free, &sc)
 	}
-	return out
+	return slab[lo:hi:hi]
 }
 
 // trustFree reports whether, under opts, a group with one fuse bucket
@@ -363,7 +337,7 @@ func (g *ClaimGroups) revoted(opts Options) int {
 func Fuse(claims []Claim, opts Options) []Result {
 	g := GroupClaims(claims)
 	opts, _, _ = EstimateTrustWarmParallel(g, opts, nil, 1)
-	return g.Fuse(opts, nil)
+	return g.Fuse(opts)
 }
 
 // EstimateTrustParallel runs the global half of fusion — the TruthFinder
@@ -386,7 +360,7 @@ func EstimateTrustParallel(claims []Claim, opts Options, workers int) (Options, 
 func FuseResolved(claims []Claim, opts Options) []Result {
 	g := GroupClaims(claims)
 	g.prepare(1)
-	return g.Fuse(opts, nil)
+	return g.Fuse(opts)
 }
 
 // MergeResults merges per-shard result slices (each sorted, with disjoint

@@ -47,7 +47,7 @@ func TestGroupedClaimsMatchesGroupClaims(t *testing.T) {
 			t.Fatalf("seed %d: GroupedClaims and GroupClaims disagree", seed)
 		}
 		opts, _, _ := EstimateTrustWarmParallel(grouped, DefaultOptions(TruthFinder), nil, 1)
-		resultsEqual(t, "grouped", Fuse(claims, DefaultOptions(TruthFinder)), grouped.Fuse(opts, nil))
+		resultsEqual(t, "grouped", Fuse(claims, DefaultOptions(TruthFinder)), grouped.Fuse(opts))
 	}
 }
 

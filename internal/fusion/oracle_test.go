@@ -375,13 +375,13 @@ func FuzzFusePrepared(f *testing.F) {
 				}
 			}
 		}
-		// fuseParts fuses g part by part, even and odd entities, into a
+		// fuseParts fuses g part by part, in two entity ranges, into a
 		// group-indexed slab.
 		fuseParts := func(g *ClaimGroups, opts Options) []Result {
 			slab := make([]Result, g.Len())
 			var parts []Result
-			for _, even := range []bool{true, false} {
-				parts = append(parts, g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return (e[0]%2 == 0) == even }))...)
+			for part := range 2 {
+				parts = append(parts, g.FuseInto(slab, opts, part, 2)...)
 			}
 			if len(parts) != len(slab) {
 				t.Fatalf("parts fused %d results, want %d", len(parts), len(slab))
@@ -390,7 +390,7 @@ func FuzzFusePrepared(f *testing.F) {
 		}
 		g := GroupClaims(claims)
 		opts, _, _ := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
-		check("fresh", g, opts, g.Fuse(opts, nil))
+		check("fresh", g, opts, g.Fuse(opts))
 
 		moved := slices.Clone(claims)
 		for i := range moved {

@@ -119,8 +119,8 @@ func TestTrustPreparedGroupsFuseConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return e[len(e)-1]%2 == 0 }))
-				g.FuseInto(slab, opts, byEntity(g, func(e string) bool { return e[len(e)-1]%2 == 1 }))
+				g.FuseInto(slab, opts, 0, 2)
+				g.FuseInto(slab, opts, 1, 2)
 			}()
 		}
 		wg.Wait()
@@ -191,7 +191,7 @@ func TestPreparedSupportersMatchScan(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: supporter lists %v, want %v", tc.name, got, tc.want)
 		}
-		v := prepared.Fuse(opts, nil)[0].Value
+		v := prepared.Fuse(opts)[0].Value
 		if got, want := prepared.Supporters(0, v), scanned.Supporters(0, v); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: supporters of the fused %v: %#v, the scan %#v", tc.name, v, got, want)
 		}

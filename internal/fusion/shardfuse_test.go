@@ -52,16 +52,14 @@ func partitionByEntity(claims []Claim, k int) [][]Claim {
 	return parts
 }
 
-// byEntity adapts a filter on entity names to Fuse's keep, which is asked
-// with entity ordinals in group order.
-func byEntity(g *ClaimGroups, keep func(entity string) bool) func(int) bool {
+// entityNames lists g's distinct entities in ordinal order, the order
+// FuseInto's ranges count them in.
+func entityNames(g *ClaimGroups) []string {
 	var names []string
-	for i, cs := range g.claims {
-		if i == 0 || cs[0].Entity != g.claims[i-1][0].Entity {
-			names = append(names, cs[0].Entity)
-		}
+	for _, start := range g.entityStart[:len(g.entityStart)-1] {
+		names = append(names, g.claims[start][0].Entity)
 	}
-	return func(e int) bool { return keep(names[e]) }
+	return names
 }
 
 // groupKey names group i for test maps and messages.
@@ -113,10 +111,10 @@ func TestFuseResolvedPartitionMatchesFuse(t *testing.T) {
 
 // TestClaimGroupsFuseByOwnerMatchesPartition pins the grouped half of
 // the sharding contract: claims grouped once, trust estimated over the
-// groups, and each part fusing only the groups whose entity it owns,
-// merges to exactly what partitioning the claims and fusing every part
-// on its own yields — and to one Fuse over everything. The filter is
-// asked once per entity.
+// groups, and each part fusing only the groups of the entity range it
+// owns, merges to exactly what partitioning the claims by those ranges
+// and fusing every part on its own yields — and to one Fuse over
+// everything.
 func TestClaimGroupsFuseByOwnerMatchesPartition(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,28 +128,20 @@ func TestClaimGroupsFuseByOwnerMatchesPartition(t *testing.T) {
 			want := Fuse(claims, mk())
 			g := GroupClaims(claims)
 			opts, _, _ := EstimateTrustWarmParallel(g, mk(), nil, 2)
+			names := entityNames(g)
 			for _, k := range []int{1, 3} {
 				owner := map[string]int{}
-				for _, c := range claims {
-					if _, ok := owner[c.Entity]; !ok {
-						owner[c.Entity] = len(owner) % k
+				for e, name := range names {
+					s := 0
+					for e >= (s+1)*len(names)/k {
+						s++
 					}
+					owner[name] = s
 				}
+				slab := make([]Result, g.Len())
 				var grouped, split [][]Result
 				for s := 0; s < k; s++ {
-					asked := map[string]int{}
-					grouped = append(grouped, g.Fuse(opts, byEntity(g, func(e string) bool {
-						asked[e]++
-						return owner[e] == s
-					})))
-					if len(asked) != len(owner) {
-						t.Fatalf("seed=%d k=%d: %d entities asked, %d exist", seed, k, len(asked), len(owner))
-					}
-					for e, n := range asked {
-						if n != 1 {
-							t.Fatalf("seed=%d k=%d: entity %q asked %d times", seed, k, e, n)
-						}
-					}
+					grouped = append(grouped, g.FuseInto(slab, opts, s, k))
 					var part []Claim
 					for _, c := range claims {
 						if owner[c.Entity] == s {
@@ -218,13 +208,13 @@ func TestMergeResultsOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestFuseIntoVisitsOwnedGroupsOnly pins FuseInto's walk: keep is asked
-// once per entity, in ordinal order, and each part returns exactly the
-// groups of the entities it owns, in a slice sized to them (len == cap),
-// equal to those groups' results in a fuse of everything. It covers a
-// single-entity claim set and all-null groups, which fuse to Null with
-// Confidence 0 under every policy.
-func TestFuseIntoVisitsOwnedGroupsOnly(t *testing.T) {
+// TestFuseIntoPartsTileTheSlab pins FuseInto's ranges: for k parts,
+// some of them empty once k exceeds the entity count, each part's slice
+// aliases the slab at its first group, has len == cap == its group count,
+// and the parts, concatenated in order, are the slab and equal Fuse bit
+// for bit. It covers every policy, a single-entity claim set and all-null
+// groups, which fuse to Null with Confidence 0 under every policy.
+func TestFuseIntoPartsTileTheSlab(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mixed := randomClaims(rng, 120)
 	// Entity entity-99 claims nothing but nulls, on two attributes.
@@ -247,33 +237,31 @@ func TestFuseIntoVisitsOwnedGroupsOnly(t *testing.T) {
 			o.Now = time.Date(2026, 7, 2, 0, 0, 0, 0, time.UTC)
 			g := GroupClaims(tc.claims)
 			opts, _, _ := EstimateTrustWarmParallel(g, o, nil, 1)
-			all := g.Fuse(opts, nil)
+			all := g.Fuse(opts)
 			entities := len(g.entityStart) - 1
-			for _, k := range []int{1, 2, 3} {
+			for _, k := range []int{1, 2, 3, entities + 2} {
 				label := fmt.Sprintf("%s %s k=%d", tc.name, policy, k)
+				slab := make([]Result, g.Len())
+				var tiled []Result
+				empty := 0
 				for s := 0; s < k; s++ {
-					var asked []int
-					got := g.Fuse(opts, func(e int) bool {
-						asked = append(asked, e)
-						return e%k == s
-					})
-					if len(asked) != entities {
-						t.Fatalf("%s part %d: keep asked %v, want each of %d entities once", label, s, asked, entities)
+					got := g.FuseInto(slab, opts, s, k)
+					first := len(tiled)
+					if n := len(got); n != cap(got) {
+						t.Fatalf("%s part %d: len %d, cap %d", label, s, n, cap(got))
 					}
-					var want []Result
-					for e, ord := range asked {
-						if ord != e {
-							t.Fatalf("%s part %d: keep asked %v, not in ordinal order", label, s, asked)
-						}
-						if e%k == s {
-							want = append(want, all[g.entityStart[e]:g.entityStart[e+1]]...)
-						}
+					if len(got) == 0 {
+						empty++
+					} else if &got[0] != &slab[first] {
+						t.Fatalf("%s part %d: does not alias the slab at group %d", label, s, first)
 					}
-					if len(got) != cap(got) {
-						t.Fatalf("%s part %d: len %d, cap %d", label, s, len(got), cap(got))
-					}
-					resultsEqual(t, label, want, got)
+					tiled = append(tiled, got...)
 				}
+				if k > entities && empty != k-entities {
+					t.Fatalf("%s: %d empty parts, want %d", label, empty, k-entities)
+				}
+				resultsEqual(t, label+" parts", all, tiled)
+				resultsEqual(t, label+" slab", all, slab)
 			}
 			if tc.name == "single entity" && entities != 1 {
 				t.Fatalf("%s: %d entities", tc.name, entities)

@@ -167,7 +167,7 @@ func TestNaNClaimsAgree(t *testing.T) {
 	g := GroupClaims(claims)
 	opts, _, st := EstimateTrustWarmParallel(g, DefaultOptions(TruthFinder), nil, 1)
 	checkOracleTrust(t, "NaN", g, DefaultOptions(TruthFinder), opts, st)
-	r := g.Fuse(opts, nil)[0]
+	r := g.Fuse(opts)[0]
 	if f := r.Value; f.Kind() != dataset.KindFloat || !math.IsNaN(f.FloatVal()) || r.Support != 3 || !r.Conflict || r.Confidence <= 0.75 {
 		t.Fatalf("fused %+v, want NaN with support 3 and confidence above 0.75", r)
 	}

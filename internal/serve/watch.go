@@ -60,13 +60,14 @@ type ChangeSet struct {
 	// or any path that cannot bound the delta. When Full is set the
 	// per-shard and per-record fields are meaningless and left empty.
 	Full bool
-	// ChangedShards lists the shards whose pages were rebuilt for this
-	// version, ascending. Shards not listed kept their records shared by
-	// pointer with the predecessor version.
+	// ChangedShards lists, ascending, the pages that changed a record for
+	// this version: a page is one fuse part's output, a contiguous range
+	// of entities, numbered from 0 in entity order. Pages not listed kept
+	// every record shared by pointer with the predecessor version.
 	ChangedShards []int
-	// ChangedPages and SharedPages count the rebuilt versus
-	// pointer-shared shard pages — the delta-publication observability
-	// numbers, denominated in pages.
+	// ChangedPages and SharedPages count the pages that did versus did
+	// not add, rewrite or drop a record — the delta-publication
+	// observability numbers, denominated in pages.
 	ChangedPages int
 	SharedPages  int
 	// ChangedRecords lists the ids of records that are new or carry

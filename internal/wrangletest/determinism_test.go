@@ -36,9 +36,9 @@ func TestShardedPipelineMatchesSequential(t *testing.T) {
 
 // TestStreamingSharesEveryUnchangedRecord pins the merge's record
 // adoption at every step of randomized scripts (CheckDeterminism's
-// checkSharing): at one page, exactly the entities whose record is Same
-// as before share it with the predecessor version; at any shard count,
-// shared and changed records together make up the table.
+// CheckSharing): at every shard count, exactly the entities whose record
+// is Same as before share it with the predecessor version, and a delta
+// lists exactly the others as changed.
 func TestStreamingSharesEveryUnchangedRecord(t *testing.T) {
 	for _, seed := range []int64{5, 29} {
 		CheckDeterminism(t, seed, 4, 6, []int{2}, []int{1, 4})

@@ -16,6 +16,7 @@ package wrangletest
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -227,7 +228,7 @@ func Script(rng *rand.Rand, ref *core.Wrangler, steps int) []Step {
 // feedback/refresh script, and every variant must fingerprint
 // identically to the baseline after the initial run and after every
 // step — while re-resolving only its dirty shards, and sharing with its
-// previous version exactly the records it did not change (checkSharing).
+// previous version exactly the records it did not change (CheckSharing).
 // It returns
 // the shards reused, summed over all variants and steps, so callers can
 // additionally assert the partial tail actually engaged (a sharded path
@@ -275,7 +276,7 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", step.Name, err)
 		}
-		if err := checkSharing(before, base.Serve.Latest(), 0); err != nil {
+		if err := CheckSharing(before, base.Serve.Latest(), 0); err != nil {
 			t.Fatalf("%s: baseline: %v", step.Name, err)
 		}
 		for _, v := range variants {
@@ -287,7 +288,7 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 			if vErr != refErr {
 				t.Fatalf("%s: %s error diverged:\nbaseline: %q\nvariant:  %q", step.Name, v.name, refErr, vErr)
 			}
-			if err := checkSharing(before, v.w.Serve.Latest(), v.shards); err != nil {
+			if err := CheckSharing(before, v.w.Serve.Latest(), v.shards); err != nil {
 				t.Fatalf("%s: %s: %v", step.Name, v.name, err)
 			}
 			reused += stats.ShardsReused
@@ -297,39 +298,44 @@ func CheckDeterminism(t testing.TB, seed int64, nSources, steps int, workerCount
 	return reused
 }
 
-// checkSharing checks the record-sharing invariant of one step that
-// published cur after prev, for a session at the given shard count. With
-// shards set, the records cur shares with prev by pointer and the ones
-// its change set lists add up to its table. At one
-// page (shards 0 or 1) the merge's walk sees every entity beside its
-// predecessor, so exactly the entities whose record is Same as before
-// share it; at more pages an entity that moved shard republishes.
-func checkSharing(prev, cur *core.PublishedVersion, shards int) error {
+// CheckSharing checks the record-sharing invariant of one step that
+// published cur after prev, for a session at the given shard count:
+// exactly the entities whose record is Same as before share it with prev
+// by pointer, at every shard count. With shards set, the change set lists
+// exactly the other entities of cur as changed and the entities cur
+// dropped as removed.
+func CheckSharing(prev, cur *core.PublishedVersion, shards int) error {
 	if prev == nil || cur == nil || cur.Seq() == prev.Seq() {
 		return nil // nothing published
 	}
 	pt, ct := prev.Data().Table, cur.Data().Table
-	shared := core.SharedRecords(pt, ct)
-	if cs := cur.Changes(); shards >= 1 && !cs.Full {
-		if shared+len(cs.ChangedRecords) != ct.Len() {
-			return fmt.Errorf("v%d shares %d records and lists %d changed, of %d", cur.Seq(), shared, len(cs.ChangedRecords), ct.Len())
-		}
-	}
-	if shards > 1 {
-		return nil
-	}
 	row := make(map[string]int, pt.Len())
 	for i, e := range prev.Data().Entities {
 		row[e] = i
 	}
-	same := 0
+	var same, changed []string
 	for i, e := range cur.Data().Entities {
 		if j, ok := row[e]; ok && pt.Row(j).Same(ct.Row(i)) {
-			same++
+			same = append(same, e)
+		} else {
+			changed = append(changed, e)
 		}
+		delete(row, e)
 	}
-	if shared != same {
-		return fmt.Errorf("v%d shares %d records, but %d entities kept a Same record", cur.Seq(), shared, same)
+	if shared := core.SharedRecords(pt, ct); shared != len(same) {
+		return fmt.Errorf("v%d shares %d records, but %d entities kept a Same record", cur.Seq(), shared, len(same))
+	}
+	cs := cur.Changes()
+	if shards < 1 || cs.Full {
+		return nil
+	}
+	if !slices.Equal(cs.ChangedRecords, changed) {
+		return fmt.Errorf("v%d lists %d changed records %v, want the %d without a Same predecessor %v",
+			cur.Seq(), len(cs.ChangedRecords), cs.ChangedRecords, len(changed), changed)
+	}
+	removed := slices.Sorted(maps.Keys(row))
+	if !slices.Equal(cs.RemovedRecords, removed) {
+		return fmt.Errorf("v%d lists removed records %v, want %v", cur.Seq(), cs.RemovedRecords, removed)
 	}
 	return nil
 }

@@ -213,8 +213,8 @@ func WithParallelism(n int) Option {
 // union against it, re-plans incrementally and re-resolves only the
 // shards the delta touched (see ReactStats.ShardsResolved / ShardsReused
 // and the ReactStats.Stages split) — untouched shards keep their
-// clusters by reference. Trust is re-estimated over all claims and every
-// shard re-fuses under it; every entity that fuses to the same record
+// clusters by reference. Trust is re-estimated over all claims and the
+// fuse re-runs under it in n entity ranges; every entity that fuses to the same record
 // keeps its predecessor's table record all the way into the published
 // snapshot version, which shares it. n must be at least 1. Without this option
 // the tail runs at one shard and every version is published to watchers
