@@ -208,6 +208,7 @@ type Wrangler struct {
 	pages        []*shardPage    // per-part fused output, immutable once built
 	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
 	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
+	lastPub      *publication    // what the last publish committed: the base the next one diffs against
 	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
 	dirtySources map[string]bool // sources installed since the memoized tail; persisted, gates the restore's memo rebuild
 	lastSeq      int

@@ -2,16 +2,20 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"context"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/er"
 	"repro/internal/extract"
 	"repro/internal/feedback"
@@ -27,10 +31,19 @@ import (
 // working data and the generic append log in internal/wal. Every committed
 // publication appends the feedback items and source states that changed
 // since the last publish, the provenance derivations since the last
-// recorded step, the version's shard pages and one version record
-// referencing them. Every publish follows a tail, and every tail fuses
-// fresh pages, so each page is written once, under a fresh id, whole: a
-// record the merge adopted from the predecessor is written again.
+// recorded step, and one version record. A version is logged one of two
+// ways. A full version writes its tail's pages, one page record per fuse
+// part, and references them (mode 1), or carries its output inline when
+// no tail built pages (mode 0). A patch (mode 2) writes only what the
+// publication's one diff found moved since the version logged before it,
+// its base: the changed and removed records and results, the supporters
+// of the report lines whose supporters moved, and the clustering when it
+// moved. One fixed rule picks between them: a
+// patch while the patches since the last full version, this one included,
+// stay smaller than that full version — so a restore decodes at most about
+// two full versions' worth of bytes. Reading a patch version folds its
+// chain — the patches down to the full version they build on — into one
+// edit per key and applies that to the full version once.
 // Because the wrangler only publishes after a fully successful run or
 // reaction, the log tail is always a coherent committed snapshot: reopening
 // it restores the session exactly as of its last publish (uncommitted
@@ -38,8 +51,10 @@ import (
 //
 // Compaction is bounded by the serve store's retention window: once 2×retain
 // versions accumulate since the last checkpoint, the log is rewritten to
-// config + full feedback/provenance/source state + the pages still referenced
-// by retained versions + the retained version records + a checkpoint marker.
+// config + full feedback/provenance/source state + the retained version
+// records, with the chain back to the oldest one's full base and that
+// base's pages + a checkpoint marker. Page and version records go back
+// verbatim: compaction encodes nothing the log already holds.
 //
 // Each record kind's payload layout is one code function over wal.Codec
 // (see "record layouts" below); TestParentWrittenLogs pins it against logs
@@ -77,22 +92,25 @@ type sourceSig struct {
 	utility  float64
 }
 
-// retainedVersion is one version inside the compaction ring: its encoded
-// record (reused verbatim by Compact) and the page ids it references —
-// for a version read back from the log, those of its body, which decodes
-// when compaction first asks.
+// retainedVersion is one version record the log holds: its encoded
+// record, which compaction writes back verbatim, and — once known —
+// whether it is a patch and, for a full version, the page ids it
+// references. A version this session wrote is known from the start; one
+// read back from the log once its body decoded (settle).
 type retainedVersion struct {
 	seq      uint64
 	payload  []byte
+	known    bool
+	patch    bool
 	pageIDs  []uint64
 	replayed *replayedVersion
 }
 
-// loggedPage is one page record. A page read back from the log keeps its
-// payload — aliasing the replay buffer, and written back verbatim by
-// compaction — and decodes on first use (loadPage), once, on whichever
-// goroutine asks first: the restore, or a reader loading an older
-// retained version. A page this session built carries its page instead.
+// loggedPage is one page record's payload, written back verbatim by
+// compaction; for a page read back from the log it aliases the replay
+// buffer. A replayed page decodes on first use (loadPage), once, on
+// whichever goroutine asks first: the restore, or a reader loading an
+// older retained version.
 type loggedPage struct {
 	payload []byte
 	offset  int64 // the replayed record's file offset, for decode errors
@@ -103,14 +121,24 @@ type loggedPage struct {
 
 // replayedVersion is one version record read back from the log. Open
 // decodes only its header (codeVersionHeader); the body decodes on first
-// use (body), once: at attach for the newest version, from a reader's
-// Load for an older retained one, at compaction for its page ids.
+// use (body), once: at attach for the newest version's chain, from a
+// reader's Load for an older retained one, at compaction for its kind and
+// page ids. Its output is built once too (state), from its pages, inline
+// payload or base.
 type replayedVersion struct {
 	lv     *loggedVersion // the header from open; whole once the body decoded
 	bodyAt int            // where the body starts in lv.payload
 	offset int64          // the record's file offset, for decode errors
 	once   sync.Once
 	err    error
+
+	stOnce sync.Once
+	st     *versionState
+	stErr  error
+
+	// pagesBefore are the ids of the page records right before this one
+	// in the log: a full version's pages, when a live session wrote it.
+	pagesBefore []uint64
 }
 
 // DurableLog is an open durable session log. It is driven entirely by the
@@ -130,6 +158,14 @@ type DurableLog struct {
 	pagesByID  map[uint64]*loggedPage
 	nextPageID uint64
 
+	// replayed is every version record read back from the log, in seq
+	// order, and replayedPages the pages they reference: where a patch
+	// finds its base and a full version its pages. Both are read-only once
+	// open returns, so readers load older versions from them.
+	replayed      []*replayedVersion
+	replayedPages map[uint64]*loggedPage
+	pagesPerFull  int // the pages a live full version writes: one per fuse part
+
 	// decoded counts the page and version bodies decoded since open.
 	decoded struct{ pages, versions atomic.Int64 }
 
@@ -137,11 +173,20 @@ type DurableLog struct {
 	lastFeedbackSeq int
 	srcSig          map[string]sourceSig
 
-	// pageSize and versionSize are the lengths of the last page and
-	// version record encoded, which presize the next one's buffer.
-	pageSize, versionSize int
+	// pageSize, versionSize and patchSize are the lengths of the last
+	// page, full version and patch record encoded, which presize the next
+	// one's buffer.
+	pageSize, versionSize, patchSize int
 
-	retained       []retainedVersion
+	// fullBytes is what the last full version cost the log, its record
+	// and its pages; chainBytes and chain are the bytes and the number of
+	// the patches logged since. The next version is a patch while
+	// chainBytes, with it, stays below fullBytes.
+	fullBytes, chainBytes, chain int
+
+	// versions holds the retained versions' records and, before the
+	// oldest, the chain back to its full base.
+	versions       []retainedVersion
 	retain         int
 	sinceCompact   int
 	lastCheckpoint uint64
@@ -149,6 +194,10 @@ type DurableLog struct {
 	// replayTruncated records whether Open healed a torn tail — surfaced
 	// as wrangle_wal_replay_truncations_total when telemetry attaches.
 	replayTruncated bool
+
+	// Telemetry handles, nil (and no-ops) until instrument.
+	fullVersions, patchVersions *obs.Counter
+	chainGauge                  *obs.Gauge
 }
 
 // replayedLog is everything OpenDurableLog recovered, pending attachment.
@@ -177,11 +226,14 @@ type loggedVersion struct {
 	// Output payload: mode 1 references shard pages in shard order; mode 0
 	// (empty tails, and every version of logs written when unsharded
 	// sessions ran a separate sequential tail) carries table, results and
-	// entities inline.
+	// entities inline; mode 2 is a patch on the version logged before, and
+	// leaves the report slot empty and the clusters slot too unless they
+	// moved.
 	pages    []uint64
 	table    *dataset.Table
 	results  []fusion.Result
 	entities []string
+	patch    *versionPatch
 
 	// Working tail needed to resume incrementally.
 	clusters  *er.Clustering
@@ -329,9 +381,11 @@ func codeRef(c *wal.Codec, r *provenance.Ref) {
 }
 
 func codeResults(c *wal.Codec, rs *[]fusion.Result) {
+	var prev string
 	wal.Slice(c, rs, 6, func(c *wal.Codec, r *fusion.Result) {
-		c.String(&r.Entity)
-		c.String(&r.Attribute)
+		c.Repeat(&r.Entity, prev)
+		prev = r.Entity
+		c.Symbol(&r.Attribute)
 		c.Value(&r.Value)
 		c.F64(&r.Confidence)
 		c.Int(&r.Support)
@@ -339,9 +393,71 @@ func codeResults(c *wal.Codec, rs *[]fusion.Result) {
 	})
 }
 
-// pageRecord is one fused shard page, written whole when the version
+// codeLines is a full version's report lines.
+func codeLines(c *wal.Codec, lines *[]report.Line) {
+	var prev string
+	wal.Slice(c, lines, 12, func(c *wal.Codec, ln *report.Line) {
+		c.Repeat(&ln.Entity, prev)
+		prev = ln.Entity
+		c.Symbol(&ln.Attribute)
+		c.String(&ln.Value)
+		c.F64(&ln.Confidence)
+		c.Bool(&ln.Conflict)
+		c.Symbols(&ln.Supporters)
+	})
+}
+
+// versionPatch is a mode-2 version's output: what moved since base, the
+// version logged before it, each list in key order, and its report's
+// title. A changed list holds the new and changed elements whole; a gone
+// list the keys of the base's elements that have none now. The report
+// has a line per non-null result, which is that result's but for its
+// supporters, so the patch lists only the lines whose supporters moved,
+// by key and supporters (patchResults).
+type versionPatch struct {
+	base        uint64
+	width       int // the records' width, the session's target schema
+	records     []entityRecord
+	goneRecords []string // entities; their results are gone with them
+	results     []fusion.Result
+	goneResults []key // of entities still present
+	title       string
+	supporters  []report.Line
+}
+
+// entityRecord is one table row with the entity it describes.
+type entityRecord struct {
+	entity string
+	row    dataset.Record
+}
+
+func codePatch(c *wal.Codec, p *versionPatch) {
+	c.U64(&p.base)
+	c.Len(&p.width, 0)
+	wal.Slice(c, &p.records, 1+p.width, func(c *wal.Codec, r *entityRecord) {
+		c.String(&r.entity)
+		c.Record(&r.row, p.width)
+	})
+	c.Strings(&p.goneRecords)
+	codeResults(c, &p.results)
+	var prev string
+	wal.Slice(c, &p.goneResults, 2, func(c *wal.Codec, k *key) {
+		c.Repeat(&k.entity, prev)
+		prev = k.entity
+		c.Symbol(&k.attribute)
+	})
+	c.String(&p.title)
+	wal.Slice(c, &p.supporters, 3, func(c *wal.Codec, ln *report.Line) {
+		c.Repeat(&ln.Entity, prev)
+		prev = ln.Entity
+		c.Symbol(&ln.Attribute)
+		c.Symbols(&ln.Supporters)
+	})
+}
+
+// pageRecord is one fused shard page, written whole when the full version
 // whose tail fused it is appended, and written back by compaction while a
-// retained version references it.
+// retained version's chain starts at that version.
 type pageRecord struct {
 	id   uint64
 	page *shardPage
@@ -415,6 +531,64 @@ func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersi
 	return lv
 }
 
+// patchRecord is v's record as a patch on prev, the publication logged
+// last, from the delta publish found between prev and cur: no pages, no
+// inline output, no report, and the clustering only when it moved.
+func patchRecord(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *delta, width int) *loggedVersion {
+	lv := versionRecord(w, v, []uint64{})
+	lv.pages, lv.rep = nil, nil
+	if sameClustering(prev.clusters, cur.clusters) {
+		lv.clusters = nil
+	}
+	lines := cur.report.Lines
+	lv.patch = &versionPatch{
+		base:  prev.seq,
+		width: width,
+		records: pick(dt.rows, func(i int) entityRecord {
+			return entityRecord{entity: cur.entities[i], row: cur.rows[i]}
+		}),
+		goneRecords: pick(dt.goneRows, func(i int) string { return prev.entities[i] }),
+		results:     pick(dt.results, func(i int) fusion.Result { return cur.results[i] }),
+		goneResults: goneKeys(prev, dt),
+		title:       cur.report.Title,
+		supporters: pick(dt.supporters, func(i int) report.Line {
+			return report.Line{Entity: lines[i].Entity, Attribute: lines[i].Attribute, Supporters: lines[i].Supporters}
+		}),
+	}
+	return lv
+}
+
+// goneKeys lists the keys of prev's results that are gone while their
+// entity stays: a gone entity's results go with its record.
+func goneKeys(prev *publication, dt *delta) []key {
+	var out []key
+	g := 0
+	for _, j := range dt.goneResults {
+		r := &prev.results[j]
+		for g < len(dt.goneRows) && prev.entities[dt.goneRows[g]] < r.Entity {
+			g++
+		}
+		if g == len(dt.goneRows) || prev.entities[dt.goneRows[g]] != r.Entity {
+			out = append(out, key{r.Entity, r.Attribute})
+		}
+	}
+	return out
+}
+
+// pick returns elem of every position in at, in order.
+func pick[T any](at []int, elem func(int) T) []T {
+	out := make([]T, len(at))
+	for k, i := range at {
+		out[k] = elem(i)
+	}
+	return out
+}
+
+// sameClustering reports whether two clusterings assign every row alike.
+func sameClustering(a, b *er.Clustering) bool {
+	return a == b || a != nil && b != nil && a.Num == b.Num && slices.Equal(a.Assign, b.Assign)
+}
+
 // codeVersion is a version record's layout: its header, then its body.
 func codeVersion(c *wal.Codec, lv *loggedVersion) {
 	codeVersionHeader(c, lv)
@@ -454,14 +628,7 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 	// for older retained versions. The table goes by page reference.
 	wal.Opt(c, &lv.rep, func(c *wal.Codec, rep *report.Report) {
 		c.String(&rep.Title)
-		wal.Slice(c, &rep.Lines, 12, func(c *wal.Codec, ln *report.Line) {
-			c.String(&ln.Entity)
-			c.String(&ln.Attribute)
-			c.String(&ln.Value)
-			c.F64(&ln.Confidence)
-			c.Bool(&ln.Conflict)
-			c.Strings(&ln.Supporters)
-		})
+		codeLines(c, &rep.Lines)
 	})
 
 	st := &lv.stats
@@ -488,14 +655,26 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 
 	// Output payload: mode 1 references shard pages in shard order; mode 0
 	// (empty tails, and older logs' unsharded sessions) carries table,
-	// results and entities inline. The mode, not nil-ness, says which: a
-	// mode-1 version with no pages still decodes a non-nil page list.
+	// results and entities inline; mode 2 patches the version logged
+	// before. The mode, not nil-ness, says which: a mode-1 version with no
+	// pages still decodes a non-nil page list.
 	var mode uint8
-	if lv.pages != nil {
+	switch {
+	case lv.patch != nil:
+		mode = 2
+	case lv.pages != nil:
 		mode = 1
 	}
 	c.U8(&mode)
 	switch mode {
+	case 2:
+		if c.Decoding() {
+			if lv.rep != nil {
+				c.Failf("a patch version carries a whole report")
+			}
+			lv.patch = &versionPatch{}
+		}
+		codePatch(c, lv.patch)
 	case 1:
 		if c.Decoding() {
 			lv.pages = []uint64{}
@@ -583,10 +762,27 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 		log.Close()
 		return nil, recordError(rec.Kind, rec.Offset, err)
 	}
+	// Source states are the bulk of what open decodes: they decode on
+	// every CPU first, and install in log order below.
+	var sourceAt []int
+	for i, rec := range rr.Records {
+		if rec.Kind == wal.KindSource {
+			sourceAt = append(sourceAt, i)
+		}
+	}
+	sources, sourceErrs := make([]sourceRecord, len(sourceAt)), make([]error, len(sourceAt))
+	_ = engine.Map(context.Background(), 0, len(sourceAt), func(_ context.Context, k int) error {
+		sourceErrs[k] = wal.Decode(rr.Records[sourceAt[k]].Payload, &sources[k], codeSource)
+		return nil
+	})
 	haveConfig := false
+	var pagesBefore []uint64
 	for _, rec := range rr.Records {
 		if !haveConfig && rec.Kind != wal.KindConfig {
 			return fail(rec, fmt.Errorf("expected config as first record"))
+		}
+		if rec.Kind != wal.KindPage && rec.Kind != wal.KindVersion {
+			pagesBefore = nil
 		}
 		switch rec.Kind {
 		case wal.KindConfig:
@@ -598,11 +794,12 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 				return fail(rec, err)
 			}
 			d.configPayload = append([]byte(nil), rec.Payload...)
-			d.schema = cfg.target
+			d.schema, d.pagesPerFull = cfg.target, max(1, cfg.shards)
 			haveConfig = true
 		case wal.KindSource:
-			var sr sourceRecord
-			if err := wal.Decode(rec.Payload, &sr, codeSource); err != nil {
+			sr, err := sources[0], sourceErrs[0]
+			sources, sourceErrs = sources[1:], sourceErrs[1:]
+			if err != nil {
 				return fail(rec, err)
 			}
 			if sr.st == nil {
@@ -640,11 +837,13 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 				return fail(rec, fmt.Errorf("duplicate page id %d", id))
 			}
 			d.pagesByID[id] = &loggedPage{payload: rec.Payload, offset: rec.Offset}
+			pagesBefore = append(pagesBefore, id)
 			if id >= d.nextPageID {
 				d.nextPageID = id + 1
 			}
 		case wal.KindVersion:
-			rv := &replayedVersion{lv: &loggedVersion{payload: rec.Payload}, offset: rec.Offset}
+			rv := &replayedVersion{lv: &loggedVersion{payload: rec.Payload}, offset: rec.Offset, pagesBefore: pagesBefore}
+			pagesBefore = nil
 			n, err := wal.DecodePrefix(rec.Payload, rv.lv, codeVersionHeader)
 			if err != nil {
 				return fail(rec, err)
@@ -666,6 +865,7 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			return fail(rec, fmt.Errorf("unknown record kind"))
 		}
 	}
+	d.replayed, d.replayedPages = d.rep.versions, d.pagesByID
 	return d, nil
 }
 
@@ -683,6 +883,20 @@ func (d *DurableLog) body(rv *replayedVersion) (*loggedVersion, error) {
 		d.decoded.versions.Add(1)
 	})
 	return rv.lv, rv.err
+}
+
+// settle fills in a replayed version's kind and page ids, decoding its
+// body if nothing has yet.
+func (d *DurableLog) settle(e *retainedVersion) error {
+	if e.known {
+		return nil
+	}
+	lv, err := d.body(e.replayed)
+	if err != nil {
+		return err
+	}
+	e.known, e.patch, e.pageIDs = true, lv.patch != nil, lv.pages
+	return nil
 }
 
 // loadPage returns a replayed page, decoding it on first use.
@@ -708,6 +922,12 @@ func (d *DurableLog) instrument(reg *obs.Registry) {
 	if d.replayTruncated {
 		c.Inc()
 	}
+	reg.Help(mWALVersions, "Versions appended to the durable log, by mode: full (pages or inline output) or patch (what moved since the version logged before).")
+	d.fullVersions = reg.Counter(mWALVersions, "mode", "full")
+	d.patchVersions = reg.Counter(mWALVersions, "mode", "patch")
+	reg.Help(mWALChain, "Patch versions appended to the durable log since its last full version.")
+	d.chainGauge = reg.Gauge(mWALChain)
+	d.chainGauge.Set(float64(d.chain))
 }
 
 // Err returns the log's sticky write error, if any.
@@ -719,7 +939,7 @@ func (d *DurableLog) Stats() DurableStats {
 		Dir:               d.dir,
 		Bytes:             d.log.Size(),
 		LastCheckpointSeq: d.lastCheckpoint,
-		RetainedVersions:  len(d.retained),
+		RetainedVersions:  min(len(d.versions), d.retain),
 	}
 }
 
@@ -736,10 +956,11 @@ func (d *DurableLog) Close() error { return d.log.Close() }
 //
 // A restore does up front only what the first read needs. Feedback, source
 // states and provenance install, and the newest retained version decodes
-// — body and pages — and becomes the store's latest. Every older retained
-// version enters the store unloaded and decodes on its first At or Watch
-// catch-up. The working data and the tail memo are rebuilt by resume
-// (restoreWorkingState) when the first reaction or accessor needs them;
+// — its chain's bodies and its full base's pages — and becomes the
+// store's latest. Every older retained version enters the store unloaded
+// and decodes on its first At or Watch catch-up. The working data and the
+// tail memo are rebuilt by resume (restoreWorkingState) when the first
+// reaction or accessor needs them;
 // a rebuild that fails there fails that call and every later one, while
 // the restored versions keep serving.
 func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
@@ -802,10 +1023,9 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	}
 	// Older versions load through the replayed page table on readers'
 	// goroutines, so the session stops writing to it and keeps a copy.
-	replayed := d.pagesByID
-	d.pagesByID = maps.Clone(replayed)
+	d.pagesByID = maps.Clone(d.replayedPages)
 	newest := versions[len(versions)-1]
-	pub, pages, err := d.published(newest, replayed)
+	pub, st, err := d.published(newest)
 	if err != nil {
 		return false, err
 	}
@@ -817,7 +1037,7 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 			restoredVersions[i].Data = pub
 		} else {
 			restoredVersions[i].Load = func() (Published, error) {
-				pub, _, err := d.published(rv, replayed)
+				pub, _, err := d.published(rv)
 				return pub, err
 			}
 		}
@@ -825,20 +1045,51 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	if err := w.Serve.Restore(restoredVersions); err != nil {
 		return false, err
 	}
-	for _, rv := range versions {
-		d.retained = append(d.retained, retainedVersion{seq: rv.lv.seq, payload: rv.lv.payload, replayed: rv})
+	d.versions = make([]retainedVersion, len(rep.versions))
+	for i, rv := range rep.versions {
+		d.versions[i] = retainedVersion{seq: rv.lv.seq, payload: rv.lv.payload, replayed: rv}
+	}
+	if err := d.sizeChain(); err != nil {
+		return false, err
 	}
 	w.LastStats = newest.lv.stats
-	w.restore = &pendingRestore{lv: newest.lv, pages: pages}
+	w.restore = &pendingRestore{lv: newest.lv, st: st}
 	w.log = d
 	return true, nil
 }
 
+// sizeChain measures the chain the next version would extend: the
+// patches at the log's end and the full version before them. Their bodies
+// decoded with the newest version's, so this decodes nothing more. A log
+// that ends in no full version measures none, so its next version is one.
+func (d *DurableLog) sizeChain() error {
+	d.fullBytes, d.chainBytes, d.chain = 0, 0, 0
+	for i := len(d.versions) - 1; i >= 0; i-- {
+		e := &d.versions[i]
+		if err := d.settle(e); err != nil {
+			return err
+		}
+		if !e.patch {
+			d.fullBytes = len(e.payload)
+			for _, pid := range e.pageIDs {
+				if lp := d.pagesByID[pid]; lp != nil {
+					d.fullBytes += len(lp.payload)
+				}
+			}
+			return nil
+		}
+		d.chainBytes += len(e.payload)
+		d.chain++
+	}
+	d.chainBytes, d.chain = 0, 0
+	return nil
+}
+
 // pendingRestore is the restored version whose working state resume has
-// yet to rebuild, with its decoded pages.
+// yet to rebuild, with its output.
 type pendingRestore struct {
-	lv    *loggedVersion
-	pages []*shardPage
+	lv *loggedVersion
+	st *versionState
 }
 
 // resume rebuilds the working state a restore deferred, the first time
@@ -854,7 +1105,7 @@ func (w *Wrangler) resume() (time.Duration, error) {
 	}
 	w.restore = nil
 	start := time.Now()
-	w.restoreErr = w.restoreWorkingState(r.lv, r.pages)
+	w.restoreErr = w.restoreWorkingState(r.lv, r.st)
 	return time.Since(start), w.restoreErr
 }
 
@@ -867,52 +1118,512 @@ func recordRestore(stages map[string]time.Duration, took time.Duration) {
 	}
 }
 
-// published rebuilds a replayed version's Published payload, decoding its
-// body and pages on first use, and returns the pages with it. A mode-1
-// version rebuilds table and entities from its shard pages. A page decodes
-// once, so versions that reference one page id (logs written while a tail
-// could reuse a whole page) share its decoded records by pointer.
-func (d *DurableLog) published(rv *replayedVersion, table map[uint64]*loggedPage) (Published, []*shardPage, error) {
-	lv, err := d.body(rv)
+// published rebuilds a replayed version's Published payload from its
+// output (state), and returns the output with it.
+func (d *DurableLog) published(rv *replayedVersion) (Published, *versionState, error) {
+	st, err := d.state(rv)
 	if err != nil {
 		return Published{}, nil, err
 	}
-	pub := Published{
-		Table:    lv.table,
-		Report:   lv.rep,
+	lv := rv.lv
+	return Published{
+		Table:    st.table,
+		Report:   st.report,
 		Stats:    lv.stats,
 		React:    lv.react,
 		Trust:    lv.trust,
 		Sources:  lv.sources,
 		Selected: lv.selected,
-		Entities: lv.entities,
+		Entities: st.entities,
+	}, st, nil
+}
+
+// versionState is one logged version's output: its table with the entity
+// of each row, its report and clustering — what a reader's Published is
+// built from — and its results, which only a restore's working state
+// needs, and which build on first use (results). A patch version's
+// output shares every record and report line it did not change with the
+// full version its chain builds on. It is read-only.
+type versionState struct {
+	table    *dataset.Table
+	entities []string
+	report   *report.Report
+	clusters *er.Clustering
+	paged    bool // a tail built it in pages: the version has pages, or patches one that did
+	// parts holds a full version's results in key order, one part per
+	// page; a patch applies its chain to them.
+	parts   [][]fusion.Result
+	results func() []fusion.Result
+}
+
+// state returns a replayed version's output, building it on first use: a
+// full version's from its pages (merged into entity order) or its inline
+// payload; a patch's from its chain — the patches down to the full
+// version they build on, folded into one and applied to that version's
+// output (applyChain). A chain that breaks, on a missing base or one
+// whose output cannot be built, fails with the file offset of the record
+// it could not read past.
+func (d *DurableLog) state(rv *replayedVersion) (*versionState, error) {
+	rv.stOnce.Do(func() { rv.st, rv.stErr = d.buildState(rv) })
+	return rv.st, rv.stErr
+}
+
+func (d *DurableLog) buildState(rv *replayedVersion) (*versionState, error) {
+	lv, err := d.body(rv)
+	if err != nil {
+		return nil, err
 	}
-	if lv.pages == nil {
-		return pub, nil, nil
-	}
-	pages := make([]*shardPage, len(lv.pages))
-	for i, pid := range lv.pages {
-		lp, ok := table[pid]
-		if !ok {
-			return Published{}, nil, fmt.Errorf("core: version %d references missing page %d", lv.seq, pid)
+	switch {
+	case lv.patch != nil:
+		d.prefetchChain(rv)
+		var chain []*loggedVersion // newest first
+		for at := rv; ; {
+			lv, err := d.body(at)
+			if err != nil {
+				return nil, err
+			}
+			if lv.patch == nil {
+				base, err := d.state(at)
+				if err != nil {
+					return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d builds on version %d: %w", rv.lv.seq, lv.seq, err))
+				}
+				st, err := applyChain(base, chain)
+				if err != nil {
+					return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d: %w", rv.lv.seq, err))
+				}
+				return st, nil
+			}
+			chain = append(chain, lv)
+			k, ok := d.replayedAt(lv.patch.base)
+			if !ok || lv.patch.base >= lv.seq {
+				return nil, recordError(wal.KindVersion, at.offset, fmt.Errorf("version %d patches version %d, which the log does not hold before it", lv.seq, lv.patch.base))
+			}
+			at = d.replayed[k]
 		}
-		if pages[i], err = d.loadPage(lp); err != nil {
-			return Published{}, nil, err
+	case lv.pages != nil:
+		pages := make([]*shardPage, len(lv.pages))
+		for _, pid := range lv.pages {
+			if _, ok := d.replayedPages[pid]; !ok {
+				return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d references missing page %d", lv.seq, pid))
+			}
+		}
+		// The pages decode on every CPU.
+		err := engine.Map(context.Background(), 0, len(pages), func(_ context.Context, i int) (err error) {
+			pages[i], err = d.loadPage(d.replayedPages[lv.pages[i]])
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		st := &versionState{report: lv.rep, clusters: lv.clusters, paged: true}
+		st.table, st.entities = mergePages(pages, d.schema)
+		for _, p := range pages {
+			st.parts = append(st.parts, p.results)
+		}
+		// Pages a tail fused by entity range follow each other in key
+		// order; pages of older logs, routed to shards, interleave and sort.
+		if !inOrder(st.parts) {
+			all := slices.Concat(st.parts...)
+			slices.SortFunc(all, fusion.CompareResults)
+			st.parts = [][]fusion.Result{all}
+		}
+		st.results = sync.OnceValue(func() []fusion.Result {
+			if len(st.parts) == 1 {
+				return st.parts[0]
+			}
+			return slices.Concat(st.parts...)
+		})
+		return st, nil
+	default:
+		return &versionState{table: lv.table, entities: lv.entities, report: lv.rep, clusters: lv.clusters,
+			parts: [][]fusion.Result{lv.results}, results: func() []fusion.Result { return lv.results }}, nil
+	}
+}
+
+// replayedAt finds the replayed version with the given seq: its index,
+// and whether it is there.
+func (d *DurableLog) replayedAt(seq uint64) (int, bool) {
+	return slices.BinarySearchFunc(d.replayed, seq, func(v *replayedVersion, seq uint64) int {
+		return cmp.Compare(v.lv.seq, seq)
+	})
+}
+
+// inOrder reports whether parts, each in key order, follow each other in
+// key order.
+func inOrder(parts [][]fusion.Result) bool {
+	var last *fusion.Result
+	for _, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if last != nil && compareResults(last, &p[0]) >= 0 {
+			return false
+		}
+		last = &p[len(p)-1]
+	}
+	return true
+}
+
+// prefetchChain decodes, on every CPU, what a patch's chain most likely
+// needs: the bodies of the versions from the one it most likely builds on
+// — the newest full version at or before it that a live session wrote
+// with a full set of pages right before it — up to it, and that
+// version's pages. The chain walk then finds them decoded. A guess that
+// is wrong only decodes versions the chain does not need.
+func (d *DurableLog) prefetchChain(rv *replayedVersion) {
+	top, _ := d.replayedAt(rv.lv.seq)
+	k := min(top, len(d.replayed)-1)
+	for ; k >= 0 && len(d.replayed[k].pagesBefore) != d.pagesPerFull; k-- {
+	}
+	if k < 0 {
+		return
+	}
+	versions, pages := d.replayed[k:top+1], d.replayed[k].pagesBefore
+	_ = engine.Map(context.Background(), 0, len(versions)+len(pages), func(_ context.Context, i int) error {
+		if i < len(versions) {
+			_, _ = d.body(versions[i])
+		} else {
+			_, _ = d.loadPage(d.replayedPages[pages[i-len(versions)]])
+		}
+		return nil
+	})
+}
+
+// applyChain builds the output of the newest version of a chain of
+// patches (newest first) on base, the output of the full version the
+// oldest patches. It folds the chain into one edit per key — the newest
+// wins — and applies that to base once, so a chain costs its patches and
+// one pass over the output however long it is: the table and the report
+// now, the results when first asked for. The report title and the
+// clustering are the newest ones the chain carries.
+func applyChain(base *versionState, chain []*loggedVersion) (*versionState, error) {
+	if base.table == nil {
+		return nil, fmt.Errorf("it builds on a version with no output")
+	}
+	width := len(base.table.Schema())
+	var recs []edit[dataset.Record]
+	var results []edit[fusion.Result]
+	var listed []edit[[]string]
+	out := &versionState{clusters: base.clusters, paged: true}
+	for k := len(chain) - 1; k >= 0; k-- {
+		lv := chain[k]
+		p := lv.patch
+		if p.width != width {
+			return nil, fmt.Errorf("version %d patches %d-wide records into a %d-column table", lv.seq, p.width, width)
+		}
+		gone := make([]key, len(p.goneRecords))
+		for i, e := range p.goneRecords {
+			gone[i] = key{entity: e}
+		}
+		r, err := patchEdits(gone, p.records, func(r *entityRecord) (key, *dataset.Record) { return key{entity: r.entity}, &r.row })
+		if err != nil {
+			return nil, fmt.Errorf("version %d records: %w", lv.seq, err)
+		}
+		// A gone record's entity has no result left: one edit drops them all.
+		gone = append(gone, p.goneResults...)
+		slices.SortFunc(gone, key.compare)
+		res, err := patchEdits(gone, p.results, func(r *fusion.Result) (key, *fusion.Result) {
+			return key{r.Entity, r.Attribute}, r
+		})
+		if err != nil {
+			return nil, fmt.Errorf("version %d results: %w", lv.seq, err)
+		}
+		sup, err := patchEdits(nil, p.supporters, func(ln *report.Line) (key, *[]string) {
+			return key{ln.Entity, ln.Attribute}, &ln.Supporters
+		})
+		if err != nil {
+			return nil, fmt.Errorf("version %d report lines: %w", lv.seq, err)
+		}
+		recs, results, listed = foldEdits(recs, r), foldEdits(results, res), foldEdits(listed, sup)
+		if lv.clusters != nil {
+			out.clusters = lv.clusters
 		}
 	}
-	pub.Table, pub.Entities = mergePages(pages, d.schema)
-	return pub, pages, nil
+
+	out.table = dataset.NewTable(base.table.Schema().Clone())
+	out.entities = make([]string, 0, len(base.entities)+len(recs))
+	b := 0
+	emit := func(entity string, row dataset.Record) {
+		out.entities = append(out.entities, entity)
+		out.table.Append(row)
+	}
+	for _, e := range recs {
+		for ; b < len(base.entities) && base.entities[b] < e.entity; b++ {
+			emit(base.entities[b], base.table.Row(b))
+		}
+		if b < len(base.entities) && base.entities[b] == e.entity {
+			b++
+		}
+		if e.elem != nil {
+			emit(e.entity, *e.elem)
+		}
+	}
+	for ; b < len(base.entities); b++ {
+		emit(base.entities[b], base.table.Row(b))
+	}
+	if len(out.entities) == 0 {
+		out.entities = nil
+	}
+	var lines []report.Line
+	if base.report != nil {
+		lines = base.report.Lines
+	}
+	lines, err := patchLines(base.parts, lines, results, listed)
+	if err != nil {
+		return nil, fmt.Errorf("report lines: %w", err)
+	}
+	out.report = &report.Report{Title: chain[0].patch.title, Lines: lines}
+	out.results = sync.OnceValue(func() []fusion.Result { return patchResults(base.results(), results) })
+	return out, nil
+}
+
+// patchLines builds a patched version's report from its full base's
+// results (in parts, in key order) and report lines — one per non-null
+// base result, in order — and the chain's folded result edits and
+// supporter listings: one line per non-null result. A base line is
+// copied whole where no edit touched its result and no patch listed its
+// supporters. Any other line is the result's (resultLine) with the
+// supporters last listed under its key, or its base line's — and its
+// base line's value text when the value is Same. An edit keyed by an
+// entity alone drops every result of that entity. A listing for a key
+// with no line now is one a later patch made stale, and is skipped.
+func patchLines(base [][]fusion.Result, baseLines []report.Line, edits []edit[fusion.Result], listed []edit[[]string]) ([]report.Line, error) {
+	lines := make([]report.Line, 0, len(baseLines)+len(baseLines)/16)
+	cur := cursor{parts: base}
+	bl, e, s := 0, 0, 0
+	// skip moves past the base results below k, or of k's entity when
+	// drop, counting their lines; a base entity's results are adjacent and
+	// share its string, so it compares the entity once per entity.
+	skip := func(k key, drop bool) {
+		entity, order := "", 0
+		for first := true; ; first = false {
+			r := cur.at()
+			if r == nil {
+				return
+			}
+			if first || r.Entity != entity {
+				entity, order = r.Entity, strings.Compare(r.Entity, k.entity)
+			}
+			if order > 0 || order == 0 && !drop && r.Attribute >= k.attribute {
+				return
+			}
+			if !r.Value.IsNull() {
+				bl++
+			}
+			cur.i++
+		}
+	}
+	for {
+		// The next key an edit or a listing names.
+		var k key
+		done := e == len(edits) && s == len(listed)
+		switch {
+		case e < len(edits) && (s == len(listed) || edits[e].compare(listed[s].key) <= 0):
+			k = edits[e].key
+		case s < len(listed):
+			k = listed[s].key
+		}
+		from := bl
+		if done {
+			bl = len(baseLines)
+		} else {
+			skip(k, false)
+		}
+		if bl > len(baseLines) {
+			return nil, fmt.Errorf("the base has %d lines for more non-null results", len(baseLines))
+		}
+		lines = append(lines, baseLines[from:bl]...)
+		if done {
+			break
+		}
+		if k.attribute == "" { // an entity drop
+			skip(k, true)
+			if bl > len(baseLines) {
+				return nil, fmt.Errorf("the base has %d lines for more non-null results", len(baseLines))
+			}
+			for ; e < len(edits) && edits[e].key == k; e++ {
+			}
+			continue
+		}
+		var oldLine *report.Line
+		old := cur.at() // the base result under k
+		if old != nil && old.Entity == k.entity && old.Attribute == k.attribute {
+			cur.i++
+			if !old.Value.IsNull() {
+				if bl == len(baseLines) || baseLines[bl].Entity != old.Entity || baseLines[bl].Attribute != old.Attribute {
+					return nil, fmt.Errorf("the base has no line for %s/%s", old.Entity, old.Attribute)
+				}
+				oldLine = &baseLines[bl]
+				bl++
+			}
+		} else {
+			old = nil
+		}
+		r := old
+		if e < len(edits) && edits[e].key == k {
+			r = edits[e].elem
+			e++
+		}
+		var sup *[]string
+		if s < len(listed) && listed[s].key == k {
+			sup = listed[s].elem
+			s++
+		}
+		switch {
+		case r == nil || r.Value.IsNull():
+		case sup == nil && oldLine == nil:
+			return nil, fmt.Errorf("no supporters for %s/%s", r.Entity, r.Attribute)
+		case sup == nil && r == old:
+			lines = append(lines, *oldLine)
+		default:
+			ln := report.Line{Entity: r.Entity, Attribute: r.Attribute, Confidence: r.Confidence, Conflict: r.Conflict}
+			if sup != nil {
+				ln.Supporters = *sup
+			} else {
+				ln.Supporters = oldLine.Supporters
+			}
+			if oldLine != nil && old.Value.Same(r.Value) {
+				ln.Value = oldLine.Value
+			} else {
+				ln.Value = r.Value.String()
+			}
+			lines = append(lines, ln)
+		}
+	}
+	if len(lines) == 0 {
+		return nil, nil
+	}
+	return lines, nil
+}
+
+// patchResults applies folded result edits to a full version's results:
+// a key an edit names holds the edit's result, or none when it is gone;
+// an edit keyed by an entity alone drops every result of that entity;
+// every other result is the base's.
+func patchResults(base []fusion.Result, edits []edit[fusion.Result]) []fusion.Result {
+	out := make([]fusion.Result, 0, len(base)+len(base)/16)
+	b := 0
+	for _, e := range edits {
+		from := b
+		for b < len(base) && compareKeys(base[b].Entity, base[b].Attribute, e.entity, e.attribute) < 0 {
+			b++
+		}
+		out = append(out, base[from:b]...)
+		if e.attribute == "" {
+			for b < len(base) && base[b].Entity == e.entity {
+				b++
+			}
+		} else if b < len(base) && base[b].Entity == e.entity && base[b].Attribute == e.attribute {
+			b++
+		}
+		if e.elem != nil {
+			out = append(out, *e.elem)
+		}
+	}
+	out = append(out, base[b:]...)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// cursor walks results held in parts as one sequence.
+type cursor struct {
+	parts [][]fusion.Result
+	p, i  int
+}
+
+// at returns the result under the cursor, nil past the last.
+func (c *cursor) at() *fusion.Result {
+	for c.p < len(c.parts) && c.i == len(c.parts[c.p]) {
+		c.p, c.i = c.p+1, 0
+	}
+	if c.p == len(c.parts) {
+		return nil
+	}
+	return &c.parts[c.p][c.i]
+}
+
+// key is the (entity, attribute) key results, report lines and their
+// patches are ordered by; a record's key is its entity alone.
+type key struct{ entity, attribute string }
+
+func (a key) compare(b key) int { return compareKeys(a.entity, a.attribute, b.entity, b.attribute) }
+
+// edit is one key's entry in a patch: what the key holds from the patch
+// on, or nil when it is gone.
+type edit[T any] struct {
+	key
+	elem *T
+}
+
+// patchEdits merges one part of a patch — its gone keys and its changed
+// elements, each in key order — into edits. It fails on a list out of
+// order or a key both gone and changed.
+func patchEdits[E, T any](gone []key, changed []E, of func(*E) (key, *T)) ([]edit[T], error) {
+	out := make([]edit[T], 0, len(gone)+len(changed))
+	g, c := 0, 0
+	for g < len(gone) || c < len(changed) {
+		var e edit[T]
+		if c < len(changed) {
+			e.key, e.elem = of(&changed[c])
+		}
+		switch {
+		case c == len(changed) || g < len(gone) && gone[g].compare(e.key) < 0:
+			e = edit[T]{key: gone[g]}
+			g++
+		case g == len(gone) || e.compare(gone[g]) < 0:
+			c++
+		default:
+			return nil, fmt.Errorf("%s/%s is both gone and changed", e.entity, e.attribute)
+		}
+		if n := len(out); n > 0 && out[n-1].compare(e.key) >= 0 {
+			return nil, fmt.Errorf("%s/%s is out of order", e.entity, e.attribute)
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// foldEdits folds later edits over earlier ones: per key, the later wins,
+// and a later edit keyed by an entity alone that drops it (nil) also
+// drops every earlier edit of that entity.
+func foldEdits[T any](earlier, later []edit[T]) []edit[T] {
+	if len(earlier) == 0 {
+		return later
+	}
+	out := make([]edit[T], 0, len(earlier)+len(later))
+	i := 0
+	for _, l := range later {
+		for ; i < len(earlier) && earlier[i].compare(l.key) < 0; i++ {
+			out = append(out, earlier[i])
+		}
+		if l.attribute == "" && l.elem == nil {
+			for ; i < len(earlier) && earlier[i].entity == l.entity; i++ {
+			}
+		} else if i < len(earlier) && earlier[i].key == l.key {
+			i++
+		}
+		out = append(out, l)
+	}
+	return append(out, earlier[i:]...)
 }
 
 // restoreWorkingState rebuilds the wrangler's in-memory tail from the
-// newest retained version and its decoded pages; resume runs it before
-// the first reaction or accessor that needs it, never at attach. The
-// union and resolver are recomputed deterministically from the restored
-// states and feedback (the same code path a live tail runs), the fused
-// output is adopted from the version's pages (or inline payload), and —
+// newest retained version and its output; resume runs it before the first
+// reaction or accessor that needs it, never at attach. The union and
+// resolver are recomputed deterministically from the restored states and
+// feedback (the same code path a live tail runs), the fused output is
+// adopted from the version's — cut into the entity-range pages a live
+// tail at this shard count fuses, when a tail built it in pages — and —
 // when the version committed a coherent tail memo — the memo's inputs are
 // reconstructed so the first reaction after restart is a partial tail.
-func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) error {
+func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) error {
+	if st.table != nil {
+		// The restored version is what the next publication diffs against.
+		w.lastPub = &publication{seq: lv.seq, results: st.results(), entities: st.entities,
+			rows: st.table.Rows(), report: st.report, clusters: st.clusters}
+	}
 	empty, err := w.buildUnion()
 	if err != nil {
 		return err
@@ -931,24 +1642,23 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 	if empty {
 		return nil
 	}
-	w.clusters = lv.clusters
-
-	if lv.pages == nil {
-		if lv.table == nil {
-			return fmt.Errorf("core: version %d has no output payload", lv.seq)
+	w.clusters = st.clusters
+	if st.table == nil {
+		return fmt.Errorf("core: version %d has no output payload", lv.seq)
+	}
+	w.results = st.results()
+	w.rowEntities = append([]string(nil), st.entities...)
+	if st.paged {
+		if w.pages, err = cutPages(st, w.shards()); err != nil {
+			return fmt.Errorf("core: version %d: %w", lv.seq, err)
 		}
-		w.wrangled = lv.table.Clone()
-		w.results = lv.results
-		w.rowEntities = append([]string(nil), lv.entities...)
-		w.pages = nil
+		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
+		for _, r := range st.table.Rows() {
+			w.wrangled.Append(r)
+		}
 	} else {
-		w.pages = pages
-		parts := make([][]fusion.Result, len(pages))
-		for i, p := range pages {
-			parts[i] = p.results
-		}
-		w.results = fusion.MergeResults(parts...)
-		w.wrangled, w.rowEntities = mergePages(pages, w.Config.Target)
+		w.wrangled = st.table.Clone()
+		w.pages = nil
 	}
 	// The results' claim groups are regrouped from the restored clustering
 	// on first use (fusedGroups).
@@ -981,6 +1691,34 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, pages []*shardPage) er
 		w.rebuildMemo()
 	}
 	return nil
+}
+
+// cutPages cuts a version's output into the pages a live tail fuses at
+// the given number of parts: part p holds the entities
+// [p·E/parts, (p+1)·E/parts) in order, with their records and results —
+// fusion.FuseInto's ranges. The pages alias the output.
+func cutPages(st *versionState, parts int) ([]*shardPage, error) {
+	results := st.results()
+	starts := make([]int, 0, len(st.entities)+1) // per entity: its first result
+	for i, r := range results {
+		if i == 0 || r.Entity != results[i-1].Entity {
+			if k := len(starts); k == len(st.entities) || st.entities[k] != r.Entity {
+				return nil, fmt.Errorf("results name entity %q out of the table's order", r.Entity)
+			}
+			starts = append(starts, i)
+		}
+	}
+	if len(starts) != len(st.entities) {
+		return nil, fmt.Errorf("results cover %d of the table's %d entities", len(starts), len(st.entities))
+	}
+	starts = append(starts, len(results))
+	rows, e := st.table.Rows(), len(st.entities)
+	pages := make([]*shardPage, parts)
+	for p := range pages {
+		lo, hi := p*e/parts, (p+1)*e/parts
+		pages[p] = &shardPage{entities: st.entities[lo:hi:hi], rows: rows[lo:hi:hi], results: results[starts[lo]:starts[hi]:starts[hi]]}
+	}
+	return pages, nil
 }
 
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
@@ -1033,10 +1771,13 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 
 // appendVersion logs everything one committed publication changed: new
 // feedback (catch-up for items added outside the AddFeedback hook), source
-// states whose working data moved, the provenance delta, any freshly built
-// shard pages, and the version record itself. One Commit flushes the
-// batch; compaction triggers once 2×retain versions accumulate.
-func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
+// states whose working data moved, the provenance delta, and the version
+// itself — as a patch on the version logged before it when publish
+// diffed against that one (dt) and the patches since the last full
+// version, this one included, stay smaller than that version; else in
+// full, with its tail's pages. One Commit flushes the batch; compaction
+// triggers once 2×retain versions accumulate.
+func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *delta) {
 	start := time.Now()
 	for _, it := range w.Feedback.Since(d.lastFeedbackSeq) {
 		_ = d.log.Append(wal.KindFeedback, wal.Encode(&it, codeFeedback))
@@ -1064,26 +1805,43 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 	}
 	d.lastProvStep = w.Prov.Step()
 
-	var pids []uint64
-	if w.pages != nil {
-		pids = make([]uint64, len(w.pages))
-		for i, p := range w.pages {
-			id := d.nextPageID
-			d.nextPageID++
-			d.pagesByID[id] = &loggedPage{page: p}
-			_ = d.log.Append(wal.KindPage, d.encodePage(id, p))
-			pids[i] = id
+	e := retainedVersion{seq: v.Seq(), known: true}
+	if n := len(d.versions); dt != nil && w.pages != nil && d.fullBytes > 0 && n > 0 && d.versions[n-1].seq == prev.seq {
+		payload := wal.EncodeSized(presize(d.patchSize), patchRecord(w, v, prev, cur, dt, len(d.schema)), codeVersion)
+		d.patchSize = len(payload)
+		if d.chainBytes+len(payload) < d.fullBytes {
+			e.payload, e.patch = payload, true
 		}
 	}
-	payload := wal.EncodeSized(presize(d.versionSize), versionRecord(w, v, pids), codeVersion)
-	d.versionSize = len(payload)
-	_ = d.log.Append(wal.KindVersion, payload)
+	if e.patch {
+		d.chainBytes += len(e.payload)
+		d.chain++
+		d.patchVersions.Inc()
+	} else {
+		pageBytes := 0
+		if w.pages != nil {
+			e.pageIDs = make([]uint64, len(w.pages))
+			for i, p := range w.pages {
+				id := d.nextPageID
+				d.nextPageID++
+				payload := d.encodePage(id, p)
+				d.pagesByID[id] = &loggedPage{payload: payload}
+				_ = d.log.Append(wal.KindPage, payload)
+				e.pageIDs[i] = id
+				pageBytes += len(payload)
+			}
+		}
+		e.payload = wal.EncodeSized(presize(d.versionSize), versionRecord(w, v, e.pageIDs), codeVersion)
+		d.versionSize = len(e.payload)
+		d.fullBytes, d.chainBytes, d.chain = len(e.payload)+pageBytes, 0, 0
+		d.fullVersions.Inc()
+	}
+	d.chainGauge.Set(float64(d.chain))
+	_ = d.log.Append(wal.KindVersion, e.payload)
 	_ = d.log.Commit()
 
-	d.retained = append(d.retained, retainedVersion{seq: v.Seq(), payload: payload, pageIDs: pids})
-	if len(d.retained) > d.retain {
-		d.retained = d.retained[len(d.retained)-d.retain:]
-	}
+	d.versions = append(d.versions, e)
+	d.trim()
 	d.sinceCompact++
 	w.observePublishPhase(phaseLog, time.Since(start))
 	if d.sinceCompact >= 2*d.retain {
@@ -1092,6 +1850,23 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion) {
 		start = time.Now()
 		_ = d.compact(w)
 		w.observePublishPhase(phaseCompact, time.Since(start))
+	}
+}
+
+// trim drops the versions compaction would not write back: those before
+// the full base of the oldest retained version's chain. A replayed
+// version whose kind is not known yet ends the search; compaction settles
+// it.
+func (d *DurableLog) trim() {
+	for i := len(d.versions) - d.retain; i > 0; i-- {
+		e := &d.versions[i]
+		if !e.known {
+			return
+		}
+		if !e.patch {
+			d.versions = slices.Delete(d.versions, 0, i)
+			return
+		}
 	}
 }
 
@@ -1107,16 +1882,31 @@ func (d *DurableLog) encodePage(id uint64, p *shardPage) []byte {
 func presize(last int) int { return last + last/16 }
 
 // compact rewrites the log to its minimal coherent form — config, full
-// feedback and provenance, every current source state, the pages still
-// referenced by retained versions, the retained version records and a
-// checkpoint marker — then prunes the in-memory page index to the live
-// set. Replayed records are
-// written back as they were read, so only a retained version whose body
-// is still undecoded decodes here, for its page ids.
+// feedback and provenance, every current source state, the retained
+// versions with the chain back to the oldest one's full base, the pages
+// of the full versions among them, and a checkpoint marker — then prunes
+// the in-memory version list and page index to what it wrote. Page and
+// version records are written back as they were logged; only a replayed
+// version whose body is still undecoded decodes here, for its kind and
+// page ids.
 func (d *DurableLog) compact(w *Wrangler) error {
-	if len(d.retained) == 0 {
+	if len(d.versions) == 0 {
 		return nil
 	}
+	from := max(0, len(d.versions)-d.retain)
+	for ; ; from-- {
+		e := &d.versions[from]
+		if err := d.settle(e); err != nil {
+			return err
+		}
+		if !e.patch {
+			break
+		}
+		if from == 0 {
+			return fmt.Errorf("core: compact: version %d patches a version the log no longer holds", e.seq)
+		}
+	}
+	kept := d.versions[from:]
 	var recs []wal.Data
 	recs = append(recs, wal.Data{Kind: wal.KindConfig, Payload: d.configPayload})
 	for _, it := range w.Feedback.Items("") {
@@ -1129,16 +1919,11 @@ func (d *DurableLog) compact(w *Wrangler) error {
 		recs = append(recs, wal.Data{Kind: wal.KindSource, Payload: wal.Encode(&sourceRecord{id: id, st: w.states[id]}, codeSource)})
 	}
 	live := map[uint64]bool{}
-	for _, rv := range d.retained {
-		ids := rv.pageIDs
-		if rv.replayed != nil {
-			lv, err := d.body(rv.replayed)
-			if err != nil {
-				return err
-			}
-			ids = lv.pages
+	for i := range kept {
+		if err := d.settle(&kept[i]); err != nil {
+			return err
 		}
-		for _, pid := range ids {
+		for _, pid := range kept[i].pageIDs {
 			live[pid] = true
 		}
 	}
@@ -1147,22 +1932,19 @@ func (d *DurableLog) compact(w *Wrangler) error {
 		if !ok {
 			return fmt.Errorf("core: compact: a retained version references missing page %d", pid)
 		}
-		payload := lp.payload
-		if payload == nil {
-			payload = d.encodePage(pid, lp.page)
-		}
-		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: payload})
+		recs = append(recs, wal.Data{Kind: wal.KindPage, Payload: lp.payload})
 	}
-	for _, rv := range d.retained {
-		recs = append(recs, wal.Data{Kind: wal.KindVersion, Payload: rv.payload})
+	for _, e := range kept {
+		recs = append(recs, wal.Data{Kind: wal.KindVersion, Payload: e.payload})
 	}
-	lastSeq := d.retained[len(d.retained)-1].seq
+	lastSeq := kept[len(kept)-1].seq
 	ck := checkpointRecord{seq: lastSeq, at: time.Now()}
 	recs = append(recs, wal.Data{Kind: wal.KindCheckpoint, Payload: wal.Encode(&ck, codeCheckpoint)})
 
 	if err := d.log.Compact(recs); err != nil {
 		return err
 	}
+	d.versions = slices.Delete(d.versions, 0, from)
 	d.sinceCompact = 0
 	d.lastCheckpoint = lastSeq
 	d.lastProvStep = w.Prov.Step()
@@ -1195,4 +1977,8 @@ func (w *Wrangler) Checkpoint() error {
 		return err
 	}
 	return w.log.log.Sync()
+}
+
+func compareResults(a, b *fusion.Result) int {
+	return compareKeys(a.Entity, a.Attribute, b.Entity, b.Attribute)
 }

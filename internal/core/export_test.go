@@ -155,15 +155,19 @@ func (d *DurableLog) Decoded() (pages, versions int64) {
 	return d.decoded.pages.Load(), d.decoded.versions.Load()
 }
 
+// PatchChain reports how many patch versions the log appended, or holds at
+// its end, since its last full version.
+func (d *DurableLog) PatchChain() int { return d.chain }
+
 // TruncateNewestClusters drops the last row of the newest replayed
 // version's cluster assignment, before attach: the log then restores and
 // serves, but its working state cannot be rebuilt.
 func (d *DurableLog) TruncateNewestClusters() error {
-	lv, err := d.body(d.rep.versions[len(d.rep.versions)-1])
+	st, err := d.state(d.rep.versions[len(d.rep.versions)-1])
 	if err != nil {
 		return err
 	}
-	lv.clusters.Assign = lv.clusters.Assign[:len(lv.clusters.Assign)-1]
+	st.clusters = &er.Clustering{Assign: st.clusters.Assign[:len(st.clusters.Assign)-1], Num: st.clusters.Num}
 	return nil
 }
 
@@ -172,12 +176,12 @@ func (d *DurableLog) TruncateNewestClusters() error {
 // before attach: the assignment still covers the union, but names a
 // cluster that does not exist.
 func (d *DurableLog) OutOfRangeNewestCluster() error {
-	lv, err := d.body(d.rep.versions[len(d.rep.versions)-1])
+	st, err := d.state(d.rep.versions[len(d.rep.versions)-1])
 	if err != nil {
 		return err
 	}
-	assign := slices.Clone(lv.clusters.Assign)
-	assign[len(assign)-1] = lv.clusters.Num
-	lv.clusters = &er.Clustering{Assign: assign, Num: lv.clusters.Num}
+	assign := slices.Clone(st.clusters.Assign)
+	assign[len(assign)-1] = st.clusters.Num
+	st.clusters = &er.Clustering{Assign: assign, Num: st.clusters.Num}
 	return nil
 }

@@ -34,7 +34,9 @@ import (
 // (dumpRecords, gzipped) and the Fingerprint a session restored from the
 // log printed there — the same for both logs, since sharded and
 // sequential sessions fingerprint identically. Nothing regenerates them:
-// they pin what the parent wrote and read.
+// they pin what the parent wrote and read. Beside them, patch4.wal and its
+// dump were written by the same script at shards 4 once versions could be
+// patches, and pin that layout the same way.
 const (
 	fixtureSeed    = int64(11)
 	fixtureSources = 3
@@ -55,83 +57,100 @@ var fixtureChurn = []float64{0.25, 0.2}
 // exactly the records that stayed Same, publishing an exact delta over
 // all four pages.
 func TestParentWrittenLogs(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		name := fmt.Sprintf("shards%d", shards)
+		t.Run(name, func(t *testing.T) { checkWrittenLog(t, name, shards) })
+	}
+}
+
+// TestPatchWrittenLog pins the patch version layout (mode 2) the same
+// way, against testdata/patch4.wal: the fixture script at shards 4,
+// written with patch versions — the refresh of every selected source, the
+// feedback reaction and the last refresh patch the run's full version —
+// and its dump, which this layout's introduction wrote. Restoring it
+// applies the newest version's chain of three patches, and gives the
+// session the parent logs restore to.
+func TestPatchWrittenLog(t *testing.T) { checkWrittenLog(t, "patch4", 4) }
+
+// checkWrittenLog runs the written-log checks on testdata/<name>.wal, a
+// log the fixture script wrote at the given shard count: every record
+// re-encodes to its exact bytes, decodes to exactly what the dump beside
+// it holds, and attaching the log restores the session of
+// restored.fingerprint, whose first refresh then behaves as the parent's
+// did.
+func checkWrittenLog(t *testing.T, name string, shards int) {
 	want, err := os.ReadFile(filepath.Join("testdata", "restored.fingerprint"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 4} {
-		name := fmt.Sprintf("shards%d", shards)
-		t.Run(name, func(t *testing.T) {
-			buf, err := os.ReadFile(filepath.Join("testdata", name+".wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, _, err := wal.Scan(buf)
-			if err != nil {
-				t.Fatalf("scan: %v", err)
-			}
-			vals, err := core.DecodeRecords(recs)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			for i, rec := range recs {
-				if got := core.EncodeRecord(rec.Kind, vals[i]); !bytes.Equal(got, rec.Payload) {
-					t.Errorf("record %d kind %q at 0x%x re-encodes to %d bytes, differing from the %d the parent wrote",
-						i, rune(rec.Kind), rec.Offset, len(got), len(rec.Payload))
-				}
-			}
-			if got, want := dumpRecords(recs, vals), gunzip(t, filepath.Join("testdata", name+".dump.gz")); got != want {
-				t.Errorf("decoded records differ from the parent's:\n%s", lineDiff(want, got))
-			}
+	buf, err := os.ReadFile(filepath.Join("testdata", name+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wal.Scan(buf)
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	vals, err := core.DecodeRecords(recs)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for i, rec := range recs {
+		if got := core.EncodeRecord(rec.Kind, vals[i]); !bytes.Equal(got, rec.Payload) {
+			t.Errorf("record %d kind %q at 0x%x re-encodes to %d bytes, differing from the %d the log holds",
+				i, rune(rec.Kind), rec.Offset, len(got), len(rec.Payload))
+		}
+	}
+	if got, want := dumpRecords(recs, vals), gunzip(t, filepath.Join("testdata", name+".dump.gz")); got != want {
+		t.Errorf("decoded records differ from the dump:\n%s", lineDiff(want, got))
+	}
 
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "wrangle.wal"), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			w := wrangletest.NewWrangler(fixtureSeed, fixtureSources, shards)
-			for _, churn := range fixtureChurn {
-				w.EvolveWorld(churn)
-			}
-			d, err := core.OpenDurableLog(dir, core.FsyncOnCheckpoint)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			defer d.Close()
-			if restored, err := w.AttachDurableLog(d); err != nil || !restored {
-				t.Fatalf("attach: restored=%v err=%v", restored, err)
-			}
-			if got := wrangletest.Fingerprint(w); got != string(want) {
-				t.Fatalf("restored session differs from the parent's:\n%s", lineDiff(string(want), got))
-			}
-			before := w.Serve.Latest()
-			stats, err := w.RefreshSourcesContext(context.Background(), w.SelectedSources()[:1])
-			if err != nil {
-				t.Fatalf("refresh: %v", err)
-			}
-			if shards > 0 {
-				if err := wrangletest.CheckSharing(before, w.Serve.Latest(), shards); err != nil {
-					t.Fatalf("first refresh after restore: %v", err)
-				}
-				if cs := w.Serve.Latest().Changes(); cs.Full || cs.ChangedPages+cs.SharedPages != shards || len(cs.ChangedShards) != cs.ChangedPages {
-					t.Fatalf("first refresh after restore published %+v, want a delta over %d pages", cs, shards)
-				}
-			}
-			if shards > 0 {
-				if stats.ShardsReused == 0 {
-					t.Fatalf("first refresh after restore reused no shards (resolved %d): the tail memo was not rebuilt", stats.ShardsResolved)
-				}
-			} else if stats.ShardsResolved != 1 || stats.ShardsReused != 0 {
-				// The sequential tail's inline versions carry no memo: the
-				// first tail is a full one at one shard.
-				t.Fatalf("first refresh after restoring inline versions resolved %d and reused %d shards, want a full one-shard tail",
-					stats.ShardsResolved, stats.ShardsReused)
-			}
-		})
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wrangle.wal"), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := wrangletest.NewWrangler(fixtureSeed, fixtureSources, shards)
+	for _, churn := range fixtureChurn {
+		w.EvolveWorld(churn)
+	}
+	d, err := core.OpenDurableLog(dir, core.FsyncOnCheckpoint)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer d.Close()
+	if restored, err := w.AttachDurableLog(d); err != nil || !restored {
+		t.Fatalf("attach: restored=%v err=%v", restored, err)
+	}
+	if got := wrangletest.Fingerprint(w); got != string(want) {
+		t.Fatalf("restored session differs from the parent's:\n%s", lineDiff(string(want), got))
+	}
+	before := w.Serve.Latest()
+	stats, err := w.RefreshSourcesContext(context.Background(), w.SelectedSources()[:1])
+	if err != nil {
+		t.Fatalf("refresh: %v", err)
+	}
+	if shards > 0 {
+		if err := wrangletest.CheckSharing(before, w.Serve.Latest(), shards); err != nil {
+			t.Fatalf("first refresh after restore: %v", err)
+		}
+		if cs := w.Serve.Latest().Changes(); cs.Full || cs.ChangedPages+cs.SharedPages != shards || len(cs.ChangedShards) != cs.ChangedPages {
+			t.Fatalf("first refresh after restore published %+v, want a delta over %d pages", cs, shards)
+		}
+	}
+	if shards > 0 {
+		if stats.ShardsReused == 0 {
+			t.Fatalf("first refresh after restore reused no shards (resolved %d): the tail memo was not rebuilt", stats.ShardsResolved)
+		}
+	} else if stats.ShardsResolved != 1 || stats.ShardsReused != 0 {
+		// The sequential tail's inline versions carry no memo: the
+		// first tail is a full one at one shard.
+		t.Fatalf("first refresh after restoring inline versions resolved %d and reused %d shards, want a full one-shard tail",
+			stats.ShardsResolved, stats.ShardsReused)
 	}
 }
 
 // FuzzDurableRecord feeds (kind, payload) pairs, seeded with every record
-// of both fixture logs, to the record codec: decoding never panics, and an
+// of the fixture logs, to the record codec: decoding never panics, and an
 // accepted payload re-encodes to bytes that decode to the same value and
 // re-encode to the same bytes again. (The first re-encode need not equal
 // the input: uvarints accept non-minimal forms and maps unsorted keys.) A
@@ -139,7 +158,7 @@ func TestParentWrittenLogs(t *testing.T) {
 // body later from where the header ended — which must agree with the
 // one-shot decode: the same value, or the same error.
 func FuzzDurableRecord(f *testing.F) {
-	for _, name := range []string{"shards0.wal", "shards4.wal"} {
+	for _, name := range []string{"shards0.wal", "shards4.wal", "patch4.wal"} {
 		buf, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

@@ -67,9 +67,10 @@ func openLazyLog(t *testing.T, dir string) (*core.Wrangler, *core.DurableLog) {
 
 // TestLazyRestoreDecodeCounts pins where restore stops decoding: opening
 // the log decodes no page or version body; attaching and serving the
-// latest version decodes exactly the newest version and its pages; the
-// deferred working-state rebuild decodes nothing more; and reaching the
-// oldest retained version decodes exactly one more version.
+// latest version decodes exactly the newest version's chain — it, the
+// patches under it and their full base — and that base's pages; the
+// deferred working-state rebuild decodes nothing more; and reaching every
+// retained version decodes each version body once.
 func TestLazyRestoreDecodeCounts(t *testing.T) {
 	dir, live := seedLazyLog(t)
 	w, d := openLazyLog(t, dir)
@@ -82,24 +83,30 @@ func TestLazyRestoreDecodeCounts(t *testing.T) {
 	if w.Serve.Latest().Data().Table.Len() == 0 {
 		t.Fatal("the restored latest version serves an empty table")
 	}
-	if p, v := d.Decoded(); p != lazyShards || v != 1 {
-		t.Fatalf("attach and first read decoded %d pages and %d versions, want the newest version's %d pages and it", p, v, lazyShards)
+	chain := int64(d.PatchChain() + 1)
+	if chain < 2 {
+		t.Fatal("the log's newest version is not a patch")
+	}
+	if p, v := d.Decoded(); p != lazyShards || v != chain {
+		t.Fatalf("attach and first read decoded %d pages and %d versions, want the newest version's chain of %d and its base's %d pages", p, v, chain, lazyShards)
 	}
 	if got, want := wrangletest.Fingerprint(w), wrangletest.Fingerprint(live); got != want {
 		t.Fatal("the rebuilt working state differs from the live session's")
 	}
-	if p, v := d.Decoded(); p != lazyShards || v != 1 {
+	if p, v := d.Decoded(); p != lazyShards || v != chain {
 		t.Fatalf("the working-state rebuild decoded more: %d pages and %d versions", p, v)
 	}
 	versions := w.Serve.Versions()
 	if len(versions) != len(lazyChurn)+1 {
 		t.Fatalf("restored %d versions, want %d", len(versions), len(lazyChurn)+1)
 	}
-	if _, err := w.Serve.At(versions[0]); err != nil {
-		t.Fatalf("At(oldest): %v", err)
+	for _, seq := range versions {
+		if _, err := w.Serve.At(seq); err != nil {
+			t.Fatalf("At(%d): %v", seq, err)
+		}
 	}
-	if _, v := d.Decoded(); v != 2 {
-		t.Fatalf("At(oldest) left %d versions decoded, want 2", v)
+	if _, v := d.Decoded(); v != int64(len(versions)) {
+		t.Fatalf("reaching every retained version left %d versions decoded, want each of the %d once", v, len(versions))
 	}
 }
 

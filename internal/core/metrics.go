@@ -33,6 +33,8 @@ const (
 	mRows           = "wrangle_rows"
 	mVersion        = "wrangle_version"
 	mReplayTrunc    = "wrangle_wal_replay_truncations_total"
+	mWALVersions    = "wrangle_wal_versions_total"
+	mWALChain       = "wrangle_wal_patch_chain"
 	mTrustComps     = "wrangle_trust_components"
 	mTrustIters     = "wrangle_trust_component_iterations"
 	mTrustContested = "wrangle_trust_contested_groups"

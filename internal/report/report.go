@@ -9,6 +9,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,13 +83,20 @@ func Build(w ResultSource, title string, attributes []string) *Report {
 			Supporters: w.Supporters(i),
 		})
 	}
-	sort.Slice(r.Lines, func(i, j int) bool {
-		if r.Lines[i].Entity != r.Lines[j].Entity {
-			return r.Lines[i].Entity < r.Lines[j].Entity
-		}
-		return r.Lines[i].Attribute < r.Lines[j].Attribute
-	})
+	// Results come in (entity, attribute) order from the integration tail,
+	// so the lines usually are already sorted.
+	if !slices.IsSortedFunc(r.Lines, CompareLines) {
+		slices.SortFunc(r.Lines, CompareLines)
+	}
 	return r
+}
+
+// CompareLines is the report's line order: by entity, then attribute.
+func CompareLines(a, b Line) int {
+	if c := strings.Compare(a.Entity, b.Entity); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Attribute, b.Attribute)
 }
 
 // Filter returns a retitled report restricted to the given attributes

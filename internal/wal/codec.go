@@ -16,9 +16,10 @@ import (
 // which one function states a record's layout and runs in both
 // directions. Every Codec method takes a pointer: encoding appends the
 // pointed-to value, decoding overwrites it. Only the fixed-width and
-// varint primitives and String read or write bytes; everything else is
-// written once on top of them, so an encoder and its decoder cannot
-// drift apart.
+// varint primitives and String read or write bytes — with Symbol and
+// Repeat, which lay a string out as String does and only decode it
+// differently; everything else is written once on top of them, so an
+// encoder and its decoder cannot drift apart.
 //
 // Decoding keeps the offset/validation discipline of a careful binary
 // parser — every read is bounds-checked before it happens, every failure
@@ -46,10 +47,11 @@ const maxLen = 1 << 28
 // is retained with the absolute offset it occurred at, and every later
 // read leaves its target at the zero value without advancing.
 type Codec struct {
-	buf []byte
-	off int
-	err error
-	dec bool
+	buf  []byte
+	off  int
+	err  error
+	dec  bool
+	syms map[string]string // decoding: the one copy of each Symbol read so far
 }
 
 // Encode runs code over v in encode mode and returns the payload.
@@ -223,6 +225,49 @@ func (c *Codec) String(s *string) {
 	c.Len(&n, 1)
 	*s = string(c.take(n))
 }
+
+// Symbol codes a string exactly as String does, for a string drawn from a
+// small vocabulary — ids and names that repeat across a payload. Decoding
+// returns one shared copy per distinct value within the payload, instead
+// of allocating every occurrence.
+func (c *Codec) Symbol(s *string) {
+	if !c.dec {
+		c.String(s)
+		return
+	}
+	n := 0
+	c.Len(&n, 1)
+	b := c.take(n)
+	if v, ok := c.syms[string(b)]; ok {
+		*s = v
+		return
+	}
+	if c.syms == nil {
+		c.syms = map[string]string{}
+	}
+	*s = string(b)
+	c.syms[*s] = *s
+}
+
+// Repeat codes a string exactly as String does, for a string that comes
+// in runs — the entity of consecutive results, say. Decoding returns prev
+// itself when the string equals it, instead of allocating another copy.
+func (c *Codec) Repeat(s *string, prev string) {
+	if !c.dec {
+		c.String(s)
+		return
+	}
+	n := 0
+	c.Len(&n, 1)
+	if b := c.take(n); string(b) == prev {
+		*s = prev
+	} else {
+		*s = string(b)
+	}
+}
+
+// Symbols codes a slice of Symbols, laid out as Strings.
+func (c *Codec) Symbols(ss *[]string) { Slice(c, ss, 1, (*Codec).Symbol) }
 
 // Len codes a length prefix. Decoding validates it against both the
 // sanity bound and the bytes actually remaining (for minSize ≥ 1: the

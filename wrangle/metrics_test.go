@@ -251,19 +251,21 @@ func TestMetricsRestoredSession(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeCatalogue scrapes a churning session and asserts the
-// exposition carries every advertised family exactly once, in sorted
-// order — deterministic modulo sample values.
+// TestMetricsScrapeCatalogue scrapes a churning durable session and
+// asserts the exposition carries every advertised family exactly once, in
+// sorted order — deterministic modulo sample values.
 func TestMetricsScrapeCatalogue(t *testing.T) {
 	s, err := wrangle.New(
 		wrangle.WithSeed(21),
 		wrangle.WithSyntheticSources(6),
 		wrangle.WithIntegrationShards(2),
+		wrangle.WithDurableLog(t.TempDir()),
 		wrangle.WithMetrics(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	ctx := context.Background()
 	if _, err := s.Run(ctx); err != nil {
 		t.Fatal(err)
@@ -275,6 +277,16 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 	// out the trust fixpoint once.
 	if n := counter(s, "wrangle_trust_layout_builds_total"); n != 2 {
 		t.Errorf("wrangle_trust_layout_builds_total = %d after a run and a refresh, want 2", n)
+	}
+	// The run's version is logged whole; the refresh's is a patch on it
+	// unless the size rule wrote it whole too. The chain gauge counts the
+	// patches since the last full version.
+	full, patch := counter(s, "wrangle_wal_versions_total", "mode", "full"), counter(s, "wrangle_wal_versions_total", "mode", "patch")
+	if full < 1 || full+patch != 2 {
+		t.Errorf("wrangle_wal_versions_total = %d full, %d patch after a run and a refresh", full, patch)
+	}
+	if chain := s.Metrics().Gauge("wrangle_wal_patch_chain").Value(); chain != float64(patch) {
+		t.Errorf("wrangle_wal_patch_chain = %v, want %d", chain, patch)
 	}
 	var b strings.Builder
 	if err := s.Metrics().WritePrometheus(&b); err != nil {
@@ -298,6 +310,8 @@ func TestMetricsScrapeCatalogue(t *testing.T) {
 		"wrangle_trust_contested_groups",
 		"wrangle_trust_layout_builds_total",
 		"wrangle_fuse_groups",
+		"wrangle_wal_versions_total",
+		"wrangle_wal_patch_chain",
 	} {
 		if n := strings.Count(text, "# TYPE "+family+" "); n != 1 {
 			t.Errorf("family %s appears %d times in the scrape, want 1", family, n)
