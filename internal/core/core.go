@@ -12,9 +12,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -131,9 +133,11 @@ type RunStats struct {
 	// (replanSplit): "replan.union", "replan.fd_repair", "replan.prepare"
 	// and "replan.plan", which add up to "replan" and are not accrued into
 	// "integrate" a second time. Every tail likewise names the steps inside
-	// "trust" (trustSplit): "trust.claims" (laying the claims out in
-	// groups), "trust.prepare" and "trust.fixpoint", which sum to at most
-	// "trust" (its task also merges clusters and names entities). A run
+	// "trust" (trustSplit): "trust.name" (numbering the clustering, its
+	// provenance record and naming the entities), "trust.claims" (laying
+	// the claims out in groups), "trust.prepare" and "trust.fixpoint",
+	// which sum to at most "trust" (its task also pays the engine's
+	// bookkeeping). A run
 	// that first rebuilt the working state of a durable restore names that
 	// rebuild "restore". Published snapshot
 	// versions carry these, so a bench regression attributes to a stage.
@@ -203,6 +207,7 @@ type Wrangler struct {
 	entities     entityIndex // the clustering read entity by entity
 	results      []fusion.Result
 	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
+	laidFrom     layout              // what groups was laid out from
 	wrangled     *dataset.Table
 	trust        map[string]float64
 	pages        []*shardPage    // per-part fused output, immutable once built
@@ -260,10 +265,20 @@ func (w *Wrangler) Run() (*dataset.Table, error) {
 // returns ctx.Err() and no partially-fanned-out outcome is merged into
 // the working data.
 func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
+	return w.run(ctx, nil)
+}
+
+// run is RunContext with each source's chain started from its state in
+// prevs — what a full rerun keeps of the working data — or, when prevs is
+// nil, from the working data itself.
+func (w *Wrangler) run(ctx context.Context, prevs map[string]*sourceState) (*dataset.Table, error) {
 	start := time.Now()
 	restored, err := w.resume()
 	if err != nil {
 		return nil, err
+	}
+	if prevs == nil {
+		prevs = w.states
 	}
 	w.LastStats = RunStats{}
 	w.lastTrust = fusion.TrustStats{} // an empty tail reports no components
@@ -273,7 +288,7 @@ func (w *Wrangler) RunContext(ctx context.Context) (*dataset.Table, error) {
 	deps := make([]string, len(srcs))
 	for i, s := range srcs {
 		i, s := i, s
-		prev := w.states[s.ID] // read before fan-out; installs happen at the barrier
+		prev := prevs[s.ID] // read before fan-out; installs happen at the barrier
 		deps[i] = fmt.Sprintf("source[%03d] %s", i, s.ID)
 		if err := g.Add(deps[i], func(context.Context) error {
 			// Per-source failures are recorded in the outcome, not
@@ -698,12 +713,13 @@ func (s replanSplit) record(stages map[string]time.Duration) {
 	stages["replan.plan"] = s.plan
 }
 
-// trustSplit is the wall clock of a tail's trust stage, by step: building
-// and grouping the claims (zero when a fuse-only tail took the memo's
-// groups), then fusion's own split — adopting and preparing groups, and
-// the fixpoint.
+// trustSplit is the wall clock of a tail's trust stage, by step: numbering
+// the clustering and naming its entities (zero on a fuse-only tail, which
+// keeps both), building and grouping the claims (zero when a fuse-only
+// tail took the memo's groups), then fusion's own split — adopting and
+// preparing groups, and the fixpoint.
 type trustSplit struct {
-	claims time.Duration
+	name, claims time.Duration
 	fusion.TrustSplit
 }
 
@@ -713,6 +729,7 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 	if s == (trustSplit{}) {
 		return
 	}
+	stages["trust.name"] = s.name
 	stages["trust.claims"] = s.claims
 	stages["trust.prepare"] = s.Prepare
 	stages["trust.fixpoint"] = s.Fixpoint
@@ -899,7 +916,16 @@ func (w *Wrangler) RowKey(i int) string {
 // fusion.GroupClaims would group the union's claims in row order, with no
 // key per claim and no sort over them. The freshness column feeds each
 // claim's AsOf and is not itself claimed.
-func (w *Wrangler) claimGroups() *fusion.ClaimGroups {
+//
+// An entity that kept its id, and whose rows are, row for row, Same
+// records from the same sources as the rows the last layout grouped under
+// that id — by record identity first, the copy-on-write union's
+// "unchanged", then by value for the rows FD repair cloned — claims what
+// it claimed then: it takes that layout's groups as they are, and the
+// trust stage adopts their prepared state without comparing a claim. Only
+// the other entities' claims are built, out of one slab. It returns the
+// groups and what they were laid out from.
+func (w *Wrangler) claimGroups() (*fusion.ClaimGroups, layout) {
 	schema := w.union.Schema()
 	tc := -1
 	if w.Config.TimeColumn != "" {
@@ -912,11 +938,36 @@ func (w *Wrangler) claimGroups() *fusion.ClaimGroups {
 		}
 	}
 	slices.SortFunc(cols, func(a, b int) int { return strings.Compare(schema[a].Name, schema[b].Name) })
-	// One slab for the whole tail's claims: every row claims every column.
-	slab := make([]fusion.Claim, w.union.Len()*len(cols))
+	kept := w.keptEntities(schema, cols)
+	fresh := 0
+	for e, rows := range w.entities.rows {
+		if kept[e] < 0 {
+			fresh += len(rows)
+		}
+	}
+	// Handed-on groups keep the slabs of earlier layouts alive. Once those
+	// could hold more than twice the claims in use, everything is laid out
+	// afresh and they can go, so memory stays within a constant factor of
+	// the live claims; the trust stage then adopts prepared state by
+	// comparing claims.
+	slabs := w.laidFrom.slabs + fresh*len(cols)
+	if slabs > 2*w.union.Len()*len(cols) {
+		for e := range kept {
+			kept[e] = -1
+		}
+		fresh, slabs = w.union.Len(), w.union.Len()*len(cols)
+	}
+	// One slab for the fresh entities' claims: every row claims every column.
+	slab := make([]fusion.Claim, fresh*len(cols))
 	groups := make([][]fusion.Claim, 0, len(w.entities.ids)*len(cols))
 	k := 0
 	for e, rows := range w.entities.rows {
+		if pe := kept[e]; pe >= 0 {
+			for c := range cols {
+				groups = append(groups, w.groups.Group(pe*len(cols)+c))
+			}
+			continue
+		}
 		for _, ci := range cols {
 			start := k
 			for _, r := range rows {
@@ -931,7 +982,53 @@ func (w *Wrangler) claimGroups() *fusion.ClaimGroups {
 			groups = append(groups, slab[start:k:k])
 		}
 	}
-	return fusion.GroupedClaims(groups)
+	return fusion.GroupedClaims(groups), layout{w.union, w.entities, slabs}
+}
+
+// keptEntities maps each entity to its index in the layout w.groups was
+// built from (w.laidFrom) when its claims are that layout's: the same id,
+// and row for row a Same record from the same source. Every other entry
+// is -1, as is every entry when there is no such layout or it claimed
+// other attributes.
+func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int) []int {
+	kept := make([]int, len(w.entities.ids))
+	for e := range kept {
+		kept[e] = -1
+	}
+	prev, from := w.groups, w.laidFrom
+	if prev == nil || from.union == nil || prev.Len() != len(from.entities.ids)*len(cols) || prev.Len() == 0 {
+		return kept
+	}
+	for c, ci := range cols {
+		if prev.Group(c)[0].Attribute != schema[ci].Name {
+			return kept
+		}
+	}
+	pe := 0
+	for e, id := range w.entities.ids {
+		for pe < len(from.entities.ids) && from.entities.ids[pe] < id {
+			pe++
+		}
+		if pe == len(from.entities.ids) {
+			break
+		}
+		rows, prevRows := w.entities.rows[e], from.entities.rows[pe]
+		if from.entities.ids[pe] != id || len(rows) != len(prevRows) {
+			continue
+		}
+		claims := prev.Group(pe * len(cols))
+		same := true
+		for k, r := range rows {
+			if w.unionSources[r] != claims[k].SourceID || !sameRecord(w.union.Row(r), from.union.Row(prevRows[k])) {
+				same = false
+				break
+			}
+		}
+		if same {
+			kept[e] = pe
+		}
+	}
+	return kept
 }
 
 // materialize turns fused results, in group order, into one record per
@@ -977,50 +1074,100 @@ type entityIndex struct {
 	rows [][]int
 }
 
+// layout is what a tail laid its claim groups out from: the union and its
+// entity index (claimGroups), and how many claims the slabs its groups
+// may point into hold.
+type layout struct {
+	union    *dataset.Table
+	entities entityIndex
+	slabs    int
+}
+
 // nameEntities assigns every union row its entity id (w.entityIDs) and
-// reads the clustering entity by entity (w.entities). A cluster's id is
-// its most frequent non-null key value, else "entity-<cluster>". Two
-// clusters can land on one id; they are then one entity, whose rows are
-// both clusters' rows in row order.
-func (w *Wrangler) nameEntities() {
-	kc := w.union.Schema().Index(w.Config.KeyColumn)
+// reads the clustering entity by entity (w.entities). A cluster with key
+// values takes its most frequent one; clusters that land on one key are
+// one entity, whose rows are all their rows in row order. A keyless
+// cluster is named by content (keylessName), never by its cluster number,
+// which shifts on every re-cluster: a refresh renames only the keyless
+// clusters it moved. Keyless names never merge — a name some key or an
+// earlier keyless cluster (in smallest-row order) already holds takes the
+// first free suffix "~2", "~3", …
+func (w *Wrangler) nameEntities() { w.nameClusters(false) }
+
+// nameClusters is nameEntities; legacy names keyless clusters
+// "entity-<cluster>" and lets those names merge like keys, as logs
+// written before content names did (see restoreWorkingState).
+func (w *Wrangler) nameClusters(legacy bool) {
+	schema := w.union.Schema()
+	kc := schema.Index(w.Config.KeyColumn)
 	names := make([]string, w.union.Len())
 	byCluster := w.clusters.Clusters()
 	clusterName := make([]string, len(byCluster))
-	var keys []string // one cluster's key values, sorted: the runs are the counts
+	taken := make(map[string]bool, len(byCluster))
+	// One pass in row order finds each cluster's key value, when all its
+	// key values agree; only a cluster whose values disagree counts them.
+	first, keyed, mixed := make([]string, len(byCluster)), make([]bool, len(byCluster)), make([]bool, len(byCluster))
+	for row, cid := range w.clusters.Assign {
+		if kc < 0 || w.union.Row(row)[kc].IsNull() {
+			continue
+		}
+		if k := w.union.Row(row)[kc].String(); !keyed[cid] {
+			first[cid], keyed[cid] = k, true
+		} else if k != first[cid] {
+			mixed[cid] = true
+		}
+	}
+	var keys []string // one mixed cluster's key values, sorted: the runs are the counts
 	for cid, rows := range byCluster {
-		keys = keys[:0]
-		for _, row := range rows {
-			if kc >= 0 && !w.union.Row(row)[kc].IsNull() {
-				keys = append(keys, w.union.Row(row)[kc].String())
+		best := first[cid]
+		if mixed[cid] {
+			keys = keys[:0]
+			for _, row := range rows {
+				if !w.union.Row(row)[kc].IsNull() {
+					keys = append(keys, w.union.Row(row)[kc].String())
+				}
+			}
+			slices.Sort(keys)
+			// The longest run wins; of equally long runs, the first (smallest).
+			bestN := 0
+			for i, j := 0, 0; i < len(keys); i = j {
+				for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
+				}
+				if j-i > bestN {
+					best, bestN = keys[i], j-i
+				}
 			}
 		}
-		slices.Sort(keys)
-		// The longest run wins; of equally long runs, the first (smallest).
-		best, bestN := "", 0
-		for i, j := 0, 0; i < len(keys); i = j {
-			for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
-			}
-			if j-i > bestN {
-				best, bestN = keys[i], j-i
-			}
-		}
-		if best == "" {
+		if best == "" && legacy {
 			best = fmt.Sprintf("entity-%04d", cid)
 		}
-		if w.interner != nil {
-			// One canonical id instance per entity across reactions; the
-			// fusion groups and page bookkeeping built from these ids then
-			// compare against the previous round's by cheap pointer-equal
-			// strings.
-			best = w.interner.Str(best)
+		if best != "" {
+			clusterName[cid] = w.intern(best)
+			taken[best] = true
 		}
-		clusterName[cid] = best
+	}
+	nc, sc := schema.Index(w.Config.NameColumn), schema.Index(w.Config.SecondaryColumn)
+	for row, cid := range w.clusters.Assign {
+		if clusterName[cid] != "" || byCluster[cid][0] != row {
+			continue // keyed, or not the keyless cluster's smallest row
+		}
+		base := w.keylessName(row, nc, sc)
+		name := base
+		for k := 2; taken[name]; k++ {
+			name = base + "~" + strconv.Itoa(k)
+		}
+		taken[name] = true
+		clusterName[cid] = w.intern(name)
+	}
+	for cid, rows := range byCluster {
 		for _, row := range rows {
-			names[row] = best
+			names[row] = clusterName[cid]
 		}
 	}
 	w.entityIDs = names
+	if w.interner != nil {
+		w.interner.Sweep()
+	}
 
 	// Clusters sorted by id, so clusters sharing an id sit side by side.
 	order := make([]int, 0, len(byCluster))
@@ -1043,6 +1190,33 @@ func (w *Wrangler) nameEntities() {
 		ix.rows = append(ix.rows, rows)
 	}
 	w.entities = ix
+}
+
+// keylessName is the base name of a keyless cluster whose smallest row is
+// row: that row's source and a digest of the fields blocking keys on (the
+// name and secondary columns, by Value.Key; -1 for a column the union
+// lacks). Both are content, so the name holds while the cluster's smallest
+// member does, whatever number the clustering gives it.
+func (w *Wrangler) keylessName(row, nc, sc int) string {
+	h := fnv.New32a()
+	for _, c := range []int{nc, sc} {
+		if c >= 0 {
+			h.Write([]byte(w.union.Row(row)[c].Key()))
+		}
+		h.Write([]byte{0})
+	}
+	return fmt.Sprintf("%s~%08x", w.unionSources[row], h.Sum32())
+}
+
+// intern returns the canonical instance of an entity id. One instance per
+// entity across reactions lets the fusion groups and page bookkeeping
+// built from these ids compare against the previous round's by cheap
+// pointer-equal strings.
+func (w *Wrangler) intern(id string) string {
+	if w.interner == nil {
+		return id
+	}
+	return w.interner.Str(id)
 }
 
 func (w *Wrangler) selectedIDs() []string {
@@ -1166,8 +1340,8 @@ func (w *Wrangler) Supporters(i int) []string {
 // restored clustering, which yields one group per restored result.
 func (w *Wrangler) fusedGroups() *fusion.ClaimGroups {
 	if w.groups == nil && len(w.results) > 0 && len(w.entities.ids) > 0 {
-		if g := w.claimGroups(); g.Len() == len(w.results) {
-			w.groups = g
+		if g, from := w.claimGroups(); g.Len() == len(w.results) {
+			w.groups, w.laidFrom = g, from
 		}
 	}
 	return w.groups

@@ -10,7 +10,7 @@ import (
 
 var (
 	replanSteps = []string{"replan.union", "replan.fd_repair", "replan.prepare", "replan.plan"}
-	trustSteps  = []string{"trust.claims", "trust.prepare", "trust.fixpoint"}
+	trustSteps  = []string{"trust.name", "trust.claims", "trust.prepare", "trust.fixpoint"}
 )
 
 // TestReplanSplitSumsToReplan pins the named costs inside the tail's
@@ -19,9 +19,10 @@ var (
 // engine's bookkeeping); they are not accrued into "integrate" a second
 // time; a default (one-shard) session names the same steps; and a
 // fuse-only reaction — which never builds a union — names none. Every
-// tail names the three trust steps, which sum to at most the trust stage
-// (its task also merges clusters and names entities), and a fuse-only
-// reaction's claim step is zero: it regroups nothing.
+// tail names the four trust steps, which sum to at most the trust stage
+// (its task also pays the engine's bookkeeping), and a fuse-only
+// reaction's name and claim steps are zero: it renames and regroups
+// nothing.
 func TestReplanSplitSumsToReplan(t *testing.T) {
 	checkTrust := func(label string, stages map[string]time.Duration) {
 		t.Helper()
@@ -85,6 +86,9 @@ func TestReplanSplitSumsToReplan(t *testing.T) {
 	if d := stats.Stages["trust.claims"]; d != 0 {
 		t.Errorf("fuse-only reaction built claims for %v", d)
 	}
+	if d := stats.Stages["trust.name"]; d != 0 {
+		t.Errorf("fuse-only reaction named entities for %v", d)
+	}
 
 	one := newShardedWrangler(7, 12, 0)
 	if _, err := one.Run(); err != nil {
@@ -147,12 +151,14 @@ func TestUnionSharesUnrepairedRecords(t *testing.T) {
 // TestDerivedStateBoundedUnderChurn is the bounded-memory check: 300
 // round-robin refreshes on a seed-scale universe. Derived rows are held
 // per source generation, so their count never exceeds the universe; the
-// FD dictionary and the resolver's registries are rebuilt once churn has
-// left more than half their entries unreferenced; and the live heap after
-// a forced GC stays flat from refresh 100 to refresh 300 — up to the few
-// kB per refresh the run-lifetime interner and the provenance log still
-// add (ROADMAP item 6). One leaked generation per refresh (its cell
-// strings and row features) would be ten times that.
+// FD dictionary, the resolver's registries and the interner's entity
+// names are rebuilt once churn has left more than half their entries
+// unreferenced — the interner, whose keyless names are content that churn
+// retires, never holds more than twice the names in use; and the live heap
+// after a forced GC stays flat from refresh 100 to refresh 300 — up to the
+// few kB per refresh the provenance log still adds (ROADMAP item 6). One
+// leaked generation per refresh (its cell strings and row features) would
+// be ten times that.
 func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("300 refreshes")
@@ -176,6 +182,8 @@ func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 	}
 	ids := w.SelectedSources()
 	var at100 uint64
+	named, interned, swept := map[string]bool{}, 0, 0
+	slabs, relaid := 0, 0
 	for i := 0; i < 300; i++ {
 		w.EvolveWorld(0.05)
 		if _, err := w.RefreshSource(ids[i%len(ids)]); err != nil {
@@ -184,13 +192,40 @@ func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 		if got, want := w.derivedRows(), rows(); got != want {
 			t.Fatalf("refresh %d: derivations held for %d rows, the sources have %d", i, got, want)
 		}
+		// Keyless names are content: churn retires some every so often.
+		// The interner holds at most twice the names in use.
+		for _, id := range w.entities.ids {
+			named[id] = true
+		}
+		if n := w.interner.Len(); n > 2*len(w.entities.ids) {
+			t.Fatalf("refresh %d: the interner holds %d names for %d entities", i, n, len(w.entities.ids))
+		} else if n < interned {
+			swept++
+		}
+		interned = w.interner.Len()
+		// Claim groups handed on whole keep earlier slabs alive; those hold
+		// at most twice the claims in use (every row claims every column
+		// but the freshness one).
+		if claims := w.union.Len() * (len(w.union.Schema()) - 1); w.laidFrom.slabs > 2*claims {
+			t.Fatalf("refresh %d: claim slabs hold %d claims for %d in use", i, w.laidFrom.slabs, claims)
+		} else if w.laidFrom.slabs < slabs {
+			relaid++
+		}
+		slabs = w.laidFrom.slabs
 		if i == 99 {
 			at100 = heap()
 		}
 	}
 	end := heap()
 	runtime.KeepAlive(w)
-	t.Logf("live heap %d kB after 100 refreshes, %d kB after 300", at100>>10, end>>10)
+	t.Logf("live heap %d kB after 100 refreshes, %d kB after 300; %d entity names used, %d held, %d sweeps; %d fresh claim layouts",
+		at100>>10, end>>10, len(named), interned, swept, relaid)
+	if relaid == 0 {
+		t.Errorf("300 refreshes never laid the claims out afresh")
+	}
+	if swept == 0 {
+		t.Errorf("%d entity names used, %d held at the end, and the interner never dropped one", len(named), interned)
+	}
 	if end > at100+200*10<<10 {
 		t.Errorf("live heap grew from %d kB after 100 refreshes to %d kB after 300", at100>>10, end>>10)
 	}

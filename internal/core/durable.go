@@ -1671,7 +1671,15 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			return fmt.Errorf("core: version %d assigns row %d to cluster %d outside [0,%d)", lv.seq, row, id, w.clusters.Num)
 		}
 	}
-	w.nameEntities()
+	// The restore serves the names the version served. A log written
+	// before keyless clusters were named by content served them as
+	// "entity-<cluster>"; those names stay until the next reaction renames
+	// every keyless entity in its one delta.
+	if w.nameEntities(); !slices.Equal(w.entities.ids, st.entities) {
+		if w.nameClusters(true); !slices.Equal(w.entities.ids, st.entities) {
+			return fmt.Errorf("core: version %d serves entities its clustering does not name", lv.seq)
+		}
+	}
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, the version carries its pages, and no

@@ -1,14 +1,20 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	wctx "repro/internal/context"
 	"repro/internal/dataset"
 	"repro/internal/er"
+	"repro/internal/feedback"
 	"repro/internal/fusion"
+	"repro/internal/ontology"
 )
 
 // TestClaimGroupsFollowTheClustering pins the tail's claim layout to the
@@ -24,7 +30,7 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		if got, want := w.claimGroups(), fusion.GroupClaims(w.BuildClaims()); !reflect.DeepEqual(got, want) {
+		if got, _ := w.claimGroups(); !reflect.DeepEqual(got, fusion.GroupClaims(w.BuildClaims())) {
 			t.Fatalf("%s: the clustering's groups differ from GroupClaims over the row-order claims", label)
 		}
 		if !slices.IsSorted(w.entities.ids) || len(w.entities.ids) != len(slices.Compact(slices.Clone(w.entities.ids))) {
@@ -64,29 +70,150 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 	check("split")
 }
 
-// TestNameEntities pins the entity id rule: a cluster takes its most
-// frequent non-null key value, the smallest of equally frequent ones, and
-// "entity-<cluster>" when it has none; clusters that land on one id are
-// one entity with their rows in row order.
-func TestNameEntities(t *testing.T) {
-	schema := dataset.Schema{{Name: "sku", Kind: dataset.KindString}}
+// nameUnion is a union of (sku, name, brand) rows — "" for a null cell —
+// from the given row sources, clustered as assign says.
+func nameUnion(rows [][3]string, srcs []string, assign []int) *Wrangler {
+	schema := dataset.Schema{{Name: "sku", Kind: dataset.KindString}, {Name: "name", Kind: dataset.KindString},
+		{Name: "brand", Kind: dataset.KindString}}
 	union := dataset.NewTable(schema)
-	for _, k := range []string{"b", "a", "", "b", "a", "c", "", "a"} {
-		v := dataset.String(k)
-		if k == "" {
+	for _, r := range rows {
+		rec := make(dataset.Record, len(r))
+		for i, s := range r {
+			rec[i] = dataset.String(s)
+			if s == "" {
+				rec[i] = dataset.Null()
+			}
+		}
+		union.Append(rec)
+	}
+	return &Wrangler{Config: Config{KeyColumn: "sku", NameColumn: "name", SecondaryColumn: "brand"},
+		union: union, unionSources: srcs, clusters: &er.Clustering{Assign: assign, Num: slices.Max(assign) + 1}}
+}
+
+// digestName is the keyless name recipe written out: the source, then
+// FNV-32a over the name and secondary cells' Value.Key, each followed by
+// a zero byte, in eight hex digits.
+func digestName(src, name, brand string) string {
+	h := fnv.New32a()
+	for _, s := range []string{name, brand} {
+		v := dataset.String(s)
+		if s == "" {
 			v = dataset.Null()
 		}
-		union.Append(dataset.Record{v})
+		h.Write([]byte(v.Key()))
+		h.Write([]byte{0})
 	}
-	w := &Wrangler{Config: Config{KeyColumn: "sku"}, union: union,
-		clusters: &er.Clustering{Assign: []int{0, 3, 1, 0, 0, 0, 2, 0}, Num: 4}}
+	return fmt.Sprintf("%s~%08x", src, h.Sum32())
+}
+
+// TestNameEntities pins the entity id rule: a cluster takes its most
+// frequent non-null key value, the smallest of equally frequent ones, and
+// clusters that land on one key are one entity with their rows in row
+// order. A keyless cluster is named by its smallest row's source and a
+// digest of that row's name and secondary cells, whatever its cluster
+// number.
+func TestNameEntities(t *testing.T) {
+	rows := [][3]string{{"b", "x", "y"}, {"a", "x", "y"}, {"", "lamp", "acme"}, {"b", "x", "y"},
+		{"a", "x", "y"}, {"c", "x", "y"}, {"", "kettle", ""}, {"a", "x", "y"}, {"", "lamp", "umbra"}}
+	srcs := []string{"s1", "s1", "s1", "s2", "s2", "s2", "s3", "s3", "s3"}
+	w := nameUnion(rows, srcs, []int{0, 3, 1, 0, 0, 0, 2, 0, 1})
 	w.nameEntities()
-	if want := []string{"a", "a", "entity-0001", "a", "a", "a", "entity-0002", "a"}; !slices.Equal(w.entityIDs, want) {
+	lamp, kettle := digestName("s1", "lamp", "acme"), digestName("s3", "kettle", "")
+	if want := []string{"a", "a", lamp, "a", "a", "a", kettle, "a", lamp}; !slices.Equal(w.entityIDs, want) {
 		t.Fatalf("entity ids %q, want %q", w.entityIDs, want)
 	}
-	wantIDs, wantRows := []string{"a", "entity-0001", "entity-0002"}, [][]int{{0, 1, 3, 4, 5, 7}, {2}, {6}}
+	wantIDs, wantRows := []string{"a", lamp, kettle}, [][]int{{0, 1, 3, 4, 5, 7}, {2, 8}, {6}} // s1 sorts before s3
 	if !slices.Equal(w.entities.ids, wantIDs) || !reflect.DeepEqual(w.entities.rows, wantRows) {
 		t.Fatalf("entities %q rows %v, want %q rows %v", w.entities.ids, w.entities.rows, wantIDs, wantRows)
+	}
+
+	// The same union clustered under other numbers names the same
+	// entities.
+	renumbered := nameUnion(rows, srcs, []int{2, 1, 3, 2, 2, 2, 0, 2, 3})
+	renumbered.nameEntities()
+	if !slices.Equal(renumbered.entityIDs, w.entityIDs) {
+		t.Fatalf("renumbered clusters are named %q, want %q", renumbered.entityIDs, w.entityIDs)
+	}
+}
+
+// TestKeylessNamesNeverMerge pins the tie-break: two keyless clusters
+// with an equal source and digest stay two entities — the one with the
+// smaller smallest row takes the base name, the other the first free
+// suffix — and a keyless cluster whose base name some cluster holds as
+// its key takes a suffix rather than joining that entity.
+func TestKeylessNamesNeverMerge(t *testing.T) {
+	base := digestName("s1", "lamp", "acme")
+	w := nameUnion([][3]string{{"", "lamp", "acme"}, {"", "kettle", "acme"}, {"", "lamp", "acme"}, {base, "x", "y"},
+		{base + "~2", "x", "y"}, {"", "lamp", "acme"}},
+		[]string{"s1", "s1", "s1", "s2", "s2", "s1"}, []int{0, 1, 2, 3, 4, 5})
+	w.nameEntities()
+	if want := []string{base + "~3", digestName("s1", "kettle", "acme"), base + "~4", base, base + "~2", base + "~5"}; !slices.Equal(w.entityIDs, want) {
+		t.Fatalf("entity ids %q, want %q", w.entityIDs, want)
+	}
+	if len(w.entities.ids) != 6 {
+		t.Fatalf("%d entities %q, want 6: a keyless cluster merged", len(w.entities.ids), w.entities.ids)
+	}
+	// Clusters with a key still merge on it.
+	w.union.Row(4)[0] = dataset.String(base)
+	w.nameEntities()
+	if got := w.entities.rows[slices.Index(w.entities.ids, base)]; !slices.Equal(got, []int{3, 4}) {
+		t.Fatalf("key %q holds rows %v, want [3 4]", base, got)
+	}
+}
+
+// TestKeylessNamesSurviveRenumbering refreshes the first source of a
+// dirty universe to empty, which renumbers every later cluster. Every
+// keyless cluster whose rows kept their keys and content keeps its name;
+// under "entity-<cluster>" names they would all have been renamed.
+func TestKeylessNamesSurviveRenumbering(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		u := &hollowUniverse{Universe: buildUniverse(7, 12, false), hollow: map[string]bool{}}
+		w := New(u, ProductConfig(), nil, wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy()))
+		w.IntegrationShards = shards
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		type cluster struct {
+			id, content string
+			number      int
+		}
+		keyless := func() map[string]cluster { // by the cluster's row keys
+			out := map[string]cluster{}
+			kc := w.union.Schema().Index(w.Config.KeyColumn)
+			for cid, rows := range w.clusters.Clusters() {
+				if len(rows) == 0 || slices.ContainsFunc(rows, func(r int) bool { return !w.union.Row(r)[kc].IsNull() }) {
+					continue
+				}
+				var keys, content []string
+				for _, r := range rows {
+					keys = append(keys, w.RowKey(r))
+					content = append(content, fmt.Sprint(w.union.Row(r)))
+				}
+				out[strings.Join(keys, " ")] = cluster{id: w.entityIDs[rows[0]], content: strings.Join(content, "\n"), number: cid}
+			}
+			return out
+		}
+		before := keyless()
+		u.empty = true
+		if _, err := w.RefreshSource(w.SelectedSources()[0]); err != nil {
+			t.Fatal(err)
+		}
+		kept, renumbered := 0, 0
+		for keys, c := range keyless() {
+			old, ok := before[keys]
+			if !ok || old.content != c.content {
+				continue
+			}
+			if kept++; old.number != c.number {
+				renumbered++
+			}
+			if old.id != c.id {
+				t.Errorf("shards=%d: keyless cluster %s was %q, now %q", shards, keys, old.id, c.id)
+			}
+		}
+		if renumbered == 0 {
+			t.Fatalf("shards=%d: the refresh renumbered none of the %d kept keyless clusters", shards, kept)
+		}
 	}
 }
 
@@ -153,4 +280,69 @@ func scanSupporters(w *Wrangler) [][]string {
 		sort.Strings(out[i])
 	}
 	return out
+}
+
+// TestValueFeedbackKeepsItsKeylessTarget gives value feedback on a keyless
+// entity, then refreshes the first source to empty, which renumbers every
+// later cluster. The item's entity id must still name the cluster it was
+// given on — the same rows — and the blamed source must still claim its
+// price there. Under "entity-<cluster>" names the id passed to whichever
+// cluster inherited the number.
+func TestValueFeedbackKeepsItsKeylessTarget(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		u := &hollowUniverse{Universe: buildUniverse(7, 12, false), hollow: map[string]bool{}}
+		w := New(u, ProductConfig(), nil, wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy()))
+		w.IntegrationShards = shards
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		first := w.SelectedSources()[0]
+		rowsOf := func(entity string) []string {
+			var keys []string
+			for i := 0; i < w.Union().Len(); i++ {
+				if w.EntityOf(i) == entity {
+					keys = append(keys, w.RowKey(i))
+				}
+			}
+			return keys
+		}
+		kc := w.Union().Schema().Index(w.Config.KeyColumn)
+		keyed := map[string]bool{}
+		for i := 0; i < w.Union().Len(); i++ {
+			if !w.Union().Row(i)[kc].IsNull() || w.UnionSourceOf(i) == first {
+				keyed[w.EntityOf(i)] = true // or partly the emptied source's
+			}
+		}
+		var item feedback.Item
+		var target []string
+		for i := 0; i < w.Union().Len() && target == nil; i++ {
+			e, src := w.EntityOf(i), w.UnionSourceOf(i)
+			if keyed[e] {
+				continue
+			}
+			if sup := w.ClaimSupporters(e, "price"); slices.Contains(sup, src) {
+				item = feedback.Item{Kind: feedback.ValueIncorrect, SourceID: src, Entity: e, Attribute: "price",
+					Worker: "expert", Cost: 0.5}
+				target = rowsOf(e)
+			}
+		}
+		if target == nil {
+			t.Fatalf("shards=%d: no keyless entity outside %s has a supported price", shards, first)
+		}
+		w.AddFeedback(item)
+		if _, err := w.ReactToFeedback(); err != nil {
+			t.Fatal(err)
+		}
+		u.empty = true
+		if _, err := w.RefreshSource(first); err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsOf(item.Entity); !slices.Equal(got, target) {
+			t.Fatalf("shards=%d: after the renumbering refresh %s names rows %v, the feedback was given on %v",
+				shards, item.Entity, got, target)
+		}
+		if sup := w.ClaimSupporters(item.Entity, item.Attribute); !slices.Contains(sup, item.SourceID) {
+			t.Fatalf("shards=%d: %s no longer supports %s/%s (supporters %v)", shards, item.SourceID, item.Entity, item.Attribute, sup)
+		}
+	}
 }

@@ -64,9 +64,9 @@ type ReactStats struct {
 	// "trust", "fuse" and "merge" under "integrate". A full tail also
 	// names the steps of its front half, "replan.union",
 	// "replan.fd_repair", "replan.prepare" and "replan.plan", and every
-	// tail those of its trust stage, "trust.claims" (zero on a fuse-only
-	// reaction, which regroups nothing), "trust.prepare" and
-	// "trust.fixpoint" (see RunStats.Stages). The first reaction after a
+	// tail those of its trust stage, "trust.name" and "trust.claims" (both
+	// zero on a fuse-only reaction, which renames and regroups nothing),
+	// "trust.prepare" and "trust.fixpoint" (see RunStats.Stages). The first reaction after a
 	// durable restore also names "restore": the working-state rebuild the
 	// restore deferred to it, counted in Duration and not in "integrate".
 	// Absent stages did not run.
@@ -314,15 +314,28 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 	return stats, errors.Join(errs...)
 }
 
-// FullRerun discards all working data and recomputes the pipeline from
-// scratch — the classical-ETL behaviour E10 compares against.
+// FullRerun discards all working data derived from the sources and
+// recomputes the pipeline from scratch — the classical-ETL behaviour E10
+// compares against. It keeps what the session learned: feedback, the
+// resolver's registries, and each source's induced HTML wrapper, which
+// the rerun repairs against the current page exactly as a refresh does
+// (extract.Repair) instead of inducing it afresh. A wrapper is state, not
+// a derivation: induced on a page whose template has since drifted, a
+// fresh wrapper can read other fields than the repaired one, so a rerun
+// that re-induced would not serve what the session serves.
 func (w *Wrangler) FullRerun() (ReactStats, error) {
 	start := time.Now()
 	// A deferred restore rebuilds first: what the rerun keeps — the
-	// feedback watermark, the resolver's carried registries — is state the
-	// restore installs.
+	// feedback watermark, the resolver's carried registries, the wrappers
+	// — is state the restore installs.
 	if _, err := w.resume(); err != nil {
 		return ReactStats{}, err
+	}
+	learned := map[string]*sourceState{}
+	for id, st := range w.states {
+		if st.wrapper != nil {
+			learned[id] = &sourceState{wrapper: st.wrapper}
+		}
 	}
 	w.states = map[string]*sourceState{}
 	w.memo = nil // discarded working data: nothing left to diff against
@@ -330,7 +343,7 @@ func (w *Wrangler) FullRerun() (ReactStats, error) {
 	// versions the serve store already committed keep steps strictly below
 	// everything the rerun publishes.
 	w.Prov = provenance.NewGraphFrom(w.Prov.Step())
-	if _, err := w.Run(); err != nil {
+	if _, err := w.run(context.Background(), learned); err != nil {
 		return ReactStats{}, err
 	}
 	return ReactStats{

@@ -75,9 +75,9 @@ func (u *hollowUniverse) view(s *sources.Source) *sources.Source {
 // working results must be the closed session's. Each step after the
 // first is the first reaction after a reopen, and must leave the outputs
 // a full rerun computes. The script runs over clean sources and over
-// dirty ones, whose reports move supporters under kept keys; over dirty
-// sources a full rerun maps some refreshed sources otherwise (ROADMAP
-// item 10), so there the reference is a twin session that never closes.
+// dirty ones, whose reports move supporters under kept keys and whose
+// HTML sources' wrappers are repaired rather than re-induced — by the
+// session and by the full rerun, which keeps what the session learned.
 func TestRestoreThroughPatchChains(t *testing.T) {
 	ctx := context.Background()
 	for _, clean := range []bool{true, false} {
@@ -111,7 +111,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		}
 		return w
 	}
-	rerun := newWrangler()        // a full rerun over clean sources, else a twin
+	rerun := newWrangler()        // answers every step with a full rerun
 	served := map[uint64]string{} // what the session served, by version
 	var liveResults string
 	w := open()
@@ -145,12 +145,12 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 			if len(items) == 0 {
 				return fmt.Errorf("no report line to give value feedback on")
 			}
-			return react(ctx, items, clean, w, rerun)
+			return react(ctx, items, w, rerun)
 		}},
 		{"pair label", func() error {
 			it := feedback.Item{Kind: feedback.DuplicatePair, PairKey: feedback.PairKey(w.RowKey(3), w.RowKey(40)),
 				Worker: "expert", Cost: 1}
-			return react(ctx, []feedback.Item{it}, clean, w, rerun)
+			return react(ctx, []feedback.Item{it}, w, rerun)
 		}},
 	}
 	for k := 0; k < 5; k++ {
@@ -159,7 +159,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 			do   func() error
 		}{fmt.Sprintf("refresh %d", k+1), func() error {
 			u.World.Evolve(1)
-			return refresh(ctx, w.SelectedSources(), clean, w, rerun)
+			return refresh(ctx, w.SelectedSources(), w, rerun)
 		}})
 	}
 	steps = append(steps, []struct {
@@ -169,7 +169,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		{"refresh to empty", func() error {
 			u.empty = true
 			defer func() { u.empty = false }()
-			return refresh(ctx, w.SelectedSources(), clean, w, rerun)
+			return refresh(ctx, w.SelectedSources(), w, rerun)
 		}},
 		{"refresh back", func() error {
 			var ids []string
@@ -181,12 +181,12 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 			}
 			u.mu.Unlock()
 			sort.Strings(ids)
-			return refresh(ctx, ids, clean, w, rerun)
+			return refresh(ctx, ids, w, rerun)
 		}},
 		{"value feedback again", func() error {
 			l := w.Serve.Latest().Data().Report.Lines[0]
 			return react(ctx, []feedback.Item{{Kind: feedback.ValueIncorrect, SourceID: l.Supporters[0],
-				Entity: l.Entity, Attribute: l.Attribute, Worker: "expert", Cost: 1}}, clean, w, rerun)
+				Entity: l.Entity, Attribute: l.Attribute, Worker: "expert", Cost: 1}}, w, rerun)
 		}},
 		{"checkpoint", func() error { return w.Checkpoint() }},
 	}...)
@@ -252,8 +252,8 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 }
 
 // react adds items to every session and reacts on each — on the last by
-// a full rerun when full is set.
-func react(ctx context.Context, items []feedback.Item, full bool, sessions ...*Wrangler) error {
+// a full rerun.
+func react(ctx context.Context, items []feedback.Item, sessions ...*Wrangler) error {
 	for _, s := range sessions {
 		for _, it := range items {
 			s.AddFeedback(it)
@@ -261,7 +261,7 @@ func react(ctx context.Context, items []feedback.Item, full bool, sessions ...*W
 	}
 	for i, s := range sessions {
 		var err error
-		if full && i == len(sessions)-1 {
+		if i == len(sessions)-1 {
 			_, err = s.FullRerun()
 		} else {
 			_, err = s.ReactToFeedbackContext(ctx)
@@ -273,12 +273,11 @@ func react(ctx context.Context, items []feedback.Item, full bool, sessions ...*W
 	return nil
 }
 
-// refresh refreshes ids on every session — the last by a full rerun when
-// full is set.
-func refresh(ctx context.Context, ids []string, full bool, sessions ...*Wrangler) error {
+// refresh refreshes ids on every session — the last by a full rerun.
+func refresh(ctx context.Context, ids []string, sessions ...*Wrangler) error {
 	for i, s := range sessions {
 		var err error
-		if full && i == len(sessions)-1 {
+		if i == len(sessions)-1 {
 			_, err = s.FullRerun()
 		} else {
 			_, err = s.RefreshSourcesContext(ctx, ids)

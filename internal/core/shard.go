@@ -51,6 +51,7 @@ type shardRun struct {
 	must, cannot []er.Pair
 	rowKeys      []string            // plan stage: stable key per union row
 	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once, carrying its prepared state
+	laidFrom     layout              // cluster barrier: what groups was laid out from
 	opts         fusion.Options      // cluster barrier: trust already estimated
 	split        trustSplit          // cluster barrier: the trust stage, by step
 	results      []fusion.Result     // fuse fan-out: every group's result at its group index
@@ -184,6 +185,7 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
+	start := time.Now()
 	clusters, err := sr.rp.Clustering()
 	if err != nil {
 		return err
@@ -191,6 +193,7 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	w.clusters = clusters
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
 	w.nameEntities()
+	sr.split.name = time.Since(start)
 	sr.estimateTrust(w)
 	return nil
 }
@@ -202,7 +205,9 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // a function of the union, its entity ids and its row sources, none of
 // which it moves, so it takes the last tail's groups as they are —
 // prepared state included — unless the memo does not describe this union
-// or a restore left no groups. The estimation is the exact global
+// or a restore left no groups. A full tail builds only the claims of
+// entities that moved and hands on the last tail's groups of every other
+// (claimGroups). The estimation is the exact global
 // TruthFinder fixpoint; what it carries over from the last tail is the
 // prepared state of every (entity, attribute) group whose claims held,
 // and it prepares every other group, under every policy, on the worker
@@ -211,10 +216,10 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 func (sr *shardRun) estimateTrust(w *Wrangler) {
 	prev := w.groups
 	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
-		sr.groups = prev
+		sr.groups, sr.laidFrom = prev, w.laidFrom
 	} else {
 		start := time.Now()
-		sr.groups = w.claimGroups()
+		sr.groups, sr.laidFrom = w.claimGroups()
 		sr.split.claims = time.Since(start)
 	}
 	sr.results = make([]fusion.Result, sr.groups.Len())
@@ -249,7 +254,7 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
-	w.results, w.groups = sr.results, sr.groups
+	w.results, w.groups, w.laidFrom = sr.results, sr.groups, sr.laidFrom
 	w.trust = sr.opts.Trust
 
 	// A session that left IntegrationShards at 0 publishes every version

@@ -236,9 +236,26 @@ type Clustering struct {
 	Num    int
 }
 
-// Clusters returns the row indices per cluster id.
+// Clusters returns the row indices per cluster id, in row order. The
+// lists are cut from one slab, each capped at its length, so appending to
+// one never writes into another.
 func (c *Clustering) Clusters() [][]int {
+	ends := make([]int, c.Num) // per cluster: its size, then its end in the slab
+	for _, id := range c.Assign {
+		ends[id]++
+	}
+	for id := 1; id < c.Num; id++ {
+		ends[id] += ends[id-1]
+	}
+	slab := make([]int, len(c.Assign))
 	out := make([][]int, c.Num)
+	for id, end := range ends {
+		start := 0
+		if id > 0 {
+			start = ends[id-1]
+		}
+		out[id] = slab[start:start:end]
+	}
 	for row, id := range c.Assign {
 		out[id] = append(out[id], row)
 	}

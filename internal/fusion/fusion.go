@@ -161,6 +161,12 @@ type ClaimGroups struct {
 // the slab FuseInto writes results into.
 func (g *ClaimGroups) Len() int { return len(g.claims) }
 
+// Group returns group i's claims, in the order they were laid out. The
+// slice is the group's own: treat it as read-only. A caller that lays out
+// the next claim groups may hand it on whole when the group's claims held,
+// and the next estimation then adopts its prepared state at once.
+func (g *ClaimGroups) Group(i int) []Claim { return g.claims[i] }
+
 // GroupClaims groups claims by (entity, attribute), sorting claim
 // positions by group and then position, so each group holds its claims in
 // input order.

@@ -458,10 +458,14 @@ func (c *trustComponent) seeds(opts *Options) (seed []float64, pinned []bool) {
 // source and value, in order. AsOf is deliberately ignored — freshness
 // never enters bucket formation, so a re-snapshot that kept every value
 // does not dirty the group. Values must be Same: 0 and -0 are Equal but
-// print — and so normalise and fuse — differently.
+// print — and so normalise and fuse — differently. One list handed to
+// both layouts (GroupedClaims) holds without a look at its claims.
 func claimsHeld(a, b []Claim) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) > 0 && &a[0] == &b[0] {
+		return true
 	}
 	for i := range a {
 		if a[i].SourceID != b[i].SourceID || !a[i].Value.Same(b[i].Value) {

@@ -82,3 +82,36 @@ func TestKeySourcesNeverAlias(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepDropsWhatARoundLeftUnreferenced pins Str's bound: a sweep
+// keeps everything while at most half the entries went unreferenced by
+// the round it ends, and once more than half did, it keeps exactly the
+// referenced ones — as the same canonical instances.
+func TestSweepDropsWhatARoundLeftUnreferenced(t *testing.T) {
+	tab := New()
+	keep := tab.Str(string([]byte("SKU-0001")))
+	for i := 0; i < 3; i++ {
+		tab.Str(fmt.Sprintf("old-%d", i))
+	}
+	tab.Sweep()
+	if tab.Len() != 4 {
+		t.Fatalf("the first round referenced all 4 entries, the sweep left %d", tab.Len())
+	}
+	tab.Str("SKU-0001")
+	tab.Str("old-0")
+	tab.Sweep() // 2 of 4 unreferenced: not more than half
+	if tab.Len() != 4 {
+		t.Fatalf("half the entries unreferenced, the sweep left %d of 4", tab.Len())
+	}
+	tab.Str(string([]byte("SKU-0001")))
+	tab.Sweep() // 3 of 4 unreferenced
+	if tab.Len() != 1 {
+		t.Fatalf("3 of 4 entries unreferenced, the sweep left %d", tab.Len())
+	}
+	if !sameInstance(keep, tab.Str(string([]byte("SKU-0001")))) {
+		t.Error("the rebuild replaced a referenced entry's canonical instance")
+	}
+	if got := tab.Str("old-1"); got != "old-1" || tab.Len() != 2 {
+		t.Errorf("re-interning a dropped string: %q, %d entries", got, tab.Len())
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -408,6 +410,65 @@ func TestTailLostAfterPlanThenValueFeedback(t *testing.T) {
 		{name: "a srcA price is wrong", feedback: distrust("srcA", "CX-2"), check: after(24, "srcA")},
 		{name: "srcC refreshes cleanly", refresh: []string{"srcC"}, check: after(24, "srcA"),
 			mutate: func() { f.c.Raw = csvRows(4, allRows, 6) }},
+	})
+}
+
+// htmlSource is srcH: the catalogue as an HTML listing page of the given
+// template, priced by price(i). The page carries no master data and the
+// session no taxonomy, so its wrapper labels fields by the shape of their
+// values alone — which is what a wrapper learns on one page and a fresh
+// induction may read otherwise on a later one.
+func htmlSource(tmpl *sources.Template, price func(i int) string) *sources.Source {
+	s := &sources.Source{ID: "srcH", Kind: sources.KindHTML, Template: tmpl,
+		Props: []string{"sku", "name", "brand", "price"}}
+	for i, p := range catalogue {
+		s.Records = append(s.Records, sources.EmittedRecord{TrueID: p.sku,
+			Values: map[string]string{"sku": p.sku, "name": p.name, "brand": p.brand, "price": price(i)}})
+	}
+	return s
+}
+
+// TestHTMLTemplateDrift: srcH's template drifts between refreshes. The
+// first drift renames its record class, which breaks the wrapper, so
+// every session re-induces it on the drifted page — where the prices
+// still sit in 1–5 with one decimal, the shape of a rating. The second
+// only wraps the listing one level deeper, which the wrapper survives,
+// while the prices leave that range: the session keeps the wrapper it
+// learned and repairs it, and a full rerun must do the same rather than
+// induce afresh, which would read the column as prices.
+func TestHTMLTemplateDrift(t *testing.T) {
+	f := newFixture()
+	rng := rand.New(rand.NewSource(3))
+	tmpl := sources.NewTemplate(rng)
+	small := func(i int) string { return fmt.Sprintf("%d.5", 1+i%4) }
+	h := htmlSource(tmpl, small)
+	f.static.Items = append(f.static.Items, h)
+	// ratings checks that the session reads srcH's prices as ratings, as
+	// the wrapper it learned on the small prices does.
+	ratings := func(t *testing.T, w *core.Wrangler) {
+		if !slices.ContainsFunc(w.Union().Schema(), func(c dataset.Field) bool { return c.Name == "rating" }) {
+			t.Fatalf("the union has no rating column: %s", w.Union().Schema())
+		}
+		for i := 0; i < w.Union().Len(); i++ {
+			if got := w.Union().Get(i, "rating"); w.UnionSourceOf(i) == "srcH" && got.IsNull() {
+				t.Fatalf("srcH row %s has no rating: its prices are not read as ratings", w.RowKey(i))
+			}
+		}
+	}
+	record := tmpl.ClassNames["record"]
+	runScenario(t, f, nil, []scenarioStep{
+		{name: "srcH's record class renamed", refresh: []string{"srcH"}, check: ratings,
+			mutate: func() {
+				tmpl.Drift(rng)
+				if tmpl.ClassNames["record"] == record {
+					t.Fatal("the drift kept the record class")
+				}
+			}},
+		{name: "srcH wrapped deeper, prices up", refresh: []string{"srcH"}, check: ratings,
+			mutate: func() {
+				tmpl.WrapDepth++
+				*h = *htmlSource(tmpl, func(i int) string { return fmt.Sprint(10 + 5*i) })
+			}},
 	})
 }
 
