@@ -28,13 +28,12 @@
 // the latest version with one atomic load, so heavy read traffic is
 // served lock-free and untorn while feedback and refresh reactions churn
 // in the background (WithRetainVersions bounds the history, cmd/wrangle
-// -serve exposes it over HTTP). Versions share records one by one: the
-// merge walks the new pages, in entity order, against the previous
-// integration's rows, and every entity whose fused record is Same as
-// before keeps its predecessor's
-// record, so a version retains fresh storage only for the records that
-// moved; a session with a shard count announces each version to watchers
-// as that record delta. Reactions are partial tails: the session
+// -serve exposes it over HTTP). Versions share records one by one: each
+// publication walks its rows, in entity order, against the previous
+// version's once, and every entity whose fused record is Same as before
+// keeps its predecessor's record, so a version retains fresh storage only
+// for the records that moved; a session with a shard count announces each
+// version to watchers as the record delta the same walk lists. Reactions are partial tails: the session
 // memoizes its last integrated tail and the reaction planner
 // (internal/core) diffs the rebuilt union against it, re-resolving only
 // dirty components (cached pair scores cover the rest) and reusing

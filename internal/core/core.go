@@ -180,13 +180,12 @@ type Wrangler struct {
 	// only dirty shards, reusing every untouched shard's clusters by
 	// reference. Trust is re-estimated over all claims (keeping the
 	// prepared state of claim groups that held) and every fuse part
-	// re-fuses its entity range under it; the merge walks the pages
-	// against the previous integration's rows, and published versions
-	// share the table record of every entity whose record is Same as
-	// before. The one thing 0 changes
-	// against 1 is the change feed: a session left at 0 publishes every
-	// version as a full change (serve.ChangeSet.Full), one set to n >= 1
-	// publishes record deltas.
+	// re-fuses its entity range under it; publication diffs the rows
+	// against the previous version's, and published versions share the
+	// table record of every entity whose record is Same as before. The
+	// one thing 0 changes against 1 is the change feed: a session left at
+	// 0 publishes every version as a full change (serve.ChangeSet.Full),
+	// one set to n >= 1 publishes record deltas.
 	IntegrationShards int
 	// Deprecated: every tail streams; nothing reads this field.
 	StreamingRefresh bool
@@ -210,9 +209,7 @@ type Wrangler struct {
 	laidFrom     layout              // what groups was laid out from
 	wrangled     *dataset.Table
 	trust        map[string]float64
-	pages        []*shardPage    // per-part fused output, immutable once built
-	rowEntities  []string        // per wrangled-table row: its entity id (rows are entity-sorted)
-	lastChange   serve.ChangeSet // what the last tail changed vs its predecessor; published with the version
+	rowEntities  []string        // per wrangled-table row: its entity id, sorted; never written (writers build a fresh one), so publications alias it
 	lastPub      *publication    // what the last publish committed: the base the next one diffs against
 	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
 	dirtySources map[string]bool // sources installed since the memoized tail; persisted, gates the restore's memo rebuild
@@ -784,11 +781,7 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.trust = map[string]float64{}
 		w.results = nil
 		w.groups = nil
-		w.pages = nil
 		w.rowEntities = nil
-		// An emptied result cannot bound its delta against the
-		// predecessor; watchers treat it as a full change.
-		w.lastChange = serve.ChangeSet{Full: true}
 		w.memo = nil // nothing integrated: nothing for the next tail to diff against
 		return true, nil
 	}
@@ -1032,7 +1025,7 @@ func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int) []int {
 }
 
 // materialize turns fused results, in group order, into one record per
-// entity: entities ascending, the row order of a shard page and, after the
+// entity: entities ascending, the row order of a fuse part and, after the
 // merge, of the wrangled table. An entity's results are adjacent, so each
 // record fills in one run.
 func materialize(results []fusion.Result, target dataset.Schema) (entities []string, rows []dataset.Record) {

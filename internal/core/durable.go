@@ -32,15 +32,15 @@ import (
 // publication appends the feedback items and source states that changed
 // since the last publish, the provenance derivations since the last
 // recorded step, and one version record. A version is logged one of two
-// ways. A full version writes its tail's pages, one page record per fuse
-// part, and references them (mode 1), or carries its output inline when
-// no tail built pages (mode 0). A patch (mode 2) writes only what the
-// publication's one diff found moved since the version logged before it,
-// its base: the changed and removed records and results, the supporters
-// of the report lines whose supporters moved, and the clustering when it
-// moved. One fixed rule picks between them: a
-// patch while the patches since the last full version, this one included,
-// stay smaller than that full version — so a restore decodes at most about
+// ways. A full version cuts its output into the entity ranges its tail
+// fused, writes one page record per range, and references them (mode 1),
+// or carries its output inline when it is empty (mode 0); only this file
+// knows pages. A patch (mode 2) writes only what the publication's one
+// diff found moved since the version logged before it, its base: the
+// changed and removed records and results, the supporters of the report
+// lines whose supporters moved, and the clustering when it moved. One
+// fixed rule picks between them: a patch while the patches since the last
+// full version, this one included, stay smaller than that full version — so a restore decodes at most about
 // two full versions' worth of bytes. Reading a patch version folds its
 // chain — the patches down to the full version they build on — into one
 // edit per key and applies that to the full version once.
@@ -223,7 +223,7 @@ type loggedVersion struct {
 	stats    RunStats
 	react    ReactStats
 
-	// Output payload: mode 1 references shard pages in shard order; mode 0
+	// Output payload: mode 1 references pages in page order; mode 0
 	// (empty tails, and every version of logs written when unsharded
 	// sessions ran a separate sequential tail) carries table, results and
 	// entities inline; mode 2 is a patch on the version logged before, and
@@ -455,9 +455,20 @@ func codePatch(c *wal.Codec, p *versionPatch) {
 	})
 }
 
-// pageRecord is one fused shard page, written whole when the full version
-// whose tail fused it is appended, and written back by compaction while a
-// retained version's chain starts at that version.
+// shardPage is one page of a full version's output: a set of its entities,
+// sorted, with their records and results. A page cut from a publication
+// (cutPages) is one fuse part's entity range; pages of logs whose tails
+// routed entities to their ER shard hold any set of entities. Pages alias
+// the output they were cut from or decoded into, and are read-only.
+type shardPage struct {
+	entities []string
+	rows     []dataset.Record
+	results  []fusion.Result
+}
+
+// pageRecord is one page, written whole when the full version it was cut
+// from is appended, and written back by compaction while a retained
+// version's chain starts at that version.
 type pageRecord struct {
 	id   uint64
 	page *shardPage
@@ -653,7 +664,7 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 	c.Duration(&rs.Duration)
 	codeStages(c, &rs.Stages)
 
-	// Output payload: mode 1 references shard pages in shard order; mode 0
+	// Output payload: mode 1 references pages in page order; mode 0
 	// (empty tails, and older logs' unsharded sessions) carries table,
 	// results and entities inline; mode 2 patches the version logged
 	// before. The mode, not nil-ness, says which: a mode-1 version with no
@@ -1216,16 +1227,27 @@ func (d *DurableLog) buildState(rv *replayedVersion) (*versionState, error) {
 			return nil, err
 		}
 		st := &versionState{report: lv.rep, clusters: lv.clusters, paged: true}
-		st.table, st.entities = mergePages(pages, d.schema)
+		var recs []entityRecord
 		for _, p := range pages {
 			st.parts = append(st.parts, p.results)
+			for j, e := range p.entities {
+				recs = append(recs, entityRecord{entity: e, row: p.rows[j]})
+			}
 		}
-		// Pages a tail fused by entity range follow each other in key
-		// order; pages of older logs, routed to shards, interleave and sort.
-		if !inOrder(st.parts) {
+		// Pages cut by entity range follow each other in entity order. Pages
+		// of older logs, whose tails routed entities to their ER shard,
+		// interleave: their records and results sort.
+		byEntity := func(a, b entityRecord) int { return strings.Compare(a.entity, b.entity) }
+		if !slices.IsSortedFunc(recs, byEntity) {
+			slices.SortFunc(recs, byEntity)
 			all := slices.Concat(st.parts...)
 			slices.SortFunc(all, fusion.CompareResults)
 			st.parts = [][]fusion.Result{all}
+		}
+		st.table, st.entities = dataset.NewTable(d.schema.Clone()), make([]string, len(recs))
+		for i, r := range recs {
+			st.table.Append(r.row)
+			st.entities[i] = r.entity
 		}
 		st.results = sync.OnceValue(func() []fusion.Result {
 			if len(st.parts) == 1 {
@@ -1246,22 +1268,6 @@ func (d *DurableLog) replayedAt(seq uint64) (int, bool) {
 	return slices.BinarySearchFunc(d.replayed, seq, func(v *replayedVersion, seq uint64) int {
 		return cmp.Compare(v.lv.seq, seq)
 	})
-}
-
-// inOrder reports whether parts, each in key order, follow each other in
-// key order.
-func inOrder(parts [][]fusion.Result) bool {
-	var last *fusion.Result
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if last != nil && compareResults(last, &p[0]) >= 0 {
-			return false
-		}
-		last = &p[len(p)-1]
-	}
-	return true
 }
 
 // prefetchChain decodes, on every CPU, what a patch's chain most likely
@@ -1614,10 +1620,9 @@ func foldEdits[T any](earlier, later []edit[T]) []edit[T] {
 // reaction or accessor that needs it, never at attach. The union and
 // resolver are recomputed deterministically from the restored states and
 // feedback (the same code path a live tail runs), the fused output is
-// adopted from the version's — cut into the entity-range pages a live
-// tail at this shard count fuses, when a tail built it in pages — and —
-// when the version committed a coherent tail memo — the memo's inputs are
-// reconstructed so the first reaction after restart is a partial tail.
+// adopted from the version's, and — when the version committed a coherent
+// tail memo — the memo's inputs are reconstructed so the first reaction
+// after restart is a partial tail.
 func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) error {
 	if st.table != nil {
 		// The restored version is what the next publication diffs against.
@@ -1636,9 +1641,6 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			w.dirtySources[id] = true
 		}
 	}
-	// buildUnion's empty path resets the outputs and stamps a Full change;
-	// restore the committed change set either way.
-	w.lastChange = lv.changes
 	if empty {
 		return nil
 	}
@@ -1647,18 +1649,18 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 		return fmt.Errorf("core: version %d has no output payload", lv.seq)
 	}
 	w.results = st.results()
-	w.rowEntities = append([]string(nil), st.entities...)
+	w.rowEntities = st.entities
 	if st.paged {
-		if w.pages, err = cutPages(st, w.shards()); err != nil {
+		if _, err := entityStarts(st.entities, w.results); err != nil {
 			return fmt.Errorf("core: version %d: %w", lv.seq, err)
 		}
+		// A fresh row slab: the next publication adopts records into it.
 		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
 		for _, r := range st.table.Rows() {
 			w.wrangled.Append(r)
 		}
 	} else {
 		w.wrangled = st.table.Clone()
-		w.pages = nil
 	}
 	// The results' claim groups are regrouped from the restored clustering
 	// on first use (fusedGroups).
@@ -1682,7 +1684,7 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	}
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
-	// the memo was valid at publish, the version carries its pages, and no
+	// the memo was valid at publish, a tail built the version in pages, no
 	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
 	// publishes — the rebuilt union would not be the memo's union), and no
@@ -1695,38 +1697,48 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	pendingPairs := slices.ContainsFunc(w.Feedback.Since(lv.lastSeq), func(it feedback.Item) bool {
 		return it.Kind == feedback.DuplicatePair || it.Kind == feedback.NotDuplicatePair
 	})
-	if lv.memoValid && len(w.pages) > 0 && len(lv.dirty) == 0 && !pendingPairs {
+	if lv.memoValid && st.paged && len(lv.dirty) == 0 && !pendingPairs {
 		w.rebuildMemo()
 	}
 	return nil
 }
 
-// cutPages cuts a version's output into the pages a live tail fuses at
-// the given number of parts: part p holds the entities
-// [p·E/parts, (p+1)·E/parts) in order, with their records and results —
-// fusion.FuseInto's ranges. The pages alias the output.
-func cutPages(st *versionState, parts int) ([]*shardPage, error) {
-	results := st.results()
-	starts := make([]int, 0, len(st.entities)+1) // per entity: its first result
+// entityStarts returns where each entity's results start in results,
+// then len(results). It fails unless results hold results of exactly
+// entities, in their order.
+func entityStarts(entities []string, results []fusion.Result) ([]int, error) {
+	starts := make([]int, 0, len(entities)+1)
 	for i, r := range results {
 		if i == 0 || r.Entity != results[i-1].Entity {
-			if k := len(starts); k == len(st.entities) || st.entities[k] != r.Entity {
+			if k := len(starts); k == len(entities) || entities[k] != r.Entity {
 				return nil, fmt.Errorf("results name entity %q out of the table's order", r.Entity)
 			}
 			starts = append(starts, i)
 		}
 	}
-	if len(starts) != len(st.entities) {
-		return nil, fmt.Errorf("results cover %d of the table's %d entities", len(starts), len(st.entities))
+	if len(starts) != len(entities) {
+		return nil, fmt.Errorf("results cover %d of the table's %d entities", len(starts), len(entities))
 	}
-	starts = append(starts, len(results))
-	rows, e := st.table.Rows(), len(st.entities)
+	return append(starts, len(results)), nil
+}
+
+// cutPages cuts a publication's output into the pages its tail fused at
+// the given number of parts: part p holds the entities
+// [p·E/parts, (p+1)·E/parts) in order, with their records and results —
+// fusion.FuseInto's ranges. The pages alias the output. A tail's results
+// always cover its entities in order, so a failure is a bug.
+func cutPages(entities []string, rows []dataset.Record, results []fusion.Result, parts int) []*shardPage {
+	starts, err := entityStarts(entities, results)
+	if err != nil {
+		panic(fmt.Sprintf("core: cut pages: %v", err))
+	}
+	e := len(entities)
 	pages := make([]*shardPage, parts)
 	for p := range pages {
 		lo, hi := p*e/parts, (p+1)*e/parts
-		pages[p] = &shardPage{entities: st.entities[lo:hi:hi], rows: rows[lo:hi:hi], results: results[starts[lo]:starts[hi]:starts[hi]]}
+		pages[p] = &shardPage{entities: entities[lo:hi:hi], rows: rows[lo:hi:hi], results: results[starts[lo]:starts[hi]:starts[hi]]}
 	}
-	return pages, nil
+	return pages
 }
 
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
@@ -1783,8 +1795,8 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 // itself — as a patch on the version logged before it when publish
 // diffed against that one (dt) and the patches since the last full
 // version, this one included, stay smaller than that version; else in
-// full, with its tail's pages. One Commit flushes the batch; compaction
-// triggers once 2×retain versions accumulate.
+// full, cut into the pages its tail fused. One Commit flushes the batch;
+// compaction triggers once 2×retain versions accumulate.
 func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *delta) {
 	start := time.Now()
 	for _, it := range w.Feedback.Since(d.lastFeedbackSeq) {
@@ -1813,8 +1825,10 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *
 	}
 	d.lastProvStep = w.Prov.Step()
 
+	// An emptied output is logged inline, so a patch never builds on it.
+	paged := len(cur.entities) > 0
 	e := retainedVersion{seq: v.Seq(), known: true}
-	if n := len(d.versions); dt != nil && w.pages != nil && d.fullBytes > 0 && n > 0 && d.versions[n-1].seq == prev.seq {
+	if n := len(d.versions); dt != nil && paged && d.fullBytes > 0 && n > 0 && d.versions[n-1].seq == prev.seq {
 		payload := wal.EncodeSized(presize(d.patchSize), patchRecord(w, v, prev, cur, dt, len(d.schema)), codeVersion)
 		d.patchSize = len(payload)
 		if d.chainBytes+len(payload) < d.fullBytes {
@@ -1827,9 +1841,10 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *
 		d.patchVersions.Inc()
 	} else {
 		pageBytes := 0
-		if w.pages != nil {
-			e.pageIDs = make([]uint64, len(w.pages))
-			for i, p := range w.pages {
+		if paged {
+			pages := cutPages(cur.entities, cur.rows, cur.results, w.shards())
+			e.pageIDs = make([]uint64, len(pages))
+			for i, p := range pages {
 				id := d.nextPageID
 				d.nextPageID++
 				payload := d.encodePage(id, p)
@@ -1985,8 +2000,4 @@ func (w *Wrangler) Checkpoint() error {
 		return err
 	}
 	return w.log.log.Sync()
-}
-
-func compareResults(a, b *fusion.Result) int {
-	return compareKeys(a.Entity, a.Attribute, b.Entity, b.Attribute)
 }

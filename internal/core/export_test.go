@@ -57,14 +57,13 @@ func (w *Wrangler) MemoGroups() *fusion.ClaimGroups {
 // no longer vouches for the union the session holds.
 func (w *Wrangler) DetachMemoUnion() { w.memo.union = w.union.Clone() }
 
-// PageResults returns each shard page's fused results, in shard order.
-func (w *Wrangler) PageResults() [][]fusion.Result {
-	parts := make([][]fusion.Result, len(w.pages))
-	for i, p := range w.pages {
-		parts[i] = p.results
-	}
-	return parts
+// NewShardedWrangler is newShardedWrangler for the external tests.
+func NewShardedWrangler(seed int64, nSources, shards int) *Wrangler {
+	return newShardedWrangler(seed, nSources, shards)
 }
+
+// DropMemo forgets the tail memo, as a tail lost mid-flight does.
+func (w *Wrangler) DropMemo() { w.memo = nil }
 
 // DecodeRecords decodes a replayed log's records in order, each with its
 // kind's code function; pages are read at the width the log's config

@@ -21,8 +21,8 @@ import (
 // grain: the prepared (entity, attribute) group, whose state serves both
 // the trust fixpoint and the fuse and is kept for every group whose
 // claims held; a fuse-only tail regroups nothing and takes the last
-// tail's groups as they are. The merge adopts the previous record of
-// every entity that fused to the Same record. The contract is strict: a partial tail is
+// tail's groups as they are; publication then adopts the previous record
+// of every entity that fused to the Same record. The contract is strict: a partial tail is
 // byte-identical to a full recompute (FullRerun), pinned by the
 // internal/wrangletest harness.
 
@@ -40,7 +40,7 @@ const (
 
 // tailMemo is the memoized state of the last integrated tail —
 // what the planner diffs a reaction against. All fields describe one
-// coherent integration, together with the wrangler's pages; any tail
+// coherent integration, together with the wrangler's fused output; any tail
 // that fails mid-flight drops the memo (the next reaction plans from
 // scratch and re-records it).
 type tailMemo struct {
@@ -142,7 +142,7 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := w.shards()
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
-		sr.pages = make([]*shardPage, n)
+		sr.parts = make([]fusedPart, n)
 		sr.estimateTrust(w)
 		return nil
 	}); err != nil {

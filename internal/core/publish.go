@@ -20,21 +20,25 @@ import (
 // copy-on-write snapshot of its read-side artefacts into a versioned
 // serve.Store. Publication reuses the pipeline's compute/install split —
 // the reaction has already computed the new working data, so publishing
-// is copying its small read-side maps, a fresh table header over the
-// immutable page records, and one atomic swap. Readers (Session.View)
-// hold the committed version without any lock and are never torn by the
-// next reaction. The report is built fresh per publication, but each
-// line's supporter list is the one its claim group prepared: shared with
-// the working data and with every other version whose group held, so it is
-// read-only for everyone.
+// is one diff against the last publication, copying the small read-side
+// maps and a fresh table header, and one atomic swap. The diff is the
+// only place that knows what a version changed: it adopts the
+// predecessor's record for every entity whose record is Same, lists what
+// moved for the change feed (changes) and for the durable log's patch,
+// and patches the report. Readers (Session.View) hold the committed
+// version without any lock and are never torn by the next reaction. Each
+// report line's supporter list is the one its claim group prepared:
+// shared with the working data and with every other version whose group
+// held, so it is read-only for everyone.
 
 // Published is the payload of one committed serve version: every
 // read-side artefact of a wrangle, frozen at publication so no later
 // reaction (or other reader) can mutate what a reader holds. The table
-// is frozen by construction — its rows are immutable page records, each
+// is frozen by construction — its rows are immutable records, each
 // shared by pointer with neighbouring versions whose record for that
 // entity is Same (the delta publication path); the other fields are
-// copies.
+// copies, but for Entities, which aliases the working data's immutable
+// entity list.
 // All fields are frozen once published; treat them as read-only.
 type Published struct {
 	// Table is the wrangled table, one row per entity.
@@ -77,30 +81,35 @@ func NewVersionStore(retain int) *VersionStore {
 }
 
 // publish commits the current working data as a new serve version,
-// stamped with the provenance step that produced it. The compute half
-// already happened (the run or reaction that just finished); this is the
-// install half: freeze the read-side artefacts, then one atomic swap
-// makes them the latest version. Before the first successful run there is
-// nothing to publish. The report is patched from the last publication's
-// by the one diff a publication runs (diffPublication), which the durable
-// log then writes as a patch against the version it logged last.
+// stamped with the provenance step that produced it: the install half of
+// the run or reaction that just finished. It diffs against the last
+// publication — the rows (diffRows, whose list is the change set) whenever
+// there is one, then the report (diffReport), which the durable log writes
+// with the rows as a patch — freezes the read-side artefacts, and makes
+// them the latest version in one atomic swap. Before the first successful
+// run there is nothing to publish.
 func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 	if w.Serve == nil || w.wrangled == nil {
 		return
 	}
-	table := w.publishTable()
 	start := time.Now()
+	prev := w.lastPub
 	cur := &publication{
 		results:  w.results,
-		entities: append([]string(nil), w.rowEntities...),
-		rows:     table.Rows(),
+		entities: w.rowEntities,
+		rows:     w.wrangled.Rows(),
 		clusters: w.clusters,
 	}
-	title := publishTitle(origin)
 	var dt *delta
-	cur.report, dt = diffPublication(w.lastPub, cur, title, w.Supporters)
-	if cur.report == nil {
-		cur.report = report.Build(w, title, nil)
+	if prev != nil {
+		dt = diffRows(prev, cur)
+	}
+	changes := w.changes(prev, cur, dt)
+	table := w.publishTable()
+	cur.rows = table.Rows()
+	title := publishTitle(origin)
+	if cur.report = diffReport(prev, cur, dt, title, w.Supporters); cur.report == nil {
+		cur.report, dt = report.Build(w, title, nil), nil
 	}
 	w.observePublishPhase(phaseReport, time.Since(start))
 	pub := Published{
@@ -113,14 +122,14 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 		Selected: slices.Clone(w.unionIDs), // what the tail integrated; collected once, by buildUnion
 		Entities: cur.entities,
 	}
-	v := w.Serve.Publish(pub, w.Prov.Step(), origin, time.Now(), w.lastChange)
+	v := w.Serve.Publish(pub, w.Prov.Step(), origin, time.Now(), changes)
 	cur.seq = v.Seq()
 	w.observePublish(origin, react, v)
 	if w.log != nil {
 		// Durable sessions append the committed version (and everything it
 		// changed) to the log; publish-then-append means the log tail is
 		// always a coherent committed snapshot.
-		w.log.appendVersion(w, v, w.lastPub, cur, dt)
+		w.log.appendVersion(w, v, prev, cur, dt)
 	}
 	w.lastPub = cur
 }
@@ -150,21 +159,88 @@ type delta struct {
 	supporters           []int
 }
 
-// diffPublication is the one diff a publication runs. It walks cur's
-// results against prev's key by key — both in (entity, attribute) order —
-// and builds cur's report on the way: a result that held (sameResult)
-// whose supporter slice is the very slice the previous line holds keeps
-// that line; every other non-null result gets a fresh one. It then walks
-// the rows entity by entity. The delta lists the results that did not
-// hold, the records that are not Same, the lines whose supporters moved,
-// and what is gone. Without a previous publication, or when its report
-// does not line up with its results, it returns a nil report and delta,
-// and the caller builds the report whole.
-func diffPublication(prev, cur *publication, title string, supporters func(int) []string) (*report.Report, *delta) {
-	if prev == nil || prev.report == nil {
-		return nil, nil
-	}
+// diffRows is the row half of the one diff a publication runs. It walks
+// cur's rows against prev's entity by entity — both entity-sorted — and
+// lists, as positions, cur's rows that are new or not Same and prev's rows
+// whose entity is gone. Every other row of cur takes prev's record: cur's
+// rows are the live table's fresh slab, which no version holds yet, and a
+// record already identical is not written, so a diff against the version
+// this slab was published as writes nothing.
+func diffRows(prev, cur *publication) *delta {
 	dt := &delta{}
+	E, R, ce, cr := prev.entities, prev.rows, cur.entities, cur.rows
+	for i, j := 0, 0; i < len(ce) || j < len(E); {
+		switch {
+		case i == len(ce) || j < len(E) && E[j] < ce[i]:
+			dt.goneRows = append(dt.goneRows, j)
+			j++
+		case j == len(E) || ce[i] < E[j]:
+			dt.rows = append(dt.rows, i)
+			i++
+		default:
+			switch a, b := cr[i], R[j]; {
+			case len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]: // already shared
+			case a.Same(b):
+				cr[i] = b
+			default:
+				dt.rows = append(dt.rows, i)
+			}
+			i++
+			j++
+		}
+	}
+	return dt
+}
+
+// changes is the version's change set, read off the row half of the
+// diff; this is the one statement of its rule. A version is Full, listing
+// nothing, when IntegrationShards is 0 (its watchers expect every row),
+// when there is no last publication, and when either output is empty.
+// Otherwise it lists the entities of dt.rows as changed and of
+// dt.goneRows as removed, each on a page: the pages are the n fuse parts'
+// entity ranges (fusion.FuseInto), so row i of E is on the page p with
+// p·E/n ≤ i < (p+1)·E/n, and a gone entity is on the page of the first
+// entity above it, or on the last page. A page nothing is listed on is
+// shared.
+func (w *Wrangler) changes(prev, cur *publication, dt *delta) serve.ChangeSet {
+	if w.IntegrationShards == 0 || prev == nil || len(prev.entities) == 0 || len(cur.entities) == 0 {
+		return serve.ChangeSet{Full: true}
+	}
+	n, e := w.shards(), len(cur.entities)
+	changed := make([]bool, n)
+	page := func(i int) int { return min(((i+1)*n-1)/e, n-1) } // the largest p with p·E/n ≤ i
+	cs := serve.ChangeSet{}
+	for _, i := range dt.rows {
+		cs.ChangedRecords = append(cs.ChangedRecords, cur.entities[i])
+		changed[page(i)] = true
+	}
+	for _, j := range dt.goneRows {
+		i, _ := slices.BinarySearch(cur.entities, prev.entities[j])
+		cs.RemovedRecords = append(cs.RemovedRecords, prev.entities[j])
+		changed[page(i)] = true
+	}
+	for p, c := range changed {
+		if c {
+			cs.ChangedShards = append(cs.ChangedShards, p)
+		}
+	}
+	cs.ChangedPages, cs.SharedPages = len(cs.ChangedShards), n-len(cs.ChangedShards)
+	return cs
+}
+
+// diffReport is the report half of the one diff a publication runs. It
+// walks cur's results against prev's key by key — both in (entity,
+// attribute) order — and builds cur's report on the way: a result that
+// held (sameResult) whose supporter slice is the very slice the previous
+// line holds keeps that line; every other non-null result gets a fresh
+// one. It adds to dt the results that did not hold, the lines whose
+// supporters moved, and the results that are gone. Without a previous
+// publication, or when its report does not line up with its results, it
+// returns nil, and the caller builds the report whole.
+func diffReport(prev, cur *publication, dt *delta, title string, supporters func(int) []string) *report.Report {
+	if prev == nil || prev.report == nil {
+		return nil
+	}
 	P, C, L := prev.results, cur.results, prev.report.Lines
 	lines := make([]report.Line, 0, len(L))
 	pl := 0 // the previous line of the next non-null previous result
@@ -179,7 +255,7 @@ func diffPublication(prev, cur *publication, title string, supporters func(int) 
 		var old *report.Line
 		if c >= 0 && !P[j].Value.IsNull() {
 			if pl == len(L) || L[pl].Entity != P[j].Entity || L[pl].Attribute != P[j].Attribute {
-				return nil, nil
+				return nil
 			}
 			old = &L[pl]
 			pl++
@@ -211,30 +287,12 @@ func diffPublication(prev, cur *publication, title string, supporters func(int) 
 		}
 	}
 	if pl != len(L) {
-		return nil, nil
+		return nil
 	}
 	if len(lines) == 0 {
 		lines = nil // as report.Build leaves an empty report
 	}
-
-	E, R, ce, cr := prev.entities, prev.rows, cur.entities, cur.rows
-	for i, j := 0, 0; i < len(ce) || j < len(E); {
-		switch {
-		case i == len(ce) || j < len(E) && E[j] < ce[i]:
-			dt.goneRows = append(dt.goneRows, j)
-			j++
-		case j == len(E) || ce[i] < E[j]:
-			dt.rows = append(dt.rows, i)
-			i++
-		default:
-			if !sameRecord(cr[i], R[j]) {
-				dt.rows = append(dt.rows, i)
-			}
-			i++
-			j++
-		}
-	}
-	return &report.Report{Title: title, Lines: lines}, dt
+	return &report.Report{Title: title, Lines: lines}
 }
 
 // resultLine is a result's report line, as report.Build writes it.
@@ -259,8 +317,7 @@ func sameResult(a, b *fusion.Result) bool {
 		a.Conflict == b.Conflict && a.Value.Same(b.Value)
 }
 
-// sameRecord is dataset.Record.Same, answered at once for a record the
-// merge adopted from the predecessor.
+// sameRecord is dataset.Record.Same, answered at once for one record.
 func sameRecord(a, b dataset.Record) bool {
 	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] || a.Same(b)
 }
@@ -294,18 +351,17 @@ func publishTitle(origin serve.Origin) string {
 }
 
 // publishTable hands the next version its table. The wrangled table's
-// rows are immutable page records — never written once the
-// merge has adopted, record by record, every predecessor whose entity
-// fused to the Same record — so it publishes a fresh table header whose
-// rows point at those shared records: a version shares every unchanged
-// record with its predecessor, making retention O(changed record)
-// instead of O(table). The header copy keeps the published object
-// distinct from the live w.wrangled, so even an in-place reorder of the
-// live table could not disturb committed versions.
+// rows are immutable records, and diffRows has just adopted every
+// predecessor whose entity fused to the Same record, so it publishes a
+// fresh table header whose rows point at those shared records: a version
+// shares every unchanged record with its predecessor, making retention
+// O(changed record) instead of O(table). The header copy keeps the
+// published object distinct from the live w.wrangled, whose slab the
+// next diff may write.
 func (w *Wrangler) publishTable() *dataset.Table {
 	out := dataset.NewTable(w.wrangled.Schema().Clone())
 	for _, r := range w.wrangled.Rows() {
-		out.Append(r) // pointer-shared immutable page records
+		out.Append(r) // pointer-shared immutable records
 	}
 	return out
 }

@@ -199,7 +199,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		if err := step.do(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if v := w.Serve.Latest(); v.Seq() > lastSeq && w.pages != nil && chainBefore > 0 && !d.versions[len(d.versions)-1].patch {
+		if v := w.Serve.Latest(); v.Seq() > lastSeq && len(w.rowEntities) > 0 && chainBefore > 0 && !d.versions[len(d.versions)-1].patch {
 			sizeRuleFull = true
 		}
 		compacted = compacted || d.lastCheckpoint > 0

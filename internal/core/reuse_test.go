@@ -18,8 +18,7 @@ import (
 // value feedback. After every step the memo's groups must equal a fresh
 // grouping of the session's claims, prepared state included; a fuse-only
 // reaction must have taken them as they were (the very same groups,
-// nothing prepared, no claim build timed); the results must equal
-// MergeResults over the shard pages; and the outputs must equal a
+// nothing prepared, no claim build timed); and the outputs must equal a
 // FullRerun's. A memo that no longer vouches for the session's union
 // makes the next fuse-only reaction regroup instead.
 func TestFuseOnlyReusesGroups(t *testing.T) {
@@ -89,9 +88,6 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 				fusion.EstimateTrustWarmParallel(fresh, w.FusionOptions(), nil, 1)
 				if !reflect.DeepEqual(after, fresh) {
 					t.Fatalf("%s: the memo's groups differ from a fresh grouping of the session's claims", step.name)
-				}
-				if got, want := w.Results(), fusion.MergeResults(w.PageResults()...); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: results differ from MergeResults over the pages", step.name)
 				}
 
 				if _, err := apply(rerun); err != nil {
@@ -185,5 +181,52 @@ func TestTrustLayoutCarried(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFuseOnlyWithoutPagesRunsFullTail pins the other degradation path: a
+// value-feedback (fuse-only) reaction on a sharded session whose tail memo
+// is gone — as after a tail lost mid-flight — runs the full tail, which
+// records the memo again, publishes a delta against the last version that
+// shares exactly the records that stayed Same, and lands where an intact
+// default session's fuse-only reaction does.
+func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
+	drive := func(shards int) *core.Wrangler {
+		t.Helper()
+		w := core.NewShardedWrangler(11, 8, shards)
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if shards > 0 {
+			w.DropMemo()
+		}
+		before := w.Serve.Latest()
+		res := w.Results()
+		w.AddFeedback(feedback.Item{
+			Kind: feedback.ValueIncorrect, SourceID: w.SelectedSources()[0],
+			Entity: res[0].Entity, Attribute: res[0].Attribute, Worker: "expert", Cost: 1,
+		})
+		if _, err := w.ReactToFeedback(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if err := wrangletest.CheckSharing(before, w.Serve.Latest(), shards); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
+		}
+		return w
+	}
+	base, sharded := drive(0), drive(4)
+	if sharded.MemoGroups() == nil {
+		t.Fatal("the reaction did not record the tail memo again")
+	}
+	if cs := sharded.Serve.Latest().Changes(); cs.Full {
+		t.Errorf("the reaction published a full change, want a delta: %+v", cs)
+	}
+	if base.Wrangled().String() != sharded.Wrangled().String() {
+		t.Error("sharded reaction diverged from the default session's fuse-only reaction")
+	}
+	for src, want := range base.Trust() {
+		if got := sharded.Trust()[src]; got != want {
+			t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
+		}
 	}
 }

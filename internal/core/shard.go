@@ -11,36 +11,26 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/intern"
 	"repro/internal/provenance"
-	"repro/internal/serve"
 )
 
 // This file is the integration tail, the one engine DAG every session
 // runs: it partitions the union by blocking key (er.ShardPlan) into
 // max(1, IntegrationShards) shards, resolves every shard and fuses as
-// many entity ranges as independent engine tasks, and merges their
-// outputs with a stable, provider-order-independent merge. The contract is strict: at every
-// shard and worker count the merged table, report, results, trust and
-// provenance are byte-identical to the same DAG at one shard and one
-// worker (the internal/wrangletest determinism harness), and to the
-// global er.ResolveConstrained + fusion.Fuse reference (the core
-// reference test). Sharding buys two things — the tail fans out instead
-// of being the run's Amdahl ceiling, and publication is incremental: the
-// fuse fan-out splits the entities into contiguous ranges, one immutable
-// page each, and the merge walks the pages in entity order against the
-// previous integration's rows once, adopting the predecessor's record for
-// every entity whose record is Same and listing the rest as the version's
-// change set.
+// many entity ranges as independent engine tasks, and concatenates their
+// outputs, which the ranges already put in entity order. The contract is
+// strict: at every shard and worker count the table, report, results,
+// trust and provenance are byte-identical to the same DAG at one shard
+// and one worker (the internal/wrangletest determinism harness), and to
+// the global er.ResolveConstrained + fusion.Fuse reference (the core
+// reference test). Sharding makes the tail fan out instead of being the
+// run's Amdahl ceiling. What a version changed, and which records it
+// shares with its predecessor, the publication diff finds (publish.go).
 
-// shardPage is one fuse part's slice of the wrangled output: its fused
-// entities (sorted), one record per entity, and the part's fused results,
-// which alias the run's group-indexed result slab. Records and results
-// are immutable once built — published versions alias them, so nothing
-// may ever write through a page. A live tail's pages are contiguous
-// entity ranges; a page restored from a log may hold any set of entities.
-type shardPage struct {
+// fusedPart is one fuse part's output: the fused entities of its range,
+// in order, with one fresh record each.
+type fusedPart struct {
 	entities []string
 	rows     []dataset.Record
-	results  []fusion.Result
 }
 
 // shardRun is the scratch state one sharded integration passes between
@@ -55,7 +45,7 @@ type shardRun struct {
 	opts         fusion.Options      // cluster barrier: trust already estimated
 	split        trustSplit          // cluster barrier: the trust stage, by step
 	results      []fusion.Result     // fuse fan-out: every group's result at its group index
-	pages        []*shardPage        // fuse fan-out
+	parts        []fusedPart         // fuse fan-out
 	empty        bool                // nothing to integrate; all stages no-op
 	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
 }
@@ -65,9 +55,9 @@ type shardRun struct {
 func (sr *shardRun) resolvedShards() (resolved, reused int) {
 	if sr.fuseOnly {
 		// A fuse-only tail reuses every shard's clusters by construction.
-		return 0, len(sr.pages)
+		return 0, len(sr.parts)
 	}
-	for i := range sr.pages {
+	for i := range sr.parts {
 		if sr.rp.Reused[i] {
 			reused++
 		} else {
@@ -82,8 +72,8 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 // resolve[shard] fan-out (skipping shards whose clusters carried over) →
 // cluster barrier (merge clusters, name entities, group claims once and
 // estimate trust globally, keeping the memo's prepared groups whose
-// claims held) → fuse[part] fan-out over entity ranges → merge (adopting
-// the previous record of every entity that fused to the Same record).
+// claims held) → fuse[part] fan-out over entity ranges → merge
+// (concatenating the parts).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
@@ -145,7 +135,7 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	start := time.Now()
 	sr.must, sr.cannot = w.pairConstraints()
 	sr.rowKeys = w.rowKeys()
-	sr.pages = make([]*shardPage, n)
+	sr.parts = make([]fusedPart, n)
 	var dirty []int
 	var prevPlan *er.PlanState
 	if w.memo != nil {
@@ -228,133 +218,44 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 
 // shardFuseStage fuses, under the globally estimated trust, part i of
 // the entities — a contiguous range of them (fusion.FuseInto) — and
-// materialises its page. Groups were laid out once over every claim, each
-// group's claims in row order, so each group holds its claims in the
+// materialises its records. Groups were laid out once over every claim,
+// each group's claims in row order, so each group holds its claims in the
 // order one global fuse sees them — bucket representatives and vote
 // accumulation match bit for bit. The groups arrive prepared, so the fuse
 // reads them and writes only its span of sr.results, the group-indexed
-// slab the parts fill between them with nothing to merge; the page's
-// results are that span.
+// slab the parts fill between them with nothing to merge.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
-	results := sr.groups.FuseInto(sr.results, sr.opts, i, len(sr.pages))
-	entities, rows := materialize(results, w.Config.Target)
-	sr.pages[i] = &shardPage{entities: entities, rows: rows, results: results}
+	entities, rows := materialize(sr.groups.FuseInto(sr.results, sr.opts, i, len(sr.parts)), w.Config.Target)
+	sr.parts[i] = fusedPart{entities: entities, rows: rows}
 	return nil
 }
 
-// shardMergeStage merges the fuse outputs: results in global sorted order
-// (the group-indexed slab the fuse fan-out filled), pages diffed against
-// the previous integration (changeSet, which also adopts every unchanged
-// record — the delta the publisher shares between versions), and the
-// wrangled table assembled from page records without copying.
+// shardMergeStage installs the fuse outputs: the results slab the fuse
+// fan-out filled in global sorted order, and the wrangled table, the
+// parts' records concatenated in part order — the parts are contiguous
+// entity ranges, so that is entity order. The table and its entity ids
+// are fresh, for publish to diff against the last publication.
 func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
 	}
 	w.results, w.groups, w.laidFrom = sr.results, sr.groups, sr.laidFrom
 	w.trust = sr.opts.Trust
-
-	// A session that left IntegrationShards at 0 publishes every version
-	// as a full change: its watchers (cmd/wrangle -serve's default frames)
-	// expect every row. Its records are shared all the same. Without a
-	// previous integration there is no delta to bound.
-	w.lastChange = changeSet(w.rowEntities, w.wrangled, sr.pages)
-	if w.IntegrationShards == 0 || len(w.pages) == 0 {
-		w.lastChange = serve.ChangeSet{Full: true}
+	w.wrangled, w.rowEntities = dataset.NewTable(w.Config.Target.Clone()), nil
+	for _, p := range sr.parts {
+		w.rowEntities = append(w.rowEntities, p.entities...)
+		for _, r := range p.rows {
+			w.wrangled.Append(r)
+		}
 	}
-	w.pages = sr.pages
-	w.wrangled, w.rowEntities = mergePages(sr.pages, w.Config.Target)
 	w.LastStats.RowsWrangled = w.wrangled.Len()
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
 		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
 	w.recordTailMemo(sr)
 	return nil
-}
-
-// mergePages assembles the wrangled table from shard pages — the one
-// merge the live tail and the durable restore share. Every page holds its
-// entities sorted and no entity sits on two pages, so a k-way merge of
-// the page heads yields the global entity order with nothing to sort: a
-// live tail's range pages merge in page order, and pages restored from
-// logs whose tails routed entities to their shard interleave.
-// Each output row scans the k heads, O(n·k): that assumes the small shard
-// counts WithIntegrationShards advises (about the worker bound). It beats
-// an O(n log n) sort of all entities while k stays well under log₂ n and
-// loses beyond: at 3 200 entities on a 2-vCPU x86 box, 4× faster at
-// k = 4, 1.7× at k = 16, 1.6× slower at k = 64. The table rows alias
-// the page records (publication's pointer-sharing); entities holds each
-// row's entity id.
-func mergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
-	n := 0
-	for _, p := range pages {
-		n += len(p.entities)
-	}
-	out := dataset.NewTable(schema.Clone())
-	entities := make([]string, 0, n)
-	next := make([]int, len(pages)) // per page: its first entity not merged yet
-	for len(entities) < n {
-		lo := -1
-		for i, p := range pages {
-			if next[i] < len(p.entities) && (lo < 0 || p.entities[next[i]] < pages[lo].entities[next[lo]]) {
-				lo = i
-			}
-		}
-		j := next[lo]
-		out.Append(pages[lo].rows[j])
-		entities = append(entities, pages[lo].entities[j])
-		next[lo]++
-	}
-	return out, entities
-}
-
-// changeSet walks the freshly fused pages, in entity order, against the
-// previous integration's rows — prevEntities[k] names prev's row k, both
-// entity-sorted — in one merge pass, and summarises what moved: the
-// per-version delta the change feed pushes to watchers of sessions with
-// IntegrationShards set. It points a page at the predecessor's record for
-// every entity whose record is Same — the pages are fresh from their fuse
-// tasks and not yet published, so this is their last write — and lists,
-// ascending, the entities the pages added or rewrote and the ones they
-// dropped. Results stay fresh (confidences and trust may drift even when
-// every winning value held), so only the record storage, which
-// publication would otherwise allocate and retain again, is shared. A
-// page counts as changed when its part of the walk listed anything; the
-// last page's part runs to the end of prev.
-func changeSet(prevEntities []string, prev *dataset.Table, cur []*shardPage) serve.ChangeSet {
-	cs := serve.ChangeSet{}
-	i, np := 0, len(prevEntities)
-	for k, p := range cur {
-		listed := len(cs.ChangedRecords) + len(cs.RemovedRecords)
-		last := k == len(cur)-1
-		for j, nc := 0, len(p.entities); j < nc || last && i < np; {
-			switch {
-			case i < np && j < nc && prevEntities[i] == p.entities[j]:
-				if r := prev.Row(i); r.Same(p.rows[j]) {
-					p.rows[j] = r
-				} else {
-					cs.ChangedRecords = append(cs.ChangedRecords, p.entities[j])
-				}
-				i++
-				j++
-			case j >= nc || i < np && prevEntities[i] < p.entities[j]:
-				cs.RemovedRecords = append(cs.RemovedRecords, prevEntities[i])
-				i++
-			default:
-				cs.ChangedRecords = append(cs.ChangedRecords, p.entities[j])
-				j++
-			}
-		}
-		if len(cs.ChangedRecords)+len(cs.RemovedRecords) > listed {
-			cs.ChangedPages++
-			cs.ChangedShards = append(cs.ChangedShards, k)
-		} else {
-			cs.SharedPages++
-		}
-	}
-	return cs
 }
 
 // rowKey is THE "source#idxInSource" row identifier format — feedback
@@ -392,8 +293,8 @@ func (w *Wrangler) rowKeys() []string {
 
 // SharedRecords reports how many of cur's records are shared with prev
 // by pointer identity — observability for the delta publication path: a
-// version shares every record its shard fused Same as before with its
-// predecessor.
+// version shares with its predecessor every record the publication diff
+// found Same.
 func SharedRecords(prev, cur *dataset.Table) int {
 	if prev == nil || cur == nil {
 		return 0

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -66,7 +64,8 @@ func newDeltaWrangler(shards int) (*Wrangler, *deltaProvider) {
 // component's values publishes fresh records for that entity — listing
 // it, and its page alone, as changed — while still sharing the untouched
 // records. Four entities over four fuse parts put one entity on each
-// page, in entity order.
+// page, in entity order; then refreshes that drop entities pin which page
+// a change counts against once some parts are empty.
 func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	ctx := context.Background()
 	w, p := newDeltaWrangler(4)
@@ -147,12 +146,46 @@ func TestDeltaPublishSharesUntouchedPages(t *testing.T) {
 	if got := tab2.Row(j)[tab2.Schema().Index("price")].FloatVal(); got != 30 {
 		t.Errorf("previous version mutated: BR-1 price = %v, want 30", got)
 	}
+
+	// 3–5. As the table shrinks below one entity per page, parts go empty:
+	// row i of E is on the page p with p·E/4 ≤ i < (p+1)·E/4, and a
+	// dropped entity is on the page of the first entity above it, or on
+	// the last page when none is.
+	const head = "sku,name,brand,price\n"
+	for _, step := range []struct {
+		name, src, payload string
+		pages              []int
+		changed, removed   []string
+	}{
+		// AX-2 led page 1. AX-1, BR-1, BR-2 are left on pages 1–3, and
+		// BR-1, the first entity above AX-2, is on page 2.
+		{"a refresh that drops the first entity of a range", "srcA", head + "AX-1,palma lampal,acme,10\n",
+			[]int{2}, nil, []string{"AX-2"}},
+		// AX-1 and BR-1 are left on pages 1 and 3; no entity is above BR-2.
+		{"a refresh that drops the table's last entity", "srcB", head + "BR-1,brond dronib,umbra,33\n",
+			[]int{3}, nil, []string{"BR-2"}},
+		// Two entities over four parts: pages 0 and 2 are empty.
+		{"a refresh with fewer entities than parts", "srcA", head + "AX-1,palma lampal,acme,12\n",
+			[]int{1}, []string{"AX-1"}, nil},
+	} {
+		p.srcs[step.src] = csvSource(step.src, step.payload)
+		if _, err := w.RefreshSourcesContext(ctx, []string{step.src}); err != nil {
+			t.Fatal(err)
+		}
+		cs := w.Serve.Latest().Changes()
+		if cs.Full || !slices.Equal(cs.ChangedShards, step.pages) || cs.ChangedPages+cs.SharedPages != 4 ||
+			!slices.Equal(cs.ChangedRecords, step.changed) || !slices.Equal(cs.RemovedRecords, step.removed) {
+			t.Errorf("%s published %+v, want pages %v changed, records %v changed and %v removed",
+				step.name, cs, step.pages, step.changed, step.removed)
+		}
+	}
 }
 
-// TestSignFlipRepublishes pins Same as the merge's rule for "unchanged":
-// a fused value that flips between 0 and -0 is Equal to its predecessor
-// but prints differently, so the reacted session must serve the new sign,
-// as a fresh run over the new data does, and list the entity as changed.
+// TestSignFlipRepublishes pins Same as the publication diff's rule for
+// "unchanged": a fused value that flips between 0 and -0 is Equal to its
+// predecessor but prints differently, so the reacted session must serve
+// the new sign, as a fresh run over the new data does, and list the
+// entity as changed.
 func TestSignFlipRepublishes(t *testing.T) {
 	payload := func(price string) string {
 		return "sku,name,brand,price\nBR-1,brond dronib,umbra,30\nBR-2,brond bindor,umbra," + price + "\n"
@@ -379,78 +412,5 @@ func TestRowKeysMatchRowKeyFormat(t *testing.T) {
 		if got, want := w.RowKey(i), rowKey(w.UnionSourceOf(i), w.UnionRowInSource(i)); got != want {
 			t.Errorf("row %d: interned key %q, rowKey says %q", i, got, want)
 		}
-	}
-}
-
-// sortMergePages is mergePages' oracle: concatenate every page's rows and
-// sort them by entity.
-func sortMergePages(pages []*shardPage, schema dataset.Schema) (*dataset.Table, []string) {
-	type entityRow struct {
-		entity string
-		row    dataset.Record
-	}
-	var all []entityRow
-	for _, p := range pages {
-		for j, e := range p.entities {
-			all = append(all, entityRow{entity: e, row: p.rows[j]})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].entity < all[b].entity })
-	out := dataset.NewTable(schema.Clone())
-	entities := make([]string, len(all))
-	for i, e := range all {
-		out.Append(e.row)
-		entities[i] = e.entity
-	}
-	return out, entities
-}
-
-// TestMergePagesMatchesSort pins the k-way page merge to a sort of the
-// concatenated pages: random disjoint entity-sorted pages, some of them
-// empty, and then the same entities with one moved to another shard.
-func TestMergePagesMatchesSort(t *testing.T) {
-	schema := dataset.MustSchema(dataset.Field{Name: "sku", Kind: dataset.KindString})
-	rng := rand.New(rand.NewSource(1))
-	route := func(n, shards int, owner func(e int) int) []*shardPage {
-		pages := make([]*shardPage, shards)
-		for i := range pages {
-			pages[i] = &shardPage{}
-		}
-		for e := 0; e < n; e++ {
-			p := pages[owner(e)]
-			id := fmt.Sprintf("entity-%04d", e)
-			p.entities = append(p.entities, id)
-			p.rows = append(p.rows, dataset.Record{dataset.String(id)})
-		}
-		return pages
-	}
-	check := func(label string, pages []*shardPage) {
-		t.Helper()
-		got, gotIDs := mergePages(pages, schema)
-		want, wantIDs := sortMergePages(pages, schema)
-		if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(got.Rows(), want.Rows()) {
-			t.Fatalf("%s: merged %v, the sort %v", label, gotIDs, wantIDs)
-		}
-	}
-	check("no pages", nil)
-	check("empty pages", route(0, 3, nil))
-	for trial := 0; trial < 20; trial++ {
-		n, shards := rng.Intn(60), 1+rng.Intn(6)
-		owners := make([]int, n)
-		for e := range owners {
-			// Shard 0 stays empty whenever there are others.
-			owners[e] = rng.Intn(shards)
-			if shards > 1 && owners[e] == 0 {
-				owners[e] = 1
-			}
-		}
-		pages := route(n, shards, func(e int) int { return owners[e] })
-		check(fmt.Sprintf("trial %d", trial), pages)
-		if n == 0 {
-			continue
-		}
-		moved := rng.Intn(n)
-		owners[moved] = (owners[moved] + 1) % shards
-		check(fmt.Sprintf("trial %d, entity %d moved", trial, moved), route(n, shards, func(e int) int { return owners[e] }))
 	}
 }

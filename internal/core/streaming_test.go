@@ -125,45 +125,6 @@ func TestStreamingFallsBackWithoutMemo(t *testing.T) {
 	}
 }
 
-// TestFuseOnlyWithoutPagesRunsFullTail pins the other degradation path: a
-// value-feedback (fuse-only) reaction on a sharded session whose last
-// tail never merged — as after a first run cancelled mid-tail — has no
-// pages to re-fuse, so it runs the full tail, which builds them, and
-// lands where an intact default session's fuse-only reaction does.
-func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
-	drive := func(shards int) *Wrangler {
-		t.Helper()
-		w := newShardedWrangler(11, 8, shards)
-		if _, err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if shards > 0 {
-			w.pages, w.memo = nil, nil
-		}
-		res := w.Results()
-		w.AddFeedback(feedback.Item{
-			Kind: feedback.ValueIncorrect, SourceID: w.SelectedSources()[0],
-			Entity: res[0].Entity, Attribute: res[0].Attribute, Worker: "expert", Cost: 1,
-		})
-		if _, err := w.ReactToFeedback(); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return w
-	}
-	base, sharded := drive(0), drive(4)
-	if len(sharded.pages) != 4 || sharded.memo == nil {
-		t.Fatalf("the reaction did not rebuild the sharded integration: %d pages, memo %v", len(sharded.pages), sharded.memo != nil)
-	}
-	if base.Wrangled().String() != sharded.Wrangled().String() {
-		t.Error("sharded reaction diverged from the default session's fuse-only reaction")
-	}
-	for src, want := range base.Trust() {
-		if got := sharded.Trust()[src]; got != want {
-			t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
-		}
-	}
-}
-
 // serialOnly hides a provider's ConcurrentProvider implementation, so
 // the orchestrator takes the serial acquisition path.
 type serialOnly struct{ sources.Provider }

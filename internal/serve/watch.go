@@ -49,11 +49,19 @@ var ErrCompacted = errors.New("serve: version compacted out of the retention win
 const DefaultWatchBuffer = 16
 
 // ChangeSet is the publisher's summary of what a version changed relative
-// to its predecessor — the delta-publication knowledge (which shard pages
-// were rebuilt, which were shared by pointer) threaded through Publish so
-// subscribers receive O(delta) payloads. The zero ChangeSet means "the
-// publisher made no claim"; a publisher with no delta knowledge should set
-// Full instead.
+// to its predecessor — the delta-publication knowledge (which records
+// moved, which pages kept every record shared by pointer) threaded through
+// Publish so subscribers receive O(delta) payloads. The zero ChangeSet
+// means "the publisher made no claim"; a publisher with no delta knowledge
+// should set Full instead.
+//
+// A page is one of the publishing session's entity ranges: a session
+// with n integration shards splits its E entities, in order, into n
+// ranges, and row i is on page p when p·E/n ≤ i < (p+1)·E/n. A removed
+// record counts on the page of the first entity above it, or on the last
+// page. Pages are a view the publisher derives from its record lists;
+// they are kept as frame fields and metrics, not as storage the versions
+// hold.
 type ChangeSet struct {
 	// Full marks a version whose entire payload must be treated as
 	// changed: the first publication, a sequential (non-delta) pipeline,
@@ -61,13 +69,14 @@ type ChangeSet struct {
 	// per-shard and per-record fields are meaningless and left empty.
 	Full bool
 	// ChangedShards lists, ascending, the pages that changed a record for
-	// this version: a page is one fuse part's output, a contiguous range
-	// of entities, numbered from 0 in entity order. Pages not listed kept
-	// every record shared by pointer with the predecessor version.
+	// this version: a page is one of the publishing session's entity
+	// ranges, numbered from 0 in entity order. Pages not listed kept every
+	// record shared by pointer with the predecessor version.
 	ChangedShards []int
 	// ChangedPages and SharedPages count the pages that did versus did
 	// not add, rewrite or drop a record — the delta-publication
-	// observability numbers, denominated in pages.
+	// observability numbers, denominated in pages; they sum to the
+	// session's shard count.
 	ChangedPages int
 	SharedPages  int
 	// ChangedRecords lists the ids of records that are new or carry

@@ -59,7 +59,7 @@ const (
 	KindSource     Kind = 0x53 // 'S' — one source's committed state
 	KindFeedback   Kind = 0x46 // 'F' — one feedback item
 	KindProv       Kind = 0x44 // 'D' — a batch of provenance derivations
-	KindPage       Kind = 0x50 // 'P' — one fused shard page (written once, referenced by id)
+	KindPage       Kind = 0x50 // 'P' — one page of a full version's output (written once, referenced by id)
 	KindVersion    Kind = 0x56 // 'V' — one published version (references pages)
 	KindCheckpoint Kind = 0x4b // 'K' — durability marker: state consistent through seq
 )

@@ -34,8 +34,8 @@ func TestShardedPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamingSharesEveryUnchangedRecord pins the merge's record
-// adoption at every step of randomized scripts (CheckDeterminism's
+// TestStreamingSharesEveryUnchangedRecord pins the publication diff's
+// record adoption at every step of randomized scripts (CheckDeterminism's
 // CheckSharing): at every shard count, exactly the entities whose record
 // is Same as before share it with the predecessor version, and a delta
 // lists exactly the others as changed.

@@ -43,8 +43,8 @@
 //
 // Consumers that follow the output subscribe instead of polling:
 // Session.Watch pushes every committed version as a Change — a View
-// pinned to the version plus a ChangeSet saying exactly which pages
-// and records moved, so per-version cost is O(delta) on sessions with a
+// pinned to the version plus a ChangeSet saying exactly which records,
+// and which entity ranges (pages), moved, so per-version cost is O(delta) on sessions with a
 // shard count (WithIntegrationShards; without one every ChangeSet is
 // Full). Streams are gapless and monotonic, catch up from any
 // retained version (ErrCompacted below the window), and never block

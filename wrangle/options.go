@@ -220,7 +220,7 @@ func WithParallelism(n int) Option {
 // the tail runs at one shard and every version is published to watchers
 // as a full change; with it, versions carry record deltas
 // (ChangeSet). Useful shard counts track the worker bound
-// (WithParallelism) — more shards than workers only adds merge
+// (WithParallelism) — more shards than workers only adds per-shard
 // bookkeeping.
 func WithIntegrationShards(n int) Option {
 	return func(s *settings) error {

@@ -16,9 +16,10 @@ var ErrCompacted = serve.ErrCompacted
 
 // ChangeSet is the publisher's summary of what one committed version
 // changed relative to its predecessor. Sessions with a shard count
-// (WithIntegrationShards) bound the delta — which shards were rebuilt,
-// which records changed or vanished — while a session without one
-// publishes Full change sets. Slices are sorted and read-only.
+// (WithIntegrationShards) bound the delta — which records changed or
+// vanished, and which of the session's entity ranges (pages) they fall
+// in — while a session without one publishes Full change sets. Slices
+// are sorted and read-only.
 type ChangeSet = serve.ChangeSet
 
 // CancelFunc detaches a change-feed subscription. Idempotent and safe to
@@ -33,8 +34,8 @@ type CancelFunc = serve.CancelFunc
 type Change struct {
 	// View is pinned to the version this event announces — the same
 	// immutable, copy-on-write snapshot Session.View hands out, so
-	// holding many changes retains the shard pages each version rebuilt,
-	// not a table copy per event.
+	// holding many changes retains the records each version rebuilt, not
+	// a table copy per event.
 	View *View
 	// Changes summarises what this version changed against its
 	// predecessor (Full when the session could not bound it).
