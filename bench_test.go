@@ -338,7 +338,9 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // scores, warm trust, per-dirty-shard fuse, page reuse) at 1/4/8 shards.
 // Output is byte-identical at every shard count — the determinism
 // harness and fuzz targets pin that — so the table may only show cost
-// moving with the dirty shard.
+// moving with the dirty shard. Each refresh's single-threaded trust
+// barrier is reported step by step (trustBarrier, mean ms per op), so
+// its budget shows without a profiler.
 func BenchmarkStreamingRefresh(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -348,6 +350,8 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 			}
 			ids := w.SelectedSources()
 			reused := 0
+			steps := make([]time.Duration, len(trustBarrier))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.EvolveWorld(0.1)
@@ -356,11 +360,22 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 					b.Fatal(err)
 				}
 				reused += stats.ShardsReused
+				for k, step := range trustBarrier {
+					steps[k] += stats.Stages[step]
+				}
 			}
 			b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
+			for k, step := range trustBarrier {
+				b.ReportMetric(steps[k].Seconds()*1e3/float64(b.N), step+"_ms/op")
+			}
 		})
 	}
 }
+
+// trustBarrier names the steps of a reaction's trust stage, the
+// single-threaded barrier between the resolve and fuse fan-outs, in the
+// order they run.
+var trustBarrier = []string{"trust.name", "trust.claims", "trust.prepare", "trust.layout", "trust.fixpoint"}
 
 // BenchmarkFullTail is the cost of one full-scope integration tail —
 // union build, FD repair, prepare, re-plan, trust fixpoint, fusion,

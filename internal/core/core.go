@@ -135,9 +135,10 @@ type RunStats struct {
 	// "integrate" a second time. Every tail likewise names the steps inside
 	// "trust" (trustSplit): "trust.name" (numbering the clustering, its
 	// provenance record and naming the entities), "trust.claims" (laying
-	// the claims out in groups), "trust.prepare" and "trust.fixpoint",
-	// which sum to at most "trust" (its task also pays the engine's
-	// bookkeeping). A run
+	// the claims out in groups), "trust.prepare" (adopting and preparing
+	// the groups), "trust.layout" (laying the fixpoint's components out)
+	// and "trust.fixpoint" (iterating them), which sum to at most "trust"
+	// (its task also pays the engine's bookkeeping). A run
 	// that first rebuilt the working state of a durable restore names that
 	// rebuild "restore". Published snapshot
 	// versions carry these, so a bench regression attributes to a stage.
@@ -202,8 +203,9 @@ type Wrangler struct {
 	split        replanSplit         // the last full tail's front half, by step
 	interner     *intern.Table       // run-lifetime interner behind unionKeys and entity ids
 	clusters     *er.Clustering
-	entityIDs    []string    // per union row: fused entity id
+	entityIDs    []string    // per union row: fused entity id; the wrangler's own, never shared
 	entities     entityIndex // the clustering read entity by entity
+	namesKept    int         // entities the last naming carried over (carryNames); 0 when it named all afresh
 	results      []fusion.Result
 	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
 	laidFrom     layout              // what groups was laid out from
@@ -714,7 +716,8 @@ func (s replanSplit) record(stages map[string]time.Duration) {
 // the clustering and naming its entities (zero on a fuse-only tail, which
 // keeps both), building and grouping the claims (zero when a fuse-only
 // tail took the memo's groups), then fusion's own split — adopting and
-// preparing groups, and the fixpoint.
+// preparing groups, laying the fixpoint out (zero when a fuse-only tail
+// took the memo's layout), and iterating it.
 type trustSplit struct {
 	name, claims time.Duration
 	fusion.TrustSplit
@@ -729,6 +732,7 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 	stages["trust.name"] = s.name
 	stages["trust.claims"] = s.claims
 	stages["trust.prepare"] = s.Prepare
+	stages["trust.layout"] = s.Layout
 	stages["trust.fixpoint"] = s.Fixpoint
 }
 
@@ -1061,10 +1065,13 @@ func (w *Wrangler) fusionOptions() fusion.Options {
 }
 
 // entityIndex is the clustering read entity by entity: every distinct
-// entity id, sorted, with the entity's union rows in row order.
+// entity id, sorted, with the entity's union rows in row order, and how
+// each id was made. A tail that can vouch for the names carries them over
+// to the next (carryNames); base is nil when it cannot.
 type entityIndex struct {
 	ids  []string
 	rows [][]int
+	base []int32 // per entity: the length of its keyless name's base, -1 when a key names it
 }
 
 // layout is what a tail laid its claim groups out from: the union and its
@@ -1089,13 +1096,14 @@ func (w *Wrangler) nameEntities() { w.nameClusters(false) }
 
 // nameClusters is nameEntities; legacy names keyless clusters
 // "entity-<cluster>" and lets those names merge like keys, as logs
-// written before content names did (see restoreWorkingState).
+// written before content names did (see restoreWorkingState), and leaves
+// names the next tail cannot carry over.
 func (w *Wrangler) nameClusters(legacy bool) {
 	schema := w.union.Schema()
 	kc := schema.Index(w.Config.KeyColumn)
-	names := make([]string, w.union.Len())
 	byCluster := w.clusters.Clusters()
 	clusterName := make([]string, len(byCluster))
+	stem := make([]int32, len(byCluster))
 	taken := make(map[string]bool, len(byCluster))
 	// One pass in row order finds each cluster's key value, when all its
 	// key values agree; only a cluster whose values disagree counts them.
@@ -1110,32 +1118,17 @@ func (w *Wrangler) nameClusters(legacy bool) {
 			mixed[cid] = true
 		}
 	}
-	var keys []string // one mixed cluster's key values, sorted: the runs are the counts
+	var keys []string
 	for cid, rows := range byCluster {
 		best := first[cid]
 		if mixed[cid] {
-			keys = keys[:0]
-			for _, row := range rows {
-				if !w.union.Row(row)[kc].IsNull() {
-					keys = append(keys, w.union.Row(row)[kc].String())
-				}
-			}
-			slices.Sort(keys)
-			// The longest run wins; of equally long runs, the first (smallest).
-			bestN := 0
-			for i, j := 0, 0; i < len(keys); i = j {
-				for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
-				}
-				if j-i > bestN {
-					best, bestN = keys[i], j-i
-				}
-			}
+			best, keys = w.clusterKey(rows, kc, keys)
 		}
 		if best == "" && legacy {
 			best = fmt.Sprintf("entity-%04d", cid)
 		}
 		if best != "" {
-			clusterName[cid] = w.intern(best)
+			clusterName[cid], stem[cid] = w.intern(best), -1
 			taken[best] = true
 		}
 	}
@@ -1150,17 +1143,15 @@ func (w *Wrangler) nameClusters(legacy bool) {
 			name = base + "~" + strconv.Itoa(k)
 		}
 		taken[name] = true
-		clusterName[cid] = w.intern(name)
+		clusterName[cid], stem[cid] = w.intern(name), int32(len(base))
 	}
+	names := make([]string, w.union.Len())
 	for cid, rows := range byCluster {
 		for _, row := range rows {
 			names[row] = clusterName[cid]
 		}
 	}
 	w.entityIDs = names
-	if w.interner != nil {
-		w.interner.Sweep()
-	}
 
 	// Clusters sorted by id, so clusters sharing an id sit side by side.
 	order := make([]int, 0, len(byCluster))
@@ -1169,20 +1160,378 @@ func (w *Wrangler) nameClusters(legacy bool) {
 			order = append(order, cid)
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int { return strings.Compare(clusterName[a], clusterName[b]) })
-	ix := entityIndex{ids: make([]string, 0, len(order)), rows: make([][]int, 0, len(order))}
+	w.entities, w.namesKept = indexClusters(order, clusterName, stem, byCluster), 0
+	if legacy {
+		w.entities.base = nil
+	}
+	w.retainNames()
+}
+
+// indexClusters reads clusters entity by entity: the clusters in order,
+// sorted by name, clusters sharing a name merged into one entity whose
+// rows are theirs in row order. It may extend rows' lists.
+func indexClusters(order []int, name []string, stem []int32, rows [][]int) entityIndex {
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(name[a], name[b]) })
+	ix := entityIndex{ids: make([]string, 0, len(order)), rows: make([][]int, 0, len(order)), base: make([]int32, 0, len(order))}
 	for k := 0; k < len(order); {
-		name, rows, merged := clusterName[order[k]], byCluster[order[k]], false
-		for k++; k < len(order) && clusterName[order[k]] == name; k++ {
-			rows, merged = append(rows, byCluster[order[k]]...), true // byCluster is ours to extend
+		cid := order[k]
+		id, rs, merged := name[cid], rows[cid], false
+		for k++; k < len(order) && name[order[k]] == id; k++ {
+			rs, merged = append(rs, rows[order[k]]...), true
 		}
 		if merged {
-			slices.Sort(rows)
+			slices.Sort(rs)
 		}
-		ix.ids = append(ix.ids, name)
-		ix.rows = append(ix.rows, rows)
+		ix.ids, ix.rows, ix.base = append(ix.ids, id), append(ix.rows, rs), append(ix.base, stem[cid])
 	}
-	w.entities = ix
+	return ix
+}
+
+// clusterKey returns the key value that names a cluster with these rows:
+// its most frequent non-null key value, the smallest of equally frequent
+// ones, "" for none. Only a cluster whose key values disagree counts them,
+// in keys, which it returns for reuse.
+func (w *Wrangler) clusterKey(rows []int, kc int, keys []string) (string, []string) {
+	if kc < 0 {
+		return "", keys
+	}
+	first, keyed, mixed := "", false, false
+	for _, row := range rows {
+		if v := w.union.Row(row)[kc]; !v.IsNull() {
+			if k := v.String(); !keyed {
+				first, keyed = k, true
+			} else if k != first {
+				mixed = true
+			}
+		}
+	}
+	if !mixed {
+		return first, keys
+	}
+	keys = keys[:0]
+	for _, row := range rows {
+		if v := w.union.Row(row)[kc]; !v.IsNull() {
+			keys = append(keys, v.String())
+		}
+	}
+	slices.Sort(keys)
+	// The longest run wins; of equally long runs, the first (smallest).
+	best, bestN := first, 0
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && keys[j] == keys[i]; j++ {
+		}
+		if j-i > bestN {
+			best, bestN = keys[i], j-i
+		}
+	}
+	return best, keys
+}
+
+// carryNames is nameEntities at the cost of what the reaction moved. A
+// cluster of the new clustering whose rows are, row for row, those of one
+// cluster of the last one (prev, the clustering w.entities names) — each
+// aligned with the last union's row of the same source and position, its
+// name cells (key, name and secondary column) Same — has the inputs to
+// its name it had. An entity all of whose clusters are such clusters
+// keeps its id and rows without a look at its keys. Only the other,
+// moved clusters are named, by nameClusters' rule, against the kept
+// names, and the index is one merge of the kept entities with the moved
+// ones. The rule needs every kept name to be the one nameClusters would
+// give it, which holds while no moved or dropped name meets a kept one. A
+// moved cluster whose key a kept entity holds joins that entity, which
+// then moves with it. A keyless name's suffix depends on the names before
+// it in its chain (base, base~2, …), so a moved cluster whose key or
+// chain reaches a kept keyless name, or a dropped entity whose name lies
+// in a kept keyless name's chain, could shift it: then, and whenever the
+// last tail's names cannot be carried (a restore, legacy names, no
+// memo), it reports false having changed nothing, and the caller names
+// the clustering afresh.
+func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
+	prev, memo := w.entities, w.memo
+	if prev.base == nil || memo == nil || prevClusters == nil ||
+		len(w.entityIDs) != memo.union.Len() || len(prevClusters.Assign) != memo.union.Len() {
+		return false
+	}
+	entOf := make([]int32, memo.union.Len()) // per last-union row: its entity
+	for e, rows := range prev.rows {
+		for _, r := range rows {
+			entOf[r] = int32(e)
+		}
+	}
+	prevSize := make([]int32, prevClusters.Num)
+	for _, pc := range prevClusters.Assign {
+		prevSize[pc]++
+	}
+	schema := w.union.Schema()
+	kc, nc, sc := schema.Index(w.Config.KeyColumn), schema.Index(w.Config.NameColumn), schema.Index(w.Config.SecondaryColumn)
+	old := w.alignUnion(memo)
+	old2new := make([]int32, memo.union.Len())
+	for j := range old2new {
+		old2new[j] = -1
+	}
+	for i, j := range old {
+		if j < 0 {
+			continue
+		}
+		if cur, was := w.union.Row(i), memo.union.Row(int(j)); &cur[0] == &was[0] || sameCells(cur, was, kc, nc, sc) {
+			old2new[j] = int32(i)
+		}
+	}
+	// inside[cid] is pc+1 when every row of cluster cid is such a row of
+	// the last clustering's cluster pc, -1 when it is not.
+	assign, num := w.clusters.Assign, w.clusters.Num
+	inside, size, ent := make([]int32, num), make([]int32, num), make([]int32, num)
+	for row, cid := range assign {
+		size[cid]++
+		if inside[cid] < 0 {
+			continue
+		}
+		pc := int32(-1)
+		if j := old[row]; j >= 0 && old2new[j] == int32(row) {
+			pc, ent[cid] = int32(prevClusters.Assign[j])+1, entOf[j]
+		}
+		if inside[cid] == 0 {
+			inside[cid] = pc
+		} else if inside[cid] != pc {
+			inside[cid] = -1
+		}
+	}
+	covered := make([]int, len(prev.ids)) // per entity: the rows of its clusters that held
+	for cid, pc := range inside {
+		if pc > 0 && size[cid] == prevSize[pc-1] {
+			covered[ent[cid]] += int(size[cid])
+		} else {
+			inside[cid] = -1
+		}
+	}
+	keep := make([]bool, len(prev.ids))
+	kept, keptIDs := 0, 0
+	for e, rows := range prev.rows {
+		if covered[e] == len(rows) {
+			keep[e] = true
+			kept += len(rows)
+			keptIDs++
+		}
+	}
+	// keptAt finds a kept entity by id; unkeep moves a kept entity, and
+	// unkeepChain every kept keyless entity whose name has base b.
+	keptAt := func(id string) (int, bool) {
+		e, ok := slices.BinarySearch(prev.ids, id)
+		return e, ok && keep[e]
+	}
+	unkeep := func(e int) {
+		keep[e], kept, keptIDs = false, kept-len(prev.rows[e]), keptIDs-1
+	}
+	unkeepChain := func(b string) (moved bool) {
+		for _, e := range keptChain(b, prev, keep) {
+			unkeep(e)
+			moved = true
+		}
+		return moved
+	}
+	// Name the moved clusters as nameClusters does — keys first, then the
+	// keyless clusters in smallest-row order — against the kept names. A
+	// moved cluster whose key a kept entity holds joins that entity; one
+	// whose key or chain reaches a kept keyless name, and a dropped name in
+	// a kept keyless name's chain, may shift the names of that chain. Each
+	// moves what it meets, and the moved clusters are named once more.
+	n := w.union.Len()
+	var (
+		slot  []int32 // per cluster: its moved number, -1 when kept
+		rows  [][]int
+		name  []string
+		stem  []int32
+		taken map[string]bool
+		keys  []string
+	)
+	for pass := 0; ; pass++ {
+		if pass == 4 {
+			return false
+		}
+		slot = make([]int32, num)
+		movedN := int32(0)
+		for cid, pc := range inside {
+			if pc > 0 && keep[ent[cid]] {
+				slot[cid] = -1
+			} else {
+				slot[cid] = movedN
+				movedN++
+			}
+		}
+		slab := make([]int, n-kept)
+		rows = make([][]int, movedN)
+		at := 0
+		for cid, s := range slot {
+			if s >= 0 {
+				rows[s] = slab[at : at : at+int(size[cid])]
+				at += int(size[cid])
+			}
+		}
+		for row, cid := range assign {
+			if s := slot[cid]; s >= 0 {
+				rows[s] = append(rows[s], row)
+			}
+		}
+		name, stem, taken = make([]string, movedN), make([]int32, movedN), map[string]bool{}
+		moved := false
+		for s, rs := range rows {
+			var best string
+			if best, keys = w.clusterKey(rs, kc, keys); best == "" {
+				continue
+			}
+			if e, ok := keptAt(best); ok {
+				if prev.base[e] < 0 {
+					unkeep(e)
+				} else {
+					unkeepChain(best[:prev.base[e]])
+				}
+				moved = true
+				continue
+			}
+			name[s], stem[s] = best, -1
+			taken[best] = true
+		}
+		for row, cid := range assign {
+			s := slot[cid]
+			if moved || s < 0 || name[s] != "" || rows[s][0] != row {
+				continue
+			}
+			base := w.keylessName(row, nc, sc)
+			nm := base
+			for k := 2; ; k++ {
+				if e, ok := keptAt(nm); ok && prev.base[e] >= 0 {
+					moved = unkeepChain(nm[:prev.base[e]])
+					break
+				} else if !ok && !taken[nm] {
+					break
+				}
+				nm = base + "~" + strconv.Itoa(k)
+			}
+			taken[nm] = true
+			name[s], stem[s] = nm, int32(len(base))
+		}
+		for e, id := range prev.ids {
+			if moved || keep[e] {
+				continue
+			}
+			moved = unkeepChain(id)
+			if i := strings.LastIndexByte(id, '~'); i >= 0 && isDigits(id[i+1:]) {
+				moved = unkeepChain(id[:i]) || moved
+			}
+		}
+		if !moved {
+			break
+		}
+	}
+
+	// Commit: intern the moved names and merge the kept entities — their
+	// rows carried to the new numbering — with the moved ones.
+	order := make([]int, len(rows))
+	for s := range order {
+		order[s] = s
+		name[s] = w.intern(name[s])
+	}
+	moved := indexClusters(order, name, stem, rows)
+	// Kept rows keep their numbers unless the union shifted; then each kept
+	// entity's rows are carried to the new numbers, out of one slab.
+	shifted := n != memo.union.Len()
+	for j := 0; j < len(old2new) && !shifted; j++ {
+		shifted = old2new[j] >= 0 && int(old2new[j]) != j
+	}
+	var keptSlab []int
+	if shifted {
+		keptSlab = make([]int, 0, kept)
+	}
+	ix := entityIndex{
+		ids:  make([]string, 0, len(prev.ids)+len(moved.ids)),
+		rows: make([][]int, 0, len(prev.ids)+len(moved.ids)),
+		base: make([]int32, 0, len(prev.ids)+len(moved.ids)),
+	}
+	m := 0
+	for e, id := range prev.ids {
+		if !keep[e] {
+			continue
+		}
+		for ; m < len(moved.ids) && moved.ids[m] < id; m++ {
+			ix.ids, ix.rows, ix.base = append(ix.ids, moved.ids[m]), append(ix.rows, moved.rows[m]), append(ix.base, moved.base[m])
+		}
+		rs := prev.rows[e]
+		if shifted {
+			at := len(keptSlab)
+			for _, r := range rs {
+				keptSlab = append(keptSlab, int(old2new[r]))
+			}
+			rs = keptSlab[at:len(keptSlab):len(keptSlab)]
+		}
+		ix.ids, ix.rows, ix.base = append(ix.ids, id), append(ix.rows, rs), append(ix.base, prev.base[e])
+	}
+	ix.ids, ix.rows, ix.base = append(ix.ids, moved.ids[m:]...), append(ix.rows, moved.rows[m:]...), append(ix.base, moved.base[m:]...)
+	// Row ids: unshifted, the last tail's hold for every kept row, and the
+	// wrangler's own slice takes the moved rows' in place.
+	names := w.entityIDs
+	if shifted {
+		names = make([]string, n)
+		for row, cid := range assign {
+			if slot[cid] < 0 {
+				names[row] = prev.ids[ent[cid]]
+			}
+		}
+	}
+	for s, rs := range rows {
+		for _, row := range rs {
+			names[row] = name[s]
+		}
+	}
+	w.entities, w.entityIDs, w.namesKept = ix, names, keptIDs
+	w.retainNames()
+	return true
+}
+
+// sameCells reports whether two records hold Same values in the given
+// columns; -1 names no column.
+func sameCells(a, b dataset.Record, cols ...int) bool {
+	for _, c := range cols {
+		if c >= 0 && !a[c].Same(b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keptChain lists the kept keyless entities whose name has base b: b
+// itself or b~<k> among prev's ids, kept, with a base as long as b.
+func keptChain(b string, prev entityIndex, keep []bool) []int {
+	var out []int
+	kept := func(e int) bool { return keep[e] && int(prev.base[e]) == len(b) }
+	if e, ok := slices.BinarySearch(prev.ids, b); ok && kept(e) {
+		out = append(out, e)
+	}
+	chain := b + "~"
+	e, _ := slices.BinarySearch(prev.ids, chain)
+	for ; e < len(prev.ids) && strings.HasPrefix(prev.ids[e], chain); e++ {
+		if kept(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// isDigits reports whether s is a non-empty run of decimal digits.
+func isDigits(s string) bool {
+	return s != "" && !strings.ContainsFunc(s, func(r rune) bool { return r < '0' || r > '9' })
+}
+
+// retainNames keeps the interner within twice the entity names in use:
+// once it holds more, it drops every name but those.
+func (w *Wrangler) retainNames() {
+	if w.interner == nil || w.interner.Len() <= 2*len(w.entities.ids) {
+		return
+	}
+	w.interner.Sweep() // ends the round the names so far were marked in
+	for _, id := range w.entities.ids {
+		w.interner.Str(id)
+	}
+	w.interner.Sweep()
 }
 
 // keylessName is the base name of a keyless cluster whose smallest row is

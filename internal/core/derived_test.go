@@ -10,7 +10,7 @@ import (
 
 var (
 	replanSteps = []string{"replan.union", "replan.fd_repair", "replan.prepare", "replan.plan"}
-	trustSteps  = []string{"trust.name", "trust.claims", "trust.prepare", "trust.fixpoint"}
+	trustSteps  = []string{"trust.name", "trust.claims", "trust.prepare", "trust.layout", "trust.fixpoint"}
 )
 
 // TestReplanSplitSumsToReplan pins the named costs inside the tail's
@@ -19,10 +19,10 @@ var (
 // engine's bookkeeping); they are not accrued into "integrate" a second
 // time; a default (one-shard) session names the same steps; and a
 // fuse-only reaction — which never builds a union — names none. Every
-// tail names the four trust steps, which sum to at most the trust stage
+// tail names the five trust steps, which sum to at most the trust stage
 // (its task also pays the engine's bookkeeping), and a fuse-only
-// reaction's name and claim steps are zero: it renames and regroups
-// nothing.
+// reaction's name, claim and layout steps are zero: it renames, regroups
+// and lays out nothing.
 func TestReplanSplitSumsToReplan(t *testing.T) {
 	checkTrust := func(label string, stages map[string]time.Duration) {
 		t.Helper()
@@ -89,6 +89,9 @@ func TestReplanSplitSumsToReplan(t *testing.T) {
 	if d := stats.Stages["trust.name"]; d != 0 {
 		t.Errorf("fuse-only reaction named entities for %v", d)
 	}
+	if d := stats.Stages["trust.layout"]; d != 0 {
+		t.Errorf("fuse-only reaction laid the fixpoint out for %v", d)
+	}
 
 	one := newShardedWrangler(7, 12, 0)
 	if _, err := one.Run(); err != nil {
@@ -154,7 +157,10 @@ func TestUnionSharesUnrepairedRecords(t *testing.T) {
 // FD dictionary, the resolver's registries and the interner's entity
 // names are rebuilt once churn has left more than half their entries
 // unreferenced — the interner, whose keyless names are content that churn
-// retires, never holds more than twice the names in use; and the live heap
+// retires, never holds more than twice the names in use; the trust
+// layout carried from refresh to refresh lays out only the live claims,
+// over a source dictionary of at most twice the sources present; and the
+// live heap
 // after a forced GC stays flat from refresh 100 to refresh 300 — up to the
 // few kB per refresh the provenance log still adds (ROADMAP item 6). One
 // leaked generation per refresh (its cell strings and row features) would
@@ -206,12 +212,21 @@ func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 		// Claim groups handed on whole keep earlier slabs alive; those hold
 		// at most twice the claims in use (every row claims every column
 		// but the freshness one).
-		if claims := w.union.Len() * (len(w.union.Schema()) - 1); w.laidFrom.slabs > 2*claims {
+		claims := w.union.Len() * (len(w.union.Schema()) - 1)
+		if w.laidFrom.slabs > 2*claims {
 			t.Fatalf("refresh %d: claim slabs hold %d claims for %d in use", i, w.laidFrom.slabs, claims)
 		} else if w.laidFrom.slabs < slabs {
 			relaid++
 		}
 		slabs = w.laidFrom.slabs
+		// The trust layout, patched from the last one on most refreshes,
+		// lays out only live claims, and its source dictionary, which keeps
+		// the numbers of sources gone, holds at most twice the sources
+		// present.
+		if laid, numbers, present := w.groups.LayoutSize(); laid > claims || numbers > 2*present || present == 0 {
+			t.Fatalf("refresh %d: the trust layout holds %d claims for %d in use, %d source numbers for %d sources",
+				i, laid, claims, numbers, present)
+		}
 		if i == 99 {
 			at100 = heap()
 		}

@@ -1676,12 +1676,14 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	// The restore serves the names the version served. A log written
 	// before keyless clusters were named by content served them as
 	// "entity-<cluster>"; those names stay until the next reaction renames
-	// every keyless entity in its one delta.
+	// every keyless entity in its one delta. Either way the next reaction
+	// names the clustering afresh rather than carry restored names over.
 	if w.nameEntities(); !slices.Equal(w.entities.ids, st.entities) {
 		if w.nameClusters(true); !slices.Equal(w.entities.ids, st.entities) {
 			return fmt.Errorf("core: version %d serves entities its clustering does not name", lv.seq)
 		}
 	}
+	w.entities.base = nil
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, a tail built the version in pages, no

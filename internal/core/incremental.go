@@ -64,9 +64,10 @@ type ReactStats struct {
 	// "trust", "fuse" and "merge" under "integrate". A full tail also
 	// names the steps of its front half, "replan.union",
 	// "replan.fd_repair", "replan.prepare" and "replan.plan", and every
-	// tail those of its trust stage, "trust.name" and "trust.claims" (both
-	// zero on a fuse-only reaction, which renames and regroups nothing),
-	// "trust.prepare" and "trust.fixpoint" (see RunStats.Stages). The first reaction after a
+	// tail those of its trust stage, "trust.name", "trust.claims" and
+	// "trust.layout" (all zero on a fuse-only reaction, which renames,
+	// regroups and lays out nothing), "trust.prepare" and "trust.fixpoint"
+	// (see RunStats.Stages). The first reaction after a
 	// durable restore also names "restore": the working-state rebuild the
 	// restore deferred to it, counted in Duration and not in "integrate".
 	// Absent stages did not run.

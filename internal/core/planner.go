@@ -152,16 +152,35 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 }
 
 // unionDelta lists the rows of the freshly built union whose content
-// differs from the same source row's in the memoized union. Both unions
-// are their selected sources' rows in source order, so rows align source
-// by source, position by position; rows beyond the shorter side and rows
-// of sources only one union has appeared or disappeared, which er.RePlan
-// reads off the row keys itself. Record identity short-circuits the
-// compare: an unchanged source contributes the very same records unless
-// FD repair cloned one — in this round or the memoized one — and only
-// those, and the refreshed sources' rows, are compared by value.
+// differs from the same source row's in the memoized union (alignUnion);
+// rows only one union has appeared or disappeared, which er.RePlan reads
+// off the row keys itself. Record identity short-circuits the compare: an
+// unchanged source contributes the very same records unless FD repair
+// cloned one — in this round or the memoized one — and only those, and
+// the refreshed sources' rows, are compared by value.
 func (w *Wrangler) unionDelta(memo *tailMemo) []int {
 	var dirty []int
+	for i, j := range w.alignUnion(memo) {
+		if j < 0 {
+			continue
+		}
+		if cur, old := w.union.Row(i), memo.union.Row(int(j)); &cur[0] != &old[0] && !cur.Equal(old) {
+			dirty = append(dirty, i)
+		}
+	}
+	return dirty
+}
+
+// alignUnion maps each row of the freshly built union to the memoized
+// union's row of the same source and position, or to -1 when that union
+// has none. Both unions are their selected sources' rows in source order,
+// so rows align source by source, position by position; rows beyond the
+// shorter side, and rows of sources only one union has, have no match.
+func (w *Wrangler) alignUnion(memo *tailMemo) []int32 {
+	old := make([]int32, w.union.Len())
+	for i := range old {
+		old[i] = -1
+	}
 	k := 0
 	for nk, id := range w.unionIDs {
 		for k < len(memo.ids) && memo.ids[k] < id {
@@ -170,15 +189,13 @@ func (w *Wrangler) unionDelta(memo *tailMemo) []int {
 		if k == len(memo.ids) || memo.ids[k] != id {
 			continue
 		}
-		cur := w.union.Rows()[w.unionStarts[nk]:segmentEnd(w.unionStarts, nk, w.union.Len())]
-		old := memo.union.Rows()[memo.starts[k]:segmentEnd(memo.starts, k, memo.union.Len())]
-		for i := 0; i < len(cur) && i < len(old); i++ {
-			if &cur[i][0] != &old[i][0] && !cur[i].Equal(old[i]) {
-				dirty = append(dirty, w.unionStarts[nk]+i)
-			}
+		lo, hi := w.unionStarts[nk], segmentEnd(w.unionStarts, nk, w.union.Len())
+		olo, ohi := memo.starts[k], segmentEnd(memo.starts, k, memo.union.Len())
+		for i := 0; i < hi-lo && i < ohi-olo; i++ {
+			old[lo+i] = int32(olo + i)
 		}
 	}
-	return dirty
+	return old
 }
 
 // segmentEnd returns where segment k of a union of n rows ends.

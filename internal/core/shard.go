@@ -168,9 +168,10 @@ func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 
 // shardClusterStage is the barrier between the two fan-outs: it numbers
 // the completed roots slab into the global dense clustering (identical
-// numbering to one global resolve), names entities, and runs the one
-// stage of fusion that is inherently global — TruthFinder's trust
-// fixpoint over the full claim set.
+// numbering to one global resolve), names entities — carrying over the
+// names of the entities whose clusters held where it can (carryNames) —
+// and runs the one stage of fusion that is inherently global —
+// TruthFinder's trust fixpoint over the full claim set.
 func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if sr.empty {
 		return nil
@@ -180,9 +181,12 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 	if err != nil {
 		return err
 	}
+	prevClusters := w.clusters
 	w.clusters = clusters
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
-	w.nameEntities()
+	if !w.carryNames(prevClusters) {
+		w.nameEntities()
+	}
 	sr.split.name = time.Since(start)
 	sr.estimateTrust(w)
 	return nil

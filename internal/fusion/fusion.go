@@ -143,7 +143,8 @@ func (o Options) normalized() Options {
 // sources alone, never of trust. Over all of them the first TruthFinder
 // estimation lays out the fixpoint's flat source and claim arrays
 // (trustLayout), once per ClaimGroups. A ClaimGroups is the memo the
-// next estimation adopts from (EstimateTrustWarmParallel's prev), and a
+// next estimation adopts from (EstimateTrustWarmParallel's prev) —
+// prepared state, and the layout of every group it hands on whole — and a
 // fuse-only reaction, whose claims cannot have moved, hands the same
 // ClaimGroups on and regroups, prepares and lays out nothing. Claims
 // never change, and only the estimation writes a prepared slot or the
@@ -152,7 +153,7 @@ func (o Options) normalized() Options {
 type ClaimGroups struct {
 	claims      [][]Claim    // per group, in group order
 	prep        []*groupPrep // parallel to claims: nil until prepared
-	layout      *trustLayout // nil until a TruthFinder estimation ran; immutable once built
+	layout      *trustLayout // nil until a TruthFinder estimation ran; immutable once made
 	entityStart []int32      // per entity, in ordinal order: its first group; a last entry closes the final entity
 	maxClaims   int          // the largest group's claim count, nulls included
 }

@@ -27,10 +27,12 @@ import (
 // attribute) group (groupPrep), whose value buckets are formed once and
 // serve the fixpoint and the fuse alike: a group whose claims held since
 // the previous ClaimGroups adopts its state. And the flat fixpoint layout
-// (trustLayout), built once per ClaimGroups and carried on it: a
-// fuse-only reaction, whose claims cannot have moved, hands the
-// estimation the previous ClaimGroups itself, so it regroups, prepares
-// and lays out nothing. Only the seeds and pinned flags are read afresh
+// (trustLayout), made once per ClaimGroups and carried on it: a fuse-only
+// reaction, whose claims cannot have moved, hands the estimation the
+// previous ClaimGroups itself, so it regroups, prepares and lays out
+// nothing; a full reaction, which hands most groups on whole, lays out
+// only the groups that moved and copies the rest from the previous
+// layout (patchLayout). Only the seeds and pinned flags are read afresh
 // from the options on every estimation. Every component iterates on
 // every estimation — trust is always the exact global fixpoint of the
 // claims it was given — but an iteration re-votes only the contested
@@ -59,8 +61,12 @@ type TrustStats struct {
 	Contested int
 	// LayoutBuilt reports that the estimation laid out the fixpoint's
 	// flat arrays; false when the ClaimGroups carried them already (a
-	// fuse-only reaction) or no fixpoint ran.
-	LayoutBuilt bool
+	// fuse-only reaction) or no fixpoint ran. GroupsLaidOut counts the
+	// groups it laid out from their claims: every group of a layout built
+	// afresh, and only the groups not handed on whole when the layout was
+	// patched from prev's.
+	LayoutBuilt   bool
+	GroupsLaidOut int
 	// FuseRevoted counts the groups a fuse under the returned options
 	// votes: those with more than one fuse bucket, or every group with a
 	// non-null claim where a one-bucket group's result could depend on
@@ -70,21 +76,29 @@ type TrustStats struct {
 }
 
 // TrustSplit is the wall clock of one trust estimation, by step: adopting
-// and preparing groups, then laying out the components and iterating
-// them. It is kept apart from TrustStats, which is a deterministic
-// function of the inputs.
+// and preparing groups, laying out the components, and iterating them.
+// It is kept apart from TrustStats, which is a deterministic function of
+// the inputs.
 type TrustSplit struct {
-	Prepare, Fixpoint time.Duration
+	Prepare, Layout, Fixpoint time.Duration
 }
 
 // trustLayout is the fixpoint's view of one ClaimGroups: its components,
-// laid out flat, and every distinct claim source — null-only sources
-// included — which an estimation seeds with the default trust. It is a
-// function of the prepared groups alone, built by the first TruthFinder
-// estimation over the ClaimGroups and read-only after.
+// laid out flat, over a dictionary that numbers every distinct claim
+// source — null-only sources included, which an estimation seeds with the
+// default trust. The first TruthFinder estimation over the ClaimGroups
+// makes it (patchLayout), afresh or from the layout of the ClaimGroups
+// its groups were handed on from, and it is
+// read-only after: a layout patched from stays as it was, for the
+// versions and fuse-only reactions that share it. Both ways make the same
+// components, sources, arrays and counts; only the source numbers, which
+// a patched layout carries over, may differ.
 type trustLayout struct {
-	sources []string          // every claim source, in first-claim order
+	sources []string          // the dictionary: per source number, its source; a patched layout keeps its numbers
+	claims  []int32           // per source number: the claims naming it, nulls included; 0 for a retired number
+	live    int               // source numbers with claims
 	comps   []*trustComponent // sorted by key
+	at      []int32           // per group: its component's index in comps, -1 for a group with only null claims
 }
 
 // trustComponent is one trust-coupled connected component laid out for an
@@ -97,6 +111,7 @@ type trustComponent struct {
 	key       string       // identity: lexicographically smallest member source
 	groups    []*groupPrep // member groups, in global group order
 	sources   []string     // distinct member sources, sorted
+	global    []int32      // per local source: its number in the layout's dictionary
 	src       []int32      // per non-null claim, group order then claim order: local source index
 	off       []int32      // per member group, its first claim in src; a last entry closes the final group
 	contested []int32      // member groups with more than one bucket, as indices into groups
@@ -104,33 +119,244 @@ type trustComponent struct {
 	maxClaims int          // the largest member group's non-null claim count
 }
 
-// buildTrustLayout lays out the fixpoint over prepared groups, with one
-// source lookup per claim: it numbers every source on first sight, unions
-// the sources of each group's non-null claims, and materialises one
-// trustComponent per union-find root, remapping global source numbers to
-// component-local indices through one array. Groups are visited in their
+// sourceSets is a union-find over source numbers.
+type sourceSets []int32
+
+func newSourceSets(n int) sourceSets {
+	s := make(sourceSets, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
+func (s sourceSets) find(x int32) int32 {
+	for s[x] != x {
+		s[x] = s[s[x]]
+		x = s[x]
+	}
+	return x
+}
+
+// union joins the sets of a and b and reports whether they were apart.
+func (s sourceSets) union(a, b int32) bool {
+	ra, rb := s.find(a), s.find(b)
+	if ra == rb {
+		return false
+	}
+	s[rb] = ra
+	return true
+}
+
+// unionAll joins the sets of every number in ids and reports how many
+// sets it joined.
+func (s sourceSets) unionAll(ids []int32) (joined int) {
+	for _, id := range ids[min(1, len(ids)):] {
+		if s.union(ids[0], id) {
+			joined++
+		}
+	}
+	return joined
+}
+
+// components forms l.comps from the union-find over source numbers: one
+// component per set holding a source with non-null claims, its sources
+// sorted, the components sorted by key. A component whose sources are
+// exactly those of one of prev's components (prevComp numbers each
+// source's) is that one's heir: it shares its sorted sources and numbers,
+// so its local indices are the same, and has room for its groups and
+// spare more. It returns, per set root, its component's index in l.comps,
+// per source number its local index, and per component of prev the index
+// of its heir, or -1.
+func (l *trustLayout) components(sets sourceSets, nonNull []int32, prev *trustLayout, prevComp []int32, spare int) (compOf, local []int32, heirOf []int32) {
+	compOf, local = make([]int32, len(l.sources)), make([]int32, len(l.sources))
+	for i := range compOf {
+		compOf[i] = -1
+	}
+	var members [][]int32 // per component, in first-source order: its source numbers
+	for id, n := range nonNull {
+		if n == 0 {
+			continue
+		}
+		r := sets.find(int32(id))
+		if compOf[r] < 0 {
+			compOf[r] = int32(len(members))
+			members = append(members, nil)
+		}
+		members[compOf[r]] = append(members[compOf[r]], int32(id))
+	}
+	l.comps = make([]*trustComponent, len(members))
+	for k, ids := range members {
+		c := &trustComponent{}
+		if prev != nil {
+			if pk := prevComp[ids[0]]; pk >= 0 && len(prev.comps[pk].global) == len(ids) &&
+				!slices.ContainsFunc(ids, func(id int32) bool { return prevComp[id] != pk }) {
+				pc := prev.comps[pk]
+				c.sources, c.global = pc.sources, pc.global
+				c.groups, c.off = make([]*groupPrep, 0, len(pc.groups)+spare), make([]int32, 0, len(pc.off)+spare)
+				c.contested = make([]int32, 0, len(pc.contested)+spare)
+			}
+		}
+		if c.global == nil {
+			slices.SortFunc(ids, func(a, b int32) int { return strings.Compare(l.sources[a], l.sources[b]) })
+			c.global, c.sources = ids, make([]string, len(ids))
+			for i, id := range ids {
+				c.sources[i] = l.sources[id]
+			}
+		}
+		c.key = c.sources[0]
+		c.counts = make([]int, len(c.global))
+		total := 0
+		for i, id := range c.global {
+			local[id], c.counts[i] = int32(i), int(nonNull[id])
+			total += c.counts[i]
+		}
+		c.src = make([]int32, 0, total)
+		l.comps[k] = c
+	}
+	slices.SortFunc(l.comps, func(a, b *trustComponent) int { return strings.Compare(a.key, b.key) })
+	if prev != nil {
+		heirOf = make([]int32, len(prev.comps))
+		for k := range heirOf {
+			heirOf[k] = -1
+		}
+	}
+	for k, c := range l.comps {
+		compOf[sets.find(c.global[0])] = int32(k)
+		if prev != nil && c.groups != nil {
+			heirOf[prevComp[c.global[0]]] = int32(k)
+		}
+	}
+	return compOf, local, heirOf
+}
+
+// appendGroup appends one member group whose non-null claims' sources
+// have the numbers ids.
+func (c *trustComponent) appendGroup(p *groupPrep, ids, local []int32) {
+	if len(p.norms) > 1 {
+		c.contested = append(c.contested, int32(len(c.groups)))
+	}
+	c.groups = append(c.groups, p)
+	c.off = append(c.off, int32(len(c.src)))
+	for _, id := range ids {
+		c.src = append(c.src, local[id])
+	}
+	c.maxClaims = max(c.maxClaims, len(ids))
+}
+
+// appendRun appends member groups lo..hi-1 of from, a component with the
+// same sources: their local indices hold, so the claims are copied as
+// they are, and their offsets and contested indices shifted.
+func (c *trustComponent) appendRun(from *trustComponent, lo, hi int32) {
+	base, shift := int32(len(c.groups)), int32(len(c.src))-from.off[lo]
+	for p := lo; p < hi; p++ {
+		c.off = append(c.off, from.off[p]+shift)
+		c.maxClaims = max(c.maxClaims, int(from.off[p+1]-from.off[p]))
+	}
+	c.src = append(c.src, from.src[from.off[lo]:from.off[hi]]...)
+	c.groups = append(c.groups, from.groups[lo:hi]...)
+	k, _ := slices.BinarySearch(from.contested, lo)
+	for ; k < len(from.contested) && from.contested[k] < hi; k++ {
+		c.contested = append(c.contested, from.contested[k]-lo+base)
+	}
+}
+
+// patchLayout lays g's groups out for the fixpoint, over the layout of
+// prev, the ClaimGroups g's groups were laid out after: from[i] is the
+// group of prev whose claims g's group i holds by pointer — handed on
+// whole, with its prepared state — or -1 for a group laid out afresh.
+// With no prev (and no from) every group is fresh. A fresh group's claims
+// are numbered through the source dictionary, a source on first sight,
+// and its non-null claims' sources joined in a union-find; only they and
+// the claims of prev's groups not handed on move the per-source claim
+// counts. The union-find starts from prev's components: one that kept
+// every group stays joined, and one that lost a group, which may have
+// split it, is re-joined over the groups it kept until its sources meet
+// again. One trustComponent is made per set (components); a component
+// with the sources of one of prev's keeps its local indices, so each run
+// of groups handed on from it in order is copied as it is (appendRun),
+// and the rest are laid out group by group. Groups are laid out in their
 // global group order, so each component's groups are a subsequence of
 // that order and the within-component float accumulation sequence matches
 // the per-group loop exactly. Groups with only null claims join no
-// component: they vote no weight and credit nothing. Components are
-// sorted by key.
-func buildTrustLayout(claims [][]Claim, groups []*groupPrep) *trustLayout {
-	l := &trustLayout{}
-	srcID := make(map[string]int32)
-	var parent []int32
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+// component: they vote no weight and credit nothing. The result is the
+// same whatever prev was, but for the source numbers, which it carries.
+// It returns nil when the dictionary, which keeps the numbers of sources
+// no claim names any more, would hold more than twice the sources
+// present: the caller then lays out afresh, which renumbers them — the
+// rule the claim groups' slabs follow.
+func patchLayout(g, prev *ClaimGroups, from []int32) (l *trustLayout, laidOut int) {
+	pl, prevClaims := &trustLayout{}, [][]Claim(nil)
+	if prev != nil {
+		pl, prevClaims = prev.layout, prev.claims
 	}
-	// ids holds every non-null claim's global source number, in group and
-	// claim order; goff[gi] is group gi's first claim in it.
+	if from == nil {
+		from = make([]int32, len(g.claims))
+		for i := range from {
+			from[i] = -1
+		}
+	}
+	l = &trustLayout{sources: slices.Clip(pl.sources), claims: slices.Clone(pl.claims), at: make([]int32, len(g.claims))}
+	nonNull, prevComp := make([]int32, len(pl.sources)), make([]int32, len(pl.sources))
+	for id := range prevComp {
+		prevComp[id] = -1
+	}
+	for k, c := range pl.comps {
+		for i, id := range c.global {
+			nonNull[id], prevComp[id] = int32(c.counts[i]), int32(k)
+		}
+	}
+	srcID := make(map[string]int32, len(l.sources))
+	for id, s := range l.sources {
+		srcID[s] = int32(id)
+	}
+	held := make([]bool, len(prevClaims))
+	for _, j := range from {
+		if j >= 0 {
+			held[j] = true
+		}
+	}
+	// Retire the claims of every group of prev not handed on: its non-null
+	// claims' sources are read off prev's layout, and only its null claims
+	// looked up. A component that lost a group may have split.
+	broken := make([]bool, len(pl.comps))
+	pos := make([]int32, len(pl.comps)) // per component of prev: member groups passed
+	for j, h := range held {
+		k, p := pl.at[j], int32(0)
+		if k >= 0 {
+			p = pos[k]
+			pos[k]++
+		}
+		if h {
+			continue
+		}
+		cs := prevClaims[j]
+		nulls := len(cs)
+		if k >= 0 {
+			c := pl.comps[k]
+			broken[k] = true
+			for _, s := range c.src[c.off[p]:c.off[p+1]] {
+				l.claims[c.global[s]]--
+				nonNull[c.global[s]]--
+			}
+			nulls -= int(c.off[p+1] - c.off[p])
+		}
+		for i := 0; nulls > 0; i++ {
+			if cs[i].Value.IsNull() {
+				l.claims[srcID[cs[i].SourceID]]--
+				nulls--
+			}
+		}
+	}
+	// ids holds the fresh groups' non-null claims' source numbers; foff[f]
+	// is fresh group f's first claim in it.
 	var ids []int32
-	goff := make([]int32, len(claims)+1)
-	for gi, cs := range claims {
-		first := int32(-1)
+	foff := []int32{0}
+	for i, j := range from {
+		if j >= 0 {
+			continue
+		}
+		cs := g.claims[i]
 		for k := range cs {
 			c := &cs[k]
 			id, ok := srcID[c.SourceID]
@@ -138,71 +364,137 @@ func buildTrustLayout(claims [][]Claim, groups []*groupPrep) *trustLayout {
 				id = int32(len(l.sources))
 				srcID[c.SourceID] = id
 				l.sources = append(l.sources, c.SourceID)
-				parent = append(parent, id)
+				l.claims, nonNull, prevComp = append(l.claims, 0), append(nonNull, 0), append(prevComp, -1)
 			}
-			if c.Value.IsNull() {
+			l.claims[id]++
+			if !c.Value.IsNull() {
+				nonNull[id]++
+				ids = append(ids, id)
+			}
+		}
+		foff = append(foff, int32(len(ids)))
+	}
+	laidOut = len(foff) - 1
+	for _, n := range l.claims {
+		if n > 0 {
+			l.live++
+		}
+	}
+	if len(l.sources) > 2*l.live {
+		return nil, 0
+	}
+
+	// Join the sources: a component of prev that kept every group at once,
+	// the fresh groups' sources, and then the groups a broken component
+	// kept, in order, until its sources have all met again — or every
+	// source has.
+	sets := newSourceSets(len(l.sources))
+	apart := 0 // sets among the sources of non-null claims
+	for _, n := range nonNull {
+		if n > 0 {
+			apart++
+		}
+	}
+	for k, c := range pl.comps {
+		if !broken[k] {
+			apart -= sets.unionAll(c.global)
+		}
+	}
+	for f := 1; f < len(foff); f++ {
+		apart -= sets.unionAll(ids[foff[f-1]:foff[f]])
+	}
+	rejoin := 0 // broken components whose sources have not all met again
+	joined := make([]int, len(pl.comps))
+	for k, c := range pl.comps {
+		if broken[k] && len(c.global) > 1 {
+			rejoin++
+		}
+	}
+	clear(pos)
+	for j := 0; j < len(pl.at) && rejoin > 0 && apart > 1; j++ {
+		k := pl.at[j]
+		if k < 0 {
+			continue
+		}
+		c, p := pl.comps[k], pos[k]
+		pos[k]++
+		if !held[j] || !broken[k] || joined[k] == len(c.global)-1 {
+			continue
+		}
+		src := c.src[c.off[p]:c.off[p+1]]
+		for _, s := range src[1:] {
+			if sets.union(c.global[src[0]], c.global[s]) {
+				apart--
+				if joined[k]++; joined[k] == len(c.global)-1 {
+					rejoin--
+				}
+			}
+		}
+	}
+	compOf, local, heirOf := l.components(sets, nonNull, pl, prevComp, laidOut)
+
+	// Lay the groups out in group order. A run is a stretch of groups
+	// handed on in order from one component of prev into its heir.
+	var run struct {
+		from, to *trustComponent
+		lo, hi   int32
+	}
+	flush := func() {
+		if run.to != nil {
+			run.to.appendRun(run.from, run.lo, run.hi)
+			run.to = nil
+		}
+	}
+	clear(pos)
+	var buf []int32
+	j, f := 0, 0
+	for i := range g.claims {
+		if pj := int(from[i]); pj >= 0 {
+			for ; j <= pj; j++ {
+				if k := pl.at[j]; k >= 0 {
+					pos[k]++
+				}
+			}
+			k := pl.at[pj]
+			if k < 0 {
+				l.at[i] = -1
 				continue
 			}
-			ids = append(ids, id)
-			if first < 0 {
-				first = find(id)
-			} else if r := find(id); r != first {
-				parent[r] = first
+			c, p := pl.comps[k], pos[k]-1
+			if nk := heirOf[k]; nk >= 0 {
+				l.at[i] = nk
+				if run.to != nil && run.from == c && run.hi == p {
+					run.hi++
+					continue
+				}
+				flush()
+				run.from, run.to, run.lo, run.hi = c, l.comps[nk], p, p+1
+				continue
 			}
-		}
-		goff[gi+1] = int32(len(ids))
-	}
-	// Number the components by first member group, then hand each its
-	// sources and the local index of each.
-	compOf := make([]int32, len(l.sources)) // per root: component number + 1
-	for gi := range claims {
-		if goff[gi] == goff[gi+1] {
+			flush()
+			buf = buf[:0]
+			for _, s := range c.src[c.off[p]:c.off[p+1]] {
+				buf = append(buf, c.global[s])
+			}
+			l.at[i] = compOf[sets.find(buf[0])]
+			l.comps[l.at[i]].appendGroup(g.prep[i], buf, local)
 			continue
 		}
-		if r := find(ids[goff[gi]]); compOf[r] == 0 {
-			l.comps = append(l.comps, &trustComponent{})
-			compOf[r] = int32(len(l.comps))
-		}
-	}
-	for id, s := range l.sources {
-		if k := compOf[find(int32(id))]; k > 0 {
-			c := l.comps[k-1]
-			c.sources = append(c.sources, s)
-		}
-	}
-	local := make([]int32, len(l.sources))
-	for _, c := range l.comps {
-		slices.Sort(c.sources)
-		c.key = c.sources[0]
-		for i, s := range c.sources {
-			local[srcID[s]] = int32(i)
-		}
-		c.counts = make([]int, len(c.sources))
-	}
-	for gi, p := range groups {
-		lo, hi := goff[gi], goff[gi+1]
-		if lo == hi {
+		grp := ids[foff[f]:foff[f+1]]
+		f++
+		if len(grp) == 0 {
+			l.at[i] = -1
 			continue
 		}
-		c := l.comps[compOf[find(ids[lo])]-1]
-		if len(p.norms) > 1 {
-			c.contested = append(c.contested, int32(len(c.groups)))
-		}
-		c.groups = append(c.groups, p)
-		c.off = append(c.off, int32(len(c.src)))
-		for _, id := range ids[lo:hi] {
-			c.src = append(c.src, local[id])
-			c.counts[local[id]]++
-		}
-		c.maxClaims = max(c.maxClaims, int(hi-lo))
+		flush()
+		l.at[i] = compOf[sets.find(grp[0])]
+		l.comps[l.at[i]].appendGroup(g.prep[i], grp, local)
 	}
+	flush()
 	for _, c := range l.comps {
 		c.off = append(c.off, int32(len(c.src)))
 	}
-	slices.SortFunc(l.comps, func(a, b *trustComponent) int {
-		return strings.Compare(a.key, b.key)
-	})
-	return l
+	return l, laidOut
 }
 
 // revoted returns the member groups whose credits an iteration must
@@ -328,41 +620,67 @@ func runComponentFixpoint(c *trustComponent, seed []float64, pinned []bool, defa
 // that carry prepared state across estimations. First, and for every
 // policy, g adopts the prepared state of each group prev prepared whose
 // claims held (prev may be nil, or g itself) and prepares every other
-// group, so that fusing g afterwards only reads it. It returns options
+// group, so that fusing g afterwards only reads it. A TruthFinder
+// estimation then lays the fixpoint out from prev's layout when prev has
+// one and handed at least half of g's groups on whole. It returns options
 // ready for g.Fuse, the wall clock of its steps and the estimation's
 // stats. Byte-identical to the cold estimation at any worker count.
 func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, workers int) (Options, TrustSplit, TrustStats) {
 	start := time.Now()
 	opts = opts.normalized()
-	kept := g.adopt(prev)
+	kept, from := g.adopt(prev)
 	g.prepare(workers)
 	st := TrustStats{GroupsKept: kept, GroupsPrepared: g.Len() - kept}
 	// Only TruthFinder has a fixpoint; for every other policy estimation
 	// is a no-op beyond normalization and preparation.
-	var fixpoint time.Duration
+	var split TrustSplit
 	if opts.Policy == TruthFinder {
-		fixpoint = estimateTrust(g, &opts, &st)
+		split.Layout, split.Fixpoint = estimateTrust(g, &opts, &st, prev, from)
 	}
 	st.FuseRevoted = g.revoted(opts)
-	return opts, TrustSplit{Prepare: time.Since(start) - fixpoint, Fixpoint: fixpoint}, st
+	split.Prepare = time.Since(start) - split.Layout - split.Fixpoint
+	return opts, split, st
 }
 
 // adopt hands each of g's groups that prev prepared and whose claims held
 // prev's prepared state — one merge walk over the two group orders — and
-// reports how many of g's groups carry prepared state afterwards.
-func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int) {
+// reports how many of g's groups carry prepared state afterwards. When
+// prev has a fixpoint layout g may be laid out from, from[i] is the group
+// of prev that handed g's group i on whole — the same claims, by pointer,
+// and so the same prepared state — or -1; from is nil otherwise.
+func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int, from []int32) {
 	if prev != nil && prev != g {
-		j, c := 0, 1
+		if prev.layout != nil && g.layout == nil {
+			from = make([]int32, len(g.claims))
+		}
+		j := 0
 		for i, cs := range g.claims {
+			if from != nil {
+				from[i] = -1
+			}
+			// A group handed on whole is prev's group by pointer, and a
+			// group of prev matches one group of g at most.
+			c := 1
 			for ; j < len(prev.claims); j++ {
-				p := prev.claims[j][0]
+				p := &prev.claims[j][0]
+				if p == &cs[0] {
+					c = 0
+					break
+				}
 				if c = compareKey(p.Entity, p.Attribute, cs[0].Entity, cs[0].Attribute); c >= 0 {
 					break
 				}
 			}
-			if g.prep[i] == nil && j < len(prev.claims) && c == 0 && claimsHeld(prev.claims[j], cs) {
+			if c != 0 || !claimsHeld(prev.claims[j], cs) {
+				continue
+			}
+			if g.prep[i] == nil {
 				g.prep[i] = prev.prep[j]
 			}
+			if from != nil && &prev.claims[j][0] == &cs[0] && g.prep[i] == prev.prep[j] {
+				from[i] = int32(j)
+			}
+			j++
 		}
 	}
 	for _, p := range g.prep {
@@ -370,7 +688,7 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int) {
 			kept++
 		}
 	}
-	return kept
+	return kept, from
 }
 
 // prepare prepares every group that carries no prepared state yet,
@@ -413,26 +731,40 @@ func (g *ClaimGroups) prepare(workers int) {
 // tie-broken winners) vary with how the claims arrived. Bucket formation
 // is iteration-invariant (membership depends only on values, not
 // weights), so the fixpoint reads each group's buckets as prepared, over
-// the layout g carries — laid out here if g has none yet — and runs per
+// the layout g carries — laid out here if g has none yet, from prev's
+// when adopt found groups prev handed on whole (from) — and runs per
 // trust-coupled component with a per-component convergence break. It
 // returns the wall clock of the layout and fixpoint steps.
-func estimateTrust(g *ClaimGroups, opts *Options, st *TrustStats) time.Duration {
-	start := time.Now()
+func estimateTrust(g *ClaimGroups, opts *Options, st *TrustStats, prev *ClaimGroups, from []int32) (layout, fixpoint time.Duration) {
 	if g.layout == nil {
-		g.layout, st.LayoutBuilt = buildTrustLayout(g.claims, g.prep), true
+		start := time.Now()
+		handed := 0
+		for _, j := range from {
+			if j >= 0 {
+				handed++
+			}
+		}
+		if handed > 0 && 2*handed >= len(from) {
+			g.layout, st.GroupsLaidOut = patchLayout(g, prev, from)
+		}
+		if g.layout == nil {
+			g.layout, st.GroupsLaidOut = patchLayout(g, nil, nil)
+		}
+		st.LayoutBuilt, layout = true, time.Since(start)
 	}
+	start := time.Now()
 	// Every source that appears in any claim (nulls included) gets a trust
 	// entry before the components read their seeds.
-	for _, s := range g.layout.sources {
-		if _, ok := opts.Trust[s]; !ok {
+	l := g.layout
+	for id, s := range l.sources {
+		if _, ok := opts.Trust[s]; !ok && l.claims[id] > 0 {
 			opts.Trust[s] = opts.DefaultTrust
 		}
 	}
 	// Components share no source, and each reads its seeds before it runs,
 	// so writing one's result back cannot reach another's run.
-	comps := g.layout.comps
-	st.Components, st.Iterations = len(comps), make([]int, len(comps))
-	for i, c := range comps {
+	st.Components, st.Iterations = len(l.comps), make([]int, len(l.comps))
+	for i, c := range l.comps {
 		seed, pinned := c.seeds(opts)
 		trust, iters, contested := runComponentFixpoint(c, seed, pinned, opts.DefaultTrust, opts.Iterations)
 		for j, src := range c.sources {
@@ -441,7 +773,21 @@ func estimateTrust(g *ClaimGroups, opts *Options, st *TrustStats) time.Duration 
 		st.Iterations[i] = iters
 		st.Contested += contested
 	}
-	return time.Since(start)
+	return layout, time.Since(start)
+}
+
+// LayoutSize reports the size of the fixpoint layout g carries: the
+// non-null claims it lays out, the source numbers its dictionary holds —
+// retired ones included — and the sources g's claims name. All three are
+// zero before a TruthFinder estimation laid g out.
+func (g *ClaimGroups) LayoutSize() (claims, numbers, sources int) {
+	if l := g.layout; l != nil {
+		for _, c := range l.comps {
+			claims += len(c.src)
+		}
+		numbers, sources = len(l.sources), l.live
+	}
+	return claims, numbers, sources
 }
 
 // seeds reads the component's seed trust and pinned flags from opts, per
