@@ -338,9 +338,9 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // scores, warm trust, per-dirty-shard fuse, page reuse) at 1/4/8 shards.
 // Output is byte-identical at every shard count — the determinism
 // harness and fuzz targets pin that — so the table may only show cost
-// moving with the dirty shard. Each refresh's single-threaded trust
-// barrier is reported step by step (trustBarrier, mean ms per op), so
-// its budget shows without a profiler.
+// moving with the dirty shard. Each refresh's front half and its
+// single-threaded trust barrier are reported step by step (reportedSteps,
+// mean ms per op), so their budgets show without a profiler.
 func BenchmarkStreamingRefresh(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -350,7 +350,7 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 			}
 			ids := w.SelectedSources()
 			reused := 0
-			steps := make([]time.Duration, len(trustBarrier))
+			steps := make([]time.Duration, len(reportedSteps))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -360,22 +360,25 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 					b.Fatal(err)
 				}
 				reused += stats.ShardsReused
-				for k, step := range trustBarrier {
+				for k, step := range reportedSteps {
 					steps[k] += stats.Stages[step]
 				}
 			}
 			b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
-			for k, step := range trustBarrier {
+			for k, step := range reportedSteps {
 				b.ReportMetric(steps[k].Seconds()*1e3/float64(b.N), step+"_ms/op")
 			}
 		})
 	}
 }
 
-// trustBarrier names the steps of a reaction's trust stage, the
-// single-threaded barrier between the resolve and fuse fan-outs, in the
-// order they run.
-var trustBarrier = []string{"trust.name", "trust.claims", "trust.prepare", "trust.layout", "trust.fixpoint"}
+// reportedSteps names the reaction stages BenchmarkStreamingRefresh
+// reports, in the order they run: the front half (union build, FD repair,
+// prepare, re-plan) and the resolve fan-out, then the steps of the trust
+// stage, the single-threaded barrier between the resolve and fuse
+// fan-outs.
+var reportedSteps = []string{"replan.union", "replan.fd_repair", "replan.prepare", "replan.plan", "resolve",
+	"trust.name", "trust.claims", "trust.prepare", "trust.layout", "trust.fixpoint"}
 
 // BenchmarkFullTail is the cost of one full-scope integration tail —
 // union build, FD repair, prepare, re-plan, trust fixpoint, fusion,

@@ -157,8 +157,60 @@ func resolveAll(r *Resolver, t *dataset.Table, rp *RePlanned, must, cannot []Pai
 
 // carryCoverage reports which carried paths an input drove: previous
 // clusters adopted beside freshly resolved ones, adopted across a row-count
-// shift, and adopted while the pair list moved.
-type carryCoverage struct{ mixed, shifted, reblocked bool }
+// shift, and adopted while the pair list moved; and which shapes of
+// touched block an incremental re-plan met — one usable before and after
+// that a surviving row left or a row joined (it emits only those rows'
+// pairs), one that became usable and one that stopped being usable (each
+// emits whole).
+type carryCoverage struct {
+	mixed, shifted, reblocked   bool
+	edited, crossedIn, crossOut bool
+}
+
+// or merges two coverages.
+func (c carryCoverage) or(o carryCoverage) carryCoverage {
+	return carryCoverage{c.mixed || o.mixed, c.shifted || o.shifted, c.reblocked || o.reblocked,
+		c.edited || o.edited, c.crossedIn || o.crossedIn, c.crossOut || o.crossOut}
+}
+
+// checkCarried holds an incremental re-plan, before any resolve, to the
+// round it carried from: every pair the previous round scored that is
+// still a candidate, with both endpoints clean and the rule held, carries
+// its score bit for bit. It also records the shapes of touched block the
+// re-plan met. A re-plan that fell back to a fresh plan (the rows cannot
+// be aligned, or the registry was not carried) is not checked.
+func checkCarried(r *Resolver, rp *RePlanned, prev *PlanState, keys []string, dirty []int, cov *carryCoverage) error {
+	old2new, _, ok := alignRows(prev.rowKeys, keys)
+	if !ok || prev.idx.reg != rp.Plan.idx.reg {
+		return nil
+	}
+	if prev.threshold == r.Threshold && slices.Equal(prev.weights, r.Weights) {
+		for k, v := range prev.pairs {
+			pr := unpackPair(v)
+			i, j := old2new[pr.I], old2new[pr.J]
+			if prev.scores[k] == unscored || i < 0 || j < 0 || slices.Contains(dirty, int(i)) || slices.Contains(dirty, int(j)) {
+				continue
+			}
+			if at, found := slices.BinarySearch(rp.Plan.pairs, packPair(i, j)); found && rp.scores[at] != prev.scores[k] {
+				return fmt.Errorf("pair %v lost its carried score %v (has %v)", Pair{I: int(i), J: int(j)}, prev.scores[k], rp.scores[at])
+			}
+		}
+	}
+	for b := range rp.Plan.idx.members {
+		old, cur := prev.idx.of(int32(b)), rp.Plan.idx.of(int32(b))
+		var stayed []int32
+		for _, j := range old {
+			if i := old2new[j]; i >= 0 {
+				stayed = append(stayed, i)
+			}
+		}
+		was, is := usableBlock(len(old), prev.maxBlock), usableBlock(len(cur), prev.maxBlock)
+		cov.edited = cov.edited || was && is && !slices.Equal(stayed, cur)
+		cov.crossedIn = cov.crossedIn || !was && is
+		cov.crossOut = cov.crossOut || was && !is
+	}
+	return nil
+}
 
 func checkPrepareCarry(data []byte) (cov carryCoverage, err error) {
 	in := &byteReader{data: data}
@@ -237,6 +289,9 @@ func checkPrepareCarry(data []byte) (cov carryCoverage, err error) {
 			return cov, fmt.Errorf("round %d: replan: %w", round, err)
 		}
 		if state != nil {
+			if err := checkCarried(next, rp, state, keys, dirty, &cov); err != nil {
+				return cov, fmt.Errorf("round %d: %w", round, err)
+			}
 			clean, resolved := 0, 0
 			for _, root := range rp.Roots {
 				if root >= 0 {
@@ -319,11 +374,16 @@ var carrySeeds = []string{
 	"001C0000000\x0000011010100201010100001170000011",
 	"011C0\x00100Y0\x00c80910\a0)000011000000071001",
 	"",
+	// A clean pair a crossing block drops or re-emits whole, still a
+	// candidate through another block, keeps its carried score.
+	"0022000001100011017100001010100000",
+	"0122000000000100101010110011010110000101",
 }
 
 // TestPrepareCarrySeedsCarry keeps the fuzz seeds honest: together they
 // must actually reuse previous clusters in each of the shapes the fuzzer
-// is there to check, or the equivalence would hold vacuously.
+// is there to check, and re-plan each shape of touched block, or the
+// equivalence would hold vacuously.
 func TestPrepareCarrySeedsCarry(t *testing.T) {
 	var all carryCoverage
 	for _, seed := range carrySeeds {
@@ -331,9 +391,9 @@ func TestPrepareCarrySeedsCarry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = carryCoverage{all.mixed || cov.mixed, all.shifted || cov.shifted, all.reblocked || cov.reblocked}
+		all = all.or(cov)
 	}
-	if all != (carryCoverage{true, true, true}) {
+	if all != (carryCoverage{true, true, true, true, true, true}) {
 		t.Fatalf("seed corpus reuses nothing in some shape: %+v", all)
 	}
 }

@@ -33,8 +33,10 @@ import (
 // old row -> new row; the pipeline's union keeps surviving rows in order,
 // so the remap is monotone and a remapped sorted pair list is still
 // sorted. Only rows whose blocking evidence changed edit their blocks'
-// member lists, only touched blocks re-emit pairs, and those merge into
-// the remapped previous list. Every shard whose resolve inputs are
+// member lists, and only touched blocks re-emit pairs — a block usable
+// before and after only its leavers' and joiners' pairs, a block crossing
+// the usable line all of them — which merge into the remapped previous
+// list. Every shard whose resolve inputs are
 // provably unchanged skips its resolve entirely, its previous clusters
 // translated to the new numbering. The contract is the same
 // strict one the sharded tail carries: a re-planned round is
@@ -107,6 +109,21 @@ func blockPairs(out []int64, members []int32) []int64 {
 	for a, i := range members {
 		for _, j := range members[a+1:] {
 			out = append(out, packPair(i, j))
+		}
+	}
+	return out
+}
+
+// incidentPairs appends, unsorted, every pair of one block's members that
+// has an endpoint in moved, which lists exactly the members whose isMoved
+// flag is set.
+func incidentPairs(out []int64, members, moved []int32, isMoved []bool) []int64 {
+	for _, x := range moved {
+		for _, y := range members {
+			// A pair of two moved rows is emitted once, from its smaller end.
+			if y != x && (!isMoved[y] || y > x) {
+				out = append(out, packPair(min(x, y), max(x, y)))
+			}
 		}
 	}
 	return out
@@ -465,52 +482,83 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 		}
 	}
 	slices.Sort(touched)
+
+	// Each touched block is rebuilt, then spreads dirt and emits the pairs
+	// it may have lost or gained. The dirty frontier: dirty rows, every old
+	// or new member of a touched block whose pairs could have appeared or
+	// vanished, and both ends of every constraint that changed. A touched
+	// block spreads dirt only through the rounds in which it was usable
+	// (2..MaxBlockSize members): an oversized block emits no pairs on
+	// either side of the delta, so membership churn inside it is inert —
+	// without this distinction a renamed row's stop-gram blocks would dirty
+	// most of the corpus. A block usable on both sides still supports every
+	// pair of two stayers, so it emits only the pairs of its leavers (to
+	// vanished) and of its joiners (to appeared); only a block crossing the
+	// usable line emits whole, on the side where it was usable.
+	moved := make([]bool, rows) // by new row: a surviving leaver or a joiner of the block at hand
+	affected := slices.Clone(isDirty)
+	var vanished, appeared []int64
+	var survivors, movedOut []int32
 	for _, b := range touched {
+		old, gone, joiners := prev.idx.of(b), leave[b], join[b]
+		slices.Sort(joiners)
+		movedOut = movedOut[:0]
+		for _, j := range gone {
+			if i := old2new[j]; i >= 0 {
+				moved[i] = true
+				movedOut = append(movedOut, i)
+			}
+		}
+		for _, i := range joiners {
+			moved[i] = true
+		}
 		// Stayers (ascending: the remap is monotone) merged with joiners. A
 		// re-blocked row that stays in b left and joined, so no row repeats.
-		gone, joiners := leave[b], join[b]
-		slices.Sort(joiners)
-		next := make([]int32, 0, len(prev.idx.of(b))+len(joiners))
-		for _, j := range prev.idx.of(b) {
+		survivors = survivors[:0]
+		next := make([]int32, 0, len(old)+len(joiners))
+		pending := joiners
+		for _, j := range old {
 			i := old2new[j]
-			if i < 0 || slices.Contains(gone, j) {
+			if i < 0 {
 				continue
 			}
-			for len(joiners) > 0 && joiners[0] < i {
-				next, joiners = append(next, joiners[0]), joiners[1:]
+			survivors = append(survivors, i)
+			if moved[i] {
+				continue
+			}
+			for len(pending) > 0 && pending[0] < i {
+				next, pending = append(next, pending[0]), pending[1:]
 			}
 			next = append(next, i)
 		}
-		idx.members[b] = append(next, joiners...)
-	}
+		cur := append(next, pending...)
+		idx.members[b] = cur
 
-	// The dirty frontier: dirty rows, every old or new member of a touched
-	// block whose pairs could have appeared or vanished, and both ends of
-	// every constraint that changed. A touched block spreads dirt only
-	// through the rounds in which it was usable (2..MaxBlockSize members):
-	// an oversized block emits no pairs on either side of the delta, so
-	// membership churn inside it is inert — without this distinction a
-	// renamed row's stop-gram blocks would dirty most of the corpus. The
-	// same two membership lists are where pairs may have vanished (the old
-	// one) or appeared (the new one).
-	affected := slices.Clone(isDirty)
-	var vanished, appeared []int64
-	for _, b := range touched {
-		if old := prev.idx.of(b); usableBlock(len(old), r.MaxBlockSize) {
-			var survivors []int32
-			for _, j := range old {
-				if i := old2new[j]; i >= 0 {
-					affected[i] = true
-					survivors = append(survivors, i)
-				}
+		wasUsable, isUsable := usableBlock(len(old), r.MaxBlockSize), usableBlock(len(cur), r.MaxBlockSize)
+		if wasUsable {
+			for _, i := range survivors {
+				affected[i] = true
 			}
-			vanished = blockPairs(vanished, survivors)
 		}
-		if cur := idx.members[b]; usableBlock(len(cur), r.MaxBlockSize) {
+		if isUsable {
 			for _, i := range cur {
 				affected[i] = true
 			}
+		}
+		switch {
+		case wasUsable && isUsable:
+			vanished = incidentPairs(vanished, survivors, movedOut, moved)
+			appeared = incidentPairs(appeared, cur, joiners, moved)
+		case wasUsable:
+			vanished = blockPairs(vanished, survivors)
+		case isUsable:
 			appeared = blockPairs(appeared, cur)
+		}
+		for _, i := range movedOut {
+			moved[i] = false
+		}
+		for _, i := range joiners {
+			moved[i] = false
 		}
 	}
 	newMust, newCannot := canonPairs(must, rows), canonPairs(cannot, rows)
@@ -540,9 +588,9 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 	markChanged(prev.cannot, newCannot)
 
 	// The new pair list: the previous one remapped (monotone, so still
-	// sorted), minus the pairs that only vanished blocks supported, plus
-	// the pairs of the blocks that appeared. A vanished-block pair some
-	// other usable block still supports stays: check its rows' blocks.
+	// sorted), minus the vanished pairs no usable block supports any more,
+	// plus the appeared ones. A vanished pair some other usable block still
+	// supports stays: check its rows' blocks.
 	// Scores travel with their pairs while both endpoints' content held:
 	// the rule is checked below and Features reads only the two rows'
 	// values, so those floats are bit-identical to recomputing.
@@ -637,18 +685,36 @@ func (r *Resolver) RePlan(t *dataset.Table, n int, must, cannot []Pair, rowKeys 
 			rp.Roots[row] = rep[pr]
 		}
 		rp.Reused[s] = len(rp.DirtyRows[s]) == 0
-		if rp.Reused[s] {
+	}
+	// Candidate pairs never cross components, so a shard's dirty pairs are
+	// exactly its pairs whose endpoints lie in dirty components — plan order
+	// preserved. Counted first, every shard's are cut out of one slab.
+	counts := make([]int, n)
+	total := 0
+	for s, reused := range rp.Reused {
+		if reused {
 			continue
 		}
-		// Candidate pairs never cross components, so the dirty subset's
-		// pairs are exactly the shard pairs whose endpoints lie in dirty
-		// components — plan order preserved.
-		for k, pr := range plan.Pairs[s] {
+		for _, pr := range plan.Pairs[s] {
 			if compDirty[comp[pr.I]] {
-				rp.DirtyPairs[s] = append(rp.DirtyPairs[s], pr)
-				rp.dirtyPairIdx[s] = append(rp.dirtyPairIdx[s], plan.pairIdx[s][k])
+				counts[s]++
 			}
 		}
+		total += counts[s]
+	}
+	pairSlab, idxSlab := make([]Pair, 0, total), make([]int32, 0, total)
+	for s, c := range counts {
+		if c == 0 {
+			continue
+		}
+		at := len(pairSlab)
+		for k, pr := range plan.Pairs[s] {
+			if compDirty[comp[pr.I]] {
+				pairSlab = append(pairSlab, pr)
+				idxSlab = append(idxSlab, plan.pairIdx[s][k])
+			}
+		}
+		rp.DirtyPairs[s], rp.dirtyPairIdx[s] = pairSlab[at:len(pairSlab):len(pairSlab)], idxSlab[at:len(idxSlab):len(idxSlab)]
 	}
 	return rp, nil
 }

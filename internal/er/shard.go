@@ -1,9 +1,10 @@
 package er
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/dataset"
@@ -161,14 +162,36 @@ func assemblePlan(rows, n int, pairs []int64, must []Pair, key func(int) string)
 			shardOf[root] = int(h.Sum32() % uint32(n))
 		}
 	}
+	// Rows and pairs are counted per shard first, then each shard's lists
+	// are cut out of one slab per kind.
+	rowCount, pairCount := make([]int, n), make([]int, n)
 	for i, root := range comp {
 		s := shardOf[root]
 		plan.RowShard[i] = s
+		rowCount[s]++
+	}
+	for _, v := range pairs {
+		pairCount[plan.RowShard[unpackPair(v).I]]++ // == RowShard[J]: pairs never cross components
+	}
+	rowSlab := make([]int, rows)
+	pairSlab, idxSlab := make([]Pair, len(pairs)), make([]int32, len(pairs))
+	rowAt, pairAt := 0, 0
+	for s := 0; s < n; s++ {
+		if c := rowCount[s]; c > 0 {
+			plan.Rows[s] = rowSlab[rowAt : rowAt : rowAt+c]
+			rowAt += c
+		}
+		if c := pairCount[s]; c > 0 {
+			plan.Pairs[s], plan.pairIdx[s] = pairSlab[pairAt:pairAt:pairAt+c], idxSlab[pairAt:pairAt:pairAt+c]
+			pairAt += c
+		}
+	}
+	for i, s := range plan.RowShard {
 		plan.Rows[s] = append(plan.Rows[s], i)
 	}
 	for k, v := range pairs {
 		p := unpackPair(v)
-		s := plan.RowShard[p.I] // == RowShard[p.J]: pairs never cross components
+		s := plan.RowShard[p.I]
 		plan.Pairs[s] = append(plan.Pairs[s], p)
 		plan.pairIdx[s] = append(plan.pairIdx[s], int32(k))
 	}
@@ -281,9 +304,9 @@ func (r *Resolver) resolveRows(t *dataset.Table, rows []int, pairs, must, cannot
 // the given rows' entries of roots are written, so callers resolving
 // disjoint row sets may share one slab without a lock.
 func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, cannot []Pair, score func(int, Pair) float64, roots []int32) int {
-	local := make(map[int]int, len(rows))
+	local := make([]int32, len(roots)) // by global row: its local index + 1, 0 outside rows
 	for li, g := range rows {
-		local[g] = li
+		local[g] = int32(li) + 1
 	}
 	parent := make([]int, len(rows))
 	for i := range parent {
@@ -335,9 +358,11 @@ func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, 
 		if p.I == p.J {
 			return 0, 0, false // self-pairs carry no constraint or evidence
 		}
-		a, aok := local[p.I]
-		b, bok := local[p.J]
-		return a, b, aok && bok
+		if p.I < 0 || p.J < 0 || p.I >= len(local) || p.J >= len(local) {
+			return 0, 0, false
+		}
+		a, b := int(local[p.I])-1, int(local[p.J])-1
+		return a, b, a >= 0 && b >= 0
 	}
 
 	conflicts := 0
@@ -390,14 +415,15 @@ func (r *Resolver) resolveRowsScored(t *dataset.Table, rows []int, pairs, must, 
 			scored = append(scored, scoredPair{p: p, s: s})
 		}
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].s != scored[j].s {
-			return scored[i].s > scored[j].s
+	// A total order (pairs are unique), so the sort is deterministic.
+	slices.SortFunc(scored, func(x, y scoredPair) int {
+		if x.s != y.s {
+			return cmp.Compare(y.s, x.s)
 		}
-		if scored[i].p.I != scored[j].p.I {
-			return scored[i].p.I < scored[j].p.I
+		if c := cmp.Compare(x.p.I, y.p.I); c != 0 {
+			return c
 		}
-		return scored[i].p.J < scored[j].p.J
+		return cmp.Compare(x.p.J, y.p.J)
 	})
 	for _, sp := range scored {
 		a, b, _ := localPair(sp.p)

@@ -156,6 +156,9 @@ type ClaimGroups struct {
 	layout      *trustLayout // nil until a TruthFinder estimation ran; immutable once made
 	entityStart []int32      // per entity, in ordinal order: its first group; a last entry closes the final entity
 	maxClaims   int          // the largest group's claim count, nulls included
+	// voted[k] counts the prepared groups with more than k fuse buckets:
+	// those FuseInto votes in, where trustFree holds (k = 1) or not (k = 0).
+	voted [2]int
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
@@ -324,17 +327,20 @@ func (g *ClaimGroups) trustFree(opts Options) bool {
 // than one fuse bucket, and, where trustFree does not hold, every group
 // with a non-null claim. Every group must be prepared.
 func (g *ClaimGroups) revoted(opts Options) int {
-	least := 2
-	if !g.trustFree(opts) {
-		least = 1
+	if g.trustFree(opts) {
+		return g.voted[1]
 	}
-	n := 0
-	for _, p := range g.prep {
-		if len(p.fuseBuckets().reps) >= least {
-			n++
+	return g.voted[0]
+}
+
+// count adds p's share of the voted counts, times sign, to voted.
+func (p *groupPrep) count(voted *[2]int, sign int) {
+	nb := len(p.fuseBuckets().reps)
+	for k := range voted {
+		if nb > k {
+			voted[k] += sign
 		}
 	}
-	return n
 }
 
 // Fuse resolves all claims into one result per (entity, attribute).

@@ -216,7 +216,8 @@ func layoutCopy(l *trustLayout) *trustLayout {
 // between contested and not. After every edit the layout laid out from
 // the previous one equals a fresh build, the previous layout is left as
 // it was, and the estimation over it equals, bit for bit and iteration
-// for iteration, one over a fresh grouping of the same claims. Patched
+// for iteration, one over a fresh grouping of the same claims — and
+// counts the same groups to re-vote, from the counts it carried. Patched
 // layouts lay out only the groups not handed on whole, and the
 // dictionary, which keeps retired numbers, is renumbered afresh before it
 // holds more than twice the sources present.
@@ -271,7 +272,8 @@ func TestTrustLayoutPatchEqualsFreshBuild(t *testing.T) {
 
 			fresh := ps.grouped(true)
 			want, _, fst := EstimateTrustWarmParallel(fresh, cloneOpts(opts), nil, 1)
-			if !slices.Equal(st.Iterations, fst.Iterations) || st.Contested != fst.Contested || st.Components != fst.Components {
+			if !slices.Equal(st.Iterations, fst.Iterations) || st.Contested != fst.Contested || st.Components != fst.Components ||
+				st.FuseRevoted != fst.FuseRevoted {
 				t.Fatalf("%s: patched %+v, fresh %+v", label, st, fst)
 			}
 			requireBitEqualTrust(t, label, want.Trust, got.Trust)

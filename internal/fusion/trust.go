@@ -653,6 +653,20 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int, from []int32) {
 		if prev.layout != nil && g.layout == nil {
 			from = make([]int32, len(g.claims))
 		}
+		// The adopted groups add prev's voted counts less the share of
+		// prev's groups not adopted, which drop subtracts as the walk
+		// passes them: the counts cost what the delta moved.
+		for k := range g.voted {
+			g.voted[k] += prev.voted[k]
+		}
+		dropped := 0 // prev's groups below it are accounted for
+		drop := func(upTo int) {
+			for ; dropped < upTo; dropped++ {
+				if p := prev.prep[dropped]; p != nil {
+					p.count(&g.voted, -1)
+				}
+			}
+		}
 		j := 0
 		for i, cs := range g.claims {
 			if from != nil {
@@ -676,12 +690,15 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int, from []int32) {
 			}
 			if g.prep[i] == nil {
 				g.prep[i] = prev.prep[j]
+				drop(j)
+				dropped++
 			}
 			if from != nil && &prev.claims[j][0] == &cs[0] && g.prep[i] == prev.prep[j] {
 				from[i] = int32(j)
 			}
 			j++
 		}
+		drop(len(prev.claims))
 	}
 	for _, p := range g.prep {
 		if p != nil {
@@ -712,6 +729,7 @@ func (g *ClaimGroups) prepare(workers int) {
 		if err == nil {
 			for k, i := range idx {
 				g.prep[i] = prepared[k]
+				prepared[k].count(&g.voted, 1)
 			}
 			return
 		}
@@ -719,6 +737,7 @@ func (g *ClaimGroups) prepare(workers int) {
 	}
 	for _, i := range idx {
 		g.prep[i] = prepareGroup(g.claims[i])
+		g.prep[i].count(&g.voted, 1)
 	}
 }
 
