@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/feedback"
 	"repro/internal/fusion"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -367,6 +368,61 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 			b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
 			for k, step := range reportedSteps {
 				b.ReportMetric(steps[k].Seconds()*1e3/float64(b.N), step+"_ms/op")
+			}
+		})
+	}
+}
+
+// BenchmarkFeedbackReaction is pay-as-you-go value feedback at seed
+// scale: a reviewer flags one fused value wrong, blaming its first
+// supporter, and the session reacts through the fuse-only tail at 1 and 4
+// shards. It reports the trust and fuse stages (fuse summed over the
+// parts) and the publish gap — the call's wall less ReactStats.Duration,
+// which closes before publication — in mean ms per op, so the fuse-only
+// budget shows without a profiler.
+func BenchmarkFeedbackReaction(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			w := wrangletest.NewWrangler(3, 24, shards)
+			if _, err := w.Run(); err != nil {
+				b.Fatal(err)
+			}
+			var targets []int
+			for i, r := range w.Results() {
+				if len(w.Supporters(i)) > 0 && r.Attribute == "price" {
+					targets = append(targets, i)
+				}
+			}
+			if len(targets) == 0 {
+				b.Fatal("no fused price has a supporter")
+			}
+			var trust, fuse, gap time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := targets[(37*i)%len(targets)]
+				res := w.Results()[k]
+				src := w.SelectedSources()[0]
+				if sup := w.Supporters(k); len(sup) > 0 {
+					src = sup[0]
+				}
+				w.AddFeedback(feedback.Item{Kind: feedback.ValueIncorrect, SourceID: src,
+					Entity: res.Entity, Attribute: res.Attribute, Worker: "expert", Cost: 0.1})
+				start := time.Now()
+				stats, err := w.ReactToFeedback()
+				wall := time.Since(start)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if stats.Reclustered {
+					b.Fatal("value feedback reclustered")
+				}
+				trust += stats.Stages["trust"]
+				fuse += stats.Stages["fuse"]
+				gap += wall - stats.Duration
+			}
+			for name, d := range map[string]time.Duration{"trust": trust, "fuse": fuse, "publish_gap": gap} {
+				b.ReportMetric(d.Seconds()*1e3/float64(b.N), name+"_ms/op")
 			}
 		})
 	}

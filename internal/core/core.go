@@ -208,6 +208,9 @@ type Wrangler struct {
 	namesKept    int         // entities the last naming carried over (carryNames); 0 when it named all afresh
 	results      []fusion.Result
 	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
+	freeFused    *fusion.ClaimGroups // groups, when the last merge fused results from them under trust-free options; else nil
+	handed       handOff             // what the last merge's fuse handed on, for publish
+	pins         map[string]float64  // per source: a trust fusion pins over the feedback-derived one; only tests set it, to reach trust's edges
 	laidFrom     layout              // what groups was laid out from
 	wrangled     *dataset.Table
 	trust        map[string]float64
@@ -759,13 +762,26 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 	w.unionKeys, w.unionIndex = nil, nil // derived from unionSources; rebuilt lazily
 	w.unionIDs = w.selectedIDs()
 	w.unionStarts = make([]int, len(w.unionIDs))
+	// A source restored from the log carries no derivations yet: derive
+	// them on the worker fan-out, as a live reaction does (computeSource).
+	// Each derive reads only its state's mapped table and writes only that
+	// state.
+	var underived []*sourceState
+	for _, id := range w.unionIDs {
+		if st := w.states[id]; st.cells == nil {
+			underived = append(underived, st)
+		}
+	}
+	if err := engine.Map(context.Background(), w.workers(), len(underived), func(_ context.Context, i int) error {
+		w.derive(underived[i])
+		return nil
+	}); err != nil {
+		return false, err
+	}
 	cells := make([]*quality.Cells, len(w.unionIDs))
 	feats := make([]*er.Derived, len(w.unionIDs))
 	for k, id := range w.unionIDs {
 		st := w.states[id]
-		if st.cells == nil {
-			w.derive(st)
-		}
 		cells[k], feats[k] = st.cells, st.feats
 		w.unionStarts[k] = w.union.Len()
 		for _, r := range st.mapped.Rows() {
@@ -784,7 +800,7 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.entities = entityIndex{}
 		w.trust = map[string]float64{}
 		w.results = nil
-		w.groups = nil
+		w.groups, w.freeFused = nil, nil
 		w.rowEntities = nil
 		w.memo = nil // nothing integrated: nothing for the next tail to diff against
 		return true, nil
@@ -1058,6 +1074,10 @@ func (w *Wrangler) fusionOptions() fusion.Options {
 	opts.Now = sources.AsOf(w.Provider.Clock())
 	opts.Pinned = map[string]bool{}
 	for src, t := range w.Feedback.SourceTrust() {
+		opts.Trust[src] = t
+		opts.Pinned[src] = true
+	}
+	for src, t := range w.pins {
 		opts.Trust[src] = t
 		opts.Pinned[src] = true
 	}

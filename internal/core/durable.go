@@ -1664,7 +1664,7 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	}
 	// The results' claim groups are regrouped from the restored clustering
 	// on first use (fusedGroups).
-	w.groups = nil
+	w.groups, w.freeFused = nil, nil
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
 	}

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -25,7 +25,11 @@ import (
 // only place that knows what a version changed: it adopts the
 // predecessor's record for every entity whose record is Same, lists what
 // moved for the change feed (changes) and for the durable log's patch,
-// and patches the report. Readers (Session.View) hold the committed
+// and patches the report. A fuse-only reaction that handed its results
+// on pays only for what it moved here too: its records not moved are the
+// previous version's already, so the row diff writes nothing for them,
+// and the report is the previous one with the moved results' lines
+// patched (patchReport). Readers (Session.View) hold the committed
 // version without any lock and are never torn by the next reaction. Each
 // report line's supporter list is the one its claim group prepared:
 // shared with the working data and with every other version whose group
@@ -108,7 +112,7 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 	table := w.publishTable()
 	cur.rows = table.Rows()
 	title := publishTitle(origin)
-	if cur.report = diffReport(prev, cur, dt, title, w.Supporters); cur.report == nil {
+	if cur.report = diffReport(prev, cur, dt, title, w.handed, w.Supporters); cur.report == nil {
 		cur.report, dt = report.Build(w, title, nil), nil
 	}
 	w.observePublishPhase(phaseReport, time.Since(start))
@@ -228,20 +232,35 @@ func (w *Wrangler) changes(prev, cur *publication, dt *delta) serve.ChangeSet {
 	return cs
 }
 
+// handOff is what the last merge's fuse parts handed on: the results
+// slab they copied from — nil when they fused every group — and the group
+// indices, ascending, whose result moved against it.
+type handOff struct {
+	from  []fusion.Result
+	moved []int
+}
+
 // diffReport is the report half of the one diff a publication runs. It
 // walks cur's results against prev's key by key — both in (entity,
 // attribute) order — and builds cur's report on the way: a result that
-// held (sameResult) whose supporter slice is the very slice the previous
-// line holds keeps that line; every other non-null result gets a fresh
-// one. It adds to dt the results that did not hold, the lines whose
-// supporters moved, and the results that are gone. Without a previous
-// publication, or when its report does not line up with its results, it
-// returns nil, and the caller builds the report whole.
-func diffReport(prev, cur *publication, dt *delta, title string, supporters func(int) []string) *report.Report {
+// held (fusion.Result.Same) whose supporter slice is the very slice the
+// previous line holds keeps that line; every other non-null result gets a
+// fresh one. It adds to dt the results that did not hold, the lines whose
+// supporters moved, and the results that are gone. Where the tail handed
+// its results on from prev's very slab (handed), it patches instead
+// (patchReport). Without a previous publication, or when its report does
+// not line up with its results, it returns nil, and the caller builds the
+// report whole.
+func diffReport(prev, cur *publication, dt *delta, title string, handed handOff, supporters func(int) []string) *report.Report {
 	if prev == nil || prev.report == nil {
 		return nil
 	}
 	P, C, L := prev.results, cur.results, prev.report.Lines
+	if len(P) > 0 && len(handed.from) == len(P) && &handed.from[0] == &P[0] {
+		if r := patchReport(L, C, dt, title, handed.moved, supporters); r != nil {
+			return r
+		}
+	}
 	lines := make([]report.Line, 0, len(L))
 	pl := 0 // the previous line of the next non-null previous result
 	for i, j := 0, 0; i < len(C) || j < len(P); {
@@ -265,7 +284,7 @@ func diffReport(prev, cur *publication, dt *delta, title string, supporters func
 			j++
 			continue
 		}
-		held := c == 0 && sameResult(&C[i], &P[j])
+		held := c == 0 && C[i].Same(&P[j])
 		if !held {
 			dt.results = append(dt.results, i)
 		}
@@ -295,6 +314,45 @@ func diffReport(prev, cur *publication, dt *delta, title string, supporters func
 	return &report.Report{Title: title, Lines: lines}
 }
 
+// patchReport is the walk of diffReport where the tail handed its results
+// on from the previous publication's: the keys are the previous ones, and
+// only the moved results differ, so every other line is the previous
+// one, whose supporter slice is the one its prepared group holds. It
+// copies the previous lines L once and gives each moved result the fresh
+// line the walk gives it, found by key; a moved result's value is never
+// null, as no group with a choice fuses to null. It sets dt's results and
+// supporters as the walk would, and returns nil, leaving dt as it was,
+// when a moved result has no line.
+//
+// The lines are the non-null results in order, one each, so a result's
+// line lies past the last patched line by at most as many lines as
+// results lie between their two results: the key search reads that
+// window only.
+func patchReport(L []report.Line, C []fusion.Result, dt *delta, title string, moved []int, supporters func(int) []string) *report.Report {
+	lines := slices.Clone(L)
+	var patched []int
+	last, next := -1, 0 // the last moved result, and the line after its line
+	for _, i := range moved {
+		res := &C[i]
+		hi := min(next+i-last, len(lines))
+		k := next + sort.Search(hi-next, func(k int) bool {
+			l := &lines[next+k]
+			return compareKeys(l.Entity, l.Attribute, res.Entity, res.Attribute) >= 0
+		})
+		if k >= hi || lines[k].Entity != res.Entity || lines[k].Attribute != res.Attribute {
+			return nil
+		}
+		last, next = i, k+1
+		sup := supporters(i)
+		if !slices.Equal(lines[k].Supporters, sup) {
+			patched = append(patched, k)
+		}
+		lines[k] = resultLine(res, sup)
+	}
+	dt.results, dt.supporters = moved, patched
+	return &report.Report{Title: title, Lines: lines}
+}
+
 // resultLine is a result's report line, as report.Build writes it.
 func resultLine(res *fusion.Result, supporters []string) report.Line {
 	return report.Line{Entity: res.Entity, Attribute: res.Attribute, Value: res.Value.String(),
@@ -308,13 +366,6 @@ func compareKeys(entityA, attrA, entityB, attrB string) int {
 		return c
 	}
 	return strings.Compare(attrA, attrB)
-}
-
-// sameResult is the rule that decides a result unchanged: the same value
-// (dataset.Value.Same), the same Confidence bits, Support and Conflict.
-func sameResult(a, b *fusion.Result) bool {
-	return math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) && a.Support == b.Support &&
-		a.Conflict == b.Conflict && a.Value.Same(b.Value)
 }
 
 // sameRecord is dataset.Record.Same, answered at once for one record.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -27,10 +28,14 @@ import (
 // shares with its predecessor, the publication diff finds (publish.go).
 
 // fusedPart is one fuse part's output: the fused entities of its range,
-// in order, with one fresh record each.
+// in order, with one record each — fresh, or, where the part handed
+// results on, the previous table's for every entity none of whose results
+// moved — and, where it handed results on, the group indices of its
+// results that moved.
 type fusedPart struct {
 	entities []string
 	rows     []dataset.Record
+	moved    []int
 }
 
 // shardRun is the scratch state one sharded integration passes between
@@ -45,6 +50,7 @@ type shardRun struct {
 	opts         fusion.Options      // cluster barrier: trust already estimated
 	split        trustSplit          // cluster barrier: the trust stage, by step
 	results      []fusion.Result     // fuse fan-out: every group's result at its group index
+	handOn       []fusion.Result     // cluster barrier: the previous results the fuse parts hand on from; nil to fuse every group
 	parts        []fusedPart         // fuse fan-out
 	empty        bool                // nothing to integrate; all stages no-op
 	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
@@ -207,6 +213,15 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // and it prepares every other group, under every policy, on the worker
 // fan-out, so the fuse parts only read the groups. Runs inside the
 // single cluster-barrier task, so writing w.lastTrust is race-free.
+//
+// A fuse-only tail that took the memo's groups hands the last results on
+// (sr.handOn) when the last merge fused them from those very groups and
+// no result of a group with one fuse bucket can depend on trust, under
+// that fuse's trust or this one's (fusion.ClaimGroups.TrustFree): then
+// only the groups with a choice can move, and the fuse parts re-vote just
+// those. Anything else — a full tail, a restore's adopted results, a
+// regrouping, FreshnessWeighted, a trust that could overflow a vote —
+// fuses every group.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
 	prev := w.groups
 	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
@@ -218,6 +233,9 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 	}
 	sr.results = make([]fusion.Result, sr.groups.Len())
 	sr.opts, sr.split.TrustSplit, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
+	if sr.fuseOnly && sr.groups == w.freeFused && sr.groups.TrustFree(sr.opts) {
+		sr.handOn = w.results
+	}
 }
 
 // shardFuseStage fuses, under the globally estimated trust, part i of
@@ -228,12 +246,47 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 // accumulation match bit for bit. The groups arrive prepared, so the fuse
 // reads them and writes only its span of sr.results, the group-indexed
 // slab the parts fill between them with nothing to merge.
+//
+// A part that hands results on (sr.handOn) takes its entity range of the
+// previous table — the same entities, in the same order — and builds a
+// fresh record only for an entity whose value moved: a record is a
+// function of its entity's result values alone, and a result whose value
+// is Same holds its group's very representative, so every other previous
+// record is the one materialize would build, or one the publication diff
+// found Same to it. A moved confidence moves no record.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
-	entities, rows := materialize(sr.groups.FuseInto(sr.results, sr.opts, i, len(sr.parts)), w.Config.Target)
-	sr.parts[i] = fusedPart{entities: entities, rows: rows}
+	n := len(sr.parts)
+	span, moved := sr.groups.FuseInto(sr.results, sr.handOn, sr.opts, i, n)
+	if sr.handOn == nil {
+		entities, rows := materialize(span, w.Config.Target)
+		sr.parts[i] = fusedPart{entities: entities, rows: rows}
+		return nil
+	}
+	e := len(w.rowEntities)
+	lo, hi := i*e/n, (i+1)*e/n
+	part := fusedPart{entities: w.rowEntities[lo:hi], rows: slices.Clone(w.wrangled.Rows()[lo:hi]), moved: moved}
+	fresh := "" // the entity whose record was built last
+	for _, g := range moved {
+		entity := sr.results[g].Entity
+		if entity == fresh || sr.results[g].Value.Same(sr.handOn[g].Value) {
+			continue
+		}
+		fresh = entity
+		// The entity's groups, found on the previous slab: it holds the
+		// same keys, and other parts write their spans of sr.results.
+		from, to := g, g+1
+		for ; from > 0 && sr.handOn[from-1].Entity == entity; from-- {
+		}
+		for ; to < len(sr.handOn) && sr.handOn[to].Entity == entity; to++ {
+		}
+		_, rows := materialize(sr.results[from:to], w.Config.Target)
+		at, _ := slices.BinarySearch(part.entities, entity)
+		part.rows[at] = rows[0]
+	}
+	sr.parts[i] = part
 	return nil
 }
 
@@ -247,6 +300,11 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 		return nil
 	}
 	w.results, w.groups, w.laidFrom = sr.results, sr.groups, sr.laidFrom
+	w.freeFused = nil
+	if sr.groups.TrustFree(sr.opts) {
+		w.freeFused = sr.groups
+	}
+	w.handed = handOff{from: sr.handOn}
 	w.trust = sr.opts.Trust
 	w.wrangled, w.rowEntities = dataset.NewTable(w.Config.Target.Clone()), nil
 	for _, p := range sr.parts {
@@ -254,6 +312,7 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 		for _, r := range p.rows {
 			w.wrangled.Append(r)
 		}
+		w.handed.moved = append(w.handed.moved, p.moved...)
 	}
 	w.LastStats.RowsWrangled = w.wrangled.Len()
 	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},

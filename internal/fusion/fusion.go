@@ -157,8 +157,12 @@ type ClaimGroups struct {
 	entityStart []int32      // per entity, in ordinal order: its first group; a last entry closes the final entity
 	maxClaims   int          // the largest group's claim count, nulls included
 	// voted[k] counts the prepared groups with more than k fuse buckets:
-	// those FuseInto votes in, where trustFree holds (k = 1) or not (k = 0).
+	// those FuseInto votes in, where TrustFree holds (k = 1) or not (k = 0).
 	voted [2]int
+	// voters lists, ascending, the voted[1] groups with more than one fuse
+	// bucket: all a fuse from a previous slab re-votes. prepare lists
+	// them, once, when it has first prepared every group.
+	voters []int32
 }
 
 // Len reports the number of (entity, attribute) groups — the length of
@@ -272,12 +276,14 @@ func appendSupporters(dst []string, claims []Claim, v dataset.Value) []string {
 
 // Fuse fuses every group, in group order, taking source trust as given:
 // no fixpoint runs, each group is fused independently under opts.Trust.
-// It is FuseInto in one part over a fresh slab. The groups must be
-// prepared: g has been through EstimateTrustWarmParallel, under any
-// policy. Fuse then writes nothing but its result and never mutates
-// opts.Trust, so concurrent calls may share one options value.
+// It is FuseInto in one part over a fresh slab, with no previous one. The
+// groups must be prepared: g has been through EstimateTrustWarmParallel,
+// under any policy. Fuse then writes nothing but its result and never
+// mutates opts.Trust, so concurrent calls may share one options value.
 func (g *ClaimGroups) Fuse(opts Options) []Result {
-	return g.FuseInto(make([]Result, g.Len()), opts, 0, 1)
+	slab := make([]Result, g.Len())
+	g.FuseInto(slab, nil, opts, 0, 1)
+	return slab
 }
 
 // FuseInto fuses part `part` of `parts`: the groups of the entities
@@ -289,30 +295,67 @@ func (g *ClaimGroups) Fuse(opts Options) []Result {
 // results. Parts 0..parts-1 tile slab: between them they fill it with
 // Fuse's output, bit for bit under the same trust, since no group spans
 // entities — the property the sharded integration tail is built on.
-// Where g.trustFree(opts) holds, a group with one fuse bucket takes its
-// result without a vote. It reads the prepared groups and writes only its
-// span of slab, so parts may run at once over one slab.
-func (g *ClaimGroups) FuseInto(slab []Result, opts Options, part, parts int) []Result {
+// Where g.TrustFree(opts) holds, a group with one fuse bucket takes its
+// result without a vote.
+//
+// prev, when not nil, is a previous slab of g's results: g's fuse under
+// options for which TrustFree held. FuseInto then also returns, in
+// ascending order, the part's group indices whose result did not hold
+// against prev (Result.Same). Where TrustFree holds for opts as well, no
+// result but a voter's can have moved, so the part copies its span from
+// prev and votes only its voters (ClaimGroups.voters); otherwise it fuses
+// every group. Either way the span equals a fuse without prev, bit for
+// bit. With prev nil, moved is nil. FuseInto reads the prepared groups
+// and prev, and writes only its span of slab, so parts may run at once
+// over one slab.
+func (g *ClaimGroups) FuseInto(slab, prev []Result, opts Options, part, parts int) (span []Result, moved []int) {
 	opts = opts.normalized()
 	entities := len(g.entityStart) - 1
 	lo, hi := g.entityStart[part*entities/parts], g.entityStart[(part+1)*entities/parts]
-	free := g.trustFree(opts)
+	free := g.TrustFree(opts)
 	var sc fuseScratch
-	for i := lo; i < hi; i++ {
+	fuse := func(i int32) {
 		slab[i] = g.prep[i].result(g.claims[i], opts, free, &sc)
+		if prev != nil && !slab[i].Same(&prev[i]) {
+			moved = append(moved, int(i))
+		}
 	}
-	return slab[lo:hi:hi]
+	if prev != nil && free {
+		copy(slab[lo:hi], prev[lo:hi])
+		k, _ := slices.BinarySearch(g.voters, lo)
+		for _, i := range g.voters[k:] {
+			if i >= hi {
+				break
+			}
+			fuse(i)
+		}
+	} else {
+		for i := lo; i < hi; i++ {
+			fuse(i)
+		}
+	}
+	return slab[lo:hi:hi], moved
 }
 
-// trustFree reports whether, under opts, a group with one fuse bucket
+// Same is the rule that decides a result unchanged: the same value
+// (dataset.Value.Same), the same Confidence bits, Support and Conflict.
+// The keys are not compared.
+func (r *Result) Same(o *Result) bool {
+	return math.Float64bits(r.Confidence) == math.Float64bits(o.Confidence) && r.Support == o.Support &&
+		r.Conflict == o.Conflict && r.Value.Same(o.Value)
+}
+
+// TrustFree reports whether, under opts, a group with one fuse bucket
 // fuses to the same result whatever the trust: its representative, its
 // member count, no conflict and Confidence w/(0+w), exactly 1.0 when its
 // weight sum w is finite and positive. Under MajorityVote w counts claims.
 // Under WeightedVote and TruthFinder every weight is a positive trust or
 // the default, and w is finite while weightsBounded holds over the
 // largest group. Under FreshnessWeighted decay can underflow a weight to
-// 0, and the confidence with it, so every group votes.
-func (g *ClaimGroups) trustFree(opts Options) bool {
+// 0, and the confidence with it, so every group votes. A slab fused under
+// such options may be FuseInto's prev. opts are read as given: pass them
+// with their defaults filled, as EstimateTrustWarmParallel returns them.
+func (g *ClaimGroups) TrustFree(opts Options) bool {
 	switch opts.Policy {
 	case MajorityVote:
 		return true
@@ -324,13 +367,26 @@ func (g *ClaimGroups) trustFree(opts Options) bool {
 }
 
 // revoted counts the groups FuseInto votes under opts: those with more
-// than one fuse bucket, and, where trustFree does not hold, every group
+// than one fuse bucket, and, where TrustFree does not hold, every group
 // with a non-null claim. Every group must be prepared.
 func (g *ClaimGroups) revoted(opts Options) int {
-	if g.trustFree(opts) {
+	if g.TrustFree(opts) {
 		return g.voted[1]
 	}
 	return g.voted[0]
+}
+
+// listVoters lists the voters of a prepared g that has no list yet.
+func (g *ClaimGroups) listVoters() {
+	if g.voters != nil {
+		return
+	}
+	g.voters = make([]int32, 0, g.voted[1])
+	for i, p := range g.prep {
+		if len(p.fuseBuckets().reps) > 1 {
+			g.voters = append(g.voters, int32(i))
+		}
+	}
 }
 
 // count adds p's share of the voted counts, times sign, to voted.
@@ -547,7 +603,7 @@ type fuseScratch struct {
 // vote weights summed in claim order, buckets ordered heaviest first (ties
 // by normalised representative), and the winner's share of the total
 // summed in that order. A group with one bucket takes, when free (see
-// ClaimGroups.trustFree), the result that vote would give — Confidence
+// ClaimGroups.TrustFree), the result that vote would give — Confidence
 // w/w, exactly 1.0 — without summing a weight.
 func (p *groupPrep) result(claims []Claim, opts Options, free bool, sc *fuseScratch) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
@@ -569,18 +625,24 @@ func (p *groupPrep) result(claims []Claim, opts Options, free bool, sc *fuseScra
 		w[i], order[i] = 0, i
 	}
 	k := 0 // non-null claims so far: the index into b.claimBucket
-	for _, c := range claims {
-		if !c.Value.IsNull() {
+	for i := range claims {
+		if c := &claims[i]; !c.Value.IsNull() {
 			w[b.claimBucket[k]] += voteWeight(c, opts)
 			k++
 		}
 	}
-	if nb > 1 {
-		// sort.Slice over the buckets in creation order, not a stable
-		// sort: of two buckets tied on weight and norm, the winner is the
-		// one sort.Slice puts first, and fused results are pinned to it.
-		sort.Slice(order, func(i, j int) bool { return bucketBefore(w, b.norms, order[i], order[j]) })
-	}
+	// sort.Slice's order over the buckets in creation order, not a stable
+	// sort's: of two buckets tied on weight and norm, the winner is the one
+	// sort.Slice puts first, and fused results are pinned to it.
+	// slices.SortFunc runs the same pdqsort, generated from one template,
+	// and reads its cmp only for the sign below zero, as sort.Slice reads
+	// less — without sort.Slice's reflection.
+	slices.SortFunc(order, func(x, y int) int {
+		if bucketBefore(w, b.norms, x, y) {
+			return -1
+		}
+		return 1
+	})
 	total := 0.0
 	for _, bi := range order {
 		total += w[bi]
@@ -671,7 +733,7 @@ func reconcileUnits(claims []Claim) (out []Claim, rewrote bool) {
 	return out, rewrote
 }
 
-func voteWeight(c Claim, opts Options) float64 {
+func voteWeight(c *Claim, opts Options) float64 {
 	switch opts.Policy {
 	case MajorityVote:
 		return 1

@@ -30,7 +30,7 @@ type bucket struct {
 func fuseGroup(claims []Claim, opts Options) Result {
 	res := Result{Entity: claims[0].Entity, Attribute: claims[0].Attribute}
 	claims, _ = reconcileUnits(claims)
-	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(c, opts) })
+	buckets := bucketize(claims, opts, func(c Claim) float64 { return voteWeight(&c, opts) })
 	if len(buckets) == 0 {
 		res.Value = dataset.Null()
 		return res
@@ -338,8 +338,11 @@ func fuzzSeeds(f *testing.F) {
 // so the options (fuseOptions) reach for the guard's edges: seeds at or
 // near MaxFloat64 on a pinned source, whose one-bucket groups sum to +Inf,
 // and a 1 ns half-life, under which every freshness weight underflows to
-// 0. The corpus is seeded with mostly uncontested groups, where those
-// edges show.
+// 0. The second fuse also runs from the first one's slab, the fuse-only
+// reaction's hand-on, with source p pinned, by seed, around the TrustFree
+// bound: wherever it may hand on it equals the fuse without the slab bit
+// for bit and reports exactly the groups whose result moved. The corpus is
+// seeded with mostly uncontested groups, where those edges show.
 func FuzzFusePrepared(f *testing.F) {
 	fuzzSeeds(f)
 	// Mostly uncontested: most claims say 100, under a huge trust on source
@@ -358,6 +361,22 @@ func FuzzFusePrepared(f *testing.F) {
 	// One group of three claims by source p, all 100: at MaxFloat64/3 on p
 	// they sum to +Inf.
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 2, 0}, uint8(2+5*2), int64(9))
+	// Mostly uncontested again, the second fuse with p's trust just under,
+	// at and just over the TrustFree bound (seed%4 = 1, 2, 3), under
+	// TruthFinder and WeightedVote, with and without a huge first trust.
+	for i, mode := range []uint8{2, 1, 2 + 5*3, 1 + 5*1} {
+		rng := rand.New(rand.NewSource(300 + int64(i)))
+		data := make([]byte, 3*(20+rng.Intn(60)))
+		rng.Read(data)
+		for k := 0; k+2 < len(data); k += 3 {
+			if rng.Intn(4) != 0 {
+				data[k+1] = 1
+			}
+		}
+		for edge := int64(1); edge <= 3; edge++ {
+			f.Add(data, mode, 4*int64(i)+edge)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8, seed int64) {
 		claims := fuzzClaims(data, fuseValues, 3)
 		if len(claims) == 0 {
@@ -381,7 +400,8 @@ func FuzzFusePrepared(f *testing.F) {
 			slab := make([]Result, g.Len())
 			var parts []Result
 			for part := range 2 {
-				parts = append(parts, g.FuseInto(slab, opts, part, 2)...)
+				span, _ := g.FuseInto(slab, nil, opts, part, 2)
+				parts = append(parts, span...)
 			}
 			if len(parts) != len(slab) {
 				t.Fatalf("parts fused %d results, want %d", len(parts), len(slab))
@@ -390,7 +410,8 @@ func FuzzFusePrepared(f *testing.F) {
 		}
 		g := GroupClaims(claims)
 		opts, _, _ := EstimateTrustWarmParallel(g, cloneOpts(base), nil, 1)
-		check("fresh", g, opts, g.Fuse(opts))
+		first := g.Fuse(opts)
+		check("fresh", g, opts, first)
 
 		moved := slices.Clone(claims)
 		for i := range moved {
@@ -404,10 +425,40 @@ func FuzzFusePrepared(f *testing.F) {
 		}
 		check("adopted", g2, opts2, fuseParts(g2, opts2))
 
-		// The same policy under another draw of trust and huge seeds.
+		// The same policy under another draw of trust and huge seeds, and,
+		// by seed, source p pinned just under, at or just over the bound
+		// TrustFree holds under.
 		next := fuseOptions(mode%5+5*(mode/25), ^seed)
+		if edge := []float64{0, 0.999, 1, 1.001}[uint64(seed)%4]; edge != 0 {
+			next.Trust["p"], next.Pinned["p"] = edge*math.MaxFloat64/float64(2*max(g.maxClaims, 1)), true
+		}
 		opts3, _, _ := EstimateTrustWarmParallel(g, cloneOpts(next), g, 1)
-		check("again", g, opts3, fuseParts(g, opts3))
+		again := fuseParts(g, opts3)
+		check("again", g, opts3, again)
+
+		// Again from the first fuse's slab, as a fuse-only reaction hands
+		// its results on: where the first fuse was trust-free, or this one
+		// is not, it equals the fuse without one and reports exactly the
+		// groups whose result differs from the first.
+		if g.TrustFree(opts) || !g.TrustFree(opts3) {
+			handed := make([]Result, g.Len())
+			var moved, want []int
+			for part := range 2 {
+				_, m := g.FuseInto(handed, first, opts3, part, 2)
+				moved = append(moved, m...)
+			}
+			for i := range again {
+				if !sameResult(handed[i], again[i]) {
+					t.Fatalf("handed on: group %q = %+v, without the first slab %+v", groupKey(g, i), handed[i], again[i])
+				}
+				if !again[i].Same(&first[i]) {
+					want = append(want, i)
+				}
+			}
+			if !slices.Equal(moved, want) {
+				t.Fatalf("handed on: moved %v, want %v", moved, want)
+			}
+		}
 	})
 }
 

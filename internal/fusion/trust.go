@@ -711,9 +711,10 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int, from []int32) {
 // prepare prepares every group that carries no prepared state yet,
 // fanning out over engine workers when more than one of each is available
 // — profiles put preparation ahead of the iteration loop on cold
-// estimations. Each group's prepared state is a pure function of its own
-// claims, and the MapSlice merge is position-deterministic, so the
-// parallel build is identical to the sequential loop.
+// estimations — and then, once per ClaimGroups, lists its voters. Each
+// group's prepared state is a pure function of its own claims, and the
+// MapSlice merge is position-deterministic, so the parallel build is
+// identical to the sequential loop.
 func (g *ClaimGroups) prepare(workers int) {
 	var idx []int
 	for i, p := range g.prep {
@@ -721,24 +722,24 @@ func (g *ClaimGroups) prepare(workers int) {
 			idx = append(idx, i)
 		}
 	}
+	var prepared []*groupPrep
 	if workers != 1 && len(idx) > 1 {
-		prepared, err := engine.MapSlice(context.Background(), workers, idx,
+		// A recovered panic leaves prepared nil, so it resurfaces
+		// sequentially.
+		prepared, _ = engine.MapSlice(context.Background(), workers, idx,
 			func(_ context.Context, i int) (*groupPrep, error) {
 				return prepareGroup(g.claims[i]), nil
 			})
-		if err == nil {
-			for k, i := range idx {
-				g.prep[i] = prepared[k]
-				prepared[k].count(&g.voted, 1)
-			}
-			return
-		}
-		// A recovered panic: fall through so it resurfaces sequentially.
 	}
-	for _, i := range idx {
-		g.prep[i] = prepareGroup(g.claims[i])
+	for k, i := range idx {
+		if prepared != nil {
+			g.prep[i] = prepared[k]
+		} else {
+			g.prep[i] = prepareGroup(g.claims[i])
+		}
 		g.prep[i].count(&g.voted, 1)
 	}
+	g.listVoters()
 }
 
 // estimateTrust is the one TruthFinder trust estimation, over prepared
