@@ -31,19 +31,17 @@ import (
 // working data and the generic append log in internal/wal. Every committed
 // publication appends the feedback items and source states that changed
 // since the last publish, the provenance derivations since the last
-// recorded step, and one version record. A version is logged one of two
-// ways. A full version cuts its output into the entity ranges its tail
-// fused, writes one page record per range, and references them (mode 1),
-// or carries its output inline when it is empty (mode 0); only this file
-// knows pages. A patch (mode 2) writes only what the publication's one
-// diff found moved since the version logged before it, its base: the
-// changed and removed records and results, the supporters of the report
-// lines whose supporters moved, and the clustering when it moved. One
-// fixed rule picks between them: a patch while the patches since the last
-// full version, this one included, stay smaller than that full version — so a restore decodes at most about
-// two full versions' worth of bytes. Reading a patch version folds its
-// chain — the patches down to the full version they build on — into one
-// edit per key and applies that to the full version once.
+// recorded step, and one version record: a patch (mode 2) holding what
+// the publication's one diff found moved since its base — changed and
+// removed records and results, the supporters of the lines whose
+// supporters moved, and the clustering when it moved. The base is the
+// version logged before while the patches since the last full version,
+// this one included, stay smaller than that full version (so a restore
+// decodes at most about two full versions' worth of bytes); a full
+// version patches seq 0, the empty version. A reader folds a patch's chain
+// into one edit per key and applies it to the full version's output once.
+// Older logs' full versions, inline (mode 0) or in page records (mode 1),
+// still decode and are never written.
 // Because the wrangler only publishes after a fully successful run or
 // reaction, the log tail is always a coherent committed snapshot: reopening
 // it restores the session exactly as of its last publish (uncommitted
@@ -52,9 +50,9 @@ import (
 // Compaction is bounded by the serve store's retention window: once 2×retain
 // versions accumulate since the last checkpoint, the log is rewritten to
 // config + full feedback/provenance/source state + the retained version
-// records, with the chain back to the oldest one's full base and that
-// base's pages + a checkpoint marker. Page and version records go back
-// verbatim: compaction encodes nothing the log already holds.
+// records, with the chain back to the oldest one's full base (and its
+// pages, in an older log) + a checkpoint marker. Page and version records
+// go back verbatim: compaction encodes nothing the log already holds.
 //
 // Each record kind's payload layout is one code function over wal.Codec
 // (see "record layouts" below); TestParentWrittenLogs pins it against logs
@@ -94,9 +92,9 @@ type sourceSig struct {
 
 // retainedVersion is one version record the log holds: its encoded
 // record, which compaction writes back verbatim, and — once known —
-// whether it is a patch and, for a full version, the page ids it
-// references. A version this session wrote is known from the start; one
-// read back from the log once its body decoded (settle).
+// whether it patches a logged version and the page ids an older log's
+// full version references. A version this session wrote is known from
+// the start; one read back from the log once its body decoded (settle).
 type retainedVersion struct {
 	seq      uint64
 	payload  []byte
@@ -106,11 +104,10 @@ type retainedVersion struct {
 	replayed *replayedVersion
 }
 
-// loggedPage is one page record's payload, written back verbatim by
-// compaction; for a page read back from the log it aliases the replay
-// buffer. A replayed page decodes on first use (loadPage), once, on
-// whichever goroutine asks first: the restore, or a reader loading an
-// older retained version.
+// loggedPage is one page record read back from an older log: its payload,
+// which aliases the replay buffer and compaction writes back verbatim. It
+// decodes on first use (loadPage), once, on whichever goroutine asks
+// first: the restore, or a reader loading an older retained version.
 type loggedPage struct {
 	payload []byte
 	offset  int64 // the replayed record's file offset, for decode errors
@@ -123,8 +120,8 @@ type loggedPage struct {
 // decodes only its header (codeVersionHeader); the body decodes on first
 // use (body), once: at attach for the newest version's chain, from a
 // reader's Load for an older retained one, at compaction for its kind and
-// page ids. Its output is built once too (state), from its pages, inline
-// payload or base.
+// page ids. Its output is built once too (state), from its patch and its
+// base, or an older log's pages or inline payload.
 type replayedVersion struct {
 	lv     *loggedVersion // the header from open; whole once the body decoded
 	bodyAt int            // where the body starts in lv.payload
@@ -136,9 +133,9 @@ type replayedVersion struct {
 	st     *versionState
 	stErr  error
 
-	// pagesBefore are the ids of the page records right before this one
-	// in the log: a full version's pages, when a live session wrote it.
-	pagesBefore []uint64
+	// weight is the bytes of its record and of the page records right
+	// before it: what it cost the log.
+	weight int
 }
 
 // DurableLog is an open durable session log. It is driven entirely by the
@@ -155,16 +152,12 @@ type DurableLog struct {
 	configPayload []byte
 	schema        dataset.Schema
 
-	pagesByID  map[uint64]*loggedPage
-	nextPageID uint64
-
 	// replayed is every version record read back from the log, in seq
-	// order, and replayedPages the pages they reference: where a patch
-	// finds its base and a full version its pages. Both are read-only once
-	// open returns, so readers load older versions from them.
+	// order, and replayedPages an older log's page records by id: where a
+	// patch finds its base and a paged version its pages. Both are
+	// read-only once open returns, so readers load older versions from them.
 	replayed      []*replayedVersion
 	replayedPages map[uint64]*loggedPage
-	pagesPerFull  int // the pages a live full version writes: one per fuse part
 
 	// decoded counts the page and version bodies decoded since open.
 	decoded struct{ pages, versions atomic.Int64 }
@@ -173,15 +166,14 @@ type DurableLog struct {
 	lastFeedbackSeq int
 	srcSig          map[string]sourceSig
 
-	// pageSize, versionSize and patchSize are the lengths of the last
-	// page, full version and patch record encoded, which presize the next
-	// one's buffer.
-	pageSize, versionSize, patchSize int
+	// patchSize is the length of the last patch on the version before,
+	// which presizes the next one's buffer (fullBytes a full version's).
+	patchSize int
 
-	// fullBytes is what the last full version cost the log, its record
-	// and its pages; chainBytes and chain are the bytes and the number of
-	// the patches logged since. The next version is a patch while
-	// chainBytes, with it, stays below fullBytes.
+	// fullBytes is what the last full version cost the log; chainBytes and
+	// chain are the bytes and the number of the patches logged since. The
+	// next version is a patch while chainBytes, with it, stays below
+	// fullBytes.
 	fullBytes, chainBytes, chain int
 
 	// versions holds the retained versions' records and, before the
@@ -204,8 +196,7 @@ type DurableLog struct {
 type replayedLog struct {
 	feedback []feedback.Item
 	prov     []provenance.Record
-	states   map[string]*sourceState
-	versions []*replayedVersion
+	sources  []wal.Record // decoded at attach
 }
 
 // loggedVersion is one version record: built from a publish by
@@ -223,12 +214,10 @@ type loggedVersion struct {
 	stats    RunStats
 	react    ReactStats
 
-	// Output payload: mode 1 references pages in page order; mode 0
-	// (empty tails, and every version of logs written when unsharded
-	// sessions ran a separate sequential tail) carries table, results and
-	// entities inline; mode 2 is a patch on the version logged before, and
-	// leaves the report slot empty and the clusters slot too unless they
-	// moved.
+	// Output payload: mode 2 is a patch, which leaves the report slot
+	// empty and the clusters slot too unless they moved. Older logs' full
+	// versions reference pages in page order (mode 1) or carry table,
+	// results and entities inline (mode 0).
 	pages    []uint64
 	table    *dataset.Table
 	results  []fusion.Result
@@ -408,9 +397,10 @@ func codeLines(c *wal.Codec, lines *[]report.Line) {
 }
 
 // versionPatch is a mode-2 version's output: what moved since base, the
-// version logged before it, each list in key order, and its report's
-// title. A changed list holds the new and changed elements whole; a gone
-// list the keys of the base's elements that have none now. The report
+// version logged before it or 0, the empty version, each list in key
+// order, and its report's title. A changed list holds the new and changed
+// elements whole; a gone list the keys of the base's elements that have
+// none now. The report
 // has a line per non-null result, which is that result's but for its
 // supporters, so the patch lists only the lines whose supporters moved,
 // by key and supporters (patchResults).
@@ -455,19 +445,19 @@ func codePatch(c *wal.Codec, p *versionPatch) {
 	})
 }
 
-// shardPage is one page of a full version's output: a set of its entities,
-// sorted, with their records and results. A page cut from a publication
-// (cutPages) is one fuse part's entity range; pages of logs whose tails
+// shardPage is one page of an older log's full version: a set of its
+// entities, sorted, with their records and results. Pages of logs whose
+// tails fused entity ranges hold one range each; pages of logs whose tails
 // routed entities to their ER shard hold any set of entities. Pages alias
-// the output they were cut from or decoded into, and are read-only.
+// the output they were decoded into, and are read-only.
 type shardPage struct {
 	entities []string
 	rows     []dataset.Record
 	results  []fusion.Result
 }
 
-// pageRecord is one page, written whole when the full version it was cut
-// from is appended, and written back by compaction while a retained
+// pageRecord is one page, which older logs wrote right before the full
+// version that references it, and compaction writes back while a retained
 // version's chain starts at that version.
 type pageRecord struct {
 	id   uint64
@@ -511,14 +501,13 @@ func codeCheckpoint(c *wal.Codec, r *checkpointRecord) {
 	c.Time(&r.at)
 }
 
-// versionRecord gathers one published version for the log: its store
-// metadata, the full Published payload (pages by reference when a tail
-// built them, inline otherwise), and the working tail a
-// restart needs to resume incrementally — clusters, feedback watermark,
+// versionRecord gathers one published version for the log but for its
+// output: its store metadata, the Published payload, and the working tail
+// a restart needs to resume incrementally — clusters, feedback watermark,
 // dirty-source scope and whether a tail memo stood behind the version.
-func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersion {
+func versionRecord(w *Wrangler, v *PublishedVersion) *loggedVersion {
 	pub := v.Data()
-	lv := &loggedVersion{
+	return &loggedVersion{
 		seq:       v.Seq(),
 		step:      v.Step(),
 		origin:    v.Origin(),
@@ -527,27 +516,21 @@ func versionRecord(w *Wrangler, v *PublishedVersion, pids []uint64) *loggedVersi
 		trust:     pub.Trust,
 		sources:   pub.Sources,
 		selected:  pub.Selected,
-		rep:       pub.Report,
 		stats:     pub.Stats,
 		react:     pub.React,
-		pages:     pids,
 		clusters:  w.clusters,
 		lastSeq:   w.lastSeq,
 		dirty:     slices.Sorted(maps.Keys(w.dirtySources)),
 		memoValid: w.memo != nil,
 	}
-	if pids == nil {
-		lv.table, lv.results, lv.entities = pub.Table, w.results, pub.Entities
-	}
-	return lv
 }
 
-// patchRecord is v's record as a patch on prev, the publication logged
-// last, from the delta publish found between prev and cur: no pages, no
-// inline output, no report, and the clustering only when it moved.
+// patchRecord is v's record as a patch on prev, from the delta publish
+// found between prev and cur: no report, and the clustering only when it
+// moved. prev is the publication logged last, or the empty one for a full
+// version (fullRecord).
 func patchRecord(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *delta, width int) *loggedVersion {
-	lv := versionRecord(w, v, []uint64{})
-	lv.pages, lv.rep = nil, nil
+	lv := versionRecord(w, v)
 	if sameClustering(prev.clusters, cur.clusters) {
 		lv.clusters = nil
 	}
@@ -567,6 +550,17 @@ func patchRecord(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *d
 		}),
 	}
 	return lv
+}
+
+// fullRecord is v's record in full: a patch on the empty version, seq 0,
+// whose delta lists every record, result and report line of cur.
+func fullRecord(w *Wrangler, v *PublishedVersion, cur *publication, width int) *loggedVersion {
+	all := make([]int, max(len(cur.rows), len(cur.results), len(cur.report.Lines)))
+	for i := range all {
+		all[i] = i
+	}
+	dt := &delta{rows: all[:len(cur.rows)], results: all[:len(cur.results)], supporters: all[:len(cur.report.Lines)]}
+	return patchRecord(w, v, &publication{}, cur, dt, width)
 }
 
 // goneKeys lists the keys of prev's results that are gone while their
@@ -634,9 +628,8 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 	})
 	c.Strings(&lv.selected)
 
-	// The report is persisted inline: its supporter lists derive from this
-	// version's union-time fusion bookkeeping, which is not reconstructible
-	// for older retained versions. The table goes by page reference.
+	// Only older logs' full versions carry the report; a patch lists its
+	// lines' supporters, which are not reconstructible for older versions.
 	wal.Opt(c, &lv.rep, func(c *wal.Codec, rep *report.Report) {
 		c.String(&rep.Title)
 		codeLines(c, &rep.Lines)
@@ -664,11 +657,10 @@ func codeVersionBody(c *wal.Codec, lv *loggedVersion) {
 	c.Duration(&rs.Duration)
 	codeStages(c, &rs.Stages)
 
-	// Output payload: mode 1 references pages in page order; mode 0
-	// (empty tails, and older logs' unsharded sessions) carries table,
-	// results and entities inline; mode 2 patches the version logged
-	// before. The mode, not nil-ness, says which: a mode-1 version with no
-	// pages still decodes a non-nil page list.
+	// Output payload: mode 2 patches a base, and is the only mode written;
+	// older logs' mode 1 references pages and mode 0 carries table,
+	// results and entities inline. The mode, not nil-ness, says which: a
+	// mode-1 version with no pages still decodes a non-nil page list.
 	var mode uint8
 	switch {
 	case lv.patch != nil:
@@ -743,12 +735,12 @@ func codeStages(c *wal.Codec, m *map[string]time.Duration) {
 
 // OpenDurableLog opens (or creates) the durable log in dir and replays it.
 // The result carries the replayed state until a wrangler attaches it; a
-// torn tail is healed by the wal layer. Config, source, feedback,
-// provenance and checkpoint records decode in full; of a page only its id
-// and of a version only its header decode here — their bodies keep their
-// bytes and decode on first use. Any record that fails decoding fails the
-// call that decodes it (the open, for everything open reads) with the
-// record's file offset.
+// torn tail is healed by the wal layer. Config, feedback, provenance and
+// checkpoint records decode in full; of a page only its id and of a
+// version only its header decode here, and source records not at all —
+// they decode at attach, version and page bodies on first use. Any record
+// that fails decoding fails the call that decodes it (the open, for
+// everything open reads) with the record's file offset.
 func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("core: durable log needs a directory")
@@ -763,38 +755,23 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 	d := &DurableLog{
 		dir:             dir,
 		log:             log,
-		pagesByID:       map[uint64]*loggedPage{},
-		nextPageID:      1,
+		replayedPages:   map[uint64]*loggedPage{},
 		srcSig:          map[string]sourceSig{},
-		rep:             &replayedLog{states: map[string]*sourceState{}},
+		rep:             &replayedLog{},
 		replayTruncated: rr.Truncated,
 	}
 	fail := func(rec wal.Record, err error) (*DurableLog, error) {
 		log.Close()
 		return nil, recordError(rec.Kind, rec.Offset, err)
 	}
-	// Source states are the bulk of what open decodes: they decode on
-	// every CPU first, and install in log order below.
-	var sourceAt []int
-	for i, rec := range rr.Records {
-		if rec.Kind == wal.KindSource {
-			sourceAt = append(sourceAt, i)
-		}
-	}
-	sources, sourceErrs := make([]sourceRecord, len(sourceAt)), make([]error, len(sourceAt))
-	_ = engine.Map(context.Background(), 0, len(sourceAt), func(_ context.Context, k int) error {
-		sourceErrs[k] = wal.Decode(rr.Records[sourceAt[k]].Payload, &sources[k], codeSource)
-		return nil
-	})
 	haveConfig := false
-	var pagesBefore []uint64
+	pageBytes := 0 // of the page records since the last record of another kind
 	for _, rec := range rr.Records {
 		if !haveConfig && rec.Kind != wal.KindConfig {
 			return fail(rec, fmt.Errorf("expected config as first record"))
 		}
-		if rec.Kind != wal.KindPage && rec.Kind != wal.KindVersion {
-			pagesBefore = nil
-		}
+		weight := len(rec.Payload) + pageBytes
+		pageBytes = 0
 		switch rec.Kind {
 		case wal.KindConfig:
 			if haveConfig {
@@ -805,19 +782,10 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 				return fail(rec, err)
 			}
 			d.configPayload = append([]byte(nil), rec.Payload...)
-			d.schema, d.pagesPerFull = cfg.target, max(1, cfg.shards)
+			d.schema = cfg.target
 			haveConfig = true
 		case wal.KindSource:
-			sr, err := sources[0], sourceErrs[0]
-			sources, sourceErrs = sources[1:], sourceErrs[1:]
-			if err != nil {
-				return fail(rec, err)
-			}
-			if sr.st == nil {
-				delete(d.rep.states, sr.id)
-			} else {
-				d.rep.states[sr.id] = sr.st
-			}
+			d.rep.sources = append(d.rep.sources, rec)
 		case wal.KindFeedback:
 			var it feedback.Item
 			if err := wal.Decode(rec.Payload, &it, codeFeedback); err != nil {
@@ -844,26 +812,22 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			if _, err := wal.DecodePrefix(rec.Payload, &id, codePageID); err != nil {
 				return fail(rec, err)
 			}
-			if _, dup := d.pagesByID[id]; dup {
+			if _, dup := d.replayedPages[id]; dup {
 				return fail(rec, fmt.Errorf("duplicate page id %d", id))
 			}
-			d.pagesByID[id] = &loggedPage{payload: rec.Payload, offset: rec.Offset}
-			pagesBefore = append(pagesBefore, id)
-			if id >= d.nextPageID {
-				d.nextPageID = id + 1
-			}
+			d.replayedPages[id] = &loggedPage{payload: rec.Payload, offset: rec.Offset}
+			pageBytes = weight
 		case wal.KindVersion:
-			rv := &replayedVersion{lv: &loggedVersion{payload: rec.Payload}, offset: rec.Offset, pagesBefore: pagesBefore}
-			pagesBefore = nil
+			rv := &replayedVersion{lv: &loggedVersion{payload: rec.Payload}, offset: rec.Offset, weight: weight}
 			n, err := wal.DecodePrefix(rec.Payload, rv.lv, codeVersionHeader)
 			if err != nil {
 				return fail(rec, err)
 			}
 			rv.bodyAt = n
-			if n := len(d.rep.versions); n > 0 && rv.lv.seq <= d.rep.versions[n-1].lv.seq {
-				return fail(rec, fmt.Errorf("version seq %d out of order after %d", rv.lv.seq, d.rep.versions[n-1].lv.seq))
+			if n := len(d.replayed); n > 0 && rv.lv.seq <= d.replayed[n-1].lv.seq {
+				return fail(rec, fmt.Errorf("version seq %d out of order after %d", rv.lv.seq, d.replayed[n-1].lv.seq))
 			}
-			d.rep.versions = append(d.rep.versions, rv)
+			d.replayed = append(d.replayed, rv)
 			d.sinceCompact++
 		case wal.KindCheckpoint:
 			var ck checkpointRecord
@@ -876,7 +840,6 @@ func OpenDurableLog(dir string, policy FsyncPolicy) (*DurableLog, error) {
 			return fail(rec, fmt.Errorf("unknown record kind"))
 		}
 	}
-	d.replayed, d.replayedPages = d.rep.versions, d.pagesByID
 	return d, nil
 }
 
@@ -906,7 +869,7 @@ func (d *DurableLog) settle(e *retainedVersion) error {
 	if err != nil {
 		return err
 	}
-	e.known, e.patch, e.pageIDs = true, lv.patch != nil, lv.pages
+	e.known, e.patch, e.pageIDs = true, lv.patch != nil && lv.patch.base != 0, lv.pages
 	return nil
 }
 
@@ -933,7 +896,7 @@ func (d *DurableLog) instrument(reg *obs.Registry) {
 	if d.replayTruncated {
 		c.Inc()
 	}
-	reg.Help(mWALVersions, "Versions appended to the durable log, by mode: full (pages or inline output) or patch (what moved since the version logged before).")
+	reg.Help(mWALVersions, "Versions appended to the durable log, by mode: full (a patch on the empty version, listing every record) or patch (what moved since the version logged before).")
 	d.fullVersions = reg.Counter(mWALVersions, "mode", "full")
 	d.patchVersions = reg.Counter(mWALVersions, "mode", "patch")
 	reg.Help(mWALChain, "Patch versions appended to the durable log since its last full version.")
@@ -966,14 +929,14 @@ func (d *DurableLog) Close() error { return d.log.Close() }
 // when true, the caller can serve immediately without a run.
 //
 // A restore does up front only what the first read needs. Feedback, source
-// states and provenance install, and the newest retained version decodes
-// — its chain's bodies and its full base's pages — and becomes the
-// store's latest. Every older retained version enters the store unloaded
-// and decodes on its first At or Watch catch-up. The working data and the
-// tail memo are rebuilt by resume (restoreWorkingState) when the first
-// reaction or accessor needs them;
-// a rebuild that fails there fails that call and every later one, while
-// the restored versions keep serving.
+// states and provenance install, the source states decoding beside the
+// newest retained version — its chain's bodies, and an older log's paged
+// base's pages — which becomes the store's latest. Every older retained
+// version enters the store unloaded and decodes on its first At or Watch
+// catch-up. The working data and the tail memo are rebuilt by resume
+// (restoreWorkingState) when the first reaction or accessor needs them; a
+// rebuild that fails there fails that call and every later one, while the
+// restored versions keep serving.
 func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	if d == nil || d.log == nil {
 		return false, fmt.Errorf("core: attach: nil durable log")
@@ -1004,6 +967,37 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	rep := d.rep
 	d.rep = nil
 
+	// The newest version's output builds beside the source states, which
+	// decode on every CPU and install in log order.
+	var pub Published
+	var st *versionState
+	sources := make([]sourceRecord, len(rep.sources))
+	err = engine.Map(context.Background(), 0, 2, func(ctx context.Context, i int) (err error) {
+		if n := len(d.replayed); i == 0 && n > 0 {
+			pub, st, err = d.published(d.replayed[n-1])
+		} else if i == 1 {
+			err = engine.Map(ctx, 0, len(sources), func(_ context.Context, k int) error {
+				if err := wal.Decode(rep.sources[k].Payload, &sources[k], codeSource); err != nil {
+					return recordError(wal.KindSource, rep.sources[k].Offset, err)
+				}
+				return nil
+			})
+		}
+		return err
+	})
+	if err != nil {
+		return false, err
+	}
+	for _, sr := range sources {
+		if sr.st == nil {
+			delete(w.states, sr.id)
+			delete(d.srcSig, sr.id)
+		} else {
+			w.states[sr.id] = sr.st
+			d.srcSig[sr.id] = sourceSig{st: sr.st, selected: sr.st.selected, utility: sr.st.utility}
+		}
+	}
+
 	// Feedback replays through the store so derived state (spent budget,
 	// sequence) rebuilds exactly; the store re-assigns the same seqs
 	// because items were logged in order.
@@ -1013,33 +1007,22 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 			return false, fmt.Errorf("core: attach: feedback replay drift (seq %d became %d)", it.Seq, got.Seq)
 		}
 	}
-	for id, st := range rep.states {
-		w.states[id] = st
-		d.srcSig[id] = sourceSig{st: st, selected: st.selected, utility: st.utility}
-	}
 	var floor uint64
-	if n := len(rep.versions); n > 0 {
-		floor = rep.versions[n-1].lv.step
+	if n := len(d.replayed); n > 0 {
+		floor = d.replayed[n-1].lv.step
 	}
 	w.Prov.Apply(rep.prov, floor)
 
-	if len(rep.versions) == 0 {
+	if len(d.replayed) == 0 {
 		w.log = d
 		return false, nil
 	}
 
-	versions := rep.versions
+	versions := d.replayed
 	if len(versions) > d.retain {
 		versions = versions[len(versions)-d.retain:]
 	}
-	// Older versions load through the replayed page table on readers'
-	// goroutines, so the session stops writing to it and keeps a copy.
-	d.pagesByID = maps.Clone(d.replayedPages)
 	newest := versions[len(versions)-1]
-	pub, st, err := d.published(newest)
-	if err != nil {
-		return false, err
-	}
 	restoredVersions := make([]serve.RestoredVersion[Published], len(versions))
 	for i, rv := range versions {
 		lv := rv.lv
@@ -1056,8 +1039,8 @@ func (w *Wrangler) AttachDurableLog(d *DurableLog) (restored bool, err error) {
 	if err := w.Serve.Restore(restoredVersions); err != nil {
 		return false, err
 	}
-	d.versions = make([]retainedVersion, len(rep.versions))
-	for i, rv := range rep.versions {
+	d.versions = make([]retainedVersion, len(d.replayed))
+	for i, rv := range d.replayed {
 		d.versions[i] = retainedVersion{seq: rv.lv.seq, payload: rv.lv.payload, replayed: rv}
 	}
 	if err := d.sizeChain(); err != nil {
@@ -1081,12 +1064,7 @@ func (d *DurableLog) sizeChain() error {
 			return err
 		}
 		if !e.patch {
-			d.fullBytes = len(e.payload)
-			for _, pid := range e.pageIDs {
-				if lp := d.pagesByID[pid]; lp != nil {
-					d.fullBytes += len(lp.payload)
-				}
-			}
+			d.fullBytes = e.replayed.weight
 			return nil
 		}
 		d.chainBytes += len(e.payload)
@@ -1152,28 +1130,24 @@ func (d *DurableLog) published(rv *replayedVersion) (Published, *versionState, e
 // versionState is one logged version's output: its table with the entity
 // of each row, its report and clustering — what a reader's Published is
 // built from — and its results, which only a restore's working state
-// needs, and which build on first use (results). A patch version's
-// output shares every record and report line it did not change with the
-// full version its chain builds on. It is read-only.
+// needs, and which a patch builds on first use. A patch shares every
+// record and line it did not change with its full base. It is read-only.
 type versionState struct {
 	table    *dataset.Table
 	entities []string
 	report   *report.Report
 	clusters *er.Clustering
-	paged    bool // a tail built it in pages: the version has pages, or patches one that did
-	// parts holds a full version's results in key order, one part per
-	// page; a patch applies its chain to them.
-	parts   [][]fusion.Result
-	results func() []fusion.Result
+	inline   bool // an older log's inline version (mode 0): no tail memo stood behind it
+	results  func() []fusion.Result
 }
 
 // state returns a replayed version's output, building it on first use: a
-// full version's from its pages (merged into entity order) or its inline
-// payload; a patch's from its chain — the patches down to the full
+// full version's directly (fullState), or from an older log's pages or
+// inline payload; a patch's from its chain — the patches down to the full
 // version they build on, folded into one and applied to that version's
-// output (applyChain). A chain that breaks, on a missing base or one
-// whose output cannot be built, fails with the file offset of the record
-// it could not read past.
+// output (applyChain). A chain that breaks, on a missing base or one whose
+// output cannot be built, fails with the file offset of the record it
+// could not read past.
 func (d *DurableLog) state(rv *replayedVersion) (*versionState, error) {
 	rv.stOnce.Do(func() { rv.st, rv.stErr = d.buildState(rv) })
 	return rv.st, rv.stErr
@@ -1185,51 +1159,60 @@ func (d *DurableLog) buildState(rv *replayedVersion) (*versionState, error) {
 		return nil, err
 	}
 	switch {
+	case lv.patch != nil && lv.patch.base == 0:
+		st, err := fullState(lv, d.schema)
+		if err != nil {
+			return nil, recordError(wal.KindVersion, rv.offset, err)
+		}
+		return st, nil
 	case lv.patch != nil:
-		d.prefetchChain(rv)
-		var chain []*loggedVersion // newest first
-		for at := rv; ; {
-			lv, err := d.body(at)
-			if err != nil {
-				return nil, err
+		// The chain's bodies decode while this goroutine walks it down to
+		// its full version, folding each patch under the newer ones.
+		done := make(chan struct{})
+		go func() { defer close(done); d.prefetchChain(rv) }()
+		defer func() { <-done }()
+		edits := &chainEdits{title: lv.patch.title}
+		at := rv
+		for lv.patch != nil && lv.patch.base != 0 {
+			if err := edits.under(lv, len(d.schema)); err != nil {
+				return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d: %w", rv.lv.seq, err))
 			}
-			if lv.patch == nil {
-				base, err := d.state(at)
-				if err != nil {
-					return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d builds on version %d: %w", rv.lv.seq, lv.seq, err))
-				}
-				st, err := applyChain(base, chain)
-				if err != nil {
-					return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d: %w", rv.lv.seq, err))
-				}
-				return st, nil
-			}
-			chain = append(chain, lv)
 			k, ok := d.replayedAt(lv.patch.base)
 			if !ok || lv.patch.base >= lv.seq {
 				return nil, recordError(wal.KindVersion, at.offset, fmt.Errorf("version %d patches version %d, which the log does not hold before it", lv.seq, lv.patch.base))
 			}
 			at = d.replayed[k]
-		}
-	case lv.pages != nil:
-		pages := make([]*shardPage, len(lv.pages))
-		for _, pid := range lv.pages {
-			if _, ok := d.replayedPages[pid]; !ok {
-				return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d references missing page %d", lv.seq, pid))
+			if lv, err = d.body(at); err != nil {
+				return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d builds on version %d: %w", rv.lv.seq, at.lv.seq, err))
 			}
 		}
+		base, err := d.state(at)
+		if err != nil {
+			return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d builds on version %d: %w", rv.lv.seq, at.lv.seq, err))
+		}
+		st, err := applyChain(base, edits)
+		if err != nil {
+			return nil, recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d: %w", rv.lv.seq, err))
+		}
+		return st, nil
+	case lv.pages != nil:
 		// The pages decode on every CPU.
+		pages := make([]*shardPage, len(lv.pages))
 		err := engine.Map(context.Background(), 0, len(pages), func(_ context.Context, i int) (err error) {
-			pages[i], err = d.loadPage(d.replayedPages[lv.pages[i]])
+			lp, ok := d.replayedPages[lv.pages[i]]
+			if !ok {
+				return recordError(wal.KindVersion, rv.offset, fmt.Errorf("version %d references missing page %d", lv.seq, lv.pages[i]))
+			}
+			pages[i], err = d.loadPage(lp)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		st := &versionState{report: lv.rep, clusters: lv.clusters, paged: true}
 		var recs []entityRecord
+		var results []fusion.Result
 		for _, p := range pages {
-			st.parts = append(st.parts, p.results)
+			results = append(results, p.results...)
 			for j, e := range p.entities {
 				recs = append(recs, entityRecord{entity: e, row: p.rows[j]})
 			}
@@ -1240,26 +1223,60 @@ func (d *DurableLog) buildState(rv *replayedVersion) (*versionState, error) {
 		byEntity := func(a, b entityRecord) int { return strings.Compare(a.entity, b.entity) }
 		if !slices.IsSortedFunc(recs, byEntity) {
 			slices.SortFunc(recs, byEntity)
-			all := slices.Concat(st.parts...)
-			slices.SortFunc(all, fusion.CompareResults)
-			st.parts = [][]fusion.Result{all}
+			slices.SortFunc(results, fusion.CompareResults)
 		}
-		st.table, st.entities = dataset.NewTable(d.schema.Clone()), make([]string, len(recs))
+		st := &versionState{report: lv.rep, clusters: lv.clusters, results: func() []fusion.Result { return results }}
+		st.table, st.entities = dataset.NewTableCap(d.schema.Clone(), len(recs)), make([]string, len(recs))
 		for i, r := range recs {
 			st.table.Append(r.row)
 			st.entities[i] = r.entity
 		}
-		st.results = sync.OnceValue(func() []fusion.Result {
-			if len(st.parts) == 1 {
-				return st.parts[0]
-			}
-			return slices.Concat(st.parts...)
-		})
 		return st, nil
 	default:
-		return &versionState{table: lv.table, entities: lv.entities, report: lv.rep, clusters: lv.clusters,
-			parts: [][]fusion.Result{lv.results}, results: func() []fusion.Result { return lv.results }}, nil
+		return &versionState{table: lv.table, entities: lv.entities, report: lv.rep, clusters: lv.clusters, inline: true,
+			results: func() []fusion.Result { return lv.results }}, nil
 	}
+}
+
+// fullState builds a full version's output directly: its records into a
+// presized table, its results as the one slice they decoded to, and per
+// non-null result the resultLine with the supporters listed under its key
+// — the line served, as Value.Same implies the same String(). It fails on
+// a gone key, and on a line with no listing or a listing with no line.
+func fullState(lv *loggedVersion, schema dataset.Schema) (*versionState, error) {
+	p := lv.patch
+	if p.width != len(schema) || len(p.goneRecords)+len(p.goneResults) > 0 {
+		return nil, fmt.Errorf("version %d lists %d-wide records and %d gone keys on the empty version, want %d-wide records and none", lv.seq, p.width, len(p.goneRecords)+len(p.goneResults), len(schema))
+	}
+	st := &versionState{table: dataset.NewTableCap(schema.Clone(), len(p.records)), clusters: lv.clusters}
+	if len(p.records) > 0 {
+		st.entities = make([]string, len(p.records))
+	}
+	for i, r := range p.records {
+		st.entities[i] = r.entity
+		st.table.Append(r.row)
+	}
+	var lines []report.Line
+	if len(p.supporters) > 0 {
+		lines = make([]report.Line, 0, len(p.supporters))
+	}
+	for i := range p.results {
+		r := &p.results[i]
+		if r.Value.IsNull() {
+			continue
+		}
+		k := len(lines)
+		if k == len(p.supporters) || p.supporters[k].Entity != r.Entity || p.supporters[k].Attribute != r.Attribute {
+			return nil, fmt.Errorf("version %d lists no supporters for %s/%s", lv.seq, r.Entity, r.Attribute)
+		}
+		lines = append(lines, resultLine(r, p.supporters[k].Supporters))
+	}
+	if len(lines) != len(p.supporters) {
+		return nil, fmt.Errorf("version %d lists supporters for %d lines of %d", lv.seq, len(p.supporters), len(lines))
+	}
+	st.report = &report.Report{Title: p.title, Lines: lines}
+	st.results = func() []fusion.Result { return p.results }
+	return st, nil
 }
 
 // replayedAt finds the replayed version with the given seq: its index,
@@ -1270,83 +1287,81 @@ func (d *DurableLog) replayedAt(seq uint64) (int, bool) {
 	})
 }
 
-// prefetchChain decodes, on every CPU, what a patch's chain most likely
-// needs: the bodies of the versions from the one it most likely builds on
-// — the newest full version at or before it that a live session wrote
-// with a full set of pages right before it — up to it, and that
-// version's pages. The chain walk then finds them decoded. A guess that
-// is wrong only decodes versions the chain does not need.
+// prefetchChain decodes, on every CPU, the bodies of the versions from
+// the earliest that outweighs all those after it up to rv, to rv. By the
+// size rule a chain's full base outweighs the versions after it, so this
+// can only decode versions rv's chain does not need, and never misses one.
 func (d *DurableLog) prefetchChain(rv *replayedVersion) {
 	top, _ := d.replayedAt(rv.lv.seq)
-	k := min(top, len(d.replayed)-1)
-	for ; k >= 0 && len(d.replayed[k].pagesBefore) != d.pagesPerFull; k-- {
-	}
-	if k < 0 {
-		return
-	}
-	versions, pages := d.replayed[k:top+1], d.replayed[k].pagesBefore
-	_ = engine.Map(context.Background(), 0, len(versions)+len(pages), func(_ context.Context, i int) error {
-		if i < len(versions) {
-			_, _ = d.body(versions[i])
-		} else {
-			_, _ = d.loadPage(d.replayedPages[pages[i-len(versions)]])
+	from, after := top, 0
+	for k := top; k >= 0; k-- {
+		if w := d.replayed[k].weight; w > after {
+			from = k
 		}
+		after += d.replayed[k].weight
+	}
+	versions := d.replayed[from : top+1]
+	_ = engine.Map(context.Background(), 0, len(versions), func(_ context.Context, i int) error {
+		_, _ = d.body(versions[i])
 		return nil
 	})
 }
 
-// applyChain builds the output of the newest version of a chain of
-// patches (newest first) on base, the output of the full version the
-// oldest patches. It folds the chain into one edit per key — the newest
-// wins — and applies that to base once, so a chain costs its patches and
-// one pass over the output however long it is: the table and the report
-// now, the results when first asked for. The report title and the
-// clustering are the newest ones the chain carries.
-func applyChain(base *versionState, chain []*loggedVersion) (*versionState, error) {
+// chainEdits is a chain of patches folded into one edit per key, the
+// newest winning, with the newest title and clustering the chain carries.
+type chainEdits struct {
+	records  []edit[dataset.Record]
+	results  []edit[fusion.Result]
+	listed   []edit[[]string]
+	title    string
+	clusters *er.Clustering
+}
+
+// under folds lv's patch, of width-column records, under the newer
+// patches f holds.
+func (f *chainEdits) under(lv *loggedVersion, width int) error {
+	p := lv.patch
+	if p.width != width {
+		return fmt.Errorf("version %d patches %d-wide records into a %d-column table", lv.seq, p.width, width)
+	}
+	gone := make([]key, len(p.goneRecords))
+	for i, e := range p.goneRecords {
+		gone[i] = key{entity: e}
+	}
+	r, err := patchEdits(gone, p.records, func(r *entityRecord) (key, *dataset.Record) { return key{entity: r.entity}, &r.row })
+	if err != nil {
+		return fmt.Errorf("version %d records: %w", lv.seq, err)
+	}
+	// A gone record's entity has no result left: one edit drops them all.
+	gone = append(gone, p.goneResults...)
+	slices.SortFunc(gone, key.compare)
+	res, err := patchEdits(gone, p.results, func(r *fusion.Result) (key, *fusion.Result) {
+		return key{r.Entity, r.Attribute}, r
+	})
+	if err != nil {
+		return fmt.Errorf("version %d results: %w", lv.seq, err)
+	}
+	sup, err := patchEdits(nil, p.supporters, func(ln *report.Line) (key, *[]string) {
+		return key{ln.Entity, ln.Attribute}, &ln.Supporters
+	})
+	if err != nil {
+		return fmt.Errorf("version %d report lines: %w", lv.seq, err)
+	}
+	f.records, f.results, f.listed = foldEdits(r, f.records), foldEdits(res, f.results), foldEdits(sup, f.listed)
+	f.clusters = cmp.Or(f.clusters, lv.clusters)
+	return nil
+}
+
+// applyChain applies a chain's folded edits to base, the output of the
+// full version its oldest patches, once: the table and the report now,
+// the results when first asked for.
+func applyChain(base *versionState, f *chainEdits) (*versionState, error) {
 	if base.table == nil {
 		return nil, fmt.Errorf("it builds on a version with no output")
 	}
-	width := len(base.table.Schema())
-	var recs []edit[dataset.Record]
-	var results []edit[fusion.Result]
-	var listed []edit[[]string]
-	out := &versionState{clusters: base.clusters, paged: true}
-	for k := len(chain) - 1; k >= 0; k-- {
-		lv := chain[k]
-		p := lv.patch
-		if p.width != width {
-			return nil, fmt.Errorf("version %d patches %d-wide records into a %d-column table", lv.seq, p.width, width)
-		}
-		gone := make([]key, len(p.goneRecords))
-		for i, e := range p.goneRecords {
-			gone[i] = key{entity: e}
-		}
-		r, err := patchEdits(gone, p.records, func(r *entityRecord) (key, *dataset.Record) { return key{entity: r.entity}, &r.row })
-		if err != nil {
-			return nil, fmt.Errorf("version %d records: %w", lv.seq, err)
-		}
-		// A gone record's entity has no result left: one edit drops them all.
-		gone = append(gone, p.goneResults...)
-		slices.SortFunc(gone, key.compare)
-		res, err := patchEdits(gone, p.results, func(r *fusion.Result) (key, *fusion.Result) {
-			return key{r.Entity, r.Attribute}, r
-		})
-		if err != nil {
-			return nil, fmt.Errorf("version %d results: %w", lv.seq, err)
-		}
-		sup, err := patchEdits(nil, p.supporters, func(ln *report.Line) (key, *[]string) {
-			return key{ln.Entity, ln.Attribute}, &ln.Supporters
-		})
-		if err != nil {
-			return nil, fmt.Errorf("version %d report lines: %w", lv.seq, err)
-		}
-		recs, results, listed = foldEdits(recs, r), foldEdits(results, res), foldEdits(listed, sup)
-		if lv.clusters != nil {
-			out.clusters = lv.clusters
-		}
-	}
-
-	out.table = dataset.NewTable(base.table.Schema().Clone())
+	out := &versionState{clusters: cmp.Or(f.clusters, base.clusters)}
+	recs := f.records
+	out.table = dataset.NewTableCap(base.table.Schema().Clone(), len(base.entities)+len(recs))
 	out.entities = make([]string, 0, len(base.entities)+len(recs))
 	b := 0
 	emit := func(entity string, row dataset.Record) {
@@ -1374,36 +1389,42 @@ func applyChain(base *versionState, chain []*loggedVersion) (*versionState, erro
 	if base.report != nil {
 		lines = base.report.Lines
 	}
-	lines, err := patchLines(base.parts, lines, results, listed)
+	lines, err := patchLines(base.results(), lines, f.results, f.listed)
 	if err != nil {
 		return nil, fmt.Errorf("report lines: %w", err)
 	}
-	out.report = &report.Report{Title: chain[0].patch.title, Lines: lines}
-	out.results = sync.OnceValue(func() []fusion.Result { return patchResults(base.results(), results) })
+	out.report = &report.Report{Title: f.title, Lines: lines}
+	out.results = sync.OnceValue(func() []fusion.Result { return patchResults(base.results(), f.results) })
 	return out, nil
 }
 
 // patchLines builds a patched version's report from its full base's
-// results (in parts, in key order) and report lines — one per non-null
-// base result, in order — and the chain's folded result edits and
-// supporter listings: one line per non-null result. A base line is
-// copied whole where no edit touched its result and no patch listed its
-// supporters. Any other line is the result's (resultLine) with the
-// supporters last listed under its key, or its base line's — and its
-// base line's value text when the value is Same. An edit keyed by an
-// entity alone drops every result of that entity. A listing for a key
-// with no line now is one a later patch made stale, and is skipped.
-func patchLines(base [][]fusion.Result, baseLines []report.Line, edits []edit[fusion.Result], listed []edit[[]string]) ([]report.Line, error) {
+// results, in key order, and report lines — one per non-null base result,
+// in order — and the chain's folded result edits and supporter listings:
+// one line per non-null result. A base line is copied whole where no edit
+// touched its result and no patch listed its supporters. Any other line is
+// the result's (resultLine) with the supporters last listed under its key,
+// or its base line's — and its base line's value text when the value is
+// Same. An edit keyed by an entity alone drops every result of that
+// entity. A listing for a key with no line now is one a later patch made
+// stale, and is skipped.
+func patchLines(base []fusion.Result, baseLines []report.Line, edits []edit[fusion.Result], listed []edit[[]string]) ([]report.Line, error) {
 	lines := make([]report.Line, 0, len(baseLines)+len(baseLines)/16)
-	cur := cursor{parts: base}
-	bl, e, s := 0, 0, 0
+	bi, bl, e, s := 0, 0, 0, 0
+	// at returns the base result under bi, nil past the last.
+	at := func() *fusion.Result {
+		if bi == len(base) {
+			return nil
+		}
+		return &base[bi]
+	}
 	// skip moves past the base results below k, or of k's entity when
 	// drop, counting their lines; a base entity's results are adjacent and
 	// share its string, so it compares the entity once per entity.
 	skip := func(k key, drop bool) {
 		entity, order := "", 0
 		for first := true; ; first = false {
-			r := cur.at()
+			r := at()
 			if r == nil {
 				return
 			}
@@ -1416,7 +1437,7 @@ func patchLines(base [][]fusion.Result, baseLines []report.Line, edits []edit[fu
 			if !r.Value.IsNull() {
 				bl++
 			}
-			cur.i++
+			bi++
 		}
 	}
 	for {
@@ -1452,9 +1473,9 @@ func patchLines(base [][]fusion.Result, baseLines []report.Line, edits []edit[fu
 			continue
 		}
 		var oldLine *report.Line
-		old := cur.at() // the base result under k
+		old := at() // the base result under k
 		if old != nil && old.Entity == k.entity && old.Attribute == k.attribute {
-			cur.i++
+			bi++
 			if !old.Value.IsNull() {
 				if bl == len(baseLines) || baseLines[bl].Entity != old.Entity || baseLines[bl].Attribute != old.Attribute {
 					return nil, fmt.Errorf("the base has no line for %s/%s", old.Entity, old.Attribute)
@@ -1531,23 +1552,6 @@ func patchResults(base []fusion.Result, edits []edit[fusion.Result]) []fusion.Re
 		return nil
 	}
 	return out
-}
-
-// cursor walks results held in parts as one sequence.
-type cursor struct {
-	parts [][]fusion.Result
-	p, i  int
-}
-
-// at returns the result under the cursor, nil past the last.
-func (c *cursor) at() *fusion.Result {
-	for c.p < len(c.parts) && c.i == len(c.parts[c.p]) {
-		c.p, c.i = c.p+1, 0
-	}
-	if c.p == len(c.parts) {
-		return nil
-	}
-	return &c.parts[c.p][c.i]
 }
 
 // key is the (entity, attribute) key results, report lines and their
@@ -1650,17 +1654,17 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	}
 	w.results = st.results()
 	w.rowEntities = st.entities
-	if st.paged {
+	if st.inline {
+		w.wrangled = st.table.Clone()
+	} else {
 		if _, err := entityStarts(st.entities, w.results); err != nil {
 			return fmt.Errorf("core: version %d: %w", lv.seq, err)
 		}
 		// A fresh row slab: the next publication adopts records into it.
-		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
+		w.wrangled = dataset.NewTableCap(w.Config.Target.Clone(), st.table.Len())
 		for _, r := range st.table.Rows() {
 			w.wrangled.Append(r)
 		}
-	} else {
-		w.wrangled = st.table.Clone()
 	}
 	// The results' claim groups are regrouped from the restored clustering
 	// on first use (fusedGroups).
@@ -1686,7 +1690,8 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	w.entities.base = nil
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
-	// the memo was valid at publish, a tail built the version in pages, no
+	// the memo was valid at publish, a tail built the version (it is not
+	// an older log's inline one), no
 	// source state diverged from the memoized union afterwards
 	// (non-empty dirty means an aborted reaction installed sources between
 	// publishes — the rebuilt union would not be the memo's union), and no
@@ -1699,7 +1704,7 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	pendingPairs := slices.ContainsFunc(w.Feedback.Since(lv.lastSeq), func(it feedback.Item) bool {
 		return it.Kind == feedback.DuplicatePair || it.Kind == feedback.NotDuplicatePair
 	})
-	if lv.memoValid && st.paged && len(lv.dirty) == 0 && !pendingPairs {
+	if lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs {
 		w.rebuildMemo()
 	}
 	return nil
@@ -1722,25 +1727,6 @@ func entityStarts(entities []string, results []fusion.Result) ([]int, error) {
 		return nil, fmt.Errorf("results cover %d of the table's %d entities", len(starts), len(entities))
 	}
 	return append(starts, len(results)), nil
-}
-
-// cutPages cuts a publication's output into the pages its tail fused at
-// the given number of parts: part p holds the entities
-// [p·E/parts, (p+1)·E/parts) in order, with their records and results —
-// fusion.FuseInto's ranges. The pages alias the output. A tail's results
-// always cover its entities in order, so a failure is a bug.
-func cutPages(entities []string, rows []dataset.Record, results []fusion.Result, parts int) []*shardPage {
-	starts, err := entityStarts(entities, results)
-	if err != nil {
-		panic(fmt.Sprintf("core: cut pages: %v", err))
-	}
-	e := len(entities)
-	pages := make([]*shardPage, parts)
-	for p := range pages {
-		lo, hi := p*e/parts, (p+1)*e/parts
-		pages[p] = &shardPage{entities: entities[lo:hi:hi], rows: rows[lo:hi:hi], results: results[starts[lo]:starts[hi]:starts[hi]]}
-	}
-	return pages
 }
 
 // rebuildMemo reconstructs the tail memo's inputs from the restored union
@@ -1795,10 +1781,11 @@ func (d *DurableLog) appendFeedback(it feedback.Item) {
 // feedback (catch-up for items added outside the AddFeedback hook), source
 // states whose working data moved, the provenance delta, and the version
 // itself — as a patch on the version logged before it when publish
-// diffed against that one (dt) and the patches since the last full
-// version, this one included, stay smaller than that version; else in
-// full, cut into the pages its tail fused. One Commit flushes the batch;
-// compaction triggers once 2×retain versions accumulate.
+// diffed against that one (dt), the output is not empty, and the patches
+// since the last full version, this one included, stay smaller than that
+// version; else in full, as a patch on the empty version. One Commit
+// flushes the batch; compaction triggers once 2×retain versions
+// accumulate.
 func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *publication, dt *delta) {
 	start := time.Now()
 	for _, it := range w.Feedback.Since(d.lastFeedbackSeq) {
@@ -1827,10 +1814,10 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *
 	}
 	d.lastProvStep = w.Prov.Step()
 
-	// An emptied output is logged inline, so a patch never builds on it.
-	paged := len(cur.entities) > 0
+	// An emptied output is logged in full, so no chain runs through an
+	// empty output.
 	e := retainedVersion{seq: v.Seq(), known: true}
-	if n := len(d.versions); dt != nil && paged && d.fullBytes > 0 && n > 0 && d.versions[n-1].seq == prev.seq {
+	if n := len(d.versions); dt != nil && len(cur.entities) > 0 && d.fullBytes > 0 && n > 0 && d.versions[n-1].seq == prev.seq {
 		payload := wal.EncodeSized(presize(d.patchSize), patchRecord(w, v, prev, cur, dt, len(d.schema)), codeVersion)
 		d.patchSize = len(payload)
 		if d.chainBytes+len(payload) < d.fullBytes {
@@ -1842,23 +1829,8 @@ func (d *DurableLog) appendVersion(w *Wrangler, v *PublishedVersion, prev, cur *
 		d.chain++
 		d.patchVersions.Inc()
 	} else {
-		pageBytes := 0
-		if paged {
-			pages := cutPages(cur.entities, cur.rows, cur.results, w.shards())
-			e.pageIDs = make([]uint64, len(pages))
-			for i, p := range pages {
-				id := d.nextPageID
-				d.nextPageID++
-				payload := d.encodePage(id, p)
-				d.pagesByID[id] = &loggedPage{payload: payload}
-				_ = d.log.Append(wal.KindPage, payload)
-				e.pageIDs[i] = id
-				pageBytes += len(payload)
-			}
-		}
-		e.payload = wal.EncodeSized(presize(d.versionSize), versionRecord(w, v, e.pageIDs), codeVersion)
-		d.versionSize = len(e.payload)
-		d.fullBytes, d.chainBytes, d.chain = len(e.payload)+pageBytes, 0, 0
+		e.payload = wal.EncodeSized(presize(d.fullBytes), fullRecord(w, v, cur, len(d.schema)), codeVersion)
+		d.fullBytes, d.chainBytes, d.chain = len(e.payload), 0, 0
 		d.fullVersions.Inc()
 	}
 	d.chainGauge.Set(float64(d.chain))
@@ -1895,13 +1867,6 @@ func (d *DurableLog) trim() {
 	}
 }
 
-// encodePage encodes one page record, its buffer presized from the last.
-func (d *DurableLog) encodePage(id uint64, p *shardPage) []byte {
-	payload := wal.EncodeSized(presize(d.pageSize), &pageRecord{id: id, page: p}, codePage(len(d.schema)))
-	d.pageSize = len(payload)
-	return payload
-}
-
 // presize is the buffer for a record whose predecessor of its kind took
 // last bytes: that, with room to grow by a sixteenth.
 func presize(last int) int { return last + last/16 }
@@ -1909,11 +1874,11 @@ func presize(last int) int { return last + last/16 }
 // compact rewrites the log to its minimal coherent form — config, full
 // feedback and provenance, every current source state, the retained
 // versions with the chain back to the oldest one's full base, the pages
-// of the full versions among them, and a checkpoint marker — then prunes
-// the in-memory version list and page index to what it wrote. Page and
-// version records are written back as they were logged; only a replayed
-// version whose body is still undecoded decodes here, for its kind and
-// page ids.
+// of an older log's paged versions among them, and a checkpoint marker —
+// then prunes the in-memory version list to what it wrote. Page and
+// version records are written back as they were logged, the pages from
+// the replay's page index; only a replayed version whose body is still
+// undecoded decodes here, for its kind and page ids.
 func (d *DurableLog) compact(w *Wrangler) error {
 	if len(d.versions) == 0 {
 		return nil
@@ -1953,7 +1918,7 @@ func (d *DurableLog) compact(w *Wrangler) error {
 		}
 	}
 	for _, pid := range slices.Sorted(maps.Keys(live)) {
-		lp, ok := d.pagesByID[pid]
+		lp, ok := d.replayedPages[pid]
 		if !ok {
 			return fmt.Errorf("core: compact: a retained version references missing page %d", pid)
 		}
@@ -1976,11 +1941,6 @@ func (d *DurableLog) compact(w *Wrangler) error {
 	if n := w.Feedback.Len(); n > d.lastFeedbackSeq {
 		d.lastFeedbackSeq = n
 	}
-	pagesByID := make(map[uint64]*loggedPage, len(live))
-	for pid := range live {
-		pagesByID[pid] = d.pagesByID[pid]
-	}
-	d.pagesByID = pagesByID
 	return nil
 }
 

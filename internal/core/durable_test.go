@@ -24,7 +24,7 @@ func TestVersionRecordSkipsFuseSignature(t *testing.T) {
 	if w.memo == nil {
 		t.Fatal("a sharded run records a tail memo")
 	}
-	payload := wal.Encode(versionRecord(w, w.Serve.Latest(), []uint64{0, 1, 2, 3}), codeVersion)
+	payload := wal.Encode(fullRecord(w, w.Serve.Latest(), w.lastPub, len(w.Config.Target)), codeVersion)
 	want := &loggedVersion{}
 	if err := wal.Decode(payload, want, codeVersion); err != nil || !want.memoValid {
 		t.Fatalf("decode of a fresh record: memoValid=%v err=%v", want.memoValid, err)

@@ -162,7 +162,7 @@ func (d *DurableLog) PatchChain() int { return d.chain }
 // version's cluster assignment, before attach: the log then restores and
 // serves, but its working state cannot be rebuilt.
 func (d *DurableLog) TruncateNewestClusters() error {
-	st, err := d.state(d.rep.versions[len(d.rep.versions)-1])
+	st, err := d.state(d.replayed[len(d.replayed)-1])
 	if err != nil {
 		return err
 	}
@@ -175,7 +175,7 @@ func (d *DurableLog) TruncateNewestClusters() error {
 // before attach: the assignment still covers the union, but names a
 // cluster that does not exist.
 func (d *DurableLog) OutOfRangeNewestCluster() error {
-	st, err := d.state(d.rep.versions[len(d.rep.versions)-1])
+	st, err := d.state(d.replayed[len(d.replayed)-1])
 	if err != nil {
 		return err
 	}

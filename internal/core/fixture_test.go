@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,7 +39,9 @@ import (
 // sequential sessions fingerprint identically. Nothing regenerates them:
 // they pin what the parent wrote and read. Beside them, patch4.wal and its
 // dump were written by the same script at shards 4 once versions could be
-// patches, and pin that layout the same way.
+// patches, and pin that layout the same way; base4.wal and its dump were
+// written by it at shards 4 once every version was a patch, a full one
+// patching the empty version, and pin that writer.
 const (
 	fixtureSeed    = int64(11)
 	fixtureSources = 3
@@ -72,14 +77,31 @@ func TestParentWrittenLogs(t *testing.T) {
 // session the parent logs restore to.
 func TestPatchWrittenLog(t *testing.T) { checkWrittenLog(t, "patch4", 4) }
 
+// TestBaseWrittenLog pins the layout written since every version is a
+// patch the same way, against testdata/base4.wal: the fixture script at
+// shards 4 with no page record — the run's full version and the one the
+// size rule writes for the feedback reaction patch the empty version, the
+// refreshes patch them — and its dump, which this layout's introduction
+// wrote. Restoring it builds the newest version's full base directly and
+// applies its patch, and gives the session the writer closed, which
+// base4.fingerprint holds: not restored.fingerprint's, as keyless
+// entities have been named by content since the older fixtures were
+// written.
+func TestBaseWrittenLog(t *testing.T) { checkWrittenLog(t, "base4", 4) }
+
 // checkWrittenLog runs the written-log checks on testdata/<name>.wal, a
 // log the fixture script wrote at the given shard count: every record
 // re-encodes to its exact bytes, decodes to exactly what the dump beside
-// it holds, and attaching the log restores the session of
-// restored.fingerprint, whose first refresh then behaves as the parent's
-// did.
+// it holds, attaching the log decodes exactly the pages of the newest
+// version's full base (none on a log without page records, one per shard
+// on the older ones), and restores the session of <name>.fingerprint, or
+// of restored.fingerprint when the log has none of its own, whose first
+// refresh then behaves as the parent's did.
 func checkWrittenLog(t *testing.T, name string, shards int) {
-	want, err := os.ReadFile(filepath.Join("testdata", "restored.fingerprint"))
+	want, err := os.ReadFile(filepath.Join("testdata", name+".fingerprint"))
+	if errors.Is(err, fs.ErrNotExist) {
+		want, err = os.ReadFile(filepath.Join("testdata", "restored.fingerprint"))
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +143,13 @@ func checkWrittenLog(t *testing.T, name string, shards int) {
 	if restored, err := w.AttachDurableLog(d); err != nil || !restored {
 		t.Fatalf("attach: restored=%v err=%v", restored, err)
 	}
+	wantPages := int64(0)
+	if slices.ContainsFunc(recs, func(r wal.Record) bool { return r.Kind == wal.KindPage }) {
+		wantPages = int64(shards)
+	}
+	if p, _ := d.Decoded(); p != wantPages {
+		t.Fatalf("attach decoded %d pages, want the %d of the newest version's base", p, wantPages)
+	}
 	if got := wrangletest.Fingerprint(w); got != string(want) {
 		t.Fatalf("restored session differs from the parent's:\n%s", lineDiff(string(want), got))
 	}
@@ -158,7 +187,7 @@ func checkWrittenLog(t *testing.T, name string, shards int) {
 // body later from where the header ended — which must agree with the
 // one-shot decode: the same value, or the same error.
 func FuzzDurableRecord(f *testing.F) {
-	for _, name := range []string{"shards0.wal", "shards4.wal", "patch4.wal"} {
+	for _, name := range []string{"shards0.wal", "shards4.wal", "patch4.wal", "base4.wal"} {
 		buf, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)

@@ -410,7 +410,7 @@ func publishTitle(origin serve.Origin) string {
 // published object distinct from the live w.wrangled, whose slab the
 // next diff may write.
 func (w *Wrangler) publishTable() *dataset.Table {
-	out := dataset.NewTable(w.wrangled.Schema().Clone())
+	out := dataset.NewTableCap(w.wrangled.Schema().Clone(), w.wrangled.Len())
 	for _, r := range w.wrangled.Rows() {
 		out.Append(r) // pointer-shared immutable records
 	}

@@ -13,20 +13,27 @@ import (
 )
 
 // TestRestoreBrokenChain pins what a restore does when a patch's chain is
-// broken: reading a version whose chain builds on a full version with
-// truncated page records, or on a version the log no longer holds, fails
+// broken: reading a version whose chain builds on a full version whose
+// record is cut short, or on a version the log no longer holds, fails
 // with an error that names the file offset of the record it could not
 // read past — from the attach when the newest version's chain is broken,
 // from At for an older one — and never panics or serves a table built on
 // another base. The log: a run, a value-feedback patch and refreshes of
 // every source with heavy churn, until the size rule writes a second full
-// version, then two more patches on it.
+// version, then two more patches on it. An older log whose full versions
+// reference page records fails the same way on truncated pages.
 func TestRestoreBrokenChain(t *testing.T) {
 	dir := t.TempDir()
 	u := &hollowUniverse{Universe: buildUniverse(5, 6, true), hollow: map[string]bool{}}
-	w := New(u, ProductConfig(), nil, wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy()))
-	w.IntegrationShards = 4
-	w.Serve = NewVersionStore(16)
+	newWrangler := func(serve *VersionStore) *Wrangler {
+		w := New(u, ProductConfig(), nil, wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy()))
+		w.IntegrationShards = 4
+		if serve != nil {
+			w.Serve = serve
+		}
+		return w
+	}
+	w := newWrangler(NewVersionStore(16))
 	d, err := OpenDurableLog(dir, FsyncOnCheckpoint)
 	if err != nil {
 		t.Fatal(err)
@@ -59,26 +66,16 @@ func TestRestoreBrokenChain(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := os.ReadFile(filepath.Join(dir, logFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := wal.Scan(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var versions, pages []int // record indexes
+	recs := readRecords(t, filepath.Join(dir, logFileName))
+	var versions []int // record indexes
 	for i, rec := range recs {
-		switch rec.Kind {
-		case wal.KindVersion:
+		if rec.Kind == wal.KindVersion {
 			versions = append(versions, i)
-		case wal.KindPage:
-			pages = append(pages, i)
 		}
 	}
-	// rewrite writes the log again with edit applied to its records and
-	// opens and attaches it over a fresh session.
-	rewrite := func(t *testing.T, edit func([]wal.Record) []wal.Record) (*Wrangler, *DurableLog, error) {
+	// rewrite writes recs again with edit applied and opens and attaches
+	// the log over a fresh session serving from store.
+	rewrite := func(t *testing.T, recs []wal.Record, store *VersionStore, edit func([]wal.Record) []wal.Record) (*Wrangler, *DurableLog, error) {
 		t.Helper()
 		dir := t.TempDir()
 		nl, _, err := wal.Open(filepath.Join(dir, logFileName), FsyncOnCheckpoint)
@@ -96,9 +93,7 @@ func TestRestoreBrokenChain(t *testing.T) {
 		if err := nl.Close(); err != nil {
 			t.Fatal(err)
 		}
-		w := New(u, ProductConfig(), nil, wctx.NewDataContext().WithTaxonomy(ontology.ProductTaxonomy()))
-		w.IntegrationShards = 4
-		w.Serve = NewVersionStore(16)
+		w := newWrangler(store)
 		d, err := OpenDurableLog(dir, FsyncOnCheckpoint)
 		if err != nil {
 			t.Fatal(err)
@@ -107,15 +102,16 @@ func TestRestoreBrokenChain(t *testing.T) {
 		_, err = w.AttachDurableLog(d)
 		return w, d, err
 	}
-	// truncate cuts the page records of the full version at versions[v]
-	// to their id.
-	truncate := func(v int) func([]wal.Record) []wal.Record {
+	// cut cuts the record of the full version at versions[v] to its header,
+	// which open reads: its body no longer decodes.
+	cut := func(v int) func([]wal.Record) []wal.Record {
 		return func(rs []wal.Record) []wal.Record {
-			for _, i := range pages {
-				if i < versions[v] && (v == 0 || i > versions[v-1]) {
-					rs[i].Payload = rs[i].Payload[:1]
-				}
+			i := versions[v]
+			n, err := wal.DecodePrefix(rs[i].Payload, &loggedVersion{}, codeVersionHeader)
+			if err != nil {
+				t.Fatal(err)
 			}
+			rs[i].Payload = rs[i].Payload[:n]
 			return rs
 		}
 	}
@@ -128,12 +124,12 @@ func TestRestoreBrokenChain(t *testing.T) {
 
 	second := len(versions) - 1 - d.chain // the newest full version, by position
 
-	t.Run("newest chain on truncated pages", func(t *testing.T) {
-		_, _, err := rewrite(t, truncate(second))
+	t.Run("newest chain on a cut base", func(t *testing.T) {
+		_, _, err := rewrite(t, recs, NewVersionStore(16), cut(second))
 		wantOffset(t, err, "builds on version")
 	})
-	t.Run("older chain on truncated pages", func(t *testing.T) {
-		w, _, err := rewrite(t, truncate(0))
+	t.Run("older chain on a cut base", func(t *testing.T) {
+		w, _, err := rewrite(t, recs, NewVersionStore(16), cut(0))
 		if err != nil {
 			t.Fatalf("attach: %v", err)
 		}
@@ -141,7 +137,7 @@ func TestRestoreBrokenChain(t *testing.T) {
 			v, err := w.Serve.At(seq)
 			switch {
 			case i == 0:
-				wantOffset(t, err, "record kind 0x50") // its own pages
+				wantOffset(t, err, "record kind 0x56") // its own record
 			case i < second:
 				wantOffset(t, err, "builds on version 1")
 			case err != nil:
@@ -152,9 +148,36 @@ func TestRestoreBrokenChain(t *testing.T) {
 		}
 	})
 	t.Run("missing base", func(t *testing.T) {
-		_, _, err := rewrite(t, func(rs []wal.Record) []wal.Record {
+		_, _, err := rewrite(t, recs, NewVersionStore(16), func(rs []wal.Record) []wal.Record {
 			return append(rs[:versions[second]:versions[second]], rs[versions[second]+1:]...)
 		})
 		wantOffset(t, err, "which the log does not hold")
 	})
+	t.Run("truncated pages of an older log", func(t *testing.T) {
+		// testdata/patch4.wal's newest version patches a full version whose
+		// output is cut into page records.
+		_, _, err := rewrite(t, readRecords(t, filepath.Join("testdata", "patch4.wal")), nil, func(rs []wal.Record) []wal.Record {
+			for i := range rs {
+				if rs[i].Kind == wal.KindPage {
+					rs[i].Payload = rs[i].Payload[:1]
+				}
+			}
+			return rs
+		})
+		wantOffset(t, err, "record kind 0x50")
+	})
+}
+
+// readRecords reads and scans the log file at path.
+func readRecords(t *testing.T, path string) []wal.Record {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := wal.Scan(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/ontology"
 	"repro/internal/report"
 	"repro/internal/sources"
+	"repro/internal/wal"
 )
 
 // hollowUniverse is the synthetic universe with a switch: a source
@@ -72,7 +74,9 @@ func (u *hollowUniverse) view(s *sources.Source) *sources.Source {
 // reopen every retained version, loaded through the store the way
 // View.At loads it, must be what the session served as that version
 // (table, entities, report lines with supporters), and the restored
-// working results must be the closed session's. Each step after the
+// working results must be the closed session's. The log holds no page
+// record and only patch versions, full ones patching the empty version,
+// after every step. Each step after the
 // first is the first reaction after a reopen, and must leave the outputs
 // a full rerun computes. The script runs over clean sources and over
 // dirty ones, whose reports move supporters under kept keys and whose
@@ -222,6 +226,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
+		checkPatchLayout(t, filepath.Join(dir, logFileName))
 
 		w = open()
 		for _, seq := range w.Serve.Versions() {
@@ -248,6 +253,23 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkPatchLayout fails unless the log at path holds no page record and
+// only patch versions (mode 2): the one layout this package writes.
+func checkPatchLayout(t *testing.T, path string) {
+	t.Helper()
+	for _, rec := range readRecords(t, path) {
+		switch rec.Kind {
+		case wal.KindPage:
+			t.Fatalf("the log holds a page record at offset 0x%x", rec.Offset)
+		case wal.KindVersion:
+			var lv loggedVersion
+			if err := wal.Decode(rec.Payload, &lv, codeVersion); err != nil || lv.patch == nil {
+				t.Fatalf("the version record at offset 0x%x is no patch (decode error %v)", rec.Offset, err)
+			}
+		}
 	}
 }
 

@@ -306,7 +306,11 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	}
 	w.handed = handOff{from: sr.handOn}
 	w.trust = sr.opts.Trust
-	w.wrangled, w.rowEntities = dataset.NewTable(w.Config.Target.Clone()), nil
+	n := 0
+	for _, p := range sr.parts {
+		n += len(p.rows)
+	}
+	w.wrangled, w.rowEntities = dataset.NewTableCap(w.Config.Target.Clone(), n), make([]string, 0, n)
 	for _, p := range sr.parts {
 		w.rowEntities = append(w.rowEntities, p.entities...)
 		for _, r := range p.rows {

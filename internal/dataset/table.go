@@ -151,6 +151,12 @@ func NewTable(schema Schema) *Table {
 	return &Table{schema: schema}
 }
 
+// NewTableCap creates an empty table with the given schema and room for
+// capacity rows, for a caller that knows how many it will append.
+func NewTableCap(schema Schema, capacity int) *Table {
+	return &Table{schema: schema, rows: make([]Record, 0, capacity)}
+}
+
 // Schema returns the table's schema. Callers must not mutate it.
 func (t *Table) Schema() Schema { return t.schema }
 

@@ -52,6 +52,11 @@ type Codec struct {
 	err  error
 	dec  bool
 	syms map[string]string // decoding: the one copy of each Symbol read so far
+
+	// Decoding carves Symbols lists and records from these slabs: one
+	// allocation for many small ones.
+	strs []string
+	vals []dataset.Value
 }
 
 // Encode runs code over v in encode mode and returns the payload.
@@ -266,8 +271,32 @@ func (c *Codec) Repeat(s *string, prev string) {
 	}
 }
 
-// Symbols codes a slice of Symbols, laid out as Strings.
-func (c *Codec) Symbols(ss *[]string) { Slice(c, ss, 1, (*Codec).Symbol) }
+// Symbols codes a slice of Symbols, laid out as Strings; decoding an empty
+// one keeps the target's nil-ness, as Slice does.
+func (c *Codec) Symbols(ss *[]string) {
+	n := len(*ss)
+	c.Len(&n, 1)
+	if c.dec {
+		*ss = (*ss)[:0]
+		if n > 0 {
+			*ss = carve(&c.strs, n)
+		}
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		c.Symbol(&(*ss)[i])
+	}
+}
+
+// carve returns the first n elements of *slab, capped at n, and moves
+// *slab past them, refilling it first when it holds fewer than n.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, 1024))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
 
 // Len codes a length prefix. Decoding validates it against both the
 // sanity bound and the bytes actually remaining (for minSize ≥ 1: the
@@ -400,7 +429,7 @@ func (c *Codec) Record(r *dataset.Record, width int) {
 			c.Failf("implausible record width %d", width)
 			return
 		}
-		*r = make(dataset.Record, width)
+		*r = carve(&c.vals, width)
 	}
 	for i := range *r {
 		c.Value(&(*r)[i])
