@@ -61,7 +61,9 @@ loadtest:
 # string-keyed oracle, and the trust fixpoint over its flat layout —
 # carried with the claim groups, credits hoisted at 1.0 for groups with
 # one bucket, only groups with a choice re-voted — bit-equal to the
-# per-group, sort.Slice oracle, also over a carried layout.
+# per-group, sort.Slice oracle, also over a carried layout; Normalize's
+# ASCII pass vs the token join, and the one-pass extraction kernels
+# (Induce, Wrapper.Run) vs the multi-pass code kept as their oracle.
 # Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzStreamingRePlan,
@@ -69,7 +71,8 @@ loadtest:
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
 # -fuzz=FuzzWALReplay ./internal/wal, -fuzz=FuzzDurableRecord
 # ./internal/core, -fuzz=FuzzFusePrepared or -fuzz=FuzzTrustKernel
-# ./internal/fusion).
+# ./internal/fusion, -fuzz=FuzzNormalize ./internal/text,
+# -fuzz=FuzzWrapperRun ./internal/extract).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
@@ -81,3 +84,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzDurableRecord -fuzztime=10s -run=^$$ ./internal/core
 	$(GO) test -fuzz=FuzzFusePrepared -fuzztime=10s -run=^$$ ./internal/fusion
 	$(GO) test -fuzz=FuzzTrustKernel -fuzztime=10s -run=^$$ ./internal/fusion
+	$(GO) test -fuzz=FuzzNormalize -fuzztime=10s -run=^$$ ./internal/text
+	$(GO) test -fuzz=FuzzWrapperRun -fuzztime=10s -run=^$$ ./internal/extract

@@ -32,7 +32,8 @@ func InduceDetail(sourceID string, pages []*html.Node, tax *ontology.Taxonomy) (
 		}
 		records = append(records, body)
 	}
-	fields := induceFields(records, tax)
+	leaves := recordLeaves(records)
+	fields := induceFields(leaves, tax)
 	// Drop fields whose values never vary across pages: page furniture
 	// that survived because it appeared with differing surroundings.
 	kept := fields[:0]
@@ -51,7 +52,7 @@ func InduceDetail(sourceID string, pages []*html.Node, tax *ontology.Taxonomy) (
 		SourceID:       sourceID,
 		RecordSelector: "body",
 		Fields:         fields,
-		Confidence:     structuralConfidence(records),
+		Confidence:     structuralConfidence(leaves),
 	}, nil
 }
 

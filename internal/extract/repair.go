@@ -64,12 +64,18 @@ func Repair(w *Wrapper, page *html.Node, master *dataset.Table, tax *ontology.Ta
 // properties when the evidence disagrees with the current label. Returns
 // the number of corrected fields.
 func relabelColumns(w *Wrapper, table *dataset.Table, master *dataset.Table) int {
+	// Each master column's numbers and text set are built once, not once
+	// per extracted column.
+	masters := make([]masterColumn, len(master.Schema()))
+	for mc, f := range master.Schema() {
+		mVals, _ := master.Column(f.Name)
+		masters[mc] = newMasterColumn(mVals)
+	}
 	var cands []assign
 	for c := range table.Schema() {
 		colVals, _ := table.Column(table.Schema()[c].Name)
-		for mc := range master.Schema() {
-			mVals, _ := master.Column(master.Schema()[mc].Name)
-			s := columnAgreement(colVals, mVals)
+		for mc := range masters {
+			s := masters[mc].agreement(colVals)
 			if s > 0.3 {
 				cands = append(cands, assign{col: c, masterCol: mc, score: s})
 			}
@@ -130,19 +136,35 @@ func sortAssigns(cands []assign) {
 // the master column (exact normalised equality for text, 2% relative
 // tolerance or exact ×100 unit drift for numbers).
 func columnAgreement(col, master []dataset.Value) float64 {
-	if len(col) == 0 || len(master) == 0 {
-		return 0
-	}
-	masterText := map[string]bool{}
-	var masterNums []float64
+	return newMasterColumn(master).agreement(col)
+}
+
+// masterColumn is what columnAgreement reads of a master column: its
+// length, its numbers in row order and its normalised text set.
+type masterColumn struct {
+	n    int
+	nums []float64
+	text map[string]bool
+}
+
+func newMasterColumn(master []dataset.Value) masterColumn {
+	m := masterColumn{n: len(master), text: map[string]bool{}}
 	for _, v := range master {
 		if v.IsNull() {
 			continue
 		}
 		if v.IsNumeric() {
-			masterNums = append(masterNums, v.FloatVal())
+			m.nums = append(m.nums, v.FloatVal())
 		}
-		masterText[text.Normalize(v.String())] = true
+		m.text[text.Normalize(v.String())] = true
+	}
+	return m
+}
+
+// agreement is columnAgreement(col, the master column m was built from).
+func (m masterColumn) agreement(col []dataset.Value) float64 {
+	if len(col) == 0 || m.n == 0 {
+		return 0
 	}
 	sample := col
 	if len(sample) > 50 {
@@ -156,15 +178,15 @@ func columnAgreement(col, master []dataset.Value) float64 {
 		total++
 		if v.IsNumeric() {
 			f := v.FloatVal()
-			for _, m := range masterNums {
-				if closeRel(f, m, 0.02) || closeRel(f, m*100, 0.02) || closeRel(f*100, m, 0.02) {
+			for _, mv := range m.nums {
+				if closeRel(f, mv, 0.02) || closeRel(f, mv*100, 0.02) || closeRel(f*100, mv, 0.02) {
 					hits++
 					break
 				}
 			}
 			continue
 		}
-		if masterText[text.Normalize(v.String())] {
+		if m.text[text.Normalize(v.String())] {
 			hits++
 		}
 	}

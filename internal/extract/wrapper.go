@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/html"
@@ -61,11 +63,12 @@ func Induce(sourceID string, page *html.Node, tax *ontology.Taxonomy) (*Wrapper,
 	if len(recordNodes) < 2 {
 		return nil, fmt.Errorf("extract: no repeated record structure on page of %s", sourceID)
 	}
-	fields := induceFields(recordNodes, tax)
+	leaves := recordLeaves(recordNodes)
+	fields := induceFields(leaves, tax)
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("extract: records of %s have no extractable fields", sourceID)
 	}
-	conf := structuralConfidence(recordNodes)
+	conf := structuralConfidence(leaves)
 	return &Wrapper{
 		SourceID:       sourceID,
 		RecordSelector: selector,
@@ -77,67 +80,153 @@ func Induce(sourceID string, page *html.Node, tax *ontology.Taxonomy) (*Wrapper,
 // findRecordSet locates the repeated record structure: the parent element
 // whose element children contain the largest group of structurally similar
 // siblings (same tag, same class set), returning the group and a selector
-// that finds them. Header rows (th cells) are excluded.
+// that finds them. Header rows (th cells) are excluded. Groups are scored
+// in document order of their parent, then of their first member, and the
+// first group with the highest score wins.
+//
+// One post-order pass gives every element its subtree size and whether it
+// holds non-space text, so each group is scored from its members' figures
+// instead of walking their subtrees again.
 func findRecordSet(page *html.Node) ([]*html.Node, string) {
-	type candidate struct {
-		nodes    []*html.Node
-		selector string
-		score    float64
+	f := recordFinder{groupAt: map[groupKey]int{}}
+	f.visit(page)
+	if f.best.parent == nil {
+		return nil, ""
 	}
-	var best candidate
-	page.Walk(func(n *html.Node) bool {
-		if n.Type != html.ElementNode {
-			return true
+	var nodes []*html.Node
+	for _, c := range f.best.parent.Children {
+		if c.Type == html.ElementNode && !isHeaderish(c) && recordKey(c) == f.best.key {
+			nodes = append(nodes, c)
 		}
-		groups := map[string][]*html.Node{}
-		for _, c := range n.ElementChildren() {
-			if isHeaderish(c) {
-				continue
-			}
-			key := c.Tag + "|" + canonicalClass(c)
-			groups[key] = append(groups[key], c)
+	}
+	sel := f.best.key.tag
+	if f.best.key.class != "" {
+		sel += "." + strings.ReplaceAll(f.best.key.class, " ", ".")
+	}
+	return nodes, sel
+}
+
+// groupKey is the split of the sibling-group key tag + "|" + class at its
+// first "|": the tag and the canonical class list, unless the tag itself
+// holds a "|".
+type groupKey struct{ tag, class string }
+
+func recordKey(n *html.Node) groupKey {
+	if strings.IndexByte(n.Tag, '|') < 0 {
+		return groupKey{n.Tag, canonicalClass(n)}
+	}
+	parts := strings.SplitN(n.Tag+"|"+canonicalClass(n), "|", 2)
+	return groupKey{parts[0], parts[1]}
+}
+
+// subtreeInfo is what the record scorer needs of a subtree: its node count
+// and whether any text node in it holds a non-space character.
+type subtreeInfo struct {
+	size int
+	text bool
+}
+
+// recordGroup accumulates one sibling group's score inputs in member order.
+type recordGroup struct {
+	key            groupKey
+	count, textful int
+	sizeSum        float64
+}
+
+// recordFinder is findRecordSet's post-order pass and its best group.
+type recordFinder struct {
+	pre     int           // preorder number of the next element
+	kids    []subtreeInfo // stack of the element children's infos
+	groups  []recordGroup // the current parent's groups, by first member
+	groupAt map[groupKey]int
+	best    struct {
+		parent *html.Node
+		pre    int
+		key    groupKey
+		score  float64
+	}
+}
+
+func (f *recordFinder) visit(n *html.Node) subtreeInfo {
+	if n.Type != html.ElementNode {
+		return subtreeInfo{size: 1, text: hasText(n.Data)}
+	}
+	pre := f.pre
+	f.pre++
+	base := len(f.kids)
+	info := subtreeInfo{size: 1}
+	for _, c := range n.Children {
+		ci := f.visit(c)
+		info.size += ci.size
+		info.text = info.text || ci.text
+		if c.Type == html.ElementNode {
+			f.kids = append(f.kids, ci)
 		}
-		for key, nodes := range groups {
-			if len(nodes) < 2 {
-				continue
-			}
-			// Records must carry text.
-			textful := 0
-			for _, nd := range nodes {
-				if nd.Text() != "" {
-					textful++
-				}
-			}
-			if textful < 2 {
-				continue
-			}
-			// Score: group size × mean subtree size (records are substantial).
-			meanSize := 0.0
-			for _, nd := range nodes {
-				meanSize += float64(subtreeSize(nd))
-			}
-			meanSize /= float64(len(nodes))
-			score := float64(len(nodes)) * meanSize
-			if score > best.score {
-				parts := strings.SplitN(key, "|", 2)
-				sel := parts[0]
-				if parts[1] != "" {
-					sel += "." + strings.ReplaceAll(parts[1], " ", ".")
-				}
-				best = candidate{nodes: nodes, selector: sel, score: score}
-			}
+	}
+	f.score(n, pre, f.kids[base:])
+	f.kids = f.kids[:base]
+	return info
+}
+
+// score groups n's element children (kids holds their infos, in order)
+// and offers each group of two or more textful records as the best. A
+// group wins on a higher score, or on an equal one when its parent comes
+// earlier in document order: the visit is post-order, and the first
+// maximum in document order must win.
+func (f *recordFinder) score(n *html.Node, pre int, kids []subtreeInfo) {
+	if len(kids) < 2 {
+		return
+	}
+	f.groups = f.groups[:0]
+	clear(f.groupAt)
+	k := 0
+	for _, c := range n.Children {
+		if c.Type != html.ElementNode {
+			continue
 		}
-		return true
-	})
-	return best.nodes, best.selector
+		ci := kids[k]
+		k++
+		if isHeaderish(c) {
+			continue
+		}
+		key := recordKey(c)
+		g, ok := f.groupAt[key]
+		if !ok {
+			g = len(f.groups)
+			f.groupAt[key] = g
+			f.groups = append(f.groups, recordGroup{key: key})
+		}
+		grp := &f.groups[g]
+		grp.count++
+		if ci.text {
+			grp.textful++
+		}
+		grp.sizeSum += float64(ci.size)
+	}
+	for _, g := range f.groups {
+		// Records must carry text.
+		if g.count < 2 || g.textful < 2 {
+			continue
+		}
+		// Score: group size × mean subtree size (records are substantial).
+		score := float64(g.count) * (g.sizeSum / float64(g.count))
+		if score > f.best.score || (f.best.parent != nil && score == f.best.score && pre < f.best.pre) {
+			f.best.parent, f.best.pre, f.best.key, f.best.score = n, pre, g.key, score
+		}
+	}
+}
+
+// hasText reports whether s holds a character strings.Fields keeps.
+func hasText(s string) bool {
+	return strings.IndexFunc(s, func(r rune) bool { return !unicode.IsSpace(r) }) >= 0
 }
 
 func isHeaderish(n *html.Node) bool {
 	if n.Tag == "thead" || n.Tag == "th" {
 		return true
 	}
-	for _, c := range n.ElementChildren() {
-		if c.Tag == "th" {
+	for _, c := range n.Children {
+		if c.Type == html.ElementNode && c.Tag == "th" {
 			return true
 		}
 	}
@@ -145,44 +234,76 @@ func isHeaderish(n *html.Node) bool {
 }
 
 // canonicalClass returns the sorted class list of a node, joined by space.
+// An attribute that already holds one class, or several in order and
+// single-spaced, is returned as it is.
 func canonicalClass(n *html.Node) string {
-	fields := strings.Fields(n.Attr("class"))
+	attr := n.Attr("class")
+	if singleSpaced(attr) && classesSorted(attr) {
+		return attr
+	}
+	fields := strings.Fields(attr)
 	sort.Strings(fields)
 	return strings.Join(fields, " ")
 }
 
-func subtreeSize(n *html.Node) int {
-	size := 0
-	n.Walk(func(*html.Node) bool { size++; return true })
-	return size
+// classesSorted reports whether the space-separated classes of s are in
+// sorted order.
+func classesSorted(s string) bool {
+	prev := ""
+	for s != "" {
+		cur, rest, _ := strings.Cut(s, " ")
+		if cur < prev {
+			return false
+		}
+		prev, s = cur, rest
+	}
+	return true
 }
 
 // leafField is one text-bearing position inside a record subtree.
 type leafField struct {
 	path   string // tag/class path relative to record root
 	header string // embedded label if the page shows one ("Price: …")
+	value  string
+}
+
+// pathField is one position aligned across records: its values in record
+// order.
+type pathField struct {
+	path   string
+	header string
 	values []string
 }
 
+// recordLeaves collects each record's leaves once, for both induceFields
+// and structuralConfidence.
+func recordLeaves(records []*html.Node) [][]leafField {
+	out := make([][]leafField, len(records))
+	for i, rec := range records {
+		out[i] = collectLeaves(rec)
+	}
+	return out
+}
+
 // induceFields aligns the leaf text positions across record instances and
-// produces one rule per stable position.
-func induceFields(records []*html.Node, tax *ontology.Taxonomy) []FieldRule {
-	// Collect per-record leaves keyed by relative structural path.
-	byPath := map[string]*leafField{}
+// produces one rule per stable position. records holds each record's
+// leaves, as recordLeaves returns them.
+func induceFields(records [][]leafField, tax *ontology.Taxonomy) []FieldRule {
+	// Index the per-record leaves by relative structural path.
+	byPath := map[string]*pathField{}
 	var pathOrder []string
-	for _, rec := range records {
-		leaves := collectLeaves(rec)
+	for _, leaves := range records {
 		for _, lf := range leaves {
 			f, ok := byPath[lf.path]
 			if !ok {
-				f = &leafField{path: lf.path, header: lf.header}
+				f = &pathField{path: lf.path, header: lf.header}
 				byPath[lf.path] = f
 				pathOrder = append(pathOrder, lf.path)
 			}
 			if f.header == "" && lf.header != "" {
 				f.header = lf.header
 			}
-			f.values = append(f.values, lf.values...)
+			f.values = append(f.values, lf.value)
 		}
 	}
 	// Constant-valued positions across many records are template
@@ -262,7 +383,7 @@ func collectLeaves(rec *html.Node) []leafField {
 			if header == "" {
 				header = siblingLabel(n)
 			}
-			out = append(out, leafField{path: path, header: header, values: []string{value}})
+			out = append(out, leafField{path: path, header: header, value: value})
 		}
 		for _, c := range n.Children {
 			if c.Type == html.ElementNode {
@@ -270,15 +391,31 @@ func collectLeaves(rec *html.Node) []leafField {
 			}
 		}
 	}
-	for _, c := range rec.ElementChildren() {
-		walk(c, "")
+	for _, c := range rec.Children {
+		if c.Type == html.ElementNode {
+			walk(c, "")
+		}
 	}
 	return out
 }
 
-// directText returns the concatenated text of n's direct text children and
-// of inline label children (b/strong), normalised.
+// directText returns the concatenated text of n's direct text children,
+// normalised. A lone text child that is already single-spaced is returned
+// as it is.
 func directText(n *html.Node) string {
+	var lone *html.Node
+	for _, c := range n.Children {
+		if c.Type == html.TextNode {
+			if lone != nil {
+				lone = nil
+				break
+			}
+			lone = c
+		}
+	}
+	if lone != nil && singleSpaced(lone.Data) {
+		return lone.Data
+	}
 	var b strings.Builder
 	for _, c := range n.Children {
 		if c.Type == html.TextNode {
@@ -289,11 +426,27 @@ func directText(n *html.Node) string {
 	return strings.Join(strings.Fields(b.String()), " ")
 }
 
+// singleSpaced reports whether s is printable ASCII with no leading,
+// trailing or repeated space. Such a string is its own
+// strings.Join(strings.Fields(s), " ").
+func singleSpaced(s string) bool {
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		if b >= utf8.RuneSelf || b < ' ' {
+			return false
+		}
+		if b == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' ') {
+			return false
+		}
+	}
+	return true
+}
+
 // splitLabelled separates "Label: value" patterns. It checks an inline
 // <b>/<strong>/<dt> label child first, then a "label:" textual prefix.
 func splitLabelled(n *html.Node, direct string) (header, value string) {
-	for _, c := range n.ElementChildren() {
-		if c.Tag == "b" || c.Tag == "strong" || c.Tag == "label" {
+	for _, c := range n.Children {
+		if c.Type == html.ElementNode && (c.Tag == "b" || c.Tag == "strong" || c.Tag == "label") {
 			h := strings.TrimSuffix(strings.TrimSpace(c.Text()), ":")
 			return h, direct
 		}
@@ -314,11 +467,13 @@ func siblingLabel(n *html.Node) string {
 		return ""
 	}
 	var prev *html.Node
-	for _, sib := range n.Parent.ElementChildren() {
+	for _, sib := range n.Parent.Children {
 		if sib == n {
 			break
 		}
-		prev = sib
+		if sib.Type == html.ElementNode {
+			prev = sib
+		}
 	}
 	if prev != nil && (prev.Tag == "dt" || prev.Tag == "th" || prev.Tag == "label") {
 		return strings.TrimSuffix(strings.TrimSpace(prev.Text()), ":")
@@ -335,7 +490,7 @@ func pathToSelector(path string) string {
 // the visible header via the ontology property vocabulary, then value-shape
 // heuristics (prices look like money, ratings like small decimals, SKUs
 // like code patterns).
-func labelField(f *leafField, tax *ontology.Taxonomy) string {
+func labelField(f *pathField, tax *ontology.Taxonomy) string {
 	if tax != nil && f.header != "" {
 		if canon, conf := tax.CanonicalProperty(f.header); canon != "" && conf >= 0.75 {
 			return canon
@@ -452,15 +607,16 @@ func looksLikeDate(v string) bool {
 }
 
 // structuralConfidence measures how uniform the record subtrees are: the
-// mean pairwise (sampled) similarity of their tag-path sets.
-func structuralConfidence(records []*html.Node) float64 {
+// mean pairwise (sampled) similarity of their tag-path sets. records holds
+// each record's leaves, as recordLeaves returns them.
+func structuralConfidence(records [][]leafField) float64 {
 	if len(records) < 2 {
 		return 0
 	}
 	sigs := make([]map[string]bool, len(records))
-	for i, r := range records {
+	for i, leaves := range records {
 		sig := map[string]bool{}
-		for _, lf := range collectLeaves(r) {
+		for _, lf := range leaves {
 			sig[lf.path] = true
 		}
 		sigs[i] = sig
@@ -530,15 +686,16 @@ func (w *Wrapper) Run(page *html.Node) (*dataset.Table, error) {
 			fieldSels[i], _ = html.Compile(f.Selector)
 		}
 	}
+	// One walk per record finds every field's first match.
+	set := html.NewFirstSet(fieldSels)
+	nodes := make([]*html.Node, len(fieldSels))
 	out := dataset.NewTable(schema)
 	for _, rec := range records {
 		row := make(dataset.Record, len(w.Fields))
-		for i := range w.Fields {
+		set.FindFirst(rec, nodes)
+		for i, node := range nodes {
 			row[i] = dataset.Null()
-			if fieldSels[i] == nil {
-				continue
-			}
-			if node := fieldSels[i].FindFirst(rec); node != nil {
+			if node != nil {
 				_, value := splitLabelled(node, directText(node))
 				row[i] = dataset.Parse(value)
 			}

@@ -12,6 +12,7 @@ package html
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // NodeType distinguishes element nodes from text nodes.
@@ -267,13 +268,40 @@ func (n *Node) Attr(name string) string {
 }
 
 // HasClass reports whether the node's class attribute contains the class.
+// It scans the attribute in place; only a non-ASCII attribute, whose
+// Unicode spaces strings.Fields also splits on, takes the Fields path.
 func (n *Node) HasClass(class string) bool {
-	for _, c := range strings.Fields(n.Attr("class")) {
-		if c == class {
-			return true
+	attr := n.Attr("class")
+	for i := 0; i < len(attr); i++ {
+		if attr[i] >= utf8.RuneSelf {
+			for _, c := range strings.Fields(attr) {
+				if c == class {
+					return true
+				}
+			}
+			return false
 		}
 	}
+	for attr != "" {
+		i := 0
+		for i < len(attr) && asciiSpace(attr[i]) {
+			i++
+		}
+		j := i
+		for j < len(attr) && !asciiSpace(attr[j]) {
+			j++
+		}
+		if j > i && attr[i:j] == class {
+			return true
+		}
+		attr = attr[j:]
+	}
 	return false
+}
+
+// asciiSpace reports the ASCII bytes strings.Fields splits on.
+func asciiSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
 }
 
 // ElementChildren returns the element-node children of n.

@@ -27,8 +27,9 @@ type selStep struct {
 	attrKey   string
 	attrVal   string
 	hasAttr   bool
-	nthOfType int  // 1-based; 0 means unset
-	child     bool // true: direct child of previous step's match
+	nthOfType int    // 1-based; 0 means unset
+	child     bool   // true: direct child of previous step's match
+	src       string // the step's source text, the key FirstSet groups by
 }
 
 // Compile parses a selector string.
@@ -72,6 +73,7 @@ func Compile(src string) (*Selector, error) {
 			return nil, fmt.Errorf("html: selector %q: %w", src, err)
 		}
 		step.child = child
+		step.src = stepSrc
 		child = false
 		steps = append(steps, step)
 	}
@@ -208,34 +210,42 @@ func (st *selStep) matches(n *Node) bool {
 
 // Find returns all nodes in the subtree rooted at root (excluding root
 // itself unless it matches a one-step selector) matching the selector, in
-// document order.
+// base-major order: each step lists the matches under its first base, then
+// those under the next base not already listed. For one base that is
+// document order; for nested bases an outer base's later matches come
+// before an inner base's earlier ones.
 func (s *Selector) Find(root *Node) []*Node {
 	// current holds nodes matching the prefix of steps processed so far.
 	current := []*Node{root}
 	for si, step := range s.steps {
 		var next []*Node
-		seen := map[*Node]bool{}
+		// One base cannot reach a node twice: a child list and a subtree
+		// walk are both duplicate-free.
+		var seen map[*Node]bool
+		if len(current) > 1 {
+			seen = map[*Node]bool{}
+		}
+		add := func(n *Node) {
+			if seen != nil {
+				if seen[n] {
+					return
+				}
+				seen[n] = true
+			}
+			next = append(next, n)
+		}
 		for _, base := range current {
 			if step.child {
 				for _, c := range base.Children {
-					if step.matches(c) && !seen[c] {
-						seen[c] = true
-						next = append(next, c)
+					if step.matches(c) {
+						add(c)
 					}
 				}
 			} else {
 				base.Walk(func(n *Node) bool {
-					if n == base && si > 0 {
-						return true
-					}
-					if n != base && step.matches(n) && !seen[n] {
-						seen[n] = true
-						next = append(next, n)
-					}
-					// also allow base itself to match for the first step
-					if n == base && si == 0 && step.matches(n) && !seen[n] {
-						seen[n] = true
-						next = append(next, n)
+					// Only the first step may match the base itself.
+					if (n != base || si == 0) && step.matches(n) {
+						add(n)
 					}
 					return true
 				})
@@ -249,11 +259,143 @@ func (s *Selector) Find(root *Node) []*Node {
 	return current
 }
 
-// FindFirst returns the first match in document order, or nil.
+// FindFirst returns the first node Find would return, or nil. It searches
+// depth-first along the steps and stops at the first complete match, so
+// it allocates nothing.
 func (s *Selector) FindFirst(root *Node) *Node {
-	matches := s.Find(root)
-	if len(matches) == 0 {
+	return s.firstFrom(0, root)
+}
+
+// firstFrom returns the first match of steps[si:] under base, in Find's
+// order. Find's list without its de-duplication expands each base's
+// matches in place, and de-duplication keeps first occurrences, so its
+// first element is the first complete chain of this depth-first search.
+func (s *Selector) firstFrom(si int, base *Node) *Node {
+	if si == len(s.steps) {
+		return base
+	}
+	step := &s.steps[si]
+	if step.child {
+		for _, c := range base.Children {
+			if step.matches(c) {
+				if r := s.firstFrom(si+1, c); r != nil {
+					return r
+				}
+			}
+		}
 		return nil
 	}
-	return matches[0]
+	if si == 0 && step.matches(base) {
+		if r := s.firstFrom(1, base); r != nil {
+			return r
+		}
+	}
+	return s.firstBelow(si, base)
+}
+
+// firstBelow is firstFrom for a descendant step over base's strict
+// descendants, in document order.
+func (s *Selector) firstBelow(si int, base *Node) *Node {
+	step := &s.steps[si]
+	for _, c := range base.Children {
+		if step.matches(c) {
+			if r := s.firstFrom(si+1, c); r != nil {
+				return r
+			}
+		}
+		if r := s.firstBelow(si, c); r != nil {
+			return r
+		}
+	}
+	return nil
+}
+
+// FirstSet finds, for several selectors at once, the node each one's
+// FindFirst returns. Selectors sharing a first step share its matches, and
+// one walk of the subtree collects every first step's matches; the
+// remaining steps then search from those matches as FindFirst does. A
+// first step no selector continues past needs only its first match, and
+// the walk stops once no step needs more.
+type FirstSet struct {
+	sels  []*Selector
+	head  []int      // per selector: index into heads, -1 for a nil selector
+	heads []*selStep // distinct first steps
+	all   []bool     // per head: some selector continues past it
+	found [][]*Node  // per head: its matches in the last walk, reused
+	open  int        // heads still collecting in the current walk
+}
+
+// NewFirstSet groups the selectors by first step. A nil selector never
+// matches.
+func NewFirstSet(sels []*Selector) *FirstSet {
+	fs := &FirstSet{sels: sels, head: make([]int, len(sels))}
+	byKey := map[string]int{}
+	for i, sel := range sels {
+		fs.head[i] = -1
+		if sel == nil {
+			continue
+		}
+		key := sel.steps[0].src
+		h, ok := byKey[key]
+		if !ok {
+			h = len(fs.heads)
+			byKey[key] = h
+			fs.heads = append(fs.heads, &sel.steps[0])
+			fs.all = append(fs.all, false)
+		}
+		fs.head[i] = h
+		fs.all[h] = fs.all[h] || len(sel.steps) > 1
+	}
+	fs.found = make([][]*Node, len(fs.heads))
+	return fs
+}
+
+// FindFirst sets out[i] to sels[i].FindFirst(root) for every selector.
+// out must be as long as the selector list.
+func (fs *FirstSet) FindFirst(root *Node, out []*Node) {
+	for h := range fs.found {
+		fs.found[h] = fs.found[h][:0]
+	}
+	fs.open = len(fs.heads)
+	if fs.open > 0 {
+		fs.collect(root)
+	}
+	for i, sel := range fs.sels {
+		out[i] = nil
+		if fs.head[i] < 0 {
+			continue
+		}
+		for _, m := range fs.found[fs.head[i]] {
+			if r := sel.firstFrom(1, m); r != nil {
+				out[i] = r
+				break
+			}
+		}
+	}
+}
+
+// collect appends every element of n's subtree, n included, to the matches
+// of each first step it satisfies, in document order, until no step needs
+// more.
+func (fs *FirstSet) collect(n *Node) {
+	if n.Type != ElementNode {
+		return
+	}
+	for h, step := range fs.heads {
+		if !fs.all[h] && len(fs.found[h]) > 0 {
+			continue
+		}
+		if step.matches(n) {
+			fs.found[h] = append(fs.found[h], n)
+			if !fs.all[h] {
+				fs.open--
+			}
+		}
+	}
+	for _, c := range n.Children {
+		if fs.open == 0 {
+			return
+		}
+		fs.collect(c)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Levenshtein returns the edit distance (insert/delete/substitute, unit
@@ -271,8 +272,48 @@ func Tokenize(s string) []string {
 
 // Normalize lowercases, collapses runs of whitespace and punctuation to a
 // single space, and trims. It is the canonical pre-matching normal form.
+//
+// ASCII input takes one pass: a string already in normal form is returned
+// as it is, and any other is built in one buffer. Input with a byte at or
+// above 0x80 goes through Tokenize, whose Unicode lowering can change a
+// string's length and even yield ASCII (U+212A KELVIN SIGN lowers to 'k').
 func Normalize(s string) string {
-	return strings.Join(Tokenize(s), " ")
+	normal := true
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return strings.Join(Tokenize(s), " ")
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case c == ' ' && i > 0 && i < len(s)-1 && s[i-1] != ' ':
+		default:
+			normal = false
+		}
+	}
+	if normal {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'A' <= c && c <= 'Z':
+			c += 'a' - 'A'
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		default:
+			continue
+		}
+		if b.Len() == 0 {
+			b.Grow(len(s) - i)
+		} else if !asciiAlnum(s[i-1]) {
+			b.WriteByte(' ')
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+func asciiAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 // MongeElkan computes the Monge-Elkan similarity: the mean over tokens of a
