@@ -10,14 +10,13 @@
 //
 //   - The data context — "the sources that may provide data for wrangling,
 //     and other information that may inform the wrangling process" — a
-//     registry of master data, reference tables and domain ontologies that
-//     extraction, matching and fusion consult.
+//     registry of master data and domain ontologies that extraction,
+//     matching and fusion consult.
 package context
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/ontology"
@@ -226,15 +225,13 @@ type DataContext struct {
 	MasterData *dataset.Table
 	// MasterKey names the entity-key column of MasterData.
 	MasterKey string
-	// Reference tables by name (e.g. "known_addresses").
-	Reference map[string]*dataset.Table
 	// Taxonomy is the domain ontology.
 	Taxonomy *ontology.Taxonomy
 }
 
 // NewDataContext returns an empty data context.
 func NewDataContext() *DataContext {
-	return &DataContext{Reference: map[string]*dataset.Table{}}
+	return &DataContext{}
 }
 
 // WithMaster sets the master-data table and key.
@@ -247,12 +244,6 @@ func (d *DataContext) WithMaster(t *dataset.Table, key string) *DataContext {
 // WithTaxonomy sets the ontology.
 func (d *DataContext) WithTaxonomy(t *ontology.Taxonomy) *DataContext {
 	d.Taxonomy = t
-	return d
-}
-
-// AddReference registers a reference table.
-func (d *DataContext) AddReference(name string, t *dataset.Table) *DataContext {
-	d.Reference[name] = t
 	return d
 }
 
@@ -285,14 +276,6 @@ func (d *DataContext) EvidenceInventory() []string {
 	}
 	if d.Taxonomy != nil {
 		out = append(out, "ontology")
-	}
-	names := make([]string, 0, len(d.Reference))
-	for n := range d.Reference {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		out = append(out, "reference:"+n)
 	}
 	return out
 }

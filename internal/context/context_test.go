@@ -128,15 +128,13 @@ func TestDataContextBuilders(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		master.AppendValues(dataset.String("A"), dataset.Float(float64(i)))
 	}
-	ref := dataset.NewTable(dataset.MustSchema(dataset.Field{Name: "addr", Kind: dataset.KindString}))
 
 	d := NewDataContext().
 		WithMaster(master, "sku").
-		WithTaxonomy(ontology.ProductTaxonomy()).
-		AddReference("known_addresses", ref)
+		WithTaxonomy(ontology.ProductTaxonomy())
 
 	inv := d.EvidenceInventory()
-	want := []string{"master_data", "ontology", "reference:known_addresses"}
+	want := []string{"master_data", "ontology"}
 	if len(inv) != len(want) {
 		t.Fatalf("inventory = %v", inv)
 	}

@@ -757,10 +757,14 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 func (w *Wrangler) buildUnion() (empty bool, err error) {
 	start := time.Now()
 	w.split = replanSplit{}
-	w.union = dataset.NewTable(w.Config.Target.Clone())
 	w.unionSources = w.unionSources[:0]
 	w.unionKeys, w.unionIndex = nil, nil // derived from unionSources; rebuilt lazily
 	w.unionIDs = w.selectedIDs()
+	rows := 0
+	for _, id := range w.unionIDs {
+		rows += w.states[id].mapped.Len()
+	}
+	w.union = dataset.NewTableCap(w.Config.Target.Clone(), rows)
 	w.unionStarts = make([]int, len(w.unionIDs))
 	// A source restored from the log carries no derivations yet: derive
 	// them on the worker fan-out, as a live reaction does (computeSource).
@@ -1707,13 +1711,4 @@ func (w *Wrangler) fusedGroups() *fusion.ClaimGroups {
 		}
 	}
 	return w.groups
-}
-
-// SourceUtility returns the context utility assigned to a source in the
-// last selection (0 for unknown sources).
-func (w *Wrangler) SourceUtility(id string) float64 {
-	if st, ok := w.states[id]; ok {
-		return st.utility
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/context"
@@ -158,9 +159,8 @@ func TestProvenanceRecorded(t *testing.T) {
 	if w.Prov.Len() < 6*3 {
 		t.Errorf("provenance too sparse: %d records", w.Prov.Len())
 	}
-	aff := w.AffectedBy(u.Sources[0].ID)
-	if len(aff) == 0 {
-		t.Error("source change should affect downstream artefacts")
+	if src := "(source:" + u.Sources[0].ID; !strings.Contains(w.Prov.Dump(), src) {
+		t.Errorf("no artefact is derived from %s", src[1:])
 	}
 }
 
@@ -348,23 +348,6 @@ func TestSnapshotReport(t *testing.T) {
 	}
 	if selected == 0 {
 		t.Error("nothing selected")
-	}
-}
-
-func TestTruthOracle(t *testing.T) {
-	u := buildUniverse(54, 4, true)
-	w := New(u, ProductConfig(), nil, nil)
-	oracle := w.TruthOracle()
-	p := u.World.Products[0]
-	v, ok := oracle(p.SKU, "name")
-	if !ok || v.String() != p.Name {
-		t.Errorf("oracle name = %v", v)
-	}
-	if _, ok := oracle("SKU-99999", "name"); ok {
-		t.Error("unknown entity should be !ok")
-	}
-	if _, ok := oracle(p.SKU, "nonexistent"); ok {
-		t.Error("unknown attribute should be !ok")
 	}
 }
 

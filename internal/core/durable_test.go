@@ -30,16 +30,22 @@ func TestVersionRecordSkipsFuseSignature(t *testing.T) {
 		t.Fatalf("decode of a fresh record: memoValid=%v err=%v", want.memoValid, err)
 	}
 
+	type tail struct {
+		policy                  int64
+		defaultTrust, tolerance float64
+		now                     time.Time
+		halfLife                time.Duration
+	}
 	signature := func(policy int64, defaultTrust, tolerance float64, now time.Time, halfLife time.Duration) []byte {
-		var c wal.Codec
-		memo := true
-		c.Bool(&memo)
-		c.Varint(&policy)
-		c.F64(&defaultTrust)
-		c.F64(&tolerance)
-		c.Time(&now)
-		c.Duration(&halfLife)
-		return c.Bytes()
+		return wal.Encode(&tail{policy, defaultTrust, tolerance, now, halfLife}, func(c *wal.Codec, t *tail) {
+			memo := true
+			c.Bool(&memo)
+			c.Varint(&t.policy)
+			c.F64(&t.defaultTrust)
+			c.F64(&t.tolerance)
+			c.Time(&t.now)
+			c.Duration(&t.halfLife)
+		})
 	}
 	reserved := signature(0, 0, 0, time.Time{}, 0)
 	if !bytes.HasSuffix(payload, reserved) {

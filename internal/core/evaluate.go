@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/dataset"
 	"repro/internal/sources"
 	"repro/internal/text"
 )
@@ -146,32 +145,4 @@ func (w *Wrangler) EvaluateLocations() Evaluation {
 		ev.NameAccuracy = float64(streetOK) / float64(matched)
 	}
 	return ev
-}
-
-// TruthOracle returns a fusion.Accuracy-compatible oracle over the product
-// world at the current clock: entity ids are SKUs.
-func (w *Wrangler) TruthOracle() func(entity, attribute string) (dataset.Value, bool) {
-	world := w.world()
-	return func(entity, attribute string) (dataset.Value, bool) {
-		if world == nil {
-			return dataset.Null(), false
-		}
-		p := world.Product(entity)
-		if p == nil {
-			return dataset.Null(), false
-		}
-		switch attribute {
-		case "name":
-			return dataset.String(p.Name), true
-		case "brand":
-			return dataset.String(p.Brand), true
-		case "price":
-			price, _ := world.PriceAt(p.SKU, world.Clock)
-			return dataset.Float(price), true
-		case "rating":
-			return dataset.Float(p.Rating), true
-		default:
-			return dataset.Null(), false
-		}
-	}
 }

@@ -207,27 +207,6 @@ func TestZeroWeightContext(t *testing.T) {
 	}
 }
 
-func TestChurnAndRefreshHelper(t *testing.T) {
-	u := buildUniverse(80, 5, true)
-	wr := New(u, ProductConfig(), nil, fullDataCtx(u))
-	if _, err := wr.Run(); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := wr.ChurnAndRefresh(0.3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 {
-		t.Errorf("refreshed %d sources, want 2", len(stats))
-	}
-	if wr.FeedbackSeq() != 0 {
-		t.Error("churn should not consume feedback")
-	}
-	if wr.AsOfNow().IsZero() {
-		t.Error("AsOfNow should anchor to the world clock")
-	}
-}
-
 func TestFeedbackBudgetEnforced(t *testing.T) {
 	u := buildUniverse(83, 3, true)
 	uc := &context.UserContext{Name: "thrifty",

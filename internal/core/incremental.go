@@ -356,12 +356,6 @@ func (w *Wrangler) FullRerun() (ReactStats, error) {
 	}, nil
 }
 
-// AffectedBy exposes the provenance reachability for diagnostics: which
-// artefacts a change to the given source would invalidate.
-func (w *Wrangler) AffectedBy(sourceID string) []provenance.Ref {
-	return w.Prov.Affected(provenance.Ref{Kind: provenance.KindSource, ID: sourceID})
-}
-
 // EvolveWorld advances the world clock with the given churn and returns
 // the SKUs whose prices changed — the velocity driver for experiments.
 // Only meaningful for synthetic universes; other providers return nil.
@@ -404,25 +398,6 @@ type SourceReport struct {
 	Coverage     float64
 }
 
-// ChurnAndRefresh evolves the world one step and refreshes the given
-// number of sources (round-robin), returning the per-refresh stats. It is
-// the velocity workload used by E10.
-func (w *Wrangler) ChurnAndRefresh(churn float64, nSources int) ([]ReactStats, error) {
-	w.EvolveWorld(churn)
-	var out []ReactStats
-	for i, s := range w.Provider.List() {
-		if i >= nSources {
-			break
-		}
-		st, err := w.RefreshSource(s.ID)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
-}
-
 // AddFeedback records a feedback item only when the user context's
 // feedback budget allows it — "the budget for accessing sources" (§4.1)
 // has a twin on the payment side of pay-as-you-go. A zero budget means
@@ -459,6 +434,3 @@ func (w *Wrangler) FeedbackSeq() int {
 	w.resume()
 	return w.lastSeq
 }
-
-// AsOfNow returns the provider's current wall-clock anchor.
-func (w *Wrangler) AsOfNow() time.Time { return sources.AsOf(w.Provider.Clock()) }

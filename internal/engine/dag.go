@@ -57,9 +57,6 @@ func (g *Graph) Add(id string, run func(ctx context.Context) error, deps ...stri
 	return nil
 }
 
-// Len returns the number of registered tasks.
-func (g *Graph) Len() int { return len(g.tasks) }
-
 // AddFanOut registers n tasks "prefix[000]".."prefix[n-1]" sharing the
 // same dependencies, each running run with its index — the shape of a
 // sharded stage whose outputs a later barrier task (depending on the

@@ -8,11 +8,11 @@
 // executed on scalable infrastructures").
 //
 // Execution policy lives here and only here: callers state *what* depends
-// on *what*; the engine owns worker bounds, batching (reusing
-// scale.Partition), panic isolation, first-error propagation and
-// context-cancellation. Results merge deterministically — a parallel run
-// is byte-identical to a sequential one — because the engine never decides
-// merge order, it only guarantees completion order within the DAG.
+// on *what*; the engine owns worker bounds, batching, panic isolation,
+// first-error propagation and context-cancellation. Results merge
+// deterministically — a parallel run is byte-identical to a sequential
+// one — because the engine never decides merge order, it only guarantees
+// completion order within the DAG.
 package engine
 
 import (
@@ -20,9 +20,6 @@ import (
 	"runtime"
 	"runtime/debug"
 )
-
-// Sequential is the worker count that forces one-task-at-a-time execution.
-const Sequential = 1
 
 // Workers normalises a requested parallelism degree: n >= 1 is taken
 // verbatim, anything else (0, negatives) means "auto" — one worker per

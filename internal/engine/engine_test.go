@@ -15,7 +15,7 @@ func TestWorkersNormalisation(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
 	}
-	if got := Workers(1); got != Sequential {
+	if got := Workers(1); got != 1 {
 		t.Errorf("Workers(1) = %d", got)
 	}
 	for _, n := range []int{0, -1, -100} {
@@ -77,7 +77,7 @@ func TestGraphSequentialOrderIsRegistrationOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := g.Run(context.Background(), Sequential); err != nil {
+	if err := g.Run(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(order, ","); got != "t1,t2,t3,t4" {

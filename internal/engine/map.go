@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/scale"
 )
 
 // batchesPerWorker oversubscribes the partition count so a slow batch at
@@ -13,12 +11,11 @@ import (
 const batchesPerWorker = 4
 
 // Map applies fn to every index in [0, n) on at most Workers(workers)
-// goroutines. Contiguous index ranges are batched per stage (reusing
-// scale.Partition, the §4.3 partitioner) so per-item scheduling overhead
-// amortises across a batch. fn writes results into caller-owned slots —
-// Map guarantees every index is visited exactly once before returning nil,
-// so indexing a pre-sized results slice is race-free and ordered by
-// construction.
+// goroutines. Contiguous index ranges are batched per stage so per-item
+// scheduling overhead amortises across a batch. fn writes results into
+// caller-owned slots — Map guarantees every index is visited exactly once
+// before returning nil, so indexing a pre-sized results slice is
+// race-free and ordered by construction.
 //
 // The first fn error (or recovered panic) stops the fan-out: no new batch
 // starts, in-flight batches finish their current item, and that error is
@@ -28,7 +25,7 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 		return ctx.Err()
 	}
 	w := Workers(workers)
-	parts := scale.Partition(n, w*batchesPerWorker)
+	parts := partition(n, w*batchesPerWorker)
 	g := NewGraph()
 	for bi, p := range parts {
 		lo, hi := p[0], p[1]
@@ -47,6 +44,30 @@ func Map(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 		}
 	}
 	return g.Run(ctx, w)
+}
+
+// partition splits [0, total) into at most n contiguous, non-empty
+// ranges; n clamps to [1, total].
+func partition(total, n int) [][2]int {
+	if n < 1 {
+		n = 1
+	}
+	if n > total {
+		n = total
+	}
+	var out [][2]int
+	if total == 0 {
+		return out
+	}
+	size := (total + n - 1) / n
+	for lo := 0; lo < total; lo += size {
+		hi := lo + size
+		if hi > total {
+			hi = total
+		}
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
 }
 
 // MapSlice is Map over a slice with collected results: out[i] corresponds

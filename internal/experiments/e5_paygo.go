@@ -198,21 +198,3 @@ type boundaryPair struct {
 	p    er.Pair
 	dist float64
 }
-
-// dominantSource returns the source contributing most rows to an entity.
-func dominantSource(wr *core.Wrangler, entity string) string {
-	counts := map[string]int{}
-	union := wr.Union()
-	best, bestN := "", 0
-	for i := 0; i < union.Len(); i++ {
-		if wr.EntityOf(i) != entity {
-			continue
-		}
-		src := wr.UnionSourceOf(i)
-		counts[src]++
-		if counts[src] > bestN || (counts[src] == bestN && src < best) {
-			best, bestN = src, counts[src]
-		}
-	}
-	return best
-}

@@ -184,7 +184,7 @@ func TestRepairRelabelsWithMasterData(t *testing.T) {
 		names = append(names, p.Name)
 		prices = append(prices, p.Price)
 	}
-	master := MasterFromContext(skus, names, prices)
+	master := masterTable(skus, names, prices)
 
 	// Induce WITHOUT taxonomy: the table-family sources lack inline
 	// headers, so several fields stay unlabelled or shape-guessed.
@@ -218,7 +218,7 @@ func TestRepairRelabelsWithMasterData(t *testing.T) {
 
 func TestRepairFixesUnitDrift(t *testing.T) {
 	// Build a master and a table whose price column is in cents.
-	master := MasterFromContext(
+	master := masterTable(
 		[]string{"A", "B", "C", "D"},
 		[]string{"a", "b", "c", "d"},
 		[]float64{4.99, 7.50, 12.00, 3.25},
@@ -240,7 +240,7 @@ func TestRepairFixesUnitDrift(t *testing.T) {
 }
 
 func TestRepairLeavesCorrectUnitsAlone(t *testing.T) {
-	master := MasterFromContext([]string{"A", "B", "C"}, nil, []float64{4.99, 7.50, 12.00})
+	master := masterTable([]string{"A", "B", "C"}, nil, []float64{4.99, 7.50, 12.00})
 	table := dataset.NewTable(dataset.MustSchema(
 		dataset.Field{Name: "sku", Kind: dataset.KindString},
 		dataset.Field{Name: "price", Kind: dataset.KindFloat},
@@ -282,7 +282,31 @@ func TestUnlabelledFields(t *testing.T) {
 	}
 }
 
+// masterTable builds the master table used for corroboration out of
+// canonical (sku, name, price) triples.
+func masterTable(skus, names []string, prices []float64) *dataset.Table {
+	t := dataset.NewTable(dataset.MustSchema(
+		dataset.Field{Name: "sku", Kind: dataset.KindString},
+		dataset.Field{Name: "name", Kind: dataset.KindString},
+		dataset.Field{Name: "price", Kind: dataset.KindFloat},
+	))
+	for i := range skus {
+		name, price := "", 0.0
+		if i < len(names) {
+			name = names[i]
+		}
+		if i < len(prices) {
+			price = prices[i]
+		}
+		t.AppendValues(dataset.String(skus[i]), dataset.String(name), dataset.Float(price))
+	}
+	return t
+}
+
 func TestColumnAgreement(t *testing.T) {
+	columnAgreement := func(col, master []dataset.Value) float64 {
+		return newMasterColumn(master).agreement(col)
+	}
 	a := []dataset.Value{dataset.String("USB Cable"), dataset.String("HDMI Cable")}
 	m := []dataset.Value{dataset.String("usb cable"), dataset.String("hdmi cable"), dataset.String("mouse")}
 	if s := columnAgreement(a, m); s != 1 {

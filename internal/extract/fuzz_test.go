@@ -320,7 +320,7 @@ func BenchmarkExtract(b *testing.B) {
 	for _, p := range world.Products {
 		skus, names, prices = append(skus, p.SKU), append(names, p.Name), append(prices, p.Price)
 	}
-	master := MasterFromContext(skus, names, prices)
+	master := masterTable(skus, names, prices)
 	tax := ontology.ProductTaxonomy()
 	type fixture struct {
 		page *html.Node

@@ -131,16 +131,8 @@ func sortAssigns(cands []assign) {
 	}
 }
 
-// columnAgreement estimates how well two value lists describe the same
-// attribute: the fraction of sampled extracted values with a close match in
-// the master column (exact normalised equality for text, 2% relative
-// tolerance or exact ×100 unit drift for numbers).
-func columnAgreement(col, master []dataset.Value) float64 {
-	return newMasterColumn(master).agreement(col)
-}
-
-// masterColumn is what columnAgreement reads of a master column: its
-// length, its numbers in row order and its normalised text set.
+// masterColumn is what agreement reads of a master column: its length,
+// its numbers in row order and its normalised text set.
 type masterColumn struct {
 	n    int
 	nums []float64
@@ -161,7 +153,10 @@ func newMasterColumn(master []dataset.Value) masterColumn {
 	return m
 }
 
-// agreement is columnAgreement(col, the master column m was built from).
+// agreement estimates how well col and the master column m was built from
+// describe the same attribute: the fraction of sampled extracted values
+// with a close match in the master column (exact normalised equality for
+// text, 2% relative tolerance or exact ×100 unit drift for numbers).
 func (m masterColumn) agreement(col []dataset.Value) float64 {
 	if len(col) == 0 || m.n == 0 {
 		return 0
@@ -333,28 +328,6 @@ func Validate(w *Wrapper, page *html.Node) float64 {
 		return 0
 	}
 	return float64(filled) / float64(total)
-}
-
-// MasterFromContext builds the master table used for corroboration out of
-// canonical (sku, name, price) triples. Convenience for callers that hold
-// reference data as Go structs rather than tables.
-func MasterFromContext(skus, names []string, prices []float64) *dataset.Table {
-	t := dataset.NewTable(dataset.MustSchema(
-		dataset.Field{Name: "sku", Kind: dataset.KindString},
-		dataset.Field{Name: "name", Kind: dataset.KindString},
-		dataset.Field{Name: "price", Kind: dataset.KindFloat},
-	))
-	for i := range skus {
-		name, price := "", 0.0
-		if i < len(names) {
-			name = names[i]
-		}
-		if i < len(prices) {
-			price = prices[i]
-		}
-		t.AppendValues(dataset.String(skus[i]), dataset.String(name), dataset.Float(price))
-	}
-	return t
 }
 
 // UnlabelledFields returns the indices of wrapper fields with no canonical

@@ -152,33 +152,6 @@ func (s *Store) SourceTrust() map[string]float64 {
 	return out
 }
 
-// PairLabel aggregates duplicate/not-duplicate votes for a pair into a
-// single label by weighted majority. ok is false when no votes exist or
-// they tie exactly.
-func (s *Store) PairLabel(pairKey string) (dup bool, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	score := 0.0
-	seen := false
-	for _, it := range s.items {
-		if it.PairKey != pairKey {
-			continue
-		}
-		switch it.Kind {
-		case DuplicatePair:
-			score += it.Weight
-			seen = true
-		case NotDuplicatePair:
-			score -= it.Weight
-			seen = true
-		}
-	}
-	if !seen || score == 0 {
-		return false, false
-	}
-	return score > 0, true
-}
-
 // PairVerdict is one pair's decided label: its weighted majority, and the
 // net weighted duplicate score behind it — positive when duplicate votes
 // dominate, its magnitude the confidence. An expert label (weight 1)
@@ -189,9 +162,10 @@ type PairVerdict struct {
 	Score     float64
 }
 
-// PairLabels returns every pair with a decided label (PairLabel's rule),
-// sorted by pair key: consumers that fold labels into sums, like the
-// resolver's Learn, get one order on every run.
+// PairLabels returns every pair with a decided label — the weighted
+// majority of its duplicate/not-duplicate votes; an exact tie decides
+// nothing — sorted by pair key: consumers that fold labels into sums,
+// like the resolver's Learn, get one order on every run.
 func (s *Store) PairLabels() []PairVerdict {
 	s.mu.RLock()
 	scores := map[string]float64{}
@@ -227,27 +201,6 @@ func (s *Store) SourceRelevance() map[string]float64 {
 			out[it.SourceID] -= it.Weight
 		}
 	}
-	return out
-}
-
-// BrokenWrappers returns the sources whose latest wrapper feedback is
-// WrapperBroken.
-func (s *Store) BrokenWrappers() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	last := map[string]Kind{}
-	for _, it := range s.items {
-		if it.Kind == WrapperOK || it.Kind == WrapperBroken {
-			last[it.SourceID] = it.Kind
-		}
-	}
-	var out []string
-	for src, k := range last {
-		if k == WrapperBroken {
-			out = append(out, src)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -86,12 +86,8 @@ func TestPairLabelMajority(t *testing.T) {
 	s.Add(Item{Kind: DuplicatePair, PairKey: k, Weight: 0.6})
 	s.Add(Item{Kind: DuplicatePair, PairKey: k, Weight: 0.6})
 	s.Add(Item{Kind: NotDuplicatePair, PairKey: k, Weight: 0.9})
-	dup, ok := s.PairLabel(k)
-	if !ok || !dup {
-		t.Errorf("PairLabel = %v,%v want dup (1.2 vs 0.9)", dup, ok)
-	}
-	if _, ok := s.PairLabel("unknown"); ok {
-		t.Error("unknown pair should be !ok")
+	if labels := s.PairLabels(); len(labels) != 1 || labels[0].Key != k || !labels[0].Duplicate {
+		t.Errorf("PairLabels = %v, want %s dup (1.2 vs 0.9)", labels, k)
 	}
 }
 
@@ -100,8 +96,8 @@ func TestPairLabelTie(t *testing.T) {
 	k := PairKey("a", "b")
 	s.Add(Item{Kind: DuplicatePair, PairKey: k, Weight: 1})
 	s.Add(Item{Kind: NotDuplicatePair, PairKey: k, Weight: 1})
-	if _, ok := s.PairLabel(k); ok {
-		t.Error("exact tie should be undecided")
+	if labels := s.PairLabels(); len(labels) != 0 {
+		t.Errorf("exact tie should be undecided, got %v", labels)
 	}
 }
 
@@ -131,17 +127,6 @@ func TestSourceRelevance(t *testing.T) {
 	rel := s.SourceRelevance()
 	if rel["s1"] != 1 || rel["s2"] != -1 {
 		t.Errorf("relevance = %v", rel)
-	}
-}
-
-func TestBrokenWrappers(t *testing.T) {
-	s := NewStore()
-	s.Add(Item{Kind: WrapperBroken, SourceID: "s1"})
-	s.Add(Item{Kind: WrapperBroken, SourceID: "s2"})
-	s.Add(Item{Kind: WrapperOK, SourceID: "s1"}) // repaired later
-	broken := s.BrokenWrappers()
-	if len(broken) != 1 || broken[0] != "s2" {
-		t.Errorf("BrokenWrappers = %v", broken)
 	}
 }
 

@@ -27,8 +27,7 @@ type Fact struct {
 
 // KB is a knowledge base built by redundancy fusion.
 type KB struct {
-	facts map[string]Fact // entity \x1f attribute -> fact
-	order []string
+	facts []Fact // sorted by entity \x1f attribute
 }
 
 // Build constructs a KB from claims by pure frequency voting — no source
@@ -48,7 +47,7 @@ func Build(claims []fusion.Claim) *KB {
 		groups[k] = append(groups[k], c)
 	}
 	sort.Strings(keys)
-	kb := &KB{facts: map[string]Fact{}, order: keys}
+	kb := &KB{facts: make([]Fact, 0, len(keys))}
 	for _, k := range keys {
 		claimsK := groups[k]
 		type bucket struct {
@@ -78,13 +77,13 @@ func Build(claims []fusion.Claim) *KB {
 			return buckets[i].norm < buckets[j].norm
 		})
 		best := buckets[0]
-		kb.facts[k] = Fact{
+		kb.facts = append(kb.facts, Fact{
 			Entity:     claimsK[0].Entity,
 			Attribute:  claimsK[0].Attribute,
 			Value:      best.rep,
 			Confidence: float64(best.count) / float64(len(claimsK)),
 			Support:    best.count,
-		}
+		})
 	}
 	return kb
 }
@@ -114,40 +113,5 @@ func sameValue(a, b dataset.Value) bool {
 	return text.Normalize(a.String()) == text.Normalize(b.String())
 }
 
-// Lookup returns the fused fact for (entity, attribute).
-func (kb *KB) Lookup(entity, attribute string) (Fact, bool) {
-	f, ok := kb.facts[entity+"\x1f"+attribute]
-	return f, ok
-}
-
-// Len returns the number of fused facts.
-func (kb *KB) Len() int { return len(kb.facts) }
-
 // Facts returns all facts in deterministic order.
-func (kb *KB) Facts() []Fact {
-	out := make([]Fact, 0, len(kb.order))
-	for _, k := range kb.order {
-		out = append(out, kb.facts[k])
-	}
-	return out
-}
-
-// Accuracy scores the KB against a truth oracle, mirroring
-// fusion.Accuracy so the E8 comparison is apples-to-apples.
-func (kb *KB) Accuracy(truth func(entity, attribute string) (dataset.Value, bool)) (float64, bool) {
-	agree, total := 0, 0
-	for _, f := range kb.Facts() {
-		want, has := truth(f.Entity, f.Attribute)
-		if !has {
-			continue
-		}
-		total++
-		if sameValue(f.Value, want) {
-			agree++
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(agree) / float64(total), true
-}
+func (kb *KB) Facts() []Fact { return append([]Fact(nil), kb.facts...) }

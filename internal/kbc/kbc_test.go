@@ -11,6 +11,16 @@ func claim(e, a, v, src string) fusion.Claim {
 	return fusion.Claim{Entity: e, Attribute: a, Value: dataset.Parse(v), SourceID: src}
 }
 
+// lookup returns the fused fact for (entity, attribute).
+func lookup(kb *KB, entity, attribute string) (Fact, bool) {
+	for _, f := range kb.Facts() {
+		if f.Entity == entity && f.Attribute == attribute {
+			return f, true
+		}
+	}
+	return Fact{}, false
+}
+
 func TestBuildMajority(t *testing.T) {
 	kb := Build([]fusion.Claim{
 		claim("e1", "name", "USB Cable", "s1"),
@@ -18,17 +28,17 @@ func TestBuildMajority(t *testing.T) {
 		claim("e1", "name", "USB Kable", "s3"),
 		claim("e2", "name", "Lamp", "s1"),
 	})
-	if kb.Len() != 2 {
-		t.Fatalf("facts = %d", kb.Len())
+	if n := len(kb.Facts()); n != 2 {
+		t.Fatalf("facts = %d", n)
 	}
-	f, ok := kb.Lookup("e1", "name")
+	f, ok := lookup(kb, "e1", "name")
 	if !ok || f.Value.String() != "USB Cable" || f.Support != 2 {
 		t.Errorf("fact = %+v", f)
 	}
 	if f.Confidence < 0.66 || f.Confidence > 0.67 {
 		t.Errorf("confidence = %f", f.Confidence)
 	}
-	if _, ok := kb.Lookup("ghost", "name"); ok {
+	if _, ok := lookup(kb, "ghost", "name"); ok {
 		t.Error("unknown fact should be !ok")
 	}
 }
@@ -38,7 +48,7 @@ func TestBuildIgnoresNulls(t *testing.T) {
 		{Entity: "e1", Attribute: "x", Value: dataset.Null(), SourceID: "s1"},
 		claim("e1", "x", "v", "s2"),
 	})
-	f, _ := kb.Lookup("e1", "x")
+	f, _ := lookup(kb, "e1", "x")
 	if f.Confidence != 1 {
 		t.Errorf("nulls should not dilute confidence: %+v", f)
 	}
@@ -50,7 +60,7 @@ func TestNumericBucketing(t *testing.T) {
 		claim("e1", "price", "10.05", "s2"),
 		claim("e1", "price", "99", "s3"),
 	})
-	f, _ := kb.Lookup("e1", "price")
+	f, _ := lookup(kb, "e1", "price")
 	if f.Support != 2 {
 		t.Errorf("near-equal prices should bucket: %+v", f)
 	}
@@ -65,25 +75,6 @@ func TestFactsDeterministicOrder(t *testing.T) {
 	facts := kb.Facts()
 	if facts[0].Entity != "a" || facts[1].Entity != "b" {
 		t.Errorf("facts order = %v", facts)
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	kb := Build([]fusion.Claim{
-		claim("e1", "price", "10", "s1"),
-		claim("e2", "price", "20", "s1"),
-	})
-	truth := map[string]float64{"e1": 10, "e2": 99}
-	acc, ok := kb.Accuracy(func(e, a string) (dataset.Value, bool) {
-		v, has := truth[e]
-		return dataset.Float(v), has
-	})
-	if !ok || acc != 0.5 {
-		t.Errorf("accuracy = %f", acc)
-	}
-	_, ok = kb.Accuracy(func(e, a string) (dataset.Value, bool) { return dataset.Null(), false })
-	if ok {
-		t.Error("no truth should be !ok")
 	}
 }
 
@@ -102,11 +93,11 @@ func TestKBCStaleBias(t *testing.T) {
 		claim("e1", "brand", "Anker", "fresh"),
 	}
 	kb := Build(claims)
-	price, _ := kb.Lookup("e1", "price")
+	price, _ := lookup(kb, "e1", "price")
 	if price.Value.FloatVal() != 9.99 {
 		t.Errorf("KBC should pick the redundant stale price, got %v", price.Value)
 	}
-	brand, _ := kb.Lookup("e1", "brand")
+	brand, _ := lookup(kb, "e1", "brand")
 	if brand.Value.String() != "Anker" {
 		t.Errorf("stable attribute should fuse correctly: %v", brand.Value)
 	}

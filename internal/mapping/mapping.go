@@ -1,15 +1,13 @@
-// Package mapping generates, applies, estimates and selects schema
-// mappings. It realises the §4.1 requirement that "the selection of which
-// mappings to use must take into account information from the user
-// context, such as the number of results required, the budget for
-// accessing sources, and quality requirements": mapping quality is
-// estimated against reference data ([5] Belhajjame et al.), and selection
-// maximises a user-context-weighted utility rather than a hard-wired rule.
+// Package mapping generates, applies and estimates schema mappings.
+// Mapping quality is estimated against reference data ([5] Belhajjame et
+// al.), the evidence the §4.1 requirement asks selection to weigh: "the
+// selection of which mappings to use must take into account information
+// from the user context, such as the number of results required, the
+// budget for accessing sources, and quality requirements".
 package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/match"
@@ -38,25 +36,6 @@ func Generate(id, sourceID string, target dataset.Schema, corrs []match.Correspo
 		m.Confidence = sum / float64(len(corrs))
 	}
 	return m
-}
-
-// MappedColumns returns how many target columns the mapping populates.
-func (m *Mapping) MappedColumns() int {
-	n := 0
-	for _, src := range m.ColumnMap {
-		if src != "" {
-			n++
-		}
-	}
-	return n
-}
-
-// Coverage is the fraction of target columns populated.
-func (m *Mapping) Coverage() float64 {
-	if len(m.Target) == 0 {
-		return 0
-	}
-	return float64(m.MappedColumns()) / float64(len(m.Target))
 }
 
 // Apply transforms the source table into the target schema: unmapped
@@ -184,53 +163,4 @@ func valuesAgree(a, b dataset.Value) bool {
 		return d < 0.02 && d > -0.02
 	}
 	return text.Normalize(a.String()) == text.Normalize(b.String())
-}
-
-// Weights are the user-context priorities used for mapping selection. They
-// need not be normalised; Select normalises internally. Zero weights fall
-// back to accuracy-only selection.
-type Weights struct {
-	Accuracy     float64
-	Completeness float64
-	Coverage     float64
-	Confidence   float64
-}
-
-// Scored pairs a mapping with its quality and utility.
-type Scored struct {
-	Mapping *Mapping
-	Quality Quality
-	Utility float64
-}
-
-// Select ranks mappings by user-context-weighted utility and returns the
-// top k (all if k <= 0). This is the multi-criteria compromise of §2.1: a
-// routine-price-comparison context weighting accuracy yields a different
-// selection than an issue-investigation context weighting coverage.
-func Select(ms []*Mapping, quals []Quality, w Weights, k int) []Scored {
-	if len(ms) != len(quals) {
-		return nil
-	}
-	total := w.Accuracy + w.Completeness + w.Coverage + w.Confidence
-	if total <= 0 {
-		w = Weights{Accuracy: 1}
-		total = 1
-	}
-	out := make([]Scored, len(ms))
-	for i, m := range ms {
-		q := quals[i]
-		u := (w.Accuracy*q.Accuracy + w.Completeness*q.Completeness +
-			w.Coverage*q.Coverage + w.Confidence*m.Confidence) / total
-		out[i] = Scored{Mapping: m, Quality: q, Utility: u}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Utility != out[j].Utility {
-			return out[i].Utility > out[j].Utility
-		}
-		return out[i].Mapping.ID < out[j].Mapping.ID
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
 }

@@ -37,11 +37,14 @@ func corrs() []match.Correspondence {
 
 func TestGenerate(t *testing.T) {
 	m := Generate("m1", "src-1", target(), corrs())
-	if m.MappedColumns() != 3 {
-		t.Errorf("mapped = %d, want 3", m.MappedColumns())
+	want := map[string]string{"sku": "item_no", "name": "title", "price": "cost"}
+	if len(m.ColumnMap) != len(want) {
+		t.Errorf("column map = %v, want %v", m.ColumnMap, want)
 	}
-	if m.Coverage() != 1 {
-		t.Errorf("coverage = %f", m.Coverage())
+	for tc, sc := range want {
+		if m.ColumnMap[tc] != sc {
+			t.Errorf("column map = %v, want %v", m.ColumnMap, want)
+		}
 	}
 	if m.Confidence < 0.79 || m.Confidence > 0.81 {
 		t.Errorf("confidence = %f, want 0.8", m.Confidence)
@@ -50,11 +53,8 @@ func TestGenerate(t *testing.T) {
 
 func TestGeneratePartial(t *testing.T) {
 	m := Generate("m2", "src-1", target(), corrs()[:2])
-	if m.MappedColumns() != 2 {
-		t.Error("partial mapping should map 2 columns")
-	}
-	if m.Coverage() != 2.0/3.0 {
-		t.Errorf("coverage = %f", m.Coverage())
+	if m.ColumnMap["price"] != "" || m.ColumnMap["sku"] != "item_no" || m.ColumnMap["name"] != "title" {
+		t.Errorf("partial mapping maps %v, want sku and name only", m.ColumnMap)
 	}
 }
 
@@ -146,54 +146,5 @@ func TestEstimateQualityNoReference(t *testing.T) {
 	}
 	if q.Completeness == 0 {
 		t.Error("completeness should still be measured")
-	}
-}
-
-func TestSelectWeightsChangeRanking(t *testing.T) {
-	accurate := &Mapping{ID: "accurate", Confidence: 0.9}
-	complete := &Mapping{ID: "complete", Confidence: 0.9}
-	quals := []Quality{
-		{Accuracy: 0.95, Completeness: 0.5, Coverage: 0.3},
-		{Accuracy: 0.60, Completeness: 0.95, Coverage: 0.9},
-	}
-	ms := []*Mapping{accurate, complete}
-
-	byAcc := Select(ms, quals, Weights{Accuracy: 1}, 1)
-	if byAcc[0].Mapping.ID != "accurate" {
-		t.Errorf("accuracy context picked %s", byAcc[0].Mapping.ID)
-	}
-	byCov := Select(ms, quals, Weights{Coverage: 1, Completeness: 1}, 1)
-	if byCov[0].Mapping.ID != "complete" {
-		t.Errorf("coverage context picked %s", byCov[0].Mapping.ID)
-	}
-}
-
-func TestSelectDefaults(t *testing.T) {
-	ms := []*Mapping{{ID: "a"}, {ID: "b"}}
-	quals := []Quality{{Accuracy: 0.3}, {Accuracy: 0.9}}
-	out := Select(ms, quals, Weights{}, 0)
-	if len(out) != 2 || out[0].Mapping.ID != "b" {
-		t.Errorf("zero weights should default to accuracy: %v", out)
-	}
-	if Select(ms, quals[:1], Weights{}, 0) != nil {
-		t.Error("length mismatch should return nil")
-	}
-}
-
-func TestSelectTopK(t *testing.T) {
-	ms := []*Mapping{{ID: "a"}, {ID: "b"}, {ID: "c"}}
-	quals := []Quality{{Accuracy: 0.1}, {Accuracy: 0.2}, {Accuracy: 0.3}}
-	out := Select(ms, quals, Weights{Accuracy: 1}, 2)
-	if len(out) != 2 || out[0].Mapping.ID != "c" || out[1].Mapping.ID != "b" {
-		t.Errorf("top-2 = %v", out)
-	}
-}
-
-func TestUtilityBounds(t *testing.T) {
-	ms := []*Mapping{{ID: "a", Confidence: 1}}
-	quals := []Quality{{Accuracy: 1, Completeness: 1, Coverage: 1}}
-	out := Select(ms, quals, Weights{Accuracy: 2, Completeness: 1, Coverage: 1, Confidence: 1}, 0)
-	if out[0].Utility < 0.999 || out[0].Utility > 1.001 {
-		t.Errorf("perfect mapping utility = %f, want 1", out[0].Utility)
 	}
 }

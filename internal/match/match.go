@@ -42,12 +42,14 @@ func AllEvidence() Evidence { return Evidence{Name: true, Instance: true, Ontolo
 // evidence. Either may be nil, disabling that evidence type regardless of
 // the Evidence toggles.
 type Matcher struct {
-	target    dataset.Schema
-	samples   map[string][]dataset.Value // target column -> sample values
-	tax       *ontology.Taxonomy
-	evidence  Evidence
-	threshold float64
+	target   dataset.Schema
+	samples  map[string][]dataset.Value // target column -> sample values
+	tax      *ontology.Taxonomy
+	evidence Evidence
 }
+
+// minConfidence is the minimum confidence for a correspondence to be kept.
+const minConfidence = 0.45
 
 // Option configures a Matcher.
 type Option func(*Matcher)
@@ -61,13 +63,9 @@ func WithTaxonomy(t *ontology.Taxonomy) Option { return func(m *Matcher) { m.tax
 // WithSamples supplies target-side instance samples per target column.
 func WithSamples(s map[string][]dataset.Value) Option { return func(m *Matcher) { m.samples = s } }
 
-// WithThreshold sets the minimum confidence for a correspondence to be
-// kept (default 0.45).
-func WithThreshold(th float64) Option { return func(m *Matcher) { m.threshold = th } }
-
 // NewMatcher builds a matcher for the given target schema.
 func NewMatcher(target dataset.Schema, opts ...Option) *Matcher {
-	m := &Matcher{target: target, evidence: AllEvidence(), threshold: 0.45}
+	m := &Matcher{target: target, evidence: AllEvidence()}
 	for _, o := range opts {
 		o(m)
 	}
@@ -86,7 +84,7 @@ func (m *Matcher) Match(source *dataset.Table) ([]Correspondence, error) {
 		srcVals, _ := source.Column(sf.Name)
 		for _, tf := range m.target {
 			c := m.score(sf.Name, srcVals, tf.Name)
-			if c.Confidence >= m.threshold {
+			if c.Confidence >= minConfidence {
 				cands = append(cands, c)
 			}
 		}

@@ -108,13 +108,13 @@ func TestMatchEmptySource(t *testing.T) {
 }
 
 func TestThreshold(t *testing.T) {
-	strict := NewMatcher(targetSchema(), WithThreshold(0.99), WithEvidence(Evidence{Name: true}))
-	corrs, err := strict.Match(sourceTable())
+	m := NewMatcher(targetSchema(), WithEvidence(Evidence{Name: true}))
+	corrs, err := m.Match(sourceTable())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range corrs {
-		if c.Confidence < 0.99 {
+		if c.Confidence < minConfidence {
 			t.Errorf("correspondence below threshold: %+v", c)
 		}
 	}

@@ -1,10 +1,10 @@
-// Package provenance tracks where every working-data item came from and
+// Package provenance records where every working-data item came from and
 // which components touched it. The paper (§4.2) calls for a uniform
 // representation of diverse working data — extraction rules, mappings,
 // feedback, quality annotations — "along with their associated quality
-// annotations and uncertainties"; provenance records are that common spine,
-// and the dependency graph over them is what enables incremental,
-// feedback-scoped reprocessing (§2.4).
+// annotations and uncertainties"; provenance records are that common
+// spine. A durable session logs them per publish and restores them with
+// the snapshot, so the derivation history survives a restart.
 package provenance
 
 import (
@@ -50,19 +50,18 @@ type Record struct {
 	Note      string
 }
 
-// Graph is a thread-safe provenance store: a DAG from inputs to derived
-// artefacts. Re-registering an artefact replaces its derivation (the new
-// record gets a later step).
+// Graph is a thread-safe provenance store: one derivation record per
+// artefact, pointing at its inputs. Re-registering an artefact replaces
+// its derivation (the new record gets a later step).
 type Graph struct {
 	mu      sync.RWMutex
 	records map[Ref]*Record
-	rdeps   map[Ref]map[Ref]bool // input -> set of artefacts derived from it
 	step    uint64
 }
 
 // NewGraph returns an empty provenance graph.
 func NewGraph() *Graph {
-	return &Graph{records: make(map[Ref]*Record), rdeps: make(map[Ref]map[Ref]bool)}
+	return &Graph{records: make(map[Ref]*Record)}
 }
 
 // NewGraphFrom returns an empty graph whose logical clock resumes from
@@ -80,20 +79,9 @@ func NewGraphFrom(step uint64) *Graph {
 func (g *Graph) Put(artefact Ref, component string, inputs []Ref, note string) *Record {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if old, ok := g.records[artefact]; ok {
-		for _, in := range old.Inputs {
-			delete(g.rdeps[in], artefact)
-		}
-	}
 	g.step++
 	rec := &Record{Artefact: artefact, Component: component, Inputs: append([]Ref(nil), inputs...), Step: g.step, Note: note}
 	g.records[artefact] = rec
-	for _, in := range inputs {
-		if g.rdeps[in] == nil {
-			g.rdeps[in] = make(map[Ref]bool)
-		}
-		g.rdeps[in][artefact] = true
-	}
 	return rec
 }
 
@@ -106,103 +94,11 @@ func (g *Graph) Step() uint64 {
 	return g.step
 }
 
-// Get returns the derivation record for the artefact, or nil.
-func (g *Graph) Get(artefact Ref) *Record {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.records[artefact]
-}
-
 // Len returns the number of registered artefacts.
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.records)
-}
-
-// Dependents returns the artefacts directly derived from the given one,
-// sorted for determinism.
-func (g *Graph) Dependents(of Ref) []Ref {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return sortRefs(g.rdeps[of])
-}
-
-// Affected returns every artefact transitively derived from any of the
-// given refs (excluding the refs themselves), sorted. This is the set that
-// must be recomputed when those inputs change — the paper's requirement
-// that feedback reactions "limit the processing to the strictly necessary
-// data" (§2.4).
-func (g *Graph) Affected(changed ...Ref) []Ref {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[Ref]bool)
-	var frontier []Ref
-	frontier = append(frontier, changed...)
-	for len(frontier) > 0 {
-		next := frontier[0]
-		frontier = frontier[1:]
-		for dep := range g.rdeps[next] {
-			if !seen[dep] {
-				seen[dep] = true
-				frontier = append(frontier, dep)
-			}
-		}
-	}
-	for _, c := range changed {
-		delete(seen, c)
-	}
-	return sortRefs(seen)
-}
-
-// AffectedIDs is the scoped form of Affected the reaction planner uses:
-// it returns the ids (sorted) of affected artefacts of exactly one kind.
-// Asking "which extractions does this source churn invalidate" bounds an
-// incremental diff to the artefacts provenance actually implicates,
-// instead of rescanning the corpus — the §2.4 requirement made queryable.
-func (g *Graph) AffectedIDs(kind Kind, changed ...Ref) []string {
-	var out []string
-	for _, r := range g.Affected(changed...) {
-		if r.Kind == kind {
-			out = append(out, r.ID)
-		}
-	}
-	return out
-}
-
-// Lineage returns the transitive inputs of an artefact (excluding itself),
-// sorted — "where did this wrangled value come from".
-func (g *Graph) Lineage(of Ref) []Ref {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[Ref]bool)
-	var walk func(Ref)
-	walk = func(r Ref) {
-		rec := g.records[r]
-		if rec == nil {
-			return
-		}
-		for _, in := range rec.Inputs {
-			if !seen[in] {
-				seen[in] = true
-				walk(in)
-			}
-		}
-	}
-	walk(of)
-	return sortRefs(seen)
-}
-
-// Sources returns the subset of an artefact's lineage with kind
-// KindSource — the raw origins of a wrangled item.
-func (g *Graph) Sources(of Ref) []Ref {
-	var out []Ref
-	for _, r := range g.Lineage(of) {
-		if r.Kind == KindSource {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // RecordsSince returns a copy of every derivation record with Step >
@@ -237,20 +133,9 @@ func (g *Graph) Apply(recs []Record, step uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, r := range recs {
-		if old, ok := g.records[r.Artefact]; ok {
-			for _, in := range old.Inputs {
-				delete(g.rdeps[in], r.Artefact)
-			}
-		}
 		cp := r
 		cp.Inputs = append([]Ref(nil), r.Inputs...)
 		g.records[r.Artefact] = &cp
-		for _, in := range cp.Inputs {
-			if g.rdeps[in] == nil {
-				g.rdeps[in] = make(map[Ref]bool)
-			}
-			g.rdeps[in][r.Artefact] = true
-		}
 		if cp.Step > g.step {
 			g.step = cp.Step
 		}
@@ -283,19 +168,6 @@ func (g *Graph) Dump() string {
 		fmt.Fprintf(&b, "%s ← %s(%s) @%d %s\n", r, rec.Component, strings.Join(ins, ", "), rec.Step, rec.Note)
 	}
 	return b.String()
-}
-
-// Describe renders a one-line lineage summary for diagnostics.
-func (g *Graph) Describe(of Ref) string {
-	rec := g.Get(of)
-	if rec == nil {
-		return of.String() + " (unknown)"
-	}
-	ins := make([]string, len(rec.Inputs))
-	for i, r := range rec.Inputs {
-		ins[i] = r.String()
-	}
-	return fmt.Sprintf("%s ← %s(%s) @%d", of, rec.Component, strings.Join(ins, ", "), rec.Step)
 }
 
 func sortRefs(set map[Ref]bool) []Ref {

@@ -15,12 +15,9 @@ func TestPutGet(t *testing.T) {
 	if rec.Step != 1 {
 		t.Error("first step should be 1")
 	}
-	got := g.Get(ext)
-	if got == nil || got.Component != "extract.Run" || len(got.Inputs) != 1 {
-		t.Fatalf("Get = %+v", got)
-	}
-	if g.Get(Ref{KindSource, "nope"}) != nil {
-		t.Error("unknown ref should be nil")
+	recs := g.RecordsSince(0)
+	if len(recs) != 1 || recs[0].Artefact != ext || recs[0].Component != "extract.Run" || len(recs[0].Inputs) != 1 {
+		t.Fatalf("RecordsSince(0) = %+v", recs)
 	}
 	if g.Len() != 1 {
 		t.Error("Len wrong")
@@ -42,101 +39,21 @@ func pipeline(g *Graph) {
 	g.Put(f, "fusion.Fuse", []Ref{m}, "")
 }
 
-func TestAffected(t *testing.T) {
-	g := NewGraph()
-	pipeline(g)
-	aff := g.Affected(Ref{KindSource, "s1"})
-	ids := refIDs(aff)
-	for _, want := range []string{"w1", "e1", "m1", "wrangled"} {
-		if !strings.Contains(ids, want) {
-			t.Errorf("affected missing %s: %s", want, ids)
-		}
-	}
-	if strings.Contains(ids, "e2") {
-		t.Error("e2 should not be affected by s1")
-	}
-	// Changing s2 touches only e2, m1, wrangled.
-	aff2 := g.Affected(Ref{KindSource, "s2"})
-	if len(aff2) != 3 {
-		t.Errorf("affected(s2) = %v", aff2)
-	}
-}
-
-func TestAffectedIDsScopesByKind(t *testing.T) {
-	g := NewGraph()
-	pipeline(g)
-	got := g.AffectedIDs(KindExtraction, Ref{KindSource, "s1"})
-	if len(got) != 1 || got[0] != "e1" {
-		t.Errorf("AffectedIDs(extraction, s1) = %v, want [e1]", got)
-	}
-	if got := g.AffectedIDs(KindFusion, Ref{KindSource, "s1"}); len(got) != 1 || got[0] != "wrangled" {
-		t.Errorf("AffectedIDs(fusion, s1) = %v, want [wrangled]", got)
-	}
-	if got := g.AffectedIDs(KindWrapper, Ref{KindSource, "s2"}); len(got) != 0 {
-		t.Errorf("AffectedIDs(wrapper, s2) = %v, want none", got)
-	}
-}
-
-func TestAffectedExcludesSelf(t *testing.T) {
-	g := NewGraph()
-	pipeline(g)
-	for _, r := range g.Affected(Ref{KindSource, "s1"}) {
-		if r == (Ref{KindSource, "s1"}) {
-			t.Error("changed ref should not be in affected set")
-		}
-	}
-}
-
-func TestLineageAndSources(t *testing.T) {
-	g := NewGraph()
-	pipeline(g)
-	lin := refIDs(g.Lineage(Ref{KindFusion, "wrangled"}))
-	for _, want := range []string{"s1", "s2", "w1", "e1", "e2", "m1"} {
-		if !strings.Contains(lin, want) {
-			t.Errorf("lineage missing %s: %s", want, lin)
-		}
-	}
-	srcs := g.Sources(Ref{KindFusion, "wrangled"})
-	if len(srcs) != 2 {
-		t.Errorf("sources = %v", srcs)
-	}
-}
-
 func TestReplaceDerivation(t *testing.T) {
 	g := NewGraph()
 	pipeline(g)
-	// Re-derive e1 from s2 only; s1 should no longer affect e1.
+	// Re-derive e1 from s2 only: the new record replaces the old one at
+	// a later step.
+	n := g.Len()
 	g.Put(Ref{KindExtraction, "e1"}, "extract.Run", []Ref{{KindSource, "s2"}}, "repaired")
-	ids := refIDs(g.Affected(Ref{KindSource, "s1"}))
-	if strings.Contains(ids, "e1") {
-		t.Errorf("e1 still affected by s1 after rederivation: %s", ids)
+	if g.Len() != n {
+		t.Errorf("Len = %d after rederivation, want %d", g.Len(), n)
 	}
-	ids2 := refIDs(g.Affected(Ref{KindSource, "s2"}))
-	if !strings.Contains(ids2, "e1") {
-		t.Error("e1 should now depend on s2")
+	if !strings.Contains(g.Dump(), "extraction:e1 ← extract.Run(source:s2) @6 repaired\n") {
+		t.Errorf("e1 not re-derived from s2:\n%s", g.Dump())
 	}
-}
-
-func TestDependentsSorted(t *testing.T) {
-	g := NewGraph()
-	s := Ref{KindSource, "s"}
-	g.Put(Ref{KindExtraction, "b"}, "x", []Ref{s}, "")
-	g.Put(Ref{KindExtraction, "a"}, "x", []Ref{s}, "")
-	deps := g.Dependents(s)
-	if len(deps) != 2 || deps[0].ID != "a" || deps[1].ID != "b" {
-		t.Errorf("Dependents = %v", deps)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	g := NewGraph()
-	pipeline(g)
-	d := g.Describe(Ref{KindFusion, "wrangled"})
-	if !strings.Contains(d, "fusion.Fuse") || !strings.Contains(d, "mapping:m1") {
-		t.Errorf("Describe = %s", d)
-	}
-	if !strings.Contains(g.Describe(Ref{KindSource, "zz"}), "unknown") {
-		t.Error("unknown describe should say so")
+	if recs := g.RecordsSince(5); len(recs) != 1 || recs[0].Note != "repaired" {
+		t.Errorf("RecordsSince(5) = %+v, want the one re-derivation", recs)
 	}
 }
 
@@ -150,20 +67,12 @@ func TestConcurrentAccess(t *testing.T) {
 			src := Ref{KindSource, fmt.Sprintf("s%d", i)}
 			ext := Ref{KindExtraction, fmt.Sprintf("e%d", i)}
 			g.Put(ext, "extract.Run", []Ref{src}, "")
-			g.Affected(src)
-			g.Lineage(ext)
+			g.RecordsSince(0)
+			g.Dump()
 		}(i)
 	}
 	wg.Wait()
 	if g.Len() != 20 {
 		t.Errorf("Len = %d, want 20", g.Len())
 	}
-}
-
-func refIDs(refs []Ref) string {
-	parts := make([]string, len(refs))
-	for i, r := range refs {
-		parts[i] = r.ID
-	}
-	return strings.Join(parts, ",")
 }

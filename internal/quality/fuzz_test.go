@@ -15,6 +15,15 @@ import (
 // against: per-dependency string scans, a re-normalised cell per visit,
 // in-place writes. It is the only copy of that logic.
 
+// Violation records one row that disagrees with the majority RHS value of
+// its LHS group.
+type Violation struct {
+	Row      int
+	CFD      CFD
+	Expected dataset.Value
+	Actual   dataset.Value
+}
+
 func oracleViolations(t *dataset.Table, cfd CFD) []Violation {
 	lhsIdx := make([]int, len(cfd.LHS))
 	for i, col := range cfd.LHS {

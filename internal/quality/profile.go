@@ -12,7 +12,7 @@ import (
 // dependencies from the data itself. The paper's wrangling process must
 // "make use of all the available information" (§2.3) without a DBA who
 // hand-writes integrity constraints; discovered dependencies feed the
-// cost-based repair of Bohannon et al. [7] implemented in Repair.
+// cost-based repair of Bohannon et al. [7] implemented in RepairProfile.
 //
 // Discovery and repair share one integer kernel. Every cell is encoded
 // twice — the id of its group key (Value.Key, what a left-hand side
@@ -260,15 +260,11 @@ func groupRows(group []int32, order, start []int32) {
 	start[0] = 0
 }
 
-// DiscoverFDs profiles the table for approximate FDs with single-column
-// left-hand sides (the shape Repair consumes), returning those with
-// confidence >= minConf and at least minGroups distinct LHS groups (to
-// exclude vacuous dependencies from near-key columns). Results are
-// sorted by descending confidence, then LHS/RHS names.
-func DiscoverFDs(t *dataset.Table, minConf float64, minGroups int) []DiscoveredFD {
-	return profileOf(t).discover(t.Schema(), minConf, minGroups)
-}
-
+// discover finds the approximate FDs with single-column left-hand sides
+// (the shape repair consumes) with confidence >= minConf and at least
+// minGroups distinct LHS groups (to exclude vacuous dependencies from
+// near-key columns). Results are sorted by descending confidence, then
+// LHS/RHS names.
 func (p *Profile) discover(schema dataset.Schema, minConf float64, minGroups int) []DiscoveredFD {
 	if minGroups < 1 {
 		minGroups = 1
@@ -452,22 +448,13 @@ func ownedRows(owned []bool) []int {
 	return out
 }
 
-// ProfileAndRepair discovers near-exact dependencies (confidence in
-// [minConf, 1)) and repairs their violations in place, returning the
-// dependencies used and the number of cells changed. Exact dependencies
+// ProfileAndRepairRows discovers near-exact dependencies (confidence in
+// [minConf, 1)) and repairs their violations, returning the dependencies
+// used, the number of cells changed and the repaired row indices
+// (ascending, deduplicated across dependencies). Exact dependencies
 // (confidence 1) have nothing to repair; dependencies below minConf are
 // too unreliable to act on — acting on weak evidence is exactly what §4.2
 // warns against.
-func ProfileAndRepair(t *dataset.Table, minConf float64) ([]DiscoveredFD, int, error) {
-	used, changed, _, err := ProfileAndRepairRows(t, minConf)
-	return used, changed, err
-}
-
-// ProfileAndRepairRows is ProfileAndRepair reporting the repaired row
-// indices (ascending, deduplicated across dependencies). The streaming
-// refresh planner diffs exactly these rows — plus the previous round's —
-// against the memoized union, since FD repair is the one stage that can
-// rewrite a row whose source did not change.
 func ProfileAndRepairRows(t *dataset.Table, minConf float64) ([]DiscoveredFD, int, []int, error) {
 	return RepairProfile(t, profileOf(t), minConf)
 }

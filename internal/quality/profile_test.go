@@ -33,9 +33,14 @@ func fdTable(seed int64, entities, copies int, noise float64) *dataset.Table {
 	return t
 }
 
+// discoverFDs runs the dependency discovery RepairProfile repairs with.
+func discoverFDs(t *dataset.Table, minConf float64, minGroups int) []DiscoveredFD {
+	return profileOf(t).discover(t.Schema(), minConf, minGroups)
+}
+
 func TestDiscoverFDsFindsDependency(t *testing.T) {
 	tab := fdTable(1, 30, 4, 0.05)
-	fds := DiscoverFDs(tab, 0.85, 2)
+	fds := discoverFDs(tab, 0.85, 2)
 	found := false
 	for _, fd := range fds {
 		if fd.LHS[0] == "sku" && fd.RHS == "brand" {
@@ -59,7 +64,7 @@ func TestDiscoverFDsFindsDependency(t *testing.T) {
 func TestDiscoverFDsExcludesKeyLHS(t *testing.T) {
 	// One row per sku: every column "determines" every other vacuously.
 	tab := fdTable(2, 20, 1, 0)
-	for _, fd := range DiscoverFDs(tab, 0.9, 2) {
+	for _, fd := range discoverFDs(tab, 0.9, 2) {
 		if fd.Groups == tab.Len() {
 			t.Errorf("key-like LHS leaked: %v", fd)
 		}
@@ -68,14 +73,14 @@ func TestDiscoverFDsExcludesKeyLHS(t *testing.T) {
 
 func TestDiscoverFDsEmptyTable(t *testing.T) {
 	tab := dataset.NewTable(fdTable(3, 1, 1, 0).Schema())
-	if fds := DiscoverFDs(tab, 0.5, 1); fds != nil {
+	if fds := discoverFDs(tab, 0.5, 1); fds != nil {
 		t.Errorf("empty table should discover nothing: %v", fds)
 	}
 }
 
 func TestDiscoverFDsSorted(t *testing.T) {
 	tab := fdTable(4, 30, 4, 0.1)
-	fds := DiscoverFDs(tab, 0.5, 2)
+	fds := discoverFDs(tab, 0.5, 2)
 	for i := 1; i < len(fds); i++ {
 		if fds[i].Confidence > fds[i-1].Confidence {
 			t.Fatal("not sorted by confidence")
@@ -95,7 +100,7 @@ func TestProfileAndRepair(t *testing.T) {
 	if dirty == 0 {
 		t.Skip("no noise generated")
 	}
-	used, changed, err := ProfileAndRepair(tab, 0.8)
+	used, changed, _, err := ProfileAndRepairRows(tab, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +130,7 @@ func TestProfileAndRepairWeakEvidenceUntouched(t *testing.T) {
 	// 50% noise: the "dependency" is too weak to act on.
 	tab := fdTable(6, 20, 4, 0.5)
 	before := tab.Clone()
-	_, changed, err := ProfileAndRepair(tab, 0.9)
+	_, changed, _, err := ProfileAndRepairRows(tab, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,25 +62,6 @@ func Completeness(t *dataset.Table) float64 {
 	return float64(filled) / float64(total)
 }
 
-// ColumnCompleteness returns per-column non-null fractions.
-func ColumnCompleteness(t *dataset.Table) map[string]float64 {
-	out := make(map[string]float64, len(t.Schema()))
-	for i, f := range t.Schema() {
-		filled := 0
-		for _, r := range t.Rows() {
-			if !r[i].IsNull() {
-				filled++
-			}
-		}
-		if t.Len() > 0 {
-			out[f.Name] = float64(filled) / float64(t.Len())
-		} else {
-			out[f.Name] = 0
-		}
-	}
-	return out
-}
-
 // Accuracy compares the table against reference data on a shared key:
 // the fraction of paired non-null cells that agree (normalised text, 2%
 // numeric tolerance). Returns NaN when nothing could be compared.
@@ -192,27 +173,6 @@ func (d CFD) String() string {
 	return fmt.Sprintf("%s%v -> %s", cond, d.LHS, d.RHS)
 }
 
-// Violation records one row that disagrees with the majority RHS value of
-// its LHS group.
-type Violation struct {
-	Row      int
-	CFD      CFD
-	Expected dataset.Value
-	Actual   dataset.Value
-}
-
-// Violations finds all CFD violations: for each LHS group, the majority
-// non-null RHS value is taken as expected and dissenting rows are
-// reported, group by group, rows ascending within a group. Only a strict majority of at least two rows
-// is evidence; groups without one report nothing.
-func Violations(t *dataset.Table, cfd CFD) ([]Violation, error) {
-	cols, err := cfd.resolve(t.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return profileOf(t).violations(t, cfd, cols), nil
-}
-
 // cfdColumns is a CFD's columns resolved against a schema.
 type cfdColumns struct {
 	lhs       []int
@@ -280,16 +240,6 @@ func intern64(m map[int64]int32, k int64) int32 {
 	return id
 }
 
-func (p *Profile) violations(t *dataset.Table, cfd CFD, cols cfdColumns) []Violation {
-	group, nGroups := p.cfdGroups(cfd, cols)
-	var out []Violation
-	for _, v := range p.violators(group, nGroups, cols.rhs) {
-		out = append(out, Violation{Row: int(v.row), CFD: cfd,
-			Expected: t.Row(int(v.rep))[cols.rhs], Actual: t.Row(int(v.row))[cols.rhs]})
-	}
-	return out
-}
-
 // Consistency returns the fraction of rows not involved in any violation
 // of the given dependencies.
 func Consistency(t *dataset.Table, cfds []CFD) (float64, error) {
@@ -309,36 +259,6 @@ func Consistency(t *dataset.Table, cfds []CFD) (float64, error) {
 		}
 	}
 	return 1 - float64(len(bad))/float64(t.Len()), nil
-}
-
-// Repair applies the cost-based value-modification heuristic of [7]: each
-// violating row's RHS is overwritten with the group majority value (the
-// minimal-cost repair under unit update cost). It returns the number of
-// cells changed. Repairs are applied per dependency in order; later
-// dependencies see earlier repairs. A repaired row's record is replaced
-// by a repaired clone, never written through, so t may share records
-// with other tables.
-func Repair(t *dataset.Table, cfds []CFD) (int, error) {
-	changed, _, err := RepairRows(t, cfds)
-	return changed, err
-}
-
-// RepairRows is Repair reporting which rows it touched (ascending,
-// deduplicated) alongside the cell count. Incremental consumers use the
-// row list to scope change detection: a row outside it kept its
-// pre-repair values.
-func RepairRows(t *dataset.Table, cfds []CFD) (int, []int, error) {
-	p := profileOf(t)
-	changed := 0
-	owned := make([]bool, t.Len())
-	for _, cfd := range cfds {
-		n, err := p.repairCFD(t, cfd, owned)
-		if err != nil {
-			return changed, ownedRows(owned), err
-		}
-		changed += n
-	}
-	return changed, ownedRows(owned), nil
 }
 
 // repairCFD repairs one dependency's violations in t (see Profile.repair)

@@ -30,16 +30,6 @@ func TestCompleteness(t *testing.T) {
 	}
 }
 
-func TestColumnCompleteness(t *testing.T) {
-	cc := ColumnCompleteness(table())
-	if cc["sku"] != 1 {
-		t.Errorf("sku completeness = %f", cc["sku"])
-	}
-	if math.Abs(cc["name"]-2.0/3.0) > 1e-9 {
-		t.Errorf("name completeness = %f", cc["name"])
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	ref := dataset.NewTable(dataset.MustSchema(
 		dataset.Field{Name: "sku", Kind: dataset.KindString},
@@ -122,8 +112,26 @@ func cfdTable() *dataset.Table {
 	return t
 }
 
+// violations runs the CFD kernel that Consistency and RepairProfile
+// share: for each LHS group, the rows dissenting from a strict majority
+// of at least two rows, group by group, rows ascending within a group.
+func violations(t *dataset.Table, cfd CFD) ([]Violation, error) {
+	cols, err := cfd.resolve(t.Schema())
+	if err != nil {
+		return nil, err
+	}
+	p := profileOf(t)
+	group, nGroups := p.cfdGroups(cfd, cols)
+	var out []Violation
+	for _, v := range p.violators(group, nGroups, cols.rhs) {
+		out = append(out, Violation{Row: int(v.row), CFD: cfd,
+			Expected: t.Row(int(v.rep))[cols.rhs], Actual: t.Row(int(v.row))[cols.rhs]})
+	}
+	return out, nil
+}
+
 func TestViolations(t *testing.T) {
-	vs, err := Violations(cfdTable(), CFD{LHS: []string{"sku"}, RHS: "brand"})
+	vs, err := violations(cfdTable(), CFD{LHS: []string{"sku"}, RHS: "brand"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +146,7 @@ func TestViolations(t *testing.T) {
 func TestViolationsConditional(t *testing.T) {
 	// Within country=UK only, sku -> country trivially holds; condition on
 	// brand=Belkin, sku -> country has a conflict.
-	vs, err := Violations(cfdTable(), CFD{ConditionCol: "brand", ConditionVal: "Belkin", LHS: []string{"sku"}, RHS: "country"})
+	vs, err := violations(cfdTable(), CFD{ConditionCol: "brand", ConditionVal: "Belkin", LHS: []string{"sku"}, RHS: "country"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +156,13 @@ func TestViolationsConditional(t *testing.T) {
 }
 
 func TestViolationsMissingColumns(t *testing.T) {
-	if _, err := Violations(cfdTable(), CFD{LHS: []string{"ghost"}, RHS: "brand"}); err == nil {
+	if _, err := violations(cfdTable(), CFD{LHS: []string{"ghost"}, RHS: "brand"}); err == nil {
 		t.Error("missing LHS should error")
 	}
-	if _, err := Violations(cfdTable(), CFD{LHS: []string{"sku"}, RHS: "ghost"}); err == nil {
+	if _, err := violations(cfdTable(), CFD{LHS: []string{"sku"}, RHS: "ghost"}); err == nil {
 		t.Error("missing RHS should error")
 	}
-	if _, err := Violations(cfdTable(), CFD{ConditionCol: "ghost", LHS: []string{"sku"}, RHS: "brand"}); err == nil {
+	if _, err := violations(cfdTable(), CFD{ConditionCol: "ghost", LHS: []string{"sku"}, RHS: "brand"}); err == nil {
 		t.Error("missing condition column should error")
 	}
 }
@@ -176,7 +184,7 @@ func TestConsistency(t *testing.T) {
 
 func TestRepair(t *testing.T) {
 	tab := cfdTable()
-	n, err := Repair(tab, []CFD{{LHS: []string{"sku"}, RHS: "brand"}})
+	n, err := profileOf(tab).repairCFD(tab, CFD{LHS: []string{"sku"}, RHS: "brand"}, make([]bool, tab.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 // Package scale implements the §4.3 scalability substrate: bounded
 // (scale-independent) query evaluation using access/indexing information in
-// the spirit of [2, 17], static under-approximation of conjunctive queries
-// following Barceló-Libkin-Romero [4], and a partitioned parallel executor
-// standing in for the map/reduce platforms ETL vendors compile into.
+// the spirit of [2, 17], and static under-approximation of conjunctive
+// queries following Barceló-Libkin-Romero [4].
 package scale
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/dataset"
 )
@@ -43,22 +40,11 @@ func NewIndexed(t *dataset.Table, cols ...string) (*Indexed, error) {
 	return ix, nil
 }
 
-// Table returns the underlying table.
-func (ix *Indexed) Table() *dataset.Table { return ix.table }
-
 // Touched returns the cumulative number of rows accessed.
 func (ix *Indexed) Touched() int { return ix.touched }
 
 // ResetWork zeroes the touched counter.
 func (ix *Indexed) ResetWork() { ix.touched = 0 }
-
-// HasIndex reports whether a column is indexed — the access-constraint
-// check of [17]: a query plan is scale-independent only if every access
-// goes through an index.
-func (ix *Indexed) HasIndex(col string) bool {
-	_, ok := ix.indexes[col]
-	return ok
-}
 
 // Lookup returns the rows where col = v, touching only those rows. It
 // fails when no index exists on col (the bounded-evaluation contract: no
@@ -75,20 +61,6 @@ func (ix *Indexed) Lookup(col string, v dataset.Value) ([]dataset.Record, error)
 		out[i] = ix.table.Row(r)
 	}
 	return out, nil
-}
-
-// ScanSelect is the unbounded baseline: a full scan applying the same
-// predicate, touching every row.
-func (ix *Indexed) ScanSelect(col string, v dataset.Value) []dataset.Record {
-	c := ix.table.Schema().Index(col)
-	var out []dataset.Record
-	for _, r := range ix.table.Rows() {
-		ix.touched++
-		if c >= 0 && r[c].Equal(v) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // BoundedJoin evaluates σ_{leftCol=v}(L) ⋈_{L.joinLeft = R.joinRight} R
@@ -143,89 +115,4 @@ func ScanJoin(left *Indexed, leftCol string, v dataset.Value, joinLeft string, r
 		}
 	}
 	return out
-}
-
-// Partition splits row indices into n contiguous chunks for parallel
-// processing.
-func Partition(total, n int) [][2]int {
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	var out [][2]int
-	if total == 0 {
-		return out
-	}
-	size := (total + n - 1) / n
-	for lo := 0; lo < total; lo += size {
-		hi := lo + size
-		if hi > total {
-			hi = total
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// ParallelMap applies fn to each row range in parallel with the given
-// worker count and merges the per-partition results in partition order —
-// the map/reduce-shaped executor of §4.3.
-func ParallelMap[T any](t *dataset.Table, workers int, fn func(rows []dataset.Record) T) []T {
-	parts := Partition(t.Len(), workers)
-	out := make([]T, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			out[i] = fn(t.Rows()[lo:hi])
-		}(i, p[0], p[1])
-	}
-	wg.Wait()
-	return out
-}
-
-// GroupCountParallel is a demonstration reducer: a parallel group-by-count
-// over a column, merging per-partition maps.
-func GroupCountParallel(t *dataset.Table, col string, workers int) (map[string]int, error) {
-	c := t.Schema().Index(col)
-	if c < 0 {
-		return nil, fmt.Errorf("scale: column %q missing", col)
-	}
-	partials := ParallelMap(t, workers, func(rows []dataset.Record) map[string]int {
-		m := map[string]int{}
-		for _, r := range rows {
-			if !r[c].IsNull() {
-				m[r[c].String()]++
-			}
-		}
-		return m
-	})
-	out := map[string]int{}
-	for _, p := range partials {
-		for k, v := range p {
-			out[k] += v
-		}
-	}
-	return out, nil
-}
-
-// TopKeys returns the n most frequent keys of a count map, deterministic.
-func TopKeys(counts map[string]int, n int) []string {
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	if n < len(keys) {
-		keys = keys[:n]
-	}
-	return keys
 }

@@ -190,7 +190,6 @@ func identify(q CQ, x, y string) CQ {
 type Graph struct {
 	fwd map[string]map[string][]string // rel -> x -> ys
 	bwd map[string]map[string][]string // rel -> y -> xs
-	n   int
 }
 
 // NewGraph returns an empty relation store.
@@ -206,11 +205,7 @@ func (g *Graph) Add(rel, x, y string) {
 	}
 	g.fwd[rel][x] = append(g.fwd[rel][x], y)
 	g.bwd[rel][y] = append(g.bwd[rel][y], x)
-	g.n++
 }
-
-// Len returns the number of facts.
-func (g *Graph) Len() int { return g.n }
 
 // Eval evaluates the query by backtracking over atoms (index nested-loop
 // join) and returns the distinct head bindings, sorted. Work reports the

@@ -54,12 +54,12 @@ func TestBoundedVsScanWork(t *testing.T) {
 	bounded, _ := ix.Lookup("cat", dataset.String("cat-7"))
 	boundedWork := ix.Touched()
 
-	ix.ResetWork()
-	scanned := ix.ScanSelect("cat", dataset.String("cat-7"))
-	scanWork := ix.Touched()
+	// A scan applying the same predicate touches every row.
+	scanned := tab.Select(func(r dataset.Record) bool { return r[1].Equal(dataset.String("cat-7")) })
+	scanWork := tab.Len()
 
-	if len(bounded) != len(scanned) {
-		t.Fatalf("bounded %d != scan %d rows", len(bounded), len(scanned))
+	if len(bounded) != scanned.Len() {
+		t.Fatalf("bounded %d != scan %d rows", len(bounded), scanned.Len())
 	}
 	if boundedWork*10 > scanWork {
 		t.Errorf("bounded work %d should be far below scan work %d", boundedWork, scanWork)
@@ -106,71 +106,6 @@ func TestBoundedJoinRefusesUnindexed(t *testing.T) {
 	rix, _ := NewIndexed(right, "sku")
 	if _, err := BoundedJoin(lix, "sku", dataset.String("SKU-000001"), "cat", rix, "cat"); err == nil {
 		t.Error("join through unindexed right column should refuse")
-	}
-}
-
-func TestPartition(t *testing.T) {
-	parts := Partition(10, 3)
-	if len(parts) != 3 {
-		t.Fatalf("parts = %v", parts)
-	}
-	covered := 0
-	for _, p := range parts {
-		covered += p[1] - p[0]
-	}
-	if covered != 10 {
-		t.Errorf("partitions cover %d rows", covered)
-	}
-	if len(Partition(0, 4)) != 0 {
-		t.Error("empty input -> no partitions")
-	}
-	if len(Partition(3, 10)) != 3 {
-		t.Error("more workers than rows should clamp")
-	}
-	if len(Partition(5, 0)) != 1 {
-		t.Error("zero workers should clamp to 1")
-	}
-}
-
-func TestParallelMapMatchesSequential(t *testing.T) {
-	tab := bigTable(5000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		sums := ParallelMap(tab, workers, func(rows []dataset.Record) float64 {
-			s := 0.0
-			for _, r := range rows {
-				s += r[2].FloatVal()
-			}
-			return s
-		})
-		total := 0.0
-		for _, s := range sums {
-			total += s
-		}
-		want := 0.0
-		for _, r := range tab.Rows() {
-			want += r[2].FloatVal()
-		}
-		if total != want {
-			t.Errorf("workers=%d: parallel sum %f != %f", workers, total, want)
-		}
-	}
-}
-
-func TestGroupCountParallel(t *testing.T) {
-	tab := bigTable(5000)
-	counts, err := GroupCountParallel(tab, "cat", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 50 || counts["cat-0"] != 100 {
-		t.Errorf("counts = %d groups, cat-0 = %d", len(counts), counts["cat-0"])
-	}
-	if _, err := GroupCountParallel(tab, "ghost", 4); err == nil {
-		t.Error("missing column should error")
-	}
-	top := TopKeys(counts, 3)
-	if len(top) != 3 {
-		t.Errorf("TopKeys = %v", top)
 	}
 }
 

@@ -146,17 +146,6 @@ func (s *Store[T]) SetWatchBuffer(n int) {
 	s.watchBuf = n
 }
 
-// WatchBuffer returns the per-subscriber buffer bound new subscriptions
-// get.
-func (s *Store[T]) WatchBuffer() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.watchBuf < 1 {
-		return DefaultWatchBuffer
-	}
-	return s.watchBuf
-}
-
 // Watch subscribes to the change feed from just after fromSeq: the
 // returned channel first replays every retained version with seq >
 // fromSeq (catch-up), then delivers each subsequent publication, gapless

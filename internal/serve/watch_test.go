@@ -259,16 +259,20 @@ func TestWatchCancelRacesContextCancel(t *testing.T) {
 
 func TestWatchBufferDefaultsAndFloor(t *testing.T) {
 	s := NewStore[payload](4)
-	if got := s.WatchBuffer(); got != DefaultWatchBuffer {
-		t.Fatalf("WatchBuffer = %d, want default %d", got, DefaultWatchBuffer)
-	}
-	s.SetWatchBuffer(3)
-	if got := s.WatchBuffer(); got != 3 {
-		t.Fatalf("WatchBuffer = %d, want 3", got)
-	}
-	s.SetWatchBuffer(0)
-	if got := s.WatchBuffer(); got != DefaultWatchBuffer {
-		t.Fatalf("WatchBuffer = %d after reset, want default", got)
+	// A subscription with nothing to catch up on gets the set buffer,
+	// plus the slot its eviction notice is always delivered through.
+	for _, c := range []struct{ set, want int }{{-1, DefaultWatchBuffer}, {3, 3}, {0, DefaultWatchBuffer}} {
+		if c.set >= 0 {
+			s.SetWatchBuffer(c.set)
+		}
+		ch, cancel, err := s.Watch(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(ch) - 1; got != c.want {
+			t.Fatalf("after SetWatchBuffer(%d): buffer %d, want %d", c.set, got, c.want)
+		}
+		cancel()
 	}
 
 	// A catch-up longer than the buffer must not self-evict: the buffer

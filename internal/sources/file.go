@@ -119,6 +119,3 @@ func (p *FileProvider) Clock() int { return 0 }
 // a file and writes its own source's payload, so distinct-id refreshes
 // are independent disk reads worth overlapping.
 func (p *FileProvider) ConcurrentAcquire() bool { return true }
-
-// Path returns the on-disk path backing a source ID ("" when unknown).
-func (p *FileProvider) Path(id string) string { return p.paths[id] }

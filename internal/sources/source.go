@@ -320,9 +320,6 @@ func generateSource(w *World, cfg Config, rng *rand.Rand, idx int) *Source {
 	return s
 }
 
-// productProps are the canonical properties a product source may publish.
-var productProps = []string{"sku", "name", "brand", "category", "price", "currency", "rating", "updated", "url"}
-
 // headerSynonyms lists the source-side names generation picks from per
 // canonical property. Kept in sync with ontology.ProductTaxonomy /
 // LocationTaxonomy synonym lists so matching has signal to find, plus a few
@@ -562,9 +559,6 @@ func injectTypo(rng *rand.Rand, s string) string {
 	}
 	return string(r)
 }
-
-// locationProps are the canonical properties a location source may publish.
-var locationProps = []string{"name", "category", "street", "city", "postcode", "lat", "lon", "phone", "url", "checkins"}
 
 func populateLocationSource(w *World, cfg Config, rng *rand.Rand, s *Source) {
 	s.Props = []string{"name", "street", "city"}

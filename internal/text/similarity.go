@@ -1,99 +1,18 @@
 // Package text implements the string similarity and normalisation
-// primitives used throughout the wrangling pipeline: edit distances for
-// schema matching (§4.1 of Furche et al.), token and q-gram measures for
-// entity resolution blocking, and TF-IDF cosine similarity for
-// instance-based matching.
+// primitives used throughout the wrangling pipeline: Jaro-Winkler and
+// Monge-Elkan for schema matching (§4.1 of Furche et al.) and entity
+// resolution, token and q-gram measures for blocking, and TF-IDF cosine
+// similarity for instance-based matching.
 //
-// All similarity functions return values in [0, 1] where 1 means identical;
-// all distance functions return non-negative counts.
+// All similarity functions return values in [0, 1] where 1 means identical.
 package text
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"unicode"
 	"unicode/utf8"
 )
-
-// Levenshtein returns the edit distance (insert/delete/substitute, unit
-// cost) between a and b, computed over runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transpositions (optimal string alignment variant).
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	n, m := len(ra), len(rb)
-	if n == 0 {
-		return m
-	}
-	if m == 0 {
-		return n
-	}
-	d := make([][]int, n+1)
-	for i := range d {
-		d[i] = make([]int, m+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= m; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
-				}
-			}
-		}
-	}
-	return d[n][m]
-}
-
-// LevenshteinSimilarity normalises Levenshtein distance into [0,1]:
-// 1 - dist/max(len). Two empty strings are identical (1).
-func LevenshteinSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
-}
 
 // Scratch holds the reusable match buffers behind the rune-based
 // similarity fast paths (JaroRunes and friends), so hot loops scoring
@@ -121,15 +40,10 @@ func (s *Scratch) bufs(la, lb int) ([]bool, []bool) {
 	return s.matchA, s.matchB
 }
 
-// Jaro returns the Jaro similarity of a and b in [0,1].
-func Jaro(a, b string) float64 {
-	var sc Scratch
-	return JaroRunes([]rune(a), []rune(b), &sc)
-}
-
-// JaroRunes is Jaro over pre-converted rune slices with caller-owned
-// scratch — the allocation-free form for hot loops that compare the same
-// precomputed strings against many candidates.
+// JaroRunes returns the Jaro similarity of ra and rb in [0,1], over
+// pre-converted rune slices with caller-owned scratch — the
+// allocation-free form for hot loops that compare the same precomputed
+// strings against many candidates.
 func JaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
@@ -316,15 +230,8 @@ func asciiAlnum(c byte) bool {
 	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
-// MongeElkan computes the Monge-Elkan similarity: the mean over tokens of a
-// of the best JaroWinkler match in b's tokens. It is asymmetric; use
-// MongeElkanSym for a symmetric score.
-func MongeElkan(a, b string) float64 {
-	var sc Scratch
-	return MongeElkanTokens(TokenRunes(Tokenize(a)), TokenRunes(Tokenize(b)), &sc)
-}
-
-// MongeElkanSym returns the mean of MongeElkan in both directions.
+// MongeElkanSym returns the symmetric Monge-Elkan similarity: the mean of
+// MongeElkanTokens in both directions.
 func MongeElkanSym(a, b string) float64 {
 	var sc Scratch
 	ta, tb := TokenRunes(Tokenize(a)), TokenRunes(Tokenize(b))
@@ -345,9 +252,10 @@ func TokenRunes(toks []string) [][]rune {
 	return out
 }
 
-// MongeElkanTokens is MongeElkan over pre-tokenized, pre-converted token
-// lists with caller-owned scratch: the mean over ta of the best
-// JaroWinkler match in tb.
+// MongeElkanTokens computes the Monge-Elkan similarity over pre-tokenized,
+// pre-converted token lists with caller-owned scratch: the mean over ta of
+// the best JaroWinkler match in tb. It is asymmetric; MongeElkanSym is the
+// symmetric score.
 func MongeElkanTokens(ta, tb [][]rune, sc *Scratch) float64 {
 	if len(ta) == 0 {
 		if len(tb) == 0 {
@@ -374,73 +282,6 @@ func MongeElkanSymTokens(ta, tb [][]rune, sc *Scratch) float64 {
 	return (MongeElkanTokens(ta, tb, sc) + MongeElkanTokens(tb, ta, sc)) / 2
 }
 
-// Soundex returns the classic 4-character Soundex code of the first word of
-// s (letter + 3 digits), or "" if s contains no ASCII letter.
-func Soundex(s string) string {
-	code := func(r rune) byte {
-		switch r {
-		case 'b', 'f', 'p', 'v':
-			return '1'
-		case 'c', 'g', 'j', 'k', 'q', 's', 'x', 'z':
-			return '2'
-		case 'd', 't':
-			return '3'
-		case 'l':
-			return '4'
-		case 'm', 'n':
-			return '5'
-		case 'r':
-			return '6'
-		}
-		return 0
-	}
-	s = strings.ToLower(s)
-	var first rune
-	var rest []rune
-	for i, r := range s {
-		if r >= 'a' && r <= 'z' {
-			first = r
-			rest = []rune(s[i+1:])
-			break
-		}
-	}
-	if first == 0 {
-		return ""
-	}
-	out := []byte{byte(unicode.ToUpper(first))}
-	prev := code(first)
-	for _, r := range rest {
-		if r < 'a' || r > 'z' {
-			prev = 0
-			continue
-		}
-		c := code(r)
-		if c != 0 && c != prev {
-			out = append(out, c)
-			if len(out) == 4 {
-				break
-			}
-		}
-		if r != 'h' && r != 'w' {
-			prev = c
-		}
-	}
-	for len(out) < 4 {
-		out = append(out, '0')
-	}
-	return string(out)
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
 // Corpus accumulates documents for TF-IDF weighting. Add documents, then
 // call Cosine to compare two texts with inverse-document-frequency
 // weighting over the corpus vocabulary.
@@ -465,9 +306,6 @@ func (c *Corpus) Add(doc string) {
 		}
 	}
 }
-
-// Size returns the number of documents added.
-func (c *Corpus) Size() int { return c.docs }
 
 // idf returns smoothed inverse document frequency for a token.
 func (c *Corpus) idf(tok string) float64 {
@@ -507,31 +345,4 @@ func (c *Corpus) vector(s string) map[string]float64 {
 		tf[k] = (1 + math.Log(v)) * c.idf(k)
 	}
 	return tf
-}
-
-// TopTokens returns the n most frequent tokens in the corpus vocabulary,
-// ties broken lexicographically — useful for diagnostics.
-func (c *Corpus) TopTokens(n int) []string {
-	type tc struct {
-		tok string
-		n   int
-	}
-	all := make([]tc, 0, len(c.df))
-	for k, v := range c.df {
-		all = append(all, tc{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].tok < all[j].tok
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].tok
-	}
-	return out
 }

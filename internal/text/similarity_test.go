@@ -2,54 +2,13 @@ package text
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"gumbo", "gambol", 2},
-		{"résumé", "resume", 2},
-		{"same", "same", 0},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestDamerauLevenshtein(t *testing.T) {
-	if got := DamerauLevenshtein("ca", "ac"); got != 1 {
-		t.Errorf("transposition should cost 1, got %d", got)
-	}
-	if got := Levenshtein("ca", "ac"); got != 2 {
-		t.Errorf("plain Levenshtein transposition = %d, want 2", got)
-	}
-	if got := DamerauLevenshtein("hdmi", "hmdi"); got != 1 {
-		t.Errorf("DamerauLevenshtein(hdmi,hmdi) = %d, want 1", got)
-	}
-}
-
-func TestLevenshteinSimilarityRange(t *testing.T) {
-	if LevenshteinSimilarity("", "") != 1 {
-		t.Error("empty strings should be identical")
-	}
-	if LevenshteinSimilarity("abc", "abc") != 1 {
-		t.Error("equal strings should be 1")
-	}
-	if s := LevenshteinSimilarity("abc", "xyz"); s != 0 {
-		t.Errorf("disjoint equal-length strings = %v, want 0", s)
-	}
+func jaro(a, b string) float64 {
+	var sc Scratch
+	return JaroRunes([]rune(a), []rune(b), &sc)
 }
 
 func TestJaro(t *testing.T) {
@@ -64,7 +23,7 @@ func TestJaro(t *testing.T) {
 		{"a", "", 0},
 	}
 	for _, c := range cases {
-		if got := Jaro(c.a, c.b); math.Abs(got-c.want) > 1e-5 {
+		if got := jaro(c.a, c.b); math.Abs(got-c.want) > 1e-5 {
 			t.Errorf("Jaro(%q,%q) = %f, want %f", c.a, c.b, got, c.want)
 		}
 	}
@@ -74,7 +33,7 @@ func TestJaroWinkler(t *testing.T) {
 	if got := JaroWinkler("martha", "marhta"); math.Abs(got-0.961111) > 1e-5 {
 		t.Errorf("JaroWinkler(martha,marhta) = %f, want 0.961111", got)
 	}
-	if JaroWinkler("prefix_aaa", "prefix_bbb") <= Jaro("prefix_aaa", "prefix_bbb") {
+	if JaroWinkler("prefix_aaa", "prefix_bbb") <= jaro("prefix_aaa", "prefix_bbb") {
 		t.Error("shared prefix should boost")
 	}
 }
@@ -131,34 +90,20 @@ func TestTokenizeNormalize(t *testing.T) {
 }
 
 func TestMongeElkan(t *testing.T) {
-	if MongeElkan("usb cable", "cable usb premium") < 0.9 {
+	mongeElkan := func(a, b string) float64 {
+		var sc Scratch
+		return MongeElkanTokens(TokenRunes(Tokenize(a)), TokenRunes(Tokenize(b)), &sc)
+	}
+	if mongeElkan("usb cable", "cable usb premium") < 0.9 {
 		t.Error("token-reordered strings should score high")
 	}
 	if MongeElkanSym("", "") != 1 {
 		t.Error("empty vs empty = 1")
 	}
-	a := MongeElkan("a b c", "a")
-	b := MongeElkan("a", "a b c")
+	a := mongeElkan("a b c", "a")
+	b := mongeElkan("a", "a b c")
 	if a == b {
 		t.Error("MongeElkan should be asymmetric on these inputs")
-	}
-}
-
-func TestSoundex(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"Robert", "R163"},
-		{"Rupert", "R163"},
-		{"Ashcraft", "A261"},
-		{"Tymczak", "T522"},
-		{"Pfister", "P236"},
-		{"Honeyman", "H555"},
-		{"", ""},
-		{"123", ""},
-	}
-	for _, c := range cases {
-		if got := Soundex(c.in); got != c.want {
-			t.Errorf("Soundex(%q) = %q, want %q", c.in, got, c.want)
-		}
 	}
 }
 
@@ -173,9 +118,6 @@ func TestCorpusCosine(t *testing.T) {
 	for _, d := range docs {
 		c.Add(d)
 	}
-	if c.Size() != 4 {
-		t.Error("Size wrong")
-	}
 	sim := c.Cosine("usb cable black", "usb cable white")
 	dis := c.Cosine("usb cable black", "mechanical keyboard rgb")
 	if sim <= dis {
@@ -189,60 +131,6 @@ func TestCorpusCosine(t *testing.T) {
 	}
 }
 
-func TestTopTokens(t *testing.T) {
-	c := NewCorpus()
-	c.Add("a b")
-	c.Add("a c")
-	c.Add("a b")
-	top := c.TopTokens(2)
-	if len(top) != 2 || top[0] != "a" || top[1] != "b" {
-		t.Errorf("TopTokens = %v", top)
-	}
-	if len(c.TopTokens(100)) != 3 {
-		t.Error("TopTokens should clamp")
-	}
-}
-
-// Property: Levenshtein is a metric — symmetry and identity.
-func TestLevenshteinMetricProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		if len(a) > 40 {
-			a = a[:40]
-		}
-		if len(b) > 40 {
-			b = b[:40]
-		}
-		d := Levenshtein(a, b)
-		return d == Levenshtein(b, a) && (d == 0) == (a == b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Levenshtein triangle inequality on short strings.
-func TestLevenshteinTriangleProperty(t *testing.T) {
-	f := func(a, b, c uint16) bool {
-		sa := genStr(a)
-		sb := genStr(b)
-		sc := genStr(c)
-		return Levenshtein(sa, sc) <= Levenshtein(sa, sb)+Levenshtein(sb, sc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func genStr(seed uint16) string {
-	alphabet := "abcd"
-	var b strings.Builder
-	for i := 0; i < int(seed%12); i++ {
-		seed = seed*31 + 7
-		b.WriteByte(alphabet[int(seed)%len(alphabet)])
-	}
-	return b.String()
-}
-
 // Property: all similarity measures stay within [0,1] and score identity 1.
 func TestSimilarityBoundsProperty(t *testing.T) {
 	f := func(a, b string) bool {
@@ -253,7 +141,7 @@ func TestSimilarityBoundsProperty(t *testing.T) {
 			b = b[:30]
 		}
 		for _, s := range []float64{
-			LevenshteinSimilarity(a, b), Jaro(a, b), JaroWinkler(a, b),
+			jaro(a, b), JaroWinkler(a, b),
 			JaccardQGrams(a, b, 2), JaccardTokens(a, b), MongeElkanSym(a, b),
 		} {
 			if s < -1e-9 || s > 1+1e-9 || math.IsNaN(s) {

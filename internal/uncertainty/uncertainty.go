@@ -151,19 +151,6 @@ func DSCombine(ev []Evidence) (Mass, float64, error) {
 	return m, maxK, nil
 }
 
-// Belief returns the lower probability of the hypothesis (mass on T) and
-// Plausibility the upper (1 - mass on F).
-func (m Mass) Belief() float64 { return m.T }
-
-// Plausibility returns 1 minus the belief committed against the hypothesis.
-func (m Mass) Plausibility() float64 { return 1 - m.F }
-
-// Valid reports whether the mass function is non-negative and sums to ~1.
-func (m Mass) Valid() bool {
-	return m.T >= -1e-9 && m.F >= -1e-9 && m.U >= -1e-9 &&
-		math.Abs(m.T+m.F+m.U-1) < 1e-6
-}
-
 // BrierScore measures calibration of probabilistic predictions against
 // boolean outcomes: mean squared error of (p - outcome). Lower is better;
 // 0.25 is the score of always predicting 0.5.
@@ -180,13 +167,4 @@ func BrierScore(preds []float64, outcomes []bool) (float64, error) {
 		sum += (p - o) * (p - o)
 	}
 	return sum / float64(len(preds)), nil
-}
-
-// Entropy returns the binary entropy of p in bits — a scalar summary of how
-// uncertain a working-data annotation is.
-func Entropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }

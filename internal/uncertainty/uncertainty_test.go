@@ -56,6 +56,12 @@ func TestPoolCombine(t *testing.T) {
 	}
 }
 
+// valid reports whether the mass function is non-negative and sums to ~1.
+func valid(m Mass) bool {
+	return m.T >= -1e-9 && m.F >= -1e-9 && m.U >= -1e-9 &&
+		math.Abs(m.T+m.F+m.U-1) < 1e-6
+}
+
 func TestNewMass(t *testing.T) {
 	m := NewMass(Evidence{true, 0.7})
 	if math.Abs(m.T-0.7) > 1e-9 || m.F != 0 || math.Abs(m.U-0.3) > 1e-9 {
@@ -65,7 +71,7 @@ func TestNewMass(t *testing.T) {
 	if m.T != 0 || math.Abs(m.F-0.6) > 1e-9 {
 		t.Errorf("contradicting mass = %+v", m)
 	}
-	if !m.Valid() {
+	if !valid(m) {
 		t.Error("mass should be valid")
 	}
 }
@@ -74,7 +80,7 @@ func TestDempsterCombination(t *testing.T) {
 	a := NewMass(Evidence{true, 0.8})
 	b := NewMass(Evidence{true, 0.7})
 	c, k := a.Combine(b)
-	if !c.Valid() {
+	if !valid(c) {
 		t.Fatalf("combined mass invalid: %+v", c)
 	}
 	if k != 0 {
@@ -88,11 +94,11 @@ func TestDempsterCombination(t *testing.T) {
 	if k2 <= 0 {
 		t.Error("opposing masses should conflict")
 	}
-	if !d.Valid() {
+	if !valid(d) {
 		t.Errorf("conflicted mass invalid: %+v", d)
 	}
-	if d.Belief() > d.Plausibility() {
-		t.Error("belief must not exceed plausibility")
+	if d.T > 1-d.F {
+		t.Error("belief (T) must not exceed plausibility (1-F)")
 	}
 }
 
@@ -101,13 +107,13 @@ func TestDSCombine(t *testing.T) {
 		t.Error("no evidence should error")
 	}
 	m, maxK, err := DSCombine([]Evidence{{true, 0.8}, {true, 0.6}, {false, 0.55}})
-	if err != nil || !m.Valid() {
+	if err != nil || !valid(m) {
 		t.Fatalf("DSCombine failed: %+v %v", m, err)
 	}
 	if maxK <= 0 {
 		t.Error("mixed evidence should report conflict")
 	}
-	if m.Belief() <= m.F {
+	if m.T <= m.F {
 		t.Error("majority support should dominate")
 	}
 }
@@ -138,18 +144,6 @@ func TestBrierScore(t *testing.T) {
 	s, _ = BrierScore([]float64{0.5, 0.5}, []bool{true, false})
 	if math.Abs(s-0.25) > 1e-9 {
 		t.Errorf("coin-flip predictions should score 0.25, got %f", s)
-	}
-}
-
-func TestEntropy(t *testing.T) {
-	if Entropy(0.5) != 1 {
-		t.Errorf("H(0.5) = %f, want 1", Entropy(0.5))
-	}
-	if Entropy(0) != 0 || Entropy(1) != 0 {
-		t.Error("degenerate entropy should be 0")
-	}
-	if Entropy(0.9) >= Entropy(0.6) {
-		t.Error("entropy should decrease away from 0.5")
 	}
 }
 
@@ -186,7 +180,7 @@ func TestDempsterCommutativeProperty(t *testing.T) {
 		ma, mb := NewMass(ea), NewMass(eb)
 		ab, _ := ma.Combine(mb)
 		ba, _ := mb.Combine(ma)
-		return ab.Valid() && ba.Valid() &&
+		return valid(ab) && valid(ba) &&
 			math.Abs(ab.T-ba.T) < 1e-9 && math.Abs(ab.F-ba.F) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -194,7 +188,7 @@ func TestDempsterCommutativeProperty(t *testing.T) {
 	}
 }
 
-// Property: belief <= plausibility always.
+// Property: belief (T) <= plausibility (1-F) always.
 func TestBeliefPlausibilityProperty(t *testing.T) {
 	f := func(items []bool) bool {
 		if len(items) == 0 {
@@ -205,7 +199,7 @@ func TestBeliefPlausibilityProperty(t *testing.T) {
 			ev[i] = Evidence{Supports: s, Reliability: 0.7}
 		}
 		m, _, err := DSCombine(ev)
-		return err == nil && m.Belief() <= m.Plausibility()+1e-6
+		return err == nil && m.T <= 1-m.F+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

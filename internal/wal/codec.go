@@ -106,9 +106,6 @@ func DecodeAt[T any](payload []byte, off int, v *T, code func(*Codec, *T)) error
 // Decoding reports whether the codec is reading a payload.
 func (c *Codec) Decoding() bool { return c.dec }
 
-// Bytes returns the payload encoded so far.
-func (c *Codec) Bytes() []byte { return c.buf }
-
 // Err returns the first decode failure, or nil.
 func (c *Codec) Err() error { return c.err }
 

@@ -24,12 +24,16 @@ func FuzzWALReplay(f *testing.F) {
 	// versions, a checkpoint.
 	var seedLog bytes.Buffer
 	seedLog.Write(header())
+	type frameHead struct {
+		kind uint8
+		n    uint32
+	}
 	write := func(kind Kind, payload []byte) {
-		var e Codec
-		k, n := uint8(kind), uint32(len(payload))
-		e.U8(&k)
-		e.U32(&n)
-		frame := append(e.Bytes(), payload...)
+		head := frameHead{uint8(kind), uint32(len(payload))}
+		frame := append(Encode(&head, func(c *Codec, h *frameHead) {
+			c.U8(&h.kind)
+			c.U32(&h.n)
+		}), payload...)
 		seedLog.Write(frame)
 		crc := crcOf(frame)
 		seedLog.Write(Encode(&crc, (*Codec).U32))

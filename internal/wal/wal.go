@@ -411,9 +411,6 @@ func (l *Log) Sync() error {
 // appends).
 func (l *Log) Size() int64 { return l.size }
 
-// Path returns the log file's path.
-func (l *Log) Path() string { return l.path }
-
 // Err returns the sticky write error, if any.
 func (l *Log) Err() error { return l.err }
 

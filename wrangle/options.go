@@ -189,11 +189,11 @@ func WithSyntheticSources(n int) Option {
 // (n >= 1). Sources are independent until the selection barrier, so
 // their extract/match/map chains fan out over n workers; results merge
 // in stable provider order. The same bound reaches the integration
-// tail's trust stage: the TruthFinder fixpoint partitions its claim set
-// into trust-coupled connected components and iterates them on n
-// workers, merging per-component trust in sorted component order. Both
-// fan-outs make a parallel run byte-identical to a sequential one at
-// any n. By default a session uses one worker per CPU.
+// tail: its per-shard tasks run on n workers, and the trust stage
+// prepares its claim groups on them. The TruthFinder fixpoint itself
+// iterates its trust-coupled components one after another, in sorted
+// order. Every fan-out makes a parallel run byte-identical to a
+// sequential one at any n. By default a session uses one worker per CPU.
 func WithParallelism(n int) Option {
 	return func(s *settings) error {
 		if n < 1 {
