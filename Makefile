@@ -62,7 +62,9 @@ loadtest:
 # carried with the claim groups, credits hoisted at 1.0 for groups with
 # one bucket, only groups with a choice re-voted — bit-equal to the
 # per-group, sort.Slice oracle, also over a carried layout; Normalize's
-# ASCII pass vs the token join, and the one-pass extraction kernels
+# ASCII pass vs the token join, the bit-set Jaro kernel vs the
+# Scratch-buffer one (with Jaro-Winkler's symmetry and the one-pass
+# symmetric Monge-Elkan), and the one-pass extraction kernels
 # (Induce, Wrapper.Run) vs the multi-pass code kept as their oracle.
 # Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
@@ -71,7 +73,8 @@ loadtest:
 # ./internal/er, -fuzz=FuzzWatchResume ./internal/serve,
 # -fuzz=FuzzWALReplay ./internal/wal, -fuzz=FuzzDurableRecord
 # ./internal/core, -fuzz=FuzzFusePrepared or -fuzz=FuzzTrustKernel
-# ./internal/fusion, -fuzz=FuzzNormalize ./internal/text,
+# ./internal/fusion, -fuzz=FuzzNormalize or -fuzz=FuzzJaroWinkler
+# ./internal/text,
 # -fuzz=FuzzWrapperRun ./internal/extract).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
@@ -85,4 +88,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzFusePrepared -fuzztime=10s -run=^$$ ./internal/fusion
 	$(GO) test -fuzz=FuzzTrustKernel -fuzztime=10s -run=^$$ ./internal/fusion
 	$(GO) test -fuzz=FuzzNormalize -fuzztime=10s -run=^$$ ./internal/text
+	$(GO) test -fuzz=FuzzJaroWinkler -fuzztime=10s -run=^$$ ./internal/text
 	$(GO) test -fuzz=FuzzWrapperRun -fuzztime=10s -run=^$$ ./internal/extract

@@ -1,11 +1,18 @@
 package repro
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/wrangletest"
+	"repro/wrangle"
+	"repro/wrangle/synth"
 )
 
 // BenchmarkColdVsWarmStart is the PR-7 headline: standing a session up
@@ -19,6 +26,15 @@ import (
 // their pages — not with the pipeline, so the warm path
 // skips the entire extraction fan-out and integration; shards_reused/op
 // confirms the first post-restart reaction really ran warm.
+//
+// warm-10k is the same restart at 10⁴ union rows (100 sources of 80–120
+// records, four shards, eight retained versions, a log seeded by a run and
+// eight refreshes): each iteration reopens a fresh copy of the log, serves
+// the first view and makes one refresh. It reports that first reaction's
+// wall (first_react_ms/op) and the stages a cold rebuild would show up in
+// — "restore", "resolve", "trust.prepare" and "trust.claims" — in mean ms
+// per op, so a first reaction that comes back cold shows without a
+// profiler.
 func BenchmarkColdVsWarmStart(b *testing.B) {
 	const (
 		seed     = int64(3)
@@ -89,4 +105,112 @@ func BenchmarkColdVsWarmStart(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
 	})
+	b.Run("warm-10k", benchWarmStart10k)
+}
+
+// benchWarmStart10k is BenchmarkColdVsWarmStart's 10⁴-row case.
+func benchWarmStart10k(b *testing.B) {
+	const (
+		seed      = int64(1702)
+		shards    = 4
+		refreshes = 8
+		churn     = 0.05
+	)
+	world := synth.NewWorld(1, 2000, 0)
+	for i := 0; i < 12; i++ {
+		world.Evolve(0.15)
+	}
+	cfg := synth.DefaultConfig(1, 100)
+	cfg.MinRecords, cfg.MaxRecords = 80, 120
+	u := synth.Generate(world, cfg)
+	world.Rand().Seed(seed)
+	open := func(dir string) *wrangle.Session {
+		s, err := wrangle.New(wrangle.WithProvider(u), wrangle.WithIntegrationShards(shards),
+			wrangle.WithDurableLog(dir), wrangle.WithRetainVersions(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	ctx := context.Background()
+	seeded := b.TempDir()
+	s := open(seeded)
+	if _, err := s.Run(ctx); err != nil {
+		b.Fatal(err)
+	}
+	ids := s.SelectedSources()
+	for i := 0; i < refreshes; i++ {
+		world.Evolve(churn)
+		if _, err := s.Refresh(ctx, ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	stages := []string{"restore", "resolve", "trust.prepare", "trust.claims"}
+	sums := make([]time.Duration, len(stages))
+	var first time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "log")
+		copyLog(b, seeded, dir)
+		b.StartTimer()
+		s := open(dir)
+		if _, err := s.View(); err != nil || !s.Restored() {
+			b.Fatalf("not restored from the log (%v)", err)
+		}
+		world.Evolve(churn)
+		start := time.Now()
+		stats, err := s.Refresh(ctx, ids[i%len(ids)])
+		first += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k, st := range stages {
+			sums[k] += stats.Stages[st]
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(first.Seconds()*1e3/float64(b.N), "first_react_ms/op")
+	for k, st := range stages {
+		b.ReportMetric(sums[k].Seconds()*1e3/float64(b.N), st+"_ms/op")
+	}
+}
+
+// copyLog copies the regular files of the log directory src into a new
+// directory dst.
+func copyLog(b *testing.B, src, dst string) {
+	b.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ent := range entries {
+		if !ent.Type().IsRegular() {
+			continue
+		}
+		in, err := os.Open(filepath.Join(src, ent.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := os.Create(filepath.Join(dst, ent.Name()))
+		if err == nil {
+			_, err = io.Copy(out, in)
+			if cerr := out.Close(); err == nil {
+				err = cerr
+			}
+		}
+		in.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

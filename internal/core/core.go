@@ -207,7 +207,7 @@ type Wrangler struct {
 	entities     entityIndex // the clustering read entity by entity
 	namesKept    int         // entities the last naming carried over (carryNames); 0 when it named all afresh
 	results      []fusion.Result
-	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it; nil after a restore until first use
+	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it
 	freeFused    *fusion.ClaimGroups // groups, when the last merge fused results from them under trust-free options; else nil
 	handed       handOff             // what the last merge's fuse handed on, for publish
 	pins         map[string]float64  // per source: a trust fusion pins over the feedback-derived one; only tests set it, to reach trust's edges
@@ -755,6 +755,21 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 // from the source's generation (derive); what stays global here is integer
 // work: assembling the FD profile and interning new records' features.
 func (w *Wrangler) buildUnion() (empty bool, err error) {
+	cells, feats, empty, err := w.assembleUnion()
+	if empty || err != nil {
+		return empty, err
+	}
+	if err := w.repairUnion(cells); err != nil {
+		return false, err
+	}
+	w.prepareResolver(feats)
+	return false, nil
+}
+
+// assembleUnion is buildUnion up to FD repair: it assembles the union from
+// the selected sources and returns their FD cells and row derivations, in
+// union order, for repairUnion and prepareResolver.
+func (w *Wrangler) assembleUnion() (cells []*quality.Cells, feats []*er.Derived, empty bool, err error) {
 	start := time.Now()
 	w.split = replanSplit{}
 	w.unionSources = w.unionSources[:0]
@@ -780,10 +795,10 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.derive(underived[i])
 		return nil
 	}); err != nil {
-		return false, err
+		return nil, nil, false, err
 	}
-	cells := make([]*quality.Cells, len(w.unionIDs))
-	feats := make([]*er.Derived, len(w.unionIDs))
+	cells = make([]*quality.Cells, len(w.unionIDs))
+	feats = make([]*er.Derived, len(w.unionIDs))
 	for k, id := range w.unionIDs {
 		st := w.states[id]
 		cells[k], feats[k] = st.cells, st.feats
@@ -807,8 +822,14 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 		w.groups, w.freeFused = nil, nil
 		w.rowEntities = nil
 		w.memo = nil // nothing integrated: nothing for the next tail to diff against
-		return true, nil
+		return nil, nil, true, nil
 	}
+	return cells, feats, false, nil
+}
+
+// repairUnion repairs the assembled union's FD violations, from the
+// sources' FD cells.
+func (w *Wrangler) repairUnion(cells []*quality.Cells) error {
 	// Profile the integrated data for near-exact functional dependencies
 	// (e.g. sku -> brand) and repair their violations — typos introduced
 	// by individual sources are outvoted by their own key group before
@@ -816,18 +837,23 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 	// FD repair is the one stage that can rewrite a row whose source did
 	// not change; it does so on a clone, so such a row shows up downstream
 	// as a new record.
-	start = time.Now()
+	start := time.Now()
 	if w.fdDict == nil {
 		w.fdDict = quality.NewDictionary(len(w.Config.Target))
 	}
 	if _, _, _, err := quality.RepairProfile(w.union, w.fdDict.Profile(cells...), 0.9); err != nil {
-		return false, fmt.Errorf("core: profile repair: %w", err)
+		return fmt.Errorf("core: profile repair: %w", err)
 	}
 	w.split.fdRepair = time.Since(start)
-	// The new resolver takes over its predecessor's registries and is
-	// seeded with the sources' derivations: preparing re-derives only the
-	// records FD repair cloned and interns only records it has not seen.
-	start = time.Now()
+	return nil
+}
+
+// prepareResolver is the rest of buildUnion: the new resolver takes over
+// its predecessor's registries and is seeded with the sources' derivations
+// (feats), so preparing re-derives only the records FD repair cloned and
+// interns only records it has not seen.
+func (w *Wrangler) prepareResolver(feats []*er.Derived) {
+	start := time.Now()
 	prev := w.resolver
 	w.resolver = w.newResolver()
 	w.resolver.Carry(prev)
@@ -835,7 +861,6 @@ func (w *Wrangler) buildUnion() (empty bool, err error) {
 	w.applyPairFeedback()
 	w.resolver.Prepare(w.union)
 	w.split.prepare = time.Since(start)
-	return false, nil
 }
 
 // applyPairFeedback feeds accumulated duplicate labels into the resolver
@@ -1689,26 +1714,13 @@ func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 // Supporters returns the sources backing Results()[i]: those whose claim
 // in the result's claim group agrees with the fused value (within 1 % for
 // numbers), sorted. It returns the winning bucket's list, prepared with
-// the group the result was fused from; only a group no estimation has
-// prepared yet (after a restore) is scanned. The slice is shared with the
-// prepared group and published reports: treat it as read-only.
+// the group the result was fused from — a restore prepares the groups of
+// the results it adopts. The slice is shared with the prepared group and
+// published reports: treat it as read-only.
 func (w *Wrangler) Supporters(i int) []string {
 	w.resume()
-	g := w.fusedGroups()
-	if g == nil {
+	if w.groups == nil {
 		return nil
 	}
-	return g.Supporters(i, w.results[i].Value)
-}
-
-// fusedGroups returns the claim groups w.results was fused from. A restore
-// adopts the results without their groups; the first use regroups the
-// restored clustering, which yields one group per restored result.
-func (w *Wrangler) fusedGroups() *fusion.ClaimGroups {
-	if w.groups == nil && len(w.results) > 0 && len(w.entities.ids) > 0 {
-		if g, from := w.claimGroups(); g.Len() == len(w.results) {
-			w.groups, w.laidFrom = g, from
-		}
-	}
-	return w.groups
+	return w.groups.Supporters(i, w.results[i].Value)
 }

@@ -1624,16 +1624,24 @@ func foldEdits[T any](earlier, later []edit[T]) []edit[T] {
 // reaction or accessor that needs it, never at attach. The union and
 // resolver are recomputed deterministically from the restored states and
 // feedback (the same code path a live tail runs), the fused output is
-// adopted from the version's, and — when the version committed a coherent
-// tail memo — the memo's inputs are reconstructed so the first reaction
-// after restart is a partial tail.
+// adopted from the version's, and everything a live tail would leave warm
+// for the next reaction is rebuilt from them: the entity names, which it
+// carries over when they are content names; the claim groups of the
+// restored results, prepared and laid out, which it adopts from; and —
+// when the version committed a coherent tail memo — the memo's inputs, so
+// the first reaction after restart is a partial tail that prepares only
+// the groups it moved. The rebuild is a small task graph on the worker
+// fan-out: the sources' derivations; FD repair beside a resolver that
+// interns them; then two independent chains side by side, the resolver's
+// Prepare and the memo (rebuildMemo), and the names, claims and group
+// preparation (restoreGroups).
 func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) error {
 	if st.table != nil {
 		// The restored version is what the next publication diffs against.
 		w.lastPub = &publication{seq: lv.seq, results: st.results(), entities: st.entities,
 			rows: st.table.Rows(), report: st.report, clusters: st.clusters}
 	}
-	empty, err := w.buildUnion()
+	cells, feats, empty, err := w.assembleUnion()
 	if err != nil {
 		return err
 	}
@@ -1666,8 +1674,6 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			w.wrangled.Append(r)
 		}
 	}
-	// The results' claim groups are regrouped from the restored clustering
-	// on first use (fusedGroups).
 	w.groups, w.freeFused = nil, nil
 	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
 		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
@@ -1677,17 +1683,6 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			return fmt.Errorf("core: version %d assigns row %d to cluster %d outside [0,%d)", lv.seq, row, id, w.clusters.Num)
 		}
 	}
-	// The restore serves the names the version served. A log written
-	// before keyless clusters were named by content served them as
-	// "entity-<cluster>"; those names stay until the next reaction renames
-	// every keyless entity in its one delta. Either way the next reaction
-	// names the clustering afresh rather than carry restored names over.
-	if w.nameEntities(); !slices.Equal(w.entities.ids, st.entities) {
-		if w.nameClusters(true); !slices.Equal(w.entities.ids, st.entities) {
-			return fmt.Errorf("core: version %d serves entities its clustering does not name", lv.seq)
-		}
-	}
-	w.entities.base = nil
 
 	// Rebuild the tail memo only when the persisted tail is coherent:
 	// the memo was valid at publish, a tail built the version (it is not
@@ -1704,9 +1699,69 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	pendingPairs := slices.ContainsFunc(w.Feedback.Since(lv.lastSeq), func(it feedback.Item) bool {
 		return it.Kind == feedback.DuplicatePair || it.Kind == feedback.NotDuplicatePair
 	})
-	if lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs {
-		w.rebuildMemo()
+	memo := lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs
+
+	// FD repair replaces repaired rows of the union by clones. Beside it, a
+	// resolver interns the sources' derivations over the rows as they
+	// were assembled; the one prepareResolver makes then carries its
+	// registries, and derives and interns only the rows FD repair cloned.
+	assembled := dataset.NewTableCap(w.union.Schema(), w.union.Len())
+	for _, r := range w.union.Rows() {
+		assembled.Append(r)
 	}
+	// Both chains below read the union's row keys, which intern through
+	// the interner the names also use: they are built here, before the
+	// chains fork.
+	var seeded *er.Resolver
+	if err := engine.Map(context.Background(), w.workers(), 2, func(_ context.Context, i int) error {
+		if i == 1 {
+			seeded = w.newResolver()
+			seeded.Seed(feats...)
+			seeded.Prepare(assembled)
+			w.rowKeys()
+			return nil
+		}
+		return w.repairUnion(cells)
+	}); err != nil {
+		return err
+	}
+	w.resolver = seeded
+	return engine.Map(context.Background(), w.workers(), 2, func(_ context.Context, i int) error {
+		if i == 1 {
+			return w.restoreGroups(lv.seq, st.entities)
+		}
+		w.prepareResolver(feats)
+		if memo {
+			w.rebuildMemo()
+		}
+		return nil
+	})
+}
+
+// restoreGroups names the restored clustering, checks that the names are
+// the ones the version served (entities), and lays out and prepares the
+// claim groups the version's results were fused from. A log written before
+// keyless clusters were named by content served them as "entity-<cluster>";
+// those names stay until the next reaction renames every keyless entity
+// in its one delta, and are not carried over. Content names are, by the
+// next reaction's carryNames. The groups become the ones the next
+// estimation adopts from (w.groups). They are not w.freeFused: the
+// restored report's supporter lists are decoded, not the groups' own, so
+// a fuse-only first reaction fuses every group and its publication walks
+// the report, which re-links the lists. It reads and writes nothing
+// rebuildMemo does.
+func (w *Wrangler) restoreGroups(seq uint64, entities []string) error {
+	if w.nameEntities(); !slices.Equal(w.entities.ids, entities) {
+		if w.nameClusters(true); !slices.Equal(w.entities.ids, entities) {
+			return fmt.Errorf("core: version %d serves entities its clustering does not name", seq)
+		}
+	}
+	g, from := w.claimGroups()
+	if g.Len() != len(w.results) {
+		return nil
+	}
+	g.Prepare(w.fusionOptions().Policy, w.workers())
+	w.groups, w.laidFrom = g, from
 	return nil
 }
 
@@ -1733,9 +1788,10 @@ func entityStarts(entities []string, results []fusion.Result) ([]int, error) {
 // and clusters. The shard plan and the roots slab are deterministic
 // functions of what was restored: a row's representative is its
 // cluster's first row, read off the cluster ids restoreWorkingState
-// validated. The prepared claim groups are not persisted — their absence
-// only means the first estimation prepares every group, and its result
-// is float-exact either way.
+// validated. The prepared claim groups are not persisted either;
+// restoreGroups rebuilds them beside this. What no restore rebuilds is
+// the pair scores the last tail cached: the first reaction scores its
+// dirty components' pairs afresh, to the same floats.
 func (w *Wrangler) rebuildMemo() {
 	must, cannot := w.pairConstraints()
 	rowKeys := w.rowKeys()

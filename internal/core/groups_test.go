@@ -220,7 +220,8 @@ func TestKeylessNamesSurviveRenumbering(t *testing.T) {
 // TestSupportersMatchUnionScan pins supporters read from the claim groups
 // to the union scan they replace: for every fused result, the sources of
 // the entity's rows whose value agrees with the fused one — after a run,
-// and after a restore regroups the restored clustering on first use.
+// and after the groups are laid out and prepared afresh from the
+// clustering, as a restore lays them out (restoreGroups).
 func TestSupportersMatchUnionScan(t *testing.T) {
 	w := newShardedWrangler(5, 6, 2)
 	if _, err := w.Run(); err != nil {
@@ -247,7 +248,10 @@ func TestSupportersMatchUnionScan(t *testing.T) {
 		}
 	}
 	check("run")
-	w.groups = nil // as a restore leaves it
+	w.groups, w.laidFrom = nil, layout{}
+	if err := w.restoreGroups(0, w.rowEntities); err != nil || w.groups == nil {
+		t.Fatalf("regrouping: groups %v, err %v", w.groups, err)
+	}
 	check("regrouped")
 }
 

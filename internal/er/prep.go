@@ -3,6 +3,7 @@ package er
 import (
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
 	"repro/internal/text"
@@ -154,6 +155,10 @@ type registry struct {
 	keyBlocks, gramBlocks map[string]int32
 	nBlocks               int32
 
+	// appendGramBlocks' scratch: a padded token and its rune offsets.
+	gramBuf []byte
+	gramAt  []int32
+
 	nameMemo, secMemo simMemo
 
 	// What the last Prepare referenced, for mostlyDead.
@@ -205,12 +210,7 @@ func (g *registry) intern(rf *rowFeatures) {
 			g.nameToks = append(g.nameToks, text.TokenRunes(toks))
 			var blocks []int32
 			for _, tok := range toks {
-				for _, gram := range text.QGrams(tok, g.gram) {
-					b := g.block(g.gramBlocks, gram)
-					if !containsBlock(blocks, b) {
-						blocks = append(blocks, b)
-					}
-				}
+				blocks = g.appendGramBlocks(blocks, tok)
 			}
 			g.nameBlocks = append(g.nameBlocks, blocks)
 		}
@@ -225,6 +225,44 @@ func (g *registry) intern(rf *rowFeatures) {
 		}
 		rf.secID = id
 	}
+}
+
+// appendGramBlocks appends to blocks the block id of each q-gram of tok
+// that blocks does not hold yet, in text.QGrams order. It reads the grams
+// as windows of one padded buffer it reuses, so only a gram the registry
+// has not seen costs a string. The windows are QGrams' grams because tok,
+// a token of a text.Normalize output, is valid UTF-8.
+func (g *registry) appendGramBlocks(blocks []int32, tok string) []int32 {
+	q := max(g.gram, 1)
+	pad := q - 1
+	buf := g.gramBuf[:0]
+	for range pad {
+		buf = append(buf, '#')
+	}
+	buf = append(buf, tok...)
+	for range pad {
+		buf = append(buf, '#')
+	}
+	// at holds the byte offset of every rune, then len(buf).
+	at := g.gramAt[:0]
+	for i := 0; i < len(buf); {
+		at = append(at, int32(i))
+		_, n := utf8.DecodeRune(buf[i:])
+		i += n
+	}
+	at = append(at, int32(len(buf)))
+	for i := 0; i+q < len(at); i++ {
+		gram := buf[at[i]:at[i+q]]
+		b, ok := g.gramBlocks[string(gram)]
+		if !ok {
+			b = g.block(g.gramBlocks, string(gram))
+		}
+		if !containsBlock(blocks, b) {
+			blocks = append(blocks, b)
+		}
+	}
+	g.gramBuf, g.gramAt = buf, at
+	return blocks
 }
 
 func containsBlock(bs []int32, b int32) bool {

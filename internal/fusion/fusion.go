@@ -234,8 +234,8 @@ func compareKey(entityA, attrA, entityB, attrB string) int {
 // without repeats: the sources a "this value is wrong" annotation on v
 // should blame. A null v has none. A prepared group answers from the
 // supporter list it keeps for each fuse bucket, when v is a bucket's
-// representative (a fused value always is); an unprepared group — results
-// a restore adopted before any estimation ran — scans its claims. Lists
+// representative (a fused value always is); an unprepared group — no
+// estimation or Prepare has been through g — scans its claims. Lists
 // from a prepared group are shared with every caller and every later
 // reaction that keeps the group: treat them as read-only.
 func (g *ClaimGroups) Supporters(i int, v dataset.Value) []string {
@@ -500,17 +500,18 @@ type valueBuckets struct {
 func prepareGroup(claims []Claim) *groupPrep {
 	p := &groupPrep{}
 	nv := normVals(claims)
-	var reps []int
-	p.valueBuckets, reps = formBuckets(nv)
+	var repBuf [8]int
+	reps := repBuf[:0]
+	p.valueBuckets, reps = formBuckets(nv, reps)
 	// One flat slab for the match matrix instead of a row per claim.
 	slab := make([]bool, len(nv)*len(reps))
 	p.match = make([][]bool, len(nv))
 	p.credit = make([]int32, len(nv))
-	for ci, v := range nv {
+	for ci := range nv {
 		row := slab[ci*len(reps) : (ci+1)*len(reps)]
 		matched := 0
 		for i, ri := range reps {
-			if row[i] = nv[ri].same(v); row[i] {
+			if row[i] = nv[ri].same(&nv[ci]); row[i] {
 				matched++
 			}
 		}
@@ -521,7 +522,7 @@ func prepareGroup(claims []Claim) *groupPrep {
 		}
 	}
 	if rc, rewrote := reconcileUnits(claims); rewrote {
-		b, _ := formBuckets(normVals(rc))
+		b, _ := formBuckets(normVals(rc), reps[:0])
 		p.reconciled = &b
 	}
 	p.supporters = bucketSupporters(claims, p.fuseBuckets().reps, len(nv))
@@ -559,12 +560,12 @@ func (p *groupPrep) fuseBuckets() *valueBuckets {
 }
 
 // normVals caches the compare form of every non-null claim value, in
-// claim order.
+// claim order. The forms point into claims.
 func normVals(claims []Claim) []normVal {
 	nv := make([]normVal, 0, len(claims))
-	for _, c := range claims {
-		if !c.Value.IsNull() {
-			nv = append(nv, newNormVal(c.Value))
+	for i := range claims {
+		if v := &claims[i].Value; !v.IsNull() {
+			nv = append(nv, newNormVal(v))
 		}
 	}
 	return nv
@@ -573,19 +574,23 @@ func normVals(claims []Claim) []normVal {
 // formBuckets is the one bucket formation: each value, in order, joins the
 // first bucket (in creation order) whose representative it sames, or
 // opens a new one. It also returns each bucket's representative as an
-// index into nv.
-func formBuckets(nv []normVal) (b valueBuckets, reps []int) {
+// index into nv, appended to reps.
+func formBuckets(nv []normVal, reps []int) (b valueBuckets, _ []int) {
 	b.claimBucket = make([]int32, len(nv))
-	for ci, v := range nv {
+	for ci := range nv {
+		v := &nv[ci]
 		bi := slices.IndexFunc(reps, func(ri int) bool { return nv[ri].same(v) })
 		if bi < 0 {
 			bi = len(reps)
 			reps = append(reps, ci)
-			b.reps = append(b.reps, v.v)
-			b.norms = append(b.norms, v.norm)
-			b.counts = append(b.counts, 0)
 		}
 		b.claimBucket[ci] = int32(bi)
+	}
+	b.reps, b.norms, b.counts = make([]dataset.Value, len(reps)), make([]string, len(reps)), make([]int, len(reps))
+	for bi, ri := range reps {
+		b.reps[bi], b.norms[bi] = *nv[ri].v, nv[ri].normalized()
+	}
+	for _, bi := range b.claimBucket {
 		b.counts[bi]++
 	}
 	return b, reps
@@ -668,32 +673,47 @@ func bucketBefore(w []float64, norms []string, a, b int) bool {
 
 // normVal is a claim value beside the form voting compares it in.
 // Caching it normalises each value once instead of on both sides of every
-// compare.
+// compare. A number compares as a float, so its normalised string is left
+// unbuilt: only a bucket representative's (valueBuckets.norms) and a
+// compare against a non-number read it, and those build it on demand.
 type normVal struct {
-	v    dataset.Value
+	v    *dataset.Value
 	num  bool
 	f    float64
-	norm string
+	norm string // text.Normalize(v.String()); "" for a number
 }
 
-func newNormVal(v dataset.Value) normVal {
-	n := normVal{v: v, num: v.IsNumeric(), norm: text.Normalize(v.String())}
+func newNormVal(v *dataset.Value) normVal {
+	n := normVal{v: v, num: v.IsNumeric()}
 	if n.num {
 		n.f = v.FloatVal()
+	} else {
+		n.norm = text.Normalize(v.String())
 	}
 	return n
+}
+
+// normalized returns the value's normalised string, a number's included.
+func (a *normVal) normalized() string {
+	if a.num {
+		return text.Normalize(a.v.String())
+	}
+	return a.norm
 }
 
 // same is the one value agreement rule of voting: numbers within
 // numericTolerance of each other, NaN with NaN (as Value.Equal has it),
 // everything else by normalised string. Every value sames itself.
-func (a normVal) same(b normVal) bool {
-	if a.num && b.num {
+func (a *normVal) same(b *normVal) bool {
+	switch {
+	case a.num && b.num:
 		if a.f == b.f || math.IsNaN(a.f) && math.IsNaN(b.f) {
 			return true
 		}
 		den := math.Max(math.Abs(a.f), math.Abs(b.f))
 		return den > 0 && math.Abs(a.f-b.f)/den <= numericTolerance
+	case a.num || b.num:
+		return a.normalized() == b.normalized()
 	}
 	return a.norm == b.norm
 }
@@ -795,7 +815,7 @@ func Accuracy(results []Result, truth func(entity, attribute string) (dataset.Va
 			continue
 		}
 		total++
-		if newNormVal(r.Value).same(newNormVal(want)) {
+		if a, b := newNormVal(&r.Value), newNormVal(&want); a.same(&b) {
 			agree++
 		}
 	}

@@ -642,6 +642,18 @@ func EstimateTrustWarmParallel(g *ClaimGroups, opts Options, prev *ClaimGroups, 
 	return opts, split, st
 }
 
+// Prepare does ahead of time what g's first estimation would do before it
+// iterates: it prepares every group that carries no prepared state yet,
+// on the worker fan-out, and under TruthFinder lays the fixpoint out. A
+// later EstimateTrustWarmParallel that takes g as its prev then adopts
+// g's groups and patches g's layout, as it does after a live estimation.
+func (g *ClaimGroups) Prepare(policy Policy, workers int) {
+	g.prepare(workers)
+	if policy == TruthFinder && g.layout == nil {
+		g.layout, _ = patchLayout(g, nil, nil)
+	}
+}
+
 // adopt hands each of g's groups that prev prepared and whose claims held
 // prev's prepared state — one merge walk over the two group orders — and
 // reports how many of g's groups carry prepared state afterwards. When

@@ -9,6 +9,7 @@ package text
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -20,6 +21,7 @@ import (
 // use. A Scratch must not be shared between goroutines.
 type Scratch struct {
 	matchA, matchB []bool
+	best           []float64 // MongeElkanSymTokens: per token of the second list, its best match
 }
 
 // bufs returns two zeroed bool buffers of the requested lengths, growing
@@ -60,6 +62,9 @@ func JaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	if window < 0 {
 		window = 0
 	}
+	if la <= 64 && lb <= 64 {
+		return jaroBits(ra, rb, window)
+	}
 	matchA, matchB := sc.bufs(la, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
@@ -99,6 +104,42 @@ func JaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	}
 	m := float64(matches)
 	return (m/float64(la) + m/float64(lb) + (m-float64(transpositions)/2)/m) / 3
+}
+
+// jaroBits is JaroRunes over strings of at most 64 runes each, with the
+// matched positions kept as bit sets rather than in Scratch's buffers:
+// rune i of ra takes the first unmatched rune of rb in its window that
+// equals it, and the transpositions pair the matched runes of both in
+// order, so the counts, and the float, are JaroRunes' own.
+func jaroBits(ra, rb []rune, window int) float64 {
+	var matchA, matchB uint64
+	matches := 0
+	for i, r := range ra {
+		lo, hi := max(i-window, 0), min(i+window+1, len(rb))
+		if lo >= hi {
+			continue
+		}
+		// The unmatched positions of rb in [lo, hi), lowest first.
+		for free := (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1) &^ matchB; free != 0; free &= free - 1 {
+			if j := bits.TrailingZeros64(free); rb[j] == r {
+				matchA |= 1 << i
+				matchB |= 1 << j
+				matches++
+				break
+			}
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	transpositions := 0
+	for a, b := matchA, matchB; a != 0; a, b = a&(a-1), b&(b-1) {
+		if ra[bits.TrailingZeros64(a)] != rb[bits.TrailingZeros64(b)] {
+			transpositions++
+		}
+	}
+	m := float64(matches)
+	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-float64(transpositions)/2)/m) / 3
 }
 
 // JaroWinkler boosts Jaro similarity for strings sharing a common prefix
@@ -277,9 +318,38 @@ func MongeElkanTokens(ta, tb [][]rune, sc *Scratch) float64 {
 }
 
 // MongeElkanSymTokens returns the mean of MongeElkanTokens in both
-// directions.
+// directions. JaroWinklerRunes is symmetric bit for bit, so it scores each
+// token pair once, keeping each token of ta's best match and each token of
+// tb's beside each other, and sums both in the order the two directions
+// would: the same floats for half the comparisons.
 func MongeElkanSymTokens(ta, tb [][]rune, sc *Scratch) float64 {
-	return (MongeElkanTokens(ta, tb, sc) + MongeElkanTokens(tb, ta, sc)) / 2
+	if len(ta) == 0 || len(tb) == 0 {
+		return (MongeElkanTokens(ta, tb, sc) + MongeElkanTokens(tb, ta, sc)) / 2
+	}
+	if cap(sc.best) < len(tb) {
+		sc.best = make([]float64, len(tb))
+	}
+	bestB := sc.best[:len(tb)]
+	clear(bestB)
+	sumA := 0.0
+	for _, x := range ta {
+		best := 0.0
+		for k, y := range tb {
+			s := JaroWinklerRunes(x, y, sc)
+			if s > best {
+				best = s
+			}
+			if s > bestB[k] {
+				bestB[k] = s
+			}
+		}
+		sumA += best
+	}
+	sumB := 0.0
+	for _, b := range bestB {
+		sumB += b
+	}
+	return (sumA/float64(len(ta)) + sumB/float64(len(tb))) / 2
 }
 
 // Corpus accumulates documents for TF-IDF weighting. Add documents, then

@@ -15,8 +15,11 @@ import (
 // first reaction after restart recomputes a partial tail, not a cold run.
 // The restore serves before it rebuilds: opening decodes only the newest
 // version, older retained versions decode on their first View.At or
-// Watch catch-up, and the working data and tail memo are rebuilt by the
-// first reaction, which reports that work as its "restore" stage.
+// Watch catch-up, and the working data, tail memo, entity names and
+// prepared claim groups are rebuilt, on every CPU, by the first reaction,
+// which reports that work as its "restore" stage and then prepares only
+// the claim groups it moved, as a reaction of the session that wrote the
+// log would.
 
 // FsyncPolicy says when the durable log calls fsync (see the constants).
 type FsyncPolicy = core.FsyncPolicy
