@@ -1701,26 +1701,26 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 	})
 	memo := lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs
 
-	// FD repair replaces repaired rows of the union by clones. Beside it, a
-	// resolver interns the sources' derivations over the rows as they
-	// were assembled; the one prepareResolver makes then carries its
-	// registries, and derives and interns only the rows FD repair cloned.
+	// FD repair replaces the rows it repairs by clones. Beside it, a
+	// resolver interns the sources' derivations over the rows as they were
+	// assembled, so the one prepareResolver makes next carries its
+	// registries and derives and interns only the rows FD repair cloned.
+	// The union's row keys, which both chains after it read and which
+	// intern through the interner the names also use, are built before
+	// those fork.
 	assembled := dataset.NewTableCap(w.union.Schema(), w.union.Len())
 	for _, r := range w.union.Rows() {
 		assembled.Append(r)
 	}
-	// Both chains below read the union's row keys, which intern through
-	// the interner the names also use: they are built here, before the
-	// chains fork.
 	var seeded *er.Resolver
 	if err := engine.Map(context.Background(), w.workers(), 2, func(_ context.Context, i int) error {
 		if i == 1 {
 			seeded = w.newResolver()
 			seeded.Seed(feats...)
 			seeded.Prepare(assembled)
-			w.rowKeys()
 			return nil
 		}
+		w.rowKeys()
 		return w.repairUnion(cells)
 	}); err != nil {
 		return err
