@@ -485,7 +485,7 @@ type groupPrep struct {
 type valueBuckets struct {
 	claimBucket []int32         // per non-null claim: its bucket, in creation order
 	reps        []dataset.Value // per bucket: its first member's value
-	norms       []string        // per bucket: the representative, normalised
+	norms       []string        // per bucket: the representative, normalised — bucketBefore's tie-break, so "" for a number that is its group's only bucket
 	counts      []int           // per bucket: member claims
 }
 
@@ -496,38 +496,60 @@ type valueBuckets struct {
 // is no choice: it sames one bucket only, its own. Only where
 // reconcileUnits rewrote a value does it form the buckets a second time,
 // over the reconciled values, for the fuse. Last, it lists each fuse
-// bucket's supporters over the claimed values.
-func prepareGroup(claims []Claim) *groupPrep {
+// bucket's supporters over the claimed values. buf is a buffer the
+// caller reuses across the groups it prepares, for the claims' compare
+// forms.
+func prepareGroup(claims []Claim, buf *[]normVal) *groupPrep {
 	p := &groupPrep{}
-	nv := normVals(claims)
+	nv := appendNormVals((*buf)[:0], claims)
+	*buf = nv
 	var repBuf [8]int
 	reps := repBuf[:0]
 	p.valueBuckets, reps = formBuckets(nv, reps)
-	// One flat slab for the match matrix instead of a row per claim.
-	slab := make([]bool, len(nv)*len(reps))
-	p.match = make([][]bool, len(nv))
-	p.credit = make([]int32, len(nv))
-	for ci := range nv {
-		row := slab[ci*len(reps) : (ci+1)*len(reps)]
-		matched := 0
-		for i, ri := range reps {
-			if row[i] = nv[ri].same(&nv[ci]); row[i] {
-				matched++
+	// A claim's credit is its own bucket unless it sames several, so the
+	// credits share the claim buckets until one does.
+	p.credit = p.claimBucket
+	if len(reps) == 1 && len(nv) <= len(oneBucket) {
+		p.match = oneBucket[:len(nv):len(nv)]
+	} else {
+		// One flat slab for the match matrix instead of a row per claim.
+		slab := make([]bool, len(nv)*len(reps))
+		p.match = make([][]bool, len(nv))
+		for ci := range nv {
+			row := slab[ci*len(reps) : (ci+1)*len(reps)]
+			matched := 0
+			for i, ri := range reps {
+				if row[i] = nv[ri].same(&nv[ci]); row[i] {
+					matched++
+				}
 			}
-		}
-		p.match[ci] = row
-		p.credit[ci] = p.claimBucket[ci]
-		if matched > 1 {
-			p.credit[ci] = -1
+			p.match[ci] = row
+			if matched > 1 {
+				if &p.credit[0] == &p.claimBucket[0] {
+					p.credit = slices.Clone(p.claimBucket)
+				}
+				p.credit[ci] = -1
+			}
 		}
 	}
 	if rc, rewrote := reconcileUnits(claims); rewrote {
-		b, _ := formBuckets(normVals(rc), reps[:0])
+		b, _ := formBuckets(appendNormVals(nil, rc), reps[:0])
 		p.reconciled = &b
 	}
 	p.supporters = bucketSupporters(claims, p.fuseBuckets().reps, len(nv))
 	return p
 }
+
+// oneBucket is the match matrix of a group of up to 64 non-null claims
+// and one bucket, each of which sames it. Such groups share it, read-only.
+var oneBucket = func() [][]bool {
+	rows := make([][]bool, 64)
+	row := []bool{true}
+	for i := range rows {
+		rows[i] = row[:1:1]
+	}
+	return rows
+}()
 
 // bucketSupporters lists the supporters of each representative, out of
 // one slab presized to the group's non-null claim count, which the lists
@@ -559,10 +581,9 @@ func (p *groupPrep) fuseBuckets() *valueBuckets {
 	return &p.valueBuckets
 }
 
-// normVals caches the compare form of every non-null claim value, in
-// claim order. The forms point into claims.
-func normVals(claims []Claim) []normVal {
-	nv := make([]normVal, 0, len(claims))
+// appendNormVals appends to nv the compare form of every non-null claim
+// value, in claim order. The forms point into claims.
+func appendNormVals(nv []normVal, claims []Claim) []normVal {
 	for i := range claims {
 		if v := &claims[i].Value; !v.IsNull() {
 			nv = append(nv, newNormVal(v))
@@ -588,7 +609,10 @@ func formBuckets(nv []normVal, reps []int) (b valueBuckets, _ []int) {
 	}
 	b.reps, b.norms, b.counts = make([]dataset.Value, len(reps)), make([]string, len(reps)), make([]int, len(reps))
 	for bi, ri := range reps {
-		b.reps[bi], b.norms[bi] = *nv[ri].v, nv[ri].normalized()
+		b.reps[bi], b.norms[bi] = *nv[ri].v, nv[ri].norm
+		if len(reps) > 1 {
+			b.norms[bi] = nv[ri].normalized()
+		}
 	}
 	for _, bi := range b.claimBucket {
 		b.counts[bi]++
@@ -674,8 +698,9 @@ func bucketBefore(w []float64, norms []string, a, b int) bool {
 // normVal is a claim value beside the form voting compares it in.
 // Caching it normalises each value once instead of on both sides of every
 // compare. A number compares as a float, so its normalised string is left
-// unbuilt: only a bucket representative's (valueBuckets.norms) and a
-// compare against a non-number read it, and those build it on demand.
+// unbuilt: only the representatives of a group with more than one bucket
+// (valueBuckets.norms, which order tied buckets) and a compare against a
+// non-number read it, and those build it on demand.
 type normVal struct {
 	v    *dataset.Value
 	num  bool

@@ -55,7 +55,7 @@ func TestPrepareGroupReconciledBuckets(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		p := prepareGroup(tc.claims)
+		p := prepareGroup(tc.claims, new([]normVal))
 		if !slices.Equal(p.claimBucket, tc.raw) {
 			t.Errorf("%s: raw buckets %v, want %v", tc.name, p.claimBucket, tc.raw)
 		}

@@ -724,8 +724,8 @@ func (g *ClaimGroups) adopt(prev *ClaimGroups) (kept int, from []int32) {
 // fanning out over engine workers when more than one of each is available
 // — profiles put preparation ahead of the iteration loop on cold
 // estimations — and then, once per ClaimGroups, lists its voters. Each
-// group's prepared state is a pure function of its own claims, and the
-// MapSlice merge is position-deterministic, so the parallel build is
+// group's prepared state is a pure function of its own claims, and each
+// run writes only its own groups' slots, so the parallel build is
 // identical to the sequential loop.
 func (g *ClaimGroups) prepare(workers int) {
 	var idx []int
@@ -734,20 +734,24 @@ func (g *ClaimGroups) prepare(workers int) {
 			idx = append(idx, i)
 		}
 	}
-	var prepared []*groupPrep
+	prepared := make([]*groupPrep, len(idx))
 	if workers != 1 && len(idx) > 1 {
-		// A recovered panic leaves prepared nil, so it resurfaces
+		// Contiguous runs of groups, each reusing one compare-form buffer.
+		// A recovered panic leaves its run's groups nil, so they resurface
 		// sequentially.
-		prepared, _ = engine.MapSlice(context.Background(), workers, idx,
-			func(_ context.Context, i int) (*groupPrep, error) {
-				return prepareGroup(g.claims[i]), nil
-			})
+		runs := min(len(idx), 4*engine.Workers(workers))
+		_ = engine.Map(context.Background(), workers, runs, func(_ context.Context, r int) error {
+			var nv []normVal
+			for k := r * len(idx) / runs; k < (r+1)*len(idx)/runs; k++ {
+				prepared[k] = prepareGroup(g.claims[idx[k]], &nv)
+			}
+			return nil
+		})
 	}
+	var nv []normVal
 	for k, i := range idx {
-		if prepared != nil {
-			g.prep[i] = prepared[k]
-		} else {
-			g.prep[i] = prepareGroup(g.claims[i])
+		if g.prep[i] = prepared[k]; g.prep[i] == nil {
+			g.prep[i] = prepareGroup(g.claims[i], &nv)
 		}
 		g.prep[i].count(&g.voted, 1)
 	}
