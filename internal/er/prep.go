@@ -204,14 +204,21 @@ func (g *registry) intern(rf *rowFeatures) {
 			id = int32(len(g.names))
 			g.nameIDs[rf.name] = id
 			// Normalize is Tokenize rejoined on single spaces, so the tokens
-			// fall back out of the normalised string.
+			// fall back out of the normalised string, and each token's runes
+			// are a stretch of the name's, one space after the last.
 			toks := strings.Fields(rf.name)
-			g.names = append(g.names, []rune(rf.name))
-			g.nameToks = append(g.nameToks, text.TokenRunes(toks))
+			runes := []rune(rf.name)
+			tokRunes := make([][]rune, len(toks))
 			var blocks []int32
-			for _, tok := range toks {
+			at := 0
+			for k, tok := range toks {
+				n := utf8.RuneCountInString(tok)
+				tokRunes[k] = runes[at : at+n : at+n]
+				at += n + 1
 				blocks = g.appendGramBlocks(blocks, tok)
 			}
+			g.names = append(g.names, runes)
+			g.nameToks = append(g.nameToks, tokRunes)
 			g.nameBlocks = append(g.nameBlocks, blocks)
 		}
 		rf.nameID = id
