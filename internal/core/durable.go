@@ -1748,8 +1748,9 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 // estimation adopts from (w.groups). They are not w.freeFused: the
 // restored report's supporter lists are decoded, not the groups' own, so
 // a fuse-only first reaction fuses every group and its publication walks
-// the report, which re-links the lists. It reads and writes nothing
-// rebuildMemo does.
+// the report, which re-links the lists. It writes nothing prepareResolver
+// or rebuildMemo reads, and reads nothing they write, so they run side by
+// side.
 func (w *Wrangler) restoreGroups(seq uint64, entities []string) error {
 	if w.nameEntities(); !slices.Equal(w.entities.ids, entities) {
 		if w.nameClusters(true); !slices.Equal(w.entities.ids, entities) {
