@@ -64,8 +64,9 @@ loadtest:
 # per-group, sort.Slice oracle, also over a carried layout; Normalize's
 # ASCII pass vs the token join, the bit-set Jaro kernel vs the
 # Scratch-buffer one (with Jaro-Winkler's symmetry and the one-pass
-# symmetric Monge-Elkan), and the one-pass extraction kernels
-# (Induce, Wrapper.Run) vs the multi-pass code kept as their oracle.
+# symmetric Monge-Elkan), the one-pass extraction kernels
+# (Induce, Wrapper.Run) vs the multi-pass code kept as their oracle, and
+# dataset.Parse's first-byte gate vs the try-every-parser function.
 # Longer local sessions: go test -fuzz=FuzzSharded
 # -fuzztime=5m ./internal/wrangletest (or -fuzz=FuzzStreamingRefresh,
 # -fuzz=FuzzStreamingRePlan,
@@ -75,7 +76,8 @@ loadtest:
 # ./internal/core, -fuzz=FuzzFusePrepared or -fuzz=FuzzTrustKernel
 # ./internal/fusion, -fuzz=FuzzNormalize or -fuzz=FuzzJaroWinkler
 # ./internal/text,
-# -fuzz=FuzzWrapperRun ./internal/extract).
+# -fuzz=FuzzWrapperRun ./internal/extract, -fuzz=FuzzParse
+# ./internal/dataset).
 fuzz:
 	$(GO) test -fuzz=FuzzSharded -fuzztime=10s -run=^$$ ./internal/wrangletest
 	$(GO) test -fuzz=FuzzStreamingRefresh -fuzztime=10s -run=^$$ ./internal/wrangletest
@@ -90,3 +92,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzNormalize -fuzztime=10s -run=^$$ ./internal/text
 	$(GO) test -fuzz=FuzzJaroWinkler -fuzztime=10s -run=^$$ ./internal/text
 	$(GO) test -fuzz=FuzzWrapperRun -fuzztime=10s -run=^$$ ./internal/extract
+	$(GO) test -fuzz=FuzzParse -fuzztime=10s -run=^$$ ./internal/dataset

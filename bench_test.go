@@ -341,7 +341,9 @@ func BenchmarkDeltaPublish(b *testing.B) {
 // harness and fuzz targets pin that — so the table may only show cost
 // moving with the dirty shard. Each refresh's front half and its
 // single-threaded trust barrier are reported step by step (reportedSteps,
-// mean ms per op), so their budgets show without a profiler.
+// mean ms per op), and beside them the fuse stage (summed over the parts)
+// and the publish gap — the call's wall less ReactStats.Duration, which
+// closes before publication — so their budgets show without a profiler.
 func BenchmarkStreamingRefresh(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -352,11 +354,14 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 			ids := w.SelectedSources()
 			reused := 0
 			steps := make([]time.Duration, len(reportedSteps))
+			var fuse, gap time.Duration
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.EvolveWorld(0.1)
+				start := time.Now()
 				stats, err := w.RefreshSource(ids[i%len(ids)])
+				wall := time.Since(start)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -364,11 +369,15 @@ func BenchmarkStreamingRefresh(b *testing.B) {
 				for k, step := range reportedSteps {
 					steps[k] += stats.Stages[step]
 				}
+				fuse += stats.Stages["fuse"]
+				gap += wall - stats.Duration
 			}
 			b.ReportMetric(float64(reused)/float64(b.N), "shards_reused/op")
 			for k, step := range reportedSteps {
 				b.ReportMetric(steps[k].Seconds()*1e3/float64(b.N), step+"_ms/op")
 			}
+			b.ReportMetric(fuse.Seconds()*1e3/float64(b.N), "fuse_ms/op")
+			b.ReportMetric(gap.Seconds()*1e3/float64(b.N), "publish_gap_ms/op")
 		})
 	}
 }

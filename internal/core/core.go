@@ -180,10 +180,12 @@ type Wrangler struct {
 	// previous one, re-plans incrementally (er.RePlan) and re-resolves
 	// only dirty shards, reusing every untouched shard's clusters by
 	// reference. Trust is re-estimated over all claims (keeping the
-	// prepared state of claim groups that held) and every fuse part
-	// re-fuses its entity range under it; publication diffs the rows
-	// against the previous version's, and published versions share the
-	// table record of every entity whose record is Same as before. The
+	// prepared state of claim groups that held) and every fuse part fuses
+	// its entity range under it, re-voting only the contested groups of
+	// the entities whose claims held where trust cannot move the rest;
+	// publication diffs the rows against the previous version's, and
+	// published versions share the table record of every entity whose
+	// record is Same as before. The
 	// one thing 0 changes against 1 is the change feed: a session left at
 	// 0 publishes every version as a full change (serve.ChangeSet.Full),
 	// one set to n >= 1 publishes record deltas.
@@ -819,7 +821,7 @@ func (w *Wrangler) assembleUnion() (cells []*quality.Cells, feats []*er.Derived,
 		w.entities = entityIndex{}
 		w.trust = map[string]float64{}
 		w.results = nil
-		w.groups, w.freeFused = nil, nil
+		w.groups, w.freeFused, w.handed = nil, nil, handOff{}
 		w.rowEntities = nil
 		w.memo = nil // nothing integrated: nothing for the next tail to diff against
 		return nil, nil, true, nil
@@ -956,31 +958,22 @@ func (w *Wrangler) RowKey(i int) string {
 // by entity off the clustering: for each entity, each claimed attribute in
 // name order, one claim per entity row in row order. That is exactly how
 // fusion.GroupClaims would group the union's claims in row order, with no
-// key per claim and no sort over them. The freshness column feeds each
-// claim's AsOf and is not itself claimed.
+// key per claim and no sort over them. Every entity claims every
+// attribute, so entity e's groups start at e·len(cols), and the groups
+// take those starts as they are. The freshness column feeds each claim's
+// AsOf and is not itself claimed.
 //
 // An entity that kept its id, and whose rows are, row for row, Same
 // records from the same sources as the rows the last layout grouped under
-// that id — by record identity first, the copy-on-write union's
-// "unchanged", then by value for the rows FD repair cloned — claims what
-// it claimed then: it takes that layout's groups as they are, and the
-// trust stage adopts their prepared state without comparing a claim. Only
-// the other entities' claims are built, out of one slab. It returns the
-// groups and what they were laid out from.
-func (w *Wrangler) claimGroups() (*fusion.ClaimGroups, layout) {
-	schema := w.union.Schema()
-	tc := -1
-	if w.Config.TimeColumn != "" {
-		tc = schema.Index(w.Config.TimeColumn)
-	}
-	var cols []int
-	for ci := range schema {
-		if ci != tc {
-			cols = append(cols, ci)
-		}
-	}
-	slices.SortFunc(cols, func(a, b int) int { return strings.Compare(schema[a].Name, schema[b].Name) })
-	kept := w.keptEntities(schema, cols)
+// that id (keptEntities), claims what it claimed then: it takes that
+// layout's groups as they are, and the trust stage adopts their prepared
+// state without comparing a claim. Only the other entities' claims are
+// built, out of one slab. It returns the groups, what they were laid out
+// from, and per entity the entity of the last layout whose groups it took
+// whole, or -1. same is keptEntities'.
+func (w *Wrangler) claimGroups(same []int32) (*fusion.ClaimGroups, layout, []int) {
+	schema, tc, cols := w.claimedColumns()
+	kept := w.keptEntities(schema, cols, same)
 	fresh := 0
 	for e, rows := range w.entities.rows {
 		if kept[e] < 0 {
@@ -1002,8 +995,10 @@ func (w *Wrangler) claimGroups() (*fusion.ClaimGroups, layout) {
 	// One slab for the fresh entities' claims: every row claims every column.
 	slab := make([]fusion.Claim, fresh*len(cols))
 	groups := make([][]fusion.Claim, 0, len(w.entities.ids)*len(cols))
+	starts := make([]int32, len(w.entities.ids)+1)
 	k := 0
 	for e, rows := range w.entities.rows {
+		starts[e] = int32(len(groups))
 		if pe := kept[e]; pe >= 0 {
 			for c := range cols {
 				groups = append(groups, w.groups.Group(pe*len(cols)+c))
@@ -1024,7 +1019,24 @@ func (w *Wrangler) claimGroups() (*fusion.ClaimGroups, layout) {
 			groups = append(groups, slab[start:k:k])
 		}
 	}
-	return fusion.GroupedClaims(groups), layout{w.union, w.entities, slabs}
+	starts[len(w.entities.ids)] = int32(len(groups))
+	return fusion.GroupedClaims(groups, starts), layout{w.union, w.entities, slabs}, kept
+}
+
+// claimedColumns returns the union's schema, its freshness column (-1
+// when there is none) and the columns every row claims, in name order.
+func (w *Wrangler) claimedColumns() (schema dataset.Schema, tc int, cols []int) {
+	schema, tc = w.union.Schema(), -1
+	if w.Config.TimeColumn != "" {
+		tc = schema.Index(w.Config.TimeColumn)
+	}
+	for ci := range schema {
+		if ci != tc {
+			cols = append(cols, ci)
+		}
+	}
+	slices.SortFunc(cols, func(a, b int) int { return strings.Compare(schema[a].Name, schema[b].Name) })
+	return schema, tc, cols
 }
 
 // keptEntities maps each entity to its index in the layout w.groups was
@@ -1032,7 +1044,13 @@ func (w *Wrangler) claimGroups() (*fusion.ClaimGroups, layout) {
 // and row for row a Same record from the same source. Every other entry
 // is -1, as is every entry when there is no such layout or it claimed
 // other attributes.
-func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int) []int {
+//
+// same, when not nil, maps each union row to the row of the layout's
+// union that holds the very same record — a row of a source this
+// reaction did not rebuild, which FD repair cloned in neither union — or
+// -1 (unionDelta). A row it maps onto its entity's row in the layout needs
+// no look at either record; only the others are compared by value.
+func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int, same []int32) []int {
 	kept := make([]int, len(w.entities.ids))
 	for e := range kept {
 		kept[e] = -1
@@ -1059,14 +1077,17 @@ func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int) []int {
 			continue
 		}
 		claims := prev.Group(pe * len(cols))
-		same := true
+		held := true
 		for k, r := range rows {
+			if same != nil && int(same[r]) == prevRows[k] {
+				continue
+			}
 			if w.unionSources[r] != claims[k].SourceID || !sameRecord(w.union.Row(r), from.union.Row(prevRows[k])) {
-				same = false
+				held = false
 				break
 			}
 		}
-		if same {
+		if held {
 			kept[e] = pe
 		}
 	}
@@ -1078,16 +1099,27 @@ func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int) []int {
 // merge, of the wrangled table. An entity's results are adjacent, so each
 // record fills in one run.
 func materialize(results []fusion.Result, target dataset.Schema) (entities []string, rows []dataset.Record) {
-	for i, res := range results {
-		if i == 0 || res.Entity != results[i-1].Entity {
-			entities = append(entities, res.Entity)
-			rows = append(rows, make(dataset.Record, len(target))) // all null
+	for i := 0; i < len(results); {
+		j := i + 1
+		for j < len(results) && results[j].Entity == results[i].Entity {
+			j++
 		}
-		if c := target.Index(res.Attribute); c >= 0 {
-			rows[len(rows)-1][c] = res.Value
-		}
+		entities = append(entities, results[i].Entity)
+		rows = append(rows, record(results[i:j], target))
+		i = j
 	}
 	return entities, rows
+}
+
+// record is one entity's record, from its results.
+func record(results []fusion.Result, target dataset.Schema) dataset.Record {
+	r := make(dataset.Record, len(target)) // all null
+	for _, res := range results {
+		if c := target.Index(res.Attribute); c >= 0 {
+			r[c] = res.Value
+		}
+	}
+	return r
 }
 
 // fusionOptions self-configures the fusion policy from the user context:

@@ -1757,7 +1757,7 @@ func (w *Wrangler) restoreGroups(seq uint64, entities []string) error {
 			return fmt.Errorf("core: version %d serves entities its clustering does not name", seq)
 		}
 	}
-	g, from := w.claimGroups()
+	g, from, _ := w.claimGroups(nil)
 	if g.Len() != len(w.results) {
 		return nil
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/feedback"
 	"repro/internal/fusion"
 	"repro/internal/ontology"
+	"repro/internal/sources"
 )
 
 // TestClaimGroupsFollowTheClustering pins the tail's claim layout to the
@@ -30,7 +33,7 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		if got, _ := w.claimGroups(); !reflect.DeepEqual(got, fusion.GroupClaims(w.BuildClaims())) {
+		if got, _, _ := w.claimGroups(nil); !reflect.DeepEqual(got, fusion.GroupClaims(w.BuildClaims())) {
 			t.Fatalf("%s: the clustering's groups differ from GroupClaims over the row-order claims", label)
 		}
 		if !slices.IsSorted(w.entities.ids) || len(w.entities.ids) != len(slices.Compact(slices.Clone(w.entities.ids))) {
@@ -349,4 +352,112 @@ func TestValueFeedbackKeepsItsKeylessTarget(t *testing.T) {
 			t.Fatalf("shards=%d: %s no longer supports %s/%s (supporters %v)", shards, item.SourceID, item.Entity, item.Attribute, sup)
 		}
 	}
+}
+
+// TestKeptEntitiesSkipsSharedRows pins keptEntities, which compares by
+// value only the rows whose record the last layout's union does not hold
+// at the same source position (unionDelta's same map), to the full check
+// it replaced — every row's source and record against the last layout's —
+// over a random refresh script at shards 0, 1 and 4: refreshes of one to
+// three sources under world churn, some of which drop a source's first
+// records or list them again. Each reaction's kept map is recomputed after
+// it, both ways, from the layout, groups and memo it started from.
+func TestKeptEntitiesSkipsSharedRows(t *testing.T) {
+	ctx := context.Background()
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(45 + shards)))
+			u := buildUniverse(5, 6, false)
+			w := New(u, ProductConfig(), nil, nil)
+			w.IntegrationShards = shards
+			if _, err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			full := map[string][]sources.EmittedRecord{}
+			kept, shared, compared := 0, 0, 0
+			for step := range 12 {
+				ids := w.SelectedSources()
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+				ids = ids[:1+rng.Intn(3)]
+				if s := u.Source(ids[0]); rng.Intn(3) == 0 {
+					if recs, ok := full[s.ID]; ok {
+						s.Records = recs
+						delete(full, s.ID)
+					} else if len(s.Records) > 8 {
+						full[s.ID], s.Records = s.Records, s.Records[1+rng.Intn(6):]
+					}
+				}
+				u.World.Evolve(0.3 * rng.Float64())
+				groups, from, memo := w.groups, w.laidFrom, w.memo
+				if _, err := w.RefreshSourcesContext(ctx, ids); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				curGroups, curFrom := w.groups, w.laidFrom
+				w.groups, w.laidFrom = groups, from
+				var same []int32
+				if memo != nil && memo.union == from.union {
+					_, same = w.unionDelta(memo)
+				}
+				if same == nil {
+					t.Fatalf("step %d: no same map from the last tail's memo", step)
+				}
+				schema, _, cols := w.claimedColumns()
+				got, want := w.keptEntities(schema, cols, same), fullKeptCheck(w, schema, cols)
+				w.groups, w.laidFrom = curGroups, curFrom
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: kept map %v, the full check %v", step, got, want)
+				}
+				for e, pe := range got {
+					if pe < 0 {
+						continue
+					}
+					kept++
+					for k, r := range w.entities.rows[e] {
+						if int(same[r]) == from.entities.rows[pe][k] {
+							shared++
+						} else {
+							compared++
+						}
+					}
+				}
+			}
+			if kept == 0 || shared == 0 || compared == 0 {
+				t.Fatalf("the script keeps %d entities, %d rows of them shared and %d compared by value", kept, shared, compared)
+			}
+		})
+	}
+}
+
+// fullKeptCheck is keptEntities with every row of a candidate entity
+// checked by source and record against the last layout's.
+func fullKeptCheck(w *Wrangler, schema dataset.Schema, cols []int) []int {
+	kept := make([]int, len(w.entities.ids))
+	for e := range kept {
+		kept[e] = -1
+	}
+	prev, from := w.groups, w.laidFrom
+	if prev == nil || from.union == nil || prev.Len() != len(from.entities.ids)*len(cols) || prev.Len() == 0 {
+		return kept
+	}
+	for c, ci := range cols {
+		if prev.Group(c)[0].Attribute != schema[ci].Name {
+			return kept
+		}
+	}
+	for e, id := range w.entities.ids {
+		pe, ok := slices.BinarySearch(from.entities.ids, id)
+		if !ok || len(w.entities.rows[e]) != len(from.entities.rows[pe]) {
+			continue
+		}
+		claims, held := prev.Group(pe*len(cols)), true
+		for k, r := range w.entities.rows[e] {
+			if w.unionSources[r] != claims[k].SourceID || !w.union.Row(r).Same(from.union.Row(from.entities.rows[pe][k])) {
+				held = false
+			}
+		}
+		if held {
+			kept[e] = pe
+		}
+	}
+	return kept
 }

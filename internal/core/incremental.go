@@ -340,6 +340,9 @@ func (w *Wrangler) FullRerun() (ReactStats, error) {
 	}
 	w.states = map[string]*sourceState{}
 	w.memo = nil // discarded working data: nothing left to diff against
+	// Nor to hand results on from: the rerun fuses every group, so it stays
+	// the reference a reaction's hand-on is checked against.
+	w.freeFused = nil
 	// The derivations are discarded but the logical clock is not rewound:
 	// versions the serve store already committed keep steps strictly below
 	// everything the rerun publishes.

@@ -21,8 +21,11 @@ import (
 // grain: the prepared (entity, attribute) group, whose state serves both
 // the trust fixpoint and the fuse and is kept for every group whose
 // claims held; a fuse-only tail regroups nothing and takes the last
-// tail's groups as they are; publication then adopts the previous record
-// of every entity that fused to the Same record. The contract is strict: a partial tail is
+// tail's groups as they are; where trust cannot move an uncontested
+// group's result, the fuse hands on the last results, records and report
+// lines of every entity whose groups held (shardRun.estimateTrust);
+// publication then adopts the previous record of every entity that fused
+// to the Same record. The contract is strict: a partial tail is
 // byte-identical to a full recompute (FullRerun), pinned by the
 // internal/wrangletest harness.
 
@@ -157,18 +160,22 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 // off the row keys itself. Record identity short-circuits the compare: an
 // unchanged source contributes the very same records unless FD repair
 // cloned one — in this round or the memoized one — and only those, and
-// the refreshed sources' rows, are compared by value.
-func (w *Wrangler) unionDelta(memo *tailMemo) []int {
-	var dirty []int
-	for i, j := range w.alignUnion(memo) {
+// the refreshed sources' rows, are compared by value. It also returns, per
+// row, the memoized union's row holding the very same record, or -1.
+func (w *Wrangler) unionDelta(memo *tailMemo) (dirty []int, same []int32) {
+	same = w.alignUnion(memo)
+	for i, j := range same {
 		if j < 0 {
 			continue
 		}
-		if cur, old := w.union.Row(i), memo.union.Row(int(j)); &cur[0] != &old[0] && !cur.Equal(old) {
-			dirty = append(dirty, i)
+		if cur, old := w.union.Row(i), memo.union.Row(int(j)); &cur[0] != &old[0] {
+			same[i] = -1
+			if !cur.Equal(old) {
+				dirty = append(dirty, i)
+			}
 		}
 	}
-	return dirty
+	return dirty, same
 }
 
 // alignUnion maps each row of the freshly built union to the memoized

@@ -25,11 +25,14 @@ import (
 // only place that knows what a version changed: it adopts the
 // predecessor's record for every entity whose record is Same, lists what
 // moved for the change feed (changes) and for the durable log's patch,
-// and patches the report. A fuse-only reaction that handed its results
-// on pays only for what it moved here too: its records not moved are the
-// previous version's already, so the row diff writes nothing for them,
-// and the report is the previous one with the moved results' lines
-// patched (patchReport). Readers (Session.View) hold the committed
+// and patches the report. A reaction whose tail handed results on — a
+// fuse-only one, every entity kept, or a full one, the entities whose
+// groups it took whole — pays only for what it moved here too: the kept
+// entities' records not moved are the previous version's already, so the
+// row diff finds them shared and writes nothing for them, and the report
+// is the kept entities' previous lines, fresh lines for the moved results
+// and the new entities, less the gone entities' lines (patchReport).
+// Readers (Session.View) hold the committed
 // version without any lock and are never torn by the next reaction. Each
 // report line's supporter list is the one its claim group prepared:
 // shared with the working data and with every other version whose group
@@ -233,37 +236,105 @@ func (w *Wrangler) changes(prev, cur *publication, dt *delta) serve.ChangeSet {
 }
 
 // handOff is what the last merge's fuse parts handed on: the results
-// slab they copied from — nil when they fused every group — and the group
-// indices, ascending, whose result moved against it.
+// slab they copied from — nil when they fused every group — the spans of
+// the merge's results they handed on from it, ascending, and the indices,
+// ascending, of handed-on results that moved against it.
 type handOff struct {
 	from  []fusion.Result
+	spans []handSpan
 	moved []int
 }
 
-// diffReport is the report half of the one diff a publication runs. It
-// walks cur's results against prev's key by key — both in (entity,
-// attribute) order — and builds cur's report on the way: a result that
-// held (fusion.Result.Same) whose supporter slice is the very slice the
-// previous line holds keeps that line; every other non-null result gets a
-// fresh one. It adds to dt the results that did not hold, the lines whose
-// supporters moved, and the results that are gone. Where the tail handed
-// its results on from prev's very slab (handed), it patches instead
-// (patchReport). Without a previous publication, or when its report does
-// not line up with its results, it returns nil, and the caller builds the
-// report whole.
+// handSpan is a run of n results handed on: the merge's results at, at+1,
+// … are from's results from, from+1, ….
+type handSpan struct{ at, from, n int }
+
+// handOnSpans joins the entities' handed-on result ranges into spans:
+// entity e's results [starts[e], starts[e+1]) are handed on from from[e]
+// on, unless from[e] is -1.
+func handOnSpans(starts, from []int32) []handSpan {
+	var spans []handSpan
+	for e := range len(starts) - 1 {
+		at, n := int(starts[e]), int(starts[e+1]-starts[e])
+		if from[e] < 0 || n == 0 {
+			continue
+		}
+		if k := len(spans) - 1; k >= 0 && spans[k].at+spans[k].n == at && spans[k].from+spans[k].n == int(from[e]) {
+			spans[k].n += n
+			continue
+		}
+		spans = append(spans, handSpan{at: at, from: int(from[e]), n: n})
+	}
+	return spans
+}
+
+// diffReport is the report half of the one diff a publication runs: the
+// walk of patchReport over prev's report and results against cur's
+// results, which adds to dt what it finds. The tail's hand-on (handed)
+// counts only where it handed on from prev's very slab. Without a previous
+// publication, or when its report does not line up with its results, it
+// returns nil, and the caller builds the report whole.
 func diffReport(prev, cur *publication, dt *delta, title string, handed handOff, supporters func(int) []string) *report.Report {
 	if prev == nil || prev.report == nil {
 		return nil
 	}
-	P, C, L := prev.results, cur.results, prev.report.Lines
-	if len(P) > 0 && len(handed.from) == len(P) && &handed.from[0] == &P[0] {
-		if r := patchReport(L, C, dt, title, handed.moved, supporters); r != nil {
-			return r
-		}
+	if P := prev.results; len(P) == 0 || len(handed.from) != len(P) || &handed.from[0] != &P[0] {
+		handed = handOff{}
 	}
+	return patchReport(prev, cur.results, dt, title, handed, supporters)
+}
+
+// patchReport walks the results C against prev's key by key — both in
+// (entity, attribute) order — and builds C's report on the way. A result
+// that held (fusion.Result.Same) whose supporter slice is the very slice
+// the previous line holds keeps that line; every other non-null result
+// gets a fresh one. It adds to dt the results that did not hold, the lines
+// whose supporters moved, and the results that are gone.
+//
+// A run of results the tail handed on from prev's (handed.spans) that did
+// not move keeps its previous lines whole, with no key compared and no
+// supporter looked up: each held, and its prepared group — and so its
+// supporter slice — is the very one the previous line was written from.
+// For the same reason a handed-on result that moved but kept its value (a
+// re-voted confidence) takes the previous line's supporters.
+// So the report costs what the tail moved: the previous lines of the
+// kept entities, fresh lines for the moved results and the new entities,
+// less the gone entities' lines. A fuse-only tail, which keeps every
+// entity, patches the moved lines into the previous report. It returns
+// nil when prev's report does not line up with its results.
+func patchReport(prev *publication, C []fusion.Result, dt *delta, title string, handed handOff, supporters func(int) []string) *report.Report {
+	P, L := prev.results, prev.report.Lines
 	lines := make([]report.Line, 0, len(L))
+	spans, moved := handed.spans, handed.moved
 	pl := 0 // the previous line of the next non-null previous result
 	for i, j := 0, 0; i < len(C) || j < len(P); {
+		for len(spans) > 0 && spans[0].at+spans[0].n <= i {
+			spans = spans[1:]
+		}
+		for len(moved) > 0 && moved[0] < i {
+			moved = moved[1:]
+		}
+		// Whether C[i] is the result of P[j]'s very group, handed on.
+		handedOn := len(spans) > 0 && spans[0].at <= i && spans[0].from+i-spans[0].at == j
+		if handedOn {
+			end := spans[0].at + spans[0].n
+			if len(moved) > 0 {
+				end = min(end, moved[0])
+			}
+			if end > i {
+				// The lines of P[j:k] are those up to P[k-1]'s key, at most
+				// one per result.
+				k := j + end - i
+				last := &P[k-1]
+				n := pl + sort.Search(min(k-j, len(L)-pl), func(x int) bool {
+					l := &L[pl+x]
+					return compareKeys(l.Entity, l.Attribute, last.Entity, last.Attribute) > 0
+				})
+				lines = append(lines, L[pl:n]...)
+				pl, j, i = n, k, end
+				continue
+			}
+		}
 		c := -1 // C[i] against P[j]: below 0 a new key, above 0 a gone one
 		switch {
 		case i == len(C):
@@ -289,7 +360,13 @@ func diffReport(prev, cur *publication, dt *delta, title string, handed handOff,
 			dt.results = append(dt.results, i)
 		}
 		if res := &C[i]; !res.Value.IsNull() {
-			sup := supporters(i)
+			var sup []string
+			if handedOn && old != nil && res.Value.Same(P[j].Value) {
+				// Its group's bucket of the same value: the previous line's.
+				sup = old.Supporters
+			} else {
+				sup = supporters(i)
+			}
 			switch {
 			case held && sameSlice(old.Supporters, sup):
 				lines = append(lines, *old)
@@ -311,45 +388,6 @@ func diffReport(prev, cur *publication, dt *delta, title string, handed handOff,
 	if len(lines) == 0 {
 		lines = nil // as report.Build leaves an empty report
 	}
-	return &report.Report{Title: title, Lines: lines}
-}
-
-// patchReport is the walk of diffReport where the tail handed its results
-// on from the previous publication's: the keys are the previous ones, and
-// only the moved results differ, so every other line is the previous
-// one, whose supporter slice is the one its prepared group holds. It
-// copies the previous lines L once and gives each moved result the fresh
-// line the walk gives it, found by key; a moved result's value is never
-// null, as no group with a choice fuses to null. It sets dt's results and
-// supporters as the walk would, and returns nil, leaving dt as it was,
-// when a moved result has no line.
-//
-// The lines are the non-null results in order, one each, so a result's
-// line lies past the last patched line by at most as many lines as
-// results lie between their two results: the key search reads that
-// window only.
-func patchReport(L []report.Line, C []fusion.Result, dt *delta, title string, moved []int, supporters func(int) []string) *report.Report {
-	lines := slices.Clone(L)
-	var patched []int
-	last, next := -1, 0 // the last moved result, and the line after its line
-	for _, i := range moved {
-		res := &C[i]
-		hi := min(next+i-last, len(lines))
-		k := next + sort.Search(hi-next, func(k int) bool {
-			l := &lines[next+k]
-			return compareKeys(l.Entity, l.Attribute, res.Entity, res.Attribute) >= 0
-		})
-		if k >= hi || lines[k].Entity != res.Entity || lines[k].Attribute != res.Attribute {
-			return nil
-		}
-		last, next = i, k+1
-		sup := supporters(i)
-		if !slices.Equal(lines[k].Supporters, sup) {
-			patched = append(patched, k)
-		}
-		lines[k] = resultLine(res, sup)
-	}
-	dt.results, dt.supporters = moved, patched
 	return &report.Report{Title: title, Lines: lines}
 }
 

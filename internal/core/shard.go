@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -29,9 +28,9 @@ import (
 
 // fusedPart is one fuse part's output: the fused entities of its range,
 // in order, with one record each — fresh, or, where the part handed
-// results on, the previous table's for every entity none of whose results
-// moved — and, where it handed results on, the group indices of its
-// results that moved.
+// results on, the previous table's for every handed-on entity none of
+// whose values moved — and, where it handed results on, the group indices
+// of its handed-on results that moved.
 type fusedPart struct {
 	entities []string
 	rows     []dataset.Record
@@ -45,12 +44,15 @@ type shardRun struct {
 	rp           *er.RePlanned // plan stage: the plan, per-shard reuse, dirty residue and the roots slab the resolve fan-out completes
 	must, cannot []er.Pair
 	rowKeys      []string            // plan stage: stable key per union row
+	same         []int32             // plan stage: per union row, the last layout's union row holding the very same record, or -1; nil when unknown
 	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once, carrying its prepared state
 	laidFrom     layout              // cluster barrier: what groups was laid out from
 	opts         fusion.Options      // cluster barrier: trust already estimated
 	split        trustSplit          // cluster barrier: the trust stage, by step
 	results      []fusion.Result     // fuse fan-out: every group's result at its group index
 	handOn       []fusion.Result     // cluster barrier: the previous results the fuse parts hand on from; nil to fuse every group
+	kept         []int               // cluster barrier, with handOn: per entity, the previous table's row of the entity whose groups it took whole, or -1; nil when every entity keeps its row
+	from         []int32             // cluster barrier, with handOn: per entity, where its results start in handOn, or -1 (fusion.FuseInto)
 	parts        []fusedPart         // fuse fan-out
 	empty        bool                // nothing to integrate; all stages no-op
 	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
@@ -145,8 +147,12 @@ func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
 	var dirty []int
 	var prevPlan *er.PlanState
 	if w.memo != nil {
-		dirty = w.unionDelta(w.memo)
+		var same []int32
+		dirty, same = w.unionDelta(w.memo)
 		prevPlan = w.memo.plan
+		if w.memo.union == w.laidFrom.union {
+			sr.same = same
+		}
 	}
 	sr.rp, err = w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
 	w.split.plan = time.Since(start)
@@ -214,27 +220,43 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // fan-out, so the fuse parts only read the groups. Runs inside the
 // single cluster-barrier task, so writing w.lastTrust is race-free.
 //
-// A fuse-only tail that took the memo's groups hands the last results on
-// (sr.handOn) when the last merge fused them from those very groups and
-// no result of a group with one fuse bucket can depend on trust, under
-// that fuse's trust or this one's (fusion.ClaimGroups.TrustFree): then
-// only the groups with a choice can move, and the fuse parts re-vote just
-// those. Anything else — a full tail, a restore's adopted results, a
-// regrouping, FreshnessWeighted, a trust that could overflow a vote —
+// The fuse parts hand the last results on (sr.handOn) when the last merge
+// fused them trust-free from the last tail's groups (w.freeFused) and this
+// fuse is trust-free too (fusion.ClaimGroups.TrustFree): then no result of
+// a group with one fuse bucket can depend on trust, so an entity whose
+// groups were handed on whole — every entity of a fuse-only tail, the
+// kept ones of a full tail — keeps its results but its voters', and only
+// those are re-voted (sr.kept and sr.from map each entity onto the last
+// table and results). Anything else — a restore's adopted results, a
+// re-layout, FreshnessWeighted, a trust that could overflow a vote —
 // fuses every group.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
 	prev := w.groups
+	var kept []int // nil when the groups are prev itself
 	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
 		sr.groups, sr.laidFrom = prev, w.laidFrom
 	} else {
 		start := time.Now()
-		sr.groups, sr.laidFrom = w.claimGroups()
+		sr.groups, sr.laidFrom, kept = w.claimGroups(sr.same)
 		sr.split.claims = time.Since(start)
 	}
 	sr.results = make([]fusion.Result, sr.groups.Len())
 	sr.opts, sr.split.TrustSplit, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
-	if sr.fuseOnly && sr.groups == w.freeFused && sr.groups.TrustFree(sr.opts) {
-		sr.handOn = w.results
+	if prev == nil || prev != w.freeFused || !sr.groups.TrustFree(sr.opts) {
+		return
+	}
+	sr.handOn, sr.kept = w.results, kept
+	starts := prev.EntityStarts()
+	if kept == nil { // every entity's groups, at its own place
+		sr.from = starts
+		return
+	}
+	sr.from = make([]int32, len(kept))
+	for e, pe := range kept {
+		sr.from[e] = -1
+		if pe >= 0 {
+			sr.from[e] = starts[pe]
+		}
 	}
 }
 
@@ -247,44 +269,46 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 // reads them and writes only its span of sr.results, the group-indexed
 // slab the parts fill between them with nothing to merge.
 //
-// A part that hands results on (sr.handOn) takes its entity range of the
-// previous table — the same entities, in the same order — and builds a
-// fresh record only for an entity whose value moved: a record is a
-// function of its entity's result values alone, and a result whose value
-// is Same holds its group's very representative, so every other previous
-// record is the one materialize would build, or one the publication diff
-// found Same to it. A moved confidence moves no record.
+// A part that hands results on (sr.handOn) keeps, for a handed-on entity
+// none of whose values moved, the previous table's record, and builds a
+// fresh record only for an entity whose value moved and for one whose
+// groups are new: a record is a function of its entity's result values
+// alone, and a result whose value is Same holds its group's very
+// representative, so every other previous record is the one materialize
+// would build, or one the publication diff found Same to it. A moved
+// confidence moves no record.
 func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
 	n := len(sr.parts)
-	span, moved := sr.groups.FuseInto(sr.results, sr.handOn, sr.opts, i, n)
-	if sr.handOn == nil {
+	span, moved := sr.groups.FuseInto(sr.results, sr.handOn, sr.from, sr.opts, i, n)
+	if sr.handOn == nil || sr.groups.Len() == 0 {
 		entities, rows := materialize(span, w.Config.Target)
 		sr.parts[i] = fusedPart{entities: entities, rows: rows}
 		return nil
 	}
-	e := len(w.rowEntities)
-	lo, hi := i*e/n, (i+1)*e/n
-	part := fusedPart{entities: w.rowEntities[lo:hi], rows: slices.Clone(w.wrangled.Rows()[lo:hi]), moved: moved}
-	fresh := "" // the entity whose record was built last
-	for _, g := range moved {
-		entity := sr.results[g].Entity
-		if entity == fresh || sr.results[g].Value.Same(sr.handOn[g].Value) {
-			continue
+	// Every entity claims every attribute, so the part's entities are its
+	// range of the layout's, one record each.
+	starts, prevRows, ids := sr.groups.EntityStarts(), w.wrangled.Rows(), sr.laidFrom.entities.ids
+	lo, hi := i*len(ids)/n, (i+1)*len(ids)/n
+	part := fusedPart{entities: ids[lo:hi:hi], rows: make([]dataset.Record, hi-lo), moved: moved}
+	for e := lo; e < hi; e++ {
+		first, end := int(starts[e]), int(starts[e+1])
+		pe := e
+		if sr.kept != nil {
+			pe = sr.kept[e]
 		}
-		fresh = entity
-		// The entity's groups, found on the previous slab: it holds the
-		// same keys, and other parts write their spans of sr.results.
-		from, to := g, g+1
-		for ; from > 0 && sr.handOn[from-1].Entity == entity; from-- {
+		for ; len(moved) > 0 && moved[0] < end; moved = moved[1:] {
+			if g := moved[0]; pe >= 0 && !sr.results[g].Value.Same(sr.handOn[int(sr.from[e])+g-first].Value) {
+				pe = -1
+			}
 		}
-		for ; to < len(sr.handOn) && sr.handOn[to].Entity == entity; to++ {
+		if pe >= 0 {
+			part.rows[e-lo] = prevRows[pe]
+		} else {
+			part.rows[e-lo] = record(sr.results[first:end], w.Config.Target)
 		}
-		_, rows := materialize(sr.results[from:to], w.Config.Target)
-		at, _ := slices.BinarySearch(part.entities, entity)
-		part.rows[at] = rows[0]
 	}
 	sr.parts[i] = part
 	return nil
@@ -304,7 +328,10 @@ func (w *Wrangler) shardMergeStage(sr *shardRun) error {
 	if sr.groups.TrustFree(sr.opts) {
 		w.freeFused = sr.groups
 	}
-	w.handed = handOff{from: sr.handOn}
+	w.handed = handOff{}
+	if sr.handOn != nil {
+		w.handed = handOff{from: sr.handOn, spans: handOnSpans(sr.groups.EntityStarts(), sr.from)}
+	}
 	w.trust = sr.opts.Trust
 	n := 0
 	for _, p := range sr.parts {

@@ -321,26 +321,40 @@ func (v Value) Coerce(k Kind) (Value, bool) {
 
 // Parse infers the most specific kind for a raw string: empty → null, then
 // int, float, bool, RFC3339 time, finally string. It is the default typing
-// rule used by the CSV codec and wrapper execution.
+// rule used by the CSV codec and wrapper execution. Each parser is tried
+// only where the first byte allows it to succeed — a failed parse
+// allocates its error, and most cells are text: a number starts with a
+// digit, a sign, a point or the i and n of inf, infinity and nan; a bool
+// with a t or an f; an RFC3339 time with a digit.
 func Parse(raw string) Value {
 	s := strings.TrimSpace(raw)
 	if s == "" {
 		return Null()
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i)
+	c := s[0]
+	digit := '0' <= c && c <= '9'
+	if digit || c == '+' || c == '-' {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return Int(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f)
+	if digit || strings.IndexByte("+-.iInN", c) >= 0 {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return Float(f)
+		}
 	}
-	switch strings.ToLower(s) {
-	case "true":
-		return Bool(true)
-	case "false":
-		return Bool(false)
+	if strings.IndexByte("tTfF", c) >= 0 {
+		switch strings.ToLower(s) {
+		case "true":
+			return Bool(true)
+		case "false":
+			return Bool(false)
+		}
 	}
-	if t, err := time.Parse(time.RFC3339, s); err == nil {
-		return Time(t)
+	if digit {
+		if t, err := time.Parse(time.RFC3339, s); err == nil {
+			return Time(t)
+		}
 	}
 	return String(raw)
 }

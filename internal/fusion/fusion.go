@@ -177,7 +177,7 @@ func (g *ClaimGroups) Group(i int) []Claim { return g.claims[i] }
 
 // GroupClaims groups claims by (entity, attribute), sorting claim
 // positions by group and then position, so each group holds its claims in
-// input order.
+// input order. It finds each entity's first group on the way.
 func GroupClaims(claims []Claim) *ClaimGroups {
 	idx := make([]int, len(claims))
 	for i := range idx {
@@ -191,35 +191,44 @@ func GroupClaims(claims []Claim) *ClaimGroups {
 	})
 	slab := make([]Claim, len(claims))
 	var groups [][]Claim
+	var starts []int32
 	start := 0
 	for i, id := range idx {
 		slab[i] = claims[id]
+		if start == i && (i == 0 || claims[id].Entity != slab[i-1].Entity) {
+			starts = append(starts, int32(len(groups)))
+		}
 		if i+1 == len(idx) || claims[idx[i+1]].Entity != claims[id].Entity || claims[idx[i+1]].Attribute != claims[id].Attribute {
 			groups = append(groups, slab[start:i+1:i+1])
 			start = i + 1
 		}
 	}
-	return GroupedClaims(groups)
+	return GroupedClaims(groups, append(starts, int32(len(groups))))
 }
 
 // GroupedClaims takes claims that arrive grouped: groups[i] is one
 // (entity, attribute) group's claims in input order, every group is
-// non-empty, and groups are in group order — by entity, then attribute. A
-// caller that knows its entities (the integration tail reads them off the
-// clustering) lays the groups out itself and sorts nothing per claim. It
-// walks the groups once, for each entity's first group and the largest
-// group's claim count.
-func GroupedClaims(groups [][]Claim) *ClaimGroups {
-	g := &ClaimGroups{claims: groups, prep: make([]*groupPrep, len(groups))}
-	for i, cs := range groups {
-		if i == 0 || cs[0].Entity != groups[i-1][0].Entity {
-			g.entityStart = append(g.entityStart, int32(i))
-		}
+// non-empty, and groups are in group order — by entity, then attribute.
+// entityStart holds, per entity in ordinal order, its first group, and
+// then len(groups). A caller that knows its entities (the integration
+// tail reads them off the clustering, and lays the same attributes out
+// for each) lays the groups out itself, sorts nothing per claim and reads
+// no claim to find where an entity starts. GroupedClaims keeps both
+// slices, and walks the groups' lengths once for the largest.
+func GroupedClaims(groups [][]Claim, entityStart []int32) *ClaimGroups {
+	g := &ClaimGroups{claims: groups, prep: make([]*groupPrep, len(groups)), entityStart: entityStart}
+	for _, cs := range groups {
 		g.maxClaims = max(g.maxClaims, len(cs))
 	}
-	g.entityStart = append(g.entityStart, int32(len(groups)))
 	return g
 }
+
+// EntityStarts returns, per entity in ordinal order, the index of its
+// first group, and then Len(): entity e's groups are
+// [EntityStarts()[e], EntityStarts()[e+1]). It is also the map FuseInto
+// takes to hand results on from a previous fuse of these very groups. The
+// slice is g's own: treat it as read-only.
+func (g *ClaimGroups) EntityStarts() []int32 { return g.entityStart }
 
 // compareKey is the one group order: by entity, then by attribute.
 func compareKey(entityA, attrA, entityB, attrB string) int {
@@ -282,14 +291,14 @@ func appendSupporters(dst []string, claims []Claim, v dataset.Value) []string {
 // mutates opts.Trust, so concurrent calls may share one options value.
 func (g *ClaimGroups) Fuse(opts Options) []Result {
 	slab := make([]Result, g.Len())
-	g.FuseInto(slab, nil, opts, 0, 1)
+	g.FuseInto(slab, nil, nil, opts, 0, 1)
 	return slab
 }
 
 // FuseInto fuses part `part` of `parts`: the groups of the entities
 // whose ordinals, among the groups' E distinct entities, lie in
 // [part·E/parts, (part+1)·E/parts), found off the first group of each
-// entity that GroupedClaims recorded. It writes each result into slab
+// entity (EntityStarts). It writes each result into slab
 // (len(slab) == g.Len()) at its group index and returns the part's span
 // of slab, capped at its length, so a caller may keep it as the part's
 // results. Parts 0..parts-1 tile slab: between them they fill it with
@@ -298,40 +307,66 @@ func (g *ClaimGroups) Fuse(opts Options) []Result {
 // Where g.TrustFree(opts) holds, a group with one fuse bucket takes its
 // result without a vote.
 //
-// prev, when not nil, is a previous slab of g's results: g's fuse under
-// options for which TrustFree held. FuseInto then also returns, in
-// ascending order, the part's group indices whose result did not hold
+// prev, when not nil, is a previous slab of results fused under options
+// for which TrustFree held, and from maps g's entities onto it: from[e]
+// is the index in prev of the result of entity e's first group when prev
+// holds the results of e's very groups — the same claims, by pointer,
+// prepared alike — in order from there, and -1 for an entity it does not
+// hold (a previous fuse of g itself hands on with from =
+// g.EntityStarts()). FuseInto then also returns, in ascending order, the
+// part's group indices of mapped entities whose result did not hold
 // against prev (Result.Same). Where TrustFree holds for opts as well, no
-// result but a voter's can have moved, so the part copies its span from
-// prev and votes only its voters (ClaimGroups.voters); otherwise it fuses
-// every group. Either way the span equals a fuse without prev, bit for
-// bit. With prev nil, moved is nil. FuseInto reads the prepared groups
-// and prev, and writes only its span of slab, so parts may run at once
-// over one slab.
-func (g *ClaimGroups) FuseInto(slab, prev []Result, opts Options, part, parts int) (span []Result, moved []int) {
+// result of a mapped entity but a voter's can have moved, so the part
+// copies those entities' results from prev and votes only their voters
+// (ClaimGroups.voters); it fuses every group of the other entities, and
+// every group at all where TrustFree does not hold. Either way the span
+// equals a fuse without prev, bit for bit. With prev nil, from is not
+// read and moved is nil. FuseInto reads the prepared groups, prev and
+// from, and writes only its span of slab, so parts may run at once over
+// one slab.
+func (g *ClaimGroups) FuseInto(slab, prev []Result, from []int32, opts Options, part, parts int) (span []Result, moved []int) {
 	opts = opts.normalized()
 	entities := len(g.entityStart) - 1
-	lo, hi := g.entityStart[part*entities/parts], g.entityStart[(part+1)*entities/parts]
+	elo, ehi := part*entities/parts, (part+1)*entities/parts
+	lo, hi := g.entityStart[elo], g.entityStart[ehi]
 	free := g.TrustFree(opts)
 	var sc fuseScratch
-	fuse := func(i int32) {
+	fuse := func(i int32, old *Result) {
 		slab[i] = g.prep[i].result(g.claims[i], opts, free, &sc)
-		if prev != nil && !slab[i].Same(&prev[i]) {
+		if old != nil && !slab[i].Same(old) {
 			moved = append(moved, int(i))
 		}
 	}
-	if prev != nil && free {
-		copy(slab[lo:hi], prev[lo:hi])
-		k, _ := slices.BinarySearch(g.voters, lo)
-		for _, i := range g.voters[k:] {
-			if i >= hi {
-				break
-			}
-			fuse(i)
+	k, _ := slices.BinarySearch(g.voters, lo)
+	voters := g.voters[k:] // the part's voters, from its first group on
+	for e := elo; e < ehi; {
+		start := g.entityStart[e]
+		for len(voters) > 0 && voters[0] < start {
+			voters = voters[1:]
 		}
-	} else {
-		for i := lo; i < hi; i++ {
-			fuse(i)
+		if prev == nil || from[e] < 0 {
+			for i := start; i < g.entityStart[e+1]; i++ {
+				fuse(i, nil)
+			}
+			e++
+			continue
+		}
+		// The run of entities from e on whose results prev holds in one
+		// piece: one copy, or one walk, for all of them.
+		first := e
+		for e++; e < ehi && from[e] == from[e-1]+g.entityStart[e]-g.entityStart[e-1]; e++ {
+		}
+		end := g.entityStart[e]
+		handed := prev[from[first] : from[first]+end-start]
+		if free {
+			copy(slab[start:end], handed)
+			for ; len(voters) > 0 && voters[0] < end; voters = voters[1:] {
+				fuse(voters[0], &handed[voters[0]-start])
+			}
+			continue
+		}
+		for i := start; i < end; i++ {
+			fuse(i, &handed[i-start])
 		}
 	}
 	return slab[lo:hi:hi], moved

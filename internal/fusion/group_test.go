@@ -29,7 +29,9 @@ func TestGroupedClaimsMatchesGroupClaims(t *testing.T) {
 		slices.Sort(entities)
 		slices.Sort(attrs)
 		var groups [][]Claim
+		var starts []int32
 		for _, e := range entities {
+			starts = append(starts, int32(len(groups)))
 			for _, a := range attrs {
 				var cs []Claim
 				for _, c := range claims {
@@ -42,7 +44,7 @@ func TestGroupedClaimsMatchesGroupClaims(t *testing.T) {
 				}
 			}
 		}
-		grouped, sorted := GroupedClaims(groups), GroupClaims(claims)
+		grouped, sorted := GroupedClaims(groups, append(starts, int32(len(groups)))), GroupClaims(claims)
 		if !reflect.DeepEqual(grouped, sorted) {
 			t.Fatalf("seed %d: GroupedClaims and GroupClaims disagree", seed)
 		}
@@ -106,4 +108,16 @@ func TestClaimGroupsSupporters(t *testing.T) {
 			t.Errorf("group %d, value %v: supporters %v, want %v", tc.group, tc.v, got, tc.want)
 		}
 	}
+}
+
+// entityStarts derives GroupedClaims' entity starts from groups laid out
+// in group order: each entity's first group, then len(groups).
+func entityStarts(groups [][]Claim) []int32 {
+	var starts []int32
+	for i, cs := range groups {
+		if i == 0 || cs[0].Entity != groups[i-1][0].Entity {
+			starts = append(starts, int32(i))
+		}
+	}
+	return append(starts, int32(len(groups)))
 }

@@ -139,7 +139,7 @@ func (ps *patchScript) grouped(clone bool) *ClaimGroups {
 			groups[i] = slices.Clone(groups[i])
 		}
 	}
-	return GroupedClaims(groups)
+	return GroupedClaims(groups, entityStarts(groups))
 }
 
 // buildTrustLayout lays the fixpoint out afresh over prepared groups:

@@ -400,7 +400,7 @@ func FuzzFusePrepared(f *testing.F) {
 			slab := make([]Result, g.Len())
 			var parts []Result
 			for part := range 2 {
-				span, _ := g.FuseInto(slab, nil, opts, part, 2)
+				span, _ := g.FuseInto(slab, nil, nil, opts, part, 2)
 				parts = append(parts, span...)
 			}
 			if len(parts) != len(slab) {
@@ -444,7 +444,7 @@ func FuzzFusePrepared(f *testing.F) {
 			handed := make([]Result, g.Len())
 			var moved, want []int
 			for part := range 2 {
-				_, m := g.FuseInto(handed, first, opts3, part, 2)
+				_, m := g.FuseInto(handed, first, g.EntityStarts(), opts3, part, 2)
 				moved = append(moved, m...)
 			}
 			for i := range again {

@@ -70,7 +70,7 @@ func TestPrepareGroupReconciledBuckets(t *testing.T) {
 			opts.Trust = map[string]float64{"s0": 0.9, "s1": 0.3, "s2": 0.6, "s3": 0.6}
 			var sc fuseScratch
 			// Voted, and without a vote where one bucket allows it.
-			for _, free := range []bool{false, GroupedClaims([][]Claim{tc.claims}).TrustFree(opts)} {
+			for _, free := range []bool{false, GroupedClaims([][]Claim{tc.claims}, []int32{0, 1}).TrustFree(opts)} {
 				if got, want := p.result(tc.claims, opts, free, &sc), fuseGroup(tc.claims, opts); got != want {
 					t.Errorf("%s %s (free %v): fused %+v, the oracle %+v", tc.name, policy, free, got, want)
 				}
@@ -119,8 +119,8 @@ func TestTrustPreparedGroupsFuseConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				g.FuseInto(slab, nil, opts, 0, 2)
-				g.FuseInto(slab, nil, opts, 1, 2)
+				g.FuseInto(slab, nil, nil, opts, 0, 2)
+				g.FuseInto(slab, nil, nil, opts, 1, 2)
 			}()
 		}
 		wg.Wait()

@@ -141,7 +141,7 @@ func TestClaimGroupsFuseByOwnerMatchesPartition(t *testing.T) {
 				slab := make([]Result, g.Len())
 				var grouped, split [][]Result
 				for s := 0; s < k; s++ {
-					span, _ := g.FuseInto(slab, nil, opts, s, k)
+					span, _ := g.FuseInto(slab, nil, nil, opts, s, k)
 					grouped = append(grouped, span)
 					var part []Claim
 					for _, c := range claims {
@@ -246,7 +246,7 @@ func TestFuseIntoPartsTileTheSlab(t *testing.T) {
 				var tiled []Result
 				empty := 0
 				for s := 0; s < k; s++ {
-					got, _ := g.FuseInto(slab, nil, opts, s, k)
+					got, _ := g.FuseInto(slab, nil, nil, opts, s, k)
 					first := len(tiled)
 					if n := len(got); n != cap(got) {
 						t.Fatalf("%s part %d: len %d, cap %d", label, s, n, cap(got))
