@@ -176,10 +176,13 @@ type Wrangler struct {
 	// tasks, merging deterministically: the output is byte-identical at
 	// every shard count. 0 (the default) runs
 	// the same tail at one shard. Every reaction recomputes a partial
-	// tail: the reaction planner diffs the new union against the memoized
-	// previous one, re-plans incrementally (er.RePlan) and re-resolves
-	// only dirty shards, reusing every untouched shard's clusters by
-	// reference. Trust is re-estimated over all claims (keeping the
+	// tail: the reaction planner diffs the new union against the one the
+	// last completed tail installed, re-plans incrementally (er.RePlan)
+	// against its plan and re-resolves only dirty shards, reusing every
+	// untouched shard's clusters by reference. A tail that fails or is
+	// cancelled installs nothing, so the next reaction diffs against the
+	// same installed state and folds in what the lost one installed.
+	// Trust is re-estimated over all claims (keeping the
 	// prepared state of claim groups that held) and every fuse part fuses
 	// its entity range under it, re-voting only the contested groups of
 	// the entities whose claims held where trust cannot move the rest;
@@ -194,38 +197,17 @@ type Wrangler struct {
 	StreamingRefresh bool
 
 	states       map[string]*sourceState
-	resolver     *er.Resolver
-	union        *dataset.Table
-	unionSources []string            // per-row source id
-	unionKeys    []string            // per-row stable "source#idx" key, interned; rebuilt by buildUnion
-	unionIndex   map[string]int      // row key -> union row, cached beside unionKeys
-	unionIDs     []string            // the selected source ids the union was built from, sorted
-	unionStarts  []int               // per unionIDs entry: its first union row
+	tail         *tailState          // what the last completed tail installed; the next one builds beside it and diffs against it
 	fdDict       *quality.Dictionary // ids behind the FD profile; outlives unions so unchanged sources stay translated
-	split        replanSplit         // the last full tail's front half, by step
-	interner     *intern.Table       // run-lifetime interner behind unionKeys and entity ids
-	clusters     *er.Clustering
-	entityIDs    []string    // per union row: fused entity id; the wrangler's own, never shared
-	entities     entityIndex // the clustering read entity by entity
-	namesKept    int         // entities the last naming carried over (carryNames); 0 when it named all afresh
-	results      []fusion.Result
-	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it
-	freeFused    *fusion.ClaimGroups // groups, when the last merge fused results from them under trust-free options; else nil
-	handed       handOff             // what the last merge's fuse handed on, for publish
+	interner     *intern.Table       // run-lifetime interner behind union row keys and entity ids
 	pins         map[string]float64  // per source: a trust fusion pins over the feedback-derived one; only tests set it, to reach trust's edges
-	laidFrom     layout              // what groups was laid out from
-	wrangled     *dataset.Table
-	trust        map[string]float64
-	rowEntities  []string        // per wrangled-table row: its entity id, sorted; never written (writers build a fresh one), so publications alias it
-	lastPub      *publication    // what the last publish committed: the base the next one diffs against
-	memo         *tailMemo       // the last integrated tail, diffable; nil after a failed or restored-without-memo tail
-	dirtySources map[string]bool // sources installed since the memoized tail; persisted, gates the restore's memo rebuild
+	lastPub      *publication        // what the last publish committed: the base the next one diffs against
+	dirtySources map[string]bool     // sources installed since the installed tail's plan; persisted, gates the restore's plan rebuild
 	lastSeq      int
-	lastTrust    fusion.TrustStats // component shape of the last tail's trust estimation
-	log          *DurableLog       // durable sessions: every publication appends here
-	restore      *pendingRestore   // a restore whose working state resume has yet to rebuild
-	restoreErr   error             // that rebuild's failure, returned by every later reaction
-	met          *pipelineMetrics  // nil unless SetMetrics enabled telemetry
+	log          *DurableLog      // durable sessions: every publication appends here
+	restore      *pendingRestore  // a restore whose working state resume has yet to rebuild
+	restoreErr   error            // that rebuild's failure, returned by every later reaction
+	met          *pipelineMetrics // nil unless SetMetrics enabled telemetry
 	LastStats    RunStats
 }
 
@@ -248,7 +230,7 @@ func New(p sources.Provider, cfg Config, userCtx *wctx.UserContext, dataCtx *wct
 		Config:   cfg,
 		Serve:    NewVersionStore(serve.DefaultRetain),
 		states:   map[string]*sourceState{},
-		trust:    map[string]float64{},
+		tail:     &tailState{trust: map[string]float64{}},
 		interner: intern.New(),
 	}
 }
@@ -285,7 +267,6 @@ func (w *Wrangler) run(ctx context.Context, prevs map[string]*sourceState) (*dat
 		prevs = w.states
 	}
 	w.LastStats = RunStats{}
-	w.lastTrust = fusion.TrustStats{} // an empty tail reports no components
 	srcs := w.Provider.List()
 	outcomes := make([]*sourceOutcome, len(srcs))
 	g := engine.NewGraph()
@@ -313,27 +294,24 @@ func (w *Wrangler) run(ctx context.Context, prevs map[string]*sourceState) (*dat
 	}, deps...); err != nil {
 		return nil, err
 	}
-	// The tail records its memo at the merge, so the first reaction after
-	// the run is already a partial tail.
+	// The tail installs its state, plan included, at the merge, so the
+	// first reaction after the run is already a partial tail.
 	sr := &shardRun{}
 	if err := w.addIntegrationTasks(g, sr, "select"); err != nil {
 		return nil, err
 	}
 	w.instrumentGraph(g)
 	if err := g.Run(ctx, w.workers()); err != nil {
-		// The tail may have stopped between stages; the memoized state no
-		// longer describes one coherent integration.
-		w.memo = nil
 		return nil, err
 	}
 	w.LastStats.Stages = stageTimings(g.Timings())
-	w.split.record(w.LastStats.Stages)
+	sr.replan.record(w.LastStats.Stages)
 	sr.split.record(w.LastStats.Stages)
 	recordRestore(w.LastStats.Stages, restored)
 	w.LastStats.Duration = time.Since(start)
-	w.LastStats.TrustComponents = w.lastTrust.Components
-	w.publish(serve.OriginRun, ReactStats{})
-	return w.wrangled, nil
+	w.LastStats.TrustComponents = sr.trustStats.Components
+	w.publish(serve.OriginRun, ReactStats{}, sr.trustStats)
+	return w.tail.wrangled, nil
 }
 
 // stageTimings folds the engine's per-task wall clock into per-stage
@@ -559,12 +537,13 @@ func (w *Wrangler) installOutcome(o *sourceOutcome) error {
 		return o.err
 	}
 	w.states[o.id] = o.st
-	// The source's working data diverged from the last integrated tail
-	// (cleared when a full tail commits a fresh memo). The durable log
-	// persists the set: a restore may only rebuild the memo over a union
-	// no installed-but-never-integrated source has moved away from.
-	// Accumulating here — not per reaction — keeps it sound even when a
-	// reaction installs some sources and then aborts before its tail.
+	// The source's working data diverged from the installed tail state
+	// (cleared when a full tail installs a state with a plan). A fuse-only
+	// tail may only run over a union no installed-but-never-integrated
+	// source has moved away from, and the durable log persists the set
+	// for the same rule at restore. Accumulating here — not per reaction —
+	// keeps it sound even when a reaction installs some sources and then
+	// loses its tail.
 	if w.dirtySources == nil {
 		w.dirtySources = map[string]bool{}
 	}
@@ -720,9 +699,9 @@ func (s replanSplit) record(stages map[string]time.Duration) {
 // trustSplit is the wall clock of a tail's trust stage, by step: numbering
 // the clustering and naming its entities (zero on a fuse-only tail, which
 // keeps both), building and grouping the claims (zero when a fuse-only
-// tail took the memo's groups), then fusion's own split — adopting and
+// tail took the installed groups), then fusion's own split — adopting and
 // preparing groups, laying the fixpoint out (zero when a fuse-only tail
-// took the memo's layout), and iterating it.
+// took the installed layout), and iterating it.
 type trustSplit struct {
 	name, claims time.Duration
 	fusion.TrustSplit
@@ -741,12 +720,11 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 	stages["trust.fixpoint"] = s.Fixpoint
 }
 
-// buildUnion assembles the union table from the selected mapped tables,
-// repairs profiled FD violations, and prepares the resolver (including
-// Corleone-style refinement from pair feedback). It is the head of the
-// integration tail's plan stage and of a durable restore. empty reports
-// that there was nothing to integrate — the working data has already been
-// reset to an empty result.
+// assembleUnion builds t's union from the selected mapped tables, with its
+// per-row indexes: each row's source and stable row key, and each
+// source's first row. It returns the sources' FD cells and row
+// derivations, in union order, for repairUnion and prepareResolver. It is
+// the head of the integration tail's plan stage and of a durable restore.
 //
 // The union is copy-on-write: it holds the sources' mapped records by
 // reference, and FD repair replaces a record by a clone before the first
@@ -756,39 +734,21 @@ func (s trustSplit) record(stages map[string]time.Duration) {
 // with no memo needed to establish it. Every per-record derivation comes
 // from the source's generation (derive); what stays global here is integer
 // work: assembling the FD profile and interning new records' features.
-func (w *Wrangler) buildUnion() (empty bool, err error) {
-	cells, feats, empty, err := w.assembleUnion()
-	if empty || err != nil {
-		return empty, err
-	}
-	if err := w.repairUnion(cells); err != nil {
-		return false, err
-	}
-	w.prepareResolver(feats)
-	return false, nil
-}
-
-// assembleUnion is buildUnion up to FD repair: it assembles the union from
-// the selected sources and returns their FD cells and row derivations, in
-// union order, for repairUnion and prepareResolver.
-func (w *Wrangler) assembleUnion() (cells []*quality.Cells, feats []*er.Derived, empty bool, err error) {
-	start := time.Now()
-	w.split = replanSplit{}
-	w.unionSources = w.unionSources[:0]
-	w.unionKeys, w.unionIndex = nil, nil // derived from unionSources; rebuilt lazily
-	w.unionIDs = w.selectedIDs()
+func (w *Wrangler) assembleUnion(t *tailState) (cells []*quality.Cells, feats []*er.Derived, err error) {
+	t.unionIDs = w.selectedIDs()
 	rows := 0
-	for _, id := range w.unionIDs {
+	for _, id := range t.unionIDs {
 		rows += w.states[id].mapped.Len()
 	}
-	w.union = dataset.NewTableCap(w.Config.Target.Clone(), rows)
-	w.unionStarts = make([]int, len(w.unionIDs))
+	t.union = dataset.NewTableCap(w.Config.Target.Clone(), rows)
+	t.unionSources, t.unionKeys = make([]string, 0, rows), make([]string, 0, rows)
+	t.unionStarts = make([]int, len(t.unionIDs))
 	// A source restored from the log carries no derivations yet: derive
 	// them on the worker fan-out, as a live reaction does (computeSource).
 	// Each derive reads only its state's mapped table and writes only that
 	// state.
 	var underived []*sourceState
-	for _, id := range w.unionIDs {
+	for _, id := range t.unionIDs {
 		if st := w.states[id]; st.cells == nil {
 			underived = append(underived, st)
 		}
@@ -797,41 +757,30 @@ func (w *Wrangler) assembleUnion() (cells []*quality.Cells, feats []*er.Derived,
 		w.derive(underived[i])
 		return nil
 	}); err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	cells = make([]*quality.Cells, len(w.unionIDs))
-	feats = make([]*er.Derived, len(w.unionIDs))
-	for k, id := range w.unionIDs {
+	cells = make([]*quality.Cells, len(t.unionIDs))
+	feats = make([]*er.Derived, len(t.unionIDs))
+	for k, id := range t.unionIDs {
 		st := w.states[id]
 		cells[k], feats[k] = st.cells, st.feats
-		w.unionStarts[k] = w.union.Len()
-		for _, r := range st.mapped.Rows() {
-			w.union.Append(r)
-			w.unionSources = append(w.unionSources, id)
+		t.unionStarts[k] = t.union.Len()
+		for i, r := range st.mapped.Rows() {
+			t.union.Append(r)
+			t.unionSources = append(t.unionSources, id)
+			// The stable feedback key of the row (rowKey's format), interned
+			// for the run's lifetime: the identifier shard routing hashes, so
+			// a component keeps its shard across reactions that only touch
+			// other sources.
+			t.unionKeys = append(t.unionKeys, w.interner.Key(id, i))
 		}
 	}
-	w.split.union = time.Since(start)
-	if w.union.Len() == 0 {
-		// Everything derived from the previous union goes with it — a
-		// later fuse-only reaction must not find clusters, entity ids or
-		// trust describing rows that no longer exist.
-		w.wrangled = dataset.NewTable(w.Config.Target.Clone())
-		w.clusters = nil
-		w.entityIDs = nil
-		w.entities = entityIndex{}
-		w.trust = map[string]float64{}
-		w.results = nil
-		w.groups, w.freeFused, w.handed = nil, nil, handOff{}
-		w.rowEntities = nil
-		w.memo = nil // nothing integrated: nothing for the next tail to diff against
-		return nil, nil, true, nil
-	}
-	return cells, feats, false, nil
+	return cells, feats, nil
 }
 
 // repairUnion repairs the assembled union's FD violations, from the
 // sources' FD cells.
-func (w *Wrangler) repairUnion(cells []*quality.Cells) error {
+func (w *Wrangler) repairUnion(t *tailState, cells []*quality.Cells) error {
 	// Profile the integrated data for near-exact functional dependencies
 	// (e.g. sku -> brand) and repair their violations — typos introduced
 	// by individual sources are outvoted by their own key group before
@@ -839,54 +788,42 @@ func (w *Wrangler) repairUnion(cells []*quality.Cells) error {
 	// FD repair is the one stage that can rewrite a row whose source did
 	// not change; it does so on a clone, so such a row shows up downstream
 	// as a new record.
-	start := time.Now()
 	if w.fdDict == nil {
 		w.fdDict = quality.NewDictionary(len(w.Config.Target))
 	}
-	if _, _, _, err := quality.RepairProfile(w.union, w.fdDict.Profile(cells...), 0.9); err != nil {
+	if _, _, _, err := quality.RepairProfile(t.union, w.fdDict.Profile(cells...), 0.9); err != nil {
 		return fmt.Errorf("core: profile repair: %w", err)
 	}
-	w.split.fdRepair = time.Since(start)
 	return nil
 }
 
-// prepareResolver is the rest of buildUnion: the new resolver takes over
-// its predecessor's registries and is seeded with the sources' derivations
+// prepareResolver prepares t's resolver over t's repaired union: it takes
+// over prev's registries and is seeded with the sources' derivations
 // (feats), so preparing re-derives only the records FD repair cloned and
-// interns only records it has not seen.
-func (w *Wrangler) prepareResolver(feats []*er.Derived) {
-	start := time.Now()
-	prev := w.resolver
-	w.resolver = w.newResolver()
-	w.resolver.Carry(prev)
-	w.resolver.Seed(feats...)
-	w.applyPairFeedback()
-	w.resolver.Prepare(w.union)
-	w.split.prepare = time.Since(start)
+// interns only records it has not seen. Decided pair labels (labels)
+// refine it Corleone-style before it prepares.
+func (w *Wrangler) prepareResolver(t *tailState, prev *er.Resolver, feats []*er.Derived, labels []labeledPair) {
+	t.resolver = w.newResolver()
+	t.resolver.Carry(prev)
+	t.resolver.Seed(feats...)
+	if len(labels) >= 4 {
+		training := make([]er.LabeledPair, len(labels))
+		for k, l := range labels {
+			training[k] = l.LabeledPair
+		}
+		t.resolver.Learn(t.union, training)
+	}
+	t.resolver.Prepare(t.union)
 }
 
-// applyPairFeedback feeds accumulated duplicate labels into the resolver
-// (Corleone-style refinement) before clustering.
-func (w *Wrangler) applyPairFeedback() {
-	labels := w.labeledPairs()
-	if len(labels) < 4 {
-		return
-	}
-	training := make([]er.LabeledPair, len(labels))
-	for k, l := range labels {
-		training[k] = l.LabeledPair
-	}
-	w.resolver.Learn(w.union, training)
-}
-
-// pairConstraints turns confident pair feedback into hard clustering
+// pairConstraints turns confident pair labels into hard clustering
 // constraints: must-links for duplicate labels, cannot-links for
 // not-duplicate labels. Only high-confidence labels qualify — an expert
 // annotation (weight 1) or a high-agreement crowd majority (|net score|
 // >= 0.75); weak majorities stay training signal only, since feedback
 // "may be unreliable" (§4.2).
-func (w *Wrangler) pairConstraints() (must, cannot []er.Pair) {
-	for _, l := range w.labeledPairs() {
+func pairConstraints(labels []labeledPair) (must, cannot []er.Pair) {
+	for _, l := range labels {
 		switch {
 		case l.score >= 0.75:
 			must = append(must, l.Pair)
@@ -904,17 +841,23 @@ type labeledPair struct {
 	score float64
 }
 
-// labeledPairs resolves every decided pair label against the current
-// union, in pair-key order, parsing each key once. Labels naming a row
-// the union does not hold, or one row twice, are skipped. The order is
-// what makes the resolver's Learn, which sums features in label order,
+// labeledPairs resolves every decided pair label against t's union, in
+// pair-key order, parsing each key once; a tail resolves them once, for
+// the resolver's refinement and its constraints alike. Labels naming a
+// row the union does not hold, or one row twice, are skipped. The order
+// is what makes the resolver's Learn, which sums features in label order,
 // adopt the same weight bits on every run.
-func (w *Wrangler) labeledPairs() []labeledPair {
+func (w *Wrangler) labeledPairs(t *tailState) []labeledPair {
 	verdicts := w.Feedback.PairLabels()
 	if len(verdicts) == 0 {
 		return nil
 	}
-	rowByKey := w.rowKeyIndex()
+	// "sourceID#rowIdxInSource" → union row: the stable row addressing
+	// feedback uses, the one key format shard routing uses too.
+	rowByKey := make(map[string]int, len(t.unionKeys))
+	for i, k := range t.unionKeys {
+		rowByKey[k] = i
+	}
 	var out []labeledPair
 	for _, v := range verdicts {
 		a, b, ok := strings.Cut(v.Key, "|")
@@ -932,30 +875,14 @@ func (w *Wrangler) labeledPairs() []labeledPair {
 	return out
 }
 
-// rowKeyIndex maps "sourceID#rowIdxInSource" to union row index; this is
-// the stable row addressing feedback uses. Derived from rowKeys
-// (shard.go) so the one key format serves feedback addressing and shard
-// routing alike, and cached beside them: a tail consults it for pair
-// feedback and again for pair constraints. Read-only.
-func (w *Wrangler) rowKeyIndex() map[string]int {
-	keys := w.rowKeys()
-	if w.unionIndex == nil || len(w.unionIndex) != len(keys) {
-		w.unionIndex = make(map[string]int, len(keys))
-		for i, k := range keys {
-			w.unionIndex[k] = i
-		}
-	}
-	return w.unionIndex
-}
-
 // RowKey returns the feedback addressing key for union row i.
 func (w *Wrangler) RowKey(i int) string {
 	w.resume()
-	return w.rowKeys()[i]
+	return w.tail.unionKeys[i]
 }
 
-// claimGroups lays the union's claims out in fusion's group order, entity
-// by entity off the clustering: for each entity, each claimed attribute in
+// claimGroups lays t's claims out in fusion's group order, entity by
+// entity off the clustering: for each entity, each claimed attribute in
 // name order, one claim per entity row in row order. That is exactly how
 // fusion.GroupClaims would group the union's claims in row order, with no
 // key per claim and no sort over them. Every entity claims every
@@ -964,18 +891,18 @@ func (w *Wrangler) RowKey(i int) string {
 // AsOf and is not itself claimed.
 //
 // An entity that kept its id, and whose rows are, row for row, Same
-// records from the same sources as the rows the last layout grouped under
-// that id (keptEntities), claims what it claimed then: it takes that
-// layout's groups as they are, and the trust stage adopts their prepared
-// state without comparing a claim. Only the other entities' claims are
-// built, out of one slab. It returns the groups, what they were laid out
-// from, and per entity the entity of the last layout whose groups it took
+// records from the same sources as the rows prev grouped under that id
+// (keptEntities), claims what it claimed then: it takes prev's groups as
+// they are, and the trust stage adopts their prepared state without
+// comparing a claim. Only the other entities' claims are built, out of
+// one slab. It returns the groups, how many claims the slabs they may
+// point into hold, and per entity the entity of prev whose groups it took
 // whole, or -1. same is keptEntities'.
-func (w *Wrangler) claimGroups(same []int32) (*fusion.ClaimGroups, layout, []int) {
-	schema, tc, cols := w.claimedColumns()
-	kept := w.keptEntities(schema, cols, same)
+func (w *Wrangler) claimGroups(t, prev *tailState, same []int32) (*fusion.ClaimGroups, int, []int) {
+	schema, tc, cols := w.claimedColumns(t.union)
+	kept := keptEntities(t, prev, schema, cols, same)
 	fresh := 0
-	for e, rows := range w.entities.rows {
+	for e, rows := range t.entities.rows {
 		if kept[e] < 0 {
 			fresh += len(rows)
 		}
@@ -985,32 +912,32 @@ func (w *Wrangler) claimGroups(same []int32) (*fusion.ClaimGroups, layout, []int
 	// afresh and they can go, so memory stays within a constant factor of
 	// the live claims; the trust stage then adopts prepared state by
 	// comparing claims.
-	slabs := w.laidFrom.slabs + fresh*len(cols)
-	if slabs > 2*w.union.Len()*len(cols) {
+	slabs := prev.slabs + fresh*len(cols)
+	if slabs > 2*t.union.Len()*len(cols) {
 		for e := range kept {
 			kept[e] = -1
 		}
-		fresh, slabs = w.union.Len(), w.union.Len()*len(cols)
+		fresh, slabs = t.union.Len(), t.union.Len()*len(cols)
 	}
 	// One slab for the fresh entities' claims: every row claims every column.
 	slab := make([]fusion.Claim, fresh*len(cols))
-	groups := make([][]fusion.Claim, 0, len(w.entities.ids)*len(cols))
-	starts := make([]int32, len(w.entities.ids)+1)
+	groups := make([][]fusion.Claim, 0, len(t.entities.ids)*len(cols))
+	starts := make([]int32, len(t.entities.ids)+1)
 	k := 0
-	for e, rows := range w.entities.rows {
+	for e, rows := range t.entities.rows {
 		starts[e] = int32(len(groups))
 		if pe := kept[e]; pe >= 0 {
 			for c := range cols {
-				groups = append(groups, w.groups.Group(pe*len(cols)+c))
+				groups = append(groups, prev.groups.Group(pe*len(cols)+c))
 			}
 			continue
 		}
 		for _, ci := range cols {
 			start := k
 			for _, r := range rows {
-				row := w.union.Row(r)
+				row := t.union.Row(r)
 				c := &slab[k]
-				c.Entity, c.Attribute, c.Value, c.SourceID = w.entities.ids[e], schema[ci].Name, row[ci], w.unionSources[r]
+				c.Entity, c.Attribute, c.Value, c.SourceID = t.entities.ids[e], schema[ci].Name, row[ci], t.unionSources[r]
 				if tc >= 0 && row[tc].Kind() == dataset.KindTime {
 					c.AsOf = row[tc].TimeVal()
 				}
@@ -1019,14 +946,14 @@ func (w *Wrangler) claimGroups(same []int32) (*fusion.ClaimGroups, layout, []int
 			groups = append(groups, slab[start:k:k])
 		}
 	}
-	starts[len(w.entities.ids)] = int32(len(groups))
-	return fusion.GroupedClaims(groups, starts), layout{w.union, w.entities, slabs}, kept
+	starts[len(t.entities.ids)] = int32(len(groups))
+	return fusion.GroupedClaims(groups, starts), slabs, kept
 }
 
-// claimedColumns returns the union's schema, its freshness column (-1
-// when there is none) and the columns every row claims, in name order.
-func (w *Wrangler) claimedColumns() (schema dataset.Schema, tc int, cols []int) {
-	schema, tc = w.union.Schema(), -1
+// claimedColumns returns a union's schema, its freshness column (-1 when
+// there is none) and the columns every row claims, in name order.
+func (w *Wrangler) claimedColumns(union *dataset.Table) (schema dataset.Schema, tc int, cols []int) {
+	schema, tc = union.Schema(), -1
 	if w.Config.TimeColumn != "" {
 		tc = schema.Index(w.Config.TimeColumn)
 	}
@@ -1039,50 +966,50 @@ func (w *Wrangler) claimedColumns() (schema dataset.Schema, tc int, cols []int) 
 	return schema, tc, cols
 }
 
-// keptEntities maps each entity to its index in the layout w.groups was
-// built from (w.laidFrom) when its claims are that layout's: the same id,
+// keptEntities maps each entity of t to its index among prev's entities
+// when its claims are the ones prev's groups hold for it: the same id,
 // and row for row a Same record from the same source. Every other entry
-// is -1, as is every entry when there is no such layout or it claimed
-// other attributes.
+// is -1, as is every entry when prev holds no groups or claimed other
+// attributes.
 //
-// same, when not nil, maps each union row to the row of the layout's
+// same, when not nil, maps each row of t's union to the row of prev's
 // union that holds the very same record — a row of a source this
 // reaction did not rebuild, which FD repair cloned in neither union — or
-// -1 (unionDelta). A row it maps onto its entity's row in the layout needs
-// no look at either record; only the others are compared by value.
-func (w *Wrangler) keptEntities(schema dataset.Schema, cols []int, same []int32) []int {
-	kept := make([]int, len(w.entities.ids))
+// -1 (unionDelta). A row it maps onto its entity's row in prev needs no
+// look at either record; only the others are compared by value.
+func keptEntities(t, prev *tailState, schema dataset.Schema, cols []int, same []int32) []int {
+	kept := make([]int, len(t.entities.ids))
 	for e := range kept {
 		kept[e] = -1
 	}
-	prev, from := w.groups, w.laidFrom
-	if prev == nil || from.union == nil || prev.Len() != len(from.entities.ids)*len(cols) || prev.Len() == 0 {
+	groups, from := prev.groups, prev.entities
+	if groups == nil || groups.Len() != len(from.ids)*len(cols) || groups.Len() == 0 {
 		return kept
 	}
 	for c, ci := range cols {
-		if prev.Group(c)[0].Attribute != schema[ci].Name {
+		if groups.Group(c)[0].Attribute != schema[ci].Name {
 			return kept
 		}
 	}
 	pe := 0
-	for e, id := range w.entities.ids {
-		for pe < len(from.entities.ids) && from.entities.ids[pe] < id {
+	for e, id := range t.entities.ids {
+		for pe < len(from.ids) && from.ids[pe] < id {
 			pe++
 		}
-		if pe == len(from.entities.ids) {
+		if pe == len(from.ids) {
 			break
 		}
-		rows, prevRows := w.entities.rows[e], from.entities.rows[pe]
-		if from.entities.ids[pe] != id || len(rows) != len(prevRows) {
+		rows, prevRows := t.entities.rows[e], from.rows[pe]
+		if from.ids[pe] != id || len(rows) != len(prevRows) {
 			continue
 		}
-		claims := prev.Group(pe * len(cols))
+		claims := groups.Group(pe * len(cols))
 		held := true
 		for k, r := range rows {
 			if same != nil && int(same[r]) == prevRows[k] {
 				continue
 			}
-			if w.unionSources[r] != claims[k].SourceID || !sameRecord(w.union.Row(r), from.union.Row(prevRows[k])) {
+			if t.unionSources[r] != claims[k].SourceID || !sameRecord(t.union.Row(r), prev.union.Row(prevRows[k])) {
 				held = false
 				break
 			}
@@ -1155,17 +1082,8 @@ type entityIndex struct {
 	base []int32 // per entity: the length of its keyless name's base, -1 when a key names it
 }
 
-// layout is what a tail laid its claim groups out from: the union and its
-// entity index (claimGroups), and how many claims the slabs its groups
-// may point into hold.
-type layout struct {
-	union    *dataset.Table
-	entities entityIndex
-	slabs    int
-}
-
-// nameEntities assigns every union row its entity id (w.entityIDs) and
-// reads the clustering entity by entity (w.entities). A cluster with key
+// nameEntities assigns every row of t's union its entity id (t.entityIDs)
+// and reads t's clustering entity by entity (t.entities). A cluster with key
 // values takes its most frequent one; clusters that land on one key are
 // one entity, whose rows are all their rows in row order. A keyless
 // cluster is named by content (keylessName), never by its cluster number,
@@ -1173,27 +1091,27 @@ type layout struct {
 // clusters it moved. Keyless names never merge — a name some key or an
 // earlier keyless cluster (in smallest-row order) already holds takes the
 // first free suffix "~2", "~3", …
-func (w *Wrangler) nameEntities() { w.nameClusters(false) }
+func (w *Wrangler) nameEntities(t *tailState) { w.nameClusters(t, false) }
 
 // nameClusters is nameEntities; legacy names keyless clusters
 // "entity-<cluster>" and lets those names merge like keys, as logs
 // written before content names did (see restoreWorkingState), and leaves
 // names the next tail cannot carry over.
-func (w *Wrangler) nameClusters(legacy bool) {
-	schema := w.union.Schema()
+func (w *Wrangler) nameClusters(t *tailState, legacy bool) {
+	schema := t.union.Schema()
 	kc := schema.Index(w.Config.KeyColumn)
-	byCluster := w.clusters.Clusters()
+	byCluster := t.clusters.Clusters()
 	clusterName := make([]string, len(byCluster))
 	stem := make([]int32, len(byCluster))
 	taken := make(map[string]bool, len(byCluster))
 	// One pass in row order finds each cluster's key value, when all its
 	// key values agree; only a cluster whose values disagree counts them.
 	first, keyed, mixed := make([]string, len(byCluster)), make([]bool, len(byCluster)), make([]bool, len(byCluster))
-	for row, cid := range w.clusters.Assign {
-		if kc < 0 || w.union.Row(row)[kc].IsNull() {
+	for row, cid := range t.clusters.Assign {
+		if kc < 0 || t.union.Row(row)[kc].IsNull() {
 			continue
 		}
-		if k := w.union.Row(row)[kc].String(); !keyed[cid] {
+		if k := t.union.Row(row)[kc].String(); !keyed[cid] {
 			first[cid], keyed[cid] = k, true
 		} else if k != first[cid] {
 			mixed[cid] = true
@@ -1203,7 +1121,7 @@ func (w *Wrangler) nameClusters(legacy bool) {
 	for cid, rows := range byCluster {
 		best := first[cid]
 		if mixed[cid] {
-			best, keys = w.clusterKey(rows, kc, keys)
+			best, keys = clusterKey(t, rows, kc, keys)
 		}
 		if best == "" && legacy {
 			best = fmt.Sprintf("entity-%04d", cid)
@@ -1214,11 +1132,11 @@ func (w *Wrangler) nameClusters(legacy bool) {
 		}
 	}
 	nc, sc := schema.Index(w.Config.NameColumn), schema.Index(w.Config.SecondaryColumn)
-	for row, cid := range w.clusters.Assign {
+	for row, cid := range t.clusters.Assign {
 		if clusterName[cid] != "" || byCluster[cid][0] != row {
 			continue // keyed, or not the keyless cluster's smallest row
 		}
-		base := w.keylessName(row, nc, sc)
+		base := keylessName(t, row, nc, sc)
 		name := base
 		for k := 2; taken[name]; k++ {
 			name = base + "~" + strconv.Itoa(k)
@@ -1226,13 +1144,13 @@ func (w *Wrangler) nameClusters(legacy bool) {
 		taken[name] = true
 		clusterName[cid], stem[cid] = w.intern(name), int32(len(base))
 	}
-	names := make([]string, w.union.Len())
+	names := make([]string, t.union.Len())
 	for cid, rows := range byCluster {
 		for _, row := range rows {
 			names[row] = clusterName[cid]
 		}
 	}
-	w.entityIDs = names
+	t.entityIDs = names
 
 	// Clusters sorted by id, so clusters sharing an id sit side by side.
 	order := make([]int, 0, len(byCluster))
@@ -1241,11 +1159,11 @@ func (w *Wrangler) nameClusters(legacy bool) {
 			order = append(order, cid)
 		}
 	}
-	w.entities, w.namesKept = indexClusters(order, clusterName, stem, byCluster), 0
+	t.entities, t.namesKept = indexClusters(order, clusterName, stem, byCluster), 0
 	if legacy {
-		w.entities.base = nil
+		t.entities.base = nil
 	}
-	w.retainNames()
+	w.retainNames(t.entities.ids)
 }
 
 // indexClusters reads clusters entity by entity: the clusters in order,
@@ -1268,17 +1186,17 @@ func indexClusters(order []int, name []string, stem []int32, rows [][]int) entit
 	return ix
 }
 
-// clusterKey returns the key value that names a cluster with these rows:
-// its most frequent non-null key value, the smallest of equally frequent
-// ones, "" for none. Only a cluster whose key values disagree counts them,
-// in keys, which it returns for reuse.
-func (w *Wrangler) clusterKey(rows []int, kc int, keys []string) (string, []string) {
+// clusterKey returns the key value that names a cluster of t with these
+// rows: its most frequent non-null key value, the smallest of equally
+// frequent ones, "" for none. Only a cluster whose key values disagree
+// counts them, in keys, which it returns for reuse.
+func clusterKey(t *tailState, rows []int, kc int, keys []string) (string, []string) {
 	if kc < 0 {
 		return "", keys
 	}
 	first, keyed, mixed := "", false, false
 	for _, row := range rows {
-		if v := w.union.Row(row)[kc]; !v.IsNull() {
+		if v := t.union.Row(row)[kc]; !v.IsNull() {
 			if k := v.String(); !keyed {
 				first, keyed = k, true
 			} else if k != first {
@@ -1291,7 +1209,7 @@ func (w *Wrangler) clusterKey(rows []int, kc int, keys []string) (string, []stri
 	}
 	keys = keys[:0]
 	for _, row := range rows {
-		if v := w.union.Row(row)[kc]; !v.IsNull() {
+		if v := t.union.Row(row)[kc]; !v.IsNull() {
 			keys = append(keys, v.String())
 		}
 	}
@@ -1309,9 +1227,9 @@ func (w *Wrangler) clusterKey(rows []int, kc int, keys []string) (string, []stri
 }
 
 // carryNames is nameEntities at the cost of what the reaction moved. A
-// cluster of the new clustering whose rows are, row for row, those of one
-// cluster of the last one (prev, the clustering w.entities names) — each
-// aligned with the last union's row of the same source and position, its
+// cluster of t's clustering whose rows are, row for row, those of one
+// cluster of last's — each aligned with last's union row of the same
+// source and position, its
 // name cells (key, name and secondary column) Same — has the inputs to
 // its name it had. An entity all of whose clusters are such clusters
 // keeps its id and rows without a look at its keys. Only the other,
@@ -1323,17 +1241,16 @@ func (w *Wrangler) clusterKey(rows []int, kc int, keys []string) (string, []stri
 // then moves with it. A keyless name's suffix depends on the names before
 // it in its chain (base, base~2, …), so a moved cluster whose key or
 // chain reaches a kept keyless name, or a dropped entity whose name lies
-// in a kept keyless name's chain, could shift it: then, and whenever the
-// last tail's names cannot be carried (a restore, legacy names, no
-// memo), it reports false having changed nothing, and the caller names
-// the clustering afresh.
-func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
-	prev, memo := w.entities, w.memo
-	if prev.base == nil || memo == nil || prevClusters == nil ||
-		len(w.entityIDs) != memo.union.Len() || len(prevClusters.Assign) != memo.union.Len() {
+// in a kept keyless name's chain, could shift it: then, and whenever
+// last's names cannot be carried (legacy names, nothing clustered), it
+// reports false having written nothing, and the caller names the
+// clustering afresh.
+func (w *Wrangler) carryNames(t, last *tailState) bool {
+	prev, prevClusters := last.entities, last.clusters
+	if prev.base == nil || prevClusters == nil {
 		return false
 	}
-	entOf := make([]int32, memo.union.Len()) // per last-union row: its entity
+	entOf := make([]int32, last.union.Len()) // per last-union row: its entity
 	for e, rows := range prev.rows {
 		for _, r := range rows {
 			entOf[r] = int32(e)
@@ -1343,10 +1260,10 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 	for _, pc := range prevClusters.Assign {
 		prevSize[pc]++
 	}
-	schema := w.union.Schema()
+	schema := t.union.Schema()
 	kc, nc, sc := schema.Index(w.Config.KeyColumn), schema.Index(w.Config.NameColumn), schema.Index(w.Config.SecondaryColumn)
-	old := w.alignUnion(memo)
-	old2new := make([]int32, memo.union.Len())
+	old := alignUnion(t, last)
+	old2new := make([]int32, last.union.Len())
 	for j := range old2new {
 		old2new[j] = -1
 	}
@@ -1354,13 +1271,13 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 		if j < 0 {
 			continue
 		}
-		if cur, was := w.union.Row(i), memo.union.Row(int(j)); &cur[0] == &was[0] || sameCells(cur, was, kc, nc, sc) {
+		if cur, was := t.union.Row(i), last.union.Row(int(j)); &cur[0] == &was[0] || sameCells(cur, was, kc, nc, sc) {
 			old2new[j] = int32(i)
 		}
 	}
 	// inside[cid] is pc+1 when every row of cluster cid is such a row of
 	// the last clustering's cluster pc, -1 when it is not.
-	assign, num := w.clusters.Assign, w.clusters.Num
+	assign, num := t.clusters.Assign, t.clusters.Num
 	inside, size, ent := make([]int32, num), make([]int32, num), make([]int32, num)
 	for row, cid := range assign {
 		size[cid]++
@@ -1416,7 +1333,7 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 	// whose key or chain reaches a kept keyless name, and a dropped name in
 	// a kept keyless name's chain, may shift the names of that chain. Each
 	// moves what it meets, and the moved clusters are named once more.
-	n := w.union.Len()
+	n := t.union.Len()
 	var (
 		slot  []int32 // per cluster: its moved number, -1 when kept
 		rows  [][]int
@@ -1457,7 +1374,7 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 		moved := false
 		for s, rs := range rows {
 			var best string
-			if best, keys = w.clusterKey(rs, kc, keys); best == "" {
+			if best, keys = clusterKey(t, rs, kc, keys); best == "" {
 				continue
 			}
 			if e, ok := keptAt(best); ok {
@@ -1477,7 +1394,7 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 			if moved || s < 0 || name[s] != "" || rows[s][0] != row {
 				continue
 			}
-			base := w.keylessName(row, nc, sc)
+			base := keylessName(t, row, nc, sc)
 			nm := base
 			for k := 2; ; k++ {
 				if e, ok := keptAt(nm); ok && prev.base[e] >= 0 {
@@ -1515,7 +1432,7 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 	moved := indexClusters(order, name, stem, rows)
 	// Kept rows keep their numbers unless the union shifted; then each kept
 	// entity's rows are carried to the new numbers, out of one slab.
-	shifted := n != memo.union.Len()
+	shifted := n != last.union.Len()
 	for j := 0; j < len(old2new) && !shifted; j++ {
 		shifted = old2new[j] >= 0 && int(old2new[j]) != j
 	}
@@ -1547,10 +1464,12 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 		ix.ids, ix.rows, ix.base = append(ix.ids, id), append(ix.rows, rs), append(ix.base, prev.base[e])
 	}
 	ix.ids, ix.rows, ix.base = append(ix.ids, moved.ids[m:]...), append(ix.rows, moved.rows[m:]...), append(ix.base, moved.base[m:]...)
-	// Row ids: unshifted, the last tail's hold for every kept row, and the
-	// wrangler's own slice takes the moved rows' in place.
-	names := w.entityIDs
-	if shifted {
+	// Row ids: unshifted, a copy of last's holds every kept row's, and
+	// takes the moved rows' in place.
+	var names []string
+	if !shifted {
+		names = slices.Clone(last.entityIDs)
+	} else {
 		names = make([]string, n)
 		for row, cid := range assign {
 			if slot[cid] < 0 {
@@ -1563,8 +1482,8 @@ func (w *Wrangler) carryNames(prevClusters *er.Clustering) bool {
 			names[row] = name[s]
 		}
 	}
-	w.entities, w.entityIDs, w.namesKept = ix, names, keptIDs
-	w.retainNames()
+	t.entities, t.entityIDs, t.namesKept = ix, names, keptIDs
+	w.retainNames(ix.ids)
 	return true
 }
 
@@ -1602,33 +1521,33 @@ func isDigits(s string) bool {
 	return s != "" && !strings.ContainsFunc(s, func(r rune) bool { return r < '0' || r > '9' })
 }
 
-// retainNames keeps the interner within twice the entity names in use:
-// once it holds more, it drops every name but those.
-func (w *Wrangler) retainNames() {
-	if w.interner == nil || w.interner.Len() <= 2*len(w.entities.ids) {
+// retainNames keeps the interner within twice the entity names in use,
+// ids: once it holds more, it drops every name but those.
+func (w *Wrangler) retainNames(ids []string) {
+	if w.interner == nil || w.interner.Len() <= 2*len(ids) {
 		return
 	}
 	w.interner.Sweep() // ends the round the names so far were marked in
-	for _, id := range w.entities.ids {
+	for _, id := range ids {
 		w.interner.Str(id)
 	}
 	w.interner.Sweep()
 }
 
-// keylessName is the base name of a keyless cluster whose smallest row is
-// row: that row's source and a digest of the fields blocking keys on (the
-// name and secondary columns, by Value.Key; -1 for a column the union
-// lacks). Both are content, so the name holds while the cluster's smallest
-// member does, whatever number the clustering gives it.
-func (w *Wrangler) keylessName(row, nc, sc int) string {
+// keylessName is the base name of a keyless cluster of t whose smallest
+// row is row: that row's source and a digest of the fields blocking keys
+// on (the name and secondary columns, by Value.Key; -1 for a column the
+// union lacks). Both are content, so the name holds while the cluster's
+// smallest member does, whatever number the clustering gives it.
+func keylessName(t *tailState, row, nc, sc int) string {
 	h := fnv.New32a()
 	for _, c := range []int{nc, sc} {
 		if c >= 0 {
-			h.Write([]byte(w.union.Row(row)[c].Key()))
+			h.Write([]byte(t.union.Row(row)[c].Key()))
 		}
 		h.Write([]byte{0})
 	}
-	return fmt.Sprintf("%s~%08x", w.unionSources[row], h.Sum32())
+	return fmt.Sprintf("%s~%08x", t.unionSources[row], h.Sum32())
 }
 
 // intern returns the canonical instance of an entity id. One instance per
@@ -1668,19 +1587,19 @@ func (w *Wrangler) mappingRefs(ids []string) []provenance.Ref {
 // Wrangled returns the current wrangled table (nil before Run).
 func (w *Wrangler) Wrangled() *dataset.Table {
 	w.resume()
-	return w.wrangled
+	return w.tail.wrangled
 }
 
 // Results returns the fused results (per entity and attribute).
 func (w *Wrangler) Results() []fusion.Result {
 	w.resume()
-	return w.results
+	return w.tail.results
 }
 
 // Trust returns the current per-source trust map.
 func (w *Wrangler) Trust() map[string]float64 {
 	w.resume()
-	return w.trust
+	return w.tail.trust
 }
 
 // SelectedSources returns the ids of sources used in the last integration.
@@ -1691,13 +1610,13 @@ func (w *Wrangler) SelectedSources() []string { return w.selectedIDs() }
 // nil before integration.
 func (w *Wrangler) Union() *dataset.Table {
 	w.resume()
-	return w.union
+	return w.tail.union
 }
 
 // UnionSourceOf returns the source id contributing union row i.
 func (w *Wrangler) UnionSourceOf(i int) string {
 	w.resume()
-	return w.unionSources[i]
+	return w.tail.unionSources[i]
 }
 
 // UnionRowInSource returns row i's index within its source's mapped table.
@@ -1705,27 +1624,28 @@ func (w *Wrangler) UnionSourceOf(i int) string {
 // unionIDs order), so that is i's offset from its source's first row.
 func (w *Wrangler) UnionRowInSource(i int) int {
 	w.resume()
-	k, _ := slices.BinarySearch(w.unionIDs, w.unionSources[i])
-	return i - w.unionStarts[k]
+	t := w.tail
+	k, _ := slices.BinarySearch(t.unionIDs, t.unionSources[i])
+	return i - t.unionStarts[k]
 }
 
 // Resolver returns the current entity-resolution rule (nil before
 // integration).
 func (w *Wrangler) Resolver() *er.Resolver {
 	w.resume()
-	return w.resolver
+	return w.tail.resolver
 }
 
 // Clusters returns the current entity clustering (nil before integration).
 func (w *Wrangler) Clusters() *er.Clustering {
 	w.resume()
-	return w.clusters
+	return w.tail.clusters
 }
 
 // EntityOf returns the fused entity id of union row i.
 func (w *Wrangler) EntityOf(i int) string {
 	w.resume()
-	return w.entityIDs[i]
+	return w.tail.entityIDs[i]
 }
 
 // ClaimSupporters returns the sources whose claims agree with the fused
@@ -1736,7 +1656,7 @@ func (w *Wrangler) EntityOf(i int) string {
 // binary search and answers as Supporters does.
 func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 	w.resume()
-	i, ok := slices.BinarySearchFunc(w.results, fusion.Result{Entity: entity, Attribute: attribute}, fusion.CompareResults)
+	i, ok := slices.BinarySearchFunc(w.tail.results, fusion.Result{Entity: entity, Attribute: attribute}, fusion.CompareResults)
 	if !ok {
 		return nil
 	}
@@ -1751,8 +1671,9 @@ func (w *Wrangler) ClaimSupporters(entity, attribute string) []string {
 // published reports: treat it as read-only.
 func (w *Wrangler) Supporters(i int) []string {
 	w.resume()
-	if w.groups == nil {
+	t := w.tail
+	if t.groups == nil {
 		return nil
 	}
-	return w.groups.Supporters(i, w.results[i].Value)
+	return t.groups.Supporters(i, t.results[i].Value)
 }

@@ -129,7 +129,7 @@ func TestUnionSharesUnrepairedRecords(t *testing.T) {
 			t.Fatalf("shards=%d: %d shared and %d repaired rows; the universe should have both", shards, same, cloned)
 		}
 		prev := w.Union()
-		prevSources := append([]string(nil), w.unionSources...)
+		prevSources := append([]string(nil), w.tail.unionSources...)
 		id := w.SelectedSources()[0]
 		w.EvolveWorld(0.1)
 		if _, err := w.RefreshSource(id); err != nil {
@@ -200,11 +200,11 @@ func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 		}
 		// Keyless names are content: churn retires some every so often.
 		// The interner holds at most twice the names in use.
-		for _, id := range w.entities.ids {
+		for _, id := range w.tail.entities.ids {
 			named[id] = true
 		}
-		if n := w.interner.Len(); n > 2*len(w.entities.ids) {
-			t.Fatalf("refresh %d: the interner holds %d names for %d entities", i, n, len(w.entities.ids))
+		if n := w.interner.Len(); n > 2*len(w.tail.entities.ids) {
+			t.Fatalf("refresh %d: the interner holds %d names for %d entities", i, n, len(w.tail.entities.ids))
 		} else if n < interned {
 			swept++
 		}
@@ -212,18 +212,18 @@ func TestDerivedStateBoundedUnderChurn(t *testing.T) {
 		// Claim groups handed on whole keep earlier slabs alive; those hold
 		// at most twice the claims in use (every row claims every column
 		// but the freshness one).
-		claims := w.union.Len() * (len(w.union.Schema()) - 1)
-		if w.laidFrom.slabs > 2*claims {
-			t.Fatalf("refresh %d: claim slabs hold %d claims for %d in use", i, w.laidFrom.slabs, claims)
-		} else if w.laidFrom.slabs < slabs {
+		claims := w.tail.union.Len() * (len(w.tail.union.Schema()) - 1)
+		if w.tail.slabs > 2*claims {
+			t.Fatalf("refresh %d: claim slabs hold %d claims for %d in use", i, w.tail.slabs, claims)
+		} else if w.tail.slabs < slabs {
 			relaid++
 		}
-		slabs = w.laidFrom.slabs
+		slabs = w.tail.slabs
 		// The trust layout, patched from the last one on most refreshes,
 		// lays out only live claims, and its source dictionary, which keeps
 		// the numbers of sources gone, holds at most twice the sources
 		// present.
-		if laid, numbers, present := w.groups.LayoutSize(); laid > claims || numbers > 2*present || present == 0 {
+		if laid, numbers, present := w.tail.groups.LayoutSize(); laid > claims || numbers > 2*present || present == 0 {
 			t.Fatalf("refresh %d: the trust layout holds %d claims for %d in use, %d source numbers for %d sources",
 				i, laid, claims, numbers, present)
 		}

@@ -49,10 +49,11 @@ import (
 //
 // Compaction is bounded by the serve store's retention window: once 2×retain
 // versions accumulate since the last checkpoint, the log is rewritten to
-// config + full feedback/provenance/source state + the retained version
-// records, with the chain back to the oldest one's full base (and its
-// pages, in an older log) + a checkpoint marker. Page and version records
-// go back verbatim: compaction encodes nothing the log already holds.
+// config + full feedback/provenance + every committed source state + the
+// retained version records, with the chain back to the oldest one's full
+// base (and its pages, in an older log) + a checkpoint marker. Page and
+// version records go back verbatim: compaction encodes nothing the log
+// already holds.
 //
 // Each record kind's payload layout is one code function over wal.Codec
 // (see "record layouts" below); TestParentWrittenLogs pins it against logs
@@ -504,7 +505,8 @@ func codeCheckpoint(c *wal.Codec, r *checkpointRecord) {
 // versionRecord gathers one published version for the log but for its
 // output: its store metadata, the Published payload, and the working tail
 // a restart needs to resume incrementally — clusters, feedback watermark,
-// dirty-source scope and whether a tail memo stood behind the version.
+// dirty-source scope and whether the installed state behind the version
+// has a plan (memoValid).
 func versionRecord(w *Wrangler, v *PublishedVersion) *loggedVersion {
 	pub := v.Data()
 	return &loggedVersion{
@@ -518,10 +520,10 @@ func versionRecord(w *Wrangler, v *PublishedVersion) *loggedVersion {
 		selected:  pub.Selected,
 		stats:     pub.Stats,
 		react:     pub.React,
-		clusters:  w.clusters,
+		clusters:  w.tail.clusters,
 		lastSeq:   w.lastSeq,
 		dirty:     slices.Sorted(maps.Keys(w.dirtySources)),
-		memoValid: w.memo != nil,
+		memoValid: w.tail.plan != nil,
 	}
 }
 
@@ -933,7 +935,7 @@ func (d *DurableLog) Close() error { return d.log.Close() }
 // newest retained version — its chain's bodies, and an older log's paged
 // base's pages — which becomes the store's latest. Every older retained
 // version enters the store unloaded and decodes on its first At or Watch
-// catch-up. The working data and the tail memo are rebuilt by resume
+// catch-up. The working data and its tail state are rebuilt by resume
 // (restoreWorkingState) when the first reaction or accessor needs them; a
 // rebuild that fails there fails that call and every later one, while the
 // restored versions keep serving.
@@ -1137,7 +1139,7 @@ type versionState struct {
 	entities []string
 	report   *report.Report
 	clusters *er.Clustering
-	inline   bool // an older log's inline version (mode 0): no tail memo stood behind it
+	inline   bool // an older log's inline version (mode 0): no plan stood behind it
 	results  func() []fusion.Result
 }
 
@@ -1619,21 +1621,22 @@ func foldEdits[T any](earlier, later []edit[T]) []edit[T] {
 	return append(out, earlier[i:]...)
 }
 
-// restoreWorkingState rebuilds the wrangler's in-memory tail from the
-// newest retained version and its output; resume runs it before the first
-// reaction or accessor that needs it, never at attach. The union and
-// resolver are recomputed deterministically from the restored states and
-// feedback (the same code path a live tail runs), the fused output is
-// adopted from the version's, and everything a live tail would leave warm
-// for the next reaction is rebuilt from them: the entity names, which it
-// carries over when they are content names; the claim groups of the
-// restored results, prepared and laid out, which it adopts from; and —
-// when the version committed a coherent tail memo — the memo's inputs, so
-// the first reaction after restart is a partial tail that prepares only
-// the groups it moved. The rebuild is a small task graph on the worker
-// fan-out: the sources' derivations; FD repair beside a resolver that
-// interns them; then two independent chains side by side, the resolver's
-// Prepare and the memo (rebuildMemo), and the names, claims and group
+// restoreWorkingState rebuilds the wrangler's tail state from the newest
+// retained version and its output, and installs it; resume runs it before
+// the first reaction or accessor that needs it, never at attach. A rebuild
+// that fails installs nothing. The union and resolver are recomputed
+// deterministically from the restored states and feedback (the same code
+// path a live tail runs), the fused output is adopted from the version's,
+// and everything a live tail would leave warm for the next reaction is
+// rebuilt from them: the entity names, which the next tail carries over
+// when they are content names; the claim groups of the restored results,
+// prepared and laid out, which it adopts from; and — when a plan stood
+// behind the version — the plan, so the first reaction after restart is a
+// partial tail that prepares only the groups it moved. The rebuild is a
+// small task graph on the worker fan-out: the sources' derivations; FD
+// repair beside a resolver that interns them; then two independent chains
+// side by side, which fill disjoint fields of the state: the resolver's
+// Prepare and the plan (restorePlan), and the names, claims and group
 // preparation (restoreGroups).
 func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) error {
 	if st.table != nil {
@@ -1641,11 +1644,11 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 		w.lastPub = &publication{seq: lv.seq, results: st.results(), entities: st.entities,
 			rows: st.table.Rows(), report: st.report, clusters: st.clusters}
 	}
-	cells, feats, empty, err := w.assembleUnion()
+	t := &tailState{trust: maps.Clone(lv.trust)}
+	cells, feats, err := w.assembleUnion(t)
 	if err != nil {
 		return err
 	}
-	w.trust = maps.Clone(lv.trust)
 	w.lastSeq = lv.lastSeq
 	if len(lv.dirty) > 0 {
 		w.dirtySources = map[string]bool{}
@@ -1653,63 +1656,60 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			w.dirtySources[id] = true
 		}
 	}
-	if empty {
+	if t.union.Len() == 0 {
+		t.wrangled = dataset.NewTable(w.Config.Target.Clone())
+		w.tail = t
 		return nil
 	}
-	w.clusters = st.clusters
+	t.clusters = st.clusters
 	if st.table == nil {
 		return fmt.Errorf("core: version %d has no output payload", lv.seq)
 	}
-	w.results = st.results()
-	w.rowEntities = st.entities
+	t.results = st.results()
+	t.rowEntities = st.entities
 	if st.inline {
-		w.wrangled = st.table.Clone()
+		t.wrangled = st.table.Clone()
 	} else {
-		if _, err := entityStarts(st.entities, w.results); err != nil {
+		if _, err := entityStarts(st.entities, t.results); err != nil {
 			return fmt.Errorf("core: version %d: %w", lv.seq, err)
 		}
 		// A fresh row slab: the next publication adopts records into it.
-		w.wrangled = dataset.NewTableCap(w.Config.Target.Clone(), st.table.Len())
+		t.wrangled = dataset.NewTableCap(w.Config.Target.Clone(), st.table.Len())
 		for _, r := range st.table.Rows() {
-			w.wrangled.Append(r)
+			t.wrangled.Append(r)
 		}
 	}
-	w.groups, w.freeFused = nil, nil
-	if w.clusters == nil || len(w.clusters.Assign) != w.union.Len() {
-		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, w.union.Len())
+	if t.clusters == nil || len(t.clusters.Assign) != t.union.Len() {
+		return fmt.Errorf("core: version %d clusters do not cover the restored union (%d rows)", lv.seq, t.union.Len())
 	}
-	for row, id := range w.clusters.Assign {
-		if id < 0 || id >= w.clusters.Num {
-			return fmt.Errorf("core: version %d assigns row %d to cluster %d outside [0,%d)", lv.seq, row, id, w.clusters.Num)
+	for row, id := range t.clusters.Assign {
+		if id < 0 || id >= t.clusters.Num {
+			return fmt.Errorf("core: version %d assigns row %d to cluster %d outside [0,%d)", lv.seq, row, id, t.clusters.Num)
 		}
 	}
 
-	// Rebuild the tail memo only when the persisted tail is coherent:
-	// the memo was valid at publish, a tail built the version (it is not
-	// an older log's inline one), no
-	// source state diverged from the memoized union afterwards
-	// (non-empty dirty means an aborted reaction installed sources between
-	// publishes — the rebuilt union would not be the memo's union), and no
-	// pair label arrived after the version's reaction consumed its
-	// feedback: rebuildMemo takes its constraints from every label in the
-	// store, so its plan would already hold the ones the next reaction is
-	// to apply, and that reaction would find nothing to re-resolve. A
-	// failed rebuild degrades to a full first tail, never an error: outputs
-	// stay byte-identical either way.
+	// Rebuild the plan only when the persisted tail is coherent: a plan
+	// stood behind the version, a tail built the version (it is not an
+	// older log's inline one), no source state diverged from the version's
+	// union afterwards (non-empty dirty means an aborted reaction installed
+	// sources between publishes — the rebuilt union would not be the
+	// plan's union), and no pair label arrived after the version's
+	// reaction consumed its feedback: restorePlan takes its constraints
+	// from every label in the store, so its plan would already hold the
+	// ones the next reaction is to apply, and that reaction would find
+	// nothing to re-resolve. Without a plan the first tail plans afresh,
+	// never an error: outputs stay byte-identical either way.
 	pendingPairs := slices.ContainsFunc(w.Feedback.Since(lv.lastSeq), func(it feedback.Item) bool {
 		return it.Kind == feedback.DuplicatePair || it.Kind == feedback.NotDuplicatePair
 	})
-	memo := lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs
+	plan := lv.memoValid && !st.inline && len(lv.dirty) == 0 && !pendingPairs
 
 	// FD repair replaces the rows it repairs by clones. Beside it, a
 	// resolver interns the sources' derivations over the rows as they were
 	// assembled, so the one prepareResolver makes next carries its
 	// registries and derives and interns only the rows FD repair cloned.
-	// The union's row keys, which both chains after it read and which
-	// intern through the interner the names also use, are built before
-	// those fork.
-	assembled := dataset.NewTableCap(w.union.Schema(), w.union.Len())
-	for _, r := range w.union.Rows() {
+	assembled := dataset.NewTableCap(t.union.Schema(), t.union.Len())
+	for _, r := range t.union.Rows() {
 		assembled.Append(r)
 	}
 	var seeded *er.Resolver
@@ -1720,49 +1720,52 @@ func (w *Wrangler) restoreWorkingState(lv *loggedVersion, st *versionState) erro
 			seeded.Prepare(assembled)
 			return nil
 		}
-		w.rowKeys()
-		return w.repairUnion(cells)
+		return w.repairUnion(t, cells)
 	}); err != nil {
 		return err
 	}
-	w.resolver = seeded
-	return engine.Map(context.Background(), w.workers(), 2, func(_ context.Context, i int) error {
+	if err := engine.Map(context.Background(), w.workers(), 2, func(_ context.Context, i int) error {
 		if i == 1 {
-			return w.restoreGroups(lv.seq, st.entities)
+			return w.restoreGroups(t, lv.seq, st.entities)
 		}
-		w.prepareResolver(feats)
-		if memo {
-			w.rebuildMemo()
+		labels := w.labeledPairs(t)
+		w.prepareResolver(t, seeded, feats, labels)
+		if plan {
+			t.plan = w.restorePlan(t, labels)
 		}
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
+	w.tail = t
+	return nil
 }
 
-// restoreGroups names the restored clustering, checks that the names are
+// restoreGroups names t's restored clustering, checks that the names are
 // the ones the version served (entities), and lays out and prepares the
 // claim groups the version's results were fused from. A log written before
 // keyless clusters were named by content served them as "entity-<cluster>";
 // those names stay until the next reaction renames every keyless entity
 // in its one delta, and are not carried over. Content names are, by the
 // next reaction's carryNames. The groups become the ones the next
-// estimation adopts from (w.groups). They are not w.freeFused: the
-// restored report's supporter lists are decoded, not the groups' own, so
-// a fuse-only first reaction fuses every group and its publication walks
-// the report, which re-links the lists. It writes nothing prepareResolver
-// or rebuildMemo reads, and reads nothing they write, so they run side by
-// side.
-func (w *Wrangler) restoreGroups(seq uint64, entities []string) error {
-	if w.nameEntities(); !slices.Equal(w.entities.ids, entities) {
-		if w.nameClusters(true); !slices.Equal(w.entities.ids, entities) {
+// estimation adopts from. Its results were not fused from them (free is
+// false): the restored report's supporter lists are decoded, not the
+// groups' own, so a fuse-only first reaction fuses every group and its
+// publication walks the report, which re-links the lists. It writes only
+// t's names and groups, and reads nothing prepareResolver or restorePlan
+// writes, so they run side by side.
+func (w *Wrangler) restoreGroups(t *tailState, seq uint64, entities []string) error {
+	if w.nameEntities(t); !slices.Equal(t.entities.ids, entities) {
+		if w.nameClusters(t, true); !slices.Equal(t.entities.ids, entities) {
 			return fmt.Errorf("core: version %d serves entities its clustering does not name", seq)
 		}
 	}
-	g, from, _ := w.claimGroups(nil)
-	if g.Len() != len(w.results) {
+	g, slabs, _ := w.claimGroups(t, &tailState{}, nil)
+	if g.Len() != len(t.results) {
 		return nil
 	}
 	g.Prepare(w.fusionOptions().Policy, w.workers())
-	w.groups, w.laidFrom = g, from
+	t.groups, t.slabs = g, slabs
 	return nil
 }
 
@@ -1785,39 +1788,38 @@ func entityStarts(entities []string, results []fusion.Result) ([]int, error) {
 	return append(starts, len(results)), nil
 }
 
-// rebuildMemo reconstructs the tail memo's inputs from the restored union
-// and clusters. The shard plan and the roots slab are deterministic
-// functions of what was restored: a row's representative is its
-// cluster's first row, read off the cluster ids restoreWorkingState
-// validated. The prepared claim groups are not persisted either;
-// restoreGroups rebuilds them beside this. What no restore rebuilds is
-// the pair scores the last tail cached: the first reaction scores its
-// dirty components' pairs afresh, to the same floats.
-func (w *Wrangler) rebuildMemo() {
-	must, cannot := w.pairConstraints()
-	rowKeys := w.rowKeys()
-	// No previous plan state: a fresh plan over the union buildUnion just
-	// prepared.
-	rp, err := w.resolver.RePlan(w.union, w.shards(), must, cannot, rowKeys, nil, nil)
+// restorePlan reconstructs the plan t's clustering was resolved under,
+// from the restored union and clusters. The shard plan and the roots slab
+// are deterministic functions of what was restored: a row's
+// representative is its cluster's first row, read off the cluster ids
+// restoreWorkingState validated. The prepared claim groups are not
+// persisted either; restoreGroups rebuilds them beside this. What no
+// restore rebuilds is the pair scores the last tail cached: the first
+// reaction scores its dirty components' pairs afresh, to the same floats.
+// It returns nil when the plan cannot be rebuilt.
+func (w *Wrangler) restorePlan(t *tailState, labels []labeledPair) *er.PlanState {
+	must, cannot := pairConstraints(labels)
+	// No previous plan state: a fresh plan over the union just prepared.
+	rp, err := t.resolver.RePlan(t.union, w.shards(), must, cannot, t.unionKeys, nil, nil)
 	if err != nil {
-		return
+		return nil
 	}
-	first := make([]int32, w.clusters.Num) // by cluster id: its first row, -1 until seen
+	first := make([]int32, t.clusters.Num) // by cluster id: its first row, -1 until seen
 	for i := range first {
 		first[i] = -1
 	}
-	roots := make([]int32, len(w.clusters.Assign))
-	for row, id := range w.clusters.Assign {
+	roots := make([]int32, len(t.clusters.Assign))
+	for row, id := range t.clusters.Assign {
 		if first[id] < 0 {
 			first[id] = int32(row)
 		}
 		roots[row] = first[id]
 	}
-	ps, err := er.BuildPlanState(w.resolver, rp.Plan, rowKeys, roots, must, cannot)
+	ps, err := er.BuildPlanState(t.resolver, rp.Plan, t.unionKeys, roots, must, cannot)
 	if err != nil {
-		return
+		return nil
 	}
-	w.memo = w.newTailMemo(ps)
+	return ps
 }
 
 // --- append ---------------------------------------------------------------
@@ -1929,10 +1931,15 @@ func (d *DurableLog) trim() {
 func presize(last int) int { return last + last/16 }
 
 // compact rewrites the log to its minimal coherent form — config, full
-// feedback and provenance, every current source state, the retained
+// feedback and provenance, every committed source state, the retained
 // versions with the chain back to the oldest one's full base, the pages
 // of an older log's paged versions among them, and a checkpoint marker —
-// then prunes the in-memory version list to what it wrote. Page and
+// then prunes the in-memory version list to what it wrote. A source is
+// written as the log last committed it (srcSig), with the selection and
+// utility it was logged under: a reaction that installed sources and then
+// lost its tail published nothing, and its states, which no logged
+// version was integrated from, stay out of the log until a publication
+// commits them. Page and
 // version records are written back as they were logged, the pages from
 // the replay's page index; only a replayed version whose body is still
 // undecoded decodes here, for its kind and page ids.
@@ -1962,8 +1969,11 @@ func (d *DurableLog) compact(w *Wrangler) error {
 	if prov := w.Prov.RecordsSince(0); len(prov) > 0 {
 		recs = append(recs, wal.Data{Kind: wal.KindProv, Payload: wal.Encode(&prov, codeProv)})
 	}
-	for _, id := range slices.Sorted(maps.Keys(w.states)) {
-		recs = append(recs, wal.Data{Kind: wal.KindSource, Payload: wal.Encode(&sourceRecord{id: id, st: w.states[id]}, codeSource)})
+	for _, id := range slices.Sorted(maps.Keys(d.srcSig)) {
+		sig := d.srcSig[id]
+		st := *sig.st
+		st.selected, st.utility = sig.selected, sig.utility
+		recs = append(recs, wal.Data{Kind: wal.KindSource, Payload: wal.Encode(&sourceRecord{id: id, st: &st}, codeSource)})
 	}
 	live := map[uint64]bool{}
 	for i := range kept {

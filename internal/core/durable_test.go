@@ -21,8 +21,8 @@ func TestVersionRecordSkipsFuseSignature(t *testing.T) {
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.memo == nil {
-		t.Fatal("a sharded run records a tail memo")
+	if w.tail.plan == nil {
+		t.Fatal("a sharded run installs a plan")
 	}
 	payload := wal.Encode(fullRecord(w, w.Serve.Latest(), w.lastPub, len(w.Config.Target)), codeVersion)
 	want := &loggedVersion{}

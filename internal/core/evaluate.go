@@ -46,7 +46,7 @@ func (w *Wrangler) world() *sources.World {
 func (w *Wrangler) EvaluateProducts() Evaluation {
 	w.resume()
 	var ev Evaluation
-	t := w.wrangled
+	t := w.tail.wrangled
 	world := w.world()
 	if t == nil || t.Len() == 0 || world == nil {
 		return ev
@@ -106,7 +106,7 @@ func (w *Wrangler) EvaluateProducts() Evaluation {
 func (w *Wrangler) EvaluateLocations() Evaluation {
 	w.resume()
 	var ev Evaluation
-	t := w.wrangled
+	t := w.tail.wrangled
 	world := w.world()
 	if t == nil || t.Len() == 0 || world == nil {
 		return ev

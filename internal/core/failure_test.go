@@ -124,7 +124,7 @@ func TestSelfConflictingPairFeedback(t *testing.T) {
 		t.Fatalf("contradictory feedback should be tolerated: %v", err)
 	}
 	// The tie is undecided; neither constraint should apply.
-	must, cannot := wr.pairConstraints()
+	must, cannot := wr.PairConstraints()
 	for _, p := range append(must, cannot...) {
 		if wr.RowKey(p.I) == wr.RowKey(0) && wr.RowKey(p.J) == wr.RowKey(1) {
 			t.Error("tied pair must not become a constraint")
@@ -153,7 +153,7 @@ func TestLabeledPairsInKeyOrder(t *testing.T) {
 		wr.Feedback.Add(feedback.Item{Kind: kind, PairKey: feedback.PairKey(wr.RowKey(a), wr.RowKey(b)), Weight: rng.Float64()})
 	}
 	wr.Feedback.Add(feedback.Item{Kind: feedback.DuplicatePair, PairKey: feedback.PairKey("ghost#0", wr.RowKey(0))})
-	labels := wr.labeledPairs()
+	labels := wr.labeledPairs(wr.tail)
 	if len(labels) < 20 {
 		t.Fatalf("only %d labels resolved", len(labels))
 	}

@@ -62,7 +62,7 @@ func TestFuseOnlyRevotesContestedGroups(t *testing.T) {
 				if policy == fusion.FreshnessWeighted {
 					want = claimed
 				}
-				groups := w.MemoGroups().Len()
+				groups := w.TailGroups().Len()
 				if stats.FuseRevoted != want || want == 0 || contested == groups {
 					t.Fatalf("revoted %d of %d groups (%d contested, %d with a claim), want %d",
 						stats.FuseRevoted, groups, contested, claimed, want)

@@ -33,15 +33,15 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		if got, _, _ := w.claimGroups(nil); !reflect.DeepEqual(got, fusion.GroupClaims(w.BuildClaims())) {
+		if got, _, _ := w.claimGroups(w.tail, &tailState{}, nil); !reflect.DeepEqual(got, fusion.GroupClaims(w.BuildClaims())) {
 			t.Fatalf("%s: the clustering's groups differ from GroupClaims over the row-order claims", label)
 		}
-		if !slices.IsSorted(w.entities.ids) || len(w.entities.ids) != len(slices.Compact(slices.Clone(w.entities.ids))) {
+		if !slices.IsSorted(w.tail.entities.ids) || len(w.tail.entities.ids) != len(slices.Compact(slices.Clone(w.tail.entities.ids))) {
 			t.Fatalf("%s: entity ids not strictly sorted", label)
 		}
-		for e, rows := range w.entities.rows {
+		for e, rows := range w.tail.entities.rows {
 			if !slices.IsSorted(rows) {
-				t.Fatalf("%s: entity %q rows %v not in row order", label, w.entities.ids[e], rows)
+				t.Fatalf("%s: entity %q rows %v not in row order", label, w.tail.entities.ids[e], rows)
 			}
 		}
 	}
@@ -49,7 +49,7 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 
 	// Split the largest cluster into two, alternating its rows: both halves
 	// keep the cluster's key values, so both take its name.
-	byCluster := w.clusters.Clusters()
+	byCluster := w.tail.clusters.Clusters()
 	big := 0
 	for cid, rows := range byCluster {
 		if len(rows) > len(byCluster[big]) {
@@ -59,15 +59,15 @@ func TestClaimGroupsFollowTheClustering(t *testing.T) {
 	if len(byCluster[big]) < 4 {
 		t.Fatalf("largest cluster has %d rows; want at least 4", len(byCluster[big]))
 	}
-	split := &er.Clustering{Assign: slices.Clone(w.clusters.Assign), Num: w.clusters.Num + 1}
+	split := &er.Clustering{Assign: slices.Clone(w.tail.clusters.Assign), Num: w.tail.clusters.Num + 1}
 	for k, row := range byCluster[big] {
 		if k%2 == 1 {
-			split.Assign[row] = w.clusters.Num
+			split.Assign[row] = w.tail.clusters.Num
 		}
 	}
-	w.clusters = split
-	w.nameEntities()
-	if n := len(w.entities.ids); n != split.Num-1 {
+	w.tail.clusters = split
+	w.nameEntities(w.tail)
+	if n := len(w.tail.entities.ids); n != split.Num-1 {
 		t.Fatalf("split clustering: %d entities, want %d (the halves share a name)", n, split.Num-1)
 	}
 	check("split")
@@ -90,7 +90,7 @@ func nameUnion(rows [][3]string, srcs []string, assign []int) *Wrangler {
 		union.Append(rec)
 	}
 	return &Wrangler{Config: Config{KeyColumn: "sku", NameColumn: "name", SecondaryColumn: "brand"},
-		union: union, unionSources: srcs, clusters: &er.Clustering{Assign: assign, Num: slices.Max(assign) + 1}}
+		tail: &tailState{union: union, unionSources: srcs, clusters: &er.Clustering{Assign: assign, Num: slices.Max(assign) + 1}}}
 }
 
 // digestName is the keyless name recipe written out: the source, then
@@ -120,22 +120,22 @@ func TestNameEntities(t *testing.T) {
 		{"a", "x", "y"}, {"c", "x", "y"}, {"", "kettle", ""}, {"a", "x", "y"}, {"", "lamp", "umbra"}}
 	srcs := []string{"s1", "s1", "s1", "s2", "s2", "s2", "s3", "s3", "s3"}
 	w := nameUnion(rows, srcs, []int{0, 3, 1, 0, 0, 0, 2, 0, 1})
-	w.nameEntities()
+	w.nameEntities(w.tail)
 	lamp, kettle := digestName("s1", "lamp", "acme"), digestName("s3", "kettle", "")
-	if want := []string{"a", "a", lamp, "a", "a", "a", kettle, "a", lamp}; !slices.Equal(w.entityIDs, want) {
-		t.Fatalf("entity ids %q, want %q", w.entityIDs, want)
+	if want := []string{"a", "a", lamp, "a", "a", "a", kettle, "a", lamp}; !slices.Equal(w.tail.entityIDs, want) {
+		t.Fatalf("entity ids %q, want %q", w.tail.entityIDs, want)
 	}
 	wantIDs, wantRows := []string{"a", lamp, kettle}, [][]int{{0, 1, 3, 4, 5, 7}, {2, 8}, {6}} // s1 sorts before s3
-	if !slices.Equal(w.entities.ids, wantIDs) || !reflect.DeepEqual(w.entities.rows, wantRows) {
-		t.Fatalf("entities %q rows %v, want %q rows %v", w.entities.ids, w.entities.rows, wantIDs, wantRows)
+	if !slices.Equal(w.tail.entities.ids, wantIDs) || !reflect.DeepEqual(w.tail.entities.rows, wantRows) {
+		t.Fatalf("entities %q rows %v, want %q rows %v", w.tail.entities.ids, w.tail.entities.rows, wantIDs, wantRows)
 	}
 
 	// The same union clustered under other numbers names the same
 	// entities.
 	renumbered := nameUnion(rows, srcs, []int{2, 1, 3, 2, 2, 2, 0, 2, 3})
-	renumbered.nameEntities()
-	if !slices.Equal(renumbered.entityIDs, w.entityIDs) {
-		t.Fatalf("renumbered clusters are named %q, want %q", renumbered.entityIDs, w.entityIDs)
+	renumbered.nameEntities(renumbered.tail)
+	if !slices.Equal(renumbered.tail.entityIDs, w.tail.entityIDs) {
+		t.Fatalf("renumbered clusters are named %q, want %q", renumbered.tail.entityIDs, w.tail.entityIDs)
 	}
 }
 
@@ -149,17 +149,17 @@ func TestKeylessNamesNeverMerge(t *testing.T) {
 	w := nameUnion([][3]string{{"", "lamp", "acme"}, {"", "kettle", "acme"}, {"", "lamp", "acme"}, {base, "x", "y"},
 		{base + "~2", "x", "y"}, {"", "lamp", "acme"}},
 		[]string{"s1", "s1", "s1", "s2", "s2", "s1"}, []int{0, 1, 2, 3, 4, 5})
-	w.nameEntities()
-	if want := []string{base + "~3", digestName("s1", "kettle", "acme"), base + "~4", base, base + "~2", base + "~5"}; !slices.Equal(w.entityIDs, want) {
-		t.Fatalf("entity ids %q, want %q", w.entityIDs, want)
+	w.nameEntities(w.tail)
+	if want := []string{base + "~3", digestName("s1", "kettle", "acme"), base + "~4", base, base + "~2", base + "~5"}; !slices.Equal(w.tail.entityIDs, want) {
+		t.Fatalf("entity ids %q, want %q", w.tail.entityIDs, want)
 	}
-	if len(w.entities.ids) != 6 {
-		t.Fatalf("%d entities %q, want 6: a keyless cluster merged", len(w.entities.ids), w.entities.ids)
+	if len(w.tail.entities.ids) != 6 {
+		t.Fatalf("%d entities %q, want 6: a keyless cluster merged", len(w.tail.entities.ids), w.tail.entities.ids)
 	}
 	// Clusters with a key still merge on it.
-	w.union.Row(4)[0] = dataset.String(base)
-	w.nameEntities()
-	if got := w.entities.rows[slices.Index(w.entities.ids, base)]; !slices.Equal(got, []int{3, 4}) {
+	w.tail.union.Row(4)[0] = dataset.String(base)
+	w.nameEntities(w.tail)
+	if got := w.tail.entities.rows[slices.Index(w.tail.entities.ids, base)]; !slices.Equal(got, []int{3, 4}) {
 		t.Fatalf("key %q holds rows %v, want [3 4]", base, got)
 	}
 }
@@ -182,17 +182,17 @@ func TestKeylessNamesSurviveRenumbering(t *testing.T) {
 		}
 		keyless := func() map[string]cluster { // by the cluster's row keys
 			out := map[string]cluster{}
-			kc := w.union.Schema().Index(w.Config.KeyColumn)
-			for cid, rows := range w.clusters.Clusters() {
-				if len(rows) == 0 || slices.ContainsFunc(rows, func(r int) bool { return !w.union.Row(r)[kc].IsNull() }) {
+			kc := w.tail.union.Schema().Index(w.Config.KeyColumn)
+			for cid, rows := range w.tail.clusters.Clusters() {
+				if len(rows) == 0 || slices.ContainsFunc(rows, func(r int) bool { return !w.tail.union.Row(r)[kc].IsNull() }) {
 					continue
 				}
 				var keys, content []string
 				for _, r := range rows {
 					keys = append(keys, w.RowKey(r))
-					content = append(content, fmt.Sprint(w.union.Row(r)))
+					content = append(content, fmt.Sprint(w.tail.union.Row(r)))
 				}
-				out[strings.Join(keys, " ")] = cluster{id: w.entityIDs[rows[0]], content: strings.Join(content, "\n"), number: cid}
+				out[strings.Join(keys, " ")] = cluster{id: w.tail.entityIDs[rows[0]], content: strings.Join(content, "\n"), number: cid}
 			}
 			return out
 		}
@@ -251,9 +251,9 @@ func TestSupportersMatchUnionScan(t *testing.T) {
 		}
 	}
 	check("run")
-	w.groups, w.laidFrom = nil, layout{}
-	if err := w.restoreGroups(0, w.rowEntities); err != nil || w.groups == nil {
-		t.Fatalf("regrouping: groups %v, err %v", w.groups, err)
+	w.tail.groups, w.tail.slabs = nil, 0
+	if err := w.restoreGroups(w.tail, 0, w.tail.rowEntities); err != nil || w.tail.groups == nil {
+		t.Fatalf("regrouping: groups %v, err %v", w.tail.groups, err)
 	}
 	check("regrouped")
 }
@@ -262,9 +262,9 @@ func TestSupportersMatchUnionScan(t *testing.T) {
 // entity's rows whose value in the result's column is within 1 % of the
 // fused value (equal, for non-numbers), sorted and without repeats.
 func scanSupporters(w *Wrangler) [][]string {
-	out := make([][]string, len(w.results))
-	for i, r := range w.results {
-		c := w.union.Schema().Index(r.Attribute)
+	out := make([][]string, len(w.tail.results))
+	for i, r := range w.tail.results {
+		c := w.tail.union.Schema().Index(r.Attribute)
 		if r.Value.IsNull() || c < 0 {
 			continue
 		}
@@ -276,13 +276,13 @@ func scanSupporters(w *Wrangler) [][]string {
 			}
 		}
 		seen := map[string]bool{}
-		for row, e := range w.entityIDs {
-			v := w.union.Row(row)[c]
-			if e != r.Entity || v.IsNull() || !v.ApproxEqual(r.Value, eps) || seen[w.unionSources[row]] {
+		for row, e := range w.tail.entityIDs {
+			v := w.tail.union.Row(row)[c]
+			if e != r.Entity || v.IsNull() || !v.ApproxEqual(r.Value, eps) || seen[w.tail.unionSources[row]] {
 				continue
 			}
-			seen[w.unionSources[row]] = true
-			out[i] = append(out[i], w.unionSources[row])
+			seen[w.tail.unionSources[row]] = true
+			out[i] = append(out[i], w.tail.unionSources[row])
 		}
 		sort.Strings(out[i])
 	}
@@ -361,7 +361,7 @@ func TestValueFeedbackKeepsItsKeylessTarget(t *testing.T) {
 // over a random refresh script at shards 0, 1 and 4: refreshes of one to
 // three sources under world churn, some of which drop a source's first
 // records or list them again. Each reaction's kept map is recomputed after
-// it, both ways, from the layout, groups and memo it started from.
+// it, both ways, from the tail state it started from.
 func TestKeptEntitiesSkipsSharedRows(t *testing.T) {
 	ctx := context.Background()
 	for _, shards := range []int{0, 1, 4} {
@@ -388,22 +388,14 @@ func TestKeptEntitiesSkipsSharedRows(t *testing.T) {
 					}
 				}
 				u.World.Evolve(0.3 * rng.Float64())
-				groups, from, memo := w.groups, w.laidFrom, w.memo
+				prev := w.tail
 				if _, err := w.RefreshSourcesContext(ctx, ids); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				curGroups, curFrom := w.groups, w.laidFrom
-				w.groups, w.laidFrom = groups, from
-				var same []int32
-				if memo != nil && memo.union == from.union {
-					_, same = w.unionDelta(memo)
-				}
-				if same == nil {
-					t.Fatalf("step %d: no same map from the last tail's memo", step)
-				}
-				schema, _, cols := w.claimedColumns()
-				got, want := w.keptEntities(schema, cols, same), fullKeptCheck(w, schema, cols)
-				w.groups, w.laidFrom = curGroups, curFrom
+				cur := w.tail
+				_, same := unionDelta(cur, prev)
+				schema, _, cols := w.claimedColumns(cur.union)
+				got, want := keptEntities(cur, prev, schema, cols, same), fullKeptCheck(cur, prev, schema, cols)
 				if !slices.Equal(got, want) {
 					t.Fatalf("step %d: kept map %v, the full check %v", step, got, want)
 				}
@@ -412,8 +404,8 @@ func TestKeptEntitiesSkipsSharedRows(t *testing.T) {
 						continue
 					}
 					kept++
-					for k, r := range w.entities.rows[e] {
-						if int(same[r]) == from.entities.rows[pe][k] {
+					for k, r := range cur.entities.rows[e] {
+						if int(same[r]) == prev.entities.rows[pe][k] {
 							shared++
 						} else {
 							compared++
@@ -429,29 +421,29 @@ func TestKeptEntitiesSkipsSharedRows(t *testing.T) {
 }
 
 // fullKeptCheck is keptEntities with every row of a candidate entity
-// checked by source and record against the last layout's.
-func fullKeptCheck(w *Wrangler, schema dataset.Schema, cols []int) []int {
-	kept := make([]int, len(w.entities.ids))
+// checked by source and record against prev's.
+func fullKeptCheck(t, prev *tailState, schema dataset.Schema, cols []int) []int {
+	kept := make([]int, len(t.entities.ids))
 	for e := range kept {
 		kept[e] = -1
 	}
-	prev, from := w.groups, w.laidFrom
-	if prev == nil || from.union == nil || prev.Len() != len(from.entities.ids)*len(cols) || prev.Len() == 0 {
+	groups, from := prev.groups, prev.entities
+	if groups == nil || groups.Len() != len(from.ids)*len(cols) || groups.Len() == 0 {
 		return kept
 	}
 	for c, ci := range cols {
-		if prev.Group(c)[0].Attribute != schema[ci].Name {
+		if groups.Group(c)[0].Attribute != schema[ci].Name {
 			return kept
 		}
 	}
-	for e, id := range w.entities.ids {
-		pe, ok := slices.BinarySearch(from.entities.ids, id)
-		if !ok || len(w.entities.rows[e]) != len(from.entities.rows[pe]) {
+	for e, id := range t.entities.ids {
+		pe, ok := slices.BinarySearch(from.ids, id)
+		if !ok || len(t.entities.rows[e]) != len(from.rows[pe]) {
 			continue
 		}
-		claims, held := prev.Group(pe*len(cols)), true
-		for k, r := range w.entities.rows[e] {
-			if w.unionSources[r] != claims[k].SourceID || !w.union.Row(r).Same(from.union.Row(from.entities.rows[pe][k])) {
+		claims, held := groups.Group(pe*len(cols)), true
+		for k, r := range t.entities.rows[e] {
+			if t.unionSources[r] != claims[k].SourceID || !t.union.Row(r).Same(prev.union.Row(from.rows[pe][k])) {
 				held = false
 			}
 		}

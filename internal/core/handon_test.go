@@ -69,7 +69,7 @@ func TestFuseOnlyHandsOnResults(t *testing.T) {
 				edges := []float64{0, 1.001, 0.999, -1, 0.999, 0.999, 1.001, 0.999, 0.999}
 				var tally handOnTally
 				step := 0
-				free := w.groups.TrustFree(tailOptions(w)) // whether the last tail fused trust-free
+				free := w.tail.groups.TrustFree(tailOptions(w)) // whether the last tail fused trust-free
 				value := func() {
 					t.Helper()
 					label := fmt.Sprintf("value step %d", step)
@@ -104,7 +104,7 @@ func TestFuseOnlyHandsOnResults(t *testing.T) {
 					// The last tail fused trust-free, and this one does too;
 					// only then can results be handed on.
 					wasFree := free
-					free = w.groups.TrustFree(tailOptions(w))
+					free = w.tail.groups.TrustFree(tailOptions(w))
 					if edge != 0 && free != (edge > 0 && edge < 1) {
 						t.Fatalf("%s: trust-free = %v at %v of the bound", label, free, edge)
 					}
@@ -118,7 +118,7 @@ func TestFuseOnlyHandsOnResults(t *testing.T) {
 				if _, err := w.RefreshSourcesContext(ctx, w.SelectedSources()[:2]); err != nil {
 					t.Fatal(err)
 				}
-				free = w.groups.TrustFree(tailOptions(w))
+				free = w.tail.groups.TrustFree(tailOptions(w))
 				for range 3 {
 					value()
 				}
@@ -156,7 +156,7 @@ func pinEdge(w *Wrangler, factor float64) {
 		return
 	}
 	largest := 0
-	for _, rows := range w.entities.rows {
+	for _, rows := range w.tail.entities.rows {
 		largest = max(largest, len(rows))
 	}
 	t := factor * math.MaxFloat64 / float64(2*largest)
@@ -173,7 +173,7 @@ func pinEdge(w *Wrangler, factor float64) {
 // with the trust it estimated.
 func tailOptions(w *Wrangler) fusion.Options {
 	opts := w.fusionOptions()
-	opts.Trust = w.trust
+	opts.Trust = w.tail.trust
 	return opts
 }
 
@@ -188,30 +188,30 @@ type handOnTally struct{ handed, rebuilt, patched int }
 func (tally *handOnTally) check(t *testing.T, label string, w *Wrangler, prev *publication, wantHand bool) {
 	t.Helper()
 	cur := w.lastPub
-	full := make([]fusion.Result, w.groups.Len())
-	w.groups.FuseInto(full, nil, nil, tailOptions(w), 0, 1)
-	if len(full) != len(w.results) || len(prev.results) != len(w.results) {
-		t.Fatalf("%s: %d results, a full fuse %d, the last publication %d", label, len(w.results), len(full), len(prev.results))
+	full := make([]fusion.Result, w.tail.groups.Len())
+	w.tail.groups.FuseInto(full, nil, nil, tailOptions(w), 0, 1)
+	if len(full) != len(w.tail.results) || len(prev.results) != len(w.tail.results) {
+		t.Fatalf("%s: %d results, a full fuse %d, the last publication %d", label, len(w.tail.results), len(full), len(prev.results))
 	}
 	for i := range full {
-		if a, b := &w.results[i], &full[i]; a.Entity != b.Entity || a.Attribute != b.Attribute || !a.Same(b) {
+		if a, b := &w.tail.results[i], &full[i]; a.Entity != b.Entity || a.Attribute != b.Attribute || !a.Same(b) {
 			t.Fatalf("%s: result %d %+v, a full fuse %+v", label, i, *a, *b)
 		}
 	}
 
-	entities, rows := materialize(w.results, w.Config.Target)
-	if !slices.Equal(entities, w.rowEntities) || !slices.Equal(entities, prev.entities) {
+	entities, rows := materialize(w.tail.results, w.Config.Target)
+	if !slices.Equal(entities, w.tail.rowEntities) || !slices.Equal(entities, prev.entities) {
 		t.Fatalf("%s: entities moved on a fuse-only reaction", label)
 	}
 	moved := map[string]bool{}
-	for i := range w.results {
-		if r, p := &w.results[i], &prev.results[i]; r.Entity != p.Entity || r.Attribute != p.Attribute {
+	for i := range w.tail.results {
+		if r, p := &w.tail.results[i], &prev.results[i]; r.Entity != p.Entity || r.Attribute != p.Attribute {
 			t.Fatalf("%s: result %d is %s/%s, the last publication's %s/%s", label, i, r.Entity, r.Attribute, p.Entity, p.Attribute)
 		} else if !r.Value.Same(p.Value) {
 			moved[r.Entity] = true
 		}
 	}
-	for e, row := range w.wrangled.Rows() {
+	for e, row := range w.tail.wrangled.Rows() {
 		if !row.Same(rows[e]) {
 			t.Fatalf("%s: entity %s's row %v, materialize %v", label, entities[e], row, rows[e])
 		}
@@ -221,7 +221,7 @@ func (tally *handOnTally) check(t *testing.T, label string, w *Wrangler, prev *p
 	}
 
 	var ran, walk delta
-	got := diffReport(prev, cur, &ran, cur.report.Title, w.handed, w.Supporters)
+	got := diffReport(prev, cur, &ran, cur.report.Title, w.tail.handed, w.Supporters)
 	want := diffReport(prev, cur, &walk, cur.report.Title, handOff{}, w.Supporters)
 	for _, r := range []*report.Report{cur.report, got} {
 		if r.Title != want.Title || len(r.Lines) != len(want.Lines) {
@@ -240,13 +240,13 @@ func (tally *handOnTally) check(t *testing.T, label string, w *Wrangler, prev *p
 		t.Fatalf("%s: delta results %v, supporters %v, gone %v; the walk's %v, %v, %v", label,
 			ran.results, ran.supporters, ran.goneResults, walk.results, walk.supporters, walk.goneResults)
 	}
-	handed := w.handed.from != nil
+	handed := w.tail.handed.from != nil
 	if handed != wantHand {
 		t.Fatalf("%s: results handed on = %v, want %v", label, handed, wantHand)
 	}
 	var patched delta
-	if handed && (&w.handed.from[0] != &prev.results[0] ||
-		patchReport(prev, cur.results, &patched, cur.report.Title, w.handed, w.Supporters) == nil) {
+	if handed && (&w.tail.handed.from[0] != &prev.results[0] ||
+		patchReport(prev, cur.results, &patched, cur.report.Title, w.tail.handed, w.Supporters) == nil) {
 		t.Fatalf("%s: results handed on, but publish did not patch the report", label)
 	}
 	if handed {
@@ -274,6 +274,9 @@ func (tally *handOnTally) check(t *testing.T, label string, w *Wrangler, prev *p
 //   - results were handed on exactly where the last tail fused trust-free
 //     from the groups this one started from, and this one fused
 //     trust-free too.
+//
+// At the script's end the installed tail state equals a FullRerun's
+// (tailState.check).
 func TestRefreshFuseHandsOnResults(t *testing.T) {
 	ctx := context.Background()
 	for _, variant := range []string{"truthfinder", "freshness", "pinned"} {
@@ -316,7 +319,7 @@ func TestRefreshFuseHandsOnResults(t *testing.T) {
 					t.Fatal(err)
 				}
 				var tally refreshTally
-				free := w.groups.TrustFree(tailOptions(w)) // whether the last tail fused trust-free
+				free := w.tail.groups.TrustFree(tailOptions(w)) // whether the last tail fused trust-free
 				step := 0
 				react := func(label string, reaction func() error) {
 					t.Helper()
@@ -333,7 +336,7 @@ func TestRefreshFuseHandsOnResults(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					wasFree := free
-					free = w.groups != nil && w.groups.TrustFree(tailOptions(w))
+					free = w.tail.groups != nil && w.tail.groups.TrustFree(tailOptions(w))
 					tally.check(t, label, w, prev, wasFree && free)
 				}
 				refresh := func(label string, ids ...string) {
@@ -408,6 +411,7 @@ func TestRefreshFuseHandsOnResults(t *testing.T) {
 				for range 3 {
 					refresh("refresh after the reopen")
 				}
+				checkAgainstRerun(t, "the script's end", w)
 				if err := d.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -436,32 +440,32 @@ type refreshTally struct{ handed, fullHanded, fresh, gone, moved int }
 func (tally *refreshTally) check(t *testing.T, label string, w *Wrangler, prev *publication, wantHand bool) {
 	t.Helper()
 	cur := w.lastPub
-	if w.groups != nil {
-		full := make([]fusion.Result, w.groups.Len())
-		w.groups.FuseInto(full, nil, nil, tailOptions(w), 0, 1)
-		if len(full) != len(w.results) {
-			t.Fatalf("%s: %d results, a full fuse %d", label, len(w.results), len(full))
+	if w.tail.groups != nil {
+		full := make([]fusion.Result, w.tail.groups.Len())
+		w.tail.groups.FuseInto(full, nil, nil, tailOptions(w), 0, 1)
+		if len(full) != len(w.tail.results) {
+			t.Fatalf("%s: %d results, a full fuse %d", label, len(w.tail.results), len(full))
 		}
 		for i := range full {
-			if a, b := &w.results[i], &full[i]; a.Entity != b.Entity || a.Attribute != b.Attribute || !a.Same(b) {
+			if a, b := &w.tail.results[i], &full[i]; a.Entity != b.Entity || a.Attribute != b.Attribute || !a.Same(b) {
 				t.Fatalf("%s: result %d %+v, a full fuse %+v", label, i, *a, *b)
 			}
 		}
-	} else if len(w.results) != 0 {
-		t.Fatalf("%s: %d results without claim groups", label, len(w.results))
+	} else if len(w.tail.results) != 0 {
+		t.Fatalf("%s: %d results without claim groups", label, len(w.tail.results))
 	}
-	entities, rows := materialize(w.results, w.Config.Target)
-	if !slices.Equal(entities, w.rowEntities) || len(rows) != w.wrangled.Len() {
-		t.Fatalf("%s: %d entities, materialize %d", label, len(w.rowEntities), len(entities))
+	entities, rows := materialize(w.tail.results, w.Config.Target)
+	if !slices.Equal(entities, w.tail.rowEntities) || len(rows) != w.tail.wrangled.Len() {
+		t.Fatalf("%s: %d entities, materialize %d", label, len(w.tail.rowEntities), len(entities))
 	}
-	for e, row := range w.wrangled.Rows() {
+	for e, row := range w.tail.wrangled.Rows() {
 		if !row.Same(rows[e]) {
 			t.Fatalf("%s: entity %s's row %v, materialize %v", label, entities[e], row, rows[e])
 		}
 	}
 
 	var ran, walk delta
-	got := diffReport(prev, cur, &ran, cur.report.Title, w.handed, w.Supporters)
+	got := diffReport(prev, cur, &ran, cur.report.Title, w.tail.handed, w.Supporters)
 	want := diffReport(prev, cur, &walk, cur.report.Title, handOff{}, w.Supporters)
 	if want == nil {
 		want = report.Build(w, cur.report.Title, nil)
@@ -483,26 +487,26 @@ func (tally *refreshTally) check(t *testing.T, label string, w *Wrangler, prev *
 		t.Fatalf("%s: delta results %v, supporters %v, gone %v; the walk's %v, %v, %v", label,
 			ran.results, ran.supporters, ran.goneResults, walk.results, walk.supporters, walk.goneResults)
 	}
-	handed := w.handed.from != nil
+	handed := w.tail.handed.from != nil
 	if handed != wantHand {
 		t.Fatalf("%s: results handed on = %v, want %v", label, handed, wantHand)
 	}
 	if !handed {
 		return
 	}
-	if &w.handed.from[0] != &prev.results[0] {
+	if &w.tail.handed.from[0] != &prev.results[0] {
 		t.Fatalf("%s: results handed on from a slab the last publication does not hold", label)
 	}
 	tally.handed++
-	if len(w.handed.spans) == 1 && w.handed.spans[0].n == len(w.results) && len(prev.results) == len(w.results) {
+	if len(w.tail.handed.spans) == 1 && w.tail.handed.spans[0].n == len(w.tail.results) && len(prev.results) == len(w.tail.results) {
 		return // every entity kept: the fuse-only shape
 	}
 	tally.fullHanded++
 	kept := 0
-	for _, s := range w.handed.spans {
+	for _, s := range w.tail.handed.spans {
 		kept += s.n
 	}
-	tally.fresh += len(w.results) - kept
+	tally.fresh += len(w.tail.results) - kept
 	tally.gone += len(walk.goneResults)
-	tally.moved += len(w.handed.moved)
+	tally.moved += len(w.tail.handed.moved)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/feedback"
+	"repro/internal/fusion"
 	"repro/internal/provenance"
 	"repro/internal/serve"
 	"repro/internal/sources"
@@ -156,8 +157,9 @@ func (w *Wrangler) ReactToFeedbackContext(ctx context.Context) (ReactStats, erro
 		w.selectSources()
 		scope, tail = tailFull, true
 	}
+	var ts fusion.TrustStats
 	if tail {
-		if err := w.runTail(ctx, scope, &stats); err != nil {
+		if ts, err = w.runTail(ctx, scope, &stats); err != nil {
 			return stats, err
 		}
 		stats.Refused = true
@@ -168,7 +170,7 @@ func (w *Wrangler) ReactToFeedbackContext(ctx context.Context) (ReactStats, erro
 	if stats.SourcesReextracted > 0 || stats.Reclustered || stats.Refused {
 		// Something recomputed: commit the new working data as a serve
 		// version. Feedback that changed nothing publishes nothing.
-		w.publish(serve.OriginFeedback, stats)
+		w.publish(serve.OriginFeedback, stats, ts)
 	}
 	return stats, nil
 }
@@ -301,7 +303,8 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 		// integration tail has nothing new to fold in.
 		return stats, errors.Join(errs...)
 	}
-	if err := w.runTail(ctx, tailFull, &stats); err != nil {
+	ts, err := w.runTail(ctx, tailFull, &stats)
+	if err != nil {
 		errs = append(errs, err)
 		return stats, errors.Join(errs...)
 	}
@@ -311,7 +314,7 @@ func (w *Wrangler) RefreshSourcesContext(ctx context.Context, ids []string) (Rea
 	// Best-effort contract: the tail recomputed, so the new working data
 	// is committed as a serve version even when individual sources failed
 	// (they kept their previous good data).
-	w.publish(serve.OriginRefresh, stats)
+	w.publish(serve.OriginRefresh, stats, ts)
 	return stats, errors.Join(errs...)
 }
 
@@ -339,10 +342,11 @@ func (w *Wrangler) FullRerun() (ReactStats, error) {
 		}
 	}
 	w.states = map[string]*sourceState{}
-	w.memo = nil // discarded working data: nothing left to diff against
-	// Nor to hand results on from: the rerun fuses every group, so it stays
-	// the reference a reaction's hand-on is checked against.
-	w.freeFused = nil
+	// Discarded working data: no plan to re-plan against, no names to
+	// carry, no groups or results to hand on — the rerun plans, names and
+	// fuses afresh, so it stays the reference a reaction's partial tail is
+	// checked against. The resolver stays, for its registries.
+	w.tail = &tailState{resolver: w.tail.resolver}
 	// The derivations are discarded but the logical clock is not rewound:
 	// versions the serve store already committed keep steps strictly below
 	// everything the rerun publishes.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fusion"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -165,10 +166,10 @@ func (w *Wrangler) instrumentGraph(g *engine.Graph) {
 }
 
 // observePublish records one committed version's telemetry: the reaction
-// count and duration by origin, per-stage durations, shard reuse, and
-// the publication's delta shape. Called from publish() after the store
-// committed v.
-func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *PublishedVersion) {
+// count and duration by origin, per-stage durations, shard reuse, the
+// shape of the tail's trust estimation (ts), and the publication's delta
+// shape. Called from publish() after the store committed v.
+func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, ts fusion.TrustStats, v *PublishedVersion) {
 	m := w.met
 	if m == nil {
 		return
@@ -197,10 +198,8 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 		}
 		m.reuseRatio.Set(ratio)
 	}
-	// w.lastTrust describes exactly the tail this publication came from
-	// (runTail/RunContext reset it per tail), so it is the one source of
-	// truth for both run and reaction origins.
-	ts := w.lastTrust
+	// ts describes exactly the tail this publication came from, for run
+	// and reaction origins alike.
 	if ts.LayoutBuilt {
 		m.trustLayouts.Inc()
 	}
@@ -227,7 +226,7 @@ func (w *Wrangler) observePublish(origin serve.Origin, react ReactStats, v *Publ
 		m.changedRecords.Add(int64(len(cs.ChangedRecords)))
 		m.removedRecords.Add(int64(len(cs.RemovedRecords)))
 	}
-	m.rows.Set(float64(w.wrangled.Len()))
+	m.rows.Set(float64(w.tail.wrangled.Len()))
 	m.version.Set(float64(v.Seq()))
 	m.derivedRows.Set(float64(w.derivedRows()))
 }

@@ -103,11 +103,11 @@ func (ns *namesScript) edit() {
 func (ns *namesScript) check(label string) {
 	ns.t.Helper()
 	w := ns.w
-	got, gotIDs := w.entities, slices.Clone(w.entityIDs)
-	w.nameClusters(false)
-	want := w.entities
-	if !slices.Equal(gotIDs, w.entityIDs) {
-		ns.t.Fatalf("%s: entity per row %q, named afresh %q", label, gotIDs, w.entityIDs)
+	got, fresh := w.tail.entities, *w.tail
+	w.nameClusters(&fresh, false)
+	want := fresh.entities
+	if !slices.Equal(w.tail.entityIDs, fresh.entityIDs) {
+		ns.t.Fatalf("%s: entity per row %q, named afresh %q", label, w.tail.entityIDs, fresh.entityIDs)
 	}
 	if !slices.Equal(got.ids, want.ids) || !reflect.DeepEqual(got.rows, want.rows) || !slices.Equal(got.base, want.base) {
 		ns.t.Fatalf("%s: entities %q rows %v bases %v, named afresh %q rows %v bases %v",
@@ -153,7 +153,7 @@ func (ns *namesScript) requireNames(label string, want map[int]string) {
 	ns.t.Helper()
 	base := digestName("srcA", namesTwin.name, namesTwin.brand)
 	for row, suffix := range want {
-		if got := ns.w.entityIDs[row]; got != base+suffix {
+		if got := ns.w.tail.entityIDs[row]; got != base+suffix {
 			ns.t.Errorf("shards=%d %s: row %d is %q, want %q", ns.w.IntegrationShards, label, row, got, base+suffix)
 		}
 	}
@@ -177,7 +177,7 @@ func TestShardedNamesCarryEqualsFreshNaming(t *testing.T) {
 		carried := 0
 		for step := 0; step < 40; step++ {
 			ns.edit()
-			if w.namesKept > 0 {
+			if w.tail.namesKept > 0 {
 				carried++
 			}
 			ns.check(fmt.Sprintf("shards=%d step %d", shards, step))
@@ -202,7 +202,7 @@ func TestShardedNamesCarryEqualsFreshNaming(t *testing.T) {
 		} {
 			step.edit()
 			ns.refresh("srcA")
-			if w.namesKept == 0 {
+			if w.tail.namesKept == 0 {
 				t.Errorf("shards=%d %s: no name carried over", shards, step.label)
 			}
 			ns.requireNames(step.label, step.want)
@@ -213,19 +213,19 @@ func TestShardedNamesCarryEqualsFreshNaming(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		ns := newNamesScript(t, shards)
 		w := ns.w
-		e := slices.IndexFunc(w.entities.ids, func(id string) bool {
-			return strings.HasPrefix(id, "SK-") && len(w.entities.rows[slices.Index(w.entities.ids, id)]) == 1
+		e := slices.IndexFunc(w.tail.entities.ids, func(id string) bool {
+			return strings.HasPrefix(id, "SK-") && len(w.tail.entities.rows[slices.Index(w.tail.entities.ids, id)]) == 1
 		})
 		if e < 0 {
-			t.Fatalf("shards=%d: no keyed entity of one row in %q", shards, w.entities.ids)
+			t.Fatalf("shards=%d: no keyed entity of one row in %q", shards, w.tail.entities.ids)
 		}
-		sku, only := w.entities.ids[e], w.RowKey(w.entities.rows[e][0])
+		sku, only := w.tail.entities.ids[e], w.RowKey(w.tail.entities.rows[e][0])
 		ns.label(fmt.Sprintf("srcD#%d", len(ns.rows["srcD"])), only)
 		ns.check(fmt.Sprintf("shards=%d: label for a row to come", shards))
 		ns.rows["srcD"] = append(ns.rows["srcD"], namesRow{sku: sku, name: "zzqx vorbel", brand: "quisp", price: 99})
 		ns.refresh("srcD")
-		if rows := w.entities.rows[slices.Index(w.entities.ids, sku)]; w.namesKept == 0 || len(rows) != 2 {
-			t.Errorf("shards=%d: %s holds rows %v (%d names carried), want 2 rows and the other names carried", shards, sku, rows, w.namesKept)
+		if rows := w.tail.entities.rows[slices.Index(w.tail.entities.ids, sku)]; w.tail.namesKept == 0 || len(rows) != 2 {
+			t.Errorf("shards=%d: %s holds rows %v (%d names carried), want 2 rows and the other names carried", shards, sku, rows, w.tail.namesKept)
 		}
 		ns.check(fmt.Sprintf("shards=%d: %s shared", shards, sku))
 	}

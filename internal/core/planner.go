@@ -14,20 +14,24 @@ import (
 // This file is the reaction planner: the one place that decides, for any
 // incremental reaction (feedback assimilation or source churn), how much
 // of the integration tail must recompute — and executes exactly that.
-// A full-scope tail diffs the rebuilt union against the memoized previous
-// one (record identity first, content where records differ), re-plans
-// incrementally and re-resolves only the dirty shards. The back half —
-// trust, fuse, merge — runs whole on every reaction and reuses at one
-// grain: the prepared (entity, attribute) group, whose state serves both
-// the trust fixpoint and the fuse and is kept for every group whose
-// claims held; a fuse-only tail regroups nothing and takes the last
-// tail's groups as they are; where trust cannot move an uncontested
-// group's result, the fuse hands on the last results, records and report
-// lines of every entity whose groups held (shardRun.estimateTrust);
-// publication then adopts the previous record of every entity that fused
-// to the Same record. The contract is strict: a partial tail is
-// byte-identical to a full recompute (FullRerun), pinned by the
-// internal/wrangletest harness.
+// What one tail leaves for the next is one value, the installed
+// tailState: a tail builds the next state beside it and the merge
+// installs that whole, so a tail that fails or is cancelled installs
+// nothing and the installed state always describes one completed
+// integration. A full-scope tail diffs the rebuilt union against the
+// installed one (record identity first, content where records differ),
+// re-plans incrementally against the installed plan and re-resolves only
+// the dirty shards. The back half — trust, fuse, merge — runs whole on
+// every reaction and reuses at one grain: the prepared (entity,
+// attribute) group, whose state serves both the trust fixpoint and the
+// fuse and is kept for every group whose claims held; a fuse-only tail
+// regroups nothing and takes the installed groups as they are; where
+// trust cannot move an uncontested group's result, the fuse hands on the
+// installed results, records and report lines of every entity whose
+// groups held (shardRun.estimateTrust); publication then adopts the
+// previous record of every entity that fused to the Same record. The
+// contract is strict: a partial tail is byte-identical to a full
+// recompute (FullRerun), pinned by the internal/wrangletest harness.
 
 // tailScope is how much of the integration tail a reaction needs.
 type tailScope int
@@ -41,16 +45,36 @@ const (
 	tailFuseOnly
 )
 
-// tailMemo is the memoized state of the last integrated tail —
-// what the planner diffs a reaction against. All fields describe one
-// coherent integration, together with the wrangler's fused output; any tail
-// that fails mid-flight drops the memo (the next reaction plans from
-// scratch and re-records it).
-type tailMemo struct {
-	union  *dataset.Table // the previous post-repair union (frozen: rebuilt, never mutated)
-	ids    []string       // the selected sources it was built from, sorted
-	starts []int          // per ids entry: its first union row
-	plan   *er.PlanState
+// tailState is what one completed integration leaves for the next: the
+// union with its per-row indexes, built once per union (assembleUnion);
+// the resolver that prepared it and the plan its clustering was resolved
+// under; the clustering read entity by entity; and the fused output with
+// the claim groups it was fused from. Installed, it is never written: the
+// next tail shares what it keeps — a fuse-only tail everything up to the
+// clustering, a full tail the groups and results it hands on — and builds
+// the rest afresh. What it shares may carry caches that only grow, which
+// a tail may extend before it installs: the resolver's registries, the
+// plan's score cache and the groups' prepared state.
+type tailState struct {
+	union        *dataset.Table // post-repair, copy-on-write: its records are immutable
+	unionSources []string       // per row: its source id
+	unionKeys    []string       // per row: its stable "source#idx" key (rowKey), interned
+	unionIDs     []string       // the selected source ids the union was built from, sorted
+	unionStarts  []int          // per unionIDs entry: its first union row
+	resolver     *er.Resolver   // prepared over union; the next resolver carries its registries
+	plan         *er.PlanState  // what clusters was resolved under; nil when no full tail recorded one (nothing integrated, a restore that could not rebuild it)
+	clusters     *er.Clustering
+	entityIDs    []string    // per union row: its entity id
+	entities     entityIndex // the clustering read entity by entity
+	namesKept    int         // entities the naming carried over (carryNames); 0 when it named all afresh
+	results      []fusion.Result
+	groups       *fusion.ClaimGroups // the claim groups results was fused from, parallel to it
+	slabs        int                 // how many claims the slabs groups may point into hold
+	free         bool                // results were fused from groups under trust-free options
+	handed       handOff             // what the fuse handed on from the previous state's results, for publish
+	wrangled     *dataset.Table
+	rowEntities  []string // per wrangled-table row: its entity id, sorted; publications alias it
+	trust        map[string]float64
 }
 
 // planReaction classifies a batch of feedback into the reaction plan:
@@ -79,53 +103,43 @@ func planReaction(items []feedback.Item) (reextract map[string]bool, reselect bo
 // reaction stats: per-DAG-stage timings and the dirty-shard counts. It
 // runs one engine graph whose scope picks the front half: the full scope
 // diffs, re-plans and resolves the dirty shards; the fuse-only scope
-// re-estimates trust over the stored clustering. Both share the trust
-// barrier → fuse[shard] → merge back half.
-func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) error {
+// re-estimates trust over the installed clustering. Both share the trust
+// barrier → fuse[shard] → merge back half. It returns the shape of the
+// tail's trust estimation, zero when it ran none.
+func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactStats) (fusion.TrustStats, error) {
 	start := time.Now()
 	if stats.Stages == nil {
 		stats.Stages = map[string]time.Duration{}
 	}
-	// The tail's trust barrier writes w.lastTrust; reset first so a tail
-	// that never estimates trust — empty union, non-TruthFinder policy —
-	// reports zero components, then snapshot whatever the tail recorded on
-	// the way out.
-	w.lastTrust = fusion.TrustStats{}
-	w.split = replanSplit{}
-	defer func() {
-		stats.TrustComponents = w.lastTrust.Components
-		stats.TrustGroupsKept, stats.TrustGroupsPrepared = w.lastTrust.GroupsKept, w.lastTrust.GroupsPrepared
-		stats.FuseRevoted = w.lastTrust.FuseRevoted
-		w.split.record(stats.Stages)
-	}()
-	if scope == tailFuseOnly && (w.union == nil || w.union.Len() == 0) {
-		// Nothing is integrated, so there are no claims whose trust could
-		// move: the reaction assimilates the feedback and publishes the
-		// (empty) result unchanged.
-		return nil
-	}
-
 	g := engine.NewGraph()
 	sr := &shardRun{}
 	var err error
-	if scope == tailFuseOnly && w.memo != nil {
+	if scope == tailFuseOnly && w.tail.plan != nil && len(w.dirtySources) == 0 {
 		err = w.addFuseOnlyTasks(g, sr)
 	} else {
-		// Also the fuse-only scope without a memo: the last integration did
-		// not complete (cancelled mid-tail, or a restore that could not
-		// rebuild it), so the union may be ahead of the clustering and only
-		// a full tail makes them coherent again.
+		// Also the fuse-only scope when the installed state cannot vouch
+		// for the union it would fuse: no full tail planned it (nothing
+		// integrated yet, a restore that could not rebuild the plan), or a
+		// source was installed since — a reaction that installed sources
+		// and then lost its tail leaves them out of the installed union.
+		// The full tail folds them in, diffing against the installed
+		// state.
 		err = w.addIntegrationTasks(g, sr)
 	}
 	if err != nil {
-		return err
+		return sr.trustStats, err
 	}
 	w.instrumentGraph(g)
-	if err := g.Run(ctx, w.workers()); err != nil {
-		// The tail stopped between stages: the memo no longer describes
-		// one coherent integration.
-		w.memo = nil
-		return err
+	err = g.Run(ctx, w.workers())
+	stats.TrustComponents = sr.trustStats.Components
+	stats.TrustGroupsKept, stats.TrustGroupsPrepared = sr.trustStats.GroupsKept, sr.trustStats.GroupsPrepared
+	stats.FuseRevoted = sr.trustStats.FuseRevoted
+	sr.replan.record(stats.Stages)
+	if err != nil {
+		// The engine dispatches nothing after the merge, so a tail that
+		// fails has installed nothing: the installed state is the one
+		// from before it.
+		return sr.trustStats, err
 	}
 	for k, d := range stageTimings(g.Timings()) {
 		stats.Stages[k] += d
@@ -133,18 +147,20 @@ func (w *Wrangler) runTail(ctx context.Context, scope tailScope, stats *ReactSta
 	sr.split.record(stats.Stages)
 	stats.Stages["integrate"] = time.Since(start)
 	stats.ShardsResolved, stats.ShardsReused = sr.resolvedShards()
-	return nil
+	return sr.trustStats, nil
 }
 
-// addFuseOnlyTasks wires the trust+fuse+merge tail over the stored
-// clustering — the value-feedback reaction. The memo vouches that the
-// union, clusters and entity ids describe one completed integration;
-// trust is re-estimated warm over the last tail's claim groups and every
-// fuse part re-fuses its entity range.
+// addFuseOnlyTasks wires the trust+fuse+merge tail over the installed
+// clustering — the value-feedback reaction. The next state shares the
+// installed one's union, plan, clustering, entities and claim groups;
+// trust is re-estimated warm over those groups and every fuse part
+// re-fuses its entity range.
 func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	n := w.shards()
 	sr.fuseOnly = true
 	if err := g.Add("integrate:cluster", func(context.Context) error {
+		next := *w.tail
+		sr.next = &next
 		sr.parts = make([]fusedPart, n)
 		sr.estimateTrust(w)
 		return nil
@@ -154,21 +170,21 @@ func (w *Wrangler) addFuseOnlyTasks(g *engine.Graph, sr *shardRun) error {
 	return w.addFuseMergeTasks(g, sr, n, "integrate:cluster")
 }
 
-// unionDelta lists the rows of the freshly built union whose content
-// differs from the same source row's in the memoized union (alignUnion);
-// rows only one union has appeared or disappeared, which er.RePlan reads
-// off the row keys itself. Record identity short-circuits the compare: an
-// unchanged source contributes the very same records unless FD repair
-// cloned one — in this round or the memoized one — and only those, and
-// the refreshed sources' rows, are compared by value. It also returns, per
-// row, the memoized union's row holding the very same record, or -1.
-func (w *Wrangler) unionDelta(memo *tailMemo) (dirty []int, same []int32) {
-	same = w.alignUnion(memo)
+// unionDelta lists the rows of t's union whose content differs from the
+// same source row's in prev's (alignUnion); rows only one union has
+// appeared or disappeared, which er.RePlan reads off the row keys itself.
+// Record identity short-circuits the compare: an unchanged source
+// contributes the very same records unless FD repair cloned one — in this
+// round or prev's — and only those, and the refreshed sources' rows, are
+// compared by value. It also returns, per row, prev's union row holding
+// the very same record, or -1.
+func unionDelta(t, prev *tailState) (dirty []int, same []int32) {
+	same = alignUnion(t, prev)
 	for i, j := range same {
 		if j < 0 {
 			continue
 		}
-		if cur, old := w.union.Row(i), memo.union.Row(int(j)); &cur[0] != &old[0] {
+		if cur, old := t.union.Row(i), prev.union.Row(int(j)); &cur[0] != &old[0] {
 			same[i] = -1
 			if !cur.Equal(old) {
 				dirty = append(dirty, i)
@@ -178,26 +194,26 @@ func (w *Wrangler) unionDelta(memo *tailMemo) (dirty []int, same []int32) {
 	return dirty, same
 }
 
-// alignUnion maps each row of the freshly built union to the memoized
-// union's row of the same source and position, or to -1 when that union
-// has none. Both unions are their selected sources' rows in source order,
-// so rows align source by source, position by position; rows beyond the
-// shorter side, and rows of sources only one union has, have no match.
-func (w *Wrangler) alignUnion(memo *tailMemo) []int32 {
-	old := make([]int32, w.union.Len())
+// alignUnion maps each row of t's union to prev's union row of the same
+// source and position, or to -1 when prev's has none. Both unions are
+// their selected sources' rows in source order, so rows align source by
+// source, position by position; rows beyond the shorter side, and rows of
+// sources only one union has, have no match.
+func alignUnion(t, prev *tailState) []int32 {
+	old := make([]int32, t.union.Len())
 	for i := range old {
 		old[i] = -1
 	}
 	k := 0
-	for nk, id := range w.unionIDs {
-		for k < len(memo.ids) && memo.ids[k] < id {
+	for nk, id := range t.unionIDs {
+		for k < len(prev.unionIDs) && prev.unionIDs[k] < id {
 			k++
 		}
-		if k == len(memo.ids) || memo.ids[k] != id {
+		if k == len(prev.unionIDs) || prev.unionIDs[k] != id {
 			continue
 		}
-		lo, hi := w.unionStarts[nk], segmentEnd(w.unionStarts, nk, w.union.Len())
-		olo, ohi := memo.starts[k], segmentEnd(memo.starts, k, memo.union.Len())
+		lo, hi := t.unionStarts[nk], segmentEnd(t.unionStarts, nk, t.union.Len())
+		olo, ohi := prev.unionStarts[k], segmentEnd(prev.unionStarts, k, prev.union.Len())
 		for i := 0; i < hi-lo && i < ohi-olo; i++ {
 			old[lo+i] = int32(olo + i)
 		}
@@ -211,37 +227,4 @@ func segmentEnd(starts []int, k, n int) int {
 		return starts[k+1]
 	}
 	return n
-}
-
-// recordTailMemo captures the just-merged tail as the next reaction's
-// diff baseline. A full tail rebuilds the whole memo (and clears the
-// accumulated dirty-source scope — everything is integrated now); a
-// fuse-only tail keeps it, since union, plan and clusters did not move.
-func (w *Wrangler) recordTailMemo(sr *shardRun) {
-	if sr.fuseOnly {
-		return
-	}
-	// Commit folds the carried-over and freshly computed pair scores into
-	// the next round's cache, and keeps the roots slab.
-	ps, err := sr.rp.Commit(w.resolver, sr.rowKeys, sr.must, sr.cannot)
-	if err != nil {
-		// Defensive: an unrecordable plan just means the next reaction
-		// plans from scratch.
-		w.memo = nil
-		return
-	}
-	w.memo = w.newTailMemo(ps)
-	w.dirtySources = nil
-}
-
-// newTailMemo assembles the diff baseline over the current union, so the
-// live merge and the durable restore cannot record differently shaped
-// memos.
-func (w *Wrangler) newTailMemo(plan *er.PlanState) *tailMemo {
-	return &tailMemo{
-		union:  w.union,
-		ids:    w.unionIDs,
-		starts: w.unionStarts,
-		plan:   plan,
-	}
 }

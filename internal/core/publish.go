@@ -94,18 +94,20 @@ func NewVersionStore(retain int) *VersionStore {
 // there is one, then the report (diffReport), which the durable log writes
 // with the rows as a patch — freezes the read-side artefacts, and makes
 // them the latest version in one atomic swap. Before the first successful
-// run there is nothing to publish.
-func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
-	if w.Serve == nil || w.wrangled == nil {
+// run there is nothing to publish. ts is the shape of the trust estimation
+// of the tail that installed the state, for telemetry.
+func (w *Wrangler) publish(origin serve.Origin, react ReactStats, ts fusion.TrustStats) {
+	t := w.tail
+	if w.Serve == nil || t.wrangled == nil {
 		return
 	}
 	start := time.Now()
 	prev := w.lastPub
 	cur := &publication{
-		results:  w.results,
-		entities: w.rowEntities,
-		rows:     w.wrangled.Rows(),
-		clusters: w.clusters,
+		results:  t.results,
+		entities: t.rowEntities,
+		rows:     t.wrangled.Rows(),
+		clusters: t.clusters,
 	}
 	var dt *delta
 	if prev != nil {
@@ -115,7 +117,7 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 	table := w.publishTable()
 	cur.rows = table.Rows()
 	title := publishTitle(origin)
-	if cur.report = diffReport(prev, cur, dt, title, w.handed, w.Supporters); cur.report == nil {
+	if cur.report = diffReport(prev, cur, dt, title, t.handed, w.Supporters); cur.report == nil {
 		cur.report, dt = report.Build(w, title, nil), nil
 	}
 	w.observePublishPhase(phaseReport, time.Since(start))
@@ -124,14 +126,14 @@ func (w *Wrangler) publish(origin serve.Origin, react ReactStats) {
 		Report:   cur.report,
 		Stats:    w.LastStats.Clone(),
 		React:    react.Clone(),
-		Trust:    maps.Clone(w.trust),
+		Trust:    maps.Clone(t.trust),
 		Sources:  w.Snapshot(),
-		Selected: slices.Clone(w.unionIDs), // what the tail integrated; collected once, by buildUnion
+		Selected: slices.Clone(t.unionIDs), // what the tail integrated; collected once, by assembleUnion
 		Entities: cur.entities,
 	}
 	v := w.Serve.Publish(pub, w.Prov.Step(), origin, time.Now(), changes)
 	cur.seq = v.Seq()
-	w.observePublish(origin, react, v)
+	w.observePublish(origin, react, ts, v)
 	if w.log != nil {
 		// Durable sessions append the committed version (and everything it
 		// changed) to the log; publish-then-append means the log tail is
@@ -445,11 +447,12 @@ func publishTitle(origin serve.Origin) string {
 // fresh table header whose rows point at those shared records: a version
 // shares every unchanged record with its predecessor, making retention
 // O(changed record) instead of O(table). The header copy keeps the
-// published object distinct from the live w.wrangled, whose slab the
-// next diff may write.
+// published object distinct from the installed wrangled table, whose
+// slab the next diff may write.
 func (w *Wrangler) publishTable() *dataset.Table {
-	out := dataset.NewTableCap(w.wrangled.Schema().Clone(), w.wrangled.Len())
-	for _, r := range w.wrangled.Rows() {
+	wrangled := w.tail.wrangled
+	out := dataset.NewTableCap(wrangled.Schema().Clone(), wrangled.Len())
+	for _, r := range wrangled.Rows() {
 		out.Append(r) // pointer-shared immutable records
 	}
 	return out

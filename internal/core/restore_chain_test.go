@@ -203,7 +203,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		if err := step.do(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if v := w.Serve.Latest(); v.Seq() > lastSeq && len(w.rowEntities) > 0 && chainBefore > 0 && !d.versions[len(d.versions)-1].patch {
+		if v := w.Serve.Latest(); v.Seq() > lastSeq && len(w.tail.rowEntities) > 0 && chainBefore > 0 && !d.versions[len(d.versions)-1].patch {
 			sizeRuleFull = true
 		}
 		compacted = compacted || d.lastCheckpoint > 0
@@ -222,7 +222,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 			}
 		}
 		w.resume()
-		liveResults = resultsView(w.results)
+		liveResults = resultsView(w.tail.results)
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func restoreThroughPatchChains(t *testing.T, ctx context.Context, clean bool, sh
 		if _, err := w.resume(); err != nil {
 			t.Fatalf("after %s: resume: %v", step.name, err)
 		}
-		if got := resultsView(w.results); got != liveResults {
+		if got := resultsView(w.tail.results); got != liveResults {
 			t.Fatalf("after %s: restored working results differ from the closed session's:\n%s", step.name, firstLineDiff(liveResults, got))
 		}
 	}

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -13,14 +15,13 @@ import (
 	"repro/internal/wrangletest"
 )
 
-// TestFuseOnlyReusesGroups pins the fuse-only tail's reuse of the memo's
-// claim groups, at shards 0, 1 and 4, over value feedback ×3 → refresh →
-// value feedback. After every step the memo's groups must equal a fresh
-// grouping of the session's claims, prepared state included; a fuse-only
-// reaction must have taken them as they were (the very same groups,
-// nothing prepared, no claim build timed); and the outputs must equal a
-// FullRerun's. A memo that no longer vouches for the session's union
-// makes the next fuse-only reaction regroup instead.
+// TestFuseOnlyReusesGroups pins the fuse-only tail's reuse of the
+// installed claim groups, at shards 0, 1 and 4, over value feedback ×3 →
+// refresh → value feedback. After every step the installed groups must
+// equal a fresh grouping of the session's claims, prepared state
+// included; a fuse-only reaction must have taken them as they were (the
+// very same groups, nothing prepared, no claim build timed); and the
+// outputs must equal a FullRerun's.
 func TestFuseOnlyReusesGroups(t *testing.T) {
 	const seed, nSources = 23, 5
 	for _, shards := range []int{0, 1, 4} {
@@ -35,15 +36,13 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 			steps := []struct {
 				name     string
 				refresh  bool
-				detach   bool // point the memo at another union first
-				fuseOnly bool // the reaction must take the memo's groups as they are
+				fuseOnly bool // the reaction must take the installed groups as they are
 			}{
 				{name: "value 1", fuseOnly: true},
 				{name: "value 2", fuseOnly: true},
 				{name: "value 3", fuseOnly: true},
 				{name: "refresh", refresh: true},
 				{name: "value 4", fuseOnly: true},
-				{name: "detached value 5", detach: true},
 			}
 			for n, step := range steps {
 				apply := func(s *core.Wrangler) (core.ReactStats, error) {
@@ -63,15 +62,12 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 						return s.ReactToFeedback()
 					}
 				}
-				if step.detach {
-					w.DetachMemoUnion()
-				}
-				before := w.MemoGroups()
+				before := w.TailGroups()
 				stats, err := apply(w)
 				if err != nil {
 					t.Fatalf("%s: %v", step.name, err)
 				}
-				after := w.MemoGroups()
+				after := w.TailGroups()
 				if reused := after == before; reused != step.fuseOnly {
 					t.Fatalf("%s: groups reused = %v, want %v", step.name, reused, step.fuseOnly)
 				}
@@ -87,7 +83,7 @@ func TestFuseOnlyReusesGroups(t *testing.T) {
 				fresh := fusion.GroupClaims(w.BuildClaims())
 				fusion.EstimateTrustWarmParallel(fresh, w.FusionOptions(), nil, 1)
 				if !reflect.DeepEqual(after, fresh) {
-					t.Fatalf("%s: the memo's groups differ from a fresh grouping of the session's claims", step.name)
+					t.Fatalf("%s: the installed groups differ from a fresh grouping of the session's claims", step.name)
 				}
 
 				if _, err := apply(rerun); err != nil {
@@ -136,8 +132,8 @@ func TestTrustLayoutCarried(t *testing.T) {
 				t.Fatalf("run: %d layouts built, want 1", n)
 			}
 			lastContested := contested.Value()
-			if lastContested <= 0 || lastContested >= float64(w.MemoGroups().Len()) {
-				t.Fatalf("run: %v of %d groups contested, want some but not all", lastContested, w.MemoGroups().Len())
+			if lastContested <= 0 || lastContested >= float64(w.TailGroups().Len()) {
+				t.Fatalf("run: %v of %d groups contested, want some but not all", lastContested, w.TailGroups().Len())
 			}
 			for n, refresh := range []bool{false, false, true, false} {
 				apply := func(s *core.Wrangler) error {
@@ -184,49 +180,72 @@ func TestTrustLayoutCarried(t *testing.T) {
 	}
 }
 
-// TestFuseOnlyWithoutPagesRunsFullTail pins the other degradation path: a
-// value-feedback (fuse-only) reaction on a sharded session whose tail memo
-// is gone — as after a tail lost mid-flight — runs the full tail, which
-// records the memo again, publishes a delta against the last version that
-// shares exactly the records that stayed Same, and lands where an intact
-// default session's fuse-only reaction does.
+// TestFuseOnlyWithoutPagesRunsFullTail pins the other way a fuse-only
+// reaction runs the full tail: a value-feedback reaction on a sharded
+// session that lost a refresh's tail right after its plan stage. The lost
+// tail installed nothing, so the reaction folds the refreshed source in
+// with a full tail, partial against the installed state (it reuses
+// shards); it publishes a delta against the last version that shares
+// exactly the records that stayed Same, and lands where a default session
+// whose refresh completed lands, and where a FullRerun does.
 func TestFuseOnlyWithoutPagesRunsFullTail(t *testing.T) {
-	drive := func(shards int) *core.Wrangler {
+	drive := func(shards int) (*core.Wrangler, core.ReactStats) {
 		t.Helper()
 		w := core.NewShardedWrangler(11, 8, shards)
 		if _, err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if shards > 0 {
-			w.DropMemo()
-		}
 		before := w.Serve.Latest()
+		w.EvolveWorld(0.2)
+		ctx := context.Background()
+		if shards > 0 {
+			ctx = w.CancelAfterInstall(ctx, 3) // the dispatch after integrate:plan
+		}
+		if _, err := w.RefreshSourcesContext(ctx, w.SelectedSources()[:1]); (shards > 0) != errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: refresh: %v", shards, err)
+		}
+		if shards > 0 {
+			if w.Serve.Latest() != before {
+				t.Fatalf("shards=%d: the lost tail published", shards)
+			}
+		} else {
+			before = w.Serve.Latest()
+		}
 		res := w.Results()
 		w.AddFeedback(feedback.Item{
 			Kind: feedback.ValueIncorrect, SourceID: w.SelectedSources()[0],
 			Entity: res[0].Entity, Attribute: res[0].Attribute, Worker: "expert", Cost: 1,
 		})
-		if _, err := w.ReactToFeedback(); err != nil {
+		stats, err := w.ReactToFeedback()
+		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if err := wrangletest.CheckSharing(before, w.Serve.Latest(), shards); err != nil {
 			t.Errorf("shards=%d: %v", shards, err)
 		}
-		return w
+		return w, stats
 	}
-	base, sharded := drive(0), drive(4)
-	if sharded.MemoGroups() == nil {
-		t.Fatal("the reaction did not record the tail memo again")
+	base, _ := drive(0)
+	sharded, stats := drive(4)
+	if stats.ShardsResolved == 0 || stats.ShardsReused == 0 {
+		t.Fatalf("the reaction after the lost tail ran no partial full tail: %+v", stats)
 	}
 	if cs := sharded.Serve.Latest().Changes(); cs.Full {
 		t.Errorf("the reaction published a full change, want a delta: %+v", cs)
 	}
 	if base.Wrangled().String() != sharded.Wrangled().String() {
-		t.Error("sharded reaction diverged from the default session's fuse-only reaction")
+		t.Error("sharded reaction diverged from the default session's")
 	}
 	for src, want := range base.Trust() {
 		if got := sharded.Trust()[src]; got != want {
 			t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
 		}
+	}
+	got := outputs(sharded)
+	if _, err := sharded.FullRerun(); err != nil {
+		t.Fatal(err)
+	}
+	if got != outputs(sharded) {
+		t.Error("the reaction after the lost tail differs from a full rerun")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/er"
 	"repro/internal/fusion"
-	"repro/internal/intern"
 	"repro/internal/provenance"
 )
 
@@ -38,24 +37,25 @@ type fusedPart struct {
 }
 
 // shardRun is the scratch state one sharded integration passes between
-// its engine tasks. Each field is written by exactly one stage and only
-// read after the barrier that stage feeds.
+// its engine tasks, with the tail state it builds beside the installed
+// one (w.tail) — which no stage writes and every stage may read. Each
+// field, and each field of next, is written by exactly one stage and only
+// read after the barrier that stage feeds; the merge installs next whole.
 type shardRun struct {
+	next         *tailState    // the state this tail builds: its union from the plan stage, clustering and groups from the cluster barrier, output from the merge
 	rp           *er.RePlanned // plan stage: the plan, per-shard reuse, dirty residue and the roots slab the resolve fan-out completes
 	must, cannot []er.Pair
-	rowKeys      []string            // plan stage: stable key per union row
-	same         []int32             // plan stage: per union row, the last layout's union row holding the very same record, or -1; nil when unknown
-	groups       *fusion.ClaimGroups // cluster barrier: every claim, grouped once, carrying its prepared state
-	laidFrom     layout              // cluster barrier: what groups was laid out from
-	opts         fusion.Options      // cluster barrier: trust already estimated
-	split        trustSplit          // cluster barrier: the trust stage, by step
-	results      []fusion.Result     // fuse fan-out: every group's result at its group index
-	handOn       []fusion.Result     // cluster barrier: the previous results the fuse parts hand on from; nil to fuse every group
-	kept         []int               // cluster barrier, with handOn: per entity, the previous table's row of the entity whose groups it took whole, or -1; nil when every entity keeps its row
-	from         []int32             // cluster barrier, with handOn: per entity, where its results start in handOn, or -1 (fusion.FuseInto)
-	parts        []fusedPart         // fuse fan-out
-	empty        bool                // nothing to integrate; all stages no-op
-	fuseOnly     bool                // trust+fusion tail reusing the stored clustering
+	same         []int32           // plan stage: per union row, the installed union's row holding the very same record, or -1; nil when unknown
+	replan       replanSplit       // plan stage: the front half, by step
+	opts         fusion.Options    // cluster barrier: trust already estimated
+	split        trustSplit        // cluster barrier: the trust stage, by step
+	trustStats   fusion.TrustStats // cluster barrier: the shape of the trust estimation
+	handOn       []fusion.Result   // cluster barrier: the installed results the fuse parts hand on from; nil to fuse every group
+	kept         []int             // cluster barrier, with handOn: per entity, the installed table's row of the entity whose groups it took whole, or -1; nil when every entity keeps its row
+	from         []int32           // cluster barrier, with handOn: per entity, where its results start in handOn, or -1 (fusion.FuseInto)
+	parts        []fusedPart       // fuse fan-out
+	empty        bool              // nothing to integrate; all stages no-op
+	fuseOnly     bool              // trust+fusion tail reusing the installed clustering
 }
 
 // resolvedShards counts the shards whose clusters were computed (not
@@ -76,12 +76,12 @@ func (sr *shardRun) resolvedShards() (resolved, reused int) {
 }
 
 // addIntegrationTasks wires the full-scope integration tail into g after
-// deps: plan (union + incremental re-plan against the memoized tail) →
+// deps: plan (union + incremental re-plan against the installed state) →
 // resolve[shard] fan-out (skipping shards whose clusters carried over) →
 // cluster barrier (merge clusters, name entities, group claims once and
-// estimate trust globally, keeping the memo's prepared groups whose
+// estimate trust globally, keeping the installed prepared groups whose
 // claims held) → fuse[part] fan-out over entity ranges → merge
-// (concatenating the parts).
+// (concatenating the parts and installing the new state).
 func (w *Wrangler) addIntegrationTasks(g *engine.Graph, sr *shardRun, deps ...string) error {
 	n := w.shards()
 	if err := g.Add("integrate:plan", func(context.Context) error {
@@ -125,37 +125,46 @@ func (w *Wrangler) addFuseMergeTasks(g *engine.Graph, sr *shardRun, n int, deps 
 // blocks cannot exist by construction: the plan routes whole
 // block-connected components, keyed by their smallest stable row key, to
 // a deterministic owner shard. The partition is computed incrementally:
-// the dirty-row diff against the memoized union drives er.RePlan, which
+// the dirty-row diff against the installed union drives er.RePlan, which
 // re-blocks only changed rows and hands back the previous clusters of
 // every shard the delta provably did not touch.
-// Without a memo (a run, or after a failed tail invalidated it) RePlan
-// degrades to a fresh plan whose resolve still seeds the cross-round
-// score cache, so the very next reaction starts warm.
+// Without an installed plan (a run, a FullRerun, a restore that could
+// not rebuild it) RePlan degrades to a fresh plan whose resolve still
+// seeds the cross-round score cache, so the very next reaction starts
+// warm. An empty union builds the empty state, which keeps only the
+// installed resolver's registries.
 func (w *Wrangler) shardPlanStage(sr *shardRun, n int) error {
-	empty, err := w.buildUnion()
+	prev, next := w.tail, &tailState{}
+	sr.next = next
+	start := time.Now()
+	cells, feats, err := w.assembleUnion(next)
+	sr.replan.union = time.Since(start)
 	if err != nil {
 		return err
 	}
-	if empty {
+	if next.union.Len() == 0 {
+		next.resolver, next.wrangled, next.trust = prev.resolver, dataset.NewTable(w.Config.Target.Clone()), map[string]float64{}
 		sr.empty = true
 		return nil
 	}
-	start := time.Now()
-	sr.must, sr.cannot = w.pairConstraints()
-	sr.rowKeys = w.rowKeys()
+	start = time.Now()
+	if err := w.repairUnion(next, cells); err != nil {
+		return err
+	}
+	sr.replan.fdRepair = time.Since(start)
+	start = time.Now()
+	labels := w.labeledPairs(next)
+	w.prepareResolver(next, prev.resolver, feats, labels)
+	sr.replan.prepare = time.Since(start)
+	start = time.Now()
+	sr.must, sr.cannot = pairConstraints(labels)
 	sr.parts = make([]fusedPart, n)
 	var dirty []int
-	var prevPlan *er.PlanState
-	if w.memo != nil {
-		var same []int32
-		dirty, same = w.unionDelta(w.memo)
-		prevPlan = w.memo.plan
-		if w.memo.union == w.laidFrom.union {
-			sr.same = same
-		}
+	if prev.union != nil {
+		dirty, sr.same = unionDelta(next, prev)
 	}
-	sr.rp, err = w.resolver.RePlan(w.union, n, sr.must, sr.cannot, sr.rowKeys, dirty, prevPlan)
-	w.split.plan = time.Since(start)
+	sr.rp, err = next.resolver.RePlan(next.union, n, sr.must, sr.cannot, next.unionKeys, dirty, prev.plan)
+	sr.replan.plan = time.Since(start)
 	if err != nil {
 		return fmt.Errorf("core: resolve: %w", err)
 	}
@@ -172,7 +181,7 @@ func (w *Wrangler) shardResolveStage(sr *shardRun, i int) error {
 	if sr.empty || sr.rp.Reused[i] {
 		return nil
 	}
-	if _, err := sr.rp.ResolveDirty(w.resolver, w.union, i, sr.must, sr.cannot); err != nil {
+	if _, err := sr.rp.ResolveDirty(sr.next.resolver, sr.next.union, i, sr.must, sr.cannot); err != nil {
 		return fmt.Errorf("core: resolve shard %d: %w", i, err)
 	}
 	return nil
@@ -189,15 +198,15 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 		return nil
 	}
 	start := time.Now()
+	next := sr.next
 	clusters, err := sr.rp.Clustering()
 	if err != nil {
 		return err
 	}
-	prevClusters := w.clusters
-	w.clusters = clusters
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(w.unionIDs), "")
-	if !w.carryNames(prevClusters) {
-		w.nameEntities()
+	next.clusters = clusters
+	w.Prov.Put(provenance.Ref{Kind: provenance.KindCluster, ID: "union"}, "er.Resolve", w.mappingRefs(next.unionIDs), "")
+	if !w.carryNames(next, w.tail) {
+		w.nameEntities(next)
 	}
 	sr.split.name = time.Since(start)
 	sr.estimateTrust(w)
@@ -209,44 +218,40 @@ func (w *Wrangler) shardClusterStage(sr *shardRun) error {
 // fuse part, entity by entity off the clustering, then run the one
 // cross-shard stage of fusion. A fuse-only tail builds nothing: claims are
 // a function of the union, its entity ids and its row sources, none of
-// which it moves, so it takes the last tail's groups as they are —
-// prepared state included — unless the memo does not describe this union
-// or a restore left no groups. A full tail builds only the claims of
-// entities that moved and hands on the last tail's groups of every other
-// (claimGroups). The estimation is the exact global
-// TruthFinder fixpoint; what it carries over from the last tail is the
-// prepared state of every (entity, attribute) group whose claims held,
-// and it prepares every other group, under every policy, on the worker
-// fan-out, so the fuse parts only read the groups. Runs inside the
-// single cluster-barrier task, so writing w.lastTrust is race-free.
+// which it moves, so it takes the installed groups as they are —
+// prepared state included — unless a restore left none. A full tail
+// builds only the claims of entities that moved and hands on the
+// installed groups of every other (claimGroups). The estimation is the
+// exact global TruthFinder fixpoint; what it carries over from the
+// installed state is the prepared state of every (entity, attribute)
+// group whose claims held, and it prepares every other group, under every
+// policy, on the worker fan-out, so the fuse parts only read the groups.
 //
-// The fuse parts hand the last results on (sr.handOn) when the last merge
-// fused them trust-free from the last tail's groups (w.freeFused) and this
-// fuse is trust-free too (fusion.ClaimGroups.TrustFree): then no result of
-// a group with one fuse bucket can depend on trust, so an entity whose
+// The fuse parts hand the installed results on (sr.handOn) when they were
+// fused trust-free from the installed groups (tailState.free) and this
+// fuse is trust-free too (fusion.ClaimGroups.TrustFree): then no result
+// of a group with one fuse bucket can depend on trust, so an entity whose
 // groups were handed on whole — every entity of a fuse-only tail, the
 // kept ones of a full tail — keeps its results but its voters', and only
-// those are re-voted (sr.kept and sr.from map each entity onto the last
-// table and results). Anything else — a restore's adopted results, a
-// re-layout, FreshnessWeighted, a trust that could overflow a vote —
-// fuses every group.
+// those are re-voted (sr.kept and sr.from map each entity onto the
+// installed table and results). Anything else — a restore's adopted
+// results, a re-layout, FreshnessWeighted, a trust that could overflow a
+// vote — fuses every group.
 func (sr *shardRun) estimateTrust(w *Wrangler) {
-	prev := w.groups
-	var kept []int // nil when the groups are prev itself
-	if sr.fuseOnly && prev != nil && w.memo.union == w.union {
-		sr.groups, sr.laidFrom = prev, w.laidFrom
-	} else {
+	prev, next := w.tail, sr.next
+	var kept []int // nil when the groups are the installed ones
+	if !sr.fuseOnly || next.groups == nil {
 		start := time.Now()
-		sr.groups, sr.laidFrom, kept = w.claimGroups(sr.same)
+		next.groups, next.slabs, kept = w.claimGroups(next, prev, sr.same)
 		sr.split.claims = time.Since(start)
 	}
-	sr.results = make([]fusion.Result, sr.groups.Len())
-	sr.opts, sr.split.TrustSplit, w.lastTrust = fusion.EstimateTrustWarmParallel(sr.groups, w.fusionOptions(), prev, w.workers())
-	if prev == nil || prev != w.freeFused || !sr.groups.TrustFree(sr.opts) {
+	next.results = make([]fusion.Result, next.groups.Len())
+	sr.opts, sr.split.TrustSplit, sr.trustStats = fusion.EstimateTrustWarmParallel(next.groups, w.fusionOptions(), prev.groups, w.workers())
+	if prev.groups == nil || !prev.free || !next.groups.TrustFree(sr.opts) {
 		return
 	}
-	sr.handOn, sr.kept = w.results, kept
-	starts := prev.EntityStarts()
+	sr.handOn, sr.kept = prev.results, kept
+	starts := prev.groups.EntityStarts()
 	if kept == nil { // every entity's groups, at its own place
 		sr.from = starts
 		return
@@ -266,8 +271,8 @@ func (sr *shardRun) estimateTrust(w *Wrangler) {
 // each group's claims in row order, so each group holds its claims in the
 // order one global fuse sees them — bucket representatives and vote
 // accumulation match bit for bit. The groups arrive prepared, so the fuse
-// reads them and writes only its span of sr.results, the group-indexed
-// slab the parts fill between them with nothing to merge.
+// reads them and writes only its span of the next state's results, the
+// group-indexed slab the parts fill between them with nothing to merge.
 //
 // A part that hands results on (sr.handOn) keeps, for a handed-on entity
 // none of whose values moved, the previous table's record, and builds a
@@ -281,16 +286,16 @@ func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 	if sr.empty {
 		return nil
 	}
-	n := len(sr.parts)
-	span, moved := sr.groups.FuseInto(sr.results, sr.handOn, sr.from, sr.opts, i, n)
-	if sr.handOn == nil || sr.groups.Len() == 0 {
+	n, next := len(sr.parts), sr.next
+	span, moved := next.groups.FuseInto(next.results, sr.handOn, sr.from, sr.opts, i, n)
+	if sr.handOn == nil || next.groups.Len() == 0 {
 		entities, rows := materialize(span, w.Config.Target)
 		sr.parts[i] = fusedPart{entities: entities, rows: rows}
 		return nil
 	}
 	// Every entity claims every attribute, so the part's entities are its
 	// range of the layout's, one record each.
-	starts, prevRows, ids := sr.groups.EntityStarts(), w.wrangled.Rows(), sr.laidFrom.entities.ids
+	starts, prevRows, ids := next.groups.EntityStarts(), w.tail.wrangled.Rows(), next.entities.ids
 	lo, hi := i*len(ids)/n, (i+1)*len(ids)/n
 	part := fusedPart{entities: ids[lo:hi:hi], rows: make([]dataset.Record, hi-lo), moved: moved}
 	for e := lo; e < hi; e++ {
@@ -300,89 +305,77 @@ func (w *Wrangler) shardFuseStage(sr *shardRun, i int) error {
 			pe = sr.kept[e]
 		}
 		for ; len(moved) > 0 && moved[0] < end; moved = moved[1:] {
-			if g := moved[0]; pe >= 0 && !sr.results[g].Value.Same(sr.handOn[int(sr.from[e])+g-first].Value) {
+			if g := moved[0]; pe >= 0 && !next.results[g].Value.Same(sr.handOn[int(sr.from[e])+g-first].Value) {
 				pe = -1
 			}
 		}
 		if pe >= 0 {
 			part.rows[e-lo] = prevRows[pe]
 		} else {
-			part.rows[e-lo] = record(sr.results[first:end], w.Config.Target)
+			part.rows[e-lo] = record(next.results[first:end], w.Config.Target)
 		}
 	}
 	sr.parts[i] = part
 	return nil
 }
 
-// shardMergeStage installs the fuse outputs: the results slab the fuse
-// fan-out filled in global sorted order, and the wrangled table, the
-// parts' records concatenated in part order — the parts are contiguous
-// entity ranges, so that is entity order. The table and its entity ids
-// are fresh, for publish to diff against the last publication.
+// shardMergeStage completes the next state and installs it: the results
+// slab the fuse fan-out filled in global sorted order, and the wrangled
+// table, the parts' records concatenated in part order — the parts are
+// contiguous entity ranges, so that is entity order. The table and its
+// entity ids are fresh, for publish to diff against the last publication.
+// A full tail also records the plan the next one re-plans against: Commit
+// folds the carried-over and freshly computed pair scores into the next
+// round's cache, and keeps the roots slab. Installing is the merge's last
+// step and the tail's last write to the wrangler's carried state, and the
+// engine dispatches nothing after the merge, so a tail either installs
+// its whole state or none of it.
 func (w *Wrangler) shardMergeStage(sr *shardRun) error {
-	if sr.empty {
-		return nil
-	}
-	w.results, w.groups, w.laidFrom = sr.results, sr.groups, sr.laidFrom
-	w.freeFused = nil
-	if sr.groups.TrustFree(sr.opts) {
-		w.freeFused = sr.groups
-	}
-	w.handed = handOff{}
-	if sr.handOn != nil {
-		w.handed = handOff{from: sr.handOn, spans: handOnSpans(sr.groups.EntityStarts(), sr.from)}
-	}
-	w.trust = sr.opts.Trust
-	n := 0
-	for _, p := range sr.parts {
-		n += len(p.rows)
-	}
-	w.wrangled, w.rowEntities = dataset.NewTableCap(w.Config.Target.Clone(), n), make([]string, 0, n)
-	for _, p := range sr.parts {
-		w.rowEntities = append(w.rowEntities, p.entities...)
-		for _, r := range p.rows {
-			w.wrangled.Append(r)
+	next := sr.next
+	if !sr.empty {
+		next.free = next.groups.TrustFree(sr.opts)
+		next.handed = handOff{}
+		if sr.handOn != nil {
+			next.handed = handOff{from: sr.handOn, spans: handOnSpans(next.groups.EntityStarts(), sr.from)}
 		}
-		w.handed.moved = append(w.handed.moved, p.moved...)
+		next.trust = sr.opts.Trust
+		n := 0
+		for _, p := range sr.parts {
+			n += len(p.rows)
+		}
+		next.wrangled, next.rowEntities = dataset.NewTableCap(w.Config.Target.Clone(), n), make([]string, 0, n)
+		for _, p := range sr.parts {
+			next.rowEntities = append(next.rowEntities, p.entities...)
+			for _, r := range p.rows {
+				next.wrangled.Append(r)
+			}
+			next.handed.moved = append(next.handed.moved, p.moved...)
+		}
+		w.LastStats.RowsWrangled = next.wrangled.Len()
+		w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
+			"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
+		if !sr.fuseOnly {
+			// An unrecordable plan (nil) just means the next reaction
+			// plans from scratch.
+			next.plan, _ = sr.rp.Commit(next.resolver, next.unionKeys, sr.must, sr.cannot)
+		}
 	}
-	w.LastStats.RowsWrangled = w.wrangled.Len()
-	w.Prov.Put(provenance.Ref{Kind: provenance.KindFusion, ID: "wrangled"},
-		"fusion.Fuse", []provenance.Ref{{Kind: provenance.KindCluster, ID: "union"}}, sr.opts.Policy.String())
-	w.recordTailMemo(sr)
+	w.tail = next
+	if next.plan != nil {
+		// Everything installed is integrated now.
+		w.dirtySources = nil
+	}
 	return nil
 }
 
 // rowKey is THE "source#idxInSource" row identifier format — feedback
-// addressing (RowKey, rowKeyIndex) and shard routing (rowKeys) must
-// agree on it, so it exists exactly once. The interner's Key method
-// (intern.Table) builds the identical format; rowKeys pins the agreement
-// with this function in its tests.
+// addressing (RowKey, labeledPairs) and shard routing (the union's row
+// keys) must agree on it, so it exists exactly once. The interner's Key
+// method (intern.Table), which assembleUnion builds the row keys with,
+// builds the identical format; the tests pin the agreement with this
+// function.
 func rowKey(src string, idxInSource int) string {
 	return fmt.Sprintf("%s#%d", src, idxInSource)
-}
-
-// rowKeys returns the stable feedback key of every union row — the
-// identifiers shard routing hashes, so a component keeps its shard
-// across reactions that only touch other sources. Keys are interned for
-// the run's lifetime and the per-union slice is cached (buildUnion
-// invalidates it), so the repeated derivations across a tail — feedback
-// indexing, constraint mapping, shard planning — share one build.
-// Callers treat the returned slice as read-only.
-func (w *Wrangler) rowKeys() []string {
-	if w.unionKeys != nil && len(w.unionKeys) == len(w.unionSources) {
-		return w.unionKeys
-	}
-	if w.interner == nil {
-		w.interner = intern.New()
-	}
-	counts := map[string]int{}
-	out := make([]string, len(w.unionSources))
-	for i, src := range w.unionSources {
-		out[i] = w.interner.Key(src, counts[src])
-		counts[src]++
-	}
-	w.unionKeys = out
-	return out
 }
 
 // SharedRecords reports how many of cur's records are shared with prev

@@ -278,30 +278,15 @@ func TestFuseOnlyReactionKeepsDelta(t *testing.T) {
 	}
 }
 
-// cancelAfterPlan is a context that reports cancellation once the
-// wrangler's union has been replaced. The engine asks Err() on its
-// scheduler goroutine before it dispatches each task, and integrate:plan
-// runs alone when it replaces the union, so the first ask after the plan
-// stage — for the resolve fan-out — stops the tail exactly there.
-type cancelAfterPlan struct {
-	context.Context
-	w      *Wrangler
-	before *dataset.Table
-}
-
-func (c cancelAfterPlan) Err() error {
-	if c.w.union != c.before {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
-
 // TestFuseOnlyAfterTailLostAfterPlan: a sharded full tail cancelled right
-// after integrate:plan has replaced the union but not the clustering, the
-// entity ids or the entity→shard routing. A value-feedback reaction that
-// follows must not re-fuse the new union through the old clustering: it
-// runs the full tail and lands where an uncancelled default session does,
-// whether the refreshed source shrank or grew.
+// after integrate:plan has built the next union but not its clustering,
+// entity ids or entity→shard routing. It installs nothing: the installed
+// tail state is the very one from before it. A value-feedback reaction
+// that follows must not re-fuse the installed union, which lacks the
+// refreshed source: it runs the full tail, partial against the installed
+// state (it reuses shards), and lands where an uncancelled default
+// session does, and where a FullRerun does, whether the refreshed source
+// shrank or grew.
 func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 	payloads := map[string]string{
 		"shrinks": "sku,name,brand,price\nAX-2,palma mallap,acme,20\n",
@@ -316,18 +301,18 @@ func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.srcs["srcA"] = csvSource("srcA", payload)
-				ctx := context.Background()
+				ctx, before := context.Background(), w.tail
 				if shards > 0 {
-					ctx = cancelAfterPlan{Context: ctx, w: w, before: w.union}
+					ctx = w.CancelAfterInstall(ctx, 3) // the dispatch after integrate:plan
 				}
 				_, err := w.RefreshSourcesContext(ctx, []string{"srcA"})
 				if shards == 0 {
 					if err != nil {
 						t.Fatal(err)
 					}
-				} else if !errors.Is(err, context.Canceled) || w.memo != nil || w.Serve.Latest().Seq() != 1 {
-					t.Fatalf("the tail was meant to be lost after its plan stage: err=%v memo=%v seq=%d",
-						err, w.memo != nil, w.Serve.Latest().Seq())
+				} else if !errors.Is(err, context.Canceled) || w.tail != before || w.Serve.Latest().Seq() != 1 {
+					t.Fatalf("the tail was meant to be lost after its plan stage, installing nothing: err=%v installed=%v seq=%d",
+						err, w.tail != before, w.Serve.Latest().Seq())
 				}
 				w.AddFeedback(feedback.Item{
 					Kind: feedback.ValueIncorrect, SourceID: "srcB",
@@ -337,8 +322,8 @@ func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("shards=%d: value feedback after the lost tail: %v", shards, err)
 				}
-				if shards > 0 && (stats.ShardsResolved == 0 || w.memo == nil) {
-					t.Fatalf("the reaction did not run the full tail: %+v, memo %v", stats, w.memo != nil)
+				if shards > 0 && (stats.ShardsResolved == 0 || stats.ShardsReused == 0 || w.tail.plan == nil) {
+					t.Fatalf("the reaction did not run the full tail, partial against the installed state: %+v", stats)
 				}
 				if w.FeedbackSeq() == 0 {
 					t.Fatal("the feedback item is still pending")
@@ -359,6 +344,7 @@ func TestFuseOnlyAfterTailLostAfterPlan(t *testing.T) {
 					t.Errorf("trust[%s] = %v, the default session says %v", src, got, want)
 				}
 			}
+			checkAgainstRerun(t, "after the lost tail", sharded)
 		})
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	stdctx "context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/context"
@@ -31,8 +33,8 @@ func TestStreamingRefreshScalesWithDirtyShards(t *testing.T) {
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.memo == nil {
-		t.Fatal("a sharded session's run must record a tail memo")
+	if w.tail.plan == nil {
+		t.Fatal("a sharded session's run must install a plan")
 	}
 	id := w.SelectedSources()[0]
 	reused := 0
@@ -97,31 +99,39 @@ func TestStreamingValueFeedbackReusesClusters(t *testing.T) {
 	}
 }
 
-// TestStreamingFallsBackWithoutMemo pins the degradation path: with the
-// memo invalidated (as after a failed tail), the next reaction runs a
-// full tail, still succeeds, and re-records the memo so partial tails
-// resume.
+// TestStreamingFallsBackWithoutMemo pins what a lost tail leaves behind:
+// a refresh cancelled before its tail, right after its plan stage, and
+// right before its merge installs nothing — the installed tail state is
+// the very one from before it — and the next refresh of the same source,
+// which folds the lost one's source state in, is a partial tail against
+// the installed state (it reuses shards) that lands where a FullRerun
+// does, and leaves a plan partial tails resume from.
 func TestStreamingFallsBackWithoutMemo(t *testing.T) {
-	w := newShardedWrangler(13, 8, 4)
+	const shards = 4
+	w := newShardedWrangler(13, 8, shards)
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	w.memo = nil
-	w.EvolveWorld(0.2)
-	if _, err := w.RefreshSource(w.SelectedSources()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if w.memo == nil {
-		t.Fatal("full-tail fallback must re-record the memo")
-	}
-	// The re-recorded memo must be a valid diff baseline.
-	w.EvolveWorld(0.1)
-	stats, err := w.RefreshSource(w.SelectedSources()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ShardsResolved+stats.ShardsReused != 4 {
-		t.Errorf("partial tails did not resume: %+v", stats)
+	// Asks: one before the tail, then one per dispatch — the plan, the
+	// resolves, the cluster barrier, the fuses and, last, the merge.
+	for _, at := range []int{1, 3, 1 + 1 + shards + 1 + shards + 1} {
+		before := w.tail
+		w.EvolveWorld(0.2)
+		id := w.SelectedSources()[at%len(w.SelectedSources())]
+		if _, err := w.RefreshSourcesContext(w.CancelAfterInstall(stdctx.Background(), at), []string{id}); !errors.Is(err, stdctx.Canceled) {
+			t.Fatalf("ask %d: the refresh was meant to be cancelled: %v", at, err)
+		}
+		if w.tail != before {
+			t.Fatalf("ask %d: a lost tail installed its state", at)
+		}
+		stats, err := w.RefreshSource(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.ShardsResolved+stats.ShardsReused != shards || stats.ShardsReused == 0 || w.tail.plan == nil {
+			t.Errorf("ask %d: the refresh after the lost tail was not partial: %+v", at, stats)
+		}
+		checkAgainstRerun(t, fmt.Sprintf("ask %d", at), w)
 	}
 }
 

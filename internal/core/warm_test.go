@@ -23,7 +23,7 @@ import (
 // must report the rebuild as its "restore" stage, carry as many entity
 // names over as the twin's (some), keep and prepare exactly the claim
 // groups the twin's keeps and prepares (some of each), and leave the
-// twin's working outputs and published version. A value-feedback
+// twin's installed tail state (tailState.check) and published version. A value-feedback
 // reaction after it, fuse-only, must then match the twin's too.
 func TestRestoreIsWarmSharded(t *testing.T) {
 	ctx := context.Background()
@@ -83,8 +83,8 @@ func TestRestoreIsWarmSharded(t *testing.T) {
 			if got.Stages["restore"] <= 0 {
 				t.Fatalf("the first reaction after the restore reports no restore stage: %v", got.Stages)
 			}
-			if w.namesKept != twin.namesKept || w.namesKept == 0 {
-				t.Fatalf("the first reaction after the restore carried %d names over, the twin's %d (want the same, and some)", w.namesKept, twin.namesKept)
+			if w.tail.namesKept != twin.tail.namesKept || w.tail.namesKept == 0 {
+				t.Fatalf("the first reaction after the restore carried %d names over, the twin's %d (want the same, and some)", w.tail.namesKept, twin.tail.namesKept)
 			}
 			if got.TrustGroupsKept != want.TrustGroupsKept || got.TrustGroupsPrepared != want.TrustGroupsPrepared ||
 				want.TrustGroupsKept == 0 || want.TrustGroupsPrepared == 0 {
@@ -93,8 +93,8 @@ func TestRestoreIsWarmSharded(t *testing.T) {
 			}
 			checkTwin := func(label string) {
 				t.Helper()
-				if g, w := workingOutputs(w), workingOutputs(twin); g != w {
-					t.Fatalf("%s: working outputs differ from the twin's:\n%s", label, firstLineDiff(w, g))
+				if err := w.tail.check(twin.tail); err != nil {
+					t.Fatalf("%s: the installed tail state differs from the twin's: %v", label, err)
 				}
 				gv, tv := w.Serve.Latest(), twin.Serve.Latest()
 				if gv.Seq() != tv.Seq() || fmt.Sprintf("%+v", gv.Changes()) != fmt.Sprintf("%+v", tv.Changes()) {
@@ -184,8 +184,8 @@ func TestRestoreRenamesLegacyNames(t *testing.T) {
 			if n := legacy(); n > 0 {
 				t.Fatalf("the first refresh after the restore left %d legacy names", n)
 			}
-			if carried := w.namesKept > 0; carried == tc.legacy {
-				t.Fatalf("the first refresh after the restore carried %d names over", w.namesKept)
+			if carried := w.tail.namesKept > 0; carried == tc.legacy {
+				t.Fatalf("the first refresh after the restore carried %d names over", w.tail.namesKept)
 			}
 		})
 	}

@@ -101,7 +101,9 @@ func (g *Graph) Timings() map[string]time.Duration { return g.timings }
 // *PanicError) wins; no new task starts after it, in-flight tasks are
 // waited for, and the error is returned as-is. Cancellation is checked
 // before every dispatch, so a cancelled context stops the fan-out at the
-// next task boundary and returns ctx.Err().
+// next task boundary and returns ctx.Err(); nothing is checked once the
+// last task has been dispatched, so a run whose every task ran and
+// succeeded returns nil.
 func (g *Graph) Run(ctx context.Context, workers int) error {
 	// Resolve dependencies up front: unknown deps are a construction bug,
 	// reported before any work starts.

@@ -182,6 +182,29 @@ func TestGraphCancellationStopsFanOut(t *testing.T) {
 	}
 }
 
+// TestGraphCancelledByLastTaskSucceeds pins what a caller that installs
+// state in its graph's last task relies on: Run checks the context only
+// before a dispatch, so a cancellation that lands once the last task
+// started is never reported — the last task's effects and a nil error go
+// together.
+func TestGraphCancelledByLastTaskSucceeds(t *testing.T) {
+	g := NewGraph()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := g.Add("first", func(context.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add("last", func(context.Context) error {
+		cancel()
+		return nil
+	}, "first"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(ctx, 2); err != nil {
+		t.Fatalf("Run err = %v after the last task ran, want nil", err)
+	}
+}
+
 func TestGraphRejectsBadConstruction(t *testing.T) {
 	g := NewGraph()
 	if err := g.Add("", func(context.Context) error { return nil }); err == nil {

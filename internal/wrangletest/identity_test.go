@@ -105,20 +105,24 @@ func (h *clockHook) Clock() int {
 	return h.Provider.Clock()
 }
 
-// planCancel is a context that reports cancellation once the wrangler's
-// union has been replaced: the engine asks Err() on its scheduler
-// goroutine before it dispatches each task, and integrate:plan runs alone
-// when it replaces the union, so the first ask after the plan stage — for
-// the resolve fan-out — fails a sharded tail exactly there.
+// planCancel is a context that reports cancellation from the third time
+// it is asked once the reaction installed a source (its run stats count
+// one more source processed): the reaction asks once after its installs,
+// and the engine asks on the scheduler goroutine before it dispatches each
+// task, so the third ask — before the resolve fan-out, after
+// integrate:plan has run alone — fails a sharded tail exactly there.
 type planCancel struct {
 	context.Context
-	w      *core.Wrangler
-	before *dataset.Table
+	w         *core.Wrangler
+	processed int // the run stats' sources processed before the reaction
+	asks      int
 }
 
-func (c planCancel) Err() error {
-	if c.w.Union() != c.before {
-		return context.Canceled
+func (c *planCancel) Err() error {
+	if c.w.LastStats.SourcesProcessed > c.processed {
+		if c.asks++; c.asks >= 3 {
+			return context.Canceled
+		}
 	}
 	return c.Context.Err()
 }
@@ -128,8 +132,8 @@ type tailLoss int
 
 const (
 	noLoss           tailLoss = iota
-	lostAfterPlan             // union replaced; clusters, entity ids and routing not
-	lostAfterCluster          // clusters and claims rebuilt; nothing fused or merged
+	lostAfterPlan             // the next union built; clusters, entity ids and routing not
+	lostAfterCluster          // the next clusters and claims built; nothing fused or merged
 )
 
 type scenarioVariant struct {
@@ -146,7 +150,7 @@ type scenarioStep struct {
 	refresh  []string
 	feedback []feedback.Item
 	// lose cancels the sharded variants' tail mid-flight: the step's
-	// sources are installed, nothing is published and the memo is dropped.
+	// sources are installed, and the tail installs and publishes nothing.
 	// The sessions are compared again after the next step, on outputs only
 	// — their provenance logs have legitimately parted.
 	lose tailLoss
@@ -160,7 +164,7 @@ func (step scenarioStep) apply(v *scenarioVariant) error {
 	fail := step.lose != noLoss && v.w.IntegrationShards > 0
 	switch {
 	case fail && step.lose == lostAfterPlan:
-		ctx = planCancel{Context: ctx, w: v.w, before: v.w.Union()}
+		ctx = &planCancel{Context: ctx, w: v.w, processed: v.w.LastStats.SourcesProcessed}
 	case fail:
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
@@ -362,10 +366,11 @@ func TestSourceDeselectedThenReselected(t *testing.T) {
 }
 
 // TestFailedTailThenCleanOne: a sharded tail cancelled between its
-// cluster stage and its fuse fan-out has already replaced the union, the
-// resolver and the FD dictionary's view of the refreshed source, and
-// drops the memo. The next reaction plans from scratch over that
-// half-advanced state and must land where the baseline session did.
+// cluster stage and its fuse fan-out has built the next union, resolver,
+// clustering and claims, and extended the FD dictionary and the
+// resolver's registries, but installs nothing. The next reaction diffs
+// against the installed state, whose union lacks the refreshed source's
+// change, and must land where the baseline session did.
 func TestFailedTailThenCleanOne(t *testing.T) {
 	f := newFixture()
 	runScenario(t, f, nil, []scenarioStep{
@@ -379,12 +384,13 @@ func TestFailedTailThenCleanOne(t *testing.T) {
 }
 
 // TestTailLostAfterPlanThenValueFeedback: a sharded tail cancelled right
-// after its plan stage has replaced the union but not the clustering, the
-// entity ids or the entity→shard routing. Value feedback — the fuse-only
-// reaction — comes next and must not re-fuse the new union through the
-// old clustering, whether the union shrank or grew in between: with the
-// memo gone it runs the full tail and lands where the baseline session
-// did.
+// after its plan stage has built the next union but not its clustering,
+// entity ids or entity→shard routing, and installs nothing. Value
+// feedback — the fuse-only reaction — comes next and must not re-fuse the
+// installed union, which lacks the refreshed source's change, whether the
+// source shrank or grew in between: with a source installed since the
+// installed state it runs the full tail and lands where the baseline
+// session did.
 func TestTailLostAfterPlanThenValueFeedback(t *testing.T) {
 	f := newFixture()
 	distrust := func(src, sku string) []feedback.Item {

@@ -65,8 +65,8 @@
 // The restore decodes only the newest version; an older one decodes on
 // its first View.At or Watch catch-up, and the working data is rebuilt by
 // the first reaction, which pays for it (its "restore" stage). The
-// rebuild leaves what a live reaction would leave warm — the tail memo,
-// the entity names and the prepared claim groups — so the reaction then
+// rebuild leaves what a live reaction would leave warm — the plan, the
+// entity names and the prepared claim groups — so the reaction then
 // runs as a partial tail that re-prepares only the groups it moved,
 // rather than a cold full run. Session.Checkpoint rewrites the log
 // down to the retention window; WithDurableFsync selects FsyncAlways

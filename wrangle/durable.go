@@ -10,12 +10,12 @@ import (
 // publication to a compact binary log under the state directory, and a new
 // session opened over the same directory restores the snapshot store (with
 // its original sequence numbers, retention window and change sets), the
-// working data and the tail memo inputs — so the process can die and
+// working data and the plan behind it — so the process can die and
 // come back warm: readers resume at the exact retained versions, and the
 // first reaction after restart recomputes a partial tail, not a cold run.
 // The restore serves before it rebuilds: opening decodes only the newest
 // version, older retained versions decode on their first View.At or
-// Watch catch-up, and the working data, tail memo, entity names and
+// Watch catch-up, and the working data, plan, entity names and
 // prepared claim groups are rebuilt, on every CPU, by the first reaction,
 // which reports that work as its "restore" stage and then prepares only
 // the claim groups it moved, as a reaction of the session that wrote the

@@ -208,9 +208,9 @@ func WithParallelism(n int) Option {
 // and fusion over the union of all selected sources — into n disjoint
 // blocking shards that run as parallel engine tasks and merge
 // deterministically. Results are byte-identical at every shard count;
-// only the speed changes. Every session memoizes its last integrated
-// tail, and every Refresh (and duplicate feedback) diffs the rebuilt
-// union against it, re-plans incrementally and re-resolves only the
+// only the speed changes. Every session keeps what its last completed
+// tail integrated, and every Refresh (and duplicate feedback) diffs the
+// rebuilt union against it, re-plans incrementally and re-resolves only the
 // shards the delta touched (see ReactStats.ShardsResolved / ShardsReused
 // and the ReactStats.Stages split) — untouched shards keep their
 // clusters by reference. Trust is re-estimated over all claims and the
